@@ -29,11 +29,6 @@ pub use dashboard::{Dashboard, QueryPanel, SlowQuery, StaticQueryPanel};
 pub use federation::{Federation, FederationTopology};
 pub use optique_telemetry as telemetry;
 
-/// The federation's pre-unification name, kept for downstream callers.
-pub type StaticFederation = Federation;
 pub use optique_sparql::SparqlResults;
-pub use platform::{
-    CacheInvalidation, FleetReport, OptiquePlatform, PlatformSnapshot, RegisteredStarQl,
-    WritePolicy,
-};
+pub use platform::{FleetReport, OptiquePlatform, PlatformSnapshot, RegisteredStarQl};
 pub use server::{Client, Request, Response, Server, ServerConfig, ServerError, TenantQuota};

@@ -3,33 +3,32 @@
 //! # Concurrency model
 //!
 //! The platform is a shared `&self` service. All query-relevant mutable
-//! state — catalog, statistics, topology, planner knobs, BGP-cache
-//! generation — lives in **one** [`PlatformSnapshot`] behind a single
+//! state — catalog, statistics, topology, planner knobs, per-table write
+//! versions — lives in **one** [`PlatformSnapshot`] behind a single
 //! `RwLock<Arc<…>>`. Queries capture the current snapshot with one atomic
 //! read at the start and never touch shared state again (MVCC-style), so a
 //! request cannot mix pre-write and post-write state across its
 //! parse→rewrite→unfold→exec pipeline. Writers
-//! ([`insert_static`](OptiquePlatform::insert_static)) build the next
-//! snapshot, invalidate the BGP cache and drop the federation pools while
-//! still holding the write lock, then publish everything with one swap.
+//! ([`insert_static`](OptiquePlatform::insert_static),
+//! [`merge_now`](OptiquePlatform::merge_now)) build the next snapshot and
+//! evict or drop what it supersedes while still holding the write lock,
+//! then publish everything with one swap.
 //!
 //! # Incremental writes
 //!
-//! Under the default [`WritePolicy::NoveltyOverlay`], `insert_static` does
-//! **not** rebuild the catalog: appended rows land in an immutable
-//! per-table novelty log ([`optique_relational::NoveltyOverlay`]) swapped
-//! in alongside the *same* base catalog `Arc` — so federation pools stay
-//! valid, statistics take an O(1) row-count delta, and the BGP cache keeps
-//! every entry whose tables were untouched (per-table write versions,
+//! `insert_static` does **not** rebuild the catalog: appended rows land in
+//! an immutable per-table novelty log
+//! ([`optique_relational::NoveltyOverlay`]) swapped in alongside the
+//! *same* base catalog `Arc` — so federation pools stay valid, statistics
+//! take an O(1) row-count delta, and the BGP cache keeps every entry
+//! whose tables were untouched (per-table write versions,
 //! [`optique_sparql::TableVersions`]). Scans merge base + overlay; plan
 //! fragments pin the overlay's epoch on the wire so every worker in a
 //! round resolves the same overlay. A merge
-//! ([`merge_now`](OptiquePlatform::merge_now), or automatic past
-//! [`set_merge_threshold`](OptiquePlatform::set_merge_threshold)) folds
-//! the log into the base tables, re-analyzes only the touched tables'
-//! statistics, and drops the pools so the next distributed query
-//! re-partitions over the folded shards. [`WritePolicy::StopTheWorld`]
-//! restores the old rebuild-everything write path exactly.
+//! ([`merge_now`](OptiquePlatform::merge_now), or automatic once the
+//! overlay holds 4096 rows) folds the log into the base tables,
+//! re-analyzes only the touched tables' statistics, and drops the pools so
+//! the next distributed query re-partitions over the folded shards.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -94,33 +93,6 @@ pub struct RegisteredStarQl {
     last_auto_window: Option<u64>,
 }
 
-/// How `insert_static` invalidates the per-BGP cache.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CacheInvalidation {
-    /// Evict only the entries whose unfolded SQL read the written table
-    /// (entries with unknown provenance always go) — the default.
-    #[default]
-    Dependent,
-    /// Clear the whole cache on every write — the conservative fallback.
-    FullClear,
-}
-
-/// How [`insert_static`](OptiquePlatform::insert_static) publishes rows.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum WritePolicy {
-    /// Append to the in-memory novelty overlay: the base catalog `Arc` is
-    /// untouched, so federation pools survive, stats take a row-count
-    /// delta, and versioned BGP-cache entries over other tables stay warm.
-    /// A merge (explicit or threshold-driven) folds the overlay into the
-    /// base — the default.
-    #[default]
-    NoveltyOverlay,
-    /// Rebuild the written table (clone + append), re-analyze its stats,
-    /// and drop the pools inside the critical section — the original
-    /// write path, kept for comparison and as the conservative fallback.
-    StopTheWorld,
-}
-
 /// The conciseness report behind experiment E3: one STARQL text versus the
 /// fleet of low-level queries it replaces.
 #[derive(Clone, Debug)]
@@ -151,8 +123,7 @@ pub struct PlatformSnapshot {
     /// [`Self::novelty`] installed, so scans merge base + overlay rows.
     /// The same `Arc` as [`Self::db`] while the overlay is empty.
     pub view: Arc<Database>,
-    /// Rows appended since the last merge, immutably versioned by epoch
-    /// (empty under [`WritePolicy::StopTheWorld`]).
+    /// Rows appended since the last merge, immutably versioned by epoch.
     pub novelty: Arc<NoveltyOverlay>,
     /// Per-table write versions of this snapshot: bumped by every insert,
     /// *unchanged* by merges (a merge changes no table's contents), so
@@ -168,11 +139,6 @@ pub struct PlatformSnapshot {
     pub topology: FederationTopology,
     /// Join-order / semi-join planner knobs in force for this snapshot.
     pub planner: PlannerSettings,
-    /// BGP-cache generation this snapshot pairs with: readers pass it to
-    /// [`BgpCache::lookup_any_at`], so once a write bumps the generation a
-    /// reader still holding a pre-write snapshot misses instead of pairing
-    /// a fresh catalog with a stale cached solution set (or vice versa).
-    pub cache_generation: u64,
     /// Watermark of the global term dictionary at capture. The dictionary
     /// is append-only, so every id a batch produced under this snapshot can
     /// carry resolves stably for the snapshot's lifetime; writers that
@@ -200,24 +166,21 @@ pub struct OptiquePlatform {
     static_log: Mutex<VecDeque<StaticQueryPanel>>,
     static_next_id: std::sync::atomic::AtomicU64,
     /// Per-BGP solution-set cache shared by every static query (single-node
-    /// and distributed); invalidated inside the write critical section.
+    /// and distributed). Validity is decided by the snapshot's per-table
+    /// versions; a write also evicts the written table's dependents inside
+    /// its critical section (memory hygiene, dashboard counter).
     static_cache: BgpCache,
     /// Static-query worker pools, one per requested `(worker count,
-    /// topology)`, dropped inside the write critical section (workers
-    /// snapshot the catalog they were built over — and a write may change
-    /// the advisor's partition keys). Lookups additionally validate the
-    /// cached pool's catalog against the request snapshot by pointer
+    /// topology)`, dropped inside the merge critical section (workers
+    /// snapshot the base catalog they were built over — and a fold may
+    /// change the advisor's partition keys). Lookups additionally validate
+    /// the cached pool's catalog against the request snapshot by pointer
     /// identity, so a pool raced into the map over a superseded catalog is
     /// never served.
     federations: Mutex<HashMap<(usize, FederationTopology), Arc<Federation>>>,
-    /// How relational writes invalidate the per-BGP cache
-    /// ([`CacheInvalidation::Dependent`] by default).
-    invalidation: RwLock<CacheInvalidation>,
     /// Fired once (and cleared) right after `insert_static`'s critical
-    /// section — the seam where the pre-fix write path had already
-    /// published the new catalog but not yet invalidated the BGP cache or
-    /// dropped the pools. Interleaving regression tests hang their
-    /// assertions here.
+    /// section — the seam where the successor snapshot has just been
+    /// published. Interleaving regression tests hang their assertions here.
     #[cfg(test)]
     #[allow(clippy::type_complexity)]
     write_probe: Mutex<Option<Box<dyn FnOnce(&OptiquePlatform) + Send>>>,
@@ -227,11 +190,6 @@ pub struct OptiquePlatform {
     #[cfg(test)]
     #[allow(clippy::type_complexity)]
     merge_probe: Mutex<Option<Box<dyn FnOnce(&OptiquePlatform) + Send>>>,
-    /// How `insert_static` publishes rows
-    /// ([`WritePolicy::NoveltyOverlay`] by default).
-    write_policy: RwLock<WritePolicy>,
-    /// Overlay depth (rows) at which an insert triggers an automatic merge.
-    merge_threshold: std::sync::atomic::AtomicUsize,
     /// Platform-wide counters and latency histograms, exported by
     /// [`metrics_snapshot`](Self::metrics_snapshot). Static queries feed
     /// `static.query_us`; every registered continuous query feeds
@@ -257,7 +215,7 @@ const SLOW_LOG_CAP: usize = 32;
 /// Default slow-query threshold: 100 ms.
 const DEFAULT_SLOW_THRESHOLD_US: u64 = 100_000;
 
-/// Default overlay depth that triggers an automatic merge.
+/// Overlay depth (rows) at which an insert triggers an automatic merge.
 const DEFAULT_MERGE_THRESHOLD: usize = 4096;
 
 /// Registry counters accumulating plan-cache hits/misses of federation
@@ -279,7 +237,6 @@ impl OptiquePlatform {
         mappings: MappingCatalog,
         stream_to_rdf: StreamToRdf,
     ) -> Self {
-        let static_cache = BgpCache::new();
         let stats = Arc::new(StatsCatalog::analyze(&db));
         let db = Arc::new(db);
         let state = RwLock::new(Arc::new(PlatformSnapshot {
@@ -290,7 +247,6 @@ impl OptiquePlatform {
             stats,
             topology: FederationTopology::default(),
             planner: PlannerSettings::default(),
-            cache_generation: static_cache.generation(),
             dict: TermDict::global().snapshot(),
         }));
         OptiquePlatform {
@@ -304,15 +260,12 @@ impl OptiquePlatform {
             next_id: std::sync::atomic::AtomicU64::new(1),
             static_log: Mutex::new(VecDeque::new()),
             static_next_id: std::sync::atomic::AtomicU64::new(1),
-            static_cache,
+            static_cache: BgpCache::new(),
             federations: Mutex::new(HashMap::new()),
-            invalidation: RwLock::new(CacheInvalidation::default()),
             #[cfg(test)]
             write_probe: Mutex::new(None),
             #[cfg(test)]
             merge_probe: Mutex::new(None),
-            write_policy: RwLock::new(WritePolicy::default()),
-            merge_threshold: std::sync::atomic::AtomicUsize::new(DEFAULT_MERGE_THRESHOLD),
             registry: Arc::new(MetricsRegistry::new()),
             tracing: std::sync::atomic::AtomicBool::new(true),
             slow_threshold_us: std::sync::atomic::AtomicU64::new(DEFAULT_SLOW_THRESHOLD_US),
@@ -322,7 +275,7 @@ impl OptiquePlatform {
 
     /// Pins the current [`PlatformSnapshot`]: one atomic load, after which
     /// the caller's view of catalog, statistics, topology, planner and
-    /// cache generation is immutable for as long as the `Arc` is held.
+    /// table versions is immutable for as long as the `Arc` is held.
     pub fn snapshot(&self) -> Arc<PlatformSnapshot> {
         Arc::clone(&self.state.read())
     }
@@ -330,7 +283,7 @@ impl OptiquePlatform {
     /// The current relational snapshot (static tables + stream tables),
     /// **including** any unmerged novelty-overlay rows: scans over the
     /// returned catalog merge base + overlay, so readers see every
-    /// committed insert regardless of the write policy.
+    /// committed insert whether or not it has been merged yet.
     pub fn db(&self) -> Arc<Database> {
         Arc::clone(&self.state.read().view)
     }
@@ -479,7 +432,7 @@ impl OptiquePlatform {
         // re-shards over the full stream set.
         if workers.is_some() {
             let mut pools = self.federations.lock();
-            self.retire_plan_cache_counters(&pools);
+            self.retire_plan_cache_counters(pools.values());
             pools.clear();
         }
         Ok(id)
@@ -533,14 +486,8 @@ impl OptiquePlatform {
             modifiers: SolutionModifier::default(),
         };
         let federation = workers.map(|w| self.federation_for(w, snap));
-        let mut pipeline = StaticPipeline::new(&self.ontology, &self.mappings, &snap.view)
-            .with_cache_versions(&self.static_cache, &snap.versions)
-            .with_planner(snap.planner)
-            .with_table_stats(&snap.stats);
-        if let Some(federation) = federation.as_deref() {
-            pipeline = pipeline.with_executor(federation);
-        }
-        let (results, _) = pipeline
+        let (results, _) = self
+            .pipeline(snap, federation.as_deref())
             .answer(&Query::Select(select))
             .map_err(|e| format!("static bindings query failed: {e}"))?;
         let vars = results.vars().to_vec();
@@ -555,6 +502,25 @@ impl OptiquePlatform {
             bindings.push(env);
         }
         Ok(bindings)
+    }
+
+    /// The static pipeline every request runs under `snap`: the view
+    /// catalog, the shared BGP cache at the snapshot's table versions, the
+    /// snapshot's planner knobs and statistics, and `federation` as the
+    /// fragment executor when the request is distributed.
+    fn pipeline<'a>(
+        &'a self,
+        snap: &'a PlatformSnapshot,
+        federation: Option<&'a Federation>,
+    ) -> StaticPipeline<'a> {
+        let pipeline = StaticPipeline::new(&self.ontology, &self.mappings, &snap.view)
+            .with_cache(&self.static_cache, &snap.versions)
+            .with_planner(snap.planner)
+            .with_table_stats(&snap.stats);
+        match federation {
+            Some(federation) => pipeline.with_executor(federation),
+            None => pipeline,
+        }
     }
 
     /// The `(stream table, stream key)` pairs of every registered
@@ -607,13 +573,7 @@ impl OptiquePlatform {
             // The replaced pool's plan-cache counters retire exactly like
             // an explicitly dropped pool's: a mid-flight swap must not
             // zero the dashboard's cache-rate history.
-            let (hits, misses) = entry.plan_cache_stats();
-            if hits > 0 {
-                self.registry.counter(PLAN_CACHE_RETIRED_HITS).add(hits);
-            }
-            if misses > 0 {
-                self.registry.counter(PLAN_CACHE_RETIRED_MISSES).add(misses);
-            }
+            self.retire_plan_cache_counters([&*entry]);
             *entry = Arc::clone(&pool);
         }
         Arc::clone(entry)
@@ -727,7 +687,7 @@ impl OptiquePlatform {
     ) -> Result<(SparqlResults, PipelineStats, Option<Tracer>), String> {
         let started = std::time::Instant::now();
         // One atomic snapshot pin for the whole request: db, stats,
-        // planner, topology and cache generation all describe the same
+        // planner, topology and table versions all describe the same
         // instant, no matter what writers do while we run.
         let snap = self.snapshot();
         let federation = workers.map(|w| self.federation_for(w, &snap));
@@ -747,13 +707,7 @@ impl OptiquePlatform {
                 g.finish();
             }
 
-            let mut pipeline = StaticPipeline::new(&self.ontology, &self.mappings, &snap.view)
-                .with_cache_versions(&self.static_cache, &snap.versions)
-                .with_planner(snap.planner)
-                .with_table_stats(&snap.stats);
-            if let Some(federation) = federation.as_deref() {
-                pipeline = pipeline.with_executor(federation);
-            }
+            let mut pipeline = self.pipeline(&snap, federation.as_deref());
             if let Some(tracer) = tracer.as_ref() {
                 pipeline = pipeline.with_tracer(tracer, root_id);
             }
@@ -895,32 +849,18 @@ impl OptiquePlatform {
         Ok(out)
     }
 
-    /// Appends rows to a static table, swapping in a new
-    /// [`PlatformSnapshot`]. Every derived static-query structure is
-    /// invalidated or refreshed **inside the critical section**, before
-    /// the new snapshot is published — so no concurrent reader can ever
-    /// pair the new catalog with a pre-write cache entry, an old-shard
-    /// pool, or stale cardinalities. Returns the number of inserted rows.
-    ///
-    /// What "refreshed" means depends on the [`WritePolicy`]: under the
-    /// default overlay policy the rows land in the novelty log (same base
-    /// catalog `Arc`, pools survive, O(1) stats delta, per-table cache
-    /// versions bump); under [`WritePolicy::StopTheWorld`] the table is
-    /// rebuilt, its stats re-analyzed, and the pools dropped, exactly as
-    /// before. Either way the dependent BGP-cache entries are evicted
-    /// inside the critical section.
+    /// Appends rows to a static table by publishing a successor
+    /// [`PlatformSnapshot`]: the rows are validated against the base schema
+    /// and land in the novelty log alongside the *same* base catalog `Arc`
+    /// — pools survive, stats take an O(1) row-count delta, the table's
+    /// write version bumps (which is what hides every BGP-cache entry that
+    /// read it from post-write readers) and its dependent cache entries are
+    /// evicted, all **inside the critical section**, so no concurrent
+    /// reader can pair the new rows with a pre-write cache entry or stale
+    /// cardinalities. Once the overlay holds 4096 rows, a merge runs
+    /// afterwards, outside the critical section. Returns the number of
+    /// inserted rows; an empty batch changes nothing and publishes nothing.
     pub fn insert_static(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize, String> {
-        match self.write_policy() {
-            WritePolicy::NoveltyOverlay => self.insert_overlay(table, rows),
-            WritePolicy::StopTheWorld => self.insert_stop_the_world(table, rows),
-        }
-    }
-
-    /// The overlay fast path: validate against the base schema, publish a
-    /// successor overlay alongside the *same* base catalog `Arc`, and
-    /// leave the pools alone. An automatic merge runs afterwards (outside
-    /// the critical section) once the overlay passes the threshold.
-    fn insert_overlay(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize, String> {
         let inserted = rows.len();
         let merge_pending;
         {
@@ -931,43 +871,34 @@ impl OptiquePlatform {
             for row in &rows {
                 base.check_row(row).map_err(|e| e.to_string())?;
             }
+            if rows.is_empty() {
+                return Ok(0);
+            }
             let novelty = guard.novelty.with_rows(table, rows);
             let depth = novelty.depth();
-            // O(1) stats refresh: the planner sees the new cardinality
-            // immediately; per-column histograms refresh at merge.
-            let stats = Arc::new(guard.stats.with_row_delta(table, inserted));
-            let versions = Arc::new(guard.versions.bumped(table));
-            // Same eviction discipline (and counter parity) as the
-            // stop-the-world path for readers of the legacy generation API.
-            match *self.invalidation.read() {
-                CacheInvalidation::Dependent => {
-                    self.static_cache.invalidate_table(table);
-                }
-                CacheInvalidation::FullClear => {
-                    self.static_cache.invalidate();
-                }
-            }
+            // Validity is the version bump below; the eviction frees the
+            // entries no post-write reader can match any more and feeds the
+            // dashboard's invalidation counter.
+            self.static_cache.invalidate_table(table);
             let mut view = (*guard.db).clone();
             view.set_novelty(Some(Arc::clone(&novelty)));
+            // `db` keeps the same base Arc: pools keyed on its pointer
+            // identity stay valid, and a scatter round merges overlay rows
+            // per shard through each worker's NoveltyScope.
             *guard = Arc::new(PlatformSnapshot {
-                // Same base Arc: pools keyed on its pointer identity stay
-                // valid, and a scatter round merges overlay rows per shard
-                // through each worker's NoveltyScope.
-                db: Arc::clone(&guard.db),
                 view: Arc::new(view),
                 novelty,
-                versions,
-                stats,
-                topology: guard.topology,
-                planner: guard.planner,
-                cache_generation: self.static_cache.generation(),
+                versions: Arc::new(guard.versions.bumped(table)),
+                // O(1) stats refresh: the planner sees the new cardinality
+                // immediately; per-column histograms refresh at merge.
+                stats: Arc::new(guard.stats.with_row_delta(table, inserted)),
+                // Re-pin after interning the inserted rows' text: ids for
+                // the new literals fall at or below the fresh watermark.
                 dict: TermDict::global().snapshot(),
+                ..(**guard).clone()
             });
             self.registry.gauge("novelty.depth").set(depth as i64);
-            merge_pending = depth
-                >= self
-                    .merge_threshold
-                    .load(std::sync::atomic::Ordering::Relaxed);
+            merge_pending = depth >= DEFAULT_MERGE_THRESHOLD;
         }
         #[cfg(test)]
         if let Some(probe) = self.write_probe.lock().take() {
@@ -975,70 +906,6 @@ impl OptiquePlatform {
         }
         if merge_pending {
             self.merge_now()?;
-        }
-        Ok(inserted)
-    }
-
-    /// The original write path: rebuild the written table, re-analyze its
-    /// stats and drop the pools inside the critical section. Any unmerged
-    /// overlay (left over from a policy switch) is folded in the same
-    /// swap, so no row is ever lost or double-counted.
-    fn insert_stop_the_world(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize, String> {
-        let inserted = rows.len();
-        {
-            let mut guard = self.state.write();
-            let (mut new_db, folded) = Self::fold_overlay(&guard.db, &guard.novelty)?;
-            let mut new_table = (**new_db.table(table).map_err(|e| e.to_string())?).clone();
-            for row in rows {
-                new_table.push_row(row).map_err(|e| e.to_string())?;
-            }
-            new_db.put_table(table, new_table);
-            let new_db = Arc::new(new_db);
-            // Only the changed tables are re-analyzed; writers serialize on
-            // the state write lock, so stats always describe the catalog
-            // installed by the same swap.
-            let mut stats = (*guard.stats).clone();
-            for touched in folded.iter().map(String::as_str).chain([table]) {
-                let changed = Arc::clone(new_db.table(touched).expect("table was just rebuilt"));
-                stats = stats.with_refreshed_table(touched, &changed);
-            }
-            // Invalidate the cache and drop the pools while the write lock
-            // still blocks snapshot pins: a reader runs entirely before
-            // this write (old snapshot, old generation — its cache hits
-            // are valid) or entirely after (new snapshot, new generation).
-            // The old ordering did both *after* releasing the lock,
-            // opening a window where the new catalog answered from stale
-            // cache entries and old-shard pools.
-            match *self.invalidation.read() {
-                CacheInvalidation::Dependent => {
-                    self.static_cache.invalidate_table(table);
-                }
-                CacheInvalidation::FullClear => {
-                    self.static_cache.invalidate();
-                }
-            }
-            {
-                let mut pools = self.federations.lock();
-                self.retire_plan_cache_counters(&pools);
-                pools.clear();
-            }
-            *guard = Arc::new(PlatformSnapshot {
-                view: Arc::clone(&new_db),
-                db: new_db,
-                novelty: NoveltyOverlay::empty(),
-                versions: Arc::new(guard.versions.bumped(table)),
-                stats: Arc::new(stats),
-                topology: guard.topology,
-                planner: guard.planner,
-                cache_generation: self.static_cache.generation(),
-                // Re-pin after interning the inserted rows' text: ids for
-                // the new literals fall at or below the fresh watermark.
-                dict: TermDict::global().snapshot(),
-            });
-        }
-        #[cfg(test)]
-        if let Some(probe) = self.write_probe.lock().take() {
-            probe(self);
         }
         Ok(inserted)
     }
@@ -1076,8 +943,8 @@ impl OptiquePlatform {
     /// entries stay warm across it. Returns the number of rows folded
     /// (0 when the overlay was already empty).
     ///
-    /// Inserts past [`set_merge_threshold`](Self::set_merge_threshold)
-    /// trigger this automatically; calling it directly makes merge timing
+    /// An [`insert_static`](Self::insert_static) that fills the overlay
+    /// triggers this automatically; calling it directly makes merge timing
     /// deterministic for tests and benchmarks.
     pub fn merge_now(&self) -> Result<usize, String> {
         let started = std::time::Instant::now();
@@ -1096,24 +963,22 @@ impl OptiquePlatform {
                 stats = stats.with_refreshed_table(table, &t);
             }
             // The fold swaps the base catalog Arc the pools shard, so they
-            // retire here exactly like a stop-the-world write.
+            // retire here, while the write lock still blocks snapshot pins:
+            // no reader can pair the folded catalog with an old-shard pool.
             {
                 let mut pools = self.federations.lock();
-                self.retire_plan_cache_counters(&pools);
+                self.retire_plan_cache_counters(pools.values());
                 pools.clear();
             }
+            // `versions` carries over unchanged: pre-merge and post-merge
+            // answers are identical, so cached solution sets stay valid.
             *guard = Arc::new(PlatformSnapshot {
                 view: Arc::clone(&folded),
                 db: folded,
                 novelty: NoveltyOverlay::empty(),
-                // Unchanged: pre-merge and post-merge answers are
-                // identical, so cached solution sets stay valid.
-                versions: Arc::clone(&guard.versions),
                 stats: Arc::new(stats),
-                topology: guard.topology,
-                planner: guard.planner,
-                cache_generation: self.static_cache.generation(),
                 dict: TermDict::global().snapshot(),
+                ..(**guard).clone()
             });
             self.registry.gauge("novelty.depth").set(0);
         }
@@ -1127,46 +992,18 @@ impl OptiquePlatform {
         Ok(merged)
     }
 
-    /// How `insert_static` currently publishes rows.
-    pub fn write_policy(&self) -> WritePolicy {
-        *self.write_policy.read()
-    }
-
-    /// Switches the write path. Switching **to**
-    /// [`WritePolicy::StopTheWorld`] merges any pending overlay first, so
-    /// the policies never interleave over the same unmerged rows.
-    pub fn set_write_policy(&self, policy: WritePolicy) -> Result<(), String> {
-        *self.write_policy.write() = policy;
-        if policy == WritePolicy::StopTheWorld {
-            self.merge_now()?;
-        }
-        Ok(())
-    }
-
     /// Rows currently in the novelty overlay (0 right after a merge).
     pub fn novelty_depth(&self) -> usize {
         self.state.read().novelty.depth()
-    }
-
-    /// Sets the overlay depth at which an insert triggers an automatic
-    /// [`merge_now`](Self::merge_now) (default 4096 rows). Benchmarks
-    /// isolating pure append latency set it high; write-heavy workloads
-    /// tune it to bound scan-side merge work.
-    pub fn set_merge_threshold(&self, rows: usize) {
-        self.merge_threshold
-            .store(rows.max(1), std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Folds the prepared-plan cache counters of pools that are about to be
     /// dropped into the shared [`MetricsRegistry`], so the dashboard's
     /// hit/miss totals accumulate across pool rebuilds instead of resetting
     /// every time a write or a distributed registration drops the pools.
-    fn retire_plan_cache_counters(
-        &self,
-        pools: &HashMap<(usize, FederationTopology), Arc<Federation>>,
-    ) {
+    fn retire_plan_cache_counters<'p>(&self, pools: impl IntoIterator<Item = &'p Arc<Federation>>) {
         let (hits, misses) = pools
-            .values()
+            .into_iter()
             .map(|f| f.plan_cache_stats())
             .fold((0, 0), |(h, m), (fh, fm)| (h + fh, m + fm));
         if hits > 0 {
@@ -1205,18 +1042,6 @@ impl OptiquePlatform {
     #[cfg(test)]
     fn set_merge_probe(&self, probe: impl FnOnce(&OptiquePlatform) + Send + 'static) {
         *self.merge_probe.lock() = Some(Box::new(probe));
-    }
-
-    /// How relational writes invalidate the per-BGP cache.
-    pub fn cache_invalidation(&self) -> CacheInvalidation {
-        *self.invalidation.read()
-    }
-
-    /// Switches between dependency-tracked eviction (the default: a write
-    /// evicts only the entries whose unfolded SQL read the written table)
-    /// and the conservative whole-cache clear.
-    pub fn set_cache_invalidation(&self, mode: CacheInvalidation) {
-        *self.invalidation.write() = mode;
     }
 
     /// The shared per-BGP solution-set cache (hit/miss counters feed the
@@ -1599,42 +1424,30 @@ mod tests {
         assert!(dash.plan_cache_hits + dash.plan_cache_misses > 0);
     }
 
-    /// Dependent invalidation keeps entries over unwritten tables warm;
-    /// the full-clear knob restores the conservative behavior.
+    /// A write hides (and evicts) only the cache entries that read the
+    /// written table; entries over other tables stay warm.
     #[test]
     fn dependent_invalidation_keeps_unrelated_entries() {
         let p = platform();
-        assert_eq!(p.cache_invalidation(), CacheInvalidation::Dependent);
         let sensors = "SELECT ?s WHERE { ?s a sie:Sensor }";
         let turbines = "SELECT ?t WHERE { ?t a sie:Turbine }";
         p.query_static(sensors).unwrap();
         p.query_static(turbines).unwrap();
 
         // Insert into turbines: the sensor entry must survive…
-        let t = p.db().table("turbines").unwrap().clone();
-        let mut row: Vec<Value> = t.rows[0].clone();
-        let id_col = t.schema.index_of("tid").unwrap();
-        row[id_col] = Value::Int(77_001);
-        p.insert_static("turbines", vec![row.clone()]).unwrap();
+        p.insert_static("turbines", vec![new_turbine_row(&p, 77_001)])
+            .unwrap();
         let (_, stats) = p.query_static_with_stats(sensors).unwrap();
         assert!(stats.cache_hits >= 1, "sensor entry stayed warm: {stats:?}");
         // …while the turbine entry was evicted and sees the new row.
         let (fresh, stats) = p.query_static_with_stats(turbines).unwrap();
         assert_eq!(stats.cache_hits, 0, "turbine entry evicted: {stats:?}");
         assert!(!fresh.is_empty());
-
-        // Full-clear fallback: the same write now clears everything.
-        p.set_cache_invalidation(CacheInvalidation::FullClear);
-        p.query_static(sensors).unwrap();
-        row[id_col] = Value::Int(77_002);
-        p.insert_static("turbines", vec![row]).unwrap();
-        let (_, stats) = p.query_static_with_stats(sensors).unwrap();
-        assert_eq!(stats.cache_hits, 0, "full clear evicted sensors too");
     }
 
-    /// Regression: a relational write drops the federation pools, but the
-    /// dashboard's plan-cache totals must accumulate across the rebuild —
-    /// the counters retire into the registry, they don't reset to zero.
+    /// Regression: a merge drops the federation pools, but the dashboard's
+    /// plan-cache totals must accumulate across the rebuild — the counters
+    /// retire into the registry, they don't reset to zero.
     #[test]
     fn plan_cache_counters_survive_pool_rebuilds() {
         let p = platform();
@@ -1648,6 +1461,7 @@ mod tests {
 
         p.insert_static("turbines", vec![new_turbine_row(&p, 88_001)])
             .unwrap();
+        p.merge_now().unwrap();
         let after = p.dashboard();
         assert!(
             after.plan_cache_hits >= before.plan_cache_hits
@@ -1675,11 +1489,11 @@ mod tests {
         let q = "SELECT ?t WHERE { ?t a sie:Turbine }";
         p.query_static_distributed(q, 2).unwrap();
         let old_snap = p.snapshot();
-        // A stop-the-world write swaps the base catalog and drops the
-        // pools (retiring the first pool's counters).
-        p.set_write_policy(WritePolicy::StopTheWorld).unwrap();
+        // A merge swaps the base catalog and drops the pools (retiring
+        // the first pool's counters).
         p.insert_static("turbines", vec![new_turbine_row(&p, 97_001)])
             .unwrap();
+        p.merge_now().unwrap();
         // Fresh pool over the new catalog, with live counters.
         p.query_static_distributed(q, 2).unwrap();
         let before = p.dashboard();
@@ -1879,26 +1693,21 @@ HAVING MAX(?c2, sie:hasValue) >= 85
     }
 
     /// Interleaving regression (write-path race #1): at the seam right
-    /// after `insert_static`'s critical section the BGP cache must already
-    /// be invalidated. Under the pre-fix ordering — invalidate *after* the
-    /// write lock dropped — the probe runs before the invalidation, so it
-    /// observes the pre-write generation and a reader at the seam pairs
-    /// the new catalog with the stale cached solution set; both assertions
-    /// fail deterministically.
+    /// after `insert_static`'s critical section the written table's cache
+    /// entries must already be unreachable. Under the pre-fix ordering —
+    /// invalidate *after* the write lock dropped — a reader at the seam
+    /// paired the new catalog with the stale cached solution set.
     #[test]
     fn bgp_cache_invalidated_inside_insert_critical_section() {
         let p = platform();
-        // The race this regression pins lives in the stop-the-world write
-        // path; the overlay path has its own seam test below.
-        p.set_write_policy(WritePolicy::StopTheWorld).unwrap();
         let text = "SELECT ?t WHERE { ?t a sie:Turbine }";
         let before = p.query_static(text).unwrap().len();
-        let generation_before = p.bgp_cache().generation();
         let row = new_turbine_row(&p, 88_001);
         p.set_write_probe(move |p| {
-            assert!(
-                p.bgp_cache().generation() > generation_before,
-                "cache invalidation must precede snapshot publication"
+            assert_eq!(
+                p.bgp_cache().invalidations(),
+                1,
+                "dependents are evicted before the snapshot publishes"
             );
             let fresh = p.query_static(text).unwrap();
             assert_eq!(
@@ -1910,21 +1719,22 @@ HAVING MAX(?c2, sie:hasValue) >= 85
         p.insert_static("turbines", vec![row]).unwrap();
     }
 
-    /// Interleaving regression (write-path race #2): at the same seam no
-    /// federation pool sharded over the superseded catalog may remain
-    /// visible to new lookups. Pre-fix, the pools were cleared after the
-    /// lock dropped, so a distributed query at the seam grabbed a pool
+    /// Interleaving regression (write-path race #2): an insert that fills
+    /// the overlay folds it, and the fold is the one writer that swaps the
+    /// base catalog — so at the seam right after the merge's critical
+    /// section no federation pool sharded over the superseded catalog may
+    /// remain visible to new lookups. Pre-fix, the pools were cleared after
+    /// the lock dropped, so a distributed query at the seam grabbed a pool
     /// built over the old shards and missed the insert.
     #[test]
     fn federation_pools_dropped_inside_insert_critical_section() {
         let p = platform();
-        // Pool-dropping is stop-the-world behavior; under the overlay
-        // policy pools deliberately survive (seam test below).
-        p.set_write_policy(WritePolicy::StopTheWorld).unwrap();
         let text = "SELECT DISTINCT ?t WHERE { ?t a sie:Turbine }";
         let before = p.query_static_distributed(text, 2).unwrap().len();
-        let row = new_turbine_row(&p, 88_002);
-        p.set_write_probe(move |p| {
+        let batch: Vec<Vec<Value>> = (0..DEFAULT_MERGE_THRESHOLD as i64)
+            .map(|k| new_turbine_row(&p, 100_000 + k))
+            .collect();
+        p.set_merge_probe(move |p| {
             assert_eq!(
                 p.stale_pool_count(),
                 0,
@@ -1933,38 +1743,57 @@ HAVING MAX(?c2, sie:hasValue) >= 85
             let fresh = p.query_static_distributed(text, 2).unwrap();
             assert_eq!(
                 fresh.len(),
-                before + 1,
-                "a distributed reader at the seam shards over the new catalog"
+                before + DEFAULT_MERGE_THRESHOLD,
+                "a distributed reader at the seam shards over the folded catalog"
             );
         });
-        p.insert_static("turbines", vec![row]).unwrap();
+        p.insert_static("turbines", batch).unwrap();
+        assert_eq!(p.novelty_depth(), 0, "the insert folded the overlay");
     }
 
-    /// A pinned snapshot's stats always describe its db — before, across,
-    /// and after a write (no db/stats tear), and the cache generation
-    /// moves with the catalog.
+    /// A pinned snapshot's stats always describe its db — before a write
+    /// and after its merge grows the base table (no db/stats tear); the
+    /// unmerged state in between is the overlay twin's below.
     #[test]
     fn snapshot_stats_describe_snapshot_db() {
         let p = platform();
-        // Base-table growth per insert is the stop-the-world contract; the
-        // overlay twin below checks the same coherence over the view.
-        p.set_write_policy(WritePolicy::StopTheWorld).unwrap();
         let old = p.snapshot();
         let old_rows = old.db.table("turbines").unwrap().rows.len();
         assert_eq!(old.stats.row_count("turbines"), Some(old_rows));
 
-        let row = new_turbine_row(&p, 88_003);
-        p.insert_static("turbines", vec![row]).unwrap();
+        p.insert_static("turbines", vec![new_turbine_row(&p, 88_003)])
+            .unwrap();
+        p.merge_now().unwrap();
 
         // The pre-write snapshot still coheres…
         assert_eq!(old.db.table("turbines").unwrap().rows.len(), old_rows);
         assert_eq!(old.stats.row_count("turbines"), Some(old_rows));
-        // …and the new one describes the new catalog, under a new cache
-        // generation.
+        // …and the folded one describes the grown base table.
         let new = p.snapshot();
         assert_eq!(new.db.table("turbines").unwrap().rows.len(), old_rows + 1);
         assert_eq!(new.stats.row_count("turbines"), Some(old_rows + 1));
-        assert!(new.cache_generation > old.cache_generation);
+    }
+
+    /// Regression: an empty batch is not a write. Pre-fix it minted a
+    /// novelty epoch, bumped the table's version (hiding every warm cache
+    /// entry that read it), evicted dependents and published a snapshot —
+    /// direct and through the server alike.
+    #[test]
+    fn empty_insert_changes_nothing() {
+        let p = Arc::new(platform());
+        let text = "SELECT ?t WHERE { ?t a sie:Turbine }";
+        p.query_static(text).unwrap();
+        let before = p.snapshot();
+        let server = crate::Server::serve(Arc::clone(&p), crate::ServerConfig::default());
+
+        assert_eq!(p.insert_static("turbines", vec![]), Ok(0));
+        assert_eq!(server.client("t").insert("turbines", vec![]).unwrap(), 0);
+        assert!(Arc::ptr_eq(&before, &p.snapshot()), "nothing published");
+        assert_eq!(p.bgp_cache().invalidations(), 0);
+        let (_, stats) = p.query_static_with_stats(text).unwrap();
+        assert_eq!(stats.cache_misses, 0, "warm entry still hits: {stats:?}");
+        // The table is still validated first.
+        assert!(p.insert_static("no_such_table", vec![]).is_err());
     }
 
     /// Overlay seam regression: right after an overlay insert publishes,
@@ -1974,7 +1803,6 @@ HAVING MAX(?c2, sie:hasValue) >= 85
     #[test]
     fn overlay_insert_keeps_pools_and_is_visible_at_seam() {
         let p = platform();
-        assert_eq!(p.write_policy(), WritePolicy::NoveltyOverlay);
         let text = "SELECT DISTINCT ?t WHERE { ?t a sie:Turbine }";
         let before = p.query_static_distributed(text, 2).unwrap().len();
         let base_before = Arc::clone(&p.snapshot().db);
@@ -2076,35 +1904,20 @@ HAVING MAX(?c2, sie:hasValue) >= 85
     #[test]
     fn auto_merge_triggers_past_threshold() {
         let p = platform();
-        p.set_merge_threshold(3);
         let base_rows = p.snapshot().db.table("turbines").unwrap().rows.len();
-        for tid in 0..3 {
-            p.insert_static("turbines", vec![new_turbine_row(&p, 92_000 + tid)])
-                .unwrap();
-        }
-        // The third insert crossed the threshold and folded the log.
+        p.insert_static("turbines", vec![new_turbine_row(&p, 92_000)])
+            .unwrap();
+        assert_eq!(p.novelty_depth(), 1, "below the threshold nothing folds");
+        let batch: Vec<Vec<Value>> = (1..DEFAULT_MERGE_THRESHOLD as i64)
+            .map(|k| new_turbine_row(&p, 92_000 + k))
+            .collect();
+        p.insert_static("turbines", batch).unwrap();
+        // The second insert reached the threshold and folded the log.
         assert_eq!(p.novelty_depth(), 0);
         assert_eq!(
             p.snapshot().db.table("turbines").unwrap().rows.len(),
-            base_rows + 3
+            base_rows + DEFAULT_MERGE_THRESHOLD
         );
-    }
-
-    /// Switching to the stop-the-world policy merges the pending overlay
-    /// first, so the two write paths never interleave over unmerged rows.
-    #[test]
-    fn policy_switch_merges_pending_overlay() {
-        let p = platform();
-        let text = "SELECT ?t WHERE { ?t a sie:Turbine }";
-        let before = p.query_static(text).unwrap().len();
-        p.insert_static("turbines", vec![new_turbine_row(&p, 93_001)])
-            .unwrap();
-        assert_eq!(p.novelty_depth(), 1);
-        p.set_write_policy(WritePolicy::StopTheWorld).unwrap();
-        assert_eq!(p.novelty_depth(), 0);
-        p.insert_static("turbines", vec![new_turbine_row(&p, 93_002)])
-            .unwrap();
-        assert_eq!(p.query_static(text).unwrap().len(), before + 2);
     }
 
     #[test]

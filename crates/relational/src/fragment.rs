@@ -1495,36 +1495,14 @@ impl ResultBatch {
         out
     }
 
-    /// Encodes the batch in the seed's row-major tagged form. Kept as the
-    /// measured baseline for the columnar-wire bench (`exp_columnar_wire`);
-    /// [`decode`](Self::decode) still accepts it.
-    pub fn encode_row_major(&self) -> Result<String, SqlError> {
-        let mut out = String::from("batch");
-        for (name, ty) in &self.columns {
-            let _ = write!(out, "\t{}:{ty}", escape(name));
-        }
-        out.push('\n');
-        for row in self.to_rows()? {
-            let cells: Vec<String> = row.iter().map(encode_value).collect();
-            out.push_str(&cells.join("\t"));
-            out.push('\n');
-        }
-        Ok(out)
-    }
-
-    /// Decodes a batch off the wire — the columnar `cbatch` form, or the
-    /// legacy row-major `batch` form.
+    /// Decodes a `cbatch` batch off the wire.
     pub fn decode(wire: &str) -> Result<Self, SqlError> {
         let mut lines = wire.lines();
         let header = lines
             .next()
             .ok_or_else(|| SqlError::Execution("empty result batch".into()))?;
         let mut fields = header.split('\t');
-        let tag = fields.next();
-        if tag == Some("batch") {
-            return Self::decode_row_major(fields, lines);
-        }
-        if tag != Some("cbatch") {
+        if fields.next() != Some("cbatch") {
             return Err(SqlError::Execution("not a result batch".into()));
         }
         let rows: usize = fields
@@ -1615,39 +1593,6 @@ impl ResultBatch {
             )));
         }
         Ok(ResultBatch { columns, data })
-    }
-
-    /// Decodes the legacy row-major form (`batch` header already consumed).
-    fn decode_row_major<'a>(
-        fields: impl Iterator<Item = &'a str>,
-        lines: impl Iterator<Item = &'a str>,
-    ) -> Result<Self, SqlError> {
-        let mut columns = Vec::new();
-        for field in fields {
-            let (name, ty) = field
-                .rsplit_once(':')
-                .ok_or_else(|| SqlError::Execution(format!("bad column field {field:?}")))?;
-            columns.push((unescape(name)?, decode_type(ty)?));
-        }
-        let mut rows = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let row: Vec<Value> = line
-                .split('\t')
-                .map(decode_value)
-                .collect::<Result<_, _>>()?;
-            if row.len() != columns.len() {
-                return Err(SqlError::Execution(format!(
-                    "batch row arity {} does not match {} columns",
-                    row.len(),
-                    columns.len()
-                )));
-            }
-            rows.push(row);
-        }
-        Ok(ResultBatch::from_rows(columns, rows))
     }
 }
 
@@ -2383,12 +2328,8 @@ mod tests {
 
     #[test]
     fn arity_mismatch_rejected() {
-        // Legacy row-major form: short row.
-        assert!(ResultBatch::decode("batch\ta:INT\ti1\ti2").is_err());
-        let wire = "batch\ta:INT\tb:INT\ni1\n";
-        assert!(ResultBatch::decode(wire).is_err());
-        // Columnar form: column shorter than the declared row count, and a
-        // missing column line.
+        // A column shorter than the declared row count, and a missing
+        // column line.
         assert!(ResultBatch::decode("cbatch\t2\ta:INT\ni\t1\n").is_err());
         assert!(ResultBatch::decode("cbatch\t1\ta:INT\tb:INT\ni\t1\n").is_err());
     }
@@ -2420,29 +2361,23 @@ mod tests {
         assert_eq!(back.rows, t.rows);
     }
 
-    /// The row-major legacy encoding is still accepted by `decode` and
-    /// describes the same relation — the baseline the columnar-wire bench
-    /// compares byte counts against.
+    /// Hostile wires fail the request, never the worker: an unknown tag
+    /// (including the retired row-major `batch` form), an empty wire, a
+    /// column line shorter than the header's row count and an unparsable
+    /// row count are all `Err`.
     #[test]
-    fn legacy_row_major_encoding_round_trips() {
-        let t = table_of(
-            "r",
-            &[("s", ColumnType::Text), ("n", ColumnType::Int)],
-            vec![
-                vec![Value::text("http://example.org/a"), Value::Int(1)],
-                vec![Value::Null, Value::Null],
-            ],
-        )
-        .unwrap();
-        let batch = ResultBatch::from_table(&t);
-        let legacy = batch.encode_row_major().unwrap();
-        assert!(legacy.contains("example.org"), "legacy ships lexical text");
-        let decoded = ResultBatch::decode(&legacy).unwrap();
-        assert_eq!(decoded, batch);
-        assert!(
-            batch.encode().len() < legacy.len(),
-            "columnar wire must be smaller than the row-major baseline"
-        );
+    fn hostile_batch_wires_error_without_panicking() {
+        for wire in [
+            "batch\tx:INT\n1\n",
+            "",
+            "cbatch\t2\tx:INT\ni\t1\n",
+            "cbatch\tmany\tx:INT\ni\t1\n",
+        ] {
+            assert!(
+                matches!(ResultBatch::decode(wire), Err(SqlError::Execution(_))),
+                "{wire:?}"
+            );
+        }
     }
 
     /// A column whose values mix variants falls back to tagged cells and

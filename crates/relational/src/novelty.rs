@@ -1,10 +1,9 @@
 //! The novelty overlay — an append-only in-memory write log over the
 //! immutable base catalog.
 //!
-//! A relational write under the platform's incremental write policy does
-//! not rebuild the catalog: it publishes a new [`NoveltyOverlay`] — the
-//! previous overlay plus the appended rows — stamped with a fresh,
-//! globally monotonic **epoch**. Every scan merges base rows with the
+//! A relational write does not rebuild the catalog: it publishes a new
+//! [`NoveltyOverlay`] — the previous overlay plus the appended rows —
+//! stamped with a fresh, globally monotonic **epoch**. Every scan merges base rows with the
 //! overlay's rows for the scanned table, so readers see writes
 //! immediately while the base `Database` (and everything keyed on its
 //! pointer identity: federation pools, partitioned shards) stays intact.

@@ -9,27 +9,30 @@
 //! (post-rewrite, post-unfold, post-execution, post-dedup), so a repeat
 //! skips the whole rewrite → unfold → SQL pipeline.
 //!
-//! Invalidation on a relational write is **dependency-tracked**: every
-//! entry records the base tables its unfolded SQL read
-//! ([`BgpCache::store_with_tables`]), and [`BgpCache::invalidate_table`]
-//! evicts only the entries that depend on the written table — a write to
-//! `turbines` leaves cached sensor BGPs warm. Entries stored with unknown
-//! provenance (no table set) are evicted by every write, and
-//! [`BgpCache::invalidate`] keeps the whole-cache clear as the
-//! conservative fallback (`OptiquePlatform` exposes a knob for it).
+//! **Validity is decided by versions.** Every entry is stamped with the
+//! write version (from the storing reader's snapshot, [`TableVersions`])
+//! of each base table its unfolded SQL read, and answers exactly the
+//! readers whose snapshots carry the same versions for those tables
+//! ([`BgpCache::lookup_any_versioned`]) — a write to `turbines` leaves
+//! cached sensor BGPs warm, and a novelty merge, which changes no table's
+//! contents, hides nothing. Entries stored with unknown provenance (no
+//! table set) pin the global write counter instead, so any write hides
+//! them. *Eviction* is separate and only hygiene: a write calls
+//! [`BgpCache::invalidate_table`] to free the entries no post-write reader
+//! can match any more, and [`BgpCache::invalidate`] clears everything.
 //! Hit/miss/invalidation counters feed the platform dashboard.
 //!
-//! **Concurrency contract.** The cache maintains one invariant: every
-//! entry it holds is valid for the database snapshot(s) installed while
-//! the current [`BgpCache::generation`] was in force — stores stamped
-//! with an older generation are rejected, and invalidation (which bumps
-//! the generation) only keeps entries it can prove stay valid. A reader
-//! therefore captures the generation *together with* its database
-//! snapshot (the platform bundles both in one atomically-swapped
-//! `PlatformSnapshot`) and looks up through [`BgpCache::lookup_any_at`],
-//! which answers only when the reader's generation is still current —
-//! so a query holding a pre-write snapshot can never be served a
-//! post-write entry, nor a post-write reader a pre-write entry.
+//! **Concurrency contract.** A reader captures its [`TableVersions`]
+//! *together with* its database snapshot (the platform bundles both in one
+//! atomically-swapped `PlatformSnapshot`) and uses them for every lookup
+//! and store of the request. No gate between writers and in-flight
+//! readers is needed beyond that: a table's version only ever grows, and
+//! it grows on every write that changes the table, so equal versions ⇒
+//! equal contents. An entry computed over a pre-write snapshot is stamped
+//! pre-write and can only ever answer readers still pinning those versions
+//! — storing it *after* the write landed is harmless, because no
+//! post-write reader matches it; symmetrically a pre-write reader never
+//! matches an entry stamped post-write.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,23 +52,15 @@ pub struct BgpCache {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
-    /// Bumped by every invalidation; stores stamped with an older
-    /// generation are rejected, so a computation that began before a
-    /// relational write cannot repopulate the cache with stale answers.
-    /// (Deliberately one global counter even for per-table eviction: an
-    /// in-flight store cannot prove which snapshot it read, so any write
-    /// since its capture drops it — conservative, never stale.)
-    generation: AtomicU64,
 }
 
 /// Monotonic per-table write versions, kept alongside the database snapshot
-/// they describe. The novelty-overlay write path bumps the written table's
-/// version on every append (and the global counter with it) **without**
-/// clearing any cache: a versioned entry answers a reader exactly when the
+/// they describe. A write bumps the written table's version (and the global
+/// counter with it): a cache entry answers a reader exactly when the
 /// reader's snapshot carries the same versions for every table the entry
-/// read ([`BgpCache::lookup_any_versioned`]). A background merge folds
-/// overlay rows into the base without changing what any table contains, so
-/// it bumps *nothing* — versioned entries stay warm across merges.
+/// read ([`BgpCache::lookup_any_versioned`]). A merge folds overlay rows
+/// into the base without changing what any table contains, so it bumps
+/// *nothing* — entries stay warm across merges.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TableVersions {
     tables: HashMap<String, u64>,
@@ -97,23 +92,14 @@ impl TableVersions {
     }
 }
 
-/// The versions a versioned entry was computed at: one `(table, version)`
-/// pair per dependency when provenance is known, or the global counter
-/// alone when it is not (such an entry answers only readers that have seen
-/// no write at all since the store).
-struct Stamp {
-    deps: Option<Vec<(String, u64)>>,
-    global: u64,
-}
-
 struct Entry {
     solutions: SolutionSet,
-    /// Base tables the entry's unfolded SQL read; `None` = unknown
-    /// provenance, evicted by any write.
-    tables: Option<BTreeSet<String>>,
-    /// Dependency versions at store time; `None` for entries stored
-    /// through the generation API, which never answer versioned lookups.
-    stamp: Option<Stamp>,
+    /// The `(table, version)` pairs of the base tables the entry's unfolded
+    /// SQL read, at store time; `None` = unknown provenance, which pins
+    /// [`Self::global`] instead (and is evicted by any write).
+    deps: Option<Vec<(String, u64)>>,
+    /// The global write counter at store time.
+    global: u64,
 }
 
 #[derive(Default)]
@@ -144,107 +130,32 @@ impl BgpCache {
         format!("{atoms:?}⋉{fingerprint}")
     }
 
-    /// Looks up a BGP's cached solutions at the current generation,
-    /// counting a hit or a miss. Only correct when the caller's database
-    /// snapshot cannot be stale (single-writer tests, static fixtures);
-    /// concurrent readers use [`Self::lookup_any_at`] with the generation
-    /// captured alongside their snapshot.
-    pub fn lookup(&self, key: &str) -> Option<SolutionSet> {
-        self.lookup_any(&[key])
-    }
-
-    /// [`Self::lookup_any_at`] at the current generation.
-    pub fn lookup_any(&self, keys: &[&str]) -> Option<SolutionSet> {
-        let inner = self.inner.lock().expect("cache lock");
-        let generation = self.generation.load(Ordering::Acquire);
-        self.lookup_locked(&inner, keys, generation)
-    }
-
-    /// Looks up the first of `keys` that is cached — one *logical* lookup:
-    /// exactly one hit (any key present) or one miss (none) is counted,
-    /// however many keys are probed. The pipeline uses this to prefer a
-    /// restriction-exact entry while still accepting the unrestricted
-    /// superset, without double-counting.
-    ///
-    /// `generation` is the cache generation the caller captured together
-    /// with its database snapshot. When an invalidation has run since —
-    /// the caller's snapshot may predate a relational write — every probe
-    /// misses: the entries now in the cache describe a *different*
-    /// snapshot than the one the caller is answering over, in either
-    /// direction (a pre-write reader must not see post-write solutions
-    /// any more than a post-write reader may see pre-write ones).
-    pub fn lookup_any_at(&self, keys: &[&str], generation: u64) -> Option<SolutionSet> {
-        // The generation is compared under the same lock invalidation
-        // bumps it under, so "current" and "present in the map" are one
-        // atomic observation.
-        let inner = self.inner.lock().expect("cache lock");
-        self.lookup_locked(&inner, keys, generation)
-    }
-
-    fn lookup_locked(
-        &self,
-        inner: &Entries,
-        keys: &[&str],
-        generation: u64,
-    ) -> Option<SolutionSet> {
-        if self.generation.load(Ordering::Acquire) == generation {
-            for key in keys {
-                if let Some(entry) = inner.map.get(*key) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(entry.solutions.clone());
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// The current invalidation generation. Capture it *before* computing a
-    /// solution set and pass it to [`Self::store`]; an invalidation in
-    /// between makes the store a no-op.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
-    /// Stores a BGP's solutions computed at `generation` with unknown
-    /// table provenance — such entries are evicted by *every* relational
-    /// write. Prefer [`Self::store_with_tables`] when the tables the
-    /// solutions were read from are known.
-    pub fn store(&self, key: String, solutions: SolutionSet, generation: u64) {
-        self.store_with_tables(key, solutions, generation, None);
-    }
-
-    /// Stores a BGP's solutions computed at `generation`, recording the
-    /// base tables the unfolded SQL read (`tables`) so a later
-    /// [`Self::invalidate_table`] evicts only dependent entries. Evicts the
-    /// oldest entry when full. Rejected (dropped) when the cache has been
-    /// invalidated since `generation` was captured — the solutions describe
-    /// a superseded database snapshot.
-    pub fn store_with_tables(
+    /// Stores a BGP's solutions stamped with the versions (from the
+    /// reader's snapshot) of every table the unfolded SQL read (`tables`;
+    /// `None` = unknown provenance). Evicts the oldest entry when full.
+    /// The stamp is the validity proof: a write that landed since the
+    /// snapshot was taken bumped some dependency's version, so the entry
+    /// simply never matches newer readers.
+    pub fn store_versioned(
         &self,
         key: String,
         solutions: SolutionSet,
-        generation: u64,
+        versions: &TableVersions,
         tables: Option<BTreeSet<String>>,
     ) {
+        let entry = Entry {
+            solutions,
+            deps: tables.map(|deps| {
+                deps.into_iter()
+                    .map(|t| {
+                        let version = versions.of(&t);
+                        (t, version)
+                    })
+                    .collect()
+            }),
+            global: versions.global(),
+        };
         let mut inner = self.inner.lock().expect("cache lock");
-        // Checked under the lock so no invalidation can interleave between
-        // the check and the insert.
-        if self.generation.load(Ordering::Acquire) != generation {
-            return;
-        }
-        Self::insert_locked(
-            &mut inner,
-            key,
-            Entry {
-                solutions,
-                tables,
-                stamp: None,
-            },
-        );
-    }
-
-    fn insert_locked(inner: &mut Entries, key: String, entry: Entry) {
         if let Some(existing) = inner.map.get_mut(&key) {
             *existing = entry;
             return;
@@ -258,44 +169,14 @@ impl BgpCache {
         inner.map.insert(key, entry);
     }
 
-    /// Stores a BGP's solutions stamped with the versions (from the
-    /// reader's snapshot) of every table the unfolded SQL read. Unlike
-    /// [`Self::store_with_tables`] there is no generation gate: the stamp
-    /// itself is the validity proof — a write that landed since the
-    /// snapshot was taken bumped some dependency's version, so the entry
-    /// simply stops matching newer readers (and never matches older ones
-    /// it didn't already match).
-    pub fn store_versioned(
-        &self,
-        key: String,
-        solutions: SolutionSet,
-        versions: &TableVersions,
-        tables: Option<BTreeSet<String>>,
-    ) {
-        let stamp = Stamp {
-            deps: tables
-                .as_ref()
-                .map(|deps| deps.iter().map(|t| (t.clone(), versions.of(t))).collect()),
-            global: versions.global(),
-        };
-        let mut inner = self.inner.lock().expect("cache lock");
-        Self::insert_locked(
-            &mut inner,
-            key,
-            Entry {
-                solutions,
-                tables,
-                stamp: Some(stamp),
-            },
-        );
-    }
-
     /// Looks up the first of `keys` whose entry was stored at exactly the
-    /// versions the reader's snapshot carries — one logical lookup, one
-    /// hit or miss counted. An entry with known provenance matches when
-    /// every dependency's version agrees; one with unknown provenance only
-    /// when the global counter does. Entries stored through the
-    /// generation API carry no stamp and never answer here.
+    /// versions the reader's snapshot carries — one *logical* lookup:
+    /// exactly one hit (any key answers) or one miss (none) is counted,
+    /// however many keys are probed. The pipeline uses this to prefer a
+    /// restriction-exact entry while still accepting the unrestricted
+    /// superset, without double-counting. An entry with known provenance
+    /// matches when every dependency's version agrees; one with unknown
+    /// provenance only when the global counter does.
     pub fn lookup_any_versioned(
         &self,
         keys: &[&str],
@@ -306,10 +187,9 @@ impl BgpCache {
             let Some(entry) = inner.map.get(*key) else {
                 continue;
             };
-            let Some(stamp) = &entry.stamp else { continue };
-            let valid = match &stamp.deps {
+            let valid = match &entry.deps {
                 Some(deps) => deps.iter().all(|(t, v)| versions.of(t) == *v),
-                None => stamp.global == versions.global(),
+                None => entry.global == versions.global(),
             };
             if valid {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -320,37 +200,33 @@ impl BgpCache {
         None
     }
 
-    /// Drops every entry (the conservative whole-cache invalidation),
-    /// returning how many were evicted.
+    /// Drops every entry, returning how many were evicted.
     pub fn invalidate(&self) -> usize {
         let mut inner = self.inner.lock().expect("cache lock");
         let evicted = inner.map.len();
         inner.map.clear();
         inner.order.clear();
-        self.generation.fetch_add(1, Ordering::AcqRel);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
         evicted
     }
 
-    /// Evicts only the entries that depend on `table` (read it in their
-    /// unfolded SQL) or whose provenance is unknown; independent entries
-    /// stay warm. Counts one invalidation and bumps the store generation —
-    /// an in-flight computation cannot prove it read the pre-write
-    /// snapshot, so its store is dropped regardless of which table it
-    /// touched. Returns how many entries were evicted.
+    /// Evicts the entries that depend on `table` (read it in their
+    /// unfolded SQL) or whose provenance is unknown — the ones a write to
+    /// `table` has just made unmatchable for post-write readers;
+    /// independent entries stay. Counts one invalidation and returns how
+    /// many entries were evicted.
     pub fn invalidate_table(&self, table: &str) -> usize {
         let mut guard = self.inner.lock().expect("cache lock");
         let inner = &mut *guard;
         let before = inner.map.len();
         inner.map.retain(|_, entry| {
             entry
-                .tables
+                .deps
                 .as_ref()
-                .is_some_and(|tables| !tables.contains(table))
+                .is_some_and(|deps| deps.iter().all(|(t, _)| t != table))
         });
         let map = &inner.map;
         inner.order.retain(|k| map.contains_key(k));
-        self.generation.fetch_add(1, Ordering::AcqRel);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
         before - inner.map.len()
     }
@@ -417,12 +293,32 @@ mod tests {
         }
     }
 
+    fn deps(tables: &[&str]) -> Option<BTreeSet<String>> {
+        Some(tables.iter().map(|t| t.to_string()).collect())
+    }
+
+    /// Stores `n` solutions under `key`, stamped at `versions` over `deps`.
+    fn store(
+        cache: &BgpCache,
+        key: &str,
+        n: i64,
+        versions: &TableVersions,
+        deps: Option<BTreeSet<String>>,
+    ) {
+        cache.store_versioned(key.into(), solutions(n), versions, deps);
+    }
+
+    fn lookup(cache: &BgpCache, key: &str, versions: &TableVersions) -> Option<SolutionSet> {
+        cache.lookup_any_versioned(&[key], versions)
+    }
+
     #[test]
     fn miss_then_hit() {
         let cache = BgpCache::new();
-        assert!(cache.lookup("k").is_none());
-        cache.store("k".into(), solutions(3), cache.generation());
-        assert_eq!(cache.lookup("k").unwrap().len(), 3);
+        let v0 = TableVersions::new();
+        assert!(lookup(&cache, "k", &v0).is_none());
+        store(&cache, "k", 3, &v0, deps(&["t"]));
+        assert_eq!(lookup(&cache, "k", &v0).unwrap().len(), 3);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hit_rate(), Some(0.5));
@@ -431,45 +327,60 @@ mod tests {
     #[test]
     fn invalidate_clears_and_counts() {
         let cache = BgpCache::new();
-        cache.store("a".into(), solutions(1), cache.generation());
-        cache.store("b".into(), solutions(2), cache.generation());
+        let v0 = TableVersions::new();
+        store(&cache, "a", 1, &v0, deps(&["t"]));
+        store(&cache, "b", 2, &v0, None);
         assert_eq!(cache.invalidate(), 2);
         assert!(cache.is_empty());
         assert_eq!(cache.invalidations(), 1);
-        assert!(cache.lookup("a").is_none());
+        assert!(lookup(&cache, "a", &v0).is_none());
+        // A clear gates nothing: the stamp, not the clear, proves validity.
+        store(&cache, "a", 1, &v0, deps(&["t"]));
+        assert!(lookup(&cache, "a", &v0).is_some());
     }
 
     #[test]
     fn capacity_evicts_oldest_first() {
         let cache = BgpCache::new();
+        let v0 = TableVersions::new();
         for i in 0..CAPACITY + 1 {
-            cache.store(format!("k{i}"), solutions(1), cache.generation());
+            store(&cache, &format!("k{i}"), 1, &v0, deps(&["t"]));
         }
         assert_eq!(cache.len(), CAPACITY);
-        assert!(cache.lookup("k0").is_none(), "oldest entry evicted");
-        assert!(cache.lookup("k1").is_some());
-        assert!(cache.lookup(&format!("k{CAPACITY}")).is_some());
+        assert!(lookup(&cache, "k0", &v0).is_none(), "oldest entry evicted");
+        assert!(lookup(&cache, "k1", &v0).is_some());
+        assert!(lookup(&cache, &format!("k{CAPACITY}"), &v0).is_some());
     }
 
     #[test]
     fn restore_overwrites_in_place() {
         let cache = BgpCache::new();
-        cache.store("k".into(), solutions(1), cache.generation());
-        cache.store("k".into(), solutions(5), cache.generation());
+        let v0 = TableVersions::new();
+        store(&cache, "k", 1, &v0, deps(&["t"]));
+        store(&cache, "k", 5, &v0, deps(&["t"]));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.lookup("k").unwrap().len(), 5);
+        assert_eq!(lookup(&cache, "k", &v0).unwrap().len(), 5);
     }
 
     #[test]
     fn lookup_any_counts_once() {
         let cache = BgpCache::new();
-        cache.store("plain".into(), solutions(3), cache.generation());
+        let v0 = TableVersions::new();
+        store(&cache, "plain", 3, &v0, deps(&["t"]));
         // Fallback hit: restricted key absent, plain present → one hit.
-        assert_eq!(cache.lookup_any(&["restricted", "plain"]).unwrap().len(), 3);
+        let hit = cache.lookup_any_versioned(&["restricted", "plain"], &v0);
+        assert_eq!(hit.unwrap().len(), 3);
         assert_eq!((cache.hits(), cache.misses()), (1, 0));
-        // Full miss over two keys still counts one miss.
-        assert!(cache.lookup_any(&["a", "b"]).is_none());
+        // Full miss over two keys still counts one miss…
+        assert!(cache.lookup_any_versioned(&["a", "b"], &v0).is_none());
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        // …and so do two present-but-outdated entries.
+        store(&cache, "restricted", 1, &v0, deps(&["t"]));
+        let v1 = v0.bumped("t");
+        assert!(cache
+            .lookup_any_versioned(&["restricted", "plain"], &v1)
+            .is_none());
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
     #[test]
@@ -483,55 +394,49 @@ mod tests {
         );
     }
 
-    fn deps(tables: &[&str]) -> Option<std::collections::BTreeSet<String>> {
-        Some(tables.iter().map(|t| t.to_string()).collect())
-    }
-
     /// A write to one table evicts only the entries that read it; entries
     /// over other tables stay warm, and unknown-provenance entries always
     /// go.
     #[test]
     fn table_invalidation_evicts_only_dependents() {
         let cache = BgpCache::new();
-        let generation = cache.generation();
-        cache.store_with_tables(
-            "sensors".into(),
-            solutions(1),
-            generation,
-            deps(&["sensors"]),
-        );
-        cache.store_with_tables(
-            "joined".into(),
-            solutions(2),
-            generation,
-            deps(&["sensors", "turbines"]),
-        );
-        cache.store_with_tables(
-            "turbines".into(),
-            solutions(3),
-            generation,
-            deps(&["turbines"]),
-        );
-        cache.store("opaque".into(), solutions(4), generation);
+        let v0 = TableVersions::new();
+        store(&cache, "sensors", 1, &v0, deps(&["sensors"]));
+        store(&cache, "joined", 2, &v0, deps(&["sensors", "turbines"]));
+        store(&cache, "turbines", 3, &v0, deps(&["turbines"]));
+        store(&cache, "opaque", 4, &v0, None);
 
         let evicted = cache.invalidate_table("sensors");
         assert_eq!(evicted, 3, "sensors, joined, and the unknown entry go");
         assert_eq!(cache.len(), 1);
-        assert!(cache.lookup("turbines").is_some(), "independent entry warm");
-        assert!(cache.lookup("sensors").is_none());
-        assert!(cache.lookup("joined").is_none());
+        let v1 = v0.bumped("sensors");
+        assert!(
+            lookup(&cache, "turbines", &v1).is_some(),
+            "independent entry warm"
+        );
+        assert!(lookup(&cache, "sensors", &v1).is_none());
+        assert!(lookup(&cache, "joined", &v1).is_none());
         assert_eq!(cache.invalidations(), 1);
     }
 
-    /// Per-table eviction still bumps the generation: an in-flight store
-    /// captured before the write is dropped even for an unrelated table.
+    /// An in-flight computation that pinned its snapshot before a write
+    /// may store *after* the write's eviction ran. The entry lands, but it
+    /// is stamped pre-write: no post-write reader is ever answered by it,
+    /// while readers still pinning the pre-write snapshot validly are. A
+    /// pre-write store over an unrelated table stays good for everyone.
     #[test]
     fn table_invalidation_rejects_in_flight_stores() {
         let cache = BgpCache::new();
-        let before = cache.generation();
+        let pre = TableVersions::new();
+        let post = pre.bumped("sensors");
         cache.invalidate_table("sensors");
-        cache.store_with_tables("turbines".into(), solutions(1), before, deps(&["turbines"]));
-        assert!(cache.is_empty(), "pre-write store dropped");
+        store(&cache, "sensors", 1, &pre, deps(&["sensors"]));
+        store(&cache, "opaque", 1, &pre, None);
+        store(&cache, "turbines", 1, &pre, deps(&["turbines"]));
+        assert!(lookup(&cache, "sensors", &post).is_none());
+        assert!(lookup(&cache, "opaque", &post).is_none());
+        assert!(lookup(&cache, "sensors", &pre).is_some());
+        assert!(lookup(&cache, "turbines", &post).is_some());
     }
 
     /// Eviction keeps the FIFO order coherent: surviving entries still
@@ -539,104 +444,52 @@ mod tests {
     #[test]
     fn table_invalidation_preserves_fifo_order() {
         let cache = BgpCache::new();
-        let generation = cache.generation();
-        cache.store_with_tables("a".into(), solutions(1), generation, deps(&["t_a"]));
-        cache.store_with_tables("b".into(), solutions(1), generation, deps(&["t_b"]));
+        let v0 = TableVersions::new();
+        store(&cache, "a", 1, &v0, deps(&["t_a"]));
+        store(&cache, "b", 1, &v0, deps(&["t_b"]));
         cache.invalidate_table("t_a");
-        let generation = cache.generation();
         for i in 0..CAPACITY - 1 {
-            cache.store_with_tables(format!("k{i}"), solutions(1), generation, deps(&["t"]));
+            store(&cache, &format!("k{i}"), 1, &v0, deps(&["t"]));
         }
         assert_eq!(cache.len(), CAPACITY);
-        cache.store_with_tables("one-more".into(), solutions(1), generation, deps(&["t"]));
-        assert!(cache.lookup("b").is_none(), "oldest survivor evicts first");
-        assert!(cache.lookup("k0").is_some());
-    }
-
-    /// A reader whose snapshot predates an invalidation must miss on every
-    /// probe — entries now in the cache describe a newer database snapshot
-    /// than the one the reader is answering over.
-    #[test]
-    fn stale_generation_lookup_misses() {
-        let cache = BgpCache::new();
-        let before = cache.generation();
-        cache.store_with_tables("sensors".into(), solutions(2), before, deps(&["sensors"]));
-        assert!(cache.lookup_any_at(&["sensors"], before).is_some());
-
-        // A write to an *unrelated* table keeps the entry — but a reader
-        // still holding the pre-write generation can no longer use it: it
-        // cannot prove which snapshot it paired the probe with.
-        cache.invalidate_table("turbines");
-        assert!(cache.lookup_any_at(&["sensors"], before).is_none());
+        store(&cache, "one-more", 1, &v0, deps(&["t"]));
         assert!(
-            cache
-                .lookup_any_at(&["sensors"], cache.generation())
-                .is_some(),
-            "a current-generation reader still hits the surviving entry"
+            lookup(&cache, "b", &v0).is_none(),
+            "oldest survivor evicts first"
         );
-        assert_eq!((cache.hits(), cache.misses()), (2, 1));
+        assert!(lookup(&cache, "k0", &v0).is_some());
     }
 
-    /// A versioned entry answers exactly the readers whose snapshots carry
-    /// the versions it was stamped with — writes to a dependency hide it
-    /// from newer readers, writes elsewhere don't.
+    /// An entry answers exactly the readers whose snapshots carry the
+    /// versions it was stamped with — writes to a dependency hide it from
+    /// newer readers, writes elsewhere don't.
     #[test]
     fn versioned_lookup_matches_on_dependency_versions() {
         let cache = BgpCache::new();
         let v0 = TableVersions::new();
-        cache.store_versioned("sensors".into(), solutions(2), &v0, deps(&["sensors"]));
+        store(&cache, "sensors", 2, &v0, deps(&["sensors"]));
 
-        assert!(cache.lookup_any_versioned(&["sensors"], &v0).is_some());
+        assert!(lookup(&cache, "sensors", &v0).is_some());
         // A write to an unrelated table leaves the entry answering both the
         // old and the new snapshot (its dependency's version is unchanged).
         let v1 = v0.bumped("turbines");
-        assert!(cache.lookup_any_versioned(&["sensors"], &v1).is_some());
+        assert!(lookup(&cache, "sensors", &v1).is_some());
         // A write to the dependency hides it from post-write readers while
         // pre-write readers (still pinning v0/v1 snapshots) keep hitting.
         let v2 = v1.bumped("sensors");
-        assert!(cache.lookup_any_versioned(&["sensors"], &v2).is_none());
-        assert!(cache.lookup_any_versioned(&["sensors"], &v0).is_some());
+        assert!(lookup(&cache, "sensors", &v2).is_none());
+        assert!(lookup(&cache, "sensors", &v0).is_some());
         assert_eq!((cache.hits(), cache.misses()), (3, 1));
     }
 
-    /// Unknown-provenance versioned entries pin the global counter: any
-    /// write anywhere hides them.
+    /// Unknown-provenance entries pin the global counter: any write
+    /// anywhere hides them.
     #[test]
     fn versioned_unknown_provenance_pins_global_counter() {
         let cache = BgpCache::new();
         let v0 = TableVersions::new();
-        cache.store_versioned("opaque".into(), solutions(1), &v0, None);
-        assert!(cache.lookup_any_versioned(&["opaque"], &v0).is_some());
-        assert!(cache
-            .lookup_any_versioned(&["opaque"], &v0.bumped("anything"))
-            .is_none());
-    }
-
-    /// Generation-stored entries never answer versioned lookups (they
-    /// carry no stamp), and versioned stores ignore the generation gate.
-    #[test]
-    fn versioned_and_generation_entries_stay_apart() {
-        let cache = BgpCache::new();
-        let v0 = TableVersions::new();
-        cache.store("legacy".into(), solutions(1), cache.generation());
-        assert!(cache.lookup_any_versioned(&["legacy"], &v0).is_none());
-        // A generation bump (whole-cache invalidation) does not block a
-        // versioned store — the stamp, not the generation, proves validity.
-        cache.invalidate();
-        cache.store_versioned("stamped".into(), solutions(2), &v0, deps(&["t"]));
-        assert!(cache.lookup_any_versioned(&["stamped"], &v0).is_some());
-    }
-
-    /// A computation that began before an invalidation must not repopulate
-    /// the cache with its (stale) result.
-    #[test]
-    fn stale_generation_store_is_rejected() {
-        let cache = BgpCache::new();
-        let before = cache.generation();
-        cache.invalidate();
-        cache.store("k".into(), solutions(3), before);
-        assert!(cache.is_empty(), "stale store dropped");
-        cache.store("k".into(), solutions(3), cache.generation());
-        assert_eq!(cache.len(), 1, "fresh store lands");
+        store(&cache, "opaque", 1, &v0, None);
+        assert!(lookup(&cache, "opaque", &v0).is_some());
+        assert!(lookup(&cache, "opaque", &v0.bumped("anything")).is_none());
     }
 }

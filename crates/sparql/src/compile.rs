@@ -130,19 +130,10 @@ pub struct StaticPipeline<'a> {
     pub unfold_settings: UnfoldSettings,
     /// Distributed execution backend; `None` runs single-node on [`Self::db`].
     pub executor: Option<&'a dyn FragmentExecutor>,
-    /// Per-BGP solution-set cache; `None` disables caching.
-    pub cache: Option<&'a BgpCache>,
-    /// Cache generation this pipeline's database snapshot belongs to;
-    /// stores are dropped if the cache has been invalidated since. Callers
-    /// that snapshot a mutable database must capture this **before** the
-    /// snapshot (see [`Self::with_cache_at`]).
-    pub cache_generation: u64,
-    /// Per-table write versions of this pipeline's database snapshot; when
-    /// set, cache lookups and stores go through the *versioned* API
-    /// ([`BgpCache::lookup_any_versioned`]) instead of the generation gate
-    /// — entries survive writes to tables they never read, and survive
-    /// merges outright (see [`Self::with_cache_versions`]).
-    pub cache_versions: Option<&'a TableVersions>,
+    /// Per-BGP solution-set cache paired with the per-table write versions
+    /// of this pipeline's database snapshot (see [`Self::with_cache`]);
+    /// `None` disables caching.
+    pub cache: Option<(&'a BgpCache, &'a TableVersions)>,
     /// Join-order / semi-join planner knobs.
     pub planner: PlannerSettings,
     /// Source statistics feeding the planner's cardinality model; `None`
@@ -221,8 +212,6 @@ impl<'a> StaticPipeline<'a> {
             unfold_settings: UnfoldSettings::default(),
             executor: None,
             cache: None,
-            cache_generation: 0,
-            cache_versions: None,
             planner: PlannerSettings::default(),
             table_stats: None,
             tracer: None,
@@ -258,36 +247,16 @@ impl<'a> StaticPipeline<'a> {
         self
     }
 
-    /// Attaches a per-BGP solution-set cache, capturing its current
-    /// generation. Correct when the pipeline's database cannot change
-    /// underneath it; if the database is a snapshot of mutable state, use
-    /// [`Self::with_cache_at`] with a generation captured before the
-    /// snapshot was taken.
-    pub fn with_cache(self, cache: &'a BgpCache) -> Self {
-        let generation = cache.generation();
-        self.with_cache_at(cache, generation)
-    }
-
-    /// Attaches a per-BGP cache with an explicitly captured generation.
-    /// Capturing the generation *before* snapshotting the database closes
-    /// the race where a write lands between the two: either the snapshot is
-    /// fresh (stores fine) or the store's generation is stale (dropped).
-    pub fn with_cache_at(mut self, cache: &'a BgpCache, generation: u64) -> Self {
-        self.cache = Some(cache);
-        self.cache_generation = generation;
-        self
-    }
-
-    /// Attaches a per-BGP cache in *versioned* mode: `versions` are the
-    /// per-table write versions of this pipeline's database snapshot,
-    /// captured atomically with it. Entries are stamped with the versions
-    /// of the tables they read and answer exactly the readers whose
-    /// snapshots agree — a write to one table hides only the entries that
-    /// read it, and a novelty merge (which changes no table's contents)
-    /// hides nothing.
-    pub fn with_cache_versions(mut self, cache: &'a BgpCache, versions: &'a TableVersions) -> Self {
-        self.cache = Some(cache);
-        self.cache_versions = Some(versions);
+    /// Attaches a per-BGP solution-set cache. `versions` are the per-table
+    /// write versions of this pipeline's database snapshot, captured
+    /// atomically with it (all-zero [`TableVersions::new`] for a database
+    /// that never changes). Entries are stamped with the versions of the
+    /// tables they read and answer exactly the readers whose snapshots
+    /// agree — a write to one table hides only the entries that read it,
+    /// and a novelty merge (which changes no table's contents) hides
+    /// nothing.
+    pub fn with_cache(mut self, cache: &'a BgpCache, versions: &'a TableVersions) -> Self {
+        self.cache = Some((cache, versions));
         self
     }
 
@@ -539,7 +508,7 @@ impl<'a> StaticPipeline<'a> {
         let plain_key = self.cache.map(|_| BgpCache::key(atoms));
         let restricted_key = (!restriction.is_empty())
             .then(|| BgpCache::restricted_key(atoms, &restriction.fingerprint()));
-        if let (Some(cache), Some(plain)) = (self.cache, plain_key.as_deref()) {
+        if let (Some((cache, versions)), Some(plain)) = (self.cache, plain_key.as_deref()) {
             // One logical lookup: the restriction-exact entry is preferred,
             // the unrestricted superset also answers (the join filters it);
             // the cache counts one hit or one miss either way.
@@ -548,14 +517,10 @@ impl<'a> StaticPipeline<'a> {
                 None => vec![plain],
             };
             let mut lookup_span = self.tracer.map(|t| t.span(bgp_id, "cache_lookup"));
-            // Probed at the generation captured with this pipeline's
-            // database snapshot: if a relational write has invalidated the
-            // cache since, every probe misses rather than pairing this
-            // snapshot with entries computed over a different one.
-            let cached = match self.cache_versions {
-                Some(versions) => cache.lookup_any_versioned(&keys, versions),
-                None => cache.lookup_any_at(&keys, self.cache_generation),
-            };
+            // Probed at the versions captured with this pipeline's
+            // database snapshot: an entry computed over different contents
+            // of a table it read never matches.
+            let cached = cache.lookup_any_versioned(&keys, versions);
             if let Some(span) = lookup_span.as_mut() {
                 span.set_attr("outcome", if cached.is_some() { "hit" } else { "miss" });
             }
@@ -643,25 +608,14 @@ impl<'a> StaticPipeline<'a> {
             span.set_attr("rows", solutions.len());
         }
 
-        if let Some(cache) = self.cache {
+        if let Some((cache, versions)) = self.cache {
             // A restricted execution materializes a *subset* of the BGP's
             // solutions: it caches under the restriction-fingerprinted key,
-            // never the plain one. `cache_generation` was captured before
-            // the database snapshot: a write that landed since then makes
-            // this store a no-op instead of repopulating the cache with
-            // stale answers.
+            // never the plain one. The stamp carries this snapshot's
+            // versions, so a write that landed since the snapshot was taken
+            // leaves the entry unmatchable for post-write readers.
             if let Some(key) = restricted_key.or(plain_key) {
-                match self.cache_versions {
-                    Some(versions) => {
-                        cache.store_versioned(key, solutions.clone(), versions, tables_read)
-                    }
-                    None => cache.store_with_tables(
-                        key,
-                        solutions.clone(),
-                        self.cache_generation,
-                        tables_read,
-                    ),
-                }
+                cache.store_versioned(key, solutions.clone(), versions, tables_read);
             }
         }
         Ok(solutions)
@@ -1127,14 +1081,12 @@ mod tests {
     fn answer_with(
         text: &str,
         executor: Option<&dyn FragmentExecutor>,
-        cache: Option<&BgpCache>,
     ) -> (SparqlResults, PipelineStats) {
         let db = db();
         let onto = ontology();
         let maps = catalog();
         let mut pipeline = StaticPipeline::new(&onto, &maps, &db);
         pipeline.executor = executor;
-        pipeline.cache = cache;
         let query = crate::parse_sparql(text, &ns()).unwrap();
         pipeline.answer(&query).unwrap()
     }
@@ -1161,8 +1113,8 @@ mod tests {
         ];
         let loopback = Loopback { db: db() };
         for text in queries {
-            let (single, _) = answer_with(text, None, None);
-            let (fragmented, stats) = answer_with(text, Some(&loopback), None);
+            let (single, _) = answer_with(text, None);
+            let (fragmented, stats) = answer_with(text, Some(&loopback));
             assert_eq!(canonical(&single), canonical(&fragmented), "{text}");
             assert!(stats.fragments >= 1, "{text} shipped no fragments");
         }
@@ -1174,7 +1126,8 @@ mod tests {
         let onto = ontology();
         let maps = catalog();
         let cache = BgpCache::new();
-        let pipeline = StaticPipeline::new(&onto, &maps, &db).with_cache(&cache);
+        let versions = TableVersions::new();
+        let pipeline = StaticPipeline::new(&onto, &maps, &db).with_cache(&cache, &versions);
         // The same BGP appears in both UNION branches: first is a miss, the
         // second hits within the very same query.
         let text = "SELECT ?x WHERE { { ?x a x:Turbine } UNION { ?x a x:Turbine } }";
@@ -1195,7 +1148,8 @@ mod tests {
         let onto = ontology();
         let maps = catalog();
         let cache = BgpCache::new();
-        let pipeline = StaticPipeline::new(&onto, &maps, &db).with_cache(&cache);
+        let versions = TableVersions::new();
+        let pipeline = StaticPipeline::new(&onto, &maps, &db).with_cache(&cache, &versions);
         let query = crate::parse_sparql("SELECT ?t WHERE { ?t a x:Turbine }", &ns()).unwrap();
         let (cold, _) = pipeline.answer(&query).unwrap();
         let (warm, _) = pipeline.answer(&query).unwrap();
@@ -1302,7 +1256,8 @@ mod tests {
         let onto = ontology();
         let maps = catalog();
         let cache = BgpCache::new();
-        let pipeline = StaticPipeline::new(&onto, &maps, &db).with_cache(&cache);
+        let versions = TableVersions::new();
+        let pipeline = StaticPipeline::new(&onto, &maps, &db).with_cache(&cache, &versions);
         // The join pushes the 2 gas-turbine bindings into `?t x:hasModel ?m`.
         let joined = crate::parse_sparql(
             "SELECT ?t ?m WHERE { { ?t a x:GasTurbine } { ?t x:hasModel ?m } }",

@@ -149,6 +149,16 @@ pub mod streaming {
 
     /// Builds the deployment platform over the given stream rows.
     pub fn deployment(stream_rows: Vec<Vec<Value>>) -> OptiquePlatform {
+        deployment_with(stream_rows, vec![])
+    }
+
+    /// [`deployment`] with `extra_sensor_rows` (`sid, aid, kind`) appended
+    /// to the base `sensors` table — a platform that was *deployed* over
+    /// rows another one had to insert.
+    pub fn deployment_with(
+        stream_rows: Vec<Vec<Value>>,
+        extra_sensor_rows: Vec<Vec<Value>>,
+    ) -> OptiquePlatform {
         let mut db = Database::new();
         db.put_table(
             "assemblies",
@@ -180,6 +190,7 @@ pub mod streaming {
                             }),
                         ]
                     })
+                    .chain(extra_sensor_rows)
                     .collect(),
             )
             .unwrap(),

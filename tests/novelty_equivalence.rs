@@ -1,15 +1,15 @@
 //! Novelty-overlay differential oracle: the write-heavy equivalence suite
 //! for the incremental write path.
 //!
-//! **The oracle:** a platform running the default
-//! [`WritePolicy::NoveltyOverlay`] — inserts land in the in-memory novelty
-//! log, merges fold it into the base catalog at arbitrary points — must be
-//! answer-indistinguishable from a stop-the-world replica that rebuilds
-//! its catalog on every insert and treats merges as no-ops. The property
-//! suites generate interleavings of `insert → query → merge → query …`
-//! and check every answer (single-node and across 1/2/4/8-worker pools,
-//! direct and through the `optique::server` front door) against the
-//! replica's reference single-node answer.
+//! **The oracle:** a platform taking inserts through the novelty overlay
+//! — rows land in the in-memory novelty log, merges fold it into the base
+//! catalog at arbitrary points — must be answer-indistinguishable from a
+//! stop-the-world reference: a platform freshly *deployed* over the base
+//! rows plus every row inserted so far, which has never seen a write. The
+//! property suites generate interleavings of `insert → query → merge →
+//! query …` and check every answer (single-node and across
+//! 1/2/4/8-worker pools, direct and through the `optique::server` front
+//! door) against the reference's single-node answer.
 //!
 //! A separate property pins the statistics side: the incrementally
 //! maintained [`StatsCatalog`] (O(1) row-count deltas on append, per-table
@@ -24,7 +24,7 @@ mod common;
 use std::sync::Arc;
 
 use common::{canon, proptest_cases, streaming};
-use optique::{OptiquePlatform, Server, ServerConfig, WritePolicy};
+use optique::{OptiquePlatform, Server, ServerConfig};
 use optique_relational::{advise_partition_keys, StatsCatalog, Value};
 use proptest::prelude::*;
 
@@ -63,12 +63,12 @@ enum Op {
     /// Append `rows` fresh sensors (sequential sids, alternating kinds).
     Insert { rows: usize },
     /// Answer `corpus()[query]` on the subject over `workers` and compare
-    /// with the replica's single-node answer.
+    /// with the reference's single-node answer.
     Query {
         query: usize,
         workers: Option<usize>,
     },
-    /// Fold the subject's overlay now (a no-op on the replica).
+    /// Fold the subject's overlay now (the reference has none).
     Merge,
 }
 
@@ -111,34 +111,33 @@ fn sensor_row(sid: i64) -> Vec<Value> {
     ]
 }
 
-/// Runs one interleaving: subject on the overlay write path (optionally
-/// behind a server), replica on stop-the-world; every query answer must
-/// match, and after a final fold the whole corpus must still agree.
+/// The stop-the-world reference: a platform deployed from scratch over the
+/// base rows plus `inserted`, independent of the platform's write path.
+fn reference(inserted: &[Vec<Value>]) -> OptiquePlatform {
+    streaming::deployment_with(streaming::ramp_stream(), inserted.to_vec())
+}
+
+/// Runs one interleaving on the subject (optionally behind a server);
+/// every query answer must match a fresh deployment over the rows inserted
+/// so far, and after a final fold the whole corpus must still agree.
 fn run_case(ops: &[Op], served: bool) {
     let subject = Arc::new(streaming::deployment(streaming::ramp_stream()));
-    let replica = streaming::deployment(streaming::ramp_stream());
-    replica.set_write_policy(WritePolicy::StopTheWorld).unwrap();
-    assert_eq!(subject.write_policy(), WritePolicy::NoveltyOverlay);
     let server = served.then(|| Server::serve(Arc::clone(&subject), ServerConfig::default()));
     let client = server.as_ref().map(|s| s.client("oracle"));
     let corpus = corpus();
-    let mut next_sid = FRESH_SID;
+    let mut inserted: Vec<Vec<Value>> = Vec::new();
     for op in ops {
         match op {
             Op::Insert { rows } => {
-                let batch: Vec<Vec<Value>> = (0..*rows)
-                    .map(|_| {
-                        let row = sensor_row(next_sid);
-                        next_sid += 1;
-                        row
-                    })
-                    .collect();
-                let inserted = match &client {
-                    Some(c) => c.insert("sensors", batch.clone()).unwrap(),
-                    None => subject.insert_static("sensors", batch.clone()).unwrap(),
+                let first = FRESH_SID + inserted.len() as i64;
+                let batch: Vec<Vec<Value>> =
+                    (first..first + *rows as i64).map(sensor_row).collect();
+                inserted.extend(batch.iter().cloned());
+                let n = match &client {
+                    Some(c) => c.insert("sensors", batch).unwrap(),
+                    None => subject.insert_static("sensors", batch).unwrap(),
                 };
-                assert_eq!(inserted, *rows);
-                assert_eq!(replica.insert_static("sensors", batch).unwrap(), *rows);
+                assert_eq!(n, *rows);
             }
             Op::Query { query, workers } => {
                 let text = &corpus[*query];
@@ -148,12 +147,12 @@ fn run_case(ops: &[Op], served: bool) {
                     (None, None) => subject.query_static(text).unwrap(),
                     (None, Some(w)) => subject.query_static_distributed(text, *w).unwrap(),
                 };
-                let want = replica.query_static(text).unwrap();
+                let want = reference(&inserted).query_static(text).unwrap();
                 assert_eq!(
                     canon(&got),
                     canon(&want),
                     "query {query} (workers {workers:?}) diverged from the \
-                     stop-the-world replay"
+                     stop-the-world reference"
                 );
             }
             Op::Merge => {
@@ -170,10 +169,11 @@ fn run_case(ops: &[Op], served: bool) {
         }
     }
     // Fold whatever is left and sweep the whole corpus one last time —
-    // single-node and sharded — against the replica.
+    // single-node and sharded — against the reference.
     subject.merge_now().unwrap();
+    let reference = reference(&inserted);
     for (i, text) in corpus.iter().enumerate() {
-        let want = canon(&replica.query_static(text).unwrap());
+        let want = canon(&reference.query_static(text).unwrap());
         assert_eq!(
             canon(&subject.query_static(text).unwrap()),
             want,

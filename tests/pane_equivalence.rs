@@ -274,7 +274,7 @@ mod pane_equivalence {
         }
 
         // Append hot readings for the even (previously sub-threshold)
-        // sensors; the write policy keeps them as a novelty overlay.
+        // sensors; the write path keeps them as a novelty overlay.
         let appended: Vec<Vec<optique_relational::Value>> = (613..=616)
             .flat_map(|sec| {
                 (0..streaming::STREAM_SENSORS)

@@ -239,8 +239,8 @@ mod partitioned_equivalence {
         );
     }
 
-    /// `insert_static` re-partitions: pools drop, stats refresh, the cache
-    /// generation bumps. A solution set cached under the old shards must never
+    /// `insert_static` refreshes stats and bumps the written table's cache
+    /// version. A solution set cached under the old shards must never
     /// be served afterwards — the next partitioned run recomputes over the new
     /// snapshot and sees the new rows.
     #[test]
