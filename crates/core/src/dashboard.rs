@@ -104,9 +104,9 @@ pub struct StaticQueryPanel {
     pub replicated_fallbacks: usize,
     /// Scatter executions skipped by partition-key routing.
     pub shards_pruned: usize,
-    /// Fragment executions answered from a worker's prepared-plan cache.
+    /// Fragment executions that needed no SQL parse.
     pub plan_cache_hits: u64,
-    /// Fragment executions that parsed their statement.
+    /// Fragment SQL parses paid (text-built fragments only).
     pub plan_cache_misses: u64,
 }
 
@@ -166,11 +166,6 @@ pub struct Dashboard {
     pub bgp_cache_misses: u64,
     /// Times the per-BGP cache was invalidated by a relational write.
     pub bgp_cache_invalidations: u64,
-    /// Worker plan-cache hits summed over the live federation pools
-    /// (counters of dropped pools are gone with them).
-    pub plan_cache_hits: u64,
-    /// Worker plan-cache misses summed over the live federation pools.
-    pub plan_cache_misses: u64,
     /// Median static-query latency in microseconds over the whole history
     /// (not just the remembered panels); 0 before the first query.
     pub static_p50_us: u64,
@@ -261,16 +256,6 @@ impl Dashboard {
         }
     }
 
-    /// Worker plan-cache hit rate in `[0, 1]` (`None` before any round).
-    pub fn plan_cache_hit_rate(&self) -> Option<f64> {
-        let total = self.plan_cache_hits + self.plan_cache_misses;
-        if total == 0 {
-            None
-        } else {
-            Some(self.plan_cache_hits as f64 / total as f64)
-        }
-    }
-
     /// Total window fragments shipped across the continuous-query panels.
     pub fn total_window_fragments(&self) -> u64 {
         self.panels.iter().map(|p| p.window_fragments).sum()
@@ -337,7 +322,7 @@ impl Dashboard {
         }
         if !self.static_queries.is_empty() {
             out.push_str(&format!(
-                "├─ static SPARQL ─ {} queries ─ p50/p95/p99 {}/{}/{} µs ─ BGP cache {} ─ plan cache {}\n",
+                "├─ static SPARQL ─ {} queries ─ p50/p95/p99 {}/{}/{} µs ─ BGP cache {}\n",
                 self.static_queries.len(),
                 self.static_p50_us,
                 self.static_p95_us,
@@ -348,10 +333,6 @@ impl Dashboard {
                         rate * 100.0,
                         self.bgp_cache_invalidations
                     ),
-                    None => "idle".to_string(),
-                },
-                match self.plan_cache_hit_rate() {
-                    Some(rate) => format!("{:.0}% hit", rate * 100.0),
                     None => "idle".to_string(),
                 }
             ));
@@ -603,8 +584,6 @@ mod tests {
             bgp_cache_hits: 3,
             bgp_cache_misses: 1,
             bgp_cache_invalidations: 1,
-            plan_cache_hits: 6,
-            plan_cache_misses: 2,
             static_p50_us: 2100,
             static_p95_us: 2400,
             static_p99_us: 2460,
@@ -630,7 +609,6 @@ mod tests {
     fn empty_dashboard_has_no_hit_rate() {
         assert_eq!(Dashboard::default().wcache_hit_rate(), None);
         assert_eq!(Dashboard::default().bgp_cache_hit_rate(), None);
-        assert_eq!(Dashboard::default().plan_cache_hit_rate(), None);
     }
 
     #[test]
@@ -639,9 +617,11 @@ mod tests {
         assert_eq!(d.total_window_fragments(), 10);
         assert_eq!(d.total_stream_rows(), 1100);
         assert_eq!(d.total_stream_shards_pruned(), 12);
-        assert_eq!(d.plan_cache_hit_rate(), Some(0.75));
+        // The header's plan-cache rate went with the worker plan caches;
+        // per-query parse counts stay on the static panels.
+        assert_eq!(d.static_queries[0].plan_cache_hits, 6);
         let r = d.render();
-        assert!(r.contains("plan cache 75% hit"), "{r}");
+        assert!(!r.contains("plan cache"), "{r}");
         assert!(r.contains("wfrag"), "{r}");
         assert!(r.contains("srows"), "{r}");
     }

@@ -5,7 +5,7 @@
 //! unfolded `UNION ALL` into per-disjunct [`PlanFragment`]s, and the
 //! STARQL engine compiles each tick's window to a window-sliced fragment
 //! (`ContinuousQuery::tick_via`); this module is the [`FragmentExecutor`]
-//! that ships both through the same gateway/scheduler/exchange machinery.
+//! that hands both, typed, to the same gateway/scheduler machinery.
 //! Stream tables always hash-partition on their stream key
 //! ([`Federation::for_deployment`]) so window fragments **scatter** —
 //! every worker slices its shard of the window — instead of replicating
@@ -197,17 +197,6 @@ impl Federation {
         Federation::replicated(db, workers)
     }
 
-    /// Summed prepared-plan cache hits and misses across the pool's
-    /// workers (dashboard observability).
-    pub fn plan_cache_stats(&self) -> (u64, u64) {
-        self.gateway.plan_cache_stats()
-    }
-
-    /// Summed pane-store hits and misses across the pool's workers.
-    pub fn pane_stats(&self) -> (u64, u64) {
-        self.gateway.pane_stats()
-    }
-
     /// Number of workers in the pool.
     pub fn workers(&self) -> usize {
         self.workers
@@ -226,63 +215,37 @@ impl Federation {
         &self.partition
     }
 
-    /// Decides how a fragment may execute against this federation's layout.
-    fn classify(&self, sql: &str) -> Classification {
+    /// Decides how a fragment may execute against this federation's layout,
+    /// from the statement the fragment already carries: `Unpartitioned` →
+    /// placed on one replica, `Scatter` → every shard, `Incompatible` →
+    /// the coordinator's full catalog.
+    fn classify(&self, fragment: &PlanFragment) -> ShardCompatibility {
         if self.partition.is_empty() {
-            return Classification::Placed;
+            return ShardCompatibility::Unpartitioned;
         }
-        // Unparseable SQL cannot be classified; the coordinator needs no
-        // classification and will surface the real error.
-        let Ok(statement) = optique_relational::parse_select(sql) else {
-            return Classification::Coordinator;
-        };
-        match shard_compatibility(&statement, &self.partition) {
-            ShardCompatibility::Unpartitioned => Classification::Placed,
-            ShardCompatibility::Scatter {
-                dedup,
-                table,
-                column,
-            } => {
-                let column_type = self
-                    .coordinator
-                    .table(&table)
-                    .ok()
-                    .and_then(|t| {
-                        let idx = t.schema.index_of(&column)?;
-                        Some(t.schema.columns()[idx].ty)
-                    })
-                    .unwrap_or(optique_relational::ColumnType::Any);
-                Classification::Scatter {
-                    dedup,
-                    spec: PartitionSpec {
-                        table,
-                        column,
-                        column_type,
-                    },
-                    // The parse rides along so shard routing in the gateway
-                    // reuses it instead of re-parsing the same text.
-                    statement: Box::new(statement),
-                }
-            }
-            ShardCompatibility::Incompatible => Classification::Coordinator,
+        match fragment.base_statement() {
+            Ok(statement) => shard_compatibility(statement, &self.partition),
+            // Unparseable SQL (text-built fragments only) cannot be
+            // classified; the coordinator needs no classification and will
+            // surface the real error.
+            Err(_) => ShardCompatibility::Incompatible,
         }
     }
-}
 
-/// How one fragment executes: on a single worker's replica, scattered
-/// across every shard, or on the coordinator's full catalog.
-enum Classification {
-    Placed,
-    Scatter {
-        /// The statement is DISTINCT: shard-local dedup cannot see
-        /// cross-shard duplicates, so the gathered concat is deduped.
-        dedup: bool,
-        /// Routing metadata for shard-pruned scatter.
-        spec: PartitionSpec,
-        /// The fragment's SQL, parsed once during classification.
-        statement: Box<optique_relational::SelectStatement>,
-    },
-    Coordinator,
+    /// Routing metadata for a scatter over `table`, partitioned on `column`.
+    fn partition_spec(&self, table: String, column: String) -> PartitionSpec {
+        let column_type = self
+            .coordinator
+            .table(&table)
+            .ok()
+            .and_then(|t| Some(t.schema.columns()[t.schema.index_of(&column)?].ty))
+            .unwrap_or(optique_relational::ColumnType::Any);
+        PartitionSpec {
+            table,
+            column,
+            column_type,
+        }
+    }
 }
 
 /// Removes duplicate rows in place, keeping first occurrences.
@@ -306,6 +269,13 @@ impl FragmentExecutor for Federation {
         let mut coordinator_fallbacks = 0usize;
         let mut partitioned_fragments = 0usize;
         let mut replicated_fallbacks = 0usize;
+        // A text-built fragment nobody parsed yet costs this round exactly
+        // one parse — here in `classify`, in the gateway, or on the
+        // coordinator fallback, whichever asks for its statement first.
+        let parses = fragments
+            .iter()
+            .filter(|f| f.pane.is_none() && !f.is_parsed())
+            .count() as u64;
         for (slot, fragment) in fragments.into_iter().enumerate() {
             // Pane-combine fragments route on their probe, not their SQL:
             // a partitioned stream scatters (each worker combines its
@@ -325,27 +295,28 @@ impl FragmentExecutor for Federation {
                 shipped_slots.push((slot, false));
                 continue;
             }
-            match self.classify(&fragment.sql) {
-                Classification::Placed => {
+            match self.classify(&fragment) {
+                ShardCompatibility::Unpartitioned => {
                     if !self.partition.is_empty() {
                         replicated_fallbacks += 1;
                     }
                     shipped.push(StaticFragment::placed(fragment));
                     shipped_slots.push((slot, false));
                 }
-                Classification::Scatter {
+                // A scattered DISTINCT statement needs a cross-shard dedup
+                // of the gathered concat: shard-local dedup cannot see
+                // duplicates on other shards.
+                ShardCompatibility::Scatter {
                     dedup,
-                    spec,
-                    statement,
+                    table,
+                    column,
                 } => {
                     partitioned_fragments += 1;
-                    shipped.push(
-                        StaticFragment::scattered(fragment.with_partition(spec))
-                            .with_statement(*statement),
-                    );
+                    let spec = self.partition_spec(table, column);
+                    shipped.push(StaticFragment::scattered(fragment.with_partition(spec)));
                     shipped_slots.push((slot, dedup));
                 }
-                Classification::Coordinator => {
+                ShardCompatibility::Incompatible => {
                     coordinator_fallbacks += 1;
                     // `PlanFragment::execute` honors semi-join restrictions
                     // on the fallback path too.
@@ -377,8 +348,15 @@ impl FragmentExecutor for Federation {
             partitioned_fragments,
             replicated_fallbacks,
             shards_pruned: round.shards_pruned,
-            plan_cache_hits: round.plan_cache_hits,
-            plan_cache_misses: round.plan_cache_misses,
+            // The gateway saw the fragments `classify` parsed as already
+            // parsed; one accounting for the whole round: every SQL
+            // execution (worker-side or coordinator fallback) either paid
+            // one of the round's parses or needed none.
+            plan_cache_hits: (round.plan_cache_hits
+                + round.plan_cache_misses
+                + coordinator_fallbacks as u64)
+                .saturating_sub(parses),
+            plan_cache_misses: parses,
             pane_hits: round.pane_hits,
             pane_misses: round.pane_misses,
             // Worker-side spans ride back with the round; a traced pipeline
@@ -453,6 +431,10 @@ mod tests {
         let mut rows = t.rows.clone();
         rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
         rows
+    }
+
+    fn classify(federation: &Federation, sql: &str) -> ShardCompatibility {
+        federation.classify(&PlanFragment::new(0, sql, 1.0))
     }
 
     fn sensors_by_sid(db: Arc<Database>, workers: usize) -> Federation {
@@ -541,25 +523,30 @@ mod tests {
         let db = db();
         let federation = sensors_by_sid(db, 2);
         assert!(matches!(
-            federation.classify("SELECT sid FROM sensors"),
-            Classification::Scatter { dedup: false, .. }
+            classify(&federation, "SELECT sid FROM sensors"),
+            ShardCompatibility::Scatter { dedup: false, .. }
         ));
         assert!(matches!(
-            federation.classify("SELECT DISTINCT sid FROM sensors"),
-            Classification::Scatter { dedup: true, .. }
+            classify(&federation, "SELECT DISTINCT sid FROM sensors"),
+            ShardCompatibility::Scatter { dedup: true, .. }
         ));
         // Two partitioned references joined off-key: shard-local joins
         // would be incomplete.
         assert!(matches!(
-            federation
-                .classify("SELECT a.sid FROM sensors AS a JOIN sensors AS b ON a.tid = b.tid"),
-            Classification::Coordinator
+            classify(
+                &federation,
+                "SELECT a.sid FROM sensors AS a JOIN sensors AS b ON a.tid = b.tid"
+            ),
+            ShardCompatibility::Incompatible
         ));
         // A partitioned-table name inside a string literal is data, not a
         // scan: this fragment reads only the replicated `turbines` table.
         assert!(matches!(
-            federation.classify("SELECT tid FROM turbines WHERE 'sensors' = 'sensors'"),
-            Classification::Placed
+            classify(
+                &federation,
+                "SELECT tid FROM turbines WHERE 'sensors' = 'sensors'"
+            ),
+            ShardCompatibility::Unpartitioned
         ));
         // Aggregates / GROUP BY / LIMIT are not concat-decomposable.
         for sql in [
@@ -571,18 +558,20 @@ mod tests {
              UNION ALL SELECT sid FROM sensors",
         ] {
             assert!(
-                matches!(federation.classify(sql), Classification::Coordinator),
+                matches!(classify(&federation, sql), ShardCompatibility::Incompatible),
                 "{sql} must fall back to the coordinator"
             );
         }
         // Unparseable SQL → coordinator fallback (surfaces the real error).
         assert!(matches!(
-            federation.classify("SELECT FROM"),
-            Classification::Coordinator
+            classify(&federation, "SELECT FROM"),
+            ShardCompatibility::Incompatible
         ));
         // The scatter spec carries the key column and its type.
-        if let Classification::Scatter { spec, .. } = federation.classify("SELECT sid FROM sensors")
+        if let ShardCompatibility::Scatter { table, column, .. } =
+            classify(&federation, "SELECT sid FROM sensors")
         {
+            let spec = federation.partition_spec(table, column);
             assert_eq!(spec.table, "sensors");
             assert_eq!(spec.column, "sid");
             assert_eq!(spec.column_type, ColumnType::Int);

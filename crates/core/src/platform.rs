@@ -23,7 +23,7 @@
 //! take an O(1) row-count delta, and the BGP cache keeps every entry
 //! whose tables were untouched (per-table write versions,
 //! [`optique_sparql::TableVersions`]). Scans merge base + overlay; plan
-//! fragments pin the overlay's epoch on the wire so every worker in a
+//! fragments pin the overlay's epoch so every worker in a
 //! round resolves the same overlay. A merge
 //! ([`merge_now`](OptiquePlatform::merge_now), or automatic once the
 //! overlay holds 4096 rows) folds the log into the base tables,
@@ -217,11 +217,6 @@ const DEFAULT_SLOW_THRESHOLD_US: u64 = 100_000;
 
 /// Overlay depth (rows) at which an insert triggers an automatic merge.
 const DEFAULT_MERGE_THRESHOLD: usize = 4096;
-
-/// Registry counters accumulating plan-cache hits/misses of federation
-/// pools retired by catalog writes and distributed registrations.
-const PLAN_CACHE_RETIRED_HITS: &str = "plan_cache.retired_hits";
-const PLAN_CACHE_RETIRED_MISSES: &str = "plan_cache.retired_misses";
 
 /// Registry counters accumulating worker pane-store probe outcomes across
 /// every registered query (pane-combinable distributed ticks only).
@@ -431,9 +426,7 @@ impl OptiquePlatform {
         // pools do not partition; drop them so the next tick's pool
         // re-shards over the full stream set.
         if workers.is_some() {
-            let mut pools = self.federations.lock();
-            self.retire_plan_cache_counters(pools.values());
-            pools.clear();
+            self.federations.lock().clear();
         }
         Ok(id)
     }
@@ -570,10 +563,6 @@ impl OptiquePlatform {
         let mut pools = self.federations.lock();
         let entry = pools.entry(key).or_insert_with(|| Arc::clone(&pool));
         if !Arc::ptr_eq(entry.catalog(), &snap.db) {
-            // The replaced pool's plan-cache counters retire exactly like
-            // an explicitly dropped pool's: a mid-flight swap must not
-            // zero the dashboard's cache-rate history.
-            self.retire_plan_cache_counters([&*entry]);
             *entry = Arc::clone(&pool);
         }
         Arc::clone(entry)
@@ -965,11 +954,7 @@ impl OptiquePlatform {
             // The fold swaps the base catalog Arc the pools shard, so they
             // retire here, while the write lock still blocks snapshot pins:
             // no reader can pair the folded catalog with an old-shard pool.
-            {
-                let mut pools = self.federations.lock();
-                self.retire_plan_cache_counters(pools.values());
-                pools.clear();
-            }
+            self.federations.lock().clear();
             // `versions` carries over unchanged: pre-merge and post-merge
             // answers are identical, so cached solution sets stay valid.
             *guard = Arc::new(PlatformSnapshot {
@@ -995,23 +980,6 @@ impl OptiquePlatform {
     /// Rows currently in the novelty overlay (0 right after a merge).
     pub fn novelty_depth(&self) -> usize {
         self.state.read().novelty.depth()
-    }
-
-    /// Folds the prepared-plan cache counters of pools that are about to be
-    /// dropped into the shared [`MetricsRegistry`], so the dashboard's
-    /// hit/miss totals accumulate across pool rebuilds instead of resetting
-    /// every time a write or a distributed registration drops the pools.
-    fn retire_plan_cache_counters<'p>(&self, pools: impl IntoIterator<Item = &'p Arc<Federation>>) {
-        let (hits, misses) = pools
-            .into_iter()
-            .map(|f| f.plan_cache_stats())
-            .fold((0, 0), |(h, m), (fh, fm)| (h + fh, m + fm));
-        if hits > 0 {
-            self.registry.counter(PLAN_CACHE_RETIRED_HITS).add(hits);
-        }
-        if misses > 0 {
-            self.registry.counter(PLAN_CACHE_RETIRED_MISSES).add(misses);
-        }
     }
 
     /// Number of cached federation pools whose catalog is not the current
@@ -1072,9 +1040,13 @@ impl OptiquePlatform {
         *guard = Arc::new(next);
     }
 
-    /// Deregisters a query; returns whether it existed.
+    /// Deregisters a query; returns whether it existed. Its tick-latency
+    /// histogram goes with it (under the query lock, which ticks hold while
+    /// they record — so no tick can re-create it afterwards).
     pub fn deregister(&self, id: u64) -> bool {
-        self.queries.lock().remove(&id).is_some()
+        let mut queries = self.queries.lock();
+        self.registry.remove_histogram(&format!("tick.q{id}.us"));
+        queries.remove(&id).is_some()
     }
 
     /// Number of registered queries.
@@ -1109,7 +1081,7 @@ impl OptiquePlatform {
         let mut out = Vec::new();
         // Ticks read the *view* catalog: unmerged novelty-overlay rows are
         // part of every window, single-node and distributed alike (the
-        // fragments pin the overlay epoch on the wire).
+        // fragments pin the overlay epoch).
         let db = &snap.view;
         let mut queries = self.queries.lock();
         for (id, reg) in queries.iter_mut() {
@@ -1273,10 +1245,13 @@ impl OptiquePlatform {
         let panels = queries
             .values()
             .map(|reg| {
+                // Read, never create: a panel for a query that has not
+                // ticked yet must not leave a histogram behind.
                 let ticks = self
                     .registry
-                    .histogram(&format!("tick.q{}.us", reg.id))
-                    .summary();
+                    .find_histogram(&format!("tick.q{}.us", reg.id))
+                    .map(|h| h.summary())
+                    .unwrap_or_default();
                 QueryPanel {
                     id: reg.id,
                     name: reg.name.clone(),
@@ -1299,18 +1274,6 @@ impl OptiquePlatform {
             })
             .collect();
         drop(queries);
-        // Live pools plus counters retired when earlier pools were dropped
-        // (`insert_static`, distributed registration) — rebuilding a pool
-        // must never zero the dashboard's cache-rate history.
-        let (live_hits, live_misses) = self
-            .federations
-            .lock()
-            .values()
-            .map(|f| f.plan_cache_stats())
-            .fold((0, 0), |(h, m), (fh, fm)| (h + fh, m + fm));
-        let plan_cache_hits = live_hits + self.registry.counter(PLAN_CACHE_RETIRED_HITS).get();
-        let plan_cache_misses =
-            live_misses + self.registry.counter(PLAN_CACHE_RETIRED_MISSES).get();
         let static_latency = self.registry.histogram("static.query_us").summary();
         Dashboard {
             panels,
@@ -1320,8 +1283,6 @@ impl OptiquePlatform {
             bgp_cache_hits: self.static_cache.hits(),
             bgp_cache_misses: self.static_cache.misses(),
             bgp_cache_invalidations: self.static_cache.invalidations(),
-            plan_cache_hits,
-            plan_cache_misses,
             static_p50_us: static_latency.p50,
             static_p95_us: static_latency.p95,
             static_p99_us: static_latency.p99,
@@ -1419,9 +1380,6 @@ mod tests {
         assert!(dash.panels[0].window_fragments > 0, "{:?}", dash.panels[0]);
         assert!(dash.panels[0].stream_rows > 0);
         assert!(dash.render().contains("wfrag"));
-        // Repeated rounds of the same window wire hit the worker plan
-        // caches.
-        assert!(dash.plan_cache_hits + dash.plan_cache_misses > 0);
     }
 
     /// A write hides (and evicts) only the cache entries that read the
@@ -1445,9 +1403,53 @@ mod tests {
         assert!(!fresh.is_empty());
     }
 
+    /// Regression (unbounded registry): `dashboard()` used to get-or-create
+    /// a `tick.q<id>.us` histogram per panel and `deregister` never dropped
+    /// it — ~7 KB per registration, for good. Register → dashboard → tick →
+    /// deregister rounds must leave the registry where it started.
+    #[test]
+    fn deregistered_queries_leave_no_histogram_behind() {
+        let p = platform();
+        let histograms = |p: &OptiquePlatform| p.metrics_snapshot().histograms.len();
+        let round = |p: &OptiquePlatform| {
+            let id = p.register_starql(optique_starql::FIGURE1).unwrap();
+            let before_read = histograms(p);
+            assert_eq!(p.dashboard().panels.len(), 1);
+            p.tick_all(600_000).unwrap();
+            assert_eq!(p.dashboard().panels[0].ticks, 1);
+            assert!(p.deregister(id));
+            before_read
+        };
+        // One warm-up round creates the fixed-name instruments.
+        round(&p);
+        let baseline = histograms(&p);
+        for i in 0..8 {
+            let at_registration = round(&p);
+            assert_eq!(
+                at_registration, baseline,
+                "round {i}: nothing per-query yet"
+            );
+            assert_eq!(histograms(&p), baseline, "round {i}: deregister drops it");
+        }
+        // Reading a panel that never ticked creates nothing either.
+        let id = p.register_starql(optique_starql::FIGURE1).unwrap();
+        p.dashboard();
+        assert_eq!(histograms(&p), baseline);
+        p.deregister(id);
+    }
+
+    /// Fragment executions and parses the remembered static panels report.
+    fn plan_cache_totals(dash: &Dashboard) -> (u64, u64) {
+        dash.static_queries.iter().fold((0, 0), |(h, m), q| {
+            (h + q.plan_cache_hits, m + q.plan_cache_misses)
+        })
+    }
+
     /// Regression: a merge drops the federation pools, but the dashboard's
-    /// plan-cache totals must accumulate across the rebuild — the counters
-    /// retire into the registry, they don't reset to zero.
+    /// plan-cache totals must accumulate across the rebuild. They once
+    /// lived in per-worker caches and had to be retired into the registry;
+    /// they now ride back with each round, so nothing a pool drop takes
+    /// with it can zero them.
     #[test]
     fn plan_cache_counters_survive_pool_rebuilds() {
         let p = platform();
@@ -1455,63 +1457,45 @@ mod tests {
         // and the post-write run re-executes on the rebuilt pool.
         let q = "SELECT ?t WHERE { ?t a sie:Turbine }";
         p.query_static_distributed(q, 2).unwrap();
-        p.query_static_distributed(q, 2).unwrap();
-        let before = p.dashboard();
-        assert!(before.plan_cache_hits + before.plan_cache_misses > 0);
+        let before = plan_cache_totals(&p.dashboard());
+        assert!(before.0 > 0, "typed fragments execute without a parse");
+        assert_eq!(before.1, 0, "the pipeline never ships SQL text");
 
         p.insert_static("turbines", vec![new_turbine_row(&p, 88_001)])
             .unwrap();
         p.merge_now().unwrap();
-        let after = p.dashboard();
-        assert!(
-            after.plan_cache_hits >= before.plan_cache_hits
-                && after.plan_cache_misses >= before.plan_cache_misses,
-            "retired counters lost: {before:?} -> {after:?}"
-        );
+        assert_eq!(plan_cache_totals(&p.dashboard()), before);
 
-        // New traffic lands on top of the retired totals.
+        // New traffic lands on top of the earlier totals.
         p.query_static_distributed(q, 2).unwrap();
-        let later = p.dashboard();
-        assert!(
-            later.plan_cache_hits + later.plan_cache_misses
-                > after.plan_cache_hits + after.plan_cache_misses
-        );
+        let later = plan_cache_totals(&p.dashboard());
+        assert!(later.0 > before.0);
+        assert_eq!(later.1, 0);
     }
 
     /// Regression (pool-*replacement* counter loss): a straggler holding a
     /// pre-write snapshot can win the pool slot back from a fresher pool
-    /// via `federation_for`'s double-checked insert. The replaced pool's
-    /// plan-cache counters must retire into the registry exactly like an
-    /// explicitly dropped pool's — pre-fix they vanished with the `Arc`.
+    /// via `federation_for`'s double-checked insert. The replaced pool
+    /// takes no dashboard history with it.
     #[test]
     fn plan_cache_counters_survive_pool_replacement() {
         let p = platform();
         let q = "SELECT ?t WHERE { ?t a sie:Turbine }";
         p.query_static_distributed(q, 2).unwrap();
         let old_snap = p.snapshot();
-        // A merge swaps the base catalog and drops the pools (retiring
-        // the first pool's counters).
+        // A merge swaps the base catalog and drops the pools.
         p.insert_static("turbines", vec![new_turbine_row(&p, 97_001)])
             .unwrap();
         p.merge_now().unwrap();
-        // Fresh pool over the new catalog, with live counters.
+        // Fresh pool over the new catalog.
         p.query_static_distributed(q, 2).unwrap();
-        let before = p.dashboard();
-        assert!(before.plan_cache_hits + before.plan_cache_misses > 0);
+        let before = plan_cache_totals(&p.dashboard());
+        assert!(before.0 > 0);
 
         // The straggler rebuilds over the superseded catalog and replaces
         // the fresh pool in the slot.
         let _ = p.federation_for(2, &old_snap);
-        let after = p.dashboard();
-        assert!(
-            after.plan_cache_hits >= before.plan_cache_hits
-                && after.plan_cache_misses >= before.plan_cache_misses,
-            "replaced pool's counters lost: {} + {} -> {} + {}",
-            before.plan_cache_hits,
-            before.plan_cache_misses,
-            after.plan_cache_hits,
-            after.plan_cache_misses,
-        );
+        assert_eq!(plan_cache_totals(&p.dashboard()), before);
     }
 
     /// An aggregate HAVING over the Siemens stream: a pure `MAX` threshold

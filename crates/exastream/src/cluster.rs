@@ -83,7 +83,10 @@ impl Cluster {
                 ));
             }
             for (id, handle) in handles {
-                results[id] = Some(handle.join().expect("worker thread panicked"));
+                results[id] =
+                    Some(handle.join().unwrap_or_else(|_| {
+                        Err(SqlError::Execution(format!("worker {id} panicked")))
+                    }));
             }
         });
         results
@@ -93,9 +96,15 @@ impl Cluster {
     }
 
     /// Runs a different closure per worker in parallel (operator placement
-    /// execution path). Results come back in worker order.
-    pub fn parallel_map<T: Send>(&self, f: impl Fn(&Worker) -> T + Sync) -> Vec<T> {
-        let mut results: Vec<Option<T>> = (0..self.workers.len()).map(|_| None).collect();
+    /// execution path). Results come back in worker order; a worker whose
+    /// closure panicked reports the join error in its slot instead of
+    /// taking the calling thread (and the other workers' results) with it.
+    pub fn parallel_map<T: Send>(
+        &self,
+        f: impl Fn(&Worker) -> T + Sync,
+    ) -> Vec<std::thread::Result<T>> {
+        let mut results: Vec<Option<std::thread::Result<T>>> =
+            (0..self.workers.len()).map(|_| None).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.workers.len());
             for worker in &self.workers {
@@ -103,7 +112,7 @@ impl Cluster {
                 handles.push((worker.id, scope.spawn(move || f(worker))));
             }
             for (id, handle) in handles {
-                results[id] = Some(handle.join().expect("worker thread panicked"));
+                results[id] = Some(handle.join());
             }
         });
         results
@@ -206,8 +215,29 @@ mod tests {
     #[test]
     fn parallel_map_in_worker_order() {
         let cluster = Cluster::provision(6, |_| Database::new());
-        let ids = cluster.parallel_map(|w| w.id);
+        let ids: Vec<usize> = cluster
+            .parallel_map(|w| w.id)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    /// A panicking worker closure fails its own slot only: the caller and
+    /// the other workers' results survive, and so does the cluster.
+    #[test]
+    fn parallel_map_contains_a_worker_panic() {
+        let cluster = Cluster::provision(3, |_| Database::new());
+        let outcomes = cluster.parallel_map(|w| {
+            if w.id == 1 {
+                panic!("injected worker fault");
+            }
+            w.id
+        });
+        assert!(matches!(outcomes[0], Ok(0)));
+        assert!(outcomes[1].is_err());
+        assert!(matches!(outcomes[2], Ok(2)));
+        assert!(cluster.parallel_map(|w| w.id).iter().all(Result::is_ok));
     }
 
     #[test]

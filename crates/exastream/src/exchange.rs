@@ -9,24 +9,9 @@
 
 use std::collections::HashMap;
 
-use optique_relational::{ResultBatch, SqlError, Table, Value};
+use optique_relational::{SqlError, Table, Value};
 
 use crate::cluster::shard_of;
-
-/// Worker side of a result transfer: encodes a table as a [`ResultBatch`]
-/// wire string. Workers here are threads, so the "wire" is a `String`
-/// crossing the thread boundary — but the encode/decode pair enforces the
-/// same discipline a socket would (values survive on their own; schema
-/// qualifiers and index handles do not).
-pub fn ship(table: &Table) -> String {
-    ResultBatch::from_table(table).encode()
-}
-
-/// Coordinator side of a result transfer: decodes a [`ship`]ped wire string
-/// back into a table.
-pub fn receive(wire: &str) -> Result<Table, SqlError> {
-    ResultBatch::decode(wire)?.into_table()
-}
 
 /// Hash-repartitions rows across `n` buckets by `key_col`.
 pub fn repartition(rows: Vec<Vec<Value>>, key_col: usize, n: usize) -> Vec<Vec<Vec<Value>>> {
@@ -225,17 +210,5 @@ mod tests {
     #[test]
     fn merge_of_nothing_rejected() {
         assert!(merge_concat(vec![]).is_err());
-    }
-
-    #[test]
-    fn ship_receive_preserves_rows_and_names() {
-        let t = agg_table(vec![
-            vec![Value::Int(1), Value::Int(2), Value::Float(9.0)],
-            vec![Value::Int(2), Value::Null, Value::Float(5.5)],
-        ]);
-        let shipped = receive(&ship(&t)).unwrap();
-        assert_eq!(shipped.rows, t.rows);
-        assert_eq!(shipped.schema.header(), vec!["sensor_id", "n", "mx"]);
-        assert!(receive("garbage").is_err());
     }
 }

@@ -7,91 +7,18 @@
 //! interface. An [`AsyncFrontend`] accepts submissions from any thread over
 //! a channel, mirroring the paper's "Asynchronous Gateway Server".
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use optique_relational::{Database, PaneStore, PlanFragment, SelectStatement, SqlError, Table};
+use optique_relational::{Database, PaneStore, PlanFragment, SqlError, Table};
 use optique_telemetry::SpanRecord;
 use parking_lot::Mutex;
 
-use crate::cluster::Cluster;
-use crate::exchange;
+use crate::cluster::{Cluster, Worker};
 use crate::scheduler::{OperatorTask, Scheduler};
-
-/// How many prepared statements each worker's plan cache retains.
-const PLAN_CACHE_CAPACITY: usize = 256;
-
-/// A worker-local cache of prepared fragment statements, keyed by the
-/// fragment's wire text (which fully determines the parsed, sliced,
-/// restricted statement). Scatter rounds ship the *same* wire to a worker
-/// tick after tick — window fragments of a recurring continuous query, the
-/// per-disjunct fragments of a repeated static query — and without the
-/// cache every execution re-pays the parse. FIFO eviction; hit/miss
-/// counters feed the dashboard.
-#[derive(Default)]
-pub struct PlanCache {
-    inner: Mutex<PlanEntries>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-#[derive(Default)]
-struct PlanEntries {
-    map: HashMap<String, Arc<SelectStatement>>,
-    order: VecDeque<String>,
-}
-
-impl PlanCache {
-    /// The prepared statement for `wire`, parsing (and memoizing) on first
-    /// sight. The flag reports whether this call hit the cache — callers
-    /// that account per *round* sum these flags instead of diffing the
-    /// cumulative counters, which concurrent rounds would cross-pollute.
-    pub fn get_or_prepare(&self, wire: &str) -> Result<(Arc<SelectStatement>, bool), SqlError> {
-        if let Some(hit) = self.inner.lock().map.get(wire) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(hit), true));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let statement = Arc::new(PlanFragment::decode(wire)?.statement()?);
-        let mut inner = self.inner.lock();
-        if let Some(existing) = inner.map.get(wire) {
-            // A racing worker thread prepared it first; share that one
-            // (this call still parsed, so it counts as the miss it was).
-            return Ok((Arc::clone(existing), false));
-        }
-        if inner.map.len() >= PLAN_CACHE_CAPACITY {
-            if let Some(oldest) = inner.order.pop_front() {
-                inner.map.remove(&oldest);
-            }
-        }
-        inner.order.push_back(wire.to_string());
-        inner.map.insert(wire.to_string(), Arc::clone(&statement));
-        Ok((statement, false))
-    }
-
-    /// Cumulative cache hits.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative cache misses (= parses).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Prepared statements currently cached.
-    pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// Opaque continuous-query id.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -116,12 +43,10 @@ pub struct Gateway {
     scheduler: Mutex<Scheduler>,
     registry: Mutex<HashMap<QueryId, RegisteredQuery>>,
     next_id: AtomicU64,
-    /// One plan cache per worker (a real cluster's cache lives with the
-    /// worker process, so the simulation keeps them worker-local too).
-    plan_caches: Vec<PlanCache>,
     /// One pane store per worker: shard-local partial aggregates answering
-    /// pane-combine fragments incrementally (worker-local for the same
-    /// reason the plan caches are).
+    /// pane-combine fragments incrementally (a real cluster's store lives
+    /// with the worker process, so the simulation keeps them worker-local
+    /// too).
     pane_stores: Vec<PaneStore>,
 }
 
@@ -129,23 +54,14 @@ impl Gateway {
     /// A gateway over `cluster`.
     pub fn new(cluster: Arc<Cluster>) -> Arc<Self> {
         let scheduler = Scheduler::new(cluster.size());
-        let plan_caches = (0..cluster.size()).map(|_| PlanCache::default()).collect();
         let pane_stores = (0..cluster.size()).map(|_| PaneStore::new()).collect();
         Arc::new(Gateway {
             cluster,
             scheduler: Mutex::new(scheduler),
             registry: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
-            plan_caches,
             pane_stores,
         })
-    }
-
-    /// Summed plan-cache hits and misses across the workers.
-    pub fn plan_cache_stats(&self) -> (u64, u64) {
-        self.plan_caches
-            .iter()
-            .fold((0, 0), |(h, m), c| (h + c.hits(), m + c.misses()))
     }
 
     /// Summed pane-store hits and misses across the workers.
@@ -228,26 +144,30 @@ impl Gateway {
             }
             out
         });
-        let mut all: Vec<(QueryId, Result<Table, SqlError>)> =
-            outputs.into_iter().flatten().collect();
+        let mut all: Vec<(QueryId, Result<Table, SqlError>)> = Vec::new();
+        for (worker, output) in outputs.into_iter().enumerate() {
+            match output {
+                Ok(results) => all.extend(results),
+                Err(_) => all.extend(
+                    per_worker[worker]
+                        .iter()
+                        .map(|q| (q.id, Err(worker_panicked(worker)))),
+                ),
+            }
+        }
         all.sort_by_key(|(id, _)| *id);
         all
-    }
-    /// [`Gateway::run_static_round`], returning only the gathered tables —
-    /// the original interface, kept for callers that need no accounting.
-    pub fn run_static_fragments(
-        &self,
-        fragments: &[StaticFragment],
-    ) -> Vec<Result<Table, SqlError>> {
-        self.run_static_round(fragments).tables
     }
 
     /// Executes a round of federated static-query fragments and gathers the
     /// per-fragment results, in input order, plus the round's accounting.
     ///
-    /// Fragments cross the worker boundary through the
-    /// [`PlanFragment`]/[`ResultBatch`] wire format (see
-    /// [`optique_relational::fragment`]). Placement:
+    /// Fragments cross the worker boundary typed: each worker's queue holds
+    /// `Arc<PlanFragment>`s, the worker slices, restricts and executes the
+    /// shared statement on its shard, and the result [`Table`] moves back
+    /// (see [`optique_relational::fragment`]). A text-built fragment is
+    /// parsed here, on the coordinator, once — not once per worker.
+    /// Placement:
     ///
     /// * **placed** fragments (`scatter == false`) go to one worker each,
     ///   LPT-style by cost through the live [`Scheduler`] — so a heavy
@@ -261,6 +181,10 @@ impl Gateway {
     ///   [`PlanFragment::shard_plan`] prune the round, in which case only
     ///   the shards that can hold matching keys execute, each receiving
     ///   just its slice of the `IN`-list.
+    ///
+    /// A worker that panics fails its own fragments with
+    /// `worker N panicked`; the round, the pool and the other workers'
+    /// results survive.
     pub fn run_static_round(&self, fragments: &[StaticFragment]) -> StaticRound {
         let size = self.cluster.size();
         let round_started = Instant::now();
@@ -273,207 +197,76 @@ impl Gateway {
             .collect();
         let placement = self.scheduler.lock().place_batch(&tasks);
 
-        // Coordinator side: per-worker queues of fragment wires. Shard-pruned
-        // scatter fragments encode one wire per target shard (each carrying
-        // that shard's `IN`-list slice); everything else encodes once.
-        struct Queued {
-            idx: usize,
-            wire: Arc<String>,
-            op: Arc<String>,
-            scatter: bool,
-        }
+        // Coordinator side: per-worker queues of shared fragments.
+        // Shard-pruned scatter fragments queue one copy per target shard
+        // (each carrying that shard's `IN`-list slice, all sharing the
+        // statement); everything else queues the submitted `Arc`.
         let mut queues: Vec<Vec<Queued>> = (0..size).map(|_| Vec::new()).collect();
         let mut shards_pruned = 0usize;
+        let mut parses = 0u64;
         for (idx, f) in fragments.iter().enumerate() {
-            let op = Arc::new(f.fragment.describe());
-            if f.scatter {
-                let plan = match &f.statement {
-                    Some(statement) => f.fragment.shard_plan_with(statement, size),
-                    None => f.fragment.shard_plan(size),
-                };
-                match plan {
-                    Some(plan) => {
-                        shards_pruned += size - plan.len();
-                        for (shard, fragment) in plan {
-                            queues[shard].push(Queued {
-                                idx,
-                                wire: Arc::new(fragment.encode()),
-                                op: Arc::clone(&op),
-                                scatter: true,
-                            });
-                        }
-                    }
-                    None => {
-                        let wire = Arc::new(f.fragment.encode());
-                        for queue in queues.iter_mut() {
-                            queue.push(Queued {
-                                idx,
-                                wire: Arc::clone(&wire),
-                                op: Arc::clone(&op),
-                                scatter: true,
-                            });
-                        }
-                    }
+            // Pane probes never touch their SQL. Everything else must hold
+            // a statement before it is shared; a parse error is memoized
+            // and surfaces from the worker's execute.
+            let parsed_here = f.fragment.pane.is_none() && !f.fragment.is_parsed();
+            if parsed_here {
+                parses += 1;
+                let _ = f.fragment.base_statement();
+            }
+            let queued = |fragment: Arc<PlanFragment>| Queued {
+                idx,
+                fragment,
+                scatter: f.scatter,
+                parsed_here,
+            };
+            if !f.scatter {
+                queues[placement.assignment[&f.fragment.id]].push(queued(Arc::clone(&f.fragment)));
+            } else if let Some(plan) = f.fragment.shard_plan(size) {
+                shards_pruned += size - plan.len();
+                for (shard, fragment) in plan {
+                    queues[shard].push(queued(Arc::new(fragment)));
                 }
             } else {
-                queues[placement.assignment[&f.fragment.id]].push(Queued {
-                    idx,
-                    wire: Arc::new(f.fragment.encode()),
-                    op,
-                    scatter: false,
-                });
+                for queue in queues.iter_mut() {
+                    queue.push(queued(Arc::clone(&f.fragment)));
+                }
             }
         }
 
-        // Worker side: prepare each fragment through the worker's plan
-        // cache (decode + parse + slice + restrict, memoized by wire text —
-        // scatter rounds repeat identical wires across ticks), execute on
-        // the local shard, ship the result batch back over the wire.
-        // Each worker counts its own hits/misses for *this* round (the
-        // cumulative cache counters are shared across concurrent rounds
-        // and would cross-attribute), and records one span per fragment
-        // execution — queue wait, plan-cache outcome, rows and wire bytes —
-        // under a per-worker root span, all relative to the round start so
-        // the coordinator can graft them into its trace.
-        type WorkerOutput = (
-            Vec<(usize, Result<String, SqlError>)>,
-            u64,
-            u64,
-            (u64, u64),
-            Vec<SpanRecord>,
-        );
-        let outputs: Vec<WorkerOutput> = self.cluster.parallel_map(|worker| {
-            let cache = &self.plan_caches[worker.id];
-            let (mut hits, mut misses) = (0u64, 0u64);
-            let (mut pane_hits, mut pane_misses) = (0u64, 0u64);
-            // Per-round memo of resolved novelty views: every fragment
-            // pinned at the same epoch shares one merged catalog (`None`
-            // means the worker's base db already answers that epoch). The
-            // epoch is stripped from the wire *before* plan caching, so
-            // write-induced epoch churn never churns the plan cache.
-            let mut views: HashMap<u64, Option<Database>> = HashMap::new();
-            let worker_start_us = round_started.elapsed().as_micros() as u64;
-            let mut frag_spans: Vec<SpanRecord> = Vec::with_capacity(queues[worker.id].len());
-            let results = queues[worker.id]
-                .iter()
-                .map(|q| {
-                    let queue_us = round_started
-                        .elapsed()
-                        .as_micros()
-                        .saturating_sub(worker_start_us as u128)
-                        as u64;
-                    let frag_started = Instant::now();
-                    let mut cache_hit = false;
-                    let mut rows = 0u64;
-                    let result = (|| {
-                        let (epoch, base_wire) = optique_relational::split_novelty_wire(&q.wire);
-                        if let std::collections::hash_map::Entry::Vacant(slot) = views.entry(epoch)
-                        {
-                            slot.insert(optique_relational::view_at(&worker.db, epoch)?);
-                        }
-                        let db = views[&epoch].as_ref().unwrap_or(&worker.db);
-                        // Pane probes bypass SQL planning entirely — no
-                        // parse, no plan cache: the worker answers from its
-                        // shard-local pane store, folding at most the rows
-                        // appended since the last probe.
-                        if base_wire.contains("\npane\t") {
-                            let fragment = PlanFragment::decode(&base_wire)?;
-                            let probe = fragment.pane.as_ref().ok_or_else(|| {
-                                SqlError::Execution("pane wire without probe".into())
-                            })?;
-                            let (table, warm) = self.pane_stores[worker.id].combine(probe, db)?;
-                            cache_hit = warm;
-                            if warm {
-                                pane_hits += 1;
-                            } else {
-                                pane_misses += 1;
-                            }
-                            return Ok(table);
-                        }
-                        let (statement, hit) = cache.get_or_prepare(&base_wire)?;
-                        cache_hit = hit;
-                        if hit {
-                            hits += 1;
-                        } else {
-                            misses += 1;
-                        }
-                        optique_relational::execute_prepared(&statement, db)
-                    })()
-                    .map(|t| {
-                        rows = t.len() as u64;
-                        exchange::ship(&t)
-                    });
-                    let wire_bytes = result.as_ref().map(|w| w.len() as u64).unwrap_or(0);
-                    let mut span = SpanRecord::new(
-                        "fragment",
-                        worker_start_us + queue_us,
-                        frag_started.elapsed().as_micros() as u64,
-                    )
-                    // Parent index 0 is the worker root, prepended below.
-                    .under(0)
-                    .attr("op", q.op.as_str())
-                    .attr("frag", q.idx)
-                    .attr("worker", worker.id)
-                    .attr("queue_us", queue_us)
-                    .attr("cache", if cache_hit { "hit" } else { "miss" })
-                    .attr("rows", rows)
-                    .attr("bytes", wire_bytes);
-                    if q.scatter {
-                        span = span.attr("shard", worker.id);
-                    }
-                    frag_spans.push(span);
-                    (q.idx, result)
-                })
-                .collect();
-            let mut spans = Vec::with_capacity(frag_spans.len() + 1);
-            if !frag_spans.is_empty() {
-                spans.push(
-                    SpanRecord::new(
-                        "worker",
-                        worker_start_us,
-                        round_started
-                            .elapsed()
-                            .as_micros()
-                            .saturating_sub(worker_start_us as u128) as u64,
-                    )
-                    .attr("worker", worker.id)
-                    .attr("fragments", frag_spans.len()),
-                );
-                spans.extend(frag_spans);
-            }
-            (results, hits, misses, (pane_hits, pane_misses), spans)
-        });
-        let (plan_cache_hits, plan_cache_misses) = outputs
-            .iter()
-            .fold((0, 0), |(h, m), (_, wh, wm, _, _)| (h + wh, m + wm));
-        let (pane_hits, pane_misses) = outputs
-            .iter()
-            .fold((0, 0), |(h, m), (_, _, _, (ph, pm), _)| (h + ph, m + pm));
-
-        // Merge the per-worker span batches into one round batch, shifting
-        // each batch's internal parent indices past the records already
-        // merged (worker roots stay roots of the round batch).
-        let mut spans: Vec<SpanRecord> = Vec::new();
-        for (_, _, _, _, batch) in &outputs {
-            let base = spans.len();
-            spans.extend(batch.iter().cloned().map(|mut record| {
-                record.parent = record.parent.map(|p| p + base);
-                record
-            }));
-        }
+        let outputs = self
+            .cluster
+            .parallel_map(|worker| self.run_queue(worker, &queues[worker.id], round_started));
 
         // The round is over: transient (StaticFragment-kind) tasks release
         // their load; continuous operators are untouched.
         self.scheduler.lock().release_transient(&tasks, &placement);
 
-        // Gather: receive batches, concatenating scatter partials and
-        // accounting the rows each worker shipped.
+        // Gather: take the tables, concatenating scatter partials and
+        // accounting the rows each worker handed back. Worker span batches
+        // merge into one round batch, parent indices shifted past the
+        // records already merged (worker roots stay roots).
         let mut worker_rows = vec![0usize; size];
         let mut gathered: Vec<Option<Result<Table, SqlError>>> =
             fragments.iter().map(|_| None).collect();
-        for (worker, (per_worker, _, _, _, _)) in outputs.into_iter().enumerate() {
-            for (idx, wire_result) in per_worker {
-                let table = wire_result.and_then(|wire| exchange::receive(&wire));
+        let mut spans: Vec<SpanRecord> = Vec::new();
+        let (mut executions, mut pane_hits, mut pane_misses) = (0u64, 0u64, 0u64);
+        for (worker, output) in outputs.into_iter().enumerate() {
+            let output = output.unwrap_or_else(|_| WorkerOutput {
+                results: queues[worker]
+                    .iter()
+                    .map(|q| (q.idx, Err(worker_panicked(worker))))
+                    .collect(),
+                ..WorkerOutput::default()
+            });
+            executions += output.executions;
+            pane_hits += output.pane_hits;
+            pane_misses += output.pane_misses;
+            let base = spans.len();
+            spans.extend(output.spans.into_iter().map(|mut record| {
+                record.parent = record.parent.map(|p| p + base);
+                record
+            }));
+            for (idx, table) in output.results {
                 if let Ok(t) = &table {
                     worker_rows[worker] += t.len();
                 }
@@ -492,13 +285,114 @@ impl Gateway {
                 .collect(),
             worker_rows,
             shards_pruned,
-            plan_cache_hits,
-            plan_cache_misses,
+            plan_cache_hits: executions.saturating_sub(parses),
+            plan_cache_misses: parses,
             pane_hits,
             pane_misses,
             spans,
         }
     }
+
+    /// Worker side of a round: executes this worker's queue on its shard
+    /// and records one span per fragment execution — queue wait, parse
+    /// outcome, rows — under a per-worker root span, all relative to the
+    /// round start so the coordinator can graft them into its trace.
+    fn run_queue(&self, worker: &Worker, queue: &[Queued], round_started: Instant) -> WorkerOutput {
+        let mut out = WorkerOutput::default();
+        // Per-round memo of resolved novelty views: every fragment pinned
+        // at the same epoch shares one merged catalog (`None` means the
+        // worker's base db already answers that epoch).
+        let mut views: HashMap<u64, Option<Database>> = HashMap::new();
+        let worker_start_us = round_started.elapsed().as_micros() as u64;
+        let mut frag_spans: Vec<SpanRecord> = Vec::with_capacity(queue.len());
+        for q in queue {
+            let queue_us =
+                (round_started.elapsed().as_micros() as u64).saturating_sub(worker_start_us);
+            let frag_started = Instant::now();
+            // "hit" = nothing was prepared for this execution: a warm pane
+            // store, or a statement that arrived typed or already parsed.
+            let mut cache_hit = !q.parsed_here;
+            let result = (|| {
+                let epoch = q.fragment.novelty_epoch;
+                if let std::collections::hash_map::Entry::Vacant(slot) = views.entry(epoch) {
+                    slot.insert(optique_relational::view_at(&worker.db, epoch)?);
+                }
+                let db = views[&epoch].as_ref().unwrap_or(&worker.db);
+                // Pane probes bypass SQL planning entirely: the worker
+                // answers from its shard-local pane store, folding at most
+                // the rows appended since the last probe.
+                if let Some(probe) = &q.fragment.pane {
+                    let (table, warm) = self.pane_stores[worker.id].combine(probe, db)?;
+                    cache_hit = warm;
+                    if warm {
+                        out.pane_hits += 1;
+                    } else {
+                        out.pane_misses += 1;
+                    }
+                    return Ok(table);
+                }
+                out.executions += 1;
+                q.fragment.execute_on(db)
+            })();
+            let rows = result.as_ref().map_or(0, Table::len);
+            let mut span = SpanRecord::new(
+                "fragment",
+                worker_start_us + queue_us,
+                frag_started.elapsed().as_micros() as u64,
+            )
+            // Parent index 0 is the worker root, prepended below.
+            .under(0)
+            .attr("op", q.fragment.describe())
+            .attr("frag", q.idx)
+            .attr("worker", worker.id)
+            .attr("queue_us", queue_us)
+            .attr("cache", if cache_hit { "hit" } else { "miss" })
+            .attr("rows", rows);
+            if q.scatter {
+                span = span.attr("shard", worker.id);
+            }
+            frag_spans.push(span);
+            out.results.push((q.idx, result));
+        }
+        if !frag_spans.is_empty() {
+            out.spans.push(
+                SpanRecord::new(
+                    "worker",
+                    worker_start_us,
+                    (round_started.elapsed().as_micros() as u64).saturating_sub(worker_start_us),
+                )
+                .attr("worker", worker.id)
+                .attr("fragments", frag_spans.len()),
+            );
+            out.spans.extend(frag_spans);
+        }
+        out
+    }
+}
+
+/// One fragment execution queued on one worker.
+struct Queued {
+    /// The submitted fragment's slot in the round.
+    idx: usize,
+    fragment: Arc<PlanFragment>,
+    scatter: bool,
+    /// The coordinator parsed this fragment's SQL text this round.
+    parsed_here: bool,
+}
+
+/// What one worker hands back from a round.
+#[derive(Default)]
+struct WorkerOutput {
+    results: Vec<(usize, Result<Table, SqlError>)>,
+    /// SQL fragment executions (pane probes count under `pane_*`).
+    executions: u64,
+    pane_hits: u64,
+    pane_misses: u64,
+    spans: Vec<SpanRecord>,
+}
+
+fn worker_panicked(worker: usize) -> SqlError {
+    SqlError::Execution(format!("worker {worker} panicked"))
 }
 
 /// The gathered outcome of one federated static round.
@@ -514,10 +408,12 @@ pub struct StaticRound {
     /// Scatter executions skipped because key routing proved the shard
     /// could hold no matching row.
     pub shards_pruned: usize,
-    /// Fragment executions whose prepared statement came from a worker's
-    /// plan cache this round (the parse was skipped).
+    /// Worker-side SQL fragment executions that needed no parse of their
+    /// own this round: the statement arrived typed, was parsed earlier, or
+    /// was parsed once for several shards.
     pub plan_cache_hits: u64,
-    /// Fragment executions that had to parse this round.
+    /// Fragment SQL parses paid this round — one per text-built fragment
+    /// that arrived unparsed, on the coordinator.
     pub plan_cache_misses: u64,
     /// Pane probes answered from a warm worker pane store this round.
     pub pane_hits: u64,
@@ -526,51 +422,39 @@ pub struct StaticRound {
     pub pane_misses: u64,
     /// Worker-side trace spans for the round, one batch root per worker
     /// that executed anything, with per-fragment children carrying worker
-    /// id, shard, queue wait, plan-cache outcome, rows and wire bytes.
+    /// id, shard, queue wait, parse / pane-store outcome and rows.
     /// Starts are relative to the round start; the coordinator stitches
     /// them under its execution span with `Tracer::graft`.
     pub spans: Vec<SpanRecord>,
 }
 
 /// One unit of a federated static query, as submitted to
-/// [`Gateway::run_static_fragments`].
+/// [`Gateway::run_static_round`].
 #[derive(Clone, Debug)]
 pub struct StaticFragment {
-    /// The serializable fragment (id, SQL, cost).
-    pub fragment: PlanFragment,
+    /// The fragment, shared with every worker queue it lands on.
+    pub fragment: Arc<PlanFragment>,
     /// When true, the fragment scans a hash-partitioned table: it runs on
     /// every worker's shard and the partial results are concatenated.
     /// When false, any single worker's replica can answer it.
     pub scatter: bool,
-    /// The fragment's SQL, already parsed — coordinators that classified
-    /// the fragment keep the parse here so shard routing need not re-parse
-    /// the identical text.
-    pub statement: Option<optique_relational::SelectStatement>,
 }
 
 impl StaticFragment {
     /// A fragment answered by one worker's replica.
     pub fn placed(fragment: PlanFragment) -> Self {
         StaticFragment {
-            fragment,
+            fragment: Arc::new(fragment),
             scatter: false,
-            statement: None,
         }
     }
 
     /// A fragment scanning every worker's partition.
     pub fn scattered(fragment: PlanFragment) -> Self {
         StaticFragment {
-            fragment,
+            fragment: Arc::new(fragment),
             scatter: true,
-            statement: None,
         }
-    }
-
-    /// Attaches the already-parsed statement (builder style).
-    pub fn with_statement(mut self, statement: optique_relational::SelectStatement) -> Self {
-        self.statement = Some(statement);
-        self
     }
 }
 
@@ -731,7 +615,7 @@ mod tests {
                 ))
             })
             .collect();
-        let results = g.run_static_fragments(&fragments);
+        let results = g.run_static_round(&fragments).tables;
         assert_eq!(results.len(), 8);
         for (i, result) in results.iter().enumerate() {
             let t = result.as_ref().unwrap();
@@ -768,7 +652,7 @@ mod tests {
                         })
                         .collect();
                     for _ in 0..4 {
-                        let results = g.run_static_fragments(&fragments);
+                        let results = g.run_static_round(&fragments).tables;
                         for (i, result) in results.iter().enumerate() {
                             let t = result.as_ref().unwrap();
                             let expected = 100 - (round * 4 + i) as i64;
@@ -791,11 +675,13 @@ mod tests {
         // Each of 4 workers holds 100 distinct sensor rows; a scatter scan
         // must see all 400.
         let g = Gateway::new(cluster(4));
-        let results = g.run_static_fragments(&[StaticFragment::scattered(PlanFragment::new(
-            0,
-            "SELECT sensor_id FROM m",
-            1.0,
-        ))]);
+        let results = g
+            .run_static_round(&[StaticFragment::scattered(PlanFragment::new(
+                0,
+                "SELECT sensor_id FROM m",
+                1.0,
+            ))])
+            .tables;
         let t = results[0].as_ref().unwrap();
         assert_eq!(t.len(), 400);
         let distinct: std::collections::HashSet<i64> =
@@ -874,35 +760,34 @@ mod tests {
         assert_eq!(round.tables[0].as_ref().unwrap().len(), 400);
     }
 
-    /// A repeated scatter round re-uses each worker's prepared statement:
-    /// the first round parses once per worker, later identical rounds
-    /// parse nothing.
+    /// A text-built scatter fragment is parsed once on the coordinator —
+    /// not once per worker — and a repeated round over the same fragment
+    /// parses nothing; a typed fragment never parses at all.
     #[test]
     fn plan_cache_amortizes_repeated_scatter_rounds() {
         let g = Gateway::new(cluster(4));
-        let scatter = || {
-            vec![StaticFragment::scattered(PlanFragment::new(
-                0,
-                "SELECT sensor_id FROM m",
-                1.0,
-            ))]
-        };
-        let first = g.run_static_round(&scatter());
-        assert_eq!(first.plan_cache_misses, 4, "one parse per worker");
-        assert_eq!(first.plan_cache_hits, 0);
-        let second = g.run_static_round(&scatter());
-        assert_eq!(second.plan_cache_misses, 0, "wire text repeats verbatim");
+        let sql = "SELECT sensor_id FROM m";
+        let scatter = vec![StaticFragment::scattered(PlanFragment::new(0, sql, 1.0))];
+        let first = g.run_static_round(&scatter);
+        assert_eq!(first.plan_cache_misses, 1, "one parse for four workers");
+        assert_eq!(first.plan_cache_hits, 3);
+        let second = g.run_static_round(&scatter);
+        assert_eq!(second.plan_cache_misses, 0, "the parse is memoized");
         assert_eq!(second.plan_cache_hits, 4);
         assert_eq!(
             second.tables[0].as_ref().unwrap().len(),
             400,
-            "cached plans return the same rows"
+            "the shared statement returns the same rows"
         );
-        assert_eq!(g.plan_cache_stats(), (4, 4));
+        let typed =
+            PlanFragment::from_statement(0, optique_relational::parse_select(sql).unwrap(), 1.0);
+        let round = g.run_static_round(&[StaticFragment::scattered(typed)]);
+        assert_eq!((round.plan_cache_hits, round.plan_cache_misses), (4, 0));
+        assert_eq!(round.tables[0].as_ref().unwrap().len(), 400);
     }
 
-    /// A changed wire (different window slice or IN-list) is a different
-    /// plan: the cache must not serve a stale statement.
+    /// Fragments sharing SQL but differing in their window slice are
+    /// different plans: each executes its own slice, never a neighbour's.
     #[test]
     fn plan_cache_distinguishes_wires() {
         use optique_relational::WindowSlice;
@@ -922,27 +807,32 @@ mod tests {
         let wide = g.run_static_round(&windowed(49));
         assert_eq!(narrow.tables[0].as_ref().unwrap().len(), 5);
         assert_eq!(wide.tables[0].as_ref().unwrap().len(), 50);
-        assert_eq!(g.plan_cache_stats(), (0, 2), "two distinct wires parse");
+        assert_eq!(
+            narrow.plan_cache_misses + wide.plan_cache_misses,
+            2,
+            "two distinct text fragments parse"
+        );
     }
 
     /// Rounds pinned at a novelty epoch merge that overlay's rows — and
     /// *only* that overlay's: a newer append never leaks into an older
-    /// round, and the epoch line never churns the plan cache (the wire is
-    /// stripped before plan caching, so every epoch of the same SQL shares
-    /// one prepared statement).
+    /// round, and the epoch never costs a parse (it selects the *data* a
+    /// fragment scans; every epoch of one fragment shares its statement).
     #[test]
     fn novelty_epoch_pins_rounds_without_churning_plan_cache() {
         use optique_relational::NoveltyOverlay;
         let g = Gateway::new(cluster(1));
+        let base = PlanFragment::new(0, "SELECT COUNT(*) AS n FROM m", 1.0);
         let count = |epoch: u64| {
-            let frag = PlanFragment::new(0, "SELECT COUNT(*) AS n FROM m", 1.0).at_epoch(epoch);
+            let frag = base.clone().at_epoch(epoch);
             let round = g.run_static_round(&[StaticFragment::placed(frag)]);
             let n = round.tables[0].as_ref().unwrap().rows[0][0]
                 .as_i64()
                 .unwrap();
             (n, round.plan_cache_hits, round.plan_cache_misses)
         };
-        assert_eq!(count(0), (100, 0, 1), "base only; first round parses");
+        assert_eq!(count(0), (100, 0, 1), "base only; an unparsed clone parses");
+        base.base_statement().unwrap();
         let overlay =
             NoveltyOverlay::empty().with_rows("m", vec![vec![Value::Int(1000), Value::Float(0.5)]]);
         assert_eq!(
@@ -968,7 +858,7 @@ mod tests {
     }
 
     /// A scattered pane fragment is answered worker-side from the pane
-    /// stores — no parse, no plan-cache churn — and the gathered partials
+    /// stores — its SQL is never parsed — and the gathered partials
     /// concatenate into disjoint per-shard groups. Repeating the round is
     /// a warm hit on every worker.
     #[test]
@@ -1037,12 +927,76 @@ mod tests {
     #[test]
     fn static_fragment_errors_are_per_fragment() {
         let g = Gateway::new(cluster(2));
-        let results = g.run_static_fragments(&[
-            StaticFragment::placed(PlanFragment::new(0, "SELECT value FROM m", 1.0)),
-            StaticFragment::placed(PlanFragment::new(1, "SELECT value FROM nope", 1.0)),
-        ]);
+        let results = g
+            .run_static_round(&[
+                StaticFragment::placed(PlanFragment::new(0, "SELECT value FROM m", 1.0)),
+                StaticFragment::placed(PlanFragment::new(1, "SELECT value FROM nope", 1.0)),
+            ])
+            .tables;
         assert!(results[0].is_ok());
         assert!(results[1].is_err(), "bad fragment fails alone");
+    }
+
+    /// Failure containment: a worker that panics mid-round (here: a shard
+    /// whose table holds a row shorter than its schema) fails only the
+    /// fragments queued on it, with a typed error naming the worker. The
+    /// round returns, the other workers' answers stand, and the pool and
+    /// its pane stores answer the next round.
+    #[test]
+    fn worker_panic_fails_only_that_workers_fragments() {
+        use optique_relational::{table::table_of, PaneProbe};
+        let g = Gateway::new(Arc::new(Cluster::provision(2, |id| {
+            let mut m = table_of(
+                "m",
+                &[("ts", ColumnType::Timestamp), ("k", ColumnType::Int)],
+                (0..10)
+                    .map(|i| vec![Value::Timestamp(i * 10 + 5), Value::Int(i % 2)])
+                    .collect(),
+            )
+            .unwrap();
+            let mut db = Database::new();
+            db.put_table("ok", m.clone());
+            if id == 1 {
+                m.rows.push(vec![Value::Timestamp(1)]);
+            }
+            db.put_table("m", m);
+            db
+        })));
+        let scan = |table: &str| {
+            StaticFragment::scattered(PlanFragment::new(0, format!("SELECT k FROM {table}"), 1.0))
+        };
+        let pane = || {
+            StaticFragment::scattered(PlanFragment::new(1, "SELECT ts, k FROM ok", 1.0).with_pane(
+                PaneProbe {
+                    stream: "ok".into(),
+                    ts_col: "ts".into(),
+                    key_col: "k".into(),
+                    val_col: "k".into(),
+                    width_ms: 50,
+                    start_ms: 0,
+                    open_ms: 0,
+                    close_ms: 100,
+                    needs_extrema: false,
+                },
+            ))
+        };
+        assert!(g.run_static_round(&[pane()]).tables[0].is_ok());
+
+        let round = g.run_static_round(&[scan("m"), pane()]);
+        for table in &round.tables {
+            assert_eq!(
+                table.as_ref().unwrap_err(),
+                &SqlError::Execution("worker 1 panicked".into()),
+                "both fragments were queued on the worker that went down"
+            );
+        }
+        assert_eq!(round.worker_rows[1], 0);
+        assert!(round.worker_rows[0] > 0, "worker 0 still answered");
+
+        let next = g.run_static_round(&[scan("ok"), pane()]);
+        assert_eq!(next.tables[0].as_ref().unwrap().len(), 20);
+        assert!(next.tables[1].is_ok());
+        assert_eq!(next.pane_hits, 2, "both pane stores are still warm");
     }
 
     #[test]

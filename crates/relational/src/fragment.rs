@@ -1,25 +1,34 @@
-//! Serializable plan fragments and result batches — the wire format of the
-//! federated static pipeline.
+//! Plan fragments and result batches — the unit of work and the unit of
+//! result of the federated pipeline.
 //!
 //! A coordinator splits an unfolded `UNION ALL` statement into per-disjunct
-//! [`PlanFragment`]s and ships them to ExaStream workers; each worker ships
-//! a [`ResultBatch`] back. Workers in this repo are threads, so "shipping"
-//! is an encode/decode round trip through the textual wire format below —
-//! the same discipline a socket would impose, which keeps every fragment
-//! and batch genuinely self-contained (no shared pointers smuggled across
-//! the worker boundary).
+//! [`PlanFragment`]s, each carrying its **typed** [`SelectStatement`]
+//! straight from the unfolder (or, for a STARQL window, straight from the
+//! engine), and hands them to ExaStream workers. Workers are threads of the
+//! coordinator's process, and the boundary says so. What crosses it:
 //!
-//! The wire format is line-oriented: a header line, then one line per row,
-//! with `\`-escaping for newlines, carriage returns, tabs and backslashes
-//! inside text values.
+//! * an `Arc<PlanFragment>` — the statement is shared, never printed,
+//!   encoded or re-parsed on the request path; each worker runs slice →
+//!   restrict → [`execute_prepared`] off the same AST and moves its
+//!   [`Table`] back;
+//! * **term ids** — text values are [`crate::dict::TermDict`] terms, so a
+//!   fragment's restriction lists and a result's text cells are only
+//!   meaningful inside the process that interned them;
+//! * a **novelty epoch** — a number each worker resolves through the
+//!   overlay registry ([`crate::novelty::view_at`]), not the overlay's rows.
+//!
+//! None of that is self-contained, and nothing here pretends otherwise.
+//! The text codec that *would* put a fragment or a batch on a socket is
+//! [`crate::wire`], an adapter with no caller on the request path.
+//! [`PlanFragment::new`] still takes SQL text (decoded wires and tests
+//! start there); such a fragment parses lazily, at most once.
 //!
 //! Fragments may carry **semi-join restrictions** ([`SemiJoin`]): value
 //! lists a coordinator learned from an already-materialized sibling of the
-//! join, shipped alongside the SQL so each worker filters its disjunct down
-//! to join-compatible rows *before* shipping the result batch back. The
-//! restriction is applied structurally ([`restrict_statement`]), never by
-//! splicing values into SQL text, so text values need no quoting rules
-//! beyond the wire escaping.
+//! join, so each worker filters its disjunct down to join-compatible rows
+//! *before* handing the result back. The restriction is applied
+//! structurally ([`restrict_statement`]), never by splicing values into SQL
+//! text.
 //!
 //! Fragments may additionally carry **partition metadata**
 //! ([`PartitionSpec`]): when the coordinator's catalog hash-partitions a
@@ -37,9 +46,11 @@
 //!   only to those shards, each carrying just its shard's slice of the
 //!   `IN`-list.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use crate::error::SqlError;
 use crate::expr::{BinOp, Expr};
@@ -75,9 +86,8 @@ pub struct SemiJoin {
 impl SemiJoin {
     /// A restriction of `column` to `values`. Values are canonically
     /// sorted at construction: restrictions are sets, and a canonical
-    /// order makes the wire encoding (and therefore the per-worker
-    /// prepared-plan cache key) stable across rounds that learned the same
-    /// set in a different order.
+    /// order makes equality and the wire encoding stable across rounds
+    /// that learned the same set in a different order.
     pub fn new(column: impl Into<String>, mut values: Vec<Value>) -> Self {
         values.sort_by(Value::total_cmp);
         SemiJoin {
@@ -86,8 +96,8 @@ impl SemiJoin {
         }
     }
 
-    /// The sorted dictionary-id slice of an all-text restriction: what
-    /// ships on the wire instead of the lexical `IN`-list. `None` when any
+    /// The sorted dictionary-id slice of an all-text restriction: what the
+    /// wire codec writes instead of the lexical `IN`-list. `None` when any
     /// value is not interned text (mixed lists keep the tagged encoding).
     pub fn id_slice(&self) -> Option<Vec<u64>> {
         let mut ids = Vec::with_capacity(self.values.len());
@@ -105,8 +115,8 @@ impl SemiJoin {
 /// A time-slice a coordinator attaches to a **window fragment**: the
 /// fragment's output keeps only rows whose `column` lies in
 /// `(open_ms, close_ms]` — the CQL snapshot convention of one sliding
-/// window. This is how continuous (STARQL) ticks ride the same wire format
-/// as static queries: a tick ships one scan-shaped fragment per window,
+/// window. This is how continuous (STARQL) ticks ride the same fragment
+/// path as static queries: a tick ships one scan-shaped fragment per window,
 /// sliced worker-side, instead of evaluating privately on the coordinator.
 /// Applied structurally around the statement ([`PlanFragment::statement`]),
 /// like semi-joins — never by splicing values into SQL text.
@@ -135,19 +145,17 @@ pub struct PartitionSpec {
     pub column_type: ColumnType,
 }
 
-/// One executable unit of a federated static query: a self-contained SQL
-/// statement (typically one disjunct of an unfolded `UNION ALL`) plus the
-/// cost estimate the scheduler places it by and any semi-join restrictions
-/// the planner pushed down.
-#[derive(Clone, Debug, PartialEq)]
+/// One executable unit of a federated static query: a statement (typically
+/// one disjunct of an unfolded `UNION ALL`) plus the cost estimate the
+/// scheduler places it by and any semi-join restrictions the planner
+/// pushed down.
+#[derive(Clone, Debug)]
 pub struct PlanFragment {
     /// Coordinator-assigned id; results are gathered back in id order.
     pub id: u64,
-    /// The fragment's SQL(+) text.
-    pub sql: String,
     /// Placement cost estimate in abstract work units (e.g. join count).
     pub cost: f64,
-    /// Semi-join restrictions applied on top of [`Self::sql`] at execution.
+    /// Semi-join restrictions applied on top of the statement at execution.
     pub semi_joins: Vec<SemiJoin>,
     /// Partition layout of the scanned table, when the coordinator shards
     /// it — enables shard-pruned scatter ([`Self::shard_plan`]).
@@ -155,9 +163,9 @@ pub struct PlanFragment {
     /// Time-slice of one sliding window, for fragments a continuous query
     /// ships per tick ([`WindowSlice`]).
     pub window: Option<WindowSlice>,
-    /// A pane-combine probe ([`PaneProbe`]): instead of executing
-    /// [`Self::sql`], each worker answers with per-key partial aggregates
-    /// combined from its shard-local pane store. The SQL text still
+    /// A pane-combine probe ([`PaneProbe`]): instead of executing the
+    /// statement, each worker answers with per-key partial aggregates
+    /// combined from its shard-local pane store. The statement still
     /// describes the equivalent scan for humans and fallback paths.
     pub pane: Option<PaneProbe>,
     /// The novelty epoch the coordinator pinned for this round (0 = no
@@ -165,21 +173,67 @@ pub struct PlanFragment {
     /// ([`crate::novelty::view_at`]), so one scatter round never mixes
     /// pre- and post-append rows across workers.
     pub novelty_epoch: u64,
+    body: Body,
+}
+
+/// What a fragment was built from. Clones share the statement (and a
+/// text fragment's parse, once it happened).
+#[derive(Clone, Debug)]
+enum Body {
+    /// Built from the AST: workers execute off this very statement.
+    Typed(Arc<SelectStatement>),
+    /// Built from SQL text; `parsed` memoizes the one parse (or its error).
+    Text {
+        sql: Arc<str>,
+        parsed: OnceLock<Result<Arc<SelectStatement>, SqlError>>,
+    },
+}
+
+/// Fragments are equal when they would put the same bytes on the wire:
+/// same sections, same SQL text (a typed fragment's is its statement,
+/// printed).
+impl PartialEq for PlanFragment {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+            && self.cost == other.cost
+            && self.novelty_epoch == other.novelty_epoch
+            && self.semi_joins == other.semi_joins
+            && self.partition == other.partition
+            && self.window == other.window
+            && self.pane == other.pane
+            && self.sql() == other.sql()
+    }
 }
 
 impl PlanFragment {
-    /// A fragment with the given id, SQL and cost (no restrictions).
-    pub fn new(id: u64, sql: impl Into<String>, cost: f64) -> Self {
+    fn with_body(id: u64, body: Body, cost: f64) -> Self {
         PlanFragment {
             id,
-            sql: sql.into(),
             cost,
             semi_joins: Vec::new(),
             partition: None,
             window: None,
             pane: None,
             novelty_epoch: 0,
+            body,
         }
+    }
+
+    /// A fragment over SQL text (no restrictions). The text is parsed
+    /// lazily, at most once ([`Self::base_statement`]).
+    pub fn new(id: u64, sql: impl Into<String>, cost: f64) -> Self {
+        let body = Body::Text {
+            sql: sql.into().into(),
+            parsed: OnceLock::new(),
+        };
+        Self::with_body(id, body, cost)
+    }
+
+    /// A fragment over an already-typed statement (no restrictions) — what
+    /// the unfolder and the STARQL engine hand over; nothing is printed or
+    /// parsed to execute it.
+    pub fn from_statement(id: u64, statement: SelectStatement, cost: f64) -> Self {
+        Self::with_body(id, Body::Typed(Arc::new(statement)), cost)
     }
 
     /// Attaches semi-join restrictions (builder style).
@@ -201,7 +255,7 @@ impl PlanFragment {
     }
 
     /// Attaches a pane-combine probe (builder style): the fragment answers
-    /// from shard-local panes instead of executing its SQL.
+    /// from shard-local panes instead of executing its statement.
     pub fn with_pane(mut self, pane: PaneProbe) -> Self {
         self.pane = Some(pane);
         self
@@ -214,53 +268,95 @@ impl PlanFragment {
         self
     }
 
-    /// The fragment's executable statement: the parsed SQL with the window
-    /// time-slice (when present) and any semi-join restrictions applied
-    /// around it, in that order.
+    /// The fragment's SQL text: what it was built from, or its statement
+    /// printed (for the wire codec and for humans — execution never asks).
+    pub fn sql(&self) -> Cow<'_, str> {
+        match &self.body {
+            Body::Typed(statement) => Cow::Owned(statement.to_string()),
+            Body::Text { sql, .. } => Cow::Borrowed(sql),
+        }
+    }
+
+    /// False only for a text-built fragment nobody has parsed yet — the
+    /// next [`Self::base_statement`] call on it pays a SQL parse.
+    pub fn is_parsed(&self) -> bool {
+        match &self.body {
+            Body::Typed(_) => true,
+            Body::Text { parsed, .. } => parsed.get().is_some(),
+        }
+    }
+
+    /// The statement as built or parsed, before the window slice and the
+    /// semi-join restrictions — what classification and shard routing
+    /// read. A text-built fragment parses here, once; clones made afterwards
+    /// share the parse.
+    pub fn base_statement(&self) -> Result<&Arc<SelectStatement>, SqlError> {
+        match &self.body {
+            Body::Typed(statement) => Ok(statement),
+            Body::Text { sql, parsed } => parsed
+                .get_or_init(|| crate::parser::parse_select(sql).map(Arc::new))
+                .as_ref()
+                .map_err(Clone::clone),
+        }
+    }
+
+    /// The fragment's executable statement: the base statement with the
+    /// window time-slice (when present) and any semi-join restrictions
+    /// applied around it, in that order.
     pub fn statement(&self) -> Result<SelectStatement, SqlError> {
-        let mut statement = crate::parser::parse_select(&self.sql)?;
+        Ok(self.prepared()?.into_owned())
+    }
+
+    /// [`Self::statement`], borrowing the shared AST when there is nothing
+    /// to wrap around it.
+    fn prepared(&self) -> Result<Cow<'_, SelectStatement>, SqlError> {
+        let base = self.base_statement()?;
+        if self.window.is_none() && self.semi_joins.is_empty() {
+            return Ok(Cow::Borrowed(base));
+        }
+        let mut statement = SelectStatement::clone(base);
         if let Some(window) = &self.window {
             statement = slice_statement(statement, window);
         }
-        Ok(restrict_statement(statement, &self.semi_joins))
+        Ok(Cow::Owned(restrict_statement(statement, &self.semi_joins)))
     }
 
-    /// Parses, slices, restricts and executes the fragment against `db` —
-    /// the one entry point workers and coordinators share, so a window
-    /// slice or restriction is never silently dropped on any execution
-    /// path.
+    /// Slices, restricts and executes the fragment against `db` — the one
+    /// entry point workers and coordinators share, so a window slice or
+    /// restriction is never silently dropped on any execution path.
     pub fn execute(&self, db: &Database) -> Result<Table, SqlError> {
         let view = crate::novelty::view_at(db, self.novelty_epoch)?;
-        let db = view.as_ref().unwrap_or(db);
+        self.execute_on(view.as_ref().unwrap_or(db))
+    }
+
+    /// [`Self::execute`] over a catalog whose novelty view the caller has
+    /// already resolved for [`Self::novelty_epoch`] (a worker resolves one
+    /// view per epoch per round, not one per fragment).
+    pub fn execute_on(&self, db: &Database) -> Result<Table, SqlError> {
         // A pane probe bypasses SQL execution entirely: the store-less
         // reference fold keeps coordinator fallbacks and single-worker
         // loopbacks bit-identical to the pane-store answers.
         if let Some(probe) = &self.pane {
             return crate::panes::compute_window_aggregates(probe, db);
         }
-        execute_prepared(&self.statement()?, db)
+        execute_prepared(self.prepared()?.as_ref(), db)
     }
 
-    /// A one-line human summary for trace spans and plan displays: the SQL
-    /// (whitespace-collapsed, truncated) plus markers for the window slice,
-    /// semi-join restrictions and partition metadata it carries.
+    /// A one-line human summary for trace spans and plan displays: the
+    /// first [`SQL_PREVIEW`] bytes of the SQL (whitespace-collapsed, cut on
+    /// a character boundary) plus markers for the window slice, semi-join
+    /// restrictions and partition metadata it carries.
     pub fn describe(&self) -> String {
-        const SQL_PREVIEW: usize = 48;
-        let mut sql = String::with_capacity(SQL_PREVIEW + 1);
-        for word in self.sql.split_whitespace() {
-            if !sql.is_empty() {
-                sql.push(' ');
-            }
-            sql.push_str(word);
-            if sql.len() > SQL_PREVIEW {
-                break;
-            }
-        }
-        if sql.len() > SQL_PREVIEW {
-            sql.truncate(SQL_PREVIEW);
-            sql.push('…');
-        }
-        let mut out = sql;
+        let mut preview = Preview::default();
+        // The preview stops the printer once it is full (`Err` is how a
+        // `fmt::Write` says "no more"), so a typed fragment never prints
+        // its whole statement to keep the head of it.
+        let _ = match &self.body {
+            Body::Typed(statement) => write!(preview, "{statement}"),
+            Body::Text { sql, .. } => preview.write_str(sql),
+        };
+        let mut out = preview.0;
+        out.truncate(out.trim_end().len());
         if let Some(win) = &self.window {
             let _ = write!(out, " [win {}..{})", win.open_ms, win.close_ms);
         }
@@ -280,240 +376,36 @@ impl PlanFragment {
         }
         out
     }
-
-    /// Encodes the fragment for the wire: the header line, an optional
-    /// partition-metadata line, an optional window-slice line, then one
-    /// line per semi-join restriction.
-    pub fn encode(&self) -> String {
-        let mut out = format!("frag\t{}\t{}\t{}", self.id, self.cost, escape(&self.sql));
-        if self.novelty_epoch != 0 {
-            let _ = write!(out, "\nnov\t{}", self.novelty_epoch);
-        }
-        if let Some(win) = &self.window {
-            let _ = write!(
-                out,
-                "\nwin\t{}\t{}\t{}",
-                escape(&win.column),
-                win.open_ms,
-                win.close_ms
-            );
-        }
-        if let Some(pane) = &self.pane {
-            let _ = write!(
-                out,
-                "\npane\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                escape(&pane.stream),
-                escape(&pane.ts_col),
-                escape(&pane.key_col),
-                escape(&pane.val_col),
-                pane.width_ms,
-                pane.start_ms,
-                pane.open_ms,
-                pane.close_ms,
-                u8::from(pane.needs_extrema),
-            );
-        }
-        if let Some(part) = &self.partition {
-            let _ = write!(
-                out,
-                "\npart\t{}\t{}\t{}",
-                escape(&part.table),
-                escape(&part.column),
-                part.column_type
-            );
-        }
-        for semi in &self.semi_joins {
-            // An all-text restriction (the common case: key-derived IRI
-            // lists) ships as a sorted dictionary-id slice — a fraction of
-            // the lexical `IN`-list's bytes. Anything else keeps the
-            // tagged value encoding.
-            if let Some(ids) = semi.id_slice() {
-                let _ = write!(out, "\nsemid\t{}", escape(&semi.column));
-                for id in ids {
-                    let _ = write!(out, "\t{id}");
-                }
-            } else {
-                let _ = write!(out, "\nsemi\t{}", escape(&semi.column));
-                for value in &semi.values {
-                    let _ = write!(out, "\t{}", encode_value(value));
-                }
-            }
-        }
-        out
-    }
-
-    /// Decodes a fragment off the wire.
-    pub fn decode(wire: &str) -> Result<Self, SqlError> {
-        let mut lines = wire.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| SqlError::Execution("empty plan fragment".into()))?;
-        let mut parts = header.splitn(4, '\t');
-        let tag = parts.next().unwrap_or_default();
-        if tag != "frag" {
-            return Err(SqlError::Execution(format!(
-                "not a plan fragment: tag {tag:?}"
-            )));
-        }
-        let id = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| SqlError::Execution("fragment id missing".into()))?;
-        let cost = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| SqlError::Execution("fragment cost missing".into()))?;
-        let sql = unescape(
-            parts
-                .next()
-                .ok_or_else(|| SqlError::Execution("fragment SQL missing".into()))?,
-        )?;
-        let mut semi_joins = Vec::new();
-        let mut partition = None;
-        let mut window = None;
-        let mut pane = None;
-        let mut novelty_epoch = 0;
-        for line in lines {
-            let mut fields = line.split('\t');
-            match fields.next() {
-                Some("nov") => {
-                    novelty_epoch = fields
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| SqlError::Execution("bad novelty epoch".into()))?;
-                }
-                Some("win") => {
-                    let mut field = || {
-                        fields
-                            .next()
-                            .ok_or_else(|| SqlError::Execution("window field missing".into()))
-                    };
-                    let column = unescape(field()?)?;
-                    let parse = |s: &str| {
-                        s.parse::<i64>()
-                            .map_err(|_| SqlError::Execution(format!("bad window bound {s:?}")))
-                    };
-                    let open_ms = parse(field()?)?;
-                    let close_ms = parse(field()?)?;
-                    window = Some(WindowSlice {
-                        column,
-                        open_ms,
-                        close_ms,
-                    });
-                }
-                Some("semi") => {
-                    let column =
-                        unescape(fields.next().ok_or_else(|| {
-                            SqlError::Execution("semi-join column missing".into())
-                        })?)?;
-                    let values: Vec<Value> = fields.map(decode_value).collect::<Result<_, _>>()?;
-                    semi_joins.push(SemiJoin::new(column, values));
-                }
-                Some("semid") => {
-                    let column =
-                        unescape(fields.next().ok_or_else(|| {
-                            SqlError::Execution("semi-join column missing".into())
-                        })?)?;
-                    let dict = crate::dict::TermDict::global();
-                    let values: Vec<Value> = fields
-                        .map(|c| {
-                            let id: u64 = c.parse().map_err(|_| {
-                                SqlError::Execution(format!("bad semi-join term id {c:?}"))
-                            })?;
-                            dict.resolve(id).map(Value::Text).ok_or_else(|| {
-                                SqlError::Execution(format!("unknown semi-join term id {id}"))
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    semi_joins.push(SemiJoin::new(column, values));
-                }
-                Some("pane") => {
-                    let mut field = || {
-                        fields
-                            .next()
-                            .ok_or_else(|| SqlError::Execution("pane field missing".into()))
-                    };
-                    let stream = unescape(field()?)?;
-                    let ts_col = unescape(field()?)?;
-                    let key_col = unescape(field()?)?;
-                    let val_col = unescape(field()?)?;
-                    let parse = |s: &str| {
-                        s.parse::<i64>()
-                            .map_err(|_| SqlError::Execution(format!("bad pane bound {s:?}")))
-                    };
-                    let width_ms = parse(field()?)?;
-                    let start_ms = parse(field()?)?;
-                    let open_ms = parse(field()?)?;
-                    let close_ms = parse(field()?)?;
-                    let needs_extrema = field()? == "1";
-                    pane = Some(PaneProbe {
-                        stream,
-                        ts_col,
-                        key_col,
-                        val_col,
-                        width_ms,
-                        start_ms,
-                        open_ms,
-                        close_ms,
-                        needs_extrema,
-                    });
-                }
-                Some("part") => {
-                    let mut field = || {
-                        fields
-                            .next()
-                            .ok_or_else(|| SqlError::Execution("partition field missing".into()))
-                    };
-                    let table = unescape(field()?)?;
-                    let column = unescape(field()?)?;
-                    let column_type = decode_type(field()?)?;
-                    partition = Some(PartitionSpec {
-                        table,
-                        column,
-                        column_type,
-                    });
-                }
-                _ => {
-                    return Err(SqlError::Execution(format!(
-                        "bad fragment section {line:?}"
-                    )))
-                }
-            }
-        }
-        Ok(PlanFragment {
-            id,
-            sql,
-            cost,
-            semi_joins,
-            partition,
-            window,
-            pane,
-            novelty_epoch,
-        })
-    }
 }
 
-/// Splits a fragment wire into its pinned novelty epoch and the wire with
-/// the `nov` line stripped. Worker plan caches key on the stripped wire:
-/// the epoch changes the *data* a fragment scans, never its plan, so
-/// epoch churn must not churn the prepared-plan cache.
-pub fn split_novelty_wire(wire: &str) -> (u64, std::borrow::Cow<'_, str>) {
-    let Some(start) = wire.find("\nnov\t") else {
-        return (0, std::borrow::Cow::Borrowed(wire));
-    };
-    let rest = &wire[start + 1..];
-    let line_end = rest.find('\n').map_or(rest.len(), |i| i);
-    let epoch = rest[4..line_end].parse().unwrap_or(0);
-    let mut stripped = String::with_capacity(wire.len());
-    stripped.push_str(&wire[..start]);
-    stripped.push_str(&rest[line_end..]);
-    (epoch, std::borrow::Cow::Owned(stripped))
+/// Bytes of SQL a [`PlanFragment::describe`] line keeps.
+const SQL_PREVIEW: usize = 48;
+
+/// The sink behind [`PlanFragment::describe`]: collapses whitespace, keeps
+/// whole characters while they fit in [`SQL_PREVIEW`] bytes, then marks
+/// the cut and refuses further input.
+#[derive(Default)]
+struct Preview(String);
+
+impl std::fmt::Write for Preview {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for c in s.chars() {
+            let c = if c.is_whitespace() { ' ' } else { c };
+            if c == ' ' && (self.0.is_empty() || self.0.ends_with(' ')) {
+                continue;
+            }
+            if self.0.len() + c.len_utf8() > SQL_PREVIEW {
+                self.0.push('…');
+                return Err(std::fmt::Error);
+            }
+            self.0.push(c);
+        }
+        Ok(())
+    }
 }
 
 /// Plans and executes an already-built statement against `db` — the
-/// execution half of [`PlanFragment::execute`], split out so a worker-side
-/// plan cache can reuse a parsed statement across shards and rounds
-/// without re-paying the parse.
+/// execution half of [`PlanFragment::execute`].
 pub fn execute_prepared(statement: &SelectStatement, db: &Database) -> Result<Table, SqlError> {
     let plan = crate::optimizer::optimize(crate::plan::plan_select(statement, db)?);
     crate::exec::execute(&plan, db)
@@ -555,18 +447,19 @@ pub fn referenced_tables(statement: &SelectStatement) -> Option<BTreeSet<String>
 /// open AND col <= close` — the `(open, close]` half-open convention the
 /// stream layer's `timeSlidingWindow` uses.
 fn slice_statement(statement: SelectStatement, window: &WindowSlice) -> SelectStatement {
-    let mut disjuncts: Vec<SelectStatement> = Vec::new();
-    let mut cursor = Some(statement);
-    while let Some(mut stmt) = cursor {
-        cursor = stmt.union_all.take().map(|next| *next);
-        disjuncts.push(slice_one(stmt, window));
-    }
-    let mut chain = disjuncts.pop().expect("at least one disjunct");
-    while let Some(mut prev) = disjuncts.pop() {
-        prev.union_all = Some(Box::new(chain));
-        chain = prev;
-    }
-    chain
+    map_disjuncts(statement, &|disjunct| slice_one(disjunct, window))
+}
+
+/// Applies `wrap` to every disjunct of a `UNION ALL` chain, keeping the
+/// chain's order.
+fn map_disjuncts(
+    mut statement: SelectStatement,
+    wrap: &impl Fn(SelectStatement) -> SelectStatement,
+) -> SelectStatement {
+    let rest = statement.union_all.take();
+    let mut wrapped = wrap(statement);
+    wrapped.union_all = rest.map(|next| Box::new(map_disjuncts(*next, wrap)));
+    wrapped
 }
 
 fn slice_one(statement: SelectStatement, window: &WindowSlice) -> SelectStatement {
@@ -584,20 +477,20 @@ fn slice_one(statement: SelectStatement, window: &WindowSlice) -> SelectStatemen
             Expr::Literal(Value::Timestamp(window.close_ms)),
         ),
     );
+    filter_around(statement, "__win", predicate)
+}
+
+/// `SELECT * FROM (statement) AS alias WHERE predicate`.
+fn filter_around(statement: SelectStatement, alias: &str, predicate: Expr) -> SelectStatement {
     SelectStatement {
-        distinct: false,
-        projections: vec![Projection::Star],
-        from: TableRef::Subquery {
-            query: Box::new(statement),
-            alias: "__win".into(),
-        },
-        joins: Vec::new(),
         where_clause: Some(predicate),
-        group_by: Vec::new(),
-        having: None,
-        order_by: Vec::new(),
-        limit: None,
-        union_all: None,
+        ..SelectStatement::plain(
+            vec![Projection::Star],
+            TableRef::Subquery {
+                query: Box::new(statement),
+                alias: alias.into(),
+            },
+        )
     }
 }
 
@@ -610,19 +503,10 @@ pub fn restrict_statement(statement: SelectStatement, semi_joins: &[SemiJoin]) -
     if semi_joins.is_empty() {
         return statement;
     }
-    // Restrict each disjunct independently, then re-chain.
-    let mut disjuncts: Vec<SelectStatement> = Vec::new();
-    let mut cursor = Some(statement);
-    while let Some(mut stmt) = cursor {
-        cursor = stmt.union_all.take().map(|next| *next);
-        disjuncts.push(restrict_one(stmt, semi_joins));
-    }
-    let mut chain = disjuncts.pop().expect("at least one disjunct");
-    while let Some(mut prev) = disjuncts.pop() {
-        prev.union_all = Some(Box::new(chain));
-        chain = prev;
-    }
-    chain
+    let predicate = restriction_predicate(semi_joins);
+    map_disjuncts(statement, &|disjunct| {
+        filter_around(disjunct, "__semi", predicate.clone())
+    })
 }
 
 /// Lists longer than this restrict through a hash-set probe
@@ -631,8 +515,9 @@ pub fn restrict_statement(statement: SelectStatement, semi_joins: &[SemiJoin]) -
 /// restricted scans quadratic.
 const IN_SET_THRESHOLD: usize = 8;
 
-fn restrict_one(statement: SelectStatement, semi_joins: &[SemiJoin]) -> SelectStatement {
-    let predicate = Expr::and_all(
+/// `col IN (values) OR col IS NULL` for every restriction, conjoined.
+fn restriction_predicate(semi_joins: &[SemiJoin]) -> Expr {
+    Expr::and_all(
         semi_joins
             .iter()
             .map(|semi| {
@@ -668,22 +553,7 @@ fn restrict_one(statement: SelectStatement, semi_joins: &[SemiJoin]) -> SelectSt
             })
             .collect(),
     )
-    .expect("semi_joins is non-empty");
-    SelectStatement {
-        distinct: false,
-        projections: vec![Projection::Star],
-        from: TableRef::Subquery {
-            query: Box::new(statement),
-            alias: "__semi".into(),
-        },
-        joins: Vec::new(),
-        where_clause: Some(predicate),
-        group_by: Vec::new(),
-        having: None,
-        order_by: Vec::new(),
-        limit: None,
-        union_all: None,
-    }
+    .expect("semi_joins is non-empty")
 }
 
 // ---- shard compatibility & pruning -------------------------------------
@@ -1010,18 +880,6 @@ impl PlanFragment {
     /// means no key derivation applies and the fragment must scatter to
     /// all `shards` unchanged.
     pub fn shard_plan(&self, shards: usize) -> Option<Vec<(usize, PlanFragment)>> {
-        let statement = crate::parser::parse_select(&self.sql).ok()?;
-        self.shard_plan_with(&statement, shards)
-    }
-
-    /// [`Self::shard_plan`] over an already-parsed statement — the
-    /// coordinator classifies fragments from the same text, so callers that
-    /// kept the parse avoid a second one per fragment per round.
-    pub fn shard_plan_with(
-        &self,
-        statement: &SelectStatement,
-        shards: usize,
-    ) -> Option<Vec<(usize, PlanFragment)>> {
         let spec = self.partition.as_ref()?;
         // Bool/Any keys cannot be routed: a minted IRI's text does not pin
         // down which variant the stored value has, and `Value`'s hash is
@@ -1032,6 +890,7 @@ impl PlanFragment {
         {
             return None;
         }
+        let statement = self.base_statement().ok()?;
         if statement.union_all.is_some() {
             return None;
         }
@@ -1379,15 +1238,6 @@ impl ResultBatch {
         ResultBatch { columns, data }
     }
 
-    /// Builds a batch from row-major values (testing/bench convenience;
-    /// the shipping path uses [`from_table`](Self::from_table)).
-    pub fn from_rows(columns: Vec<(String, ColumnType)>, rows: Vec<Vec<Value>>) -> Self {
-        let data = (0..columns.len())
-            .map(|i| ColumnData::from_values(rows.iter().map(|row| row[i].clone()).collect()))
-            .collect();
-        ResultBatch { columns, data }
-    }
-
     /// Number of rows in the batch.
     pub fn len(&self) -> usize {
         self.data.first().map_or(0, ColumnData::len)
@@ -1426,262 +1276,19 @@ impl ResultBatch {
         let rows = self.to_rows()?;
         Table::new(schema, rows)
     }
-
-    /// Encodes the batch for the wire: a header line (row count + column
-    /// signature), then **one line per column** — a representation tag and
-    /// the column's packed cells. NULLs in primitive columns are empty
-    /// fields; text cells are bare dictionary ids (0 = NULL).
-    pub fn encode(&self) -> String {
-        let mut out = format!("cbatch\t{}", self.len());
-        for (name, ty) in &self.columns {
-            let _ = write!(out, "\t{}:{ty}", escape(name));
-        }
-        out.push('\n');
-        for col in &self.data {
-            match col {
-                ColumnData::Int(v) => {
-                    out.push('i');
-                    for c in v {
-                        out.push('\t');
-                        if let Some(i) = c {
-                            let _ = write!(out, "{i}");
-                        }
-                    }
-                }
-                ColumnData::Float(v) => {
-                    out.push('f');
-                    for c in v {
-                        out.push('\t');
-                        if let Some(f) = c {
-                            // `{:?}` keeps full f64 precision (shortest
-                            // round-trippable form).
-                            let _ = write!(out, "{f:?}");
-                        }
-                    }
-                }
-                ColumnData::Bool(v) => {
-                    out.push('b');
-                    for c in v {
-                        out.push('\t');
-                        if let Some(b) = c {
-                            out.push(if *b { '1' } else { '0' });
-                        }
-                    }
-                }
-                ColumnData::Timestamp(v) => {
-                    out.push('s');
-                    for c in v {
-                        out.push('\t');
-                        if let Some(t) = c {
-                            let _ = write!(out, "{t}");
-                        }
-                    }
-                }
-                ColumnData::Text(ids) => {
-                    out.push('d');
-                    for id in ids {
-                        let _ = write!(out, "\t{id}");
-                    }
-                }
-                ColumnData::Any(v) => {
-                    out.push('a');
-                    for value in v {
-                        let _ = write!(out, "\t{}", encode_value(value));
-                    }
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Decodes a `cbatch` batch off the wire.
-    pub fn decode(wire: &str) -> Result<Self, SqlError> {
-        let mut lines = wire.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| SqlError::Execution("empty result batch".into()))?;
-        let mut fields = header.split('\t');
-        if fields.next() != Some("cbatch") {
-            return Err(SqlError::Execution("not a result batch".into()));
-        }
-        let rows: usize = fields
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| SqlError::Execution("batch row count missing".into()))?;
-        let mut columns = Vec::new();
-        for field in fields {
-            let (name, ty) = field
-                .rsplit_once(':')
-                .ok_or_else(|| SqlError::Execution(format!("bad column field {field:?}")))?;
-            columns.push((unescape(name)?, decode_type(ty)?));
-        }
-        let mut data = Vec::with_capacity(columns.len());
-        for line in lines {
-            let bad = |what: &str| SqlError::Execution(format!("bad {what} in column line"));
-            let mut cells = line.split('\t');
-            let tag = cells.next().unwrap_or_default();
-            let col = match tag {
-                "i" => ColumnData::Int(
-                    cells
-                        .map(|c| {
-                            if c.is_empty() {
-                                Ok(None)
-                            } else {
-                                c.parse().map(Some).map_err(|_| bad("int"))
-                            }
-                        })
-                        .collect::<Result<_, _>>()?,
-                ),
-                "f" => ColumnData::Float(
-                    cells
-                        .map(|c| {
-                            if c.is_empty() {
-                                Ok(None)
-                            } else {
-                                c.parse().map(Some).map_err(|_| bad("float"))
-                            }
-                        })
-                        .collect::<Result<_, _>>()?,
-                ),
-                "b" => ColumnData::Bool(
-                    cells
-                        .map(|c| match c {
-                            "" => Ok(None),
-                            "1" => Ok(Some(true)),
-                            "0" => Ok(Some(false)),
-                            _ => Err(bad("bool")),
-                        })
-                        .collect::<Result<_, _>>()?,
-                ),
-                "s" => ColumnData::Timestamp(
-                    cells
-                        .map(|c| {
-                            if c.is_empty() {
-                                Ok(None)
-                            } else {
-                                c.parse().map(Some).map_err(|_| bad("timestamp"))
-                            }
-                        })
-                        .collect::<Result<_, _>>()?,
-                ),
-                "d" => ColumnData::Text(
-                    cells
-                        .map(|c| c.parse().map_err(|_| bad("term id")))
-                        .collect::<Result<_, _>>()?,
-                ),
-                "a" => ColumnData::Any(cells.map(decode_value).collect::<Result<_, _>>()?),
-                other => {
-                    return Err(SqlError::Execution(format!(
-                        "unknown column representation {other:?}"
-                    )))
-                }
-            };
-            if col.len() != rows {
-                return Err(SqlError::Execution(format!(
-                    "column length {} does not match batch row count {rows}",
-                    col.len()
-                )));
-            }
-            data.push(col);
-        }
-        if data.len() != columns.len() {
-            return Err(SqlError::Execution(format!(
-                "batch has {} column lines for {} columns",
-                data.len(),
-                columns.len()
-            )));
-        }
-        Ok(ResultBatch { columns, data })
-    }
 }
-
-fn decode_type(ty: &str) -> Result<ColumnType, SqlError> {
-    Ok(match ty {
-        "INT" => ColumnType::Int,
-        "FLOAT" => ColumnType::Float,
-        "TEXT" => ColumnType::Text,
-        "BOOL" => ColumnType::Bool,
-        "TIMESTAMP" => ColumnType::Timestamp,
-        "ANY" => ColumnType::Any,
-        other => {
-            return Err(SqlError::Execution(format!(
-                "unknown column type {other:?}"
-            )))
-        }
-    })
-}
-
-fn encode_value(v: &Value) -> String {
-    match v {
-        Value::Null => "n".to_string(),
-        Value::Int(i) => format!("i{i}"),
-        // `{:?}` keeps full f64 precision (shortest round-trippable form).
-        Value::Float(f) => format!("f{f:?}"),
-        Value::Text(s) => format!("t{}", escape(s)),
-        Value::Bool(b) => format!("b{}", u8::from(*b)),
-        Value::Timestamp(t) => format!("s{t}"),
-    }
-}
-
-fn decode_value(cell: &str) -> Result<Value, SqlError> {
-    let bad = || SqlError::Execution(format!("bad wire value {cell:?}"));
-    let rest = cell.get(1..).ok_or_else(bad)?;
-    Ok(match cell.as_bytes()[0] {
-        b'n' => Value::Null,
-        b'i' => Value::Int(rest.parse().map_err(|_| bad())?),
-        b'f' => Value::Float(rest.parse().map_err(|_| bad())?),
-        b't' => Value::text(unescape(rest)?),
-        b'b' => Value::Bool(rest == "1"),
-        b's' => Value::Timestamp(rest.parse().map_err(|_| bad())?),
-        _ => return Err(bad()),
-    })
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            // `decode` splits the wire with `lines()`, which consumes a
-            // `\r` before each `\n`; a literal one must not look like that.
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> Result<String, SqlError> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            other => {
-                return Err(SqlError::Execution(format!(
-                    "bad escape \\{} on the wire",
-                    other.map(String::from).unwrap_or_default()
-                )))
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::table::table_of;
+
+    /// A batch from row-major values.
+    fn batch_from_rows(columns: Vec<(String, ColumnType)>, rows: Vec<Vec<Value>>) -> ResultBatch {
+        let data = (0..columns.len())
+            .map(|i| ColumnData::from_values(rows.iter().map(|row| row[i].clone()).collect()))
+            .collect();
+        ResultBatch { columns, data }
+    }
 
     #[test]
     fn fragment_round_trip() {
@@ -1702,6 +1309,58 @@ mod tests {
         assert!(PlanFragment::decode("frag\t1\t1.0\tSELECT a FROM t\nnov\tx").is_err());
     }
 
+    /// Regression: the preview used to `String::truncate(48)` on a byte
+    /// index, so SQL whose 48th byte fell inside a multibyte character
+    /// panicked the coordinator inside `run_static_round`.
+    #[test]
+    fn describe_cuts_on_a_char_boundary() {
+        let sql = format!("SELECT a FROM t WHERE b = '{}'", "é".repeat(40));
+        assert!(!sql.is_char_boundary(SQL_PREVIEW), "byte 48 splits an é");
+        let text = PlanFragment::new(0, sql.clone(), 1.0);
+        let typed =
+            PlanFragment::from_statement(0, crate::parser::parse_select(&sql).unwrap(), 1.0);
+        for fragment in [text, typed] {
+            let line = fragment.describe();
+            assert!(line.starts_with("SELECT a FROM t WHERE"), "{line}");
+            assert!(line.ends_with('…'), "{line}");
+            assert!(line.len() <= SQL_PREVIEW + '…'.len_utf8(), "{line}");
+        }
+        // Short SQL is kept whole, whitespace collapsed, markers appended.
+        let short = PlanFragment::new(0, "SELECT  a\n FROM t", 1.0).with_window(WindowSlice {
+            column: "a".into(),
+            open_ms: 1,
+            close_ms: 2,
+        });
+        assert_eq!(short.describe(), "SELECT a FROM t [win 1..2)");
+    }
+
+    /// A typed fragment never parses; a text fragment parses once, and
+    /// clones made after the parse share it.
+    #[test]
+    fn text_fragments_parse_lazily_and_at_most_once() {
+        let sql = "SELECT a AS v FROM t";
+        let typed = PlanFragment::from_statement(0, crate::parser::parse_select(sql).unwrap(), 1.0);
+        assert!(typed.is_parsed());
+        assert_eq!(typed.sql(), sql);
+        let text = PlanFragment::new(0, sql, 1.0);
+        assert!(!text.is_parsed());
+        assert_eq!(text, typed, "same wire bytes, same fragment");
+        assert!(!text.is_parsed(), "comparing and printing never parse");
+        let parsed = Arc::clone(text.base_statement().unwrap());
+        assert!(text.is_parsed());
+        let clone = text.clone();
+        assert!(Arc::ptr_eq(clone.base_statement().unwrap(), &parsed));
+        assert_eq!(&parsed, typed.base_statement().unwrap());
+        // A parse error is memoized like a parse.
+        let bad = PlanFragment::new(1, "SELECT FROM", 1.0);
+        assert!(bad.base_statement().is_err());
+        assert!(bad.is_parsed());
+        assert_eq!(
+            bad.statement().unwrap_err(),
+            bad.base_statement().unwrap_err()
+        );
+    }
+
     #[test]
     fn novelty_epoch_rides_the_wire() {
         let f = PlanFragment::new(2, "SELECT a FROM t", 1.0).at_epoch(41);
@@ -1711,26 +1370,6 @@ mod tests {
         // Epoch 0 ships no section — pre-novelty wires stay byte-identical.
         let plain = PlanFragment::new(2, "SELECT a FROM t", 1.0);
         assert!(!plain.encode().contains("nov\t"));
-    }
-
-    #[test]
-    fn split_novelty_wire_strips_only_the_epoch() {
-        let pinned = PlanFragment::new(5, "SELECT a AS v FROM t", 1.0)
-            .with_semi_joins(vec![SemiJoin::new("v", vec![Value::Int(1)])])
-            .at_epoch(99);
-        let pinned_wire = pinned.encode();
-        let (epoch, stripped) = split_novelty_wire(&pinned_wire);
-        assert_eq!(epoch, 99);
-        let unpinned = PlanFragment {
-            novelty_epoch: 0,
-            ..pinned
-        };
-        let unpinned_wire = unpinned.encode();
-        assert_eq!(stripped.as_ref(), unpinned_wire);
-        // A wire without the section is borrowed through untouched.
-        let (epoch, same) = split_novelty_wire(&unpinned_wire);
-        assert_eq!(epoch, 0);
-        assert!(matches!(same, std::borrow::Cow::Borrowed(_)));
     }
 
     #[test]
@@ -2307,7 +1946,7 @@ mod tests {
 
     #[test]
     fn float_precision_survives_the_wire() {
-        let batch = ResultBatch::from_rows(
+        let batch = batch_from_rows(
             vec![("x".into(), ColumnType::Float)],
             vec![vec![Value::Float(1.0 / 3.0)], vec![Value::Float(1e300)]],
         );
@@ -2321,7 +1960,7 @@ mod tests {
 
     #[test]
     fn empty_batch_round_trip() {
-        let batch = ResultBatch::from_rows(vec![("only".into(), ColumnType::Int)], vec![]);
+        let batch = batch_from_rows(vec![("only".into(), ColumnType::Int)], vec![]);
         assert_eq!(ResultBatch::decode(&batch.encode()).unwrap(), batch);
         assert!(batch.is_empty());
     }
@@ -2390,7 +2029,7 @@ mod tests {
             vec![Value::Bool(true)],
             vec![Value::Null],
         ];
-        let batch = ResultBatch::from_rows(vec![("v".into(), ColumnType::Any)], rows.clone());
+        let batch = batch_from_rows(vec![("v".into(), ColumnType::Any)], rows.clone());
         assert!(matches!(batch.data[0], ColumnData::Any(_)));
         let decoded = ResultBatch::decode(&batch.encode()).unwrap();
         assert_eq!(decoded, batch);
@@ -2443,7 +2082,7 @@ mod tests {
                 .collect();
             let columns: Vec<(String, ColumnType)> =
                 (0..arity).map(|i| (format!("c{i}"), ColumnType::Any)).collect();
-            let batch = ResultBatch::from_rows(columns, rows.clone());
+            let batch = batch_from_rows(columns, rows.clone());
             let decoded = ResultBatch::decode(&batch.encode()).unwrap();
             proptest::prop_assert_eq!(&decoded, &batch);
             proptest::prop_assert_eq!(decoded.to_rows().unwrap(), rows);

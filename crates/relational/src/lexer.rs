@@ -61,8 +61,11 @@ pub fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
     let mut tokens = Vec::new();
     let mut i = 0usize;
     while i < bytes.len() {
+        // Tokens outside string literals are ASCII: a byte ≥ 0x80 here is
+        // the first byte of a multibyte character (every arm below stops on
+        // a character boundary) and falls through to the error arm.
         let c = bytes[i] as char;
-        if c.is_whitespace() {
+        if c.is_ascii_whitespace() {
             i += 1;
             continue;
         }
@@ -208,11 +211,11 @@ pub fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
                     )
                 }
             }
-            c if c.is_alphabetic() || c == '_' => {
+            c if c.is_ascii_alphabetic() || c == '_' => {
                 let mut end = i;
                 while end < bytes.len() {
                     let b = bytes[end] as char;
-                    if b.is_alphanumeric() || b == '_' {
+                    if b.is_ascii_alphanumeric() || b == '_' {
                         end += 1;
                     } else {
                         break;
@@ -222,11 +225,12 @@ pub fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
                 i = end;
                 TokenKind::Ident(ident)
             }
-            other => {
+            _ => {
+                let other = input[i..].chars().next().unwrap_or(c);
                 return Err(SqlError::parse(
                     format!("unexpected character {other:?}"),
                     i,
-                ))
+                ));
             }
         };
         tokens.push(Token {
@@ -252,6 +256,26 @@ mod tests {
 
     fn kinds(sql: &str) -> Vec<TokenKind> {
         lex(sql).unwrap().into_iter().map(|t| t.kind).collect()
+    }
+
+    /// Regression: bytes were classified as Latin-1 chars, so the first
+    /// byte of `é` opened an identifier that ended inside the character and
+    /// the slice panicked. Non-ASCII outside a string literal is an error;
+    /// inside one it is data.
+    #[test]
+    fn non_ascii_outside_literals_is_an_error_not_a_panic() {
+        for sql in [
+            "SELECT cé FROM t",
+            "SELECT a FROM t WHERE é = 1",
+            "é",
+            "a\u{2005}b",
+        ] {
+            assert!(matches!(lex(sql), Err(SqlError::Parse { .. })), "{sql}");
+        }
+        assert_eq!(
+            kinds("'é\u{2005}€'"),
+            vec![TokenKind::Str("é\u{2005}€".into())]
+        );
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!   aggregation and an extensible scalar/aggregate function registry
 //!   (including `CORR`, the Pearson-correlation aggregate the Siemens
 //!   catalog uses),
-//! * [`fragment`] — serializable [`PlanFragment`]s / [`ResultBatch`]es (with
-//!   pushed-down [`SemiJoin`] restrictions), the wire format the federated
-//!   static pipeline ships between workers,
+//! * [`fragment`] — typed [`PlanFragment`]s (with pushed-down [`SemiJoin`]
+//!   restrictions) and columnar [`ResultBatch`]es, the units the federated
+//!   pipeline hands to and takes back from workers; [`wire`] is their text
+//!   codec, an adapter at the edge with no caller on the request path,
 //! * [`stats`] — the [`StatsCatalog`] of per-table row counts and distinct
 //!   estimates that feeds the OBDA planner's join ordering.
 
@@ -42,14 +43,15 @@ pub mod schema;
 pub mod stats;
 pub mod table;
 pub mod value;
+pub mod wire;
 
 pub use dict::{DictSnapshot, Term, TermDict};
 pub use error::SqlError;
 pub use exec::execute;
 pub use expr::Expr;
 pub use fragment::{
-    execute_prepared, referenced_tables, shard_compatibility, shard_of, split_novelty_wire,
-    PartitionSpec, PlanFragment, ResultBatch, SemiJoin, ShardCompatibility, WindowSlice,
+    execute_prepared, referenced_tables, shard_compatibility, shard_of, PartitionSpec,
+    PlanFragment, ResultBatch, SemiJoin, ShardCompatibility, WindowSlice,
 };
 pub use novelty::{view_at, NoveltyOverlay, NoveltyScope};
 pub use panes::{

@@ -106,6 +106,42 @@ pub struct SelectStatement {
     pub union_all: Option<Box<SelectStatement>>,
 }
 
+impl SelectStatement {
+    /// `SELECT <projections> FROM <from>` and no other clause — the base
+    /// for statements built as ASTs rather than parsed.
+    pub fn plain(projections: Vec<Projection>, from: TableRef) -> Self {
+        SelectStatement {
+            distinct: false,
+            projections,
+            from,
+            joins: Vec::new(),
+            where_clause: None,
+            group_by: Vec::new(),
+            having: None,
+            order_by: Vec::new(),
+            limit: None,
+            union_all: None,
+        }
+    }
+
+    /// `SELECT <columns> FROM <table>`: a bare scan, exactly what parsing
+    /// that text yields.
+    pub fn scan(table: &str, columns: impl IntoIterator<Item = String>) -> Self {
+        let projections = columns
+            .into_iter()
+            .map(|column| Projection::Expr {
+                expr: Expr::Column(column),
+                alias: None,
+            })
+            .collect();
+        let from = TableRef::Named {
+            name: table.to_string(),
+            alias: table.to_string(),
+        };
+        Self::plain(projections, from)
+    }
+}
+
 /// Parses one SELECT statement (with optional UNION ALL chain) from `sql`.
 pub fn parse_select(sql: &str) -> Result<SelectStatement, SqlError> {
     let tokens = lex(sql)?;

@@ -72,10 +72,10 @@ pub struct FragmentRound {
     /// Scatter executions skipped because key routing proved the shard
     /// could hold no matching row.
     pub shards_pruned: usize,
-    /// Fragment executions answered from a worker's prepared-plan cache
-    /// (the parse was skipped).
+    /// Fragment executions that needed no SQL parse this round (the
+    /// statement arrived typed, or its one parse was already paid).
     pub plan_cache_hits: u64,
-    /// Fragment executions that parsed their statement this round.
+    /// Fragment SQL parses paid this round (text-built fragments only).
     pub plan_cache_misses: u64,
     /// Pane probes answered from a worker's warm pane store (at most
     /// O(slide) incremental folding).
@@ -92,11 +92,12 @@ pub struct FragmentRound {
 
 /// A distributed backend for unfolded-SQL execution: takes one
 /// [`PlanFragment`] per disjunct, returns one result table per fragment, in
-/// order. Implementations ship fragments to workers however they like (the
-/// platform's implementation rides ExaStream's gateway/scheduler/exchange)
+/// order. Implementations hand fragments to workers however they like (the
+/// platform's implementation rides ExaStream's gateway and scheduler)
 /// but **must honor each fragment's semi-join restrictions** — executing
-/// through [`PlanFragment::execute`] does so; executing the raw
-/// [`PlanFragment::sql`] silently widens the answer a worker returns.
+/// through [`PlanFragment::execute`] does so; executing the bare
+/// [`PlanFragment::base_statement`] silently widens the answer a worker
+/// returns.
 pub trait FragmentExecutor: Sync {
     /// Executes the fragments of one BGP round.
     fn execute(&self, fragments: Vec<PlanFragment>) -> Result<FragmentRound, String>;
@@ -195,9 +196,10 @@ pub struct PipelineStats {
     /// Scatter executions skipped by partition-key routing (shards that
     /// provably held no matching row).
     pub shards_pruned: usize,
-    /// Fragment executions answered from a worker's prepared-plan cache.
+    /// Fragment executions that needed no SQL parse (the pipeline's own
+    /// fragments are typed, so on its rounds this is every execution).
     pub plan_cache_hits: u64,
-    /// Fragment executions that parsed their statement.
+    /// Fragment SQL parses paid (text-built fragments only).
     pub plan_cache_misses: u64,
 }
 
@@ -643,11 +645,13 @@ impl<'a> StaticPipeline<'a> {
                         // disjunct cost far more than anything else we can
                         // see statically).
                         let cost = (stmt.joins.len() + 1) as f64;
-                        // Pin the round at the coordinator snapshot's
-                        // novelty epoch: every worker resolves the same
-                        // overlay, so one round never mixes pre- and
-                        // post-append rows.
-                        PlanFragment::new(i as u64, stmt.to_string(), cost)
+                        // The fragment carries the unfolder's AST as is —
+                        // nothing prints or re-parses it on the way to a
+                        // worker. Pin the round at the coordinator
+                        // snapshot's novelty epoch: every worker resolves
+                        // the same overlay, so one round never mixes pre-
+                        // and post-append rows.
+                        PlanFragment::from_statement(i as u64, stmt, cost)
                             .with_semi_joins(semi_joins.to_vec())
                             .at_epoch(self.db.novelty_epoch())
                     })

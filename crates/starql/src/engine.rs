@@ -29,7 +29,7 @@ use optique_ontology::materialize::materialize;
 use optique_rdf::{Term, Triple};
 use optique_relational::{
     merge_pane_rows, pane_width, AggAcc, ColumnType, Database, PaneProbe, PlanFragment, Schema,
-    SemiJoin, Value, WindowSlice,
+    SelectStatement, SemiJoin, Value, WindowSlice,
 };
 use optique_rewrite::{Atom, QueryTerm};
 use optique_sparql::FragmentExecutor;
@@ -551,16 +551,12 @@ impl ContinuousQuery {
             close_ms: close,
             needs_extrema: plan.needs_extrema,
         };
-        let fragment = PlanFragment::new(
-            0,
-            format!(
-                "SELECT {}, {} FROM {stream_name}",
-                plan.key_col, plan.val_col
-            ),
-            1.0,
-        )
-        .with_pane(probe)
-        .at_epoch(db.novelty_epoch());
+        // The statement only describes the probe's scan (spans, the wire,
+        // store-less fallbacks read the probe); it is never executed.
+        let scan = SelectStatement::scan(stream_name, [plan.key_col.clone(), plan.val_col.clone()]);
+        let fragment = PlanFragment::from_statement(0, scan, 1.0)
+            .with_pane(probe)
+            .at_epoch(db.novelty_epoch());
         let combine_start = now_us(&epoch);
         let round = executor
             .execute(vec![fragment])
@@ -661,10 +657,10 @@ impl ContinuousQuery {
     }
 
     /// Compiles one window into its plan fragment: a plain scan of the
-    /// stream's columns, the `(open, close]` time-slice riding the wire as
-    /// the fragment's window section, and — when the static bindings admit
-    /// it — a semi-join restricting the stream-key column to the bound
-    /// subjects' raw keys.
+    /// stream's columns (built as an AST, never as SQL text), the
+    /// `(open, close]` time-slice as the fragment's window section, and —
+    /// when the static bindings admit it — a semi-join restricting the
+    /// stream-key column to the bound subjects' raw keys.
     fn window_fragment(
         &self,
         schema: &Schema,
@@ -672,15 +668,12 @@ impl ContinuousQuery {
         open: i64,
         close: i64,
     ) -> PlanFragment {
-        let columns = schema.header().join(", ");
-        let mut fragment =
-            PlanFragment::new(0, format!("SELECT {columns} FROM {stream_name}"), 1.0).with_window(
-                WindowSlice {
-                    column: self.stream_to_rdf.timestamp_col.clone(),
-                    open_ms: open,
-                    close_ms: close,
-                },
-            );
+        let scan = SelectStatement::scan(stream_name, schema.header());
+        let mut fragment = PlanFragment::from_statement(0, scan, 1.0).with_window(WindowSlice {
+            column: self.stream_to_rdf.timestamp_col.clone(),
+            open_ms: open,
+            close_ms: close,
+        });
         if let Some(keys) = &self.stream_keys {
             let subject_col = self.stream_to_rdf.subject.column();
             if schema.index_of(subject_col).is_some() {

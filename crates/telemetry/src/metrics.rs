@@ -290,6 +290,19 @@ impl MetricsRegistry {
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
+    /// The histogram registered under `name`, if any — a read that never
+    /// creates (dashboards poll per-query names that may not exist yet).
+    pub fn find_histogram(&self, name: &str) -> Option<Arc<Histogram>> {
+        self.histograms.read().get(name).map(Arc::clone)
+    }
+
+    /// Drops the histogram registered under `name`; returns whether it
+    /// existed. For per-entity instruments whose entity is gone — holders
+    /// of the `Arc` keep a detached histogram that no snapshot reports.
+    pub fn remove_histogram(&self, name: &str) -> bool {
+        self.histograms.write().remove(name).is_some()
+    }
+
     /// Point-in-time snapshot of every instrument, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -473,6 +486,22 @@ mod tests {
     fn within_bucket_error(approx: u64, exact: u64) -> bool {
         let tolerance = exact / (SUB - 1) + 1;
         approx >= exact.saturating_sub(tolerance) && approx <= exact + tolerance
+    }
+
+    #[test]
+    fn find_reads_without_creating_and_remove_drops() {
+        let registry = MetricsRegistry::new();
+        assert!(registry.find_histogram("tick.q1.us").is_none());
+        assert!(registry.snapshot().histograms.is_empty(), "find created");
+        let held = registry.histogram("tick.q1.us");
+        held.record(7);
+        assert_eq!(registry.find_histogram("tick.q1.us").unwrap().count(), 1);
+        assert!(registry.remove_histogram("tick.q1.us"));
+        assert!(!registry.remove_histogram("tick.q1.us"));
+        assert!(registry.snapshot().histograms.is_empty());
+        // A holder of the old `Arc` records into a detached histogram.
+        held.record(9);
+        assert!(registry.find_histogram("tick.q1.us").is_none());
     }
 
     #[test]

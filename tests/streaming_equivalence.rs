@@ -220,9 +220,10 @@ mod streaming_equivalence {
         assert!(last.window_id > 0);
     }
 
-    /// Repeated ticks of the same distributed query hit the worker plan
-    /// caches once the same window wire recurs across worker counts of
-    /// rounds — and the per-tick fragments land on the dashboard.
+    /// Repeated ticks of the same distributed query ship one window
+    /// fragment per round, and the per-tick fragments land on the
+    /// dashboard. (The worker plan caches this test once watched are gone:
+    /// window fragments are built typed, so no tick parses anything.)
     #[test]
     fn tick_rounds_populate_worker_plan_caches() {
         let text = streaming::program(1, 5, 1, true, 7);
@@ -232,12 +233,9 @@ mod streaming_equivalence {
             p.tick_all(instant).unwrap();
         }
         let dash = p.dashboard();
+        assert_eq!(dash.panels[0].ticks, tick_instants().count() as u64);
         assert!(dash.panels[0].window_fragments > 1);
         assert!(dash.panels[0].stream_rows > 0);
-        assert!(
-            dash.plan_cache_misses > 0,
-            "window wires parsed at least once: {dash:?}"
-        );
     }
 
     // ---- generated suite -----------------------------------------------

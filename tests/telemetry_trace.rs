@@ -55,7 +55,8 @@ fn traced_spans(text: &str, workers: usize) -> Vec<Span> {
 /// At 1, 2, 4 and 8 workers the worker-side records graft into the
 /// coordinator's tree: every `fragment` span hangs under a `worker` span,
 /// every `worker` span hangs under the coordinator's `exec` span, and the
-/// per-fragment attributes (worker id, rows, wire bytes) survive the wire.
+/// per-fragment attributes (worker id, rows, queue wait, parse outcome)
+/// ride back with the round.
 #[test]
 fn worker_spans_stitch_under_exec_at_every_worker_count() {
     for workers in WORKER_COUNTS {
@@ -92,7 +93,7 @@ fn worker_spans_stitch_under_exec_at_every_worker_count() {
         for f in &fragment_spans {
             let parent = f.parent.expect("fragment spans hang under their worker");
             assert_eq!(find(parent).label, "worker");
-            for key in ["op", "worker", "rows", "bytes", "queue_us", "cache"] {
+            for key in ["op", "worker", "rows", "queue_us", "cache"] {
                 assert!(
                     f.attrs.iter().any(|(k, _)| k == key),
                     "{workers} workers: fragment span lacks {key}: {f:?}"
@@ -106,7 +107,8 @@ fn worker_spans_stitch_under_exec_at_every_worker_count() {
 
 /// The acceptance shape: a 4-worker distributed query renders one stitched
 /// tree with the coordinator stage spans *and* the per-fragment worker
-/// child spans, carrying worker id, row and wire-byte attributes.
+/// child spans, carrying worker id and row attributes (no `bytes=`: the
+/// result table moves back typed, nothing is put on a wire).
 #[test]
 fn explain_analyze_renders_one_stitched_tree() {
     let p = platform();
@@ -123,7 +125,7 @@ fn explain_analyze_renders_one_stitched_tree() {
     ] {
         assert!(out.contains(label), "missing {label} span:\n{out}");
     }
-    for attr in ["worker=", "rows=", "bytes=", "time="] {
+    for attr in ["worker=", "rows=", "time="] {
         assert!(out.contains(attr), "missing {attr} attribute:\n{out}");
     }
     assert!(
