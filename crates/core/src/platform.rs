@@ -679,8 +679,6 @@ impl OptiquePlatform {
         // planner, topology and table versions all describe the same
         // instant, no matter what writers do while we run.
         let snap = self.snapshot();
-        let federation = workers.map(|w| self.federation_for(w, &snap));
-        let workers = federation.as_ref().map_or(1, |f| f.workers());
         let tracer = trace.then(Tracer::new);
         let results;
         let stats;
@@ -696,6 +694,9 @@ impl OptiquePlatform {
                 g.finish();
             }
 
+            // Only text that parsed pins a worker pool: a cold pool shards
+            // the whole catalog and stays cached in `federations`.
+            let federation = workers.map(|w| self.federation_for(w, &snap));
             let mut pipeline = self.pipeline(&snap, federation.as_deref());
             if let Some(tracer) = tracer.as_ref() {
                 pipeline = pipeline.with_tracer(tracer, root_id);
@@ -703,12 +704,13 @@ impl OptiquePlatform {
             let answered = pipeline.answer(&query).map_err(|e| e.to_string())?;
             if let Some(mut g) = root.take() {
                 g.set_attr("rows", answered.1.rows as u64);
-                g.set_attr("workers", workers as u64);
+                g.set_attr("workers", workers.unwrap_or(1) as u64);
                 g.finish();
             }
             results = answered.0;
             stats = answered.1;
         }
+        let workers = workers.unwrap_or(1);
 
         let total_us = started.elapsed().as_micros() as u64;
         self.registry.histogram("static.query_us").record(total_us);
@@ -813,8 +815,8 @@ impl OptiquePlatform {
         self.registry.snapshot()
     }
 
-    /// The shared metrics registry (experiment binaries hook their own
-    /// meters in here so everything exports together).
+    /// The shared metrics registry (the server records its counters here
+    /// so everything exports together).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.registry
     }
@@ -1778,6 +1780,24 @@ HAVING MAX(?c2, sie:hasValue) >= 85
         assert_eq!(stats.cache_misses, 0, "warm entry still hits: {stats:?}");
         // The table is still validated first.
         assert!(p.insert_static("no_such_table", vec![]).is_err());
+    }
+
+    /// A distributed query that fails to parse is rejected before any
+    /// worker pool is built for it — directly and through EXPLAIN ANALYZE —
+    /// and the worker count stays usable afterwards.
+    #[test]
+    fn rejected_distributed_query_builds_no_pool() {
+        let p = platform();
+        assert!(p.query_static_distributed("not sparql", 64).is_err());
+        assert!(p.explain_analyze("not sparql", Some(64)).is_err());
+        assert!(
+            p.federations.lock().is_empty(),
+            "a syntax error must not shard the catalog 64 ways"
+        );
+        let text = "SELECT ?t WHERE { ?t a sie:Turbine }";
+        let answered = p.query_static_distributed(text, 64).unwrap();
+        assert_eq!(answered.len(), p.query_static(text).unwrap().len());
+        assert_eq!(p.federations.lock().len(), 1);
     }
 
     /// Overlay seam regression: right after an overlay insert publishes,

@@ -71,27 +71,9 @@ impl Cluster {
     /// correct when the query groups/filters by the partition key or the
     /// caller merges downstream).
     pub fn parallel_query(&self, sql: &str) -> Result<Vec<Table>, SqlError> {
-        let mut results: Vec<Option<Result<Table, SqlError>>> =
-            (0..self.workers.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.workers.len());
-            for worker in &self.workers {
-                let db = Arc::clone(&worker.db);
-                handles.push((
-                    worker.id,
-                    scope.spawn(move || optique_relational::exec::query(sql, &db)),
-                ));
-            }
-            for (id, handle) in handles {
-                results[id] =
-                    Some(handle.join().unwrap_or_else(|_| {
-                        Err(SqlError::Execution(format!("worker {id} panicked")))
-                    }));
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every worker reported"))
+        let outcomes = self.parallel_map(|worker| optique_relational::exec::query(sql, &worker.db));
+        (outcomes.into_iter().enumerate())
+            .map(|(id, outcome)| outcome.unwrap_or_else(|_| Err(worker_panicked(id))))
             .collect()
     }
 
@@ -120,6 +102,11 @@ impl Cluster {
             .map(|slot| slot.expect("worker reported"))
             .collect()
     }
+}
+
+/// What a worker's share of a round reports when its thread panicked.
+pub(crate) fn worker_panicked(worker: usize) -> SqlError {
+    SqlError::Execution(format!("worker {worker} panicked"))
 }
 
 impl std::fmt::Debug for Cluster {

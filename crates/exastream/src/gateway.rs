@@ -1,48 +1,26 @@
-//! The asynchronous gateway server and continuous-query registry.
+//! The round gateway: the one door between a coordinator and the workers.
 //!
-//! Queries enter ExaStream through the gateway: registration validates the
-//! SQL(+), asks the [`Scheduler`] for a worker placement, and records the
-//! query in the registry. The demo's S1/S2 scenarios — registering and
-//! monitoring up to 1,024 concurrent diagnostic tasks — drive exactly this
-//! interface. An [`AsyncFrontend`] accepts submissions from any thread over
-//! a channel, mirroring the paper's "Asynchronous Gateway Server".
+//! A caller hands [`Gateway::run_static_round`] a batch of plan fragments;
+//! the gateway places or scatters them over the cluster's workers, runs
+//! every worker's queue in parallel and gathers the per-fragment tables in
+//! input order. Continuous STARQL queries are registered with the platform,
+//! which ticks them by submitting their window and pane fragments as
+//! rounds — the gateway itself remembers nothing between rounds but the
+//! workers' pane stores.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use optique_relational::{Database, PaneStore, PlanFragment, SqlError, Table};
 use optique_telemetry::SpanRecord;
-use parking_lot::Mutex;
 
-use crate::cluster::{Cluster, Worker};
-use crate::scheduler::{OperatorTask, Scheduler};
+use crate::cluster::{worker_panicked, Cluster, Worker};
+use crate::scheduler::lpt_assign;
 
-/// Opaque continuous-query id.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub struct QueryId(pub u64);
-
-/// A registered continuous query.
-#[derive(Clone, Debug)]
-pub struct RegisteredQuery {
-    /// Its id.
-    pub id: QueryId,
-    /// The SQL(+) text executed at each tick.
-    pub sql: String,
-    /// The worker the scheduler placed it on.
-    pub worker: usize,
-    /// The cost estimate used for placement.
-    pub cost: f64,
-}
-
-/// The gateway: registry + scheduler + cluster handle.
+/// The gateway: a cluster handle plus the workers' pane stores.
 pub struct Gateway {
     cluster: Arc<Cluster>,
-    scheduler: Mutex<Scheduler>,
-    registry: Mutex<HashMap<QueryId, RegisteredQuery>>,
-    next_id: AtomicU64,
     /// One pane store per worker: shard-local partial aggregates answering
     /// pane-combine fragments incrementally (a real cluster's store lives
     /// with the worker process, so the simulation keeps them worker-local
@@ -53,13 +31,9 @@ pub struct Gateway {
 impl Gateway {
     /// A gateway over `cluster`.
     pub fn new(cluster: Arc<Cluster>) -> Arc<Self> {
-        let scheduler = Scheduler::new(cluster.size());
         let pane_stores = (0..cluster.size()).map(|_| PaneStore::new()).collect();
         Arc::new(Gateway {
             cluster,
-            scheduler: Mutex::new(scheduler),
-            registry: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
             pane_stores,
         })
     }
@@ -70,93 +44,6 @@ impl Gateway {
             let (sh, sm) = s.stats();
             (h + sh, m + sm)
         })
-    }
-
-    /// Registers a continuous query: validates it parses, places it on the
-    /// least-loaded worker, records it.
-    pub fn register(&self, sql: impl Into<String>, cost: f64) -> Result<QueryId, SqlError> {
-        let sql = sql.into();
-        optique_relational::parse_select(&sql)?;
-        let id = QueryId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let worker = self
-            .scheduler
-            .lock()
-            .place_one(&OperatorTask::continuous(id.0, cost));
-        self.registry.lock().insert(
-            id,
-            RegisteredQuery {
-                id,
-                sql,
-                worker,
-                cost,
-            },
-        );
-        Ok(id)
-    }
-
-    /// Deregisters a query, releasing its scheduler load. Returns whether it
-    /// existed.
-    pub fn deregister(&self, id: QueryId) -> bool {
-        match self.registry.lock().remove(&id) {
-            Some(q) => {
-                self.scheduler.lock().release(q.worker, q.cost);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Number of registered queries.
-    pub fn registered(&self) -> usize {
-        self.registry.lock().len()
-    }
-
-    /// Copy of a query's registration record.
-    pub fn query_info(&self, id: QueryId) -> Option<RegisteredQuery> {
-        self.registry.lock().get(&id).cloned()
-    }
-
-    /// Current scheduler loads (one per worker).
-    pub fn worker_loads(&self) -> Vec<f64> {
-        self.scheduler.lock().loads().to_vec()
-    }
-
-    /// Executes every registered query once, each on its placed worker's
-    /// shard, workers running in parallel. Results are `(query, table)`
-    /// pairs in query-id order.
-    pub fn run_all(&self) -> Vec<(QueryId, Result<Table, SqlError>)> {
-        let queries: Vec<RegisteredQuery> = {
-            let reg = self.registry.lock();
-            let mut qs: Vec<_> = reg.values().cloned().collect();
-            qs.sort_by_key(|q| q.id);
-            qs
-        };
-        // Group by worker so each worker thread runs its own queue.
-        let mut per_worker: Vec<Vec<RegisteredQuery>> =
-            (0..self.cluster.size()).map(|_| Vec::new()).collect();
-        for q in queries {
-            per_worker[q.worker].push(q);
-        }
-        let outputs = self.cluster.parallel_map(|worker| {
-            let mut out = Vec::new();
-            for q in &per_worker[worker.id] {
-                out.push((q.id, optique_relational::exec::query(&q.sql, &worker.db)));
-            }
-            out
-        });
-        let mut all: Vec<(QueryId, Result<Table, SqlError>)> = Vec::new();
-        for (worker, output) in outputs.into_iter().enumerate() {
-            match output {
-                Ok(results) => all.extend(results),
-                Err(_) => all.extend(
-                    per_worker[worker]
-                        .iter()
-                        .map(|q| (q.id, Err(worker_panicked(worker)))),
-                ),
-            }
-        }
-        all.sort_by_key(|(id, _)| *id);
-        all
     }
 
     /// Executes a round of federated static-query fragments and gathers the
@@ -170,10 +57,7 @@ impl Gateway {
     /// Placement:
     ///
     /// * **placed** fragments (`scatter == false`) go to one worker each,
-    ///   LPT-style by cost through the live [`Scheduler`] — so a heavy
-    ///   static round routes around heavily-loaded stream workers — and are
-    ///   released again once the round completes (they are transient, unlike
-    ///   registered continuous queries);
+    ///   LPT-style by cost ([`lpt_assign`]);
     /// * **scatter** fragments (`scatter == true`) run on every worker's
     ///   shard of a hash-partitioned table and their per-worker partial
     ///   results are concatenated on gather — unless the fragment's
@@ -189,13 +73,14 @@ impl Gateway {
         let size = self.cluster.size();
         let round_started = Instant::now();
 
-        // Place the non-scatter fragments as transient StaticFragment tasks.
-        let tasks: Vec<OperatorTask> = fragments
+        // Place the non-scatter fragments; `placed` yields their workers in
+        // submission order.
+        let costs: Vec<f64> = fragments
             .iter()
             .filter(|f| !f.scatter)
-            .map(|f| OperatorTask::static_fragment(f.fragment.id, f.fragment.cost))
+            .map(|f| f.fragment.cost)
             .collect();
-        let placement = self.scheduler.lock().place_batch(&tasks);
+        let mut placed = lpt_assign(&costs, size).into_iter();
 
         // Coordinator side: per-worker queues of shared fragments.
         // Shard-pruned scatter fragments queue one copy per target shard
@@ -220,7 +105,8 @@ impl Gateway {
                 parsed_here,
             };
             if !f.scatter {
-                queues[placement.assignment[&f.fragment.id]].push(queued(Arc::clone(&f.fragment)));
+                let worker = placed.next().expect("one placement per placed fragment");
+                queues[worker].push(queued(Arc::clone(&f.fragment)));
             } else if let Some(plan) = f.fragment.shard_plan(size) {
                 shards_pruned += size - plan.len();
                 for (shard, fragment) in plan {
@@ -236,10 +122,6 @@ impl Gateway {
         let outputs = self
             .cluster
             .parallel_map(|worker| self.run_queue(worker, &queues[worker.id], round_started));
-
-        // The round is over: transient (StaticFragment-kind) tasks release
-        // their load; continuous operators are untouched.
-        self.scheduler.lock().release_transient(&tasks, &placement);
 
         // Gather: take the tables, concatenating scatter partials and
         // accounting the rows each worker handed back. Worker span batches
@@ -391,10 +273,6 @@ struct WorkerOutput {
     spans: Vec<SpanRecord>,
 }
 
-fn worker_panicked(worker: usize) -> SqlError {
-    SqlError::Execution(format!("worker {worker} panicked"))
-}
-
 /// The gathered outcome of one federated static round.
 #[derive(Debug)]
 pub struct StaticRound {
@@ -460,69 +338,7 @@ impl StaticFragment {
 
 impl std::fmt::Debug for Gateway {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Gateway({} queries, {} workers)",
-            self.registered(),
-            self.cluster.size()
-        )
-    }
-}
-
-/// A submission sent to the asynchronous frontend.
-struct Submission {
-    sql: String,
-    cost: f64,
-    reply: Sender<Result<QueryId, SqlError>>,
-}
-
-/// Channel-fed asynchronous registration frontend. Submissions are processed
-/// by a dedicated thread; `submit` returns immediately with a receiver for
-/// the eventual query id.
-pub struct AsyncFrontend {
-    tx: Sender<Submission>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl AsyncFrontend {
-    /// Spawns the frontend thread over a gateway.
-    pub fn spawn(gateway: Arc<Gateway>) -> Self {
-        let (tx, rx): (Sender<Submission>, Receiver<Submission>) = unbounded();
-        let handle = std::thread::spawn(move || {
-            while let Ok(sub) = rx.recv() {
-                let result = gateway.register(sub.sql, sub.cost);
-                // Submitter may have given up; that's fine.
-                let _ = sub.reply.send(result);
-            }
-        });
-        AsyncFrontend {
-            tx,
-            handle: Some(handle),
-        }
-    }
-
-    /// Submits a query; returns a receiver that yields its id (or error).
-    pub fn submit(&self, sql: impl Into<String>, cost: f64) -> Receiver<Result<QueryId, SqlError>> {
-        let (reply_tx, reply_rx) = unbounded();
-        self.tx
-            .send(Submission {
-                sql: sql.into(),
-                cost,
-                reply: reply_tx,
-            })
-            .expect("frontend thread alive");
-        reply_rx
-    }
-}
-
-impl Drop for AsyncFrontend {
-    fn drop(&mut self) {
-        // Close the channel, then join the worker.
-        let (closed_tx, _) = unbounded();
-        let _ = std::mem::replace(&mut self.tx, closed_tx);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        write!(f, "Gateway({} workers)", self.cluster.size())
     }
 }
 
@@ -550,60 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn register_validates_sql() {
-        let g = Gateway::new(cluster(2));
-        assert!(g.register("SELECT nonsense FROM", 1.0).is_err());
-        assert!(g.register("SELECT value FROM m", 1.0).is_ok());
-        assert_eq!(g.registered(), 1);
-    }
-
-    #[test]
-    fn placement_balances_queries() {
-        let g = Gateway::new(cluster(4));
-        for _ in 0..16 {
-            g.register("SELECT COUNT(*) FROM m", 1.0).unwrap();
-        }
-        let loads = g.worker_loads();
-        assert!(loads.iter().all(|&l| (l - 4.0).abs() < 1e-9), "{loads:?}");
-    }
-
-    #[test]
-    fn run_all_executes_each_query_on_its_worker() {
-        let g = Gateway::new(cluster(3));
-        let a = g.register("SELECT COUNT(*) AS n FROM m", 1.0).unwrap();
-        let b = g.register("SELECT MAX(value) AS mx FROM m", 1.0).unwrap();
-        let results = g.run_all();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].0, a);
-        assert_eq!(results[1].0, b);
-        let t = results[0].1.as_ref().unwrap();
-        assert_eq!(t.rows[0][0], Value::Int(100));
-    }
-
-    #[test]
-    fn deregister_releases_load() {
-        let g = Gateway::new(cluster(1));
-        let id = g.register("SELECT value FROM m", 5.0).unwrap();
-        assert_eq!(g.worker_loads(), vec![5.0]);
-        assert!(g.deregister(id));
-        assert_eq!(g.worker_loads(), vec![0.0]);
-        assert!(!g.deregister(id), "double deregistration is a no-op");
-    }
-
-    #[test]
-    fn async_frontend_round_trip() {
-        let g = Gateway::new(cluster(2));
-        let frontend = AsyncFrontend::spawn(Arc::clone(&g));
-        let replies: Vec<_> = (0..32)
-            .map(|_| frontend.submit("SELECT COUNT(*) FROM m", 1.0))
-            .collect();
-        for rx in replies {
-            rx.recv().unwrap().unwrap();
-        }
-        assert_eq!(g.registered(), 32);
-    }
-
-    #[test]
     fn static_fragments_execute_and_gather_in_order() {
         let g = Gateway::new(cluster(4));
         let fragments: Vec<StaticFragment> = (0..8)
@@ -625,8 +387,6 @@ mod tests {
                 "fragment {i} gathered out of order"
             );
         }
-        // Transient fragments release their load after the round.
-        assert!(g.worker_loads().iter().all(|&l| l == 0.0));
     }
 
     /// Concurrent static rounds on one shared gateway never cross results:
@@ -666,8 +426,6 @@ mod tests {
                 });
             }
         });
-        // Every transient fragment released its load despite the races.
-        assert!(g.worker_loads().iter().all(|&l| l == 0.0));
     }
 
     #[test]
@@ -997,20 +755,5 @@ mod tests {
         assert_eq!(next.tables[0].as_ref().unwrap().len(), 20);
         assert!(next.tables[1].is_ok());
         assert_eq!(next.pane_hits, 2, "both pane stores are still warm");
-    }
-
-    #[test]
-    fn thousand_registrations() {
-        let g = Gateway::new(cluster(8));
-        for _ in 0..1024 {
-            g.register(
-                "SELECT sensor_id, MAX(value) FROM m GROUP BY sensor_id",
-                1.0,
-            )
-            .unwrap();
-        }
-        assert_eq!(g.registered(), 1024);
-        let loads = g.worker_loads();
-        assert!(loads.iter().all(|&l| (l - 128.0).abs() < 1e-9));
     }
 }

@@ -1,251 +1,76 @@
-//! Least-loaded operator placement.
+//! Least-loaded fragment placement.
 //!
 //! "The Scheduler places stream and relational operators on worker nodes
-//! based on the node's load." Placement is greedy: operators are assigned,
-//! in descending cost order, to the currently least-loaded worker — the
-//! classical LPT heuristic, whose makespan is within 4/3 of optimal.
+//! based on the node's load." Every round spawns its worker threads afresh,
+//! so load is what the round itself has placed so far: fragments are
+//! assigned, in descending cost order, to the currently least-loaded
+//! worker — the classical LPT heuristic, whose makespan is within 4/3 of
+//! optimal.
 
-use std::collections::HashMap;
-
-/// What kind of work a scheduled operator represents. Continuous operators
-/// hold their worker's load until deregistration; static fragments are
-/// transient — placed for one execution round and released when it ends.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TaskKind {
-    /// A standing stream operator (registered continuous query).
-    #[default]
-    Continuous,
-    /// One disjunct of a federated static query (see
-    /// [`crate::gateway::StaticFragment`]).
-    StaticFragment,
-}
-
-/// A schedulable operator: an id and an estimated cost (e.g. expected tuples
-/// per tick).
-#[derive(Clone, Debug, PartialEq)]
-pub struct OperatorTask {
-    /// Caller-meaningful id (query id, fragment id…).
-    pub id: u64,
-    /// Cost estimate in abstract work units.
-    pub cost: f64,
-    /// Lifetime class of the operator.
-    pub kind: TaskKind,
-}
-
-impl OperatorTask {
-    /// A standing continuous-query operator.
-    pub fn continuous(id: u64, cost: f64) -> Self {
-        OperatorTask {
-            id,
-            cost,
-            kind: TaskKind::Continuous,
-        }
-    }
-
-    /// A transient static-query fragment.
-    pub fn static_fragment(id: u64, cost: f64) -> Self {
-        OperatorTask {
-            id,
-            cost,
-            kind: TaskKind::StaticFragment,
-        }
-    }
-}
-
-/// The result of placing a set of operators.
-#[derive(Clone, Debug, Default)]
-pub struct Placement {
-    /// operator id → worker id.
-    pub assignment: HashMap<u64, usize>,
-    /// Final per-worker load.
-    pub loads: Vec<f64>,
-}
-
-impl Placement {
-    /// Largest per-worker load (the makespan).
-    pub fn max_load(&self) -> f64 {
-        self.loads.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Smallest per-worker load.
-    pub fn min_load(&self) -> f64 {
-        self.loads.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Load imbalance ratio (max/mean); 1.0 is perfect.
-    pub fn imbalance(&self) -> f64 {
-        let mean = self.loads.iter().sum::<f64>() / self.loads.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            self.max_load() / mean
-        }
-    }
-}
-
-/// A stateful scheduler tracking cumulative worker load across successive
-/// placement rounds (queries register over time).
-#[derive(Clone, Debug)]
-pub struct Scheduler {
-    loads: Vec<f64>,
-}
-
-impl Scheduler {
-    /// A scheduler for `workers` nodes, all initially idle.
-    pub fn new(workers: usize) -> Self {
-        assert!(workers > 0, "scheduler needs at least one worker");
-        Scheduler {
-            loads: vec![0.0; workers],
-        }
-    }
-
-    /// Number of workers.
-    pub fn workers(&self) -> usize {
-        self.loads.len()
-    }
-
-    /// Current per-worker load.
-    pub fn loads(&self) -> &[f64] {
-        &self.loads
-    }
-
-    /// Places one operator on the least-loaded worker, returning its worker.
-    pub fn place_one(&mut self, task: &OperatorTask) -> usize {
-        let (worker, _) = self
-            .loads
+/// Places one task per entry of `costs` on `workers` workers, LPT-style:
+/// heaviest first, each onto the least-loaded worker so far (ties go to the
+/// lowest worker id, equal costs keep their input order). Returns the
+/// worker of each task, in input order.
+pub fn lpt_assign(costs: &[f64], workers: usize) -> Vec<usize> {
+    assert!(workers > 0, "placement needs at least one worker");
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]));
+    let mut loads = vec![0.0f64; workers];
+    let mut assignment = vec![0; costs.len()];
+    for task in order {
+        let (worker, _) = loads
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| a.total_cmp(b))
-            .expect("non-empty");
-        self.loads[worker] += task.cost;
-        worker
+            .expect("at least one worker");
+        loads[worker] += costs[task];
+        assignment[task] = worker;
     }
-
-    /// Places a batch of operators LPT-style (descending cost), returning
-    /// the placement.
-    pub fn place_batch(&mut self, tasks: &[OperatorTask]) -> Placement {
-        let mut sorted: Vec<&OperatorTask> = tasks.iter().collect();
-        sorted.sort_by(|a, b| b.cost.total_cmp(&a.cost));
-        let mut assignment = HashMap::with_capacity(tasks.len());
-        for task in sorted {
-            let worker = self.place_one(task);
-            assignment.insert(task.id, worker);
-        }
-        Placement {
-            assignment,
-            loads: self.loads.clone(),
-        }
-    }
-
-    /// Releases an operator's load from a worker (query deregistration).
-    pub fn release(&mut self, worker: usize, cost: f64) {
-        self.loads[worker] = (self.loads[worker] - cost).max(0.0);
-    }
-
-    /// Releases the load of every [`TaskKind::StaticFragment`] task in a
-    /// completed placement round. Continuous operators keep their load
-    /// until explicit deregistration — this is the behavioral split the
-    /// task kind encodes.
-    pub fn release_transient(&mut self, tasks: &[OperatorTask], placement: &Placement) {
-        for task in tasks {
-            if task.kind == TaskKind::StaticFragment {
-                if let Some(&worker) = placement.assignment.get(&task.id) {
-                    self.release(worker, task.cost);
-                }
-            }
-        }
-    }
+    assignment
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tasks(costs: &[f64]) -> Vec<OperatorTask> {
-        costs
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| OperatorTask::continuous(i as u64, c))
-            .collect()
+    /// Per-worker summed cost under `lpt_assign`.
+    fn placed_loads(costs: &[f64], workers: usize) -> Vec<f64> {
+        let assignment = lpt_assign(costs, workers);
+        assert_eq!(assignment.len(), costs.len());
+        let mut loads = vec![0.0; workers];
+        for (task, &worker) in assignment.iter().enumerate() {
+            loads[worker] += costs[task];
+        }
+        loads
     }
 
-    #[test]
-    fn single_placement_targets_least_loaded() {
-        let mut s = Scheduler::new(3);
-        s.loads = vec![5.0, 1.0, 3.0];
-        let w = s.place_one(&OperatorTask::continuous(9, 2.0));
-        assert_eq!(w, 1);
-        assert_eq!(s.loads()[1], 3.0);
+    fn max_load(loads: &[f64]) -> f64 {
+        loads.iter().copied().fold(0.0, f64::max)
     }
 
     #[test]
     fn batch_placement_assigns_everything() {
-        let mut s = Scheduler::new(4);
-        let ts = tasks(&[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]);
-        let p = s.place_batch(&ts);
-        assert_eq!(p.assignment.len(), 8);
-        let total: f64 = p.loads.iter().sum();
+        let loads = placed_loads(&[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0], 4);
+        let total: f64 = loads.iter().sum();
         assert!((total - 31.0).abs() < 1e-9);
     }
 
     #[test]
     fn lpt_beats_worst_case_bound() {
-        let mut s = Scheduler::new(3);
-        let ts = tasks(&[7.0, 7.0, 6.0, 6.0, 5.0, 5.0, 4.0, 4.0, 4.0]);
-        let p = s.place_batch(&ts);
+        let loads = placed_loads(&[7.0, 7.0, 6.0, 6.0, 5.0, 5.0, 4.0, 4.0, 4.0], 3);
         let optimal = 48.0 / 3.0;
         assert!(
-            p.max_load() <= optimal * 4.0 / 3.0 + 1e-9,
+            max_load(&loads) <= optimal * 4.0 / 3.0 + 1e-9,
             "makespan {}",
-            p.max_load()
+            max_load(&loads)
         );
     }
 
     #[test]
     fn uniform_tasks_balance_perfectly() {
-        let mut s = Scheduler::new(8);
-        let ts = tasks(&[1.0; 64]);
-        let p = s.place_batch(&ts);
-        assert!((p.imbalance() - 1.0).abs() < 1e-9);
-        assert_eq!(p.max_load(), p.min_load());
-    }
-
-    #[test]
-    fn release_reduces_load() {
-        let mut s = Scheduler::new(2);
-        let w = s.place_one(&OperatorTask::static_fragment(0, 4.0));
-        s.release(w, 4.0);
-        assert_eq!(s.loads()[w], 0.0);
-        // Releasing more than present clamps at zero.
-        s.release(w, 10.0);
-        assert_eq!(s.loads()[w], 0.0);
-    }
-
-    #[test]
-    fn release_transient_spares_continuous_load() {
-        let mut s = Scheduler::new(2);
-        let mixed = vec![
-            OperatorTask::continuous(0, 3.0),
-            OperatorTask::static_fragment(1, 2.0),
-            OperatorTask::static_fragment(2, 2.0),
-        ];
-        let p = s.place_batch(&mixed);
-        let total_before: f64 = s.loads().iter().sum();
-        assert!((total_before - 7.0).abs() < 1e-9);
-        s.release_transient(&mixed, &p);
-        let total_after: f64 = s.loads().iter().sum();
-        assert!(
-            (total_after - 3.0).abs() < 1e-9,
-            "only the continuous operator keeps its load: {:?}",
-            s.loads()
-        );
-    }
-
-    #[test]
-    fn incremental_rounds_accumulate() {
-        let mut s = Scheduler::new(2);
-        s.place_batch(&tasks(&[2.0, 2.0]));
-        let p = s.place_batch(&tasks(&[2.0, 2.0]));
-        assert_eq!(p.loads, vec![4.0, 4.0]);
+        let loads = placed_loads(&[1.0; 64], 8);
+        let min_load = loads.iter().copied().fold(f64::INFINITY, f64::min);
+        assert_eq!(max_load(&loads), min_load);
+        assert_eq!(min_load, 8.0);
     }
 }

@@ -1,9 +1,7 @@
 //! Secondary indexes: hash (point lookups) and B-tree (range scans).
 //!
-//! These are the building blocks of ExaStream's *adaptive indexing*: the
-//! engine watches join/filter statistics at runtime and builds one of these
-//! over a cached batch of stream tuples when the observed access pattern
-//! justifies the build cost (see `optique-exastream::adaptive`).
+//! [`Database`](crate::Database) builds and keeps them on request, one per
+//! `(table, column)`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;

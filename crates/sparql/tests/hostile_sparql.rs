@@ -1,0 +1,73 @@
+//! Hostile text never panics the SPARQL front end: valid queries — the
+//! conformance corpus's end-to-end texts, grammar corners the corpus pins
+//! and generated queries over the Siemens vocabulary — take one to three
+//! random edits (junk inserted, a run deleted, the tail cut off) and go
+//! through `parse_sparql` and, at the platform boundary, `query_static`.
+//! Every outcome is `Ok` or an `Err`; a parser `Err` carries its position.
+
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
+use std::sync::OnceLock;
+
+use common::{hostile, proptest_cases, FIXED_QUERIES};
+use optique::OptiquePlatform;
+use optique_siemens::SiemensDeployment;
+use optique_sparql::parse_sparql;
+use proptest::prelude::*;
+use proptest::sample::Index;
+
+/// Productions `FIXED_QUERIES` does not reach: prologue, typed and
+/// language-tagged literals, comments, signed numbers, object lists,
+/// `BOUND`, the aggregate suite.
+const GRAMMAR_CORNERS: &[&str] = &[
+    "PREFIX x: <http://example.org/> SELECT ?s WHERE { ?s a x:Thing }",
+    "BASE <http://example.org/> SELECT * WHERE { ?s a <Thing> }",
+    "SELECT ?s WHERE { ?s sie:hasValue \"42\"^^xsd:integer ; sie:hasModel \"SGT\\u0041\"@en }",
+    "# find sensors\nSELECT ?s # projection\nWHERE { ?s sie:relatedTo sie:a1 , sie:a2 . }",
+    "SELECT ?v WHERE { ?s sie:hasValue ?v . FILTER(?v > -5 && (?v < 9.5e3 || !(?v = 5))) }",
+    "SELECT ?t WHERE { ?t a sie:Turbine . OPTIONAL { ?t sie:locatedIn ?c } FILTER(!BOUND(?c)) }",
+    "SELECT (COUNT(*) AS ?n) (AVG(?v) AS ?mean) (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) \
+     WHERE { ?s sie:hasValue ?v } GROUP BY ?s",
+    "ASK WHERE { ?s a sie:Sensor }",
+];
+
+fn seed() -> impl Strategy<Value = String> {
+    let corpus: Vec<&str> = [FIXED_QUERIES, GRAMMAR_CORNERS].concat();
+    let fixed = any::<Index>().prop_map(move |i| corpus[i.index(corpus.len())].to_string());
+    prop_oneof![fixed, common::query_strategy()]
+}
+
+fn platform() -> &'static OptiquePlatform {
+    static PLATFORM: OnceLock<OptiquePlatform> = OnceLock::new();
+    PLATFORM.get_or_init(|| OptiquePlatform::from_siemens(SiemensDeployment::small()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(proptest_cases(512)))]
+
+    #[test]
+    fn mutated_sparql_parses_or_errors_with_a_position(
+        seed in seed(),
+        edits in hostile::edits(),
+    ) {
+        let text = hostile::mutate(&seed, &edits);
+        if let Err(e) = parse_sparql(&text, &optique_siemens::ontology::namespaces()) {
+            prop_assert!(e.position.is_some(), "unpositioned {e} for {text:?}");
+        }
+    }
+
+    #[test]
+    fn mutated_sparql_never_panics_the_platform(
+        seed in seed(),
+        edits in hostile::edits(),
+        distributed in any::<bool>(),
+    ) {
+        let text = hostile::mutate(&seed, &edits);
+        let _ = if distributed {
+            platform().query_static_distributed(&text, 2)
+        } else {
+            platform().query_static(&text)
+        };
+    }
+}

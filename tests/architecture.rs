@@ -1,16 +1,20 @@
 //! Reproduction of paper Figure 2 (experiment F2): the distributed
-//! stream-engine architecture — gateway registration, scheduler placement,
-//! per-worker execution.
+//! architecture as the product runs it — `OptiquePlatform → Federation →
+//! Gateway round → workers`. The platform registers queries; the gateway
+//! places or scatters each round's fragments and the workers execute them
+//! on their shards.
 
 use std::sync::Arc;
 
+use optique::OptiquePlatform;
 use optique_exastream::cluster::{hash_partition, Cluster};
-use optique_exastream::gateway::{AsyncFrontend, Gateway};
-use optique_relational::Database;
-use optique_siemens::{FleetConfig, StreamConfig};
+use optique_exastream::gateway::{Gateway, StaticFragment};
+use optique_relational::{Database, PlanFragment};
+use optique_siemens::{FleetConfig, SiemensDeployment, StreamConfig};
+use optique_starql::FIGURE1;
 
-/// A 4-worker cluster with the measurement stream hash-partitioned by
-/// sensor and static tables replicated.
+/// A cluster with the measurement stream hash-partitioned by sensor and
+/// static tables replicated.
 fn siemens_cluster(workers: usize) -> (Arc<Cluster>, usize) {
     let mut db = Database::new();
     let sensor_ids = optique_siemens::fleet::build_fleet(&mut db, &FleetConfig::small()).unwrap();
@@ -35,6 +39,10 @@ fn siemens_cluster(workers: usize) -> (Arc<Cluster>, usize) {
     (Arc::new(cluster), total)
 }
 
+fn placed(id: u64, sql: &str, cost: f64) -> StaticFragment {
+    StaticFragment::placed(PlanFragment::new(id, sql, cost))
+}
+
 #[test]
 fn partitioned_execution_covers_every_tuple() {
     let (cluster, total) = siemens_cluster(4);
@@ -48,109 +56,86 @@ fn partitioned_execution_covers_every_tuple() {
 #[test]
 fn gateway_places_queries_by_load() {
     let (cluster, _) = siemens_cluster(4);
-    let gateway = Gateway::new(Arc::clone(&cluster));
-    for _ in 0..64 {
-        gateway
-            .register(
-                "SELECT sensor_id, MAX(value) FROM S_Msmt GROUP BY sensor_id",
-                1.0,
-            )
-            .unwrap();
-    }
-    let loads = gateway.worker_loads();
-    assert_eq!(loads.len(), 4);
-    let (min, max) = loads.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &l| {
-        (lo.min(l), hi.max(l))
-    });
-    assert!(
-        (max - min).abs() < 1e-9,
-        "uniform queries balance exactly: {loads:?}"
-    );
-}
-
-#[test]
-fn run_all_returns_per_query_answers() {
-    let (cluster, _) = siemens_cluster(2);
-    let gateway = Gateway::new(Arc::clone(&cluster));
-    let q1 = gateway
-        .register("SELECT COUNT(*) AS n FROM S_Msmt", 1.0)
-        .unwrap();
-    let q2 = gateway
-        .register("SELECT COUNT(*) AS n FROM S_Msmt WHERE value >= 95", 1.0)
-        .unwrap();
-    let results = gateway.run_all();
-    assert_eq!(results.len(), 2);
-    let n1 = results
-        .iter()
-        .find(|(id, _)| *id == q1)
-        .unwrap()
-        .1
-        .as_ref()
-        .unwrap()
-        .rows[0][0]
-        .as_i64()
-        .unwrap();
-    let n2 = results
-        .iter()
-        .find(|(id, _)| *id == q2)
-        .unwrap()
-        .1
-        .as_ref()
-        .unwrap()
-        .rows[0][0]
-        .as_i64()
-        .unwrap();
-    assert!(n1 > 0);
-    assert!(
-        n2 < n1,
-        "hot readings are a strict subset (shard-local counts)"
-    );
-}
-
-#[test]
-fn async_gateway_accepts_concurrent_submissions() {
-    let (cluster, _) = siemens_cluster(2);
-    let gateway = Gateway::new(Arc::clone(&cluster));
-    let frontend = AsyncFrontend::spawn(Arc::clone(&gateway));
-    let receivers: Vec<_> = (0..128)
-        .map(|i| {
-            frontend.submit(
-                format!("SELECT COUNT(*) FROM S_Msmt WHERE sensor_id = {i}"),
-                1.0,
-            )
-        })
+    let gateway = Gateway::new(cluster);
+    let fragments: Vec<StaticFragment> = (0..64)
+        .map(|id| placed(id, "SELECT COUNT(*) AS n FROM S_Msmt", 1.0))
         .collect();
-    for rx in receivers {
-        rx.recv().unwrap().unwrap();
+    let round = gateway.run_static_round(&fragments);
+    assert!(round.tables.iter().all(Result::is_ok));
+    assert_eq!(
+        round.worker_rows,
+        vec![16; 4],
+        "uniform one-row fragments balance exactly"
+    );
+}
+
+#[test]
+fn placed_round_returns_per_fragment_answers() {
+    let (cluster, _) = siemens_cluster(2);
+    let gateway = Gateway::new(Arc::clone(&cluster));
+    let queries = [
+        "SELECT COUNT(*) AS n FROM S_Msmt",
+        "SELECT COUNT(*) AS n FROM S_Msmt WHERE value >= 95",
+    ];
+    let fragments: Vec<StaticFragment> = (queries.iter().zip(0..))
+        .map(|(sql, id)| placed(id, sql, 1.0))
+        .collect();
+    let round = gateway.run_static_round(&fragments);
+    assert_eq!(round.tables.len(), 2);
+    // Two equal-cost fragments on two idle workers: fragment i runs on
+    // worker i's shard, and its table comes back in slot i.
+    for (i, sql) in queries.iter().enumerate() {
+        let want = optique_relational::exec::query(sql, &cluster.workers()[i].db).unwrap();
+        let got = round.tables[i].as_ref().unwrap();
+        assert_eq!(got.rows, want.rows, "fragment {i}: {sql}");
     }
-    assert_eq!(gateway.registered(), 128);
+    let count = |i: usize| {
+        round.tables[i].as_ref().unwrap().rows[0][0]
+            .as_i64()
+            .unwrap()
+    };
+    assert!(count(0) > 0);
+    assert!(
+        count(1) < count(0),
+        "hot readings are rarer than readings, shard for shard"
+    );
 }
 
 #[test]
 fn windowed_queries_run_on_workers() {
     let (cluster, _) = siemens_cluster(4);
-    let gateway = Gateway::new(Arc::clone(&cluster));
-    gateway
-        .register(
-            "SELECT window_id, COUNT(*) AS n FROM \
-             timeslidingwindow('S_Msmt', 0, 10000, 1000, 600000, 0, 9) AS w \
-             GROUP BY window_id",
-            2.0,
-        )
-        .unwrap();
-    let results = gateway.run_all();
-    let t = results[0].1.as_ref().unwrap();
+    let gateway = Gateway::new(cluster);
+    let round = gateway.run_static_round(&[placed(
+        0,
+        "SELECT window_id, COUNT(*) AS n FROM \
+         timeslidingwindow('S_Msmt', 0, 10000, 1000, 600000, 0, 9) AS w \
+         GROUP BY window_id",
+        2.0,
+    )]);
+    let t = round.tables[0].as_ref().unwrap();
     assert!(!t.is_empty(), "windows materialize on the worker's shard");
 }
 
+/// The whole of Figure 2 through the front door: a continuous query
+/// registered with the platform ticks by scattering window fragments over
+/// its worker pool, and a static query's fragments run as a gateway round
+/// whose worker spans land in the platform's trace.
 #[test]
-fn deregistration_frees_capacity() {
-    let (cluster, _) = siemens_cluster(2);
-    let gateway = Gateway::new(Arc::clone(&cluster));
-    let id = gateway
-        .register("SELECT COUNT(*) FROM S_Msmt", 7.5)
+fn platform_reaches_workers_through_gateway_rounds() {
+    let deployment = SiemensDeployment::small();
+    let tick = deployment.stream_config.start_ms + deployment.stream_config.duration_ms;
+    let platform = OptiquePlatform::from_siemens(deployment);
+
+    platform.register_starql_distributed(FIGURE1, 4).unwrap();
+    let (_, out) = platform.tick_all(tick).unwrap().remove(0);
+    assert!(out.window_fragments > 0, "the tick shipped a window round");
+    assert!(out.partitioned_fragments > 0, "…scattered over the shards");
+    assert!(out.stream_rows_shipped > 0);
+
+    let report = platform
+        .explain_analyze("SELECT ?s WHERE { ?s a sie:Sensor }", Some(4))
         .unwrap();
-    assert!(gateway.worker_loads().iter().any(|&l| l > 0.0));
-    assert!(gateway.deregister(id));
-    assert!(gateway.worker_loads().iter().all(|&l| l == 0.0));
+    assert!(report.contains("4 worker(s)"), "{report}");
+    assert!(report.contains("fragment"), "{report}");
+    assert!(report.contains("worker"), "{report}");
 }

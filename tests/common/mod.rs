@@ -582,3 +582,76 @@ pub fn query_strategy() -> impl Strategy<Value = String> {
         },
     )
 }
+
+/// Hostile-text mutation for the never-panic suites: a valid query text
+/// takes one to three random edits and must still come back from every
+/// front end as `Ok` or a positioned `Err`.
+pub mod hostile {
+    use proptest::prelude::*;
+    use proptest::sample::Index;
+
+    /// What gets spliced in: non-ASCII, unbalanced quotes and brackets,
+    /// over-long numbers and durations, `\u` escapes whole and cut short —
+    /// and a few well-formed tokens, so that some mutants get past the
+    /// parser with a shape no test wrote by hand.
+    const JUNK: &[&str] = &[
+        " ?s ",
+        " . ",
+        " a ",
+        " sie:hasValue ",
+        " 0 ",
+        "é",
+        "→𝄞",
+        "\u{202e}",
+        "\"",
+        "'",
+        "\"\"\"",
+        "{",
+        "}",
+        "(",
+        ")",
+        "[",
+        "<",
+        ">",
+        "^^",
+        "99999999999999999999999999999999999999",
+        "-0.00000000000000000000000000000000001e999999",
+        "\"PT99999999999999999999999S\"^^xsd:duration",
+        "\"P1Y2M3DT4H5M6.789S\"^^xsd:duration",
+        "\"PT-1S\"^^xsd:duration",
+        "\\u",
+        "\\u12",
+        "\\uD800",
+        "\\U0010FFFF",
+        "\"\\u0041\\",
+    ];
+
+    /// One edit: `(kind, where, how much, which junk)`.
+    pub type Edit = (usize, Index, usize, Index);
+
+    /// One to three edits.
+    pub fn edits() -> impl Strategy<Value = Vec<Edit>> {
+        proptest::collection::vec((0usize..6, any::<Index>(), 0usize..6, any::<Index>()), 1..4)
+    }
+
+    /// Applies `edits` to `text` in order, always on character boundaries:
+    /// insert junk (three times in six), delete a short run (two), or
+    /// truncate (one) — weighted so that some mutants still parse and reach
+    /// the stages behind the parser.
+    pub fn mutate(text: &str, edits: &[Edit]) -> String {
+        let mut chars: Vec<char> = text.chars().collect();
+        for (kind, at, len, junk) in edits {
+            let at = at.index(chars.len() + 1);
+            match kind {
+                0..=2 => {
+                    chars.splice(at..at, JUNK[junk.index(JUNK.len())].chars());
+                }
+                3 | 4 => {
+                    chars.drain(at..(at + len).min(chars.len()));
+                }
+                _ => chars.truncate(at),
+            }
+        }
+        chars.into_iter().collect()
+    }
+}

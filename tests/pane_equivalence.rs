@@ -16,7 +16,8 @@
 //! changing answers, that IStream/DStream delta modes stay equivalent
 //! while genuinely emitting deltas, and that mid-stream appends — both
 //! novelty-overlay writes and `append_stream`-driven ticking — keep the
-//! backends in agreement.
+//! backends in agreement, and that a warm pane tick's work does not grow
+//! with the window range while a rescan's does.
 //!
 //! Generated streams carry whole-numbered values only: whole-valued f64
 //! sums are exact, so pane-merge order cannot flip a SUM/AVG threshold
@@ -344,6 +345,71 @@ mod pane_equivalence {
             s_driven.iter().any(|(_, t)| t.satisfied > 0),
             "the hot appended readings must raise alarms"
         );
+    }
+
+    /// Warm pane ticks cost O(slide), not O(range): the additive `SUM`
+    /// program at ranges of 2, 20 and 200 s with a 1 s slide does the same
+    /// per-tick work at every range once warm — no pane store folds from
+    /// scratch and the same rows come back from the workers — while its
+    /// rescan twin evaluates a window that grows with the range.
+    #[test]
+    fn warm_pane_ticks_do_not_grow_with_the_range() {
+        const RANGES_S: [i64; 3] = [2, 20, 200];
+        const WARMUP: i64 = 3;
+        const MEASURED: i64 = 20;
+        // 1 Hz, long enough that the widest window plus every measured
+        // tick stays inside the data.
+        let rows: Vec<_> = (0..260)
+            .flat_map(|sec| {
+                (0..streaming::STREAM_SENSORS).map(move |sensor| {
+                    let value = (40 + (sec + sensor * 7) % 50) as f64;
+                    streaming::msmt(600_000 + sec * 1_000, sensor, value, false)
+                })
+            })
+            .collect();
+        for workers in [1, 4] {
+            let mut pane_work = Vec::new();
+            let mut rescan_tuples = Vec::new();
+            for range_s in RANGES_S {
+                let case = StreamingCase {
+                    text: streaming::agg_program(1, "", range_s, 1, true, 0), // SUM ≥ 275
+                    rows: rows.clone(),
+                };
+                let warm_ticks = |panes: bool| -> Vec<TickOutput> {
+                    let p = distributed(&case, workers, panes);
+                    let first = 600_000 + range_s * 1_000;
+                    (0..WARMUP + MEASURED)
+                        .map(|k| p.tick_all(first + k * 1_000).unwrap().remove(0).1)
+                        .skip(WARMUP as usize)
+                        .collect()
+                };
+                let pane = warm_ticks(true);
+                assert!(
+                    pane.iter().all(|t| t.pane_hits > 0),
+                    "{workers} worker(s), {range_s} s: warm ticks answer from panes"
+                );
+                pane_work.push(
+                    pane.iter()
+                        .map(|t| (t.pane_misses, t.stream_rows_shipped))
+                        .collect::<Vec<_>>(),
+                );
+                let rescan = warm_ticks(false);
+                assert!(rescan.iter().all(|t| t.pane_hits + t.pane_misses == 0));
+                rescan_tuples.push(rescan.iter().map(|t| t.tuples_in_window).sum::<usize>());
+            }
+            assert!(
+                pane_work.iter().all(|work| *work == pane_work[0]),
+                "{workers} worker(s): pane work per tick varies with the range: {pane_work:?}"
+            );
+            assert!(
+                pane_work[0].iter().all(|&(misses, _)| misses == 0),
+                "{workers} worker(s): a warm tick folded from scratch: {pane_work:?}"
+            );
+            assert!(
+                rescan_tuples.windows(2).all(|w| w[1] == w[0] * 10),
+                "{workers} worker(s): a rescan evaluates the whole range: {rescan_tuples:?}"
+            );
+        }
     }
 
     // ---- generated suite -----------------------------------------------

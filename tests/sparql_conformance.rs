@@ -306,7 +306,7 @@ fn platform() -> OptiquePlatform {
     OptiquePlatform::from_siemens(SiemensDeployment::small())
 }
 
-/// The acceptance-criterion query: SELECT with FILTER + OPTIONAL +
+/// The acceptance query: SELECT with FILTER + OPTIONAL +
 /// ORDER/LIMIT over the Siemens mappings, end to end.
 #[test]
 fn select_filter_optional_order_limit_end_to_end() {
