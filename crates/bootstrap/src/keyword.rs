@@ -4,7 +4,7 @@
 //! examples of entities from the class … where each example is a set of
 //! keywords, e.g., `{albatros, gas, 2008}`. Then the system turns these
 //! keywords into SQL queries by exploiting graph based techniques similar
-//! to [8] (DISCOVER) for keyword-based query answering over DBs."
+//! to \[8\] (DISCOVER) for keyword-based query answering over DBs."
 //!
 //! The implementation follows DISCOVER's shape: each keyword matches
 //! tables/columns (by name) and rows (by value); matched tables are nodes

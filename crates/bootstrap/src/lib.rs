@@ -1,5 +1,5 @@
 //! BOOTOX — bootstrapping ontologies and mappings from relational sources
-//! (challenge C1, paper ref [9]).
+//! (challenge C1, paper ref \[9\]).
 //!
 //! "Our BOOTOX component allows to extract W3C standardised OWL 2 ontologies
 //! and R2RML mappings from relational streaming and static data. …

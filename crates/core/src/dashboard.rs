@@ -4,6 +4,8 @@
 //! on streaming answers, relevant turbines, and other information that is
 //! typically required by Siemens Energy service engineers."
 
+use optique_sparql::PipelineStats;
+
 /// One query's monitoring panel.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueryPanel {
@@ -57,14 +59,8 @@ pub struct StaticQueryPanel {
     pub id: u64,
     /// A one-line preview of the query text.
     pub query: String,
-    /// Rows (or the 0/1 ASK verdict) returned.
-    pub rows: usize,
-    /// Basic graph patterns evaluated.
-    pub bgps: usize,
-    /// UCQ disjuncts after PerfectRef enrichment.
-    pub ucq_disjuncts: usize,
-    /// SQL disjuncts emitted by unfolding.
-    pub sql_disjuncts: usize,
+    /// Workers that executed this query (1 = single-node).
+    pub workers: usize,
     /// Microseconds: parsing (from the `parse` span).
     pub parse_micros: u64,
     /// Microseconds: enrichment (summed `rewrite` spans).
@@ -73,41 +69,8 @@ pub struct StaticQueryPanel {
     pub unfold_micros: u64,
     /// Microseconds: SQL execution (summed `exec` spans).
     pub exec_micros: u64,
-    /// BGPs answered from the per-BGP cache.
-    pub cache_hits: usize,
-    /// BGPs that ran the full rewrite → unfold → execute pipeline.
-    pub cache_misses: usize,
-    /// Plan fragments shipped to ExaStream workers (0 = single-node).
-    pub fragments: usize,
-    /// Workers that executed this query (1 = single-node).
-    pub workers: usize,
-    /// Fragments answered on the coordinator instead of a worker — a
-    /// nonzero count exposes a "distributed" run that silently fell back.
-    pub coordinator_fallbacks: usize,
-    /// Join batches the planner executed in a non-textual order.
-    pub join_reorders: usize,
-    /// Semi-join value lists pushed into BGP executions.
-    pub semi_joins_pushed: usize,
-    /// Planner-estimated BGP cardinalities, summed (0 = planner off).
-    pub estimated_rows: u64,
-    /// Actual BGP solution rows, summed — against
-    /// [`Self::estimated_rows`], judges the cardinality model.
-    pub actual_rows: u64,
-    /// Rows returned by SQL execution before the residual merge (semi-join
-    /// pushdown shrinks this).
-    pub fragment_rows: usize,
-    /// Fragments executed sharded over a hash-partitioned table.
-    pub partitioned_fragments: usize,
-    /// Fragments answered by a single worker's replicas while the pool had
-    /// partitioned tables — the middle rung of the sharded → replicated →
-    /// coordinator ladder.
-    pub replicated_fallbacks: usize,
-    /// Scatter executions skipped by partition-key routing.
-    pub shards_pruned: usize,
-    /// Fragment executions that needed no SQL parse.
-    pub plan_cache_hits: u64,
-    /// Fragment SQL parses paid (text-built fragments only).
-    pub plan_cache_misses: u64,
+    /// The pipeline's counters for this query, as it returned them.
+    pub stats: PipelineStats,
 }
 
 impl StaticQueryPanel {
@@ -124,11 +87,11 @@ impl StaticQueryPanel {
     /// an over-estimate renders as its magnitude — and the whole ratio
     /// caps at [`Self::ACCURACY_CAP`], never `inf`/`NaN`.
     pub fn estimate_accuracy(&self) -> Option<f64> {
-        if self.estimated_rows == 0 {
+        if self.stats.estimated_rows == 0 {
             return None;
         }
-        let denominator = self.actual_rows.max(1) as f64;
-        Some((self.estimated_rows as f64 / denominator).min(Self::ACCURACY_CAP))
+        let denominator = self.stats.actual_rows.max(1) as f64;
+        Some((self.stats.estimated_rows as f64 / denominator).min(Self::ACCURACY_CAP))
     }
 
     /// Upper clamp for [`Self::estimate_accuracy`].
@@ -202,14 +165,17 @@ impl Dashboard {
 
     /// Total join-batch reorders across the remembered static queries.
     pub fn total_join_reorders(&self) -> usize {
-        self.static_queries.iter().map(|q| q.join_reorders).sum()
+        self.static_queries
+            .iter()
+            .map(|q| q.stats.join_reorders)
+            .sum()
     }
 
     /// Total semi-join pushdowns across the remembered static queries.
     pub fn total_semi_joins_pushed(&self) -> usize {
         self.static_queries
             .iter()
-            .map(|q| q.semi_joins_pushed)
+            .map(|q| q.stats.semi_joins_pushed)
             .sum()
     }
 
@@ -218,7 +184,7 @@ impl Dashboard {
     pub fn total_coordinator_fallbacks(&self) -> usize {
         self.static_queries
             .iter()
-            .map(|q| q.coordinator_fallbacks)
+            .map(|q| q.stats.coordinator_fallbacks)
             .sum()
     }
 
@@ -228,7 +194,7 @@ impl Dashboard {
     pub fn total_partitioned_fragments(&self) -> usize {
         self.static_queries
             .iter()
-            .map(|q| q.partitioned_fragments)
+            .map(|q| q.stats.partitioned_fragments)
             .sum()
     }
 
@@ -237,13 +203,16 @@ impl Dashboard {
     pub fn total_replicated_fallbacks(&self) -> usize {
         self.static_queries
             .iter()
-            .map(|q| q.replicated_fallbacks)
+            .map(|q| q.stats.replicated_fallbacks)
             .sum()
     }
 
     /// Total scatter executions skipped by partition-key routing.
     pub fn total_shards_pruned(&self) -> usize {
-        self.static_queries.iter().map(|q| q.shards_pruned).sum()
+        self.static_queries
+            .iter()
+            .map(|q| q.stats.shards_pruned)
+            .sum()
     }
 
     /// Per-BGP cache hit rate in `[0, 1]` (`None` before any lookup).
@@ -342,25 +311,25 @@ impl Dashboard {
                 out.push_str(&layout.row(&[
                     q.id.to_string(),
                     truncate(&q.query, 33),
-                    q.rows.to_string(),
-                    q.bgps.to_string(),
-                    q.ucq_disjuncts.to_string(),
-                    q.sql_disjuncts.to_string(),
-                    q.cache_hits.to_string(),
-                    q.fragments.to_string(),
+                    q.stats.rows.to_string(),
+                    q.stats.bgps.to_string(),
+                    q.stats.ucq_disjuncts.to_string(),
+                    q.stats.sql_disjuncts.to_string(),
+                    q.stats.cache_hits.to_string(),
+                    q.stats.fragments.to_string(),
                     q.workers.to_string(),
-                    q.partitioned_fragments.to_string(),
-                    q.replicated_fallbacks.to_string(),
-                    q.coordinator_fallbacks.to_string(),
-                    q.shards_pruned.to_string(),
-                    q.join_reorders.to_string(),
-                    q.semi_joins_pushed.to_string(),
-                    format!("{}/{}", q.estimated_rows, q.actual_rows),
+                    q.stats.partitioned_fragments.to_string(),
+                    q.stats.replicated_fallbacks.to_string(),
+                    q.stats.coordinator_fallbacks.to_string(),
+                    q.stats.shards_pruned.to_string(),
+                    q.stats.join_reorders.to_string(),
+                    q.stats.semi_joins_pushed.to_string(),
+                    format!("{}/{}", q.stats.estimated_rows, q.stats.actual_rows),
                     match q.estimate_accuracy() {
                         Some(acc) => format!("{acc:.1}"),
                         None => "—".to_string(),
                     },
-                    q.fragment_rows.to_string(),
+                    q.stats.fragment_rows.to_string(),
                     q.total_micros().to_string(),
                 ]));
             }
@@ -555,29 +524,31 @@ mod tests {
             static_queries: vec![StaticQueryPanel {
                 id: 1,
                 query: "SELECT ?s WHERE { ?s a sie:Sensor }".into(),
-                rows: 60,
-                bgps: 1,
-                ucq_disjuncts: 5,
-                sql_disjuncts: 8,
+                workers: 4,
                 parse_micros: 40,
                 rewrite_micros: 120,
                 unfold_micros: 300,
                 exec_micros: 2000,
-                cache_hits: 0,
-                cache_misses: 1,
-                fragments: 8,
-                workers: 4,
-                coordinator_fallbacks: 1,
-                join_reorders: 1,
-                semi_joins_pushed: 2,
-                estimated_rows: 70,
-                actual_rows: 60,
-                fragment_rows: 95,
-                partitioned_fragments: 6,
-                replicated_fallbacks: 1,
-                shards_pruned: 9,
-                plan_cache_hits: 6,
-                plan_cache_misses: 2,
+                stats: PipelineStats {
+                    rows: 60,
+                    bgps: 1,
+                    ucq_disjuncts: 5,
+                    sql_disjuncts: 8,
+                    cache_hits: 0,
+                    cache_misses: 1,
+                    fragments: 8,
+                    coordinator_fallbacks: 1,
+                    join_reorders: 1,
+                    semi_joins_pushed: 2,
+                    estimated_rows: 70,
+                    actual_rows: 60,
+                    fragment_rows: 95,
+                    partitioned_fragments: 6,
+                    replicated_fallbacks: 1,
+                    shards_pruned: 9,
+                    plan_cache_hits: 6,
+                    plan_cache_misses: 2,
+                },
             }],
             wcache_hits: 9,
             wcache_misses: 1,
@@ -619,7 +590,7 @@ mod tests {
         assert_eq!(d.total_stream_shards_pruned(), 12);
         // The header's plan-cache rate went with the worker plan caches;
         // per-query parse counts stay on the static panels.
-        assert_eq!(d.static_queries[0].plan_cache_hits, 6);
+        assert_eq!(d.static_queries[0].stats.plan_cache_hits, 6);
         let r = d.render();
         assert!(!r.contains("plan cache"), "{r}");
         assert!(r.contains("wfrag"), "{r}");
@@ -702,7 +673,7 @@ mod tests {
         let mut panel = dash().static_queries[0].clone();
         assert!((panel.estimate_accuracy().unwrap() - 70.0 / 60.0).abs() < 1e-9);
 
-        panel.actual_rows = 0;
+        panel.stats.actual_rows = 0;
         assert_eq!(
             panel.estimate_accuracy(),
             Some(70.0),
@@ -710,27 +681,27 @@ mod tests {
         );
         // A correctly-predicted empty result is accurate, not maximally
         // wrong (the pipeline floors live estimates to 1).
-        panel.estimated_rows = 1;
+        panel.stats.estimated_rows = 1;
         assert_eq!(panel.estimate_accuracy(), Some(1.0));
         // A wildly-over-estimated empty result clamps.
-        panel.estimated_rows = 1_000_000;
+        panel.stats.estimated_rows = 1_000_000;
         assert_eq!(
             panel.estimate_accuracy(),
             Some(StaticQueryPanel::ACCURACY_CAP)
         );
-        panel.estimated_rows = 70;
+        panel.stats.estimated_rows = 70;
         let mut d = dash();
-        d.static_queries[0].actual_rows = 0;
+        d.static_queries[0].stats.actual_rows = 0;
         let r = d.render();
         assert!(!r.contains("inf"), "{r}");
         assert!(!r.contains("NaN"), "{r}");
         assert!(r.contains("70.0"), "floored-denominator accuracy: {r}");
 
         // No estimate at all (planner off): no accuracy, not 0/0 noise.
-        panel.estimated_rows = 0;
+        panel.stats.estimated_rows = 0;
         assert_eq!(panel.estimate_accuracy(), None);
-        d.static_queries[0].estimated_rows = 0;
-        d.static_queries[0].actual_rows = 0;
+        d.static_queries[0].stats.estimated_rows = 0;
+        d.static_queries[0].stats.actual_rows = 0;
         assert!(!d.render().contains("NaN"));
     }
 

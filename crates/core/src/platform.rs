@@ -218,6 +218,22 @@ const DEFAULT_SLOW_THRESHOLD_US: u64 = 100_000;
 /// Overlay depth (rows) at which an insert triggers an automatic merge.
 const DEFAULT_MERGE_THRESHOLD: usize = 4096;
 
+/// The largest worker pool a request may name: the paper's largest
+/// deployment, and what `fleet_scaling` sweeps to. `workers` arrives from
+/// outside (`Request::SparqlDistributed`), and every distinct count keeps a
+/// re-sharding of the whole catalog in the pool map.
+pub const MAX_WORKERS: usize = 128;
+
+/// The one check on a caller-supplied worker count (`None` = single-node).
+fn check_workers(workers: Option<usize>) -> Result<(), String> {
+    match workers {
+        Some(w) if !(1..=MAX_WORKERS).contains(&w) => Err(format!(
+            "a worker pool has 1 to {MAX_WORKERS} workers, not {w}"
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Registry counters accumulating worker pane-store probe outcomes across
 /// every registered query (pane-combinable distributed ticks only).
 const PANE_HITS: &str = "pane.hits";
@@ -346,9 +362,6 @@ impl OptiquePlatform {
     /// identical to single-node registration — the streaming equivalence
     /// oracle pins this down.
     pub fn register_starql_distributed(&self, text: &str, workers: usize) -> Result<u64, String> {
-        if workers == 0 {
-            return Err("a distributed continuous query needs at least one worker".into());
-        }
         self.register_named(None, text, Some(workers))
     }
 
@@ -371,6 +384,7 @@ impl OptiquePlatform {
         text: &str,
         workers: Option<usize>,
     ) -> Result<u64, String> {
+        check_workers(workers)?;
         let parsed = parse_starql(text, &self.namespaces).map_err(|e| e.to_string())?;
         let ctx = TranslationContext {
             ontology: &self.ontology,
@@ -611,7 +625,8 @@ impl OptiquePlatform {
     /// The worker pool for each `(count, topology)` is built once and
     /// reused; relational writes ([`insert_static`](Self::insert_static))
     /// drop the pools along with the BGP cache — a write may change the
-    /// advisor's keys, so pools re-partition on next use.
+    /// advisor's keys, so pools re-partition on next use. `workers` outside
+    /// `1..=`[`MAX_WORKERS`] is an error, which also bounds the pool map.
     pub fn query_static_distributed(
         &self,
         text: &str,
@@ -628,9 +643,6 @@ impl OptiquePlatform {
         text: &str,
         workers: usize,
     ) -> Result<(SparqlResults, PipelineStats), String> {
-        if workers == 0 {
-            return Err("a federated query needs at least one worker".into());
-        }
         self.run_static(text, Some(workers))
     }
 
@@ -674,6 +686,7 @@ impl OptiquePlatform {
         workers: Option<usize>,
         trace: bool,
     ) -> Result<(SparqlResults, PipelineStats, Option<Tracer>), String> {
+        check_workers(workers)?;
         let started = std::time::Instant::now();
         // One atomic snapshot pin for the whole request: db, stats,
         // planner, topology and table versions all describe the same
@@ -754,29 +767,12 @@ impl OptiquePlatform {
         log.push_back(StaticQueryPanel {
             id,
             query: preview,
-            rows: stats.rows,
-            bgps: stats.bgps,
-            ucq_disjuncts: stats.ucq_disjuncts,
-            sql_disjuncts: stats.sql_disjuncts,
+            workers,
             parse_micros: parse_us,
             rewrite_micros: rewrite_us,
             unfold_micros: unfold_us,
             exec_micros: exec_us,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            fragments: stats.fragments,
-            workers,
-            coordinator_fallbacks: stats.coordinator_fallbacks,
-            join_reorders: stats.join_reorders,
-            semi_joins_pushed: stats.semi_joins_pushed,
-            estimated_rows: stats.estimated_rows,
-            actual_rows: stats.actual_rows,
-            fragment_rows: stats.fragment_rows,
-            partitioned_fragments: stats.partitioned_fragments,
-            replicated_fallbacks: stats.replicated_fallbacks,
-            shards_pruned: stats.shards_pruned,
-            plan_cache_hits: stats.plan_cache_hits,
-            plan_cache_misses: stats.plan_cache_misses,
+            stats,
         });
         drop(log);
         Ok((results, stats, tracer))
@@ -811,7 +807,12 @@ impl OptiquePlatform {
 
     /// A point-in-time snapshot of every platform counter and latency
     /// histogram; the snapshot carries the JSON and Prometheus exporters.
+    /// The `dict.terms` / `dict.bytes` gauges are sampled here: the term
+    /// dictionary is process-wide and append-only, so they never shrink.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let dict = TermDict::global();
+        self.registry.gauge("dict.terms").set(dict.len() as i64);
+        self.registry.gauge("dict.bytes").set(dict.bytes() as i64);
         self.registry.snapshot()
     }
 
@@ -826,9 +827,6 @@ impl OptiquePlatform {
     /// spans grafted under `exec` — as an EXPLAIN ANALYZE report.
     /// `workers` picks the federated pool (`None` = single-node).
     pub fn explain_analyze(&self, text: &str, workers: Option<usize>) -> Result<String, String> {
-        if workers == Some(0) {
-            return Err("a federated query needs at least one worker".into());
-        }
         let (results, _, tracer) = self.run_static_traced(text, workers, true)?;
         let tracer = tracer.expect("tracing was forced on");
         let mut out = format!(
@@ -1443,7 +1441,7 @@ mod tests {
     /// Fragment executions and parses the remembered static panels report.
     fn plan_cache_totals(dash: &Dashboard) -> (u64, u64) {
         dash.static_queries.iter().fold((0, 0), |(h, m), q| {
-            (h + q.plan_cache_hits, m + q.plan_cache_misses)
+            (h + q.stats.plan_cache_hits, m + q.stats.plan_cache_misses)
         })
     }
 
@@ -1800,6 +1798,45 @@ HAVING MAX(?c2, sie:hasValue) >= 85
         assert_eq!(p.federations.lock().len(), 1);
     }
 
+    /// Regression: `workers` arrives from outside and was never bounded —
+    /// `usize::MAX` panicked with "capacity overflow" while sharding, and
+    /// every distinct count parked one more pool. A count past
+    /// [`MAX_WORKERS`] is an error before anything is built.
+    #[test]
+    fn oversized_worker_count_is_rejected_by_query_static_distributed() {
+        let p = platform();
+        let text = "SELECT ?t WHERE { ?t a sie:Turbine }";
+        for workers in [0, MAX_WORKERS + 1, usize::MAX] {
+            assert!(p.query_static_distributed(text, workers).is_err());
+        }
+        assert!(p.federations.lock().is_empty());
+        // The bound itself is usable.
+        let answered = p.query_static_distributed(text, MAX_WORKERS).unwrap();
+        assert_eq!(answered.len(), p.query_static(text).unwrap().len());
+    }
+
+    #[test]
+    fn oversized_worker_count_is_rejected_by_explain_analyze() {
+        let p = platform();
+        let text = "SELECT ?t WHERE { ?t a sie:Turbine }";
+        for workers in [0, MAX_WORKERS + 1, usize::MAX] {
+            assert!(p.explain_analyze(text, Some(workers)).is_err());
+        }
+        assert!(p.federations.lock().is_empty());
+    }
+
+    #[test]
+    fn oversized_worker_count_is_rejected_by_register_starql_distributed() {
+        let p = platform();
+        for workers in [0, MAX_WORKERS + 1, usize::MAX] {
+            assert!(p
+                .register_starql_distributed(optique_starql::FIGURE1, workers)
+                .is_err());
+        }
+        assert!(p.federations.lock().is_empty());
+        assert_eq!(p.registered(), 0);
+    }
+
     /// Overlay seam regression: right after an overlay insert publishes,
     /// the federation pools must still be valid (same base catalog Arc —
     /// nothing was dropped) and a distributed reader at the seam already
@@ -2035,8 +2072,8 @@ HAVING MAX(?c2, sie:hasValue) >= 85
         p.query_static("ASK { ?s a sie:Sensor }").unwrap();
         let dash = p.dashboard();
         assert_eq!(dash.static_queries.len(), 2);
-        assert_eq!(dash.static_queries[0].rows, 5);
-        assert!(dash.static_queries[0].sql_disjuncts >= 1);
+        assert_eq!(dash.static_queries[0].stats.rows, 5);
+        assert!(dash.static_queries[0].stats.sql_disjuncts >= 1);
         assert!(dash.render().contains("static SPARQL"));
     }
 

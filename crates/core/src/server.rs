@@ -17,7 +17,7 @@
 //!   (queued + executing) and a token-bucket admission rate.
 //!
 //! Every admission decision and queue transition feeds the platform's
-//! [`MetricsRegistry`](optique_telemetry::MetricsRegistry):
+//! [`MetricsRegistry`]:
 //! `server.admitted` / `server.shed` / `server.completed` counters,
 //! per-tenant `server.tenant.<t>.*` counters, the `server.queue_depth`
 //! gauge, and `server.queue_wait_us` / `server.request_us` histograms.
@@ -573,6 +573,26 @@ mod tests {
         assert_eq!(snap.counter("server.completed"), Some(2));
         assert_eq!(snap.counter("server.tenant.alice.admitted"), Some(2));
         assert_eq!(snap.gauge("server.queue_depth"), Some(0));
+    }
+
+    /// Regression: an over-large `workers` panicked the serving thread
+    /// ("capacity overflow" while sharding) and, with one thread, left the
+    /// server deaf. It is a query error now, and the thread keeps serving.
+    #[test]
+    fn oversized_worker_count_fails_the_request_not_the_serving_thread() {
+        let p = platform();
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::serve(Arc::clone(&p), config);
+        let client = server.client("alice");
+        let err = client.query_distributed(SENSORS, usize::MAX).unwrap_err();
+        assert!(matches!(err, ServerError::Query(_)), "got {err:?}");
+        assert_eq!(
+            client.query(SENSORS).unwrap(),
+            p.query_static(SENSORS).unwrap()
+        );
     }
 
     #[test]

@@ -10,9 +10,9 @@ pub use optique_relational::fragment::shard_of;
 
 /// One simulated worker node: an id plus its private catalog shard.
 ///
-/// Workers are deliberately share-nothing — all inter-worker dataflow goes
-/// through [`crate::exchange`] — so the thread-per-worker execution in
-/// [`Cluster::parallel_query`] faithfully models the paper's distributed
+/// Workers are deliberately share-nothing — answers meet only at the
+/// coordinator's gather — so the thread-per-worker execution in
+/// [`Cluster::parallel_map`] faithfully models the paper's distributed
 /// layout on a single box.
 #[derive(Clone, Debug)]
 pub struct Worker {

@@ -15,13 +15,10 @@
 //!   the one spawn/join site every round runs through,
 //! * [`scheduler`] — LPT placement of a round's fragments,
 //! * [`gateway`] — the round executor: place or scatter, run, gather,
-//! * [`exchange`] — repartition/merge dataflow, the reference the overflow
-//!   and distributed oracles compare against,
 //! * [`plan_cache`] — a wire-keyed prepared-statement cache the benchmark
 //!   still links (no product caller).
 
 pub mod cluster;
-pub mod exchange;
 pub mod gateway;
 pub mod plan_cache;
 pub mod scheduler;

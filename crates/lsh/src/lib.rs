@@ -2,7 +2,7 @@
 //!
 //! The paper: "UDFs allow to express very complex dataflows … For OPTIQUE we
 //! used UDFs to implement … data mining algorithms such as the
-//! Locality-Sensitive Hashing technique [7] for computing the correlation
+//! Locality-Sensitive Hashing technique \[7\] for computing the correlation
 //! between values of multiple streams."
 //!
 //! The scheme is random-hyperplane LSH over z-normalized measurement

@@ -1,6 +1,10 @@
 //! Mapping assertions: one ontological term ← one SQL source.
 
+use std::sync::OnceLock;
+
 use optique_rdf::{Datatype, Iri, Term};
+use optique_relational::parser::Projection;
+use optique_relational::{SelectStatement, SqlError};
 
 use crate::template::IriTemplate;
 
@@ -62,7 +66,9 @@ pub struct MappingAssertion {
     pub id: String,
     /// The populated ontological term.
     pub head: MappingHead,
-    /// The logical source: a SQL query over the underlying database.
+    /// The logical source: a SQL query over the underlying database. Read
+    /// it typed through [`source`](Self::source); do not edit it once that
+    /// has run.
     pub source_sql: String,
     /// Subject term map.
     pub subject: TermMap,
@@ -71,6 +77,9 @@ pub struct MappingAssertion {
     /// Columns forming a unique key of `source_sql`'s output, when known.
     /// Unlocks sound self-join elimination during unfolding.
     pub source_key: Option<Vec<String>>,
+    /// `source_sql`, parsed at most once (or its error). `validate()` fills
+    /// it, so every assertion a catalog holds is already typed.
+    source: OnceLock<Result<SelectStatement, SqlError>>,
 }
 
 impl MappingAssertion {
@@ -88,6 +97,7 @@ impl MappingAssertion {
             subject,
             object: None,
             source_key: None,
+            source: OnceLock::new(),
         }
     }
 
@@ -106,6 +116,7 @@ impl MappingAssertion {
             subject,
             object: Some(object),
             source_key: None,
+            source: OnceLock::new(),
         }
     }
 
@@ -115,17 +126,25 @@ impl MappingAssertion {
         self
     }
 
+    /// The source as a statement — the one parse of `source_sql`, shared by
+    /// validation, unfolding, cardinality estimation and materialization.
+    pub fn source(&self) -> Result<&SelectStatement, String> {
+        self.source
+            .get_or_init(|| optique_relational::parse_select(&self.source_sql))
+            .as_ref()
+            .map_err(|e| format!("mapping {}: source SQL invalid: {e}", self.id))
+    }
+
     /// Validates that the source SQL parses and that term-map columns exist
     /// among its projected names. `None`-aliased expression projections are
     /// skipped (they can't be referenced by term maps anyway).
     pub fn validate(&self) -> Result<(), String> {
-        let stmt = optique_relational::parse_select(&self.source_sql)
-            .map_err(|e| format!("mapping {}: source SQL invalid: {e}", self.id))?;
+        let stmt = self.source()?;
         let mut names: Vec<String> = Vec::new();
         for p in &stmt.projections {
             match p {
-                optique_relational::parser::Projection::Star => return Ok(()), // can't check
-                optique_relational::parser::Projection::Expr { expr, alias } => {
+                Projection::Star => return Ok(()), // can't check
+                Projection::Expr { expr, alias } => {
                     names.push(alias.clone().unwrap_or_else(|| expr.default_name()));
                 }
             }

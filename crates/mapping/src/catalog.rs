@@ -98,7 +98,7 @@ impl MappingCatalog {
     pub fn term_column_usage(&self) -> Vec<(String, String, usize)> {
         let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
         for assertion in &self.assertions {
-            let Ok(statement) = optique_relational::parse_select(&assertion.source_sql) else {
+            let Ok(statement) = assertion.source() else {
                 continue;
             };
             let TableRef::Named { name, .. } = &statement.from else {
@@ -173,15 +173,20 @@ mod tests {
 
     #[test]
     fn invalid_assertion_rejected() {
-        let mut c = MappingCatalog::new();
+        let mut c = catalog();
         let err = c.add(MappingAssertion::class(
             "bad",
             iri("X"),
-            "NOT SQL",
+            "SELECT FROM WHERE",
             TermMap::template("http://x/{id}"),
         ));
-        assert!(err.is_err());
-        assert!(c.is_empty());
+        assert!(err
+            .unwrap_err()
+            .starts_with("mapping bad: source SQL invalid"));
+        // The catalog is as it was: nothing stored, nothing indexed.
+        assert_eq!(c.len(), 3);
+        assert!(c.for_class(&iri("X")).is_empty());
+        assert_eq!(c.mapped_terms().len(), 2);
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! * [`IriTemplate`] — the `f` above: single-variable IRI templates with
 //!   inversion (needed to push constant IRIs down to column predicates),
 //! * [`MappingAssertion`]/[`MappingCatalog`] — the mapping store indexed by
-//!   ontological term,
+//!   ontological term; each source is parsed once, when it is added,
 //! * [`unfold`] — CQ/UCQ → `SELECT … UNION ALL …` over the mapped sources,
-//!   with incompatible-combination pruning and (optional, ablatable)
-//!   self-join elimination,
+//!   with incompatible-combination pruning and self-join elimination,
 //! * [`virtualize`] — materializes the virtual RDF graph a catalog defines
 //!   over a database; the unfolding test oracle and the STATIC DATA path.
 

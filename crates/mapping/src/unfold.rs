@@ -20,11 +20,9 @@ use crate::assertion::{MappingAssertion, MappingHead, TermMap};
 use crate::catalog::MappingCatalog;
 use crate::virtualize::literal_to_value;
 
-/// Unfolder knobs.
+/// Unfolder limits.
 #[derive(Clone, Copy, Debug)]
 pub struct UnfoldSettings {
-    /// Merge same-source aliases joined on a declared unique key.
-    pub eliminate_self_joins: bool,
     /// Upper bound on mapping combinations per CQ.
     pub max_combinations: usize,
 }
@@ -32,7 +30,6 @@ pub struct UnfoldSettings {
 impl Default for UnfoldSettings {
     fn default() -> Self {
         UnfoldSettings {
-            eliminate_self_joins: true,
             max_combinations: 100_000,
         }
     }
@@ -135,7 +132,7 @@ pub fn unfold_cq(
             .enumerate()
             .map(|(i, &j)| candidates[i][j])
             .collect();
-        match build_candidate(cq, &picks, settings, &mut stats)? {
+        match build_candidate(cq, &picks, &mut stats)? {
             Some(stmt) => {
                 statements.push(stmt);
                 stats.emitted += 1;
@@ -163,7 +160,6 @@ pub fn unfold_cq(
 fn build_candidate(
     cq: &ConjunctiveQuery,
     picks: &[&MappingAssertion],
-    settings: &UnfoldSettings,
     stats: &mut UnfoldStats,
 ) -> Result<Option<SelectStatement>, String> {
     // Gather positions: query term → (alias, term map) occurrences.
@@ -222,20 +218,10 @@ fn build_candidate(
         }
     }
 
-    // Alias → source SQL (may shrink under self-join elimination).
-    let mut alias_source: Vec<Option<&str>> =
-        picks.iter().map(|m| Some(m.source_sql.as_str())).collect();
+    // Alias → the alias that reads its source: itself while live, the
+    // survivor once self-join elimination merged it away.
     let mut alias_rewrite: Vec<usize> = (0..picks.len()).collect();
-
-    if settings.eliminate_self_joins {
-        eliminate_self_joins(
-            picks,
-            &mut alias_source,
-            &mut alias_rewrite,
-            &mut conds,
-            stats,
-        );
-    }
+    eliminate_self_joins(picks, &mut alias_rewrite, &mut conds, stats);
 
     // Canonicalize conditions through alias rewrites and drop tautologies.
     let rewrite = |a: usize| -> usize {
@@ -291,17 +277,14 @@ fn build_candidate(
 
     // FROM / JOIN over live aliases.
     let live: Vec<usize> = (0..picks.len())
-        .filter(|&i| alias_source[i].is_some())
+        .filter(|&i| alias_rewrite[i] == i)
         .collect();
     let mut table_refs: Vec<(usize, TableRef)> = Vec::with_capacity(live.len());
     for &i in &live {
-        let sql = alias_source[i].expect("live alias has a source");
-        let query = optique_relational::parse_select(sql)
-            .map_err(|e| format!("mapping source SQL failed to parse: {e}"))?;
         table_refs.push((
             i,
             TableRef::Subquery {
-                query: Box::new(query),
+                query: Box::new(picks[i].source()?.clone()),
                 alias: alias_name(i),
             },
         ));
@@ -456,14 +439,13 @@ fn join_condition(a: &Position, b: &Position) -> JoinOutcome {
 /// equate a declared unique key of that source column-by-column.
 fn eliminate_self_joins(
     picks: &[&MappingAssertion],
-    alias_source: &mut [Option<&str>],
     alias_rewrite: &mut [usize],
     conds: &mut [Cond],
     stats: &mut UnfoldStats,
 ) {
     for i in 0..picks.len() {
         for j in (i + 1)..picks.len() {
-            if alias_source[j].is_none() || alias_source[i].is_none() {
+            if alias_rewrite[j] != j || alias_rewrite[i] != i {
                 continue;
             }
             if picks[i].source_sql != picks[j].source_sql {
@@ -487,7 +469,6 @@ fn eliminate_self_joins(
             });
             if all_keyed {
                 alias_rewrite[j] = i;
-                alias_source[j] = None;
                 stats.self_joins_eliminated += 1;
             }
         }
@@ -731,18 +712,50 @@ mod tests {
                 Atom::property(iri("attachedTo"), var("s"), var("t")),
             ],
         );
-        let with = run_unfolded(&cq, &UnfoldSettings::default());
-        let without = run_unfolded(
-            &cq,
-            &UnfoldSettings {
-                eliminate_self_joins: false,
-                ..Default::default()
-            },
-        );
-        assert_eq!(with.1.self_joins_eliminated, 1);
-        assert_eq!(without.1.self_joins_eliminated, 0);
-        // Same answers either way.
-        assert_eq!(with.0.unwrap().rows.len(), without.0.unwrap().rows.len());
+        let (stmt, stats) = unfold_cq(&cq, &catalog(), &UnfoldSettings::default()).unwrap();
+        let stmt = stmt.unwrap();
+        assert_eq!(stats.self_joins_eliminated, 1);
+        assert!(stmt.joins.is_empty(), "the duplicate alias is gone: {stmt}");
+        // Same answers as the atom asked once.
+        let table = optique_relational::exec::query(&stmt.to_string(), &db()).unwrap();
+        assert_eq!(table.len(), 3);
+    }
+
+    /// Every emitted disjunct reads its pick's source as the statement
+    /// `add` parsed — no text in between.
+    #[test]
+    fn disjuncts_carry_the_typed_source_of_their_pick() {
+        let mut cat = MappingCatalog::new();
+        for i in 0..100 {
+            cat.add(MappingAssertion::property(
+                format!("m{i}"),
+                iri("hasValue"),
+                format!("SELECT sid, val FROM msmt_{i} WHERE val > {i}"),
+                TermMap::template("http://x/sensor/{sid}"),
+                TermMap::column("val", Datatype::Integer),
+            ))
+            .unwrap();
+        }
+        let ucq = UnionQuery {
+            disjuncts: vec![ConjunctiveQuery::new(
+                vec!["s".into(), "v".into()],
+                vec![Atom::property(iri("hasValue"), var("s"), var("v"))],
+            )],
+        };
+        let (stmt, stats) = unfold_ucq(&ucq, &cat, &UnfoldSettings::default()).unwrap();
+        assert_eq!(stats.emitted, 100);
+        // One atom: the odometer emits disjuncts in catalog order.
+        let mut disjunct = stmt.as_ref();
+        for assertion in cat.assertions() {
+            let d = disjunct.expect("one disjunct per mapping");
+            let TableRef::Subquery { query, .. } = &d.from else {
+                panic!("disjunct reads {:?}, not a subquery", d.from);
+            };
+            let parsed = optique_relational::parse_select(&assertion.source_sql).unwrap();
+            assert_eq!(**query, parsed);
+            disjunct = d.union_all.as_deref();
+        }
+        assert!(disjunct.is_none());
     }
 
     /// Regression: one atom with several mappings must produce one UNION

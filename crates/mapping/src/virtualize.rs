@@ -66,7 +66,7 @@ pub fn materialize_assertion(
     assertion: &MappingAssertion,
     db: &Database,
 ) -> Result<Vec<Triple>, String> {
-    let table = optique_relational::exec::query(&assertion.source_sql, db)
+    let table = optique_relational::execute_prepared(assertion.source()?, db)
         .map_err(|e| format!("mapping {}: {e}", assertion.id))?;
     let mut out = Vec::with_capacity(table.len());
     for row in &table.rows {

@@ -13,7 +13,7 @@
 //! reserved (it encodes NULL in columnar batches); real ids start at 1.
 //!
 //! Snapshots ([`DictSnapshot`]) pin the dictionary alongside a
-//! [`PlatformSnapshot`]-style catalog view: the pinned length records how
+//! `PlatformSnapshot`-style catalog view: the pinned length records how
 //! many terms existed at capture, and since entries never mutate, every
 //! id at or below that watermark resolves identically for as long as the
 //! snapshot is held — queries that intern *new* terms mid-flight (minted
@@ -121,6 +121,9 @@ struct DictInner {
     ids: HashMap<Arc<str>, u64>,
     /// `terms[i]` is the text of id `i + 1` (id 0 is reserved).
     terms: Vec<Arc<str>>,
+    /// Summed text bytes of `terms` — nothing is ever removed, so this
+    /// only grows.
+    bytes: u64,
 }
 
 static GLOBAL: LazyLock<TermDict> = LazyLock::new(TermDict::default);
@@ -158,6 +161,7 @@ impl TermDict {
             };
         }
         let text: Arc<str> = Arc::from(s);
+        inner.bytes += s.len() as u64;
         inner.terms.push(Arc::clone(&text));
         let id = inner.terms.len() as u64;
         inner.ids.insert(Arc::clone(&text), id);
@@ -185,6 +189,12 @@ impl TermDict {
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Text bytes held by the interned terms (map and `Arc` overhead not
+    /// counted).
+    pub fn bytes(&self) -> u64 {
+        self.inner.read().expect("dict poisoned").bytes
     }
 
     /// Pins the current extent of the dictionary for a consistent reader

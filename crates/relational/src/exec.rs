@@ -14,7 +14,6 @@ use crate::expr::Expr;
 use crate::functions::AggState;
 use crate::parser::JoinType;
 use crate::plan::LogicalPlan;
-use crate::schema::{Column, ColumnType, Schema};
 use crate::table::{Database, Table};
 use crate::value::Value;
 
@@ -323,18 +322,10 @@ fn key_columns<'a>(
         .collect()
 }
 
-/// Builds a one-column table — handy in tests and benches.
-pub fn column_table(name: &str, column: &str, ty: ColumnType, values: Vec<Value>) -> Table {
-    let schema = Schema::qualified(name, vec![Column::new(column, ty)]);
-    Table {
-        schema,
-        rows: values.into_iter().map(|v| vec![v]).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::ColumnType;
     use crate::table::table_of;
 
     fn db() -> Database {
@@ -546,12 +537,11 @@ mod tests {
             "constant_table",
             std::sync::Arc::new(|args, _db| {
                 let n = args[0].as_i64().unwrap_or(0);
-                Ok(column_table(
+                table_of(
                     "c",
-                    "x",
-                    ColumnType::Int,
-                    (0..n).map(Value::Int).collect(),
-                ))
+                    &[("x", ColumnType::Int)],
+                    (0..n).map(|i| vec![Value::Int(i)]).collect(),
+                )
             }),
         );
         let t = query("SELECT x FROM constant_table(4) AS c WHERE x > 0", &db).unwrap();

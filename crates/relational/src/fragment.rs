@@ -343,7 +343,7 @@ impl PlanFragment {
     }
 
     /// A one-line human summary for trace spans and plan displays: the
-    /// first [`SQL_PREVIEW`] bytes of the SQL (whitespace-collapsed, cut on
+    /// first `SQL_PREVIEW` bytes of the SQL (whitespace-collapsed, cut on
     /// a character boundary) plus markers for the window slice, semi-join
     /// restrictions and partition metadata it carries.
     pub fn describe(&self) -> String {

@@ -8,7 +8,7 @@
 //! * [`Value`]/[`ColumnType`] — the dynamic value model with SQL NULL
 //!   semantics,
 //! * [`Schema`]/[`Table`]/[`Database`] — catalogs of named, typed,
-//!   row-oriented tables plus secondary [`index`]es (hash and B-tree),
+//!   row-oriented tables,
 //! * [`parse_select`] — a lexer + recursive-descent parser for the SQL
 //!   subset that STARQL unfolding emits (SELECT / JOIN / WHERE / GROUP BY /
 //!   HAVING / ORDER BY / LIMIT / UNION ALL / subqueries / table-valued
@@ -32,7 +32,6 @@ pub mod exec;
 pub mod expr;
 pub mod fragment;
 pub mod functions;
-pub mod index;
 pub mod lexer;
 pub mod novelty;
 pub mod optimizer;

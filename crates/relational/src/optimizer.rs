@@ -22,46 +22,12 @@ use crate::parser::JoinType;
 use crate::plan::{split_conjuncts, LogicalPlan};
 use crate::schema::Schema;
 
-/// Optimizer toggles, for the ablation benches.
-#[derive(Clone, Copy, Debug)]
-pub struct OptimizerSettings {
-    /// Enable predicate pushdown.
-    pub pushdown: bool,
-    /// Enable constant folding.
-    pub fold_constants: bool,
-    /// Enable scan projection pruning.
-    pub prune_projections: bool,
-}
-
-impl Default for OptimizerSettings {
-    fn default() -> Self {
-        OptimizerSettings {
-            pushdown: true,
-            fold_constants: true,
-            prune_projections: true,
-        }
-    }
-}
-
 /// Optimizes a bound logical plan.
 pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
-    optimize_with(plan, &OptimizerSettings::default())
-}
-
-/// Optimizes with explicit settings.
-pub fn optimize_with(plan: LogicalPlan, settings: &OptimizerSettings) -> LogicalPlan {
-    let mut plan = plan;
-    if settings.fold_constants {
-        plan = map_exprs(plan, &fold_expr);
-    }
-    plan = flatten_unions(plan);
-    if settings.pushdown {
-        plan = push_filters(plan);
-    }
-    if settings.prune_projections {
-        plan = prune_scans(plan);
-    }
-    plan
+    let plan = map_exprs(plan, &fold_expr);
+    let plan = flatten_unions(plan);
+    let plan = push_filters(plan);
+    prune_scans(plan)
 }
 
 /// Applies `f` to every expression in the plan.

@@ -328,7 +328,7 @@ struct GridState {
 }
 
 /// One worker's shard-local pane store. Keyed by pane grid
-/// ([`PaneProbe::grid_key`]): every window probing the same stream with the
+/// (`PaneProbe::grid_key`): every window probing the same stream with the
 /// same width and origin shares one set of panes.
 #[derive(Default)]
 pub struct PaneStore {

@@ -189,7 +189,7 @@ const MAX_KEY_SKEW: f64 = 0.5;
 /// route through most, provided hashing it spreads rows. Tables below
 /// `min_rows` are skipped entirely (sharding a tiny table buys nothing and
 /// costs every scan a scatter), as are columns with fewer than two distinct
-/// values or past [`MAX_KEY_SKEW`]. Returns `(table, key_column)` pairs
+/// values or past `MAX_KEY_SKEW`. Returns `(table, key_column)` pairs
 /// sorted by table name — the exact shape
 /// `Federation::partitioned`-style constructors take.
 pub fn advise_partition_keys(

@@ -4,7 +4,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::SqlError;
-use crate::index::{BTreeIndex, HashIndex};
 use crate::novelty::{NoveltyOverlay, NoveltyScope};
 use crate::schema::{Column, ColumnType, Schema};
 use crate::value::Value;
@@ -97,12 +96,10 @@ impl Table {
 /// way, exactly as the paper describes ExaStream's UDF mechanism.
 pub type TableFunction = Arc<dyn Fn(&[Value], &Database) -> Result<Table, SqlError> + Send + Sync>;
 
-/// The catalog: named tables, secondary indexes, and registered UDFs.
+/// The catalog: named tables and registered UDFs.
 #[derive(Clone, Default)]
 pub struct Database {
     tables: HashMap<String, Arc<Table>>,
-    hash_indexes: HashMap<(String, String), Arc<HashIndex>>,
-    btree_indexes: HashMap<(String, String), Arc<BTreeIndex>>,
     table_functions: HashMap<String, TableFunction>,
     /// Rows appended since the last merge; scans union these with the
     /// base rows of the scanned table ([`Self::novelty_rows`]).
@@ -118,13 +115,9 @@ impl Database {
         Database::default()
     }
 
-    /// Registers (or replaces) a table under `name`. Existing indexes on the
-    /// old table are dropped — they describe stale data.
+    /// Registers (or replaces) a table under `name`.
     pub fn put_table(&mut self, name: impl Into<String>, table: Table) {
-        let name = name.into();
-        self.hash_indexes.retain(|(t, _), _| t != &name);
-        self.btree_indexes.retain(|(t, _), _| t != &name);
-        self.tables.insert(name, Arc::new(table));
+        self.tables.insert(name.into(), Arc::new(table));
     }
 
     /// Fetches a table.
@@ -144,44 +137,6 @@ impl Database {
         let mut names: Vec<&str> = self.tables.keys().map(String::as_str).collect();
         names.sort_unstable();
         names
-    }
-
-    /// Builds (or rebuilds) a hash index on `table.column`.
-    pub fn create_hash_index(&mut self, table: &str, column: &str) -> Result<(), SqlError> {
-        let t = self.table(table)?.clone();
-        let col = t
-            .schema
-            .index_of(column)
-            .ok_or_else(|| SqlError::Binding(format!("unknown column {column} on {table}")))?;
-        let index = HashIndex::build(&t.rows, col);
-        self.hash_indexes
-            .insert((table.to_string(), column.to_string()), Arc::new(index));
-        Ok(())
-    }
-
-    /// Builds (or rebuilds) a B-tree index on `table.column`.
-    pub fn create_btree_index(&mut self, table: &str, column: &str) -> Result<(), SqlError> {
-        let t = self.table(table)?.clone();
-        let col = t
-            .schema
-            .index_of(column)
-            .ok_or_else(|| SqlError::Binding(format!("unknown column {column} on {table}")))?;
-        let index = BTreeIndex::build(&t.rows, col);
-        self.btree_indexes
-            .insert((table.to_string(), column.to_string()), Arc::new(index));
-        Ok(())
-    }
-
-    /// Hash index lookup, if one exists for `table.column`.
-    pub fn hash_index(&self, table: &str, column: &str) -> Option<&Arc<HashIndex>> {
-        self.hash_indexes
-            .get(&(table.to_string(), column.to_string()))
-    }
-
-    /// B-tree index lookup, if one exists for `table.column`.
-    pub fn btree_index(&self, table: &str, column: &str) -> Option<&Arc<BTreeIndex>> {
-        self.btree_indexes
-            .get(&(table.to_string(), column.to_string()))
     }
 
     /// Registers a table-valued function under `name` (case-insensitive).
@@ -247,10 +202,8 @@ impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "Database({} tables, {} hash idx, {} btree idx, {} table fns, novelty@{})",
+            "Database({} tables, {} table fns, novelty@{})",
             self.tables.len(),
-            self.hash_indexes.len(),
-            self.btree_indexes.len(),
             self.table_functions.len(),
             self.novelty_epoch()
         )
@@ -312,24 +265,6 @@ mod tests {
             db.table("missing"),
             Err(SqlError::UnknownTable(_))
         ));
-    }
-
-    #[test]
-    fn index_creation_and_invalidation() {
-        let mut db = Database::new();
-        db.put_table("sensor", sensors());
-        db.create_hash_index("sensor", "id").unwrap();
-        assert!(db.hash_index("sensor", "id").is_some());
-        // Replacing the table drops the stale index.
-        db.put_table("sensor", sensors());
-        assert!(db.hash_index("sensor", "id").is_none());
-    }
-
-    #[test]
-    fn index_on_unknown_column_fails() {
-        let mut db = Database::new();
-        db.put_table("sensor", sensors());
-        assert!(db.create_btree_index("sensor", "nope").is_err());
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Property tests: value-order laws, index/scan agreement, and
-//! optimizer-equivalence on generated queries.
+//! Property tests: value-order laws and optimizer-equivalence on
+//! generated queries.
 
-use optique_relational::index::{BTreeIndex, HashIndex};
 use optique_relational::{table::table_of, ColumnType, Database, Value};
 use proptest::prelude::*;
 
@@ -38,53 +37,6 @@ proptest! {
             b.hash(&mut hb);
             prop_assert_eq!(ha.finish(), hb.finish());
         }
-    }
-
-    /// Hash and B-tree indexes answer point lookups exactly like a scan.
-    #[test]
-    fn index_lookup_agrees_with_scan(
-        keys in proptest::collection::vec(prop_oneof![Just(Value::Null), (0i64..40).prop_map(Value::Int)], 1..80),
-        probe in 0i64..40,
-    ) {
-        let rows: Vec<Vec<Value>> = keys.iter().map(|k| vec![k.clone()]).collect();
-        let hash = HashIndex::build(&rows, 0);
-        let btree = BTreeIndex::build(&rows, 0);
-        let probe = Value::Int(probe);
-        let mut expected: Vec<usize> = rows
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r[0].sql_eq(&probe) == Some(true))
-            .map(|(i, _)| i)
-            .collect();
-        let mut h = hash.lookup(&probe).to_vec();
-        let mut b = btree.lookup(&probe).to_vec();
-        expected.sort_unstable();
-        h.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(&h, &expected);
-        prop_assert_eq!(&b, &expected);
-    }
-
-    /// B-tree range scans agree with filtering.
-    #[test]
-    fn btree_range_agrees_with_filter(
-        keys in proptest::collection::vec(0i64..100, 1..60),
-        lo in 0i64..100,
-        width in 0i64..40,
-    ) {
-        let rows: Vec<Vec<Value>> = keys.iter().map(|&k| vec![Value::Int(k)]).collect();
-        let idx = BTreeIndex::build(&rows, 0);
-        let hi = lo + width;
-        let mut got = idx.range(Some(&Value::Int(lo)), Some(&Value::Int(hi)));
-        let mut expected: Vec<usize> = keys
-            .iter()
-            .enumerate()
-            .filter(|(_, &k)| k >= lo && k <= hi)
-            .map(|(i, _)| i)
-            .collect();
-        got.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
     }
 
     /// The optimizer never changes answers: random filters over a table run

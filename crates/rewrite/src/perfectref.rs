@@ -21,12 +21,9 @@ use optique_ontology::{BasicConcept, Ontology, Role};
 
 use crate::query::{Atom, ConjunctiveQuery, QueryTerm, UnionQuery};
 
-/// Rewriter knobs; the defaults match the paper's configuration.
+/// Rewriter limits.
 #[derive(Clone, Copy, Debug)]
 pub struct RewriteSettings {
-    /// Apply subsumption-based redundancy elimination to the output UCQ.
-    /// Disabling it is the ablation in the `enrichment_scaling` bench.
-    pub eliminate_subsumed: bool,
     /// Safety valve on the number of produced disjuncts. The theoretical
     /// bound is polynomial in the TBox for a fixed query, but adversarial
     /// inputs in tests deserve a crisp error instead of an OOM.
@@ -36,7 +33,6 @@ pub struct RewriteSettings {
 impl Default for RewriteSettings {
     fn default() -> Self {
         RewriteSettings {
-            eliminate_subsumed: true,
             max_disjuncts: 100_000,
         }
     }
@@ -130,11 +126,7 @@ pub fn rewrite(
     }
 
     let generated = output.len();
-    let retained_queries = if settings.eliminate_subsumed {
-        eliminate_subsumed(output)
-    } else {
-        output
-    };
+    let retained_queries = eliminate_subsumed(output);
     let stats = RewriteStats {
         generated,
         retained: retained_queries.len(),
@@ -577,18 +569,10 @@ mod tests {
                 Atom::class(iri("B"), QueryTerm::var("x")),
             ],
         );
-        let (with, _) = rewrite(&q, &o, &settings()).unwrap();
-        let (without, _) = rewrite(
-            &q,
-            &o,
-            &RewriteSettings {
-                eliminate_subsumed: false,
-                ..settings()
-            },
-        )
-        .unwrap();
-        assert!(with.len() < without.len());
-        assert!(with.disjuncts.iter().any(|cq| cq.atoms.len() == 1));
+        let (ucq, stats) = rewrite(&q, &o, &settings()).unwrap();
+        assert!(stats.retained < stats.generated);
+        assert_eq!(ucq.len(), stats.retained);
+        assert!(ucq.disjuncts.iter().any(|cq| cq.atoms.len() == 1));
     }
 
     #[test]
@@ -626,15 +610,7 @@ mod tests {
             vec!["x".into()],
             vec![Atom::class(iri("A"), QueryTerm::var("x"))],
         );
-        let err = rewrite(
-            &q,
-            &o,
-            &RewriteSettings {
-                max_disjuncts: 10,
-                ..settings()
-            },
-        )
-        .unwrap_err();
+        let err = rewrite(&q, &o, &RewriteSettings { max_disjuncts: 10 }).unwrap_err();
         assert_eq!(err, RewriteError::TooManyDisjuncts(10));
     }
 

@@ -189,22 +189,21 @@ const JOIN_DAMPING: f64 = 10.0;
 /// PerfectRef) and a [`StatsCatalog`] snapshot of the sources.
 ///
 /// Construct one per query and reuse it: atom estimates (taxonomy-closure
-/// walks) and source-SQL parses are memoized per model, so repeated
-/// estimation of the same BGP — ordering in one batch, counter accounting
-/// in another — costs one parse per distinct mapping source.
+/// walks) are memoized per model, so repeated estimation of the same BGP —
+/// ordering in one batch, counter accounting in another — walks each
+/// closure once. Mapping sources are read as the statements the catalog
+/// parsed at load.
 pub struct CardinalityModel<'a> {
     ontology: &'a Ontology,
     mappings: &'a MappingCatalog,
     stats: Option<&'a StatsCatalog>,
-    /// `source_sql → (base table, discounted rows)` memo.
-    sources: RefCell<HashMap<String, (Option<String>, f64)>>,
     /// Per-atom estimate memo (taxonomy closures are the expensive part).
     atoms: RefCell<HashMap<Atom, f64>>,
 }
 
 impl<'a> CardinalityModel<'a> {
     /// A model over the deployment's assets; `stats` of `None` falls back
-    /// to [`DEFAULT_ROWS`] everywhere (ordering degenerates to mapping
+    /// to `DEFAULT_ROWS` everywhere (ordering degenerates to mapping
     /// fan-out counts).
     pub fn new(
         ontology: &'a Ontology,
@@ -215,7 +214,6 @@ impl<'a> CardinalityModel<'a> {
             ontology,
             mappings,
             stats,
-            sources: RefCell::new(HashMap::new()),
             atoms: RefCell::new(HashMap::new()),
         }
     }
@@ -303,38 +301,25 @@ impl<'a> CardinalityModel<'a> {
     /// Rows one assertion's source contributes, after constant-position
     /// selectivities.
     fn assertion_rows(&self, assertion: &MappingAssertion, terms: &[&QueryTerm]) -> f64 {
-        let (base_table, mut rows) = self.source_rows(&assertion.source_sql);
+        let (base_table, mut rows) = self.source_rows(assertion);
         let maps = [Some(&assertion.subject), assertion.object.as_ref()];
         for (term, map) in terms.iter().zip(maps) {
             if matches!(term, QueryTerm::Const(_)) {
-                rows *= self.eq_selectivity(base_table.as_deref(), map);
+                rows *= self.eq_selectivity(base_table, map);
             }
         }
         rows
     }
 
-    /// `(base table, estimated rows)` of a mapping's source SQL: the FROM
+    /// `(base table, estimated rows)` of a mapping's source: the FROM
     /// table's statistics row count, discounted per WHERE conjunct.
-    /// Memoized per source text (mapping SQL is immutable for a model's
-    /// lifetime).
-    fn source_rows(&self, source_sql: &str) -> (Option<String>, f64) {
-        if let Some(cached) = self.sources.borrow().get(source_sql) {
-            return cached.clone();
-        }
-        let computed = self.source_rows_uncached(source_sql);
-        self.sources
-            .borrow_mut()
-            .insert(source_sql.to_string(), computed.clone());
-        computed
-    }
-
-    fn source_rows_uncached(&self, source_sql: &str) -> (Option<String>, f64) {
-        let Ok(statement) = optique_relational::parse_select(source_sql) else {
+    fn source_rows<'m>(&self, assertion: &'m MappingAssertion) -> (Option<&'m str>, f64) {
+        let Ok(statement) = assertion.source() else {
             return (None, DEFAULT_ROWS);
         };
         let (table, mut rows) = match &statement.from {
             TableRef::Named { name, .. } => (
-                Some(name.clone()),
+                Some(name.as_str()),
                 self.stats
                     .and_then(|s| s.row_count(name))
                     .map_or(DEFAULT_ROWS, |n| n as f64),

@@ -89,7 +89,7 @@ pub struct PulseClause {
 
 /// Window sequencing strategies. The paper's demo uses the *standard
 /// sequence* (one state per distinct timestamp); the enum leaves room for
-/// the sensitivity variants of [12].
+/// the sensitivity variants of \[12\].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SequenceMethod {
     /// One state per distinct timestamp, states ordered by time.

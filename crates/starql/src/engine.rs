@@ -38,7 +38,7 @@ use optique_telemetry::SpanRecord;
 
 use crate::ast::OutputMode;
 use crate::having::{AggContext, Env, HavingFormula};
-use crate::sequence::{build_stdseq, IcPolicy, StreamToRdf};
+use crate::sequence::{build_stdseq, StreamToRdf};
 use crate::translate::TranslatedQuery;
 
 /// Per-variable cap on stream-key restriction values: binding sets past
@@ -52,11 +52,6 @@ pub struct ContinuousQuery {
     pub translated: TranslatedQuery,
     /// The stream-side mapping (tuple → state triples).
     pub stream_to_rdf: StreamToRdf,
-    /// Integrity-constraint handling for sequence states.
-    pub ic_policy: IcPolicy,
-    /// Saturate each state graph with the TBox before HAVING evaluation
-    /// (stream-side enrichment).
-    pub enrich_states: bool,
     bindings: Vec<HashMap<String, Term>>,
     window: WindowSpec,
     window_start: i64,
@@ -135,41 +130,9 @@ pub struct TickOutput {
 }
 
 impl ContinuousQuery {
-    /// Registers the query against a database: runs the unfolded static SQL
-    /// once to obtain the WHERE bindings (the demo's static data is
-    /// time-invariant; re-registration refreshes bindings).
-    pub fn register(
-        translated: TranslatedQuery,
-        stream_to_rdf: StreamToRdf,
-        db: &Database,
-    ) -> Result<Self, String> {
-        let mut bindings = Vec::new();
-        if let Some(sql) = &translated.static_sql {
-            let table = optique_relational::exec::query(&sql.to_string(), db)
-                .map_err(|e| format!("static bindings query failed: {e}"))?;
-            let names: Vec<String> = table.schema.header();
-            // Certain answers are a set: the enriched UCQ's disjuncts often
-            // overlap (a subclass disjunct returns a subset of the general
-            // one), so deduplicate across the UNION ALL.
-            let mut seen = std::collections::BTreeSet::new();
-            for row in &table.rows {
-                if !seen.insert(row.clone()) {
-                    continue;
-                }
-                let mut env = HashMap::with_capacity(names.len());
-                for (name, value) in names.iter().zip(row) {
-                    env.insert(name.clone(), value_to_term(value));
-                }
-                bindings.push(env);
-            }
-        }
-        Self::register_with_bindings(translated, stream_to_rdf, db, bindings)
-    }
-
-    /// Registers the query with externally-computed WHERE bindings — the
-    /// platform's entry point, which answers the static side through the
-    /// full OBDA pipeline (per-BGP cache, planner, federated fragments)
-    /// instead of the raw unfolded SQL.
+    /// Registers the query with its WHERE bindings, which the platform
+    /// answers through the full OBDA pipeline (per-BGP cache, planner,
+    /// federated fragments).
     pub fn register_with_bindings(
         translated: TranslatedQuery,
         stream_to_rdf: StreamToRdf,
@@ -192,8 +155,6 @@ impl ContinuousQuery {
         Ok(ContinuousQuery {
             translated,
             stream_to_rdf,
-            ic_policy: IcPolicy::DropViolating,
-            enrich_states: true,
             bindings,
             window,
             window_start,
@@ -420,14 +381,11 @@ impl ContinuousQuery {
             &schema,
             &self.stream_to_rdf,
             Some(&self.translated.ontology),
-            self.ic_policy,
-        )
-        .map_err(|e| e.to_string())?;
-
-        if self.enrich_states {
-            for state in &mut seq.states {
-                materialize(&mut state.graph, &self.translated.ontology, 0);
-            }
+        );
+        // Stream-side enrichment: saturate each state with the TBox before
+        // HAVING evaluation.
+        for state in &mut seq.states {
+            materialize(&mut state.graph, &self.translated.ontology, 0);
         }
 
         // Aggregate atoms evaluate against per-subject accumulators over the
@@ -698,8 +656,8 @@ impl ContinuousQuery {
 ///   (subject IRIs the template cannot mint match no state triple and are
 ///   skipped; non-IRI subjects disable the restriction — enrichment can
 ///   in principle derive literal-subject assertions from foreign rows),
-/// * the TBox carries no integrity constraints (a foreign row can flip a
-///   whole state's `IcPolicy` verdict), and
+/// * the TBox carries no integrity constraints (a foreign row can get a
+///   whole state dropped), and
 /// * the key set stays within [`MAX_STREAM_KEYS`].
 fn admissible_stream_keys(
     translated: &TranslatedQuery,
@@ -897,19 +855,6 @@ fn invert_stream_key(iri: &str, prefix: &str, suffix: &str, key_type: ColumnType
     }
 }
 
-/// Static-binding SQL values come back as rendered IRIs or plain literals.
-fn value_to_term(value: &Value) -> Term {
-    match value {
-        Value::Text(s) if s.contains("://") => Term::iri(s.as_ref()),
-        Value::Int(i) => Term::Literal(optique_rdf::Literal::integer(*i)),
-        Value::Float(f) => Term::Literal(optique_rdf::Literal::double(*f)),
-        Value::Bool(b) => Term::Literal(optique_rdf::Literal::boolean(*b)),
-        Value::Timestamp(t) => Term::Literal(optique_rdf::Literal::datetime_millis(*t)),
-        Value::Text(s) => Term::Literal(optique_rdf::Literal::string(s.as_ref())),
-        Value::Null => Term::Literal(optique_rdf::Literal::string("")),
-    }
-}
-
 fn instantiate_construct(
     template: &[Atom],
     binding: &HashMap<String, Term>,
@@ -956,6 +901,51 @@ mod tests {
     use optique_relational::{table::table_of, ColumnType};
 
     const SIE: &str = "http://siemens.example/ontology#";
+
+    impl ContinuousQuery {
+        /// Test-side registration: WHERE bindings from the raw unfolded
+        /// static SQL (the platform computes them through its pipeline).
+        fn register(
+            translated: TranslatedQuery,
+            stream_to_rdf: StreamToRdf,
+            db: &Database,
+        ) -> Result<Self, String> {
+            let mut bindings = Vec::new();
+            if let Some(sql) = &translated.static_sql {
+                let table = optique_relational::exec::query(&sql.to_string(), db)
+                    .map_err(|e| format!("static bindings query failed: {e}"))?;
+                let names: Vec<String> = table.schema.header();
+                // Certain answers are a set: the enriched UCQ's disjuncts
+                // often overlap (a subclass disjunct returns a subset of the
+                // general one), so deduplicate across the UNION ALL.
+                let mut seen = std::collections::BTreeSet::new();
+                for row in &table.rows {
+                    if !seen.insert(row.clone()) {
+                        continue;
+                    }
+                    let mut env = HashMap::with_capacity(names.len());
+                    for (name, value) in names.iter().zip(row) {
+                        env.insert(name.clone(), value_to_term(value));
+                    }
+                    bindings.push(env);
+                }
+            }
+            Self::register_with_bindings(translated, stream_to_rdf, db, bindings)
+        }
+    }
+
+    /// Static-binding SQL values come back as rendered IRIs or plain literals.
+    fn value_to_term(value: &Value) -> Term {
+        match value {
+            Value::Text(s) if s.contains("://") => Term::iri(s.as_ref()),
+            Value::Int(i) => Term::Literal(optique_rdf::Literal::integer(*i)),
+            Value::Float(f) => Term::Literal(optique_rdf::Literal::double(*f)),
+            Value::Bool(b) => Term::Literal(optique_rdf::Literal::boolean(*b)),
+            Value::Timestamp(t) => Term::Literal(optique_rdf::Literal::datetime_millis(*t)),
+            Value::Text(s) => Term::Literal(optique_rdf::Literal::string(s.as_ref())),
+            Value::Null => Term::Literal(optique_rdf::Literal::string("")),
+        }
+    }
 
     fn iri(s: &str) -> Iri {
         Iri::new(format!("{SIE}{s}"))

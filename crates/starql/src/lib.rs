@@ -25,11 +25,11 @@
 //! * [`ast`]/[`lexer`]/[`parser`] — the surface language,
 //! * [`duration`] — `xsd:duration` and wall-clock literals in milliseconds,
 //! * [`sequence`] — the `StdSeq` sequencing semantics: window contents
-//!   become a sequence of per-timestamp RDF states, checked against
-//!   functionality integrity constraints,
+//!   become a sequence of per-timestamp RDF states; a state violating a
+//!   functionality integrity constraint is dropped,
 //! * [`having`] — the HAVING condition language (state quantifiers, graph
 //!   patterns at states, value comparisons) and its evaluator,
-//! * [`translate`] — **enrichment** (PerfectRef over the WHERE clause) and
+//! * [`mod@translate`] — **enrichment** (PerfectRef over the WHERE clause) and
 //!   **unfolding** (mapping expansion into SQL(+)), producing the low-level
 //!   query fleet the paper counts,
 //! * [`engine`] — the continuous evaluation loop: pulse ticks, shared
@@ -48,5 +48,5 @@ pub use ast::StarQlQuery;
 pub use engine::{ContinuousQuery, TickOutput};
 pub use having::HavingFormula;
 pub use parser::{parse_starql, FIGURE1};
-pub use sequence::{IcPolicy, StreamToRdf};
+pub use sequence::StreamToRdf;
 pub use translate::{translate, TranslatedQuery, TranslationContext};

@@ -1,18 +1,19 @@
 //! `StdSeq` sequencing semantics: window contents → a sequence of RDF
 //! states.
 //!
-//! STARQL "extends snapshot semantics for window operators [1] with
+//! STARQL "extends snapshot semantics for window operators \[1\] with
 //! sequencing semantics that can handle integrity constraints such as
 //! functionality assertions". `StdSeq` (the *standard sequence*) groups the
 //! window's tuples by timestamp; each group becomes one **state** — a small
 //! RDF graph produced by the stream-to-RDF mapping — and states are ordered
 //! by time. Functionality constraints from the ontology are checked per
 //! state: a sensor reporting two different values at one instant violates
-//! `funct(hasValue)`.
+//! `funct(hasValue)`, and the violating state is dropped (dirty sensor data
+//! must not stop a window's evaluation).
 
 use std::collections::BTreeMap;
 
-use optique_ontology::materialize::{check_constraints, Violation};
+use optique_ontology::materialize::check_constraints;
 use optique_ontology::Ontology;
 use optique_rdf::{Datatype, Graph, Iri, Term, Triple};
 use optique_relational::{Schema, Value};
@@ -111,60 +112,20 @@ impl StateSequence {
     }
 }
 
-/// What to do with states violating integrity constraints.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IcPolicy {
-    /// Violations abort the window's evaluation (strict certain-answer mode).
-    Strict,
-    /// Violating states are dropped; evaluation continues (the demo's
-    /// pragmatic mode for dirty sensor data).
-    DropViolating,
-}
-
-/// Errors from sequence construction.
-#[derive(Debug, Clone)]
-pub enum SequenceError {
-    /// A state violated constraints under [`IcPolicy::Strict`].
-    IntegrityViolation {
-        /// Timestamp of the violating state.
-        timestamp: i64,
-        /// The violations found.
-        violations: Vec<Violation>,
-    },
-}
-
-impl std::fmt::Display for SequenceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SequenceError::IntegrityViolation {
-                timestamp,
-                violations,
-            } => write!(
-                f,
-                "state at {timestamp} violates {} integrity constraint(s)",
-                violations.len()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SequenceError {}
-
-/// Builds the standard sequence from window rows.
+/// Builds the standard sequence from window rows; also returns how many
+/// states were dropped.
 ///
 /// Rows are grouped by the timestamp column; each group's triples (via
-/// `mapping`) form the state graph. When `ontology` is given, each state is
-/// checked against its functionality/disjointness constraints under
-/// `policy`.
+/// `mapping`) form the state graph. When `ontology` is given, a state
+/// violating its functionality/disjointness constraints is dropped.
 pub fn build_stdseq(
     rows: &[Vec<Value>],
     schema: &Schema,
     mapping: &StreamToRdf,
     ontology: Option<&Ontology>,
-    policy: IcPolicy,
-) -> Result<(StateSequence, usize), SequenceError> {
+) -> (StateSequence, usize) {
     let Some(ts_idx) = schema.index_of(&mapping.timestamp_col) else {
-        return Ok((StateSequence::default(), 0));
+        return (StateSequence::default(), 0);
     };
     let mut by_time: BTreeMap<i64, Vec<&Vec<Value>>> = BTreeMap::new();
     for row in rows {
@@ -179,26 +140,13 @@ pub fn build_stdseq(
         for row in group {
             graph.extend(mapping.tuple_triples(row, schema));
         }
-        if let Some(onto) = ontology {
-            let violations = check_constraints(&graph, onto);
-            if !violations.is_empty() {
-                match policy {
-                    IcPolicy::Strict => {
-                        return Err(SequenceError::IntegrityViolation {
-                            timestamp,
-                            violations,
-                        })
-                    }
-                    IcPolicy::DropViolating => {
-                        dropped += 1;
-                        continue;
-                    }
-                }
-            }
+        if ontology.is_some_and(|onto| !check_constraints(&graph, onto).is_empty()) {
+            dropped += 1;
+            continue;
         }
         states.push(State { timestamp, graph });
     }
-    Ok((StateSequence { states }, dropped))
+    (StateSequence { states }, dropped)
 }
 
 #[cfg(test)]
@@ -251,8 +199,7 @@ mod tests {
             row(1000, 2, 60.0, None),
             row(2000, 1, 75.0, None),
         ];
-        let (seq, dropped) =
-            build_stdseq(&rows, &schema(), &mapping(), None, IcPolicy::Strict).unwrap();
+        let (seq, dropped) = build_stdseq(&rows, &schema(), &mapping(), None);
         assert_eq!(seq.len(), 2);
         assert_eq!(dropped, 0);
         assert_eq!(seq.states[0].timestamp, 1000);
@@ -266,27 +213,10 @@ mod tests {
     #[test]
     fn event_column_emits_class_assertion() {
         let rows = vec![row(1000, 1, 99.0, Some("failure"))];
-        let (seq, _) = build_stdseq(&rows, &schema(), &mapping(), None, IcPolicy::Strict).unwrap();
+        let (seq, _) = build_stdseq(&rows, &schema(), &mapping(), None);
         let g = &seq.states[0].graph;
         assert_eq!(g.len(), 2, "value triple + failure class assertion");
         assert_eq!(g.instances_of(&iri("showsFailure")).len(), 1);
-    }
-
-    #[test]
-    fn functionality_violation_strict_errors() {
-        let mut onto = Ontology::new();
-        onto.add_axiom(Axiom::Functional(Role::named(iri("hasValue"))));
-        // Same sensor, same instant, two values.
-        let rows = vec![row(1000, 1, 70.0, None), row(1000, 1, 71.0, None)];
-        let err =
-            build_stdseq(&rows, &schema(), &mapping(), Some(&onto), IcPolicy::Strict).unwrap_err();
-        assert!(matches!(
-            err,
-            SequenceError::IntegrityViolation {
-                timestamp: 1000,
-                ..
-            }
-        ));
     }
 
     #[test]
@@ -298,14 +228,7 @@ mod tests {
             row(1000, 1, 71.0, None),
             row(2000, 1, 75.0, None),
         ];
-        let (seq, dropped) = build_stdseq(
-            &rows,
-            &schema(),
-            &mapping(),
-            Some(&onto),
-            IcPolicy::DropViolating,
-        )
-        .unwrap();
+        let (seq, dropped) = build_stdseq(&rows, &schema(), &mapping(), Some(&onto));
         assert_eq!(dropped, 1);
         assert_eq!(seq.len(), 1);
         assert_eq!(seq.states[0].timestamp, 2000);
@@ -319,14 +242,14 @@ mod tests {
             Value::Null,
             Value::Null,
         ]];
-        let (seq, _) = build_stdseq(&rows, &schema(), &mapping(), None, IcPolicy::Strict).unwrap();
+        let (seq, _) = build_stdseq(&rows, &schema(), &mapping(), None);
         assert_eq!(seq.len(), 1);
         assert!(seq.states[0].graph.is_empty());
     }
 
     #[test]
     fn empty_window_empty_sequence() {
-        let (seq, _) = build_stdseq(&[], &schema(), &mapping(), None, IcPolicy::Strict).unwrap();
+        let (seq, _) = build_stdseq(&[], &schema(), &mapping(), None);
         assert!(seq.is_empty());
     }
 }

@@ -73,22 +73,6 @@ pub struct TranslatedQuery {
 }
 
 impl TranslatedQuery {
-    /// The SQL(+) text materializing stream windows `[first, last]` of the
-    /// query's window spec over stream table `stream` with timestamp column
-    /// index `ts_col`, window grid anchored at `start`.
-    pub fn window_sql(&self, ts_col: usize, start: i64, first: u64, last: u64) -> String {
-        format!(
-            "SELECT * FROM timeslidingwindow('{}', {}, {}, {}, {}, {}, {}) AS w",
-            self.query.stream.name,
-            ts_col,
-            self.query.stream.range_ms,
-            self.query.stream.slide_ms,
-            start,
-            first,
-            last
-        )
-    }
-
     /// Number of low-level queries the fleet contains.
     pub fn fleet_size(&self) -> usize {
         self.fleet.len()
@@ -536,13 +520,6 @@ mod tests {
         assert!(t.fleet_size() >= 2, "fleet: {:#?}", t.fleet);
         assert!(t.fleet.iter().any(|q| q.contains("timeslidingwindow")));
         assert!(t.fleet.iter().any(|q| q.starts_with("SELECT DISTINCT")));
-    }
-
-    #[test]
-    fn window_sql_shape() {
-        let t = translate_figure1();
-        let sql = t.window_sql(0, 600_000, 5, 7);
-        assert!(sql.contains("timeslidingwindow('S_Msmt', 0, 10000, 1000, 600000, 5, 7)"));
     }
 
     #[test]

@@ -14,22 +14,18 @@
 //! * [`WCache`] — the paper's `wCache` UDF: a shared window-id-keyed cache
 //!   "answering efficiently equality constraints on the time column" for
 //!   many concurrent queries,
-//! * [`r2s`] — the relation-to-stream operators (`IStream`, `DStream`,
-//!   `RStream`),
-//! * [`Pulse`] — the STARQL `USING PULSE` clock that aligns window closes
-//!   with output ticks,
+//! * [`r2s`] — the relation-to-stream operators (`IStream`, `DStream`;
+//!   `RStream` is the relation itself),
 //! * [`register_stream_functions`] — exposes the operators as SQL(+)
 //!   table-valued functions on a [`Database`](optique_relational::Database).
 
-pub mod pulse;
 pub mod r2s;
 pub mod registry;
 pub mod stream;
 pub mod wcache;
 pub mod window;
 
-pub use pulse::Pulse;
-pub use r2s::{dstream, istream, rstream, StreamDiffer};
+pub use r2s::{dstream, istream, StreamDiffer};
 pub use registry::register_stream_functions;
 pub use stream::Stream;
 pub use wcache::WCache;

@@ -2,8 +2,9 @@
 //!
 //! CQL queries compute, at every tick, a relation from the current window
 //! contents; these operators turn the tick-indexed sequence of relations
-//! back into a stream: `RStream` emits each whole relation, `IStream` emits
-//! insertions w.r.t. the previous tick, `DStream` emits deletions.
+//! back into a stream: `RStream` emits each whole relation (so it needs no
+//! operator here), `IStream` emits insertions w.r.t. the previous tick,
+//! `DStream` emits deletions.
 //!
 //! The operators are generic over the tuple type: the relational layer
 //! diffs `Vec<Value>` rows (the default), while the STARQL engine diffs the
@@ -30,11 +31,6 @@ fn multiset_diff<T: Ord + Clone>(a: &[T], b: &[T]) -> Vec<T> {
         }
     }
     out
-}
-
-/// `RStream`: the relation at this tick, unchanged.
-pub fn rstream<T: Clone>(current: &[T]) -> Vec<T> {
-    current.to_vec()
 }
 
 /// `IStream`: tuples present now but not at the previous tick (multiset).
@@ -100,11 +96,6 @@ mod tests {
         assert_eq!(istream(&r(&[5]), &r(&[5, 5])), r(&[5]));
         // One copy now, two before → one deletion.
         assert_eq!(dstream(&r(&[5, 5]), &r(&[5])), r(&[5]));
-    }
-
-    #[test]
-    fn rstream_is_identity() {
-        assert_eq!(rstream(&r(&[1, 2])), r(&[1, 2]));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use optique_relational::{SqlError, Table, Value};
 ///
 /// In batch/replay mode — how the demo emulates real-time streams by
 /// "playing" archived data — the whole history is present and windows are
-/// computed over slices of it. Live ingestion appends in timestamp order.
+/// computed over slices of it.
 #[derive(Clone, Debug)]
 pub struct Stream {
     /// Stream name (also the backing table's catalog name).
@@ -64,30 +64,6 @@ impl Stream {
     /// True when the stream holds no tuples.
     pub fn is_empty(&self) -> bool {
         self.table.is_empty()
-    }
-
-    /// Earliest and latest timestamps, when non-empty.
-    pub fn time_bounds(&self) -> Option<(i64, i64)> {
-        let first = self.table.rows.first()?;
-        let last = self.table.rows.last()?;
-        Some((self.ts(first), self.ts(last)))
-    }
-
-    /// Appends a tuple; it must not move time backwards (streams are
-    /// append-ordered).
-    pub fn append(&mut self, row: Vec<Value>) -> Result<(), SqlError> {
-        let ts = row
-            .get(self.timestamp_col)
-            .and_then(Value::as_i64)
-            .ok_or_else(|| SqlError::Type("stream tuple needs a timestamp".into()))?;
-        if let Some((_, last)) = self.time_bounds() {
-            if ts < last {
-                return Err(SqlError::Execution(format!(
-                    "out-of-order append: {ts} < watermark {last}"
-                )));
-            }
-        }
-        self.table.push_row(row)
     }
 
     /// The half-open slice of rows with timestamps in `(from, to]` — the
@@ -147,31 +123,6 @@ mod tests {
         // (0, 1000] includes it.
         let w = s.slice(0, 1000);
         assert_eq!(w.len(), 1);
-    }
-
-    #[test]
-    fn append_enforces_watermark() {
-        let mut s = Stream::new("S_Msmt", measurements(), 0).unwrap();
-        s.append(vec![
-            Value::Timestamp(3000),
-            Value::Int(2),
-            Value::Float(1.0),
-        ])
-        .expect("equal to watermark is fine");
-        let err = s
-            .append(vec![
-                Value::Timestamp(100),
-                Value::Int(2),
-                Value::Float(1.0),
-            ])
-            .unwrap_err();
-        assert!(matches!(err, SqlError::Execution(_)));
-    }
-
-    #[test]
-    fn time_bounds() {
-        let s = Stream::new("S_Msmt", measurements(), 0).unwrap();
-        assert_eq!(s.time_bounds(), Some((1000, 3000)));
     }
 
     #[test]

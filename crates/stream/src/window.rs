@@ -63,11 +63,6 @@ impl WindowSpec {
         Some((k_min as u64, k_max as u64))
     }
 
-    /// Number of windows each tuple lands in (when slide divides range).
-    pub fn windows_per_tuple(&self) -> i64 {
-        div_ceil(self.range_ms, self.slide_ms)
-    }
-
     /// The id of the last window closing at or before `ts` (`None` if `ts`
     /// precedes the first close).
     pub fn last_closed(&self, start: i64, ts: i64) -> Option<u64> {
@@ -147,7 +142,6 @@ mod tests {
         let w = WindowSpec::new(10_000, 1_000).unwrap();
         assert_eq!(w.bounds(0, 0), (-10_000, 0));
         assert_eq!(w.bounds(0, 5), (-5_000, 5_000));
-        assert_eq!(w.windows_per_tuple(), 10);
     }
 
     #[test]

@@ -105,7 +105,7 @@ fn bucket_upper(index: usize) -> u64 {
 /// A thread-safe log-linear (HDR-style) histogram of `u64` samples
 /// (microseconds, by convention).
 ///
-/// Values land in one of [`BUCKETS`] atomic buckets — exact below 16, then
+/// Values land in one of `BUCKETS` atomic buckets — exact below 16, then
 /// 16 linear sub-buckets per power of two — so recording is two atomic adds
 /// and quantiles come back within 6.25 % of the exact sorted quantile.
 #[derive(Debug)]

@@ -1,23 +1,29 @@
 //! Integer-overflow semantics: arithmetic and SUM that leave the i64 range
 //! must raise a typed [`SqlError::Overflow`] — never wrap — and they must do
 //! so identically on a single node and on the distributed path (worker
-//! partials + partial-merge), so answers can't silently diverge by topology.
+//! partials + the coordinator's pane merge), so answers can't silently
+//! diverge by topology.
+
+use std::collections::BTreeMap;
 
 use optique_exastream::cluster::{hash_partition, Cluster};
-use optique_exastream::exchange::{merge_partial_aggregates, MergeOp};
-use optique_relational::{Column, ColumnType, Database, Schema, SqlError, Table, Value};
+use optique_relational::{
+    compute_window_aggregates, merge_pane_rows, Column, ColumnType, Database, PaneProbe, Schema,
+    SqlError, Table, Value,
+};
 
 /// A table of one INT column `v` holding `values`, keyed for partitioning by
-/// a leading `k` column.
+/// a leading `k` column (the row number); `g` puts every row in one group.
 fn int_db(values: &[i64]) -> Database {
     let schema = Schema::new(vec![
         Column::new("k", ColumnType::Int),
         Column::new("v", ColumnType::Int),
+        Column::new("g", ColumnType::Int),
     ]);
     let rows = values
         .iter()
         .enumerate()
-        .map(|(i, &v)| vec![Value::Int(i as i64), Value::Int(v)])
+        .map(|(i, &v)| vec![Value::Int(i as i64), Value::Int(v), Value::Int(0)])
         .collect();
     let mut db = Database::new();
     db.put_table("t", Table::new(schema, rows).unwrap());
@@ -64,23 +70,42 @@ fn division_edge_cases() {
 }
 
 /// Integer SUM overflow: on one node the accumulator overflows; distributed,
-/// each worker's partial fits but the merge overflows. Both must surface the
-/// same typed error — the differential oracle for satellite semantics.
+/// each shard's pane partial fits but the coordinator's merge of them
+/// overflows. Both must surface the same typed error — the differential
+/// oracle for satellite semantics.
 #[test]
 fn sum_overflow_matches_between_single_node_and_merge() {
     let db = int_db(&[i64::MAX, i64::MAX]);
-    let sql = "SELECT SUM(v) AS s FROM t";
 
-    let single = optique_relational::exec::query(sql, &db).unwrap_err();
+    let single = optique_relational::exec::query("SELECT SUM(v) AS s FROM t", &db).unwrap_err();
     assert!(matches!(single, SqlError::Overflow(_)), "got {single}");
 
-    // Two workers, one MAX row each: worker partials succeed…
-    let partials = cluster_of(&db, 2).parallel_query(sql).unwrap();
+    // Two shards, one MAX row each: a window over both rows (`k` is the
+    // clock), one group — every shard's partial succeeds…
+    let probe = PaneProbe {
+        stream: "t".into(),
+        ts_col: "k".into(),
+        key_col: "g".into(),
+        val_col: "v".into(),
+        width_ms: 2,
+        start_ms: -1,
+        open_ms: -1,
+        close_ms: 1,
+        needs_extrema: false,
+    };
+    let cluster = cluster_of(&db, 2);
+    let partials: Vec<Table> = cluster
+        .workers()
+        .iter()
+        .map(|w| compute_window_aggregates(&probe, &w.db).unwrap())
+        .collect();
     assert!(partials
         .iter()
-        .all(|t| t.rows[0][0] == Value::Int(i64::MAX)));
-    // …and the global combine is where the overflow must reappear.
-    let merged = merge_partial_aggregates(partials, 0, &[MergeOp::Sum]).unwrap_err();
+        .all(|t| t.rows.len() == 1 && t.rows[0][2] == Value::Int(i64::MAX)));
+    // …and the gather-side merge is where the overflow must reappear.
+    let mut groups = BTreeMap::new();
+    merge_pane_rows(&mut groups, &partials[0].rows).unwrap();
+    let merged = merge_pane_rows(&mut groups, &partials[1].rows).unwrap_err();
     assert!(matches!(merged, SqlError::Overflow(_)), "got {merged}");
 }
 

@@ -119,7 +119,7 @@ mod partitioned_equivalence {
         let dash = p.dashboard();
         assert!(dash.total_partitioned_fragments() >= 1);
         let panel = dash.static_queries.last().unwrap();
-        assert!(panel.partitioned_fragments >= 1);
+        assert!(panel.stats.partitioned_fragments >= 1);
     }
 
     /// Shard pruning must fire on a selective fixed case: a constant assembly

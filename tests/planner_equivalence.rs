@@ -215,8 +215,8 @@ fn distributed_runs_prove_fragments_shipped() {
     assert_eq!(stats.coordinator_fallbacks, 0, "{stats:?}");
     let dash = p.dashboard();
     let panel = dash.static_queries.last().unwrap();
-    assert!(panel.fragments >= 1);
-    assert_eq!(panel.coordinator_fallbacks, 0);
+    assert!(panel.stats.fragments >= 1);
+    assert_eq!(panel.stats.coordinator_fallbacks, 0);
     assert_eq!(dash.total_coordinator_fallbacks(), 0);
 }
 

@@ -340,7 +340,7 @@ fn select_filter_optional_order_limit_end_to_end() {
     // The pipeline surfaced its counters on the dashboard.
     let dash = p.dashboard();
     assert_eq!(dash.static_queries.len(), 1);
-    assert!(dash.static_queries[0].sql_disjuncts >= 1);
+    assert!(dash.static_queries[0].stats.sql_disjuncts >= 1);
 }
 
 #[test]

@@ -192,6 +192,39 @@ fn dashboard_shows_latency_percentiles_after_32_queries() {
     assert!(quiet.dashboard().slow_queries.is_empty());
 }
 
+/// The term dictionary is append-only and process-wide: its gauges grow
+/// when a write brings text nobody interned before, and never shrink.
+#[test]
+fn dict_gauges_grow_with_fresh_text_and_never_shrink() {
+    let p = OptiquePlatform::from_siemens(SiemensDeployment::small());
+    let gauges = |p: &OptiquePlatform| {
+        let snap = p.metrics_snapshot();
+        (
+            snap.gauge("dict.terms").unwrap(),
+            snap.gauge("dict.bytes").unwrap(),
+        )
+    };
+    let (terms, bytes) = gauges(&p);
+    assert!(terms > 0 && bytes > 0, "the deployment interned its text");
+
+    let model = "SGT-never-interned-before-this-test";
+    let mut row = p.db().table("turbines").unwrap().rows[0].clone();
+    row[0] = optique_relational::Value::Int(93_001);
+    row[1] = optique_relational::Value::text(model);
+    p.insert_static("turbines", vec![row]).unwrap();
+    let (terms_after, bytes_after) = gauges(&p);
+    assert!(terms_after > terms, "{terms_after} vs {terms}");
+    assert!(bytes_after >= bytes + model.len() as i64);
+
+    // Merging the overlay away, or deploying afresh, reclaims nothing.
+    p.merge_now().unwrap();
+    let fresh = OptiquePlatform::from_siemens(SiemensDeployment::small());
+    for (t, b) in [gauges(&p), gauges(&fresh)] {
+        assert!(t >= terms_after && b >= bytes_after, "{t} terms, {b} bytes");
+    }
+    assert!(p.metrics_snapshot().to_prometheus().contains("dict_bytes"));
+}
+
 #[test]
 fn tick_percentiles_populate_per_query() {
     let p = OptiquePlatform::from_siemens(SiemensDeployment::small());
