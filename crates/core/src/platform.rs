@@ -144,6 +144,12 @@ pub struct PlatformSnapshot {
     /// carry resolves stably for the snapshot's lifetime; writers that
     /// intern new terms only ever append past the watermark.
     pub dict: DictSnapshot,
+    /// Per-table stream clocks: the highest timestamp among the rows (base
+    /// and overlay) of every table that has the stream mapping's timestamp
+    /// column — scanned once at deploy, then advanced from each inserted
+    /// batch alone. A table without the column, or without a timestamped
+    /// row yet, has no entry.
+    pub clocks: Arc<HashMap<String, i64>>,
 }
 
 /// The deployed integration platform.
@@ -239,6 +245,18 @@ fn check_workers(workers: Option<usize>) -> Result<(), String> {
 const PANE_HITS: &str = "pane.hits";
 const PANE_MISSES: &str = "pane.misses";
 
+/// Registry counters accumulating, across every sequence-HAVING tick, the
+/// states the tick built and the states it took from the window cache.
+const STATES_BUILT: &str = "seq.states_built";
+const STATES_SHARED: &str = "seq.states_shared";
+
+/// The highest timestamp in `rows` (`None` when no row carries one).
+fn batch_clock(rows: &[Vec<Value>], ts_idx: usize) -> Option<i64> {
+    rows.iter()
+        .filter_map(|row| row.get(ts_idx).and_then(Value::as_i64))
+        .max()
+}
+
 impl OptiquePlatform {
     /// Deploys over explicit assets.
     pub fn deploy(
@@ -249,6 +267,15 @@ impl OptiquePlatform {
         stream_to_rdf: StreamToRdf,
     ) -> Self {
         let stats = Arc::new(StatsCatalog::analyze(&db));
+        let clocks = db
+            .table_names()
+            .into_iter()
+            .filter_map(|name| {
+                let table = db.table(name).ok()?;
+                let ts_idx = table.schema.index_of(&stream_to_rdf.timestamp_col)?;
+                Some((name.to_string(), batch_clock(&table.rows, ts_idx)?))
+            })
+            .collect();
         let db = Arc::new(db);
         let state = RwLock::new(Arc::new(PlatformSnapshot {
             view: Arc::clone(&db),
@@ -259,6 +286,7 @@ impl OptiquePlatform {
             topology: FederationTopology::default(),
             planner: PlannerSettings::default(),
             dict: TermDict::global().snapshot(),
+            clocks: Arc::new(clocks),
         }));
         OptiquePlatform {
             state,
@@ -414,9 +442,10 @@ impl OptiquePlatform {
         // Windows the stream's existing rows have already closed never
         // re-fire on the first append: the append-driven clock starts at
         // the registration-time high-water mark.
-        let last_auto_window = self
-            .stream_clock(&snap, &query.translated.query.stream.name)
-            .and_then(|ts| query.window().last_closed(query.window_start(), ts));
+        let last_auto_window = snap
+            .clocks
+            .get(&query.translated.query.stream.name)
+            .and_then(|&ts| query.window().last_closed(query.window_start(), ts));
         self.queries.lock().insert(
             id,
             RegisteredStarQl {
@@ -807,12 +836,17 @@ impl OptiquePlatform {
 
     /// A point-in-time snapshot of every platform counter and latency
     /// histogram; the snapshot carries the JSON and Prometheus exporters.
-    /// The `dict.terms` / `dict.bytes` gauges are sampled here: the term
-    /// dictionary is process-wide and append-only, so they never shrink.
+    /// The `dict.terms` / `dict.bytes` gauges are sampled here (the term
+    /// dictionary is process-wide and append-only, so they never shrink),
+    /// and so are `wcache.windows` / `wcache.slices`, which every driven
+    /// round trims back to the registered ranges.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let dict = TermDict::global();
         self.registry.gauge("dict.terms").set(dict.len() as i64);
         self.registry.gauge("dict.bytes").set(dict.bytes() as i64);
+        let (windows, slices) = (self.wcache.len(), self.wcache.slices());
+        self.registry.gauge("wcache.windows").set(windows as i64);
+        self.registry.gauge("wcache.slices").set(slices as i64);
         self.registry.snapshot()
     }
 
@@ -863,6 +897,20 @@ impl OptiquePlatform {
             if rows.is_empty() {
                 return Ok(0);
             }
+            // The stream clock advances from the batch alone (late rows
+            // never turn it back); merges carry it over untouched.
+            let batch = base
+                .schema
+                .index_of(&self.stream_to_rdf.timestamp_col)
+                .and_then(|ts_idx| batch_clock(&rows, ts_idx));
+            let clocks = match batch {
+                Some(ts) if guard.clocks.get(table).is_none_or(|&clock| clock < ts) => {
+                    let mut clocks = (*guard.clocks).clone();
+                    clocks.insert(table.to_string(), ts);
+                    Arc::new(clocks)
+                }
+                _ => Arc::clone(&guard.clocks),
+            };
             let novelty = guard.novelty.with_rows(table, rows);
             let depth = novelty.depth();
             // Validity is the version bump below; the eviction frees the
@@ -884,6 +932,7 @@ impl OptiquePlatform {
                 // Re-pin after interning the inserted rows' text: ids for
                 // the new literals fall at or below the fresh watermark.
                 dict: TermDict::global().snapshot(),
+                clocks,
                 ..(**guard).clone()
             });
             self.registry.gauge("novelty.depth").set(depth as i64);
@@ -1094,6 +1143,7 @@ impl OptiquePlatform {
             let result = self.run_tick(reg, db, tick_ms, executor)?;
             out.push((*id, result));
         }
+        self.evict_windows(&queries, None, tick_ms);
         Ok(out)
     }
 
@@ -1129,20 +1179,43 @@ impl OptiquePlatform {
         if result.pane_misses > 0 {
             self.registry.counter(PANE_MISSES).add(result.pane_misses);
         }
+        if result.states_built > 0 {
+            self.registry
+                .counter(STATES_BUILT)
+                .add(result.states_built as u64);
+        }
+        if result.states_shared > 0 {
+            self.registry
+                .counter(STATES_SHARED)
+                .add(result.states_shared as u64);
+        }
         Ok(result)
     }
 
-    /// The stream's clock under `snap`: the maximum timestamp over the
-    /// table's base rows and any unmerged overlay rows (`None` for an
-    /// empty or non-stream table).
-    fn stream_clock(&self, snap: &PlatformSnapshot, table: &str) -> Option<i64> {
-        let base = snap.view.table(table).ok()?;
-        let ts_idx = base.schema.index_of(&self.stream_to_rdf.timestamp_col)?;
-        base.rows
-            .iter()
-            .chain(snap.view.novelty_rows(table))
-            .filter_map(|row| row.get(ts_idx).and_then(Value::as_i64))
-            .max()
+    /// Drops from the window cache what no registered query can ask for
+    /// again once its stream's clock reads `clock`. A query asks for a
+    /// closed window once, in the round that closes it, so every window
+    /// closed before `clock` goes; a window yet to close reaches back at
+    /// most the longest range registered on the stream, so states stamped
+    /// before `clock −` that go. `only` names the stream an append
+    /// advanced; a pulse (`None`) is the clock of every stream.
+    fn evict_windows(
+        &self,
+        queries: &BTreeMap<u64, RegisteredStarQl>,
+        only: Option<&str>,
+        clock: i64,
+    ) {
+        let mut longest: BTreeMap<&str, i64> = BTreeMap::new();
+        for reg in queries.values() {
+            let stream = reg.query.translated.query.stream.name.as_str();
+            if only.is_none_or(|only| only == stream) {
+                let range_ms = longest.entry(stream).or_default();
+                *range_ms = (*range_ms).max(reg.query.window().range_ms);
+            }
+        }
+        for (stream, range_ms) in longest {
+            self.wcache.evict_below(stream, clock, clock - range_ms);
+        }
     }
 
     /// Appends rows to a stream table **and drives the continuous queries
@@ -1167,7 +1240,7 @@ impl OptiquePlatform {
         // One snapshot for the whole driven round, pinned *after* the
         // write so the ticks see the rows that closed their windows.
         let snap = self.snapshot();
-        let Some(clock) = self.stream_clock(&snap, table) else {
+        let Some(&clock) = snap.clocks.get(table) else {
             return Ok(Vec::new());
         };
         // Pools build outside the queries lock, exactly as in `tick_all`.
@@ -1208,6 +1281,7 @@ impl OptiquePlatform {
             }
             reg.last_auto_window = Some(newest);
         }
+        self.evict_windows(&queries, Some(table), clock);
         Ok(out)
     }
 
@@ -1601,6 +1675,117 @@ HAVING MAX(?c2, sie:hasValue) >= 85
             et.sort_by_key(|t| format!("{t:?}"));
             assert_eq!(dt, et, "tick {}", d.tick_ms);
         }
+    }
+
+    /// The window cache holds what the registered ranges can still ask for,
+    /// however long the stream runs: after 500 appends under three ranges
+    /// it is as large as after 50 — the windows of the newest round, and
+    /// one state per timestamp the longest range reaches back over.
+    #[test]
+    fn window_cache_is_bounded_by_the_ranges_not_the_appends() {
+        let p = platform();
+        let ranges_s = [2, 5, 20];
+        for range_s in ranges_s {
+            let text = AGG_QUERY
+                .replace("PT10S", &format!("PT{range_s}S"))
+                .replace(
+                    "MAX(?c2, sie:hasValue) >= 85",
+                    "EXISTS ?k IN seq: GRAPH ?k { ?c2 sie:hasValue ?v } AND ?v >= 85",
+                );
+            p.register_starql(&text).unwrap();
+        }
+        let sensor = streamed_sensor(&p);
+        let mut sizes = Vec::new();
+        for k in 1..=500 {
+            let value = if k % 7 == 0 { 90.0 } else { 50.0 };
+            let out = p
+                .append_stream("S_Msmt", vec![msmt_row(659_000 + k * 1_000, sensor, value)])
+                .unwrap();
+            assert_eq!(out.len(), ranges_s.len(), "one tick per range");
+            if k == 50 || k == 500 {
+                sizes.push((p.wcache().len(), p.wcache().slices()));
+            }
+        }
+        // One window per range closes each second; the 20 s range reaches
+        // back over 21 timestamps, the newest included.
+        assert_eq!(sizes, [(3, 21), (3, 21)]);
+        let snap = p.metrics_snapshot();
+        assert_eq!(snap.gauge("wcache.windows"), Some(3));
+        assert_eq!(snap.gauge("wcache.slices"), Some(21));
+        // Each appended timestamp's state was built once, by one of its
+        // round's three ticks, and taken from the cache ever after (the
+        // first round also built the 19 states the recorded stream had left
+        // in range).
+        assert_eq!(snap.counter(STATES_BUILT), Some(500 + 19));
+        assert!(snap.counter(STATES_SHARED).unwrap() > 10 * 500);
+        assert!(p.dashboard().panels.iter().all(|panel| panel.alarms > 0));
+    }
+
+    /// The reference the clock mark replaced: the maximum timestamp over
+    /// the table's base and overlay rows.
+    fn scanned_clock(p: &OptiquePlatform, table: &str) -> Option<i64> {
+        let view = p.db();
+        let base = view.table(table).ok()?;
+        let ts_idx = base.schema.index_of(&p.stream_to_rdf.timestamp_col)?;
+        base.rows
+            .iter()
+            .chain(view.novelty_rows(table))
+            .filter_map(|row| row.get(ts_idx).and_then(Value::as_i64))
+            .max()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// After any append history — late batches, repeated timestamps,
+        /// empty batches, merges in between — the snapshot's clock mark is
+        /// what a scan of the table finds.
+        #[test]
+        fn stream_clock_mark_equals_the_scan(
+            history in proptest::collection::vec(
+                (proptest::collection::vec(-5i64..40, 0..4), 0u8..6),
+                1..12,
+            ),
+        ) {
+            let p = platform();
+            proptest::prop_assert_eq!(
+                p.snapshot().clocks.get("S_Msmt").copied(),
+                scanned_clock(&p, "S_Msmt")
+            );
+            proptest::prop_assert!(!p.snapshot().clocks.contains_key("turbines"));
+            for (batch, merge) in history {
+                let rows = batch
+                    .iter()
+                    .map(|dt| msmt_row(655_000 + dt * 500, 1, 50.0))
+                    .collect();
+                p.insert_static("S_Msmt", rows).unwrap();
+                if merge == 0 {
+                    p.merge_now().unwrap();
+                }
+                proptest::prop_assert_eq!(
+                    p.snapshot().clocks.get("S_Msmt").copied(),
+                    scanned_clock(&p, "S_Msmt")
+                );
+            }
+        }
+    }
+
+    /// A stream that starts empty has no clock until its first timestamped
+    /// row, and drives nothing until then.
+    #[test]
+    fn empty_stream_has_no_clock_until_its_first_row() {
+        let mut deployment = SiemensDeployment::small();
+        let mut empty = (**deployment.db.table("S_Msmt").unwrap()).clone();
+        empty.rows.clear();
+        deployment.db.put_table("S_Msmt", empty);
+        let p = OptiquePlatform::from_siemens(deployment);
+        p.register_starql(AGG_QUERY).unwrap();
+        assert_eq!(p.snapshot().clocks.get("S_Msmt"), None);
+        let out = p
+            .append_stream("S_Msmt", vec![msmt_row(601_500, 1, 99.0)])
+            .unwrap();
+        assert_eq!(p.snapshot().clocks.get("S_Msmt"), Some(&601_500));
+        assert_eq!(out.len(), 2, "the windows closing at 600 s and 601 s");
     }
 
     /// A pane-combinable distributed query answers its ticks from

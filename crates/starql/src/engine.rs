@@ -1,10 +1,24 @@
 //! Continuous evaluation of translated STARQL queries.
 //!
-//! Execution stage (iii): at every pulse tick, the engine materializes the
-//! closed window (through the shared [`WCache`]), builds the `StdSeq` state
-//! sequence, and evaluates the HAVING condition once per static WHERE
-//! binding; satisfied bindings instantiate the CONSTRUCT template onto the
-//! output stream.
+//! Execution stage (iii): at every pulse tick, the engine takes the closed
+//! window from the shared [`WCache`] — its rows, its `StdSeq` state sequence
+//! and the sequence's postings index, each built by whichever query ticks
+//! the window first — and evaluates the compiled HAVING condition once per
+//! static WHERE binding; satisfied bindings instantiate the CONSTRUCT
+//! template onto the output stream.
+//!
+//! **What is shared, and under which key.** A window is keyed by its bounds
+//! and content, `(stream, open, close, variant)`: the variant stamps the
+//! stream table's row count (tables are append-only, so the count names the
+//! content) and, for a key-restricted window, the restriction. The
+//! sequence is a function of those rows, the stream mapping and the TBox —
+//! and a [`ContinuousQuery`] carries its own copies of the last two — so it
+//! hangs off the window under a fingerprint of them taken at registration:
+//! queries that do not agree never share one. States are shared *across*
+//! windows the same way, per timestamp (see
+//! [`sequence`](crate::sequence)). HAVING and the CONSTRUCT template are
+//! compiled at registration too ([`CompiledHaving`]), against the WHERE
+//! bindings laid out as rows: deciding a binding allocates nothing.
 //!
 //! **Window materialization has two backends**, mirroring the static
 //! pipeline: single-node (slice the stream table locally, the reference
@@ -21,11 +35,11 @@
 //! gateway's shard routing skip shards that can hold no admissible key.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use optique_ontology::materialize::materialize;
 use optique_rdf::{Term, Triple};
 use optique_relational::{
     merge_pane_rows, pane_width, AggAcc, ColumnType, Database, PaneProbe, PlanFragment, Schema,
@@ -33,12 +47,12 @@ use optique_relational::{
 };
 use optique_rewrite::{Atom, QueryTerm};
 use optique_sparql::FragmentExecutor;
-use optique_stream::{Stream, StreamDiffer, WCache, WindowSpec};
+use optique_stream::{StreamDiffer, WCache, WindowSpec};
 use optique_telemetry::SpanRecord;
 
 use crate::ast::OutputMode;
-use crate::having::{AggContext, Env, HavingFormula};
-use crate::sequence::{build_stdseq, StreamToRdf};
+use crate::having::{AggContext, BindingRow, CompiledHaving, HavingFormula};
+use crate::sequence::{sequence_fingerprint, shared_sequence, IndexedSequence, StreamToRdf};
 use crate::translate::TranslatedQuery;
 
 /// Per-variable cap on stream-key restriction values: binding sets past
@@ -52,13 +66,26 @@ pub struct ContinuousQuery {
     pub translated: TranslatedQuery,
     /// The stream-side mapping (tuple → state triples).
     pub stream_to_rdf: StreamToRdf,
-    bindings: Vec<HashMap<String, Term>>,
+    /// The static WHERE bindings, as rows over their variables: what the
+    /// compiled HAVING condition and the compiled CONSTRUCT template read,
+    /// by position.
+    bindings: Vec<BindingRow>,
+    having: CompiledHaving,
+    construct: Vec<TemplateTriple>,
+    /// What decides a window's sequence besides its rows, fingerprinted:
+    /// the key under which this query shares sequences and states.
+    fingerprint: u64,
     window: WindowSpec,
     window_start: i64,
     /// Raw stream-key values the static bindings admit (`None` =
     /// restriction not provably sound, or too many keys): distributed
     /// ticks push these into the window fragment as a semi-join.
     stream_keys: Option<Vec<Value>>,
+    /// The window-cache variant suffix of key-restricted windows (empty
+    /// without `stream_keys`), and the fingerprint narrowed by it — the
+    /// scope their states are shared under.
+    restriction: String,
+    restricted_scope: u64,
     /// When the HAVING condition is a pure tree of window aggregates over
     /// the stream's value property, distributed ticks skip window
     /// materialization and combine per-shard pane partials instead.
@@ -83,6 +110,14 @@ struct PanePlan {
     needs_extrema: bool,
 }
 
+/// What [`ContinuousQuery::decide`] found for one window.
+struct Decided {
+    triples: Vec<Triple>,
+    satisfied: usize,
+    candidates: u64,
+    probes: u64,
+}
+
 /// One tick's output and accounting.
 #[derive(Clone, Debug, Default)]
 pub struct TickOutput {
@@ -102,6 +137,12 @@ pub struct TickOutput {
     pub states: usize,
     /// States dropped for integrity violations.
     pub dropped_states: usize,
+    /// States this tick built: mapped, constraint-checked and saturated.
+    pub states_built: usize,
+    /// States it took from the window cache — the whole sequence when
+    /// another query already evaluated the window, else the timestamps an
+    /// overlapping window already built.
+    pub states_shared: usize,
     /// Window fragments shipped to the distributed executor this tick
     /// (0 = single-node, or the window came from the shared cache).
     pub window_fragments: usize,
@@ -152,13 +193,40 @@ impl ContinuousQuery {
             .unwrap_or(0);
         let stream_keys = admissible_stream_keys(&translated, &stream_to_rdf, db, &bindings);
         let pane_plan = pane_plan_for(&translated, &stream_to_rdf, db);
+        // The maps are read once: their variables become columns, every
+        // binding a row over them.
+        let columns = BindingRow::columns(&bindings);
+        let having = CompiledHaving::compile(&translated.having, &columns);
+        let construct = compile_construct(&translated.query.construct, &columns);
+        let bindings = bindings
+            .iter()
+            .map(|binding| BindingRow::new(&columns, binding))
+            .collect();
+        let fingerprint = sequence_fingerprint(&stream_to_rdf, &translated.ontology);
+        // Key-restricted windows hold other rows than full ones, so their
+        // states are kept apart from the full windows' — and from those of
+        // other restrictions.
+        let (restriction, restricted_scope) = match &stream_keys {
+            Some(keys) => {
+                let restriction = format!("⋉{keys:?}");
+                let mut scope = std::collections::hash_map::DefaultHasher::new();
+                (fingerprint, &restriction).hash(&mut scope);
+                (restriction, scope.finish())
+            }
+            None => (String::new(), fingerprint),
+        };
         Ok(ContinuousQuery {
             translated,
             stream_to_rdf,
             bindings,
+            having,
+            construct,
+            fingerprint,
             window,
             window_start,
             stream_keys,
+            restriction,
+            restricted_scope,
             pane_plan,
             pane_enabled: AtomicBool::new(true),
             differ: Mutex::new(StreamDiffer::new()),
@@ -236,7 +304,7 @@ impl ContinuousQuery {
         };
 
         let table = db.table(stream_name).map_err(|e| e.to_string())?;
-        let schema = table.schema.clone();
+        let schema = &table.schema;
         let ts_col = schema
             .index_of(&self.stream_to_rdf.timestamp_col)
             .ok_or_else(|| {
@@ -268,81 +336,58 @@ impl ContinuousQuery {
         // up front.
         let epoch = Instant::now();
         let now_us = |epoch: &Instant| epoch.elapsed().as_micros() as u64;
-        let lookup_span: Option<SpanRecord>;
+        let lookup_span: SpanRecord;
         let mut scatter_span: Option<SpanRecord> = None;
         let build_start = now_us(&epoch);
-        let novelty_epoch = db.novelty_epoch();
-        let rows: Arc<Vec<Vec<Value>>> = match executor {
+        // Stream tables only grow, so the row count — base plus unmerged
+        // overlay — names the table's content: a window cached under it is
+        // current exactly while no row was appended, merges included.
+        let appended = db.novelty().and_then(|n| n.rows(stream_name));
+        let mut variant = format!("n{}", table.len() + appended.map_or(0, |rows| rows.len()));
+        let outcome = |hit: bool| if hit { "hit" } else { "miss" };
+        let (window, scope) = match executor {
             None => {
-                // Unmerged novelty-overlay rows are part of the window too:
-                // the base slice is chained with the overlay's in-range rows.
-                // Overlaid windows cache under an epoch variant — the plain
-                // entry stays the base-only slice other epochs share.
-                let build = || {
-                    let stream = Stream::new(stream_name.clone(), (**table).clone(), ts_col)
-                        .expect("stream table validated at registration");
-                    let mut rows = stream.slice(open, close).to_vec();
-                    for row in db.novelty_rows(stream_name) {
-                        if let Some(ts) = row[ts_col].as_i64() {
-                            if ts > open && ts <= close {
-                                rows.push(row.clone());
-                            }
-                        }
-                    }
-                    rows
-                };
-                if novelty_epoch == 0 {
-                    let mut built_fresh = false;
-                    let rows = wcache.get_or_build(stream_name, window_id, || {
-                        built_fresh = true;
-                        build()
-                    });
-                    lookup_span = Some(
-                        SpanRecord::new("wcache_lookup", build_start, now_us(&epoch) - build_start)
-                            .under(1)
-                            .attr("outcome", if built_fresh { "miss" } else { "hit" }),
-                    );
-                    rows
-                } else {
-                    let variant = format!("e{novelty_epoch}");
-                    let hit = wcache.lookup(stream_name, window_id, &variant);
-                    lookup_span = Some(
-                        SpanRecord::new("wcache_lookup", build_start, now_us(&epoch) - build_start)
-                            .under(1)
-                            .attr("outcome", if hit.is_some() { "hit" } else { "miss" }),
-                    );
-                    match hit {
-                        Some(hit) => hit,
-                        None => wcache.insert(stream_name, window_id, &variant, build()),
-                    }
-                }
+                // The base table is neither copied nor sorted: its in-range
+                // rows are picked out and put in time order (table order
+                // within an instant — the order aggregates fold in), then
+                // chained with the overlay's.
+                let mut built_fresh = false;
+                let window = wcache.get_or_build(stream_name, open, close, &variant, || {
+                    built_fresh = true;
+                    let in_window = |row: &&Vec<Value>| {
+                        row[ts_col]
+                            .as_i64()
+                            .is_some_and(|ts| ts > open && ts <= close)
+                    };
+                    let mut rows: Vec<&Vec<Value>> = table.rows.iter().filter(in_window).collect();
+                    rows.sort_by_key(|row| row[ts_col].as_i64());
+                    let overlay = db.novelty_rows(stream_name).filter(in_window);
+                    rows.into_iter().chain(overlay).cloned().collect()
+                });
+                lookup_span =
+                    SpanRecord::new("wcache_lookup", build_start, now_us(&epoch) - build_start)
+                        .under(1)
+                        .attr("outcome", outcome(!built_fresh));
+                (window, self.fingerprint)
             }
             Some(executor) => {
                 // Restricted windows are a *subset* of the full window, so
                 // they cache under their own variant; the unrestricted
                 // distributed window is the same multiset as the local
-                // slice and shares the plain entry. Overlay epochs split
-                // the cache the same way the local path does.
-                let mut variant = match &self.stream_keys {
-                    Some(keys) => format!("⋉{keys:?}"),
-                    None => String::new(),
-                };
-                if novelty_epoch > 0 {
-                    variant.push_str(&format!("e{novelty_epoch}"));
-                }
+                // slice and shares its entry.
+                variant.push_str(&self.restriction);
                 let lookup_start = now_us(&epoch);
-                let hit = wcache.lookup(stream_name, window_id, &variant);
-                lookup_span = Some(
+                let hit = wcache.lookup(stream_name, open, close, &variant);
+                lookup_span =
                     SpanRecord::new("wcache_lookup", lookup_start, now_us(&epoch) - lookup_start)
                         .under(1)
-                        .attr("outcome", if hit.is_some() { "hit" } else { "miss" }),
-                );
-                match hit {
+                        .attr("outcome", outcome(hit.is_some()));
+                let window = match hit {
                     Some(hit) => hit,
                     None => {
                         let fragment = self
-                            .window_fragment(&schema, stream_name, open, close)
-                            .at_epoch(novelty_epoch);
+                            .window_fragment(schema, stream_name, open, close)
+                            .at_epoch(db.novelty_epoch());
                         window_fragments += 1;
                         semi_joins_pushed += fragment.semi_joins.len();
                         let scatter_start = now_us(&epoch);
@@ -369,24 +414,24 @@ impl ContinuousQuery {
                             .attr("pruned", round.shards_pruned as u64)
                             .attr("partitioned", round.partitioned_fragments as u64),
                         );
-                        wcache.insert(stream_name, window_id, &variant, built)
+                        wcache.insert(stream_name, open, close, &variant, built)
                     }
-                }
+                };
+                (window, self.restricted_scope)
             }
         };
-        let build_end = now_us(&epoch);
-
-        let (mut seq, dropped_states) = build_stdseq(
-            &rows,
-            &schema,
+        let rows = window.rows();
+        let shared = shared_sequence(
+            wcache,
+            &window,
+            stream_name,
+            self.fingerprint,
+            scope,
+            schema,
             &self.stream_to_rdf,
-            Some(&self.translated.ontology),
+            &self.translated.ontology,
         );
-        // Stream-side enrichment: saturate each state with the TBox before
-        // HAVING evaluation.
-        for state in &mut seq.states {
-            materialize(&mut state.graph, &self.translated.ontology, 0);
-        }
+        let build_end = now_us(&epoch);
 
         // Aggregate atoms evaluate against per-subject accumulators over the
         // whole window — the store-less reference fold, kept bit-identical
@@ -421,52 +466,43 @@ impl ContinuousQuery {
             None
         };
 
-        let mut triples = Vec::new();
-        let mut satisfied = 0usize;
-        for binding in &self.bindings {
-            let mut env = Env::default();
-            for (var, term) in binding {
-                env.values.insert(var.clone(), term.clone());
-            }
-            if self
-                .translated
-                .having
-                .eval_with(&seq, &env, aggs.as_ref())?
-            {
-                satisfied += 1;
-                instantiate_construct(&self.translated.query.construct, binding, &mut triples)?;
-            }
-        }
-        let triples = self.apply_output_mode(triples);
+        let sequence = &shared.window.sequence;
+        let decided = self.decide(sequence, aggs.as_ref())?;
         let r2s_end = now_us(&epoch);
 
         let mut spans = vec![
             SpanRecord::new("tick", 0, r2s_end)
                 .attr("window", window_id)
                 .attr("tuples", rows.len() as u64)
-                .attr("satisfied", satisfied as u64),
+                .attr("satisfied", decided.satisfied as u64),
             SpanRecord::new("window_build", build_start, build_end - build_start)
                 .under(0)
-                .attr("rows", rows.len() as u64),
+                .attr("rows", rows.len() as u64)
+                .attr("states_built", shared.states_built as u64)
+                .attr("states_shared", shared.states_shared as u64),
+            lookup_span,
         ];
-        spans.extend(lookup_span);
         spans.extend(scatter_span);
         spans.push(
             SpanRecord::new("r2s", build_end, r2s_end - build_end)
                 .under(0)
-                .attr("states", seq.len() as u64)
-                .attr("bindings", self.bindings.len() as u64),
+                .attr("states", sequence.len() as u64)
+                .attr("bindings", self.bindings.len() as u64)
+                .attr("candidates", decided.candidates)
+                .attr("probes", decided.probes),
         );
 
         Ok(TickOutput {
             tick_ms,
             window_id,
-            triples,
-            satisfied,
+            triples: decided.triples,
+            satisfied: decided.satisfied,
             bindings_checked: self.bindings.len(),
             tuples_in_window: rows.len(),
-            states: seq.len(),
-            dropped_states,
+            states: sequence.len(),
+            dropped_states: shared.window.dropped,
+            states_built: shared.states_built,
+            states_shared: shared.states_shared,
             window_fragments,
             stream_rows_shipped,
             semi_joins_pushed,
@@ -475,6 +511,31 @@ impl ContinuousQuery {
             pane_hits: 0,
             pane_misses: 0,
             spans,
+        })
+    }
+
+    /// Decides every binding against one window's sequence and aggregates,
+    /// and puts the satisfied ones through the CONSTRUCT template and the
+    /// relation-to-stream operator.
+    fn decide(
+        &self,
+        sequence: &IndexedSequence,
+        aggs: Option<&AggContext>,
+    ) -> Result<Decided, String> {
+        let mut evaluator = self.having.evaluator(sequence, aggs);
+        let mut triples = Vec::new();
+        let mut satisfied = 0usize;
+        for binding in &self.bindings {
+            if evaluator.holds(binding)? {
+                satisfied += 1;
+                instantiate_construct(&self.construct, binding, &mut triples)?;
+            }
+        }
+        Ok(Decided {
+            triples: self.apply_output_mode(triples),
+            satisfied,
+            candidates: evaluator.candidates,
+            probes: evaluator.probes,
         })
     }
 
@@ -529,20 +590,11 @@ impl ContinuousQuery {
         let ctx = self.mint_agg_context(&groups);
         let combine_end = now_us(&epoch);
 
-        let seq = crate::sequence::StateSequence::default();
-        let mut triples = Vec::new();
-        let mut satisfied = 0usize;
-        for binding in &self.bindings {
-            let mut env = Env::default();
-            for (var, term) in binding {
-                env.values.insert(var.clone(), term.clone());
-            }
-            if self.translated.having.eval_with(&seq, &env, Some(&ctx))? {
-                satisfied += 1;
-                instantiate_construct(&self.translated.query.construct, binding, &mut triples)?;
-            }
-        }
-        let triples = self.apply_output_mode(triples);
+        // The aggregate tree runs through the one evaluator, over an empty
+        // window.
+        let Decided {
+            triples, satisfied, ..
+        } = self.decide(&IndexedSequence::default(), Some(&ctx))?;
         let r2s_end = now_us(&epoch);
 
         let spans = vec![
@@ -567,6 +619,8 @@ impl ContinuousQuery {
             tuples_in_window: tuples_in_window.max(0) as usize,
             states: 0,
             dropped_states: 0,
+            states_built: 0,
+            states_shared: 0,
             window_fragments: 1,
             stream_rows_shipped: rows_shipped,
             semi_joins_pushed: 0,
@@ -855,37 +909,74 @@ fn invert_stream_key(iri: &str, prefix: &str, suffix: &str, key_type: ColumnType
     }
 }
 
-fn instantiate_construct(
-    template: &[Atom],
-    binding: &HashMap<String, Term>,
-    out: &mut Vec<Triple>,
-) -> Result<(), String> {
-    let resolve = |t: &QueryTerm| -> Result<Term, String> {
-        match t {
-            QueryTerm::Const(c) => Ok(c.clone()),
-            QueryTerm::Var(v) => binding
-                .get(v)
-                .cloned()
-                .ok_or_else(|| format!("CONSTRUCT variable ?{v} is unbound")),
-        }
+/// A CONSTRUCT-template term, resolved against the binding columns.
+enum TemplateTerm {
+    Const(Term),
+    /// A variable, read from the binding's `column` (`None`: no binding
+    /// provides it, and instantiating it fails).
+    Var {
+        name: String,
+        column: Option<usize>,
+    },
+}
+
+/// One CONSTRUCT-template atom as the triple it emits (`C(x)` emits
+/// `x rdf:type C`).
+struct TemplateTriple {
+    subject: TemplateTerm,
+    predicate: optique_rdf::Iri,
+    object: TemplateTerm,
+}
+
+fn compile_construct(template: &[Atom], columns: &[String]) -> Vec<TemplateTriple> {
+    let term = |t: &QueryTerm| match t {
+        QueryTerm::Const(c) => TemplateTerm::Const(c.clone()),
+        QueryTerm::Var(v) => TemplateTerm::Var {
+            name: v.clone(),
+            column: columns.iter().position(|column| column == v),
+        },
     };
-    for atom in template {
-        match atom {
-            Atom::Class { class, arg } => {
-                out.push(Triple::class_assertion(resolve(arg)?, class.clone()));
-            }
+    template
+        .iter()
+        .map(|atom| match atom {
+            Atom::Class { class, arg } => TemplateTriple {
+                subject: term(arg),
+                predicate: optique_rdf::Iri::new(optique_rdf::vocab::rdf::TYPE),
+                object: TemplateTerm::Const(Term::Iri(class.clone())),
+            },
             Atom::Property {
                 property,
                 subject,
                 object,
-            } => {
-                out.push(Triple::new(
-                    resolve(subject)?,
-                    property.clone(),
-                    resolve(object)?,
-                ));
-            }
+            } => TemplateTriple {
+                subject: term(subject),
+                predicate: property.clone(),
+                object: term(object),
+            },
+        })
+        .collect()
+}
+
+fn instantiate_construct(
+    template: &[TemplateTriple],
+    binding: &BindingRow,
+    out: &mut Vec<Triple>,
+) -> Result<(), String> {
+    let resolve = |t: &TemplateTerm| -> Result<Term, String> {
+        match t {
+            TemplateTerm::Const(c) => Ok(c.clone()),
+            TemplateTerm::Var { name, column } => column
+                .and_then(|column| binding.term(column))
+                .cloned()
+                .ok_or_else(|| format!("CONSTRUCT variable ?{name} is unbound")),
         }
+    };
+    for triple in template {
+        out.push(Triple::new(
+            resolve(&triple.subject)?,
+            triple.predicate.clone(),
+            resolve(&triple.object)?,
+        ));
     }
     Ok(())
 }
@@ -1281,6 +1372,124 @@ mod tests {
         let _ = cq2.tick(&db, &wcache, 609_000).unwrap();
         assert_eq!(wcache.misses(), misses_after_first);
         assert!(wcache.hits() >= 1);
+    }
+
+    /// A second query that agrees with the first on mapping and TBox takes
+    /// the window's whole sequence; a later window takes every state but the
+    /// one timestamp that is new to it.
+    #[test]
+    fn states_are_built_once_and_shared() {
+        let (cq, db) = registered();
+        let (cq2, _) = registered();
+        let wcache = WCache::new();
+        let first = cq.tick(&db, &wcache, 608_000).unwrap();
+        assert_eq!((first.states_built, first.states_shared), (9, 0));
+        let second = cq2.tick(&db, &wcache, 608_000).unwrap();
+        assert_eq!((second.states_built, second.states_shared), (0, 9));
+        assert_eq!(first.triples, second.triples);
+        let next = cq.tick(&db, &wcache, 609_000).unwrap();
+        assert_eq!((next.states_built, next.states_shared), (1, 9));
+        assert_eq!(next.satisfied, 1, "the shared states still answer Figure 1");
+    }
+
+    /// Registers Figure 1 over the shared deployment with its own TBox and
+    /// stream mapping.
+    fn registered_with(onto: &Ontology, mapping: StreamToRdf) -> ContinuousQuery {
+        let (db, _, maps) = deployment();
+        let q = parse_starql(FIGURE1, &Namespaces::with_w3c_defaults()).unwrap();
+        let ctx = TranslationContext {
+            ontology: onto,
+            mappings: &maps,
+            rewrite_settings: Default::default(),
+            unfold_settings: Default::default(),
+        };
+        ContinuousQuery::register(translate(&q, &ctx).unwrap(), mapping, &db).unwrap()
+    }
+
+    /// A sequence is a function of the rows, the stream mapping *and* the
+    /// TBox, and every query carries its own copies of the last two: two
+    /// queries that disagree on either share the window's rows on one
+    /// `WCache`, never its sequence or its states.
+    #[test]
+    fn queries_that_disagree_never_share_a_sequence() {
+        let (db, onto, _) = deployment();
+        // Under this TBox every reading is a failure message; under this
+        // mapping no event is.
+        let mut alarmist = onto.clone();
+        alarmist.add_axiom(Axiom::SubClass {
+            sub: BasicConcept::exists(iri("hasValue")),
+            sup: BasicConcept::atomic(iri("showsFailure")),
+        });
+        let mut deaf = stream_mapping();
+        deaf.event_classes.clear();
+        let queries = [
+            registered_with(&onto, stream_mapping()),
+            registered_with(&alarmist, stream_mapping()),
+            registered_with(&onto, deaf),
+        ];
+        let alone: Vec<TickOutput> = queries
+            .iter()
+            .map(|cq| cq.tick(&db, &WCache::new(), 609_000).unwrap())
+            .collect();
+        let alarms: Vec<usize> = alone.iter().map(|out| out.satisfied).collect();
+        assert_eq!(
+            alarms,
+            [1, 2, 0],
+            "the three read the same rows differently"
+        );
+
+        let wcache = WCache::new();
+        for (cq, alone) in queries.iter().zip(&alone) {
+            let shared = cq.tick(&db, &wcache, 609_000).unwrap();
+            assert_eq!(shared.triples, alone.triples);
+            assert_eq!(
+                (shared.states_built, shared.states_shared),
+                (10, 0),
+                "nothing another query built fits"
+            );
+        }
+        assert_eq!(
+            (wcache.misses(), wcache.hits()),
+            (1, 2),
+            "one window of rows"
+        );
+    }
+
+    /// A row that arrives late, for a timestamp whose state is already
+    /// built and cached, is in the next tick's window: the row count that
+    /// stamps the state moved, so that one state is rebuilt.
+    #[test]
+    fn late_row_is_visible_in_the_next_tick() {
+        let (cq, mut db) = registered_text(&agg_query(
+            "",
+            "EXISTS ?k IN seq: GRAPH ?k { ?c2 sie:showsFailure }",
+        ));
+        let wcache = WCache::new();
+        let before = cq.tick(&db, &wcache, 609_000).unwrap();
+        assert_eq!(before.satisfied, 1, "sensor 10 fails at 609 s");
+
+        let mut table = (**db.table("S_Msmt").unwrap()).clone();
+        table
+            .push_row(vec![
+                Value::Timestamp(605_000),
+                Value::Int(11),
+                Value::Float(85.5),
+                Value::text("failure"),
+            ])
+            .unwrap();
+        db.put_table("S_Msmt", table);
+
+        let after = cq.tick(&db, &wcache, 610_000).unwrap();
+        assert_eq!(after.satisfied, 2, "sensor 11's late failure counts");
+        assert_eq!(
+            (after.states_built, after.states_shared),
+            (1, 8),
+            "605 s was rebuilt, 602 s … 609 s otherwise shared"
+        );
+        // And the window that closed before the row arrived is stale under
+        // its old stamp only: ticked again, it sees the row too.
+        let replay = cq.tick(&db, &wcache, 609_000).unwrap();
+        assert_eq!(replay.satisfied, 2);
     }
 
     #[test]

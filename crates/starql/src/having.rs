@@ -3,26 +3,37 @@
 //! HAVING conditions quantify over the *states* of a window's sequence
 //! (`EXISTS ?k IN seq`, `FORALL ?i < ?j IN seq`), inspect the RDF graph at a
 //! state (`GRAPH ?i { ?s sie:hasValue ?x }`), and compare values
-//! (`?x <= ?y`). Two layers:
+//! (`?x <= ?y`). Three layers:
 //!
 //! * [`ProtoFormula`] — the parser's output: may contain `$param`
 //!   placeholders and macro calls (`MONOTONIC.HAVING(?c2, sie:hasValue)`);
 //!   [`expand`] substitutes macro definitions away,
-//! * [`HavingFormula`] — the closed form the evaluator runs against a
-//!   [`crate::sequence::StateSequence`].
+//! * [`HavingFormula`] — the closed form: the AST the parser, the
+//!   restriction-safety analysis and the engine's pane analysis read,
+//! * [`CompiledHaving`] — what a tick runs. Compiled once at registration:
+//!   variables are slots, the WHERE bindings are rows read by position
+//!   ([`BindingRow`]), and an evaluation *probes* the window's
+//!   postings index ([`IndexedSequence`]) instead of enumerating its
+//!   states. A pattern with a bound subject is one probe; a quantified state
+//!   variable whose conjunctive scope holds such a pattern ranges over that
+//!   pattern's postings only, inside the bounds the state-order conjuncts in
+//!   scope set (`?i < ?j < ?k` enumerates ordered tuples); a variable with
+//!   no such guard — under `NOT`, say — still ranges over every state.
 //!
 //! `FORALL`'s universally-quantified value variables are range-restricted
 //! by the graph patterns in the `IF` condition (the classical safe-formula
 //! requirement): evaluation enumerates the condition's satisfying
-//! assignments and checks the consequent under each.
+//! extensions and checks the consequent under each.
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use optique_rdf::{Iri, Term};
+use optique_rdf::vocab::rdf::TYPE as RDF_TYPE;
+use optique_rdf::{Iri, Term, TriplePattern};
 use optique_relational::AggAcc;
-use optique_rewrite::{Atom, ConjunctiveQuery, QueryTerm};
+use optique_rewrite::{Atom, QueryTerm};
 
-use crate::sequence::StateSequence;
+use crate::sequence::{IndexedSequence, SubjectPostings, Val};
 
 /// Window-aggregate functions usable in HAVING atoms like
 /// `SUM(?c, sie:hasValue) >= 100`.
@@ -78,7 +89,8 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    fn test(self, ord: std::cmp::Ordering) -> bool {
+    /// Whether an ordering satisfies the operator.
+    pub fn test(self, ord: std::cmp::Ordering) -> bool {
         use std::cmp::Ordering::*;
         match self {
             CmpOp::Eq => ord == Equal,
@@ -365,7 +377,7 @@ fn expand_with(
     })
 }
 
-/// The evaluable HAVING formula.
+/// The closed HAVING formula ([`CompiledHaving`] is its evaluable form).
 #[derive(Clone, PartialEq, Debug)]
 pub enum HavingFormula {
     /// Always true.
@@ -443,115 +455,680 @@ pub enum HavingFormula {
     },
 }
 
-/// Evaluation environment: state variables → state indices, value
-/// variables → RDF terms.
-#[derive(Clone, Debug, Default)]
-pub struct Env {
-    /// State-variable bindings.
-    pub states: HashMap<String, usize>,
-    /// Value-variable bindings.
-    pub values: HashMap<String, Term>,
+/// Numeric comparison when both terms are numeric literals; term order
+/// otherwise.
+fn compare(a: &Val, b: &Val) -> std::cmp::Ordering {
+    match (a.num, b.num) {
+        (Some(x), Some(y)) => x.total_cmp(&y),
+        _ => a.term.cmp(&b.term),
+    }
 }
 
-impl HavingFormula {
-    /// Evaluates the formula over a state sequence under an environment
-    /// binding its free variables. Formulas containing [`HavingFormula::Agg`]
-    /// atoms need [`HavingFormula::eval_with`] and an aggregate context.
-    pub fn eval(&self, seq: &StateSequence, env: &Env) -> Result<bool, String> {
-        self.eval_with(seq, env, None)
+// ---- the compiled evaluator ----------------------------------------------
+//
+// Semantics, pinned by `tests/having_equivalence.rs` against the interpreter
+// this replaced (kept there as the reference):
+//
+// * `AND` reads existentially over the extensions its graph patterns
+//   produce, left to right: `GRAPH ?k {?s :v ?x} AND ?x >= 95` holds when
+//   SOME match of the pattern satisfies the comparison; conjuncts that bind
+//   nothing are boolean filters.
+// * `IF` is implication over the antecedent's satisfying extensions.
+// * Reading a variable nothing has bound fails the evaluation, at the tick,
+//   exactly where the interpreter failed. The interpreter enumerated every
+//   extension of a conjunction, and every state tuple of a quantifier, so a
+//   failure anywhere in that enumeration failed the whole. The shortcuts
+//   below — stopping at the first extension, visiting candidate states only —
+//   are therefore taken only where the skipped part provably cannot fail:
+//   each node that has a shortcut records the value slots that must be bound
+//   on entry for that (`Needs`), and checks them when it is entered.
+
+/// Value slots that must be bound when a node is entered for its evaluation
+/// to be unable to fail; `None` when it may fail regardless (an unbound
+/// state variable, an aggregate atom).
+type Needs = Option<Vec<usize>>;
+
+/// A state variable, resolved lexically at compile time.
+#[derive(Debug)]
+enum StateRef {
+    /// The slot of the enclosing quantifier's variable.
+    Slot(usize),
+    /// No enclosing quantifier binds the name: reading it fails.
+    Unbound(String),
+}
+
+/// What a value slot stands for.
+#[derive(Debug)]
+enum SlotDecl {
+    /// A variable: bound from the WHERE binding's `column` if that is one
+    /// of its variables, else by a graph pattern.
+    Var { name: String, column: Option<usize> },
+    /// A constant of the formula, bound from the start.
+    Const(Val),
+}
+
+/// Which of a subject's postings answer a pattern.
+#[derive(Clone, Debug)]
+enum PostingKey {
+    /// Its objects under a property.
+    Property(Iri),
+    /// Its memberships of a class.
+    Class(Iri),
+}
+
+/// One triple pattern of a `GRAPH` block.
+#[derive(Debug)]
+struct PatternAtom {
+    subject: usize,
+    predicate: Iri,
+    object: usize,
+    /// Where the index answers the pattern once its subject is bound.
+    /// `None` for `rdf:type` with anything but a constant class: that can
+    /// match memberships the index does not hold, and scans the state graph.
+    key: Option<PostingKey>,
+}
+
+/// One quantified state variable and what narrows its range.
+#[derive(Debug)]
+struct QuantifiedVar {
+    slot: usize,
+    /// Patterns at this variable that every tuple worth visiting must
+    /// match, as `(subject slot, postings)`: the candidates are the postings
+    /// of the first whose subject is bound.
+    guards: Vec<(usize, PostingKey)>,
+    /// State slots, assigned before this one, that it must stay below…
+    below: Vec<usize>,
+    /// …and above.
+    above: Vec<usize>,
+}
+
+#[derive(Debug)]
+struct Quantifier {
+    vars: Vec<QuantifiedVar>,
+    body: Box<Node>,
+    /// What must be bound for the tuples outside the candidates to be
+    /// unable to fail (they are then false under `EXISTS`, vacuously true
+    /// under `FORALL … IF`).
+    needs: Needs,
+}
+
+#[derive(Debug)]
+enum Node {
+    True,
+    Exists(Quantifier),
+    Forall(Quantifier),
+    If {
+        cond: Box<Node>,
+        then: Box<Node>,
+        cond_needs: Needs,
+    },
+    /// A conjunction chain, flattened: extensions flow left to right
+    /// whichever way the `AND`s nested.
+    And {
+        conjuncts: Vec<Node>,
+        needs: Needs,
+    },
+    Or(Box<Node>, Box<Node>),
+    Not(Box<Node>),
+    StateLess {
+        left: Vec<StateRef>,
+        right: StateRef,
+    },
+    Graph {
+        state: StateRef,
+        atoms: Vec<PatternAtom>,
+    },
+    Cmp {
+        left: usize,
+        op: CmpOp,
+        right: usize,
+    },
+    Agg {
+        func: AggFunc,
+        subject: usize,
+        op: CmpOp,
+        threshold: usize,
+    },
+}
+
+/// A [`HavingFormula`] compiled for evaluation against [`BindingRow`]s of
+/// known columns: state and value variables are slots, constants are
+/// pre-bound slots, WHERE variables read their column, and every quantifier
+/// knows which postings its candidates come from. Built once per query, at
+/// registration.
+#[derive(Debug)]
+pub struct CompiledHaving {
+    root: Node,
+    slots: Vec<SlotDecl>,
+    state_slots: usize,
+    columns: usize,
+}
+
+/// One WHERE binding as a row over the query's binding columns (its WHERE
+/// variables, in a fixed order): resolved once, at registration, and read
+/// by position ever after — by the HAVING evaluator and by the CONSTRUCT
+/// template alike.
+#[derive(Clone, Debug)]
+pub struct BindingRow(Vec<Option<Val>>);
+
+impl BindingRow {
+    /// The columns of a set of bindings: every variable any of them binds,
+    /// in name order.
+    pub fn columns(bindings: &[HashMap<String, Term>]) -> Vec<String> {
+        let names: BTreeSet<&String> = bindings.iter().flat_map(HashMap::keys).collect();
+        names.into_iter().cloned().collect()
     }
 
-    /// Evaluates the formula, additionally supplying the tick's per-subject
-    /// window aggregates for [`HavingFormula::Agg`] atoms.
-    pub fn eval_with(
-        &self,
-        seq: &StateSequence,
-        env: &Env,
-        aggs: Option<&AggContext>,
-    ) -> Result<bool, String> {
-        match self {
-            HavingFormula::True => Ok(true),
+    /// The row of `binding` over `columns`; a variable the binding lacks
+    /// stays unbound.
+    pub fn new(columns: &[String], binding: &HashMap<String, Term>) -> Self {
+        let value = |column| binding.get(column).cloned().map(Val::new);
+        BindingRow(columns.iter().map(value).collect())
+    }
+
+    /// The term bound to `column`, if any.
+    pub fn term(&self, column: usize) -> Option<&Term> {
+        self.0[column].as_ref().map(|value| &value.term)
+    }
+}
+
+struct Compiler<'c> {
+    columns: &'c [String],
+    slots: Vec<SlotDecl>,
+    var_slots: HashMap<String, usize>,
+    const_slots: HashMap<Term, usize>,
+    /// Lexical scope of state variables: `(name, slot)`, innermost last.
+    scope: Vec<(String, usize)>,
+    state_slots: usize,
+}
+
+impl Compiler<'_> {
+    fn value_slot(&mut self, term: &QueryTerm) -> usize {
+        let next = self.slots.len();
+        match term {
+            QueryTerm::Var(name) => *self.var_slots.entry(name.clone()).or_insert_with(|| {
+                self.slots.push(SlotDecl::Var {
+                    name: name.clone(),
+                    column: self.columns.iter().position(|column| column == name),
+                });
+                next
+            }),
+            QueryTerm::Const(term) => *self.const_slots.entry(term.clone()).or_insert_with(|| {
+                self.slots.push(SlotDecl::Const(Val::new(term.clone())));
+                next
+            }),
+        }
+    }
+
+    fn state_ref(&self, name: &str) -> StateRef {
+        match self.scope.iter().rev().find(|(n, _)| n == name) {
+            Some((_, slot)) => StateRef::Slot(*slot),
+            None => StateRef::Unbound(name.to_string()),
+        }
+    }
+
+    fn atom(&mut self, atom: &Atom) -> PatternAtom {
+        match atom {
+            Atom::Class { class, arg } => PatternAtom {
+                subject: self.value_slot(arg),
+                predicate: Iri::new(RDF_TYPE),
+                object: self.value_slot(&QueryTerm::Const(Term::Iri(class.clone()))),
+                key: Some(PostingKey::Class(class.clone())),
+            },
+            Atom::Property {
+                property,
+                subject,
+                object,
+            } => PatternAtom {
+                subject: self.value_slot(subject),
+                predicate: property.clone(),
+                object: self.value_slot(object),
+                key: match object {
+                    _ if property.as_str() != RDF_TYPE => {
+                        Some(PostingKey::Property(property.clone()))
+                    }
+                    QueryTerm::Const(Term::Iri(class)) => Some(PostingKey::Class(class.clone())),
+                    _ => None,
+                },
+            },
+        }
+    }
+
+    fn node(&mut self, formula: &HavingFormula) -> Node {
+        match formula {
+            HavingFormula::True => Node::True,
             HavingFormula::Exists { state_vars, body } => {
-                let n = seq.states.len();
-                let mut env = env.clone();
-                exists_rec(state_vars, 0, n, &mut env, |e| body.eval_with(seq, e, aggs))
+                Node::Exists(self.quantifier(state_vars, body, false))
             }
             HavingFormula::Forall {
-                state_vars,
-                value_vars: _,
-                body,
-            } => {
-                // Enumerate all state assignments; the body (typically an
-                // IF) handles value-variable range restriction.
-                let n = seq.states.len();
-                let mut env = env.clone();
-                forall_rec(state_vars, 0, n, &mut env, |e| body.eval_with(seq, e, aggs))
-            }
+                state_vars, body, ..
+            } => Node::Forall(self.quantifier(state_vars, body, true)),
             HavingFormula::If { cond, then } => {
-                // For every satisfying extension of the antecedent, the
-                // consequent must hold.
-                for extended in cond.satisfying_assignments(seq, env, aggs)? {
-                    if !then.eval_with(seq, &extended, aggs)? {
-                        return Ok(false);
-                    }
+                let cond = Box::new(self.node(cond));
+                let then = Box::new(self.node(then));
+                Node::If {
+                    cond_needs: self.needs(std::slice::from_ref(&cond), true),
+                    cond,
+                    then,
                 }
-                Ok(true)
             }
             HavingFormula::And(..) => {
-                // Conjunctions evaluate existentially over the bindings their
-                // graph patterns produce: `GRAPH ?k {?s :v ?x} AND ?x >= 95`
-                // holds when SOME match of the pattern satisfies the
-                // comparison. Non-binding conjuncts act as boolean filters.
-                Ok(!self.satisfying_assignments(seq, env, aggs)?.is_empty())
-            }
-            HavingFormula::Or(a, b) => {
-                Ok(a.eval_with(seq, env, aggs)? || b.eval_with(seq, env, aggs)?)
-            }
-            HavingFormula::Not(a) => Ok(!a.eval_with(seq, env, aggs)?),
-            HavingFormula::StateLess { left, right } => {
-                let r = lookup_state(env, right)?;
-                for l in left {
-                    if lookup_state(env, l)? >= r {
-                        return Ok(false);
-                    }
+                let mut conjuncts = Vec::new();
+                self.conjuncts(formula, &mut conjuncts);
+                Node::And {
+                    needs: self.needs(&conjuncts, true),
+                    conjuncts,
                 }
-                Ok(true)
             }
-            HavingFormula::Graph { state, atoms } => {
-                let idx = lookup_state(env, state)?;
-                let graph = &seq
-                    .states
-                    .get(idx)
-                    .ok_or_else(|| format!("state index {idx} out of range"))?
-                    .graph;
-                let cq = pattern_query(atoms, env, &[]);
-                Ok(!cq.evaluate(graph).is_empty())
-            }
-            HavingFormula::Cmp { left, op, right } => {
-                let l = lookup_value(env, left)?;
-                let r = lookup_value(env, right)?;
-                Ok(op.test(compare_terms(&l, &r)))
-            }
+            HavingFormula::Or(a, b) => Node::Or(Box::new(self.node(a)), Box::new(self.node(b))),
+            HavingFormula::Not(a) => Node::Not(Box::new(self.node(a))),
+            HavingFormula::StateLess { left, right } => Node::StateLess {
+                left: left.iter().map(|name| self.state_ref(name)).collect(),
+                right: self.state_ref(right),
+            },
+            HavingFormula::Graph { state, atoms } => Node::Graph {
+                state: self.state_ref(state),
+                atoms: atoms.iter().map(|atom| self.atom(atom)).collect(),
+            },
+            HavingFormula::Cmp { left, op, right } => Node::Cmp {
+                left: self.value_slot(left),
+                op: *op,
+                right: self.value_slot(right),
+            },
             HavingFormula::Agg {
                 func,
                 subject,
                 property: _,
                 op,
                 threshold,
-            } => {
-                let Some(ctx) = aggs else {
-                    return Err(
-                        "aggregate atom requires a windowed aggregate context (eval_with)".into(),
-                    );
+            } => Node::Agg {
+                func: *func,
+                subject: self.value_slot(subject),
+                op: *op,
+                threshold: self.value_slot(threshold),
+            },
+        }
+    }
+
+    fn conjuncts(&mut self, formula: &HavingFormula, out: &mut Vec<Node>) {
+        match formula {
+            HavingFormula::And(left, right) => {
+                self.conjuncts(left, out);
+                self.conjuncts(right, out);
+            }
+            conjunct => out.push(self.node(conjunct)),
+        }
+    }
+
+    fn quantifier(
+        &mut self,
+        names: &[String],
+        body: &HavingFormula,
+        universal: bool,
+    ) -> Quantifier {
+        let outer = self.scope.len();
+        let slots: Vec<usize> = names
+            .iter()
+            .map(|name| {
+                self.scope.push((name.clone(), self.state_slots));
+                self.state_slots += 1;
+                self.state_slots - 1
+            })
+            .collect();
+        let body = Box::new(self.node(body));
+        self.scope.truncate(outer);
+
+        // What decides a tuple outside the candidates: an EXISTS body must
+        // hold there; a FORALL body holds there vacuously when it is an IF
+        // whose condition fails. Any other FORALL body is visited in full.
+        let decider = match (&*body, universal) {
+            (body, false) => Some((body, false)),
+            (Node::If { cond, .. }, true) => Some((&**cond, true)),
+            (_, true) => None,
+        };
+        let needs = decider
+            .and_then(|(node, satisfying)| self.needs(std::slice::from_ref(node), satisfying));
+        let mut conjuncts = Vec::new();
+        if let Some((node, _)) = decider {
+            required_conjuncts(node, &mut conjuncts);
+        }
+        let vars = slots
+            .into_iter()
+            .map(|slot| {
+                let mut var = QuantifiedVar {
+                    slot,
+                    guards: Vec::new(),
+                    below: Vec::new(),
+                    above: Vec::new(),
                 };
-                let subj = lookup_value(env, subject)?;
-                let threshold = match lookup_value(env, threshold)? {
+                for conjunct in &conjuncts {
+                    match conjunct {
+                        Node::Graph {
+                            state: StateRef::Slot(at),
+                            atoms,
+                        } if *at == slot => {
+                            var.guards.extend(
+                                atoms
+                                    .iter()
+                                    .filter_map(|atom| Some((atom.subject, atom.key.clone()?))),
+                            );
+                        }
+                        Node::StateLess {
+                            left,
+                            right: StateRef::Slot(right),
+                        } => {
+                            // Slots are handed out in binding order: a lower
+                            // slot in scope is assigned before this one.
+                            for l in left {
+                                let StateRef::Slot(l) = l else { continue };
+                                if *l == slot && *right < slot {
+                                    var.below.push(*right);
+                                }
+                                if *right == slot && *l < slot {
+                                    var.above.push(*l);
+                                }
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                var
+            })
+            .collect();
+        Quantifier { vars, body, needs }
+    }
+
+    /// The [`Needs`] of `nodes` evaluated one after the other, each entered
+    /// as a boolean test or (`satisfying`) as a conjunct whose pattern
+    /// bindings flow on to the next.
+    fn needs(&self, nodes: &[Node], satisfying: bool) -> Needs {
+        let mut bound: Vec<bool> = self
+            .slots
+            .iter()
+            .map(|slot| matches!(slot, SlotDecl::Const(_)))
+            .collect();
+        let mut needs = BTreeSet::new();
+        nodes
+            .iter()
+            .all(|node| unfailing(node, satisfying, &mut bound, &mut needs))
+            .then(|| needs.into_iter().collect())
+    }
+}
+
+/// The `GRAPH` and state-order nodes that must all hold for `node` to hold
+/// (or, for an antecedent, to have an extension): through `AND`, and through
+/// a nested `EXISTS`, whose body must hold for some inner tuple.
+fn required_conjuncts<'n>(node: &'n Node, out: &mut Vec<&'n Node>) {
+    match node {
+        Node::And { conjuncts, .. } => {
+            for conjunct in conjuncts {
+                required_conjuncts(conjunct, out);
+            }
+        }
+        Node::Exists(inner) => required_conjuncts(&inner.body, out),
+        Node::Graph { .. } | Node::StateLess { .. } => out.push(node),
+        _ => {}
+    }
+}
+
+/// Walks `node` the way the evaluator does, tracking which value slots the
+/// patterns on the way have bound: a read of a slot nothing bound goes into
+/// `needs`. Returns `false` when the evaluation may fail whatever is bound.
+fn unfailing(
+    node: &Node,
+    satisfying: bool,
+    bound: &mut [bool],
+    needs: &mut BTreeSet<usize>,
+) -> bool {
+    match node {
+        Node::True => true,
+        Node::Cmp { left, right, .. } => {
+            needs.extend([*left, *right].into_iter().filter(|&slot| !bound[slot]));
+            true
+        }
+        Node::StateLess { left, right } => left
+            .iter()
+            .chain([right])
+            .all(|state| matches!(state, StateRef::Slot(_))),
+        Node::Graph { state, atoms } => {
+            // A pattern reads nothing: a bound slot is a constant to it, a
+            // free one it binds — for what follows, if anything does.
+            if satisfying {
+                for atom in atoms {
+                    bound[atom.subject] = true;
+                    bound[atom.object] = true;
+                }
+            }
+            matches!(state, StateRef::Slot(_))
+        }
+        // Conservatively: whether an aggregate atom fails depends on the
+        // tick's context and on the threshold's value.
+        Node::Agg { .. } => false,
+        Node::And { conjuncts, .. } => {
+            let saved = (!satisfying).then(|| bound.to_vec());
+            let ok = conjuncts
+                .iter()
+                .all(|conjunct| unfailing(conjunct, true, bound, needs));
+            if let Some(saved) = saved {
+                bound.copy_from_slice(&saved);
+            }
+            ok
+        }
+        Node::Or(a, b) => unfailing(a, false, bound, needs) && unfailing(b, false, bound, needs),
+        Node::Not(a) => unfailing(a, false, bound, needs),
+        Node::If { cond, then, .. } => {
+            let saved = bound.to_vec();
+            let ok = unfailing(cond, true, bound, needs) && unfailing(then, false, bound, needs);
+            bound.copy_from_slice(&saved);
+            ok
+        }
+        Node::Exists(q) | Node::Forall(q) => unfailing(&q.body, false, bound, needs),
+    }
+}
+
+impl CompiledHaving {
+    /// Compiles a formula for bindings over `columns`. Compilation cannot
+    /// fail: an ill-scoped formula fails when (and only if) an evaluation
+    /// reads the unbound variable.
+    pub fn compile(formula: &HavingFormula, columns: &[String]) -> Self {
+        let mut compiler = Compiler {
+            columns,
+            slots: Vec::new(),
+            var_slots: HashMap::new(),
+            const_slots: HashMap::new(),
+            scope: Vec::new(),
+            state_slots: 0,
+        };
+        let root = compiler.node(formula);
+        CompiledHaving {
+            root,
+            slots: compiler.slots,
+            state_slots: compiler.state_slots,
+            columns: columns.len(),
+        }
+    }
+
+    /// An evaluator of this formula over one window's sequence and the
+    /// tick's per-subject aggregates; [`Evaluator::holds`] then decides each
+    /// binding.
+    pub fn evaluator<'a>(
+        &'a self,
+        sequence: &'a IndexedSequence,
+        aggs: Option<&'a AggContext>,
+    ) -> Evaluator<'a> {
+        Evaluator {
+            formula: self,
+            sequence,
+            aggs,
+            states: vec![0; self.state_slots],
+            values: Vec::with_capacity(self.slots.len()),
+            subjects: Vec::with_capacity(self.slots.len()),
+            candidates: 0,
+            probes: 0,
+        }
+    }
+}
+
+/// The continuation of a satisfying extension: returns whether the
+/// enumeration may stop.
+type Next<'n, 'a> = &'n mut dyn FnMut(&mut Evaluator<'a>) -> Result<bool, String>;
+
+/// Evaluates one compiled formula over one window, binding after binding,
+/// reusing its scratch space.
+pub struct Evaluator<'a> {
+    formula: &'a CompiledHaving,
+    sequence: &'a IndexedSequence,
+    aggs: Option<&'a AggContext>,
+    states: Vec<usize>,
+    values: Vec<Option<Cow<'a, Val>>>,
+    /// Per value slot: the postings of the subject it is bound to, looked
+    /// up at most once per binding of the slot.
+    subjects: Vec<Option<Option<&'a SubjectPostings>>>,
+    /// State tuples visited so far, summed over the quantifiers.
+    pub candidates: u64,
+    /// Pattern evaluations and candidate look-ups so far.
+    pub probes: u64,
+}
+
+impl<'a> Evaluator<'a> {
+    /// Whether the formula holds under `binding`, a row over the columns
+    /// the formula was compiled for.
+    pub fn holds(&mut self, binding: &'a BindingRow) -> Result<bool, String> {
+        let formula = self.formula;
+        assert_eq!(
+            binding.0.len(),
+            formula.columns,
+            "a row over other columns than the formula's"
+        );
+        self.values.clear();
+        self.values.extend(formula.slots.iter().map(|slot| {
+            let value = match slot {
+                SlotDecl::Var { column, .. } => binding.0[(*column)?].as_ref(),
+                SlotDecl::Const(value) => Some(value),
+            };
+            value.map(Cow::Borrowed)
+        }));
+        self.subjects.clear();
+        self.subjects.resize(formula.slots.len(), None);
+        self.eval(&formula.root)
+    }
+
+    fn all_bound(&self, needs: &Needs) -> bool {
+        needs
+            .as_ref()
+            .is_some_and(|slots| slots.iter().all(|&slot| self.values[slot].is_some()))
+    }
+
+    fn state(&self, state: &StateRef) -> Result<usize, String> {
+        match state {
+            StateRef::Slot(slot) => Ok(self.states[*slot]),
+            StateRef::Unbound(name) => Err(format!("unbound state variable ?{name}")),
+        }
+    }
+
+    fn value(&self, slot: usize) -> Result<&Val, String> {
+        self.values[slot].as_deref().ok_or_else(|| {
+            let SlotDecl::Var { name, .. } = &self.formula.slots[slot] else {
+                unreachable!("constants are bound from the start");
+            };
+            format!("unbound value variable ?{name}")
+        })
+    }
+
+    fn set(&mut self, slot: usize, value: Option<Cow<'a, Val>>) {
+        self.values[slot] = value;
+        self.subjects[slot] = None;
+    }
+
+    fn subject_postings(&mut self, slot: usize) -> Option<&'a SubjectPostings> {
+        if let Some(known) = self.subjects[slot] {
+            return known;
+        }
+        let sequence = self.sequence;
+        let found = self.values[slot]
+            .as_ref()
+            .and_then(|subject| sequence.subject(&subject.term));
+        self.subjects[slot] = Some(found);
+        found
+    }
+
+    fn eval(&mut self, node: &'a Node) -> Result<bool, String> {
+        match node {
+            Node::True => Ok(true),
+            Node::Exists(q) => {
+                let narrow = self.all_bound(&q.needs);
+                self.quantify(q, 0, false, narrow)
+            }
+            Node::Forall(q) => {
+                let narrow = self.all_bound(&q.needs);
+                self.quantify(q, 0, true, narrow)
+            }
+            Node::If {
+                cond,
+                then,
+                cond_needs,
+            } => {
+                // The antecedent is enumerated to its end before the
+                // consequent is read: where that can fail, it fails first.
+                if !self.all_bound(cond_needs) {
+                    self.satisfy(cond, &mut |_| Ok(false))?;
+                }
+                let mut holds = true;
+                self.satisfy(cond, &mut |e| {
+                    holds = e.eval(then)?;
+                    Ok(!holds)
+                })?;
+                Ok(holds)
+            }
+            Node::And { needs, .. } => {
+                let first_suffices = self.all_bound(needs);
+                let mut found = false;
+                self.satisfy(node, &mut |_| {
+                    found = true;
+                    Ok(first_suffices)
+                })?;
+                Ok(found)
+            }
+            Node::Or(a, b) => Ok(self.eval(a)? || self.eval(b)?),
+            Node::Not(a) => Ok(!self.eval(a)?),
+            Node::StateLess { left, right } => {
+                let right = self.state(right)?;
+                for left in left {
+                    if self.state(left)? >= right {
+                        return Ok(false);
+                    }
+                }
+                Ok(true)
+            }
+            Node::Graph { state, atoms } => {
+                let idx = self.state(state)?;
+                let mut found = false;
+                self.match_atoms(idx, atoms, &mut |_| {
+                    found = true;
+                    Ok(true)
+                })?;
+                Ok(found)
+            }
+            Node::Cmp { left, op, right } => {
+                Ok(op.test(compare(self.value(*left)?, self.value(*right)?)))
+            }
+            Node::Agg {
+                func,
+                subject,
+                op,
+                threshold,
+            } => {
+                let Some(ctx) = self.aggs else {
+                    return Err("aggregate atom requires a windowed aggregate context".into());
+                };
+                let subject = self.value(*subject)?;
+                let threshold = match &self.value(*threshold)?.term {
                     Term::Literal(lit) => lit
                         .as_f64()
                         .ok_or_else(|| format!("aggregate threshold {lit:?} is not numeric"))?,
                     other => return Err(format!("aggregate threshold {other:?} is not a literal")),
                 };
-                let acc = ctx.get(&subj);
+                let acc = ctx.get(&subject.term);
                 // A subject with no rows in the window has COUNT 0 but no
                 // defined SUM/AVG/MIN/MAX — those comparisons are false.
                 let value = match (func, acc) {
@@ -568,156 +1145,207 @@ impl HavingFormula {
         }
     }
 
-    /// Enumerates the environments extending `env` that satisfy this
-    /// formula — defined for the conjunctive fragment (AND / Graph /
-    /// StateLess / Cmp); other connectives act as boolean filters.
-    fn satisfying_assignments(
-        &self,
-        seq: &StateSequence,
-        env: &Env,
-        aggs: Option<&AggContext>,
-    ) -> Result<Vec<Env>, String> {
-        match self {
-            HavingFormula::And(a, b) => {
-                let mut out = Vec::new();
-                for e in a.satisfying_assignments(seq, env, aggs)? {
-                    out.extend(b.satisfying_assignments(seq, &e, aggs)?);
-                }
-                Ok(out)
+    /// Calls `next` under every extension of the current bindings that
+    /// satisfies `node` — defined for the conjunctive fragment (AND /
+    /// GRAPH); every other node is a boolean filter. Returns whether `next`
+    /// stopped the enumeration.
+    fn satisfy(&mut self, node: &'a Node, next: Next<'_, 'a>) -> Result<bool, String> {
+        match node {
+            Node::And { conjuncts, .. } => self.satisfy_all(conjuncts, next),
+            Node::Graph { state, atoms } => {
+                let idx = self.state(state)?;
+                self.match_atoms(idx, atoms, next)
             }
-            HavingFormula::Graph { state, atoms } => {
-                let idx = lookup_state(env, state)?;
-                let graph = &seq
-                    .states
-                    .get(idx)
-                    .ok_or_else(|| format!("state index {idx} out of range"))?
-                    .graph;
-                // Free variables of the pattern become answer variables.
-                let free = free_value_vars(atoms, env);
-                let cq = pattern_query(atoms, env, &free);
-                let mut out = Vec::new();
-                for tuple in cq.evaluate(graph) {
-                    let mut extended = env.clone();
-                    for (var, term) in free.iter().zip(tuple) {
-                        extended.values.insert(var.clone(), term);
-                    }
-                    out.push(extended);
-                }
-                Ok(out)
-            }
-            other => {
-                if other.eval_with(seq, env, aggs)? {
-                    Ok(vec![env.clone()])
+            filter => {
+                if self.eval(filter)? {
+                    next(self)
                 } else {
-                    Ok(vec![])
+                    Ok(false)
                 }
             }
         }
     }
-}
 
-fn exists_rec(
-    vars: &[String],
-    i: usize,
-    n: usize,
-    env: &mut Env,
-    check: impl Fn(&Env) -> Result<bool, String> + Copy,
-) -> Result<bool, String> {
-    if i == vars.len() {
-        return check(env);
-    }
-    for s in 0..n {
-        env.states.insert(vars[i].clone(), s);
-        if exists_rec(vars, i + 1, n, env, check)? {
-            env.states.remove(&vars[i]);
-            return Ok(true);
+    /// [`Self::satisfy`] for `conjuncts` in turn, each under the extensions
+    /// of those before it.
+    fn satisfy_all(&mut self, conjuncts: &'a [Node], next: Next<'_, 'a>) -> Result<bool, String> {
+        match conjuncts.split_first() {
+            Some((first, rest)) => self.satisfy(first, &mut |e| e.satisfy_all(rest, &mut *next)),
+            None => next(self),
         }
     }
-    env.states.remove(&vars[i]);
-    Ok(false)
-}
 
-fn forall_rec(
-    vars: &[String],
-    i: usize,
-    n: usize,
-    env: &mut Env,
-    check: impl Fn(&Env) -> Result<bool, String> + Copy,
-) -> Result<bool, String> {
-    if i == vars.len() {
-        return check(env);
+    /// Enumerates the tuples of `q`'s variables from `depth` on. With
+    /// `narrow`, a variable ranges over the states its guard's postings
+    /// list, inside the bounds the state-order conjuncts set; without, over
+    /// every state.
+    fn quantify(
+        &mut self,
+        q: &'a Quantifier,
+        depth: usize,
+        universal: bool,
+        narrow: bool,
+    ) -> Result<bool, String> {
+        let Some(var) = q.vars.get(depth) else {
+            self.candidates += 1;
+            return self.eval(&q.body);
+        };
+        let mut range = 0..self.sequence.len();
+        let mut listed: Option<&'a [u32]> = None;
+        if narrow {
+            for &other in &var.below {
+                range.end = range.end.min(self.states[other]);
+            }
+            for &other in &var.above {
+                range.start = range.start.max(self.states[other] + 1);
+            }
+            let guard = var
+                .guards
+                .iter()
+                .find(|(subject, _)| self.values[*subject].is_some());
+            if let Some((subject, key)) = guard {
+                self.probes += 1;
+                let of_subject = self.subject_postings(*subject);
+                listed = Some(
+                    of_subject
+                        .and_then(|of_subject| match key {
+                            PostingKey::Class(class) => of_subject.class(class),
+                            PostingKey::Property(property) => {
+                                of_subject.property(property).map(|p| &p.states[..])
+                            }
+                        })
+                        .unwrap_or_default(),
+                );
+            }
+        }
+        // EXISTS is decided by the first tuple that holds, FORALL by the
+        // first that does not.
+        match listed {
+            Some(states) => {
+                let from = states.partition_point(|&s| (s as usize) < range.start);
+                for &state in &states[from..] {
+                    if state as usize >= range.end {
+                        break;
+                    }
+                    self.states[var.slot] = state as usize;
+                    if self.quantify(q, depth + 1, universal, narrow)? != universal {
+                        return Ok(!universal);
+                    }
+                }
+            }
+            None => {
+                for state in range {
+                    self.states[var.slot] = state;
+                    if self.quantify(q, depth + 1, universal, narrow)? != universal {
+                        return Ok(!universal);
+                    }
+                }
+            }
+        }
+        Ok(universal)
     }
-    for s in 0..n {
-        env.states.insert(vars[i].clone(), s);
-        if !forall_rec(vars, i + 1, n, env, check)? {
-            env.states.remove(&vars[i]);
+
+    /// Runs `then` with `slot` holding `value`: as a check when the slot is
+    /// bound, as a binding — undone afterwards — when it is free.
+    fn with_value(
+        &mut self,
+        slot: usize,
+        value: Cow<'a, Val>,
+        then: Next<'_, 'a>,
+    ) -> Result<bool, String> {
+        match self.values[slot]
+            .as_ref()
+            .map(|bound| bound.term == value.term)
+        {
+            Some(true) => then(self),
+            Some(false) => Ok(false),
+            None => {
+                self.set(slot, Some(value));
+                let stopped = then(self);
+                self.set(slot, None);
+                stopped
+            }
+        }
+    }
+
+    /// Matches `atoms`, left to right, against state `idx`, calling `next`
+    /// under every match.
+    fn match_atoms(
+        &mut self,
+        idx: usize,
+        atoms: &'a [PatternAtom],
+        next: Next<'_, 'a>,
+    ) -> Result<bool, String> {
+        let Some((atom, rest)) = atoms.split_first() else {
+            return next(self);
+        };
+        self.probes += 1;
+        let key = match &atom.key {
+            Some(key) if self.values[atom.subject].is_some() => key,
+            _ => return self.scan_atom(idx, atom, rest, next),
+        };
+        let Some(of_subject) = self.subject_postings(atom.subject) else {
             return Ok(false);
+        };
+        match key {
+            PostingKey::Class(class) => {
+                let member = of_subject
+                    .class(class)
+                    .is_some_and(|states| states.binary_search(&(idx as u32)).is_ok());
+                if member {
+                    self.match_atoms(idx, rest, next)
+                } else {
+                    Ok(false)
+                }
+            }
+            PostingKey::Property(property) => {
+                let Some(postings) = of_subject.property(property) else {
+                    return Ok(false);
+                };
+                for posting in postings.at(idx) {
+                    let value = Cow::Borrowed(&posting.value);
+                    if self.with_value(atom.object, value, &mut |e| {
+                        e.match_atoms(idx, rest, &mut *next)
+                    })? {
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
+            }
         }
     }
-    env.states.remove(&vars[i]);
-    Ok(true)
-}
 
-fn lookup_state(env: &Env, var: &str) -> Result<usize, String> {
-    env.states
-        .get(var)
-        .copied()
-        .ok_or_else(|| format!("unbound state variable ?{var}"))
-}
-
-fn lookup_value(env: &Env, term: &QueryTerm) -> Result<Term, String> {
-    match term {
-        QueryTerm::Const(c) => Ok(c.clone()),
-        QueryTerm::Var(v) => env
-            .values
-            .get(v)
-            .cloned()
-            .ok_or_else(|| format!("unbound value variable ?{v}")),
-    }
-}
-
-/// Numeric comparison when both terms are numeric literals; term order
-/// otherwise.
-fn compare_terms(a: &Term, b: &Term) -> std::cmp::Ordering {
-    if let (Term::Literal(la), Term::Literal(lb)) = (a, b) {
-        if let (Some(x), Some(y)) = (la.as_f64(), lb.as_f64()) {
-            return x.total_cmp(&y);
+    /// The pattern the index cannot answer — a free subject, or `rdf:type`
+    /// with a free or non-class object — matched against the state graph.
+    fn scan_atom(
+        &mut self,
+        idx: usize,
+        atom: &'a PatternAtom,
+        rest: &'a [PatternAtom],
+        next: Next<'_, 'a>,
+    ) -> Result<bool, String> {
+        let sequence = self.sequence;
+        let mut pattern = TriplePattern::any().with_predicate(atom.predicate.clone());
+        if let Some(subject) = &self.values[atom.subject] {
+            pattern = pattern.with_subject(subject.term.clone());
         }
-    }
-    a.cmp(b)
-}
-
-/// Builds a CQ from pattern atoms, substituting env-bound variables by
-/// constants; `answer_vars` selects which free variables to report.
-fn pattern_query(atoms: &[Atom], env: &Env, answer_vars: &[String]) -> ConjunctiveQuery {
-    let substitute = |t: &QueryTerm| -> QueryTerm {
-        match t {
-            QueryTerm::Var(v) => match env.values.get(v) {
-                Some(term) => QueryTerm::Const(term.clone()),
-                None => t.clone(),
-            },
-            QueryTerm::Const(_) => t.clone(),
+        if let Some(object) = &self.values[atom.object] {
+            pattern = pattern.with_object(object.term.clone());
         }
-    };
-    let atoms = atoms
-        .iter()
-        .map(|a| match a {
-            Atom::Class { class, arg } => Atom::Class {
-                class: class.clone(),
-                arg: substitute(arg),
-            },
-            Atom::Property {
-                property,
-                subject,
-                object,
-            } => Atom::Property {
-                property: property.clone(),
-                subject: substitute(subject),
-                object: substitute(object),
-            },
-        })
-        .collect();
-    ConjunctiveQuery::new(answer_vars.to_vec(), atoms)
+        for triple in sequence.sequence().states[idx].graph.matching(&pattern) {
+            let object = triple.object;
+            let subject = Cow::Owned(Val::new(triple.subject));
+            if self.with_value(atom.subject, subject, &mut |e| {
+                let object = Cow::Owned(Val::new(object.clone()));
+                e.with_value(atom.object, object, &mut |e| {
+                    e.match_atoms(idx, rest, &mut *next)
+                })
+            })? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
 }
 
 // ---- stream-restriction safety -----------------------------------------
@@ -844,22 +1472,6 @@ impl HavingFormula {
             _ => false,
         }
     }
-}
-
-/// Variables of the pattern not bound in the environment, in first-seen
-/// order.
-fn free_value_vars(atoms: &[Atom], env: &Env) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    for atom in atoms {
-        for term in atom.terms() {
-            if let QueryTerm::Var(v) = term {
-                if !env.values.contains_key(v) && !out.contains(v) {
-                    out.push(v.clone());
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1011,6 +1623,45 @@ mod tests {
     use super::*;
     use crate::sequence::{State, StateSequence};
     use optique_rdf::{Graph, Iri, Literal, Triple};
+    use std::sync::Arc;
+
+    /// The WHERE binding a test evaluates under.
+    type Env = HashMap<String, Term>;
+
+    /// `f` compiled for the columns of `env`, and `env` as a row over them.
+    fn compile_under(f: &HavingFormula, env: &Env) -> (CompiledHaving, BindingRow) {
+        let columns = BindingRow::columns(std::slice::from_ref(env));
+        let compiled = CompiledHaving::compile(f, &columns);
+        (compiled, BindingRow::new(&columns, env))
+    }
+
+    /// What a tick does, end to end: compile, index, bind, decide.
+    trait Evaluate {
+        fn eval_with(
+            &self,
+            seq: &StateSequence,
+            env: &Env,
+            aggs: Option<&AggContext>,
+        ) -> Result<bool, String>;
+
+        fn eval(&self, seq: &StateSequence, env: &Env) -> Result<bool, String> {
+            self.eval_with(seq, env, None)
+        }
+    }
+
+    impl Evaluate for HavingFormula {
+        fn eval_with(
+            &self,
+            seq: &StateSequence,
+            env: &Env,
+            aggs: Option<&AggContext>,
+        ) -> Result<bool, String> {
+            let (compiled, row) = compile_under(self, env);
+            let indexed = IndexedSequence::new(seq.clone());
+            let verdict = compiled.evaluator(&indexed, aggs).holds(&row);
+            verdict
+        }
+    }
 
     fn iri(s: &str) -> Iri {
         Iri::new(format!("http://x/{s}"))
@@ -1039,17 +1690,17 @@ mod tests {
                 iri("hasValue"),
                 Term::Literal(Literal::double(*v2)),
             ));
-            states.push(State {
+            states.push(Arc::new(State {
                 timestamp: t as i64 * 1000,
                 graph: g,
-            });
+            }));
         }
         let mut g = Graph::new();
         g.insert(Triple::class_assertion(sensor(1), iri("showsFailure")));
-        states.push(State {
+        states.push(Arc::new(State {
             timestamp: 3000,
             graph: g,
-        });
+        }));
         StateSequence { states }
     }
 
@@ -1125,7 +1776,7 @@ mod tests {
 
     fn env_with_sensor(n: u32) -> Env {
         let mut env = Env::default();
-        env.values.insert("c".into(), sensor(n));
+        env.insert("c".into(), sensor(n));
         env
     }
 
@@ -1184,6 +1835,125 @@ mod tests {
             }),
         };
         assert!(f.eval(&seq, &env_with_sensor(1)).unwrap());
+    }
+
+    /// Probes and visited state tuples of one evaluation.
+    fn work(f: &HavingFormula, seq: &StateSequence, env: &Env) -> (bool, u64, u64) {
+        let (compiled, row) = compile_under(f, env);
+        let indexed = IndexedSequence::new(seq.clone());
+        let mut evaluator = compiled.evaluator(&indexed, None);
+        let verdict = evaluator.holds(&row).unwrap();
+        (verdict, evaluator.probes, evaluator.candidates)
+    }
+
+    #[test]
+    fn absent_subject_costs_one_probe() {
+        // No state mentions sensor 7: the failure pattern's postings are
+        // the candidates of `?k`, and there are none.
+        let (verdict, probes, candidates) = work(
+            &monotonic_formula("c"),
+            &rising_sequence(),
+            &env_with_sensor(7),
+        );
+        assert_eq!((verdict, probes, candidates), (false, 1, 0));
+    }
+
+    /// `EXISTS ?i: EXISTS ?j: ?i < ?j AND GRAPH ?i {…} AND GRAPH ?j {…} AND …`
+    /// — the catalog's big-swing shape.
+    fn swing_formula(guard: HavingFormula) -> HavingFormula {
+        let reading = |state: &str, value: &str| HavingFormula::Graph {
+            state: state.into(),
+            atoms: vec![Atom::property(
+                iri("hasValue"),
+                QueryTerm::var("c"),
+                QueryTerm::var(value),
+            )],
+        };
+        let conjuncts = [
+            HavingFormula::StateLess {
+                left: vec!["i".into()],
+                right: "j".into(),
+            },
+            reading("i", "x"),
+            reading("j", "y"),
+            guard,
+            HavingFormula::Cmp {
+                left: QueryTerm::var("x"),
+                op: CmpOp::Gt,
+                right: QueryTerm::var("y"),
+            },
+        ];
+        let body = conjuncts
+            .into_iter()
+            .reduce(|a, b| HavingFormula::And(Box::new(a), Box::new(b)))
+            .unwrap();
+        HavingFormula::Exists {
+            state_vars: vec!["i".into()],
+            body: Box::new(HavingFormula::Exists {
+                state_vars: vec!["j".into()],
+                body: Box::new(body),
+            }),
+        }
+    }
+
+    #[test]
+    fn ordered_quantifiers_visit_ordered_tuples_of_postings_only() {
+        // Sensor 1 reads at three of the four states and never falls: no
+        // witness, so every candidate is visited — its three readings for
+        // `?i` and their three ordered pairs for `?j`, not the four states
+        // and sixteen pairs the interpreter walked.
+        let (verdict, _, candidates) = work(
+            &swing_formula(HavingFormula::True),
+            &rising_sequence(),
+            &env_with_sensor(1),
+        );
+        assert_eq!((verdict, candidates), (false, 3 + 3));
+        // Sensor 2 falls: the first reading and the first pair are the
+        // witness.
+        let (verdict, _, candidates) = work(
+            &swing_formula(HavingFormula::True),
+            &rising_sequence(),
+            &env_with_sensor(2),
+        );
+        assert_eq!((verdict, candidates), (true, 1 + 1));
+    }
+
+    #[test]
+    fn a_variable_that_may_be_read_unbound_disables_the_shortcuts() {
+        // `?u` is bound by nothing. The interpreter fails on the first
+        // tuple that reaches the comparison; had it reached none it would
+        // have walked all sixteen. Narrowing must not skip that failure…
+        let reads_u = HavingFormula::Cmp {
+            left: QueryTerm::var("u"),
+            op: CmpOp::Eq,
+            right: QueryTerm::var("u"),
+        };
+        assert!(swing_formula(reads_u.clone())
+            .eval(&rising_sequence(), &env_with_sensor(1))
+            .is_err());
+        // …and where the binding provides `?u`, the shortcut is back.
+        let mut env = env_with_sensor(1);
+        env.insert("u".into(), sensor(1));
+        let (verdict, _, candidates) = work(&swing_formula(reads_u), &rising_sequence(), &env);
+        assert_eq!((verdict, candidates), (false, 3 + 3));
+    }
+
+    #[test]
+    fn unguarded_quantifier_ranges_over_every_state() {
+        // Under NOT no pattern has to match at `?k`: every state is a
+        // candidate.
+        let f = HavingFormula::Exists {
+            state_vars: vec!["k".into()],
+            body: Box::new(HavingFormula::Not(Box::new(HavingFormula::Or(
+                Box::new(HavingFormula::True),
+                Box::new(HavingFormula::Graph {
+                    state: "k".into(),
+                    atoms: vec![Atom::class(iri("showsFailure"), QueryTerm::var("c"))],
+                }),
+            )))),
+        };
+        let (verdict, _, candidates) = work(&f, &rising_sequence(), &env_with_sensor(1));
+        assert_eq!((verdict, candidates), (false, 4));
     }
 
     #[test]

@@ -26,14 +26,17 @@
 //! * [`duration`] — `xsd:duration` and wall-clock literals in milliseconds,
 //! * [`sequence`] — the `StdSeq` sequencing semantics: window contents
 //!   become a sequence of per-timestamp RDF states; a state violating a
-//!   functionality integrity constraint is dropped,
+//!   functionality integrity constraint is dropped. Built once per window
+//!   and shared, with a postings index over the saturated states,
 //! * [`having`] — the HAVING condition language (state quantifiers, graph
-//!   patterns at states, value comparisons) and its evaluator,
+//!   patterns at states, value comparisons), compiled at registration into
+//!   an evaluator that probes that index,
 //! * [`mod@translate`] — **enrichment** (PerfectRef over the WHERE clause) and
 //!   **unfolding** (mapping expansion into SQL(+)), producing the low-level
 //!   query fleet the paper counts,
-//! * [`engine`] — the continuous evaluation loop: pulse ticks, shared
-//!   windows, per-binding sequences, CONSTRUCT output streams.
+//! * [`engine`] — the continuous evaluation loop: pulse ticks, windows
+//!   evaluated once and shared, one HAVING verdict per WHERE binding,
+//!   CONSTRUCT output streams.
 
 pub mod ast;
 pub mod duration;

@@ -1,5 +1,5 @@
 //! `StdSeq` sequencing semantics: window contents → a sequence of RDF
-//! states.
+//! states, evaluated once per window and shared.
 //!
 //! STARQL "extends snapshot semantics for window operators \[1\] with
 //! sequencing semantics that can handle integrity constraints such as
@@ -10,13 +10,33 @@
 //! state: a sensor reporting two different values at one instant violates
 //! `funct(hasValue)`, and the violating state is dropped (dirty sensor data
 //! must not stop a window's evaluation).
+//!
+//! A window's sequence is a function of its rows, the stream mapping and the
+//! TBox, so it is built once — `shared_sequence`, by whichever query ticks
+//! the window first — and kept with the window in the [`WCache`] under a
+//! fingerprint of the latter two. The unit shared *across* windows is the
+//! enriched state of one timestamp: consecutive windows, and windows of
+//! different ranges closing together, differ in a few states only, so a
+//! built state is kept as a `WCache` slice stamped with the row count it was
+//! built from and reused while that count holds (stream tables are
+//! append-only; a late row changes the count and rebuilds the state).
+//!
+//! With the sequence comes its **postings index** ([`IndexedSequence`]):
+//! for every subject, the states (and objects) of each of its properties
+//! and the states of each of its classes, over the *saturated* state graphs
+//! — inferred triples included. The HAVING evaluator answers a pattern with
+//! a bound subject by probing it, and draws a quantified state variable's
+//! candidates from it, instead of walking the states.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-use optique_ontology::materialize::check_constraints;
+use optique_ontology::materialize::{check_constraints, materialize};
 use optique_ontology::Ontology;
 use optique_rdf::{Datatype, Graph, Iri, Term, Triple};
 use optique_relational::{Schema, Value};
+use optique_stream::{WCache, Window};
 
 use optique_mapping::IriTemplate;
 
@@ -26,7 +46,7 @@ use optique_mapping::IriTemplate;
 /// stream's columns are mapped to a subject IRI (via a template over the
 /// sensor-id column), a value property, and optionally an event column whose
 /// values denote class memberships (e.g. `"failure"` ↦ `sie:showsFailure`).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct StreamToRdf {
     /// Name of the timestamp column.
     pub timestamp_col: String,
@@ -96,8 +116,9 @@ pub struct State {
 /// for one window).
 #[derive(Clone, Debug, Default)]
 pub struct StateSequence {
-    /// States in ascending timestamp order.
-    pub states: Vec<State>,
+    /// States in ascending timestamp order (shared with every other window
+    /// that covers their timestamps).
+    pub states: Vec<Arc<State>>,
 }
 
 impl StateSequence {
@@ -118,8 +139,8 @@ impl StateSequence {
 /// Rows are grouped by the timestamp column; each group's triples (via
 /// `mapping`) form the state graph. When `ontology` is given, a state
 /// violating its functionality/disjointness constraints is dropped.
-pub fn build_stdseq(
-    rows: &[Vec<Value>],
+pub fn build_stdseq<'a>(
+    rows: impl IntoIterator<Item = &'a Vec<Value>>,
     schema: &Schema,
     mapping: &StreamToRdf,
     ontology: Option<&Ontology>,
@@ -144,9 +165,261 @@ pub fn build_stdseq(
             dropped += 1;
             continue;
         }
-        states.push(State { timestamp, graph });
+        states.push(Arc::new(State { timestamp, graph }));
     }
     (StateSequence { states }, dropped)
+}
+
+/// A term with its numeric reading, parsed once (comparisons read it many
+/// times).
+#[derive(Clone, Debug)]
+pub(crate) struct Val {
+    /// The term.
+    pub term: Term,
+    /// Its value, if it is a numeric literal.
+    pub num: Option<f64>,
+}
+
+impl Val {
+    pub fn new(term: Term) -> Self {
+        Val {
+            num: term.as_literal().and_then(|lit| lit.as_f64()),
+            term,
+        }
+    }
+}
+
+/// One `subject property object` triple of a window: where and what.
+#[derive(Clone, Debug)]
+pub(crate) struct Posting {
+    /// Index of the state holding the triple.
+    pub state: u32,
+    /// The triple's object.
+    pub value: Val,
+}
+
+/// The postings of one `(subject, property)` pair, in state order.
+#[derive(Debug, Default)]
+pub(crate) struct PropertyPostings {
+    /// The distinct states with at least one posting, ascending.
+    pub states: Vec<u32>,
+    /// Every posting, ascending by state.
+    pub entries: Vec<Posting>,
+}
+
+impl PropertyPostings {
+    /// The postings at state `idx`.
+    pub fn at(&self, idx: usize) -> &[Posting] {
+        let lo = self.entries.partition_point(|p| (p.state as usize) < idx);
+        let len = self.entries[lo..]
+            .iter()
+            .take_while(|p| p.state as usize == idx)
+            .count();
+        &self.entries[lo..lo + len]
+    }
+}
+
+/// Everything a window says about one subject. A subject has a handful of
+/// properties and classes, so both are short association lists.
+#[derive(Debug, Default)]
+pub(crate) struct SubjectPostings {
+    properties: Vec<(Iri, PropertyPostings)>,
+    classes: Vec<(Iri, Vec<u32>)>,
+}
+
+impl SubjectPostings {
+    /// The subject's postings under `property` (never `rdf:type`: class
+    /// memberships are [`Self::class`]).
+    pub fn property(&self, property: &Iri) -> Option<&PropertyPostings> {
+        let (_, postings) = self.properties.iter().find(|(p, _)| p == property)?;
+        Some(postings)
+    }
+
+    /// The states, ascending, at which the subject is a `class` member.
+    pub fn class(&self, class: &Iri) -> Option<&[u32]> {
+        let (_, states) = self.classes.iter().find(|(c, _)| c == class)?;
+        Some(states)
+    }
+}
+
+/// The entry of `key` in a short association list, added when missing.
+fn entry<T: Default>(list: &mut Vec<(Iri, T)>, key: Iri) -> &mut T {
+    let at = list.iter().position(|(k, _)| *k == key);
+    let at = at.unwrap_or_else(|| {
+        list.push((key, T::default()));
+        list.len() - 1
+    });
+    &mut list[at].1
+}
+
+/// A state sequence with its window-level postings index: `(subject,
+/// property) → [(state, object)]` and `(subject, class) → [state]` over the
+/// saturated state graphs.
+#[derive(Debug, Default)]
+pub struct IndexedSequence {
+    sequence: StateSequence,
+    subjects: HashMap<Term, SubjectPostings>,
+}
+
+impl IndexedSequence {
+    /// Indexes a sequence. `rdf:type` triples whose object is not an IRI
+    /// name no class and stay out of the index; patterns that could match
+    /// them scan the state graph instead.
+    pub fn new(sequence: StateSequence) -> Self {
+        let mut subjects: HashMap<Term, SubjectPostings> = HashMap::new();
+        for (idx, state) in sequence.states.iter().enumerate() {
+            let idx = u32::try_from(idx).expect("a window holds fewer than 2^32 states");
+            for triple in state.graph.iter() {
+                let of_subject = subjects.entry(triple.subject).or_default();
+                if triple.predicate.as_str() == optique_rdf::vocab::rdf::TYPE {
+                    if let Term::Iri(class) = triple.object {
+                        entry(&mut of_subject.classes, class).push(idx);
+                    }
+                } else {
+                    let postings = entry(&mut of_subject.properties, triple.predicate);
+                    if postings.states.last() != Some(&idx) {
+                        postings.states.push(idx);
+                    }
+                    postings.entries.push(Posting {
+                        state: idx,
+                        value: Val::new(triple.object),
+                    });
+                }
+            }
+        }
+        IndexedSequence { sequence, subjects }
+    }
+
+    /// The indexed sequence.
+    pub fn sequence(&self) -> &StateSequence {
+        &self.sequence
+    }
+
+    /// Number of states.
+    pub fn len(&self) -> usize {
+        self.sequence.len()
+    }
+
+    /// True when the window produced no states.
+    pub fn is_empty(&self) -> bool {
+        self.sequence.is_empty()
+    }
+
+    /// What the window says about `subject`; `None` when no state mentions
+    /// it in subject position.
+    pub(crate) fn subject(&self, subject: &Term) -> Option<&SubjectPostings> {
+        self.subjects.get(subject)
+    }
+}
+
+/// A window evaluated: its indexed sequence and how many states the
+/// integrity constraints dropped from it.
+#[derive(Debug, Default)]
+pub(crate) struct EvaluatedWindow {
+    /// The enriched states and their postings index.
+    pub sequence: IndexedSequence,
+    /// States dropped for integrity violations.
+    pub dropped: usize,
+}
+
+/// What decides a window's sequence besides its rows: a fingerprint of the
+/// stream mapping and the TBox (its axioms decide both the saturation and
+/// the constraint check). Queries whose fingerprints differ never share a
+/// sequence or a state.
+pub(crate) fn sequence_fingerprint(mapping: &StreamToRdf, ontology: &Ontology) -> u64 {
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    mapping.hash(&mut hasher);
+    ontology.axioms().hash(&mut hasher);
+    hasher.finish()
+}
+
+/// What the cache keeps for one timestamp: its enriched state, or `None`
+/// when the integrity constraints dropped it — a verdict worth keeping too.
+type StateSlice = Option<Arc<State>>;
+
+/// One window's sequence, and how it came to be.
+pub(crate) struct SharedSequence {
+    /// The evaluated window.
+    pub window: Arc<EvaluatedWindow>,
+    /// States this call built (mapped, constraint-checked, saturated).
+    pub states_built: usize,
+    /// States it took over from the window or from the slices.
+    pub states_shared: usize,
+}
+
+/// The evaluated sequence of `window` for queries with this `fingerprint`:
+/// taken from the window when a query already built it, assembled otherwise
+/// from the per-timestamp states the cache holds under `scope` (the
+/// fingerprint, narrowed by the window's row restriction), building — and
+/// keeping — only the states that are missing or whose row count moved.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn shared_sequence(
+    wcache: &WCache,
+    window: &Window,
+    stream: &str,
+    fingerprint: u64,
+    scope: u64,
+    schema: &Schema,
+    mapping: &StreamToRdf,
+    ontology: &Ontology,
+) -> SharedSequence {
+    let mut states_built = 0;
+    let (evaluated, fresh) = window.derived(fingerprint, || {
+        let Some(ts_idx) = schema.index_of(&mapping.timestamp_col) else {
+            return EvaluatedWindow::default();
+        };
+        let timestamp = |row: &Vec<Value>| row[ts_idx].as_i64();
+        let mut counts: BTreeMap<i64, usize> = BTreeMap::new();
+        for ts in window.rows().iter().filter_map(timestamp) {
+            *counts.entry(ts).or_default() += 1;
+        }
+        let mut states: BTreeMap<i64, StateSlice> = BTreeMap::new();
+        for (&ts, &rows) in &counts {
+            if let Some(kept) = wcache.slice::<StateSlice>(stream, scope, ts, rows) {
+                states.insert(ts, (*kept).clone());
+            }
+        }
+        if states.len() < counts.len() {
+            let missing = window
+                .rows()
+                .iter()
+                .filter(|row| timestamp(row).is_some_and(|ts| !states.contains_key(&ts)));
+            let (mut built, _) = build_stdseq(missing, schema, mapping, Some(ontology));
+            // Stream-side enrichment: saturate each state with the TBox.
+            for state in &mut built.states {
+                materialize(&mut Arc::make_mut(state).graph, ontology, 0);
+            }
+            let mut built: BTreeMap<i64, Arc<State>> = built
+                .states
+                .into_iter()
+                .map(|state| (state.timestamp, state))
+                .collect();
+            for (&ts, &rows) in &counts {
+                if states.contains_key(&ts) {
+                    continue;
+                }
+                states_built += 1;
+                let state = built.remove(&ts);
+                wcache.keep_slice(stream, scope, ts, rows, Arc::new(state.clone()));
+                states.insert(ts, state);
+            }
+        }
+        let dropped = states.values().filter(|state| state.is_none()).count();
+        let sequence = StateSequence {
+            states: states.into_values().flatten().collect(),
+        };
+        EvaluatedWindow {
+            sequence: IndexedSequence::new(sequence),
+            dropped,
+        }
+    });
+    // A racing builder's states went unused: this call shared the winner's.
+    let states_built = if fresh { states_built } else { 0 };
+    SharedSequence {
+        states_shared: evaluated.sequence.len() + evaluated.dropped - states_built,
+        states_built,
+        window: evaluated,
+    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,599 @@
+//! The compiled HAVING evaluator, proven by a **differential oracle**
+//! against the interpreter it replaced (`reference/`, the moved code): for
+//! every formula, window sequence, WHERE binding and aggregate context, both
+//! return the same verdict — or both fail. The compiled evaluator visits
+//! candidate states only and stops at the first witness; the reference
+//! walks every state tuple and every extension, so the oracle is also what
+//! says that visiting fewer states skips no error.
+//!
+//! Formulas: the 18 catalog tasks, the seven shapes of
+//! `tests/common::streaming::program`, those same formulas with their
+//! conjuncts permuted (which reads variables before their pattern binds
+//! them) and with the subject variable replaced by a constant, and generated
+//! trees: `NOT`, unguarded quantifiers, state variables nothing quantifies,
+//! value variables nothing binds, constants as subjects, aggregate atoms.
+//! Sequences come from generated rows through the product's own
+//! `build_stdseq` → `materialize`, under the Siemens TBox with and without
+//! `funct(hasValue)`: subjects absent from the window, duplicate readings
+//! per timestamp, states the constraint drops.
+
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+mod reference;
+
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
+
+use common::proptest_cases;
+use optique_mapping::IriTemplate;
+use optique_ontology::materialize::materialize;
+use optique_ontology::{Axiom, Ontology, Role};
+use optique_rdf::{Datatype, Iri, Literal, Term};
+use optique_relational::{AggAcc, Column, ColumnType, Schema, Value};
+use optique_rewrite::{Atom, QueryTerm};
+use optique_siemens::catalog::TaskQuery;
+use optique_siemens::ontology::{namespaces, siemens_ontology};
+use optique_siemens::{diagnostic_tasks, SIE_NS};
+use optique_starql::having::{
+    expand, AggContext, AggFunc, BindingRow, CmpOp, CompiledHaving, HavingFormula,
+};
+use optique_starql::sequence::{build_stdseq, IndexedSequence, StateSequence};
+use optique_starql::{parse_starql, StreamToRdf};
+use proptest::prelude::*;
+use reference::{Env, Reference};
+
+/// Sensors that stream; bindings also name sensors past this, which no
+/// window mentions.
+const STREAMED: i64 = 4;
+const BOUND: i64 = 6;
+
+fn sie(name: &str) -> Iri {
+    Iri::new(format!("{SIE_NS}{name}"))
+}
+
+fn sensor(n: i64) -> Term {
+    Term::iri(format!("http://x/sensor/{n}"))
+}
+
+fn number(n: i64) -> Term {
+    Term::Literal(Literal::integer(n))
+}
+
+// ---- a small deterministic generator -------------------------------------
+
+/// SplitMix64: the vendored proptest has no recursive strategies, so a case
+/// is one seed and everything else is drawn from it here.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn pick<'a, T>(&mut self, options: &'a [T]) -> &'a T {
+        &options[self.below(options.len() as u64) as usize]
+    }
+
+    fn chance(&mut self, one_in: u64) -> bool {
+        self.below(one_in) == 0
+    }
+}
+
+// ---- sequences -------------------------------------------------------------
+
+fn schema() -> Schema {
+    Schema::qualified(
+        "S_Msmt",
+        vec![
+            Column::new("ts", ColumnType::Timestamp),
+            Column::new("sensor_id", ColumnType::Int),
+            Column::new("value", ColumnType::Float),
+            Column::new("event", ColumnType::Text),
+        ],
+    )
+}
+
+fn mapping() -> StreamToRdf {
+    StreamToRdf {
+        timestamp_col: "ts".into(),
+        subject: IriTemplate::parse("http://x/sensor/{sensor_id}").unwrap(),
+        value_property: sie("hasValue"),
+        value_col: "value".into(),
+        value_datatype: Datatype::Double,
+        event_col: Some("event".into()),
+        event_classes: vec![("failure".into(), sie("showsFailure"))],
+    }
+}
+
+/// The Siemens TBox, and the same with `funct(hasValue)`: under the second,
+/// a timestamp where one sensor reports two values loses its state.
+fn tboxes() -> &'static [Ontology; 2] {
+    static TBOXES: OnceLock<[Ontology; 2]> = OnceLock::new();
+    TBOXES.get_or_init(|| {
+        let mut strict = siemens_ontology();
+        strict.add_axiom(Axiom::Functional(Role::named(sie("hasValue"))));
+        [siemens_ontology(), strict]
+    })
+}
+
+/// A generated window: up to eight timestamps, a few readings each from a
+/// small value domain (so flatlines and monotone runs happen), rare failure
+/// events, NULL values, repeated readings.
+fn window_rows(rng: &mut Rng) -> Vec<Vec<Value>> {
+    let timestamps = rng.below(9) as i64;
+    let domain: Vec<f64> = [38.0, 40.0, 60.0, 80.0, 95.0][..1 + rng.below(5) as usize].to_vec();
+    let mut rows = Vec::new();
+    for t in 0..timestamps {
+        for s in 0..STREAMED {
+            for _ in 0..[0, 1, 1, 1, 2][rng.below(5) as usize] {
+                rows.push(vec![
+                    Value::Timestamp(t * 1_000),
+                    Value::Int(s),
+                    if rng.chance(12) {
+                        Value::Null
+                    } else {
+                        Value::Float(*rng.pick(&domain))
+                    },
+                    if rng.chance(8) {
+                        Value::text("failure")
+                    } else {
+                        Value::Null
+                    },
+                ]);
+            }
+        }
+    }
+    rows
+}
+
+/// The window's sequence the way a tick builds it, and its per-subject
+/// aggregates.
+fn evaluate_window(rows: &[Vec<Value>], tbox: &Ontology) -> (StateSequence, AggContext) {
+    let (mut seq, _) = build_stdseq(rows, &schema(), &mapping(), Some(tbox));
+    for state in &mut seq.states {
+        materialize(&mut Arc::make_mut(state).graph, tbox, 0);
+    }
+    let mut groups: BTreeMap<i64, AggAcc> = BTreeMap::new();
+    for row in rows {
+        let acc = groups.entry(row[1].as_i64().unwrap()).or_default();
+        acc.observe(&row[2]).unwrap();
+    }
+    let aggs = groups
+        .into_iter()
+        .filter(|(_, acc)| acc.count > 0)
+        .map(|(s, acc)| (sensor(s), acc))
+        .collect();
+    (seq, aggs)
+}
+
+// ---- formulas ---------------------------------------------------------------
+
+/// The 18 catalog HAVING conditions, macro-expanded.
+fn catalog_formulas() -> &'static [HavingFormula] {
+    static FORMULAS: OnceLock<Vec<HavingFormula>> = OnceLock::new();
+    FORMULAS.get_or_init(|| {
+        diagnostic_tasks()
+            .into_iter()
+            .filter_map(|task| match task.query {
+                TaskQuery::StarQl(text) => Some(text),
+                TaskQuery::SqlPlus(_) => None,
+            })
+            .map(|text| {
+                let query = parse_starql(&text, &namespaces()).unwrap();
+                expand(&query.having, &query.aggregates).unwrap()
+            })
+            .collect()
+    })
+}
+
+/// The seven program shapes of the streaming oracle, at two thresholds.
+fn shape_formulas() -> &'static [HavingFormula] {
+    static FORMULAS: OnceLock<Vec<HavingFormula>> = OnceLock::new();
+    FORMULAS.get_or_init(|| {
+        (0..7)
+            .flat_map(|shape| [0, 20].map(|knob| (shape, knob)))
+            .map(|(shape, knob)| {
+                let text = common::streaming::program(shape, 10, 1, true, knob);
+                let query = parse_starql(&text, &namespaces()).unwrap();
+                expand(&query.having, &query.aggregates).unwrap()
+            })
+            .collect()
+    })
+}
+
+/// `f` with every conjunction's conjuncts reshuffled.
+fn permuted(f: &HavingFormula, rng: &mut Rng) -> HavingFormula {
+    fn conjuncts<'f>(f: &'f HavingFormula, out: &mut Vec<&'f HavingFormula>) {
+        match f {
+            HavingFormula::And(a, b) => {
+                conjuncts(a, out);
+                conjuncts(b, out);
+            }
+            other => out.push(other),
+        }
+    }
+    let boxed = |f: &HavingFormula, rng: &mut Rng| Box::new(permuted(f, rng));
+    match f {
+        HavingFormula::And(..) => {
+            let mut parts = Vec::new();
+            conjuncts(f, &mut parts);
+            let mut parts: Vec<HavingFormula> = parts.iter().map(|p| permuted(p, rng)).collect();
+            for i in (1..parts.len()).rev() {
+                parts.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            parts
+                .into_iter()
+                .reduce(|a, b| HavingFormula::And(Box::new(a), Box::new(b)))
+                .expect("a conjunction has conjuncts")
+        }
+        HavingFormula::Exists { state_vars, body } => HavingFormula::Exists {
+            state_vars: state_vars.clone(),
+            body: boxed(body, rng),
+        },
+        HavingFormula::Forall {
+            state_vars,
+            value_vars,
+            body,
+        } => HavingFormula::Forall {
+            state_vars: state_vars.clone(),
+            value_vars: value_vars.clone(),
+            body: boxed(body, rng),
+        },
+        HavingFormula::If { cond, then } => HavingFormula::If {
+            cond: boxed(cond, rng),
+            then: boxed(then, rng),
+        },
+        HavingFormula::Or(a, b) => HavingFormula::Or(boxed(a, rng), boxed(b, rng)),
+        HavingFormula::Not(a) => HavingFormula::Not(boxed(a, rng)),
+        leaf => leaf.clone(),
+    }
+}
+
+/// `f` with the variable `var` replaced by `constant` everywhere a value
+/// term stands.
+fn with_constant(f: &HavingFormula, var: &str, constant: &Term) -> HavingFormula {
+    let term = |t: &QueryTerm| match t {
+        QueryTerm::Var(v) if v == var => QueryTerm::Const(constant.clone()),
+        other => other.clone(),
+    };
+    let boxed = |f: &HavingFormula| Box::new(with_constant(f, var, constant));
+    match f {
+        HavingFormula::Graph { state, atoms } => HavingFormula::Graph {
+            state: state.clone(),
+            atoms: atoms
+                .iter()
+                .map(|atom| match atom {
+                    Atom::Class { class, arg } => Atom::class(class.clone(), term(arg)),
+                    Atom::Property {
+                        property,
+                        subject,
+                        object,
+                    } => Atom::property(property.clone(), term(subject), term(object)),
+                })
+                .collect(),
+        },
+        HavingFormula::Cmp { left, op, right } => HavingFormula::Cmp {
+            left: term(left),
+            op: *op,
+            right: term(right),
+        },
+        HavingFormula::Agg {
+            func,
+            subject,
+            property,
+            op,
+            threshold,
+        } => HavingFormula::Agg {
+            func: *func,
+            subject: term(subject),
+            property: property.clone(),
+            op: *op,
+            threshold: term(threshold),
+        },
+        HavingFormula::Exists { state_vars, body } => HavingFormula::Exists {
+            state_vars: state_vars.clone(),
+            body: boxed(body),
+        },
+        HavingFormula::Forall {
+            state_vars,
+            value_vars,
+            body,
+        } => HavingFormula::Forall {
+            state_vars: state_vars.clone(),
+            value_vars: value_vars.clone(),
+            body: boxed(body),
+        },
+        HavingFormula::If { cond, then } => HavingFormula::If {
+            cond: boxed(cond),
+            then: boxed(then),
+        },
+        HavingFormula::And(a, b) => HavingFormula::And(boxed(a), boxed(b)),
+        HavingFormula::Or(a, b) => HavingFormula::Or(boxed(a), boxed(b)),
+        HavingFormula::Not(a) => HavingFormula::Not(boxed(a)),
+        HavingFormula::True | HavingFormula::StateLess { .. } => f.clone(),
+    }
+}
+
+/// A generated tree. State variables are mostly drawn from the enclosing
+/// quantifiers (`scope`), sometimes from nowhere; value terms mix the bound
+/// `?c2`, pattern-bound `?x ?y ?s`, the never-bound `?u`, and constants —
+/// sensors present and absent, numbers, a class.
+fn tree(rng: &mut Rng, depth: u32, scope: &mut Vec<String>) -> HavingFormula {
+    const STATE_VARS: [&str; 4] = ["i", "j", "k", "z"];
+    fn state_var(rng: &mut Rng, scope: &[String]) -> String {
+        if scope.is_empty() || rng.chance(10) {
+            rng.pick(&STATE_VARS).to_string()
+        } else {
+            rng.pick(scope).clone()
+        }
+    }
+    fn subject(rng: &mut Rng) -> QueryTerm {
+        match rng.below(8) {
+            0..=3 => QueryTerm::var("c2"),
+            4 => QueryTerm::var("s"),
+            5 => QueryTerm::Const(sensor(0)),
+            6 => QueryTerm::Const(sensor(BOUND + 3)),
+            _ => QueryTerm::var("x"),
+        }
+    }
+    fn value(rng: &mut Rng) -> QueryTerm {
+        match rng.below(9) {
+            0..=2 => QueryTerm::var("x"),
+            3 | 4 => QueryTerm::var("y"),
+            5 => QueryTerm::var("u"),
+            6 => QueryTerm::Const(number(*rng.pick(&[40, 80]))),
+            7 => QueryTerm::Const(Term::Literal(Literal::double(60.0))),
+            _ => QueryTerm::var("c2"),
+        }
+    }
+    fn atom(rng: &mut Rng) -> Atom {
+        match rng.below(8) {
+            0 | 1 => {
+                let class: &&str = rng.pick(&["showsFailure", "Sensor", "Turbine"]);
+                Atom::class(sie(class), subject(rng))
+            }
+            2 => Atom::property(
+                Iri::new(optique_rdf::vocab::rdf::TYPE),
+                subject(rng),
+                match rng.below(3) {
+                    0 => QueryTerm::Const(Term::Iri(sie("MonitoringDevice"))),
+                    1 => QueryTerm::var("y"),
+                    _ => QueryTerm::Const(number(40)),
+                },
+            ),
+            3 => Atom::property(sie("inAssembly"), subject(rng), value(rng)),
+            _ => Atom::property(sie("hasValue"), subject(rng), value(rng)),
+        }
+    }
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    if depth == 0 || rng.chance(4) {
+        return match rng.below(10) {
+            0 => HavingFormula::True,
+            1..=4 => HavingFormula::Graph {
+                state: state_var(rng, scope),
+                atoms: (0..[1, 1, 1, 2, 0][rng.below(5) as usize])
+                    .map(|_| atom(rng))
+                    .collect(),
+            },
+            5 | 6 => HavingFormula::Cmp {
+                left: value(rng),
+                op: *rng.pick(&OPS),
+                right: value(rng),
+            },
+            7 | 8 => HavingFormula::StateLess {
+                left: (0..1 + rng.below(2))
+                    .map(|_| state_var(rng, scope))
+                    .collect(),
+                right: state_var(rng, scope),
+            },
+            _ => HavingFormula::Agg {
+                func: *rng.pick(&[
+                    AggFunc::Count,
+                    AggFunc::Sum,
+                    AggFunc::Avg,
+                    AggFunc::Min,
+                    AggFunc::Max,
+                ]),
+                subject: subject(rng),
+                property: sie("hasValue"),
+                op: *rng.pick(&OPS),
+                threshold: match rng.below(6) {
+                    0 => QueryTerm::var("x"),
+                    1 => QueryTerm::Const(Term::Literal(Literal::string("seventy"))),
+                    2 => QueryTerm::Const(sensor(0)),
+                    _ => QueryTerm::Const(number(*rng.pick(&[1, 70, 150]))),
+                },
+            },
+        };
+    }
+    let sub = |rng: &mut Rng, scope: &mut Vec<String>| Box::new(tree(rng, depth - 1, scope));
+    match rng.below(10) {
+        0..=2 => HavingFormula::And(sub(rng, scope), sub(rng, scope)),
+        3 => HavingFormula::Or(sub(rng, scope), sub(rng, scope)),
+        4 => HavingFormula::Not(sub(rng, scope)),
+        5 => HavingFormula::If {
+            cond: sub(rng, scope),
+            then: sub(rng, scope),
+        },
+        kind => {
+            let outer = scope.len();
+            let state_vars: Vec<String> = (0..1 + rng.below(2))
+                .map(|_| rng.pick(&STATE_VARS[..3]).to_string())
+                .collect();
+            scope.extend(state_vars.iter().cloned());
+            // FORALL bodies are mostly the safe shape, IF … THEN ….
+            let body = if kind >= 8 && !rng.chance(4) {
+                Box::new(HavingFormula::If {
+                    cond: sub(rng, scope),
+                    then: sub(rng, scope),
+                })
+            } else {
+                sub(rng, scope)
+            };
+            scope.truncate(outer);
+            if kind >= 8 {
+                HavingFormula::Forall {
+                    state_vars,
+                    value_vars: vec!["x".into(), "y".into()],
+                    body,
+                }
+            } else {
+                HavingFormula::Exists { state_vars, body }
+            }
+        }
+    }
+}
+
+// ---- the oracle -------------------------------------------------------------
+
+/// Compiled and reference agree on `formula` over `seq` for every binding
+/// in `bindings`: same verdict, or both fail.
+fn assert_equivalent(
+    formula: &HavingFormula,
+    seq: &StateSequence,
+    bindings: &[HashMap<String, Term>],
+    aggs: Option<&AggContext>,
+) -> Result<(), TestCaseError> {
+    // As at registration: the bindings' variables are the columns, every
+    // binding a row over them.
+    let columns = BindingRow::columns(bindings);
+    let compiled = CompiledHaving::compile(formula, &columns);
+    let indexed = IndexedSequence::new(seq.clone());
+    let rows: Vec<_> = bindings
+        .iter()
+        .map(|b| BindingRow::new(&columns, b))
+        .collect();
+    let mut evaluator = compiled.evaluator(&indexed, aggs);
+    for (binding, row) in bindings.iter().zip(&rows) {
+        let env = Env {
+            states: HashMap::new(),
+            values: binding.clone(),
+        };
+        let expected = formula.eval_with(seq, &env, aggs);
+        let got = evaluator.holds(row);
+        prop_assert!(
+            match (&expected, &got) {
+                (Ok(a), Ok(b)) => a == b,
+                (Err(_), Err(_)) => true,
+                _ => false,
+            },
+            "reference {expected:?}, compiled {got:?}\nover {} states under {binding:?}\nfor {formula:#?}",
+            seq.len()
+        );
+    }
+    Ok(())
+}
+
+/// One binding per sensor — streamed or not — and one that binds nothing.
+fn bindings() -> Vec<HashMap<String, Term>> {
+    let mut out: Vec<HashMap<String, Term>> = (0..BOUND)
+        .map(|s| {
+            HashMap::from([
+                ("c2".to_string(), sensor(s)),
+                ("c1".to_string(), Term::iri("http://x/assembly/1")),
+            ])
+        })
+        .collect();
+    out.push(HashMap::new());
+    out
+}
+
+// Tests live in a module named after the suite so a bare
+// `cargo test having_equivalence` filter selects them all.
+mod having_equivalence {
+    use super::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(proptest_cases(96)))]
+
+        /// The formulas the product ships and its oracles run, as written.
+        #[test]
+        fn catalog_and_program_formulas_agree(seed in any::<u64>()) {
+            let mut rng = Rng(seed);
+            let rows = window_rows(&mut rng);
+            let (seq, aggs) = evaluate_window(&rows, rng.pick(tboxes()));
+            for formula in catalog_formulas().iter().chain(shape_formulas()) {
+                assert_equivalent(formula, &seq, &bindings(), Some(&aggs))?;
+            }
+        }
+
+        /// The same formulas with conjuncts permuted — patterns after the
+        /// comparisons that read them, state order after the patterns — and
+        /// with a constant for the subject.
+        #[test]
+        fn permuted_and_constant_subject_formulas_agree(seed in any::<u64>()) {
+            let mut rng = Rng(seed);
+            let rows = window_rows(&mut rng);
+            let (seq, aggs) = evaluate_window(&rows, rng.pick(tboxes()));
+            for formula in catalog_formulas().iter().chain(shape_formulas()) {
+                let shuffled = permuted(formula, &mut rng);
+                assert_equivalent(&shuffled, &seq, &bindings(), Some(&aggs))?;
+                let subject = sensor(rng.below(BOUND as u64) as i64);
+                let constant = with_constant(formula, "c2", &subject);
+                assert_equivalent(&constant, &seq, &bindings()[..1], Some(&aggs))?;
+            }
+        }
+
+        /// Generated trees over generated sequences, with and without an
+        /// aggregate context.
+        #[test]
+        fn generated_trees_agree(seed in any::<u64>()) {
+            let mut rng = Rng(seed);
+            let rows = window_rows(&mut rng);
+            let (seq, aggs) = evaluate_window(&rows, rng.pick(tboxes()));
+            for _ in 0..8 {
+                let formula = tree(&mut rng, 4, &mut Vec::new());
+                let aggs = (!rng.chance(4)).then_some(&aggs);
+                assert_equivalent(&formula, &seq, &bindings(), aggs)?;
+            }
+        }
+    }
+
+    /// The generators reach what the suite says it covers: both verdicts and
+    /// failures, dropped states, absent subjects.
+    #[test]
+    fn generators_cover_verdicts_failures_and_dropped_states() {
+        let (mut held, mut failed_to_hold, mut errors, mut dropped) = (0, 0, 0, 0);
+        for seed in 0..64 {
+            let mut rng = Rng(seed);
+            let rows = window_rows(&mut rng);
+            let (strict, _) = build_stdseq(&rows, &schema(), &mapping(), Some(&tboxes()[1]));
+            let (lax, aggs) = evaluate_window(&rows, &tboxes()[0]);
+            dropped += lax.len() - strict.len();
+            for _ in 0..8 {
+                let formula = tree(&mut rng, 4, &mut Vec::new());
+                for binding in bindings() {
+                    let env = Env {
+                        states: HashMap::new(),
+                        values: binding,
+                    };
+                    match formula.eval_with(&lax, &env, Some(&aggs)) {
+                        Ok(true) => held += 1,
+                        Ok(false) => failed_to_hold += 1,
+                        Err(_) => errors += 1,
+                    }
+                }
+            }
+        }
+        assert!(
+            held > 100 && failed_to_hold > 100 && errors > 100 && dropped > 10,
+            "{held} held, {failed_to_hold} did not, {errors} failed, {dropped} states dropped"
+        );
+    }
+}

@@ -11,9 +11,12 @@
 //! * [`WindowSpec`] + [`time_sliding_window`] — the paper's
 //!   `timeSlidingWindow` UDF: stream-to-relation conversion tagging every
 //!   tuple with the ids of the sliding windows containing it,
-//! * [`WCache`] — the paper's `wCache` UDF: a shared window-id-keyed cache
-//!   "answering efficiently equality constraints on the time column" for
-//!   many concurrent queries,
+//! * [`WCache`] — the paper's `wCache` UDF: a shared cache "answering
+//!   efficiently equality constraints on the time column" for many
+//!   concurrent queries. Windows are keyed by their `(open, close]` bounds,
+//!   hold their rows and what readers derived from them, and share
+//!   per-timestamp slices of that derivation across overlapping windows;
+//!   the caller bounds it with a time horizon,
 //! * [`r2s`] — the relation-to-stream operators (`IStream`, `DStream`;
 //!   `RStream` is the relation itself),
 //! * [`register_stream_functions`] — exposes the operators as SQL(+)
@@ -28,5 +31,5 @@ pub mod window;
 pub use r2s::{dstream, istream, StreamDiffer};
 pub use registry::register_stream_functions;
 pub use stream::Stream;
-pub use wcache::WCache;
+pub use wcache::{WCache, Window};
 pub use window::{time_sliding_window, WindowSpec};

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use optique_relational::{Column, ColumnType, Schema, Table, Value};
 use optique_stream::r2s::StreamDiffer;
-use optique_stream::wcache::WCache;
+use optique_stream::wcache::{WCache, Window};
 use optique_stream::{time_sliding_window, Stream, WindowSpec};
 
 fn stream_with_times(times: &[i64]) -> Stream {
@@ -89,14 +89,14 @@ fn ticks_before_the_pulse_grid_close_nothing() {
 #[test]
 fn out_of_order_ticks_are_idempotent_over_the_cache() {
     // A monitoring loop may re-tick an earlier instant (replay, retry):
-    // the same window id resolves and the cache serves the same rows.
+    // the same window bounds resolve and the cache serves the same rows.
     let w = WindowSpec::new(2_000, 1_000).unwrap();
     let s = stream_with_times(&[600_500, 601_500, 602_500]);
     let cache = WCache::new();
-    let materialize = |tick: i64| -> Arc<Vec<Vec<Value>>> {
+    let materialize = |tick: i64| -> Arc<Window> {
         let id = w.last_closed(600_000, tick).unwrap();
         let (open, close) = w.bounds(600_000, id);
-        cache.get_or_build("s", id, || s.slice(open, close).to_vec())
+        cache.get_or_build("s", open, close, "", || s.slice(open, close).to_vec())
     };
     let forward = materialize(602_000);
     let _ = materialize(603_000);
@@ -113,22 +113,27 @@ fn wcache_variants_keep_restricted_windows_apart() {
     let cache = WCache::new();
     let full = vec![vec![Value::Int(1)], vec![Value::Int(2)]];
     let restricted = vec![vec![Value::Int(1)]];
-    cache.insert("s", 7, "", full.clone());
-    cache.insert("s", 7, "⋉[Int(1)]", restricted.clone());
+    cache.insert("s", 5_000, 7_000, "", full.clone());
+    cache.insert("s", 5_000, 7_000, "⋉[Int(1)]", restricted.clone());
     assert_eq!(cache.len(), 2, "variants are distinct entries");
-    assert_eq!(*cache.lookup("s", 7, "").unwrap(), full);
-    assert_eq!(*cache.lookup("s", 7, "⋉[Int(1)]").unwrap(), restricted);
-    assert!(cache.lookup("s", 7, "⋉[Int(2)]").is_none());
+    assert_eq!(cache.lookup("s", 5_000, 7_000, "").unwrap().rows(), full);
+    assert_eq!(
+        cache.lookup("s", 5_000, 7_000, "⋉[Int(1)]").unwrap().rows(),
+        restricted
+    );
+    assert!(cache.lookup("s", 5_000, 7_000, "⋉[Int(2)]").is_none());
+    // A window with the same close and another range is another window.
+    assert!(cache.lookup("s", 4_000, 7_000, "").is_none());
     // Eviction by watermark drops every variant of the window.
-    cache.evict_below("s", 8);
+    cache.evict_below("s", 8_000, 8_000);
     assert!(cache.is_empty());
 }
 
 #[test]
 fn wcache_insert_race_keeps_first() {
     let cache = WCache::new();
-    let first = cache.insert("s", 1, "", vec![vec![Value::Int(1)]]);
-    let second = cache.insert("s", 1, "", vec![vec![Value::Int(1)]]);
+    let first = cache.insert("s", 0, 1_000, "", vec![vec![Value::Int(1)]]);
+    let second = cache.insert("s", 0, 1_000, "", vec![vec![Value::Int(1)]]);
     assert!(
         Arc::ptr_eq(&first, &second),
         "first insert wins, later share"

@@ -14,6 +14,10 @@
 //! (`shards_pruned > 0`), restriction-unsafe formulas fall back to
 //! unrestricted scatter without changing answers, shared windows are
 //! shipped once across queries, and stream writes re-partition the pools.
+//!
+//! A second oracle pins the window cache's key: programs of one slide and
+//! different ranges, ticked through one platform's shared cache, answer
+//! exactly as each does on a platform — and a cache — of its own.
 
 mod common;
 
@@ -191,6 +195,55 @@ mod streaming_equivalence {
         let shipped: Vec<usize> = outputs.iter().map(|(_, t)| t.window_fragments).collect();
         assert_eq!(shipped.iter().sum::<usize>(), 1, "one fragment for both");
         assert!(p.wcache().hits() >= 1);
+    }
+
+    /// The window-cache key oracle. Programs that share a slide agree on
+    /// every window *id* and — with different ranges — on no window's rows:
+    /// a cache keyed by id hands the 5 s and 10 s programs the 2 s window
+    /// whichever ticked it first built. Each program must answer through
+    /// the shared cache exactly as alone, while programs asking for the
+    /// same window still share it.
+    #[test]
+    fn shared_cache_equals_private_caches_across_ranges() {
+        let rows = streaming::ramp_stream();
+        let programs = [
+            streaming::program(2, 2, 1, true, 0),   // failure events, 2 s
+            streaming::program(2, 5, 1, true, 0),   // …5 s
+            streaming::program(4, 10, 1, true, 25), // any reading ≥ 85, 10 s
+            streaming::program(0, 10, 1, true, 0),  // Figure 1, 10 s
+            streaming::program(2, 4, 2, true, 0),   // another slide
+        ];
+        let shared = streaming::deployment(rows.clone());
+        let private: Vec<_> = programs
+            .iter()
+            .map(|text| {
+                shared.register_starql(text).unwrap();
+                let alone = streaming::deployment(rows.clone());
+                alone.register_starql(text).unwrap();
+                alone
+            })
+            .collect();
+        let mut alarms = vec![0; programs.len()];
+        for instant in tick_instants() {
+            let together = shared.tick_all(instant).unwrap();
+            for (i, alone) in private.iter().enumerate() {
+                let alone = alone.tick_all(instant).unwrap();
+                assert_eq!(
+                    output_stream(&together[i].1),
+                    output_stream(&alone[0].1),
+                    "program {i} diverged at tick {instant}"
+                );
+                alarms[i] += alone[0].1.satisfied;
+            }
+        }
+        assert!(
+            alarms.iter().all(|&n| n > 0) && alarms[0] < alarms[1],
+            "every program fires, the wider range more often: {alarms:?}"
+        );
+        assert!(
+            shared.wcache().hits() > 0,
+            "the two 10 s programs share their windows"
+        );
     }
 
     /// A stream write lands in later windows on both backends: pools

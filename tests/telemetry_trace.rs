@@ -246,6 +246,7 @@ fn tick_percentiles_populate_per_query() {
 fn tick_spans_cover_the_streaming_path() {
     let p = OptiquePlatform::from_siemens(SiemensDeployment::small());
     p.register_starql(optique_starql::FIGURE1).unwrap();
+    p.register_starql(optique_starql::FIGURE1).unwrap();
     let mut labels: Vec<String> = Vec::new();
     for tick in (600_000..=612_000).step_by(1_000) {
         let out = p.tick_all(tick).unwrap();
@@ -261,6 +262,19 @@ fn tick_spans_cover_the_streaming_path() {
         for label in ["tick", "window_build", "wcache_lookup", "r2s"] {
             assert!(rendered.contains(label), "missing {label}:\n{rendered}");
         }
+        // A tick says why it was slow, or not: the first query on a window
+        // built its states, the second took them.
+        let states_built = |tick: &optique_starql::TickOutput| {
+            let build = tick.spans.iter().find(|s| s.label == "window_build");
+            let (_, built) = build?.attrs.iter().find(|(k, _)| k == "states_built")?;
+            Some(built.to_string())
+        };
+        assert_ne!(states_built(&out[0].1).as_deref(), Some("0"));
+        assert_eq!(states_built(&out[1].1).as_deref(), Some("0"));
+        assert!(
+            rendered.contains("candidates=") && rendered.contains("probes="),
+            "r2s says what the evaluation visited:\n{rendered}"
+        );
         break;
     }
     assert!(!labels.is_empty(), "no tick ever closed a window");
