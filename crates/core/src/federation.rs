@@ -95,8 +95,11 @@ impl Federation {
         workers: usize,
         partition: &[(String, String)],
     ) -> Result<Self, String> {
-        // Shard each partitioned table by its key column.
-        let mut shard_sets: Vec<(String, Vec<Table>)> = Vec::with_capacity(partition.len());
+        // Shard each partitioned table by its key column. The shards are
+        // fresh copies of the table's rows; each moves into its worker
+        // (`provision` asks for workers 0, 1, … in order).
+        let mut shard_sets: Vec<(String, std::vec::IntoIter<Table>)> =
+            Vec::with_capacity(partition.len());
         let mut key_columns: std::collections::HashMap<String, usize> = Default::default();
         for (table, key) in partition {
             let t = db.table(table).map_err(|e| e.to_string())?;
@@ -105,12 +108,13 @@ impl Federation {
                 .index_of(key)
                 .ok_or_else(|| format!("no column {key} on partitioned table {table}"))?;
             key_columns.insert(table.clone(), col);
-            shard_sets.push((table.clone(), hash_partition(t, col, workers)));
+            shard_sets.push((table.clone(), hash_partition(t, col, workers).into_iter()));
         }
         let cluster = Arc::new(Cluster::provision(workers, |id| {
             let mut worker_db = (*db).clone();
-            for (table, shards) in &shard_sets {
-                worker_db.put_table(table.clone(), shards[id].clone());
+            for (table, shards) in &mut shard_sets {
+                let shard = shards.next().expect("one shard per worker");
+                worker_db.put_table(table.clone(), shard);
             }
             // A partitioned worker sees only the novelty-overlay rows that
             // hash to its shard for the keyed tables (replicated tables'
@@ -359,6 +363,7 @@ impl FragmentExecutor for Federation {
             plan_cache_misses: parses,
             pane_hits: round.pane_hits,
             pane_misses: round.pane_misses,
+            pane_acc_ops: round.pane_acc_ops,
             // Worker-side spans ride back with the round; a traced pipeline
             // grafts them under its exec span (untraced callers drop them).
             spans: round.spans,

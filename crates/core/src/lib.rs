@@ -30,5 +30,8 @@ pub use federation::{Federation, FederationTopology};
 pub use optique_telemetry as telemetry;
 
 pub use optique_sparql::SparqlResults;
-pub use platform::{FleetReport, OptiquePlatform, PlatformSnapshot, RegisteredStarQl, MAX_WORKERS};
+pub use platform::{
+    FleetReport, OptiquePlatform, PlatformSnapshot, RegisteredStarQl, MAX_WORKERS,
+    MERGE_FLOOR_ROWS, MERGE_SHARE,
+};
 pub use server::{Client, Request, Response, Server, ServerConfig, ServerError, TenantQuota};

@@ -25,10 +25,15 @@
 //! [`optique_sparql::TableVersions`]). Scans merge base + overlay; plan
 //! fragments pin the overlay's epoch so every worker in a
 //! round resolves the same overlay. A merge
-//! ([`merge_now`](OptiquePlatform::merge_now), or automatic once the
-//! overlay holds 4096 rows) folds the log into the base tables,
-//! re-analyzes only the touched tables' statistics, and drops the pools so
-//! the next distributed query re-partitions over the folded shards.
+//! ([`merge_now`](OptiquePlatform::merge_now), or automatic inside the
+//! insert that brings the overlay to [`MERGE_FLOOR_ROWS`] rows *and* to one
+//! [`MERGE_SHARE`]th of the base tables it sits on) folds the log into the
+//! base tables, re-analyzes only the touched tables' statistics, and drops
+//! the pools so the next distributed query re-partitions over the folded
+//! shards. A fold costs in proportion to the tables it rewrites, so owing
+//! one per fixed *share* of new rows keeps it amortized O(1) per appended
+//! row however large the table grows, and keeps the overlay every scan
+//! chains through bounded by that share.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -221,8 +226,15 @@ const SLOW_LOG_CAP: usize = 32;
 /// Default slow-query threshold: 100 ms.
 const DEFAULT_SLOW_THRESHOLD_US: u64 = 100_000;
 
-/// Overlay depth (rows) at which an insert triggers an automatic merge.
-const DEFAULT_MERGE_THRESHOLD: usize = 4096;
+/// An overlay shallower than this never merges on its own: folding a few
+/// rows is all overhead (pools and pane stores are rebuilt after it).
+pub const MERGE_FLOOR_ROWS: usize = 4096;
+
+/// Past the floor, an insert merges once the overlay is this fraction
+/// (1/8) of the base rows of the tables it touches — the autovacuum-analyze
+/// rule: a fold rewrites and re-analyzes whole tables, so it is owed when a
+/// fixed share of them is new, not every fixed number of rows.
+pub const MERGE_SHARE: usize = 8;
 
 /// The largest worker pool a request may name: the paper's largest
 /// deployment, and what `fleet_scaling` sweeps to. `workers` arrives from
@@ -880,7 +892,10 @@ impl OptiquePlatform {
     /// read it from post-write readers) and its dependent cache entries are
     /// evicted, all **inside the critical section**, so no concurrent
     /// reader can pair the new rows with a pre-write cache entry or stale
-    /// cardinalities. Once the overlay holds 4096 rows, a merge runs
+    /// cardinalities. The critical section copies the batch's own rows and
+    /// nothing that grows with the overlay's (the log shares its earlier
+    /// batches). Once the overlay holds [`MERGE_FLOOR_ROWS`] rows and one
+    /// [`MERGE_SHARE`]th of the base tables it touches, a merge runs
     /// afterwards, outside the critical section. Returns the number of
     /// inserted rows; an empty batch changes nothing and publishes nothing.
     pub fn insert_static(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize, String> {
@@ -913,6 +928,7 @@ impl OptiquePlatform {
             };
             let novelty = guard.novelty.with_rows(table, rows);
             let depth = novelty.depth();
+            merge_pending = Self::merge_owed(&guard.db, &novelty);
             // Validity is the version bump below; the eviction frees the
             // entries no post-write reader can match any more and feeds the
             // dashboard's invalidation counter.
@@ -936,7 +952,6 @@ impl OptiquePlatform {
                 ..(**guard).clone()
             });
             self.registry.gauge("novelty.depth").set(depth as i64);
-            merge_pending = depth >= DEFAULT_MERGE_THRESHOLD;
         }
         #[cfg(test)]
         if let Some(probe) = self.write_probe.lock().take() {
@@ -946,6 +961,19 @@ impl OptiquePlatform {
             self.merge_now()?;
         }
         Ok(inserted)
+    }
+
+    /// The one merge rule: the overlay is past its floor and has grown to
+    /// its share of the base rows of the tables it holds rows for.
+    fn merge_owed(db: &Database, novelty: &NoveltyOverlay) -> bool {
+        let depth = novelty.depth();
+        let base_rows: usize = novelty
+            .tables()
+            .iter()
+            .filter_map(|(table, _)| db.table(table).ok())
+            .map(|t| t.len())
+            .sum();
+        depth >= MERGE_FLOOR_ROWS && depth.saturating_mul(MERGE_SHARE) >= base_rows
     }
 
     /// `db` with every overlay row appended to its base table; returns the
@@ -981,9 +1009,10 @@ impl OptiquePlatform {
     /// entries stay warm across it. Returns the number of rows folded
     /// (0 when the overlay was already empty).
     ///
-    /// An [`insert_static`](Self::insert_static) that fills the overlay
-    /// triggers this automatically; calling it directly makes merge timing
-    /// deterministic for tests and benchmarks.
+    /// An [`insert_static`](Self::insert_static) that brings the overlay
+    /// to its floor and its share ([`MERGE_FLOOR_ROWS`], [`MERGE_SHARE`])
+    /// triggers this automatically, on the inserting thread; calling it
+    /// directly makes merge timing deterministic for tests and benchmarks.
     pub fn merge_now(&self) -> Result<usize, String> {
         let started = std::time::Instant::now();
         let merged;
@@ -1900,7 +1929,7 @@ HAVING MAX(?c2, sie:hasValue) >= 85
         let p = platform();
         let text = "SELECT DISTINCT ?t WHERE { ?t a sie:Turbine }";
         let before = p.query_static_distributed(text, 2).unwrap().len();
-        let batch: Vec<Vec<Value>> = (0..DEFAULT_MERGE_THRESHOLD as i64)
+        let batch: Vec<Vec<Value>> = (0..MERGE_FLOOR_ROWS as i64)
             .map(|k| new_turbine_row(&p, 100_000 + k))
             .collect();
         p.set_merge_probe(move |p| {
@@ -1912,7 +1941,7 @@ HAVING MAX(?c2, sie:hasValue) >= 85
             let fresh = p.query_static_distributed(text, 2).unwrap();
             assert_eq!(
                 fresh.len(),
-                before + DEFAULT_MERGE_THRESHOLD,
+                before + MERGE_FLOOR_ROWS,
                 "a distributed reader at the seam shards over the folded catalog"
             );
         });
@@ -2134,7 +2163,7 @@ HAVING MAX(?c2, sie:hasValue) >= 85
         p.insert_static("turbines", vec![new_turbine_row(&p, 92_000)])
             .unwrap();
         assert_eq!(p.novelty_depth(), 1, "below the threshold nothing folds");
-        let batch: Vec<Vec<Value>> = (1..DEFAULT_MERGE_THRESHOLD as i64)
+        let batch: Vec<Vec<Value>> = (1..MERGE_FLOOR_ROWS as i64)
             .map(|k| new_turbine_row(&p, 92_000 + k))
             .collect();
         p.insert_static("turbines", batch).unwrap();
@@ -2142,8 +2171,115 @@ HAVING MAX(?c2, sie:hasValue) >= 85
         assert_eq!(p.novelty_depth(), 0);
         assert_eq!(
             p.snapshot().db.table("turbines").unwrap().rows.len(),
-            base_rows + DEFAULT_MERGE_THRESHOLD
+            base_rows + MERGE_FLOOR_ROWS
         );
+    }
+
+    /// The small deployment with `rows` one-per-millisecond readings in its
+    /// stream table, and a generator of further readings.
+    fn stream_platform(rows: i64) -> (OptiquePlatform, impl Fn(i64) -> Vec<Value>) {
+        let msmt = |ts: i64| {
+            vec![
+                Value::Timestamp(ts),
+                Value::Int(ts % 7),
+                Value::Float((ts % 50) as f64),
+                Value::Null,
+            ]
+        };
+        let mut deployment = SiemensDeployment::small();
+        let schema = deployment.db.table("S_Msmt").unwrap().schema.clone();
+        let table = optique_relational::Table::new(schema, (0..rows).map(msmt).collect()).unwrap();
+        deployment.db.put_table("S_Msmt", table);
+        (OptiquePlatform::from_siemens(deployment), msmt)
+    }
+
+    /// The merge is owed per *share* of the table, past the floor: over
+    /// 40 000 base rows the overlay merges on reaching 5 000 (an eighth),
+    /// not 4 096; over 200 base rows it merges at the floor, as
+    /// `auto_merge_triggers_past_threshold` pins for `turbines`.
+    #[test]
+    fn merge_waits_for_its_share_of_a_large_table() {
+        let (p, msmt) = stream_platform(40_000);
+        let floor = MERGE_FLOOR_ROWS as i64;
+        p.insert_static("S_Msmt", (40_000..40_000 + floor).map(&msmt).collect())
+            .unwrap();
+        assert_eq!(
+            p.novelty_depth(),
+            MERGE_FLOOR_ROWS,
+            "floor reached, share not"
+        );
+        p.insert_static("S_Msmt", (40_000 + floor..44_999).map(&msmt).collect())
+            .unwrap();
+        assert_eq!(p.novelty_depth(), 4_999, "one row short of an eighth");
+        p.insert_static("S_Msmt", vec![msmt(44_999)]).unwrap();
+        assert_eq!(p.novelty_depth(), 0, "an eighth of the table is new: fold");
+        assert_eq!(p.snapshot().db.table("S_Msmt").unwrap().len(), 45_000);
+        // The share is of every table the overlay holds rows for, taken
+        // together: a turbine row beside 4 096 stream rows changes nothing.
+        p.insert_static("turbines", vec![new_turbine_row(&p, 95_000)])
+            .unwrap();
+        p.insert_static("S_Msmt", (45_000..45_000 + floor).map(&msmt).collect())
+            .unwrap();
+        assert_eq!(p.novelty_depth(), MERGE_FLOOR_ROWS + 1);
+
+        let (small, msmt) = stream_platform(200);
+        small
+            .insert_static("S_Msmt", (200..199 + floor).map(&msmt).collect())
+            .unwrap();
+        assert_eq!(small.novelty_depth(), MERGE_FLOOR_ROWS - 1);
+        small
+            .insert_static("S_Msmt", vec![msmt(199 + floor)])
+            .unwrap();
+        assert_eq!(
+            small.novelty_depth(),
+            0,
+            "a small table merges at the floor"
+        );
+    }
+
+    /// `overlay_snapshot_stats_and_versions_cohere`, across a merge of a
+    /// deep overlay built from many batches: the folded base holds every
+    /// row in arrival order, the stats equal a from-scratch analyze, the
+    /// write versions moved with the inserts and not with the merge, the
+    /// stream clock is the newest reading's, and the snapshot pinned before
+    /// the merge still reads base + overlay.
+    #[test]
+    fn deep_overlay_merge_keeps_stats_versions_and_clocks() {
+        let (p, msmt) = stream_platform(40_000);
+        let deployed = p.snapshot();
+        assert_eq!(deployed.clocks.get("S_Msmt"), Some(&39_999));
+        // 49 batches of 100 stay in the overlay; a late batch (old
+        // timestamps) must not turn the clock back.
+        for batch in 0..49 {
+            let from = 40_000 + batch * 100;
+            p.insert_static("S_Msmt", (from..from + 100).map(&msmt).collect())
+                .unwrap();
+        }
+        p.insert_static("S_Msmt", (0..99).map(&msmt).collect())
+            .unwrap();
+        let deep = p.snapshot();
+        assert_eq!(deep.novelty.depth(), 4_999);
+        assert!(Arc::ptr_eq(&deep.db, &deployed.db), "appends keep the base");
+        assert_eq!(deep.stats.row_count("S_Msmt"), Some(44_999));
+        assert_eq!(
+            deep.versions.of("S_Msmt"),
+            deployed.versions.of("S_Msmt") + 50
+        );
+        assert_eq!(deep.clocks.get("S_Msmt"), Some(&44_899));
+
+        p.insert_static("S_Msmt", vec![msmt(44_900)]).unwrap();
+        let merged = p.snapshot();
+        assert_eq!(merged.novelty.depth(), 0, "the share is reached: folded");
+        assert!(Arc::ptr_eq(&merged.db, &merged.view));
+        let folded = &merged.db.table("S_Msmt").unwrap().rows;
+        let arrival = (0..44_900).chain(0..99).chain([44_900]).map(&msmt);
+        assert!(folded.iter().eq(arrival.collect::<Vec<_>>().iter()));
+        assert_eq!(*merged.stats, StatsCatalog::analyze(&merged.db));
+        assert_eq!(merged.versions.of("S_Msmt"), deep.versions.of("S_Msmt") + 1);
+        assert_eq!(merged.clocks.get("S_Msmt"), Some(&44_900));
+        // The pre-merge snapshot is untouched by the fold.
+        assert_eq!(deep.view.novelty_rows("S_Msmt").count(), 4_999);
+        assert_eq!(deep.db.table("S_Msmt").unwrap().len(), 40_000);
     }
 
     #[test]

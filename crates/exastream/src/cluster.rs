@@ -30,8 +30,9 @@ pub struct Cluster {
 
 impl Cluster {
     /// Builds a cluster of `n` workers; `provision` constructs each worker's
-    /// catalog (receives the worker id).
-    pub fn provision(n: usize, provision: impl Fn(usize) -> Database) -> Self {
+    /// catalog (receives the worker id, once each, in order — so it can
+    /// hand over shards it owns instead of copying them).
+    pub fn provision(n: usize, mut provision: impl FnMut(usize) -> Database) -> Self {
         assert!(n > 0, "cluster needs at least one worker");
         let workers = (0..n)
             .map(|id| Worker {

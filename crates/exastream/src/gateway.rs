@@ -131,7 +131,7 @@ impl Gateway {
         let mut gathered: Vec<Option<Result<Table, SqlError>>> =
             fragments.iter().map(|_| None).collect();
         let mut spans: Vec<SpanRecord> = Vec::new();
-        let (mut executions, mut pane_hits, mut pane_misses) = (0u64, 0u64, 0u64);
+        let (mut executions, mut pane_hits, mut pane_misses, mut pane_acc_ops) = (0u64, 0, 0, 0);
         for (worker, output) in outputs.into_iter().enumerate() {
             let output = output.unwrap_or_else(|_| WorkerOutput {
                 results: queues[worker]
@@ -143,6 +143,7 @@ impl Gateway {
             executions += output.executions;
             pane_hits += output.pane_hits;
             pane_misses += output.pane_misses;
+            pane_acc_ops += output.pane_acc_ops;
             let base = spans.len();
             spans.extend(output.spans.into_iter().map(|mut record| {
                 record.parent = record.parent.map(|p| p + base);
@@ -171,6 +172,7 @@ impl Gateway {
             plan_cache_misses: parses,
             pane_hits,
             pane_misses,
+            pane_acc_ops,
             spans,
         }
     }
@@ -204,7 +206,14 @@ impl Gateway {
                 // answers from its shard-local pane store, folding at most
                 // the rows appended since the last probe.
                 if let Some(probe) = &q.fragment.pane {
-                    let (table, warm) = self.pane_stores[worker.id].combine(probe, db)?;
+                    let store = &self.pane_stores[worker.id];
+                    // (A concurrent round probing the same store can land
+                    // its operations in this difference; the count is
+                    // exact whenever rounds do not overlap.)
+                    let ops_before = store.acc_ops();
+                    let outcome = store.combine(probe, db);
+                    out.pane_acc_ops += store.acc_ops() - ops_before;
+                    let (table, warm) = outcome?;
                     cache_hit = warm;
                     if warm {
                         out.pane_hits += 1;
@@ -270,6 +279,7 @@ struct WorkerOutput {
     executions: u64,
     pane_hits: u64,
     pane_misses: u64,
+    pane_acc_ops: u64,
     spans: Vec<SpanRecord>,
 }
 
@@ -298,6 +308,9 @@ pub struct StaticRound {
     /// Pane probes that paid a full fold (first touch) or answered
     /// store-lessly this round.
     pub pane_misses: u64,
+    /// Accumulator operations the workers' pane stores performed for this
+    /// round's probes ([`PaneStore::acc_ops`]).
+    pub pane_acc_ops: u64,
     /// Worker-side trace spans for the round, one batch root per worker
     /// that executed anything, with per-fragment children carrying worker
     /// id, shard, queue wait, parse / pane-store outcome and rows.

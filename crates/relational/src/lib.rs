@@ -52,7 +52,7 @@ pub use fragment::{
     execute_prepared, referenced_tables, shard_compatibility, shard_of, PartitionSpec,
     PlanFragment, ResultBatch, SemiJoin, ShardCompatibility, WindowSlice,
 };
-pub use novelty::{view_at, NoveltyOverlay, NoveltyScope};
+pub use novelty::{view_at, NoveltyLog, NoveltyOverlay, NoveltyScope};
 pub use panes::{
     compute_window_aggregates, merge_pane_rows, pane_width, AggAcc, PaneProbe, PaneStore,
 };

@@ -7,8 +7,12 @@
 //! overlay's rows for the scanned table, so readers see writes
 //! immediately while the base `Database` (and everything keyed on its
 //! pointer identity: federation pools, partitioned shards) stays intact.
-//! A background merge later folds the overlay into the base and starts
-//! over from the empty overlay (epoch 0).
+//! A table's log ([`NoveltyLog`]) is its appended batches in arrival
+//! order, each batch shared by every overlay that contains it: a write
+//! copies one pointer per earlier batch and no row. The platform folds
+//! the overlay into the base synchronously, inside the append that makes
+//! it a fixed share of the tables it sits on, and starts over from the
+//! empty overlay (epoch 0).
 //!
 //! Epochs are the distributed-consistency handle: a plan fragment
 //! carries the epoch its coordinator pinned, and a worker resolves that
@@ -41,13 +45,61 @@ fn registry() -> &'static Mutex<HashMap<u64, Weak<NoveltyOverlay>>> {
 /// Dead registry entries are pruned whenever the map exceeds this size.
 const REGISTRY_PRUNE_AT: usize = 64;
 
+/// One table's appended rows: its batches in arrival order. A successor
+/// log shares every earlier batch with its predecessor, so appending
+/// clones pointers, never rows, and a reader that remembers how many rows
+/// it has seen reads only the rest ([`Self::iter_from`]).
+#[derive(Clone, Debug, Default)]
+pub struct NoveltyLog {
+    batches: Vec<Arc<Vec<Vec<Value>>>>,
+    len: usize,
+}
+
+impl NoveltyLog {
+    /// Rows in the log.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no row has been appended.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every row, in arrival order.
+    pub fn iter(&self) -> impl Iterator<Item = &Vec<Value>> {
+        self.batches.iter().flat_map(|batch| batch.iter())
+    }
+
+    /// The rows after the first `seen`, in arrival order (none when
+    /// `seen >= len`). Finds its place from the newest batch backwards, so
+    /// a reader that keeps up pays for the suffix alone.
+    pub fn iter_from(&self, seen: usize) -> impl Iterator<Item = &Vec<Value>> {
+        let (mut first, mut start) = (self.batches.len(), self.len);
+        while start > seen {
+            first -= 1;
+            start -= self.batches[first].len();
+        }
+        self.batches[first..]
+            .iter()
+            .flat_map(|batch| batch.iter())
+            .skip(seen - start)
+    }
+
+    /// Appends `rows` as the newest batch.
+    fn push(&mut self, rows: Vec<Vec<Value>>) {
+        self.len += rows.len();
+        self.batches.push(Arc::new(rows));
+    }
+}
+
 /// An immutable per-table log of rows appended since the last merge.
 /// Successive writes build successor overlays ([`Self::with_rows`]);
 /// nothing mutates a published overlay.
 #[derive(Debug, Default)]
 pub struct NoveltyOverlay {
     epoch: u64,
-    tables: HashMap<String, Arc<Vec<Vec<Value>>>>,
+    tables: HashMap<String, NoveltyLog>,
 }
 
 impl NoveltyOverlay {
@@ -56,15 +108,16 @@ impl NoveltyOverlay {
         Arc::new(NoveltyOverlay::default())
     }
 
-    /// A successor overlay with `rows` appended to `table`'s log, stamped
-    /// with a fresh globally monotonic epoch and registered for
-    /// [`Self::resolve`].
+    /// A successor overlay with `rows` appended to `table`'s log as one
+    /// batch — every earlier batch is shared, not copied — stamped with a
+    /// fresh globally monotonic epoch and registered for [`Self::resolve`].
     pub fn with_rows(&self, table: &str, rows: Vec<Vec<Value>>) -> Arc<NoveltyOverlay> {
+        // Cloning the map clones each log's batch *pointers*. An empty
+        // batch mints an epoch and leaves the logs as they were.
         let mut tables = self.tables.clone();
-        let log = tables.entry(table.to_string()).or_default();
-        let mut next = (**log).clone();
-        next.extend(rows);
-        *log = Arc::new(next);
+        if !rows.is_empty() {
+            tables.entry(table.to_string()).or_default().push(rows);
+        }
         let overlay = Arc::new(NoveltyOverlay {
             epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
             tables,
@@ -97,22 +150,22 @@ impl NoveltyOverlay {
 
     /// Total appended rows across all tables — the merge-policy signal.
     pub fn depth(&self) -> usize {
-        self.tables.values().map(|rows| rows.len()).sum()
+        self.tables.values().map(NoveltyLog::len).sum()
     }
 
     /// True when no rows have been appended.
     pub fn is_empty(&self) -> bool {
-        self.tables.values().all(|rows| rows.is_empty())
+        self.tables.values().all(NoveltyLog::is_empty)
     }
 
     /// The appended rows of `table`, if any.
-    pub fn rows(&self, table: &str) -> Option<&Arc<Vec<Vec<Value>>>> {
+    pub fn rows(&self, table: &str) -> Option<&NoveltyLog> {
         self.tables.get(table)
     }
 
     /// `(table, appended rows)` pairs in sorted table order (determinism
     /// for merge and tests).
-    pub fn tables(&self) -> Vec<(&str, &Arc<Vec<Vec<Value>>>)> {
+    pub fn tables(&self) -> Vec<(&str, &NoveltyLog)> {
         let mut out: Vec<_> = self
             .tables
             .iter()
@@ -252,5 +305,61 @@ mod tests {
             NoveltyOverlay::empty().with_rows("other", vec![vec![Value::Int(1)]]),
         ));
         assert_eq!(db.novelty_rows("other").count(), 1);
+    }
+    /// `PROPTEST_CASES` dials generative coverage, as in the integration
+    /// suites.
+    fn proptest_cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: proptest_cases() })]
+
+        /// The batched log is the flat log: for any batch sizes, empty
+        /// batches included, `iter_from(k)` is the flat log's `[k..]` for
+        /// every `k ≤ len` (and nothing past it); a predecessor overlay
+        /// reads unchanged after its successors append; successive overlays
+        /// share every earlier batch by pointer — no row was copied.
+        #[test]
+        fn batched_log_reads_like_the_flat_log(
+            sizes in proptest::collection::vec(0usize..6, 0..12),
+        ) {
+            let mut flat: Vec<Vec<Value>> = Vec::new();
+            let mut lineage = vec![(NoveltyOverlay::empty(), 0usize)];
+            for size in sizes {
+                let batch: Vec<Vec<Value>> = (flat.len()..flat.len() + size)
+                    .map(|i| vec![Value::Int(i as i64)])
+                    .collect();
+                flat.extend(batch.iter().cloned());
+                let next = lineage.last().unwrap().0.with_rows("t", batch);
+                lineage.push((next, flat.len()));
+            }
+            for (overlay, len) in &lineage {
+                proptest::prop_assert_eq!(overlay.depth(), *len);
+                proptest::prop_assert_eq!(overlay.is_empty(), *len == 0);
+                let Some(log) = overlay.rows("t") else {
+                    proptest::prop_assert_eq!(*len, 0);
+                    continue;
+                };
+                proptest::prop_assert_eq!(log.len(), *len);
+                proptest::prop_assert!(log.iter().eq(flat[..*len].iter()));
+                for k in 0..=*len {
+                    proptest::prop_assert!(log.iter_from(k).eq(flat[k..*len].iter()), "k = {}", k);
+                }
+                proptest::prop_assert_eq!(log.iter_from(len + 3).count(), 0);
+            }
+            for pair in lineage.windows(2) {
+                let (Some(before), Some(after)) = (pair[0].0.rows("t"), pair[1].0.rows("t")) else {
+                    continue;
+                };
+                proptest::prop_assert!(before.batches.len() <= after.batches.len());
+                for (a, b) in before.batches.iter().zip(&after.batches) {
+                    proptest::prop_assert!(Arc::ptr_eq(a, b));
+                }
+            }
+        }
     }
 }

@@ -11,17 +11,26 @@
 //! SUM/COUNT/MIN/MAX/AVG (avg = sum + count) for any aligned window by
 //! combining panes, never touching raw rows again.
 //!
-//! Two combination regimes, chosen per aggregate:
+//! The store caches one sliding accumulator per window geometry and keeps
+//! it current through slides *and* appends, so a warm probe costs what
+//! entered, what left and what was appended — flat in the window range:
 //!
-//! * **additive** (COUNT/SUM, and AVG through them): the store caches one
-//!   sliding accumulator per window geometry and advances it by *adding
-//!   entering panes and subtracting leaving panes* — O(slide) per tick,
-//!   flat in the window range;
-//! * **extrema** (MIN/MAX): subtraction is undefined, and reusing a cached
-//!   whole-window extremum is the classic staleness bug (the pane holding
-//!   the current maximum slides out and the stale maximum survives).
-//!   Extrema are therefore **recombined from the window's panes on every
-//!   tick** — O(range/w) pane merges, still far below a row rescan.
+//! * **slides**: entering panes merge in, leaving panes are subtracted
+//!   from the additive fields (COUNT/SUM, and AVG through them). Extrema
+//!   (MIN/MAX) cannot be subtracted, and a cached whole-window extremum
+//!   going stale is the classic bug (the pane holding the maximum slides
+//!   out and the maximum survives) — so a leaving pane *marks* every key
+//!   whose extremum it may have held (its own is not strictly inside the
+//!   window's), and only the marked keys are recombined from the new
+//!   run's panes: O(marked keys × range/w), nothing when no extremum left;
+//! * **appends**: a row folded from the overlay log is also observed into
+//!   every cached window whose pane run contains the row's pane. A row in
+//!   a pane the window has not reached arrives with that pane; a row in a
+//!   pane the window already left never mattered to it.
+//!
+//! A window nobody has asked extrema of does not maintain them. Float sums
+//! are exact for whole-valued data; otherwise the add/subtract rounding of
+//! a cached window accumulates until the pool (and its stores) is rebuilt.
 //!
 //! Novelty discipline: a probe executes at a pinned novelty epoch. The
 //! store folds the base shard table once, then advances along the overlay
@@ -31,12 +40,11 @@
 //! *older* than the cached state answers store-lessly instead — the cache
 //! never rewinds, and no overlay row is ever double-counted.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_map, hash_map, BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::error::SqlError;
-use crate::fragment::shard_of;
 use crate::schema::{Column, ColumnType, Schema};
 use crate::table::{Database, Table};
 use crate::value::Value;
@@ -103,6 +111,12 @@ impl AggAcc {
             .checked_add(other.sum_i)
             .ok_or_else(|| SqlError::Overflow("integer overflow: windowed SUM".into()))?;
         self.sum_f += other.sum_f;
+        self.merge_extrema(other);
+        Ok(())
+    }
+
+    /// The MIN/MAX half of [`Self::merge`].
+    fn merge_extrema(&mut self, other: &AggAcc) {
         self.min = match (self.min, other.min) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -111,7 +125,6 @@ impl AggAcc {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         };
-        Ok(())
     }
 
     /// Removes a previously-merged accumulator (additive fields only —
@@ -120,6 +133,19 @@ impl AggAcc {
         self.count -= other.count;
         self.sum_i = self.sum_i.wrapping_sub(other.sum_i);
         self.sum_f -= other.sum_f;
+    }
+
+    /// Whether `self`, the accumulator of a window that contains the pane
+    /// `leaving` summarizes, keeps its extrema when that pane goes: both of
+    /// the pane's lie strictly inside the window's, or the pane has none.
+    /// A comparison with NaN is false, which lands on the recombining side.
+    fn outlasts(&self, leaving: &AggAcc) -> bool {
+        match (leaving.min, leaving.max) {
+            (Some(low), Some(high)) => {
+                self.min.is_some_and(|min| low > min) && self.max.is_some_and(|max| high < max)
+            }
+            _ => leaving.min.is_none() && leaving.max.is_none(),
+        }
     }
 
     /// The combined sum as f64 (integer and float parts).
@@ -155,8 +181,8 @@ pub struct PaneProbe {
     pub open_ms: i64,
     /// Window close (inclusive).
     pub close_ms: i64,
-    /// Whether MIN/MAX must be recombined (additive-only probes skip the
-    /// per-tick extrema pass entirely).
+    /// Whether the answer carries MIN/MAX (a window only ever probed
+    /// without them does not maintain them).
     pub needs_extrema: bool,
 }
 
@@ -304,12 +330,93 @@ fn groups_to_table(
     Table::new(pane_result_schema(key_type), rows)
 }
 
-/// Cached additive (COUNT/SUM) state of one window geometry, advanced by
-/// pane add/subtract as the window slides forward.
+/// Cached state of one window geometry: the combined accumulator of every
+/// key over the pane run `[p_open, p_close)`, kept current as the window
+/// slides and as rows are appended inside it.
 struct SlidingWindow {
     p_open: i64,
     p_close: i64,
     groups: BTreeMap<Value, AggAcc>,
+    /// Whether `groups` keeps `min`/`max` true across slides. Set once a
+    /// probe needs them (the window is rebuilt then) and never cleared.
+    extrema: bool,
+}
+
+type Panes = BTreeMap<i64, BTreeMap<Value, AggAcc>>;
+
+impl SlidingWindow {
+    /// The window over `[p_open, p_close)`, combined from its panes.
+    fn build(
+        panes: &Panes,
+        (p_open, p_close): (i64, i64),
+        extrema: bool,
+        ops: &mut u64,
+    ) -> Result<Self, SqlError> {
+        let mut groups: BTreeMap<Value, AggAcc> = BTreeMap::new();
+        for (_, pane) in panes.range(p_open..p_close) {
+            for (k, acc) in pane {
+                groups.entry(k.clone()).or_default().merge(acc)?;
+                *ops += 1;
+            }
+        }
+        Ok(SlidingWindow {
+            p_open,
+            p_close,
+            groups,
+            extrema,
+        })
+    }
+
+    /// Advances the window to `[p_open, p_close)`, which must not lie
+    /// behind it: subtracts the panes that leave, merges the panes that
+    /// enter, and recombines the extrema of the keys a leaving pane may
+    /// have held them for.
+    fn slide_to(
+        &mut self,
+        panes: &Panes,
+        (p_open, p_close): (i64, i64),
+        ops: &mut u64,
+    ) -> Result<(), SqlError> {
+        let mut marked: Vec<&Value> = Vec::new();
+        for (_, pane) in panes.range(self.p_open..p_open.min(self.p_close)) {
+            for (k, acc) in pane {
+                *ops += 1;
+                let Some(g) = self.groups.get_mut(k) else {
+                    continue;
+                };
+                g.unmerge_additive(acc);
+                if g.count == 0 {
+                    self.groups.remove(k);
+                } else if self.extrema && !g.outlasts(acc) {
+                    marked.push(k);
+                }
+            }
+        }
+        for (_, pane) in panes.range(self.p_close.max(p_open)..p_close) {
+            for (k, acc) in pane {
+                self.groups.entry(k.clone()).or_default().merge(acc)?;
+                *ops += 1;
+            }
+        }
+        marked.sort_unstable();
+        marked.dedup();
+        for k in marked {
+            // Gone with its last pane, unless an entering pane brought it
+            // back — then its extrema are the entering panes' already.
+            let Some(g) = self.groups.get_mut(k) else {
+                continue;
+            };
+            (g.min, g.max) = (None, None);
+            for (_, pane) in panes.range(p_open..p_close) {
+                *ops += 1;
+                if let Some(acc) = pane.get(k) {
+                    g.merge_extrema(acc);
+                }
+            }
+        }
+        (self.p_open, self.p_close) = (p_open, p_close);
+        Ok(())
+    }
 }
 
 /// Per-grid pane state: which data has been folded, the panes themselves,
@@ -322,9 +429,93 @@ struct GridState {
     /// folded (stable across successor epochs: logs are append-only).
     overlay_seen: usize,
     /// pane index → grouping key → partial aggregate.
-    panes: BTreeMap<i64, BTreeMap<Value, AggAcc>>,
-    /// range_ms → cached additive window state.
+    panes: Panes,
+    /// range_ms → cached window state.
     windows: BTreeMap<i64, SlidingWindow>,
+}
+
+impl GridState {
+    /// Folds one raw row into its pane and into every cached window whose
+    /// run contains that pane.
+    fn fold_row(
+        &mut self,
+        probe: &PaneProbe,
+        cols: &ProbeCols,
+        row: &[Value],
+        ops: &mut u64,
+    ) -> Result<(), SqlError> {
+        let Some(ts) = row[cols.ts].as_i64() else {
+            return Ok(());
+        };
+        let pane = probe.pane_of(ts);
+        let (key, val) = (&row[cols.key], &row[cols.val]);
+        let slot = self.panes.entry(pane).or_default();
+        slot.entry(key.clone()).or_default().observe(val)?;
+        *ops += 1;
+        for w in self.windows.values_mut() {
+            if (w.p_open..w.p_close).contains(&pane) {
+                w.groups.entry(key.clone()).or_default().observe(val)?;
+                *ops += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Brings the state up to `db`'s overlay and answers `probe` over the
+    /// pane run `run`.
+    fn answer(
+        &mut self,
+        probe: &PaneProbe,
+        cols: &ProbeCols,
+        db: &Database,
+        run: (i64, i64),
+        ops: &mut u64,
+    ) -> Result<Table, SqlError> {
+        // Advance along the overlay lineage: fold only the unseen suffix
+        // of the append log (this worker's shard of it).
+        let log_len = overlay_len(db, &probe.stream);
+        if log_len > self.overlay_seen {
+            for row in db.novelty_rows_from(&probe.stream, self.overlay_seen) {
+                self.fold_row(probe, cols, row, ops)?;
+            }
+            self.overlay_seen = log_len;
+        }
+        self.epoch = db.novelty_epoch();
+
+        let range = probe.close_ms - probe.open_ms;
+        let window = match self.windows.entry(range) {
+            btree_map::Entry::Occupied(e)
+                if e.get().p_open <= run.0
+                    && e.get().p_close <= run.1
+                    && (e.get().extrema || !probe.needs_extrema) =>
+            {
+                let w = e.into_mut();
+                w.slide_to(&self.panes, run, ops)?;
+                w
+            }
+            // No window of this range yet, one that lies ahead of the
+            // probe, or one that never kept the extrema this probe needs.
+            btree_map::Entry::Occupied(mut e) => {
+                let extrema = probe.needs_extrema || e.get().extrema;
+                e.insert(SlidingWindow::build(&self.panes, run, extrema, ops)?);
+                e.into_mut()
+            }
+            btree_map::Entry::Vacant(e) => e.insert(SlidingWindow::build(
+                &self.panes,
+                run,
+                probe.needs_extrema,
+                ops,
+            )?),
+        };
+        groups_to_table(&window.groups, cols.key_type, probe.needs_extrema)
+    }
+}
+
+/// Rows in the *unfiltered* overlay log of `stream` under `db`.
+fn overlay_len(db: &Database, stream: &str) -> usize {
+    db.novelty()
+        .and_then(|n| n.rows(stream))
+        .map_or(0, |log| log.len())
 }
 
 /// One worker's shard-local pane store. Keyed by pane grid
@@ -335,6 +526,7 @@ pub struct PaneStore {
     grids: Mutex<HashMap<String, GridState>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    acc_ops: AtomicU64,
 }
 
 impl PaneStore {
@@ -354,186 +546,71 @@ impl PaneStore {
         )
     }
 
+    /// Cumulative accumulator operations the store's probes performed:
+    /// rows observed into panes and windows, pane partials merged into and
+    /// subtracted from windows, and pane look-ups while recombining a
+    /// marked key's extrema. The work of a probe, as a count.
+    pub fn acc_ops(&self) -> u64 {
+        self.acc_ops.load(Ordering::Relaxed)
+    }
+
     /// Answers a pane-combine probe from shard-local panes, maintaining
     /// them incrementally. Returns the answer table plus whether the probe
     /// was a warm hit.
     pub fn combine(&self, probe: &PaneProbe, db: &Database) -> Result<(Table, bool), SqlError> {
-        let Some((p_open, p_close)) = probe.pane_run() else {
+        let storeless = || {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Ok((compute_window_aggregates(probe, db)?, false));
+            Ok((compute_window_aggregates(probe, db)?, false))
+        };
+        let Some(run) = probe.pane_run() else {
+            return storeless();
         };
         let cols = resolve_cols(probe, db)?;
         let mut grids = self.grids.lock().expect("pane store lock");
-        let epoch = db.novelty_epoch();
-        let log_len = db
-            .novelty()
-            .and_then(|n| n.rows(&probe.stream))
-            .map_or(0, |r| r.len());
-        let entry = grids.entry(probe.grid_key());
-        let warm;
-        let state = match entry {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let state = e.into_mut();
-                if state.epoch != epoch && log_len < state.overlay_seen {
-                    // Pinned at an epoch older than the cached state: the
-                    // cache never rewinds — answer store-lessly.
-                    drop(grids);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return Ok((compute_window_aggregates(probe, db)?, false));
-                }
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                warm = true;
-                state
+        let mut ops = 0u64;
+        let key = probe.grid_key();
+        let warm = match grids.get(&key) {
+            // Pinned at an epoch older than the cached state: the cache
+            // never rewinds — answer store-lessly.
+            Some(state)
+                if state.epoch != db.novelty_epoch()
+                    && overlay_len(db, &probe.stream) < state.overlay_seen =>
+            {
+                drop(grids);
+                return storeless();
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Some(_) => true,
+            None => false,
+        };
+        let answer = (|| {
+            let state = match grids.entry(key.clone()) {
+                hash_map::Entry::Occupied(e) => e.into_mut(),
                 // First touch: fold the whole base shard into panes once.
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                warm = false;
-                let mut state = GridState {
-                    epoch: 0,
-                    overlay_seen: 0,
-                    panes: BTreeMap::new(),
-                    windows: BTreeMap::new(),
-                };
-                let base = db.table(&probe.stream)?;
-                for row in &base.rows {
-                    fold_row(&mut state.panes, probe, &cols, row)?;
+                hash_map::Entry::Vacant(e) => {
+                    let mut state = GridState {
+                        epoch: 0,
+                        overlay_seen: 0,
+                        panes: BTreeMap::new(),
+                        windows: BTreeMap::new(),
+                    };
+                    for row in &db.table(&probe.stream)?.rows {
+                        state.fold_row(probe, &cols, row, &mut ops)?;
+                    }
+                    e.insert(state)
                 }
-                e.insert(state)
-            }
-        };
-
-        // Advance along the overlay lineage: fold only the unseen suffix
-        // of the append log, applying this worker's shard filter manually
-        // (the suffix index is into the unfiltered log).
-        if state.epoch != epoch || log_len > state.overlay_seen {
-            let scope = db.novelty_scope().and_then(|s| {
-                s.keys
-                    .get(&probe.stream)
-                    .map(|&col| (s.shard, s.shards, col))
-            });
-            if let Some(log) = db.novelty().and_then(|n| n.rows(&probe.stream)) {
-                let touched: Vec<&Vec<Value>> = log[state.overlay_seen..]
-                    .iter()
-                    .filter(|row| match scope {
-                        Some((shard, shards, col)) => shard_of(&row[col], shards) == shard,
-                        None => true,
-                    })
-                    .collect();
-                for row in touched {
-                    fold_row(&mut state.panes, probe, &cols, row)?;
-                }
-            }
-            state.overlay_seen = log_len;
-            state.epoch = epoch;
-            // Appends may land in panes already inside a cached window;
-            // cheaper to rebuild the additive caches than to track which
-            // panes changed.
-            state.windows.clear();
+            };
+            state.answer(probe, &cols, db, run, &mut ops)
+        })();
+        self.acc_ops.fetch_add(ops, Ordering::Relaxed);
+        let counter = if warm { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if answer.is_err() {
+            // A fold that failed half-way leaves panes and windows that
+            // no longer add up; the next probe folds afresh.
+            grids.remove(&key);
         }
-
-        // Additive state: advance the cached window for this range by
-        // subtracting leaving panes and adding entering panes; rebuild
-        // from panes when the geometry doesn't extend a cached one.
-        let range = probe.close_ms - probe.open_ms;
-        let window = match state.windows.get_mut(&range) {
-            Some(w) if w.p_open <= p_open && w.p_close <= p_close => {
-                for p in w.p_open..p_open.min(w.p_close) {
-                    if let Some(pane) = state.panes.get(&p) {
-                        for (k, acc) in pane {
-                            if let Some(g) = w.groups.get_mut(k) {
-                                g.unmerge_additive(acc);
-                                if g.count == 0 {
-                                    w.groups.remove(k);
-                                }
-                            }
-                        }
-                    }
-                }
-                for p in w.p_close.max(p_open)..p_close {
-                    if let Some(pane) = state.panes.get(&p) {
-                        for (k, acc) in pane {
-                            w.groups.entry(k.clone()).or_default().merge(acc)?;
-                        }
-                    }
-                }
-                w.p_open = p_open;
-                w.p_close = p_close;
-                w
-            }
-            _ => {
-                let mut groups: BTreeMap<Value, AggAcc> = BTreeMap::new();
-                for (_, pane) in state.panes.range(p_open..p_close) {
-                    for (k, acc) in pane {
-                        groups.entry(k.clone()).or_default().merge(acc)?;
-                    }
-                }
-                state.windows.insert(
-                    range,
-                    SlidingWindow {
-                        p_open,
-                        p_close,
-                        groups,
-                    },
-                );
-                state.windows.get_mut(&range).expect("just inserted")
-            }
-        };
-
-        // Extrema are NEVER carried across slides — the pane holding the
-        // current extremum may just have left the window. Recombine them
-        // fresh from the window's panes each tick.
-        let mut out: BTreeMap<Value, AggAcc> = window
-            .groups
-            .iter()
-            .filter(|(_, acc)| acc.count > 0)
-            .map(|(k, acc)| {
-                (
-                    k.clone(),
-                    AggAcc {
-                        min: None,
-                        max: None,
-                        ..acc.clone()
-                    },
-                )
-            })
-            .collect();
-        if probe.needs_extrema {
-            for (_, pane) in state.panes.range(p_open..p_close) {
-                for (k, acc) in pane {
-                    if let Some(g) = out.get_mut(k) {
-                        g.min = match (g.min, acc.min) {
-                            (Some(a), Some(b)) => Some(a.min(b)),
-                            (a, b) => a.or(b),
-                        };
-                        g.max = match (g.max, acc.max) {
-                            (Some(a), Some(b)) => Some(a.max(b)),
-                            (a, b) => a.or(b),
-                        };
-                    }
-                }
-            }
-        }
-        let table = groups_to_table(&out, cols.key_type, probe.needs_extrema)?;
-        Ok((table, warm))
+        Ok((answer?, warm))
     }
-}
-
-fn fold_row(
-    panes: &mut BTreeMap<i64, BTreeMap<Value, AggAcc>>,
-    probe: &PaneProbe,
-    cols: &ProbeCols,
-    row: &[Value],
-) -> Result<(), SqlError> {
-    let Some(ts) = row[cols.ts].as_i64() else {
-        return Ok(());
-    };
-    panes
-        .entry(probe.pane_of(ts))
-        .or_default()
-        .entry(row[cols.key].clone())
-        .or_default()
-        .observe(&row[cols.val])
 }
 
 #[cfg(test)]
@@ -568,13 +645,17 @@ mod tests {
                     ("k", ColumnType::Int),
                     ("v", ColumnType::Float),
                 ],
-                rows.into_iter()
-                    .map(|(ts, k, v)| vec![Value::Timestamp(ts), Value::Int(k), Value::Float(v)])
-                    .collect(),
+                values(rows),
             )
             .unwrap(),
         );
         db
+    }
+
+    fn values(rows: Vec<(i64, i64, f64)>) -> Vec<Vec<Value>> {
+        rows.into_iter()
+            .map(|(ts, k, v)| vec![Value::Timestamp(ts), Value::Int(k), Value::Float(v)])
+            .collect()
     }
 
     fn by_key(t: &Table) -> BTreeMap<i64, (i64, f64, Option<f64>, Option<f64>)> {
@@ -738,6 +819,237 @@ mod tests {
             last = Some(by_key(&t));
         }
         assert_eq!(last.unwrap()[&0].0, 100);
+    }
+
+    /// Keys every second of [`widening_second`] reports.
+    const KEYS: i64 = 8;
+
+    /// Second `sec` of a 1 Hz stream whose every key reports a new maximum
+    /// *and* a new minimum (`±(sec + 1)`), stamped on the second's closing
+    /// edge so that it is exactly pane `sec` of a 1 s grid. The pane that
+    /// leaves a sliding window over it never holds the window's extrema.
+    fn widening_second(sec: i64) -> Vec<(i64, i64, f64)> {
+        (0..KEYS)
+            .flat_map(|k| {
+                let ts = (sec + 1) * 1_000;
+                let v = (sec + 1) as f64;
+                [(ts, k, v), (ts, k, -v)]
+            })
+            .collect()
+    }
+
+    /// The append-driven loop the platform runs, against one store: before
+    /// step `i` the batch `batches[i]` joins the overlay, then a SUM probe
+    /// and a MAX probe read the `range_s` window closing `i + 1` seconds
+    /// after `first_close_s`. Every answer is checked against the
+    /// store-less reference; returns the accumulator operations each step
+    /// took.
+    fn append_driven_ops(
+        base: Vec<(i64, i64, f64)>,
+        batches: Vec<Vec<(i64, i64, f64)>>,
+        first_close_s: i64,
+        range_s: i64,
+    ) -> Vec<u64> {
+        let db = stream_db(base);
+        let store = PaneStore::new();
+        let window = |close_s: i64, needs_extrema: bool| PaneProbe {
+            needs_extrema,
+            ..probe((close_s - range_s) * 1_000, close_s * 1_000, 1_000)
+        };
+        for needs_extrema in [false, true] {
+            store
+                .combine(&window(first_close_s, needs_extrema), &db)
+                .unwrap();
+        }
+        let mut overlay = NoveltyOverlay::empty();
+        let mut steps = Vec::new();
+        for (i, batch) in batches.into_iter().enumerate() {
+            overlay = overlay.with_rows("s", values(batch));
+            let mut view = db.clone();
+            view.set_novelty(Some(Arc::clone(&overlay)));
+            let before = store.acc_ops();
+            for needs_extrema in [false, true] {
+                let p = window(first_close_s + 1 + i as i64, needs_extrema);
+                let (got, warm) = store.combine(&p, &view).unwrap();
+                assert!(warm, "step {i}");
+                assert_eq!(
+                    by_key(&got),
+                    by_key(&compute_window_aggregates(&p, &view).unwrap()),
+                    "range {range_s} s, step {i}, extrema {needs_extrema}"
+                );
+            }
+            steps.push(store.acc_ops() - before);
+        }
+        steps
+    }
+
+    /// O(slide) under the path the platform actually runs — one appended
+    /// batch before every probe: a warm step observes the batch into its
+    /// pane, merges the pane that enters and subtracts the pane that
+    /// leaves, whatever the range.
+    #[test]
+    fn warm_probe_work_does_not_grow_with_the_range_under_appends() {
+        const HISTORY_S: i64 = 210;
+        let base: Vec<_> = (0..HISTORY_S).flat_map(widening_second).collect();
+        let batches: Vec<_> = (HISTORY_S..HISTORY_S + 20).map(widening_second).collect();
+        let per_range: Vec<Vec<u64>> = [2, 20, 200]
+            .into_iter()
+            .map(|range_s| append_driven_ops(base.clone(), batches.clone(), HISTORY_S, range_s))
+            .collect();
+        // 2·KEYS rows observed, KEYS partials merged, KEYS subtracted; the
+        // MAX probe finds the window the SUM probe just advanced.
+        let step = (4 * KEYS) as u64;
+        for (range_s, steps) in [2, 20, 200].into_iter().zip(&per_range) {
+            assert!(
+                steps.iter().all(|&ops| ops == step),
+                "{range_s} s: {steps:?}, expected {step} per step"
+            );
+        }
+
+        // The maximum leaves: key 3 spikes in second 195, which slides out
+        // of the 20 s window at step 5 and of the 200 s window never (in
+        // this run). That step recombines one key over the run's panes —
+        // not every key.
+        let mut spiked = base.clone();
+        spiked.push((196_000, 3, 1e9));
+        for (range_s, leaves_at) in [(20, Some(5)), (200, None)] {
+            let steps = append_driven_ops(spiked.clone(), batches.clone(), HISTORY_S, range_s);
+            for (i, &ops) in steps.iter().enumerate() {
+                let recombined = if Some(i) == leaves_at {
+                    range_s as u64
+                } else {
+                    0
+                };
+                assert_eq!(ops, step + recombined, "{range_s} s, step {i}: {steps:?}");
+            }
+        }
+    }
+
+    /// Late rows under a cached window: one in a pane inside the window
+    /// (observed into it), one in its newest pane, one in a pane it has
+    /// already left (ignored by it, kept by the panes), one in a pane it
+    /// has not reached (arrives with the pane).
+    #[test]
+    fn appended_rows_reach_the_cached_windows_that_contain_them() {
+        let db = stream_db((0..100).flat_map(widening_second).collect());
+        let store = PaneStore::new();
+        // Window (90 s, 100 s] = panes 90..100.
+        let p = probe(90_000, 100_000, 1_000);
+        store.combine(&p, &db).unwrap();
+        let late = vec![
+            (95_500, 0, 5_000.0),  // inside
+            (99_500, 1, -5_000.0), // newest pane
+            (80_500, 2, 7_000.0),  // already left
+            (100_500, 3, 9_000.0), // not reached
+        ];
+        let overlay = NoveltyOverlay::empty().with_rows("s", values(late));
+        let mut view = db.clone();
+        view.set_novelty(Some(overlay));
+        let before = store.acc_ops();
+        let (got, warm) = store.combine(&p, &view).unwrap();
+        assert!(warm);
+        assert_eq!(
+            store.acc_ops() - before,
+            4 + 2,
+            "four rows into panes, two of them into the window"
+        );
+        let got = by_key(&got);
+        assert_eq!(got, by_key(&compute_window_aggregates(&p, &view).unwrap()));
+        assert_eq!(got[&0].3, Some(5_000.0));
+        assert_eq!(got[&1].2, Some(-5_000.0));
+        assert_eq!(got[&2].3, Some(100.0), "the window left pane 80 long ago");
+        // Sliding on picks up the row that was ahead; reaching back
+        // (a rebuild from panes) finds the one that was behind.
+        for (open, close) in [(91_000, 101_000), (75_000, 85_000)] {
+            let p = probe(open, close, 1_000);
+            assert_eq!(
+                by_key(&store.combine(&p, &view).unwrap().0),
+                by_key(&compute_window_aggregates(&p, &view).unwrap()),
+                "({open}, {close}]"
+            );
+        }
+    }
+
+    /// A window only ever probed for COUNT/SUM keeps no extrema and so
+    /// recombines none — even over data whose every leaving pane holds the
+    /// minimum — until a probe asks for them.
+    #[test]
+    fn additive_windows_do_not_pay_for_extrema() {
+        let rising = |sec: i64| (0..KEYS).map(move |k| ((sec + 1) * 1_000, k, sec as f64));
+        let db = stream_db((0..60).flat_map(rising).collect());
+        let store = PaneStore::new();
+        let sum = |close_s: i64| PaneProbe {
+            needs_extrema: false,
+            ..probe((close_s - 20) * 1_000, close_s * 1_000, 1_000)
+        };
+        store.combine(&sum(30), &db).unwrap();
+        for close_s in 31..40 {
+            let before = store.acc_ops();
+            store.combine(&sum(close_s), &db).unwrap();
+            assert_eq!(
+                store.acc_ops() - before,
+                2 * KEYS as u64,
+                "close {close_s} s"
+            );
+        }
+        let max = PaneProbe {
+            needs_extrema: true,
+            ..sum(40)
+        };
+        let got = by_key(&store.combine(&max, &db).unwrap().0);
+        assert_eq!(got, by_key(&compute_window_aggregates(&max, &db).unwrap()));
+        assert_eq!(got[&0].2, Some(20.0), "the minimum is the oldest pane's");
+        // From here on the window keeps them: each slide loses every key's
+        // minimum and recombines it over the run's 20 panes.
+        let next = PaneProbe {
+            needs_extrema: true,
+            ..sum(41)
+        };
+        let before = store.acc_ops();
+        let got = by_key(&store.combine(&next, &db).unwrap().0);
+        assert_eq!(store.acc_ops() - before, (2 * KEYS + 20 * KEYS) as u64);
+        assert_eq!(got[&0].2, Some(21.0));
+    }
+
+    /// A fold that fails half-way must not leave its half behind: the grid
+    /// is dropped, and a later probe (here: pinned before the poisonous
+    /// rows) folds afresh instead of counting the rows before the failure
+    /// twice.
+    #[test]
+    fn failed_folds_do_not_leave_partial_state() {
+        let mut db = Database::new();
+        db.put_table(
+            "s",
+            table_of(
+                "s",
+                &[
+                    ("ts", ColumnType::Timestamp),
+                    ("k", ColumnType::Int),
+                    ("v", ColumnType::Int),
+                ],
+                vec![vec![Value::Timestamp(1), Value::Int(0), Value::Int(1)]],
+            )
+            .unwrap(),
+        );
+        let row = |v: i64| vec![Value::Timestamp(2), Value::Int(0), Value::Int(v)];
+        let fine = NoveltyOverlay::empty().with_rows("s", vec![row(2)]);
+        let poisoned = fine.with_rows("s", vec![row(i64::MAX), row(i64::MAX)]);
+        let at = |overlay: &Arc<NoveltyOverlay>| {
+            let mut view = db.clone();
+            view.set_novelty(Some(Arc::clone(overlay)));
+            view
+        };
+        let store = PaneStore::new();
+        let p = probe(0, 10, 5);
+        store.combine(&p, &db).unwrap();
+        assert!(matches!(
+            store.combine(&p, &at(&poisoned)),
+            Err(SqlError::Overflow(_))
+        ));
+        let (got, warm) = store.combine(&p, &at(&fine)).unwrap();
+        assert!(!warm, "the failed grid was dropped");
+        let got = by_key(&got)[&0];
+        assert_eq!((got.0, got.1), (2, 3.0));
     }
 
     #[test]

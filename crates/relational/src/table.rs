@@ -171,30 +171,34 @@ impl Database {
         self.novelty_scope = scope;
     }
 
-    /// The installed novelty scope, if any — consumers that index the raw
-    /// overlay log (the pane store's incremental fold) re-apply the shard
-    /// filter themselves.
-    pub fn novelty_scope(&self) -> Option<&Arc<NoveltyScope>> {
-        self.novelty_scope.as_ref()
-    }
-
     /// The overlay rows of `table` visible through this catalog: all of
     /// them by default, or — for a table this catalog's [`NoveltyScope`]
     /// partitions — only the rows hashing to this worker's shard.
     pub fn novelty_rows<'a>(&'a self, table: &str) -> impl Iterator<Item = &'a Vec<Value>> + 'a {
-        let rows: &[Vec<Value>] = self
-            .novelty
-            .as_ref()
-            .and_then(|n| n.rows(table))
-            .map_or(&[], |r| r.as_slice());
+        self.novelty_rows_from(table, 0)
+    }
+
+    /// [`Self::novelty_rows`] past the first `seen` rows of the table's
+    /// *unfiltered* log — what a reader that has already folded that
+    /// prefix (the pane store) still has to look at.
+    pub fn novelty_rows_from<'a>(
+        &'a self,
+        table: &str,
+        seen: usize,
+    ) -> impl Iterator<Item = &'a Vec<Value>> + 'a {
         let slice = self
             .novelty_scope
             .as_ref()
             .and_then(|s| s.keys.get(table).map(|&col| (s.shard, s.shards, col)));
-        rows.iter().filter(move |row| match slice {
-            Some((shard, shards, col)) => crate::fragment::shard_of(&row[col], shards) == shard,
-            None => true,
-        })
+        self.novelty
+            .as_ref()
+            .and_then(|n| n.rows(table))
+            .into_iter()
+            .flat_map(move |log| log.iter_from(seen))
+            .filter(move |row| match slice {
+                Some((shard, shards, col)) => crate::fragment::shard_of(&row[col], shards) == shard,
+                None => true,
+            })
     }
 }
 

@@ -83,6 +83,10 @@ pub struct FragmentRound {
     /// Pane probes that paid a full fold (first touch of a pane grid) or
     /// answered store-lessly (stale epoch, misaligned window bounds).
     pub pane_misses: u64,
+    /// Accumulator operations the round's pane probes performed
+    /// ([`optique_relational::PaneStore::acc_ops`]) — their work as a
+    /// count: flat in the window range while the stores are warm.
+    pub pane_acc_ops: u64,
     /// Worker-side trace spans for the round (batch-relative, see
     /// [`optique_telemetry::SpanRecord`]). A traced pipeline grafts them
     /// under its execution span so worker-side children stitch into the

@@ -607,7 +607,8 @@ impl ContinuousQuery {
                 .attr("groups", groups.len() as u64)
                 .attr("rows", rows_shipped as u64)
                 .attr("pane_hits", round.pane_hits)
-                .attr("pane_misses", round.pane_misses),
+                .attr("pane_misses", round.pane_misses)
+                .attr("acc_ops", round.pane_acc_ops),
         ];
 
         Ok(TickOutput {

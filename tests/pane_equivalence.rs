@@ -16,8 +16,11 @@
 //! changing answers, that IStream/DStream delta modes stay equivalent
 //! while genuinely emitting deltas, and that mid-stream appends — both
 //! novelty-overlay writes and `append_stream`-driven ticking — keep the
-//! backends in agreement, and that a warm pane tick's work does not grow
-//! with the window range while a rescan's does.
+//! backends in agreement, that a warm pane tick's work does not grow
+//! with the window range while a rescan's does (pulsed and append-driven,
+//! the latter counted in accumulator operations), and that hundreds of
+//! appends — extrema sliding out, late rows, keys coming and going, merges
+//! mid-run — never let the pane stores' cached windows drift from a rescan.
 //!
 //! Generated streams carry whole-numbered values only: whole-valued f64
 //! sums are exact, so pane-merge order cannot flip a SUM/AVG threshold
@@ -27,8 +30,10 @@ mod common;
 
 use common::proptest_cases;
 use common::streaming::{self, StreamingCase};
+use optique::telemetry::AttrValue;
 use optique::OptiquePlatform;
 use optique_rdf::Triple;
+use optique_relational::Value;
 use optique_starql::TickOutput;
 use proptest::prelude::*;
 
@@ -107,6 +112,208 @@ fn assert_pane_equivalent(case: &StreamingCase) {
             }
         }
     }
+}
+
+/// The accumulator operations a pane tick's workers performed: the
+/// `acc_ops` attribute of its `pane_combine` span.
+fn acc_ops(tick: &TickOutput) -> u64 {
+    let span = tick.spans.iter().find(|s| s.label == "pane_combine");
+    let attr = span.and_then(|s| s.attrs.iter().find(|(key, _)| key == "acc_ops"));
+    match attr {
+        Some((_, AttrValue::Uint(ops))) => *ops,
+        other => panic!("pane ticks record acc_ops, got {other:?}"),
+    }
+}
+
+/// One append-driven run: ten programs — COUNT/SUM/AVG/MIN/MAX at two
+/// ranges with a 1 s slide, so all ten share one pane grid — over a stream
+/// that arrives batch by batch through `append_stream`.
+struct AppendRun {
+    ranges_s: [i64; 2],
+    /// Threshold knob of each aggregate shape (`streaming::agg_program`).
+    knobs: [i64; 5],
+    /// Rows the stream table holds at deployment.
+    history: Vec<Vec<Value>>,
+    batches: Vec<Vec<Vec<Value>>>,
+    /// Ops after which every platform is told to merge, beside whatever
+    /// its own trigger decides.
+    merge_after: Vec<usize>,
+}
+
+impl AppendRun {
+    fn programs(&self) -> Vec<String> {
+        let mut programs = Vec::new();
+        for range_s in self.ranges_s {
+            for (shape, &knob) in self.knobs.iter().enumerate() {
+                programs.push(streaming::agg_program(shape, "", range_s, 1, true, knob));
+            }
+        }
+        programs
+    }
+
+    /// Drives the run through a single-node platform and, per worker
+    /// count, a pane and a rescan platform, asserting identical output
+    /// streams at *every* driven tick. Returns how many appends merged on
+    /// their own (the same on every platform: same rows, same rule).
+    fn assert_equivalent(&self, worker_counts: &[usize]) -> usize {
+        let programs = self.programs();
+        let single = streaming::deployment(self.history.clone());
+        for text in &programs {
+            single.register_starql(text).unwrap();
+        }
+        let mut arms = Vec::new();
+        for &workers in worker_counts {
+            for panes in [true, false] {
+                let p = streaming::deployment(self.history.clone());
+                for text in &programs {
+                    p.register_starql_distributed(text, workers).unwrap();
+                }
+                if !panes {
+                    p.set_pane_aggregation(false);
+                }
+                let arm = if panes { "pane" } else { "rescan" };
+                arms.push((format!("{workers}-worker {arm}"), p));
+            }
+        }
+        let driven = |p: &OptiquePlatform, batch: &[Vec<Value>]| -> Vec<_> {
+            (p.append_stream("S_Msmt", batch.to_vec()).unwrap().iter())
+                .map(|(id, tick)| (*id, output_stream(tick)))
+                .collect()
+        };
+        let (mut merges, mut ticks, mut alarms) = (0, 0, 0);
+        for (op, batch) in self.batches.iter().enumerate() {
+            let expected = driven(&single, batch);
+            ticks += expected.len();
+            alarms += expected.iter().map(|(_, out)| out.1).sum::<usize>();
+            let merged = !batch.is_empty() && single.novelty_depth() == 0;
+            merges += merged as usize;
+            for (arm, p) in &arms {
+                assert_eq!(driven(p, batch), expected, "{arm} diverged at op {op}");
+                assert_eq!(
+                    !batch.is_empty() && p.novelty_depth() == 0,
+                    merged,
+                    "{arm} merges where single-node does (op {op})"
+                );
+            }
+            if self.merge_after.contains(&op) {
+                for p in arms.iter().map(|(_, p)| p).chain([&single]) {
+                    p.merge_now().unwrap();
+                }
+            }
+        }
+        assert!(
+            ticks == 0 || alarms > 0,
+            "vacuous: no tick of the run raised an alarm"
+        );
+        for (arm, p) in &arms {
+            let probes: u64 = (p.dashboard().panels.iter())
+                .map(|panel| panel.pane_hits + panel.pane_misses)
+                .sum();
+            assert_eq!(probes > 0, arm.ends_with("pane") && ticks > 0, "{arm}");
+        }
+        merges
+    }
+}
+
+/// The handwritten long run: 16 sensors reporting twice a second for 260
+/// seconds, shaped so that every hazard of a cached window comes up
+/// repeatedly.
+///
+/// * **Extrema leave, ties included.** Ambient readings sit in `56..=70`;
+///   each sensor spikes to 99 in two seconds two apart, every nine
+///   seconds, and dips to 1 likewise every eleven. Under the 4 s window
+///   the pair is inside together, so the first spike leaving must *not*
+///   lower the maximum (a tie held by two panes) and the second must.
+/// * **Late rows.** The half-second reading of every second is late
+///   within the newest pane; every tenth second one sensor also gets a
+///   99 stamped 2.5 s back (a pane inside both cached windows) and a 0
+///   stamped 20 s back (a pane both have left).
+/// * **Keys come and go.** Sensor 5 is silent for seconds 60–89, longer
+///   than the widest window; sensor 9 first reports in second 100.
+/// * **Merges.** 32 rows a second pass the 4096-row floor (and the share
+///   of a table that small) at op ≈ 128 and again at ≈ 256.
+fn long_run() -> AppendRun {
+    const START_MS: i64 = 600_000;
+    const HISTORY_S: i64 = 30;
+    let second = |sec: i64| -> Vec<Vec<Value>> {
+        let mut rows = Vec::new();
+        for s in 0..streaming::STREAM_SENSORS {
+            if (s == 5 && (60..90).contains(&sec)) || (s == 9 && sec < 100) {
+                continue;
+            }
+            let ambient = (56 + (sec * 13 + s * 7) % 14) as f64;
+            let value = match ((sec + s) % 9, (sec + 2 * s) % 11) {
+                (0 | 2, _) => 99.0,
+                (_, 0 | 3) => 1.0,
+                _ => ambient,
+            };
+            let ts = START_MS + sec * 1_000;
+            rows.push(streaming::msmt(ts, s, value, false));
+            rows.push(streaming::msmt(ts - 500, s, ambient + 1.0, false));
+        }
+        if sec % 10 == 4 {
+            let s = (sec / 10) % streaming::STREAM_SENSORS;
+            let ts = START_MS + sec * 1_000;
+            rows.push(streaming::msmt(ts - 2_500, s, 99.0, false));
+            rows.push(streaming::msmt(ts - 20_000, s, 0.0, false));
+        }
+        rows
+    };
+    AppendRun {
+        ranges_s: [4, 12],
+        // COUNT ≥ 7, SUM ≥ 470, AVG ≥ 62, MIN ≥ 55, MAX ≥ 90: each
+        // straddled by what the windows hold.
+        knobs: [6, 39, 7, 0, 35],
+        history: (0..HISTORY_S).flat_map(second).collect(),
+        batches: (HISTORY_S..HISTORY_S + 260).map(second).collect(),
+        merge_after: Vec::new(),
+    }
+}
+
+/// Generated runs of the same shapes: few sensors and few distinct
+/// values, so ties, vanishing keys and departing extrema are the norm;
+/// rows arrive on time, late inside the cached windows, or after every
+/// window has left their pane; seconds may bring nothing at all (the next
+/// append then closes several windows at once); explicit merges rebuild
+/// the pools mid-run.
+fn append_run_strategy() -> impl Strategy<Value = (AppendRun, usize)> {
+    const START_MS: i64 = 600_000;
+    // (sensor, value class, lateness class, sub-second offset)
+    let row = (0i64..5, 0usize..6, 0usize..8, 0i64..4);
+    let batch = proptest::collection::vec(row, 0..7);
+    (
+        prop_oneof![Just([2i64, 5]), Just([3, 10]), Just([4, 12])],
+        proptest::collection::vec(0i64..100, 5),
+        proptest::collection::vec(batch, 30..60),
+        proptest::collection::vec(0usize..60, 0..3),
+        prop_oneof![Just(1usize), Just(2), Just(4)],
+    )
+        .prop_map(|(ranges_s, knobs, ops, merge_after, workers)| {
+            let second = |(op, rows): (usize, &Vec<(i64, usize, usize, i64)>)| {
+                let now = START_MS + (20 + op as i64) * 1_000;
+                (rows.iter())
+                    .map(|&(sensor, value, late, sub)| {
+                        let value = [1.0, 1.0, 57.0, 64.0, 99.0, 99.0][value];
+                        let back_ms = match late {
+                            0..=4 => 0,
+                            5 => 1_000,
+                            6 => 2_000,
+                            _ => 15_000,
+                        };
+                        streaming::msmt(now - back_ms - sub * 250, sensor, value, false)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let mut seconds = ops.iter().enumerate().map(second);
+            let run = AppendRun {
+                ranges_s,
+                knobs: [knobs[0], knobs[1], knobs[2], knobs[3], knobs[4]],
+                history: seconds.by_ref().take(10).flatten().collect(),
+                batches: seconds.collect(),
+                merge_after,
+            };
+            (run, workers)
+        })
 }
 
 // Tests live in a module named after the suite so a bare
@@ -412,10 +619,82 @@ mod pane_equivalence {
         }
     }
 
+    /// The same claim on the path the platform actually runs — every
+    /// tick driven by an `append_stream` — and as a count: a warm
+    /// append-driven SUM tick observes the appended rows, merges the pane
+    /// that enters and subtracts the pane that leaves, the same number of
+    /// accumulator operations at 2, 20 and 200 s.
+    #[test]
+    fn warm_pane_ticks_do_not_grow_with_the_range_under_appends() {
+        const RANGES_S: [i64; 3] = [2, 20, 200];
+        const HISTORY_S: i64 = 205;
+        const WARMUP: i64 = 3;
+        const MEASURED: i64 = 20;
+        let second = |sec: i64| -> Vec<Vec<Value>> {
+            (0..streaming::STREAM_SENSORS)
+                .map(|sensor| {
+                    let value = (40 + (sec + sensor * 7) % 50) as f64;
+                    streaming::msmt(600_000 + sec * 1_000, sensor, value, false)
+                })
+                .collect()
+        };
+        let history: Vec<_> = (0..HISTORY_S).flat_map(second).collect();
+        for workers in [1, 4] {
+            let mut pane_work = Vec::new();
+            for range_s in RANGES_S {
+                let case = StreamingCase {
+                    text: streaming::agg_program(1, "", range_s, 1, true, 0), // SUM ≥ 275
+                    rows: history.clone(),
+                };
+                let p = distributed(&case, workers, true);
+                let work: Vec<(u64, u64)> = (HISTORY_S..HISTORY_S + WARMUP + MEASURED)
+                    .map(|sec| {
+                        let mut driven = p.append_stream("S_Msmt", second(sec)).unwrap();
+                        assert_eq!(driven.len(), 1, "one window closes per second");
+                        let tick = driven.remove(0).1;
+                        (tick.pane_misses, acc_ops(&tick))
+                    })
+                    .skip(WARMUP as usize)
+                    .collect();
+                pane_work.push(work);
+            }
+            // 16 rows observed, 16 partials merged, 16 subtracted.
+            let step = 3 * streaming::STREAM_SENSORS as u64;
+            assert!(
+                pane_work.iter().flatten().all(|&work| work == (0, step)),
+                "{workers} worker(s): append-driven pane work per tick varies with the range \
+                 (expected no miss and {step} accumulator operations): {pane_work:?}"
+            );
+        }
+    }
+
+    /// The oracle the benchmark does not have: 260 `append_stream` ops,
+    /// all five aggregates at two ranges on one grid, pane ≡ rescan ≡
+    /// single-node at every driven tick at 1, 2 and 4 workers — with the
+    /// maximum and minimum sliding out (ties included), late rows inside,
+    /// at the edge of and behind the cached windows, keys vanishing and
+    /// reappearing, and the platform's own merge trigger firing mid-run.
+    #[test]
+    fn long_append_driven_run_is_equivalent() {
+        let run = long_run();
+        assert!(run.batches.len() >= 250);
+        let merges = run.assert_equivalent(&[1, 2, 4]);
+        assert!(merges >= 1, "the run must cross the merge floor mid-way");
+    }
+
     // ---- generated suite -----------------------------------------------
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(proptest_cases(8)))]
+
+        /// Generated append-driven runs (ties, late rows, gaps, vanishing
+        /// keys, explicit merges mid-run) keep pane ≡ rescan ≡ single-node
+        /// at every driven tick.
+        #[test]
+        fn generated_append_driven_runs_are_equivalent(case in append_run_strategy()) {
+            let (run, workers) = case;
+            run.assert_equivalent(&[workers]);
+        }
 
         /// Generated aggregate programs (all five aggregates, AND/NOT
         /// combinations, the declined mixed shape, every output mode)
