@@ -5,9 +5,22 @@
 //! typically required by Siemens Energy service engineers."
 
 use optique_sparql::PipelineStats;
+use optique_starql::TickOutput;
+use optique_telemetry::MetricsRegistry;
 
-/// One query's monitoring panel.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Registry counters accumulating worker pane-store probe outcomes across
+/// every registered query (pane-combinable distributed ticks only).
+pub(crate) const PANE_HITS: &str = "pane.hits";
+pub(crate) const PANE_MISSES: &str = "pane.misses";
+
+/// Registry counters accumulating, across every sequence-HAVING tick, the
+/// states the tick built and the states it took from the window cache.
+pub(crate) const STATES_BUILT: &str = "seq.states_built";
+pub(crate) const STATES_SHARED: &str = "seq.states_shared";
+
+/// One query's monitoring panel — also the one set of counters the platform
+/// keeps per registered query: ticks land on it through [`Self::absorb`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryPanel {
     /// Platform query id.
     pub id: u64,
@@ -17,6 +30,10 @@ pub struct QueryPanel {
     pub bindings: usize,
     /// Ticks executed so far.
     pub ticks: u64,
+    /// Ticks that failed: each ended the query's part of a driven round
+    /// and was reported by that round's call, while the other queries'
+    /// ticks went on.
+    pub tick_errors: u64,
     /// Cumulative alarms.
     pub alarms: u64,
     /// Cumulative stream tuples inspected.
@@ -45,6 +62,32 @@ pub struct QueryPanel {
     pub tick_p95_us: u64,
     /// 99th-percentile tick latency in microseconds.
     pub tick_p99_us: u64,
+}
+
+impl QueryPanel {
+    /// The one place a tick's counters land: on the panel and, for the
+    /// platform-wide pane and sequence totals, in `registry`.
+    pub fn absorb(&mut self, tick: &TickOutput, registry: &MetricsRegistry) {
+        self.ticks += 1;
+        self.alarms += tick.satisfied as u64;
+        self.tuples += tick.tuples_in_window as u64;
+        self.window_fragments += tick.window_fragments as u64;
+        self.stream_rows += tick.stream_rows_shipped as u64;
+        self.shards_pruned += tick.shards_pruned as u64;
+        self.semi_joins_pushed += tick.semi_joins_pushed as u64;
+        self.pane_hits += tick.pane_hits;
+        self.pane_misses += tick.pane_misses;
+        for (counter, n) in [
+            (PANE_HITS, tick.pane_hits),
+            (PANE_MISSES, tick.pane_misses),
+            (STATES_BUILT, tick.states_built as u64),
+            (STATES_SHARED, tick.states_shared as u64),
+        ] {
+            if n > 0 {
+                registry.counter(counter).add(n);
+            }
+        }
+    }
 }
 
 /// One executed static (SPARQL) query's panel.
@@ -274,6 +317,7 @@ impl Dashboard {
                 truncate(&p.name, 36),
                 p.bindings.to_string(),
                 p.ticks.to_string(),
+                p.tick_errors.to_string(),
                 p.alarms.to_string(),
                 p.tuples.to_string(),
                 p.fleet_size.to_string(),
@@ -417,6 +461,7 @@ fn stream_layout() -> ColumnLayout {
         ("name", 36, Align::Left),
         ("bindings", 8, Align::Right),
         ("ticks", 5, Align::Right),
+        ("errs", 4, Align::Right),
         ("alarms", 6, Align::Right),
         ("tuples", 8, Align::Right),
         ("fleet", 5, Align::Right),
@@ -487,6 +532,7 @@ mod tests {
                     name: "T01:monotonic-increase/temperature".into(),
                     bindings: 60,
                     ticks: 10,
+                    tick_errors: 1,
                     alarms: 2,
                     tuples: 1200,
                     fleet_size: 5,
@@ -506,6 +552,7 @@ mod tests {
                     name: "T05:overheat/temperature".into(),
                     bindings: 15,
                     ticks: 10,
+                    tick_errors: 0,
                     alarms: 1,
                     tuples: 300,
                     fleet_size: 3,

@@ -30,7 +30,7 @@
 //!      non-decomposable shapes) falls back to the coordinator's full
 //!      catalog, which is always correct.
 //!
-//! [`Federation::auto_partitioned`] makes the partitioned layout the
+//! [`FederationTopology::AutoPartitioned`] makes the partitioned layout the
 //! smart default: a partition-key advisor scores every term-map column of
 //! the mapping catalog (join frequency × distinctness × evenness, from the
 //! [`StatsCatalog`]'s sampled statistics) and shards each qualifying table
@@ -49,7 +49,7 @@ use optique_relational::{
 use optique_sparql::{FragmentExecutor, FragmentRound};
 
 /// Tables smaller than this never partition under
-/// [`Federation::auto_partitioned`]: sharding a tiny table buys no
+/// [`FederationTopology::AutoPartitioned`]: sharding a tiny table buys no
 /// parallelism and costs every scan a scatter round.
 pub const MIN_PARTITION_ROWS: usize = 48;
 
@@ -57,8 +57,12 @@ pub const MIN_PARTITION_ROWS: usize = 48;
 /// queries.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum FederationTopology {
-    /// Advisor-picked hash partitioning ([`Federation::auto_partitioned`]);
-    /// falls back to full replication when no table qualifies.
+    /// Advisor-picked hash partitioning: the partition-key advisor
+    /// ([`optique_relational::advise_partition_keys`]) scores every term-map
+    /// column the mapping catalog joins through and each qualifying table
+    /// shards on its best key. Falls back to full replication when nothing
+    /// qualifies (tiny tables, skewed keys) or only one worker exists (one
+    /// shard is the whole table anyway).
     #[default]
     AutoPartitioned,
     /// Full replication: every worker holds the whole catalog.
@@ -133,28 +137,6 @@ impl Federation {
             workers,
             partition: partition.to_vec(),
         })
-    }
-
-    /// The smart default: asks the partition-key advisor
-    /// ([`optique_relational::advise_partition_keys`]) to score every
-    /// term-map column the mapping catalog joins through and shards each
-    /// qualifying table on its best key. Falls back to full replication
-    /// when nothing qualifies (tiny tables, skewed keys) or only one
-    /// worker exists (one shard is the whole table anyway).
-    pub fn auto_partitioned(
-        db: Arc<Database>,
-        workers: usize,
-        stats: &StatsCatalog,
-        mappings: &MappingCatalog,
-    ) -> Self {
-        Federation::for_deployment(
-            db,
-            workers,
-            FederationTopology::AutoPartitioned,
-            stats,
-            mappings,
-            &[],
-        )
     }
 
     /// The deployment-wide constructor the platform uses: static tables
@@ -648,7 +630,7 @@ mod tests {
     /// The advisor partitions the 100-row sensors table on `sid` (unique,
     /// even, most-joined) and leaves the 7-row turbines table replicated.
     #[test]
-    fn auto_partitioned_picks_keys_from_stats_and_mappings() {
+    fn advisor_picks_keys_from_stats_and_mappings() {
         use optique_mapping::{MappingAssertion, TermMap};
         let db = db();
         let stats = StatsCatalog::analyze(&db);
@@ -679,7 +661,11 @@ mod tests {
             ))
             .unwrap();
 
-        let federation = Federation::auto_partitioned(Arc::clone(&db), 4, &stats, &mappings);
+        let advised = |workers: usize, stats: &StatsCatalog| {
+            let topology = FederationTopology::AutoPartitioned;
+            Federation::for_deployment(Arc::clone(&db), workers, topology, stats, &mappings, &[])
+        };
+        let federation = advised(4, &stats);
         assert_eq!(
             federation.partition(),
             &[("sensors".to_string(), "sid".to_string())],
@@ -687,11 +673,8 @@ mod tests {
         );
 
         // One worker, or no qualifying table: plain replication.
-        let single = Federation::auto_partitioned(Arc::clone(&db), 1, &stats, &mappings);
-        assert!(single.partition().is_empty());
-        let no_stats =
-            Federation::auto_partitioned(Arc::clone(&db), 4, &StatsCatalog::new(), &mappings);
-        assert!(no_stats.partition().is_empty());
+        assert!(advised(1, &stats).partition().is_empty());
+        assert!(advised(4, &StatsCatalog::new()).partition().is_empty());
     }
 
     /// Stream tables partition unconditionally under `for_deployment`:

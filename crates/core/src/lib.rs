@@ -24,14 +24,13 @@ pub mod dashboard;
 pub mod federation;
 pub mod platform;
 pub mod server;
+pub mod streaming;
 
 pub use dashboard::{Dashboard, QueryPanel, SlowQuery, StaticQueryPanel};
 pub use federation::{Federation, FederationTopology};
 pub use optique_telemetry as telemetry;
 
 pub use optique_sparql::SparqlResults;
-pub use platform::{
-    FleetReport, OptiquePlatform, PlatformSnapshot, RegisteredStarQl, MAX_WORKERS,
-    MERGE_FLOOR_ROWS, MERGE_SHARE,
-};
+pub use platform::{OptiquePlatform, PlatformSnapshot, MAX_WORKERS, MERGE_FLOOR_ROWS, MERGE_SHARE};
 pub use server::{Client, Request, Response, Server, ServerConfig, ServerError, TenantQuota};
+pub use streaming::FleetReport;

@@ -1,4 +1,6 @@
-//! The OPTIQUE platform: deployment + continuous-query lifecycle.
+//! The OPTIQUE platform: deployment, the snapshot and its write path, static
+//! queries, admin and metrics. The continuous-query lifecycle and the driven
+//! round are the same type's other half, in [`crate::streaming`].
 //!
 //! # Concurrency model
 //!
@@ -43,74 +45,19 @@ use optique_mapping::MappingCatalog;
 use optique_ontology::Ontology;
 use optique_rdf::Namespaces;
 use optique_relational::{Database, DictSnapshot, NoveltyOverlay, StatsCatalog, TermDict, Value};
-use optique_rewrite::RewriteSettings;
-use optique_siemens::{DiagnosticTask, SiemensDeployment};
+use optique_siemens::SiemensDeployment;
 use optique_sparql::{
-    parse_sparql, BgpCache, GroupPattern, PatternElement, PipelineStats, PlannerSettings,
-    Projection, Query, SelectItem, SelectQuery, SolutionModifier, SparqlResults, StaticPipeline,
+    parse_sparql, BgpCache, PipelineStats, PlannerSettings, SparqlResults, StaticPipeline,
     TableVersions,
 };
-use optique_starql::{
-    parse_starql, translate, ContinuousQuery, StreamToRdf, TickOutput, TranslationContext,
-};
+use optique_starql::StreamToRdf;
 use optique_stream::WCache;
 use optique_telemetry::{render_tree, MetricsRegistry, MetricsSnapshot, Tracer};
 use parking_lot::{Mutex, RwLock};
 
-use crate::dashboard::{Dashboard, QueryPanel, SlowQuery, StaticQueryPanel};
+use crate::dashboard::{Dashboard, SlowQuery, StaticQueryPanel};
 use crate::federation::{Federation, FederationTopology};
-
-/// A registered STARQL query with its accumulated monitoring counters.
-pub struct RegisteredStarQl {
-    /// Platform-assigned id.
-    pub id: u64,
-    /// Human-readable name (output-stream name or task id).
-    pub name: String,
-    /// The compiled continuous query.
-    pub query: ContinuousQuery,
-    /// Worker count whose federation pool evaluates this query's ticks
-    /// (`None` = single-node, the reference path).
-    pub workers: Option<usize>,
-    /// Cumulative alarms raised.
-    pub alarms: u64,
-    /// Ticks executed.
-    pub ticks: u64,
-    /// Cumulative tuples inspected.
-    pub tuples: u64,
-    /// Cumulative window fragments shipped to the federation.
-    pub window_fragments: u64,
-    /// Cumulative stream rows the federation shipped back (window-cache
-    /// hits ship nothing).
-    pub stream_rows: u64,
-    /// Cumulative stream shards skipped by key routing.
-    pub shards_pruned: u64,
-    /// Cumulative stream-key semi-joins pushed into window fragments.
-    pub semi_joins_pushed: u64,
-    /// Cumulative worker pane-store probes answered from warm incremental
-    /// state (pane-combinable distributed queries only).
-    pub pane_hits: u64,
-    /// Cumulative worker pane-store probes folded from scratch.
-    pub pane_misses: u64,
-    /// Highest window id already driven by
-    /// [`append_stream`](OptiquePlatform::append_stream) — initialized to
-    /// the last window the stream's rows had closed at registration, so an
-    /// append only ticks windows it *newly* closes.
-    last_auto_window: Option<u64>,
-}
-
-/// The conciseness report behind experiment E3: one STARQL text versus the
-/// fleet of low-level queries it replaces.
-#[derive(Clone, Debug)]
-pub struct FleetReport {
-    /// Query name.
-    pub name: String,
-    /// Characters of STARQL text.
-    pub starql_chars: usize,
-    /// Number of generated low-level queries.
-    pub fleet_queries: usize,
-    /// Total characters of generated SQL.
-    pub fleet_chars: usize,
-}
+use crate::streaming::RegisteredStarQl;
 
 /// An immutable, internally consistent view of everything a static or
 /// streaming query reads: captured with one atomic load at request start
@@ -171,9 +118,11 @@ pub struct OptiquePlatform {
     pub mappings: MappingCatalog,
     /// The stream-side mapping.
     pub stream_to_rdf: StreamToRdf,
-    wcache: Arc<WCache>,
-    queries: Mutex<BTreeMap<u64, RegisteredStarQl>>,
-    next_id: std::sync::atomic::AtomicU64,
+    pub(crate) wcache: Arc<WCache>,
+    /// The registered continuous queries, in registration order (the
+    /// streaming half lives in [`crate::streaming`]).
+    pub(crate) queries: Mutex<BTreeMap<u64, RegisteredStarQl>>,
+    pub(crate) next_id: std::sync::atomic::AtomicU64,
     static_log: Mutex<VecDeque<StaticQueryPanel>>,
     static_next_id: std::sync::atomic::AtomicU64,
     /// Per-BGP solution-set cache shared by every static query (single-node
@@ -188,7 +137,7 @@ pub struct OptiquePlatform {
     /// the cached pool's catalog against the request snapshot by pointer
     /// identity, so a pool raced into the map over a superseded catalog is
     /// never served.
-    federations: Mutex<HashMap<(usize, FederationTopology), Arc<Federation>>>,
+    pub(crate) federations: Mutex<HashMap<(usize, FederationTopology), Arc<Federation>>>,
     /// Fired once (and cleared) right after `insert_static`'s critical
     /// section — the seam where the successor snapshot has just been
     /// published. Interleaving regression tests hang their assertions here.
@@ -205,7 +154,7 @@ pub struct OptiquePlatform {
     /// [`metrics_snapshot`](Self::metrics_snapshot). Static queries feed
     /// `static.query_us`; every registered continuous query feeds
     /// `tick.q<id>.us`.
-    registry: Arc<MetricsRegistry>,
+    pub(crate) registry: Arc<MetricsRegistry>,
     /// Whether static queries record span trees (on by default; the
     /// tracing-overhead bench flips it off for its untraced baseline).
     tracing: std::sync::atomic::AtomicBool,
@@ -243,7 +192,7 @@ pub const MERGE_SHARE: usize = 8;
 pub const MAX_WORKERS: usize = 128;
 
 /// The one check on a caller-supplied worker count (`None` = single-node).
-fn check_workers(workers: Option<usize>) -> Result<(), String> {
+pub(crate) fn check_workers(workers: Option<usize>) -> Result<(), String> {
     match workers {
         Some(w) if !(1..=MAX_WORKERS).contains(&w) => Err(format!(
             "a worker pool has 1 to {MAX_WORKERS} workers, not {w}"
@@ -251,16 +200,6 @@ fn check_workers(workers: Option<usize>) -> Result<(), String> {
         _ => Ok(()),
     }
 }
-
-/// Registry counters accumulating worker pane-store probe outcomes across
-/// every registered query (pane-combinable distributed ticks only).
-const PANE_HITS: &str = "pane.hits";
-const PANE_MISSES: &str = "pane.misses";
-
-/// Registry counters accumulating, across every sequence-HAVING tick, the
-/// states the tick built and the states it took from the window cache.
-const STATES_BUILT: &str = "seq.states_built";
-const STATES_SHARED: &str = "seq.states_shared";
 
 /// The highest timestamp in `rows` (`None` when no row carries one).
 fn batch_clock(rows: &[Vec<Value>], ts_idx: usize) -> Option<i64> {
@@ -384,179 +323,11 @@ impl OptiquePlatform {
         ))
     }
 
-    /// Parses, translates (enrich + unfold) and registers a STARQL query.
-    /// Ticks evaluate single-node; the static WHERE bindings are computed
-    /// through the full static pipeline (per-BGP cache, planner).
-    pub fn register_starql(&self, text: &str) -> Result<u64, String> {
-        self.register_named(None, text, None)
-    }
-
-    /// [`register_starql`](Self::register_starql), with ticks evaluated
-    /// **distributed over `workers` ExaStream workers** — mirroring
-    /// [`query_static_distributed`](Self::query_static_distributed). The
-    /// query's stream hash-partitions across the pool on its stream key,
-    /// so every tick's window compiles to a plan fragment that *scatters*:
-    /// each worker slices its shard of the window and the partials gather.
-    /// The static WHERE bindings run through the same federation (BGP
-    /// cache, planner pushdown, partitioned shards). Output streams are
-    /// identical to single-node registration — the streaming equivalence
-    /// oracle pins this down.
-    pub fn register_starql_distributed(&self, text: &str, workers: usize) -> Result<u64, String> {
-        self.register_named(None, text, Some(workers))
-    }
-
-    /// Registers a catalog task.
-    pub fn register_task(&self, task: &DiagnosticTask) -> Result<u64, String> {
-        match &task.query {
-            optique_siemens::catalog::TaskQuery::StarQl(text) => {
-                self.register_named(Some(format!("{}:{}", task.id, task.name)), text, None)
-            }
-            optique_siemens::catalog::TaskQuery::SqlPlus(_) => Err(format!(
-                "task {} is a SQL(+) dataflow; run it on the relational engine directly",
-                task.id
-            )),
-        }
-    }
-
-    fn register_named(
-        &self,
-        name: Option<String>,
-        text: &str,
-        workers: Option<usize>,
-    ) -> Result<u64, String> {
-        check_workers(workers)?;
-        let parsed = parse_starql(text, &self.namespaces).map_err(|e| e.to_string())?;
-        let ctx = TranslationContext {
-            ontology: &self.ontology,
-            mappings: &self.mappings,
-            rewrite_settings: RewriteSettings::default(),
-            unfold_settings: Default::default(),
-        };
-        // Translation stays the validator (answer-variable totality,
-        // filter scoping, HAVING expansion) and still carries the fleet /
-        // window machinery; the *bindings* are answered by the static
-        // pipeline below instead of the raw unfolded SQL.
-        let translated = translate(&parsed, &ctx).map_err(|e| e.to_string())?;
-        // One snapshot for bindings *and* registration, so the continuous
-        // query's initial state is internally consistent.
-        let snap = self.snapshot();
-        let bindings = self.starql_bindings(&translated, workers, &snap)?;
-        let query = ContinuousQuery::register_with_bindings(
-            translated,
-            self.stream_to_rdf.clone(),
-            &snap.db,
-            bindings,
-        )?;
-        let id = self
-            .next_id
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let name = name.unwrap_or_else(|| parsed.output_stream.clone());
-        // Windows the stream's existing rows have already closed never
-        // re-fire on the first append: the append-driven clock starts at
-        // the registration-time high-water mark.
-        let last_auto_window = snap
-            .clocks
-            .get(&query.translated.query.stream.name)
-            .and_then(|&ts| query.window().last_closed(query.window_start(), ts));
-        self.queries.lock().insert(
-            id,
-            RegisteredStarQl {
-                id,
-                name,
-                query,
-                workers,
-                alarms: 0,
-                ticks: 0,
-                tuples: 0,
-                window_fragments: 0,
-                stream_rows: 0,
-                shards_pruned: 0,
-                semi_joins_pushed: 0,
-                pane_hits: 0,
-                pane_misses: 0,
-                last_auto_window,
-            },
-        );
-        // A distributed registration may introduce a stream the existing
-        // pools do not partition; drop them so the next tick's pool
-        // re-shards over the full stream set.
-        if workers.is_some() {
-            self.federations.lock().clear();
-        }
-        Ok(id)
-    }
-
-    /// Answers a translated STARQL query's static WHERE clause through the
-    /// static pipeline — `SELECT DISTINCT <answer vars> WHERE { … }` over
-    /// the query's (already-validated) disjuncts and filters — so
-    /// continuous queries ride the per-BGP cache, the planner, and (when
-    /// `workers` is set) the federated fragment executor.
-    fn starql_bindings(
-        &self,
-        translated: &optique_starql::TranslatedQuery,
-        workers: Option<usize>,
-        snap: &PlatformSnapshot,
-    ) -> Result<Vec<HashMap<String, optique_rdf::Term>>, String> {
-        let fallback = [translated.query.where_bgp.clone()];
-        let disjuncts: &[Vec<optique_rewrite::Atom>] =
-            if translated.query.where_disjuncts.is_empty() {
-                &fallback
-            } else {
-                &translated.query.where_disjuncts
-            };
-        let branch = |i: usize| -> GroupPattern {
-            let mut elements = vec![PatternElement::Triples(disjuncts[i].clone())];
-            if let Some(filters) = translated.query.where_filters.get(i) {
-                elements.extend(filters.iter().cloned().map(PatternElement::Filter));
-            }
-            GroupPattern { elements }
-        };
-        let pattern = if disjuncts.len() <= 1 {
-            branch(0)
-        } else {
-            GroupPattern {
-                elements: vec![PatternElement::Union(
-                    (0..disjuncts.len()).map(branch).collect(),
-                )],
-            }
-        };
-        let select = SelectQuery {
-            distinct: true,
-            projection: Projection::Items(
-                translated
-                    .where_answer_vars
-                    .iter()
-                    .map(|v| SelectItem::Var(v.clone()))
-                    .collect(),
-            ),
-            pattern,
-            group_by: Vec::new(),
-            modifiers: SolutionModifier::default(),
-        };
-        let federation = workers.map(|w| self.federation_for(w, snap));
-        let (results, _) = self
-            .pipeline(snap, federation.as_deref())
-            .answer(&Query::Select(select))
-            .map_err(|e| format!("static bindings query failed: {e}"))?;
-        let vars = results.vars().to_vec();
-        let mut bindings = Vec::new();
-        for row in results.rows() {
-            let mut env = HashMap::with_capacity(vars.len());
-            for (var, term) in vars.iter().zip(row) {
-                if let Some(term) = term {
-                    env.insert(var.clone(), term.clone());
-                }
-            }
-            bindings.push(env);
-        }
-        Ok(bindings)
-    }
-
     /// The static pipeline every request runs under `snap`: the view
     /// catalog, the shared BGP cache at the snapshot's table versions, the
     /// snapshot's planner knobs and statistics, and `federation` as the
     /// fragment executor when the request is distributed.
-    fn pipeline<'a>(
+    pub(crate) fn pipeline<'a>(
         &'a self,
         snap: &'a PlatformSnapshot,
         federation: Option<&'a Federation>,
@@ -571,29 +342,17 @@ impl OptiquePlatform {
         }
     }
 
-    /// The `(stream table, stream key)` pairs of every registered
-    /// continuous query — what federation pools hash-partition the stream
-    /// side on.
-    fn stream_partition_pairs(&self) -> Vec<(String, String)> {
-        let queries = self.queries.lock();
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for reg in queries.values() {
-            let stream = reg.query.translated.query.stream.name.clone();
-            let key = reg.query.stream_to_rdf.subject.column().to_string();
-            if !pairs.iter().any(|(s, _)| *s == stream) {
-                pairs.push((stream, key));
-            }
-        }
-        pairs
-    }
-
     /// The cached federation pool for `workers` under `snap`'s topology,
     /// building it (static tables per topology, registered streams always
     /// hash-partitioned) on first use. A cached pool is served only when
     /// its catalog **is** the snapshot's catalog (pointer identity) — a
     /// pool built over a superseded catalog, even one raced into the map
     /// after a write cleared it, misses and is rebuilt over `snap`.
-    fn federation_for(&self, workers: usize, snap: &PlatformSnapshot) -> Arc<Federation> {
+    pub(crate) fn federation_for(
+        &self,
+        workers: usize,
+        snap: &PlatformSnapshot,
+    ) -> Arc<Federation> {
         let key = (workers, snap.topology);
         if let Some(pool) = self.federations.lock().get(&key) {
             if Arc::ptr_eq(pool.catalog(), &snap.db) {
@@ -1118,268 +877,11 @@ impl OptiquePlatform {
         *guard = Arc::new(next);
     }
 
-    /// Deregisters a query; returns whether it existed. Its tick-latency
-    /// histogram goes with it (under the query lock, which ticks hold while
-    /// they record — so no tick can re-create it afterwards).
-    pub fn deregister(&self, id: u64) -> bool {
-        let mut queries = self.queries.lock();
-        self.registry.remove_histogram(&format!("tick.q{id}.us"));
-        queries.remove(&id).is_some()
-    }
-
-    /// Number of registered queries.
-    pub fn registered(&self) -> usize {
-        self.queries.lock().len()
-    }
-
-    /// Runs one pulse tick for every registered query, updating counters.
-    /// Outputs come back in registration order. Queries registered through
-    /// [`register_starql_distributed`](Self::register_starql_distributed)
-    /// materialize their windows as plan fragments over their federation
-    /// pool; the rest slice locally.
-    pub fn tick_all(&self, tick_ms: i64) -> Result<Vec<(u64, TickOutput)>, String> {
-        // One snapshot for the whole tick round: the pools and the db
-        // every query slices are the same world, even if a write lands
-        // mid-round (its rows show up next tick).
-        let snap = self.snapshot();
-        // Pools build outside the query lock (pool construction calls
-        // back into `stream_partition_pairs`, which takes it).
-        let worker_counts: Vec<usize> = {
-            let queries = self.queries.lock();
-            let mut counts: Vec<usize> = queries.values().filter_map(|r| r.workers).collect();
-            counts.sort_unstable();
-            counts.dedup();
-            counts
-        };
-        let pools: HashMap<usize, Arc<Federation>> = worker_counts
-            .into_iter()
-            .map(|w| (w, self.federation_for(w, &snap)))
-            .collect();
-
-        let mut out = Vec::new();
-        // Ticks read the *view* catalog: unmerged novelty-overlay rows are
-        // part of every window, single-node and distributed alike (the
-        // fragments pin the overlay epoch).
-        let db = &snap.view;
-        let mut queries = self.queries.lock();
-        for (id, reg) in queries.iter_mut() {
-            // A query whose worker count registered *between* the snapshot
-            // above and this lock has no pool yet: it ticks single-node
-            // this once (identical output stream — the oracle's contract)
-            // and gets its pool next tick. Building here would deadlock on
-            // the queries lock (pool construction reads the stream pairs).
-            let executor = reg.workers.and_then(|w| pools.get(&w));
-            let result = self.run_tick(reg, db, tick_ms, executor)?;
-            out.push((*id, result));
-        }
-        self.evict_windows(&queries, None, tick_ms);
-        Ok(out)
-    }
-
-    /// One timed tick of one registered query, folding the tick's counters
-    /// into the query's panel and the pane counters into the registry —
-    /// shared by [`tick_all`](Self::tick_all) and append-driven ticking.
-    fn run_tick(
-        &self,
-        reg: &mut RegisteredStarQl,
-        db: &Arc<Database>,
-        tick_ms: i64,
-        executor: Option<&Arc<Federation>>,
-    ) -> Result<TickOutput, String> {
-        let tick_started = std::time::Instant::now();
-        let result =
-            reg.query
-                .tick_via(db, &self.wcache, tick_ms, executor.map(|f| f.as_ref() as _))?;
-        self.registry
-            .histogram(&format!("tick.q{}.us", reg.id))
-            .record(tick_started.elapsed().as_micros() as u64);
-        reg.ticks += 1;
-        reg.alarms += result.satisfied as u64;
-        reg.tuples += result.tuples_in_window as u64;
-        reg.window_fragments += result.window_fragments as u64;
-        reg.stream_rows += result.stream_rows_shipped as u64;
-        reg.shards_pruned += result.shards_pruned as u64;
-        reg.semi_joins_pushed += result.semi_joins_pushed as u64;
-        reg.pane_hits += result.pane_hits;
-        reg.pane_misses += result.pane_misses;
-        if result.pane_hits > 0 {
-            self.registry.counter(PANE_HITS).add(result.pane_hits);
-        }
-        if result.pane_misses > 0 {
-            self.registry.counter(PANE_MISSES).add(result.pane_misses);
-        }
-        if result.states_built > 0 {
-            self.registry
-                .counter(STATES_BUILT)
-                .add(result.states_built as u64);
-        }
-        if result.states_shared > 0 {
-            self.registry
-                .counter(STATES_SHARED)
-                .add(result.states_shared as u64);
-        }
-        Ok(result)
-    }
-
-    /// Drops from the window cache what no registered query can ask for
-    /// again once its stream's clock reads `clock`. A query asks for a
-    /// closed window once, in the round that closes it, so every window
-    /// closed before `clock` goes; a window yet to close reaches back at
-    /// most the longest range registered on the stream, so states stamped
-    /// before `clock −` that go. `only` names the stream an append
-    /// advanced; a pulse (`None`) is the clock of every stream.
-    fn evict_windows(
-        &self,
-        queries: &BTreeMap<u64, RegisteredStarQl>,
-        only: Option<&str>,
-        clock: i64,
-    ) {
-        let mut longest: BTreeMap<&str, i64> = BTreeMap::new();
-        for reg in queries.values() {
-            let stream = reg.query.translated.query.stream.name.as_str();
-            if only.is_none_or(|only| only == stream) {
-                let range_ms = longest.entry(stream).or_default();
-                *range_ms = (*range_ms).max(reg.query.window().range_ms);
-            }
-        }
-        for (stream, range_ms) in longest {
-            self.wcache.evict_below(stream, clock, clock - range_ms);
-        }
-    }
-
-    /// Appends rows to a stream table **and drives the continuous queries
-    /// over it**: after the write publishes, every registered query on
-    /// `table` ticks once per window the appended rows newly closed (each
-    /// tick at that window's close instant), exactly as if
-    /// [`tick_all`](Self::tick_all) had been pulsed at those times.
-    /// Returns the driven tick outputs as `(query id, output)` pairs in
-    /// registration order, oldest window first — empty when the append
-    /// left every window still open.
-    ///
-    /// This is the push half of the paper's pulse model: where `tick_all`
-    /// polls on an external clock, `append_stream` lets the *data* advance
-    /// the clock — the batch's maximum timestamp becomes the stream's new
-    /// high-water mark.
-    pub fn append_stream(
-        &self,
-        table: &str,
-        rows: Vec<Vec<Value>>,
-    ) -> Result<Vec<(u64, TickOutput)>, String> {
-        self.insert_static(table, rows)?;
-        // One snapshot for the whole driven round, pinned *after* the
-        // write so the ticks see the rows that closed their windows.
-        let snap = self.snapshot();
-        let Some(&clock) = snap.clocks.get(table) else {
-            return Ok(Vec::new());
-        };
-        // Pools build outside the queries lock, exactly as in `tick_all`.
-        let worker_counts: Vec<usize> = {
-            let queries = self.queries.lock();
-            let mut counts: Vec<usize> = queries
-                .values()
-                .filter(|r| r.query.translated.query.stream.name == table)
-                .filter_map(|r| r.workers)
-                .collect();
-            counts.sort_unstable();
-            counts.dedup();
-            counts
-        };
-        let pools: HashMap<usize, Arc<Federation>> = worker_counts
-            .into_iter()
-            .map(|w| (w, self.federation_for(w, &snap)))
-            .collect();
-
-        let mut out = Vec::new();
-        let db = &snap.view;
-        let mut queries = self.queries.lock();
-        for (id, reg) in queries.iter_mut() {
-            if reg.query.translated.query.stream.name != table {
-                continue;
-            }
-            let window = reg.query.window();
-            let start = reg.query.window_start();
-            let Some(newest) = window.last_closed(start, clock) else {
-                continue;
-            };
-            let first = reg.last_auto_window.map_or(0, |w| w + 1);
-            let executor = reg.workers.and_then(|w| pools.get(&w));
-            for w in first..=newest {
-                let close = window.bounds(start, w).1;
-                let result = self.run_tick(reg, db, close, executor)?;
-                out.push((*id, result));
-            }
-            reg.last_auto_window = Some(newest);
-        }
-        self.evict_windows(&queries, Some(table), clock);
-        Ok(out)
-    }
-
-    /// Enables/disables incremental pane aggregation on every registered
-    /// query. Disabled queries rescan the full window even when
-    /// pane-combinable — the differential oracle's reference arm; output
-    /// streams are identical either way.
-    pub fn set_pane_aggregation(&self, enabled: bool) {
-        for reg in self.queries.lock().values() {
-            reg.query.set_pane_aggregation(enabled);
-        }
-    }
-
-    /// The shared window cache (hit/miss statistics for E8).
-    pub fn wcache(&self) -> &WCache {
-        &self.wcache
-    }
-
-    /// Conciseness report for one registered query (E3).
-    pub fn fleet_report(&self, id: u64, starql_text: &str) -> Option<FleetReport> {
-        let queries = self.queries.lock();
-        let reg = queries.get(&id)?;
-        let fleet = &reg.query.translated.fleet;
-        Some(FleetReport {
-            name: reg.name.clone(),
-            starql_chars: starql_text.len(),
-            fleet_queries: fleet.len(),
-            fleet_chars: fleet.iter().map(String::len).sum(),
-        })
-    }
-
     /// A monitoring snapshot of all registered queries.
     pub fn dashboard(&self) -> Dashboard {
-        let queries = self.queries.lock();
-        let panels = queries
-            .values()
-            .map(|reg| {
-                // Read, never create: a panel for a query that has not
-                // ticked yet must not leave a histogram behind.
-                let ticks = self
-                    .registry
-                    .find_histogram(&format!("tick.q{}.us", reg.id))
-                    .map(|h| h.summary())
-                    .unwrap_or_default();
-                QueryPanel {
-                    id: reg.id,
-                    name: reg.name.clone(),
-                    bindings: reg.query.binding_count(),
-                    ticks: reg.ticks,
-                    alarms: reg.alarms,
-                    tuples: reg.tuples,
-                    fleet_size: reg.query.translated.fleet.len(),
-                    workers: reg.workers.unwrap_or(1),
-                    window_fragments: reg.window_fragments,
-                    stream_rows: reg.stream_rows,
-                    shards_pruned: reg.shards_pruned,
-                    semi_joins_pushed: reg.semi_joins_pushed,
-                    pane_hits: reg.pane_hits,
-                    pane_misses: reg.pane_misses,
-                    tick_p50_us: ticks.p50,
-                    tick_p95_us: ticks.p95,
-                    tick_p99_us: ticks.p99,
-                }
-            })
-            .collect();
-        drop(queries);
         let static_latency = self.registry.histogram("static.query_us").summary();
         Dashboard {
-            panels,
+            panels: self.query_panels(),
             static_queries: self.static_log.lock().iter().cloned().collect(),
             wcache_hits: self.wcache.hits(),
             wcache_misses: self.wcache.misses(),
@@ -1410,79 +912,9 @@ impl std::fmt::Debug for OptiquePlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optique_siemens::catalog::TaskQuery;
 
     fn platform() -> OptiquePlatform {
         OptiquePlatform::from_siemens(SiemensDeployment::small())
-    }
-
-    #[test]
-    fn register_and_tick_figure1() {
-        let p = platform();
-        let id = p.register_starql(optique_starql::FIGURE1).unwrap();
-        assert_eq!(p.registered(), 1);
-        // The small deployment plants ramp failures near the end of its 60 s
-        // stream; tick across the stream and count alarms.
-        let mut alarms = 0;
-        for tick in (600_000..=660_000).step_by(1_000) {
-            let outputs = p.tick_all(tick).unwrap();
-            alarms += outputs[0].1.satisfied;
-        }
-        assert!(alarms >= 1, "the planted monotonic ramp must fire");
-        assert!(p.deregister(id));
-    }
-
-    #[test]
-    fn catalog_tasks_register() {
-        let p = platform();
-        let mut registered = 0;
-        for task in optique_siemens::diagnostic_tasks() {
-            match &task.query {
-                TaskQuery::StarQl(_) => {
-                    p.register_task(&task)
-                        .unwrap_or_else(|e| panic!("{}: {e}", task.id));
-                    registered += 1;
-                }
-                TaskQuery::SqlPlus(sql) => {
-                    optique_relational::exec::query(sql, &p.db()).unwrap();
-                }
-            }
-        }
-        assert_eq!(registered, 18);
-        assert_eq!(p.registered(), 18);
-    }
-
-    /// Distributed registration evaluates ticks through window fragments
-    /// over a stream-partitioned pool and raises the same alarms.
-    #[test]
-    fn distributed_starql_ticks_match_single_node() {
-        let single = platform();
-        let distributed = platform();
-        single.register_starql(optique_starql::FIGURE1).unwrap();
-        distributed
-            .register_starql_distributed(optique_starql::FIGURE1, 4)
-            .unwrap();
-        let mut single_alarms = 0usize;
-        let mut distributed_alarms = 0usize;
-        for tick in (600_000..=660_000).step_by(1_000) {
-            let s = single.tick_all(tick).unwrap();
-            let d = distributed.tick_all(tick).unwrap();
-            single_alarms += s[0].1.satisfied;
-            distributed_alarms += d[0].1.satisfied;
-            let mut st = s[0].1.triples.clone();
-            let mut dt = d[0].1.triples.clone();
-            st.sort_by_key(|t| format!("{t:?}"));
-            dt.sort_by_key(|t| format!("{t:?}"));
-            assert_eq!(st, dt, "tick {tick}");
-        }
-        assert!(single_alarms >= 1);
-        assert_eq!(single_alarms, distributed_alarms);
-        // The distributed panel shows windows genuinely shipped.
-        let dash = distributed.dashboard();
-        assert_eq!(dash.panels[0].workers, 4);
-        assert!(dash.panels[0].window_fragments > 0, "{:?}", dash.panels[0]);
-        assert!(dash.panels[0].stream_rows > 0);
-        assert!(dash.render().contains("wfrag"));
     }
 
     /// A write hides (and evicts) only the cache entries that read the
@@ -1506,72 +938,36 @@ mod tests {
         assert!(!fresh.is_empty());
     }
 
-    /// Regression (unbounded registry): `dashboard()` used to get-or-create
-    /// a `tick.q<id>.us` histogram per panel and `deregister` never dropped
-    /// it — ~7 KB per registration, for good. Register → dashboard → tick →
-    /// deregister rounds must leave the registry where it started.
-    #[test]
-    fn deregistered_queries_leave_no_histogram_behind() {
-        let p = platform();
-        let histograms = |p: &OptiquePlatform| p.metrics_snapshot().histograms.len();
-        let round = |p: &OptiquePlatform| {
-            let id = p.register_starql(optique_starql::FIGURE1).unwrap();
-            let before_read = histograms(p);
-            assert_eq!(p.dashboard().panels.len(), 1);
-            p.tick_all(600_000).unwrap();
-            assert_eq!(p.dashboard().panels[0].ticks, 1);
-            assert!(p.deregister(id));
-            before_read
-        };
-        // One warm-up round creates the fixed-name instruments.
-        round(&p);
-        let baseline = histograms(&p);
-        for i in 0..8 {
-            let at_registration = round(&p);
-            assert_eq!(
-                at_registration, baseline,
-                "round {i}: nothing per-query yet"
-            );
-            assert_eq!(histograms(&p), baseline, "round {i}: deregister drops it");
-        }
-        // Reading a panel that never ticked creates nothing either.
-        let id = p.register_starql(optique_starql::FIGURE1).unwrap();
-        p.dashboard();
-        assert_eq!(histograms(&p), baseline);
-        p.deregister(id);
-    }
-
     /// Fragment executions and parses the remembered static panels report.
-    fn plan_cache_totals(dash: &Dashboard) -> (u64, u64) {
+    fn fragment_execution_totals(dash: &Dashboard) -> (u64, u64) {
         dash.static_queries.iter().fold((0, 0), |(h, m), q| {
             (h + q.stats.plan_cache_hits, m + q.stats.plan_cache_misses)
         })
     }
 
     /// Regression: a merge drops the federation pools, but the dashboard's
-    /// plan-cache totals must accumulate across the rebuild. They once
-    /// lived in per-worker caches and had to be retired into the registry;
-    /// they now ride back with each round, so nothing a pool drop takes
-    /// with it can zero them.
+    /// fragment-execution totals must accumulate across the rebuild: they
+    /// ride back with each round, so nothing a pool drop takes with it can
+    /// zero them.
     #[test]
-    fn plan_cache_counters_survive_pool_rebuilds() {
+    fn fragment_execution_totals_survive_pool_rebuilds() {
         let p = platform();
         // Reads `turbines`, so the insert below evicts its BGP-cache entry
         // and the post-write run re-executes on the rebuilt pool.
         let q = "SELECT ?t WHERE { ?t a sie:Turbine }";
         p.query_static_distributed(q, 2).unwrap();
-        let before = plan_cache_totals(&p.dashboard());
+        let before = fragment_execution_totals(&p.dashboard());
         assert!(before.0 > 0, "typed fragments execute without a parse");
         assert_eq!(before.1, 0, "the pipeline never ships SQL text");
 
         p.insert_static("turbines", vec![new_turbine_row(&p, 88_001)])
             .unwrap();
         p.merge_now().unwrap();
-        assert_eq!(plan_cache_totals(&p.dashboard()), before);
+        assert_eq!(fragment_execution_totals(&p.dashboard()), before);
 
         // New traffic lands on top of the earlier totals.
         p.query_static_distributed(q, 2).unwrap();
-        let later = plan_cache_totals(&p.dashboard());
+        let later = fragment_execution_totals(&p.dashboard());
         assert!(later.0 > before.0);
         assert_eq!(later.1, 0);
     }
@@ -1581,7 +977,7 @@ mod tests {
     /// via `federation_for`'s double-checked insert. The replaced pool
     /// takes no dashboard history with it.
     #[test]
-    fn plan_cache_counters_survive_pool_replacement() {
+    fn fragment_execution_totals_survive_pool_replacement() {
         let p = platform();
         let q = "SELECT ?t WHERE { ?t a sie:Turbine }";
         p.query_static_distributed(q, 2).unwrap();
@@ -1592,162 +988,13 @@ mod tests {
         p.merge_now().unwrap();
         // Fresh pool over the new catalog.
         p.query_static_distributed(q, 2).unwrap();
-        let before = plan_cache_totals(&p.dashboard());
+        let before = fragment_execution_totals(&p.dashboard());
         assert!(before.0 > 0);
 
         // The straggler rebuilds over the superseded catalog and replaces
         // the fresh pool in the slot.
         let _ = p.federation_for(2, &old_snap);
-        assert_eq!(plan_cache_totals(&p.dashboard()), before);
-    }
-
-    /// An aggregate HAVING over the Siemens stream: a pure `MAX` threshold
-    /// tree over the stream's value property — pane-combinable by
-    /// construction, and exact across backends (`MAX` is order-independent,
-    /// unlike a float `SUM`). The planted ramps peak at 87.5 and the hot
-    /// bursts at 96+, so `>= 85` fires on the anomalies only.
-    const AGG_QUERY: &str = r#"
-PREFIX sie: <http://siemens.example/ontology#>
-CREATE STREAM S_agg AS
-CONSTRUCT GRAPH NOW { ?c2 a sie:MonInc }
-FROM STREAM S_Msmt [NOW-"PT10S"^^xsd:duration, NOW]->"PT1S"^^xsd:duration
-USING PULSE WITH START = "00:10:00CET", FREQUENCY = "1S"
-WHERE {?c1 a sie:Assembly. ?c2 a sie:Sensor. ?c1 sie:inAssembly ?c2.}
-SEQUENCE BY StdSeq AS seq
-HAVING MAX(?c2, sie:hasValue) >= 85
-"#;
-
-    /// An `S_Msmt` row (`ts TIMESTAMP, sensor_id INT, value FLOAT,
-    /// event TEXT`).
-    fn msmt_row(ts: i64, sensor_id: i64, value: f64) -> Vec<Value> {
-        vec![
-            Value::Timestamp(ts),
-            Value::Int(sensor_id),
-            Value::Float(value),
-            Value::Null,
-        ]
-    }
-
-    /// A sensor id that actually streams (first row of `S_Msmt`).
-    fn streamed_sensor(p: &OptiquePlatform) -> i64 {
-        p.db().table("S_Msmt").unwrap().rows[0][1]
-            .as_i64()
-            .expect("sensor_id is an int")
-    }
-
-    /// Appending stream rows drives registered queries without any
-    /// external `tick_all` pulse: each newly closed window ticks at its
-    /// close instant, counters accumulate, and an append that closes no
-    /// window drives nothing.
-    #[test]
-    fn append_driven_ticks_fire_without_external_pulse() {
-        let p = platform();
-        p.register_starql(AGG_QUERY).unwrap();
-        let sensor = streamed_sensor(&p);
-
-        // Within the last already-closed window: no new window, no tick.
-        let out = p
-            .append_stream("S_Msmt", vec![msmt_row(659_500, sensor, 50.0)])
-            .unwrap();
-        assert!(out.is_empty(), "no window newly closed: {out:?}");
-        assert_eq!(p.dashboard().panels[0].ticks, 0);
-
-        // Ten seconds past the stream end, hot values: ten windows close
-        // and the threshold fires.
-        let rows: Vec<Vec<Value>> = (1..=10)
-            .map(|k| msmt_row(659_000 + k * 1_000, sensor, 99.0))
-            .collect();
-        let out = p.append_stream("S_Msmt", rows).unwrap();
-        assert_eq!(out.len(), 10, "one driven tick per newly closed window");
-        assert!(
-            out.iter().any(|(_, t)| t.satisfied > 0),
-            "hot appended values must fire: {out:?}"
-        );
-        let dash = p.dashboard();
-        assert_eq!(dash.panels[0].ticks, 10);
-        assert!(dash.panels[0].alarms > 0);
-
-        // Re-appending inside the now-closed span drives nothing again.
-        let out = p
-            .append_stream("S_Msmt", vec![msmt_row(669_000, sensor, 99.0)])
-            .unwrap();
-        assert!(out.is_empty());
-    }
-
-    /// Append-driven ticking raises the same output stream as external
-    /// pulses at the same instants — over base rows *and* unmerged
-    /// novelty-overlay rows (the overlay write path is the default).
-    #[test]
-    fn append_driven_ticks_match_external_pulses() {
-        let driven = platform();
-        let pulsed = platform();
-        driven.register_starql(AGG_QUERY).unwrap();
-        pulsed.register_starql(AGG_QUERY).unwrap();
-        let sensor = streamed_sensor(&driven);
-        let rows: Vec<Vec<Value>> = (1..=5)
-            .map(|k| msmt_row(659_000 + k * 1_000, sensor, 99.0))
-            .collect();
-
-        let driven_out = driven.append_stream("S_Msmt", rows.clone()).unwrap();
-        pulsed.insert_static("S_Msmt", rows).unwrap();
-        let mut pulsed_out = Vec::new();
-        for tick in (660_000..=664_000).step_by(1_000) {
-            pulsed_out.extend(pulsed.tick_all(tick).unwrap());
-        }
-
-        assert_eq!(driven_out.len(), pulsed_out.len());
-        for ((_, d), (_, e)) in driven_out.iter().zip(&pulsed_out) {
-            assert_eq!(d.tick_ms, e.tick_ms);
-            let mut dt = d.triples.clone();
-            let mut et = e.triples.clone();
-            dt.sort_by_key(|t| format!("{t:?}"));
-            et.sort_by_key(|t| format!("{t:?}"));
-            assert_eq!(dt, et, "tick {}", d.tick_ms);
-        }
-    }
-
-    /// The window cache holds what the registered ranges can still ask for,
-    /// however long the stream runs: after 500 appends under three ranges
-    /// it is as large as after 50 — the windows of the newest round, and
-    /// one state per timestamp the longest range reaches back over.
-    #[test]
-    fn window_cache_is_bounded_by_the_ranges_not_the_appends() {
-        let p = platform();
-        let ranges_s = [2, 5, 20];
-        for range_s in ranges_s {
-            let text = AGG_QUERY
-                .replace("PT10S", &format!("PT{range_s}S"))
-                .replace(
-                    "MAX(?c2, sie:hasValue) >= 85",
-                    "EXISTS ?k IN seq: GRAPH ?k { ?c2 sie:hasValue ?v } AND ?v >= 85",
-                );
-            p.register_starql(&text).unwrap();
-        }
-        let sensor = streamed_sensor(&p);
-        let mut sizes = Vec::new();
-        for k in 1..=500 {
-            let value = if k % 7 == 0 { 90.0 } else { 50.0 };
-            let out = p
-                .append_stream("S_Msmt", vec![msmt_row(659_000 + k * 1_000, sensor, value)])
-                .unwrap();
-            assert_eq!(out.len(), ranges_s.len(), "one tick per range");
-            if k == 50 || k == 500 {
-                sizes.push((p.wcache().len(), p.wcache().slices()));
-            }
-        }
-        // One window per range closes each second; the 20 s range reaches
-        // back over 21 timestamps, the newest included.
-        assert_eq!(sizes, [(3, 21), (3, 21)]);
-        let snap = p.metrics_snapshot();
-        assert_eq!(snap.gauge("wcache.windows"), Some(3));
-        assert_eq!(snap.gauge("wcache.slices"), Some(21));
-        // Each appended timestamp's state was built once, by one of its
-        // round's three ticks, and taken from the cache ever after (the
-        // first round also built the 19 states the recorded stream had left
-        // in range).
-        assert_eq!(snap.counter(STATES_BUILT), Some(500 + 19));
-        assert!(snap.counter(STATES_SHARED).unwrap() > 10 * 500);
-        assert!(p.dashboard().panels.iter().all(|panel| panel.alarms > 0));
+        assert_eq!(fragment_execution_totals(&p.dashboard()), before);
     }
 
     /// The reference the clock mark replaced: the maximum timestamp over
@@ -1785,7 +1032,10 @@ HAVING MAX(?c2, sie:hasValue) >= 85
             for (batch, merge) in history {
                 let rows = batch
                     .iter()
-                    .map(|dt| msmt_row(655_000 + dt * 500, 1, 50.0))
+                    .map(|dt| {
+                        let ts = Value::Timestamp(655_000 + dt * 500);
+                        vec![ts, Value::Int(1), Value::Float(50.0), Value::Null]
+                    })
                     .collect();
                 p.insert_static("S_Msmt", rows).unwrap();
                 if merge == 0 {
@@ -1797,88 +1047,6 @@ HAVING MAX(?c2, sie:hasValue) >= 85
                 );
             }
         }
-    }
-
-    /// A stream that starts empty has no clock until its first timestamped
-    /// row, and drives nothing until then.
-    #[test]
-    fn empty_stream_has_no_clock_until_its_first_row() {
-        let mut deployment = SiemensDeployment::small();
-        let mut empty = (**deployment.db.table("S_Msmt").unwrap()).clone();
-        empty.rows.clear();
-        deployment.db.put_table("S_Msmt", empty);
-        let p = OptiquePlatform::from_siemens(deployment);
-        p.register_starql(AGG_QUERY).unwrap();
-        assert_eq!(p.snapshot().clocks.get("S_Msmt"), None);
-        let out = p
-            .append_stream("S_Msmt", vec![msmt_row(601_500, 1, 99.0)])
-            .unwrap();
-        assert_eq!(p.snapshot().clocks.get("S_Msmt"), Some(&601_500));
-        assert_eq!(out.len(), 2, "the windows closing at 600 s and 601 s");
-    }
-
-    /// A pane-combinable distributed query answers its ticks from
-    /// shard-local pane stores: probe counters surface on the panel and
-    /// the registry, and overlapping windows re-use warm panes.
-    #[test]
-    fn pane_counters_accumulate_on_distributed_agg_query() {
-        let p = platform();
-        p.register_starql_distributed(AGG_QUERY, 4).unwrap();
-        for tick in (600_000..=620_000).step_by(1_000) {
-            p.tick_all(tick).unwrap();
-        }
-        let dash = p.dashboard();
-        let panel = &dash.panels[0];
-        assert!(
-            panel.pane_hits + panel.pane_misses > 0,
-            "pane path never probed: {panel:?}"
-        );
-        assert!(
-            panel.pane_hits > 0,
-            "overlapping windows must re-use warm panes: {panel:?}"
-        );
-        assert_eq!(
-            p.registry.counter(PANE_HITS).get() + p.registry.counter(PANE_MISSES).get(),
-            panel.pane_hits + panel.pane_misses,
-            "registry mirrors the panel"
-        );
-        assert!(dash.pane_hit_rate().is_some());
-        assert!(dash.render().contains("phit"));
-    }
-
-    /// The pane-combined distributed backend, the rescan fallback
-    /// (panes disabled), and single-node evaluation raise identical
-    /// output streams tick for tick.
-    #[test]
-    fn distributed_agg_ticks_match_single_node_with_and_without_panes() {
-        let single = platform();
-        let panes = platform();
-        let rescan = platform();
-        single.register_starql(AGG_QUERY).unwrap();
-        panes.register_starql_distributed(AGG_QUERY, 4).unwrap();
-        rescan.register_starql_distributed(AGG_QUERY, 4).unwrap();
-        rescan.set_pane_aggregation(false);
-        let mut alarms = 0usize;
-        for tick in (600_000..=660_000).step_by(1_000) {
-            let s = single.tick_all(tick).unwrap();
-            let p = panes.tick_all(tick).unwrap();
-            let r = rescan.tick_all(tick).unwrap();
-            alarms += s[0].1.satisfied;
-            let sort = |t: &TickOutput| {
-                let mut v = t.triples.clone();
-                v.sort_by_key(|t| format!("{t:?}"));
-                v
-            };
-            assert_eq!(sort(&s[0].1), sort(&p[0].1), "panes, tick {tick}");
-            assert_eq!(sort(&s[0].1), sort(&r[0].1), "rescan, tick {tick}");
-        }
-        assert!(alarms >= 1, "planted anomalies must fire");
-        // The pane arm genuinely used panes; the rescan arm genuinely
-        // did not.
-        assert!(panes.dashboard().panels[0].pane_hits > 0);
-        let rp = &rescan.dashboard().panels[0];
-        assert_eq!(rp.pane_hits + rp.pane_misses, 0);
-        assert!(rp.window_fragments > 0, "rescan fell back to shipping");
     }
 
     /// A `turbines` row with a fresh primary key, cloned off the first row.
@@ -2037,18 +1205,6 @@ HAVING MAX(?c2, sie:hasValue) >= 85
             assert!(p.explain_analyze(text, Some(workers)).is_err());
         }
         assert!(p.federations.lock().is_empty());
-    }
-
-    #[test]
-    fn oversized_worker_count_is_rejected_by_register_starql_distributed() {
-        let p = platform();
-        for workers in [0, MAX_WORKERS + 1, usize::MAX] {
-            assert!(p
-                .register_starql_distributed(optique_starql::FIGURE1, workers)
-                .is_err());
-        }
-        assert!(p.federations.lock().is_empty());
-        assert_eq!(p.registered(), 0);
     }
 
     /// Overlay seam regression: right after an overlay insert publishes,
@@ -2280,34 +1436,6 @@ HAVING MAX(?c2, sie:hasValue) >= 85
         // The pre-merge snapshot is untouched by the fold.
         assert_eq!(deep.view.novelty_rows("S_Msmt").count(), 4_999);
         assert_eq!(deep.db.table("S_Msmt").unwrap().len(), 40_000);
-    }
-
-    #[test]
-    fn dashboard_reflects_activity() {
-        let p = platform();
-        p.register_starql(optique_starql::FIGURE1).unwrap();
-        p.tick_all(609_000).unwrap();
-        let dash = p.dashboard();
-        assert_eq!(dash.panels.len(), 1);
-        assert_eq!(dash.panels[0].ticks, 1);
-        assert!(dash.panels[0].bindings > 0);
-        assert!(dash.render().contains("S_out"));
-    }
-
-    #[test]
-    fn fleet_report_shows_conciseness() {
-        let p = platform();
-        let id = p.register_starql(optique_starql::FIGURE1).unwrap();
-        let report = p.fleet_report(id, optique_starql::FIGURE1).unwrap();
-        assert!(report.fleet_queries >= 2);
-        assert!(report.fleet_chars > 0);
-    }
-
-    #[test]
-    fn bad_starql_rejected() {
-        let p = platform();
-        assert!(p.register_starql("CREATE NONSENSE").is_err());
-        assert_eq!(p.registered(), 0);
     }
 
     #[test]

@@ -1,0 +1,1054 @@
+//! The streaming half of the platform: the continuous-query lifecycle and
+//! the one driven round behind [`tick_all`](OptiquePlatform::tick_all) and
+//! [`append_stream`](OptiquePlatform::append_stream).
+//!
+//! # The round's contract
+//!
+//! A round walks the due `(query, window)` pairs in registration order,
+//! oldest window first. A tick that errs is charged to **its** query
+//! ([`QueryPanel::tick_errors`], registry counter `tick.errors`) and ends
+//! that query's windows for this round; every other query still ticks, and
+//! the window cache is trimmed whether or not anything failed. An append
+//! marks each window it drove as driven the moment its tick succeeds, so a
+//! retry after a failure never re-fires a window that already answered.
+//! Only then does the call return the first error, naming its query.
+
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use optique_rdf::Term;
+use optique_relational::{Database, Value};
+use optique_rewrite::{Atom, RewriteSettings};
+use optique_siemens::catalog::TaskQuery;
+use optique_siemens::DiagnosticTask;
+use optique_sparql::{
+    GroupPattern, PatternElement, Projection, Query, SelectItem, SelectQuery, SolutionModifier,
+};
+use optique_starql::{
+    parse_starql, translate, ContinuousQuery, TickOutput, TranslatedQuery, TranslationContext,
+};
+use optique_stream::WCache;
+
+use crate::dashboard::QueryPanel;
+use crate::federation::Federation;
+use crate::platform::{check_workers, OptiquePlatform, PlatformSnapshot};
+
+/// A registered STARQL query: the compiled query, where its ticks run, and
+/// its monitoring panel.
+pub(crate) struct RegisteredStarQl {
+    query: ContinuousQuery,
+    /// Worker count whose federation pool evaluates this query's ticks
+    /// (`None` = single-node, the reference path).
+    workers: Option<usize>,
+    /// Everything the dashboard shows for the query but the latency
+    /// percentiles; every tick's counters land here through
+    /// [`QueryPanel::absorb`].
+    panel: QueryPanel,
+    /// Highest window id already driven by
+    /// [`append_stream`](OptiquePlatform::append_stream) — initialized to
+    /// the last window the stream's rows had closed at registration, so an
+    /// append only ticks windows it *newly* closes.
+    last_auto_window: Option<u64>,
+    /// Makes every tick of the query fail (see `set_tick_fault`).
+    #[cfg(test)]
+    tick_fault: bool,
+}
+
+impl RegisteredStarQl {
+    fn stream(&self) -> &str {
+        &self.query.translated.query.stream.name
+    }
+
+    /// The `(stream table, stream key)` pair federation pools must
+    /// hash-partition for this query's windows to scatter.
+    fn partition_pair(&self) -> (String, String) {
+        let key = self.query.stream_to_rdf.subject.column();
+        (self.stream().to_string(), key.to_string())
+    }
+}
+
+/// The conciseness report behind experiment E3: one STARQL text versus the
+/// fleet of low-level queries it replaces.
+#[derive(Clone, Debug)]
+pub struct FleetReport {
+    /// Query name.
+    pub name: String,
+    /// Characters of STARQL text.
+    pub starql_chars: usize,
+    /// Number of generated low-level queries.
+    pub fleet_queries: usize,
+    /// Total characters of generated SQL.
+    pub fleet_chars: usize,
+}
+
+impl OptiquePlatform {
+    /// Parses, translates (enrich + unfold) and registers a STARQL query.
+    /// Ticks evaluate single-node; the static WHERE bindings are computed
+    /// through the full static pipeline (per-BGP cache, planner).
+    pub fn register_starql(&self, text: &str) -> Result<u64, String> {
+        self.register_named(None, text, None)
+    }
+
+    /// [`register_starql`](Self::register_starql), with ticks evaluated
+    /// **distributed over `workers` ExaStream workers** — mirroring
+    /// [`query_static_distributed`](Self::query_static_distributed). The
+    /// query's stream hash-partitions across the pool on its stream key,
+    /// so every tick's window compiles to a plan fragment that *scatters*:
+    /// each worker slices its shard of the window and the partials gather.
+    /// The static WHERE bindings run through the same federation (BGP
+    /// cache, planner pushdown, partitioned shards). Output streams are
+    /// identical to single-node registration — the streaming equivalence
+    /// oracle pins this down.
+    pub fn register_starql_distributed(&self, text: &str, workers: usize) -> Result<u64, String> {
+        self.register_named(None, text, Some(workers))
+    }
+
+    /// Registers a catalog task.
+    pub fn register_task(&self, task: &DiagnosticTask) -> Result<u64, String> {
+        match &task.query {
+            TaskQuery::StarQl(text) => {
+                self.register_named(Some(format!("{}:{}", task.id, task.name)), text, None)
+            }
+            TaskQuery::SqlPlus(_) => Err(format!(
+                "task {} is a SQL(+) dataflow; run it on the relational engine directly",
+                task.id
+            )),
+        }
+    }
+
+    fn register_named(
+        &self,
+        name: Option<String>,
+        text: &str,
+        workers: Option<usize>,
+    ) -> Result<u64, String> {
+        check_workers(workers)?;
+        let parsed = parse_starql(text, &self.namespaces).map_err(|e| e.to_string())?;
+        let ctx = TranslationContext {
+            ontology: &self.ontology,
+            mappings: &self.mappings,
+            rewrite_settings: RewriteSettings::default(),
+            unfold_settings: Default::default(),
+        };
+        // Translation stays the validator (answer-variable totality,
+        // filter scoping, HAVING expansion) and still carries the fleet /
+        // window machinery; the *bindings* are answered by the static
+        // pipeline below instead of the raw unfolded SQL.
+        let translated = translate(&parsed, &ctx).map_err(|e| e.to_string())?;
+        // One snapshot for bindings *and* registration, so the continuous
+        // query's initial state is internally consistent.
+        let snap = self.snapshot();
+        let bindings = self.starql_bindings(&translated, workers, &snap)?;
+        let query = ContinuousQuery::register_with_bindings(
+            translated,
+            self.stream_to_rdf.clone(),
+            &snap.db,
+            bindings,
+        )?;
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        // Windows the stream's existing rows have already closed never
+        // re-fire on the first append: the append-driven clock starts at
+        // the registration-time high-water mark.
+        let last_auto_window = snap
+            .clocks
+            .get(&query.translated.query.stream.name)
+            .and_then(|&ts| query.window().last_closed(query.window_start(), ts));
+        let reg = RegisteredStarQl {
+            panel: QueryPanel {
+                id,
+                name: name.unwrap_or_else(|| parsed.output_stream.clone()),
+                bindings: query.binding_count(),
+                fleet_size: query.translated.fleet.len(),
+                workers: workers.unwrap_or(1),
+                ..QueryPanel::default()
+            },
+            query,
+            workers,
+            last_auto_window,
+            #[cfg(test)]
+            tick_fault: false,
+        };
+        let pair = reg.partition_pair();
+        self.queries.lock().insert(id, reg);
+        // A pool that does not hash-partition this query's stream on its
+        // key would run its windows on one replica: such pools go, and the
+        // next tick re-shards. Pools that already partition it stay — the
+        // 2nd…nth task on a stream re-shards (and re-folds) nothing.
+        if workers.is_some() {
+            self.federations
+                .lock()
+                .retain(|_, pool| pool.partition().contains(&pair));
+        }
+        Ok(id)
+    }
+
+    /// Answers a translated STARQL query's static WHERE clause through the
+    /// static pipeline — `SELECT DISTINCT <answer vars> WHERE { … }` over
+    /// the query's (already-validated) disjuncts and filters — so
+    /// continuous queries ride the per-BGP cache, the planner, and (when
+    /// `workers` is set) the federated fragment executor.
+    fn starql_bindings(
+        &self,
+        translated: &TranslatedQuery,
+        workers: Option<usize>,
+        snap: &PlatformSnapshot,
+    ) -> Result<Vec<HashMap<String, Term>>, String> {
+        let fallback = [translated.query.where_bgp.clone()];
+        let disjuncts: &[Vec<Atom>] = if translated.query.where_disjuncts.is_empty() {
+            &fallback
+        } else {
+            &translated.query.where_disjuncts
+        };
+        let branch = |i: usize| -> GroupPattern {
+            let mut elements = vec![PatternElement::Triples(disjuncts[i].clone())];
+            if let Some(filters) = translated.query.where_filters.get(i) {
+                elements.extend(filters.iter().cloned().map(PatternElement::Filter));
+            }
+            GroupPattern { elements }
+        };
+        let pattern = if disjuncts.len() <= 1 {
+            branch(0)
+        } else {
+            GroupPattern {
+                elements: vec![PatternElement::Union(
+                    (0..disjuncts.len()).map(branch).collect(),
+                )],
+            }
+        };
+        let select = SelectQuery {
+            distinct: true,
+            projection: Projection::Items(
+                translated
+                    .where_answer_vars
+                    .iter()
+                    .map(|v| SelectItem::Var(v.clone()))
+                    .collect(),
+            ),
+            pattern,
+            group_by: Vec::new(),
+            modifiers: SolutionModifier::default(),
+        };
+        let federation = workers.map(|w| self.federation_for(w, snap));
+        let (results, _) = self
+            .pipeline(snap, federation.as_deref())
+            .answer(&Query::Select(select))
+            .map_err(|e| format!("static bindings query failed: {e}"))?;
+        let vars = results.vars().to_vec();
+        let mut bindings = Vec::new();
+        for row in results.rows() {
+            let mut env = HashMap::with_capacity(vars.len());
+            for (var, term) in vars.iter().zip(row) {
+                if let Some(term) = term {
+                    env.insert(var.clone(), term.clone());
+                }
+            }
+            bindings.push(env);
+        }
+        Ok(bindings)
+    }
+
+    /// The `(stream table, stream key)` pairs of every registered
+    /// continuous query — what federation pools hash-partition the stream
+    /// side on.
+    pub(crate) fn stream_partition_pairs(&self) -> Vec<(String, String)> {
+        let queries = self.queries.lock();
+        let mut pairs: Vec<(String, String)> = Vec::new();
+        for reg in queries.values() {
+            if !pairs.iter().any(|(s, _)| s == reg.stream()) {
+                pairs.push(reg.partition_pair());
+            }
+        }
+        pairs
+    }
+
+    /// Deregisters a query; returns whether it existed. Its tick-latency
+    /// histogram goes with it (under the query lock, which ticks hold while
+    /// they record — so no tick can re-create it afterwards).
+    pub fn deregister(&self, id: u64) -> bool {
+        let mut queries = self.queries.lock();
+        self.registry.remove_histogram(&format!("tick.q{id}.us"));
+        queries.remove(&id).is_some()
+    }
+
+    /// Number of registered queries.
+    pub fn registered(&self) -> usize {
+        self.queries.lock().len()
+    }
+
+    /// Runs one pulse tick for every registered query, updating counters.
+    /// Outputs come back in registration order. Queries registered through
+    /// [`register_starql_distributed`](Self::register_starql_distributed)
+    /// materialize their windows as plan fragments over their federation
+    /// pool; the rest slice locally. A failing query fails the call, not
+    /// the round (see the [module docs](self)).
+    pub fn tick_all(&self, tick_ms: i64) -> Result<Vec<(u64, TickOutput)>, String> {
+        // One snapshot for the whole tick round: the pools and the db
+        // every query slices are the same world, even if a write lands
+        // mid-round (its rows show up next tick).
+        self.drive_round(&self.snapshot(), None, tick_ms)
+    }
+
+    /// Appends rows to a stream table **and drives the continuous queries
+    /// over it**: after the write publishes, every registered query on
+    /// `table` ticks once per window the appended rows newly closed (each
+    /// tick at that window's close instant), exactly as if
+    /// [`tick_all`](Self::tick_all) had been pulsed at those times.
+    /// Returns the driven tick outputs as `(query id, output)` pairs in
+    /// registration order, oldest window first — empty when the append
+    /// left every window still open. A failing query fails the call, not
+    /// the round (see the [module docs](self)); the rows stay appended.
+    ///
+    /// This is the push half of the paper's pulse model: where `tick_all`
+    /// polls on an external clock, `append_stream` lets the *data* advance
+    /// the clock — the batch's maximum timestamp becomes the stream's new
+    /// high-water mark.
+    pub fn append_stream(
+        &self,
+        table: &str,
+        rows: Vec<Vec<Value>>,
+    ) -> Result<Vec<(u64, TickOutput)>, String> {
+        self.insert_static(table, rows)?;
+        // One snapshot for the whole driven round, pinned *after* the
+        // write so the ticks see the rows that closed their windows.
+        let snap = self.snapshot();
+        match snap.clocks.get(table) {
+            Some(&clock) => self.drive_round(&snap, Some(table), clock),
+            None => Ok(Vec::new()),
+        }
+    }
+
+    /// The one driven round. A pulse (`only` = `None`) ticks every query
+    /// once, at `clock`; an append ticks the queries on the stream it
+    /// advanced (`only`) once per window `clock` newly closed, at the
+    /// window's close instant. The contract is the [module docs](self)'.
+    fn drive_round(
+        &self,
+        snap: &PlatformSnapshot,
+        only: Option<&str>,
+        clock: i64,
+    ) -> Result<Vec<(u64, TickOutput)>, String> {
+        let on_round = |reg: &RegisteredStarQl| only.is_none_or(|stream| stream == reg.stream());
+        // Pools build outside the queries lock (pool construction calls
+        // back into `stream_partition_pairs`, which takes it).
+        let worker_counts: BTreeSet<usize> = {
+            let queries = self.queries.lock();
+            let on_round = queries.values().filter(|reg| on_round(reg));
+            on_round.filter_map(|reg| reg.workers).collect()
+        };
+        let pools: HashMap<usize, Arc<Federation>> = worker_counts
+            .into_iter()
+            .map(|w| (w, self.federation_for(w, snap)))
+            .collect();
+
+        // Ticks read the *view* catalog: unmerged novelty-overlay rows are
+        // part of every window, single-node and distributed alike (the
+        // fragments pin the overlay epoch).
+        let db = &snap.view;
+        let mut out = Vec::new();
+        let mut first_error: Option<String> = None;
+        let mut queries = self.queries.lock();
+        for (id, reg) in queries.iter_mut().filter(|(_, reg)| on_round(reg)) {
+            // A query whose worker count registered *between* the pool
+            // build above and this lock has no pool yet: it ticks
+            // single-node this once (identical output stream — the oracle's
+            // contract) and gets its pool next round. Building here would
+            // deadlock on the queries lock (pool construction reads the
+            // stream pairs).
+            let executor = reg.workers.and_then(|w| pools.get(&w));
+            let (window, start) = (reg.query.window(), reg.query.window_start());
+            // The due ticks: `(window to mark as driven, tick instant)`.
+            let due: Vec<(Option<u64>, i64)> = match only {
+                None => vec![(None, clock)],
+                Some(_) => match window.last_closed(start, clock) {
+                    Some(newest) => (reg.last_auto_window.map_or(0, |w| w + 1)..=newest)
+                        .map(|w| (Some(w), window.bounds(start, w).1))
+                        .collect(),
+                    None => Vec::new(),
+                },
+            };
+            for (driven, tick_ms) in due {
+                match self.run_tick(reg, db, tick_ms, executor) {
+                    Ok(output) => {
+                        reg.last_auto_window = driven.or(reg.last_auto_window);
+                        out.push((*id, output));
+                    }
+                    Err(e) => {
+                        reg.panel.tick_errors += 1;
+                        self.registry.counter("tick.errors").inc();
+                        first_error.get_or_insert(format!("query {id} ({}): {e}", reg.panel.name));
+                        break;
+                    }
+                }
+            }
+        }
+        self.evict_windows(&queries, only, clock);
+        first_error.map_or(Ok(out), Err)
+    }
+
+    /// One timed tick of one registered query; its counters land on the
+    /// query's panel and in the registry through [`QueryPanel::absorb`].
+    fn run_tick(
+        &self,
+        reg: &mut RegisteredStarQl,
+        db: &Arc<Database>,
+        tick_ms: i64,
+        executor: Option<&Arc<Federation>>,
+    ) -> Result<TickOutput, String> {
+        #[cfg(test)]
+        if reg.tick_fault {
+            return Err("injected tick fault".into());
+        }
+        let tick_started = std::time::Instant::now();
+        let result =
+            reg.query
+                .tick_via(db, &self.wcache, tick_ms, executor.map(|f| f.as_ref() as _))?;
+        self.registry
+            .histogram(&format!("tick.q{}.us", reg.panel.id))
+            .record(tick_started.elapsed().as_micros() as u64);
+        reg.panel.absorb(&result, &self.registry);
+        Ok(result)
+    }
+
+    /// Drops from the window cache what no registered query can ask for
+    /// again once its stream's clock reads `clock`. A query asks for a
+    /// closed window once, in the round that closes it, so every window
+    /// closed before `clock` goes; a window yet to close reaches back at
+    /// most the longest range registered on the stream, so states stamped
+    /// before `clock −` that go. `only` names the stream an append
+    /// advanced; a pulse (`None`) is the clock of every stream.
+    fn evict_windows(
+        &self,
+        queries: &BTreeMap<u64, RegisteredStarQl>,
+        only: Option<&str>,
+        clock: i64,
+    ) {
+        let mut longest: BTreeMap<&str, i64> = BTreeMap::new();
+        for reg in queries.values() {
+            if only.is_none_or(|only| only == reg.stream()) {
+                let range_ms = longest.entry(reg.stream()).or_default();
+                *range_ms = (*range_ms).max(reg.query.window().range_ms);
+            }
+        }
+        for (stream, range_ms) in longest {
+            self.wcache.evict_below(stream, clock, clock - range_ms);
+        }
+    }
+
+    /// Enables/disables incremental pane aggregation on every registered
+    /// query. Disabled queries rescan the full window even when
+    /// pane-combinable — the differential oracle's reference arm; output
+    /// streams are identical either way.
+    pub fn set_pane_aggregation(&self, enabled: bool) {
+        for reg in self.queries.lock().values() {
+            reg.query.set_pane_aggregation(enabled);
+        }
+    }
+
+    /// The shared window cache (hit/miss statistics for E8).
+    pub fn wcache(&self) -> &WCache {
+        &self.wcache
+    }
+
+    /// Conciseness report for one registered query (E3).
+    pub fn fleet_report(&self, id: u64, starql_text: &str) -> Option<FleetReport> {
+        let queries = self.queries.lock();
+        let reg = queries.get(&id)?;
+        let fleet = &reg.query.translated.fleet;
+        Some(FleetReport {
+            name: reg.panel.name.clone(),
+            starql_chars: starql_text.len(),
+            fleet_queries: fleet.len(),
+            fleet_chars: fleet.iter().map(String::len).sum(),
+        })
+    }
+
+    /// The continuous-query half of [`dashboard`](Self::dashboard): every
+    /// registered query's panel, in registration order, with the latency
+    /// percentiles of its tick histogram filled in.
+    pub(crate) fn query_panels(&self) -> Vec<QueryPanel> {
+        let queries = self.queries.lock();
+        queries
+            .values()
+            .map(|reg| {
+                // Read, never create: a panel for a query that has not
+                // ticked yet must not leave a histogram behind.
+                let ticks = self
+                    .registry
+                    .find_histogram(&format!("tick.q{}.us", reg.panel.id))
+                    .map(|h| h.summary())
+                    .unwrap_or_default();
+                QueryPanel {
+                    tick_p50_us: ticks.p50,
+                    tick_p95_us: ticks.p95,
+                    tick_p99_us: ticks.p99,
+                    ..reg.panel.clone()
+                }
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dashboard::{PANE_HITS, PANE_MISSES, STATES_BUILT, STATES_SHARED};
+    use crate::MAX_WORKERS;
+    use optique_siemens::SiemensDeployment;
+
+    fn platform() -> OptiquePlatform {
+        OptiquePlatform::from_siemens(SiemensDeployment::small())
+    }
+
+    impl OptiquePlatform {
+        /// Makes every tick of query `id` fail (or stop failing) — the seam the
+        /// round-contract tests hang on, now that the two user-reachable ways
+        /// to register a query that can only fail are registration errors.
+        fn set_tick_fault(&self, id: u64, failing: bool) {
+            self.queries
+                .lock()
+                .get_mut(&id)
+                .expect("registered")
+                .tick_fault = failing;
+        }
+    }
+
+    #[test]
+    fn register_and_tick_figure1() {
+        let p = platform();
+        let id = p.register_starql(optique_starql::FIGURE1).unwrap();
+        assert_eq!(p.registered(), 1);
+        // The small deployment plants ramp failures near the end of its 60 s
+        // stream; tick across the stream and count alarms.
+        let mut alarms = 0;
+        for tick in (600_000..=660_000).step_by(1_000) {
+            let outputs = p.tick_all(tick).unwrap();
+            alarms += outputs[0].1.satisfied;
+        }
+        assert!(alarms >= 1, "the planted monotonic ramp must fire");
+        assert!(p.deregister(id));
+    }
+
+    #[test]
+    fn catalog_tasks_register() {
+        let p = platform();
+        let mut registered = 0;
+        for task in optique_siemens::diagnostic_tasks() {
+            match &task.query {
+                TaskQuery::StarQl(_) => {
+                    p.register_task(&task)
+                        .unwrap_or_else(|e| panic!("{}: {e}", task.id));
+                    registered += 1;
+                }
+                TaskQuery::SqlPlus(sql) => {
+                    optique_relational::exec::query(sql, &p.db()).unwrap();
+                }
+            }
+        }
+        assert_eq!(registered, 18);
+        assert_eq!(p.registered(), 18);
+    }
+
+    /// Distributed registration evaluates ticks through window fragments
+    /// over a stream-partitioned pool and raises the same alarms.
+    #[test]
+    fn distributed_starql_ticks_match_single_node() {
+        let single = platform();
+        let distributed = platform();
+        single.register_starql(optique_starql::FIGURE1).unwrap();
+        distributed
+            .register_starql_distributed(optique_starql::FIGURE1, 4)
+            .unwrap();
+        let mut single_alarms = 0usize;
+        let mut distributed_alarms = 0usize;
+        for tick in (600_000..=660_000).step_by(1_000) {
+            let s = single.tick_all(tick).unwrap();
+            let d = distributed.tick_all(tick).unwrap();
+            single_alarms += s[0].1.satisfied;
+            distributed_alarms += d[0].1.satisfied;
+            let mut st = s[0].1.triples.clone();
+            let mut dt = d[0].1.triples.clone();
+            st.sort_by_key(|t| format!("{t:?}"));
+            dt.sort_by_key(|t| format!("{t:?}"));
+            assert_eq!(st, dt, "tick {tick}");
+        }
+        assert!(single_alarms >= 1);
+        assert_eq!(single_alarms, distributed_alarms);
+        // The distributed panel shows windows genuinely shipped.
+        let dash = distributed.dashboard();
+        assert_eq!(dash.panels[0].workers, 4);
+        assert!(dash.panels[0].window_fragments > 0, "{:?}", dash.panels[0]);
+        assert!(dash.panels[0].stream_rows > 0);
+        assert!(dash.render().contains("wfrag"));
+    }
+
+    /// Regression (unbounded registry): `dashboard()` used to get-or-create
+    /// a `tick.q<id>.us` histogram per panel and `deregister` never dropped
+    /// it — ~7 KB per registration, for good. Register → dashboard → tick →
+    /// deregister rounds must leave the registry where it started.
+    #[test]
+    fn deregistered_queries_leave_no_histogram_behind() {
+        let p = platform();
+        let histograms = |p: &OptiquePlatform| p.metrics_snapshot().histograms.len();
+        let round = |p: &OptiquePlatform| {
+            let id = p.register_starql(optique_starql::FIGURE1).unwrap();
+            let before_read = histograms(p);
+            assert_eq!(p.dashboard().panels.len(), 1);
+            p.tick_all(600_000).unwrap();
+            assert_eq!(p.dashboard().panels[0].ticks, 1);
+            assert!(p.deregister(id));
+            before_read
+        };
+        // One warm-up round creates the fixed-name instruments.
+        round(&p);
+        let baseline = histograms(&p);
+        for i in 0..8 {
+            let at_registration = round(&p);
+            assert_eq!(
+                at_registration, baseline,
+                "round {i}: nothing per-query yet"
+            );
+            assert_eq!(histograms(&p), baseline, "round {i}: deregister drops it");
+        }
+        // Reading a panel that never ticked creates nothing either.
+        let id = p.register_starql(optique_starql::FIGURE1).unwrap();
+        p.dashboard();
+        assert_eq!(histograms(&p), baseline);
+        p.deregister(id);
+    }
+
+    /// An aggregate HAVING over the Siemens stream: a pure `MAX` threshold
+    /// tree over the stream's value property — pane-combinable by
+    /// construction, and exact across backends (`MAX` is order-independent,
+    /// unlike a float `SUM`). The planted ramps peak at 87.5 and the hot
+    /// bursts at 96+, so `>= 85` fires on the anomalies only.
+    const AGG_QUERY: &str = r#"
+PREFIX sie: <http://siemens.example/ontology#>
+CREATE STREAM S_agg AS
+CONSTRUCT GRAPH NOW { ?c2 a sie:MonInc }
+FROM STREAM S_Msmt [NOW-"PT10S"^^xsd:duration, NOW]->"PT1S"^^xsd:duration
+USING PULSE WITH START = "00:10:00CET", FREQUENCY = "1S"
+WHERE {?c1 a sie:Assembly. ?c2 a sie:Sensor. ?c1 sie:inAssembly ?c2.}
+SEQUENCE BY StdSeq AS seq
+HAVING MAX(?c2, sie:hasValue) >= 85
+"#;
+
+    /// An `S_Msmt` row (`ts TIMESTAMP, sensor_id INT, value FLOAT,
+    /// event TEXT`).
+    fn msmt_row(ts: i64, sensor_id: i64, value: f64) -> Vec<Value> {
+        vec![
+            Value::Timestamp(ts),
+            Value::Int(sensor_id),
+            Value::Float(value),
+            Value::Null,
+        ]
+    }
+
+    /// A sensor id that actually streams (first row of `S_Msmt`).
+    fn streamed_sensor(p: &OptiquePlatform) -> i64 {
+        p.db().table("S_Msmt").unwrap().rows[0][1]
+            .as_i64()
+            .expect("sensor_id is an int")
+    }
+
+    /// Appending stream rows drives registered queries without any
+    /// external `tick_all` pulse: each newly closed window ticks at its
+    /// close instant, counters accumulate, and an append that closes no
+    /// window drives nothing.
+    #[test]
+    fn append_driven_ticks_fire_without_external_pulse() {
+        let p = platform();
+        p.register_starql(AGG_QUERY).unwrap();
+        let sensor = streamed_sensor(&p);
+
+        // Within the last already-closed window: no new window, no tick.
+        let out = p
+            .append_stream("S_Msmt", vec![msmt_row(659_500, sensor, 50.0)])
+            .unwrap();
+        assert!(out.is_empty(), "no window newly closed: {out:?}");
+        assert_eq!(p.dashboard().panels[0].ticks, 0);
+
+        // Ten seconds past the stream end, hot values: ten windows close
+        // and the threshold fires.
+        let rows: Vec<Vec<Value>> = (1..=10)
+            .map(|k| msmt_row(659_000 + k * 1_000, sensor, 99.0))
+            .collect();
+        let out = p.append_stream("S_Msmt", rows).unwrap();
+        assert_eq!(out.len(), 10, "one driven tick per newly closed window");
+        assert!(
+            out.iter().any(|(_, t)| t.satisfied > 0),
+            "hot appended values must fire: {out:?}"
+        );
+        let dash = p.dashboard();
+        assert_eq!(dash.panels[0].ticks, 10);
+        assert!(dash.panels[0].alarms > 0);
+
+        // Re-appending inside the now-closed span drives nothing again.
+        let out = p
+            .append_stream("S_Msmt", vec![msmt_row(669_000, sensor, 99.0)])
+            .unwrap();
+        assert!(out.is_empty());
+    }
+
+    /// Append-driven ticking raises the same output stream as external
+    /// pulses at the same instants — over base rows *and* unmerged
+    /// novelty-overlay rows (the overlay write path is the default).
+    #[test]
+    fn append_driven_ticks_match_external_pulses() {
+        let driven = platform();
+        let pulsed = platform();
+        driven.register_starql(AGG_QUERY).unwrap();
+        pulsed.register_starql(AGG_QUERY).unwrap();
+        let sensor = streamed_sensor(&driven);
+        let rows: Vec<Vec<Value>> = (1..=5)
+            .map(|k| msmt_row(659_000 + k * 1_000, sensor, 99.0))
+            .collect();
+
+        let driven_out = driven.append_stream("S_Msmt", rows.clone()).unwrap();
+        pulsed.insert_static("S_Msmt", rows).unwrap();
+        let mut pulsed_out = Vec::new();
+        for tick in (660_000..=664_000).step_by(1_000) {
+            pulsed_out.extend(pulsed.tick_all(tick).unwrap());
+        }
+
+        assert_eq!(driven_out.len(), pulsed_out.len());
+        for ((_, d), (_, e)) in driven_out.iter().zip(&pulsed_out) {
+            assert_eq!(d.tick_ms, e.tick_ms);
+            let mut dt = d.triples.clone();
+            let mut et = e.triples.clone();
+            dt.sort_by_key(|t| format!("{t:?}"));
+            et.sort_by_key(|t| format!("{t:?}"));
+            assert_eq!(dt, et, "tick {}", d.tick_ms);
+        }
+        // The two entry points share one loop, so they share one accounting.
+        assert_eq!(timeless_panels(&driven), timeless_panels(&pulsed));
+    }
+
+    /// The dashboard's panels without their latency percentiles — every
+    /// field that is a count.
+    fn timeless_panels(p: &OptiquePlatform) -> Vec<QueryPanel> {
+        let timeless = |panel| QueryPanel {
+            tick_p50_us: 0,
+            tick_p95_us: 0,
+            tick_p99_us: 0,
+            ..panel
+        };
+        p.dashboard().panels.into_iter().map(timeless).collect()
+    }
+
+    /// `k` hot readings, one per second, the first one second past the
+    /// recorded stream's end plus `after` seconds: each closes one window.
+    fn hot_seconds(p: &OptiquePlatform, after: i64, k: i64) -> Vec<Vec<Value>> {
+        let sensor = streamed_sensor(p);
+        (after + 1..=after + k)
+            .map(|s| msmt_row(659_000 + s * 1_000, sensor, 99.0))
+            .collect()
+    }
+
+    /// The round's contract, append-driven: a query whose ticks fail is
+    /// charged the error and ends its own windows; the query registered
+    /// after it still answers every window, eviction still runs, the call
+    /// names the failing query — and a retry re-fires nothing the healthy
+    /// query already answered. At the parent the first error returned out
+    /// of the loop: the second query never ticked, nothing was evicted.
+    #[test]
+    fn failing_query_does_not_take_the_append_round_with_it() {
+        let p = platform();
+        let healthy = platform();
+        let bad = p.register_starql(AGG_QUERY).unwrap();
+        let good = p.register_starql(AGG_QUERY).unwrap();
+        for _ in 0..2 {
+            healthy.register_starql(AGG_QUERY).unwrap();
+        }
+        p.set_tick_fault(bad, true);
+
+        let err = p
+            .append_stream("S_Msmt", hot_seconds(&p, 0, 5))
+            .unwrap_err();
+        assert!(err.contains(&format!("query {bad} (S_agg)")), "{err}");
+        let expected = healthy
+            .append_stream("S_Msmt", hot_seconds(&p, 0, 5))
+            .unwrap();
+        let panels = p.dashboard().panels;
+        assert_eq!((panels[0].ticks, panels[0].tick_errors), (0, 1));
+        assert_eq!((panels[1].ticks, panels[1].tick_errors), (5, 0));
+        assert_eq!(timeless_panels(&p)[1], timeless_panels(&healthy)[1]);
+        assert_eq!(p.metrics_snapshot().counter("tick.errors"), Some(1));
+        assert_eq!(p.wcache().len(), healthy.wcache().len(), "eviction ran");
+        assert!(expected.iter().any(|(_, t)| t.satisfied > 0));
+
+        // Still failing: the healthy query ticks only the two new windows.
+        p.append_stream("S_Msmt", hot_seconds(&p, 5, 2))
+            .unwrap_err();
+        healthy
+            .append_stream("S_Msmt", hot_seconds(&p, 5, 2))
+            .unwrap();
+        let panels = p.dashboard().panels;
+        assert_eq!((panels[0].ticks, panels[0].tick_errors), (0, 2));
+        assert_eq!(panels[1].ticks, 5 + 2);
+        assert_eq!(panels[1].alarms, healthy.dashboard().panels[1].alarms);
+
+        // Healed: the once-failing query catches up on every window it
+        // owes, oldest first; the healthy one answers the new window only,
+        // with exactly the output a platform that never failed gives.
+        p.set_tick_fault(bad, false);
+        let out = p.append_stream("S_Msmt", hot_seconds(&p, 7, 1)).unwrap();
+        let expected = healthy
+            .append_stream("S_Msmt", hot_seconds(&p, 7, 1))
+            .unwrap();
+        let ticks_of = |id: u64| -> Vec<i64> {
+            let of_id = out.iter().filter(|(q, _)| *q == id);
+            of_id.map(|(_, t)| t.tick_ms).collect()
+        };
+        assert_eq!(
+            ticks_of(bad),
+            (660..=667).map(|s| s * 1_000).collect::<Vec<_>>()
+        );
+        assert_eq!(ticks_of(good), [667_000]);
+        let triples_of = |out: &[(u64, TickOutput)], id: u64| -> Vec<_> {
+            let of_id = out.iter().filter(|(q, _)| *q == id);
+            of_id.flat_map(|(_, t)| t.triples.clone()).collect()
+        };
+        assert_eq!(triples_of(&out, good), triples_of(&expected, good));
+        assert_eq!(p.dashboard().panels[0].ticks, 8);
+    }
+
+    /// The same contract through a pulse.
+    #[test]
+    fn failing_query_does_not_take_the_pulse_round_with_it() {
+        let p = platform();
+        let healthy = platform();
+        let bad = p.register_starql(optique_starql::FIGURE1).unwrap();
+        p.register_starql(AGG_QUERY).unwrap();
+        healthy.register_starql(optique_starql::FIGURE1).unwrap();
+        healthy.register_starql(AGG_QUERY).unwrap();
+        p.set_tick_fault(bad, true);
+        for tick in [658_000, 659_000] {
+            let err = p.tick_all(tick).unwrap_err();
+            assert!(err.contains(&format!("query {bad} (S_out)")), "{err}");
+            healthy.tick_all(tick).unwrap();
+        }
+        let (panels, expected) = (timeless_panels(&p), timeless_panels(&healthy));
+        assert_eq!((panels[0].ticks, panels[0].tick_errors), (0, 2));
+        assert_eq!(panels[1], expected[1], "the later query ticked as if alone");
+        assert_eq!(p.wcache().len(), 1, "the pulse's own window");
+        // A healed query simply ticks again: pulses keep no backlog.
+        p.set_tick_fault(bad, false);
+        assert_eq!(p.tick_all(660_000).unwrap().len(), 2);
+    }
+
+    /// Regression: a distributed registration used to drop every pool, so
+    /// the 2nd…18th task on a stream re-sharded the whole catalog (and
+    /// re-folded every pane store) on the next tick. A pool that already
+    /// partitions the new query's stream on its key stays; one that does
+    /// not goes.
+    #[test]
+    fn distributed_registration_keeps_pools_that_partition_its_stream() {
+        let mut deployment = SiemensDeployment::small();
+        let twin = (**deployment.db.table("S_Msmt").unwrap()).clone();
+        deployment.db.put_table("S_Aux", twin);
+        let p = OptiquePlatform::from_siemens(deployment);
+        let snap = p.snapshot();
+
+        p.register_starql_distributed(AGG_QUERY, 2).unwrap();
+        let pool = p.federation_for(2, &snap);
+        let pair = |stream: &str| (stream.to_string(), "sensor_id".to_string());
+        assert_eq!(pool.partition().last(), Some(&pair("S_Msmt")));
+        p.register_starql_distributed(optique_starql::FIGURE1, 2)
+            .unwrap();
+        assert!(
+            Arc::ptr_eq(&pool, &p.federation_for(2, &snap)),
+            "a second task on a partitioned stream re-shards nothing"
+        );
+
+        let on_aux = AGG_QUERY.replace("S_Msmt", "S_Aux");
+        p.register_starql_distributed(&on_aux, 2).unwrap();
+        let resharded = p.federation_for(2, &snap);
+        assert!(!Arc::ptr_eq(&pool, &resharded), "a new stream re-shards");
+        assert!(resharded.partition().contains(&pair("S_Aux")));
+        assert!(resharded.partition().contains(&pair("S_Msmt")));
+    }
+
+    /// Regression: both texts used to register and then fail every tick —
+    /// starving every query registered after them. They are refused where
+    /// they enter, and leave nothing behind.
+    #[test]
+    fn what_can_only_fail_at_tick_time_is_rejected_at_registration() {
+        let p = platform();
+        let ghost = AGG_QUERY.replace("{ ?c2 a sie:MonInc }", "{ ?c2 sie:flags ?ghost }");
+        let err = p.register_starql(&ghost).unwrap_err();
+        assert!(err.contains("CONSTRUCT variable ?ghost"), "{err}");
+        let nowhere = AGG_QUERY.replace("S_Msmt", "S_Nowhere");
+        let err = p.register_starql(&nowhere).unwrap_err();
+        assert!(err.contains("S_Nowhere"), "{err}");
+        assert!(p.register_starql_distributed(&nowhere, 2).is_err());
+        assert_eq!(p.registered(), 0);
+        assert!(p.dashboard().panels.is_empty());
+    }
+
+    /// The window cache holds what the registered ranges can still ask for,
+    /// however long the stream runs: after 500 appends under three ranges
+    /// it is as large as after 50 — the windows of the newest round, and
+    /// one state per timestamp the longest range reaches back over.
+    #[test]
+    fn window_cache_is_bounded_by_the_ranges_not_the_appends() {
+        let p = platform();
+        let ranges_s = [2, 5, 20];
+        for range_s in ranges_s {
+            let text = AGG_QUERY
+                .replace("PT10S", &format!("PT{range_s}S"))
+                .replace(
+                    "MAX(?c2, sie:hasValue) >= 85",
+                    "EXISTS ?k IN seq: GRAPH ?k { ?c2 sie:hasValue ?v } AND ?v >= 85",
+                );
+            p.register_starql(&text).unwrap();
+        }
+        let sensor = streamed_sensor(&p);
+        let mut sizes = Vec::new();
+        for k in 1..=500 {
+            let value = if k % 7 == 0 { 90.0 } else { 50.0 };
+            let out = p
+                .append_stream("S_Msmt", vec![msmt_row(659_000 + k * 1_000, sensor, value)])
+                .unwrap();
+            assert_eq!(out.len(), ranges_s.len(), "one tick per range");
+            if k == 50 || k == 500 {
+                sizes.push((p.wcache().len(), p.wcache().slices()));
+            }
+        }
+        // One window per range closes each second; the 20 s range reaches
+        // back over 21 timestamps, the newest included.
+        assert_eq!(sizes, [(3, 21), (3, 21)]);
+        let snap = p.metrics_snapshot();
+        assert_eq!(snap.gauge("wcache.windows"), Some(3));
+        assert_eq!(snap.gauge("wcache.slices"), Some(21));
+        // Each appended timestamp's state was built once, by one of its
+        // round's three ticks, and taken from the cache ever after (the
+        // first round also built the 19 states the recorded stream had left
+        // in range).
+        assert_eq!(snap.counter(STATES_BUILT), Some(500 + 19));
+        assert!(snap.counter(STATES_SHARED).unwrap() > 10 * 500);
+        assert!(p.dashboard().panels.iter().all(|panel| panel.alarms > 0));
+    }
+
+    /// A stream that starts empty has no clock until its first timestamped
+    /// row, and drives nothing until then.
+    #[test]
+    fn empty_stream_has_no_clock_until_its_first_row() {
+        let mut deployment = SiemensDeployment::small();
+        let mut empty = (**deployment.db.table("S_Msmt").unwrap()).clone();
+        empty.rows.clear();
+        deployment.db.put_table("S_Msmt", empty);
+        let p = OptiquePlatform::from_siemens(deployment);
+        p.register_starql(AGG_QUERY).unwrap();
+        assert_eq!(p.snapshot().clocks.get("S_Msmt"), None);
+        let out = p
+            .append_stream("S_Msmt", vec![msmt_row(601_500, 1, 99.0)])
+            .unwrap();
+        assert_eq!(p.snapshot().clocks.get("S_Msmt"), Some(&601_500));
+        assert_eq!(out.len(), 2, "the windows closing at 600 s and 601 s");
+    }
+
+    /// A pane-combinable distributed query answers its ticks from
+    /// shard-local pane stores: probe counters surface on the panel and
+    /// the registry, and overlapping windows re-use warm panes.
+    #[test]
+    fn pane_counters_accumulate_on_distributed_agg_query() {
+        let p = platform();
+        p.register_starql_distributed(AGG_QUERY, 4).unwrap();
+        for tick in (600_000..=620_000).step_by(1_000) {
+            p.tick_all(tick).unwrap();
+        }
+        let dash = p.dashboard();
+        let panel = &dash.panels[0];
+        assert!(
+            panel.pane_hits + panel.pane_misses > 0,
+            "pane path never probed: {panel:?}"
+        );
+        assert!(
+            panel.pane_hits > 0,
+            "overlapping windows must re-use warm panes: {panel:?}"
+        );
+        assert_eq!(
+            p.registry.counter(PANE_HITS).get() + p.registry.counter(PANE_MISSES).get(),
+            panel.pane_hits + panel.pane_misses,
+            "registry mirrors the panel"
+        );
+        assert!(dash.pane_hit_rate().is_some());
+        assert!(dash.render().contains("phit"));
+    }
+
+    /// The pane-combined distributed backend, the rescan fallback
+    /// (panes disabled), and single-node evaluation raise identical
+    /// output streams tick for tick.
+    #[test]
+    fn distributed_agg_ticks_match_single_node_with_and_without_panes() {
+        let single = platform();
+        let panes = platform();
+        let rescan = platform();
+        single.register_starql(AGG_QUERY).unwrap();
+        panes.register_starql_distributed(AGG_QUERY, 4).unwrap();
+        rescan.register_starql_distributed(AGG_QUERY, 4).unwrap();
+        rescan.set_pane_aggregation(false);
+        let mut alarms = 0usize;
+        for tick in (600_000..=660_000).step_by(1_000) {
+            let s = single.tick_all(tick).unwrap();
+            let p = panes.tick_all(tick).unwrap();
+            let r = rescan.tick_all(tick).unwrap();
+            alarms += s[0].1.satisfied;
+            let sort = |t: &TickOutput| {
+                let mut v = t.triples.clone();
+                v.sort_by_key(|t| format!("{t:?}"));
+                v
+            };
+            assert_eq!(sort(&s[0].1), sort(&p[0].1), "panes, tick {tick}");
+            assert_eq!(sort(&s[0].1), sort(&r[0].1), "rescan, tick {tick}");
+        }
+        assert!(alarms >= 1, "planted anomalies must fire");
+        // The pane arm genuinely used panes; the rescan arm genuinely
+        // did not.
+        assert!(panes.dashboard().panels[0].pane_hits > 0);
+        let rp = &rescan.dashboard().panels[0];
+        assert_eq!(rp.pane_hits + rp.pane_misses, 0);
+        assert!(rp.window_fragments > 0, "rescan fell back to shipping");
+    }
+
+    #[test]
+    fn oversized_worker_count_is_rejected_by_register_starql_distributed() {
+        let p = platform();
+        for workers in [0, MAX_WORKERS + 1, usize::MAX] {
+            assert!(p
+                .register_starql_distributed(optique_starql::FIGURE1, workers)
+                .is_err());
+        }
+        assert!(p.federations.lock().is_empty());
+        assert_eq!(p.registered(), 0);
+    }
+
+    #[test]
+    fn dashboard_reflects_activity() {
+        let p = platform();
+        p.register_starql(optique_starql::FIGURE1).unwrap();
+        p.tick_all(609_000).unwrap();
+        let dash = p.dashboard();
+        assert_eq!(dash.panels.len(), 1);
+        assert_eq!(dash.panels[0].ticks, 1);
+        assert!(dash.panels[0].bindings > 0);
+        assert!(dash.render().contains("S_out"));
+    }
+
+    #[test]
+    fn fleet_report_shows_conciseness() {
+        let p = platform();
+        let id = p.register_starql(optique_starql::FIGURE1).unwrap();
+        let report = p.fleet_report(id, optique_starql::FIGURE1).unwrap();
+        assert!(report.fleet_queries >= 2);
+        assert!(report.fleet_chars > 0);
+    }
+
+    #[test]
+    fn bad_starql_rejected() {
+        let p = platform();
+        assert!(p.register_starql("CREATE NONSENSE").is_err());
+        assert_eq!(p.registered(), 0);
+    }
+}

@@ -1,18 +1,19 @@
-//! Single-variable IRI templates with inversion.
+//! Single-variable IRI templates.
 
-use optique_relational::Value;
+use optique_relational::{iri_template, ColumnType, Value};
 
 /// An IRI template of shape `prefix{column}suffix`.
 ///
 /// BootOX and the hand-written Siemens mappings only ever mint object
 /// identifiers from a single key column, so one variable slot is enforced —
 /// it is what makes template *inversion* (constant IRI → column constraint)
-/// and join-compatibility checks exact.
+/// and join-compatibility checks exact. Rendering and inversion themselves
+/// are [`optique_relational::iri_template`]'s.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct IriTemplate {
-    prefix: String,
+    /// The template with its slot as `{}` — the codec's pattern.
+    pattern: String,
     column: String,
-    suffix: String,
 }
 
 impl IriTemplate {
@@ -35,9 +36,8 @@ impl IriTemplate {
             return Err(format!("template {template:?} has more than one slot"));
         }
         Ok(IriTemplate {
-            prefix: template[..open].to_string(),
+            pattern: format!("{}{{}}{rest}", &template[..open]),
             column,
-            suffix: rest.to_string(),
         })
     }
 
@@ -48,45 +48,34 @@ impl IriTemplate {
 
     /// The template text with the slot as `{}` — the form the
     /// `iri_template` SQL scalar takes.
-    pub fn sql_pattern(&self) -> String {
-        format!("{}{{}}{}", self.prefix, self.suffix)
+    pub fn sql_pattern(&self) -> &str {
+        &self.pattern
     }
 
-    /// Renders the IRI for a concrete value.
-    pub fn render(&self, value: &Value) -> String {
-        let middle = match value {
-            Value::Text(s) => s.to_string(),
-            other => other.to_string(),
-        };
-        format!("{}{middle}{}", self.prefix, self.suffix)
+    /// The IRI for a concrete key value; NULL mints none.
+    pub fn render(&self, value: &Value) -> Option<String> {
+        iri_template::render(&self.pattern, value)
     }
 
     /// Two templates can produce equal IRIs only when their fixed parts
     /// agree (they may differ in column *name* — that just means joining on
     /// differently-named key columns).
     pub fn compatible_with(&self, other: &IriTemplate) -> bool {
-        self.prefix == other.prefix && self.suffix == other.suffix
+        self.pattern == other.pattern
     }
 
-    /// Inverts the template against a constant IRI: the column value that
-    /// would render it, or `None` when the IRI does not match. Numeric
-    /// strings come back as integers so column comparisons type-check.
-    pub fn invert(&self, iri: &str) -> Option<Value> {
-        let rest = iri.strip_prefix(self.prefix.as_str())?;
-        let middle = rest.strip_suffix(self.suffix.as_str())?;
-        if middle.is_empty() {
-            return None;
-        }
-        Some(match middle.parse::<i64>() {
-            Ok(n) => Value::Int(n),
-            Err(_) => Value::text(middle),
-        })
+    /// Inverts the template against a constant IRI: the value of a
+    /// `key_type` column that renders it, or `None` when none does.
+    pub fn invert(&self, iri: &str, key_type: ColumnType) -> Option<Value> {
+        iri_template::invert(&self.pattern, iri, key_type)
     }
 }
 
 impl std::fmt::Display for IriTemplate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}{{{}}}{}", self.prefix, self.column, self.suffix)
+        let slot = self.pattern.find("{}").expect("parse leaves one slot");
+        let (prefix, suffix) = (&self.pattern[..slot], &self.pattern[slot + 2..]);
+        write!(f, "{prefix}{{{}}}{suffix}", self.column)
     }
 }
 
@@ -98,14 +87,14 @@ mod tests {
     fn parse_and_render() {
         let t = IriTemplate::parse("http://x/turbine/{tid}").unwrap();
         assert_eq!(t.column(), "tid");
-        assert_eq!(t.render(&Value::Int(42)), "http://x/turbine/42");
+        assert_eq!(t.render(&Value::Int(42)).unwrap(), "http://x/turbine/42");
         assert_eq!(t.sql_pattern(), "http://x/turbine/{}");
     }
 
     #[test]
     fn parse_with_suffix() {
         let t = IriTemplate::parse("http://x/{sid}/sensor").unwrap();
-        assert_eq!(t.render(&Value::text("a7")), "http://x/a7/sensor");
+        assert_eq!(t.render(&Value::text("a7")).unwrap(), "http://x/a7/sensor");
     }
 
     #[test]
@@ -119,10 +108,15 @@ mod tests {
     #[test]
     fn inversion() {
         let t = IriTemplate::parse("http://x/turbine/{tid}").unwrap();
-        assert_eq!(t.invert("http://x/turbine/42"), Some(Value::Int(42)));
-        assert_eq!(t.invert("http://x/turbine/ab7"), Some(Value::text("ab7")));
-        assert_eq!(t.invert("http://x/sensor/42"), None);
-        assert_eq!(t.invert("http://x/turbine/"), None);
+        let int = |iri| t.invert(iri, ColumnType::Int);
+        assert_eq!(int("http://x/turbine/42"), Some(Value::Int(42)));
+        assert_eq!(int("http://x/turbine/ab7"), None);
+        assert_eq!(
+            t.invert("http://x/turbine/ab7", ColumnType::Text),
+            Some(Value::text("ab7"))
+        );
+        assert_eq!(int("http://x/sensor/42"), None);
+        assert_eq!(int("http://x/turbine/"), None);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! elimination** — the redundancy the paper calls out in challenge C3).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use optique_rdf::Term;
 use optique_relational::parser::{Join, JoinType, Projection, SelectStatement, TableRef};
-use optique_relational::{Expr, Value};
+use optique_relational::{iri_template, Expr, Value};
 use optique_rewrite::{Atom, ConjunctiveQuery, QueryTerm, UnionQuery};
 
 use crate::assertion::{MappingAssertion, MappingHead, TermMap};
@@ -63,9 +64,11 @@ enum Cond {
         left: (usize, String),
         right: (usize, String),
     },
+    /// The column equals one of `values`: the typed readings of a constant
+    /// IRI under the column's template, or the one value of a literal.
     ColConst {
         col: (usize, String),
-        value: Value,
+        values: Vec<Value>,
     },
 }
 
@@ -198,9 +201,9 @@ fn build_candidate(
                         .push(Position { alias: i, map });
                 }
                 QueryTerm::Const(c) => match constant_condition(&map, c, i) {
-                    ConstOutcome::Cond(cond) => conds.push(cond),
-                    ConstOutcome::AlwaysTrue => {}
-                    ConstOutcome::Incompatible => return Ok(None),
+                    Outcome::Cond(cond) => conds.push(cond),
+                    Outcome::AlwaysTrue => {}
+                    Outcome::Incompatible => return Ok(None),
                 },
             }
         }
@@ -211,9 +214,9 @@ fn build_candidate(
         let first = &positions[0];
         for later in &positions[1..] {
             match join_condition(first, later) {
-                JoinOutcome::Cond(cond) => conds.push(cond),
-                JoinOutcome::AlwaysTrue => {}
-                JoinOutcome::Incompatible => return Ok(None),
+                Outcome::Cond(cond) => conds.push(cond),
+                Outcome::AlwaysTrue => {}
+                Outcome::Incompatible => return Ok(None),
             }
         }
     }
@@ -242,9 +245,9 @@ fn build_candidate(
                 }
                 Cond::ColEq { left: l, right: r }
             }
-            Cond::ColConst { col, value } => Cond::ColConst {
+            Cond::ColConst { col, values } => Cond::ColConst {
                 col: (rewrite(col.0), col.1),
-                value,
+                values,
             },
         };
         if !final_conds.contains(&cond) {
@@ -307,8 +310,18 @@ fn build_candidate(
                     on_conds[later].push(expr);
                 }
             }
-            Cond::ColConst { col, value } => {
-                where_conds.push(Expr::eq(col_expr(col), Expr::Literal(value.clone())));
+            Cond::ColConst { col, values } => {
+                where_conds.push(match values.as_slice() {
+                    [value] => Expr::eq(col_expr(col), Expr::Literal(value.clone())),
+                    // One membership probe per row. An `OR` of comparisons
+                    // clones its text literal per row, and every disjunct's
+                    // literal is the same interned term: on `fanout_probe`'s
+                    // 100 disjuncts that was +27 % op time, this is +3 %.
+                    _ => Expr::InSet {
+                        expr: Box::new(col_expr(col)),
+                        set: Arc::new(values.iter().cloned().collect()),
+                    },
+                });
             }
         }
     }
@@ -339,99 +352,59 @@ fn build_candidate(
     }))
 }
 
-enum ConstOutcome {
+/// How a position's term map meets a constant (a query constant, or the
+/// other side's constant term map).
+enum Outcome {
     Cond(Cond),
     AlwaysTrue,
     Incompatible,
 }
 
-fn constant_condition(map: &TermMap, constant: &Term, alias: usize) -> ConstOutcome {
+/// The column condition under which `map`, read at `alias`, produces
+/// `constant`. A template compares its column with every typed reading of
+/// the IRI (the column's type is not known here): `col IN (123, '123')`.
+fn constant_condition(map: &TermMap, constant: &Term, alias: usize) -> Outcome {
+    let one_of = |column: &str, values: Vec<Value>| {
+        Outcome::Cond(Cond::ColConst {
+            col: (alias, column.to_string()),
+            values,
+        })
+    };
     match (map, constant) {
-        (TermMap::Template(t), Term::Iri(iri)) => match t.invert(iri.as_str()) {
-            Some(v) => ConstOutcome::Cond(Cond::ColConst {
-                col: (alias, t.column().to_string()),
-                value: v,
-            }),
-            None => ConstOutcome::Incompatible,
-        },
-        (TermMap::Column { column, .. }, Term::Literal(lit)) => {
-            ConstOutcome::Cond(Cond::ColConst {
-                col: (alias, column.clone()),
-                value: literal_to_value(lit),
-            })
-        }
-        (TermMap::Constant(c), k) => {
-            if c == k {
-                ConstOutcome::AlwaysTrue
-            } else {
-                ConstOutcome::Incompatible
+        (TermMap::Template(t), Term::Iri(iri)) => {
+            match iri_template::readings(t.sql_pattern(), iri.as_str()) {
+                readings if readings.is_empty() => Outcome::Incompatible,
+                readings => one_of(t.column(), readings),
             }
         }
+        (TermMap::Column { column, .. }, Term::Literal(lit)) => {
+            one_of(column, vec![literal_to_value(lit)])
+        }
+        (TermMap::Constant(c), k) if c == k => Outcome::AlwaysTrue,
         // IRI-producing map vs literal constant (or vice versa) never match.
-        _ => ConstOutcome::Incompatible,
+        _ => Outcome::Incompatible,
     }
 }
 
-enum JoinOutcome {
-    Cond(Cond),
-    AlwaysTrue,
-    Incompatible,
-}
-
-fn join_condition(a: &Position, b: &Position) -> JoinOutcome {
+fn join_condition(a: &Position, b: &Position) -> Outcome {
     match (&a.map, &b.map) {
-        (TermMap::Template(ta), TermMap::Template(tb)) => {
-            if ta.compatible_with(tb) {
-                JoinOutcome::Cond(Cond::ColEq {
-                    left: (a.alias, ta.column().to_string()),
-                    right: (b.alias, tb.column().to_string()),
-                })
-            } else {
-                JoinOutcome::Incompatible
-            }
+        (TermMap::Template(ta), TermMap::Template(tb)) if ta.compatible_with(tb) => {
+            Outcome::Cond(Cond::ColEq {
+                left: (a.alias, ta.column().to_string()),
+                right: (b.alias, tb.column().to_string()),
+            })
         }
         (TermMap::Column { column: ca, .. }, TermMap::Column { column: cb, .. }) => {
-            JoinOutcome::Cond(Cond::ColEq {
+            Outcome::Cond(Cond::ColEq {
                 left: (a.alias, ca.clone()),
                 right: (b.alias, cb.clone()),
             })
         }
-        (TermMap::Constant(x), TermMap::Constant(y)) => {
-            if x == y {
-                JoinOutcome::AlwaysTrue
-            } else {
-                JoinOutcome::Incompatible
-            }
-        }
-        (TermMap::Template(t), TermMap::Constant(Term::Iri(iri)))
-        | (TermMap::Constant(Term::Iri(iri)), TermMap::Template(t)) => {
-            let alias = if matches!(a.map, TermMap::Template(_)) {
-                a.alias
-            } else {
-                b.alias
-            };
-            match t.invert(iri.as_str()) {
-                Some(v) => JoinOutcome::Cond(Cond::ColConst {
-                    col: (alias, t.column().to_string()),
-                    value: v,
-                }),
-                None => JoinOutcome::Incompatible,
-            }
-        }
-        (TermMap::Column { column, .. }, TermMap::Constant(Term::Literal(lit))) => {
-            JoinOutcome::Cond(Cond::ColConst {
-                col: (a.alias, column.clone()),
-                value: literal_to_value(lit),
-            })
-        }
-        (TermMap::Constant(Term::Literal(lit)), TermMap::Column { column, .. }) => {
-            JoinOutcome::Cond(Cond::ColConst {
-                col: (b.alias, column.clone()),
-                value: literal_to_value(lit),
-            })
-        }
-        // IRI-producing vs literal-producing positions can never be equal.
-        _ => JoinOutcome::Incompatible,
+        (map, TermMap::Constant(constant)) => constant_condition(map, constant, a.alias),
+        (TermMap::Constant(constant), map) => constant_condition(map, constant, b.alias),
+        // Different templates, or an IRI-producing position against a
+        // literal-producing one, can never be equal.
+        _ => Outcome::Incompatible,
     }
 }
 

@@ -47,11 +47,7 @@ fn term_of(tm: &TermMap, row: &[Value], schema: &optique_relational::Schema) -> 
     match tm {
         TermMap::Template(t) => {
             let idx = schema.index_of(t.column())?;
-            let v = &row[idx];
-            if v.is_null() {
-                return None;
-            }
-            Some(Term::Iri(Iri::new(t.render(v))))
+            t.render(&row[idx]).map(|iri| Term::Iri(Iri::new(iri)))
         }
         TermMap::Column { column, datatype } => {
             let idx = schema.index_of(column)?;

@@ -1,27 +1,67 @@
-//! Property tests: template inversion laws and unfolding-vs-virtual-graph
-//! agreement on generated data.
+//! Property tests: the IRI-template codec's inversion laws and
+//! unfolding-vs-virtual-graph agreement on generated data.
 
 use optique_mapping::{
     materialize_catalog, unfold_cq, IriTemplate, MappingAssertion, MappingCatalog, TermMap,
 };
 use optique_rdf::Iri;
-use optique_relational::{table::table_of, ColumnType, Database, Value};
+use optique_relational::{iri_template, table::table_of, ColumnType, Database, Value};
 use optique_rewrite::{Atom, ConjunctiveQuery, QueryTerm};
 use proptest::prelude::*;
 
+/// A key of every column type the codec inverts; the text keys include
+/// digit strings, `@n` look-alikes and the empty string.
+fn key() -> impl Strategy<Value = (Value, ColumnType)> {
+    prop_oneof![
+        any::<i64>().prop_map(|n| (Value::Int(n), ColumnType::Int)),
+        (-1e9f64..1e9).prop_map(|x| (Value::Float(x), ColumnType::Float)),
+        (-99i64..99).prop_map(|n| (Value::Float(n as f64 / 4.0), ColumnType::Float)),
+        any::<i64>().prop_map(|t| (Value::Timestamp(t), ColumnType::Timestamp)),
+        "[0-9]{0,6}".prop_map(|s| (Value::text(s), ColumnType::Text)),
+        "[a-z@.+]{0,4}[0-9]{0,3}".prop_map(|s| (Value::text(s), ColumnType::Text)),
+    ]
+}
+
+/// `PROPTEST_CASES` dials the codec's coverage (CI runs it at 4096).
+fn codec_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(256)
+}
+
 proptest! {
-    /// invert ∘ render is the identity on integer key values.
+    #![proptest_config(ProptestConfig { cases: codec_cases() })]
+
+    /// invert ∘ render is the identity on keys of every invertible type,
+    /// the untyped readings always contain the key, and an IRI with a
+    /// foreign prefix or suffix inverts to nothing.
     #[test]
     fn template_invert_render_roundtrip(
         prefix in "[a-z]{1,8}",
         suffix in "[a-z]{0,5}",
-        key in any::<i64>(),
+        typed in key(),
     ) {
-        let t = IriTemplate::parse(&format!("http://x/{prefix}/{{id}}{suffix}")).unwrap();
-        let rendered = t.render(&Value::Int(key));
-        prop_assert_eq!(t.invert(&rendered), Some(Value::Int(key)));
+        let (key, key_type) = typed;
+        let template = IriTemplate::parse(&format!("http://x/{prefix}/{{id}}{suffix}")).unwrap();
+        let pattern = template.sql_pattern();
+        let iri = iri_template::render(pattern, &key).unwrap();
+        prop_assert_eq!(template.render(&key), Some(iri.clone()));
+        prop_assert_eq!(iri_template::invert(pattern, &iri, key_type), Some(key.clone()));
+        prop_assert_eq!(template.invert(&iri, key_type), Some(key.clone()));
+        prop_assert!(iri_template::readings(pattern, &iri).contains(&key), "{iri}");
+        let mut foreign = vec![format!("y{iri}"), iri.replacen("x", "y", 1)];
+        if !suffix.is_empty() {
+            foreign.push(format!("{iri}#"));
+        }
+        for foreign in foreign {
+            prop_assert_eq!(iri_template::invert(pattern, &foreign, key_type), None);
+            prop_assert!(iri_template::readings(pattern, &foreign).is_empty(), "{foreign}");
+        }
     }
+}
 
+proptest! {
     /// Unfolded SQL answers = CQ over the materialized virtual graph, for a
     /// generated two-table FK instance.
     #[test]

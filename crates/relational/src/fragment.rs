@@ -1019,31 +1019,12 @@ fn invert_restriction_value(
             // separate IS NULL branch, handled by always targeting shard 0).
             (!value.is_null()).then(|| value.clone())
         }
+        // Bool and Any keys never reach this point: `shard_plan` declines
+        // up front, because the minted text does not pin down the stored
+        // value's variant — Text("123") and Int(123) render identically but
+        // hash to different shards.
         KeyDerivation::Template(pattern) => {
-            let text = value.as_str()?;
-            let (prefix, suffix) = pattern.split_once("{}")?;
-            // An empty middle is still producible: `iri_template` renders a
-            // Text key of "" as the bare prefix+suffix, so it must invert —
-            // only keys whose type cannot parse the middle are unproducible.
-            let middle = text.strip_prefix(prefix)?.strip_suffix(suffix)?;
-            match key_type {
-                ColumnType::Int => middle.parse().ok().map(Value::Int),
-                ColumnType::Float => middle.parse().ok().map(Value::Float),
-                // `iri_template` renders values through Display, which
-                // writes timestamps as `@{t}` — inversion must accept
-                // exactly that form (a bare number cannot be minted from a
-                // Timestamp key and is correctly unproducible).
-                ColumnType::Timestamp => middle
-                    .strip_prefix('@')
-                    .and_then(|t| t.parse().ok())
-                    .map(Value::Timestamp),
-                ColumnType::Text => Some(Value::text(middle)),
-                // Bool and Any keys never reach this point: `shard_plan`
-                // declines up front, because the minted text does not pin
-                // down the stored value's variant — Text("123") and
-                // Int(123) render identically but hash to different shards.
-                ColumnType::Any | ColumnType::Bool => None,
-            }
+            crate::iri_template::invert(pattern, value.as_str()?, key_type)
         }
     }
 }

@@ -70,14 +70,7 @@ pub fn call_scalar(name: &str, args: &[Value]) -> Result<Value, SqlError> {
             let (Some(template), v) = (args[0].as_str(), &args[1]) else {
                 return Err(SqlError::Type("iri_template needs (text, value)".into()));
             };
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let rendered = match v {
-                Value::Text(s) => template.replacen("{}", s, 1),
-                other => template.replacen("{}", &other.to_string(), 1),
-            };
-            Ok(Value::text(rendered))
+            Ok(crate::iri_template::render(template, v).map_or(Value::Null, Value::text))
         }
         other => Err(SqlError::Binding(format!(
             "unknown scalar function {other}"

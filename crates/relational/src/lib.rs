@@ -23,6 +23,9 @@
 //!   restrictions) and columnar [`ResultBatch`]es, the units the federated
 //!   pipeline hands to and takes back from workers; [`wire`] is their text
 //!   codec, an adapter at the edge with no caller on the request path,
+//! * [`iri_template`] — the one codec between key values and the IRIs
+//!   mapping templates mint from them (render, typed inversion, untyped
+//!   readings),
 //! * [`stats`] — the [`StatsCatalog`] of per-table row counts and distinct
 //!   estimates that feeds the OBDA planner's join ordering.
 
@@ -32,6 +35,7 @@ pub mod exec;
 pub mod expr;
 pub mod fragment;
 pub mod functions;
+pub mod iri_template;
 pub mod lexer;
 pub mod novelty;
 pub mod optimizer;
@@ -54,7 +58,8 @@ pub use fragment::{
 };
 pub use novelty::{view_at, NoveltyLog, NoveltyOverlay, NoveltyScope};
 pub use panes::{
-    compute_window_aggregates, merge_pane_rows, pane_width, AggAcc, PaneProbe, PaneStore,
+    compute_window_aggregates, fold_groups, merge_pane_rows, pane_width, AggAcc, PaneProbe,
+    PaneStore,
 };
 pub use parser::{parse_select, SelectStatement};
 pub use plan::LogicalPlan;

@@ -294,26 +294,39 @@ fn resolve_cols(probe: &PaneProbe, db: &Database) -> Result<ProbeCols, SqlError>
     })
 }
 
+/// Folds rows into one accumulator per key — the one window → groups fold:
+/// [`compute_window_aggregates`] and the STARQL engine's full-window tick
+/// both call it, so every path that does not go through a pane store
+/// produces bit-identical accumulators.
+pub fn fold_groups<'a>(
+    rows: impl IntoIterator<Item = &'a Vec<Value>>,
+    key_idx: usize,
+    val_idx: usize,
+) -> Result<BTreeMap<Value, AggAcc>, SqlError> {
+    let mut groups: BTreeMap<Value, AggAcc> = BTreeMap::new();
+    for row in rows {
+        groups
+            .entry(row[key_idx].clone())
+            .or_default()
+            .observe(&row[val_idx])?;
+    }
+    Ok(groups)
+}
+
 /// Store-less reference computation: folds the window's raw rows (base
 /// shard + visible overlay rows) directly into per-key accumulators.
 /// The coordinator-fallback path of [`crate::PlanFragment::execute`] and
-/// the store's own decline path share this, so every execution path
-/// produces bit-identical answers.
+/// the store's own decline path share this.
 pub fn compute_window_aggregates(probe: &PaneProbe, db: &Database) -> Result<Table, SqlError> {
     let cols = resolve_cols(probe, db)?;
-    let mut groups: BTreeMap<Value, AggAcc> = BTreeMap::new();
     let base = db.table(&probe.stream)?;
-    for row in base.rows.iter().chain(db.novelty_rows(&probe.stream)) {
-        let Some(ts) = row[cols.ts].as_i64() else {
-            continue;
-        };
-        if ts > probe.open_ms && ts <= probe.close_ms {
-            groups
-                .entry(row[cols.key].clone())
-                .or_default()
-                .observe(&row[cols.val])?;
-        }
-    }
+    let in_window = |row: &&Vec<Value>| {
+        row[cols.ts]
+            .as_i64()
+            .is_some_and(|ts| ts > probe.open_ms && ts <= probe.close_ms)
+    };
+    let rows = base.rows.iter().chain(db.novelty_rows(&probe.stream));
+    let groups = fold_groups(rows.filter(in_window), cols.key, cols.val)?;
     groups_to_table(&groups, cols.key_type, probe.needs_extrema)
 }
 

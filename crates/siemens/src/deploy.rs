@@ -94,7 +94,8 @@ mod tests {
         let from_stream = d
             .stream_to_rdf
             .subject
-            .render(&optique_relational::Value::Int(7));
+            .render(&optique_relational::Value::Int(7))
+            .unwrap();
         let graph = optique_mapping::materialize_catalog(&d.mappings, &d.db).unwrap();
         assert!(graph
             .instances_of(&sie("Sensor"))

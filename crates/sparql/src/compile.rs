@@ -684,9 +684,7 @@ impl<'a> StaticPipeline<'a> {
                 let sql_span = self.tracer.map(|t| t.span(parent, "sql"));
                 let restricted =
                     optique_relational::fragment::restrict_statement(statement, semi_joins);
-                let table = optique_relational::plan::plan_select(&restricted, self.db)
-                    .map(optique_relational::optimizer::optimize)
-                    .and_then(|plan| optique_relational::exec::execute(&plan, self.db))
+                let table = optique_relational::execute_prepared(&restricted, self.db)
                     .map_err(|e| SparqlError::execution(format!("SQL execution failed: {e}")))?;
                 if let Some(mut span) = sql_span {
                     span.set_attr("rows", table.len());
@@ -811,17 +809,7 @@ fn term_to_value(term: &Term) -> Value {
     match term {
         Term::Iri(iri) => Value::text(iri.as_str()),
         Term::BNode(id) => Value::text(format!("_:b{id}")),
-        Term::Literal(lit) => {
-            if let Some(b) = lit.as_bool() {
-                Value::Bool(b)
-            } else if let Some(i) = lit.as_i64() {
-                Value::Int(i)
-            } else if let Some(f) = lit.as_f64() {
-                Value::Float(f)
-            } else {
-                Value::text(lit.lexical())
-            }
-        }
+        Term::Literal(lit) => optique_mapping::virtualize::literal_to_value(lit),
     }
 }
 
@@ -1432,5 +1420,91 @@ mod tests {
             &lookup
         )
         .is_err());
+    }
+
+    /// `parts(code TEXT, at TIMESTAMP, load FLOAT)`: key columns whose
+    /// values *look* like another type's (`"123"`), or whose rendering is
+    /// not their SQL spelling (`@5`).
+    fn typed_keys() -> (Database, MappingCatalog) {
+        let mut db = Database::new();
+        let row = |code: &str, at: i64, load: f64| {
+            vec![Value::text(code), Value::Timestamp(at), Value::Float(load)]
+        };
+        db.put_table(
+            "parts",
+            table_of(
+                "parts",
+                &[
+                    ("code", ColumnType::Text),
+                    ("at", ColumnType::Timestamp),
+                    ("load", ColumnType::Float),
+                ],
+                vec![row("123", 5, 1.5), row("a7", 6, 2.0), row("", 7, -0.25)],
+            )
+            .unwrap(),
+        );
+        let mut c = MappingCatalog::new();
+        for (class, column) in [("Part", "code"), ("Mark", "at"), ("Gauge", "load")] {
+            c.add(MappingAssertion::class(
+                class,
+                iri(class),
+                format!("SELECT {column} FROM parts"),
+                TermMap::template(&format!("http://x/{column}/{{{column}}}")),
+            ))
+            .unwrap();
+        }
+        c.add(MappingAssertion::property(
+            "stamped",
+            iri("stampedAt"),
+            "SELECT code, at FROM parts",
+            TermMap::template("http://x/code/{code}"),
+            TermMap::template("http://x/at/{at}"),
+        ))
+        .unwrap();
+        (db, c)
+    }
+
+    /// Regression: the unfolder guessed a constant IRI's key type from the
+    /// look of its text, so `ASK { <http://x/code/123> a x:Part }` over a
+    /// TEXT key holding `"123"` compared the column with the *integer* 123
+    /// and answered false — while `SELECT ?p` returned that very IRI; a
+    /// TIMESTAMP key's `@5` was compared as the text `'@5'`. For every IRI a
+    /// SELECT returns, the ASK and the constant-subject / constant-object
+    /// forms must agree with it.
+    #[test]
+    fn constant_iris_agree_with_select_whatever_the_key_type() {
+        let (db, maps) = typed_keys();
+        let onto = Ontology::new();
+        let pipeline = StaticPipeline::new(&onto, &maps, &db);
+        let answer = |text: &str| {
+            let query = crate::parse_sparql(text, &ns()).unwrap();
+            pipeline.answer(&query).unwrap().0
+        };
+        let iris = |r: &SparqlResults, col: usize| -> Vec<String> {
+            let cell = |row: &Vec<Option<Term>>| match &row[col] {
+                Some(Term::Iri(i)) => i.as_str().to_string(),
+                other => panic!("not an IRI: {other:?}"),
+            };
+            r.rows().iter().map(cell).collect()
+        };
+        for class in ["Part", "Mark", "Gauge"] {
+            let members = answer(&format!("SELECT ?p WHERE {{ ?p a x:{class} }}"));
+            assert_eq!(members.len(), 3, "{class}");
+            for member in iris(&members, 0) {
+                let ask = answer(&format!("ASK {{ <{member}> a x:{class} }}"));
+                assert_eq!(ask.as_bool(), Some(true), "{member}");
+            }
+        }
+        assert_eq!(
+            answer("ASK { <http://x/code/124> a x:Part }").as_bool(),
+            Some(false)
+        );
+        let pairs = answer("SELECT ?p ?t WHERE { ?p x:stampedAt ?t }");
+        for (part, mark) in iris(&pairs, 0).into_iter().zip(iris(&pairs, 1)) {
+            let by_object = answer(&format!("SELECT ?p WHERE {{ ?p x:stampedAt <{mark}> }}"));
+            assert_eq!(iris(&by_object, 0), [part.as_str()], "{mark}");
+            let by_subject = answer(&format!("SELECT ?t WHERE {{ <{part}> x:stampedAt ?t }}"));
+            assert_eq!(iris(&by_subject, 0), [mark.as_str()], "{part}");
+        }
     }
 }

@@ -37,13 +37,13 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use optique_rdf::{Term, Triple};
 use optique_relational::{
-    merge_pane_rows, pane_width, AggAcc, ColumnType, Database, PaneProbe, PlanFragment, Schema,
-    SelectStatement, SemiJoin, Value, WindowSlice,
+    fold_groups, merge_pane_rows, pane_width, AggAcc, ColumnType, Database, PaneProbe,
+    PlanFragment, Schema, SelectStatement, SemiJoin, Value, WindowSlice,
 };
 use optique_rewrite::{Atom, QueryTerm};
 use optique_sparql::FragmentExecutor;
@@ -51,8 +51,10 @@ use optique_stream::{StreamDiffer, WCache, WindowSpec};
 use optique_telemetry::SpanRecord;
 
 use crate::ast::OutputMode;
-use crate::having::{AggContext, BindingRow, CompiledHaving, HavingFormula};
-use crate::sequence::{sequence_fingerprint, shared_sequence, IndexedSequence, StreamToRdf};
+use crate::having::{AggContext, AggFunc, BindingRow, CompiledHaving, HavingFormula};
+use crate::sequence::{
+    sequence_fingerprint, shared_sequence, EvaluatedWindow, IndexedSequence, StreamToRdf,
+};
 use crate::translate::TranslatedQuery;
 
 /// Per-variable cap on stream-key restriction values: binding sets past
@@ -77,6 +79,8 @@ pub struct ContinuousQuery {
     fingerprint: u64,
     window: WindowSpec,
     window_start: i64,
+    /// Where the stream table keeps what ticks read.
+    stream_columns: StreamColumns,
     /// Raw stream-key values the static bindings admit (`None` =
     /// restriction not provably sound, or too many keys): distributed
     /// ticks push these into the window fragment as a semi-join.
@@ -86,10 +90,12 @@ pub struct ContinuousQuery {
     /// scope their states are shared under.
     restriction: String,
     restricted_scope: u64,
-    /// When the HAVING condition is a pure tree of window aggregates over
-    /// the stream's value property, distributed ticks skip window
-    /// materialization and combine per-shard pane partials instead.
-    pane_plan: Option<PanePlan>,
+    /// `Some` when the HAVING condition is a pure tree of window aggregates
+    /// over the stream's value property: distributed ticks then skip window
+    /// materialization and combine per-shard pane partials instead. The
+    /// flag says whether a MIN/MAX atom appears — extrema partials must
+    /// ride along.
+    pane_extrema: Option<bool>,
     /// Runtime switch for the pane path (`true` by default); turning it
     /// off forces the full-window rescan — the oracle's reference arm.
     pane_enabled: AtomicBool,
@@ -98,16 +104,79 @@ pub struct ContinuousQuery {
     differ: Mutex<StreamDiffer<Triple>>,
 }
 
-/// The pane-combinability verdict for a registered query: which stream
-/// columns the per-shard partial aggregates are keyed and valued on.
-#[derive(Clone, Debug)]
-struct PanePlan {
-    /// Group-by column (the subject-template column).
-    key_col: String,
-    /// Aggregated value column.
-    val_col: String,
-    /// Whether any MIN/MAX atom appears — extrema partials must ride along.
-    needs_extrema: bool,
+/// Where the stream table keeps the columns the stream mapping names, and
+/// whether ticks aggregate over them — resolved once, at registration (a
+/// table's schema never changes), and read by the stream-key analysis, the
+/// pane analysis and every tick.
+#[derive(Clone, Copy, Debug)]
+struct StreamColumns {
+    /// The timestamp column.
+    ts: usize,
+    /// The declared type of the subject-key column, when the table has it.
+    key_type: Option<ColumnType>,
+    /// The declared type of the value column, when the table has it.
+    val_type: Option<ColumnType>,
+    /// The subject-key and value columns, when HAVING holds an aggregate
+    /// atom: ticks then fold the window into per-subject accumulators.
+    fold: Option<(usize, usize)>,
+}
+
+impl StreamColumns {
+    /// Refuses what a tick could only fail on: an unknown stream table, a
+    /// missing timestamp column and, under an aggregate HAVING, a missing
+    /// subject or value column.
+    fn resolve(
+        translated: &TranslatedQuery,
+        stream_to_rdf: &StreamToRdf,
+        db: &Database,
+    ) -> Result<Self, String> {
+        let stream = &translated.query.stream.name;
+        let schema = &db.table(stream).map_err(|e| e.to_string())?.schema;
+        let typed = |name: &str| schema.index_of(name).map(|i| (i, schema.columns()[i].ty));
+        let lacks = |what: &str, name: &str| format!("stream {stream} lacks {what}column {name}");
+        let (ts_col, key_col, val_col) = (
+            &stream_to_rdf.timestamp_col,
+            stream_to_rdf.subject.column(),
+            &stream_to_rdf.value_col,
+        );
+        let ts = schema.index_of(ts_col).ok_or_else(|| lacks("", ts_col))?;
+        let (key, val) = (typed(key_col), typed(val_col));
+        let leaves = translated.having.leaves();
+        let has_agg = leaves
+            .iter()
+            .any(|leaf| matches!(leaf, HavingFormula::Agg { .. }));
+        let fold = match (has_agg, key, val) {
+            (false, ..) => None,
+            (true, Some((key, _)), Some((val, _))) => Some((key, val)),
+            (true, None, _) => return Err(lacks("subject ", key_col)),
+            (true, _, None) => return Err(lacks("value ", val_col)),
+        };
+        Ok(StreamColumns {
+            ts,
+            key_type: key.map(|(_, ty)| ty),
+            val_type: val.map(|(_, ty)| ty),
+            fold,
+        })
+    }
+}
+
+/// What either window path of a tick hands the shared tail.
+struct Windowed {
+    /// The tick's accounting so far: the window-side counters and the
+    /// window-side spans (children of `tick`, which the tail puts at index
+    /// 0), everything else default.
+    out: TickOutput,
+    /// The window's evaluated sequence (empty on the pane path, which
+    /// materializes none).
+    evaluated: Arc<EvaluatedWindow>,
+    /// Per-subject window aggregates, when HAVING reads any.
+    aggs: Option<AggContext>,
+    /// When the window side was done, in µs since the tick began.
+    ready_us: u64,
+}
+
+fn now_us(epoch: &Instant) -> u64 {
+    epoch.elapsed().as_micros() as u64
 }
 
 /// What [`ContinuousQuery::decide`] found for one window.
@@ -164,7 +233,8 @@ pub struct TickOutput {
     pub pane_misses: u64,
     /// Per-tick telemetry spans as flat wire records relative to the tick
     /// epoch: `tick` at index 0, `window_build` (with its `wcache_lookup`
-    /// and `scatter` children) and `r2s` nested under it. Graft them into
+    /// and `scatter` children; a pane tick has `pane_combine` in its place)
+    /// and `r2s` nested under it. Graft them into
     /// a coordinator [`Tracer`](optique_telemetry::Tracer) to stitch or
     /// render; empty when the tick closed no window.
     pub spans: Vec<SpanRecord>,
@@ -191,8 +261,10 @@ impl ContinuousQuery {
             .as_ref()
             .map(|p| p.start_ms)
             .unwrap_or(0);
-        let stream_keys = admissible_stream_keys(&translated, &stream_to_rdf, db, &bindings);
-        let pane_plan = pane_plan_for(&translated, &stream_to_rdf, db);
+        let stream_columns = StreamColumns::resolve(&translated, &stream_to_rdf, db)?;
+        let stream_keys =
+            admissible_stream_keys(&translated, &stream_to_rdf, &stream_columns, &bindings);
+        let pane_extrema = pane_extrema(&translated, &stream_to_rdf, &stream_columns);
         // The maps are read once: their variables become columns, every
         // binding a row over them.
         let columns = BindingRow::columns(&bindings);
@@ -224,10 +296,11 @@ impl ContinuousQuery {
             fingerprint,
             window,
             window_start,
+            stream_columns,
             stream_keys,
             restriction,
             restricted_scope,
-            pane_plan,
+            pane_extrema,
             pane_enabled: AtomicBool::new(true),
             differ: Mutex::new(StreamDiffer::new()),
         })
@@ -263,7 +336,7 @@ impl ContinuousQuery {
     /// per-shard pane partials (distributed ticks then skip window
     /// materialization).
     pub fn pane_combinable(&self) -> bool {
-        self.pane_plan.is_some()
+        self.pane_extrema.is_some()
     }
 
     /// Enables/disables the pane path at runtime; disabled queries rescan
@@ -295,129 +368,151 @@ impl ContinuousQuery {
         tick_ms: i64,
         executor: Option<&dyn FragmentExecutor>,
     ) -> Result<TickOutput, String> {
-        let stream_name = &self.translated.query.stream.name;
         let Some(window_id) = self.window.last_closed(self.window_start, tick_ms) else {
             return Ok(TickOutput {
                 tick_ms,
                 ..TickOutput::default()
             });
         };
+        let (open, close) = self.window.bounds(self.window_start, window_id);
+        let epoch = Instant::now();
+        let windowed = match (self.pane_extrema, executor) {
+            // Pane-combinable queries skip window materialization entirely
+            // on the distributed path: each worker answers from its
+            // shard-local incremental pane store and only per-group partial
+            // aggregates travel, independent of the window's row count.
+            (Some(extrema), Some(executor)) if self.pane_enabled.load(Ordering::Relaxed) => {
+                self.pane_window(db, open, close, extrema, executor, &epoch)?
+            }
+            _ => self.sequence_window(db, wcache, open, close, executor, &epoch)?,
+        };
 
+        // The one tail: decide every binding against what the window side
+        // produced, then assemble the output around its accounting.
+        let Windowed {
+            out,
+            evaluated,
+            aggs,
+            ready_us,
+        } = windowed;
+        let sequence = &evaluated.sequence;
+        let decided = self.decide(sequence, aggs.as_ref())?;
+        let end_us = now_us(&epoch);
+        let mut spans = vec![SpanRecord::new("tick", 0, end_us)
+            .attr("window", window_id)
+            .attr("tuples", out.tuples_in_window as u64)
+            .attr("satisfied", decided.satisfied as u64)];
+        spans.extend(out.spans);
+        spans.push(
+            SpanRecord::new("r2s", ready_us, end_us - ready_us)
+                .under(0)
+                .attr("states", sequence.len() as u64)
+                .attr("bindings", self.bindings.len() as u64)
+                .attr("candidates", decided.candidates)
+                .attr("probes", decided.probes),
+        );
+        Ok(TickOutput {
+            tick_ms,
+            window_id,
+            triples: decided.triples,
+            satisfied: decided.satisfied,
+            bindings_checked: self.bindings.len(),
+            states: sequence.len(),
+            dropped_states: evaluated.dropped,
+            spans,
+            ..out
+        })
+    }
+
+    /// The full-window path: the window's rows from the shared cache —
+    /// sliced locally, or shipped as a fragment through `executor` — its
+    /// shared state sequence, and the per-subject fold of its rows when
+    /// HAVING aggregates.
+    fn sequence_window(
+        &self,
+        db: &Database,
+        wcache: &WCache,
+        open: i64,
+        close: i64,
+        executor: Option<&dyn FragmentExecutor>,
+        epoch: &Instant,
+    ) -> Result<Windowed, String> {
+        let stream_name = &self.translated.query.stream.name;
         let table = db.table(stream_name).map_err(|e| e.to_string())?;
         let schema = &table.schema;
-        let ts_col = schema
-            .index_of(&self.stream_to_rdf.timestamp_col)
-            .ok_or_else(|| {
-                format!(
-                    "stream {stream_name} lacks column {}",
-                    self.stream_to_rdf.timestamp_col
-                )
-            })?;
-
-        let (open, close) = self.window.bounds(self.window_start, window_id);
-
-        // Pane-combinable queries skip window materialization entirely on
-        // the distributed path: each worker answers from its shard-local
-        // incremental pane store and only per-group partial aggregates
-        // travel, independent of the window's row count.
-        if let (Some(plan), Some(executor)) = (&self.pane_plan, executor) {
-            if self.pane_enabled.load(Ordering::Relaxed) {
-                return self.tick_panes(db, tick_ms, window_id, open, close, plan, executor);
-            }
-        }
-
-        let mut window_fragments = 0usize;
-        let mut stream_rows_shipped = 0usize;
-        let mut semi_joins_pushed = 0usize;
-        let mut shards_pruned = 0usize;
-        let mut partitioned_fragments = 0usize;
-        // Spans assemble at the end under fixed indices — tick 0,
+        let ts_col = self.stream_columns.ts;
+        let mut out = TickOutput::default();
+        // Spans assemble in the tail under fixed indices — tick 0,
         // window_build 1 — so children recorded here name their parents
         // up front.
-        let epoch = Instant::now();
-        let now_us = |epoch: &Instant| epoch.elapsed().as_micros() as u64;
-        let lookup_span: SpanRecord;
-        let mut scatter_span: Option<SpanRecord> = None;
-        let build_start = now_us(&epoch);
+        let build_start = now_us(epoch);
         // Stream tables only grow, so the row count — base plus unmerged
         // overlay — names the table's content: a window cached under it is
         // current exactly while no row was appended, merges included.
         let appended = db.novelty().and_then(|n| n.rows(stream_name));
         let mut variant = format!("n{}", table.len() + appended.map_or(0, |rows| rows.len()));
-        let outcome = |hit: bool| if hit { "hit" } else { "miss" };
-        let (window, scope) = match executor {
-            None => {
+        // A shipped window is restricted to the admissible stream keys — a
+        // *subset* of the full window, cached under its own variant and
+        // state scope; an unrestricted one is the same multiset as the
+        // local slice and shares its entry.
+        let scope = match executor {
+            Some(_) => {
+                variant.push_str(&self.restriction);
+                self.restricted_scope
+            }
+            None => self.fingerprint,
+        };
+        let hit = wcache.lookup(stream_name, open, close, &variant);
+        let lookup_span =
+            SpanRecord::new("wcache_lookup", build_start, now_us(epoch) - build_start)
+                .under(1)
+                .attr("outcome", if hit.is_some() { "hit" } else { "miss" });
+        let mut scatter_span: Option<SpanRecord> = None;
+        let window = match (hit, executor) {
+            (Some(hit), _) => hit,
+            (None, None) => {
                 // The base table is neither copied nor sorted: its in-range
                 // rows are picked out and put in time order (table order
                 // within an instant — the order aggregates fold in), then
                 // chained with the overlay's.
-                let mut built_fresh = false;
-                let window = wcache.get_or_build(stream_name, open, close, &variant, || {
-                    built_fresh = true;
-                    let in_window = |row: &&Vec<Value>| {
-                        row[ts_col]
-                            .as_i64()
-                            .is_some_and(|ts| ts > open && ts <= close)
-                    };
-                    let mut rows: Vec<&Vec<Value>> = table.rows.iter().filter(in_window).collect();
-                    rows.sort_by_key(|row| row[ts_col].as_i64());
-                    let overlay = db.novelty_rows(stream_name).filter(in_window);
-                    rows.into_iter().chain(overlay).cloned().collect()
-                });
-                lookup_span =
-                    SpanRecord::new("wcache_lookup", build_start, now_us(&epoch) - build_start)
-                        .under(1)
-                        .attr("outcome", outcome(!built_fresh));
-                (window, self.fingerprint)
-            }
-            Some(executor) => {
-                // Restricted windows are a *subset* of the full window, so
-                // they cache under their own variant; the unrestricted
-                // distributed window is the same multiset as the local
-                // slice and shares its entry.
-                variant.push_str(&self.restriction);
-                let lookup_start = now_us(&epoch);
-                let hit = wcache.lookup(stream_name, open, close, &variant);
-                lookup_span =
-                    SpanRecord::new("wcache_lookup", lookup_start, now_us(&epoch) - lookup_start)
-                        .under(1)
-                        .attr("outcome", outcome(hit.is_some()));
-                let window = match hit {
-                    Some(hit) => hit,
-                    None => {
-                        let fragment = self
-                            .window_fragment(schema, stream_name, open, close)
-                            .at_epoch(db.novelty_epoch());
-                        window_fragments += 1;
-                        semi_joins_pushed += fragment.semi_joins.len();
-                        let scatter_start = now_us(&epoch);
-                        let round = executor
-                            .execute(vec![fragment])
-                            .map_err(|e| format!("window fragment round failed: {e}"))?;
-                        shards_pruned += round.shards_pruned;
-                        partitioned_fragments += round.partitioned_fragments;
-                        let built: Vec<Vec<Value>> = round
-                            .tables
-                            .into_iter()
-                            .next()
-                            .map(|t| t.rows)
-                            .unwrap_or_default();
-                        stream_rows_shipped += built.len();
-                        scatter_span = Some(
-                            SpanRecord::new(
-                                "scatter",
-                                scatter_start,
-                                now_us(&epoch) - scatter_start,
-                            )
-                            .under(1)
-                            .attr("rows", built.len() as u64)
-                            .attr("pruned", round.shards_pruned as u64)
-                            .attr("partitioned", round.partitioned_fragments as u64),
-                        );
-                        wcache.insert(stream_name, open, close, &variant, built)
-                    }
+                let in_window = |row: &&Vec<Value>| {
+                    row[ts_col]
+                        .as_i64()
+                        .is_some_and(|ts| ts > open && ts <= close)
                 };
-                (window, self.restricted_scope)
+                let mut rows: Vec<&Vec<Value>> = table.rows.iter().filter(in_window).collect();
+                rows.sort_by_key(|row| row[ts_col].as_i64());
+                let overlay = db.novelty_rows(stream_name).filter(in_window);
+                let built = rows.into_iter().chain(overlay).cloned().collect();
+                wcache.insert(stream_name, open, close, &variant, built)
+            }
+            (None, Some(executor)) => {
+                let fragment = self
+                    .window_fragment(schema, stream_name, open, close)
+                    .at_epoch(db.novelty_epoch());
+                out.window_fragments = 1;
+                out.semi_joins_pushed = fragment.semi_joins.len();
+                let scatter_start = now_us(epoch);
+                let round = executor
+                    .execute(vec![fragment])
+                    .map_err(|e| format!("window fragment round failed: {e}"))?;
+                out.shards_pruned = round.shards_pruned;
+                out.partitioned_fragments = round.partitioned_fragments;
+                let built: Vec<Vec<Value>> = round
+                    .tables
+                    .into_iter()
+                    .next()
+                    .map(|t| t.rows)
+                    .unwrap_or_default();
+                out.stream_rows_shipped = built.len();
+                scatter_span = Some(
+                    SpanRecord::new("scatter", scatter_start, now_us(epoch) - scatter_start)
+                        .under(1)
+                        .attr("rows", built.len() as u64)
+                        .attr("pruned", round.shards_pruned as u64)
+                        .attr("partitioned", round.partitioned_fragments as u64),
+                );
+                wcache.insert(stream_name, open, close, &variant, built)
             }
         };
         let rows = window.rows();
@@ -431,86 +526,35 @@ impl ContinuousQuery {
             &self.stream_to_rdf,
             &self.translated.ontology,
         );
-        let build_end = now_us(&epoch);
+        let ready_us = now_us(epoch);
 
         // Aggregate atoms evaluate against per-subject accumulators over the
-        // whole window — the store-less reference fold, kept bit-identical
-        // to what pane combination reconstructs.
-        let aggs = if contains_agg(&self.translated.having) {
-            let key_idx = schema
-                .index_of(self.stream_to_rdf.subject.column())
-                .ok_or_else(|| {
-                    format!(
-                        "stream {stream_name} lacks subject column {}",
-                        self.stream_to_rdf.subject.column()
-                    )
-                })?;
-            let val_idx = schema
-                .index_of(&self.stream_to_rdf.value_col)
-                .ok_or_else(|| {
-                    format!(
-                        "stream {stream_name} lacks value column {}",
-                        self.stream_to_rdf.value_col
-                    )
-                })?;
-            let mut groups: BTreeMap<Value, AggAcc> = BTreeMap::new();
-            for row in rows.iter() {
-                groups
-                    .entry(row[key_idx].clone())
-                    .or_default()
-                    .observe(&row[val_idx])
-                    .map_err(|e| e.to_string())?;
+        // whole window — the store-less fold pane combination reconstructs.
+        let aggs = match self.stream_columns.fold {
+            Some((key_idx, val_idx)) => {
+                let groups = fold_groups(rows, key_idx, val_idx).map_err(|e| e.to_string())?;
+                Some(self.mint_agg_context(&groups))
             }
-            Some(self.mint_agg_context(&groups))
-        } else {
-            None
+            None => None,
         };
 
-        let sequence = &shared.window.sequence;
-        let decided = self.decide(sequence, aggs.as_ref())?;
-        let r2s_end = now_us(&epoch);
-
-        let mut spans = vec![
-            SpanRecord::new("tick", 0, r2s_end)
-                .attr("window", window_id)
-                .attr("tuples", rows.len() as u64)
-                .attr("satisfied", decided.satisfied as u64),
-            SpanRecord::new("window_build", build_start, build_end - build_start)
+        out.tuples_in_window = rows.len();
+        out.states_built = shared.states_built;
+        out.states_shared = shared.states_shared;
+        out.spans = vec![
+            SpanRecord::new("window_build", build_start, ready_us - build_start)
                 .under(0)
                 .attr("rows", rows.len() as u64)
                 .attr("states_built", shared.states_built as u64)
                 .attr("states_shared", shared.states_shared as u64),
             lookup_span,
         ];
-        spans.extend(scatter_span);
-        spans.push(
-            SpanRecord::new("r2s", build_end, r2s_end - build_end)
-                .under(0)
-                .attr("states", sequence.len() as u64)
-                .attr("bindings", self.bindings.len() as u64)
-                .attr("candidates", decided.candidates)
-                .attr("probes", decided.probes),
-        );
-
-        Ok(TickOutput {
-            tick_ms,
-            window_id,
-            triples: decided.triples,
-            satisfied: decided.satisfied,
-            bindings_checked: self.bindings.len(),
-            tuples_in_window: rows.len(),
-            states: sequence.len(),
-            dropped_states: shared.window.dropped,
-            states_built: shared.states_built,
-            states_shared: shared.states_shared,
-            window_fragments,
-            stream_rows_shipped,
-            semi_joins_pushed,
-            shards_pruned,
-            partitioned_fragments,
-            pane_hits: 0,
-            pane_misses: 0,
-            spans,
+        out.spans.extend(scatter_span);
+        Ok(Windowed {
+            out,
+            evaluated: shared.window,
+            aggs,
+            ready_us,
         })
     }
 
@@ -539,28 +583,30 @@ impl ContinuousQuery {
         })
     }
 
-    /// The pane tick: ships one pane-combine fragment, merges the workers'
-    /// per-group partial aggregates, and evaluates the HAVING tree straight
-    /// off the combined accumulators — no window rows, no state sequence.
-    #[allow(clippy::too_many_arguments)]
-    fn tick_panes(
+    /// The pane path: ships one pane-combine fragment and merges the
+    /// workers' per-group partial aggregates — no window rows, no state
+    /// sequence; the tail evaluates the HAVING tree straight off the
+    /// combined accumulators, over an empty sequence.
+    fn pane_window(
         &self,
         db: &Database,
-        tick_ms: i64,
-        window_id: u64,
         open: i64,
         close: i64,
-        plan: &PanePlan,
+        needs_extrema: bool,
         executor: &dyn FragmentExecutor,
-    ) -> Result<TickOutput, String> {
+        epoch: &Instant,
+    ) -> Result<Windowed, String> {
         let stream_name = &self.translated.query.stream.name;
-        let epoch = Instant::now();
-        let now_us = |epoch: &Instant| epoch.elapsed().as_micros() as u64;
+        let key_col = self.stream_to_rdf.subject.column().to_string();
+        let val_col = self.stream_to_rdf.value_col.clone();
+        // The statement only describes the probe's scan (spans, the wire,
+        // store-less fallbacks read the probe); it is never executed.
+        let scan = SelectStatement::scan(stream_name, [key_col.clone(), val_col.clone()]);
         let probe = PaneProbe {
             stream: stream_name.clone(),
             ts_col: self.stream_to_rdf.timestamp_col.clone(),
-            key_col: plan.key_col.clone(),
-            val_col: plan.val_col.clone(),
+            key_col,
+            val_col,
             width_ms: pane_width(
                 self.translated.query.stream.range_ms,
                 self.translated.query.stream.slide_ms,
@@ -568,15 +614,12 @@ impl ContinuousQuery {
             start_ms: self.window_start,
             open_ms: open,
             close_ms: close,
-            needs_extrema: plan.needs_extrema,
+            needs_extrema,
         };
-        // The statement only describes the probe's scan (spans, the wire,
-        // store-less fallbacks read the probe); it is never executed.
-        let scan = SelectStatement::scan(stream_name, [plan.key_col.clone(), plan.val_col.clone()]);
         let fragment = PlanFragment::from_statement(0, scan, 1.0)
             .with_pane(probe)
             .at_epoch(db.novelty_epoch());
-        let combine_start = now_us(&epoch);
+        let combine_start = now_us(epoch);
         let round = executor
             .execute(vec![fragment])
             .map_err(|e| format!("pane fragment round failed: {e}"))?;
@@ -587,49 +630,32 @@ impl ContinuousQuery {
             merge_pane_rows(&mut groups, &table.rows).map_err(|e| e.to_string())?;
         }
         let tuples_in_window: i64 = groups.values().map(|a| a.count).sum();
-        let ctx = self.mint_agg_context(&groups);
-        let combine_end = now_us(&epoch);
-
-        // The aggregate tree runs through the one evaluator, over an empty
-        // window.
-        let Decided {
-            triples, satisfied, ..
-        } = self.decide(&IndexedSequence::default(), Some(&ctx))?;
-        let r2s_end = now_us(&epoch);
-
-        let spans = vec![
-            SpanRecord::new("tick", 0, r2s_end)
-                .attr("window", window_id)
-                .attr("tuples", tuples_in_window.max(0) as u64)
-                .attr("satisfied", satisfied as u64),
-            SpanRecord::new("pane_combine", combine_start, combine_end - combine_start)
-                .under(0)
-                .attr("groups", groups.len() as u64)
-                .attr("rows", rows_shipped as u64)
-                .attr("pane_hits", round.pane_hits)
-                .attr("pane_misses", round.pane_misses)
-                .attr("acc_ops", round.pane_acc_ops),
-        ];
-
-        Ok(TickOutput {
-            tick_ms,
-            window_id,
-            triples,
-            satisfied,
-            bindings_checked: self.bindings.len(),
+        let aggs = self.mint_agg_context(&groups);
+        let ready_us = now_us(epoch);
+        let out = TickOutput {
             tuples_in_window: tuples_in_window.max(0) as usize,
-            states: 0,
-            dropped_states: 0,
-            states_built: 0,
-            states_shared: 0,
             window_fragments: 1,
             stream_rows_shipped: rows_shipped,
-            semi_joins_pushed: 0,
             shards_pruned: round.shards_pruned,
             partitioned_fragments: round.partitioned_fragments,
             pane_hits: round.pane_hits,
             pane_misses: round.pane_misses,
-            spans,
+            spans: vec![
+                SpanRecord::new("pane_combine", combine_start, ready_us - combine_start)
+                    .under(0)
+                    .attr("groups", groups.len() as u64)
+                    .attr("rows", rows_shipped as u64)
+                    .attr("pane_hits", round.pane_hits)
+                    .attr("pane_misses", round.pane_misses)
+                    .attr("acc_ops", round.pane_acc_ops),
+            ],
+            ..TickOutput::default()
+        };
+        Ok(Windowed {
+            out,
+            evaluated: Arc::default(),
+            aggs: Some(aggs),
+            ready_us,
         })
     }
 
@@ -641,13 +667,12 @@ impl ContinuousQuery {
     fn mint_agg_context(&self, groups: &BTreeMap<Value, AggAcc>) -> AggContext {
         let mut ctx = AggContext::new();
         for (key, acc) in groups {
-            if key.is_null() || acc.count == 0 {
+            if acc.count == 0 {
                 continue;
             }
-            ctx.insert(
-                Term::iri(self.stream_to_rdf.subject.render(key)),
-                acc.clone(),
-            );
+            if let Some(subject) = self.stream_to_rdf.subject.render(key) {
+                ctx.insert(Term::iri(subject), acc.clone());
+            }
         }
         ctx
     }
@@ -687,12 +712,10 @@ impl ContinuousQuery {
             open_ms: open,
             close_ms: close,
         });
+        // Stream keys exist only when the table has the key column.
         if let Some(keys) = &self.stream_keys {
-            let subject_col = self.stream_to_rdf.subject.column();
-            if schema.index_of(subject_col).is_some() {
-                fragment = fragment
-                    .with_semi_joins(vec![SemiJoin::new(subject_col.to_string(), keys.clone())]);
-            }
+            let subject_col = self.stream_to_rdf.subject.column().to_string();
+            fragment = fragment.with_semi_joins(vec![SemiJoin::new(subject_col, keys.clone())]);
         }
         fragment
     }
@@ -717,7 +740,7 @@ impl ContinuousQuery {
 fn admissible_stream_keys(
     translated: &TranslatedQuery,
     stream_to_rdf: &StreamToRdf,
-    db: &Database,
+    columns: &StreamColumns,
     bindings: &[HashMap<String, Term>],
 ) -> Option<Vec<Value>> {
     if !translated.having.restriction_safe() {
@@ -730,42 +753,28 @@ fn admissible_stream_keys(
     {
         return None;
     }
-    let schema = &db.table(&translated.query.stream.name).ok()?.schema;
-    let key_idx = schema.index_of(stream_to_rdf.subject.column())?;
-    let key_type = schema.columns()[key_idx].ty;
+    let key_type = columns.key_type?;
     // Bool/Any keys cannot be inverted unambiguously (Text("1") and
     // Int(1) render identically) — same refusal as shard routing's.
     if matches!(key_type, ColumnType::Bool | ColumnType::Any) {
         return None;
     }
-    let pattern = stream_to_rdf.subject.sql_pattern();
-    let (prefix, suffix) = pattern.split_once("{}")?;
 
     let mut keys: BTreeSet<Value> = BTreeSet::new();
-    fn admit(
-        keys: &mut BTreeSet<Value>,
-        term: &Term,
-        prefix: &str,
-        suffix: &str,
-        key_type: ColumnType,
-    ) -> Option<()> {
-        match term {
-            Term::Iri(iri) => {
-                // A subject the template cannot mint is never a state
-                // subject: it constrains nothing and adds no key.
-                if let Some(key) = invert_stream_key(iri.as_str(), prefix, suffix, key_type) {
-                    keys.insert(key);
-                }
-                Some(())
-            }
-            // Literal / blank subjects could match enrichment-derived
-            // assertions whose provenance includes foreign rows.
-            _ => None,
+    let admit = |keys: &mut BTreeSet<Value>, term: &Term| match term {
+        Term::Iri(iri) => {
+            // A subject the template cannot mint is never a state
+            // subject: it constrains nothing and adds no key.
+            keys.extend(stream_to_rdf.subject.invert(iri.as_str(), key_type));
+            Some(())
         }
-    }
+        // Literal / blank subjects could match enrichment-derived
+        // assertions whose provenance includes foreign rows.
+        _ => None,
+    };
     for subject in translated.having.graph_subjects() {
         match subject {
-            QueryTerm::Const(term) => admit(&mut keys, term, prefix, suffix, key_type)?,
+            QueryTerm::Const(term) => admit(&mut keys, term)?,
             QueryTerm::Var(v) => {
                 if !translated.where_answer_vars.iter().any(|w| w == v) {
                     // A HAVING-local subject variable ranges over the whole
@@ -773,7 +782,7 @@ fn admissible_stream_keys(
                     return None;
                 }
                 for binding in bindings {
-                    admit(&mut keys, binding.get(v)?, prefix, suffix, key_type)?;
+                    admit(&mut keys, binding.get(v)?)?;
                 }
             }
         }
@@ -782,23 +791,6 @@ fn admissible_stream_keys(
         }
     }
     Some(keys.into_iter().collect())
-}
-
-/// True when any [`HavingFormula::Agg`] atom appears anywhere in the
-/// formula — such ticks must fold the window into per-subject accumulators.
-fn contains_agg(f: &HavingFormula) -> bool {
-    match f {
-        HavingFormula::Agg { .. } => true,
-        HavingFormula::Exists { body, .. }
-        | HavingFormula::Forall { body, .. }
-        | HavingFormula::Not(body) => contains_agg(body),
-        HavingFormula::If { cond, then } => contains_agg(cond) || contains_agg(then),
-        HavingFormula::And(a, b) | HavingFormula::Or(a, b) => contains_agg(a) || contains_agg(b),
-        HavingFormula::True
-        | HavingFormula::StateLess { .. }
-        | HavingFormula::Graph { .. }
-        | HavingFormula::Cmp { .. } => false,
-    }
 }
 
 /// Decides, at registration, whether ticks can be answered from per-shard
@@ -812,36 +804,31 @@ fn contains_agg(f: &HavingFormula) -> bool {
 /// * every aggregate subject is a WHERE-bound variable or an IRI constant
 ///   (both render/invert through the subject template), and every
 ///   threshold is a numeric literal or a WHERE-bound variable;
-/// * the subject, timestamp and value columns exist, the value column
-///   numeric.
+/// * the value column is numeric (that the columns exist is registration's
+///   own check).
 ///
 /// Anything else declines: the tick falls back to full-window shipping,
 /// whose semantics the streaming-equivalence oracle already pins down.
-fn pane_plan_for(
+/// The verdict carries whether a MIN/MAX atom appears.
+fn pane_extrema(
     translated: &TranslatedQuery,
     stream_to_rdf: &StreamToRdf,
-    db: &Database,
-) -> Option<PanePlan> {
+    columns: &StreamColumns,
+) -> Option<bool> {
     let having = &translated.having;
-    if !contains_agg(having) || !pane_combinable_tree(having, translated, stream_to_rdf) {
+    columns.fold?;
+    if !pane_combinable_tree(having, translated, stream_to_rdf)
+        || !matches!(columns.val_type?, ColumnType::Int | ColumnType::Float)
+    {
         return None;
     }
-    let schema = &db.table(&translated.query.stream.name).ok()?.schema;
-    let key_col = stream_to_rdf.subject.column().to_string();
-    schema.index_of(&key_col)?;
-    schema.index_of(&stream_to_rdf.timestamp_col)?;
-    let val_idx = schema.index_of(&stream_to_rdf.value_col)?;
-    if !matches!(
-        schema.columns()[val_idx].ty,
-        ColumnType::Int | ColumnType::Float
-    ) {
-        return None;
-    }
-    Some(PanePlan {
-        key_col,
-        val_col: stream_to_rdf.value_col.clone(),
-        needs_extrema: needs_extrema(having),
-    })
+    let extremum = |f: AggFunc| matches!(f, AggFunc::Min | AggFunc::Max);
+    let leaves = having.leaves();
+    Some(
+        leaves
+            .iter()
+            .any(|leaf| matches!(leaf, HavingFormula::Agg { func, .. } if extremum(*func))),
+    )
 }
 
 fn pane_combinable_tree(
@@ -876,37 +863,6 @@ fn pane_combinable_tree(
                 }
         }
         _ => false,
-    }
-}
-
-fn needs_extrema(f: &HavingFormula) -> bool {
-    use crate::having::AggFunc;
-    match f {
-        HavingFormula::Agg { func, .. } => matches!(func, AggFunc::Min | AggFunc::Max),
-        HavingFormula::Exists { body, .. }
-        | HavingFormula::Forall { body, .. }
-        | HavingFormula::Not(body) => needs_extrema(body),
-        HavingFormula::If { cond, then } => needs_extrema(cond) || needs_extrema(then),
-        HavingFormula::And(a, b) | HavingFormula::Or(a, b) => needs_extrema(a) || needs_extrema(b),
-        _ => false,
-    }
-}
-
-/// Maps a subject IRI back to the raw key value of the declared column
-/// type, or `None` when the template cannot have minted it — the same
-/// inversion discipline shard routing applies to `iri_template` columns.
-fn invert_stream_key(iri: &str, prefix: &str, suffix: &str, key_type: ColumnType) -> Option<Value> {
-    let middle = iri.strip_prefix(prefix)?.strip_suffix(suffix)?;
-    match key_type {
-        ColumnType::Int => middle.parse().ok().map(Value::Int),
-        ColumnType::Float => middle.parse().ok().map(Value::Float),
-        // `IriTemplate::render` writes timestamps through Display (`@{t}`).
-        ColumnType::Timestamp => middle
-            .strip_prefix('@')
-            .and_then(|t| t.parse().ok())
-            .map(Value::Timestamp),
-        ColumnType::Text => Some(Value::text(middle)),
-        ColumnType::Bool | ColumnType::Any => None,
     }
 }
 
@@ -1531,6 +1487,76 @@ mod tests {
             HAVING {having}
             "#
         )
+    }
+
+    /// Registers `text` over the shared deployment after `reshape` has had
+    /// its way with the database.
+    fn register_over(
+        text: &str,
+        reshape: impl FnOnce(&mut Database),
+    ) -> Result<ContinuousQuery, String> {
+        let (mut db, onto, maps) = deployment();
+        reshape(&mut db);
+        let q = parse_starql(text, &Namespaces::with_w3c_defaults()).unwrap();
+        let ctx = TranslationContext {
+            ontology: &onto,
+            mappings: &maps,
+            rewrite_settings: Default::default(),
+            unfold_settings: Default::default(),
+        };
+        ContinuousQuery::register(translate(&q, &ctx).unwrap(), stream_mapping(), &db)
+    }
+
+    /// `S_Msmt` without the named column.
+    fn drop_stream_column(column: &'static str) -> impl FnOnce(&mut Database) {
+        move |db| {
+            let table = db.table("S_Msmt").unwrap();
+            let keep: Vec<usize> = (0..table.schema.columns().len())
+                .filter(|&i| table.schema.columns()[i].name != column)
+                .collect();
+            let columns: Vec<(&str, ColumnType)> = keep
+                .iter()
+                .map(|&i| {
+                    let c = &table.schema.columns()[i];
+                    (c.name.as_str(), c.ty)
+                })
+                .collect();
+            let rows = table
+                .rows
+                .iter()
+                .map(|row| keep.iter().map(|&i| row[i].clone()).collect())
+                .collect();
+            let reshaped = table_of("S_Msmt", &columns, rows).unwrap();
+            db.put_table("S_Msmt", reshaped);
+        }
+    }
+
+    /// Regression: what a tick could only fail on is refused at
+    /// registration — an unknown stream table, a missing timestamp column
+    /// and, under an aggregate HAVING only, a missing subject or value
+    /// column. All of these used to register and then fail every tick.
+    #[test]
+    fn registration_refuses_what_every_tick_would_fail_on() {
+        let agg = agg_query("", "AVG(?c2, sie:hasValue) >= 80");
+        let err = |r: Result<ContinuousQuery, String>| r.err().expect("refused");
+
+        let unknown = FIGURE1.replace("S_Msmt", "S_Nowhere");
+        assert!(err(register_over(&unknown, |_| {})).contains("S_Nowhere"));
+        let e = err(register_over(FIGURE1, drop_stream_column("ts")));
+        assert!(e.contains("lacks column ts"), "{e}");
+        let e = err(register_over(&agg, drop_stream_column("sensor_id")));
+        assert!(e.contains("lacks subject column sensor_id"), "{e}");
+        let e = err(register_over(&agg, drop_stream_column("value")));
+        assert!(e.contains("lacks value column value"), "{e}");
+
+        // Without an aggregate the subject and value columns are the
+        // mapping's business: rows simply mint no triple, as before.
+        let cq = register_over(FIGURE1, drop_stream_column("value")).unwrap();
+        assert_eq!(
+            cq.stream_keys(),
+            Some(&[Value::Int(10), Value::Int(11)][..])
+        );
+        assert!(register_over(FIGURE1, drop_stream_column("sensor_id")).is_ok());
     }
 
     /// A pure aggregate HAVING tree is proven pane-combinable at

@@ -1372,21 +1372,16 @@ impl<'a> Evaluator<'a> {
 //   shape the parser already enforces for value variables.
 
 impl HavingFormula {
-    /// The subject terms of every `GRAPH` atom in the formula.
-    pub fn graph_subjects(&self) -> Vec<&QueryTerm> {
-        fn walk<'a>(f: &'a HavingFormula, out: &mut Vec<&'a QueryTerm>) {
+    /// The formula's leaves — `TRUE`, state-order, graph, comparison and
+    /// aggregate atoms — left to right. The one walk for analyses that only
+    /// look at leaves; those that branch on the connectives
+    /// ([`Self::restriction_safe`] and its helpers) keep their own matches.
+    pub fn leaves(&self) -> Vec<&HavingFormula> {
+        fn walk<'a>(f: &'a HavingFormula, out: &mut Vec<&'a HavingFormula>) {
             match f {
-                HavingFormula::Graph { atoms, .. } => {
-                    for atom in atoms {
-                        match atom {
-                            Atom::Class { arg, .. } => out.push(arg),
-                            Atom::Property { subject, .. } => out.push(subject),
-                        }
-                    }
-                }
-                HavingFormula::Exists { body, .. } | HavingFormula::Forall { body, .. } => {
-                    walk(body, out)
-                }
+                HavingFormula::Exists { body, .. }
+                | HavingFormula::Forall { body, .. }
+                | HavingFormula::Not(body) => walk(body, out),
                 HavingFormula::If { cond, then } => {
                     walk(cond, out);
                     walk(then, out);
@@ -1395,18 +1390,36 @@ impl HavingFormula {
                     walk(a, out);
                     walk(b, out);
                 }
-                HavingFormula::Not(a) => walk(a, out),
-                // Aggregate atoms group by subject exactly as graph atoms
-                // match by subject: the restriction machinery must keep every
-                // aggregated subject's rows in the shipped window.
-                HavingFormula::Agg { subject, .. } => out.push(subject),
                 HavingFormula::True
                 | HavingFormula::StateLess { .. }
-                | HavingFormula::Cmp { .. } => {}
+                | HavingFormula::Graph { .. }
+                | HavingFormula::Cmp { .. }
+                | HavingFormula::Agg { .. } => out.push(f),
             }
         }
         let mut out = Vec::new();
         walk(self, &mut out);
+        out
+    }
+
+    /// The subject terms of every `GRAPH` atom in the formula — and of every
+    /// aggregate atom: aggregates group by subject exactly as graph atoms
+    /// match by subject, so the restriction machinery must keep every
+    /// aggregated subject's rows in the shipped window.
+    pub fn graph_subjects(&self) -> Vec<&QueryTerm> {
+        let mut out = Vec::new();
+        for leaf in self.leaves() {
+            match leaf {
+                HavingFormula::Graph { atoms, .. } => {
+                    out.extend(atoms.iter().map(|atom| match atom {
+                        Atom::Class { arg, .. } => arg,
+                        Atom::Property { subject, .. } => subject,
+                    }))
+                }
+                HavingFormula::Agg { subject, .. } => out.push(subject),
+                _ => {}
+            }
+        }
         out
     }
 

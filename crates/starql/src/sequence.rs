@@ -72,11 +72,9 @@ impl StreamToRdf {
         let Some(subj_idx) = schema.index_of(self.subject.column()) else {
             return out;
         };
-        let subj_val = &row[subj_idx];
-        if subj_val.is_null() {
+        let Some(subject) = self.subject.render(&row[subj_idx]).map(Term::iri) else {
             return out;
-        }
-        let subject = Term::iri(self.subject.render(subj_val));
+        };
         if let Some(value_idx) = schema.index_of(&self.value_col) {
             if let Some(lit) =
                 optique_mapping::virtualize::value_to_literal(&row[value_idx], self.value_datatype)

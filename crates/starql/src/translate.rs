@@ -98,7 +98,8 @@ pub fn translate(
     for d in disjuncts {
         where_vars.extend(atom_vars(d));
     }
-    let mut used: BTreeSet<String> = atom_vars(&query.construct);
+    let construct_vars = atom_vars(&query.construct);
+    let mut used = construct_vars.clone();
     collect_having_vars(&having, &mut used);
     let where_answer_vars: Vec<String> = where_vars
         .iter()
@@ -109,6 +110,14 @@ pub fn translate(
         return Err(TranslateError(
             "no WHERE variable is used by CONSTRUCT or HAVING — the query is degenerate".into(),
         ));
+    }
+    // The CONSTRUCT template is instantiated from the WHERE bindings alone:
+    // a variable no branch binds could only fail every tick that fires.
+    if let Some(unbound) = construct_vars.iter().find(|v| !where_vars.contains(*v)) {
+        return Err(TranslateError(format!(
+            "CONSTRUCT variable ?{unbound} is not bound in WHERE — every output term must \
+             come from a WHERE binding"
+        )));
     }
     // Continuous-query bindings are total: every answer variable must bind
     // in every UNION branch (the engine has no notion of a partially bound
@@ -313,74 +322,46 @@ fn atom_vars(atoms: &[Atom]) -> BTreeSet<String> {
     out
 }
 
+/// The variables of HAVING's graph, comparison and aggregate atoms.
 fn collect_having_vars(f: &HavingFormula, out: &mut BTreeSet<String>) {
-    match f {
-        HavingFormula::True | HavingFormula::StateLess { .. } => {}
-        HavingFormula::Exists { body, .. } | HavingFormula::Forall { body, .. } => {
-            collect_having_vars(body, out)
-        }
-        HavingFormula::If { cond, then } => {
-            collect_having_vars(cond, out);
-            collect_having_vars(then, out);
-        }
-        HavingFormula::And(a, b) | HavingFormula::Or(a, b) => {
-            collect_having_vars(a, out);
-            collect_having_vars(b, out);
-        }
-        HavingFormula::Not(a) => collect_having_vars(a, out),
-        HavingFormula::Graph { atoms, .. } => {
-            out.extend(atom_vars(atoms));
-        }
-        HavingFormula::Cmp { left, right, .. } => {
-            for t in [left, right] {
-                if let QueryTerm::Var(v) = t {
-                    out.insert(v.clone());
-                }
+    for leaf in f.leaves() {
+        let terms = match leaf {
+            HavingFormula::Graph { atoms, .. } => {
+                out.extend(atom_vars(atoms));
+                continue;
             }
-        }
-        HavingFormula::Agg {
-            subject, threshold, ..
-        } => {
-            for t in [subject, threshold] {
-                if let QueryTerm::Var(v) = t {
-                    out.insert(v.clone());
-                }
+            HavingFormula::Cmp { left, right, .. } => [left, right],
+            HavingFormula::Agg {
+                subject, threshold, ..
+            } => [subject, threshold],
+            _ => continue,
+        };
+        for term in terms {
+            if let QueryTerm::Var(v) = term {
+                out.insert(v.clone());
             }
         }
     }
 }
 
-/// Properties mentioned in HAVING graph patterns (the stream attributes).
+/// Properties mentioned in HAVING graph patterns and aggregates (the
+/// stream attributes).
 fn having_properties(f: &HavingFormula) -> BTreeSet<optique_rdf::Iri> {
     let mut out = BTreeSet::new();
-    fn walk(f: &HavingFormula, out: &mut BTreeSet<optique_rdf::Iri>) {
-        match f {
+    for leaf in f.leaves() {
+        match leaf {
             HavingFormula::Graph { atoms, .. } => {
-                for atom in atoms {
-                    if let Atom::Property { property, .. } = atom {
-                        out.insert(property.clone());
-                    }
-                }
+                out.extend(atoms.iter().filter_map(|atom| match atom {
+                    Atom::Property { property, .. } => Some(property.clone()),
+                    Atom::Class { .. } => None,
+                }))
             }
-            HavingFormula::Exists { body, .. } | HavingFormula::Forall { body, .. } => {
-                walk(body, out)
-            }
-            HavingFormula::If { cond, then } => {
-                walk(cond, out);
-                walk(then, out);
-            }
-            HavingFormula::And(a, b) | HavingFormula::Or(a, b) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            HavingFormula::Not(a) => walk(a, out),
             HavingFormula::Agg { property, .. } => {
                 out.insert(property.clone());
             }
             _ => {}
         }
     }
-    walk(f, &mut out);
     out
 }
 
@@ -657,6 +638,33 @@ mod tests {
         let err = translate(&q, &ctx).unwrap_err();
         assert!(err.0.contains("?c1"), "{}", err.0);
         assert!(err.0.contains("UNION branch 1"), "{}", err.0);
+    }
+
+    /// Regression: `?ghost` appears only in CONSTRUCT. It used to translate
+    /// and register, and then fail every tick whose HAVING held.
+    #[test]
+    fn unbound_construct_variable_rejected() {
+        let ns = Namespaces::with_w3c_defaults();
+        let text = r#"
+            PREFIX sie: <http://siemens.example/ontology#>
+            CREATE STREAM s AS
+            CONSTRUCT GRAPH NOW { ?c2 sie:alertsFor ?ghost }
+            FROM STREAM S [NOW-"PT1S"^^xsd:duration, NOW]->"PT1S"^^xsd:duration
+            WHERE { ?c1 sie:inAssembly ?c2 }
+            SEQUENCE BY StdSeq AS seq
+            HAVING EXISTS ?k IN seq: GRAPH ?k { ?c2 sie:hasValue ?v }
+        "#;
+        let q = parse_starql(text, &ns).unwrap();
+        let onto = ontology();
+        let maps = mappings();
+        let ctx = TranslationContext {
+            ontology: &onto,
+            mappings: &maps,
+            rewrite_settings: RewriteSettings::default(),
+            unfold_settings: UnfoldSettings::default(),
+        };
+        let err = translate(&q, &ctx).unwrap_err();
+        assert!(err.0.contains("CONSTRUCT variable ?ghost"), "{}", err.0);
     }
 
     #[test]

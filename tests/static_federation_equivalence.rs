@@ -81,6 +81,122 @@ fn federated_runs_share_the_bgp_cache() {
     );
 }
 
+/// Regression, federated twin of
+/// `sparql::compile::tests::constant_iris_agree_with_select_whatever_the_key_type`:
+/// a constant IRI over a key column whose values look like another type's
+/// (`TEXT "123"`) or render unlike their SQL spelling (`TIMESTAMP @5`,
+/// `FLOAT 1.5`) must select what `SELECT` says it names — single-node and
+/// at 2 workers, where the `parts` table shards on `code` and the constant
+/// travels to the workers typed.
+#[test]
+fn constant_iris_agree_with_select_whatever_the_key_type() {
+    use optique_mapping::{MappingAssertion, MappingCatalog, TermMap};
+    use optique_rdf::{Iri, Namespaces, Term};
+    use optique_relational::{table::table_of, ColumnType, Database, Value};
+
+    let keys = [
+        ("code", ColumnType::Text),
+        ("at", ColumnType::Timestamp),
+        ("load", ColumnType::Float),
+    ];
+    let mut rows: Vec<Vec<Value>> = (0..60)
+        .map(|i| {
+            vec![
+                Value::text((100 + i).to_string()),
+                Value::Timestamp(i),
+                Value::Float(i as f64 / 4.0),
+            ]
+        })
+        .collect();
+    rows.push(vec![
+        Value::text("a7"),
+        Value::Timestamp(-5),
+        Value::Float(-1.5),
+    ]);
+    let mut db = Database::new();
+    db.put_table("parts", table_of("parts", &keys, rows).unwrap());
+    let x = |name: &str| Iri::new(format!("http://x/{name}"));
+    let mut mappings = MappingCatalog::new();
+    for (class, column) in [("Part", "code"), ("Mark", "at"), ("Gauge", "load")] {
+        let subject = TermMap::template(&format!("http://x/{column}/{{{column}}}"));
+        let source = format!("SELECT {column} FROM parts");
+        mappings
+            .add(MappingAssertion::class(class, x(class), source, subject))
+            .unwrap();
+    }
+    mappings
+        .add(MappingAssertion::property(
+            "stamped",
+            x("stampedAt"),
+            "SELECT code, at FROM parts",
+            TermMap::template("http://x/code/{code}"),
+            TermMap::template("http://x/at/{at}"),
+        ))
+        .unwrap();
+    let mut namespaces = Namespaces::with_w3c_defaults();
+    namespaces.bind("x", "http://x/");
+    let siemens = SiemensDeployment::small();
+    let p = OptiquePlatform::deploy(
+        db,
+        Default::default(),
+        namespaces,
+        mappings,
+        siemens.stream_to_rdf,
+    );
+
+    // Every run starts from a cold BGP cache, so it exercises its own backend.
+    let run = |text: &str, workers: usize| {
+        p.bgp_cache().invalidate();
+        let answered = match workers {
+            1 => p.query_static_with_stats(text),
+            _ => p.query_static_distributed_with_stats(text, workers),
+        };
+        answered.unwrap_or_else(|e| panic!("{text} at {workers}: {e}"))
+    };
+    let iris = |text: &str, workers: usize| -> Vec<Vec<String>> {
+        let iri = |term: &Option<Term>| match term {
+            Some(Term::Iri(iri)) => iri.as_str().to_string(),
+            other => panic!("not an IRI: {other:?}"),
+        };
+        let (answered, _) = run(text, workers);
+        let mut rows: Vec<Vec<String>> = answered
+            .rows()
+            .iter()
+            .map(|row| row.iter().map(iri).collect())
+            .collect();
+        rows.sort();
+        rows
+    };
+    let (_, stats) = run("SELECT ?p WHERE { ?p a x:Part }", 2);
+    assert!(
+        stats.partitioned_fragments > 0,
+        "parts is sharded: {stats:?}"
+    );
+    for workers in [1, 2] {
+        for class in ["Part", "Mark", "Gauge"] {
+            let members = iris(&format!("SELECT ?p WHERE {{ ?p a x:{class} }}"), workers);
+            assert_eq!(members.len(), 61, "{class}");
+            for member in members.iter().flatten().step_by(7) {
+                let ask = format!("ASK {{ <{member}> a x:{class} }}");
+                assert_eq!(
+                    run(&ask, workers).0.as_bool(),
+                    Some(true),
+                    "{ask} at {workers}"
+                );
+            }
+        }
+        let pairs = iris("SELECT ?p ?t WHERE { ?p x:stampedAt ?t }", workers);
+        assert_eq!(pairs.len(), 61);
+        for pair in pairs.iter().step_by(7) {
+            let (part, mark) = (&pair[0], &pair[1]);
+            let by_object = format!("SELECT ?p WHERE {{ ?p x:stampedAt <{mark}> }}");
+            assert_eq!(iris(&by_object, workers), [[part.clone()]], "{mark}");
+            let by_subject = format!("SELECT ?t WHERE {{ <{part}> x:stampedAt ?t }}");
+            assert_eq!(iris(&by_subject, workers), [[mark.clone()]], "{part}");
+        }
+    }
+}
+
 // ---- property-based suite ----------------------------------------------
 
 proptest! {

@@ -275,10 +275,9 @@ mod streaming_equivalence {
 
     /// Repeated ticks of the same distributed query ship one window
     /// fragment per round, and the per-tick fragments land on the
-    /// dashboard. (The worker plan caches this test once watched are gone:
-    /// window fragments are built typed, so no tick parses anything.)
+    /// dashboard.
     #[test]
-    fn tick_rounds_populate_worker_plan_caches() {
+    fn tick_rounds_ship_a_window_fragment_each_onto_the_dashboard() {
         let text = streaming::program(1, 5, 1, true, 7);
         let p = streaming::deployment(streaming::ramp_stream());
         p.register_starql_distributed(&text, 4).unwrap();
