@@ -111,7 +111,7 @@ impl OptiquePlatform {
                 self.register_named(Some(format!("{}:{}", task.id, task.name)), text, None)
             }
             TaskQuery::SqlPlus(_) => Err(format!(
-                "task {} is a SQL(+) dataflow; run it on the relational engine directly",
+                "task {} is plain SQL; run it on the relational engine directly",
                 task.id
             )),
         }
@@ -722,6 +722,62 @@ HAVING MAX(?c2, sie:hasValue) >= 85
         }
         // The two entry points share one loop, so they share one accounting.
         assert_eq!(timeless_panels(&driven), timeless_panels(&pulsed));
+    }
+
+    /// Window bounds where ticks read them. With a 3 s slide over a 1 s
+    /// range the windows are (599 s, 600 s], (602 s, 603 s], (605 s, 606 s],
+    /// … The stream holds rows exactly at a window's open (602 s, 605 s),
+    /// exactly at its close (600 s, 603 s, 606 s), inside one (602.5 s) and
+    /// in the gap between two (604 s). A tick sees exactly `(open, close]`,
+    /// single-node (the filtered stream table) and through a 2-worker pool
+    /// (a scattered `WindowSlice` fragment).
+    #[test]
+    fn ticks_see_exactly_open_close_and_nothing_in_the_gaps() {
+        const GAPPED: &str = r#"
+PREFIX sie: <http://siemens.example/ontology#>
+CREATE STREAM S_gap AS
+CONSTRUCT GRAPH NOW { ?c2 a sie:MonInc }
+FROM STREAM S_Msmt [NOW-"PT1S"^^xsd:duration, NOW]->"PT3S"^^xsd:duration
+USING PULSE WITH START = "00:10:00CET", FREQUENCY = "3S"
+WHERE {?c1 a sie:Assembly. ?c2 a sie:Sensor. ?c1 sie:inAssembly ?c2.}
+SEQUENCE BY StdSeq AS seq
+HAVING EXISTS ?k IN seq: GRAPH ?k { ?c2 sie:hasValue ?x }
+"#;
+        let times = [
+            600_000, 602_000, 602_500, 603_000, 604_000, 605_000, 606_000,
+        ];
+        let gapped = || {
+            let mut d = SiemensDeployment::small();
+            let sensors = d.sensor_ids[..4].to_vec();
+            let rows = (times.iter())
+                .flat_map(|&ts| sensors.iter().map(move |&s| msmt_row(ts, s, 50.0)))
+                .collect();
+            let schema = d.db.table("S_Msmt").unwrap().schema.clone();
+            d.db.put_table(
+                "S_Msmt",
+                optique_relational::Table::new(schema, rows).unwrap(),
+            );
+            OptiquePlatform::from_siemens(d)
+        };
+        let single = gapped();
+        let distributed = gapped();
+        single.register_starql(GAPPED).unwrap();
+        distributed.register_starql_distributed(GAPPED, 2).unwrap();
+
+        // Instants per window: 600 s; 602.5 s and 603 s; 606 s; none.
+        for (tick, instants) in [(600_000, 1), (603_000, 2), (606_000, 1), (609_000, 0)] {
+            let (_, s) = single.tick_all(tick).unwrap().remove(0);
+            let (_, d) = distributed.tick_all(tick).unwrap().remove(0);
+            assert_eq!(s.tuples_in_window, 4 * instants, "tick {tick}");
+            assert_eq!(s.states, instants, "tick {tick}");
+            assert_eq!(s.satisfied, if instants > 0 { 4 } else { 0 });
+            assert_eq!(d.window_fragments, 1, "tick {tick}");
+            assert!(d.partitioned_fragments > 0, "tick {tick}: scattered");
+            assert_eq!(d.stream_rows_shipped, 4 * instants, "tick {tick}");
+            assert_eq!(d.tuples_in_window, s.tuples_in_window);
+            assert_eq!(d.states, s.states);
+            assert_eq!(d.triples.len(), s.triples.len(), "tick {tick}");
+        }
     }
 
     /// The dashboard's panels without their latency percentiles — every

@@ -1,4 +1,9 @@
 //! Worker nodes and data sharding.
+//!
+//! A cluster only provisions workers and runs one closure per worker
+//! ([`Cluster::parallel_map`]); SQL reaches the workers as plan fragments
+//! through [`crate::gateway::Gateway::run_static_round`], the one way to
+//! run a query on them.
 
 use std::sync::Arc;
 
@@ -65,17 +70,6 @@ impl Cluster {
     /// The workers.
     pub fn workers(&self) -> &[Worker] {
         &self.workers
-    }
-
-    /// Runs the same SQL(+) text on every worker's shard in parallel and
-    /// concatenates the per-shard results (partitioned-table pattern:
-    /// correct when the query groups/filters by the partition key or the
-    /// caller merges downstream).
-    pub fn parallel_query(&self, sql: &str) -> Result<Vec<Table>, SqlError> {
-        let outcomes = self.parallel_map(|worker| optique_relational::exec::query(sql, &worker.db));
-        (outcomes.into_iter().enumerate())
-            .map(|(id, outcome)| outcome.unwrap_or_else(|_| Err(worker_panicked(id))))
-            .collect()
     }
 
     /// Runs a different closure per worker in parallel (operator placement
@@ -184,19 +178,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_query_covers_all_shards() {
-        let t = measurements(1000);
-        let shards = hash_partition(&t, 0, 4);
-        let cluster = Cluster::provision(4, |id| {
+    /// A cluster over `m`'s shards, and one scattered round of `sql`
+    /// through the gateway — per-shard tables concatenated on gather.
+    fn scattered(shards: &[Table], sql: &str) -> Table {
+        let cluster = Cluster::provision(shards.len(), |id| {
             let mut db = Database::new();
             db.put_table("m", shards[id].clone());
             db
         });
-        let results = cluster
-            .parallel_query("SELECT COUNT(*) AS n FROM m")
-            .unwrap();
-        let total: i64 = results.iter().map(|t| t.rows[0][0].as_i64().unwrap()).sum();
+        let gateway = crate::gateway::Gateway::new(Arc::new(cluster));
+        let fragment = optique_relational::PlanFragment::new(0, sql, 1.0);
+        let mut round =
+            gateway.run_static_round(&[crate::gateway::StaticFragment::scattered(fragment)]);
+        round.tables.remove(0).unwrap()
+    }
+
+    #[test]
+    fn scattered_round_covers_all_shards() {
+        let t = measurements(1000);
+        let shards = hash_partition(&t, 0, 4);
+        let gathered = scattered(&shards, "SELECT COUNT(*) AS n FROM m");
+        assert_eq!(gathered.len(), 4, "one partial count per shard");
+        let total: i64 = gathered.rows.iter().map(|r| r[0].as_i64().unwrap()).sum();
         assert_eq!(total, 1000);
     }
 
@@ -234,22 +237,14 @@ mod tests {
         // shard-locally are globally correct.
         let t = measurements(1000);
         let shards = hash_partition(&t, 0, 4);
-        let cluster = Cluster::provision(4, |id| {
-            let mut db = Database::new();
-            db.put_table("m", shards[id].clone());
-            db
-        });
-        let results = cluster
-            .parallel_query("SELECT sensor_id, COUNT(*) AS n FROM m GROUP BY sensor_id")
-            .unwrap();
-        let mut counts = std::collections::HashMap::new();
-        for t in &results {
-            for row in &t.rows {
-                *counts.entry(row[0].as_i64().unwrap()).or_insert(0i64) += row[1].as_i64().unwrap();
-            }
-        }
-        assert_eq!(counts.len(), 50);
-        assert!(counts.values().all(|&n| n == 20));
+        let gathered = scattered(
+            &shards,
+            "SELECT sensor_id, COUNT(*) AS n FROM m GROUP BY sensor_id",
+        );
+        // Each sensor lives on one shard, so the gathered groups are
+        // already the global ones: no key repeats, no combine step.
+        assert_eq!(gathered.len(), 50);
+        assert!(gathered.rows.iter().all(|row| row[1] == Value::Int(20)));
     }
 
     #[test]

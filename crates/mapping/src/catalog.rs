@@ -189,6 +189,30 @@ mod tests {
         assert_eq!(c.mapped_terms().len(), 2);
     }
 
+    /// A source that reads a window through a function in FROM is refused
+    /// when it is added. Accepted, its rows would have no table behind
+    /// them, so shard analysis could only guess which workers hold them.
+    #[test]
+    fn window_function_source_is_refused() {
+        let mut c = catalog();
+        let err = c
+            .add(MappingAssertion::property(
+                "w",
+                iri("hasValue"),
+                "SELECT sensor_id, value \
+                 FROM sliding_window('S_Msmt', 0, 10000, 10000, 600000, 0, 5) AS w",
+                TermMap::template("http://x/sensor/{sensor_id}"),
+                TermMap::column("value", Datatype::Double),
+            ))
+            .unwrap_err();
+        assert!(
+            err.starts_with("mapping w: source SQL invalid: parse error"),
+            "{err}"
+        );
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.for_property(&iri("hasValue")).len(), 1);
+    }
+
     #[test]
     fn mapped_terms_sorted() {
         let c = catalog();

@@ -5,7 +5,7 @@
 //! a function that converts tuples returned by SQL into identifiers of
 //! objects populating the class Turbine". This crate models those
 //! assertions and implements stage (ii) of query evaluation: translating an
-//! enriched UCQ into SQL(+) — "STARQL unfolding is linear-time in the size
+//! enriched UCQ into SQL — "STARQL unfolding is linear-time in the size
 //! of both mappings and query".
 //!
 //! * [`IriTemplate`] — the `f` above: single-variable IRI templates with

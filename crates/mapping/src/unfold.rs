@@ -1,4 +1,4 @@
-//! Conjunctive-query → SQL(+) unfolding (GAV expansion).
+//! Conjunctive-query → SQL unfolding (GAV expansion).
 //!
 //! Each atom of the (already enriched) query picks one of its term's mapping
 //! assertions; each combination of picks yields one conjunctive SQL query —
@@ -72,7 +72,7 @@ enum Cond {
     },
 }
 
-/// Unfolds a UCQ into a single SQL(+) statement (`None` when no disjunct has
+/// Unfolds a UCQ into a single SQL statement (`None` when no disjunct has
 /// mappings for all its atoms).
 pub fn unfold_ucq(
     ucq: &UnionQuery,

@@ -60,7 +60,6 @@ fn run(plan: &LogicalPlan, db: &Database) -> Result<Vec<Vec<Value>>, SqlError> {
             }
             Ok(out)
         }
-        LogicalPlan::Materialized { table, .. } => Ok(table.rows.clone()),
         LogicalPlan::Filter { input, predicate } => {
             let rows = run(input, db)?;
             let mut out = Vec::with_capacity(rows.len());
@@ -528,24 +527,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t.rows[0][0], Value::Float(59.0));
-    }
-
-    #[test]
-    fn table_function_executes() {
-        let mut db = db();
-        db.register_table_function(
-            "constant_table",
-            std::sync::Arc::new(|args, _db| {
-                let n = args[0].as_i64().unwrap_or(0);
-                table_of(
-                    "c",
-                    &[("x", ColumnType::Int)],
-                    (0..n).map(|i| vec![Value::Int(i)]).collect(),
-                )
-            }),
-        );
-        let t = query("SELECT x FROM constant_table(4) AS c WHERE x > 0", &db).unwrap();
-        assert_eq!(t.len(), 3);
     }
 
     #[test]

@@ -413,11 +413,8 @@ pub fn execute_prepared(statement: &SelectStatement, db: &Database) -> Result<Ta
 
 /// The base tables a statement reads, across joins, subqueries and
 /// `UNION ALL` arms — what a cached result of the statement *depends on*.
-/// `None` when the statement reads through a table-valued function, whose
-/// data provenance the analysis cannot see (callers must treat the
-/// dependency set as "anything").
-pub fn referenced_tables(statement: &SelectStatement) -> Option<BTreeSet<String>> {
-    fn walk(statement: &SelectStatement, out: &mut BTreeSet<String>) -> bool {
+pub fn referenced_tables(statement: &SelectStatement) -> BTreeSet<String> {
+    fn walk(statement: &SelectStatement, out: &mut BTreeSet<String>) {
         let mut refs = vec![&statement.from];
         refs.extend(statement.joins.iter().map(|j| &j.table));
         for table_ref in refs {
@@ -425,27 +422,22 @@ pub fn referenced_tables(statement: &SelectStatement) -> Option<BTreeSet<String>
                 TableRef::Named { name, .. } => {
                     out.insert(name.clone());
                 }
-                TableRef::Subquery { query, .. } => {
-                    if !walk(query, out) {
-                        return false;
-                    }
-                }
-                TableRef::Function { .. } => return false,
+                TableRef::Subquery { query, .. } => walk(query, out),
             }
         }
-        match statement.union_all.as_deref() {
-            Some(next) => walk(next, out),
-            None => true,
+        if let Some(next) = statement.union_all.as_deref() {
+            walk(next, out);
         }
     }
     let mut out = BTreeSet::new();
-    walk(statement, &mut out).then_some(out)
+    walk(statement, &mut out);
+    out
 }
 
 /// Applies a window time-slice around a statement: each disjunct of its
 /// `UNION ALL` chain is wrapped in `SELECT * FROM (disjunct) WHERE col >
-/// open AND col <= close` — the `(open, close]` half-open convention the
-/// stream layer's `timeSlidingWindow` uses.
+/// open AND col <= close` — the `(open, close]` half-open convention of
+/// every window ([`WindowSlice`]).
 fn slice_statement(statement: SelectStatement, window: &WindowSlice) -> SelectStatement {
     map_disjuncts(statement, &|disjunct| slice_one(disjunct, window))
 }
@@ -624,7 +616,6 @@ fn references_partitioned(statement: &SelectStatement, partitioned: &[&str]) -> 
                     return true;
                 }
             }
-            TableRef::Function { .. } => {}
         }
     }
     statement
@@ -714,8 +705,6 @@ fn analyze_ref(table_ref: &TableRef, partition: &[(String, String)], sole_ref: b
                 key_names,
             })
         }
-        // Table-valued functions take literal arguments, never tables.
-        TableRef::Function { .. } => RefOutcome::Replicated,
     }
 }
 
@@ -1533,19 +1522,14 @@ mod tests {
             .collect();
         assert_eq!(
             deps("SELECT s.sid FROM sensors AS s JOIN turbines AS t ON s.tid = t.tid"),
-            Some(named.clone())
+            named
         );
         assert_eq!(
             deps(
                 "SELECT sid FROM (SELECT sid FROM sensors) AS u \
                  UNION ALL SELECT tid FROM turbines"
             ),
-            Some(named)
-        );
-        // A table-valued function hides its provenance.
-        assert_eq!(
-            deps("SELECT * FROM timeslidingwindow('S', 0, 10, 1, 0, 0, 0) AS w"),
-            None
+            named
         );
     }
 

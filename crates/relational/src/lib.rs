@@ -1,9 +1,11 @@
 //! In-memory relational engine — the "SQLite" substrate under ExaStream.
 //!
-//! The paper builds EXASTREAM "as a streaming extension of the SQLite DBMS";
-//! this crate is the relational core of that substitution: a self-contained
-//! SQL engine the streaming layer (`optique-stream`) and the distributed
-//! engine (`optique-exastream`) extend. It owns:
+//! The paper builds EXASTREAM "as a streaming extension of the SQLite DBMS",
+//! reading windows through SQL(+) table functions. This crate is the
+//! relational core of that substitution, and windows do not go through SQL
+//! text here: a window is a scan with a typed `(open, close]` slice
+//! ([`WindowSlice`]) or a pane probe ([`PaneProbe`]), and a FROM clause
+//! names only tables and subqueries. It owns:
 //!
 //! * [`Value`]/[`ColumnType`] — the dynamic value model with SQL NULL
 //!   semantics,
@@ -11,8 +13,7 @@
 //!   row-oriented tables,
 //! * [`parse_select`] — a lexer + recursive-descent parser for the SQL
 //!   subset that STARQL unfolding emits (SELECT / JOIN / WHERE / GROUP BY /
-//!   HAVING / ORDER BY / LIMIT / UNION ALL / subqueries / table-valued
-//!   functions),
+//!   HAVING / ORDER BY / LIMIT / UNION ALL / subqueries),
 //! * [`plan`] — the logical plan, name binder, and rule-based [`optimizer`]
 //!   (predicate pushdown, projection pruning, constant folding),
 //! * [`exec`] — a materializing executor with hash joins, grouped

@@ -46,7 +46,6 @@ fn map_exprs(plan: LogicalPlan, f: &impl Fn(Expr) -> Expr) -> LogicalPlan {
             filter: filter.map(f),
             projection,
         },
-        LogicalPlan::Materialized { .. } => plan,
         LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
             input: Box::new(map_exprs(*input, f)),
             predicate: f(predicate),
@@ -157,7 +156,7 @@ fn flatten_unions(plan: LogicalPlan) -> LogicalPlan {
 /// Applies `f` to each direct child plan.
 fn map_children(plan: LogicalPlan, f: impl Fn(LogicalPlan) -> LogicalPlan + Copy) -> LogicalPlan {
     match plan {
-        LogicalPlan::Scan { .. } | LogicalPlan::Materialized { .. } => plan,
+        LogicalPlan::Scan { .. } => plan,
         LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
             input: Box::new(f(*input)),
             predicate,

@@ -39,24 +39,13 @@ pub enum TableRef {
         /// Mandatory alias.
         alias: String,
     },
-    /// A table-valued function call (SQL(+) stream operators).
-    Function {
-        /// Function name.
-        name: String,
-        /// Literal/expression arguments.
-        args: Vec<Expr>,
-        /// Alias (defaults to the function name).
-        alias: String,
-    },
 }
 
 impl TableRef {
     /// The alias this relation binds in scope.
     pub fn alias(&self) -> &str {
         match self {
-            TableRef::Named { alias, .. }
-            | TableRef::Subquery { alias, .. }
-            | TableRef::Function { alias, .. } => alias,
+            TableRef::Named { alias, .. } | TableRef::Subquery { alias, .. } => alias,
         }
     }
 }
@@ -361,18 +350,10 @@ impl Parser {
         }
         let name = self.expect_ident()?;
         if matches!(self.peek(), Some(TokenKind::LParen)) {
-            self.pos += 1;
-            let mut args = Vec::new();
-            if !matches!(self.peek(), Some(TokenKind::RParen)) {
-                args.push(self.parse_expr()?);
-                while matches!(self.peek(), Some(TokenKind::Comma)) {
-                    self.pos += 1;
-                    args.push(self.parse_expr()?);
-                }
-            }
-            self.expect(&TokenKind::RParen)?;
-            let alias = self.parse_optional_alias()?.unwrap_or_else(|| name.clone());
-            return Ok(TableRef::Function { name, args, alias });
+            return Err(SqlError::parse(
+                format!("FROM reads tables and subqueries, not the function {name}(…)"),
+                self.offset(),
+            ));
         }
         let alias = self.parse_optional_alias()?.unwrap_or_else(|| name.clone());
         Ok(TableRef::Named { name, alias })
@@ -690,20 +671,6 @@ impl fmt::Display for TableRef {
                 }
             }
             TableRef::Subquery { query, alias } => write!(f, "({query}) AS {alias}"),
-            TableRef::Function { name, args, alias } => {
-                write!(f, "{name}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, ")")?;
-                if alias != name {
-                    write!(f, " AS {alias}")?;
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -776,16 +743,21 @@ mod tests {
         assert!(matches!(s.from, TableRef::Subquery { .. }));
     }
 
+    /// A function call in FROM is a parse error, wherever it sits, at the
+    /// offset of its argument list.
     #[test]
     fn table_function_in_from() {
-        let s =
-            parse_select("SELECT * FROM timeslidingwindow('S_Msmt', 10000, 1000) AS w").unwrap();
-        let TableRef::Function { name, args, alias } = &s.from else {
-            panic!()
-        };
-        assert_eq!(name, "timeslidingwindow");
-        assert_eq!(args.len(), 3);
-        assert_eq!(alias, "w");
+        for sql in [
+            "SELECT * FROM window_of('S_Msmt', 10000, 1000) AS w",
+            "SELECT a FROM t JOIN f(1) AS w ON t.a = w.a",
+            "SELECT a FROM (SELECT a FROM f(1)) AS w",
+        ] {
+            let err = parse_select(sql).unwrap_err();
+            let SqlError::Parse { offset, .. } = err else {
+                panic!("{sql}: {err}")
+            };
+            assert_eq!(&sql[offset..=offset], "(", "{sql}");
+        }
     }
 
     #[test]

@@ -2,19 +2,14 @@
 //!
 //! [`plan_select`] turns a parsed [`SelectStatement`] into a [`LogicalPlan`]
 //! whose expressions are fully bound (positional column references), ready
-//! for the [`crate::optimizer`] and [`crate::exec`] stages. Table-valued
-//! functions in FROM are evaluated eagerly at planning time — SQL(+) uses
-//! them for window materialization over archived stream batches, which is a
-//! planning-time operation in the CQL execution model.
-
-use std::sync::Arc;
+//! for the [`crate::optimizer`] and [`crate::exec`] stages.
 
 use crate::error::SqlError;
 use crate::expr::Expr;
 use crate::functions::AggFunc;
 use crate::parser::{Join as AstJoin, JoinType, Projection, SelectStatement, TableRef};
 use crate::schema::{Column, ColumnType, Schema};
-use crate::table::{Database, Table};
+use crate::table::Database;
 
 /// A bound logical plan node. Every node knows its output schema.
 #[derive(Clone, Debug)]
@@ -31,15 +26,6 @@ pub enum LogicalPlan {
         filter: Option<Expr>,
         /// Kept column positions (None = all).
         projection: Option<Vec<usize>>,
-    },
-    /// An already-materialized relation (table-function output).
-    Materialized {
-        /// Display name.
-        name: String,
-        /// The data.
-        table: Arc<Table>,
-        /// Output schema (re-qualified by the alias).
-        schema: Schema,
     },
     /// Row filter.
     Filter {
@@ -115,7 +101,6 @@ impl LogicalPlan {
     pub fn schema(&self) -> &Schema {
         match self {
             LogicalPlan::Scan { schema, .. }
-            | LogicalPlan::Materialized { schema, .. }
             | LogicalPlan::Project { schema, .. }
             | LogicalPlan::Join { schema, .. }
             | LogicalPlan::Aggregate { schema, .. } => schema,
@@ -130,7 +115,7 @@ impl LogicalPlan {
     /// Counts nodes, for plan-shape assertions in tests and benches.
     pub fn node_count(&self) -> usize {
         1 + match self {
-            LogicalPlan::Scan { .. } | LogicalPlan::Materialized { .. } => 0,
+            LogicalPlan::Scan { .. } => 0,
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Project { input, .. }
             | LogicalPlan::Sort { input, .. }
@@ -167,12 +152,6 @@ impl LogicalPlan {
                     out.push_str(&format!(" [cols: {p:?}]"));
                 }
                 out.push('\n');
-            }
-            LogicalPlan::Materialized { name, table, .. } => {
-                out.push_str(&format!(
-                    "{pad}Materialized {name} ({} rows)\n",
-                    table.len()
-                ));
             }
             LogicalPlan::Filter { input, predicate } => {
                 out.push_str(&format!("{pad}Filter {predicate}\n"));
@@ -444,27 +423,6 @@ fn plan_table_ref(table_ref: &TableRef, db: &Database) -> Result<LogicalPlan, Sq
             Ok(LogicalPlan::Project {
                 input: Box::new(inner),
                 exprs,
-                schema,
-            })
-        }
-        TableRef::Function { name, args, alias } => {
-            let f = db
-                .table_function(name)
-                .ok_or_else(|| SqlError::Binding(format!("unknown table function {name}")))?
-                .clone();
-            let mut values = Vec::with_capacity(args.len());
-            for a in args {
-                // Arguments must be constant at planning time.
-                let bound = a.bind(&Schema::new(vec![])).map_err(|_| {
-                    SqlError::Binding(format!("table function {name} arguments must be constants"))
-                })?;
-                values.push(bound.eval(&[])?);
-            }
-            let table = f(&values, db)?;
-            let schema = table.schema.with_qualifier(alias);
-            Ok(LogicalPlan::Materialized {
-                name: name.clone(),
-                table: Arc::new(table),
                 schema,
             })
         }
@@ -831,13 +789,11 @@ mod tests {
         assert!(p.explain().contains("Project"));
     }
 
+    /// FROM names tables and subqueries only: a function call there never
+    /// reaches the binder.
     #[test]
     fn unknown_table_function_rejected() {
-        let err = plan_select(
-            &parse_select("SELECT * FROM nosuchfn(1) AS w").unwrap(),
-            &db(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, SqlError::Binding(_)));
+        let err = crate::exec::query("SELECT * FROM nosuchfn(1) AS w", &db()).unwrap_err();
+        assert!(matches!(err, SqlError::Parse { .. }), "{err}");
     }
 }

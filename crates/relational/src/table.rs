@@ -91,16 +91,10 @@ impl Table {
     }
 }
 
-/// A table-valued function: takes literal arguments, returns a relation.
-/// SQL(+) exposes the stream operators (`timeSlidingWindow`, `wcache`) this
-/// way, exactly as the paper describes ExaStream's UDF mechanism.
-pub type TableFunction = Arc<dyn Fn(&[Value], &Database) -> Result<Table, SqlError> + Send + Sync>;
-
-/// The catalog: named tables and registered UDFs.
+/// The catalog: named tables plus the novelty overlay scans merge with.
 #[derive(Clone, Default)]
 pub struct Database {
     tables: HashMap<String, Arc<Table>>,
-    table_functions: HashMap<String, TableFunction>,
     /// Rows appended since the last merge; scans union these with the
     /// base rows of the scanned table ([`Self::novelty_rows`]).
     novelty: Option<Arc<NoveltyOverlay>>,
@@ -137,17 +131,6 @@ impl Database {
         let mut names: Vec<&str> = self.tables.keys().map(String::as_str).collect();
         names.sort_unstable();
         names
-    }
-
-    /// Registers a table-valued function under `name` (case-insensitive).
-    pub fn register_table_function(&mut self, name: impl Into<String>, f: TableFunction) {
-        self.table_functions
-            .insert(name.into().to_ascii_lowercase(), f);
-    }
-
-    /// Fetches a table-valued function.
-    pub fn table_function(&self, name: &str) -> Option<&TableFunction> {
-        self.table_functions.get(&name.to_ascii_lowercase())
     }
 
     /// Installs (or clears) the novelty overlay scans merge with.
@@ -206,9 +189,8 @@ impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "Database({} tables, {} table fns, novelty@{})",
+            "Database({} tables, novelty@{})",
             self.tables.len(),
-            self.table_functions.len(),
             self.novelty_epoch()
         )
     }
@@ -269,17 +251,6 @@ mod tests {
             db.table("missing"),
             Err(SqlError::UnknownTable(_))
         ));
-    }
-
-    #[test]
-    fn table_function_registry_is_case_insensitive() {
-        let mut db = Database::new();
-        db.register_table_function(
-            "TimeSlidingWindow",
-            Arc::new(|_args, _db| Ok(Table::empty(Schema::new(vec![])))),
-        );
-        assert!(db.table_function("timeslidingwindow").is_some());
-        assert!(db.table_function("TIMESLIDINGWINDOW").is_some());
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! Most tasks are *semantically similar but syntactically different* — the
 //! paper's very point about fleets of queries: the same monotonicity or
 //! threshold condition is asked over different sensor classes, windows and
-//! equipment scopes. Two tasks (Pearson correlation, throughput statistics)
-//! are expressed directly in SQL(+) — the paper implements them as ExaStream
-//! UDF dataflows rather than STARQL conditions.
+//! equipment scopes. Two tasks (Pearson correlation, per-window statistics)
+//! are plain SQL over the stream table — the paper implements them as
+//! ExaStream UDF dataflows rather than STARQL conditions.
 
 use crate::SIE_NS;
 
@@ -16,7 +16,7 @@ use crate::SIE_NS;
 pub enum TaskQuery {
     /// A STARQL continuous query.
     StarQl(String),
-    /// A SQL(+) dataflow (UDF-style tasks).
+    /// Plain SQL run on the relational engine.
     SqlPlus(String),
 }
 
@@ -188,7 +188,7 @@ pub fn diagnostic_tasks() -> Vec<DiagnosticTask> {
         &mut tasks,
     );
     // T19: Pearson correlation between sensor streams (the paper's explicit
-    // example; an ExaStream UDF dataflow in SQL(+)).
+    // example; an ExaStream UDF dataflow there, one `CORR` aggregate here).
     push(
         "pearson-correlation".into(),
         "Pairs of sensors whose measurement windows are highly correlated".into(),
@@ -202,14 +202,18 @@ pub fn diagnostic_tasks() -> Vec<DiagnosticTask> {
         ),
         &mut tasks,
     );
-    // T20: per-window fleet statistics dashboard feed.
+    // T20: per-window fleet statistics dashboard feed — the six tumbling
+    // 10 s windows closing at 600 s … 650 s, window k being (590 s + 10 s·k,
+    // 600 s + 10 s·k]. Counted from 590 s, every row's bucket is positive:
+    // window k is bucket k + 1, its close instant included.
     push(
         "window-statistics".into(),
         "Per-window measurement statistics for the monitoring dashboard".into(),
         TaskQuery::SqlPlus(
-            "SELECT window_id, COUNT(*) AS n, AVG(value) AS mean, MIN(value) AS lo, MAX(value) AS hi \
-             FROM timeslidingwindow('S_Msmt', 0, 10000, 10000, 600000, 0, 5) AS w \
-             GROUP BY window_id ORDER BY window_id"
+            "SELECT CEIL((ts - 590000) / 10000.0) - 1 AS window_id, COUNT(*) AS n, \
+             AVG(value) AS mean, MIN(value) AS lo, MAX(value) AS hi \
+             FROM S_Msmt WHERE ts > 590000 AND ts <= 650000 \
+             GROUP BY CEIL((ts - 590000) / 10000.0) ORDER BY window_id"
                 .into(),
         ),
         &mut tasks,

@@ -15,11 +15,12 @@
 //! readers whose snapshots carry the same versions for those tables
 //! ([`BgpCache::lookup_any_versioned`]) — a write to `turbines` leaves
 //! cached sensor BGPs warm, and a novelty merge, which changes no table's
-//! contents, hides nothing. Entries stored with unknown provenance (no
-//! table set) pin the global write counter instead, so any write hides
-//! them. *Eviction* is separate and only hygiene: a write calls
-//! [`BgpCache::invalidate_table`] to free the entries no post-write reader
-//! can match any more, and [`BgpCache::invalidate`] clears everything.
+//! contents, hides nothing. That is the only rule: every statement the
+//! pipeline runs names its tables (FROM reads tables and subqueries, never
+//! a function), so every entry knows what it read. *Eviction* is separate
+//! and only hygiene: a write calls [`BgpCache::invalidate_table`] to free
+//! the entries no post-write reader can match any more, and
+//! [`BgpCache::invalidate`] clears everything.
 //! Hit/miss/invalidation counters feed the platform dashboard.
 //!
 //! **Concurrency contract.** A reader captures its [`TableVersions`]
@@ -55,16 +56,15 @@ pub struct BgpCache {
 }
 
 /// Monotonic per-table write versions, kept alongside the database snapshot
-/// they describe. A write bumps the written table's version (and the global
-/// counter with it): a cache entry answers a reader exactly when the
-/// reader's snapshot carries the same versions for every table the entry
-/// read ([`BgpCache::lookup_any_versioned`]). A merge folds overlay rows
+/// they describe. A write bumps the written table's version: a cache entry
+/// answers a reader exactly when the reader's snapshot carries the same
+/// versions for every table the entry read
+/// ([`BgpCache::lookup_any_versioned`]). A merge folds overlay rows
 /// into the base without changing what any table contains, so it bumps
 /// *nothing* — entries stay warm across merges.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TableVersions {
     tables: HashMap<String, u64>,
-    global: u64,
 }
 
 impl TableVersions {
@@ -78,16 +78,10 @@ impl TableVersions {
         self.tables.get(table).copied().unwrap_or(0)
     }
 
-    /// The global write counter (bumped by every write to any table).
-    pub fn global(&self) -> u64 {
-        self.global
-    }
-
     /// These versions after one write to `table`.
     pub fn bumped(&self, table: &str) -> TableVersions {
         let mut next = self.clone();
         *next.tables.entry(table.to_string()).or_insert(0) += 1;
-        next.global += 1;
         next
     }
 }
@@ -95,11 +89,8 @@ impl TableVersions {
 struct Entry {
     solutions: SolutionSet,
     /// The `(table, version)` pairs of the base tables the entry's unfolded
-    /// SQL read, at store time; `None` = unknown provenance, which pins
-    /// [`Self::global`] instead (and is evicted by any write).
-    deps: Option<Vec<(String, u64)>>,
-    /// The global write counter at store time.
-    global: u64,
+    /// SQL read, at store time.
+    deps: Vec<(String, u64)>,
 }
 
 #[derive(Default)]
@@ -131,8 +122,8 @@ impl BgpCache {
     }
 
     /// Stores a BGP's solutions stamped with the versions (from the
-    /// reader's snapshot) of every table the unfolded SQL read (`tables`;
-    /// `None` = unknown provenance). Evicts the oldest entry when full.
+    /// reader's snapshot) of every table the unfolded SQL read (`tables`).
+    /// Evicts the oldest entry when full.
     /// The stamp is the validity proof: a write that landed since the
     /// snapshot was taken bumped some dependency's version, so the entry
     /// simply never matches newer readers.
@@ -141,19 +132,17 @@ impl BgpCache {
         key: String,
         solutions: SolutionSet,
         versions: &TableVersions,
-        tables: Option<BTreeSet<String>>,
+        tables: BTreeSet<String>,
     ) {
         let entry = Entry {
             solutions,
-            deps: tables.map(|deps| {
-                deps.into_iter()
-                    .map(|t| {
-                        let version = versions.of(&t);
-                        (t, version)
-                    })
-                    .collect()
-            }),
-            global: versions.global(),
+            deps: tables
+                .into_iter()
+                .map(|t| {
+                    let version = versions.of(&t);
+                    (t, version)
+                })
+                .collect(),
         };
         let mut inner = self.inner.lock().expect("cache lock");
         if let Some(existing) = inner.map.get_mut(&key) {
@@ -174,9 +163,8 @@ impl BgpCache {
     /// exactly one hit (any key answers) or one miss (none) is counted,
     /// however many keys are probed. The pipeline uses this to prefer a
     /// restriction-exact entry while still accepting the unrestricted
-    /// superset, without double-counting. An entry with known provenance
-    /// matches when every dependency's version agrees; one with unknown
-    /// provenance only when the global counter does.
+    /// superset, without double-counting. An entry matches when every
+    /// dependency's version agrees.
     pub fn lookup_any_versioned(
         &self,
         keys: &[&str],
@@ -187,11 +175,7 @@ impl BgpCache {
             let Some(entry) = inner.map.get(*key) else {
                 continue;
             };
-            let valid = match &entry.deps {
-                Some(deps) => deps.iter().all(|(t, v)| versions.of(t) == *v),
-                None => entry.global == versions.global(),
-            };
-            if valid {
+            if entry.deps.iter().all(|(t, v)| versions.of(t) == *v) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(entry.solutions.clone());
             }
@@ -211,20 +195,17 @@ impl BgpCache {
     }
 
     /// Evicts the entries that depend on `table` (read it in their
-    /// unfolded SQL) or whose provenance is unknown — the ones a write to
-    /// `table` has just made unmatchable for post-write readers;
+    /// unfolded SQL) — the ones a write to `table` has just made
+    /// unmatchable for post-write readers;
     /// independent entries stay. Counts one invalidation and returns how
     /// many entries were evicted.
     pub fn invalidate_table(&self, table: &str) -> usize {
         let mut guard = self.inner.lock().expect("cache lock");
         let inner = &mut *guard;
         let before = inner.map.len();
-        inner.map.retain(|_, entry| {
-            entry
-                .deps
-                .as_ref()
-                .is_some_and(|deps| deps.iter().all(|(t, _)| t != table))
-        });
+        inner
+            .map
+            .retain(|_, entry| entry.deps.iter().all(|(t, _)| t != table));
         let map = &inner.map;
         inner.order.retain(|k| map.contains_key(k));
         self.invalidations.fetch_add(1, Ordering::Relaxed);
@@ -293,8 +274,8 @@ mod tests {
         }
     }
 
-    fn deps(tables: &[&str]) -> Option<BTreeSet<String>> {
-        Some(tables.iter().map(|t| t.to_string()).collect())
+    fn deps(tables: &[&str]) -> BTreeSet<String> {
+        tables.iter().map(|t| t.to_string()).collect()
     }
 
     /// Stores `n` solutions under `key`, stamped at `versions` over `deps`.
@@ -303,7 +284,7 @@ mod tests {
         key: &str,
         n: i64,
         versions: &TableVersions,
-        deps: Option<BTreeSet<String>>,
+        deps: BTreeSet<String>,
     ) {
         cache.store_versioned(key.into(), solutions(n), versions, deps);
     }
@@ -329,7 +310,7 @@ mod tests {
         let cache = BgpCache::new();
         let v0 = TableVersions::new();
         store(&cache, "a", 1, &v0, deps(&["t"]));
-        store(&cache, "b", 2, &v0, None);
+        store(&cache, "b", 2, &v0, deps(&[]));
         assert_eq!(cache.invalidate(), 2);
         assert!(cache.is_empty());
         assert_eq!(cache.invalidations(), 1);
@@ -395,8 +376,7 @@ mod tests {
     }
 
     /// A write to one table evicts only the entries that read it; entries
-    /// over other tables stay warm, and unknown-provenance entries always
-    /// go.
+    /// over other tables, or over none, stay warm.
     #[test]
     fn table_invalidation_evicts_only_dependents() {
         let cache = BgpCache::new();
@@ -404,16 +384,17 @@ mod tests {
         store(&cache, "sensors", 1, &v0, deps(&["sensors"]));
         store(&cache, "joined", 2, &v0, deps(&["sensors", "turbines"]));
         store(&cache, "turbines", 3, &v0, deps(&["turbines"]));
-        store(&cache, "opaque", 4, &v0, None);
+        store(&cache, "unmapped", 4, &v0, deps(&[]));
 
         let evicted = cache.invalidate_table("sensors");
-        assert_eq!(evicted, 3, "sensors, joined, and the unknown entry go");
-        assert_eq!(cache.len(), 1);
+        assert_eq!(evicted, 2, "sensors and joined go");
+        assert_eq!(cache.len(), 2);
         let v1 = v0.bumped("sensors");
         assert!(
             lookup(&cache, "turbines", &v1).is_some(),
             "independent entry warm"
         );
+        assert!(lookup(&cache, "unmapped", &v1).is_some());
         assert!(lookup(&cache, "sensors", &v1).is_none());
         assert!(lookup(&cache, "joined", &v1).is_none());
         assert_eq!(cache.invalidations(), 1);
@@ -431,10 +412,8 @@ mod tests {
         let post = pre.bumped("sensors");
         cache.invalidate_table("sensors");
         store(&cache, "sensors", 1, &pre, deps(&["sensors"]));
-        store(&cache, "opaque", 1, &pre, None);
         store(&cache, "turbines", 1, &pre, deps(&["turbines"]));
         assert!(lookup(&cache, "sensors", &post).is_none());
-        assert!(lookup(&cache, "opaque", &post).is_none());
         assert!(lookup(&cache, "sensors", &pre).is_some());
         assert!(lookup(&cache, "turbines", &post).is_some());
     }
@@ -482,14 +461,14 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (3, 1));
     }
 
-    /// Unknown-provenance entries pin the global counter: any write
-    /// anywhere hides them.
+    /// An entry that read no table (an unmapped BGP is empty whatever the
+    /// rows) has no version to fall behind: it answers every reader.
     #[test]
-    fn versioned_unknown_provenance_pins_global_counter() {
+    fn entry_over_no_tables_answers_every_reader() {
         let cache = BgpCache::new();
         let v0 = TableVersions::new();
-        store(&cache, "opaque", 1, &v0, None);
-        assert!(lookup(&cache, "opaque", &v0).is_some());
-        assert!(lookup(&cache, "opaque", &v0.bumped("anything")).is_none());
+        store(&cache, "unmapped", 0, &v0, deps(&[]));
+        assert!(lookup(&cache, "unmapped", &v0).is_some());
+        assert!(lookup(&cache, "unmapped", &v0.bumped("anything")).is_some());
     }
 }

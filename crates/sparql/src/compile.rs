@@ -574,8 +574,11 @@ impl<'a> StaticPipeline<'a> {
         // What a cached result depends on: the base tables the unfolded SQL
         // reads. An unmapped BGP reads nothing (row inserts cannot make it
         // non-empty — mappings are immutable), so its dependency set is
-        // empty, not unknown.
-        let mut tables_read = Some(std::collections::BTreeSet::new());
+        // empty.
+        let tables_read = sql
+            .as_ref()
+            .map(optique_relational::referenced_tables)
+            .unwrap_or_default();
         let solutions = match sql {
             // Some term has no mapping: the BGP is empty over the sources.
             None => SolutionSet {
@@ -583,7 +586,6 @@ impl<'a> StaticPipeline<'a> {
                 rows: Vec::new(),
             },
             Some(statement) => {
-                tables_read = optique_relational::referenced_tables(&statement);
                 stats.semi_joins_pushed += semi_joins.len();
                 let mut exec_span = self.tracer.map(|t| t.span(bgp_id, "exec"));
                 let exec_id = exec_span.as_ref().map(|s| s.id());

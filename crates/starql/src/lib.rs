@@ -32,7 +32,7 @@
 //!   patterns at states, value comparisons), compiled at registration into
 //!   an evaluator that probes that index,
 //! * [`mod@translate`] — **enrichment** (PerfectRef over the WHERE clause) and
-//!   **unfolding** (mapping expansion into SQL(+)), producing the low-level
+//!   **unfolding** (mapping expansion into SQL), producing the low-level
 //!   query fleet the paper counts,
 //! * [`engine`] — the continuous evaluation loop: pulse ticks, windows
 //!   evaluated once and shared, one HAVING verdict per WHERE binding,

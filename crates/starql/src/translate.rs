@@ -1,10 +1,11 @@
-//! STARQL → SQL(+) translation: enrichment + unfolding.
+//! STARQL → SQL translation: enrichment + unfolding.
 //!
-//! This is the STARQL2SQL(+) translator of the paper: the WHERE clause (a
+//! This is the paper's STARQL2SQL(+) translator: the WHERE clause (a
 //! conjunctive query over the ontology) is **enriched** by PerfectRef and
 //! **unfolded** through the mapping catalog into one SQL statement over the
-//! static sources; the stream side becomes a `timeslidingwindow` SQL(+)
-//! query evaluated per pulse tick. The translator also reports the
+//! static sources; the stream side is the window slice a tick reads, a scan
+//! of the stream between the window's `(open, close]` bounds. The
+//! translator also reports the
 //! *fleet* — the set of low-level data queries the single STARQL query
 //! replaces — which is the paper's headline conciseness argument (§1: a
 //! fleet of hundreds of queries, up to 80 % of diagnostic time).
@@ -229,20 +230,18 @@ pub fn translate(
         }
     }
     // The fleet: each unfolded disjunct is one low-level static query; each
-    // stream-attribute mapping adds one windowed stream query. Rendered
-    // from the per-disjunct statements before they are chained.
+    // stream-attribute mapping adds one window slice, the query a tick
+    // ships. Rendered from the per-disjunct statements before they are
+    // chained.
     let mut fleet: Vec<String> = statements.iter().map(|s| s.to_string()).collect();
     let static_sql = chain_statements(statements);
     for property in having_properties(&having) {
         let stream_assertions = ctx.mappings.for_property(&property);
         let n = stream_assertions.len().max(1);
-        for i in 0..n {
+        for _ in 0..n {
             fleet.push(format!(
-                "SELECT * FROM timeslidingwindow('{}', <ts>, {}, {}, <start>, <w>, <w>) AS w{i} -- attribute {}",
-                query.stream.name,
-                query.stream.range_ms,
-                query.stream.slide_ms,
-                property
+                "SELECT * FROM {} WHERE <ts> > <open> AND <ts> <= <close> -- attribute {property}",
+                query.stream.name
             ));
         }
     }
@@ -499,7 +498,9 @@ mod tests {
     fn fleet_counts_static_and_stream_queries() {
         let t = translate_figure1();
         assert!(t.fleet_size() >= 2, "fleet: {:#?}", t.fleet);
-        assert!(t.fleet.iter().any(|q| q.contains("timeslidingwindow")));
+        assert!(t.fleet.iter().any(|q| q.starts_with(
+            "SELECT * FROM S_Msmt WHERE <ts> > <open> AND <ts> <= <close> -- attribute"
+        )));
         assert!(t.fleet.iter().any(|q| q.starts_with("SELECT DISTINCT")));
     }
 

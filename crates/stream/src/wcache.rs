@@ -140,28 +140,10 @@ impl WCache {
         WCache::default()
     }
 
-    /// Fetches a variant of the window `(open, close]` of `stream`,
-    /// materializing its rows with `build` on first access. Concurrent
-    /// callers may race to build; the first insert wins and later builds are
-    /// discarded (builds are pure).
-    pub fn get_or_build(
-        &self,
-        stream: &str,
-        open: i64,
-        close: i64,
-        variant: &str,
-        build: impl FnOnce() -> Vec<Vec<Value>>,
-    ) -> Arc<Window> {
-        if let Some(hit) = self.lookup(stream, open, close, variant) {
-            return hit;
-        }
-        self.insert(stream, open, close, variant, build())
-    }
-
-    /// Looks up a cached window variant, counting a hit or a miss. The
-    /// two-step `lookup` / [`Self::insert`] form exists for builders that
-    /// can fail (a fragment round over a federation): a closure-based
-    /// `get_or_build` cannot return the build error.
+    /// Looks up a cached window variant, counting a hit or a miss. A miss
+    /// is filled with [`Self::insert`] once the caller has built the rows —
+    /// a build can fail (a fragment round over a federation), and its error
+    /// stays the caller's.
     pub fn lookup(
         &self,
         stream: &str,
@@ -308,15 +290,29 @@ mod tests {
         (0..n).map(|i| vec![Value::Int(i)]).collect()
     }
 
+    /// How a tick fills the cache: look the window up, and on a miss
+    /// build its rows and insert them.
+    fn fetch(
+        cache: &WCache,
+        stream: &str,
+        open: i64,
+        close: i64,
+        build: impl FnOnce() -> Vec<Vec<Value>>,
+    ) -> Arc<Window> {
+        cache
+            .lookup(stream, open, close, "")
+            .unwrap_or_else(|| cache.insert(stream, open, close, "", build()))
+    }
+
     #[test]
     fn build_once_share_after() {
         let cache = WCache::new();
         let mut builds = 0;
-        let a = cache.get_or_build("S", 0, 10, "", || {
+        let a = fetch(&cache, "S", 0, 10, || {
             builds += 1;
             rows(3)
         });
-        let b = cache.get_or_build("S", 0, 10, "", || {
+        let b = fetch(&cache, "S", 0, 10, || {
             builds += 1;
             rows(3)
         });
@@ -329,11 +325,11 @@ mod tests {
     #[test]
     fn distinct_windows_distinct_entries() {
         let cache = WCache::new();
-        cache.get_or_build("S", 0, 10, "", || rows(1));
-        cache.get_or_build("S", 1, 11, "", || rows(2));
-        cache.get_or_build("T", 0, 10, "", || rows(3));
+        fetch(&cache, "S", 0, 10, || rows(1));
+        fetch(&cache, "S", 1, 11, || rows(2));
+        fetch(&cache, "T", 0, 10, || rows(3));
         // Same close, another range: the rows differ, so must the entry.
-        let wide = cache.get_or_build("S", -20, 10, "", || rows(4));
+        let wide = fetch(&cache, "S", -20, 10, || rows(4));
         assert_eq!(wide.rows().len(), 4);
         assert_eq!(cache.len(), 4);
     }
@@ -342,10 +338,10 @@ mod tests {
     fn eviction_respects_stream_and_watermark() {
         let cache = WCache::new();
         for k in 0..5 {
-            cache.get_or_build("S", k - 10, k, "", || rows(1));
+            fetch(&cache, "S", k - 10, k, || rows(1));
             cache.keep_slice("S", 7, k, 1, Arc::new(k));
         }
-        cache.get_or_build("T", -10, 0, "", || rows(1));
+        fetch(&cache, "T", -10, 0, || rows(1));
         cache.keep_slice("T", 7, 0, 1, Arc::new(0i64));
         cache.evict_below("S", 3, 1);
         assert_eq!(cache.len(), 3, "S closing at 3 and 4, and T, remain");
@@ -354,7 +350,7 @@ mod tests {
         assert_eq!(cache.slice::<i64>("S", 7, 1, 1).as_deref(), Some(&1));
         // Re-fetching evicted window is a miss again.
         let before = cache.misses();
-        cache.get_or_build("S", -10, 0, "", || rows(1));
+        fetch(&cache, "S", -10, 0, || rows(1));
         assert_eq!(cache.misses(), before + 1);
     }
 
@@ -366,7 +362,7 @@ mod tests {
                 let cache = Arc::clone(&cache);
                 std::thread::spawn(move || {
                     for k in 0..50i64 {
-                        let got = cache.get_or_build("S", k - 5, k, "", || rows(k % 7));
+                        let got = fetch(&cache, "S", k - 5, k, || rows(k % 7));
                         assert_eq!(got.rows().len(), (k % 7) as usize, "thread {t} window {k}");
                         let (n, _) = got.derived(0, || got.rows().len());
                         assert_eq!(*n, (k % 7) as usize);
@@ -385,7 +381,7 @@ mod tests {
     #[test]
     fn derived_values_build_once_per_fingerprint() {
         let cache = WCache::new();
-        let window = cache.get_or_build("S", 0, 10, "", || rows(3));
+        let window = fetch(&cache, "S", 0, 10, || rows(3));
         let (a, built_a) = window.derived(1, || window.rows().len());
         let (b, built_b) = window.derived(1, || unreachable!("already derived"));
         assert!(built_a && !built_b);

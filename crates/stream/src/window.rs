@@ -1,14 +1,14 @@
-//! Time-based sliding windows — the `timeSlidingWindow` operator.
+//! Time-based sliding windows.
 //!
-//! "timeSlidingWindow groups tuples that belong to the same time window and
-//! associates them with a unique window id." Windows of range `r` close at
-//! `start + k·slide` (k = 0, 1, …) and cover the half-open interval
-//! `(close − r, close]` — the CQL snapshot convention, matching the STARQL
-//! window `[NOW − r, NOW] → slide`.
+//! Windows of range `r` close at `start + k·slide` (k = 0, 1, …) and cover
+//! the half-open interval `(close − r, close]` — the CQL snapshot
+//! convention, matching the STARQL window `[NOW − r, NOW] → slide`. A slide
+//! longer than the range leaves gaps no window covers. A tick reads a
+//! window's rows by these bounds: the single-node tick filters the stream
+//! table, a distributed one ships them as a `WindowSlice` fragment, and a
+//! pane probe combines the panes between them.
 
-use optique_relational::{Column, ColumnType, Schema, SqlError, Table, Value};
-
-use crate::stream::Stream;
+use optique_relational::SqlError;
 
 /// A window specification: range and slide, in milliseconds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,28 +41,6 @@ impl WindowSpec {
         (close - self.range_ms, close)
     }
 
-    /// The inclusive id range of windows containing a tuple at `ts`
-    /// (`None` when the tuple precedes every window).
-    pub fn windows_containing(&self, start: i64, ts: i64) -> Option<(u64, u64)> {
-        // Need close_k ∈ [ts, ts + range): k ≥ (ts − start)/slide and
-        // close_k < ts + range.
-        let lo_num = ts - start;
-        let k_min = if lo_num <= 0 {
-            0
-        } else {
-            div_ceil(lo_num, self.slide_ms)
-        };
-        let hi_num = ts + self.range_ms - start; // close_k < hi_num
-        if hi_num <= 0 {
-            return None;
-        }
-        let k_max = div_ceil(hi_num, self.slide_ms) - 1;
-        if k_max < k_min {
-            return None;
-        }
-        Some((k_min as u64, k_max as u64))
-    }
-
     /// The id of the last window closing at or before `ts` (`None` if `ts`
     /// precedes the first close).
     pub fn last_closed(&self, start: i64, ts: i64) -> Option<u64> {
@@ -73,61 +51,18 @@ impl WindowSpec {
     }
 }
 
-fn div_ceil(a: i64, b: i64) -> i64 {
-    debug_assert!(b > 0);
-    if a <= 0 {
-        0
-    } else {
-        (a + b - 1) / b
-    }
-}
-
-/// Applies `timeSlidingWindow` to a stream over the window-id range
-/// `[first_window, last_window]`: returns a relation whose first column is
-/// the window id, followed by the stream's columns; tuples are replicated
-/// into every window containing them, ordered by window id.
-pub fn time_sliding_window(
-    stream: &Stream,
-    spec: WindowSpec,
-    start: i64,
-    first_window: u64,
-    last_window: u64,
-) -> Result<Table, SqlError> {
-    let mut columns = vec![Column::new("window_id", ColumnType::Int)];
-    columns.extend(stream.table.schema.columns().iter().cloned());
-    let schema = Schema::qualified(&stream.name, columns);
-    let mut out = Table::empty(schema);
-    for k in first_window..=last_window {
-        let (open, close) = spec.bounds(start, k);
-        for row in stream.slice(open, close) {
-            let mut tagged = Vec::with_capacity(row.len() + 1);
-            tagged.push(Value::Int(k as i64));
-            tagged.extend(row.iter().cloned());
-            out.push_row(tagged)?;
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optique_relational::{Column, ColumnType, Schema, Table};
 
-    fn stream_with_times(times: &[i64]) -> Stream {
-        let schema = Schema::qualified(
-            "s",
-            vec![
-                Column::new("ts", ColumnType::Timestamp),
-                Column::new("v", ColumnType::Int),
-            ],
-        );
-        let rows = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| vec![Value::Timestamp(t), Value::Int(i as i64)])
-            .collect();
-        Stream::new("s", Table::new(schema, rows).unwrap(), 0).unwrap()
+    /// The ids among the first `n` windows whose bounds hold instant `ts`.
+    fn holding(w: &WindowSpec, start: i64, ts: i64, n: u64) -> Vec<u64> {
+        (0..n)
+            .filter(|&k| {
+                let (open, close) = w.bounds(start, k);
+                open < ts && ts <= close
+            })
+            .collect()
     }
 
     #[test]
@@ -147,62 +82,57 @@ mod tests {
     #[test]
     fn tuple_window_membership() {
         let w = WindowSpec::new(10_000, 1_000).unwrap();
-        // Tuple at t=0 is in windows closing at 0..=9000 (close < 10000).
-        assert_eq!(w.windows_containing(0, 0), Some((0, 9)));
-        // Tuple at 2500 is in windows closing at 3000..=12000.
-        assert_eq!(w.windows_containing(0, 2500), Some((3, 12)));
+        // A tuple at t=0 is in the windows closing at 0..=9000 (close < 10000).
+        assert_eq!(holding(&w, 0, 0, 40), (0..=9).collect::<Vec<_>>());
+        // A tuple at 2500 is in the windows closing at 3000..=12000.
+        assert_eq!(holding(&w, 0, 2_500, 40), (3..=12).collect::<Vec<_>>());
     }
 
     #[test]
     fn tumbling_window_membership() {
         let w = WindowSpec::new(1_000, 1_000).unwrap();
-        // Tumbling: each tuple in exactly one window; (open, close] semantics
-        // put a tuple exactly at a close time into that window.
-        assert_eq!(w.windows_containing(0, 1_000), Some((1, 1)));
-        assert_eq!(w.windows_containing(0, 999), Some((1, 1)));
-        assert_eq!(w.windows_containing(0, 1_001), Some((2, 2)));
+        // Tumbling: each tuple in exactly one window; (open, close] puts a
+        // tuple exactly at a close time into that window.
+        assert_eq!(holding(&w, 0, 1_000, 10), vec![1]);
+        assert_eq!(holding(&w, 0, 999, 10), vec![1]);
+        assert_eq!(holding(&w, 0, 1_001, 10), vec![2]);
     }
 
     #[test]
     fn tuple_before_all_windows() {
         let w = WindowSpec::new(1_000, 1_000).unwrap();
-        assert_eq!(w.windows_containing(100_000, 5_000), None);
+        assert!(holding(&w, 100_000, 5_000, 10).is_empty());
+        assert_eq!(w.last_closed(100_000, 5_000), None);
     }
 
     #[test]
     fn every_tuple_lands_in_its_windows() {
-        // Invariant: materialized window content agrees with per-tuple
-        // membership computation.
+        // The windows holding an instant are the run after the last window
+        // to close before it, up to the last to close before it leaves the
+        // range: `bounds` and `last_closed` agree.
         let w = WindowSpec::new(5_000, 2_000).unwrap();
-        let s = stream_with_times(&[0, 1_000, 2_500, 4_000, 8_000, 9_999]);
-        let table = time_sliding_window(&s, w, 0, 0, 8).unwrap();
-        for row in &table.rows {
-            let wid = row[0].as_i64().unwrap() as u64;
-            let ts = row[1].as_i64().unwrap();
-            let (lo, hi) = w.windows_containing(0, ts).unwrap();
-            assert!(
-                wid >= lo && wid <= hi,
-                "tuple at {ts} misplaced in window {wid}"
+        for ts in [0, 1_000, 2_500, 4_000, 8_000, 9_999] {
+            let first = w.last_closed(0, ts - 1).map_or(0, |k| k + 1);
+            let last = w.last_closed(0, ts + w.range_ms - 1).unwrap();
+            assert_eq!(
+                holding(&w, 0, ts, 40),
+                (first..=last).collect::<Vec<_>>(),
+                "tuple at {ts}"
             );
         }
-        // And conversely: count matches the sum over windows of slice sizes.
-        let mut expected = 0;
-        for k in 0..=8u64 {
-            let (open, close) = w.bounds(0, k);
-            expected += s.slice(open, close).len();
-        }
-        assert_eq!(table.len(), expected);
     }
 
     #[test]
     fn window_output_sorted_by_wid() {
+        // Window ids order windows by time: each window is its predecessor
+        // moved by one slide, and closes when `last_closed` says it does.
         let w = WindowSpec::new(2_000, 1_000).unwrap();
-        let s = stream_with_times(&[0, 500, 1_500]);
-        let table = time_sliding_window(&s, w, 0, 0, 3).unwrap();
-        let wids: Vec<i64> = table.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
-        let mut sorted = wids.clone();
-        sorted.sort_unstable();
-        assert_eq!(wids, sorted);
+        for k in 0..8u64 {
+            let (open, close) = w.bounds(600_000, k);
+            assert_eq!(w.bounds(600_000, k + 1), (open + 1_000, close + 1_000));
+            assert_eq!(w.last_closed(600_000, close), Some(k));
+            assert_eq!(w.close_time(600_000, k), close);
+        }
     }
 
     #[test]

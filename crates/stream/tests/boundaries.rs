@@ -1,80 +1,108 @@
 //! Boundary behavior of the stream substrate: empty windows, slides wider
 //! than the range (gap windows), out-of-order pulses, window-cache
-//! variants, and relation-to-stream diffs over degenerate inputs.
+//! variants, and relation-to-stream diffs over degenerate inputs. Windows
+//! are read the way a distributed tick reads them: a scan of the stream
+//! table with the window's bounds as a `WindowSlice`.
 
 use std::sync::Arc;
 
-use optique_relational::{Column, ColumnType, Schema, Table, Value};
+use optique_relational::{table::table_of, ColumnType, Database, PlanFragment, Value, WindowSlice};
 use optique_stream::r2s::StreamDiffer;
-use optique_stream::wcache::{WCache, Window};
-use optique_stream::{time_sliding_window, Stream, WindowSpec};
+use optique_stream::wcache::WCache;
+use optique_stream::WindowSpec;
 
-fn stream_with_times(times: &[i64]) -> Stream {
-    let schema = Schema::qualified(
-        "s",
-        vec![
-            Column::new("ts", ColumnType::Timestamp),
-            Column::new("v", ColumnType::Int),
-        ],
-    );
+/// A stream table `s(ts, v)` with one row per instant, `v` its position.
+fn stream_db(times: &[i64]) -> Database {
     let rows = times
         .iter()
         .enumerate()
         .map(|(i, &t)| vec![Value::Timestamp(t), Value::Int(i as i64)])
         .collect();
-    Stream::new("s", Table::new(schema, rows).unwrap(), 0).unwrap()
+    let mut db = Database::new();
+    db.put_table(
+        "s",
+        table_of(
+            "s",
+            &[("ts", ColumnType::Timestamp), ("v", ColumnType::Int)],
+            rows,
+        )
+        .unwrap(),
+    );
+    db
+}
+
+/// The rows of the window `(open, close]`, as a tick ships it.
+fn window_rows(db: &Database, open_ms: i64, close_ms: i64) -> Vec<Vec<Value>> {
+    let window = WindowSlice {
+        column: "ts".into(),
+        open_ms,
+        close_ms,
+    };
+    PlanFragment::new(0, "SELECT ts, v FROM s", 1.0)
+        .with_window(window)
+        .execute(db)
+        .unwrap()
+        .rows
+}
+
+/// The instants of the rows of window `k`.
+fn window_times(db: &Database, w: WindowSpec, start: i64, k: u64) -> Vec<i64> {
+    let (open, close) = w.bounds(start, k);
+    (window_rows(db, open, close).iter())
+        .map(|row| row[0].as_i64().unwrap())
+        .collect()
 }
 
 // ---- empty windows ------------------------------------------------------
 
 #[test]
 fn empty_stream_yields_empty_windows() {
-    let s = stream_with_times(&[]);
+    let db = stream_db(&[]);
     let w = WindowSpec::new(5_000, 1_000).unwrap();
-    let table = time_sliding_window(&s, w, 0, 0, 10).unwrap();
-    assert!(table.is_empty());
-    assert!(s.slice(i64::MIN + 1, i64::MAX).is_empty());
+    assert!((0..=10).all(|k| window_times(&db, w, 0, k).is_empty()));
+    assert!(window_rows(&db, i64::MIN + 1, i64::MAX).is_empty());
 }
 
 #[test]
 fn window_past_the_data_is_empty() {
-    let s = stream_with_times(&[1_000, 2_000]);
+    let db = stream_db(&[1_000, 2_000]);
     let w = WindowSpec::new(1_000, 1_000).unwrap();
     // Window 10 covers (9000, 10000]: nothing there.
-    let table = time_sliding_window(&s, w, 0, 10, 10).unwrap();
-    assert!(table.is_empty());
+    assert!(window_times(&db, w, 0, 10).is_empty());
     // A window entirely before the data is just as empty.
-    assert!(s.slice(-10_000, -5_000).is_empty());
+    assert!(window_rows(&db, -10_000, -5_000).is_empty());
 }
 
 #[test]
 fn window_boundaries_are_half_open() {
-    let s = stream_with_times(&[1_000, 2_000, 3_000]);
-    // (1000, 2000]: exactly the middle tuple.
-    assert_eq!(s.slice(1_000, 2_000).len(), 1);
+    let db = stream_db(&[1_000, 2_000, 3_000]);
+    // (1000, 2000]: exactly the middle tuple — the one at the open instant
+    // is out, the one at the close instant is in.
+    assert_eq!(window_rows(&db, 1_000, 2_000).len(), 1);
+    assert_eq!(
+        window_rows(&db, 1_000, 2_000)[0][0],
+        Value::Timestamp(2_000)
+    );
     // (2000, 2000]: degenerate interval, empty.
-    assert!(s.slice(2_000, 2_000).is_empty());
+    assert!(window_rows(&db, 2_000, 2_000).is_empty());
 }
 
 // ---- slide > range (gap windows) ----------------------------------------
 
 #[test]
 fn slide_wider_than_range_leaves_gaps() {
-    // Range 1 s, slide 3 s: windows cover (2s,3s], (5s,6s], … — tuples in
-    // the gaps belong to no window at all.
+    // Range 1 s, slide 3 s: windows cover (-1s,0s], (2s,3s], (5s,6s], … —
+    // tuples in the gaps belong to no window at all.
     let w = WindowSpec::new(1_000, 3_000).unwrap();
-    assert_eq!(w.windows_containing(0, 2_500), Some((1, 1)));
+    let db = stream_db(&[500, 2_500, 4_000, 5_500]);
+    let windows: Vec<Vec<i64>> = (0..=4).map(|k| window_times(&db, w, 0, k)).collect();
+    // Only the tuples at 2500 (window 1) and 5500 (window 2) are read.
     assert_eq!(
-        w.windows_containing(0, 4_000),
-        None,
-        "a tuple in the gap is in no window"
+        windows,
+        vec![vec![], vec![2_500], vec![5_500], vec![], vec![]]
     );
-    let s = stream_with_times(&[500, 2_500, 4_000, 5_500]);
-    let table = time_sliding_window(&s, w, 0, 0, 4).unwrap();
-    // Only the tuples at 2500 (window 1) and 5500 (window 2) materialize.
-    assert_eq!(table.len(), 2);
-    let wids: Vec<i64> = table.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
-    assert_eq!(wids, vec![1, 2]);
+    // The tick between two windows still answers the one before the gap.
+    assert_eq!(w.last_closed(0, 4_000), Some(1));
 }
 
 // ---- out-of-order pulses ------------------------------------------------
@@ -91,19 +119,21 @@ fn out_of_order_ticks_are_idempotent_over_the_cache() {
     // A monitoring loop may re-tick an earlier instant (replay, retry):
     // the same window bounds resolve and the cache serves the same rows.
     let w = WindowSpec::new(2_000, 1_000).unwrap();
-    let s = stream_with_times(&[600_500, 601_500, 602_500]);
+    let db = stream_db(&[600_500, 601_500, 602_500]);
     let cache = WCache::new();
-    let materialize = |tick: i64| -> Arc<Window> {
+    let materialize = |tick: i64| {
         let id = w.last_closed(600_000, tick).unwrap();
         let (open, close) = w.bounds(600_000, id);
-        cache.get_or_build("s", open, close, "", || s.slice(open, close).to_vec())
+        (cache.lookup("s", open, close, ""))
+            .unwrap_or_else(|| cache.insert("s", open, close, "", window_rows(&db, open, close)))
     };
     let forward = materialize(602_000);
     let _ = materialize(603_000);
     let replay = materialize(602_000); // out-of-order: earlier tick again
     assert!(Arc::ptr_eq(&forward, &replay), "replay hits the cache");
-    assert_eq!(cache.misses(), 2, "two distinct windows built");
-    assert!(cache.hits() >= 1);
+    assert_eq!(forward.rows().len(), 2, "(600000, 602000] holds two rows");
+    assert_eq!((cache.misses(), cache.hits()), (2, 1), "two windows built");
+    assert_eq!(cache.len(), 2);
 }
 
 // ---- window-cache variants ----------------------------------------------
@@ -220,12 +250,12 @@ fn gap_windows_produce_delta_bursts_between_empty_ticks() {
     // between covered tuples and gap emptiness, so IStream/DStream fire in
     // bursts — insert on entering a covered window, delete on leaving it.
     let w = WindowSpec::new(1_000, 3_000).unwrap();
-    let s = stream_with_times(&[2_500, 5_500]);
+    let db = stream_db(&[2_500, 5_500]);
     let mut d: StreamDiffer<Vec<Value>> = StreamDiffer::new();
     let mut log = Vec::new();
     for id in 0..3u64 {
         let (open, close) = w.bounds(0, id);
-        let (ins, del) = d.tick(s.slice(open, close).to_vec());
+        let (ins, del) = d.tick(window_rows(&db, open, close));
         log.push((ins.len(), del.len()));
     }
     // Window 0 (-1000,0] empty; window 1 (2000,3000] holds ts 2500;

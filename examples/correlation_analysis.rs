@@ -35,7 +35,7 @@ fn main() {
     println!("planted correlated pairs: {:?}\n", truth.correlated_pairs);
 
     // 1. SQL CORR over a small sensor subset (all-pairs in SQL explodes).
-    println!("== SQL(+) CORR on the first 12 sensors ==");
+    println!("== SQL CORR on the first 12 sensors ==");
     let start = Instant::now();
     let t = optique_relational::exec::query(
         "SELECT a.sensor_id AS s1, b.sensor_id AS s2, CORR(a.value, b.value) AS r \

@@ -35,7 +35,7 @@ fn main() {
                 registered += 1;
             }
             TaskQuery::SqlPlus(sql) => {
-                println!("  {} [{}] runs as a SQL(+) dataflow:", task.id, task.name);
+                println!("  {} [{}] runs as plain SQL:", task.id, task.name);
                 let t = optique_relational::exec::query(sql, &platform.db()).expect("runs");
                 print!("{}", t.render(4));
             }

@@ -9,19 +9,18 @@ use std::sync::Arc;
 use optique::OptiquePlatform;
 use optique_exastream::cluster::{hash_partition, Cluster};
 use optique_exastream::gateway::{Gateway, StaticFragment};
-use optique_relational::{Database, PlanFragment};
+use optique_relational::{Database, PlanFragment, Table, WindowSlice};
 use optique_siemens::{FleetConfig, SiemensDeployment, StreamConfig};
 use optique_starql::FIGURE1;
 
 /// A cluster with the measurement stream hash-partitioned by sensor and
-/// static tables replicated.
-fn siemens_cluster(workers: usize) -> (Arc<Cluster>, usize) {
+/// static tables replicated, plus the whole stream table.
+fn siemens_cluster(workers: usize) -> (Arc<Cluster>, Table) {
     let mut db = Database::new();
     let sensor_ids = optique_siemens::fleet::build_fleet(&mut db, &FleetConfig::small()).unwrap();
     let config = StreamConfig::small(sensor_ids);
     optique_siemens::streamgen::build_stream(&mut db, &config).unwrap();
     let stream = (**db.table("S_Msmt").unwrap()).clone();
-    let total = stream.len();
     let shards = hash_partition(&stream, 1, workers); // column 1 = sensor_id
     let statics: Vec<(String, _)> = ["turbines", "assemblies", "sensors", "countries"]
         .iter()
@@ -33,10 +32,9 @@ fn siemens_cluster(workers: usize) -> (Arc<Cluster>, usize) {
         for (name, table) in &statics {
             worker_db.put_table(name.clone(), table.clone());
         }
-        optique_stream::register_stream_functions(&mut worker_db);
         worker_db
     });
-    (Arc::new(cluster), total)
+    (Arc::new(cluster), stream)
 }
 
 fn placed(id: u64, sql: &str, cost: f64) -> StaticFragment {
@@ -45,12 +43,14 @@ fn placed(id: u64, sql: &str, cost: f64) -> StaticFragment {
 
 #[test]
 fn partitioned_execution_covers_every_tuple() {
-    let (cluster, total) = siemens_cluster(4);
-    let results = cluster
-        .parallel_query("SELECT COUNT(*) AS n FROM S_Msmt")
-        .unwrap();
-    let sum: i64 = results.iter().map(|t| t.rows[0][0].as_i64().unwrap()).sum();
-    assert_eq!(sum as usize, total);
+    let (cluster, stream) = siemens_cluster(4);
+    let round = Gateway::new(cluster).run_static_round(&[StaticFragment::scattered(
+        PlanFragment::new(0, "SELECT COUNT(*) AS n FROM S_Msmt", 1.0),
+    )]);
+    let partials = round.tables[0].as_ref().unwrap();
+    assert_eq!(partials.len(), 4, "one partial count per shard");
+    let sum: i64 = partials.rows.iter().map(|r| r[0].as_i64().unwrap()).sum();
+    assert_eq!(sum as usize, stream.len());
 }
 
 #[test]
@@ -101,19 +101,37 @@ fn placed_round_returns_per_fragment_answers() {
     );
 }
 
+/// A window is a scan of the stream with its `(open, close]` bounds as a
+/// `WindowSlice`, scattered over the shards: the gathered rows are exactly
+/// the whole table's rows between the bounds — every shard's, not one's.
 #[test]
 fn windowed_queries_run_on_workers() {
-    let (cluster, _) = siemens_cluster(4);
-    let gateway = Gateway::new(cluster);
-    let round = gateway.run_static_round(&[placed(
-        0,
-        "SELECT window_id, COUNT(*) AS n FROM \
-         timeslidingwindow('S_Msmt', 0, 10000, 1000, 600000, 0, 9) AS w \
-         GROUP BY window_id",
-        2.0,
-    )]);
-    let t = round.tables[0].as_ref().unwrap();
-    assert!(!t.is_empty(), "windows materialize on the worker's shard");
+    let (cluster, stream) = siemens_cluster(4);
+    let (open_ms, close_ms) = (600_000, 610_000);
+    let fragment = PlanFragment::new(0, "SELECT ts, sensor_id, value, event FROM S_Msmt", 2.0)
+        .with_window(WindowSlice {
+            column: "ts".into(),
+            open_ms,
+            close_ms,
+        });
+    let round = Gateway::new(cluster).run_static_round(&[StaticFragment::scattered(fragment)]);
+    let mut gathered = round.tables[0].as_ref().unwrap().rows.clone();
+    let mut expected: Vec<_> = (stream.rows.into_iter())
+        .filter(|row| {
+            row[0]
+                .as_i64()
+                .is_some_and(|ts| ts > open_ms && ts <= close_ms)
+        })
+        .collect();
+    assert!(!expected.is_empty());
+    gathered.sort();
+    expected.sort();
+    assert_eq!(gathered, expected);
+    assert!(
+        round.worker_rows.iter().all(|&rows| rows > 0),
+        "every shard shipped its slice: {:?}",
+        round.worker_rows
+    );
 }
 
 /// The whole of Figure 2 through the front door: a continuous query

@@ -6,10 +6,13 @@
 
 use std::collections::BTreeMap;
 
+use std::sync::Arc;
+
 use optique_exastream::cluster::{hash_partition, Cluster};
+use optique_exastream::gateway::{Gateway, StaticFragment};
 use optique_relational::{
-    compute_window_aggregates, merge_pane_rows, Column, ColumnType, Database, PaneProbe, Schema,
-    SqlError, Table, Value,
+    compute_window_aggregates, merge_pane_rows, Column, ColumnType, Database, PaneProbe,
+    PlanFragment, Schema, SqlError, Table, Value,
 };
 
 /// A table of one INT column `v` holding `values`, keyed for partitioning by
@@ -49,7 +52,9 @@ fn scalar_add_overflow_is_typed_and_topology_independent() {
     let single = optique_relational::exec::query(sql, &db).unwrap_err();
     assert!(matches!(single, SqlError::Overflow(_)), "got {single}");
 
-    let distributed = cluster_of(&db, 2).parallel_query(sql).unwrap_err();
+    let round = Gateway::new(Arc::new(cluster_of(&db, 2)))
+        .run_static_round(&[StaticFragment::scattered(PlanFragment::new(0, sql, 1.0))]);
+    let distributed = round.tables[0].clone().unwrap_err();
     assert!(
         matches!(distributed, SqlError::Overflow(_)),
         "got {distributed}"
