@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use optique_relational::{Database, PaneStore, PlanFragment, SqlError, Table};
+use optique_relational::{Database, ExecCounts, PaneStore, PlanFragment, SqlError, Table};
 use optique_telemetry::SpanRecord;
 
 use crate::cluster::{worker_panicked, Cluster, Worker};
@@ -196,6 +196,7 @@ impl Gateway {
             // "hit" = nothing was prepared for this execution: a warm pane
             // store, or a statement that arrived typed or already parsed.
             let mut cache_hit = !q.parsed_here;
+            let mut counts = ExecCounts::default();
             let result = (|| {
                 let epoch = q.fragment.novelty_epoch;
                 if let std::collections::hash_map::Entry::Vacant(slot) = views.entry(epoch) {
@@ -223,7 +224,9 @@ impl Gateway {
                     return Ok(table);
                 }
                 out.executions += 1;
-                q.fragment.execute_on(db)
+                let (table, exec_counts) = q.fragment.execute_on(db)?;
+                counts = exec_counts;
+                Ok(table)
             })();
             let rows = result.as_ref().map_or(0, Table::len);
             let mut span = SpanRecord::new(
@@ -238,7 +241,10 @@ impl Gateway {
             .attr("worker", worker.id)
             .attr("queue_us", queue_us)
             .attr("cache", if cache_hit { "hit" } else { "miss" })
-            .attr("rows", rows);
+            .attr("rows", rows)
+            .attr("scans", counts.scans)
+            .attr("scans_shared", counts.scans_shared)
+            .attr("rows_scanned", counts.rows_scanned);
             if q.scatter {
                 span = span.attr("shard", worker.id);
             }

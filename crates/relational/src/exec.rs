@@ -1,13 +1,25 @@
-//! Volcano-style materializing executor.
+//! Volcano-style executor.
 //!
-//! Every node materializes its output rows. Joins with equi-keys run as hash
-//! joins (build on the smaller side for inner joins); other joins fall back
-//! to nested loops. Aggregation is hash-grouped. This is deliberately simple
-//! and allocation-conscious rather than vectorized — the distribution layer
-//! in `optique-exastream` provides the parallelism the paper's numbers come
+//! A node hands its parent rows it built or rows it borrows. Rows are
+//! borrowed, not copied, where a node only passes them on or reads them:
+//! an identity projection hands its input up as is, a LIMIT slices, and
+//! join sides, projections, filters and aggregates read their input in
+//! place. A scan the plan holds more than once — one `(table, filter,
+//! projection)` in several `UNION ALL` branches, as the unfolding of a BGP
+//! whose atoms several mappings answer produces — reads its table once per
+//! [`execute`] call and lends its rows to every occurrence: the catalog
+//! snapshot is fixed for the call, so they are the same rows.
+//! [`execute_counted`] reports that work as [`ExecCounts`].
+//!
+//! Joins with equi-keys run as hash joins built on the right side; other
+//! joins fall back to nested loops. Aggregation is hash-grouped, DISTINCT
+//! hash-deduplicated in first-seen order. This is deliberately simple and
+//! allocation-conscious rather than vectorized — the distribution layer in
+//! `optique-exastream` provides the parallelism the paper's numbers come
 //! from.
 
-use std::collections::HashMap;
+use std::cell::{Cell, OnceCell};
+use std::collections::{HashMap, HashSet};
 
 use crate::error::SqlError;
 use crate::expr::Expr;
@@ -17,13 +29,35 @@ use crate::plan::LogicalPlan;
 use crate::table::{Database, Table};
 use crate::value::Value;
 
+type Row = Vec<Value>;
+
+/// The scan work one [`execute_counted`] call did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExecCounts {
+    /// Scans that read their table.
+    pub scans: usize,
+    /// Scan nodes answered by an identical scan's rows, read earlier in
+    /// the same call.
+    pub scans_shared: usize,
+    /// Table rows (base and novelty overlay) the scans read, before their
+    /// filters.
+    pub rows_scanned: usize,
+}
+
 /// Executes a bound (optionally optimized) logical plan.
 pub fn execute(plan: &LogicalPlan, db: &Database) -> Result<Table, SqlError> {
-    let rows = run(plan, db)?;
-    Ok(Table {
+    execute_counted(plan, db).map(|(table, _)| table)
+}
+
+/// [`execute`], also reporting the scan work it did.
+pub fn execute_counted(plan: &LogicalPlan, db: &Database) -> Result<(Table, ExecCounts), SqlError> {
+    let exec = Exec::new(plan, db);
+    let rows = exec.run(plan)?.into_owned();
+    let table = Table {
         schema: plan.schema().clone(),
         rows,
-    })
+    };
+    Ok((table, exec.counts.get()))
 }
 
 /// Convenience: parse, plan, optimize, execute.
@@ -34,176 +68,418 @@ pub fn query(sql: &str, db: &Database) -> Result<Table, SqlError> {
     execute(&plan, db)
 }
 
-fn run(plan: &LogicalPlan, db: &Database) -> Result<Vec<Vec<Value>>, SqlError> {
+/// A node's output: rows it built, or rows it borrows from a shared scan.
+enum Rows<'a> {
+    Owned(Vec<Row>),
+    Borrowed(&'a [Row]),
+}
+
+impl Rows<'_> {
+    fn as_slice(&self) -> &[Row] {
+        match self {
+            Rows::Owned(rows) => rows,
+            Rows::Borrowed(rows) => rows,
+        }
+    }
+
+    fn into_owned(self) -> Vec<Row> {
+        match self {
+            Rows::Owned(rows) => rows,
+            Rows::Borrowed(rows) => rows.to_vec(),
+        }
+    }
+
+    /// The rows whose `keep` flag is set, in order; borrowed rows are
+    /// copied, owned ones moved.
+    fn select(self, keep: &[bool]) -> Vec<Row> {
+        let kept = keep.iter().filter(|&&k| k).count();
+        let mut out = Vec::with_capacity(kept);
+        match self {
+            Rows::Owned(rows) => out.extend(
+                rows.into_iter()
+                    .zip(keep)
+                    .filter_map(|(row, &k)| k.then_some(row)),
+            ),
+            Rows::Borrowed(rows) => out.extend(
+                rows.iter()
+                    .zip(keep)
+                    .filter(|(_, &k)| k)
+                    .map(|(row, _)| row.clone()),
+            ),
+        }
+        out
+    }
+}
+
+/// One [`execute_counted`] call: the catalog, the memo of scans the plan
+/// holds more than once, and the counts.
+struct Exec<'a> {
+    db: &'a Database,
+    /// A repeated scan node's address → its slot in `memo`.
+    shared: HashMap<*const LogicalPlan, usize>,
+    /// The rows of each repeated scan, read by its first occurrence.
+    memo: Vec<OnceCell<Vec<Row>>>,
+    counts: Cell<ExecCounts>,
+}
+
+impl<'a> Exec<'a> {
+    fn new(plan: &LogicalPlan, db: &'a Database) -> Self {
+        let mut scans = Vec::new();
+        collect_scans(plan, &mut scans);
+        // Group the scans by what they read; a group of two or more shares
+        // one slot. (One scan has nothing to share.)
+        if scans.len() < 2 {
+            scans.clear();
+        }
+        let mut groups: Vec<Vec<&LogicalPlan>> = Vec::new();
+        let mut by_table: HashMap<&str, Vec<usize>> = HashMap::new();
+        for scan in scans {
+            let LogicalPlan::Scan { table, .. } = scan else {
+                unreachable!("collect_scans yields scans")
+            };
+            let candidates = by_table.entry(table).or_default();
+            match candidates
+                .iter()
+                .find(|&&g| reads_same_rows(groups[g][0], scan))
+            {
+                Some(&g) => groups[g].push(scan),
+                None => {
+                    candidates.push(groups.len());
+                    groups.push(vec![scan]);
+                }
+            }
+        }
+        let mut shared = HashMap::new();
+        let mut slots = 0;
+        for group in groups.iter().filter(|g| g.len() > 1) {
+            for &scan in group {
+                shared.insert(scan as *const LogicalPlan, slots);
+            }
+            slots += 1;
+        }
+        Exec {
+            db,
+            shared,
+            memo: (0..slots).map(|_| OnceCell::new()).collect(),
+            counts: Cell::new(ExecCounts::default()),
+        }
+    }
+
+    fn tally(&self, f: impl FnOnce(&mut ExecCounts)) {
+        let mut counts = self.counts.get();
+        f(&mut counts);
+        self.counts.set(counts);
+    }
+
+    fn run<'s>(&'s self, plan: &'s LogicalPlan) -> Result<Rows<'s>, SqlError> {
+        Ok(match plan {
+            LogicalPlan::Scan {
+                table,
+                filter,
+                projection,
+                ..
+            } => {
+                let read = || self.scan(table, filter.as_ref(), projection.as_deref());
+                match self.shared.get(&(plan as *const LogicalPlan)) {
+                    None => Rows::Owned(read()?),
+                    Some(&slot) => {
+                        let cell = &self.memo[slot];
+                        if cell.get().is_some() {
+                            self.tally(|c| c.scans_shared += 1);
+                        } else {
+                            // `set` cannot fail: the cell was just empty.
+                            let _ = cell.set(read()?);
+                        }
+                        Rows::Borrowed(cell.get().expect("memo slot filled above"))
+                    }
+                }
+            }
+            LogicalPlan::Filter { input, predicate } => {
+                let pass = |row: &Row| Ok::<_, SqlError>(predicate.eval(row)?.is_truthy());
+                let mut out = Vec::new();
+                match self.run(input)? {
+                    Rows::Owned(rows) => {
+                        for row in rows {
+                            if pass(&row)? {
+                                out.push(row);
+                            }
+                        }
+                    }
+                    Rows::Borrowed(rows) => {
+                        for row in rows {
+                            if pass(row)? {
+                                out.push(row.clone());
+                            }
+                        }
+                    }
+                }
+                Rows::Owned(out)
+            }
+            LogicalPlan::Project { input, exprs, .. } => {
+                let rows = self.run(input)?;
+                if is_identity(exprs, input.schema().len()) {
+                    return Ok(rows);
+                }
+                let mut out = Vec::with_capacity(rows.as_slice().len());
+                for row in rows.as_slice() {
+                    let mut projected = Vec::with_capacity(exprs.len());
+                    for (e, _) in exprs {
+                        projected.push(e.eval(row)?);
+                    }
+                    out.push(projected);
+                }
+                Rows::Owned(out)
+            }
+            LogicalPlan::Join {
+                left,
+                right,
+                join_type,
+                equi,
+                residual,
+                ..
+            } => {
+                let left_rows = self.run(left)?;
+                let right_rows = self.run(right)?;
+                Rows::Owned(exec_join(
+                    left_rows.as_slice(),
+                    right_rows.as_slice(),
+                    right.schema().len(),
+                    *join_type,
+                    equi,
+                    residual.as_ref(),
+                )?)
+            }
+            LogicalPlan::Aggregate {
+                input,
+                group_exprs,
+                aggregates,
+                ..
+            } => {
+                let rows = self.run(input)?;
+                Rows::Owned(aggregate(rows.as_slice(), group_exprs, aggregates)?)
+            }
+            LogicalPlan::Sort { input, keys } => {
+                Rows::Owned(sort(self.run(input)?.into_owned(), keys)?)
+            }
+            LogicalPlan::Limit { input, n } => match self.run(input)? {
+                Rows::Owned(mut rows) => {
+                    rows.truncate(*n);
+                    Rows::Owned(rows)
+                }
+                Rows::Borrowed(rows) => Rows::Borrowed(&rows[..rows.len().min(*n)]),
+            },
+            LogicalPlan::Union { inputs } => {
+                let mut out = Vec::new();
+                for branch in inputs {
+                    match self.run(branch)? {
+                        Rows::Owned(rows) if out.is_empty() => out = rows,
+                        Rows::Owned(rows) => out.extend(rows),
+                        Rows::Borrowed(rows) => out.extend_from_slice(rows),
+                    }
+                }
+                Rows::Owned(out)
+            }
+            LogicalPlan::Distinct { input } => {
+                let rows = self.run(input)?;
+                // `Value`'s hash and equality agree with its order and see
+                // text by dictionary id, so this keeps what an ordered set
+                // would, in first-seen order, without comparing text.
+                let mut seen = HashSet::with_capacity(rows.as_slice().len());
+                let keep: Vec<bool> = rows
+                    .as_slice()
+                    .iter()
+                    .map(|row| seen.insert(row.as_slice()))
+                    .collect();
+                drop(seen);
+                Rows::Owned(rows.select(&keep))
+            }
+        })
+    }
+
+    /// Reads `table` — base rows first, then the novelty overlay's
+    /// appended rows, the order a merged table would scan in, so overlay
+    /// and post-merge answers are row-for-row identical.
+    fn scan(
+        &self,
+        table: &str,
+        filter: Option<&Expr>,
+        projection: Option<&[usize]>,
+    ) -> Result<Vec<Row>, SqlError> {
+        let t = self.db.table(table)?;
+        let mut out = Vec::new();
+        let mut read = 0;
+        for row in t.rows.iter().chain(self.db.novelty_rows(table)) {
+            read += 1;
+            if let Some(f) = filter {
+                if !f.eval(row)?.is_truthy() {
+                    continue;
+                }
+            }
+            match projection {
+                Some(cols) => out.push(cols.iter().map(|&c| row[c].clone()).collect()),
+                None => out.push(row.clone()),
+            }
+        }
+        self.tally(|c| {
+            c.scans += 1;
+            c.rows_scanned += read;
+        });
+        Ok(out)
+    }
+}
+
+/// Every scan node of `plan`, in execution order.
+fn collect_scans<'p>(plan: &'p LogicalPlan, out: &mut Vec<&'p LogicalPlan>) {
     match plan {
-        LogicalPlan::Scan {
-            table,
-            filter,
-            projection,
-            ..
-        } => {
-            let t = db.table(table)?;
-            let mut out = Vec::new();
-            // Base rows first, then the novelty overlay's appended rows —
-            // the same order a merged table would scan in, so overlay and
-            // post-merge answers are row-for-row identical.
-            for row in t.rows.iter().chain(db.novelty_rows(table)) {
-                if let Some(f) = filter {
-                    if !f.eval(row)?.is_truthy() {
-                        continue;
-                    }
-                }
-                match projection {
-                    Some(cols) => out.push(cols.iter().map(|&c| row[c].clone()).collect()),
-                    None => out.push(row.clone()),
-                }
-            }
-            Ok(out)
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            let rows = run(input, db)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                if predicate.eval(&row)?.is_truthy() {
-                    out.push(row);
-                }
-            }
-            Ok(out)
-        }
-        LogicalPlan::Project { input, exprs, .. } => {
-            let rows = run(input, db)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let mut projected = Vec::with_capacity(exprs.len());
-                for (e, _) in exprs {
-                    projected.push(e.eval(&row)?);
-                }
-                out.push(projected);
-            }
-            Ok(out)
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            equi,
-            residual,
-            ..
-        } => exec_join(left, right, *join_type, equi, residual.as_ref(), db),
-        LogicalPlan::Aggregate {
-            input,
-            group_exprs,
-            aggregates,
-            ..
-        } => {
-            let rows = run(input, db)?;
-            let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-            // Preserve first-seen group order for deterministic output.
-            let mut order: Vec<Vec<Value>> = Vec::new();
-            for row in &rows {
-                let mut key = Vec::with_capacity(group_exprs.len());
-                for g in group_exprs {
-                    key.push(g.eval(row)?);
-                }
-                let states = match groups.get_mut(&key) {
-                    Some(s) => s,
-                    None => {
-                        order.push(key.clone());
-                        groups.entry(key.clone()).or_insert_with(|| {
-                            aggregates.iter().map(|(f, _)| f.new_state()).collect()
-                        })
-                    }
-                };
-                for ((_, args), state) in aggregates.iter().zip(states.iter_mut()) {
-                    let mut values = Vec::with_capacity(args.len());
-                    for a in args {
-                        values.push(a.eval(row)?);
-                    }
-                    state.update(&values)?;
-                }
-            }
-            // Global aggregate over empty input still yields one row.
-            if groups.is_empty() && group_exprs.is_empty() {
-                let states: Vec<AggState> = aggregates.iter().map(|(f, _)| f.new_state()).collect();
-                let row: Vec<Value> = states.iter().map(AggState::finish).collect();
-                return Ok(vec![row]);
-            }
-            let mut out = Vec::with_capacity(order.len());
-            for key in order {
-                let states = &groups[&key];
-                let mut row = key.clone();
-                row.extend(states.iter().map(AggState::finish));
-                out.push(row);
-            }
-            Ok(out)
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let mut rows = run(input, db)?;
-            // Pre-compute key tuples to avoid re-evaluating during comparison.
-            let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(rows.len());
-            for row in rows.drain(..) {
-                let mut k = Vec::with_capacity(keys.len());
-                for (e, _) in keys {
-                    k.push(e.eval(&row)?);
-                }
-                keyed.push((k, row));
-            }
-            keyed.sort_by(|(ka, _), (kb, _)| {
-                for (i, (_, desc)) in keys.iter().enumerate() {
-                    let ord = ka[i].total_cmp(&kb[i]);
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            Ok(keyed.into_iter().map(|(_, row)| row).collect())
-        }
-        LogicalPlan::Limit { input, n } => {
-            let mut rows = run(input, db)?;
-            rows.truncate(*n);
-            Ok(rows)
+        LogicalPlan::Scan { .. } => out.push(plan),
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. }
+        | LogicalPlan::Distinct { input } => collect_scans(input, out),
+        LogicalPlan::Join { left, right, .. } => {
+            collect_scans(left, out);
+            collect_scans(right, out);
         }
         LogicalPlan::Union { inputs } => {
-            let mut out = Vec::new();
-            for branch in inputs {
-                out.extend(run(branch, db)?);
+            for input in inputs {
+                collect_scans(input, out);
             }
-            Ok(out)
-        }
-        LogicalPlan::Distinct { input } => {
-            let rows = run(input, db)?;
-            let mut seen = std::collections::BTreeSet::new();
-            let mut out = Vec::new();
-            for row in rows {
-                if seen.insert(row.clone()) {
-                    out.push(row);
-                }
-            }
-            Ok(out)
         }
     }
 }
 
+/// True when two scans of one table yield the same rows: same filter and
+/// projection. `Expr` equality compares literals as values (`2 = 2.0`),
+/// and an expression can tell those apart (`v / 2` against `v / 2.0`), so
+/// the literals must also be of one variant each.
+fn reads_same_rows(a: &LogicalPlan, b: &LogicalPlan) -> bool {
+    let (
+        LogicalPlan::Scan {
+            filter: fa,
+            projection: pa,
+            ..
+        },
+        LogicalPlan::Scan {
+            filter: fb,
+            projection: pb,
+            ..
+        },
+    ) = (a, b)
+    else {
+        return false;
+    };
+    let literal_variants = |e: &Expr| {
+        let mut variants = Vec::new();
+        e.walk(&mut |n| {
+            if let Expr::Literal(v) = n {
+                variants.push(std::mem::discriminant(v));
+            }
+        });
+        variants
+    };
+    pa == pb
+        && fa == fb
+        && match (fa, fb) {
+            (Some(fa), Some(fb)) => literal_variants(fa) == literal_variants(fb),
+            _ => true,
+        }
+}
+
+/// True when a projection hands column `i` of a `width`-column input to
+/// output `i`, and nothing else.
+fn is_identity(exprs: &[(Expr, String)], width: usize) -> bool {
+    exprs.len() == width
+        && exprs
+            .iter()
+            .enumerate()
+            .all(|(i, (e, _))| matches!(e, Expr::ColumnIdx { index, .. } if *index == i))
+}
+
+fn aggregate(
+    rows: &[Row],
+    group_exprs: &[Expr],
+    aggregates: &[(crate::functions::AggFunc, Vec<Expr>)],
+) -> Result<Vec<Row>, SqlError> {
+    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
+    // Preserve first-seen group order for deterministic output.
+    let mut order: Vec<Vec<Value>> = Vec::new();
+    for row in rows {
+        let mut key = Vec::with_capacity(group_exprs.len());
+        for g in group_exprs {
+            key.push(g.eval(row)?);
+        }
+        let states = match groups.get_mut(&key) {
+            Some(s) => s,
+            None => {
+                order.push(key.clone());
+                groups
+                    .entry(key.clone())
+                    .or_insert_with(|| aggregates.iter().map(|(f, _)| f.new_state()).collect())
+            }
+        };
+        for ((_, args), state) in aggregates.iter().zip(states.iter_mut()) {
+            let mut values = Vec::with_capacity(args.len());
+            for a in args {
+                values.push(a.eval(row)?);
+            }
+            state.update(&values)?;
+        }
+    }
+    // Global aggregate over empty input still yields one row.
+    if groups.is_empty() && group_exprs.is_empty() {
+        let states: Vec<AggState> = aggregates.iter().map(|(f, _)| f.new_state()).collect();
+        let row: Vec<Value> = states.iter().map(AggState::finish).collect();
+        return Ok(vec![row]);
+    }
+    let mut out = Vec::with_capacity(order.len());
+    for key in order {
+        let states = &groups[&key];
+        let mut row = key.clone();
+        row.extend(states.iter().map(AggState::finish));
+        out.push(row);
+    }
+    Ok(out)
+}
+
+fn sort(mut rows: Vec<Row>, keys: &[(Expr, bool)]) -> Result<Vec<Row>, SqlError> {
+    // Pre-compute key tuples to avoid re-evaluating during comparison.
+    let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(rows.len());
+    for row in rows.drain(..) {
+        let mut k = Vec::with_capacity(keys.len());
+        for (e, _) in keys {
+            k.push(e.eval(&row)?);
+        }
+        keyed.push((k, row));
+    }
+    keyed.sort_by(|(ka, _), (kb, _)| {
+        for (i, (_, desc)) in keys.iter().enumerate() {
+            let ord = ka[i].total_cmp(&kb[i]);
+            let ord = if *desc { ord.reverse() } else { ord };
+            if ord != std::cmp::Ordering::Equal {
+                return ord;
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+    Ok(keyed.into_iter().map(|(_, row)| row).collect())
+}
+
 fn exec_join(
-    left: &LogicalPlan,
-    right: &LogicalPlan,
+    left_rows: &[Row],
+    right_rows: &[Row],
+    right_width: usize,
     join_type: JoinType,
     equi: &[(Expr, Expr)],
     residual: Option<&Expr>,
-    db: &Database,
-) -> Result<Vec<Vec<Value>>, SqlError> {
-    let left_rows = run(left, db)?;
-    let right_rows = run(right, db)?;
-    let right_width = right.schema().len();
-
+) -> Result<Vec<Row>, SqlError> {
     if equi.is_empty() {
         // Nested loop join.
         let mut out = Vec::new();
-        for l in &left_rows {
+        for l in left_rows {
             let mut matched = false;
-            for r in &right_rows {
+            for r in right_rows {
                 let mut joined = l.clone();
                 joined.extend(r.iter().cloned());
                 let pass = match residual {
@@ -229,8 +505,8 @@ fn exec_join(
     // **column-at-a-time** — one pass per equi term over each batch — so the
     // probe loop works on contiguous key vectors; with interned text, each
     // hash/equality is an O(1) dictionary-id operation, never a string walk.
-    let right_keys = key_columns(&right_rows, equi.iter().map(|(_, r)| r))?;
-    let left_keys = key_columns(&left_rows, equi.iter().map(|(l, _)| l))?;
+    let right_keys = key_columns(right_rows, equi.iter().map(|(_, r)| r))?;
+    let left_keys = key_columns(left_rows, equi.iter().map(|(l, _)| l))?;
 
     let mut out = Vec::new();
     let emit =
@@ -543,6 +819,76 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t.len(), 1, "58 < 60 only");
+    }
+
+    /// `k` holds 2^53 and 2^53 + 1, which one `f64` rounds together.
+    fn near_two_pow_53() -> Database {
+        let big = 1i64 << 53;
+        let mut db = Database::new();
+        db.put_table(
+            "n",
+            table_of(
+                "n",
+                &[("k", ColumnType::Int)],
+                vec![vec![Value::Int(big)], vec![Value::Int(big + 1)]],
+            )
+            .unwrap(),
+        );
+        db
+    }
+
+    // Regressions: integers compared through `f64`, so each of these
+    // matched both keys.
+
+    #[test]
+    fn integer_equality_past_2_pow_53_is_exact() {
+        let t = query(
+            "SELECT k FROM n WHERE k = 9007199254740993",
+            &near_two_pow_53(),
+        )
+        .unwrap();
+        assert_eq!(t.rows, vec![vec![Value::Int((1 << 53) + 1)]]);
+    }
+
+    #[test]
+    fn distinct_keeps_integers_past_2_pow_53_apart() {
+        let t = query("SELECT DISTINCT k FROM n", &near_two_pow_53()).unwrap();
+        assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn self_join_on_integers_past_2_pow_53_is_exact() {
+        let sql = "SELECT a.k FROM n a JOIN n b ON a.k = b.k";
+        let t = query(sql, &near_two_pow_53()).unwrap();
+        assert_eq!(t.len(), 2);
+    }
+
+    /// Identical scans across `UNION ALL` branches read the table once;
+    /// a scan with another filter, projection or literal type reads again.
+    #[test]
+    fn repeated_scans_read_once_per_call() {
+        let db = db();
+        let run = |sql: &str| {
+            let stmt = crate::parser::parse_select(sql).unwrap();
+            let plan = crate::optimizer::optimize(crate::plan::plan_select(&stmt, &db).unwrap());
+            execute_counted(&plan, &db).unwrap()
+        };
+        let (t, counts) = run("SELECT value FROM m WHERE sensor_id = 1 UNION ALL \
+             SELECT value FROM m WHERE sensor_id = 1 UNION ALL \
+             SELECT value FROM m WHERE sensor_id = 2");
+        assert_eq!(t.len(), 3 + 3 + 2);
+        let m_rows = db.table("m").unwrap().len();
+        let expected = ExecCounts {
+            scans: 2,
+            scans_shared: 1,
+            rows_scanned: 2 * m_rows,
+        };
+        assert_eq!(counts, expected);
+        // `2 = 2.0` as values, but `value / 2` and `value / 2.0` differ.
+        let (_, counts) = run("SELECT sensor_id FROM m WHERE sensor_id / 2 = 0 UNION ALL \
+             SELECT sensor_id FROM m WHERE sensor_id / 2.0 = 0");
+        assert_eq!(counts.scans, 2);
+        assert_eq!(counts.scans_shared, 0);
     }
 
     #[test]

@@ -53,6 +53,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use crate::error::SqlError;
+use crate::exec::ExecCounts;
 use crate::expr::{BinOp, Expr};
 use crate::panes::PaneProbe;
 use crate::parser::{Projection, SelectStatement, TableRef};
@@ -327,19 +328,22 @@ impl PlanFragment {
     pub fn execute(&self, db: &Database) -> Result<Table, SqlError> {
         let view = crate::novelty::view_at(db, self.novelty_epoch)?;
         self.execute_on(view.as_ref().unwrap_or(db))
+            .map(|(table, _)| table)
     }
 
     /// [`Self::execute`] over a catalog whose novelty view the caller has
     /// already resolved for [`Self::novelty_epoch`] (a worker resolves one
-    /// view per epoch per round, not one per fragment).
-    pub fn execute_on(&self, db: &Database) -> Result<Table, SqlError> {
+    /// view per epoch per round, not one per fragment), also reporting the
+    /// scan work (none for a pane probe).
+    pub fn execute_on(&self, db: &Database) -> Result<(Table, ExecCounts), SqlError> {
         // A pane probe bypasses SQL execution entirely: the store-less
         // reference fold keeps coordinator fallbacks and single-worker
         // loopbacks bit-identical to the pane-store answers.
         if let Some(probe) = &self.pane {
-            return crate::panes::compute_window_aggregates(probe, db);
+            let table = crate::panes::compute_window_aggregates(probe, db)?;
+            return Ok((table, ExecCounts::default()));
         }
-        execute_prepared(self.prepared()?.as_ref(), db)
+        execute_prepared_counted(self.prepared()?.as_ref(), db)
     }
 
     /// A one-line human summary for trace spans and plan displays: the
@@ -407,8 +411,16 @@ impl std::fmt::Write for Preview {
 /// Plans and executes an already-built statement against `db` — the
 /// execution half of [`PlanFragment::execute`].
 pub fn execute_prepared(statement: &SelectStatement, db: &Database) -> Result<Table, SqlError> {
+    execute_prepared_counted(statement, db).map(|(table, _)| table)
+}
+
+/// [`execute_prepared`], also reporting the scan work it did.
+pub fn execute_prepared_counted(
+    statement: &SelectStatement,
+    db: &Database,
+) -> Result<(Table, ExecCounts), SqlError> {
     let plan = crate::optimizer::optimize(crate::plan::plan_select(statement, db)?);
-    crate::exec::execute(&plan, db)
+    crate::exec::execute_counted(&plan, db)
 }
 
 /// The base tables a statement reads, across joins, subqueries and

@@ -5,6 +5,7 @@
 //! diagnostic task is to calculate the Pearson correlation coefficient
 //! between turbine stream data".
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::error::SqlError;
@@ -12,8 +13,14 @@ use crate::value::Value;
 
 /// Calls a scalar function by (case-insensitive) name.
 pub fn call_scalar(name: &str, args: &[Value]) -> Result<Value, SqlError> {
-    let lower = name.to_ascii_lowercase();
-    match lower.as_str() {
+    // Called once per row: the parser and the unfolder store names
+    // lowercase, so only a hand-built mixed-case name pays a copy.
+    let lower: Cow<'_, str> = if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    };
+    match lower.as_ref() {
         "abs" => one_numeric(&lower, args)
             .map(|x| x.map(|v| Value::Float(v.abs())).unwrap_or(Value::Null)),
         "sqrt" => one_numeric(&lower, args)
@@ -444,6 +451,19 @@ mod tests {
             Value::Int(3)
         );
         assert!(call_scalar("no_such_fn", &[]).is_err());
+    }
+
+    #[test]
+    fn scalar_names_are_case_insensitive() {
+        for name in ["UPPER", "Upper", "upper"] {
+            assert_eq!(
+                call_scalar(name, &[Value::text("ab")]).unwrap(),
+                Value::text("AB"),
+                "{name}"
+            );
+        }
+        let err = call_scalar("No_Such_Fn", &[]).unwrap_err();
+        assert!(err.to_string().contains("no_such_fn"), "{err}");
     }
 
     #[test]

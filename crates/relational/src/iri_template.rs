@@ -2,7 +2,8 @@
 //!
 //! A pattern is an IRI with one `{}` slot (`http://x/turbine/{}`). The
 //! `iri_template` SQL scalar, the mapping layer's `IriTemplate`, shard
-//! routing's restriction inversion and the STARQL engine's stream-key
+//! routing's restriction inversion, the optimizer's pushdown through an
+//! `iri_template` projection and the STARQL engine's stream-key
 //! restriction all go through these three functions, so a rendered IRI
 //! always inverts to the key that minted it — and to nothing else.
 

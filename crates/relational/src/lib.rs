@@ -16,10 +16,10 @@
 //!   HAVING / ORDER BY / LIMIT / UNION ALL / subqueries),
 //! * [`plan`] — the logical plan, name binder, and rule-based [`optimizer`]
 //!   (predicate pushdown, projection pruning, constant folding),
-//! * [`exec`] — a materializing executor with hash joins, grouped
-//!   aggregation and an extensible scalar/aggregate function registry
-//!   (including `CORR`, the Pearson-correlation aggregate the Siemens
-//!   catalog uses),
+//! * [`exec`] — an executor with hash joins, grouped aggregation, one read
+//!   per distinct scan of a statement ([`ExecCounts`] reports the reads)
+//!   and an extensible scalar/aggregate function registry (including
+//!   `CORR`, the Pearson-correlation aggregate the Siemens catalog uses),
 //! * [`fragment`] — typed [`PlanFragment`]s (with pushed-down [`SemiJoin`]
 //!   restrictions) and columnar [`ResultBatch`]es, the units the federated
 //!   pipeline hands to and takes back from workers; [`wire`] is their text
@@ -51,11 +51,11 @@ pub mod wire;
 
 pub use dict::{DictSnapshot, Term, TermDict};
 pub use error::SqlError;
-pub use exec::execute;
+pub use exec::{execute, ExecCounts};
 pub use expr::Expr;
 pub use fragment::{
-    execute_prepared, referenced_tables, shard_compatibility, shard_of, PartitionSpec,
-    PlanFragment, ResultBatch, SemiJoin, ShardCompatibility, WindowSlice,
+    execute_prepared, execute_prepared_counted, referenced_tables, shard_compatibility, shard_of,
+    PartitionSpec, PlanFragment, ResultBatch, SemiJoin, ShardCompatibility, WindowSlice,
 };
 pub use novelty::{view_at, NoveltyLog, NoveltyOverlay, NoveltyScope};
 pub use panes::{

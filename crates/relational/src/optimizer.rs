@@ -7,9 +7,15 @@
 //!
 //! 1. **Constant folding** — pure subexpressions evaluate at plan time.
 //! 2. **Filter merging** — `Filter(Filter(x))` → one conjunctive filter.
-//! 3. **Predicate pushdown** — through projections (when column-pure),
-//!    union branches, into join sides (respecting LEFT-join semantics), and
-//!    finally into scans.
+//! 3. **Predicate pushdown**, one conjunct at a time (a conjunct that cannot
+//!    pass a node stays above it, the rest go on) — through DISTINCT (a
+//!    conjunct that cannot tell equal values apart), projections, union
+//!    branches, into join sides (respecting LEFT-join semantics), and
+//!    finally into scans. A projection passes a conjunct over bare columns
+//!    as is, and inverts membership in (or equality with) IRIs minted by
+//!    `iri_template(P, key)` to a test of the key, when the key is a scanned
+//!    `INT` or `TEXT` column: a semi-join's `a IN (…IRIs…)` reaches the scan
+//!    as `key IN (…keys…)`.
 //! 4. **Union flattening** — nested `UnionAll` trees become one n-ary node.
 //! 5. **Scan projection pruning** — scans materialize only referenced
 //!    columns.
@@ -17,10 +23,15 @@
 //! Self-join elimination — the mapping-level redundancy — happens earlier,
 //! in `optique-mapping::unfold`, where the mapping structure is still known.
 
-use crate::expr::{BinOp, Expr};
+use std::sync::Arc;
+
+use crate::dict::Term;
+use crate::expr::{BinOp, Expr, UnaryOp};
+use crate::iri_template;
 use crate::parser::JoinType;
 use crate::plan::{split_conjuncts, LogicalPlan};
-use crate::schema::Schema;
+use crate::schema::{ColumnType, Schema};
+use crate::value::Value;
 
 /// Optimizes a bound logical plan.
 pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
@@ -267,25 +278,48 @@ fn push_predicate(input: LogicalPlan, predicate: Expr) -> LogicalPlan {
             exprs,
             schema,
         } => {
-            // Push through when every column the predicate references maps
-            // to a pure column expression in the projection.
-            if let Some(remapped) = remap_through_project(&predicate, &exprs) {
-                let pushed = push_predicate(*inner, remapped);
-                LogicalPlan::Project {
-                    input: Box::new(pushed),
-                    exprs,
-                    schema,
-                }
-            } else {
-                LogicalPlan::Filter {
-                    input: Box::new(LogicalPlan::Project {
-                        input: inner,
-                        exprs,
-                        schema,
-                    }),
-                    predicate,
+            // Conjunct by conjunct: each one the projection can rewrite into
+            // its input's frame goes down, the rest stay above. (A predicate
+            // over bare columns goes down whole, without the split.)
+            let mut pushed = Vec::new();
+            let mut kept = Vec::new();
+            match remap_columns(&predicate, &exprs) {
+                Some(remapped) => pushed.push(remapped),
+                None => {
+                    for conjunct in split_conjuncts(&predicate) {
+                        match remap_through_project(&conjunct, &exprs, &inner) {
+                            Some(remapped) => pushed.push(remapped),
+                            None => kept.push(conjunct),
+                        }
+                    }
                 }
             }
+            let inner = match Expr::and_all(pushed) {
+                Some(p) => Box::new(push_predicate(*inner, p)),
+                None => inner,
+            };
+            filter_over(
+                LogicalPlan::Project {
+                    input: inner,
+                    exprs,
+                    schema,
+                },
+                kept,
+            )
+        }
+        LogicalPlan::Distinct { input } => {
+            let (through, kept): (Vec<Expr>, Vec<Expr>) = if respects_equality(&predicate) {
+                (vec![predicate], Vec::new())
+            } else {
+                split_conjuncts(&predicate)
+                    .into_iter()
+                    .partition(respects_equality)
+            };
+            let input = match Expr::and_all(through) {
+                Some(p) => Box::new(push_predicate(*input, p)),
+                None => input,
+            };
+            filter_over(LogicalPlan::Distinct { input }, kept)
         }
         LogicalPlan::Join {
             left,
@@ -330,13 +364,7 @@ fn push_predicate(input: LogicalPlan, predicate: Expr) -> LogicalPlan {
                 residual,
                 schema,
             };
-            match Expr::and_all(keep) {
-                Some(p) => LogicalPlan::Filter {
-                    input: Box::new(join),
-                    predicate: p,
-                },
-                None => join,
-            }
+            filter_over(join, keep)
         }
         other => LogicalPlan::Filter {
             input: Box::new(other),
@@ -345,9 +373,228 @@ fn push_predicate(input: LogicalPlan, predicate: Expr) -> LogicalPlan {
     }
 }
 
+/// `plan` under a filter of the conjunction of `conjuncts` (none: `plan`).
+fn filter_over(plan: LogicalPlan, conjuncts: Vec<Expr>) -> LogicalPlan {
+    match Expr::and_all(conjuncts) {
+        Some(predicate) => LogicalPlan::Filter {
+            input: Box::new(plan),
+            predicate,
+        },
+        None => plan,
+    }
+}
+
+/// True when `predicate` answers alike on rows that are equal under
+/// `Value`'s equality, so filtering commutes with DISTINCT: comparisons,
+/// membership and null tests of columns and literals, under AND / OR / NOT.
+/// Arithmetic and function calls can tell equal values apart (`3 / 2` is
+/// `1`, `3.0 / 2` is `1.5`), and so can a bare column's truthiness
+/// (`Int(5)` is true, the equal `Timestamp(5)` is not).
+fn respects_equality(predicate: &Expr) -> bool {
+    let operand = |e: &Expr| matches!(e, Expr::ColumnIdx { .. } | Expr::Literal(_));
+    match predicate {
+        Expr::Literal(_) => true,
+        Expr::Binary {
+            op: BinOp::And | BinOp::Or,
+            left,
+            right,
+        } => respects_equality(left) && respects_equality(right),
+        Expr::Binary {
+            op: BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge,
+            left,
+            right,
+        } => operand(left) && operand(right),
+        Expr::Unary {
+            op: UnaryOp::Not,
+            expr,
+        } => respects_equality(expr),
+        Expr::IsNull { expr, .. } | Expr::InSet { expr, .. } => operand(expr),
+        Expr::InList { expr, list, .. } => operand(expr) && list.iter().all(operand),
+        Expr::Between { expr, low, high } => operand(expr) && operand(low) && operand(high),
+        _ => false,
+    }
+}
+
+/// Rewrites one conjunct into the frame of a projection's input: through
+/// bare columns as is, and through an `iri_template` output by inverting it
+/// to its key ([`invert_through_template`]) — under AND / OR / NOT, each of
+/// whose operands must rewrite. `None` when some part cannot.
+fn remap_through_project(
+    predicate: &Expr,
+    exprs: &[(Expr, String)],
+    input: &LogicalPlan,
+) -> Option<Expr> {
+    if let Some(remapped) = remap_columns(predicate, exprs) {
+        return Some(remapped);
+    }
+    match predicate {
+        Expr::Binary {
+            op: op @ (BinOp::And | BinOp::Or),
+            left,
+            right,
+        } => Some(Expr::binary(
+            *op,
+            remap_through_project(left, exprs, input)?,
+            remap_through_project(right, exprs, input)?,
+        )),
+        Expr::Unary {
+            op: UnaryOp::Not,
+            expr,
+        } => Some(Expr::Unary {
+            op: UnaryOp::Not,
+            expr: Box::new(remap_through_project(expr, exprs, input)?),
+        }),
+        _ => invert_through_template(predicate, exprs, input),
+    }
+}
+
+/// Rewrites a test of an output `t = iri_template('P', x)` into the test of
+/// `x` that answers alike on every row, NULL included: `t IN {…}`, `t [NOT]
+/// IN (literals)` and `t = c` keep the keys the IRIs invert to (an IRI no
+/// key renders matches no row and is dropped), `t IS [NOT] NULL` becomes
+/// `x IS [NOT] NULL`.
+///
+/// Exact only when `x` holds keys of one type that renders one way: `x`
+/// must carry a scanned `Int` or `Text` column unchanged. A `Float` or
+/// `Timestamp` column also admits `Int` values, which render differently
+/// (`Int(5)` as `…/5`, `Timestamp(5)` as `…/@5`), so those tests stay above.
+fn invert_through_template(
+    atom: &Expr,
+    exprs: &[(Expr, String)],
+    input: &LogicalPlan,
+) -> Option<Expr> {
+    // The template and key behind a tested output column.
+    let template = |tested: &Expr| -> Option<(Term, Box<Expr>, ColumnType)> {
+        let Expr::ColumnIdx { index, .. } = tested else {
+            return None;
+        };
+        let (Expr::Function { name, args }, _) = exprs.get(*index)? else {
+            return None;
+        };
+        let [Expr::Literal(Value::Text(pattern)), key @ Expr::ColumnIdx { index: key_at, .. }] =
+            args.as_slice()
+        else {
+            return None;
+        };
+        // Without a slot every key renders the pattern itself.
+        if name != "iri_template" || !pattern.contains("{}") {
+            return None;
+        }
+        let key_type = scan_column_type(input, *key_at)?;
+        matches!(key_type, ColumnType::Int | ColumnType::Text)
+            .then(|| (pattern.clone(), Box::new(key.clone()), key_type))
+    };
+    let invert = |pattern: &str, iri: &Value, key_type| match iri {
+        Value::Text(iri) => iri_template::invert(pattern, iri, key_type),
+        _ => None,
+    };
+    match atom {
+        Expr::IsNull { expr, negated } => {
+            let (_, key, _) = template(expr)?;
+            Some(Expr::IsNull {
+                expr: key,
+                negated: *negated,
+            })
+        }
+        Expr::InSet { expr, set } => {
+            let (pattern, key, key_type) = template(expr)?;
+            let keys = set
+                .iter()
+                .filter_map(|iri| invert(&pattern, iri, key_type))
+                .collect();
+            Some(Expr::InSet {
+                expr: key,
+                set: Arc::new(keys),
+            })
+        }
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let (pattern, key, key_type) = template(expr)?;
+            let mut keys = Vec::with_capacity(list.len());
+            for item in list {
+                let Expr::Literal(iri) = item else {
+                    return None;
+                };
+                if iri.is_null() {
+                    keys.push(Expr::Literal(Value::Null));
+                } else if let Some(k) = invert(&pattern, iri, key_type) {
+                    keys.push(Expr::Literal(k));
+                }
+            }
+            Some(Expr::InList {
+                expr: key,
+                list: keys,
+                negated: *negated,
+            })
+        }
+        Expr::Binary {
+            op: BinOp::Eq,
+            left,
+            right,
+        } => {
+            let (tested, constant) = match (&**left, &**right) {
+                (tested, Expr::Literal(c)) | (Expr::Literal(c), tested) => (tested, c),
+                _ => return None,
+            };
+            let (pattern, key, key_type) = template(tested)?;
+            Some(if constant.is_null() {
+                Expr::eq(*key, Expr::Literal(Value::Null))
+            } else {
+                match invert(&pattern, constant, key_type) {
+                    Some(k) => Expr::eq(*key, Expr::Literal(k)),
+                    // No key renders `c`: false, or NULL on a NULL key.
+                    None => Expr::InList {
+                        expr: key,
+                        list: Vec::new(),
+                        negated: false,
+                    },
+                }
+            })
+        }
+        _ => None,
+    }
+}
+
+/// The declared type of the scanned column that output `index` of `plan`
+/// carries unchanged — through filters, bare-column projections, joins and
+/// union branches that all agree — or `None` when no scan column reaches it
+/// unchanged. `Project` output schemas are typed `Any`, so this walks down.
+fn scan_column_type(plan: &LogicalPlan, index: usize) -> Option<ColumnType> {
+    match plan {
+        LogicalPlan::Scan { schema, .. } => schema.columns().get(index).map(|c| c.ty),
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. }
+        | LogicalPlan::Distinct { input } => scan_column_type(input, index),
+        LogicalPlan::Project { input, exprs, .. } => match exprs.get(index)? {
+            (Expr::ColumnIdx { index: src, .. }, _) => scan_column_type(input, *src),
+            _ => None,
+        },
+        LogicalPlan::Join { left, right, .. } => {
+            let left_len = left.schema().len();
+            if index < left_len {
+                scan_column_type(left, index)
+            } else {
+                scan_column_type(right, index - left_len)
+            }
+        }
+        LogicalPlan::Union { inputs } => {
+            let (first, rest) = inputs.split_first()?;
+            let ty = scan_column_type(first, index)?;
+            rest.iter()
+                .all(|branch| scan_column_type(branch, index) == Some(ty))
+                .then_some(ty)
+        }
+        LogicalPlan::Aggregate { .. } => None,
+    }
+}
+
 /// Rewrites a predicate's column references through a projection when every
 /// referenced output column is a bare column expression.
-fn remap_through_project(predicate: &Expr, exprs: &[(Expr, String)]) -> Option<Expr> {
+fn remap_columns(predicate: &Expr, exprs: &[(Expr, String)]) -> Option<Expr> {
     let mut ok = true;
     let result = predicate
         .transform(&mut |e| {
@@ -586,6 +833,63 @@ mod tests {
     fn pruned_plan_schema_stable() {
         let p = optimized("SELECT value, sensor_id FROM m WHERE ts = 0");
         assert_eq!(p.schema().header(), vec!["value", "sensor_id"]);
+    }
+
+    fn answers(sql: &str, db: &Database) -> (Vec<Vec<Value>>, Vec<Vec<Value>>, String) {
+        let plan = plan_select(&parse_select(sql).unwrap(), db).unwrap();
+        let unopt = crate::exec::execute(&plan, db).unwrap().rows;
+        let plan = optimize(plan);
+        let opt = crate::exec::execute(&plan, db).unwrap().rows;
+        (unopt, opt, plan.explain())
+    }
+
+    #[test]
+    fn filter_passes_distinct_and_inverts_through_an_iri_template() {
+        let sql = "SELECT a FROM (SELECT DISTINCT iri_template('http://x/s/{}', id) AS a, name \
+                   FROM sensors) d WHERE a IN ('http://x/s/1', 'http://x/s/x') AND name <> 'q'";
+        let (unopt, opt, ex) = answers(sql, &db());
+        assert_eq!(unopt, vec![vec![Value::text("http://x/s/1")]]);
+        assert_eq!(opt, unopt);
+        // Both conjuncts reach the scan; the IRI that no INT key renders is
+        // dropped from the key list.
+        assert!(
+            ex.contains("Scan sensors AS sensors [filter: ((id IN (1)) AND (name <> 'q'))]"),
+            "{ex}"
+        );
+        assert!(!ex.contains("Filter"), "{ex}");
+    }
+
+    /// A conjunct a projection cannot rewrite stays above it; the others
+    /// still go down.
+    #[test]
+    fn conjuncts_push_one_at_a_time() {
+        let sql = "SELECT v FROM (SELECT value * 2 AS v, sensor_id FROM m) d \
+                   WHERE v > 100 AND sensor_id = 1";
+        let (unopt, opt, ex) = answers(sql, &db());
+        assert_eq!(opt, unopt);
+        assert!(ex.contains("Scan m AS m [filter: (sensor_id = 1)]"), "{ex}");
+        assert!(ex.contains("Filter (v > 100)"), "{ex}");
+    }
+
+    /// `Int(3)` and `Float(3.0)` are one value to DISTINCT but not to
+    /// `f / 2 = 1`: filtering before the dedup would keep the `Int` that
+    /// DISTINCT drops, so arithmetic stays above it.
+    #[test]
+    fn filters_that_tell_equal_values_apart_stay_above_distinct() {
+        let mut db = db();
+        db.put_table(
+            "g",
+            table_of(
+                "g",
+                &[("f", ColumnType::Float)],
+                vec![vec![Value::Float(3.0)], vec![Value::Int(3)]],
+            )
+            .unwrap(),
+        );
+        let sql = "SELECT f FROM (SELECT DISTINCT f FROM g) d WHERE f / 2 = 1";
+        let (unopt, opt, ex) = answers(sql, &db);
+        assert!(unopt.is_empty());
+        assert_eq!(opt, unopt, "{ex}");
     }
 
     /// Regression: the scan filter runs on the full row, so pruning must NOT

@@ -80,7 +80,7 @@ impl Value {
         if self.is_null() || other.is_null() {
             return None;
         }
-        Some(self.total_cmp(other) == Ordering::Equal)
+        Some(self == other)
     }
 
     /// SQL comparison: NULL-propagating; numeric types compare numerically
@@ -95,19 +95,26 @@ impl Value {
 
     /// A total order for sorting and index keys: NULL sorts first, numerics
     /// together, then text, then bool. NaN sorts after all other floats.
+    ///
+    /// Numerics compare by exact value: integers and timestamps as `i64`,
+    /// and an integer against a float without rounding either side, so
+    /// `2^53` and `2^53 + 1` are distinct keys. Floats keep `f64::total_cmp`
+    /// among themselves (`-0.0` sorts just below `0.0`, which alone equals
+    /// the integer `0`).
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Null, _) => Ordering::Less,
             (_, Null) => Ordering::Greater,
-            (a, b) => match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => x.total_cmp(&y),
-                _ => match (a, b) {
-                    (Text(x), Text(y)) => x.cmp(y),
-                    (Bool(x), Bool(y)) => x.cmp(y),
-                    _ => a.type_rank().cmp(&b.type_rank()),
-                },
+            (a, b) => match (a, b, a.as_i64(), b.as_i64()) {
+                (_, _, Some(x), Some(y)) => x.cmp(&y),
+                (Float(x), Float(y), ..) => x.total_cmp(y),
+                (Float(x), _, _, Some(y)) => cmp_int_float(y, *x).reverse(),
+                (_, Float(y), Some(x), _) => cmp_int_float(x, *y),
+                (Text(x), Text(y), ..) => x.cmp(y),
+                (Bool(x), Bool(y), ..) => x.cmp(y),
+                _ => a.type_rank().cmp(&b.type_rank()),
             },
         }
     }
@@ -133,9 +140,55 @@ impl Value {
     }
 }
 
+/// 2^63: exact in `f64`, and the first float past `i64::MAX`.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// The integer a float equals under [`Value::total_cmp`], if any: an
+/// integral value in `i64` range other than `-0.0`.
+fn float_as_exact_i64(f: f64) -> Option<i64> {
+    let in_range = (-TWO_POW_63..TWO_POW_63).contains(&f);
+    let negative_zero = f == 0.0 && f.is_sign_negative();
+    (in_range && f.fract() == 0.0 && !negative_zero).then_some(f as i64)
+}
+
+/// `i` against `f` exactly, in the order `f64::total_cmp` extends to the
+/// integers: NaNs lie past the infinities on the side of their sign, and
+/// `-0.0` just below the integer `0`.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    if f.is_nan() {
+        return if f.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    if f >= TWO_POW_63 {
+        return Ordering::Less;
+    }
+    if f < -TWO_POW_63 {
+        return Ordering::Greater;
+    }
+    // In range, so the integral part converts to `i64` without loss.
+    let whole = f.trunc();
+    i.cmp(&(whole as i64)).then_with(|| {
+        if f > whole {
+            Ordering::Less
+        } else if f < whole || (f == 0.0 && f.is_sign_negative()) {
+            // A negative fraction, or `-0.0`.
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
+    })
+}
+
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
-        self.total_cmp(other) == Ordering::Equal
+        match (self, other) {
+            // Same text ⇔ same dictionary id: no string walk.
+            (Value::Text(a), Value::Text(b)) => a == b,
+            _ => self.total_cmp(other) == Ordering::Equal,
+        }
     }
 }
 
@@ -155,15 +208,24 @@ impl Ord for Value {
 
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Hash must agree with the total order's equality: all numerics hash
-        // through their f64 bits (NaN canonicalized).
+        // Hash must agree with the total order's equality: integers,
+        // timestamps and the floats equal to one hash as that `i64`; other
+        // floats through their bits (NaN canonicalized).
         match self {
             Value::Null => 0u8.hash(state),
-            v @ (Value::Int(_) | Value::Float(_) | Value::Timestamp(_)) => {
+            Value::Int(i) | Value::Timestamp(i) => {
                 1u8.hash(state);
-                let f = v.as_f64().expect("numeric");
-                let canonical = if f.is_nan() { f64::NAN } else { f };
-                canonical.to_bits().hash(state);
+                i.hash(state);
+            }
+            Value::Float(f) => {
+                1u8.hash(state);
+                match float_as_exact_i64(*f) {
+                    Some(i) => i.hash(state),
+                    None => {
+                        let canonical = if f.is_nan() { f64::NAN } else { *f };
+                        canonical.to_bits().hash(state);
+                    }
+                }
             }
             Value::Text(s) => {
                 // Interned: hashing the dictionary id is equality-consistent
@@ -252,6 +314,32 @@ mod tests {
     fn int_float_equal_values_hash_alike() {
         assert_eq!(Value::Int(3), Value::Float(3.0));
         assert_eq!(h(&Value::Int(3)), h(&Value::Float(3.0)));
+    }
+
+    /// Integers past 2^53 compare as integers, not through a rounded f64.
+    #[test]
+    fn integer_equality_is_exact() {
+        let big = 1i64 << 53;
+        assert_ne!(Value::Int(big), Value::Int(big + 1));
+        assert_eq!(Value::Int(big).cmp(&Value::Int(big + 1)), Ordering::Less);
+        assert_ne!(Value::Timestamp(big + 1), Value::Int(big));
+        assert_eq!(Value::Int(big), Value::Float(big as f64));
+        assert_eq!(h(&Value::Int(big)), h(&Value::Float(big as f64)));
+        // 2^53 + 1 has no f64: the nearest float is 2^53, which it exceeds.
+        assert_eq!(
+            Value::Int(big + 1).cmp(&Value::Float((big + 1) as f64)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            Value::Int(i64::MAX).cmp(&Value::Float(i64::MAX as f64)),
+            Ordering::Less
+        );
+        assert_eq!(Value::Int(-3).cmp(&Value::Float(-2.5)), Ordering::Less);
+        assert_eq!(Value::Int(-3), Value::Float(-3.0));
+        // -0.0 keeps its f64 place just below 0.0, so only 0.0 equals 0.
+        assert_eq!(Value::Int(0), Value::Float(0.0));
+        assert_eq!(Value::Int(0).cmp(&Value::Float(-0.0)), Ordering::Greater);
+        assert_eq!(Value::Int(-1).cmp(&Value::Float(-0.0)), Ordering::Less);
     }
 
     #[test]

@@ -1,8 +1,13 @@
 //! Property tests: value-order laws, optimizer-equivalence on generated
 //! queries, and hostile SQL text.
 
-use optique_relational::{table::table_of, ColumnType, Database, SqlError, Value};
+use optique_relational::fragment::restrict_statement;
+use optique_relational::{
+    iri_template, table::table_of, ColumnType, Database, SemiJoin, SqlError, Table, Value,
+};
 use proptest::prelude::*;
+
+const TWO_POW_53: i64 = 1 << 53;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -11,10 +16,25 @@ fn arb_value() -> impl Strategy<Value = Value> {
         (-1e9f64..1e9f64).prop_map(Value::Float),
         "[a-z]{0,6}".prop_map(Value::text),
         any::<bool>().prop_map(Value::Bool),
+        any::<i32>().prop_map(|i| Value::Timestamp(i as i64)),
+        // Where one f64 stands for several integers, and the integral
+        // floats there.
+        (any::<bool>(), -3i64..3).prop_map(|(neg, d)| {
+            let i = TWO_POW_53 + d;
+            Value::Int(if neg { -i } else { i })
+        }),
+        (any::<bool>(), -3i64..3).prop_map(|(neg, d)| {
+            let f = (TWO_POW_53 + d) as f64;
+            Value::Float(if neg { -f } else { f })
+        }),
+        prop_oneof![Just(-0.0), Just(0.0), Just(f64::INFINITY), Just(f64::NAN)]
+            .prop_map(Value::Float),
     ]
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases_or(64)))]
+
     /// total_cmp is a total order: antisymmetric and transitive.
     #[test]
     fn value_order_is_total(a in arb_value(), b in arb_value(), c in arb_value()) {
@@ -66,6 +86,49 @@ proptest! {
         prop_assert_eq!(unopt.rows, opt.rows);
     }
 
+    /// The optimizer never changes answers on the statements the unfolder
+    /// and semi-join pushdown emit: `UNION ALL` chains of
+    /// `SELECT DISTINCT iri_template(P, key) … FROM (…) u0 JOIN (…) u1`,
+    /// each wrapped in `a IN (…) OR a IS NULL`, over keys of every type
+    /// (INT, FLOAT and TIMESTAMP columns holding `Int`s, NULLs, digit text,
+    /// `""`, integers near ±2^53), restriction lists on both sides of the
+    /// `IN`-set threshold, and repeated scans. Row for row, order included.
+    #[test]
+    fn optimizer_preserves_answers_on_restricted_unfoldings(
+        rows in proptest::collection::vec(arb_key_row(), 0..12),
+        joins in proptest::collection::vec(0i64..2, 0..3),
+        disjuncts in proptest::collection::vec((0usize..KEYS.len(), 0usize..PATTERNS.len()), 1..5),
+        restriction in proptest::collection::vec(arb_restriction_value(), 0..14),
+        extra in 0usize..4,
+    ) {
+        let db = key_db(rows, joins);
+        let chain: Vec<String> = disjuncts
+            .iter()
+            .map(|&(key, pattern)| unfolded_disjunct(KEYS[key].0, PATTERNS[pattern]))
+            .collect();
+        let statement = optique_relational::parse_select(&chain.join(" UNION ALL ")).unwrap();
+        let statement = restrict_statement(statement, &[SemiJoin::new("a", restriction)]);
+        // One more outer test per disjunct, of the forms inversion handles.
+        let extra = [
+            None,
+            Some("a = 'http://x/k/5'"),
+            Some("NOT (a IN ('http://x/k/', NULL)) OR b IS NULL"),
+            Some("a IS NOT NULL AND a <> 'http://x/k/7'"),
+        ][extra];
+        let statement = match extra {
+            None => statement,
+            Some(test) => {
+                let wrapped = format!("SELECT * FROM ({statement}) AS w WHERE {test}");
+                optique_relational::parse_select(&wrapped).unwrap()
+            }
+        };
+        let plan = optique_relational::plan::plan_select(&statement, &db).unwrap();
+        let unopt = optique_relational::exec::execute(&plan, &db).unwrap();
+        let opt_plan = optique_relational::optimizer::optimize(plan);
+        let opt = optique_relational::exec::execute(&opt_plan, &db).unwrap();
+        prop_assert_eq!(unopt.rows, opt.rows, "plan:\n{}", opt_plan.explain());
+    }
+
     /// Aggregates computed by the engine match hand-rolled fold.
     #[test]
     fn aggregates_match_reference(
@@ -95,12 +158,132 @@ proptest! {
     }
 }
 
-/// Cases for the hostile-text property: `PROPTEST_CASES` when set.
-fn hostile_cases() -> u32 {
+/// The key columns of `s`, by type: each admits what its type admits, so
+/// FLOAT and TIMESTAMP keys also hold `Int` values, which render another
+/// way (`…/5`, not `…/5.0` or `…/@5`).
+const KEYS: [(&str, ColumnType); 4] = [
+    ("k", ColumnType::Int),
+    ("f", ColumnType::Float),
+    ("t", ColumnType::Timestamp),
+    ("x", ColumnType::Text),
+];
+
+/// Templates the disjuncts mint through — one without a slot, which mints
+/// the same IRI for every key.
+const PATTERNS: [&str; 3] = ["http://x/k/{}", "http://x/k/{}/v", "http://x/k/"];
+
+fn arb_int_key() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (0i64..3).prop_map(Value::Int),
+        (-2i64..2).prop_map(|d| Value::Int(TWO_POW_53 + d)),
+        (-2i64..2).prop_map(|d| Value::Int(-TWO_POW_53 + d)),
+    ]
+}
+
+/// One row of `s(k INT, f FLOAT, t TIMESTAMP, x TEXT, j INT)`.
+fn arb_key_row() -> impl Strategy<Value = Vec<Value>> {
+    let float = prop_oneof![
+        arb_int_key(),
+        Just(Value::Float(5.0)),
+        Just(Value::Float(0.5)),
+        Just(Value::Float(TWO_POW_53 as f64)),
+    ];
+    let timestamp = prop_oneof![arb_int_key(), (0i64..3).prop_map(Value::Timestamp)];
+    let text = prop_oneof![
+        Just(Value::Null),
+        Just(Value::text("")),
+        Just(Value::text("5")),
+        Just(Value::text("a7")),
+        Just(Value::text("9007199254740993")),
+    ];
+    let join = prop_oneof![Just(Value::Null), (0i64..2).prop_map(Value::Int)];
+    (arb_int_key(), float, timestamp, text, join).prop_map(|(k, f, t, x, j)| vec![k, f, t, x, j])
+}
+
+/// A restriction value: an IRI some key of some type renders through some
+/// pattern, an IRI no key renders, or a non-text value.
+fn arb_restriction_value() -> impl Strategy<Value = Value> {
+    let key = prop_oneof![
+        arb_int_key(),
+        (0i64..3).prop_map(Value::Timestamp),
+        Just(Value::Float(5.0)),
+        Just(Value::Float(0.5)),
+        Just(Value::text("")),
+        Just(Value::text("5")),
+        Just(Value::text("a7")),
+    ];
+    (0u8..6, key, 0usize..PATTERNS.len())
+        .prop_map(|(pick, key, p)| match pick {
+            0 => Value::text("http://x/k/+5"),
+            1 => Value::Int(5),
+            _ => iri_template::render(PATTERNS[p], &key).map_or(Value::Null, Value::text),
+        })
+        .prop_filter("restriction lists hold no NULL", |v| !v.is_null())
+}
+
+/// `s` from generated rows, `r(j INT)` from generated join keys.
+fn key_db(rows: Vec<Vec<Value>>, joins: Vec<i64>) -> Database {
+    let mut columns: Vec<(&str, ColumnType)> = KEYS.to_vec();
+    columns.push(("j", ColumnType::Int));
+    let mut db = Database::new();
+    db.put_table("s", table_of("s", &columns, rows).unwrap());
+    let joins = joins.into_iter().map(|j| vec![Value::Int(j)]).collect();
+    db.put_table(
+        "r",
+        table_of("r", &[("j", ColumnType::Int)], joins).unwrap(),
+    );
+    db
+}
+
+/// One disjunct as the unfolder writes it: DISTINCT IRIs minted over a
+/// join of two mapping sources.
+fn unfolded_disjunct(key: &str, pattern: &str) -> String {
+    format!(
+        "SELECT DISTINCT iri_template('{pattern}', u0.{key}) AS a, \
+         iri_template('http://x/j/{{}}', u1.j) AS b \
+         FROM (SELECT {key}, j FROM s) u0 JOIN (SELECT j FROM r) u1 ON u0.j = u1.j"
+    )
+}
+
+fn optimized_and_not(sql: &str, db: &Database) -> (Table, Table) {
+    let statement = optique_relational::parse_select(sql).unwrap();
+    let plan = optique_relational::plan::plan_select(&statement, db).unwrap();
+    let unopt = optique_relational::exec::execute(&plan, db).unwrap();
+    let opt = optique_relational::exec::execute(&optique_relational::optimizer::optimize(plan), db);
+    (unopt, opt.unwrap())
+}
+
+/// A TIMESTAMP key holding `Int(5)` mints `…/5`, which no timestamp's
+/// spelling (`@5`) inverts to: inverting by the declared type would drop
+/// the row, so that restriction must stay above the rendering.
+#[test]
+fn timestamp_key_holding_an_int_still_matches_after_optimization() {
+    let db = key_db(
+        vec![vec![
+            Value::Null,
+            Value::Null,
+            Value::Int(5),
+            Value::Null,
+            Value::Int(0),
+        ]],
+        vec![0],
+    );
+    let sql = format!(
+        "SELECT a FROM ({}) AS u WHERE a IN ('http://x/k/5')",
+        unfolded_disjunct("t", PATTERNS[0])
+    );
+    let (unopt, opt) = optimized_and_not(&sql, &db);
+    assert_eq!(unopt.rows, vec![vec![Value::text("http://x/k/5")]]);
+    assert_eq!(opt.rows, unopt.rows);
+}
+
+/// Cases per property: `PROPTEST_CASES` when set, `default` otherwise.
+fn cases_or(default: u32) -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(256)
+        .unwrap_or(default)
 }
 
 /// Valid statements to edit — every clause the parser knows, and a
@@ -136,7 +319,7 @@ const JUNK: &[&str] = &[
 ];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(hostile_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(cases_or(256)))]
 
     /// A valid statement with one to three edits — junk inserted, a run
     /// deleted, the tail cut off — comes back from parse, plan and execute

@@ -686,10 +686,15 @@ impl<'a> StaticPipeline<'a> {
                 let sql_span = self.tracer.map(|t| t.span(parent, "sql"));
                 let restricted =
                     optique_relational::fragment::restrict_statement(statement, semi_joins);
-                let table = optique_relational::execute_prepared(&restricted, self.db)
-                    .map_err(|e| SparqlError::execution(format!("SQL execution failed: {e}")))?;
+                let (table, counts) =
+                    optique_relational::execute_prepared_counted(&restricted, self.db).map_err(
+                        |e| SparqlError::execution(format!("SQL execution failed: {e}")),
+                    )?;
                 if let Some(mut span) = sql_span {
                     span.set_attr("rows", table.len());
+                    span.set_attr("scans", counts.scans);
+                    span.set_attr("scans_shared", counts.scans_shared);
+                    span.set_attr("rows_scanned", counts.rows_scanned);
                     span.finish();
                 }
                 stats.fragment_rows += table.len();
@@ -1508,5 +1513,163 @@ mod tests {
             let by_subject = answer(&format!("SELECT ?t WHERE {{ <{part}> x:stampedAt ?t }}"));
             assert_eq!(iris(&by_subject, 0), [mark.as_str()], "{part}");
         }
+    }
+
+    /// Regression: integers compared through a rounded `f64`, so the
+    /// unfolded raw-key join `u0.sid = u1.sid` matched sensor 2^53 with
+    /// sensor 2^53 + 1 — each sensor answered with both labels.
+    #[test]
+    fn raw_key_joins_tell_integers_past_2_pow_53_apart() {
+        let big = 1i64 << 53;
+        let mut db = Database::new();
+        let sensors = vec![
+            vec![Value::Int(big), Value::Int(1)],
+            vec![Value::Int(big + 1), Value::Int(2)],
+        ];
+        let labels = vec![
+            vec![Value::Int(big), Value::text("inlet")],
+            vec![Value::Int(big + 1), Value::text("outlet")],
+        ];
+        let sid = ("sid", ColumnType::Int);
+        db.put_table(
+            "sensors",
+            table_of("sensors", &[sid, ("tid", ColumnType::Int)], sensors).unwrap(),
+        );
+        db.put_table(
+            "labels",
+            table_of("labels", &[sid, ("label", ColumnType::Text)], labels).unwrap(),
+        );
+        let mut maps = catalog();
+        maps.add(MappingAssertion::property(
+            "label",
+            iri("hasLabel"),
+            "SELECT sid, label FROM labels",
+            TermMap::template("http://x/sensor/{sid}"),
+            TermMap::column("label", Datatype::String),
+        ))
+        .unwrap();
+        let onto = ontology();
+        let pipeline = StaticPipeline::new(&onto, &maps, &db);
+        let query = crate::parse_sparql(
+            "SELECT ?s ?t ?l WHERE { ?s x:attachedTo ?t ; x:hasLabel ?l }",
+            &ns(),
+        )
+        .unwrap();
+        let (answers, _) = pipeline.answer(&query).unwrap();
+        let mut got = canonical(&answers);
+        got.sort();
+        let row = |sid: i64, tid: i64, label: &str| {
+            vec![
+                format!("Some(Iri(<http://x/sensor/{sid}>))"),
+                format!("Some(Iri(<http://x/turbine/{tid}>))"),
+                format!("Some(Literal(\"{label}\"))"),
+            ]
+        };
+        assert_eq!(got, vec![row(big, 1, "inlet"), row(big + 1, 2, "outlet")]);
+    }
+
+    /// The `siemens_join` benchmark's query, for one turbine model.
+    const SIEMENS_JOIN: &str = "PREFIX sie: <http://siemens.example/ontology#> \
+        SELECT ?t ?a ?s WHERE { ?t sie:hasModel \"SGT-400\" . \
+        { ?a sie:partOf ?t } \
+        { ?a sie:inAssembly ?s . ?s a sie:TemperatureSensor } }";
+
+    fn siemens() -> optique_siemens::SiemensDeployment {
+        let fleet = optique_siemens::FleetConfig {
+            turbines: 8,
+            assemblies_per_turbine: 4,
+            sensors_per_assembly: 14,
+            seed: 1,
+        };
+        optique_siemens::SiemensDeployment::build(fleet, 1).unwrap()
+    }
+
+    /// The four sensor registries: `inAssembly` and `TemperatureSensor`
+    /// each map one source over every one of them.
+    const REGISTRIES: [&str; 4] = ["sensors", "sensors_eu", "sensors_na", "sensors_apac"];
+
+    /// `{?a inAssembly ?s . ?s a TemperatureSensor}` unfolds to 4 × 4
+    /// disjuncts of two scans each. Restricted to the model's assemblies,
+    /// its statement reads each of its 8 distinct scans once — the other 24
+    /// scan nodes borrow those rows — so it reads every registry twice,
+    /// where one read per scan node would be 8 times (4×). The counts ride
+    /// on the `sql` span that EXPLAIN ANALYZE renders.
+    #[test]
+    fn restricted_siemens_bgp_scans_each_source_once() {
+        let d = siemens();
+        let tracer = Tracer::new();
+        let pipeline =
+            StaticPipeline::new(&d.ontology, &d.mappings, &d.db).with_tracer(&tracer, None);
+        let query = crate::parse_sparql(SIEMENS_JOIN, &d.namespaces).unwrap();
+        let (answers, stats) = pipeline.answer(&query).unwrap();
+        // 2 turbines of the model × 4 assemblies × the 4 temperature
+        // sensors of 14.
+        assert_eq!(answers.len(), 32);
+        assert!(stats.semi_joins_pushed > 0, "{stats:?}");
+        let spans = tracer.spans();
+        let count = |span: &optique_telemetry::Span, key: &str| -> usize {
+            let (_, value) = span.attrs.iter().find(|(k, _)| k == key).unwrap();
+            value.to_string().parse().unwrap()
+        };
+        let third = spans
+            .iter()
+            .filter(|s| s.label == "sql")
+            .find(|s| count(s, "scans") + count(s, "scans_shared") == 32)
+            .expect("a statement with 32 scan nodes");
+        assert_eq!(count(third, "scans"), 8);
+        assert_eq!(count(third, "scans_shared"), 24);
+        let registry_rows: usize = REGISTRIES
+            .iter()
+            .map(|t| d.db.table(t).unwrap().len())
+            .sum();
+        assert_eq!(count(third, "rows_scanned"), 2 * registry_rows);
+    }
+
+    /// The same statement's plan: the restriction on `?a` leaves no filter
+    /// above the DISTINCT or the IRI rendering; it reaches each of the 16
+    /// `inAssembly` scans as a membership test of the raw assembly key.
+    #[test]
+    fn siemens_restriction_reaches_the_scans_as_its_key() {
+        let d = siemens();
+        let atoms = vec![
+            Atom::property(
+                optique_siemens::ontology::sie("inAssembly"),
+                QueryTerm::var("a"),
+                QueryTerm::var("s"),
+            ),
+            Atom::class(
+                optique_siemens::ontology::sie("TemperatureSensor"),
+                QueryTerm::var("s"),
+            ),
+        ];
+        let cq = ConjunctiveQuery::new(vec!["a".into(), "s".into()], atoms);
+        let (ucq, _) = rewrite(&cq, &d.ontology, &RewriteSettings::default()).unwrap();
+        let (statement, _) = unfold_ucq(&ucq, &d.mappings, &UnfoldSettings::default()).unwrap();
+        // More keys than the `IN`-list threshold, so the restriction is a
+        // hash-set probe; one IRI no key renders.
+        let mut assemblies: Vec<Value> = (0..12)
+            .map(|aid| Value::text(format!("{}assembly/{aid}", optique_siemens::DATA_NS)))
+            .collect();
+        assemblies.push(Value::text("http://elsewhere/assembly/1"));
+        let restricted = optique_relational::fragment::restrict_statement(
+            statement.unwrap(),
+            &[SemiJoin::new("a", assemblies)],
+        );
+        let plan = optique_relational::optimizer::optimize(
+            optique_relational::plan::plan_select(&restricted, &d.db).unwrap(),
+        );
+        let explain = plan.explain();
+        let scans: Vec<&str> = explain.lines().filter(|l| l.contains("Scan ")).collect();
+        assert_eq!(scans.len(), 32, "{explain}");
+        let keys = "(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)";
+        let restricted_scans = scans
+            .iter()
+            .filter(|l| l.contains("[filter:") && l.contains(&format!("IN {keys}")))
+            .count();
+        assert_eq!(restricted_scans, 16, "{explain}");
+        assert!(
+            !explain.contains("Filter"),
+            "restriction left above: {explain}"
+        );
     }
 }

@@ -55,8 +55,8 @@ fn traced_spans(text: &str, workers: usize) -> Vec<Span> {
 /// At 1, 2, 4 and 8 workers the worker-side records graft into the
 /// coordinator's tree: every `fragment` span hangs under a `worker` span,
 /// every `worker` span hangs under the coordinator's `exec` span, and the
-/// per-fragment attributes (worker id, rows, queue wait, parse outcome)
-/// ride back with the round.
+/// per-fragment attributes (worker id, rows, queue wait, parse outcome,
+/// scan counts) ride back with the round.
 #[test]
 fn worker_spans_stitch_under_exec_at_every_worker_count() {
     for workers in WORKER_COUNTS {
@@ -93,7 +93,16 @@ fn worker_spans_stitch_under_exec_at_every_worker_count() {
         for f in &fragment_spans {
             let parent = f.parent.expect("fragment spans hang under their worker");
             assert_eq!(find(parent).label, "worker");
-            for key in ["op", "worker", "rows", "queue_us", "cache"] {
+            for key in [
+                "op",
+                "worker",
+                "rows",
+                "queue_us",
+                "cache",
+                "scans",
+                "scans_shared",
+                "rows_scanned",
+            ] {
                 assert!(
                     f.attrs.iter().any(|(k, _)| k == key),
                     "{workers} workers: fragment span lacks {key}: {f:?}"
