@@ -13,6 +13,12 @@ use optique_telemetry::MetricsRegistry;
 pub(crate) const PANE_HITS: &str = "pane.hits";
 pub(crate) const PANE_MISSES: &str = "pane.misses";
 
+/// Registry counters accumulating the pane rounds driven rounds shipped —
+/// one per pool that had a pane tick due — and the distinct probes they
+/// carried.
+pub(crate) const PANE_ROUNDS: &str = "pane.rounds";
+pub(crate) const PANE_PROBES: &str = "pane.probes";
+
 /// Registry counters accumulating, across every sequence-HAVING tick, the
 /// states the tick built and the states it took from the window cache.
 pub(crate) const STATES_BUILT: &str = "seq.states_built";
@@ -56,6 +62,9 @@ pub struct QueryPanel {
     pub pane_hits: u64,
     /// Cumulative worker pane-store probes folded from scratch.
     pub pane_misses: u64,
+    /// Cumulative pane probes read from a round that another query's tick
+    /// read first, and was charged for.
+    pub panes_shared: u64,
     /// Median tick latency in microseconds (0 before the first tick).
     pub tick_p50_us: u64,
     /// 95th-percentile tick latency in microseconds.
@@ -77,6 +86,7 @@ impl QueryPanel {
         self.semi_joins_pushed += tick.semi_joins_pushed as u64;
         self.pane_hits += tick.pane_hits;
         self.pane_misses += tick.pane_misses;
+        self.panes_shared += tick.panes_shared as u64;
         for (counter, n) in [
             (PANE_HITS, tick.pane_hits),
             (PANE_MISSES, tick.pane_misses),
@@ -328,6 +338,7 @@ impl Dashboard {
                 p.semi_joins_pushed.to_string(),
                 p.pane_hits.to_string(),
                 p.pane_misses.to_string(),
+                p.panes_shared.to_string(),
                 p.tick_p50_us.to_string(),
                 p.tick_p95_us.to_string(),
                 p.tick_p99_us.to_string(),
@@ -472,6 +483,7 @@ fn stream_layout() -> ColumnLayout {
         ("semi", 4, Align::Right),
         ("phit", 4, Align::Right),
         ("pmiss", 5, Align::Right),
+        ("pshr", 4, Align::Right),
         ("p50µs", 6, Align::Right),
         ("p95µs", 6, Align::Right),
         ("p99µs", 6, Align::Right),
@@ -543,6 +555,7 @@ mod tests {
                     semi_joins_pushed: 10,
                     pane_hits: 8,
                     pane_misses: 2,
+                    panes_shared: 3,
                     tick_p50_us: 800,
                     tick_p95_us: 950,
                     tick_p99_us: 990,
@@ -563,6 +576,7 @@ mod tests {
                     semi_joins_pushed: 0,
                     pane_hits: 0,
                     pane_misses: 0,
+                    panes_shared: 0,
                     tick_p50_us: 0,
                     tick_p95_us: 0,
                     tick_p99_us: 0,
@@ -651,6 +665,7 @@ mod tests {
         let r = d.render();
         assert!(r.contains("phit"), "{r}");
         assert!(r.contains("pmiss"), "{r}");
+        assert!(r.contains("pshr"), "{r}");
         assert_eq!(Dashboard::default().pane_hit_rate(), None);
     }
 

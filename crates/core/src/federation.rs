@@ -43,8 +43,8 @@ use optique_exastream::cluster::hash_partition;
 use optique_exastream::{Cluster, Gateway, StaticFragment};
 use optique_mapping::MappingCatalog;
 use optique_relational::{
-    shard_compatibility, Database, NoveltyScope, PartitionSpec, PlanFragment, ShardCompatibility,
-    StatsCatalog, Table,
+    shard_compatibility, Database, NoveltyScope, PaneCounts, PartitionSpec, PlanFragment,
+    ShardCompatibility, StatsCatalog, Table,
 };
 use optique_sparql::{FragmentExecutor, FragmentRound};
 
@@ -315,6 +315,10 @@ impl FragmentExecutor for Federation {
             }
         }
         let round = self.gateway.run_static_round(&shipped);
+        let mut panes = vec![PaneCounts::default(); results.len()];
+        for ((slot, _), counts) in shipped_slots.iter().zip(&round.panes) {
+            panes[*slot] = *counts;
+        }
         for ((slot, dedup), outcome) in shipped_slots.into_iter().zip(round.tables) {
             let mut outcome = outcome.map_err(|e| e.to_string());
             if dedup {
@@ -343,9 +347,7 @@ impl FragmentExecutor for Federation {
                 + coordinator_fallbacks as u64)
                 .saturating_sub(parses),
             plan_cache_misses: parses,
-            pane_hits: round.pane_hits,
-            pane_misses: round.pane_misses,
-            pane_acc_ops: round.pane_acc_ops,
+            panes,
             // Worker-side spans ride back with the round; a traced pipeline
             // grafts them under its exec span (untraced callers drop them).
             spans: round.spans,

@@ -150,6 +150,10 @@ pub struct OptiquePlatform {
     #[cfg(test)]
     #[allow(clippy::type_complexity)]
     merge_probe: Mutex<Option<Box<dyn FnOnce(&OptiquePlatform) + Send>>>,
+    /// Makes every pane round of a driven round fail (see
+    /// `set_round_fault`).
+    #[cfg(test)]
+    pub(crate) round_fault: std::sync::atomic::AtomicBool,
     /// Platform-wide counters and latency histograms, exported by
     /// [`metrics_snapshot`](Self::metrics_snapshot). Static queries feed
     /// `static.query_us`; every registered continuous query feeds
@@ -256,6 +260,8 @@ impl OptiquePlatform {
             write_probe: Mutex::new(None),
             #[cfg(test)]
             merge_probe: Mutex::new(None),
+            #[cfg(test)]
+            round_fault: std::sync::atomic::AtomicBool::new(false),
             registry: Arc::new(MetricsRegistry::new()),
             tracing: std::sync::atomic::AtomicBool::new(true),
             slow_threshold_us: std::sync::atomic::AtomicU64::new(DEFAULT_SLOW_THRESHOLD_US),

@@ -4,33 +4,54 @@
 //!
 //! # The round's contract
 //!
-//! A round walks the due `(query, window)` pairs in registration order,
-//! oldest window first. A tick that errs is charged to **its** query
+//! A round first collects every due `(query, window)` pair. The
+//! distributed pane ticks among them — pane-combinable queries with a pool
+//! — are grouped by pool and by the window their probe reads (stream,
+//! columns, pane grid, bounds): each pool gets **one** gateway round
+//! carrying each distinct window once, sorted by close so a worker's cached
+//! window of one range only ever slides forward, and each window's
+//! partials are merged once. Only then do the ticks' tails run — deciding
+//! HAVING, CONSTRUCT, relation-to-stream — in registration order, oldest
+//! window first, as every other tick does. A window's first reader is
+//! charged what the workers shipped and probed for it; a later reader
+//! reports none of it and counts one shared probe
+//! ([`TickOutput::panes_shared`]). The pool's first tick that answers is
+//! charged the round's own cost — its fragments, pruned shards and µs.
+//!
+//! A tick that errs is charged to **its** query
 //! ([`QueryPanel::tick_errors`], registry counter `tick.errors`) and ends
 //! that query's windows for this round; every other query still ticks, and
-//! the window cache is trimmed whether or not anything failed. An append
-//! marks each window it drove as driven the moment its tick succeeds, so a
-//! retry after a failure never re-fires a window that already answered.
-//! Only then does the call return the first error, naming its query.
+//! the window cache is trimmed whether or not anything failed. A window a
+//! worker fails — its integer SUM overflows, say — fails exactly the ticks
+//! that read it: the pool's windows then go again one by one. A pane
+//! round that fails as a whole fails exactly the ticks that read one of its
+//! windows; ticks that read nothing from it — single-node, sequence-path,
+//! another pool's — tick as if it had not run. An append marks each window it
+//! drove as driven the moment its tick succeeds, so a retry after a
+//! failure never re-fires a window that already answered. Only then does
+//! the call return the first error, naming its query.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 
 use optique_rdf::Term;
-use optique_relational::{Database, Value};
+use optique_relational::{Database, PaneProbe, Value};
 use optique_rewrite::{Atom, RewriteSettings};
 use optique_siemens::catalog::TaskQuery;
 use optique_siemens::DiagnosticTask;
 use optique_sparql::{
     GroupPattern, PatternElement, Projection, Query, SelectItem, SelectQuery, SolutionModifier,
 };
+use optique_starql::engine::{combine_panes, PaneAnswers, PanePartials, PaneRoundCost};
 use optique_starql::{
     parse_starql, translate, ContinuousQuery, TickOutput, TranslatedQuery, TranslationContext,
 };
 use optique_stream::WCache;
+use optique_telemetry::SpanRecord;
 
-use crate::dashboard::QueryPanel;
+use crate::dashboard::{QueryPanel, PANE_PROBES, PANE_ROUNDS};
 use crate::federation::Federation;
 use crate::platform::{check_workers, OptiquePlatform, PlatformSnapshot};
 
@@ -66,6 +87,80 @@ impl RegisteredStarQl {
         let key = self.query.stream_to_rdf.subject.column();
         (self.stream().to_string(), key.to_string())
     }
+
+    /// The ticks a round owes the query, as `(window to mark as driven,
+    /// tick instant)`: a pulse (`only` = `None`) one, at `clock`; an append
+    /// one per window `clock` newly closed, at the window's close instant,
+    /// oldest first.
+    fn due(&self, only: Option<&str>, clock: i64) -> DueTicks {
+        let (window, start) = (self.query.window(), self.query.window_start());
+        match only {
+            None => vec![(None, clock)],
+            Some(_) => match window.last_closed(start, clock) {
+                Some(newest) => (self.last_auto_window.map_or(0, |w| w + 1)..=newest)
+                    .map(|w| (Some(w), window.bounds(start, w).1))
+                    .collect(),
+                None => Vec::new(),
+            },
+        }
+    }
+}
+
+/// The ticks a round owes a query: `(window to mark as driven, tick
+/// instant)`, oldest first.
+type DueTicks = Vec<(Option<u64>, i64)>;
+
+/// One pool's pane round: each probe's combined partials with whether a
+/// tick has read them yet, and the round's own cost until a tick that
+/// answers is charged it.
+struct PoolRound {
+    probes: Vec<(Result<PanePartials, String>, bool)>,
+    cost: Option<PaneRoundCost>,
+}
+
+/// The pane half of a driven round, shipped before any tick's tail runs:
+/// per pool, one batch of distinct probes and their combined partials.
+#[derive(Default)]
+struct PaneRound {
+    /// The probe each pane tick reads, by `(query, tick instant)`: its
+    /// pool and its place in the pool's batch.
+    reads: HashMap<(u64, i64), (usize, usize)>,
+    /// Per pool, its round.
+    pools: HashMap<usize, PoolRound>,
+    /// The round's `round` span, for the first pane tick that answers.
+    span: Option<SpanRecord>,
+}
+
+impl PaneRound {
+    /// The tail of the pane tick `read` names, over its probe's partials:
+    /// the probe's first reader is charged what the workers spent on it, a
+    /// later reader shares the probe; the pool's first tick that answers
+    /// is charged the round's own cost.
+    fn tick(
+        &mut self,
+        query: &ContinuousQuery,
+        (pool, probe): (usize, usize),
+        tick_ms: i64,
+    ) -> Result<TickOutput, String> {
+        let pool = self.pools.get_mut(&pool).expect("a planned pool");
+        let (answer, read) = &mut pool.probes[probe];
+        let partials = answer.as_ref().map_err(Clone::clone)?;
+        let mut output = query.pane_tick(tick_ms, partials, !*read, pool.cost)?;
+        *read = true;
+        pool.cost = None;
+        output.spans.extend(self.span.take());
+        Ok(output)
+    }
+}
+
+/// What a pane probe reads — everything but whether it needs extrema:
+/// probes that agree on it are one window of one pane grid.
+type ProbedWindow<'p> = (&'p str, &'p str, &'p str, &'p str, i64, i64, i64, i64);
+
+fn probed_window(p: &PaneProbe) -> ProbedWindow<'_> {
+    (
+        &p.stream, &p.ts_col, &p.key_col, &p.val_col, p.width_ms, p.start_ms, p.open_ms, p.close_ms,
+    )
 }
 
 /// The conciseness report behind experiment E3: one STARQL text versus the
@@ -321,7 +416,8 @@ impl OptiquePlatform {
     /// The one driven round. A pulse (`only` = `None`) ticks every query
     /// once, at `clock`; an append ticks the queries on the stream it
     /// advanced (`only`) once per window `clock` newly closed, at the
-    /// window's close instant. The contract is the [module docs](self)'.
+    /// window's close instant. The pane ticks' probes ship first, one round
+    /// per pool. The contract is the [module docs](self)'.
     fn drive_round(
         &self,
         snap: &PlatformSnapshot,
@@ -348,7 +444,13 @@ impl OptiquePlatform {
         let mut out = Vec::new();
         let mut first_error: Option<String> = None;
         let mut queries = self.queries.lock();
-        for (id, reg) in queries.iter_mut().filter(|(_, reg)| on_round(reg)) {
+        let due: Vec<(u64, DueTicks)> = (queries.iter())
+            .filter(|(_, reg)| on_round(reg))
+            .map(|(id, reg)| (*id, reg.due(only, clock)))
+            .collect();
+        let mut panes = self.pane_round(&queries, &due, &pools, db);
+        for (id, ticks) in due {
+            let reg = queries.get_mut(&id).expect("held under the queries lock");
             // A query whose worker count registered *between* the pool
             // build above and this lock has no pool yet: it ticks
             // single-node this once (identical output stream — the oracle's
@@ -356,22 +458,18 @@ impl OptiquePlatform {
             // deadlock on the queries lock (pool construction reads the
             // stream pairs).
             let executor = reg.workers.and_then(|w| pools.get(&w));
-            let (window, start) = (reg.query.window(), reg.query.window_start());
-            // The due ticks: `(window to mark as driven, tick instant)`.
-            let due: Vec<(Option<u64>, i64)> = match only {
-                None => vec![(None, clock)],
-                Some(_) => match window.last_closed(start, clock) {
-                    Some(newest) => (reg.last_auto_window.map_or(0, |w| w + 1)..=newest)
-                        .map(|w| (Some(w), window.bounds(start, w).1))
-                        .collect(),
-                    None => Vec::new(),
-                },
-            };
-            for (driven, tick_ms) in due {
-                match self.run_tick(reg, db, tick_ms, executor) {
+            for (driven, tick_ms) in ticks {
+                let result = match panes.reads.get(&(id, tick_ms)) {
+                    Some(&read) => self.run_tick(reg, |query| panes.tick(query, read, tick_ms)),
+                    None => self.run_tick(reg, |query| {
+                        let executor = executor.map(|f| f.as_ref() as _);
+                        query.tick_via(db, &self.wcache, tick_ms, executor)
+                    }),
+                };
+                match result {
                     Ok(output) => {
                         reg.last_auto_window = driven.or(reg.last_auto_window);
-                        out.push((*id, output));
+                        out.push((id, output));
                     }
                     Err(e) => {
                         reg.panel.tick_errors += 1;
@@ -386,26 +484,112 @@ impl OptiquePlatform {
         first_error.map_or(Ok(out), Err)
     }
 
-    /// One timed tick of one registered query; its counters land on the
-    /// query's panel and in the registry through [`QueryPanel::absorb`].
+    /// Plans and ships the pane half of a round: every due tick that reads
+    /// panes through a pool has its probe keyed by pool and window; each
+    /// pool's distinct windows — the `needs_extrema` of a window's readers
+    /// OR-ed — go out as one round, sorted by close.
+    fn pane_round(
+        &self,
+        queries: &BTreeMap<u64, RegisteredStarQl>,
+        due: &[(u64, DueTicks)],
+        pools: &HashMap<usize, Arc<Federation>>,
+        db: &Database,
+    ) -> PaneRound {
+        let started = Instant::now();
+        let mut planned: Vec<((u64, i64), usize, PaneProbe)> = Vec::new();
+        for (id, ticks) in due {
+            let reg = &queries[id];
+            let Some(pool) = reg.workers.filter(|w| pools.contains_key(w)) else {
+                continue;
+            };
+            for &(_, tick_ms) in ticks {
+                if let Some(probe) = reg.query.pane_probe(tick_ms) {
+                    planned.push(((*id, tick_ms), pool, probe));
+                }
+            }
+        }
+        let mut round = PaneRound::default();
+        if planned.is_empty() {
+            return round;
+        }
+        // Each pool's distinct windows in close order (the tails' order is
+        // registration order whatever the planning order).
+        planned.sort_by_key(|(_, pool, probe)| (*pool, probe.close_ms));
+        let mut batches: BTreeMap<usize, Vec<PaneProbe>> = BTreeMap::new();
+        let mut slot: HashMap<(usize, ProbedWindow<'_>), usize> = HashMap::new();
+        for (tick, pool, probe) in &planned {
+            let batch = batches.entry(*pool).or_default();
+            let at = *slot
+                .entry((*pool, probed_window(probe)))
+                .or_insert_with(|| {
+                    batch.push(PaneProbe {
+                        needs_extrema: false,
+                        ..probe.clone()
+                    });
+                    batch.len() - 1
+                });
+            batch[at].needs_extrema |= probe.needs_extrema;
+            round.reads.insert(*tick, (*pool, at));
+        }
+        for (pool, batch) in &batches {
+            let answers = self.ship_panes(batch, db, &pools[pool]);
+            let probes = answers.probes.into_iter().map(|answer| (answer, false));
+            let pool_round = PoolRound {
+                probes: probes.collect(),
+                cost: Some(answers.cost),
+            };
+            round.pools.insert(*pool, pool_round);
+        }
+        let probes: usize = batches.values().map(Vec::len).sum();
+        self.registry.counter(PANE_ROUNDS).add(batches.len() as u64);
+        self.registry.counter(PANE_PROBES).add(probes as u64);
+        round.span = Some(
+            SpanRecord::new("round", 0, started.elapsed().as_micros() as u64)
+                .under(0)
+                .attr("pools", batches.len())
+                .attr("probes", probes)
+                .attr("probes_shared", planned.len() - probes),
+        );
+        round
+    }
+
+    /// One pool's pane round.
+    fn ship_panes(&self, probes: &[PaneProbe], db: &Database, pool: &Federation) -> PaneAnswers {
+        #[cfg(test)]
+        if self.round_fault.load(Ordering::Relaxed) {
+            return PaneAnswers {
+                probes: (probes.iter())
+                    .map(|_| Err("injected round fault".into()))
+                    .collect(),
+                ..PaneAnswers::default()
+            };
+        }
+        combine_panes(probes, db.novelty_epoch(), pool)
+    }
+
+    /// One timed tick of one registered query, run by `tick`; the counters
+    /// land on the query's panel and in the registry through
+    /// [`QueryPanel::absorb`]. The tick's time is its `tick` span's, which
+    /// a pane tick charged with its round begins with the round.
     fn run_tick(
         &self,
         reg: &mut RegisteredStarQl,
-        db: &Arc<Database>,
-        tick_ms: i64,
-        executor: Option<&Arc<Federation>>,
+        tick: impl FnOnce(&ContinuousQuery) -> Result<TickOutput, String>,
     ) -> Result<TickOutput, String> {
         #[cfg(test)]
         if reg.tick_fault {
             return Err("injected tick fault".into());
         }
-        let tick_started = std::time::Instant::now();
-        let result =
-            reg.query
-                .tick_via(db, &self.wcache, tick_ms, executor.map(|f| f.as_ref() as _))?;
+        let tick_started = Instant::now();
+        let result = tick(&reg.query)?;
+        // A tick that found no closed window has no span.
+        let tick_us = (result.spans.first()).map_or_else(
+            || tick_started.elapsed().as_micros() as u64,
+            |tick| tick.duration_us,
+        );
         self.registry
             .histogram(&format!("tick.q{}.us", reg.panel.id))
-            .record(tick_started.elapsed().as_micros() as u64);
+            .record(tick_us);
         reg.panel.absorb(&result, &self.registry);
         Ok(result)
     }
@@ -867,6 +1051,216 @@ HAVING EXISTS ?k IN seq: GRAPH ?k { ?c2 sie:hasValue ?x }
         };
         assert_eq!(triples_of(&out, good), triples_of(&expected, good));
         assert_eq!(p.dashboard().panels[0].ticks, 8);
+    }
+
+    /// The `pane_stream` shape on the small deployment: four aggregate
+    /// queries on one 2-worker pool — SUM and MAX over one 200 s window,
+    /// AVG over 60 s, COUNT over 20 s.
+    fn pane_stream_programs() -> Vec<String> {
+        [
+            ("SUM", 200, 1_000),
+            ("AVG", 60, 72),
+            ("MAX", 200, 99),
+            ("COUNT", 20, 20),
+        ]
+        .iter()
+        .map(|(agg, range_s, at_least)| {
+            AGG_QUERY
+                .replace("PT10S", &format!("PT{range_s}S"))
+                .replace(
+                    "MAX(?c2, sie:hasValue) >= 85",
+                    &format!("{agg}(?c2, sie:hasValue) >= {at_least}"),
+                )
+        })
+        .collect()
+    }
+
+    /// One append, one pane round: the four queries' four windows are
+    /// three distinct probes in one gateway round of the pool, each probed
+    /// once per worker; the window SUM and MAX share is charged to SUM, and
+    /// MAX counts one shared probe.
+    #[test]
+    fn one_pane_round_per_pool_probes_each_window_once() {
+        const WORKERS: u64 = 2;
+        let p = platform();
+        for text in pane_stream_programs() {
+            p.register_starql_distributed(&text, WORKERS as usize)
+                .unwrap();
+        }
+        let count = |name: &str| p.metrics_snapshot().counter(name).unwrap_or(0);
+        for k in 0..4 {
+            let (rounds, probes) = (count(PANE_ROUNDS), count(PANE_PROBES));
+            let out = p.append_stream("S_Msmt", hot_seconds(&p, k, 1)).unwrap();
+            assert_eq!(out.len(), 4, "append {k}: one window per query");
+            assert_eq!(count(PANE_ROUNDS) - rounds, 1, "append {k}: one round");
+            assert_eq!(count(PANE_PROBES) - probes, 3, "append {k}: three windows");
+            let sum = |f: fn(&TickOutput) -> u64| out.iter().map(|(_, t)| f(t)).sum::<u64>();
+            assert_eq!(sum(|t| t.pane_hits + t.pane_misses), 3 * WORKERS);
+            assert_eq!(sum(|t| t.window_fragments as u64), 3);
+            assert_eq!(sum(|t| t.panes_shared as u64), 1);
+            // The round's own cost — three scattered fragments — is
+            // charged once, to its first tick.
+            assert_eq!(sum(|t| t.partitioned_fragments as u64), 3);
+            assert_eq!(out[0].1.partitioned_fragments, 3);
+            let (_, max) = &out[2];
+            assert_eq!(
+                (max.panes_shared, max.window_fragments),
+                (1, 0),
+                "MAX reads SUM's"
+            );
+            if k > 0 {
+                assert_eq!(sum(|t| t.pane_misses), 0, "append {k}: every store warm");
+            }
+            let rounds: Vec<_> = (out.iter().flat_map(|(_, t)| &t.spans))
+                .filter(|span| span.label == "round")
+                .collect();
+            assert_eq!(rounds.len(), 1, "append {k}: one round span");
+            let attr = |key: &str| {
+                rounds[0]
+                    .attrs
+                    .iter()
+                    .find(|(k, _)| k == key)
+                    .map(|(_, v)| v.clone())
+            };
+            assert_eq!(attr("pools"), Some(1usize.into()));
+            assert_eq!(attr("probes"), Some(3usize.into()));
+            assert_eq!(attr("probes_shared"), Some(1usize.into()));
+        }
+        let panels = p.dashboard().panels;
+        assert_eq!(panels[2].panes_shared, 4);
+        assert_eq!(
+            panels[0].panes_shared + panels[1].panes_shared + panels[3].panes_shared,
+            0
+        );
+    }
+
+    impl OptiquePlatform {
+        /// Makes every pane round fail (or stop failing).
+        fn set_round_fault(&self, failing: bool) {
+            self.round_fault.store(failing, Ordering::Relaxed);
+        }
+    }
+
+    /// The round's contract when its pane round fails: exactly the ticks
+    /// that read a probe of it fail — each pane query charged its own error
+    /// and its windows stopped — while a single-node query and a
+    /// sequence-path query on the same stream tick every window as if the
+    /// round had not run. Healed, the pane queries catch up on every window
+    /// they owe; nothing answered re-fires.
+    #[test]
+    fn failing_pane_round_fails_exactly_its_readers() {
+        let hot_or_failing = AGG_QUERY.replace(
+            "MAX(?c2, sie:hasValue) >= 85",
+            "MAX(?c2, sie:hasValue) >= 85 AND EXISTS ?k IN seq: GRAPH ?k { ?c2 sie:hasValue ?v }",
+        );
+        let short = AGG_QUERY.replace("PT10S", "PT4S");
+        let register = |p: &OptiquePlatform| {
+            let pane = p.register_starql_distributed(AGG_QUERY, 2).unwrap();
+            let other_pane = p.register_starql_distributed(&short, 2).unwrap();
+            p.register_starql(AGG_QUERY).unwrap();
+            p.register_starql_distributed(&hot_or_failing, 2).unwrap();
+            (pane, other_pane)
+        };
+        let (p, healthy) = (platform(), platform());
+        let (pane, other_pane) = register(&p);
+        register(&healthy);
+        p.set_round_fault(true);
+
+        let err = p
+            .append_stream("S_Msmt", hot_seconds(&p, 0, 3))
+            .unwrap_err();
+        assert!(err.contains(&format!("query {pane} (S_agg)")), "{err}");
+        assert!(err.contains("injected round fault"), "{err}");
+        let expected = healthy
+            .append_stream("S_Msmt", hot_seconds(&p, 0, 3))
+            .unwrap();
+        let panels = p.dashboard().panels;
+        let ticks: Vec<_> = panels.iter().map(|p| (p.ticks, p.tick_errors)).collect();
+        assert_eq!(ticks, [(0, 1), (0, 1), (3, 0), (3, 0)]);
+        assert_eq!(p.metrics_snapshot().counter("tick.errors"), Some(2));
+        let (panels, healthy_panels) = (timeless_panels(&p), timeless_panels(&healthy));
+        assert_eq!(
+            panels[2..],
+            healthy_panels[2..],
+            "the other ticks ran as if alone"
+        );
+
+        // Healed: the pane queries answer the three windows they owe and
+        // the new one, oldest first; the others answer the new one only.
+        p.set_round_fault(false);
+        let out = p.append_stream("S_Msmt", hot_seconds(&p, 3, 1)).unwrap();
+        let more = healthy
+            .append_stream("S_Msmt", hot_seconds(&p, 3, 1))
+            .unwrap();
+        let ticks_of = |id: u64| -> Vec<i64> {
+            let of_id = out.iter().filter(|(q, _)| *q == id);
+            of_id.map(|(_, t)| t.tick_ms).collect()
+        };
+        assert_eq!(ticks_of(pane), [660_000, 661_000, 662_000, 663_000]);
+        assert_eq!(ticks_of(other_pane), [660_000, 661_000, 662_000, 663_000]);
+        assert_eq!(ticks_of(3), [663_000]);
+        assert_eq!(ticks_of(4), [663_000]);
+        let triples_of = |out: &[(u64, TickOutput)], id: u64| -> Vec<_> {
+            let of_id = out.iter().filter(|(q, _)| *q == id);
+            of_id.flat_map(|(_, t)| t.triples.clone()).collect()
+        };
+        for id in [pane, other_pane] {
+            let caught_up = [expected.clone(), more.clone()].concat();
+            assert_eq!(
+                triples_of(&out, id),
+                triples_of(&caught_up, id),
+                "query {id}"
+            );
+        }
+        let panels = p.dashboard().panels;
+        let ticks: Vec<_> = panels.iter().map(|p| (p.ticks, p.tick_errors)).collect();
+        assert_eq!(ticks, [(4, 1), (4, 1), (4, 0), (4, 0)]);
+    }
+
+    /// A worker fails one probe of a pane round — its window's integer SUM
+    /// overflows — and only that probe's reader fails: a pane query over
+    /// other windows of the same pool ticks every window, as it does on a
+    /// platform of its own. `S_Msmt.value` is FLOAT, which admits integers;
+    /// two of `i64::MAX / 2 + 1`, 5 s apart, overflow every 10 s window
+    /// that holds both, and no 2 s window holds two.
+    #[test]
+    fn overflowing_pane_window_fails_only_its_readers() {
+        let sum = |range_s: i64| {
+            AGG_QUERY
+                .replace("PT10S", &format!("PT{range_s}S"))
+                .replace(
+                    "MAX(?c2, sie:hasValue) >= 85",
+                    "SUM(?c2, sie:hasValue) >= 100",
+                )
+        };
+        let (p, alone) = (platform(), platform());
+        let long = p.register_starql_distributed(&sum(10), 2).unwrap();
+        let short = p.register_starql_distributed(&sum(2), 2).unwrap();
+        alone.register_starql_distributed(&sum(2), 2).unwrap();
+        let sensor = streamed_sensor(&p);
+        let mut failed = Vec::new();
+        for s in 1..=12 {
+            let mut row = msmt_row(659_000 + s * 1_000, sensor, 60.0);
+            if s == 1 || s == 6 {
+                row[2] = Value::Int(i64::MAX / 2 + 1);
+            }
+            if let Err(e) = p.append_stream("S_Msmt", vec![row.clone()]) {
+                assert!(e.contains(&format!("query {long} (S_agg)")), "{e}");
+                assert!(e.contains("overflow"), "{e}");
+                assert!(!e.contains(&format!("query {short} ")), "{e}");
+                failed.push(s);
+            }
+            alone.append_stream("S_Msmt", vec![row]).unwrap();
+        }
+        // The window closing at 665 s holds both: the long query stops
+        // there, and owes it on every later append.
+        assert_eq!(failed, (6..=12).collect::<Vec<_>>());
+        let panels = p.dashboard().panels;
+        assert_eq!((panels[0].ticks, panels[0].tick_errors), (5, 7));
+        let alone_panel = &alone.dashboard().panels[0];
+        assert_eq!((panels[1].ticks, panels[1].tick_errors), (12, 0));
+        assert_eq!(panels[1].alarms, alone_panel.alarms);
+        assert!(alone_panel.alarms > 0, "the short windows answer");
     }
 
     /// The same contract through a pulse.

@@ -12,7 +12,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use optique_relational::{Database, ExecCounts, PaneStore, PlanFragment, SqlError, Table};
+use optique_relational::{
+    Database, ExecCounts, PaneCounts, PaneStore, PlanFragment, SqlError, Table,
+};
 use optique_telemetry::SpanRecord;
 
 use crate::cluster::{worker_panicked, Cluster, Worker};
@@ -35,14 +37,6 @@ impl Gateway {
         Arc::new(Gateway {
             cluster,
             pane_stores,
-        })
-    }
-
-    /// Summed pane-store hits and misses across the workers.
-    pub fn pane_stats(&self) -> (u64, u64) {
-        self.pane_stores.iter().fold((0, 0), |(h, m), s| {
-            let (sh, sm) = s.stats();
-            (h + sh, m + sm)
         })
     }
 
@@ -131,7 +125,8 @@ impl Gateway {
         let mut gathered: Vec<Option<Result<Table, SqlError>>> =
             fragments.iter().map(|_| None).collect();
         let mut spans: Vec<SpanRecord> = Vec::new();
-        let (mut executions, mut pane_hits, mut pane_misses, mut pane_acc_ops) = (0u64, 0, 0, 0);
+        let mut executions = 0u64;
+        let mut panes = vec![PaneCounts::default(); fragments.len()];
         for (worker, output) in outputs.into_iter().enumerate() {
             let output = output.unwrap_or_else(|_| WorkerOutput {
                 results: queues[worker]
@@ -141,9 +136,9 @@ impl Gateway {
                 ..WorkerOutput::default()
             });
             executions += output.executions;
-            pane_hits += output.pane_hits;
-            pane_misses += output.pane_misses;
-            pane_acc_ops += output.pane_acc_ops;
+            for (idx, counts) in output.panes {
+                panes[idx] += counts;
+            }
             let base = spans.len();
             spans.extend(output.spans.into_iter().map(|mut record| {
                 record.parent = record.parent.map(|p| p + base);
@@ -170,9 +165,7 @@ impl Gateway {
             shards_pruned,
             plan_cache_hits: executions.saturating_sub(parses),
             plan_cache_misses: parses,
-            pane_hits,
-            pane_misses,
-            pane_acc_ops,
+            panes,
             spans,
         }
     }
@@ -207,20 +200,9 @@ impl Gateway {
                 // answers from its shard-local pane store, folding at most
                 // the rows appended since the last probe.
                 if let Some(probe) = &q.fragment.pane {
-                    let store = &self.pane_stores[worker.id];
-                    // (A concurrent round probing the same store can land
-                    // its operations in this difference; the count is
-                    // exact whenever rounds do not overlap.)
-                    let ops_before = store.acc_ops();
-                    let outcome = store.combine(probe, db);
-                    out.pane_acc_ops += store.acc_ops() - ops_before;
-                    let (table, warm) = outcome?;
-                    cache_hit = warm;
-                    if warm {
-                        out.pane_hits += 1;
-                    } else {
-                        out.pane_misses += 1;
-                    }
+                    let (table, counts) = self.pane_stores[worker.id].combine(probe, db)?;
+                    cache_hit = counts.hits > 0;
+                    out.panes.push((q.idx, counts));
                     return Ok(table);
                 }
                 out.executions += 1;
@@ -281,11 +263,10 @@ struct Queued {
 #[derive(Default)]
 struct WorkerOutput {
     results: Vec<(usize, Result<Table, SqlError>)>,
-    /// SQL fragment executions (pane probes count under `pane_*`).
+    /// SQL fragment executions (pane probes count under `panes`).
     executions: u64,
-    pane_hits: u64,
-    pane_misses: u64,
-    pane_acc_ops: u64,
+    /// What each pane probe this worker answered cost, by fragment slot.
+    panes: Vec<(usize, PaneCounts)>,
     spans: Vec<SpanRecord>,
 }
 
@@ -309,14 +290,10 @@ pub struct StaticRound {
     /// Fragment SQL parses paid this round — one per text-built fragment
     /// that arrived unparsed, on the coordinator.
     pub plan_cache_misses: u64,
-    /// Pane probes answered from a warm worker pane store this round.
-    pub pane_hits: u64,
-    /// Pane probes that paid a full fold (first touch) or answered
-    /// store-lessly this round.
-    pub pane_misses: u64,
-    /// Accumulator operations the workers' pane stores performed for this
-    /// round's probes ([`PaneStore::acc_ops`]).
-    pub pane_acc_ops: u64,
+    /// Per submitted fragment, in input order: what its pane probes cost,
+    /// summed over the workers that answered it (default for a fragment
+    /// that carries no probe).
+    pub panes: Vec<PaneCounts>,
     /// Worker-side trace spans for the round, one batch root per worker
     /// that executed anything, with per-fragment children carrying worker
     /// id, shard, queue wait, parse / pane-store outcome and rows.
@@ -686,8 +663,8 @@ mod tests {
             )
         };
         let cold = g.run_static_round(&[fragment()]);
-        assert_eq!(cold.pane_misses, 4, "first touch folds each shard");
-        assert_eq!(cold.pane_hits, 0);
+        assert_eq!(cold.panes[0].misses, 4, "first touch folds each shard");
+        assert_eq!(cold.panes[0].hits, 0);
         assert_eq!(cold.plan_cache_hits + cold.plan_cache_misses, 0);
         let t = cold.tables[0].as_ref().unwrap();
         assert_eq!(t.len(), 4, "one group per key, keys disjoint per shard");
@@ -697,8 +674,7 @@ mod tests {
         let total: i64 = t.rows.iter().map(|r| r[1].as_i64().unwrap()).sum();
         assert_eq!(total, 4 * 40);
         let warm = g.run_static_round(&[fragment()]);
-        assert_eq!(warm.pane_hits, 4, "repeat rounds hit every store");
-        assert_eq!(g.pane_stats(), (4, 4));
+        assert_eq!(warm.panes[0].hits, 4, "repeat rounds hit every store");
     }
 
     #[test]
@@ -773,6 +749,11 @@ mod tests {
         let next = g.run_static_round(&[scan("ok"), pane()]);
         assert_eq!(next.tables[0].as_ref().unwrap().len(), 20);
         assert!(next.tables[1].is_ok());
-        assert_eq!(next.pane_hits, 2, "both pane stores are still warm");
+        assert_eq!(next.panes[1].hits, 2, "both pane stores are still warm");
+        assert_eq!(
+            next.panes[0],
+            PaneCounts::default(),
+            "a scan probes no panes"
+        );
     }
 }

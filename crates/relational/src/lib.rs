@@ -59,8 +59,8 @@ pub use fragment::{
 };
 pub use novelty::{view_at, NoveltyLog, NoveltyOverlay, NoveltyScope};
 pub use panes::{
-    compute_window_aggregates, fold_groups, merge_pane_rows, pane_width, AggAcc, PaneProbe,
-    PaneStore,
+    compute_window_aggregates, fold_groups, merge_pane_rows, pane_width, AggAcc, PaneCounts,
+    PaneProbe, PaneStore,
 };
 pub use parser::{parse_select, SelectStatement};
 pub use plan::LogicalPlan;

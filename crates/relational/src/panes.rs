@@ -19,18 +19,24 @@
 //!   from the additive fields (COUNT/SUM, and AVG through them). Extrema
 //!   (MIN/MAX) cannot be subtracted, and a cached whole-window extremum
 //!   going stale is the classic bug (the pane holding the maximum slides
-//!   out and the maximum survives) — so a leaving pane *marks* every key
-//!   whose extremum it may have held (its own is not strictly inside the
-//!   window's), and only the marked keys are recombined from the new
-//!   run's panes: O(marked keys × range/w), nothing when no extremum left;
+//!   out and the maximum survives) — so each key keeps a *monotone wedge*
+//!   per extremum: the `(pane, value)` pairs no later pane of the run
+//!   matches or beats, decreasing for MAX and increasing for MIN, the
+//!   window's extremum at the front. An entering pane pushes at the back,
+//!   popping what it covers (a tie covers: the later pane outlasts the
+//!   earlier); a leaving pane pops the front if the front is that pane.
+//!   A slide costs O(entering + leaving) amortized, with no term in the
+//!   range and none in the ties;
 //! * **appends**: a row folded from the overlay log is also observed into
-//!   every cached window whose pane run contains the row's pane. A row in
-//!   a pane the window has not reached arrives with that pane; a row in a
-//!   pane the window already left never mattered to it.
+//!   every cached window whose pane run contains the row's pane — and,
+//!   where the window keeps extrema, updates that pane's wedge entry and
+//!   drops the entries it now covers. A row in a pane the window has not
+//!   reached arrives with that pane; a row in a pane the window already
+//!   left never mattered to it.
 //!
-//! A window nobody has asked extrema of does not maintain them. Float sums
-//! are exact for whole-valued data; otherwise the add/subtract rounding of
-//! a cached window accumulates until the pool (and its stores) is rebuilt.
+//! A window nobody has asked extrema of keeps no wedges. Float sums are
+//! exact for whole-valued data; otherwise the add/subtract rounding of a
+//! cached window accumulates until the pool (and its stores) is rebuilt.
 //!
 //! Novelty discipline: a probe executes at a pinned novelty epoch. The
 //! store folds the base shard table once, then advances along the overlay
@@ -40,8 +46,7 @@
 //! *older* than the cached state answers store-lessly instead — the cache
 //! never rewinds, and no overlay row is ever double-counted.
 
-use std::collections::{btree_map, hash_map, BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{btree_map, hash_map, BTreeMap, HashMap, VecDeque};
 use std::sync::Mutex;
 
 use crate::error::SqlError;
@@ -128,24 +133,11 @@ impl AggAcc {
     }
 
     /// Removes a previously-merged accumulator (additive fields only —
-    /// extrema cannot be subtracted and are recombined by the caller).
+    /// extrema cannot be subtracted; a window's wedges keep them).
     fn unmerge_additive(&mut self, other: &AggAcc) {
         self.count -= other.count;
         self.sum_i = self.sum_i.wrapping_sub(other.sum_i);
         self.sum_f -= other.sum_f;
-    }
-
-    /// Whether `self`, the accumulator of a window that contains the pane
-    /// `leaving` summarizes, keeps its extrema when that pane goes: both of
-    /// the pane's lie strictly inside the window's, or the pane has none.
-    /// A comparison with NaN is false, which lands on the recombining side.
-    fn outlasts(&self, leaving: &AggAcc) -> bool {
-        match (leaving.min, leaving.max) {
-            (Some(low), Some(high)) => {
-                self.min.is_some_and(|min| low > min) && self.max.is_some_and(|max| high < max)
-            }
-            _ => leaving.min.is_none() && leaving.max.is_none(),
-        }
     }
 
     /// The combined sum as f64 (integer and float parts).
@@ -327,20 +319,117 @@ pub fn compute_window_aggregates(probe: &PaneProbe, db: &Database) -> Result<Tab
     };
     let rows = base.rows.iter().chain(db.novelty_rows(&probe.stream));
     let groups = fold_groups(rows.filter(in_window), cols.key, cols.val)?;
-    groups_to_table(&groups, cols.key_type, probe.needs_extrema)
+    groups_to_table(groups.iter(), cols.key_type, probe.needs_extrema)
 }
 
-fn groups_to_table(
-    groups: &BTreeMap<Value, AggAcc>,
+fn groups_to_table<'a>(
+    groups: impl Iterator<Item = (&'a Value, &'a AggAcc)>,
     key_type: ColumnType,
     needs_extrema: bool,
 ) -> Result<Table, SqlError> {
     let rows = groups
-        .iter()
         .filter(|(_, acc)| acc.count > 0)
         .map(|(k, acc)| acc_row(k, acc, needs_extrema))
         .collect();
     Table::new(pane_result_schema(key_type), rows)
+}
+
+/// A monotone wedge: `(pane, extremum)` pairs in pane order, no one of
+/// them covered by a later one — so its front is the extremum of the run.
+type Wedge = VecDeque<(i64, f64)>;
+
+/// An accumulator's `(min, max)`.
+type Extrema = (Option<f64>, Option<f64>);
+
+/// Whether `newer`, the extremum of a later pane, makes `older` unable to
+/// be the window's: `older` does not beat it (a tie covers — the later
+/// pane outlasts the earlier). `f64::max` / `f64::min` skip a NaN, so a
+/// NaN is covered by anything and covers only a NaN.
+fn covers(newer: f64, older: f64, is_max: bool) -> bool {
+    older.is_nan()
+        || (!newer.is_nan()
+            && if is_max {
+                older <= newer
+            } else {
+                older >= newer
+            })
+}
+
+/// Pushes the extremum of the pane entering at the back, popping what it
+/// covers.
+fn wedge_enter(wedge: &mut Wedge, pane: i64, value: f64, is_max: bool, ops: &mut u64) {
+    while wedge
+        .back()
+        .is_some_and(|&(_, older)| covers(value, older, is_max))
+    {
+        wedge.pop_back();
+        *ops += 1;
+    }
+    wedge.push_back((pane, value));
+    *ops += 1;
+}
+
+/// A late row raised the extremum of `pane`, inside the window, to
+/// `value`: updates the pane's entry (or inserts it, unless a later pane
+/// covers it) and drops the earlier entries it now covers.
+fn wedge_raise(wedge: &mut Wedge, pane: i64, value: f64, is_max: bool, ops: &mut u64) {
+    let mut at = wedge.partition_point(|&(p, _)| p < pane);
+    match wedge.get(at) {
+        Some(&(p, _)) if p == pane => wedge[at].1 = value,
+        Some(&(_, later)) if covers(later, value, is_max) => return,
+        _ => wedge.insert(at, (pane, value)),
+    }
+    *ops += 1;
+    while at > 0 && covers(value, wedge[at - 1].1, is_max) {
+        wedge.remove(at - 1);
+        at -= 1;
+        *ops += 1;
+    }
+}
+
+/// One key of a cached window: its accumulator over the run and, when
+/// the window keeps extrema, the wedges its `min`/`max` are read from.
+#[derive(Default)]
+struct Group {
+    acc: AggAcc,
+    max: Wedge,
+    min: Wedge,
+}
+
+impl Group {
+    /// Pane `pane`, summarized by `acc`, enters the run.
+    fn enter(&mut self, pane: i64, acc: &AggAcc, ops: &mut u64) {
+        if let Some(high) = acc.max {
+            wedge_enter(&mut self.max, pane, high, true, ops);
+        }
+        if let Some(low) = acc.min {
+            wedge_enter(&mut self.min, pane, low, false, ops);
+        }
+    }
+
+    /// Pane `pane`, the oldest of the run, leaves it: the extrema become
+    /// the wedges' new fronts (the entering panes merge in after).
+    fn leave(&mut self, pane: i64, ops: &mut u64) {
+        for wedge in [&mut self.max, &mut self.min] {
+            if wedge.front().is_some_and(|&(p, _)| p == pane) {
+                wedge.pop_front();
+                *ops += 1;
+            }
+        }
+        self.acc.max = self.max.front().map(|&(_, high)| high);
+        self.acc.min = self.min.front().map(|&(_, low)| low);
+    }
+
+    /// A late row moved pane `pane`'s extrema from `(min, max)` to
+    /// `pane_acc`'s.
+    fn raise(&mut self, pane: i64, (min, max): Extrema, pane_acc: &AggAcc, ops: &mut u64) {
+        if let Some(high) = pane_acc.max.filter(|_| pane_acc.max != max) {
+            wedge_raise(&mut self.max, pane, high, true, ops);
+        }
+        if let Some(low) = pane_acc.min.filter(|_| pane_acc.min != min) {
+            wedge_raise(&mut self.min, pane, low, false, ops);
+        }
+    }
 }
 
 /// Cached state of one window geometry: the combined accumulator of every
@@ -349,9 +438,10 @@ fn groups_to_table(
 struct SlidingWindow {
     p_open: i64,
     p_close: i64,
-    groups: BTreeMap<Value, AggAcc>,
-    /// Whether `groups` keeps `min`/`max` true across slides. Set once a
-    /// probe needs them (the window is rebuilt then) and never cleared.
+    groups: BTreeMap<Value, Group>,
+    /// Whether the groups keep wedges, and so `min`/`max` true across
+    /// slides. Set once a probe needs them (the window is rebuilt then)
+    /// and never cleared.
     extrema: bool,
 }
 
@@ -365,68 +455,62 @@ impl SlidingWindow {
         extrema: bool,
         ops: &mut u64,
     ) -> Result<Self, SqlError> {
-        let mut groups: BTreeMap<Value, AggAcc> = BTreeMap::new();
-        for (_, pane) in panes.range(p_open..p_close) {
-            for (k, acc) in pane {
-                groups.entry(k.clone()).or_default().merge(acc)?;
-                *ops += 1;
-            }
-        }
-        Ok(SlidingWindow {
+        let mut window = SlidingWindow {
             p_open,
             p_close,
-            groups,
+            groups: BTreeMap::new(),
             extrema,
-        })
+        };
+        window.merge_panes(panes, p_open..p_close, ops)?;
+        Ok(window)
+    }
+
+    /// Merges the panes of `run` into the window, oldest first.
+    fn merge_panes(
+        &mut self,
+        panes: &Panes,
+        run: std::ops::Range<i64>,
+        ops: &mut u64,
+    ) -> Result<(), SqlError> {
+        for (&p, pane) in panes.range(run) {
+            for (k, acc) in pane {
+                let g = self.groups.entry(k.clone()).or_default();
+                g.acc.merge(acc)?;
+                *ops += 1;
+                if self.extrema {
+                    g.enter(p, acc, ops);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Advances the window to `[p_open, p_close)`, which must not lie
-    /// behind it: subtracts the panes that leave, merges the panes that
-    /// enter, and recombines the extrema of the keys a leaving pane may
-    /// have held them for.
+    /// behind it: subtracts the panes that leave (popping them off the
+    /// wedges' fronts), then merges the panes that enter.
     fn slide_to(
         &mut self,
         panes: &Panes,
         (p_open, p_close): (i64, i64),
         ops: &mut u64,
     ) -> Result<(), SqlError> {
-        let mut marked: Vec<&Value> = Vec::new();
-        for (_, pane) in panes.range(self.p_open..p_open.min(self.p_close)) {
+        for (&p, pane) in panes.range(self.p_open..p_open.min(self.p_close)) {
             for (k, acc) in pane {
                 *ops += 1;
                 let Some(g) = self.groups.get_mut(k) else {
                     continue;
                 };
-                g.unmerge_additive(acc);
-                if g.count == 0 {
+                g.acc.unmerge_additive(acc);
+                if g.acc.count == 0 {
+                    // Every pane of the key has left, and its wedges with
+                    // them.
                     self.groups.remove(k);
-                } else if self.extrema && !g.outlasts(acc) {
-                    marked.push(k);
+                } else if self.extrema {
+                    g.leave(p, ops);
                 }
             }
         }
-        for (_, pane) in panes.range(self.p_close.max(p_open)..p_close) {
-            for (k, acc) in pane {
-                self.groups.entry(k.clone()).or_default().merge(acc)?;
-                *ops += 1;
-            }
-        }
-        marked.sort_unstable();
-        marked.dedup();
-        for k in marked {
-            // Gone with its last pane, unless an entering pane brought it
-            // back — then its extrema are the entering panes' already.
-            let Some(g) = self.groups.get_mut(k) else {
-                continue;
-            };
-            (g.min, g.max) = (None, None);
-            for (_, pane) in panes.range(p_open..p_close) {
-                *ops += 1;
-                if let Some(acc) = pane.get(k) {
-                    g.merge_extrema(acc);
-                }
-            }
-        }
+        self.merge_panes(panes, self.p_close.max(p_open)..p_close, ops)?;
         (self.p_open, self.p_close) = (p_open, p_close);
         Ok(())
     }
@@ -463,12 +547,18 @@ impl GridState {
         let pane = probe.pane_of(ts);
         let (key, val) = (&row[cols.key], &row[cols.val]);
         let slot = self.panes.entry(pane).or_default();
-        slot.entry(key.clone()).or_default().observe(val)?;
+        let pane_acc = slot.entry(key.clone()).or_default();
+        let before = (pane_acc.min, pane_acc.max);
+        pane_acc.observe(val)?;
         *ops += 1;
         for w in self.windows.values_mut() {
             if (w.p_open..w.p_close).contains(&pane) {
-                w.groups.entry(key.clone()).or_default().observe(val)?;
+                let g = w.groups.entry(key.clone()).or_default();
+                g.acc.observe(val)?;
                 *ops += 1;
+                if w.extrema {
+                    g.raise(pane, before, pane_acc, ops);
+                }
             }
         }
         Ok(())
@@ -520,7 +610,8 @@ impl GridState {
                 ops,
             )?),
         };
-        groups_to_table(&window.groups, cols.key_type, probe.needs_extrema)
+        let groups = window.groups.iter().map(|(k, g)| (k, &g.acc));
+        groups_to_table(groups, cols.key_type, probe.needs_extrema)
     }
 }
 
@@ -537,9 +628,6 @@ fn overlay_len(db: &Database, stream: &str) -> usize {
 #[derive(Default)]
 pub struct PaneStore {
     grids: Mutex<HashMap<String, GridState>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    acc_ops: AtomicU64,
 }
 
 impl PaneStore {
@@ -548,32 +636,24 @@ impl PaneStore {
         Self::default()
     }
 
-    /// Cumulative `(hits, misses)`: a hit answered a probe from panes that
-    /// were already warm (at most O(slide) incremental folding); a miss
-    /// paid a full fold (first touch of a grid) or answered store-lessly
-    /// (epoch older than the cached state, misaligned bounds).
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Cumulative accumulator operations the store's probes performed:
-    /// rows observed into panes and windows, pane partials merged into and
-    /// subtracted from windows, and pane look-ups while recombining a
-    /// marked key's extrema. The work of a probe, as a count.
-    pub fn acc_ops(&self) -> u64 {
-        self.acc_ops.load(Ordering::Relaxed)
-    }
-
     /// Answers a pane-combine probe from shard-local panes, maintaining
-    /// them incrementally. Returns the answer table plus whether the probe
-    /// was a warm hit.
-    pub fn combine(&self, probe: &PaneProbe, db: &Database) -> Result<(Table, bool), SqlError> {
+    /// them incrementally. Returns the answer table plus what this probe
+    /// cost: a hit (panes already warm, at most O(slide) incremental
+    /// folding) or a miss (a full fold on first touch of a grid, or a
+    /// store-less answer — epoch older than the cached state, misaligned
+    /// bounds), and the accumulator operations it performed — exact
+    /// whatever other probes run on the store meanwhile.
+    pub fn combine(
+        &self,
+        probe: &PaneProbe,
+        db: &Database,
+    ) -> Result<(Table, PaneCounts), SqlError> {
         let storeless = || {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            Ok((compute_window_aggregates(probe, db)?, false))
+            let counts = PaneCounts {
+                misses: 1,
+                ..PaneCounts::default()
+            };
+            Ok((compute_window_aggregates(probe, db)?, counts))
         };
         let Some(run) = probe.pane_run() else {
             return storeless();
@@ -614,15 +694,39 @@ impl PaneStore {
             };
             state.answer(probe, &cols, db, run, &mut ops)
         })();
-        self.acc_ops.fetch_add(ops, Ordering::Relaxed);
-        let counter = if warm { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
         if answer.is_err() {
             // A fold that failed half-way leaves panes and windows that
             // no longer add up; the next probe folds afresh.
             grids.remove(&key);
         }
-        Ok((answer?, warm))
+        let counts = PaneCounts {
+            hits: warm as u64,
+            misses: !warm as u64,
+            acc_ops: ops,
+        };
+        Ok((answer?, counts))
+    }
+}
+
+/// What answering pane probes cost, summable across probes and workers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PaneCounts {
+    /// Probes answered from panes that were already warm.
+    pub hits: u64,
+    /// Probes that folded a grid from scratch or answered store-lessly.
+    pub misses: u64,
+    /// Accumulator operations performed: rows observed into panes and
+    /// windows, pane partials merged into and subtracted from windows, and
+    /// wedge entries pushed, updated in place or popped — the work of a
+    /// probe, as a count.
+    pub acc_ops: u64,
+}
+
+impl std::ops::AddAssign for PaneCounts {
+    fn add_assign(&mut self, other: PaneCounts) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.acc_ops += other.acc_ops;
     }
 }
 
@@ -705,15 +809,16 @@ mod tests {
     fn store_matches_storeless_reference() {
         let db = stream_db((0..200).map(|i| (i * 10, i % 3, (i % 7) as f64)).collect());
         let store = PaneStore::new();
+        let mut total = PaneCounts::default();
         for close in [500, 1000, 1500, 1900] {
             let p = probe(close - 500, close, 100);
-            let (paned, _) = store.combine(&p, &db).unwrap();
+            let (paned, counts) = store.combine(&p, &db).unwrap();
+            total += counts;
             let reference = compute_window_aggregates(&p, &db).unwrap();
             assert_eq!(by_key(&paned), by_key(&reference), "close={close}");
         }
-        let (hits, misses) = store.stats();
-        assert_eq!(misses, 1, "only the first touch folds the base");
-        assert_eq!(hits, 3);
+        assert_eq!(total.misses, 1, "only the first touch folds the base");
+        assert_eq!(total.hits, 3);
     }
 
     #[test]
@@ -761,8 +866,8 @@ mod tests {
         let mut view = db.clone();
         view.set_novelty(Some(Arc::clone(&overlay)));
         for _ in 0..3 {
-            let (warm, hit) = store.combine(&p, &view).unwrap();
-            assert!(hit);
+            let (warm, counts) = store.combine(&p, &view).unwrap();
+            assert_eq!(counts.hits, 1);
             let got = by_key(&warm)[&0];
             assert_eq!(got.0, 25, "overlay row counted exactly once");
             assert_eq!(got.1, 29.0);
@@ -774,8 +879,8 @@ mod tests {
 
         // Probing back at the pre-append epoch answers store-lessly (the
         // cache never rewinds) and still matches the reference.
-        let (old, hit) = store.combine(&p, &db).unwrap();
-        assert!(!hit);
+        let (old, counts) = store.combine(&p, &db).unwrap();
+        assert_eq!((counts.hits, counts.misses), (0, 1));
         assert_eq!(by_key(&old)[&0].0, 24);
     }
 
@@ -880,26 +985,44 @@ mod tests {
             overlay = overlay.with_rows("s", values(batch));
             let mut view = db.clone();
             view.set_novelty(Some(Arc::clone(&overlay)));
-            let before = store.acc_ops();
+            let mut ops = 0;
             for needs_extrema in [false, true] {
                 let p = window(first_close_s + 1 + i as i64, needs_extrema);
-                let (got, warm) = store.combine(&p, &view).unwrap();
-                assert!(warm, "step {i}");
+                let (got, counts) = store.combine(&p, &view).unwrap();
+                assert_eq!(counts.hits, 1, "step {i}");
+                ops += counts.acc_ops;
                 assert_eq!(
                     by_key(&got),
                     by_key(&compute_window_aggregates(&p, &view).unwrap()),
                     "range {range_s} s, step {i}, extrema {needs_extrema}"
                 );
             }
-            steps.push(store.acc_ops() - before);
+            steps.push(ops);
         }
         steps
+    }
+
+    /// Distinct values in [`tied_second`].
+    const ALPHABET: i64 = 4;
+
+    /// Second `sec` of a 1 Hz stream whose every key reports two readings
+    /// from a small integer alphabet: every window holds its extrema many
+    /// times over, and the pane that leaves often holds one of them.
+    fn tied_second(sec: i64) -> Vec<(i64, i64, f64)> {
+        (0..KEYS)
+            .flat_map(|k| {
+                let ts = (sec + 1) * 1_000;
+                let mix = |salt: i64| (sec * 7_919 + k * 104_729 + salt).wrapping_mul(0x9E37) >> 5;
+                [0, 1].map(|salt| (ts, k, mix(salt).rem_euclid(ALPHABET) as f64))
+            })
+            .collect()
     }
 
     /// O(slide) under the path the platform actually runs — one appended
     /// batch before every probe: a warm step observes the batch into its
     /// pane, merges the pane that enters and subtracts the pane that
-    /// leaves, whatever the range.
+    /// leaves, and moves the extrema wedges by what entered and left —
+    /// whatever the range, ties included.
     #[test]
     fn warm_probe_work_does_not_grow_with_the_range_under_appends() {
         const HISTORY_S: i64 = 210;
@@ -909,9 +1032,11 @@ mod tests {
             .into_iter()
             .map(|range_s| append_driven_ops(base.clone(), batches.clone(), HISTORY_S, range_s))
             .collect();
-        // 2·KEYS rows observed, KEYS partials merged, KEYS subtracted; the
-        // MAX probe finds the window the SUM probe just advanced.
-        let step = (4 * KEYS) as u64;
+        // Per key: 2 rows observed, 1 partial merged, 1 subtracted, and the
+        // entering pane pops the newest entry off each wedge and pushes its
+        // own (the widening values leave one entry per wedge); the MAX probe
+        // finds the window the SUM probe just advanced.
+        let step = (8 * KEYS) as u64;
         for (range_s, steps) in [2, 20, 200].into_iter().zip(&per_range) {
             assert!(
                 steps.iter().all(|&ops| ops == step),
@@ -921,20 +1046,31 @@ mod tests {
 
         // The maximum leaves: key 3 spikes in second 195, which slides out
         // of the 20 s window at step 5 and of the 200 s window never (in
-        // this run). That step recombines one key over the run's panes —
-        // not every key.
+        // this run). That step pops one wedge front — no recombination.
         let mut spiked = base.clone();
         spiked.push((196_000, 3, 1e9));
         for (range_s, leaves_at) in [(20, Some(5)), (200, None)] {
             let steps = append_driven_ops(spiked.clone(), batches.clone(), HISTORY_S, range_s);
             for (i, &ops) in steps.iter().enumerate() {
-                let recombined = if Some(i) == leaves_at {
-                    range_s as u64
-                } else {
-                    0
-                };
-                assert_eq!(ops, step + recombined, "{range_s} s, step {i}: {steps:?}");
+                let popped = (Some(i) == leaves_at) as u64;
+                assert_eq!(ops, step + popped, "{range_s} s, step {i}: {steps:?}");
             }
+        }
+
+        // Ties: every window holds its maximum and its minimum several
+        // times, and a leaving pane often holds one. A step stays within
+        // what entered and left — 2 rows, 1 merge, 1 subtraction, the two
+        // fronts popped, and per wedge one push plus at most the alphabet
+        // in pops — at every range.
+        let base: Vec<_> = (0..HISTORY_S).flat_map(tied_second).collect();
+        let batches: Vec<_> = (HISTORY_S..HISTORY_S + 20).map(tied_second).collect();
+        let bound = (KEYS * (2 + 1 + 1 + 2 + 2 * (1 + ALPHABET))) as u64;
+        for range_s in [2, 20, 200] {
+            let steps = append_driven_ops(base.clone(), batches.clone(), HISTORY_S, range_s);
+            assert!(
+                steps.iter().all(|&ops| ops <= bound),
+                "{range_s} s: {steps:?}, expected at most {bound} per step"
+            );
         }
     }
 
@@ -958,13 +1094,13 @@ mod tests {
         let overlay = NoveltyOverlay::empty().with_rows("s", values(late));
         let mut view = db.clone();
         view.set_novelty(Some(overlay));
-        let before = store.acc_ops();
-        let (got, warm) = store.combine(&p, &view).unwrap();
-        assert!(warm);
+        let (got, counts) = store.combine(&p, &view).unwrap();
+        assert_eq!(counts.hits, 1);
         assert_eq!(
-            store.acc_ops() - before,
-            4 + 2,
-            "four rows into panes, two of them into the window"
+            counts.acc_ops,
+            4 + 2 + 2,
+            "four rows into panes, two of them into the window, each of those \
+             two moving one wedge entry"
         );
         let got = by_key(&got);
         assert_eq!(got, by_key(&compute_window_aggregates(&p, &view).unwrap()));
@@ -983,6 +1119,67 @@ mod tests {
         }
     }
 
+    fn cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(cases()))]
+
+        /// Whole-valued appends from a small alphabet (ties everywhere),
+        /// with rows late inside the cached windows, at their newest pane
+        /// and behind them, keys that fall silent for longer than a range,
+        /// and appends that jump the clock by several panes: at every probe
+        /// the wedges' MIN/MAX — and every other field — equal a rescan's,
+        /// for two extrema-keeping windows and an additive one on one grid.
+        #[test]
+        fn wedge_extrema_equal_a_rescan_under_appends(
+            range_s in 1i64..6,
+            steps in proptest::collection::vec(
+                (1i64..4, proptest::collection::vec((0i64..4, 0usize..5, 0i64..6), 0..7)),
+                5..40,
+            ),
+        ) {
+            let db = stream_db(Vec::new());
+            let store = PaneStore::new();
+            let mut overlay = NoveltyOverlay::empty();
+            let mut now_s = 10;
+            for (advance, rows) in steps {
+                now_s += advance;
+                let batch = rows
+                    .iter()
+                    .map(|&(key, lateness, value)| {
+                        let back_ms = [0, 300, 1_000, 2_500, 15_000][lateness];
+                        (now_s * 1_000 - back_ms, key, value as f64)
+                    })
+                    .collect();
+                overlay = overlay.with_rows("s", values(batch));
+                let mut view = db.clone();
+                view.set_novelty(Some(Arc::clone(&overlay)));
+                for (range, needs_extrema) in [(range_s, true), (range_s + 3, true), (range_s + 1, false)] {
+                    let p = PaneProbe {
+                        needs_extrema,
+                        ..probe((now_s - range) * 1_000, now_s * 1_000, 1_000)
+                    };
+                    let got = by_key(&store.combine(&p, &view).unwrap().0);
+                    let want = by_key(&compute_window_aggregates(&p, &view).unwrap());
+                    proptest::prop_assert_eq!(
+                        &got,
+                        &want,
+                        "({}, {}]: store {:?}, rescan {:?}",
+                        p.open_ms,
+                        p.close_ms,
+                        got,
+                        want
+                    );
+                }
+            }
+        }
+    }
+
     /// A window only ever probed for COUNT/SUM keeps no extrema and so
     /// recombines none — even over data whose every leaving pane holds the
     /// minimum — until a probe asks for them.
@@ -997,13 +1194,8 @@ mod tests {
         };
         store.combine(&sum(30), &db).unwrap();
         for close_s in 31..40 {
-            let before = store.acc_ops();
-            store.combine(&sum(close_s), &db).unwrap();
-            assert_eq!(
-                store.acc_ops() - before,
-                2 * KEYS as u64,
-                "close {close_s} s"
-            );
+            let (_, counts) = store.combine(&sum(close_s), &db).unwrap();
+            assert_eq!(counts.acc_ops, 2 * KEYS as u64, "close {close_s} s");
         }
         let max = PaneProbe {
             needs_extrema: true,
@@ -1013,14 +1205,17 @@ mod tests {
         assert_eq!(got, by_key(&compute_window_aggregates(&max, &db).unwrap()));
         assert_eq!(got[&0].2, Some(20.0), "the minimum is the oldest pane's");
         // From here on the window keeps them: each slide loses every key's
-        // minimum and recombines it over the run's 20 panes.
+        // minimum with its oldest pane — the front of a MIN wedge that holds
+        // the whole rising run — and the entering pane replaces the one
+        // entry of the MAX wedge: per key one subtraction, one merge, one
+        // pop off the MIN front and three wedge moves at the back.
         let next = PaneProbe {
             needs_extrema: true,
             ..sum(41)
         };
-        let before = store.acc_ops();
-        let got = by_key(&store.combine(&next, &db).unwrap().0);
-        assert_eq!(store.acc_ops() - before, (2 * KEYS + 20 * KEYS) as u64);
+        let (got, counts) = store.combine(&next, &db).unwrap();
+        assert_eq!(counts.acc_ops, (6 * KEYS) as u64);
+        let got = by_key(&got);
         assert_eq!(got[&0].2, Some(21.0));
     }
 
@@ -1059,8 +1254,8 @@ mod tests {
             store.combine(&p, &at(&poisoned)),
             Err(SqlError::Overflow(_))
         ));
-        let (got, warm) = store.combine(&p, &at(&fine)).unwrap();
-        assert!(!warm, "the failed grid was dropped");
+        let (got, counts) = store.combine(&p, &at(&fine)).unwrap();
+        assert_eq!(counts.misses, 1, "the failed grid was dropped");
         let got = by_key(&got)[&0];
         assert_eq!((got.0, got.1), (2, 3.0));
     }

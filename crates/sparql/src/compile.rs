@@ -37,7 +37,8 @@ use optique_ontology::Ontology;
 use optique_rdf::{Iri, Literal, Term};
 use optique_relational::parser::SelectStatement;
 use optique_relational::{
-    expr::BinOp, expr::UnaryOp, Database, Expr, PlanFragment, SemiJoin, StatsCatalog, Table, Value,
+    expr::BinOp, expr::UnaryOp, Database, Expr, PaneCounts, PlanFragment, SemiJoin, StatsCatalog,
+    Table, Value,
 };
 use optique_rewrite::{rewrite, Atom, ConjunctiveQuery, QueryTerm, RewriteSettings};
 use optique_telemetry::{SpanId, SpanRecord, Tracer};
@@ -77,16 +78,14 @@ pub struct FragmentRound {
     pub plan_cache_hits: u64,
     /// Fragment SQL parses paid this round (text-built fragments only).
     pub plan_cache_misses: u64,
-    /// Pane probes answered from a worker's warm pane store (at most
-    /// O(slide) incremental folding).
-    pub pane_hits: u64,
-    /// Pane probes that paid a full fold (first touch of a pane grid) or
-    /// answered store-lessly (stale epoch, misaligned window bounds).
-    pub pane_misses: u64,
-    /// Accumulator operations the round's pane probes performed
-    /// ([`optique_relational::PaneStore::acc_ops`]) — their work as a
-    /// count: flat in the window range while the stores are warm.
-    pub pane_acc_ops: u64,
+    /// Per fragment, in fragment order, what its pane probes cost on the
+    /// workers: probes answered from a warm pane store (at most O(slide)
+    /// incremental folding), probes that paid a full fold or answered
+    /// store-lessly, and the accumulator operations performed
+    /// ([`PaneCounts::acc_ops`]) — their work as a count, flat in the
+    /// window range while the stores are warm. Empty when the executor
+    /// reports none (a store-less executor).
+    pub panes: Vec<PaneCounts>,
     /// Worker-side trace spans for the round (batch-relative, see
     /// [`optique_telemetry::SpanRecord`]). A traced pipeline grafts them
     /// under its execution span so worker-side children stitch into the

@@ -33,16 +33,35 @@
 //! semi-join on the stream-key column restricted to the bound subjects'
 //! raw keys — the stream-static join pushdown — which also lets the
 //! gateway's shard routing skip shards that can hold no admissible key.
+//!
+//! **A pane tick is three pieces.** When HAVING is a pure tree of window
+//! aggregates, a distributed tick materializes no window at all: its
+//! [`ContinuousQuery::pane_probe`] names the window on the pane grid,
+//! [`combine_panes`] ships a batch of probes as one round and merges each
+//! probe's per-shard partials once, and [`ContinuousQuery::pane_tick`]
+//! decides the bindings off the merged accumulators. A driven round batches
+//! every due window of every query on a pool this way, each distinct window
+//! once; [`ContinuousQuery::tick_via`] is the round of one.
+//!
+//! **Aggregates are read by subject id.** Registration gives every IRI of
+//! the binding rows and every IRI constant of HAVING a dense id
+//! ([`SubjectIds`]). A window's per-key accumulators enter the aggregate
+//! context by id: a key's id comes from a per-query memo, filled by the
+//! subject template's `render` the first time the key is seen — the exact
+//! term graph patterns match — so a tick mints no IRI, and an aggregate
+//! atom reads one slot.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use optique_mapping::IriTemplate;
 use optique_rdf::{Term, Triple};
 use optique_relational::{
-    fold_groups, merge_pane_rows, pane_width, AggAcc, ColumnType, Database, PaneProbe,
+    fold_groups, merge_pane_rows, pane_width, AggAcc, ColumnType, Database, PaneCounts, PaneProbe,
     PlanFragment, Schema, SelectStatement, SemiJoin, Value, WindowSlice,
 };
 use optique_rewrite::{Atom, QueryTerm};
@@ -51,7 +70,7 @@ use optique_stream::{StreamDiffer, WCache, WindowSpec};
 use optique_telemetry::SpanRecord;
 
 use crate::ast::OutputMode;
-use crate::having::{AggContext, AggFunc, BindingRow, CompiledHaving, HavingFormula};
+use crate::having::{AggContext, AggFunc, BindingRow, CompiledHaving, HavingFormula, SubjectIds};
 use crate::sequence::{
     sequence_fingerprint, shared_sequence, EvaluatedWindow, IndexedSequence, StreamToRdf,
 };
@@ -102,6 +121,67 @@ pub struct ContinuousQuery {
     /// Relation-to-stream differ for ISTREAM/DSTREAM output: tracks the
     /// previous tick's constructed triples.
     differ: Mutex<StreamDiffer<Triple>>,
+    /// The subject ids registration handed out, and which id each stream
+    /// key's groups enter a tick's aggregate context under.
+    subjects: Mutex<SubjectMemo>,
+}
+
+/// A query's subject ids and the memo from stream keys to them: the first
+/// window that holds a key renders it through the subject template — the
+/// exact term `tuple_triples` mints, so a key names the subject graph
+/// patterns match — and every later window looks the key up. Bounded by the
+/// stream's distinct keys, like the pane stores.
+#[derive(Debug)]
+struct SubjectMemo {
+    ids: SubjectIds,
+    keys: HashMap<KeyBits, Option<u32>>,
+}
+
+/// A stream key by variant and bits. `Value` equality would make one key
+/// of `Int(5)` and `Timestamp(5)` (or of `0.0` and `-0.0`), which render
+/// apart: `…/5` and `…/@5`.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum KeyBits {
+    Bits(u8, u64),
+    Text(Value),
+}
+
+impl KeyBits {
+    fn of(key: &Value) -> Self {
+        match key {
+            Value::Null => KeyBits::Bits(0, 0),
+            Value::Int(i) => KeyBits::Bits(1, *i as u64),
+            Value::Float(f) => KeyBits::Bits(2, f.to_bits()),
+            Value::Bool(b) => KeyBits::Bits(3, *b as u64),
+            Value::Timestamp(t) => KeyBits::Bits(4, *t as u64),
+            Value::Text(_) => KeyBits::Text(key.clone()),
+        }
+    }
+}
+
+impl SubjectMemo {
+    /// The groups of `groups` an aggregate atom can read, with the subject
+    /// id each enters the context under. Null keys (subjectless rows) and
+    /// all-null groups are skipped on every path alike.
+    fn admit<'g>(
+        &mut self,
+        groups: &'g BTreeMap<Value, AggAcc>,
+        subject: &IriTemplate,
+    ) -> Vec<(u32, &'g AggAcc)> {
+        let SubjectMemo { ids, keys } = self;
+        let mut admitted = Vec::with_capacity(groups.len());
+        for (key, acc) in groups {
+            if acc.count == 0 {
+                continue;
+            }
+            let id = *keys.entry(KeyBits::of(key)).or_insert_with(|| {
+                let iri = subject.render(key)?;
+                ids.admit(Term::iri(iri))
+            });
+            admitted.extend(id.map(|id| (id, acc)));
+        }
+        admitted
+    }
 }
 
 /// Where the stream table keeps the columns the stream mapping names, and
@@ -161,7 +241,7 @@ impl StreamColumns {
 }
 
 /// What either window path of a tick hands the shared tail.
-struct Windowed {
+struct Windowed<'g> {
     /// The tick's accounting so far: the window-side counters and the
     /// window-side spans (children of `tick`, which the tail puts at index
     /// 0), everything else default.
@@ -169,10 +249,105 @@ struct Windowed {
     /// The window's evaluated sequence (empty on the pane path, which
     /// materializes none).
     evaluated: Arc<EvaluatedWindow>,
-    /// Per-subject window aggregates, when HAVING reads any.
-    aggs: Option<AggContext>,
+    /// The window's per-key accumulators, when HAVING aggregates: folded
+    /// from its rows, or combined from pane partials a round shares.
+    groups: Option<Cow<'g, BTreeMap<Value, AggAcc>>>,
     /// When the window side was done, in µs since the tick began.
     ready_us: u64,
+}
+
+/// One pane probe's answer, merged across the shards once for every tick
+/// that reads it, and what the workers spent on it.
+#[derive(Debug, Default)]
+pub struct PanePartials {
+    /// Per stream key, the accumulator over the probed window.
+    groups: BTreeMap<Value, AggAcc>,
+    /// Pane-answer rows the workers shipped for the probe.
+    rows_shipped: usize,
+    /// What the workers' pane stores spent on the probe.
+    counts: PaneCounts,
+}
+
+/// What a pane round cost as a whole, charged once: fragments that
+/// scattered, shards pruned, and µs from shipping the round to its last
+/// merge.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PaneRoundCost {
+    partitioned_fragments: usize,
+    shards_pruned: usize,
+    us: u64,
+}
+
+/// A pane round's answers: per probe, in the order shipped, its combined
+/// partials or why it failed; and what the round cost.
+#[derive(Debug, Default)]
+pub struct PaneAnswers {
+    /// Per probe, its partials or its error.
+    pub probes: Vec<Result<PanePartials, String>>,
+    /// The round's own cost.
+    pub cost: PaneRoundCost,
+}
+
+/// Ships `probes` through `executor` as **one** round, pinned at novelty
+/// epoch `epoch`, and merges each probe's per-shard partials once. Probes
+/// go in the order given, so a worker's cached window of one range only
+/// slides forward when they come sorted by close. A probe fails alone: one
+/// whose partials do not merge, and one a worker fails — the executor
+/// fails the whole round then, and each probe is shipped again on its own.
+pub fn combine_panes(
+    probes: &[PaneProbe],
+    epoch: u64,
+    executor: &dyn FragmentExecutor,
+) -> PaneAnswers {
+    let started = Instant::now();
+    // A statement only describes a probe's scan (spans, the wire,
+    // store-less fallbacks read the probe); it is never executed.
+    let fragments = probes
+        .iter()
+        .enumerate()
+        .map(|(i, probe)| {
+            let columns = [probe.key_col.clone(), probe.val_col.clone()];
+            let scan = SelectStatement::scan(&probe.stream, columns);
+            PlanFragment::from_statement(i as u64, scan, 1.0)
+                .with_pane(probe.clone())
+                .at_epoch(epoch)
+        })
+        .collect();
+    let mut answers = PaneAnswers::default();
+    match executor.execute(fragments) {
+        Ok(round) => {
+            answers.probes = (round.tables.iter().enumerate())
+                .map(|(i, table)| {
+                    let mut groups = BTreeMap::new();
+                    merge_pane_rows(&mut groups, &table.rows).map_err(|e| e.to_string())?;
+                    Ok(PanePartials {
+                        groups,
+                        rows_shipped: table.rows.len(),
+                        counts: round.panes.get(i).copied().unwrap_or_default(),
+                    })
+                })
+                .collect();
+            answers.cost.partitioned_fragments = round.partitioned_fragments;
+            answers.cost.shards_pruned = round.shards_pruned;
+        }
+        // The executor fails the round for any one fragment's error — a
+        // window whose integer SUM overflows on a worker, say: each probe
+        // goes again alone, so that the error reaches its own readers only.
+        Err(_) if probes.len() > 1 => {
+            for probe in probes {
+                let alone = combine_panes(std::slice::from_ref(probe), epoch, executor);
+                answers.probes.extend(alone.probes);
+                answers.cost.partitioned_fragments += alone.cost.partitioned_fragments;
+                answers.cost.shards_pruned += alone.cost.shards_pruned;
+            }
+        }
+        Err(e) => {
+            let failed = format!("pane fragment round failed: {e}");
+            answers.probes = probes.iter().map(|_| Err(failed.clone())).collect();
+        }
+    }
+    answers.cost.us = started.elapsed().as_micros() as u64;
+    answers
 }
 
 fn now_us(epoch: &Instant) -> u64 {
@@ -231,6 +406,10 @@ pub struct TickOutput {
     /// Worker pane-store probes that had to fold panes from scratch (or
     /// fell back to the store-less reference fold).
     pub pane_misses: u64,
+    /// Pane probes this tick read from its round without being charged
+    /// for them: another tick of the round read the same window first and
+    /// carries the probe's shipping and pane-store counts (0 or 1).
+    pub panes_shared: usize,
     /// Per-tick telemetry spans as flat wire records relative to the tick
     /// epoch: `tick` at index 0, `window_build` (with its `wcache_lookup`
     /// and `scatter` children; a pane tick has `pane_combine` in its place)
@@ -266,13 +445,14 @@ impl ContinuousQuery {
             admissible_stream_keys(&translated, &stream_to_rdf, &stream_columns, &bindings);
         let pane_extrema = pane_extrema(&translated, &stream_to_rdf, &stream_columns);
         // The maps are read once: their variables become columns, every
-        // binding a row over them.
+        // binding a row over them, every IRI a subject id.
         let columns = BindingRow::columns(&bindings);
-        let having = CompiledHaving::compile(&translated.having, &columns);
+        let mut ids = SubjectIds::new();
+        let having = CompiledHaving::compile(&translated.having, &columns, &mut ids);
         let construct = compile_construct(&translated.query.construct, &columns);
         let bindings = bindings
             .iter()
-            .map(|binding| BindingRow::new(&columns, binding))
+            .map(|binding| BindingRow::new(&columns, binding, &mut ids))
             .collect();
         let fingerprint = sequence_fingerprint(&stream_to_rdf, &translated.ontology);
         // Key-restricted windows hold other rows than full ones, so their
@@ -303,6 +483,10 @@ impl ContinuousQuery {
             pane_extrema,
             pane_enabled: AtomicBool::new(true),
             differ: Mutex::new(StreamDiffer::new()),
+            subjects: Mutex::new(SubjectMemo {
+                ids,
+                keys: HashMap::new(),
+            }),
         })
     }
 
@@ -361,6 +545,11 @@ impl ContinuousQuery {
     /// Output streams are identical across backends (the streaming
     /// equivalence oracle pins this down); only the shipping accounting
     /// differs.
+    ///
+    /// A pane-combinable query's distributed tick is a round of one: its
+    /// [`Self::pane_probe`] through [`combine_panes`], then
+    /// [`Self::pane_tick`] — the pieces a driven round runs for many
+    /// queries at once.
     pub fn tick_via(
         &self,
         db: &Database,
@@ -368,6 +557,12 @@ impl ContinuousQuery {
         tick_ms: i64,
         executor: Option<&dyn FragmentExecutor>,
     ) -> Result<TickOutput, String> {
+        let pane = executor.and_then(|executor| Some((executor, self.pane_probe(tick_ms)?)));
+        if let Some((executor, probe)) = pane {
+            let answers = combine_panes(&[probe], db.novelty_epoch(), executor);
+            let partials = (answers.probes.into_iter().next()).expect("one probe, one answer")?;
+            return self.pane_tick(tick_ms, &partials, true, Some(answers.cost));
+        }
         let Some(window_id) = self.window.last_closed(self.window_start, tick_ms) else {
             return Ok(TickOutput {
                 tick_ms,
@@ -376,28 +571,113 @@ impl ContinuousQuery {
         };
         let (open, close) = self.window.bounds(self.window_start, window_id);
         let epoch = Instant::now();
-        let windowed = match (self.pane_extrema, executor) {
-            // Pane-combinable queries skip window materialization entirely
-            // on the distributed path: each worker answers from its
-            // shard-local incremental pane store and only per-group partial
-            // aggregates travel, independent of the window's row count.
-            (Some(extrema), Some(executor)) if self.pane_enabled.load(Ordering::Relaxed) => {
-                self.pane_window(db, open, close, extrema, executor, &epoch)?
-            }
-            _ => self.sequence_window(db, wcache, open, close, executor, &epoch)?,
-        };
+        let windowed = self.sequence_window(db, wcache, open, close, executor, &epoch)?;
+        self.finish(tick_ms, window_id, windowed, &epoch)
+    }
 
-        // The one tail: decide every binding against what the window side
-        // produced, then assemble the output around its accounting.
+    /// The pane probe a distributed tick at `tick_ms` reads: `None` when no
+    /// window has closed by then, or when the tick reads no panes — HAVING
+    /// is not pane-combinable, or the pane path is switched off. Such
+    /// ticks skip window materialization entirely: each worker answers from
+    /// its shard-local incremental pane store and only per-group partial
+    /// aggregates travel, independent of the window's row count.
+    pub fn pane_probe(&self, tick_ms: i64) -> Option<PaneProbe> {
+        let needs_extrema = self
+            .pane_extrema
+            .filter(|_| self.pane_enabled.load(Ordering::Relaxed))?;
+        let window_id = self.window.last_closed(self.window_start, tick_ms)?;
+        let (open_ms, close_ms) = self.window.bounds(self.window_start, window_id);
+        let stream = &self.translated.query.stream;
+        Some(PaneProbe {
+            stream: stream.name.clone(),
+            ts_col: self.stream_to_rdf.timestamp_col.clone(),
+            key_col: self.stream_to_rdf.subject.column().to_string(),
+            val_col: self.stream_to_rdf.value_col.clone(),
+            width_ms: pane_width(stream.range_ms, stream.slide_ms),
+            start_ms: self.window_start,
+            open_ms,
+            close_ms,
+            needs_extrema,
+        })
+    }
+
+    /// The tail of a pane tick at `tick_ms` over its probe's combined
+    /// partials: decides every binding straight off the accumulators, over
+    /// an empty sequence. The probe's `first` reader is charged what the
+    /// workers spent on it; a later reader of the same window reports none
+    /// of it and counts one shared probe instead. The tick given the
+    /// round's `round` cost is charged that too, and its tick began with
+    /// the round.
+    pub fn pane_tick(
+        &self,
+        tick_ms: i64,
+        partials: &PanePartials,
+        first: bool,
+        round: Option<PaneRoundCost>,
+    ) -> Result<TickOutput, String> {
+        let window_id = self
+            .window
+            .last_closed(self.window_start, tick_ms)
+            .ok_or_else(|| format!("no window has closed at {tick_ms} ms"))?;
+        let round = round.unwrap_or_default();
+        let ready_us = round.us;
+        let now = Instant::now();
+        let epoch = now
+            .checked_sub(Duration::from_micros(ready_us))
+            .unwrap_or(now);
+        let tuples_in_window: i64 = partials.groups.values().map(|a| a.count).sum();
+        let charged = |n: usize| if first { n } else { 0 };
+        let counts = if first {
+            partials.counts
+        } else {
+            PaneCounts::default()
+        };
+        let out = TickOutput {
+            tuples_in_window: tuples_in_window.max(0) as usize,
+            window_fragments: charged(1),
+            stream_rows_shipped: charged(partials.rows_shipped),
+            shards_pruned: round.shards_pruned,
+            partitioned_fragments: round.partitioned_fragments,
+            pane_hits: counts.hits,
+            pane_misses: counts.misses,
+            panes_shared: (!first) as usize,
+            spans: vec![SpanRecord::new("pane_combine", 0, ready_us)
+                .under(0)
+                .attr("groups", partials.groups.len() as u64)
+                .attr("rows", charged(partials.rows_shipped) as u64)
+                .attr("pane_hits", counts.hits)
+                .attr("pane_misses", counts.misses)
+                .attr("acc_ops", counts.acc_ops)
+                .attr("shared", !first)],
+            ..TickOutput::default()
+        };
+        let windowed = Windowed {
+            out,
+            evaluated: Arc::default(),
+            groups: Some(Cow::Borrowed(&partials.groups)),
+            ready_us,
+        };
+        self.finish(tick_ms, window_id, windowed, &epoch)
+    }
+
+    /// The one tail: decides every binding against what the window side
+    /// produced, then assembles the output around its accounting.
+    fn finish(
+        &self,
+        tick_ms: i64,
+        window_id: u64,
+        windowed: Windowed<'_>,
+        epoch: &Instant,
+    ) -> Result<TickOutput, String> {
         let Windowed {
             out,
             evaluated,
-            aggs,
+            groups,
             ready_us,
         } = windowed;
         let sequence = &evaluated.sequence;
-        let decided = self.decide(sequence, aggs.as_ref())?;
-        let end_us = now_us(&epoch);
+        let decided = self.decide(sequence, groups.as_deref())?;
+        let end_us = now_us(epoch);
         let mut spans = vec![SpanRecord::new("tick", 0, end_us)
             .attr("window", window_id)
             .attr("tuples", out.tuples_in_window as u64)
@@ -436,7 +716,7 @@ impl ContinuousQuery {
         close: i64,
         executor: Option<&dyn FragmentExecutor>,
         epoch: &Instant,
-    ) -> Result<Windowed, String> {
+    ) -> Result<Windowed<'static>, String> {
         let stream_name = &self.translated.query.stream.name;
         let table = db.table(stream_name).map_err(|e| e.to_string())?;
         let schema = &table.schema;
@@ -530,11 +810,10 @@ impl ContinuousQuery {
 
         // Aggregate atoms evaluate against per-subject accumulators over the
         // whole window — the store-less fold pane combination reconstructs.
-        let aggs = match self.stream_columns.fold {
-            Some((key_idx, val_idx)) => {
-                let groups = fold_groups(rows, key_idx, val_idx).map_err(|e| e.to_string())?;
-                Some(self.mint_agg_context(&groups))
-            }
+        let groups = match self.stream_columns.fold {
+            Some((key_idx, val_idx)) => Some(Cow::Owned(
+                fold_groups(rows, key_idx, val_idx).map_err(|e| e.to_string())?,
+            )),
             None => None,
         };
 
@@ -553,20 +832,31 @@ impl ContinuousQuery {
         Ok(Windowed {
             out,
             evaluated: shared.window,
-            aggs,
+            groups,
             ready_us,
         })
     }
 
-    /// Decides every binding against one window's sequence and aggregates,
-    /// and puts the satisfied ones through the CONSTRUCT template and the
-    /// relation-to-stream operator.
+    /// Decides every binding against one window's sequence and per-key
+    /// accumulators, and puts the satisfied ones through the CONSTRUCT
+    /// template and the relation-to-stream operator. The groups enter the
+    /// aggregate context by subject id, so an aggregate atom reads one
+    /// slot; no IRI is minted but the first time a key is seen.
     fn decide(
         &self,
         sequence: &IndexedSequence,
-        aggs: Option<&AggContext>,
+        groups: Option<&BTreeMap<Value, AggAcc>>,
     ) -> Result<Decided, String> {
-        let mut evaluator = self.having.evaluator(sequence, aggs);
+        let mut memo = self.subjects.lock().expect("subject memo poisoned");
+        let admitted = groups.map(|groups| memo.admit(groups, &self.stream_to_rdf.subject));
+        let context = admitted.map(|admitted| {
+            let mut context = AggContext::new(&memo.ids);
+            for (id, acc) in admitted {
+                context.insert(id, acc);
+            }
+            context
+        });
+        let mut evaluator = self.having.evaluator(sequence, context.as_ref());
         let mut triples = Vec::new();
         let mut satisfied = 0usize;
         for binding in &self.bindings {
@@ -581,100 +871,6 @@ impl ContinuousQuery {
             candidates: evaluator.candidates,
             probes: evaluator.probes,
         })
-    }
-
-    /// The pane path: ships one pane-combine fragment and merges the
-    /// workers' per-group partial aggregates — no window rows, no state
-    /// sequence; the tail evaluates the HAVING tree straight off the
-    /// combined accumulators, over an empty sequence.
-    fn pane_window(
-        &self,
-        db: &Database,
-        open: i64,
-        close: i64,
-        needs_extrema: bool,
-        executor: &dyn FragmentExecutor,
-        epoch: &Instant,
-    ) -> Result<Windowed, String> {
-        let stream_name = &self.translated.query.stream.name;
-        let key_col = self.stream_to_rdf.subject.column().to_string();
-        let val_col = self.stream_to_rdf.value_col.clone();
-        // The statement only describes the probe's scan (spans, the wire,
-        // store-less fallbacks read the probe); it is never executed.
-        let scan = SelectStatement::scan(stream_name, [key_col.clone(), val_col.clone()]);
-        let probe = PaneProbe {
-            stream: stream_name.clone(),
-            ts_col: self.stream_to_rdf.timestamp_col.clone(),
-            key_col,
-            val_col,
-            width_ms: pane_width(
-                self.translated.query.stream.range_ms,
-                self.translated.query.stream.slide_ms,
-            ),
-            start_ms: self.window_start,
-            open_ms: open,
-            close_ms: close,
-            needs_extrema,
-        };
-        let fragment = PlanFragment::from_statement(0, scan, 1.0)
-            .with_pane(probe)
-            .at_epoch(db.novelty_epoch());
-        let combine_start = now_us(epoch);
-        let round = executor
-            .execute(vec![fragment])
-            .map_err(|e| format!("pane fragment round failed: {e}"))?;
-        let mut groups: BTreeMap<Value, AggAcc> = BTreeMap::new();
-        let mut rows_shipped = 0usize;
-        for table in &round.tables {
-            rows_shipped += table.rows.len();
-            merge_pane_rows(&mut groups, &table.rows).map_err(|e| e.to_string())?;
-        }
-        let tuples_in_window: i64 = groups.values().map(|a| a.count).sum();
-        let aggs = self.mint_agg_context(&groups);
-        let ready_us = now_us(epoch);
-        let out = TickOutput {
-            tuples_in_window: tuples_in_window.max(0) as usize,
-            window_fragments: 1,
-            stream_rows_shipped: rows_shipped,
-            shards_pruned: round.shards_pruned,
-            partitioned_fragments: round.partitioned_fragments,
-            pane_hits: round.pane_hits,
-            pane_misses: round.pane_misses,
-            spans: vec![
-                SpanRecord::new("pane_combine", combine_start, ready_us - combine_start)
-                    .under(0)
-                    .attr("groups", groups.len() as u64)
-                    .attr("rows", rows_shipped as u64)
-                    .attr("pane_hits", round.pane_hits)
-                    .attr("pane_misses", round.pane_misses)
-                    .attr("acc_ops", round.pane_acc_ops),
-            ],
-            ..TickOutput::default()
-        };
-        Ok(Windowed {
-            out,
-            evaluated: Arc::default(),
-            aggs: Some(aggs),
-            ready_us,
-        })
-    }
-
-    /// Mints the per-subject aggregate context from raw group accumulators:
-    /// group keys render through the stream's subject template — the exact
-    /// terms `tuple_triples` would mint, so aggregate lookups agree with
-    /// graph-pattern matching. Null keys (subjectless rows) and all-null
-    /// groups are skipped on every path alike.
-    fn mint_agg_context(&self, groups: &BTreeMap<Value, AggAcc>) -> AggContext {
-        let mut ctx = AggContext::new();
-        for (key, acc) in groups {
-            if acc.count == 0 {
-                continue;
-            }
-            if let Some(subject) = self.stream_to_rdf.subject.render(key) {
-                ctx.insert(Term::iri(subject), acc.clone());
-            }
-        }
-        ctx
     }
 
     /// Applies the query's relation-to-stream operator to one tick's

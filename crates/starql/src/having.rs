@@ -26,7 +26,7 @@
 //! extensions and checks the consequent under each.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 use optique_rdf::vocab::rdf::TYPE as RDF_TYPE;
 use optique_rdf::{Iri, Term, TriplePattern};
@@ -66,10 +66,82 @@ impl AggFunc {
     }
 }
 
-/// Per-subject window aggregates handed to the evaluator for a tick: the
-/// group key is the minted subject term (one group per sensor), the value
-/// the combined accumulator over the window's tuples.
-pub type AggContext = BTreeMap<Term, AggAcc>;
+/// Dense ids for the subjects a query's aggregate atoms can read: every
+/// IRI its WHERE binding rows hold ([`BindingRow::new`]) and every IRI
+/// constant of its HAVING ([`CompiledHaving::compile`]), handed out at
+/// registration. A tick's [`AggContext`] is indexed by them: an aggregate
+/// atom whose subject comes from the binding row or is a constant reads
+/// one slot, and a subject a graph pattern binds resolves to its id by
+/// term.
+#[derive(Clone, Debug, Default)]
+pub struct SubjectIds {
+    ids: HashMap<Term, u32>,
+    /// A graph pattern may bind an aggregate atom's subject — to any
+    /// subject of the window — because the subject is a variable no binding
+    /// column holds, or a row leaves a column unbound: every group's
+    /// subject is admitted then, not only the ones rows and constants name.
+    open: bool,
+}
+
+impl SubjectIds {
+    /// No ids yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The id of `term`, if it has one.
+    fn id(&self, term: &Term) -> Option<u32> {
+        self.ids.get(term).copied()
+    }
+
+    /// The id under which the window group of subject `term` enters a
+    /// tick's [`AggContext`]: the term's own, or a fresh one when HAVING
+    /// can read a subject nothing names. `None` when no aggregate atom can
+    /// read the group.
+    pub fn admit(&mut self, term: Term) -> Option<u32> {
+        match self.ids.get(&term) {
+            Some(&id) => Some(id),
+            None => self.open.then(|| self.intern(term)),
+        }
+    }
+
+    fn intern(&mut self, term: Term) -> u32 {
+        let next = self.ids.len() as u32;
+        *self.ids.entry(term).or_insert(next)
+    }
+}
+
+/// Per-subject window aggregates handed to the evaluator for a tick: one
+/// slot per subject id ([`SubjectIds`]), holding the combined accumulator
+/// over the window's tuples of that subject, if it has any.
+#[derive(Debug)]
+pub struct AggContext<'a> {
+    ids: &'a SubjectIds,
+    slots: Vec<Option<&'a AggAcc>>,
+}
+
+impl<'a> AggContext<'a> {
+    /// An empty context over `ids`.
+    pub fn new(ids: &'a SubjectIds) -> Self {
+        AggContext {
+            ids,
+            slots: vec![None; ids.ids.len()],
+        }
+    }
+
+    /// Puts the accumulator of the subject with id `id` (an id
+    /// [`SubjectIds::admit`] returned).
+    pub fn insert(&mut self, id: u32, acc: &'a AggAcc) {
+        self.slots[id as usize] = Some(acc);
+    }
+
+    /// The accumulator of a subject: by its id when it came with one, else
+    /// by its term.
+    fn get(&self, id: Option<u32>, term: &Term) -> Option<&'a AggAcc> {
+        let id = id.or_else(|| self.ids.id(term))?;
+        self.slots.get(id as usize).copied().flatten()
+    }
+}
 
 /// Comparison operators in value comparisons.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -503,8 +575,9 @@ enum SlotDecl {
     /// A variable: bound from the WHERE binding's `column` if that is one
     /// of its variables, else by a graph pattern.
     Var { name: String, column: Option<usize> },
-    /// A constant of the formula, bound from the start.
-    Const(Val),
+    /// A constant of the formula, bound from the start, with its subject
+    /// id if it is an IRI.
+    Const(Val, Option<u32>),
 }
 
 /// Which of a subject's postings answer a pattern.
@@ -607,9 +680,12 @@ pub struct CompiledHaving {
 /// One WHERE binding as a row over the query's binding columns (its WHERE
 /// variables, in a fixed order): resolved once, at registration, and read
 /// by position ever after — by the HAVING evaluator and by the CONSTRUCT
-/// template alike.
+/// template alike. Each IRI in the row carries its subject id.
 #[derive(Clone, Debug)]
-pub struct BindingRow(Vec<Option<Val>>);
+pub struct BindingRow {
+    values: Vec<Option<Val>>,
+    ids: Vec<Option<u32>>,
+}
 
 impl BindingRow {
     /// The columns of a set of bindings: every variable any of them binds,
@@ -619,21 +695,32 @@ impl BindingRow {
         names.into_iter().cloned().collect()
     }
 
-    /// The row of `binding` over `columns`; a variable the binding lacks
-    /// stays unbound.
-    pub fn new(columns: &[String], binding: &HashMap<String, Term>) -> Self {
-        let value = |column| binding.get(column).cloned().map(Val::new);
-        BindingRow(columns.iter().map(value).collect())
+    /// The row of `binding` over `columns`, its IRIs given ids in `ids`; a
+    /// variable the binding lacks stays unbound.
+    pub fn new(columns: &[String], binding: &HashMap<String, Term>, ids: &mut SubjectIds) -> Self {
+        let terms = columns.iter().map(|column| binding.get(column));
+        ids.open |= terms.clone().any(|term| term.is_none());
+        BindingRow {
+            ids: terms
+                .clone()
+                .map(|term| match term {
+                    Some(iri @ Term::Iri(_)) => Some(ids.intern(iri.clone())),
+                    _ => None,
+                })
+                .collect(),
+            values: terms.map(|term| term.cloned().map(Val::new)).collect(),
+        }
     }
 
     /// The term bound to `column`, if any.
     pub fn term(&self, column: usize) -> Option<&Term> {
-        self.0[column].as_ref().map(|value| &value.term)
+        self.values[column].as_ref().map(|value| &value.term)
     }
 }
 
 struct Compiler<'c> {
     columns: &'c [String],
+    ids: &'c mut SubjectIds,
     slots: Vec<SlotDecl>,
     var_slots: HashMap<String, usize>,
     const_slots: HashMap<Term, usize>,
@@ -654,7 +741,8 @@ impl Compiler<'_> {
                 next
             }),
             QueryTerm::Const(term) => *self.const_slots.entry(term.clone()).or_insert_with(|| {
-                self.slots.push(SlotDecl::Const(Val::new(term.clone())));
+                let id = matches!(term, Term::Iri(_)).then(|| self.ids.intern(term.clone()));
+                self.slots.push(SlotDecl::Const(Val::new(term.clone()), id));
                 next
             }),
         }
@@ -741,12 +829,18 @@ impl Compiler<'_> {
                 property: _,
                 op,
                 threshold,
-            } => Node::Agg {
-                func: *func,
-                subject: self.value_slot(subject),
-                op: *op,
-                threshold: self.value_slot(threshold),
-            },
+            } => {
+                let subject = self.value_slot(subject);
+                if matches!(self.slots[subject], SlotDecl::Var { column: None, .. }) {
+                    self.ids.open = true;
+                }
+                Node::Agg {
+                    func: *func,
+                    subject,
+                    op: *op,
+                    threshold: self.value_slot(threshold),
+                }
+            }
         }
     }
 
@@ -845,7 +939,7 @@ impl Compiler<'_> {
         let mut bound: Vec<bool> = self
             .slots
             .iter()
-            .map(|slot| matches!(slot, SlotDecl::Const(_)))
+            .map(|slot| matches!(slot, SlotDecl::Const(..)))
             .collect();
         let mut needs = BTreeSet::new();
         nodes
@@ -927,12 +1021,14 @@ fn unfailing(
 }
 
 impl CompiledHaving {
-    /// Compiles a formula for bindings over `columns`. Compilation cannot
-    /// fail: an ill-scoped formula fails when (and only if) an evaluation
-    /// reads the unbound variable.
-    pub fn compile(formula: &HavingFormula, columns: &[String]) -> Self {
+    /// Compiles a formula for bindings over `columns`, giving its IRI
+    /// constants ids in `ids`. Compilation cannot fail: an ill-scoped
+    /// formula fails when (and only if) an evaluation reads the unbound
+    /// variable.
+    pub fn compile(formula: &HavingFormula, columns: &[String], ids: &mut SubjectIds) -> Self {
         let mut compiler = Compiler {
             columns,
+            ids,
             slots: Vec::new(),
             var_slots: HashMap::new(),
             const_slots: HashMap::new(),
@@ -954,13 +1050,14 @@ impl CompiledHaving {
     pub fn evaluator<'a>(
         &'a self,
         sequence: &'a IndexedSequence,
-        aggs: Option<&'a AggContext>,
+        aggs: Option<&'a AggContext<'a>>,
     ) -> Evaluator<'a> {
         Evaluator {
             formula: self,
             sequence,
             aggs,
             states: vec![0; self.state_slots],
+            row: None,
             values: Vec::with_capacity(self.slots.len()),
             subjects: Vec::with_capacity(self.slots.len()),
             candidates: 0,
@@ -978,8 +1075,10 @@ type Next<'n, 'a> = &'n mut dyn FnMut(&mut Evaluator<'a>) -> Result<bool, String
 pub struct Evaluator<'a> {
     formula: &'a CompiledHaving,
     sequence: &'a IndexedSequence,
-    aggs: Option<&'a AggContext>,
+    aggs: Option<&'a AggContext<'a>>,
     states: Vec<usize>,
+    /// The binding row being decided.
+    row: Option<&'a BindingRow>,
     values: Vec<Option<Cow<'a, Val>>>,
     /// Per value slot: the postings of the subject it is bound to, looked
     /// up at most once per binding of the slot.
@@ -996,15 +1095,16 @@ impl<'a> Evaluator<'a> {
     pub fn holds(&mut self, binding: &'a BindingRow) -> Result<bool, String> {
         let formula = self.formula;
         assert_eq!(
-            binding.0.len(),
+            binding.values.len(),
             formula.columns,
             "a row over other columns than the formula's"
         );
+        self.row = Some(binding);
         self.values.clear();
         self.values.extend(formula.slots.iter().map(|slot| {
             let value = match slot {
-                SlotDecl::Var { column, .. } => binding.0[(*column)?].as_ref(),
-                SlotDecl::Const(value) => Some(value),
+                SlotDecl::Var { column, .. } => binding.values[(*column)?].as_ref(),
+                SlotDecl::Const(value, _) => Some(value),
             };
             value.map(Cow::Borrowed)
         }));
@@ -1038,6 +1138,24 @@ impl<'a> Evaluator<'a> {
     fn set(&mut self, slot: usize, value: Option<Cow<'a, Val>>) {
         self.values[slot] = value;
         self.subjects[slot] = None;
+    }
+
+    /// The subject id of the value `slot` holds, when it came with one: a
+    /// constant's, or the binding row's — a slot whose column the row
+    /// binds holds the row's value, as patterns bind only free slots. A
+    /// pattern-bound value has none.
+    fn subject_id(&self, slot: usize) -> Option<u32> {
+        match &self.formula.slots[slot] {
+            SlotDecl::Const(_, id) => *id,
+            SlotDecl::Var {
+                column: Some(column),
+                ..
+            } => {
+                let row = self.row?;
+                row.values[*column].as_ref().and(row.ids[*column])
+            }
+            SlotDecl::Var { column: None, .. } => None,
+        }
     }
 
     fn subject_postings(&mut self, slot: usize) -> Option<&'a SubjectPostings> {
@@ -1121,6 +1239,7 @@ impl<'a> Evaluator<'a> {
                 let Some(ctx) = self.aggs else {
                     return Err("aggregate atom requires a windowed aggregate context".into());
                 };
+                let id = self.subject_id(*subject);
                 let subject = self.value(*subject)?;
                 let threshold = match &self.value(*threshold)?.term {
                     Term::Literal(lit) => lit
@@ -1128,7 +1247,7 @@ impl<'a> Evaluator<'a> {
                         .ok_or_else(|| format!("aggregate threshold {lit:?} is not numeric"))?,
                     other => return Err(format!("aggregate threshold {other:?} is not a literal")),
                 };
-                let acc = ctx.get(&subject.term);
+                let acc = ctx.get(id, &subject.term);
                 // A subject with no rows in the window has COUNT 0 but no
                 // defined SUM/AVG/MIN/MAX — those comparisons are false.
                 let value = match (func, acc) {
@@ -1641,20 +1760,27 @@ mod tests {
     /// The WHERE binding a test evaluates under.
     type Env = HashMap<String, Term>;
 
-    /// `f` compiled for the columns of `env`, and `env` as a row over them.
-    fn compile_under(f: &HavingFormula, env: &Env) -> (CompiledHaving, BindingRow) {
+    /// Window aggregates by subject term, the way a test writes them down.
+    type Groups = std::collections::BTreeMap<Term, AggAcc>;
+
+    /// `f` compiled for the columns of `env`, `env` as a row over them, and
+    /// the subject ids both handed out.
+    fn compile_under(f: &HavingFormula, env: &Env) -> (CompiledHaving, BindingRow, SubjectIds) {
         let columns = BindingRow::columns(std::slice::from_ref(env));
-        let compiled = CompiledHaving::compile(f, &columns);
-        (compiled, BindingRow::new(&columns, env))
+        let mut ids = SubjectIds::new();
+        let compiled = CompiledHaving::compile(f, &columns, &mut ids);
+        let row = BindingRow::new(&columns, env, &mut ids);
+        (compiled, row, ids)
     }
 
-    /// What a tick does, end to end: compile, index, bind, decide.
+    /// What a tick does, end to end: compile, index, bind, admit the
+    /// groups, decide.
     trait Evaluate {
         fn eval_with(
             &self,
             seq: &StateSequence,
             env: &Env,
-            aggs: Option<&AggContext>,
+            aggs: Option<&Groups>,
         ) -> Result<bool, String>;
 
         fn eval(&self, seq: &StateSequence, env: &Env) -> Result<bool, String> {
@@ -1667,11 +1793,21 @@ mod tests {
             &self,
             seq: &StateSequence,
             env: &Env,
-            aggs: Option<&AggContext>,
+            aggs: Option<&Groups>,
         ) -> Result<bool, String> {
-            let (compiled, row) = compile_under(self, env);
+            let (compiled, row, mut ids) = compile_under(self, env);
+            let admitted: Vec<(u32, &AggAcc)> = (aggs.into_iter().flatten())
+                .filter_map(|(term, acc)| Some((ids.admit(term.clone())?, acc)))
+                .collect();
+            let ctx = aggs.map(|_| {
+                let mut ctx = AggContext::new(&ids);
+                for &(id, acc) in &admitted {
+                    ctx.insert(id, acc);
+                }
+                ctx
+            });
             let indexed = IndexedSequence::new(seq.clone());
-            let verdict = compiled.evaluator(&indexed, aggs).holds(&row);
+            let verdict = compiled.evaluator(&indexed, ctx.as_ref()).holds(&row);
             verdict
         }
     }
@@ -1852,7 +1988,7 @@ mod tests {
 
     /// Probes and visited state tuples of one evaluation.
     fn work(f: &HavingFormula, seq: &StateSequence, env: &Env) -> (bool, u64, u64) {
-        let (compiled, row) = compile_under(f, env);
+        let (compiled, row, _) = compile_under(f, env);
         let indexed = IndexedSequence::new(seq.clone());
         let mut evaluator = compiled.evaluator(&indexed, None);
         let verdict = evaluator.holds(&row).unwrap();
@@ -2051,14 +2187,12 @@ mod tests {
         }
     }
 
-    fn agg_ctx() -> AggContext {
+    fn agg_ctx() -> Groups {
         let mut acc = AggAcc::default();
         for v in [70.0, 75.0, 80.0] {
             acc.observe(&optique_relational::Value::Float(v)).unwrap();
         }
-        let mut ctx = AggContext::new();
-        ctx.insert(sensor(1), acc);
-        ctx
+        Groups::from([(sensor(1), acc)])
     }
 
     #[test]
@@ -2132,6 +2266,71 @@ mod tests {
             Box::new(agg_formula(AggFunc::Max, CmpOp::Gt, 80.0)),
         );
         assert!(!failing.eval_with(&seq, &env, Some(&ctx)).unwrap());
+    }
+
+    /// A subject a graph pattern binds has no id in the row: it resolves by
+    /// term — and since it can be any subject of the window, registration
+    /// admits every group, not only the ones rows and constants name.
+    #[test]
+    fn pattern_bound_subjects_read_their_groups_by_term() {
+        let seq = rising_sequence();
+        // Some reading of `?var`'s subject sums to at least 225.
+        let witness = |var: &str| HavingFormula::Exists {
+            state_vars: vec!["k".into()],
+            body: Box::new(HavingFormula::And(
+                Box::new(HavingFormula::Graph {
+                    state: "k".into(),
+                    atoms: vec![Atom::property(
+                        iri("hasValue"),
+                        QueryTerm::var(var),
+                        QueryTerm::var("x"),
+                    )],
+                }),
+                Box::new(HavingFormula::Agg {
+                    func: AggFunc::Sum,
+                    subject: QueryTerm::var(var),
+                    property: iri("hasValue"),
+                    op: CmpOp::Ge,
+                    threshold: QueryTerm::Const(Term::Literal(Literal::double(225.0))),
+                }),
+            )),
+        };
+        // The row names sensor 2 only; sensor 1's group is the witness.
+        let env = env_with_sensor(2);
+        let (_, _, mut ids) = compile_under(&witness("s"), &env);
+        assert_eq!(ids.id(&sensor(1)), None);
+        assert!(ids.admit(sensor(1)).is_some(), "an open query admits it");
+        assert!(witness("s")
+            .eval_with(&seq, &env, Some(&agg_ctx()))
+            .unwrap());
+        // Bound from the row, the subject's group is read by id — and a
+        // group no row or constant names is not admitted at all…
+        let (_, _, mut ids) = compile_under(&witness("c"), &env);
+        assert!(ids.id(&sensor(2)).is_some());
+        assert_eq!(ids.admit(sensor(1)), None);
+        // …unless a row leaves the subject's column unbound: the pattern
+        // binds it there, to any subject of the window.
+        let bindings = [env, Env::default()];
+        let columns = BindingRow::columns(&bindings);
+        let mut ids = SubjectIds::new();
+        let compiled = CompiledHaving::compile(&witness("c"), &columns, &mut ids);
+        let rows: Vec<_> = (bindings.iter())
+            .map(|binding| BindingRow::new(&columns, binding, &mut ids))
+            .collect();
+        let groups = agg_ctx();
+        let sensor1 = ids.admit(sensor(1)).expect("admitted");
+        let mut ctx = AggContext::new(&ids);
+        ctx.insert(sensor1, &groups[&sensor(1)]);
+        let indexed = IndexedSequence::new(seq.clone());
+        let mut evaluator = compiled.evaluator(&indexed, Some(&ctx));
+        assert!(
+            !evaluator.holds(&rows[0]).unwrap(),
+            "no group of sensor 2 here"
+        );
+        assert!(
+            evaluator.holds(&rows[1]).unwrap(),
+            "sensor 1 is the witness"
+        );
     }
 
     #[test]

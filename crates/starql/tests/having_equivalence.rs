@@ -35,12 +35,12 @@ use optique_siemens::catalog::TaskQuery;
 use optique_siemens::ontology::{namespaces, siemens_ontology};
 use optique_siemens::{diagnostic_tasks, SIE_NS};
 use optique_starql::having::{
-    expand, AggContext, AggFunc, BindingRow, CmpOp, CompiledHaving, HavingFormula,
+    expand, AggContext, AggFunc, BindingRow, CmpOp, CompiledHaving, HavingFormula, SubjectIds,
 };
 use optique_starql::sequence::{build_stdseq, IndexedSequence, StateSequence};
 use optique_starql::{parse_starql, StreamToRdf};
 use proptest::prelude::*;
-use reference::{Env, Reference};
+use reference::{AggContext as TermAggs, Env, Reference};
 
 /// Sensors that stream; bindings also name sensors past this, which no
 /// window mentions.
@@ -156,7 +156,7 @@ fn window_rows(rng: &mut Rng) -> Vec<Vec<Value>> {
 
 /// The window's sequence the way a tick builds it, and its per-subject
 /// aggregates.
-fn evaluate_window(rows: &[Vec<Value>], tbox: &Ontology) -> (StateSequence, AggContext) {
+fn evaluate_window(rows: &[Vec<Value>], tbox: &Ontology) -> (StateSequence, TermAggs) {
     let (mut seq, _) = build_stdseq(rows, &schema(), &mapping(), Some(tbox));
     for state in &mut seq.states {
         materialize(&mut Arc::make_mut(state).graph, tbox, 0);
@@ -463,23 +463,39 @@ fn tree(rng: &mut Rng, depth: u32, scope: &mut Vec<String>) -> HavingFormula {
 // ---- the oracle -------------------------------------------------------------
 
 /// Compiled and reference agree on `formula` over `seq` for every binding
-/// in `bindings`: same verdict, or both fail.
+/// in `bindings`: same verdict, or both fail. Both read the same groups:
+/// the reference by subject term, the compiled evaluator through the
+/// subject ids registration hands out.
 fn assert_equivalent(
     formula: &HavingFormula,
     seq: &StateSequence,
     bindings: &[HashMap<String, Term>],
-    aggs: Option<&AggContext>,
+    aggs: Option<&TermAggs>,
 ) -> Result<(), TestCaseError> {
     // As at registration: the bindings' variables are the columns, every
-    // binding a row over them.
+    // binding a row over them, every IRI of the rows and of the formula's
+    // constants an id.
     let columns = BindingRow::columns(bindings);
-    let compiled = CompiledHaving::compile(formula, &columns);
+    let mut ids = SubjectIds::new();
+    let compiled = CompiledHaving::compile(formula, &columns, &mut ids);
     let indexed = IndexedSequence::new(seq.clone());
     let rows: Vec<_> = bindings
         .iter()
-        .map(|b| BindingRow::new(&columns, b))
+        .map(|b| BindingRow::new(&columns, b, &mut ids))
         .collect();
-    let mut evaluator = compiled.evaluator(&indexed, aggs);
+    // As at a tick: each group enters the context under the id its subject
+    // is admitted with, or not at all.
+    let admitted: Vec<(u32, &AggAcc)> = (aggs.into_iter().flatten())
+        .filter_map(|(subject, acc)| Some((ids.admit(subject.clone())?, acc)))
+        .collect();
+    let context = aggs.map(|_| {
+        let mut context = AggContext::new(&ids);
+        for &(id, acc) in &admitted {
+            context.insert(id, acc);
+        }
+        context
+    });
+    let mut evaluator = compiled.evaluator(&indexed, context.as_ref());
     for (binding, row) in bindings.iter().zip(&rows) {
         let env = Env {
             states: HashMap::new(),

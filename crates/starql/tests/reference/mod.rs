@@ -3,16 +3,24 @@
 //! compiled evaluator is compared against (`having_equivalence.rs`). It
 //! interprets the [`HavingFormula`] AST per binding, per state tuple, per
 //! pattern — building a `ConjunctiveQuery` for every `GRAPH` leaf — which is
-//! why it is the reference and no longer the product. The one change: a
+//! why it is the reference and no longer the product. Two changes: a
 //! foreign crate cannot add inherent methods to `HavingFormula`, so they
-//! hang off the [`Reference`] trait.
+//! hang off the [`Reference`] trait; and the per-subject aggregate context
+//! it reads, keyed by subject term, is defined here — the product's is
+//! indexed by subject id.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use optique_rdf::Term;
+use optique_relational::AggAcc;
 use optique_rewrite::{Atom, ConjunctiveQuery, QueryTerm};
-use optique_starql::having::{AggContext, AggFunc, HavingFormula};
+use optique_starql::having::{AggFunc, HavingFormula};
 use optique_starql::sequence::StateSequence;
+
+/// Per-subject window aggregates for one tick: the group key is the minted
+/// subject term (one group per sensor), the value the combined accumulator
+/// over the window's tuples.
+pub type AggContext = BTreeMap<Term, AggAcc>;
 
 /// The interpreter's entry points (all that moved, whether or not the suite
 /// calls each).

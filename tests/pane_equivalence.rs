@@ -316,6 +316,175 @@ fn append_run_strategy() -> impl Strategy<Value = (AppendRun, usize)> {
         })
 }
 
+/// One batched-round run: programs that read one stream every way a round
+/// can — two distributed pane queries over one window, two over windows
+/// nobody else reads, a distributed query whose HAVING needs the state
+/// sequence, and a single-node query — over a stream that arrives batch by
+/// batch.
+struct BatchedRun {
+    /// `(STARQL text, distributed)`, in registration order.
+    programs: Vec<(String, bool)>,
+    /// Rows the stream table holds at deployment.
+    history: Vec<Vec<Value>>,
+    batches: Vec<Vec<Vec<Value>>>,
+    /// Ops after which every platform is told to merge.
+    merge_after: Vec<usize>,
+}
+
+impl BatchedRun {
+    /// The programs for window ranges `[shared, avg, count]` (seconds, all
+    /// distinct) and threshold knobs.
+    fn programs(ranges_s: [i64; 3], knobs: [i64; 4]) -> Vec<(String, bool)> {
+        let [shared, avg, count] = ranges_s;
+        let pane = |shape, range_s, knob| {
+            (
+                streaming::agg_program(shape, "", range_s, 1, true, knob),
+                true,
+            )
+        };
+        vec![
+            pane(1, shared, knobs[0]), // SUM
+            pane(4, shared, knobs[1]), // MAX, the SUM's window
+            pane(2, avg, knobs[2]),    // AVG, alone on its window
+            pane(0, count, knobs[3]),  // COUNT, alone on its window
+            // AVG ∧ EXISTS: declined by the pane analysis, so it ships its
+            // windows and reads the state sequence.
+            pane(6, shared, knobs[2]),
+            // MAX single-node, on the same stream and window.
+            (
+                streaming::agg_program(4, "", shared, 1, true, knobs[1]),
+                false,
+            ),
+        ]
+    }
+
+    /// Drives the run through one platform holding every program at
+    /// `workers` and, per program, one platform holding it alone — a round
+    /// of one — asserting that each query's driven ticks equal its twin's,
+    /// output for output, and come in registration order. Returns the
+    /// appends that closed more than one window and the pane probes the
+    /// batched platform shared.
+    fn assert_equivalent(&self, workers: usize) -> (usize, u64) {
+        let register = |p: &OptiquePlatform, (text, distributed): &(String, bool)| {
+            let id = match distributed {
+                true => p.register_starql_distributed(text, workers),
+                false => p.register_starql(text),
+            };
+            id.unwrap_or_else(|e| panic!("registration failed for\n{text}\n{e}"))
+        };
+        let batched = streaming::deployment(self.history.clone());
+        let ids: Vec<u64> = (self.programs.iter())
+            .map(|program| register(&batched, program))
+            .collect();
+        let alone: Vec<OptiquePlatform> = (self.programs.iter())
+            .map(|program| {
+                let p = streaming::deployment(self.history.clone());
+                register(&p, program);
+                p
+            })
+            .collect();
+        let mut multi_window_appends = 0;
+        for (op, batch) in self.batches.iter().enumerate() {
+            let driven = batched.append_stream("S_Msmt", batch.clone()).unwrap();
+            let order: Vec<u64> = driven.iter().map(|(id, _)| *id).collect();
+            assert!(
+                order.windows(2).all(|w| w[0] <= w[1]),
+                "{workers} workers, op {op}: tails out of registration order: {order:?}"
+            );
+            for ((id, twin), (text, _)) in ids.iter().zip(&alone).zip(&self.programs) {
+                let expected: Vec<_> = (twin.append_stream("S_Msmt", batch.clone()).unwrap())
+                    .iter()
+                    .map(|(_, tick)| output_stream(tick))
+                    .collect();
+                let got: Vec<_> = (driven.iter().filter(|(of, _)| of == id))
+                    .map(|(_, tick)| output_stream(tick))
+                    .collect();
+                multi_window_appends += (id == &ids[0] && got.len() > 1) as usize;
+                assert_eq!(
+                    got, expected,
+                    "{workers} workers, op {op}, batched vs alone:\n{text}"
+                );
+            }
+            if self.merge_after.contains(&op) {
+                for p in alone.iter().chain([&batched]) {
+                    p.merge_now().unwrap();
+                }
+            }
+        }
+        let shared = batched
+            .dashboard()
+            .panels
+            .iter()
+            .map(|p| p.panes_shared)
+            .sum();
+        (multi_window_appends, shared)
+    }
+}
+
+/// Generated batched-round runs: window ranges, thresholds, few sensors and
+/// few distinct values, rows late inside the windows and behind them,
+/// seconds that bring nothing (the next append closes several windows at
+/// once), merges mid-run, 1/2/4/8 workers.
+fn batched_run_strategy() -> impl Strategy<Value = (BatchedRun, usize)> {
+    const START_MS: i64 = 600_000;
+    // (sensor, value class, lateness class, sub-second offset)
+    let row = (0i64..5, 0usize..6, 0usize..8, 0i64..4);
+    let batch = proptest::collection::vec(row, 0..6);
+    (
+        (
+            prop_oneof![Just(3i64), Just(5)],
+            prop_oneof![Just(2i64), Just(4)],
+            prop_oneof![Just(6i64), Just(10)],
+        ),
+        proptest::collection::vec(0i64..100, 4),
+        proptest::collection::vec(batch, 20..40),
+        proptest::collection::vec(0usize..40, 0..3),
+        prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
+    )
+        .prop_map(|((shared, avg, count), knobs, ops, merge_after, workers)| {
+            let second = |(op, rows): (usize, &Vec<(i64, usize, usize, i64)>)| {
+                let now = START_MS + (20 + op as i64) * 1_000;
+                (rows.iter())
+                    .map(|&(sensor, value, late, sub)| {
+                        let value = [1.0, 1.0, 57.0, 64.0, 99.0, 99.0][value];
+                        let back_ms = match late {
+                            0..=4 => 0,
+                            5 => 1_000,
+                            6 => 2_000,
+                            _ => 15_000,
+                        };
+                        streaming::msmt(now - back_ms - sub * 250, sensor, value, false)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let mut seconds = ops.iter().enumerate().map(second);
+            let run = BatchedRun {
+                programs: BatchedRun::programs(
+                    [shared, avg, count],
+                    [knobs[0], knobs[1], knobs[2], knobs[3]],
+                ),
+                history: seconds.by_ref().take(8).flatten().collect(),
+                batches: seconds.collect(),
+                merge_after,
+            };
+            (run, workers)
+        })
+}
+
+/// Sums the accumulator operations, pane misses and shipped pane rows of a
+/// round's driven ticks.
+fn pane_work(driven: &[(u64, TickOutput)]) -> (u64, u64, usize) {
+    driven
+        .iter()
+        .fold((0, 0, 0), |(ops, misses, rows), (_, tick)| {
+            (
+                ops + acc_ops(tick),
+                misses + tick.pane_misses,
+                rows + tick.stream_rows_shipped,
+            )
+        })
+}
+
 // Tests live in a module named after the suite so a bare
 // `cargo test pane_equivalence` filter selects them all.
 mod pane_equivalence {
@@ -682,10 +851,106 @@ mod pane_equivalence {
         assert!(merges >= 1, "the run must cross the merge floor mid-way");
     }
 
+    /// The batched round ≡ each query alone, on a handwritten run: ties,
+    /// late rows, silent seconds before appends that close three windows,
+    /// a merge mid-run — at 1, 2, 4 and 8 workers.
+    #[test]
+    fn batched_round_matches_each_query_alone() {
+        const START_MS: i64 = 600_000;
+        let second = |sec: i64| -> Vec<Vec<Value>> {
+            if sec % 7 == 3 || sec % 7 == 4 {
+                return Vec::new();
+            }
+            let mut rows: Vec<_> = (0..streaming::STREAM_SENSORS)
+                .map(|s| {
+                    let value = [1.0, 57.0, 64.0, 99.0][((sec * 3 + s) % 4) as usize];
+                    streaming::msmt(START_MS + sec * 1_000, s, value, false)
+                })
+                .collect();
+            if sec % 5 == 0 {
+                rows.push(streaming::msmt(
+                    START_MS + sec * 1_000 - 1_500,
+                    sec % 16,
+                    99.0,
+                    false,
+                ));
+            }
+            rows
+        };
+        let run = BatchedRun {
+            programs: BatchedRun::programs([5, 2, 10], [40, 35, 7, 6]),
+            history: (0..12).flat_map(second).collect(),
+            batches: (12..60).map(second).collect(),
+            merge_after: vec![20],
+        };
+        for workers in WORKER_COUNTS {
+            let (multi_window_appends, shared) = run.assert_equivalent(workers);
+            assert!(multi_window_appends > 0, "no append closed several windows");
+            assert!(
+                shared > 0,
+                "{workers} workers: the SUM and MAX queries never shared a probe"
+            );
+        }
+    }
+
+    /// Regression: two pane queries over one window range, and an append
+    /// that closes five of their windows. Each window is probed once, in
+    /// close order, so the workers' cached window of that range slides
+    /// forward five times — the work a single query does alone. Ticked one
+    /// query after the other, the second query's first probe landed behind
+    /// the window the first had slid to, which rebuilt it from its panes
+    /// (about range × keys operations).
+    #[test]
+    fn same_range_queries_slide_each_window_once_per_append() {
+        const RANGE_S: i64 = 20;
+        const HISTORY_S: i64 = 40;
+        let second = |sec: i64| -> Vec<Vec<Value>> {
+            (0..streaming::STREAM_SENSORS)
+                .map(|s| {
+                    let value = (40 + (sec * 7 + s * 3) % 50) as f64;
+                    streaming::msmt(600_000 + sec * 1_000, s, value, false)
+                })
+                .collect()
+        };
+        let history: Vec<_> = (0..HISTORY_S).flat_map(second).collect();
+        let sum = streaming::agg_program(1, "", RANGE_S, 1, true, 0);
+        let max = streaming::agg_program(4, "", RANGE_S, 1, true, 30);
+        for workers in [1, 2] {
+            let work = |programs: &[&String]| {
+                let p = streaming::deployment(history.clone());
+                for text in programs {
+                    p.register_starql_distributed(text, workers).unwrap();
+                }
+                // Warm: the stores fold their shards, one window each.
+                p.append_stream("S_Msmt", second(HISTORY_S)).unwrap();
+                let five = (HISTORY_S + 1..=HISTORY_S + 5).flat_map(second).collect();
+                let driven = p.append_stream("S_Msmt", five).unwrap();
+                assert_eq!(driven.len(), 5 * programs.len(), "five windows each");
+                pane_work(&driven)
+            };
+            let alone = work(&[&max]);
+            let both = work(&[&sum, &max]);
+            assert_eq!(alone.1, 0, "{workers} workers: warm probes only");
+            assert_eq!(
+                both, alone,
+                "{workers} workers: (acc_ops, misses, rows shipped) of two queries reading \
+                 one window range must be one query's"
+            );
+        }
+    }
+
     // ---- generated suite -----------------------------------------------
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(proptest_cases(8)))]
+
+        /// Generated batched-round runs ≡ each query on a platform of its
+        /// own, output for output.
+        #[test]
+        fn generated_batched_rounds_match_each_query_alone(case in batched_run_strategy()) {
+            let (run, workers) = case;
+            run.assert_equivalent(workers);
+        }
 
         /// Generated append-driven runs (ties, late rows, gaps, vanishing
         /// keys, explicit merges mid-run) keep pane ≡ rescan ≡ single-node
