@@ -10,11 +10,10 @@
 //! elimination** — the redundancy the paper calls out in challenge C3).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use optique_rdf::Term;
 use optique_relational::parser::{Join, JoinType, Projection, SelectStatement, TableRef};
-use optique_relational::{iri_template, Expr, Value};
+use optique_relational::{ColumnType, Expr, Value};
 use optique_rewrite::{Atom, ConjunctiveQuery, QueryTerm, UnionQuery};
 
 use crate::assertion::{MappingAssertion, MappingHead, TermMap};
@@ -64,11 +63,13 @@ enum Cond {
         left: (usize, String),
         right: (usize, String),
     },
-    /// The column equals one of `values`: the typed readings of a constant
-    /// IRI under the column's template, or the one value of a literal.
-    ColConst {
+    /// The column equals a literal's value.
+    ColConst { col: (usize, String), value: Value },
+    /// `pattern` mints the constant `iri` from the column.
+    Minted {
         col: (usize, String),
-        values: Vec<Value>,
+        pattern: String,
+        iri: String,
     },
 }
 
@@ -245,9 +246,14 @@ fn build_candidate(
                 }
                 Cond::ColEq { left: l, right: r }
             }
-            Cond::ColConst { col, values } => Cond::ColConst {
+            Cond::ColConst { col, value } => Cond::ColConst {
                 col: (rewrite(col.0), col.1),
-                values,
+                value,
+            },
+            Cond::Minted { col, pattern, iri } => Cond::Minted {
+                col: (rewrite(col.0), col.1),
+                pattern,
+                iri,
             },
         };
         if !final_conds.contains(&cond) {
@@ -310,18 +316,11 @@ fn build_candidate(
                     on_conds[later].push(expr);
                 }
             }
-            Cond::ColConst { col, values } => {
-                where_conds.push(match values.as_slice() {
-                    [value] => Expr::eq(col_expr(col), Expr::Literal(value.clone())),
-                    // One membership probe per row. An `OR` of comparisons
-                    // clones its text literal per row, and every disjunct's
-                    // literal is the same interned term: on `fanout_probe`'s
-                    // 100 disjuncts that was +27 % op time, this is +3 %.
-                    _ => Expr::InSet {
-                        expr: Box::new(col_expr(col)),
-                        set: Arc::new(values.iter().cloned().collect()),
-                    },
-                });
+            Cond::ColConst { col, value } => {
+                where_conds.push(Expr::eq(col_expr(col), Expr::Literal(value.clone())));
+            }
+            Cond::Minted { col, pattern, iri } => {
+                where_conds.push(Expr::eq(minted(pattern, col), Expr::lit(iri.as_str())));
             }
         }
     }
@@ -361,25 +360,26 @@ enum Outcome {
 }
 
 /// The column condition under which `map`, read at `alias`, produces
-/// `constant`. A template compares its column with every typed reading of
-/// the IRI (the column's type is not known here): `col IN (123, '123')`.
+/// `constant`. A template states what the IRI means, `iri_template('P',
+/// col) = 'iri'`: the column's type is not known here, and the optimizer
+/// lowers the test to one of the key at the scan, where it is. An IRI
+/// outside the template's fixed parts — which not even a TEXT key inverts
+/// from — is incompatible.
 fn constant_condition(map: &TermMap, constant: &Term, alias: usize) -> Outcome {
-    let one_of = |column: &str, values: Vec<Value>| {
-        Outcome::Cond(Cond::ColConst {
-            col: (alias, column.to_string()),
-            values,
-        })
-    };
+    let col = |column: &str| (alias, column.to_string());
     match (map, constant) {
-        (TermMap::Template(t), Term::Iri(iri)) => {
-            match iri_template::readings(t.sql_pattern(), iri.as_str()) {
-                readings if readings.is_empty() => Outcome::Incompatible,
-                readings => one_of(t.column(), readings),
-            }
-        }
-        (TermMap::Column { column, .. }, Term::Literal(lit)) => {
-            one_of(column, vec![literal_to_value(lit)])
-        }
+        (TermMap::Template(t), Term::Iri(iri)) => match t.invert(iri.as_str(), ColumnType::Text) {
+            Some(_) => Outcome::Cond(Cond::Minted {
+                col: col(t.column()),
+                pattern: t.sql_pattern().to_string(),
+                iri: iri.as_str().to_string(),
+            }),
+            None => Outcome::Incompatible,
+        },
+        (TermMap::Column { column, .. }, Term::Literal(lit)) => Outcome::Cond(Cond::ColConst {
+            col: col(column),
+            value: literal_to_value(lit),
+        }),
         (TermMap::Constant(c), k) if c == k => Outcome::AlwaysTrue,
         // IRI-producing map vs literal constant (or vice versa) never match.
         _ => Outcome::Incompatible,
@@ -437,7 +437,7 @@ fn eliminate_self_joins(
                         (left == &(i, k.clone()) && right == &(j, k.clone()))
                             || (left == &(j, k.clone()) && right == &(i, k.clone()))
                     }
-                    Cond::ColConst { .. } => false,
+                    Cond::ColConst { .. } | Cond::Minted { .. } => false,
                 })
             });
             if all_keyed {
@@ -456,15 +456,17 @@ fn col_expr(col: &(usize, String)) -> Expr {
     Expr::col(format!("{}.{}", alias_name(col.0), col.1))
 }
 
+/// `iri_template('pattern', col)`: the IRI `pattern` mints from `col`.
+fn minted(pattern: &str, col: &(usize, String)) -> Expr {
+    Expr::Function {
+        name: "iri_template".into(),
+        args: vec![Expr::lit(pattern), col_expr(col)],
+    }
+}
+
 fn term_expr(map: &TermMap, alias: usize) -> Expr {
     match map {
-        TermMap::Template(t) => Expr::Function {
-            name: "iri_template".into(),
-            args: vec![
-                Expr::Literal(Value::text(t.sql_pattern())),
-                col_expr(&(alias, t.column().to_string())),
-            ],
-        },
+        TermMap::Template(t) => minted(t.sql_pattern(), &(alias, t.column().to_string())),
         TermMap::Column { column, .. } => col_expr(&(alias, column.clone())),
         TermMap::Constant(term) => match term {
             Term::Iri(iri) => Expr::Literal(Value::text(iri.as_str())),
@@ -493,7 +495,8 @@ fn chain_union(statements: Vec<SelectStatement>) -> Option<SelectStatement> {
 mod tests {
     use super::*;
     use optique_rdf::{Datatype, Iri};
-    use optique_relational::{table::table_of, ColumnType, Database};
+    use optique_relational::plan::plan_select;
+    use optique_relational::{table::table_of, ColumnType, Database, LogicalPlan};
 
     fn iri(s: &str) -> Iri {
         Iri::new(format!("http://x/{s}"))
@@ -629,12 +632,95 @@ mod tests {
                 QueryTerm::Const(Term::iri("http://x/turbine/1")),
             )],
         );
+        let (stmt, _) = unfold_cq(&cq, &catalog(), &UnfoldSettings::default()).unwrap();
+        assert_eq!(
+            stmt.unwrap().where_clause.unwrap().to_string(),
+            "(iri_template('http://x/turbine/{}', u0.tid) = 'http://x/turbine/1')",
+            "the unfolder states what the constant means; the scan lowers it"
+        );
         let (table, _) = run_unfolded(&cq, &UnfoldSettings::default());
         assert_eq!(
             table.unwrap().len(),
             2,
             "sensors 10 and 11 attach to turbine 1"
         );
+    }
+
+    /// Every filter of `plan`: scan filters and `Filter` predicates.
+    fn filters(plan: &LogicalPlan) -> Vec<&Expr> {
+        match plan {
+            LogicalPlan::Scan { filter, .. } => filter.iter().collect(),
+            LogicalPlan::Filter { input, predicate } => {
+                let mut below = filters(input);
+                below.push(predicate);
+                below
+            }
+            LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::Distinct { input } => filters(input),
+            LogicalPlan::Join { left, right, .. } => {
+                let mut both = filters(left);
+                both.extend(filters(right));
+                both
+            }
+            LogicalPlan::Union { inputs } => inputs.iter().flat_map(filters).collect(),
+        }
+    }
+
+    /// `fanout_probe`'s constant path, pinned as counts: one property over
+    /// 100 INT-keyed sources with a constant object. Every disjunct's
+    /// optimized plan tests the key in its scan, `b = 7`, with no hash set
+    /// and no `iri_template` call left in any filter.
+    #[test]
+    fn a_constant_object_reaches_every_int_scan_as_key_equality() {
+        let mut db = Database::new();
+        let mut cat = MappingCatalog::new();
+        for i in 0..100 {
+            let rows = (0..8).map(|k| vec![Value::Int(i * 8 + k), Value::Int(k)]);
+            let schema = [("a", ColumnType::Int), ("b", ColumnType::Int)];
+            db.put_table(
+                format!("t{i}"),
+                table_of(&format!("t{i}"), &schema, rows.collect()).unwrap(),
+            );
+            cat.add(MappingAssertion::property(
+                format!("p{i}"),
+                iri("p"),
+                format!("SELECT a, b FROM t{i}"),
+                TermMap::template("http://x/obj/{a}"),
+                TermMap::template("http://x/obj/{b}"),
+            ))
+            .unwrap();
+        }
+        let cq = ConjunctiveQuery::new(
+            vec!["s".into()],
+            vec![Atom::property(
+                iri("p"),
+                var("s"),
+                QueryTerm::Const(Term::iri("http://x/obj/7")),
+            )],
+        );
+        let (stmt, stats) = unfold_cq(&cq, &cat, &UnfoldSettings::default()).unwrap();
+        assert_eq!(stats.emitted, 100);
+        let (mut key_tests, mut in_sets, mut minted, mut rows) = (0, 0, 0, 0);
+        let mut disjunct = stmt;
+        while let Some(mut d) = disjunct {
+            disjunct = d.union_all.take().map(|next| *next);
+            let plan = plan_select(&d, &db).unwrap();
+            let plan = optique_relational::optimizer::optimize(plan);
+            for filter in filters(&plan) {
+                key_tests += usize::from(filter.to_string() == "(b = 7)");
+                filter.walk(&mut |e| match e {
+                    Expr::InSet { .. } => in_sets += 1,
+                    Expr::Function { name, .. } if name == "iri_template" => minted += 1,
+                    _ => {}
+                });
+            }
+            rows += optique_relational::execute(&plan, &db).unwrap().len();
+        }
+        assert_eq!((key_tests, in_sets, minted), (100, 0, 0));
+        assert_eq!(rows, 100, "one subject per source");
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The IRI-template codec: how a key value becomes an IRI and back.
 //!
 //! A pattern is an IRI with one `{}` slot (`http://x/turbine/{}`). The
-//! `iri_template` SQL scalar, the mapping layer's `IriTemplate`, shard
-//! routing's restriction inversion, the optimizer's pushdown through an
-//! `iri_template` projection and the STARQL engine's stream-key
-//! restriction all go through these three functions, so a rendered IRI
-//! always inverts to the key that minted it — and to nothing else.
+//! `iri_template` SQL scalar, the mapping layer's `IriTemplate` (through
+//! which the unfolder prunes a constant IRI outside a template's fixed
+//! parts), shard routing's restriction inversion, the optimizer's lowering
+//! of minted-IRI tests to key tests at the scan and the STARQL engine's
+//! stream-key restriction all go through these two functions, so a
+//! rendered IRI always inverts to the key that minted it — and to nothing
+//! else.
 
 use std::borrow::Cow;
 
@@ -43,28 +45,6 @@ pub fn invert(pattern: &str, iri: &str, key_type: ColumnType) -> Option<Value> {
         ColumnType::Bool | ColumnType::Any => return None,
     };
     (spelled(&key) == slot).then_some(key)
-}
-
-/// Every key that renders `iri` through `pattern`, whatever the column's
-/// type — for the caller with no schema in hand: the number when the slot
-/// spells one, the timestamp when it is `@n`, and always the text itself.
-/// Values that are equal under SQL comparison (`123` and `123.0`) appear
-/// once. Empty when the fixed parts differ.
-pub fn readings(pattern: &str, iri: &str) -> Vec<Value> {
-    let mut keys: Vec<Value> = Vec::new();
-    for key_type in [
-        ColumnType::Int,
-        ColumnType::Float,
-        ColumnType::Timestamp,
-        ColumnType::Text,
-    ] {
-        if let Some(key) = invert(pattern, iri, key_type) {
-            if !keys.contains(&key) {
-                keys.push(key);
-            }
-        }
-    }
-    keys
 }
 
 #[cfg(test)]
@@ -116,25 +96,7 @@ mod tests {
         ] {
             let iri = format!("http://x/part/{slot}/v");
             assert_eq!(invert(P, &iri, key_type), None, "{slot}");
-            assert_eq!(readings(P, &iri), vec![Value::text(slot)]);
+            assert_eq!(invert(P, &iri, ColumnType::Text), Some(Value::text(slot)));
         }
-    }
-
-    #[test]
-    fn readings_cover_every_type_the_text_admits() {
-        assert_eq!(
-            readings(P, "http://x/part/123/v"),
-            vec![Value::Int(123), Value::text("123")]
-        );
-        assert_eq!(
-            readings(P, "http://x/part/1.5/v"),
-            vec![Value::Float(1.5), Value::text("1.5")]
-        );
-        assert_eq!(
-            readings(P, "http://x/part/@5/v"),
-            vec![Value::Timestamp(5), Value::text("@5")]
-        );
-        assert_eq!(readings(P, "http://x/part/a7/v"), vec![Value::text("a7")]);
-        assert!(readings(P, "http://x/sensor/123/v").is_empty());
     }
 }

@@ -25,8 +25,9 @@
 //!   pipeline hands to and takes back from workers; [`wire`] is their text
 //!   codec, an adapter at the edge with no caller on the request path,
 //! * [`iri_template`] — the one codec between key values and the IRIs
-//!   mapping templates mint from them (render, typed inversion, untyped
-//!   readings),
+//!   mapping templates mint from them (render and typed inversion, which
+//!   the optimizer uses to lower a minted-IRI test to a key test at the
+//!   scan, by the key column's declared type),
 //! * [`stats`] — the [`StatsCatalog`] of per-table row counts and distinct
 //!   estimates that feeds the OBDA planner's join ordering.
 

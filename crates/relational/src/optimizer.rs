@@ -11,11 +11,13 @@
 //!    pass a node stays above it, the rest go on) — through DISTINCT (a
 //!    conjunct that cannot tell equal values apart), projections, union
 //!    branches, into join sides (respecting LEFT-join semantics), and
-//!    finally into scans. A projection passes a conjunct over bare columns
-//!    as is, and inverts membership in (or equality with) IRIs minted by
-//!    `iri_template(P, key)` to a test of the key, when the key is a scanned
-//!    `INT` or `TEXT` column: a semi-join's `a IN (…IRIs…)` reaches the scan
-//!    as `key IN (…keys…)`.
+//!    finally into scans. A projection passes a conjunct by substituting
+//!    its bare-column and `iri_template('P', col)` outputs. At the scan,
+//!    where the key column's declared type is known, every test of a
+//!    minted IRI (`=`, `IN`, `[NOT] IN`, `IS [NOT] NULL`) over an `INT` or
+//!    `TEXT` key lowers to a test of the key: a semi-join's `a IN
+//!    (…IRIs…)` lands as `key IN (…keys…)`, the unfolder's constant
+//!    `iri_template('P', b) = '…/5'` as `b = 5`.
 //! 4. **Union flattening** — nested `UnionAll` trees become one n-ary node.
 //! 5. **Scan projection pruning** — scans materialize only referenced
 //!    columns.
@@ -25,7 +27,6 @@
 
 use std::sync::Arc;
 
-use crate::dict::Term;
 use crate::expr::{BinOp, Expr, UnaryOp};
 use crate::iri_template;
 use crate::parser::JoinType;
@@ -252,6 +253,8 @@ fn push_predicate(input: LogicalPlan, predicate: Expr) -> LogicalPlan {
             filter,
             projection,
         } => {
+            let mut predicate = predicate;
+            lower_minted(&mut predicate, &schema);
             let combined = match filter {
                 Some(f) => Expr::binary(BinOp::And, f, predicate),
                 None => predicate,
@@ -280,14 +283,14 @@ fn push_predicate(input: LogicalPlan, predicate: Expr) -> LogicalPlan {
         } => {
             // Conjunct by conjunct: each one the projection can rewrite into
             // its input's frame goes down, the rest stay above. (A predicate
-            // over bare columns goes down whole, without the split.)
+            // it rewrites whole goes down without the split.)
             let mut pushed = Vec::new();
             let mut kept = Vec::new();
             match remap_columns(&predicate, &exprs) {
                 Some(remapped) => pushed.push(remapped),
                 None => {
                     for conjunct in split_conjuncts(&predicate) {
-                        match remap_through_project(&conjunct, &exprs, &inner) {
+                        match remap_columns(&conjunct, &exprs) {
                             Some(remapped) => pushed.push(remapped),
                             None => kept.push(conjunct),
                         }
@@ -415,92 +418,108 @@ fn respects_equality(predicate: &Expr) -> bool {
     }
 }
 
-/// Rewrites one conjunct into the frame of a projection's input: through
-/// bare columns as is, and through an `iri_template` output by inverting it
-/// to its key ([`invert_through_template`]) — under AND / OR / NOT, each of
-/// whose operands must rewrite. `None` when some part cannot.
-fn remap_through_project(
-    predicate: &Expr,
-    exprs: &[(Expr, String)],
-    input: &LogicalPlan,
-) -> Option<Expr> {
-    if let Some(remapped) = remap_columns(predicate, exprs) {
-        return Some(remapped);
-    }
-    match predicate {
-        Expr::Binary {
-            op: op @ (BinOp::And | BinOp::Or),
-            left,
-            right,
-        } => Some(Expr::binary(
-            *op,
-            remap_through_project(left, exprs, input)?,
-            remap_through_project(right, exprs, input)?,
-        )),
-        Expr::Unary {
-            op: UnaryOp::Not,
-            expr,
-        } => Some(Expr::Unary {
-            op: UnaryOp::Not,
-            expr: Box::new(remap_through_project(expr, exprs, input)?),
-        }),
-        _ => invert_through_template(predicate, exprs, input),
+/// Rewrites a predicate's column references into a projection's input
+/// frame when every referenced output is a bare column or an IRI minted from
+/// one, `iri_template('P', col)` — which the scan may then lower to a test
+/// of `col` ([`lower_minted`]). `None` when some referenced output is
+/// anything else.
+fn remap_columns(predicate: &Expr, exprs: &[(Expr, String)]) -> Option<Expr> {
+    let mut ok = true;
+    let result = predicate
+        .transform(&mut |e| {
+            if let Expr::ColumnIdx { index, .. } = e {
+                match exprs.get(*index) {
+                    Some((output, _))
+                        if matches!(output, Expr::ColumnIdx { .. })
+                            || minted_key(output).is_some() =>
+                    {
+                        return Ok(Some(output.clone()))
+                    }
+                    _ => ok = false,
+                }
+            }
+            Ok(None)
+        })
+        .expect("remap transform is infallible");
+    ok.then_some(result)
+}
+
+/// The pattern, key column and key index of `iri_template('P', col)`.
+fn minted_key(expr: &Expr) -> Option<(&str, &Expr, usize)> {
+    let Expr::Function { name, args } = expr else {
+        return None;
+    };
+    match args.as_slice() {
+        [Expr::Literal(Value::Text(pattern)), key @ Expr::ColumnIdx { index, .. }]
+            if name == "iri_template" =>
+        {
+            Some((pattern, key, *index))
+        }
+        _ => None,
     }
 }
 
-/// Rewrites a test of an output `t = iri_template('P', x)` into the test of
-/// `x` that answers alike on every row, NULL included: `t IN {…}`, `t [NOT]
-/// IN (literals)` and `t = c` keep the keys the IRIs invert to (an IRI no
-/// key renders matches no row and is dropped), `t IS [NOT] NULL` becomes
-/// `x IS [NOT] NULL`.
+/// Lowers each test of a minted IRI in a scan's `predicate`, under AND / OR
+/// / NOT, to the test of its key that answers alike on every row, NULL
+/// included: `iri_template('P', k)` in `IN {…}`, in `[NOT] IN (literals)`
+/// or `= c` keeps the keys the IRIs invert to (an IRI no key renders
+/// matches no row and is dropped), and `IS [NOT] NULL` becomes `k IS [NOT]
+/// NULL`.
 ///
-/// Exact only when `x` holds keys of one type that renders one way: `x`
-/// must carry a scanned `Int` or `Text` column unchanged. A `Float` or
-/// `Timestamp` column also admits `Int` values, which render differently
-/// (`Int(5)` as `…/5`, `Timestamp(5)` as `…/@5`), so those tests stay above.
-fn invert_through_template(
-    atom: &Expr,
-    exprs: &[(Expr, String)],
-    input: &LogicalPlan,
-) -> Option<Expr> {
-    // The template and key behind a tested output column.
-    let template = |tested: &Expr| -> Option<(Term, Box<Expr>, ColumnType)> {
-        let Expr::ColumnIdx { index, .. } = tested else {
-            return None;
-        };
-        let (Expr::Function { name, args }, _) = exprs.get(*index)? else {
-            return None;
-        };
-        let [Expr::Literal(Value::Text(pattern)), key @ Expr::ColumnIdx { index: key_at, .. }] =
-            args.as_slice()
-        else {
-            return None;
-        };
-        // Without a slot every key renders the pattern itself.
-        if name != "iri_template" || !pattern.contains("{}") {
-            return None;
+/// Exact only when `k` holds keys of one type that renders one way, so `k`
+/// must be declared `INT` or `TEXT` in the scan's `schema`. A `FLOAT` or
+/// `TIMESTAMP` column also admits `Int` values, which render differently
+/// (`Int(5)` as `…/5`, `Timestamp(5)` as `…/@5`), so those tests keep
+/// rendering. Rewrites in place: only a replaced atom is rebuilt.
+fn lower_minted(predicate: &mut Expr, schema: &Schema) {
+    match predicate {
+        Expr::Binary {
+            op: BinOp::And | BinOp::Or,
+            left,
+            right,
+        } => {
+            lower_minted(left, schema);
+            lower_minted(right, schema);
         }
-        let key_type = scan_column_type(input, *key_at)?;
-        matches!(key_type, ColumnType::Int | ColumnType::Text)
-            .then(|| (pattern.clone(), Box::new(key.clone()), key_type))
-    };
+        Expr::Unary {
+            op: UnaryOp::Not,
+            expr,
+        } => lower_minted(expr, schema),
+        atom => {
+            if let Some(lowered) = lowered_atom(atom, schema) {
+                *atom = lowered;
+            }
+        }
+    }
+}
+
+/// The key test [`lower_minted`] puts in place of `atom`, if it is one.
+fn lowered_atom(atom: &Expr, schema: &Schema) -> Option<Expr> {
+    // The template, key and key type behind a tested minted IRI.
+    fn template<'e>(tested: &'e Expr, schema: &Schema) -> Option<(&'e str, Box<Expr>, ColumnType)> {
+        let (pattern, key, index) = minted_key(tested)?;
+        let key_type = schema.columns().get(index)?.ty;
+        // Without a slot every key renders the pattern itself.
+        (pattern.contains("{}") && matches!(key_type, ColumnType::Int | ColumnType::Text))
+            .then(|| (pattern, Box::new(key.clone()), key_type))
+    }
     let invert = |pattern: &str, iri: &Value, key_type| match iri {
         Value::Text(iri) => iri_template::invert(pattern, iri, key_type),
         _ => None,
     };
     match atom {
         Expr::IsNull { expr, negated } => {
-            let (_, key, _) = template(expr)?;
+            let (_, key, _) = template(expr, schema)?;
             Some(Expr::IsNull {
                 expr: key,
                 negated: *negated,
             })
         }
         Expr::InSet { expr, set } => {
-            let (pattern, key, key_type) = template(expr)?;
+            let (pattern, key, key_type) = template(expr, schema)?;
             let keys = set
                 .iter()
-                .filter_map(|iri| invert(&pattern, iri, key_type))
+                .filter_map(|iri| invert(pattern, iri, key_type))
                 .collect();
             Some(Expr::InSet {
                 expr: key,
@@ -512,7 +531,7 @@ fn invert_through_template(
             list,
             negated,
         } => {
-            let (pattern, key, key_type) = template(expr)?;
+            let (pattern, key, key_type) = template(expr, schema)?;
             let mut keys = Vec::with_capacity(list.len());
             for item in list {
                 let Expr::Literal(iri) = item else {
@@ -520,7 +539,7 @@ fn invert_through_template(
                 };
                 if iri.is_null() {
                     keys.push(Expr::Literal(Value::Null));
-                } else if let Some(k) = invert(&pattern, iri, key_type) {
+                } else if let Some(k) = invert(pattern, iri, key_type) {
                     keys.push(Expr::Literal(k));
                 }
             }
@@ -539,11 +558,11 @@ fn invert_through_template(
                 (tested, Expr::Literal(c)) | (Expr::Literal(c), tested) => (tested, c),
                 _ => return None,
             };
-            let (pattern, key, key_type) = template(tested)?;
+            let (pattern, key, key_type) = template(tested, schema)?;
             Some(if constant.is_null() {
                 Expr::eq(*key, Expr::Literal(Value::Null))
             } else {
-                match invert(&pattern, constant, key_type) {
+                match invert(pattern, constant, key_type) {
                     Some(k) => Expr::eq(*key, Expr::Literal(k)),
                     // No key renders `c`: false, or NULL on a NULL key.
                     None => Expr::InList {
@@ -556,65 +575,6 @@ fn invert_through_template(
         }
         _ => None,
     }
-}
-
-/// The declared type of the scanned column that output `index` of `plan`
-/// carries unchanged — through filters, bare-column projections, joins and
-/// union branches that all agree — or `None` when no scan column reaches it
-/// unchanged. `Project` output schemas are typed `Any`, so this walks down.
-fn scan_column_type(plan: &LogicalPlan, index: usize) -> Option<ColumnType> {
-    match plan {
-        LogicalPlan::Scan { schema, .. } => schema.columns().get(index).map(|c| c.ty),
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. }
-        | LogicalPlan::Distinct { input } => scan_column_type(input, index),
-        LogicalPlan::Project { input, exprs, .. } => match exprs.get(index)? {
-            (Expr::ColumnIdx { index: src, .. }, _) => scan_column_type(input, *src),
-            _ => None,
-        },
-        LogicalPlan::Join { left, right, .. } => {
-            let left_len = left.schema().len();
-            if index < left_len {
-                scan_column_type(left, index)
-            } else {
-                scan_column_type(right, index - left_len)
-            }
-        }
-        LogicalPlan::Union { inputs } => {
-            let (first, rest) = inputs.split_first()?;
-            let ty = scan_column_type(first, index)?;
-            rest.iter()
-                .all(|branch| scan_column_type(branch, index) == Some(ty))
-                .then_some(ty)
-        }
-        LogicalPlan::Aggregate { .. } => None,
-    }
-}
-
-/// Rewrites a predicate's column references through a projection when every
-/// referenced output column is a bare column expression.
-fn remap_columns(predicate: &Expr, exprs: &[(Expr, String)]) -> Option<Expr> {
-    let mut ok = true;
-    let result = predicate
-        .transform(&mut |e| {
-            if let Expr::ColumnIdx { index, .. } = e {
-                match exprs.get(*index) {
-                    Some((Expr::ColumnIdx { index: src, name }, _)) => {
-                        return Ok(Some(Expr::ColumnIdx {
-                            index: *src,
-                            name: name.clone(),
-                        }))
-                    }
-                    _ => {
-                        ok = false;
-                    }
-                }
-            }
-            Ok(None)
-        })
-        .expect("remap transform is infallible");
-    ok.then_some(result)
 }
 
 /// Shifts all column indices down by `offset` (join-right reframing).
@@ -857,6 +817,54 @@ mod tests {
             "{ex}"
         );
         assert!(!ex.contains("Filter"), "{ex}");
+    }
+
+    /// The unfolder's constant shape, `iri_template(P, u0.b) = 'c'`, lowers
+    /// at the scan by the key's declared type: an `INT` or `TEXT` key to key
+    /// equality with no `iri_template` left in any filter, a `FLOAT` or
+    /// `TIMESTAMP` key (which also admits `Int`s that render another way)
+    /// to the render test itself. Answers agree either way.
+    #[test]
+    fn a_minted_constant_lowers_to_a_key_test_by_the_scans_column_type() {
+        let mut db = db();
+        for (ty, lowered) in [
+            (ColumnType::Int, "[filter: (b = 5)]"),
+            (ColumnType::Text, "[filter: (b = '5')]"),
+            (
+                ColumnType::Float,
+                "[filter: (iri_template('http://x/o/{}', b) = 'http://x/o/5')]",
+            ),
+            (
+                ColumnType::Timestamp,
+                "[filter: (iri_template('http://x/o/{}', b) = 'http://x/o/5')]",
+            ),
+        ] {
+            let five = match ty {
+                ColumnType::Text => Value::text("5"),
+                ColumnType::Timestamp => Value::Timestamp(5),
+                _ => Value::Int(5),
+            };
+            let rows = vec![
+                vec![Value::Int(1), five],
+                vec![Value::Int(2), Value::Int(5)],
+                vec![Value::Int(3), Value::Null],
+            ];
+            let rows = rows.into_iter().filter(|r| ty.admits(&r[1])).collect();
+            db.put_table(
+                "k",
+                table_of("k", &[("a", ColumnType::Int), ("b", ty)], rows).unwrap(),
+            );
+            let sql = "SELECT DISTINCT iri_template('http://x/o/{}', u0.a) AS s \
+                       FROM (SELECT a, b FROM k) u0 \
+                       WHERE iri_template('http://x/o/{}', u0.b) = 'http://x/o/5'";
+            let (unopt, opt, ex) = answers(sql, &db);
+            assert_eq!(opt, unopt, "{ty}: {ex}");
+            assert!(ex.contains(&format!("Scan k AS k {lowered}")), "{ty}: {ex}");
+            assert!(!ex.contains("\nFilter"), "{ty}: {ex}");
+            if matches!(ty, ColumnType::Int | ColumnType::Text) {
+                assert_eq!(ex.matches("iri_template").count(), 1, "{ty}: {ex}");
+            }
+        }
     }
 
     /// A conjunct a projection cannot rewrite stays above it; the others

@@ -89,26 +89,44 @@ proptest! {
     /// The optimizer never changes answers on the statements the unfolder
     /// and semi-join pushdown emit: `UNION ALL` chains of
     /// `SELECT DISTINCT iri_template(P, key) … FROM (…) u0 JOIN (…) u1`,
-    /// each wrapped in `a IN (…) OR a IS NULL`, over keys of every type
-    /// (INT, FLOAT and TIMESTAMP columns holding `Int`s, NULLs, digit text,
-    /// `""`, integers near ±2^53), restriction lists on both sides of the
-    /// `IN`-set threshold, and repeated scans. Row for row, order included.
+    /// some with the unfolder's constant test `WHERE iri_template(P, u0.key)
+    /// = 'c'`, each wrapped in `a IN (…) OR a IS NULL` or not, over keys of
+    /// every type (INT, FLOAT and TIMESTAMP columns holding `Int`s, NULLs,
+    /// digit text, `""`, integers near ±2^53), constants and restriction
+    /// lists of IRIs some key renders, `+5` and foreign ones, lists on both
+    /// sides of the `IN`-set threshold, and repeated scans. Row for row,
+    /// order included.
     #[test]
     fn optimizer_preserves_answers_on_restricted_unfoldings(
         rows in proptest::collection::vec(arb_key_row(), 0..12),
         joins in proptest::collection::vec(0i64..2, 0..3),
-        disjuncts in proptest::collection::vec((0usize..KEYS.len(), 0usize..PATTERNS.len()), 1..5),
+        disjuncts in proptest::collection::vec(
+            (0usize..KEYS.len(), 0usize..PATTERNS.len(), arb_constant()),
+            1..5,
+        ),
+        restricted in any::<bool>(),
         restriction in proptest::collection::vec(arb_restriction_value(), 0..14),
         extra in 0usize..4,
     ) {
         let db = key_db(rows, joins);
         let chain: Vec<String> = disjuncts
             .iter()
-            .map(|&(key, pattern)| unfolded_disjunct(KEYS[key].0, PATTERNS[pattern]))
+            .map(|(key, pattern, constant)| {
+                let disjunct = unfolded_disjunct(KEYS[*key].0, PATTERNS[*pattern]);
+                match constant {
+                    None => disjunct,
+                    Some((key, pattern, iri)) => format!(
+                        "{disjunct} WHERE iri_template('{}', u0.{}) = '{iri}'",
+                        PATTERNS[*pattern], KEYS[*key].0
+                    ),
+                }
+            })
             .collect();
         let statement = optique_relational::parse_select(&chain.join(" UNION ALL ")).unwrap();
-        let statement = restrict_statement(statement, &[SemiJoin::new("a", restriction)]);
-        // One more outer test per disjunct, of the forms inversion handles.
+        let semi_joins: Vec<SemiJoin> =
+            restricted.then(|| SemiJoin::new("a", restriction)).into_iter().collect();
+        let statement = restrict_statement(statement, &semi_joins);
+        // One more outer test per disjunct, of the forms the scan lowers.
         let extra = [
             None,
             Some("a = 'http://x/k/5'"),
@@ -201,10 +219,9 @@ fn arb_key_row() -> impl Strategy<Value = Vec<Value>> {
     (arb_int_key(), float, timestamp, text, join).prop_map(|(k, f, t, x, j)| vec![k, f, t, x, j])
 }
 
-/// A restriction value: an IRI some key of some type renders through some
-/// pattern, an IRI no key renders, or a non-text value.
-fn arb_restriction_value() -> impl Strategy<Value = Value> {
-    let key = prop_oneof![
+/// A key some column of `s` may hold, to render into an IRI.
+fn arb_rendered_key() -> impl Strategy<Value = Value> {
+    prop_oneof![
         arb_int_key(),
         (0i64..3).prop_map(Value::Timestamp),
         Just(Value::Float(5.0)),
@@ -212,14 +229,36 @@ fn arb_restriction_value() -> impl Strategy<Value = Value> {
         Just(Value::text("")),
         Just(Value::text("5")),
         Just(Value::text("a7")),
-    ];
-    (0u8..6, key, 0usize..PATTERNS.len())
+    ]
+}
+
+/// A restriction value: an IRI some key of some type renders through some
+/// pattern, an IRI no key renders, or a non-text value.
+fn arb_restriction_value() -> impl Strategy<Value = Value> {
+    (0u8..6, arb_rendered_key(), 0usize..PATTERNS.len())
         .prop_map(|(pick, key, p)| match pick {
             0 => Value::text("http://x/k/+5"),
             1 => Value::Int(5),
             _ => iri_template::render(PATTERNS[p], &key).map_or(Value::Null, Value::text),
         })
         .prop_filter("restriction lists hold no NULL", |v| !v.is_null())
+}
+
+/// Maybe a constant the unfolder tests a key column against, as `(key,
+/// pattern, IRI)`: mostly an IRI the pattern renders from some key, else
+/// `+5` or a foreign IRI.
+fn arb_constant() -> impl Strategy<Value = Option<(usize, usize, String)>> {
+    let column = (0usize..KEYS.len(), 0usize..PATTERNS.len());
+    (any::<bool>(), column, 0u8..6, arb_rendered_key()).prop_map(
+        |(on, (column, pattern), pick, key)| {
+            let iri = match pick {
+                0 => "http://x/k/+5".to_string(),
+                1 => "http://y/k/5".to_string(),
+                _ => iri_template::render(PATTERNS[pattern], &key)?,
+            };
+            on.then_some((column, pattern, iri))
+        },
+    )
 }
 
 /// `s` from generated rows, `r(j INT)` from generated join keys.
@@ -242,7 +281,7 @@ fn unfolded_disjunct(key: &str, pattern: &str) -> String {
     format!(
         "SELECT DISTINCT iri_template('{pattern}', u0.{key}) AS a, \
          iri_template('http://x/j/{{}}', u1.j) AS b \
-         FROM (SELECT {key}, j FROM s) u0 JOIN (SELECT j FROM r) u1 ON u0.j = u1.j"
+         FROM (SELECT k, f, t, x, j FROM s) u0 JOIN (SELECT j FROM r) u1 ON u0.j = u1.j"
     )
 }
 
@@ -256,7 +295,7 @@ fn optimized_and_not(sql: &str, db: &Database) -> (Table, Table) {
 
 /// A TIMESTAMP key holding `Int(5)` mints `…/5`, which no timestamp's
 /// spelling (`@5`) inverts to: inverting by the declared type would drop
-/// the row, so that restriction must stay above the rendering.
+/// the row, so that restriction must keep rendering at the scan.
 #[test]
 fn timestamp_key_holding_an_int_still_matches_after_optimization() {
     let db = key_db(

@@ -1428,13 +1428,18 @@ mod tests {
         .is_err());
     }
 
-    /// `parts(code TEXT, at TIMESTAMP, load FLOAT)`: key columns whose
-    /// values *look* like another type's (`"123"`), or whose rendering is
-    /// not their SQL spelling (`@5`).
+    /// `parts(code TEXT, at TIMESTAMP, load FLOAT, num INT)`: key columns
+    /// whose values *look* like another type's (`"123"`), or whose rendering
+    /// is not their SQL spelling (`@5`).
     fn typed_keys() -> (Database, MappingCatalog) {
         let mut db = Database::new();
         let row = |code: &str, at: i64, load: f64| {
-            vec![Value::text(code), Value::Timestamp(at), Value::Float(load)]
+            vec![
+                Value::text(code),
+                Value::Timestamp(at),
+                Value::Float(load),
+                Value::Int(at),
+            ]
         };
         db.put_table(
             "parts",
@@ -1444,13 +1449,14 @@ mod tests {
                     ("code", ColumnType::Text),
                     ("at", ColumnType::Timestamp),
                     ("load", ColumnType::Float),
+                    ("num", ColumnType::Int),
                 ],
                 vec![row("123", 5, 1.5), row("a7", 6, 2.0), row("", 7, -0.25)],
             )
             .unwrap(),
         );
         let mut c = MappingCatalog::new();
-        for (class, column) in [("Part", "code"), ("Mark", "at"), ("Gauge", "load")] {
+        for (class, column) in TYPED_CLASSES {
             c.add(MappingAssertion::class(
                 class,
                 iri(class),
@@ -1470,13 +1476,24 @@ mod tests {
         (db, c)
     }
 
+    /// The classes [`typed_keys`] maps, one per key column.
+    const TYPED_CLASSES: [(&str, &str); 4] = [
+        ("Part", "code"),
+        ("Mark", "at"),
+        ("Gauge", "load"),
+        ("Lot", "num"),
+    ];
+
     /// Regression: the unfolder guessed a constant IRI's key type from the
     /// look of its text, so `ASK { <http://x/code/123> a x:Part }` over a
     /// TEXT key holding `"123"` compared the column with the *integer* 123
     /// and answered false — while `SELECT ?p` returned that very IRI; a
     /// TIMESTAMP key's `@5` was compared as the text `'@5'`. For every IRI a
     /// SELECT returns, the ASK and the constant-subject / constant-object
-    /// forms must agree with it.
+    /// forms must agree with it. And an IRI no key of the column's type
+    /// mints is absent, even when a key of another type would mint it: the
+    /// TIMESTAMP 5 mints `…/at/@5`, not `…/at/5`, and the INT 5 mints
+    /// `…/num/5`, not `…/num/@5` (readings of every type once matched both).
     #[test]
     fn constant_iris_agree_with_select_whatever_the_key_type() {
         let (db, maps) = typed_keys();
@@ -1493,7 +1510,7 @@ mod tests {
             };
             r.rows().iter().map(cell).collect()
         };
-        for class in ["Part", "Mark", "Gauge"] {
+        for (class, _) in TYPED_CLASSES {
             let members = answer(&format!("SELECT ?p WHERE {{ ?p a x:{class} }}"));
             assert_eq!(members.len(), 3, "{class}");
             for member in iris(&members, 0) {
@@ -1501,10 +1518,16 @@ mod tests {
                 assert_eq!(ask.as_bool(), Some(true), "{member}");
             }
         }
-        assert_eq!(
-            answer("ASK { <http://x/code/124> a x:Part }").as_bool(),
-            Some(false)
-        );
+        let lots = iris(&answer("SELECT ?p WHERE { ?p a x:Lot }"), 0);
+        assert!(lots.iter().any(|lot| lot == "http://x/num/5"), "{lots:?}");
+        for (absent, class) in [
+            ("http://x/code/124", "Part"),
+            ("http://x/at/5", "Mark"),
+            ("http://x/num/@5", "Lot"),
+        ] {
+            let ask = answer(&format!("ASK {{ <{absent}> a x:{class} }}"));
+            assert_eq!(ask.as_bool(), Some(false), "{absent}");
+        }
         let pairs = answer("SELECT ?p ?t WHERE { ?p x:stampedAt ?t }");
         for (part, mark) in iris(&pairs, 0).into_iter().zip(iris(&pairs, 1)) {
             let by_object = answer(&format!("SELECT ?p WHERE {{ ?p x:stampedAt <{mark}> }}"));

@@ -85,9 +85,10 @@ fn federated_runs_share_the_bgp_cache() {
 /// `sparql::compile::tests::constant_iris_agree_with_select_whatever_the_key_type`:
 /// a constant IRI over a key column whose values look like another type's
 /// (`TEXT "123"`) or render unlike their SQL spelling (`TIMESTAMP @5`,
-/// `FLOAT 1.5`) must select what `SELECT` says it names — single-node and
-/// at 2 workers, where the `parts` table shards on `code` and the constant
-/// travels to the workers typed.
+/// `FLOAT 1.5`) must select what `SELECT` says it names, and an IRI only a
+/// key of another type mints (`…/at/5` over TIMESTAMP, `…/num/@5` over INT)
+/// must select nothing — single-node and at 2 workers, where the `parts`
+/// table shards on `code` and the constant travels to the workers typed.
 #[test]
 fn constant_iris_agree_with_select_whatever_the_key_type() {
     use optique_mapping::{MappingAssertion, MappingCatalog, TermMap};
@@ -98,6 +99,7 @@ fn constant_iris_agree_with_select_whatever_the_key_type() {
         ("code", ColumnType::Text),
         ("at", ColumnType::Timestamp),
         ("load", ColumnType::Float),
+        ("num", ColumnType::Int),
     ];
     let mut rows: Vec<Vec<Value>> = (0..60)
         .map(|i| {
@@ -105,6 +107,7 @@ fn constant_iris_agree_with_select_whatever_the_key_type() {
                 Value::text((100 + i).to_string()),
                 Value::Timestamp(i),
                 Value::Float(i as f64 / 4.0),
+                Value::Int(i),
             ]
         })
         .collect();
@@ -112,12 +115,19 @@ fn constant_iris_agree_with_select_whatever_the_key_type() {
         Value::text("a7"),
         Value::Timestamp(-5),
         Value::Float(-1.5),
+        Value::Int(-5),
     ]);
+    let classes = [
+        ("Part", "code"),
+        ("Mark", "at"),
+        ("Gauge", "load"),
+        ("Lot", "num"),
+    ];
     let mut db = Database::new();
     db.put_table("parts", table_of("parts", &keys, rows).unwrap());
     let x = |name: &str| Iri::new(format!("http://x/{name}"));
     let mut mappings = MappingCatalog::new();
-    for (class, column) in [("Part", "code"), ("Mark", "at"), ("Gauge", "load")] {
+    for (class, column) in classes {
         let subject = TermMap::template(&format!("http://x/{column}/{{{column}}}"));
         let source = format!("SELECT {column} FROM parts");
         mappings
@@ -173,7 +183,7 @@ fn constant_iris_agree_with_select_whatever_the_key_type() {
         "parts is sharded: {stats:?}"
     );
     for workers in [1, 2] {
-        for class in ["Part", "Mark", "Gauge"] {
+        for (class, _) in classes {
             let members = iris(&format!("SELECT ?p WHERE {{ ?p a x:{class} }}"), workers);
             assert_eq!(members.len(), 61, "{class}");
             for member in members.iter().flatten().step_by(7) {
@@ -184,6 +194,18 @@ fn constant_iris_agree_with_select_whatever_the_key_type() {
                     "{ask} at {workers}"
                 );
             }
+        }
+        let lots = iris("SELECT ?p WHERE { ?p a x:Lot }", workers);
+        assert!(lots.contains(&vec!["http://x/num/5".to_string()]));
+        for ask in [
+            "ASK { <http://x/at/5> a x:Mark }",
+            "ASK { <http://x/num/@5> a x:Lot }",
+        ] {
+            assert_eq!(
+                run(ask, workers).0.as_bool(),
+                Some(false),
+                "{ask} at {workers}"
+            );
         }
         let pairs = iris("SELECT ?p ?t WHERE { ?p x:stampedAt ?t }", workers);
         assert_eq!(pairs.len(), 61);
