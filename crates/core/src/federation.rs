@@ -328,12 +328,10 @@ impl FragmentExecutor for Federation {
             }
             results[slot] = Some(outcome);
         }
-        let tables = results
-            .into_iter()
-            .map(|slot| slot.expect("every fragment executed"))
-            .collect::<Result<Vec<Table>, String>>()?;
         Ok(FragmentRound {
-            tables,
+            tables: (results.into_iter())
+                .map(|slot| slot.expect("every fragment executed"))
+                .collect(),
             coordinator_fallbacks,
             partitioned_fragments,
             replicated_fallbacks,
@@ -439,7 +437,7 @@ mod tests {
         let round = federation
             .execute(vec![PlanFragment::new(0, sql, 1.0)])
             .unwrap();
-        assert_eq!(canon(&round.tables[0]), canon(&local));
+        assert_eq!(canon(round.tables[0].as_ref().unwrap()), canon(&local));
         // Placed execution on a replicated pool is the design, not a
         // fallback rung.
         assert_eq!(round.replicated_fallbacks, 0);
@@ -455,8 +453,8 @@ mod tests {
         let round = federation
             .execute(vec![PlanFragment::new(0, sql, 1.0)])
             .unwrap();
-        assert_eq!(round.tables[0].len(), 100);
-        assert_eq!(canon(&round.tables[0]), canon(&local));
+        assert_eq!(round.tables[0].as_ref().unwrap().len(), 100);
+        assert_eq!(canon(round.tables[0].as_ref().unwrap()), canon(&local));
         assert_eq!(round.partitioned_fragments, 1);
     }
 
@@ -471,7 +469,7 @@ mod tests {
             .execute(vec![PlanFragment::new(0, sql, 2.0)])
             .unwrap()
             .tables;
-        assert_eq!(canon(&results[0]), canon(&local));
+        assert_eq!(canon(results[0].as_ref().unwrap()), canon(&local));
     }
 
     #[test]
@@ -487,7 +485,7 @@ mod tests {
             .unwrap();
         assert_eq!(round.coordinator_fallbacks, 0, "key join scatters");
         assert_eq!(round.partitioned_fragments, 1);
-        assert_eq!(canon(&round.tables[0]), canon(&local));
+        assert_eq!(canon(round.tables[0].as_ref().unwrap()), canon(&local));
     }
 
     #[test]
@@ -504,7 +502,7 @@ mod tests {
             .unwrap();
         assert_eq!(round.coordinator_fallbacks, 1, "non-key join falls back");
         let results = round.tables;
-        assert_eq!(canon(&results[0]), canon(&local));
+        assert_eq!(canon(results[0].as_ref().unwrap()), canon(&local));
     }
 
     #[test]
@@ -586,12 +584,42 @@ mod tests {
         assert_eq!(round.coordinator_fallbacks, 2);
         let results = round.tables;
         assert_eq!(
-            results[0].rows,
+            results[0].as_ref().unwrap().rows,
             vec![vec![Value::Int(100)]],
             "one global count"
         );
-        assert_eq!(results[1].len(), 3, "global LIMIT, not 4×3");
-        assert_eq!(results[2].len(), 7, "DISTINCT deduped across shards");
+        assert_eq!(
+            results[1].as_ref().unwrap().len(),
+            3,
+            "global LIMIT, not 4×3"
+        );
+        assert_eq!(
+            results[2].as_ref().unwrap().len(),
+            7,
+            "DISTINCT deduped across shards"
+        );
+    }
+
+    /// A fragment that fails does so in its own slot: the round answers
+    /// every other fragment, on either layout.
+    #[test]
+    fn a_failing_fragment_fails_only_its_slot() {
+        let db = db();
+        let sql = "SELECT sid FROM sensors WHERE tid = 3";
+        let local = optique_relational::exec::query(sql, &db).unwrap();
+        for federation in [
+            Federation::replicated(Arc::clone(&db), 2),
+            sensors_by_sid(Arc::clone(&db), 2),
+        ] {
+            let round = federation
+                .execute(vec![
+                    PlanFragment::new(0, "SELECT x FROM missing", 1.0),
+                    PlanFragment::new(1, sql, 1.0),
+                ])
+                .unwrap();
+            assert!(round.tables[0].is_err(), "{federation:?}: {round:?}");
+            assert_eq!(canon(round.tables[1].as_ref().unwrap()), canon(&local));
+        }
     }
 
     /// A literal containing a partitioned table's name must not force
@@ -606,7 +634,7 @@ mod tests {
             .execute(vec![PlanFragment::new(0, sql, 1.0)])
             .unwrap();
         assert_eq!(
-            round.tables[0].len(),
+            round.tables[0].as_ref().unwrap().len(),
             local.len(),
             "scatter would return 4x the rows"
         );
@@ -626,7 +654,10 @@ mod tests {
             .with_semi_joins(vec![SemiJoin::new("sid", vec![Value::Int(5)])]);
         let round = federation.execute(vec![fragment]).unwrap();
         assert!(round.shards_pruned >= 6, "8 shards, ≤ 2 targets: {round:?}");
-        assert_eq!(round.tables[0].rows, vec![vec![Value::Int(5)]]);
+        assert_eq!(
+            round.tables[0].as_ref().unwrap().rows,
+            vec![vec![Value::Int(5)]]
+        );
     }
 
     /// The advisor partitions the 100-row sensors table on `sid` (unique,
@@ -719,7 +750,7 @@ mod tests {
         let local = fragment.execute(&db).unwrap();
         let round = federation.execute(vec![fragment]).unwrap();
         assert_eq!(round.partitioned_fragments, 1, "the window scattered");
-        assert_eq!(canon(&round.tables[0]), canon(&local));
+        assert_eq!(canon(round.tables[0].as_ref().unwrap()), canon(&local));
         assert_eq!(local.len(), 10);
 
         // Unknown streams are skipped, not fatal.
@@ -845,8 +876,8 @@ mod tests {
         let local = fragment.execute(&db).unwrap();
         let round = federation.execute(vec![fragment]).unwrap();
         assert!(round.shards_pruned >= 6, "8 shards, ≤ 2 targets: {round:?}");
-        assert_eq!(canon(&round.tables[0]), canon(&local));
-        assert!(!round.tables[0].rows.is_empty());
+        assert_eq!(canon(round.tables[0].as_ref().unwrap()), canon(&local));
+        assert!(!round.tables[0].as_ref().unwrap().rows.is_empty());
     }
 
     /// A scatter round pinned at a novelty epoch gathers each overlay row
@@ -869,17 +900,20 @@ mod tests {
         let partitioned = sensors_by_sid(Arc::clone(&db), 4);
         let round = partitioned.execute(vec![pinned()]).unwrap();
         assert_eq!(round.partitioned_fragments, 1, "the scan scattered");
-        let distinct: std::collections::HashSet<i64> = round.tables[0]
-            .rows
+        let distinct: std::collections::HashSet<i64> = (round.tables[0].as_ref().unwrap().rows)
             .iter()
             .map(|r| r[0].as_i64().unwrap())
             .collect();
-        assert_eq!(round.tables[0].len(), 110, "no overlay row duplicated");
+        assert_eq!(
+            round.tables[0].as_ref().unwrap().len(),
+            110,
+            "no overlay row duplicated"
+        );
         assert_eq!(distinct.len(), 110, "no overlay row missed");
 
         let replicated = Federation::replicated(Arc::clone(&db), 4);
         let round = replicated.execute(vec![pinned()]).unwrap();
-        assert_eq!(round.tables[0].len(), 110);
+        assert_eq!(round.tables[0].as_ref().unwrap().len(), 110);
     }
 
     /// The restriction budget widens only for pools that can slice lists

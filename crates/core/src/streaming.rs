@@ -22,11 +22,12 @@
 //! ([`QueryPanel::tick_errors`], registry counter `tick.errors`) and ends
 //! that query's windows for this round; every other query still ticks, and
 //! the window cache is trimmed whether or not anything failed. A window a
-//! worker fails — its integer SUM overflows, say — fails exactly the ticks
-//! that read it: the pool's windows then go again one by one. A pane
-//! round that fails as a whole fails exactly the ticks that read one of its
-//! windows; ticks that read nothing from it — single-node, sequence-path,
-//! another pool's — tick as if it had not run. An append marks each window it
+//! worker fails — its integer SUM leaves `i64`, say — fails exactly the
+//! ticks that read it: the pool's one round answers per window, so every
+//! other window of it still answers, and no worker's panes are reset. A
+//! pane round that fails as a whole fails exactly the ticks that read one
+//! of its windows; ticks that read nothing from it — single-node,
+//! sequence-path, another pool's — tick as if it had not run. An append marks each window it
 //! drove as driven the moment its tick succeeds, so a retry after a
 //! failure never re-fires a window that already answered. Only then does
 //! the call return the first error, naming its query.
@@ -1217,33 +1218,45 @@ HAVING EXISTS ?k IN seq: GRAPH ?k { ?c2 sie:hasValue ?x }
         assert_eq!(ticks, [(4, 1), (4, 1), (4, 0), (4, 0)]);
     }
 
+    /// The aggregate query with `SUM(…) >= 100` over a `range_s` window.
+    fn sum_query(range_s: i64) -> String {
+        AGG_QUERY
+            .replace("PT10S", &format!("PT{range_s}S"))
+            .replace(
+                "MAX(?c2, sie:hasValue) >= 85",
+                "SUM(?c2, sie:hasValue) >= 100",
+            )
+    }
+
+    /// An `S_Msmt` row at `ts` whose value is half of `i64::MAX`, rounded
+    /// up: `S_Msmt.value` is FLOAT, which admits integers, and two of them
+    /// take a SUM past `i64`.
+    fn half_max_row(ts: i64, sensor_id: i64) -> Vec<Value> {
+        let mut row = msmt_row(ts, sensor_id, 0.0);
+        row[2] = Value::Int(i64::MAX / 2 + 1);
+        row
+    }
+
     /// A worker fails one probe of a pane round — its window's integer SUM
     /// overflows — and only that probe's reader fails: a pane query over
     /// other windows of the same pool ticks every window, as it does on a
-    /// platform of its own. `S_Msmt.value` is FLOAT, which admits integers;
-    /// two of `i64::MAX / 2 + 1`, 5 s apart, overflow every 10 s window
-    /// that holds both, and no 2 s window holds two.
+    /// platform of its own. Two half-`i64::MAX` rows, 5 s apart, overflow
+    /// every 10 s window that holds both, and no 2 s window holds two.
     #[test]
     fn overflowing_pane_window_fails_only_its_readers() {
-        let sum = |range_s: i64| {
-            AGG_QUERY
-                .replace("PT10S", &format!("PT{range_s}S"))
-                .replace(
-                    "MAX(?c2, sie:hasValue) >= 85",
-                    "SUM(?c2, sie:hasValue) >= 100",
-                )
-        };
         let (p, alone) = (platform(), platform());
-        let long = p.register_starql_distributed(&sum(10), 2).unwrap();
-        let short = p.register_starql_distributed(&sum(2), 2).unwrap();
-        alone.register_starql_distributed(&sum(2), 2).unwrap();
+        let long = p.register_starql_distributed(&sum_query(10), 2).unwrap();
+        let short = p.register_starql_distributed(&sum_query(2), 2).unwrap();
+        alone.register_starql_distributed(&sum_query(2), 2).unwrap();
         let sensor = streamed_sensor(&p);
         let mut failed = Vec::new();
         for s in 1..=12 {
-            let mut row = msmt_row(659_000 + s * 1_000, sensor, 60.0);
-            if s == 1 || s == 6 {
-                row[2] = Value::Int(i64::MAX / 2 + 1);
-            }
+            let ts = 659_000 + s * 1_000;
+            let row = if s == 1 || s == 6 {
+                half_max_row(ts, sensor)
+            } else {
+                msmt_row(ts, sensor, 60.0)
+            };
             if let Err(e) = p.append_stream("S_Msmt", vec![row.clone()]) {
                 assert!(e.contains(&format!("query {long} (S_agg)")), "{e}");
                 assert!(e.contains("overflow"), "{e}");
@@ -1260,6 +1273,51 @@ HAVING EXISTS ?k IN seq: GRAPH ?k { ?c2 sie:hasValue ?x }
         let alone_panel = &alone.dashboard().panels[0];
         assert_eq!((panels[1].ticks, panels[1].tick_errors), (12, 0));
         assert_eq!(panels[1].alarms, alone_panel.alarms);
+        assert!(alone_panel.alarms > 0, "the short windows answer");
+    }
+
+    /// A late row takes a window the long query's workers have cached past
+    /// `i64`, and the short query — registered first, so probed first —
+    /// folds it. Only the long query fails: on the window the row lands in
+    /// and on every append after, as it still owes that window. The short
+    /// query answers every window as it does alone, and its probes stay
+    /// warm throughout: no append costs it a pane miss.
+    #[test]
+    fn a_late_overflow_fails_only_the_window_it_lands_in() {
+        let (p, alone) = (platform(), platform());
+        let short = p.register_starql_distributed(&sum_query(2), 2).unwrap();
+        let long = p.register_starql_distributed(&sum_query(10), 2).unwrap();
+        alone.register_starql_distributed(&sum_query(2), 2).unwrap();
+        let sensor = streamed_sensor(&p);
+        let mut failed = Vec::new();
+        for s in 1..=12 {
+            let ts = 659_000 + s * 1_000;
+            let rows = match s {
+                1 => vec![half_max_row(ts, sensor)],
+                // Inside the long query's cached window (654 s, 664 s],
+                // behind every short window from now on.
+                6 => vec![half_max_row(662_000, sensor), msmt_row(ts, sensor, 60.0)],
+                _ => vec![msmt_row(ts, sensor, 60.0)],
+            };
+            let misses = p.dashboard().panels[0].pane_misses;
+            if let Err(e) = p.append_stream("S_Msmt", rows.clone()) {
+                assert!(e.contains(&format!("query {long} (S_agg)")), "{e}");
+                assert!(e.contains("overflow"), "{e}");
+                assert!(!e.contains(&format!("query {short} ")), "{e}");
+                failed.push(s);
+            }
+            if s > 1 {
+                let more = p.dashboard().panels[0].pane_misses - misses;
+                assert_eq!(more, 0, "append {s}: the short query's probes stay warm");
+            }
+            alone.append_stream("S_Msmt", rows).unwrap();
+        }
+        assert_eq!(failed, (6..=12).collect::<Vec<_>>());
+        let panels = p.dashboard().panels;
+        assert_eq!((panels[1].ticks, panels[1].tick_errors), (5, 7));
+        let alone_panel = &alone.dashboard().panels[0];
+        assert_eq!((panels[0].ticks, panels[0].tick_errors), (12, 0));
+        assert_eq!(panels[0].alarms, alone_panel.alarms);
         assert!(alone_panel.alarms > 0, "the short windows answer");
     }
 

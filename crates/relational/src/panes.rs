@@ -34,9 +34,12 @@
 //!   reached arrives with that pane; a row in a pane the window already
 //!   left never mattered to it.
 //!
-//! A window nobody has asked extrema of keeps no wedges. Float sums are
-//! exact for whole-valued data; otherwise the add/subtract rounding of a
-//! cached window accumulates until the pool (and its stores) is rebuilt.
+//! A window nobody has asked extrema of keeps no wedges. Integer sums are
+//! exact (`i128`), so no fold, merge or slide can fail: whether a window's
+//! SUM fits `i64` is decided once, when the window is answered, and only
+//! the windows whose SUM leaves it fail. Float sums are exact for
+//! whole-valued data; otherwise the add/subtract rounding of a cached
+//! window accumulates until the pool (and its stores) is rebuilt.
 //!
 //! Novelty discipline: a probe executes at a pinned novelty epoch. The
 //! store folds the base shard table once, then advances along the overlay
@@ -67,15 +70,17 @@ pub fn pane_width(range_ms: i64, slide_ms: i64) -> i64 {
 
 /// One partial aggregate: everything SUM/COUNT/MIN/MAX/AVG need, kept so
 /// that two accumulators over disjoint row sets merge losslessly. Integer
-/// sums stay exact (checked `i64`); float sums are exact for
-/// whole-number-valued data, which is what the differential oracle pins.
+/// sums stay exact whatever the order rows arrive in; float sums are exact
+/// for whole-number-valued data, which is what the differential oracle
+/// pins.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AggAcc {
     /// Non-NULL values observed.
     pub count: i64,
-    /// Sum of integer-typed values (checked; overflow surfaces as
-    /// [`SqlError::Overflow`], never wraps).
-    pub sum_i: i64,
+    /// Exact sum of integer-typed values: `i128` holds any sum of `i64`s
+    /// that a count of `i64` can reach. An answer row carries it as an
+    /// `i64`, or fails with [`SqlError::Overflow`] — never wraps.
+    pub sum_i: i128,
     /// Sum of float-typed values.
     pub sum_f: f64,
     /// Minimum observed value, as f64 (`None` until a numeric value lands).
@@ -87,37 +92,34 @@ pub struct AggAcc {
 impl AggAcc {
     /// Folds one raw value in. NULLs don't count; non-numeric values count
     /// (COUNT is type-agnostic) but contribute no sum or extremum.
-    pub fn observe(&mut self, v: &Value) -> Result<(), SqlError> {
+    pub fn observe(&mut self, v: &Value) {
         if v.is_null() {
-            return Ok(());
+            return;
         }
         self.count += 1;
         match v {
-            Value::Int(i) | Value::Timestamp(i) => {
-                self.sum_i = self
-                    .sum_i
-                    .checked_add(*i)
-                    .ok_or_else(|| SqlError::Overflow("integer overflow: windowed SUM".into()))?;
-            }
+            Value::Int(i) | Value::Timestamp(i) => self.sum_i += i128::from(*i),
             Value::Float(f) => self.sum_f += f,
-            _ => return Ok(()),
+            _ => return,
         }
         let x = v.as_f64().expect("numeric value");
         self.min = Some(self.min.map_or(x, |m| m.min(x)));
         self.max = Some(self.max.map_or(x, |m| m.max(x)));
-        Ok(())
     }
 
     /// Merges another accumulator over a *disjoint* row set in.
-    pub fn merge(&mut self, other: &AggAcc) -> Result<(), SqlError> {
+    pub fn merge(&mut self, other: &AggAcc) {
         self.count += other.count;
-        self.sum_i = self
-            .sum_i
-            .checked_add(other.sum_i)
-            .ok_or_else(|| SqlError::Overflow("integer overflow: windowed SUM".into()))?;
+        self.sum_i += other.sum_i;
         self.sum_f += other.sum_f;
         self.merge_extrema(other);
-        Ok(())
+    }
+
+    /// The integer sum as an answer: [`SqlError::Overflow`] when it leaves
+    /// `i64`.
+    fn sum_i64(&self) -> Result<i64, SqlError> {
+        i64::try_from(self.sum_i)
+            .map_err(|_| SqlError::Overflow("integer overflow: windowed SUM".into()))
     }
 
     /// The MIN/MAX half of [`Self::merge`].
@@ -136,7 +138,7 @@ impl AggAcc {
     /// extrema cannot be subtracted; a window's wedges keep them).
     fn unmerge_additive(&mut self, other: &AggAcc) {
         self.count -= other.count;
-        self.sum_i = self.sum_i.wrapping_sub(other.sum_i);
+        self.sum_i -= other.sum_i;
         self.sum_f -= other.sum_f;
     }
 
@@ -221,7 +223,9 @@ pub fn pane_result_schema(key_type: ColumnType) -> Schema {
     )
 }
 
-fn acc_row(key: &Value, acc: &AggAcc, needs_extrema: bool) -> Vec<Value> {
+/// One answer row; the window fails here when its integer SUM leaves
+/// `i64`.
+fn acc_row(key: &Value, acc: &AggAcc, needs_extrema: bool) -> Result<Vec<Value>, SqlError> {
     let opt = |x: Option<f64>| {
         if needs_extrema {
             x.map_or(Value::Null, Value::Float)
@@ -229,19 +233,24 @@ fn acc_row(key: &Value, acc: &AggAcc, needs_extrema: bool) -> Vec<Value> {
             Value::Null
         }
     };
-    vec![
+    Ok(vec![
         key.clone(),
         Value::Int(acc.count),
-        Value::Int(acc.sum_i),
+        Value::Int(acc.sum_i64()?),
         Value::Float(acc.sum_f),
         opt(acc.min),
         opt(acc.max),
-    ]
+    ])
+}
+
+/// Fails when any group's integer SUM leaves `i64`.
+fn check_sums(groups: &BTreeMap<Value, AggAcc>) -> Result<(), SqlError> {
+    groups.values().try_for_each(|acc| acc.sum_i64().map(drop))
 }
 
 /// Rebuilds the accumulator map from pane-answer rows (the gather side:
 /// a coordinator merges per-shard answers — shards hold disjoint rows, so
-/// the merge is lossless).
+/// the merge is lossless), and fails when a merged SUM leaves `i64`.
 pub fn merge_pane_rows(
     groups: &mut BTreeMap<Value, AggAcc>,
     rows: &[Vec<Value>],
@@ -252,14 +261,14 @@ pub fn merge_pane_rows(
         }
         let acc = AggAcc {
             count: row[1].as_i64().unwrap_or(0),
-            sum_i: row[2].as_i64().unwrap_or(0),
+            sum_i: row[2].as_i64().unwrap_or(0).into(),
             sum_f: row[3].as_f64().unwrap_or(0.0),
             min: row[4].as_f64(),
             max: row[5].as_f64(),
         };
-        groups.entry(row[0].clone()).or_default().merge(&acc)?;
+        groups.entry(row[0].clone()).or_default().merge(&acc);
     }
-    Ok(())
+    check_sums(groups)
 }
 
 /// Resolved column indices + key type of a probe against a catalog.
@@ -289,7 +298,8 @@ fn resolve_cols(probe: &PaneProbe, db: &Database) -> Result<ProbeCols, SqlError>
 /// Folds rows into one accumulator per key — the one window → groups fold:
 /// [`compute_window_aggregates`] and the STARQL engine's full-window tick
 /// both call it, so every path that does not go through a pane store
-/// produces bit-identical accumulators.
+/// produces bit-identical accumulators. Fails when a group's integer SUM
+/// leaves `i64`.
 pub fn fold_groups<'a>(
     rows: impl IntoIterator<Item = &'a Vec<Value>>,
     key_idx: usize,
@@ -300,8 +310,9 @@ pub fn fold_groups<'a>(
         groups
             .entry(row[key_idx].clone())
             .or_default()
-            .observe(&row[val_idx])?;
+            .observe(&row[val_idx]);
     }
+    check_sums(&groups)?;
     Ok(groups)
 }
 
@@ -330,7 +341,7 @@ fn groups_to_table<'a>(
     let rows = groups
         .filter(|(_, acc)| acc.count > 0)
         .map(|(k, acc)| acc_row(k, acc, needs_extrema))
-        .collect();
+        .collect::<Result<_, _>>()?;
     Table::new(pane_result_schema(key_type), rows)
 }
 
@@ -449,51 +460,35 @@ type Panes = BTreeMap<i64, BTreeMap<Value, AggAcc>>;
 
 impl SlidingWindow {
     /// The window over `[p_open, p_close)`, combined from its panes.
-    fn build(
-        panes: &Panes,
-        (p_open, p_close): (i64, i64),
-        extrema: bool,
-        ops: &mut u64,
-    ) -> Result<Self, SqlError> {
+    fn build(panes: &Panes, (p_open, p_close): (i64, i64), extrema: bool, ops: &mut u64) -> Self {
         let mut window = SlidingWindow {
             p_open,
             p_close,
             groups: BTreeMap::new(),
             extrema,
         };
-        window.merge_panes(panes, p_open..p_close, ops)?;
-        Ok(window)
+        window.merge_panes(panes, p_open..p_close, ops);
+        window
     }
 
     /// Merges the panes of `run` into the window, oldest first.
-    fn merge_panes(
-        &mut self,
-        panes: &Panes,
-        run: std::ops::Range<i64>,
-        ops: &mut u64,
-    ) -> Result<(), SqlError> {
+    fn merge_panes(&mut self, panes: &Panes, run: std::ops::Range<i64>, ops: &mut u64) {
         for (&p, pane) in panes.range(run) {
             for (k, acc) in pane {
                 let g = self.groups.entry(k.clone()).or_default();
-                g.acc.merge(acc)?;
+                g.acc.merge(acc);
                 *ops += 1;
                 if self.extrema {
                     g.enter(p, acc, ops);
                 }
             }
         }
-        Ok(())
     }
 
     /// Advances the window to `[p_open, p_close)`, which must not lie
     /// behind it: subtracts the panes that leave (popping them off the
     /// wedges' fronts), then merges the panes that enter.
-    fn slide_to(
-        &mut self,
-        panes: &Panes,
-        (p_open, p_close): (i64, i64),
-        ops: &mut u64,
-    ) -> Result<(), SqlError> {
+    fn slide_to(&mut self, panes: &Panes, (p_open, p_close): (i64, i64), ops: &mut u64) {
         for (&p, pane) in panes.range(self.p_open..p_open.min(self.p_close)) {
             for (k, acc) in pane {
                 *ops += 1;
@@ -510,15 +505,15 @@ impl SlidingWindow {
                 }
             }
         }
-        self.merge_panes(panes, self.p_close.max(p_open)..p_close, ops)?;
+        self.merge_panes(panes, self.p_close.max(p_open)..p_close, ops);
         (self.p_open, self.p_close) = (p_open, p_close);
-        Ok(())
     }
 }
 
 /// Per-grid pane state: which data has been folded, the panes themselves,
 /// and the cached sliding accumulators (one per window range probing this
 /// grid).
+#[derive(Default)]
 struct GridState {
     /// Novelty epoch the state is current at.
     epoch: u64,
@@ -534,34 +529,27 @@ struct GridState {
 impl GridState {
     /// Folds one raw row into its pane and into every cached window whose
     /// run contains that pane.
-    fn fold_row(
-        &mut self,
-        probe: &PaneProbe,
-        cols: &ProbeCols,
-        row: &[Value],
-        ops: &mut u64,
-    ) -> Result<(), SqlError> {
+    fn fold_row(&mut self, probe: &PaneProbe, cols: &ProbeCols, row: &[Value], ops: &mut u64) {
         let Some(ts) = row[cols.ts].as_i64() else {
-            return Ok(());
+            return;
         };
         let pane = probe.pane_of(ts);
         let (key, val) = (&row[cols.key], &row[cols.val]);
         let slot = self.panes.entry(pane).or_default();
         let pane_acc = slot.entry(key.clone()).or_default();
         let before = (pane_acc.min, pane_acc.max);
-        pane_acc.observe(val)?;
+        pane_acc.observe(val);
         *ops += 1;
         for w in self.windows.values_mut() {
             if (w.p_open..w.p_close).contains(&pane) {
                 let g = w.groups.entry(key.clone()).or_default();
-                g.acc.observe(val)?;
+                g.acc.observe(val);
                 *ops += 1;
                 if w.extrema {
                     g.raise(pane, before, pane_acc, ops);
                 }
             }
         }
-        Ok(())
     }
 
     /// Brings the state up to `db`'s overlay and answers `probe` over the
@@ -579,7 +567,7 @@ impl GridState {
         let log_len = overlay_len(db, &probe.stream);
         if log_len > self.overlay_seen {
             for row in db.novelty_rows_from(&probe.stream, self.overlay_seen) {
-                self.fold_row(probe, cols, row, ops)?;
+                self.fold_row(probe, cols, row, ops);
             }
             self.overlay_seen = log_len;
         }
@@ -593,14 +581,14 @@ impl GridState {
                     && (e.get().extrema || !probe.needs_extrema) =>
             {
                 let w = e.into_mut();
-                w.slide_to(&self.panes, run, ops)?;
+                w.slide_to(&self.panes, run, ops);
                 w
             }
             // No window of this range yet, one that lies ahead of the
             // probe, or one that never kept the extrema this probe needs.
             btree_map::Entry::Occupied(mut e) => {
                 let extrema = probe.needs_extrema || e.get().extrema;
-                e.insert(SlidingWindow::build(&self.panes, run, extrema, ops)?);
+                e.insert(SlidingWindow::build(&self.panes, run, extrema, ops));
                 e.into_mut()
             }
             btree_map::Entry::Vacant(e) => e.insert(SlidingWindow::build(
@@ -608,7 +596,7 @@ impl GridState {
                 run,
                 probe.needs_extrema,
                 ops,
-            )?),
+            )),
         };
         let groups = window.groups.iter().map(|(k, g)| (k, &g.acc));
         groups_to_table(groups, cols.key_type, probe.needs_extrema)
@@ -642,7 +630,9 @@ impl PaneStore {
     /// folding) or a miss (a full fold on first touch of a grid, or a
     /// store-less answer — epoch older than the cached state, misaligned
     /// bounds), and the accumulator operations it performed — exact
-    /// whatever other probes run on the store meanwhile.
+    /// whatever other probes run on the store meanwhile. A window whose
+    /// integer SUM leaves `i64` fails this probe only: the panes and cached
+    /// windows stay exact, and every other window of the grid answers.
     pub fn combine(
         &self,
         probe: &PaneProbe,
@@ -675,36 +665,24 @@ impl PaneStore {
             Some(_) => true,
             None => false,
         };
-        let answer = (|| {
-            let state = match grids.entry(key.clone()) {
-                hash_map::Entry::Occupied(e) => e.into_mut(),
-                // First touch: fold the whole base shard into panes once.
-                hash_map::Entry::Vacant(e) => {
-                    let mut state = GridState {
-                        epoch: 0,
-                        overlay_seen: 0,
-                        panes: BTreeMap::new(),
-                        windows: BTreeMap::new(),
-                    };
-                    for row in &db.table(&probe.stream)?.rows {
-                        state.fold_row(probe, &cols, row, &mut ops)?;
-                    }
-                    e.insert(state)
+        let state = match grids.entry(key) {
+            hash_map::Entry::Occupied(e) => e.into_mut(),
+            // First touch: fold the whole base shard into panes once.
+            hash_map::Entry::Vacant(e) => {
+                let mut state = GridState::default();
+                for row in &db.table(&probe.stream)?.rows {
+                    state.fold_row(probe, &cols, row, &mut ops);
                 }
-            };
-            state.answer(probe, &cols, db, run, &mut ops)
-        })();
-        if answer.is_err() {
-            // A fold that failed half-way leaves panes and windows that
-            // no longer add up; the next probe folds afresh.
-            grids.remove(&key);
-        }
+                e.insert(state)
+            }
+        };
+        let answer = state.answer(probe, &cols, db, run, &mut ops)?;
         let counts = PaneCounts {
             hits: warm as u64,
             misses: !warm as u64,
             acc_ops: ops,
         };
-        Ok((answer?, counts))
+        Ok((answer, counts))
     }
 }
 
@@ -1219,29 +1197,34 @@ mod tests {
         assert_eq!(got[&0].2, Some(21.0));
     }
 
-    /// A fold that fails half-way must not leave its half behind: the grid
-    /// is dropped, and a later probe (here: pinned before the poisonous
-    /// rows) folds afresh instead of counting the rows before the failure
-    /// twice.
+    /// A stream table of key 0 with an INT value column: `(ts, v)` rows.
+    fn int_stream(rows: &[(i64, i64)]) -> Database {
+        let mut db = Database::new();
+        let columns = [
+            ("ts", ColumnType::Timestamp),
+            ("k", ColumnType::Int),
+            ("v", ColumnType::Int),
+        ];
+        db.put_table("s", table_of("s", &columns, int_rows(rows)).unwrap());
+        db
+    }
+
+    fn int_rows(rows: &[(i64, i64)]) -> Vec<Vec<Value>> {
+        (rows.iter())
+            .map(|&(ts, v)| vec![Value::Timestamp(ts), Value::Int(0), Value::Int(v)])
+            .collect()
+    }
+
+    /// Rows that take a window's SUM past `i64` fail its answer, not the
+    /// store: a probe pinned before them answers store-lessly and exactly,
+    /// and rows that bring the SUM back make the same warm window answer
+    /// again, every row counted once.
     #[test]
     fn failed_folds_do_not_leave_partial_state() {
-        let mut db = Database::new();
-        db.put_table(
-            "s",
-            table_of(
-                "s",
-                &[
-                    ("ts", ColumnType::Timestamp),
-                    ("k", ColumnType::Int),
-                    ("v", ColumnType::Int),
-                ],
-                vec![vec![Value::Timestamp(1), Value::Int(0), Value::Int(1)]],
-            )
-            .unwrap(),
-        );
-        let row = |v: i64| vec![Value::Timestamp(2), Value::Int(0), Value::Int(v)];
-        let fine = NoveltyOverlay::empty().with_rows("s", vec![row(2)]);
-        let poisoned = fine.with_rows("s", vec![row(i64::MAX), row(i64::MAX)]);
+        let db = int_stream(&[(1, 1)]);
+        let fine = NoveltyOverlay::empty().with_rows("s", int_rows(&[(2, 2)]));
+        let poisoned = fine.with_rows("s", int_rows(&[(2, i64::MAX), (2, i64::MAX)]));
+        let healed = poisoned.with_rows("s", int_rows(&[(3, i64::MIN), (3, i64::MIN)]));
         let at = |overlay: &Arc<NoveltyOverlay>| {
             let mut view = db.clone();
             view.set_novelty(Some(Arc::clone(overlay)));
@@ -1255,9 +1238,79 @@ mod tests {
             Err(SqlError::Overflow(_))
         ));
         let (got, counts) = store.combine(&p, &at(&fine)).unwrap();
-        assert_eq!(counts.misses, 1, "the failed grid was dropped");
+        assert_eq!(counts.misses, 1, "pinned before the poison: store-less");
         let got = by_key(&got)[&0];
         assert_eq!((got.0, got.1), (2, 3.0));
+        let (got, counts) = store.combine(&p, &at(&healed)).unwrap();
+        assert_eq!(counts.hits, 1);
+        assert_eq!(got.rows[0][1..3], [Value::Int(6), Value::Int(1)]);
+    }
+
+    /// A late row takes a cached long window's SUM past `i64`: the probe
+    /// of a short window on the same grid folds that row, and answers; the
+    /// long window's probe alone fails, as its rescan does; the short
+    /// window's next probe is warm.
+    #[test]
+    fn a_late_overflow_fails_only_the_window_it_lands_in() {
+        let db = int_stream(&[(500, i64::MAX - 10), (9_500, 1)]);
+        let store = PaneStore::new();
+        let long = probe(0, 10_000, 1_000);
+        for p in [&long, &probe(8_000, 10_000, 1_000)] {
+            store.combine(p, &db).unwrap();
+        }
+        let mut view = db.clone();
+        view.set_novelty(Some(
+            NoveltyOverlay::empty().with_rows("s", int_rows(&[(5_500, 100)])),
+        ));
+        for (close, hits) in [(10_000, 1), (11_000, 1)] {
+            let short = probe(close - 2_000, close, 1_000);
+            let (got, counts) = store.combine(&short, &view).unwrap();
+            assert_eq!((counts.hits, counts.misses), (hits, 0), "close {close}");
+            let rescan = compute_window_aggregates(&short, &view).unwrap();
+            assert_eq!(got.rows, rescan.rows, "close {close}");
+            if close == 10_000 {
+                for answer in [
+                    store.combine(&long, &view).map(drop),
+                    compute_window_aggregates(&long, &view).map(drop),
+                ] {
+                    assert!(matches!(answer, Err(SqlError::Overflow(_))), "{answer:?}");
+                }
+            }
+        }
+    }
+
+    /// Two `i64::MAX` rows in one pane fail exactly the windows that hold
+    /// that pane, and the grid answers past them: a window whose rows climb
+    /// past `i64::MAX` and come back (`MAX, +1, −1`) answers `MAX` from
+    /// panes and from a rescan alike.
+    #[test]
+    fn an_overflowing_pane_fails_only_the_windows_that_hold_it() {
+        let max = i64::MAX;
+        let db = int_stream(&[
+            (1_500, max),
+            (1_600, max),
+            (2_500, max),
+            (3_500, 1),
+            (3_600, -1),
+        ]);
+        let store = PaneStore::new();
+        for open in [0, 1_000, 2_000] {
+            let p = probe(open, open + 2_000, 1_000);
+            let paned = store.combine(&p, &db).map(|(t, _)| t.rows);
+            let rescan = compute_window_aggregates(&p, &db).map(|t| t.rows);
+            if open < 2_000 {
+                for answer in [paned, rescan] {
+                    assert!(
+                        matches!(answer, Err(SqlError::Overflow(_))),
+                        "{open}: {answer:?}"
+                    );
+                }
+            } else {
+                let rows = paned.unwrap();
+                assert_eq!(rows, rescan.unwrap());
+                assert_eq!(rows[0][1..3], [Value::Int(3), Value::Int(max)]);
+            }
+        }
     }
 
     #[test]

@@ -57,8 +57,8 @@ use crate::results::SparqlResults;
 /// the pipeline's planner counters.
 #[derive(Clone, Debug, Default)]
 pub struct FragmentRound {
-    /// One result table per fragment, in fragment order.
-    pub tables: Vec<Table>,
+    /// One result per fragment, in fragment order: its table or its error.
+    pub tables: Vec<Result<Table, String>>,
     /// Fragments the executor could not ship and answered on the
     /// coordinator instead (0 for fully-shipped rounds).
     pub coordinator_fallbacks: usize,
@@ -94,7 +94,7 @@ pub struct FragmentRound {
 }
 
 /// A distributed backend for unfolded-SQL execution: takes one
-/// [`PlanFragment`] per disjunct, returns one result table per fragment, in
+/// [`PlanFragment`] per disjunct, returns one result per fragment, in
 /// order. Implementations hand fragments to workers however they like (the
 /// platform's implementation rides ExaStream's gateway and scheduler)
 /// but **must honor each fragment's semi-join restrictions** — executing
@@ -102,7 +102,10 @@ pub struct FragmentRound {
 /// [`PlanFragment::base_statement`] silently widens the answer a worker
 /// returns.
 pub trait FragmentExecutor: Sync {
-    /// Executes the fragments of one BGP round.
+    /// Executes the fragments of one BGP round. A fragment that fails is
+    /// an `Err` in its own slot and fails no other; the outer `Err`, for a
+    /// round that cannot run at all, stays for callers that `expect` a
+    /// whole round, but no executor in this workspace returns it.
     fn execute(&self, fragments: Vec<PlanFragment>) -> Result<FragmentRound, String>;
 
     /// How many workers back this executor (observability only).
@@ -666,9 +669,9 @@ impl<'a> StaticPipeline<'a> {
                 // start; capture that instant on the tracer's clock so the
                 // graft lands them under the exec span at the right offset.
                 let round_base = self.tracer.map(|t| t.now_us());
-                let round = executor.execute(fragments).map_err(|e| {
-                    SparqlError::execution(format!("federated execution failed: {e}"))
-                })?;
+                let failed =
+                    |e: String| SparqlError::execution(format!("federated execution failed: {e}"));
+                let round = executor.execute(fragments).map_err(failed)?;
                 if let (Some(tracer), Some(base)) = (self.tracer, round_base) {
                     tracer.graft(parent, base, &round.spans);
                 }
@@ -678,8 +681,11 @@ impl<'a> StaticPipeline<'a> {
                 stats.shards_pruned += round.shards_pruned;
                 stats.plan_cache_hits += round.plan_cache_hits;
                 stats.plan_cache_misses += round.plan_cache_misses;
-                stats.fragment_rows += round.tables.iter().map(Table::len).sum::<usize>();
-                Ok(round.tables)
+                let tables = (round.tables.into_iter())
+                    .collect::<Result<Vec<Table>, String>>()
+                    .map_err(failed)?;
+                stats.fragment_rows += tables.iter().map(Table::len).sum::<usize>();
+                Ok(tables)
             }
             None => {
                 let sql_span = self.tracer.map(|t| t.span(parent, "sql"));
@@ -990,7 +996,7 @@ mod tests {
                     let decoded = PlanFragment::decode(&f.encode()).map_err(|e| e.to_string())?;
                     decoded.execute(&self.db).map_err(|e| e.to_string())
                 })
-                .collect::<Result<Vec<Table>, String>>()?;
+                .collect();
             Ok(FragmentRound {
                 tables,
                 ..FragmentRound::default()

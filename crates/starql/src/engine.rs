@@ -65,7 +65,7 @@ use optique_relational::{
     PlanFragment, Schema, SelectStatement, SemiJoin, Value, WindowSlice,
 };
 use optique_rewrite::{Atom, QueryTerm};
-use optique_sparql::FragmentExecutor;
+use optique_sparql::{FragmentExecutor, FragmentRound};
 use optique_stream::{StreamDiffer, WCache, WindowSpec};
 use optique_telemetry::SpanRecord;
 
@@ -291,9 +291,10 @@ pub struct PaneAnswers {
 /// Ships `probes` through `executor` as **one** round, pinned at novelty
 /// epoch `epoch`, and merges each probe's per-shard partials once. Probes
 /// go in the order given, so a worker's cached window of one range only
-/// slides forward when they come sorted by close. A probe fails alone: one
-/// whose partials do not merge, and one a worker fails — the executor
-/// fails the whole round then, and each probe is shipped again on its own.
+/// slides forward when they come sorted by close. A probe fails alone —
+/// one a worker fails (its window's integer SUM leaves `i64`, say) or
+/// whose partials do not merge — and the batch is shipped once whatever
+/// fails.
 pub fn combine_panes(
     probes: &[PaneProbe],
     epoch: u64,
@@ -313,41 +314,33 @@ pub fn combine_panes(
                 .at_epoch(epoch)
         })
         .collect();
-    let mut answers = PaneAnswers::default();
-    match executor.execute(fragments) {
-        Ok(round) => {
-            answers.probes = (round.tables.iter().enumerate())
-                .map(|(i, table)| {
-                    let mut groups = BTreeMap::new();
-                    merge_pane_rows(&mut groups, &table.rows).map_err(|e| e.to_string())?;
-                    Ok(PanePartials {
-                        groups,
-                        rows_shipped: table.rows.len(),
-                        counts: round.panes.get(i).copied().unwrap_or_default(),
-                    })
-                })
-                .collect();
-            answers.cost.partitioned_fragments = round.partitioned_fragments;
-            answers.cost.shards_pruned = round.shards_pruned;
-        }
-        // The executor fails the round for any one fragment's error — a
-        // window whose integer SUM overflows on a worker, say: each probe
-        // goes again alone, so that the error reaches its own readers only.
-        Err(_) if probes.len() > 1 => {
-            for probe in probes {
-                let alone = combine_panes(std::slice::from_ref(probe), epoch, executor);
-                answers.probes.extend(alone.probes);
-                answers.cost.partitioned_fragments += alone.cost.partitioned_fragments;
-                answers.cost.shards_pruned += alone.cost.shards_pruned;
-            }
-        }
-        Err(e) => {
-            let failed = format!("pane fragment round failed: {e}");
-            answers.probes = probes.iter().map(|_| Err(failed.clone())).collect();
-        }
+    // A round that cannot run at all fails every probe of it.
+    let round = executor
+        .execute(fragments)
+        .unwrap_or_else(|e| FragmentRound {
+            tables: probes.iter().map(|_| Err(e.clone())).collect(),
+            ..FragmentRound::default()
+        });
+    let answers = (round.tables.into_iter().enumerate())
+        .map(|(i, table)| {
+            let table = table.map_err(|e| format!("pane fragment round failed: {e}"))?;
+            let mut groups = BTreeMap::new();
+            merge_pane_rows(&mut groups, &table.rows).map_err(|e| e.to_string())?;
+            Ok(PanePartials {
+                groups,
+                rows_shipped: table.rows.len(),
+                counts: round.panes.get(i).copied().unwrap_or_default(),
+            })
+        })
+        .collect();
+    PaneAnswers {
+        probes: answers,
+        cost: PaneRoundCost {
+            partitioned_fragments: round.partitioned_fragments,
+            shards_pruned: round.shards_pruned,
+            us: started.elapsed().as_micros() as u64,
+        },
     }
-    answers.cost.us = started.elapsed().as_micros() as u64;
-    answers
 }
 
 fn now_us(epoch: &Instant) -> u64 {
@@ -773,15 +766,13 @@ impl ContinuousQuery {
                 out.window_fragments = 1;
                 out.semi_joins_pushed = fragment.semi_joins.len();
                 let scatter_start = now_us(epoch);
-                let round = executor
-                    .execute(vec![fragment])
-                    .map_err(|e| format!("window fragment round failed: {e}"))?;
+                let failed = |e: String| format!("window fragment round failed: {e}");
+                let round = executor.execute(vec![fragment]).map_err(failed)?;
                 out.shards_pruned = round.shards_pruned;
                 out.partitioned_fragments = round.partitioned_fragments;
-                let built: Vec<Vec<Value>> = round
-                    .tables
-                    .into_iter()
-                    .next()
+                let built: Vec<Vec<Value>> = (round.tables.into_iter().next())
+                    .transpose()
+                    .map_err(failed)?
                     .map(|t| t.rows)
                     .unwrap_or_default();
                 out.stream_rows_shipped = built.len();
@@ -1386,12 +1377,60 @@ mod tests {
                     let decoded = PlanFragment::decode(&f.encode()).map_err(|e| e.to_string())?;
                     decoded.execute(&self.db).map_err(|e| e.to_string())
                 })
-                .collect::<Result<Vec<_>, String>>()?;
+                .collect();
             Ok(optique_sparql::FragmentRound {
                 tables,
                 ..Default::default()
             })
         }
+    }
+
+    /// Counts the rounds it hands on to a [`Loopback`].
+    struct Counting(Loopback, std::sync::atomic::AtomicUsize);
+
+    impl optique_sparql::FragmentExecutor for Counting {
+        fn execute(&self, fragments: Vec<PlanFragment>) -> Result<FragmentRound, String> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.execute(fragments)
+        }
+    }
+
+    /// A batch holding one window whose integer SUM leaves `i64` is still
+    /// one round: that probe fails alone, and the others answer.
+    #[test]
+    fn one_overflowing_probe_does_not_reship_the_batch() {
+        let columns = [
+            ("ts", ColumnType::Timestamp),
+            ("k", ColumnType::Int),
+            ("v", ColumnType::Int),
+        ];
+        let rows = [(1, i64::MAX), (2, i64::MAX), (6, 1)]
+            .map(|(ts, v)| vec![Value::Timestamp(ts), Value::Int(0), Value::Int(v)]);
+        let mut db = Database::new();
+        db.put_table("s", table_of("s", &columns, rows.to_vec()).unwrap());
+        let probe = |open_ms: i64| PaneProbe {
+            stream: "s".into(),
+            ts_col: "ts".into(),
+            key_col: "k".into(),
+            val_col: "v".into(),
+            width_ms: 5,
+            start_ms: 0,
+            open_ms,
+            close_ms: open_ms + 5,
+            needs_extrema: false,
+        };
+        let executor = Counting(Loopback { db }, Default::default());
+        let answers = combine_panes(&[probe(0), probe(5), probe(10)], 0, &executor);
+        assert_eq!(executor.1.load(Ordering::Relaxed), 1, "one round");
+        let [overflowed, fits, empty] = &answers.probes[..] else {
+            panic!("one answer per probe: {answers:?}");
+        };
+        assert!(
+            matches!(overflowed, Err(e) if e.contains("overflow")),
+            "{overflowed:?}"
+        );
+        assert_eq!(fits.as_ref().unwrap().groups[&Value::Int(0)].sum_i, 1);
+        assert!(empty.as_ref().unwrap().groups.is_empty());
     }
 
     /// Ticks through the fragment pipeline produce the same output stream

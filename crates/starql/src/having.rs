@@ -2190,7 +2190,7 @@ mod tests {
     fn agg_ctx() -> Groups {
         let mut acc = AggAcc::default();
         for v in [70.0, 75.0, 80.0] {
-            acc.observe(&optique_relational::Value::Float(v)).unwrap();
+            acc.observe(&optique_relational::Value::Float(v));
         }
         Groups::from([(sensor(1), acc)])
     }

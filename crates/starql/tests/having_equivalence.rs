@@ -164,7 +164,7 @@ fn evaluate_window(rows: &[Vec<Value>], tbox: &Ontology) -> (StateSequence, Term
     let mut groups: BTreeMap<i64, AggAcc> = BTreeMap::new();
     for row in rows {
         let acc = groups.entry(row[1].as_i64().unwrap()).or_default();
-        acc.observe(&row[2]).unwrap();
+        acc.observe(&row[2]);
     }
     let aggs = groups
         .into_iter()

@@ -245,12 +245,12 @@ fn fragment_shapes_agree_across_transports() {
                     .execute(vec![fragment.clone()])
                     .unwrap();
                 assert_eq!(
-                    sorted(&typed.tables[0]),
+                    sorted(typed.tables[0].as_ref().unwrap()),
                     want,
                     "typed, {workers} workers, round {round}: {fragment:?}"
                 );
                 assert_eq!(
-                    sorted(&wire.tables[0]),
+                    sorted(wire.tables[0].as_ref().unwrap()),
                     want,
                     "wire, {workers} workers, round {round}: {fragment:?}"
                 );
