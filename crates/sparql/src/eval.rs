@@ -8,7 +8,7 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use optique_rdf::{Literal, Term};
+use optique_rdf::{Datatype, Literal, Term};
 
 use crate::algebra::{
     AggregateFunction, ArithmeticOperator, ComparisonOperator, Expression, SelectItem,
@@ -469,7 +469,14 @@ fn term_numeric(term: &Term) -> Option<f64> {
 }
 
 fn is_integer(term: &Term) -> bool {
-    matches!(term, Term::Literal(lit) if lit.as_i64().is_some())
+    integer(term).is_some()
+}
+
+fn integer(term: &Term) -> Option<i64> {
+    match term {
+        Term::Literal(lit) => lit.as_i64(),
+        _ => None,
+    }
 }
 
 /// The comparable / regex-able text of a term.
@@ -616,15 +623,13 @@ fn eval_aggregate(
     }
     match func {
         AggregateFunction::Count => Some(Term::Literal(Literal::integer(values.len() as i64))),
-        AggregateFunction::Sum => {
-            let sum: f64 = values.iter().filter_map(term_numeric).sum();
-            let all_int = values.iter().all(is_integer);
-            Some(Term::Literal(if all_int {
-                Literal::integer(sum as i64)
-            } else {
-                Literal::double(sum)
-            }))
-        }
+        AggregateFunction::Sum => Some(Term::Literal(if values.iter().all(is_integer) {
+            // Exact: an `xsd:integer` past `i64` once the sum leaves it.
+            let sum: i128 = values.iter().filter_map(integer).map(i128::from).sum();
+            Literal::typed(sum.to_string(), Datatype::Integer)
+        } else {
+            Literal::double(values.iter().filter_map(term_numeric).sum())
+        })),
         AggregateFunction::Avg => {
             let nums: Vec<f64> = values.iter().filter_map(term_numeric).collect();
             if nums.is_empty() {
@@ -794,6 +799,38 @@ mod tests {
         assert_eq!(out.rows[0][1], int(2));
         assert_eq!(out.rows[0][2], Some(Term::Literal(Literal::double(2.0))));
         assert_eq!(out.rows[1][1], int(1));
+    }
+
+    /// Regression: an integer SUM is exact. It went through `f64`, so
+    /// `2^53 + 1` answered `2^53`, and a sum past `i64` saturated at
+    /// `i64::MAX`; one past `i64` is now the exact `xsd:integer`.
+    #[test]
+    fn integer_sum_is_exact() {
+        let sum = |ints: &[i64]| {
+            let rows = ints.iter().map(|&i| vec![int(i)]).collect();
+            let out = aggregate(
+                &set(&["v"], rows),
+                &[],
+                &[SelectItem::Aggregate {
+                    func: AggregateFunction::Sum,
+                    distinct: false,
+                    var: Some("v".into()),
+                    alias: "s".into(),
+                }],
+            )
+            .unwrap();
+            out.rows[0][0].clone()
+        };
+        assert_eq!(sum(&[1 << 53, 1]), int((1 << 53) + 1));
+        assert_eq!(
+            sum(&[i64::MAX, 1]),
+            Some(Term::Literal(Literal::typed(
+                "9223372036854775808",
+                Datatype::Integer
+            )))
+        );
+        assert_eq!(sum(&[i64::MAX, 1, -2]), int(i64::MAX - 1));
+        assert_eq!(sum(&[]), int(0));
     }
 
     #[test]

@@ -43,13 +43,13 @@
 //! every due window of every query on a pool this way, each distinct window
 //! once; [`ContinuousQuery::tick_via`] is the round of one.
 //!
-//! **Aggregates are read by subject id.** Registration gives every IRI of
-//! the binding rows and every IRI constant of HAVING a dense id
-//! ([`SubjectIds`]). A window's per-key accumulators enter the aggregate
-//! context by id: a key's id comes from a per-query memo, filled by the
-//! subject template's `render` the first time the key is seen — the exact
-//! term graph patterns match — so a tick mints no IRI, and an aggregate
-//! atom reads one slot.
+//! **A subject is its stream key.** Registration inverts every subject an
+//! aggregate atom can read — a binding cell of the column it groups by, or
+//! an IRI constant — through the stream's subject template at the key
+//! column's declared type, the codec the stream-key restriction and shard
+//! routing use, and keeps the sorted keys ([`SubjectKeys`]). A tick's
+//! aggregate context is one ordered pass over the window's key-ordered
+//! groups, so a tick mints no IRI and an aggregate atom reads one slot.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -58,7 +58,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use optique_mapping::IriTemplate;
 use optique_rdf::{Term, Triple};
 use optique_relational::{
     fold_groups, merge_pane_rows, pane_width, AggAcc, ColumnType, Database, PaneCounts, PaneProbe,
@@ -70,7 +69,7 @@ use optique_stream::{StreamDiffer, WCache, WindowSpec};
 use optique_telemetry::SpanRecord;
 
 use crate::ast::OutputMode;
-use crate::having::{AggContext, AggFunc, BindingRow, CompiledHaving, HavingFormula, SubjectIds};
+use crate::having::{AggFunc, BindingRow, CompiledHaving, HavingFormula, SubjectKeys};
 use crate::sequence::{
     sequence_fingerprint, shared_sequence, EvaluatedWindow, IndexedSequence, StreamToRdf,
 };
@@ -91,6 +90,8 @@ pub struct ContinuousQuery {
     /// compiled HAVING condition and the compiled CONSTRUCT template read,
     /// by position.
     bindings: Vec<BindingRow>,
+    /// The stream keys the aggregate atoms can read.
+    keys: SubjectKeys,
     having: CompiledHaving,
     construct: Vec<TemplateTriple>,
     /// What decides a window's sequence besides its rows, fingerprinted:
@@ -121,67 +122,6 @@ pub struct ContinuousQuery {
     /// Relation-to-stream differ for ISTREAM/DSTREAM output: tracks the
     /// previous tick's constructed triples.
     differ: Mutex<StreamDiffer<Triple>>,
-    /// The subject ids registration handed out, and which id each stream
-    /// key's groups enter a tick's aggregate context under.
-    subjects: Mutex<SubjectMemo>,
-}
-
-/// A query's subject ids and the memo from stream keys to them: the first
-/// window that holds a key renders it through the subject template — the
-/// exact term `tuple_triples` mints, so a key names the subject graph
-/// patterns match — and every later window looks the key up. Bounded by the
-/// stream's distinct keys, like the pane stores.
-#[derive(Debug)]
-struct SubjectMemo {
-    ids: SubjectIds,
-    keys: HashMap<KeyBits, Option<u32>>,
-}
-
-/// A stream key by variant and bits. `Value` equality would make one key
-/// of `Int(5)` and `Timestamp(5)` (or of `0.0` and `-0.0`), which render
-/// apart: `…/5` and `…/@5`.
-#[derive(Debug, PartialEq, Eq, Hash)]
-enum KeyBits {
-    Bits(u8, u64),
-    Text(Value),
-}
-
-impl KeyBits {
-    fn of(key: &Value) -> Self {
-        match key {
-            Value::Null => KeyBits::Bits(0, 0),
-            Value::Int(i) => KeyBits::Bits(1, *i as u64),
-            Value::Float(f) => KeyBits::Bits(2, f.to_bits()),
-            Value::Bool(b) => KeyBits::Bits(3, *b as u64),
-            Value::Timestamp(t) => KeyBits::Bits(4, *t as u64),
-            Value::Text(_) => KeyBits::Text(key.clone()),
-        }
-    }
-}
-
-impl SubjectMemo {
-    /// The groups of `groups` an aggregate atom can read, with the subject
-    /// id each enters the context under. Null keys (subjectless rows) and
-    /// all-null groups are skipped on every path alike.
-    fn admit<'g>(
-        &mut self,
-        groups: &'g BTreeMap<Value, AggAcc>,
-        subject: &IriTemplate,
-    ) -> Vec<(u32, &'g AggAcc)> {
-        let SubjectMemo { ids, keys } = self;
-        let mut admitted = Vec::with_capacity(groups.len());
-        for (key, acc) in groups {
-            if acc.count == 0 {
-                continue;
-            }
-            let id = *keys.entry(KeyBits::of(key)).or_insert_with(|| {
-                let iri = subject.render(key)?;
-                ids.admit(Term::iri(iri))
-            });
-            admitted.extend(id.map(|id| (id, acc)));
-        }
-        admitted
-    }
 }
 
 /// Where the stream table keeps the columns the stream mapping names, and
@@ -204,7 +144,8 @@ struct StreamColumns {
 impl StreamColumns {
     /// Refuses what a tick could only fail on: an unknown stream table, a
     /// missing timestamp column and, under an aggregate HAVING, a missing
-    /// subject or value column.
+    /// subject or value column, or a subject column whose keys no IRI
+    /// names (`BOOL`, `ANY`: the codec does not invert them).
     fn resolve(
         translated: &TranslatedQuery,
         stream_to_rdf: &StreamToRdf,
@@ -227,6 +168,12 @@ impl StreamColumns {
             .any(|leaf| matches!(leaf, HavingFormula::Agg { .. }));
         let fold = match (has_agg, key, val) {
             (false, ..) => None,
+            (true, Some((_, ty @ (ColumnType::Bool | ColumnType::Any))), _) => {
+                return Err(format!(
+                    "stream {stream} subject column {key_col} is {ty}: no IRI names its keys, \
+                     so no aggregate can read their groups"
+                ))
+            }
             (true, Some((key, _)), Some((val, _))) => Some((key, val)),
             (true, None, _) => return Err(lacks("subject ", key_col)),
             (true, _, None) => return Err(lacks("value ", val_col)),
@@ -438,14 +385,19 @@ impl ContinuousQuery {
             admissible_stream_keys(&translated, &stream_to_rdf, &stream_columns, &bindings);
         let pane_extrema = pane_extrema(&translated, &stream_to_rdf, &stream_columns);
         // The maps are read once: their variables become columns, every
-        // binding a row over them, every IRI a subject id.
+        // binding a row over them, every subject an aggregate reads a key.
         let columns = BindingRow::columns(&bindings);
-        let mut ids = SubjectIds::new();
-        let having = CompiledHaving::compile(&translated.having, &columns, &mut ids);
+        let keys = SubjectKeys::new(
+            &translated.having,
+            &bindings,
+            &stream_to_rdf.subject,
+            stream_columns.key_type,
+        );
+        let having = CompiledHaving::compile(&translated.having, &columns, &keys);
         let construct = compile_construct(&translated.query.construct, &columns);
         let bindings = bindings
             .iter()
-            .map(|binding| BindingRow::new(&columns, binding, &mut ids))
+            .map(|binding| BindingRow::new(&columns, binding, &keys))
             .collect();
         let fingerprint = sequence_fingerprint(&stream_to_rdf, &translated.ontology);
         // Key-restricted windows hold other rows than full ones, so their
@@ -464,6 +416,7 @@ impl ContinuousQuery {
             translated,
             stream_to_rdf,
             bindings,
+            keys,
             having,
             construct,
             fingerprint,
@@ -476,10 +429,6 @@ impl ContinuousQuery {
             pane_extrema,
             pane_enabled: AtomicBool::new(true),
             differ: Mutex::new(StreamDiffer::new()),
-            subjects: Mutex::new(SubjectMemo {
-                ids,
-                keys: HashMap::new(),
-            }),
         })
     }
 
@@ -831,22 +780,14 @@ impl ContinuousQuery {
     /// Decides every binding against one window's sequence and per-key
     /// accumulators, and puts the satisfied ones through the CONSTRUCT
     /// template and the relation-to-stream operator. The groups enter the
-    /// aggregate context by subject id, so an aggregate atom reads one
-    /// slot; no IRI is minted but the first time a key is seen.
+    /// aggregate context by stream key, so an aggregate atom reads one
+    /// slot and no IRI is minted.
     fn decide(
         &self,
         sequence: &IndexedSequence,
         groups: Option<&BTreeMap<Value, AggAcc>>,
     ) -> Result<Decided, String> {
-        let mut memo = self.subjects.lock().expect("subject memo poisoned");
-        let admitted = groups.map(|groups| memo.admit(groups, &self.stream_to_rdf.subject));
-        let context = admitted.map(|admitted| {
-            let mut context = AggContext::new(&memo.ids);
-            for (id, acc) in admitted {
-                context.insert(id, acc);
-            }
-            context
-        });
+        let context = groups.map(|groups| self.keys.context(groups));
         let mut evaluator = self.having.evaluator(sequence, context.as_ref());
         let mut triples = Vec::new();
         let mut satisfied = 0usize;
@@ -989,7 +930,7 @@ fn admissible_stream_keys(
 /// * every aggregate reads the stream's mapped value property, so the
 ///   pane store's one (key, value) accumulator grid answers them all;
 /// * every aggregate subject is a WHERE-bound variable or an IRI constant
-///   (both render/invert through the subject template), and every
+///   (both invert through the subject template), and every
 ///   threshold is a numeric literal or a WHERE-bound variable;
 /// * the value column is numeric (that the columns exist is registration's
 ///   own check).
@@ -1766,10 +1707,32 @@ mod tests {
         }
     }
 
+    /// `S_Msmt` with `sensor_id` declared `ty`, its keys cast to fit.
+    fn retype_sensor_key(ty: ColumnType) -> impl FnOnce(&mut Database) {
+        move |db| {
+            let table = db.table("S_Msmt").unwrap();
+            let key = table.schema.index_of("sensor_id").unwrap();
+            let columns: Vec<(&str, ColumnType)> = (table.schema.columns().iter().enumerate())
+                .map(|(i, c)| (c.name.as_str(), if i == key { ty } else { c.ty }))
+                .collect();
+            let rows = (table.rows.iter())
+                .map(|row| {
+                    let mut row = row.clone();
+                    if ty == ColumnType::Bool {
+                        row[key] = Value::Bool(row[key] == Value::Int(10));
+                    }
+                    row
+                })
+                .collect();
+            db.put_table("S_Msmt", table_of("S_Msmt", &columns, rows).unwrap());
+        }
+    }
+
     /// Regression: what a tick could only fail on is refused at
     /// registration — an unknown stream table, a missing timestamp column
     /// and, under an aggregate HAVING only, a missing subject or value
-    /// column. All of these used to register and then fail every tick.
+    /// column, or a subject column no IRI names a key of. All of these
+    /// used to register and then fail every tick, or read no group.
     #[test]
     fn registration_refuses_what_every_tick_would_fail_on() {
         let agg = agg_query("", "AVG(?c2, sie:hasValue) >= 80");
@@ -1792,6 +1755,18 @@ mod tests {
             Some(&[Value::Int(10), Value::Int(11)][..])
         );
         assert!(register_over(FIGURE1, drop_stream_column("sensor_id")).is_ok());
+
+        // The codec inverts no IRI to a BOOL or ANY key, so no aggregate
+        // atom can name a group of one; the sequence path still registers.
+        for ty in [ColumnType::Any, ColumnType::Bool] {
+            let e = err(register_over(&agg, retype_sensor_key(ty)));
+            assert!(
+                e.contains(&format!("subject column sensor_id is {ty}")),
+                "{e}"
+            );
+            let cq = register_over(FIGURE1, retype_sensor_key(ty)).unwrap();
+            assert_eq!(cq.binding_count(), 2);
+        }
     }
 
     /// A pure aggregate HAVING tree is proven pane-combinable at

@@ -26,11 +26,12 @@
 //! extensions and checks the consequent under each.
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use optique_mapping::IriTemplate;
 use optique_rdf::vocab::rdf::TYPE as RDF_TYPE;
 use optique_rdf::{Iri, Term, TriplePattern};
-use optique_relational::AggAcc;
+use optique_relational::{AggAcc, ColumnType, Value};
 use optique_rewrite::{Atom, QueryTerm};
 
 use crate::sequence::{IndexedSequence, SubjectPostings, Val};
@@ -66,80 +67,119 @@ impl AggFunc {
     }
 }
 
-/// Dense ids for the subjects a query's aggregate atoms can read: every
-/// IRI its WHERE binding rows hold ([`BindingRow::new`]) and every IRI
-/// constant of its HAVING ([`CompiledHaving::compile`]), handed out at
-/// registration. A tick's [`AggContext`] is indexed by them: an aggregate
-/// atom whose subject comes from the binding row or is a constant reads
-/// one slot, and a subject a graph pattern binds resolves to its id by
-/// term.
-#[derive(Clone, Debug, Default)]
-pub struct SubjectIds {
-    ids: HashMap<Term, u32>,
-    /// A graph pattern may bind an aggregate atom's subject — to any
-    /// subject of the window — because the subject is a variable no binding
-    /// column holds, or a row leaves a column unbound: every group's
-    /// subject is admitted then, not only the ones rows and constants name.
-    open: bool,
+/// The stream keys a query's aggregate atoms can read, inverted once, at
+/// registration: every IRI constant an aggregate atom names and every cell
+/// of the binding columns one reads, through the stream's subject template
+/// at the key column's declared type — the codec the stream-key
+/// restriction, shard routing and the scan lowering use. Sorted and
+/// distinct, so a tick's [`AggContext`] is one ordered pass over the
+/// window's key-ordered groups; a subject a graph pattern binds is inverted
+/// when it is read. Immutable once built.
+#[derive(Debug)]
+pub struct SubjectKeys {
+    template: IriTemplate,
+    /// The key column's declared type; `None` when the stream has no key
+    /// column, and then no IRI names a key.
+    key_type: Option<ColumnType>,
+    /// The variables an aggregate atom groups by.
+    columns: Vec<String>,
+    keys: Vec<Value>,
 }
 
-impl SubjectIds {
-    /// No ids yet.
-    pub fn new() -> Self {
-        Self::default()
+impl SubjectKeys {
+    /// The keys `formula`'s aggregate atoms can read under `bindings`, for
+    /// a stream whose subjects `template` mints from a `key_type` column.
+    pub fn new(
+        formula: &HavingFormula,
+        bindings: &[HashMap<String, Term>],
+        template: &IriTemplate,
+        key_type: Option<ColumnType>,
+    ) -> Self {
+        let mut keyed = SubjectKeys {
+            template: template.clone(),
+            key_type,
+            columns: Vec::new(),
+            keys: Vec::new(),
+        };
+        let mut subjects = Vec::new();
+        let aggregated = formula.leaves().into_iter().filter_map(|leaf| match leaf {
+            HavingFormula::Agg { subject, .. } => Some(subject),
+            _ => None,
+        });
+        for subject in aggregated {
+            match subject {
+                QueryTerm::Var(var) if keyed.columns.contains(var) => {}
+                QueryTerm::Var(var) => keyed.columns.push(var.clone()),
+                QueryTerm::Const(term) => subjects.push(term),
+            }
+        }
+        let cells = bindings
+            .iter()
+            .flat_map(|binding| (keyed.columns.iter()).filter_map(|column| binding.get(column)));
+        subjects.extend(cells);
+        let mut keys: Vec<Value> = subjects
+            .into_iter()
+            .filter_map(|t| keyed.invert(t))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        SubjectKeys { keys, ..keyed }
     }
 
-    /// The id of `term`, if it has one.
-    fn id(&self, term: &Term) -> Option<u32> {
-        self.ids.get(term).copied()
-    }
-
-    /// The id under which the window group of subject `term` enters a
-    /// tick's [`AggContext`]: the term's own, or a fresh one when HAVING
-    /// can read a subject nothing names. `None` when no aggregate atom can
-    /// read the group.
-    pub fn admit(&mut self, term: Term) -> Option<u32> {
-        match self.ids.get(&term) {
-            Some(&id) => Some(id),
-            None => self.open.then(|| self.intern(term)),
+    /// The stream key `subject` names, if any.
+    fn invert(&self, subject: &Term) -> Option<Value> {
+        match subject {
+            Term::Iri(iri) => self.template.invert(iri.as_str(), self.key_type?),
+            _ => None,
         }
     }
 
-    fn intern(&mut self, term: Term) -> u32 {
-        let next = self.ids.len() as u32;
-        *self.ids.entry(term).or_insert(next)
+    /// The slot of the key `subject` names, when it is one of the keys.
+    fn slot(&self, subject: &Term) -> Option<u32> {
+        let slot = self.keys.binary_search(&self.invert(subject)?).ok()?;
+        Some(slot as u32)
+    }
+
+    /// A tick's aggregate context over the window's `groups`: each key's
+    /// group, filled by one ordered pass. Groups with no non-NULL value are
+    /// skipped, on every path alike.
+    pub fn context<'a>(&'a self, groups: &'a BTreeMap<Value, AggAcc>) -> AggContext<'a> {
+        let mut window = groups.iter().filter(|(_, acc)| acc.count > 0).peekable();
+        let slots = (self.keys.iter())
+            .map(|key| {
+                while window.next_if(|(group, _)| *group < key).is_some() {}
+                window
+                    .next_if(|(group, _)| *group == key)
+                    .map(|(_, acc)| acc)
+            })
+            .collect();
+        AggContext {
+            keys: self,
+            groups,
+            slots,
+        }
     }
 }
 
-/// Per-subject window aggregates handed to the evaluator for a tick: one
-/// slot per subject id ([`SubjectIds`]), holding the combined accumulator
-/// over the window's tuples of that subject, if it has any.
+/// Per-subject window aggregates handed to the evaluator for a tick: the
+/// window's groups by stream key, and one slot per key of [`SubjectKeys`]
+/// holding that key's group, if the window has one.
 #[derive(Debug)]
 pub struct AggContext<'a> {
-    ids: &'a SubjectIds,
+    keys: &'a SubjectKeys,
+    groups: &'a BTreeMap<Value, AggAcc>,
     slots: Vec<Option<&'a AggAcc>>,
 }
 
 impl<'a> AggContext<'a> {
-    /// An empty context over `ids`.
-    pub fn new(ids: &'a SubjectIds) -> Self {
-        AggContext {
-            ids,
-            slots: vec![None; ids.ids.len()],
+    /// The group of a subject: in its key slot when registration keyed it
+    /// (`Some`, possibly with no slot), else — a subject a pattern bound —
+    /// by its term, inverted.
+    fn group(&self, keyed: Option<Option<u32>>, subject: &Term) -> Option<&'a AggAcc> {
+        match keyed {
+            Some(slot) => self.slots[slot? as usize],
+            None => (self.groups.get(&self.keys.invert(subject)?)).filter(|acc| acc.count > 0),
         }
-    }
-
-    /// Puts the accumulator of the subject with id `id` (an id
-    /// [`SubjectIds::admit`] returned).
-    pub fn insert(&mut self, id: u32, acc: &'a AggAcc) {
-        self.slots[id as usize] = Some(acc);
-    }
-
-    /// The accumulator of a subject: by its id when it came with one, else
-    /// by its term.
-    fn get(&self, id: Option<u32>, term: &Term) -> Option<&'a AggAcc> {
-        let id = id.or_else(|| self.ids.id(term))?;
-        self.slots.get(id as usize).copied().flatten()
     }
 }
 
@@ -575,8 +615,8 @@ enum SlotDecl {
     /// A variable: bound from the WHERE binding's `column` if that is one
     /// of its variables, else by a graph pattern.
     Var { name: String, column: Option<usize> },
-    /// A constant of the formula, bound from the start, with its subject
-    /// id if it is an IRI.
+    /// A constant of the formula, bound from the start, with its key slot
+    /// ([`SubjectKeys`]) when it names a key an aggregate atom can read.
     Const(Val, Option<u32>),
 }
 
@@ -680,11 +720,12 @@ pub struct CompiledHaving {
 /// One WHERE binding as a row over the query's binding columns (its WHERE
 /// variables, in a fixed order): resolved once, at registration, and read
 /// by position ever after — by the HAVING evaluator and by the CONSTRUCT
-/// template alike. Each IRI in the row carries its subject id.
+/// template alike. A cell of a column an aggregate atom groups by carries
+/// its key slot ([`SubjectKeys`]).
 #[derive(Clone, Debug)]
 pub struct BindingRow {
     values: Vec<Option<Val>>,
-    ids: Vec<Option<u32>>,
+    keys: Vec<Option<u32>>,
 }
 
 impl BindingRow {
@@ -695,20 +736,18 @@ impl BindingRow {
         names.into_iter().cloned().collect()
     }
 
-    /// The row of `binding` over `columns`, its IRIs given ids in `ids`; a
-    /// variable the binding lacks stays unbound.
-    pub fn new(columns: &[String], binding: &HashMap<String, Term>, ids: &mut SubjectIds) -> Self {
-        let terms = columns.iter().map(|column| binding.get(column));
-        ids.open |= terms.clone().any(|term| term.is_none());
+    /// The row of `binding` over `columns`, the cells `keys` groups by
+    /// given their key slots; a variable the binding lacks stays unbound.
+    pub fn new(columns: &[String], binding: &HashMap<String, Term>, keys: &SubjectKeys) -> Self {
+        let cells = columns.iter().map(|column| (column, binding.get(column)));
         BindingRow {
-            ids: terms
-                .clone()
-                .map(|term| match term {
-                    Some(iri @ Term::Iri(_)) => Some(ids.intern(iri.clone())),
+            keys: (cells.clone())
+                .map(|(column, term)| match term {
+                    Some(term) if keys.columns.contains(column) => keys.slot(term),
                     _ => None,
                 })
                 .collect(),
-            values: terms.map(|term| term.cloned().map(Val::new)).collect(),
+            values: cells.map(|(_, term)| term.cloned().map(Val::new)).collect(),
         }
     }
 
@@ -720,7 +759,7 @@ impl BindingRow {
 
 struct Compiler<'c> {
     columns: &'c [String],
-    ids: &'c mut SubjectIds,
+    keys: &'c SubjectKeys,
     slots: Vec<SlotDecl>,
     var_slots: HashMap<String, usize>,
     const_slots: HashMap<Term, usize>,
@@ -741,8 +780,8 @@ impl Compiler<'_> {
                 next
             }),
             QueryTerm::Const(term) => *self.const_slots.entry(term.clone()).or_insert_with(|| {
-                let id = matches!(term, Term::Iri(_)).then(|| self.ids.intern(term.clone()));
-                self.slots.push(SlotDecl::Const(Val::new(term.clone()), id));
+                let constant = SlotDecl::Const(Val::new(term.clone()), self.keys.slot(term));
+                self.slots.push(constant);
                 next
             }),
         }
@@ -829,18 +868,12 @@ impl Compiler<'_> {
                 property: _,
                 op,
                 threshold,
-            } => {
-                let subject = self.value_slot(subject);
-                if matches!(self.slots[subject], SlotDecl::Var { column: None, .. }) {
-                    self.ids.open = true;
-                }
-                Node::Agg {
-                    func: *func,
-                    subject,
-                    op: *op,
-                    threshold: self.value_slot(threshold),
-                }
-            }
+            } => Node::Agg {
+                func: *func,
+                subject: self.value_slot(subject),
+                op: *op,
+                threshold: self.value_slot(threshold),
+            },
         }
     }
 
@@ -1021,14 +1054,13 @@ fn unfailing(
 }
 
 impl CompiledHaving {
-    /// Compiles a formula for bindings over `columns`, giving its IRI
-    /// constants ids in `ids`. Compilation cannot fail: an ill-scoped
-    /// formula fails when (and only if) an evaluation reads the unbound
-    /// variable.
-    pub fn compile(formula: &HavingFormula, columns: &[String], ids: &mut SubjectIds) -> Self {
+    /// Compiles a formula for bindings over `columns`, its constants
+    /// keyed by `keys`. Compilation cannot fail: an ill-scoped formula
+    /// fails when (and only if) an evaluation reads the unbound variable.
+    pub fn compile(formula: &HavingFormula, columns: &[String], keys: &SubjectKeys) -> Self {
         let mut compiler = Compiler {
             columns,
-            ids,
+            keys,
             slots: Vec::new(),
             var_slots: HashMap::new(),
             const_slots: HashMap::new(),
@@ -1140,19 +1172,19 @@ impl<'a> Evaluator<'a> {
         self.subjects[slot] = None;
     }
 
-    /// The subject id of the value `slot` holds, when it came with one: a
-    /// constant's, or the binding row's — a slot whose column the row
-    /// binds holds the row's value, as patterns bind only free slots. A
-    /// pattern-bound value has none.
-    fn subject_id(&self, slot: usize) -> Option<u32> {
+    /// The key slot of the value `slot` holds, when registration keyed it
+    /// (`Some`, possibly with no slot): a constant, or the binding row's
+    /// value — a slot whose column the row binds holds the row's value, as
+    /// patterns bind only free slots. `None` for a pattern-bound value.
+    fn keyed(&self, slot: usize) -> Option<Option<u32>> {
         match &self.formula.slots[slot] {
-            SlotDecl::Const(_, id) => *id,
+            SlotDecl::Const(_, key) => Some(*key),
             SlotDecl::Var {
                 column: Some(column),
                 ..
             } => {
                 let row = self.row?;
-                row.values[*column].as_ref().and(row.ids[*column])
+                row.values[*column].as_ref().map(|_| row.keys[*column])
             }
             SlotDecl::Var { column: None, .. } => None,
         }
@@ -1239,7 +1271,7 @@ impl<'a> Evaluator<'a> {
                 let Some(ctx) = self.aggs else {
                     return Err("aggregate atom requires a windowed aggregate context".into());
                 };
-                let id = self.subject_id(*subject);
+                let keyed = self.keyed(*subject);
                 let subject = self.value(*subject)?;
                 let threshold = match &self.value(*threshold)?.term {
                     Term::Literal(lit) => lit
@@ -1247,7 +1279,7 @@ impl<'a> Evaluator<'a> {
                         .ok_or_else(|| format!("aggregate threshold {lit:?} is not numeric"))?,
                     other => return Err(format!("aggregate threshold {other:?} is not a literal")),
                 };
-                let acc = ctx.get(id, &subject.term);
+                let acc = ctx.group(keyed, &subject.term);
                 // A subject with no rows in the window has COUNT 0 but no
                 // defined SUM/AVG/MIN/MAX — those comparisons are false.
                 let value = match (func, acc) {
@@ -1760,21 +1792,36 @@ mod tests {
     /// The WHERE binding a test evaluates under.
     type Env = HashMap<String, Term>;
 
-    /// Window aggregates by subject term, the way a test writes them down.
-    type Groups = std::collections::BTreeMap<Term, AggAcc>;
+    /// Window aggregates by stream key, the way a tick hands them over.
+    type Groups = BTreeMap<Value, AggAcc>;
 
-    /// `f` compiled for the columns of `env`, `env` as a row over them, and
-    /// the subject ids both handed out.
-    fn compile_under(f: &HavingFormula, env: &Env) -> (CompiledHaving, BindingRow, SubjectIds) {
-        let columns = BindingRow::columns(std::slice::from_ref(env));
-        let mut ids = SubjectIds::new();
-        let compiled = CompiledHaving::compile(f, &columns, &mut ids);
-        let row = BindingRow::new(&columns, env, &mut ids);
-        (compiled, row, ids)
+    /// The subject template of the sensors below.
+    fn template() -> IriTemplate {
+        IriTemplate::parse("http://x/sensor/{sensor_id}").unwrap()
     }
 
-    /// What a tick does, end to end: compile, index, bind, admit the
-    /// groups, decide.
+    /// `f` compiled for the columns of `env`, `env` as a row over them, and
+    /// the keys both read, over a stream of `key_type` sensor keys.
+    fn compile_keyed(
+        f: &HavingFormula,
+        env: &Env,
+        key_type: ColumnType,
+    ) -> (CompiledHaving, BindingRow, SubjectKeys) {
+        let bindings = std::slice::from_ref(env);
+        let columns = BindingRow::columns(bindings);
+        let keys = SubjectKeys::new(f, bindings, &template(), Some(key_type));
+        let compiled = CompiledHaving::compile(f, &columns, &keys);
+        let row = BindingRow::new(&columns, env, &keys);
+        (compiled, row, keys)
+    }
+
+    /// [`compile_keyed`] over `INT` sensor keys.
+    fn compile_under(f: &HavingFormula, env: &Env) -> (CompiledHaving, BindingRow, SubjectKeys) {
+        compile_keyed(f, env, ColumnType::Int)
+    }
+
+    /// What a tick does, end to end: compile, index, bind, key the groups,
+    /// decide.
     trait Evaluate {
         fn eval_with(
             &self,
@@ -1795,17 +1842,8 @@ mod tests {
             env: &Env,
             aggs: Option<&Groups>,
         ) -> Result<bool, String> {
-            let (compiled, row, mut ids) = compile_under(self, env);
-            let admitted: Vec<(u32, &AggAcc)> = (aggs.into_iter().flatten())
-                .filter_map(|(term, acc)| Some((ids.admit(term.clone())?, acc)))
-                .collect();
-            let ctx = aggs.map(|_| {
-                let mut ctx = AggContext::new(&ids);
-                for &(id, acc) in &admitted {
-                    ctx.insert(id, acc);
-                }
-                ctx
-            });
+            let (compiled, row, keys) = compile_under(self, env);
+            let ctx = aggs.map(|groups| keys.context(groups));
             let indexed = IndexedSequence::new(seq.clone());
             let verdict = compiled.evaluator(&indexed, ctx.as_ref()).holds(&row);
             verdict
@@ -2192,7 +2230,7 @@ mod tests {
         for v in [70.0, 75.0, 80.0] {
             acc.observe(&optique_relational::Value::Float(v));
         }
-        Groups::from([(sensor(1), acc)])
+        Groups::from([(Value::Int(1), acc)])
     }
 
     #[test]
@@ -2268,9 +2306,9 @@ mod tests {
         assert!(!failing.eval_with(&seq, &env, Some(&ctx)).unwrap());
     }
 
-    /// A subject a graph pattern binds has no id in the row: it resolves by
-    /// term — and since it can be any subject of the window, registration
-    /// admits every group, not only the ones rows and constants name.
+    /// A subject a graph pattern binds is inverted when it is read and
+    /// looked up in the window's groups; one the row binds reads its key
+    /// slot.
     #[test]
     fn pattern_bound_subjects_read_their_groups_by_term() {
         let seq = rising_sequence();
@@ -2295,33 +2333,29 @@ mod tests {
                 }),
             )),
         };
-        // The row names sensor 2 only; sensor 1's group is the witness.
+        // The row names sensor 2 only; the pattern binds `?s` to sensor 1,
+        // whose group is the witness.
         let env = env_with_sensor(2);
-        let (_, _, mut ids) = compile_under(&witness("s"), &env);
-        assert_eq!(ids.id(&sensor(1)), None);
-        assert!(ids.admit(sensor(1)).is_some(), "an open query admits it");
         assert!(witness("s")
             .eval_with(&seq, &env, Some(&agg_ctx()))
             .unwrap());
-        // Bound from the row, the subject's group is read by id — and a
-        // group no row or constant names is not admitted at all…
-        let (_, _, mut ids) = compile_under(&witness("c"), &env);
-        assert!(ids.id(&sensor(2)).is_some());
-        assert_eq!(ids.admit(sensor(1)), None);
+        // Bound from the row, the subject reads its own group only, and
+        // sensor 2 has none…
+        assert!(!witness("c")
+            .eval_with(&seq, &env, Some(&agg_ctx()))
+            .unwrap());
         // …unless a row leaves the subject's column unbound: the pattern
         // binds it there, to any subject of the window.
         let bindings = [env, Env::default()];
         let columns = BindingRow::columns(&bindings);
-        let mut ids = SubjectIds::new();
-        let compiled = CompiledHaving::compile(&witness("c"), &columns, &mut ids);
+        let keys = SubjectKeys::new(&witness("c"), &bindings, &template(), Some(ColumnType::Int));
+        let compiled = CompiledHaving::compile(&witness("c"), &columns, &keys);
         let rows: Vec<_> = (bindings.iter())
-            .map(|binding| BindingRow::new(&columns, binding, &mut ids))
+            .map(|binding| BindingRow::new(&columns, binding, &keys))
             .collect();
         let groups = agg_ctx();
-        let sensor1 = ids.admit(sensor(1)).expect("admitted");
-        let mut ctx = AggContext::new(&ids);
-        ctx.insert(sensor1, &groups[&sensor(1)]);
-        let indexed = IndexedSequence::new(seq.clone());
+        let ctx = keys.context(&groups);
+        let indexed = IndexedSequence::new(seq);
         let mut evaluator = compiled.evaluator(&indexed, Some(&ctx));
         assert!(
             !evaluator.holds(&rows[0]).unwrap(),
@@ -2331,6 +2365,101 @@ mod tests {
             evaluator.holds(&rows[1]).unwrap(),
             "sensor 1 is the witness"
         );
+    }
+
+    /// A context holds the group of exactly the keys registration named
+    /// and the window has: a named key the window lacks stays empty, a
+    /// window key nothing names takes no slot, and an all-NULL group is
+    /// none.
+    #[test]
+    fn subject_keys_context_fills_exactly_the_named_slots() {
+        let by_constant = HavingFormula::Agg {
+            func: AggFunc::Count,
+            subject: QueryTerm::Const(sensor(6)),
+            property: iri("hasValue"),
+            op: CmpOp::Ge,
+            threshold: QueryTerm::Const(Term::Literal(Literal::integer(1))),
+        };
+        let f = HavingFormula::Or(
+            Box::new(agg_formula(AggFunc::Count, CmpOp::Ge, 1.0)),
+            Box::new(by_constant),
+        );
+        let bindings = [1, 3, 5, 3].map(env_with_sensor);
+        let keys = SubjectKeys::new(&f, &bindings, &template(), Some(ColumnType::Int));
+        assert_eq!(keys.keys, [1, 3, 5, 6].map(Value::Int));
+        let counted = |n: i64, value: Value| {
+            let mut acc = AggAcc::default();
+            (0..n).for_each(|_| acc.observe(&value));
+            acc
+        };
+        let groups = Groups::from([
+            (Value::Int(0), counted(1, Value::Int(1))),
+            (Value::Int(1), counted(2, Value::Int(1))),
+            (Value::Int(3), counted(3, Value::Null)),
+            (Value::Int(4), counted(4, Value::Int(1))),
+            (Value::Int(5), counted(5, Value::Int(1))),
+            (Value::Int(7), counted(7, Value::Int(1))),
+        ]);
+        let ctx = keys.context(&groups);
+        let counts: Vec<Option<i64>> = (ctx.slots.iter())
+            .map(|slot| slot.map(|acc| acc.count))
+            .collect();
+        assert_eq!(counts, [Some(2), None, Some(5), None]);
+    }
+
+    /// A group answers to the IRI its key column's declared type spells:
+    /// one folded under `Int(5)` is `…/5` under a FLOAT key, and `…/@5` —
+    /// not `…/5` — under a TIMESTAMP key; by constant and by binding alike.
+    #[test]
+    fn a_group_answers_to_its_declared_key_spelling() {
+        let mut acc = AggAcc::default();
+        acc.observe(&Value::Float(1.0));
+        let groups = Groups::from([(Value::Int(5), acc)]);
+        let holds = |f: &HavingFormula, env: &Env, key_type| {
+            let (compiled, row, keys) = compile_keyed(f, env, key_type);
+            let ctx = keys.context(&groups);
+            let indexed = IndexedSequence::new(StateSequence { states: vec![] });
+            let verdict = compiled.evaluator(&indexed, Some(&ctx)).holds(&row);
+            verdict.unwrap()
+        };
+        let counted = |subject: &str, key_type| {
+            let subject = Term::iri(subject);
+            let by_row = agg_formula(AggFunc::Count, CmpOp::Eq, 1.0);
+            let by_constant = with_subject(&by_row, subject.clone());
+            let env = Env::from([("c".to_string(), subject)]);
+            let verdicts = [
+                holds(&by_row, &env, key_type),
+                holds(&by_constant, &Env::default(), key_type),
+            ];
+            assert_eq!(verdicts[0], verdicts[1], "by row and by constant");
+            verdicts[0]
+        };
+        assert!(counted("http://x/sensor/5", ColumnType::Float));
+        assert!(counted("http://x/sensor/@5", ColumnType::Timestamp));
+        assert!(!counted("http://x/sensor/5", ColumnType::Timestamp));
+        assert!(counted("http://x/sensor/5", ColumnType::Int));
+        assert!(!counted("http://x/sensor/@5", ColumnType::Int));
+    }
+
+    /// An aggregate atom with its subject replaced by `subject`.
+    fn with_subject(f: &HavingFormula, subject: Term) -> HavingFormula {
+        let HavingFormula::Agg {
+            func,
+            property,
+            op,
+            threshold,
+            ..
+        } = f
+        else {
+            panic!("an aggregate atom")
+        };
+        HavingFormula::Agg {
+            func: *func,
+            subject: QueryTerm::Const(subject),
+            property: property.clone(),
+            op: *op,
+            threshold: threshold.clone(),
+        }
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! Sequences come from generated rows through the product's own
 //! `build_stdseq` → `materialize`, under the Siemens TBox with and without
 //! `funct(hasValue)`: subjects absent from the window, duplicate readings
-//! per timestamp, states the constraint drops.
+//! per timestamp, states the constraint drops. The compiled evaluator reads
+//! the window's groups by raw stream key, as a tick does; the reference
+//! reads them by subject term.
 
 #[path = "../../../tests/common/mod.rs"]
 mod common;
@@ -35,7 +37,7 @@ use optique_siemens::catalog::TaskQuery;
 use optique_siemens::ontology::{namespaces, siemens_ontology};
 use optique_siemens::{diagnostic_tasks, SIE_NS};
 use optique_starql::having::{
-    expand, AggContext, AggFunc, BindingRow, CmpOp, CompiledHaving, HavingFormula, SubjectIds,
+    expand, AggFunc, BindingRow, CmpOp, CompiledHaving, HavingFormula, SubjectKeys,
 };
 use optique_starql::sequence::{build_stdseq, IndexedSequence, StateSequence};
 use optique_starql::{parse_starql, StreamToRdf};
@@ -154,24 +156,31 @@ fn window_rows(rng: &mut Rng) -> Vec<Vec<Value>> {
     rows
 }
 
-/// The window's sequence the way a tick builds it, and its per-subject
+/// A window's aggregates by raw stream key, as a tick folds them: all-NULL
+/// groups included.
+type Groups = BTreeMap<Value, AggAcc>;
+
+/// The window's sequence the way a tick builds it, and its per-key
 /// aggregates.
-fn evaluate_window(rows: &[Vec<Value>], tbox: &Ontology) -> (StateSequence, TermAggs) {
+fn evaluate_window(rows: &[Vec<Value>], tbox: &Ontology) -> (StateSequence, Groups) {
     let (mut seq, _) = build_stdseq(rows, &schema(), &mapping(), Some(tbox));
     for state in &mut seq.states {
         materialize(&mut Arc::make_mut(state).graph, tbox, 0);
     }
-    let mut groups: BTreeMap<i64, AggAcc> = BTreeMap::new();
+    let mut groups = Groups::new();
     for row in rows {
-        let acc = groups.entry(row[1].as_i64().unwrap()).or_default();
-        acc.observe(&row[2]);
+        groups.entry(row[1].clone()).or_default().observe(&row[2]);
     }
-    let aggs = groups
-        .into_iter()
+    (seq, groups)
+}
+
+/// The groups the reference reads: by the subject term each key mints,
+/// the groups with a non-NULL value only.
+fn by_term(groups: &Groups) -> TermAggs {
+    (groups.iter())
         .filter(|(_, acc)| acc.count > 0)
-        .map(|(s, acc)| (sensor(s), acc))
-        .collect();
-    (seq, aggs)
+        .map(|(key, acc)| (sensor(key.as_i64().unwrap()), acc.clone()))
+        .collect()
 }
 
 // ---- formulas ---------------------------------------------------------------
@@ -206,6 +215,53 @@ fn shape_formulas() -> &'static [HavingFormula] {
                 expand(&query.having, &query.aggregates).unwrap()
             })
             .collect()
+    })
+}
+
+/// `EXISTS ?k IN seq: GRAPH ?k { ?s sie:hasValue ?y } AND FUNC(?s, …) op t`
+/// for every function, two operators and three thresholds, over `?s` (bound
+/// by the pattern alone: any sensor of the state) and `?c2` (the binding's,
+/// or the pattern's where the binding leaves it unbound).
+fn pattern_bound_formulas() -> &'static [HavingFormula] {
+    static FORMULAS: OnceLock<Vec<HavingFormula>> = OnceLock::new();
+    FORMULAS.get_or_init(|| {
+        let funcs = [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ];
+        let mut out = Vec::new();
+        for var in ["s", "c2"] {
+            for func in funcs {
+                for op in [CmpOp::Ge, CmpOp::Lt] {
+                    for threshold in [1, 70, 150] {
+                        let reading = Atom::property(
+                            sie("hasValue"),
+                            QueryTerm::var(var),
+                            QueryTerm::var("y"),
+                        );
+                        let agg = HavingFormula::Agg {
+                            func,
+                            subject: QueryTerm::var(var),
+                            property: sie("hasValue"),
+                            op,
+                            threshold: QueryTerm::Const(number(threshold)),
+                        };
+                        let pattern = HavingFormula::Graph {
+                            state: "k".into(),
+                            atoms: vec![reading],
+                        };
+                        out.push(HavingFormula::Exists {
+                            state_vars: vec!["k".into()],
+                            body: Box::new(HavingFormula::And(Box::new(pattern), Box::new(agg))),
+                        });
+                    }
+                }
+            }
+        }
+        out
     })
 }
 
@@ -324,7 +380,8 @@ fn with_constant(f: &HavingFormula, var: &str, constant: &Term) -> HavingFormula
 
 /// A generated tree. State variables are mostly drawn from the enclosing
 /// quantifiers (`scope`), sometimes from nowhere; value terms mix the bound
-/// `?c2`, pattern-bound `?x ?y ?s`, the never-bound `?u`, and constants —
+/// `?c2`, the bound assembly `?c1` (an IRI the sensor template does not
+/// invert), pattern-bound `?x ?y ?s`, the never-bound `?u`, and constants —
 /// sensors present and absent, numbers, a class.
 fn tree(rng: &mut Rng, depth: u32, scope: &mut Vec<String>) -> HavingFormula {
     const STATE_VARS: [&str; 4] = ["i", "j", "k", "z"];
@@ -336,11 +393,12 @@ fn tree(rng: &mut Rng, depth: u32, scope: &mut Vec<String>) -> HavingFormula {
         }
     }
     fn subject(rng: &mut Rng) -> QueryTerm {
-        match rng.below(8) {
+        match rng.below(9) {
             0..=3 => QueryTerm::var("c2"),
             4 => QueryTerm::var("s"),
             5 => QueryTerm::Const(sensor(0)),
             6 => QueryTerm::Const(sensor(BOUND + 3)),
+            7 => QueryTerm::var("c1"),
             _ => QueryTerm::var("x"),
         }
     }
@@ -464,37 +522,28 @@ fn tree(rng: &mut Rng, depth: u32, scope: &mut Vec<String>) -> HavingFormula {
 
 /// Compiled and reference agree on `formula` over `seq` for every binding
 /// in `bindings`: same verdict, or both fail. Both read the same groups:
-/// the reference by subject term, the compiled evaluator through the
-/// subject ids registration hands out.
+/// the reference by subject term, the compiled evaluator by the stream keys
+/// registration inverts.
 fn assert_equivalent(
     formula: &HavingFormula,
     seq: &StateSequence,
     bindings: &[HashMap<String, Term>],
-    aggs: Option<&TermAggs>,
+    groups: Option<&Groups>,
 ) -> Result<(), TestCaseError> {
     // As at registration: the bindings' variables are the columns, every
-    // binding a row over them, every IRI of the rows and of the formula's
-    // constants an id.
+    // binding a row over them, every subject an aggregate atom reads a key.
     let columns = BindingRow::columns(bindings);
-    let mut ids = SubjectIds::new();
-    let compiled = CompiledHaving::compile(formula, &columns, &mut ids);
+    let keys = SubjectKeys::new(formula, bindings, &mapping().subject, Some(ColumnType::Int));
+    let compiled = CompiledHaving::compile(formula, &columns, &keys);
     let indexed = IndexedSequence::new(seq.clone());
     let rows: Vec<_> = bindings
         .iter()
-        .map(|b| BindingRow::new(&columns, b, &mut ids))
+        .map(|b| BindingRow::new(&columns, b, &keys))
         .collect();
-    // As at a tick: each group enters the context under the id its subject
-    // is admitted with, or not at all.
-    let admitted: Vec<(u32, &AggAcc)> = (aggs.into_iter().flatten())
-        .filter_map(|(subject, acc)| Some((ids.admit(subject.clone())?, acc)))
-        .collect();
-    let context = aggs.map(|_| {
-        let mut context = AggContext::new(&ids);
-        for &(id, acc) in &admitted {
-            context.insert(id, acc);
-        }
-        context
-    });
+    // As at a tick: the window's groups by key.
+    let context = groups.map(|groups| keys.context(groups));
+    let aggs = groups.map(by_term);
+    let aggs = aggs.as_ref();
     let mut evaluator = compiled.evaluator(&indexed, context.as_ref());
     for (binding, row) in bindings.iter().zip(&rows) {
         let env = Env {
@@ -538,13 +587,15 @@ mod having_equivalence {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(proptest_cases(96)))]
 
-        /// The formulas the product ships and its oracles run, as written.
+        /// The formulas the product ships and its oracles run, as written,
+        /// and aggregates over the subjects a pattern binds.
         #[test]
         fn catalog_and_program_formulas_agree(seed in any::<u64>()) {
             let mut rng = Rng(seed);
             let rows = window_rows(&mut rng);
             let (seq, aggs) = evaluate_window(&rows, rng.pick(tboxes()));
-            for formula in catalog_formulas().iter().chain(shape_formulas()) {
+            let formulas = catalog_formulas().iter().chain(shape_formulas());
+            for formula in formulas.chain(pattern_bound_formulas()) {
                 assert_equivalent(formula, &seq, &bindings(), Some(&aggs))?;
             }
         }
@@ -590,7 +641,8 @@ mod having_equivalence {
             let mut rng = Rng(seed);
             let rows = window_rows(&mut rng);
             let (strict, _) = build_stdseq(&rows, &schema(), &mapping(), Some(&tboxes()[1]));
-            let (lax, aggs) = evaluate_window(&rows, &tboxes()[0]);
+            let (lax, groups) = evaluate_window(&rows, &tboxes()[0]);
+            let aggs = by_term(&groups);
             dropped += lax.len() - strict.len();
             for _ in 0..8 {
                 let formula = tree(&mut rng, 4, &mut Vec::new());

@@ -7,7 +7,7 @@
 //! foreign crate cannot add inherent methods to `HavingFormula`, so they
 //! hang off the [`Reference`] trait; and the per-subject aggregate context
 //! it reads, keyed by subject term, is defined here — the product's is
-//! indexed by subject id.
+//! keyed by raw stream key.
 
 use std::collections::{BTreeMap, HashMap};
 
