@@ -241,7 +241,7 @@ impl Dashboard {
             .sum()
     }
 
-    /// Total sharded fragment executions across the remembered static
+    /// Total disjuncts executed sharded across the remembered static
     /// queries — 0 on a partitioned deployment means the advisor's keys
     /// never matched a scan.
     pub fn total_partitioned_fragments(&self) -> usize {

@@ -1,9 +1,9 @@
 //! ExaStream-backed federation — **one** fragment pipeline for static
 //! queries *and* continuous-query windows.
 //!
-//! The static pipeline ([`optique_sparql::StaticPipeline`]) splits each
-//! unfolded `UNION ALL` into per-disjunct [`PlanFragment`]s, and the
-//! STARQL engine compiles each tick's window to a window-sliced fragment
+//! The static pipeline ([`optique_sparql::StaticPipeline`]) ships each
+//! BGP's unfolded `UNION ALL` as one [`PlanFragment`], and the STARQL
+//! engine compiles each tick's window to a window-sliced fragment
 //! (`ContinuousQuery::tick_via`); this module is the [`FragmentExecutor`]
 //! that hands both, typed, to the same gateway/scheduler machinery.
 //! Stream tables always hash-partition on their stream key
@@ -12,23 +12,33 @@
 //! the stream onto one node. Two catalog layouts for the static tables:
 //!
 //! * **replicated** — every worker shares the full relational catalog;
-//!   fragments are placed one-per-worker, LPT by cost.
+//!   a fragment's branches are placed one group per worker, LPT by cost.
 //! * **partitioned** — named tables are hash-partitioned across workers
-//!   (each worker holds one shard), everything else replicated. Fragments
-//!   execute down a per-fragment fallback ladder — **sharded → replicated
-//!   → coordinator**:
+//!   (each worker holds one shard), everything else replicated. Each
+//!   branch of a fragment's `UNION ALL` is classified down a fallback
+//!   ladder — **sharded → replicated → coordinator**:
 //!
-//!   1. fragments whose partitioned scans are shard-sound (one occurrence,
-//!      or several **co-partitioned** on their keys) become **scatter**
-//!      fragments: every worker scans its shard and the partials
-//!      concatenate on gather. Semi-join `IN`-lists over key-derived
-//!      columns additionally prune the scatter to the shards that can hold
-//!      matching keys ([`PlanFragment::shard_plan`]);
-//!   2. fragments reading only replicated tables run on one worker's
+//!   1. branches whose partitioned scans are shard-sound (one occurrence,
+//!      or several **co-partitioned** on their keys) **scatter**: every
+//!      worker scans its shard and the partials concatenate on gather.
+//!      Semi-join `IN`-lists over key-derived columns additionally prune
+//!      the scatter to the shards that can hold matching keys
+//!      ([`PlanFragment::shard_plan`]);
+//!   2. branches reading only replicated tables run on one worker's
 //!      replicas (placed LPT by cost);
 //!   3. everything else (non-co-partitioned multi-shard joins,
 //!      non-decomposable shapes) falls back to the coordinator's full
 //!      catalog, which is always correct.
+//!
+//! The branches then **regroup** into one `UNION ALL` statement per
+//! routing group: one per shard set for the scatter branches (branches
+//! that derive the restricted columns from keys of one type the same way
+//! prune together, [`key_routing`]; the rest scatter unpruned together),
+//! one per worker for the placed branches, one for the coordinator's. The
+//! gateway plans each shipped statement once per round, and deduplicates a
+//! scattered `DISTINCT` branch across shards only against its own rows.
+//! The rung counters of a [`FragmentRound`] count branches;
+//! [`FragmentRound::statements`] counts the statements.
 //!
 //! [`FederationTopology::AutoPartitioned`] makes the partitioned layout the
 //! smart default: a partition-key advisor scores every term-map column of
@@ -40,13 +50,15 @@
 use std::sync::Arc;
 
 use optique_exastream::cluster::hash_partition;
+use optique_exastream::scheduler::lpt_assign;
 use optique_exastream::{Cluster, Gateway, StaticFragment};
 use optique_mapping::MappingCatalog;
 use optique_relational::{
-    shard_compatibility, Database, NoveltyScope, PaneCounts, PartitionSpec, PlanFragment,
-    ShardCompatibility, StatsCatalog, Table,
+    key_routing, shard_compatibility, ColumnType, Database, KeyRouting, NoveltyScope, PaneCounts,
+    PartitionSpec, PlanFragment, SelectStatement, SemiJoin, ShardCompatibility, StatsCatalog,
+    Table,
 };
-use optique_sparql::{FragmentExecutor, FragmentRound};
+use optique_sparql::{split_union_chain, FragmentExecutor, FragmentRound};
 
 /// Tables smaller than this never partition under
 /// [`FederationTopology::AutoPartitioned`]: sharding a tiny table buys no
@@ -201,68 +213,182 @@ impl Federation {
         &self.partition
     }
 
-    /// Decides how a fragment may execute against this federation's layout,
-    /// from the statement the fragment already carries: `Unpartitioned` →
-    /// placed on one replica, `Scatter` → every shard, `Incompatible` →
-    /// the coordinator's full catalog.
-    fn classify(&self, fragment: &PlanFragment) -> ShardCompatibility {
+    /// Decides how one branch may execute against this federation's layout:
+    /// `Unpartitioned` → placed on one replica, `Scatter` → every shard,
+    /// `Incompatible` → the coordinator's full catalog.
+    fn classify(&self, branch: &SelectStatement) -> ShardCompatibility {
         if self.partition.is_empty() {
             return ShardCompatibility::Unpartitioned;
         }
-        match fragment.base_statement() {
-            Ok(statement) => shard_compatibility(statement, &self.partition),
-            // Unparseable SQL (text-built fragments only) cannot be
-            // classified; the coordinator needs no classification and will
-            // surface the real error.
-            Err(_) => ShardCompatibility::Incompatible,
-        }
+        shard_compatibility(branch, &self.partition)
     }
 
-    /// Routing metadata for a scatter over `table`, partitioned on `column`.
-    fn partition_spec(&self, table: String, column: String) -> PartitionSpec {
-        let column_type = self
-            .coordinator
-            .table(&table)
+    /// The declared type of `table`'s partition-key `column`.
+    fn key_type(&self, table: &str, column: &str) -> ColumnType {
+        self.coordinator
+            .table(table)
             .ok()
-            .and_then(|t| Some(t.schema.columns()[t.schema.index_of(&column)?].ty))
-            .unwrap_or(optique_relational::ColumnType::Any);
-        PartitionSpec {
-            table,
-            column,
-            column_type,
+            .and_then(|t| Some(t.schema.columns()[t.schema.index_of(column)?].ty))
+            .unwrap_or(ColumnType::Any)
+    }
+
+    /// Classifies each branch of `statement` down the ladder and regroups
+    /// the branches into one statement per routing group, counting each
+    /// branch on its rung in `counts`.
+    fn regroup(
+        &self,
+        statement: SelectStatement,
+        semi_joins: &[SemiJoin],
+        counts: &mut RungCounts,
+    ) -> Groups {
+        let mut groups = Groups::default();
+        let mut placed: Vec<SelectStatement> = Vec::new();
+        for branch in split_union_chain(statement) {
+            match self.classify(&branch) {
+                ShardCompatibility::Unpartitioned => {
+                    if !self.partition.is_empty() {
+                        counts.replicated += 1;
+                    }
+                    placed.push(branch);
+                }
+                ShardCompatibility::Scatter { table, column } => {
+                    counts.partitioned += 1;
+                    // Branches prune together when they derive the
+                    // restricted columns from keys of one type the same
+                    // way; the rest scatter unpruned, together.
+                    let prunes = (!semi_joins.is_empty())
+                        .then(|| key_routing(&branch, &self.partition, semi_joins))
+                        .filter(|routing| !routing.is_empty())
+                        .map(|routing| (self.key_type(&table, &column), routing));
+                    let at = match groups.scatter.iter().position(|g| g.prunes == prunes) {
+                        Some(at) => at,
+                        None => {
+                            groups.scatter.push(ScatterGroup {
+                                prunes,
+                                branches: Group::default(),
+                            });
+                            groups.scatter.len() - 1
+                        }
+                    };
+                    groups.scatter[at].branches.push(branch);
+                }
+                ShardCompatibility::Incompatible => {
+                    counts.coordinator += 1;
+                    groups.coordinator.push(branch);
+                }
+            }
         }
+        // Placed branches: one group per worker, LPT by summed cost.
+        if !placed.is_empty() {
+            let costs: Vec<f64> = placed.iter().map(branch_cost).collect();
+            let mut by_worker: Vec<Group> = (0..self.workers).map(|_| Group::default()).collect();
+            for (branch, worker) in placed.into_iter().zip(lpt_assign(&costs, self.workers)) {
+                by_worker[worker].push(branch);
+            }
+            groups.placed = by_worker.into_iter().filter(|g| !g.is_empty()).collect();
+        }
+        groups
     }
 }
 
-/// Removes duplicate rows in place, keeping first occurrences.
-fn dedup_rows(table: &mut Table) {
-    let mut seen: std::collections::HashSet<Vec<optique_relational::Value>> = Default::default();
-    table.rows.retain(|row| seen.insert(row.clone()));
+/// A branch's placement cost: its FROM item count (join width drives
+/// disjunct cost far more than anything else we can see statically).
+fn branch_cost(branch: &SelectStatement) -> f64 {
+    (branch.joins.len() + 1) as f64
+}
+
+/// Branches bound for one statement, in order, with their summed cost.
+#[derive(Default)]
+struct Group {
+    branches: Vec<SelectStatement>,
+    cost: f64,
+}
+
+impl Group {
+    fn push(&mut self, branch: SelectStatement) {
+        self.cost += branch_cost(&branch);
+        self.branches.push(branch);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.branches.is_empty()
+    }
+
+    /// The group's `UNION ALL` statement, chained by move.
+    fn into_statement(self) -> SelectStatement {
+        SelectStatement::union_all_of(self.branches).expect("a group holds a branch")
+    }
+}
+
+/// Scatter branches that prune alike.
+struct ScatterGroup {
+    /// The key type and [`KeyRouting`] the branches prune by; `None` for
+    /// branches that scatter unpruned.
+    prunes: Option<(ColumnType, KeyRouting)>,
+    branches: Group,
+}
+
+/// One fragment's branches, regrouped: one statement per shard set for the
+/// scatter branches, one per worker for the placed ones, one for the
+/// coordinator's.
+#[derive(Default)]
+struct Groups {
+    scatter: Vec<ScatterGroup>,
+    placed: Vec<Group>,
+    coordinator: Group,
+}
+
+/// Branches per rung of the ladder.
+#[derive(Default)]
+struct RungCounts {
+    partitioned: usize,
+    replicated: usize,
+    coordinator: usize,
+}
+
+/// One fragment's answer: its statements' tables concatenated, as its
+/// `UNION ALL` would concatenate its branches (the first error instead,
+/// if any statement failed).
+fn concat_tables(parts: Vec<Result<Table, String>>) -> Result<Table, String> {
+    let mut parts = parts.into_iter();
+    let mut table = parts.next().expect("every fragment ran a statement")?;
+    for part in parts {
+        let part = part?;
+        if part.schema.len() != table.schema.len() {
+            return Err(format!(
+                "UNION ALL arity mismatch: {} vs {}",
+                table.schema.len(),
+                part.schema.len()
+            ));
+        }
+        table.rows.extend(part.rows);
+    }
+    Ok(table)
 }
 
 impl FragmentExecutor for Federation {
+    /// Ships each fragment's statement as one statement per routing group
+    /// of its `UNION ALL` branches: every branch is classified down the
+    /// ladder, scatter branches group by shard set (how they prune), placed
+    /// branches by worker (LPT by cost), and coordinator branches run as
+    /// one statement on the full catalog. The rung counters count
+    /// branches; [`FragmentRound::statements`] counts the statements.
     fn execute(&self, fragments: Vec<PlanFragment>) -> Result<FragmentRound, String> {
-        // Classify fragments down the ladder: sharded scatter, placed on a
-        // replica, or coordinator fallback (several non-co-partitioned
-        // occurrences — a shard-local join would be incomplete — or a
-        // non-decomposable statement shape).
         let mut shipped: Vec<StaticFragment> = Vec::new();
-        // Slot of each shipped fragment, plus whether its gathered concat
-        // needs a cross-shard dedup (scattered DISTINCT statements).
-        let mut shipped_slots: Vec<(usize, bool)> = Vec::new();
-        let mut results: Vec<Option<Result<Table, String>>> =
-            fragments.iter().map(|_| None).collect();
-        let mut coordinator_fallbacks = 0usize;
-        let mut partitioned_fragments = 0usize;
-        let mut replicated_fallbacks = 0usize;
+        // Slot of each shipped statement.
+        let mut shipped_slots: Vec<usize> = Vec::new();
+        // Per slot, the tables of its statements.
+        let mut results: Vec<Vec<Result<Table, String>>> =
+            fragments.iter().map(|_| Vec::new()).collect();
+        let mut counts = RungCounts::default();
+        let mut coordinator_statements = 0usize;
         // A text-built fragment nobody parsed yet costs this round exactly
-        // one parse — here in `classify`, in the gateway, or on the
-        // coordinator fallback, whichever asks for its statement first.
+        // one parse, here, when its statement is taken apart.
         let parses = fragments
             .iter()
             .filter(|f| f.pane.is_none() && !f.is_parsed())
             .count() as u64;
-        for (slot, fragment) in fragments.into_iter().enumerate() {
+        for (slot, mut fragment) in fragments.into_iter().enumerate() {
             // Pane-combine fragments route on their probe, not their SQL:
             // a partitioned stream scatters (each worker combines its
             // shard's panes; per-key partials concatenate on gather), any
@@ -270,79 +396,88 @@ impl FragmentExecutor for Federation {
             // on every replica would multiply each group by the pool size.
             if let Some(probe) = &fragment.pane {
                 if self.partition.iter().any(|(t, _)| t == &probe.stream) {
-                    partitioned_fragments += 1;
+                    counts.partitioned += 1;
                     shipped.push(StaticFragment::scattered(fragment));
                 } else {
                     if !self.partition.is_empty() {
-                        replicated_fallbacks += 1;
+                        counts.replicated += 1;
                     }
                     shipped.push(StaticFragment::placed(fragment));
                 }
-                shipped_slots.push((slot, false));
+                shipped_slots.push(slot);
                 continue;
             }
-            match self.classify(&fragment) {
-                ShardCompatibility::Unpartitioned => {
-                    if !self.partition.is_empty() {
-                        replicated_fallbacks += 1;
-                    }
-                    shipped.push(StaticFragment::placed(fragment));
-                    shipped_slots.push((slot, false));
+            let semi_joins = std::mem::take(&mut fragment.semi_joins);
+            let window = fragment.window.take();
+            let (id, epoch) = (fragment.id, fragment.novelty_epoch);
+            let statement = match fragment.into_statement() {
+                Ok(statement) => statement,
+                // Unparseable SQL (text-built fragments only) cannot be
+                // classified; it fails on the coordinator's rung.
+                Err(e) => {
+                    counts.coordinator += 1;
+                    coordinator_statements += 1;
+                    results[slot].push(Err(e.to_string()));
+                    continue;
                 }
-                // A scattered DISTINCT statement needs a cross-shard dedup
-                // of the gathered concat: shard-local dedup cannot see
-                // duplicates on other shards.
-                ShardCompatibility::Scatter {
-                    dedup,
-                    table,
-                    column,
-                } => {
-                    partitioned_fragments += 1;
-                    let spec = self.partition_spec(table, column);
-                    shipped.push(StaticFragment::scattered(fragment.with_partition(spec)));
-                    shipped_slots.push((slot, dedup));
+            };
+            let groups = self.regroup(statement, &semi_joins, &mut counts);
+            // Each group's statement carries the fragment's restrictions,
+            // window and epoch: every worker resolves the same overlay.
+            let rebuild = |group: Group| {
+                let cost = group.cost;
+                let mut statement = PlanFragment::from_statement(id, group.into_statement(), cost)
+                    .with_semi_joins(semi_joins.clone())
+                    .at_epoch(epoch);
+                statement.window = window.clone();
+                statement
+            };
+            for group in groups.scatter {
+                let mut statement = rebuild(group.branches);
+                // The layout the branches' routing was read against: the
+                // gateway's `shard_plan` reads it again, alike.
+                if let Some((column_type, _)) = group.prunes {
+                    statement = statement.with_partition(PartitionSpec {
+                        tables: self.partition.clone(),
+                        column_type,
+                    });
                 }
-                ShardCompatibility::Incompatible => {
-                    coordinator_fallbacks += 1;
-                    // `PlanFragment::execute` honors semi-join restrictions
-                    // on the fallback path too.
-                    results[slot] = Some(
-                        fragment
-                            .execute(&self.coordinator)
-                            .map_err(|e| e.to_string()),
-                    );
-                }
+                shipped.push(StaticFragment::scattered(statement));
+                shipped_slots.push(slot);
+            }
+            for group in groups.placed {
+                shipped.push(StaticFragment::placed(rebuild(group)));
+                shipped_slots.push(slot);
+            }
+            if !groups.coordinator.is_empty() {
+                // `PlanFragment::execute` honors semi-join restrictions on
+                // the fallback path too.
+                coordinator_statements += 1;
+                let outcome = rebuild(groups.coordinator).execute(&self.coordinator);
+                results[slot].push(outcome.map_err(|e| e.to_string()));
             }
         }
         let round = self.gateway.run_static_round(&shipped);
         let mut panes = vec![PaneCounts::default(); results.len()];
-        for ((slot, _), counts) in shipped_slots.iter().zip(&round.panes) {
-            panes[*slot] = *counts;
+        for (&slot, counts) in shipped_slots.iter().zip(&round.panes) {
+            panes[slot] += *counts;
         }
-        for ((slot, dedup), outcome) in shipped_slots.into_iter().zip(round.tables) {
-            let mut outcome = outcome.map_err(|e| e.to_string());
-            if dedup {
-                if let Ok(table) = &mut outcome {
-                    dedup_rows(table);
-                }
-            }
-            results[slot] = Some(outcome);
+        for (&slot, outcome) in shipped_slots.iter().zip(round.tables) {
+            results[slot].push(outcome.map_err(|e| e.to_string()));
         }
         Ok(FragmentRound {
-            tables: (results.into_iter())
-                .map(|slot| slot.expect("every fragment executed"))
-                .collect(),
-            coordinator_fallbacks,
-            partitioned_fragments,
-            replicated_fallbacks,
+            tables: results.into_iter().map(concat_tables).collect(),
+            statements: shipped.len() + coordinator_statements,
+            coordinator_fallbacks: counts.coordinator,
+            partitioned_fragments: counts.partitioned,
+            replicated_fallbacks: counts.replicated,
             shards_pruned: round.shards_pruned,
-            // The gateway saw the fragments `classify` parsed as already
-            // parsed; one accounting for the whole round: every SQL
-            // execution (worker-side or coordinator fallback) either paid
-            // one of the round's parses or needed none.
+            // One accounting for the whole round: every statement execution
+            // (worker-side or on the coordinator) either paid one of the
+            // round's parses or needed none.
             plan_cache_hits: (round.plan_cache_hits
                 + round.plan_cache_misses
-                + coordinator_fallbacks as u64)
+                + coordinator_statements as u64)
                 .saturating_sub(parses),
             plan_cache_misses: parses,
             panes,
@@ -421,7 +556,7 @@ mod tests {
     }
 
     fn classify(federation: &Federation, sql: &str) -> ShardCompatibility {
-        federation.classify(&PlanFragment::new(0, sql, 1.0))
+        federation.classify(&optique_relational::parse_select(sql).unwrap())
     }
 
     fn sensors_by_sid(db: Arc<Database>, workers: usize) -> Federation {
@@ -511,11 +646,11 @@ mod tests {
         let federation = sensors_by_sid(db, 2);
         assert!(matches!(
             classify(&federation, "SELECT sid FROM sensors"),
-            ShardCompatibility::Scatter { dedup: false, .. }
+            ShardCompatibility::Scatter { .. }
         ));
         assert!(matches!(
             classify(&federation, "SELECT DISTINCT sid FROM sensors"),
-            ShardCompatibility::Scatter { dedup: true, .. }
+            ShardCompatibility::Scatter { .. }
         ));
         // Two partitioned references joined off-key: shard-local joins
         // would be incomplete.
@@ -549,19 +684,19 @@ mod tests {
                 "{sql} must fall back to the coordinator"
             );
         }
-        // Unparseable SQL → coordinator fallback (surfaces the real error).
-        assert!(matches!(
-            classify(&federation, "SELECT FROM"),
-            ShardCompatibility::Incompatible
-        ));
-        // The scatter spec carries the key column and its type.
-        if let ShardCompatibility::Scatter { table, column, .. } =
+        // Unparseable SQL cannot be classified: it fails its slot on the
+        // coordinator's rung, surfacing the real error.
+        let round = federation
+            .execute(vec![PlanFragment::new(0, "SELECT FROM", 1.0)])
+            .unwrap();
+        assert_eq!(round.coordinator_fallbacks, 1);
+        assert!(round.tables[0].is_err());
+        // The scatter verdict names the key column; its type routes.
+        if let ShardCompatibility::Scatter { table, column } =
             classify(&federation, "SELECT sid FROM sensors")
         {
-            let spec = federation.partition_spec(table, column);
-            assert_eq!(spec.table, "sensors");
-            assert_eq!(spec.column, "sid");
-            assert_eq!(spec.column_type, ColumnType::Int);
+            assert_eq!((table.as_str(), column.as_str()), ("sensors", "sid"));
+            assert_eq!(federation.key_type(&table, &column), ColumnType::Int);
         } else {
             panic!("expected scatter");
         }
@@ -658,6 +793,55 @@ mod tests {
             round.tables[0].as_ref().unwrap().rows,
             vec![vec![Value::Int(5)]]
         );
+    }
+
+    /// A `UNION ALL` fragment regroups by rung: its scatter, placed and
+    /// coordinator branches run as one statement each, each branch counts
+    /// on its rung, and the answer is the union's.
+    #[test]
+    fn a_union_ships_one_statement_per_rung() {
+        let db = db();
+        let federation = sensors_by_sid(Arc::clone(&db), 4);
+        let sql = "SELECT sid FROM sensors WHERE tid = 1 \
+                   UNION ALL SELECT tid FROM turbines \
+                   UNION ALL SELECT sid FROM sensors WHERE tid = 2 \
+                   UNION ALL SELECT a.sid FROM sensors AS a JOIN sensors AS b ON a.tid = b.tid";
+        let local = optique_relational::exec::query(sql, &db).unwrap();
+        let round = federation
+            .execute(vec![PlanFragment::new(0, sql, 1.0)])
+            .unwrap();
+        assert_eq!(canon(round.tables[0].as_ref().unwrap()), canon(&local));
+        assert_eq!(round.statements, 3, "{round:?}");
+        assert_eq!(
+            (
+                round.partitioned_fragments,
+                round.replicated_fallbacks,
+                round.coordinator_fallbacks
+            ),
+            (2, 1, 1)
+        );
+    }
+
+    /// Branches that derive a restricted column from their key the same
+    /// way prune as one statement: each target shard runs the union with
+    /// its slice of the list.
+    #[test]
+    fn a_keyed_union_prunes_as_one_statement() {
+        use optique_relational::SemiJoin;
+        let db = db();
+        let federation = sensors_by_sid(Arc::clone(&db), 8);
+        let sql = "SELECT sid FROM sensors WHERE tid = 5 \
+                   UNION ALL SELECT sid FROM sensors WHERE tid = 6";
+        let fragment = PlanFragment::new(0, sql, 1.0).with_semi_joins(vec![SemiJoin::new(
+            "sid",
+            vec![Value::Int(5), Value::Int(6)],
+        )]);
+        let local = fragment.execute(&db).unwrap();
+        let round = federation.execute(vec![fragment]).unwrap();
+        assert_eq!(round.statements, 1, "{round:?}");
+        assert!(round.shards_pruned >= 5, "8 shards, ≤ 3 targets: {round:?}");
+        assert_eq!(canon(round.tables[0].as_ref().unwrap()), canon(&local));
+        assert_eq!(local.len(), 2);
     }
 
     /// The advisor partitions the 100-row sensors table on `sid` (unique,

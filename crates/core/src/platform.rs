@@ -412,10 +412,10 @@ impl OptiquePlatform {
     }
 
     /// Answers a static SPARQL query **federated over ExaStream workers**:
-    /// the unfolded `UNION ALL` of every BGP splits into per-disjunct plan
-    /// fragments, the gateway routes them across `workers` worker threads,
-    /// and the per-fragment solution sets merge back before the residual
-    /// algebra. Answers are always the same *set* as
+    /// the unfolded `UNION ALL` of every BGP ships as one plan fragment,
+    /// regrouped into one statement per routing group of its disjuncts,
+    /// the gateway routes those across `workers` worker threads, and the
+    /// gathered rows merge back before the residual algebra. Answers are always the same *set* as
     /// [`query_static`](Self::query_static) — the federation and
     /// partitioned equivalence suites pin that down.
     ///

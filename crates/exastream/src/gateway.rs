@@ -8,12 +8,13 @@
 //! rounds — the gateway itself remembers nothing between rounds but the
 //! workers' pane stores.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use optique_relational::{
-    Database, ExecCounts, PaneCounts, PaneStore, PlanFragment, SqlError, Table,
+    execute_branches, Database, ExecCounts, LogicalPlan, PaneCounts, PaneStore, PlanFragment,
+    Schema, SqlError, Table, Value,
 };
 use optique_telemetry::SpanRecord;
 
@@ -44,21 +45,32 @@ impl Gateway {
     /// per-fragment results, in input order, plus the round's accounting.
     ///
     /// Fragments cross the worker boundary typed: each worker's queue holds
-    /// `Arc<PlanFragment>`s, the worker slices, restricts and executes the
-    /// shared statement on its shard, and the result [`Table`] moves back
-    /// (see [`optique_relational::fragment`]). A text-built fragment is
-    /// parsed here, on the coordinator, once — not once per worker.
-    /// Placement:
+    /// `Arc<PlanFragment>`s, and the result rows move back (see
+    /// [`optique_relational::fragment`]). A text-built fragment is parsed
+    /// here, on the coordinator, once — not once per worker. Placement:
     ///
     /// * **placed** fragments (`scatter == false`) go to one worker each,
     ///   LPT-style by cost ([`lpt_assign`]);
     /// * **scatter** fragments (`scatter == true`) run on every worker's
     ///   shard of a hash-partitioned table and their per-worker partial
-    ///   results are concatenated on gather — unless the fragment's
-    ///   partition metadata plus a key-derived semi-join let
-    ///   [`PlanFragment::shard_plan`] prune the round, in which case only
-    ///   the shards that can hold matching keys execute, each receiving
-    ///   just its slice of the `IN`-list.
+    ///   results are concatenated on gather, each `DISTINCT` branch of the
+    ///   statement deduplicated across shards (by `Value` equality, as a
+    ///   shard-local `DISTINCT` does; rows of different branches are never
+    ///   compared) — unless the fragment's partition metadata plus a
+    ///   key-derived semi-join let [`PlanFragment::shard_plan`] prune the
+    ///   round, in which case only the shards that can hold matching keys
+    ///   execute, each receiving just its slice of the `IN`-list.
+    ///
+    /// Every shipped statement is **planned once per round**: the first
+    /// worker to reach it slices, restricts and plans it
+    /// ([`PlanFragment::plan`]), and every other worker it runs on executes
+    /// that shared plan. Planning reads only schemas, which every shard and
+    /// novelty view of a table shares. A pruned scatter gives each target
+    /// shard its own slice, so its own statement and plan. A planning error
+    /// fails every slot the statement serves; a worker that panics while
+    /// planning leaves the plan unbuilt, and the next worker to reach it
+    /// plans it again. Each worker `fragment` span says which it did:
+    /// `plan=built` or `plan=shared`.
     ///
     /// A worker that panics fails its own fragments with
     /// `worker N panicked`; the round, the pool and the other workers'
@@ -76,39 +88,42 @@ impl Gateway {
             .collect();
         let mut placed = lpt_assign(&costs, size).into_iter();
 
-        // Coordinator side: per-worker queues of shared fragments.
-        // Shard-pruned scatter fragments queue one copy per target shard
-        // (each carrying that shard's `IN`-list slice, all sharing the
-        // statement); everything else queues the submitted `Arc`.
+        // Coordinator side: per-worker queues of shared fragments, each
+        // entry holding the plan cell of the statement it runs. Shard-pruned
+        // scatter fragments queue one copy per target shard (each carrying
+        // that shard's `IN`-list slice, all sharing the statement);
+        // everything else queues the submitted `Arc`.
         let mut queues: Vec<Vec<Queued>> = (0..size).map(|_| Vec::new()).collect();
         let mut shards_pruned = 0usize;
         let mut parses = 0u64;
         for (idx, f) in fragments.iter().enumerate() {
             // Pane probes never touch their SQL. Everything else must hold
             // a statement before it is shared; a parse error is memoized
-            // and surfaces from the worker's execute.
+            // and surfaces from the worker's planning.
             let parsed_here = f.fragment.pane.is_none() && !f.fragment.is_parsed();
             if parsed_here {
                 parses += 1;
                 let _ = f.fragment.base_statement();
             }
-            let queued = |fragment: Arc<PlanFragment>| Queued {
+            let queued = |fragment: Arc<PlanFragment>, plan: &SharedPlan| Queued {
                 idx,
                 fragment,
                 scatter: f.scatter,
                 parsed_here,
+                plan: Arc::clone(plan),
             };
             if !f.scatter {
                 let worker = placed.next().expect("one placement per placed fragment");
-                queues[worker].push(queued(Arc::clone(&f.fragment)));
+                queues[worker].push(queued(Arc::clone(&f.fragment), &SharedPlan::default()));
             } else if let Some(plan) = f.fragment.shard_plan(size) {
                 shards_pruned += size - plan.len();
                 for (shard, fragment) in plan {
-                    queues[shard].push(queued(Arc::new(fragment)));
+                    queues[shard].push(queued(Arc::new(fragment), &SharedPlan::default()));
                 }
             } else {
+                let shared = SharedPlan::default();
                 for queue in queues.iter_mut() {
-                    queue.push(queued(Arc::clone(&f.fragment)));
+                    queue.push(queued(Arc::clone(&f.fragment), &shared));
                 }
             }
         }
@@ -117,12 +132,12 @@ impl Gateway {
             .cluster
             .parallel_map(|worker| self.run_queue(worker, &queues[worker.id], round_started));
 
-        // Gather: take the tables, concatenating scatter partials and
-        // accounting the rows each worker handed back. Worker span batches
-        // merge into one round batch, parent indices shifted past the
-        // records already merged (worker roots stay roots).
+        // Gather: take the rows, concatenating scatter partials branch by
+        // branch and accounting the rows each worker handed back. Worker
+        // span batches merge into one round batch, parent indices shifted
+        // past the records already merged (worker roots stay roots).
         let mut worker_rows = vec![0usize; size];
-        let mut gathered: Vec<Option<Result<Table, SqlError>>> =
+        let mut gathered: Vec<Option<Result<Partial, SqlError>>> =
             fragments.iter().map(|_| None).collect();
         let mut spans: Vec<SpanRecord> = Vec::new();
         let mut executions = 0u64;
@@ -144,22 +159,28 @@ impl Gateway {
                 record.parent = record.parent.map(|p| p + base);
                 record
             }));
-            for (idx, table) in output.results {
-                if let Ok(t) = &table {
-                    worker_rows[worker] += t.len();
+            for (idx, partial) in output.results {
+                if let Ok(p) = &partial {
+                    worker_rows[worker] += p.len();
                 }
-                match (&mut gathered[idx], table) {
+                match (&mut gathered[idx], partial) {
                     (slot @ None, incoming) => *slot = Some(incoming),
-                    (Some(Ok(acc)), Ok(part)) => acc.rows.extend(part.rows),
+                    (Some(Ok(acc)), Ok(part)) => {
+                        for (rows, more) in acc.branches.iter_mut().zip(part.branches) {
+                            rows.extend(more);
+                        }
+                    }
                     (Some(Ok(_)), Err(e)) => gathered[idx] = Some(Err(e)),
                     (Some(Err(_)), _) => {}
                 }
             }
         }
         StaticRound {
-            tables: gathered
-                .into_iter()
-                .map(|slot| slot.expect("every fragment was queued on some worker"))
+            tables: (gathered.into_iter().zip(fragments))
+                .map(|(slot, f)| {
+                    let partial = slot.expect("every fragment was queued on some worker")?;
+                    Ok(partial.into_table(f))
+                })
                 .collect(),
             worker_rows,
             shards_pruned,
@@ -172,8 +193,9 @@ impl Gateway {
 
     /// Worker side of a round: executes this worker's queue on its shard
     /// and records one span per fragment execution — queue wait, parse
-    /// outcome, rows — under a per-worker root span, all relative to the
-    /// round start so the coordinator can graft them into its trace.
+    /// outcome, whether it built or shared the statement's plan, rows —
+    /// under a per-worker root span, all relative to the round start so the
+    /// coordinator can graft them into its trace.
     fn run_queue(&self, worker: &Worker, queue: &[Queued], round_started: Instant) -> WorkerOutput {
         let mut out = WorkerOutput::default();
         // Per-round memo of resolved novelty views: every fragment pinned
@@ -190,6 +212,9 @@ impl Gateway {
             // store, or a statement that arrived typed or already parsed.
             let mut cache_hit = !q.parsed_here;
             let mut counts = ExecCounts::default();
+            // Whether this execution planned the statement (`None` for a
+            // pane probe, or a view that did not resolve).
+            let mut plan_built = None;
             let result = (|| {
                 let epoch = q.fragment.novelty_epoch;
                 if let std::collections::hash_map::Entry::Vacant(slot) = views.entry(epoch) {
@@ -203,14 +228,27 @@ impl Gateway {
                     let (table, counts) = self.pane_stores[worker.id].combine(probe, db)?;
                     cache_hit = counts.hits > 0;
                     out.panes.push((q.idx, counts));
-                    return Ok(table);
+                    return Ok(Partial {
+                        schema: table.schema,
+                        branches: vec![table.rows],
+                    });
                 }
                 out.executions += 1;
-                let (table, exec_counts) = q.fragment.execute_on(db)?;
+                let mut built = false;
+                let plan = q.plan.get_or_init(|| {
+                    built = true;
+                    q.fragment.plan(db)
+                });
+                plan_built = Some(built);
+                let plan = plan.as_ref().map_err(Clone::clone)?;
+                let (branches, exec_counts) = execute_branches(plan, db)?;
                 counts = exec_counts;
-                Ok(table)
+                Ok(Partial {
+                    schema: plan.schema().clone(),
+                    branches,
+                })
             })();
-            let rows = result.as_ref().map_or(0, Table::len);
+            let rows = result.as_ref().map_or(0, Partial::len);
             let mut span = SpanRecord::new(
                 "fragment",
                 worker_start_us + queue_us,
@@ -227,6 +265,9 @@ impl Gateway {
             .attr("scans", counts.scans)
             .attr("scans_shared", counts.scans_shared)
             .attr("rows_scanned", counts.rows_scanned);
+            if let Some(built) = plan_built {
+                span = span.attr("plan", if built { "built" } else { "shared" });
+            }
             if q.scatter {
                 span = span.attr("shard", worker.id);
             }
@@ -249,6 +290,10 @@ impl Gateway {
     }
 }
 
+/// The plan of one shipped statement, built by the first worker that
+/// reaches it and shared by every queue entry that runs the statement.
+type SharedPlan = Arc<OnceLock<Result<LogicalPlan, SqlError>>>;
+
 /// One fragment execution queued on one worker.
 struct Queued {
     /// The submitted fragment's slot in the round.
@@ -257,12 +302,59 @@ struct Queued {
     scatter: bool,
     /// The coordinator parsed this fragment's SQL text this round.
     parsed_here: bool,
+    plan: SharedPlan,
+}
+
+/// What one execution hands back, or several gathered: the statement's
+/// output schema and its rows, kept apart per `UNION ALL` branch until the
+/// gather has deduplicated the scattered `DISTINCT` ones.
+struct Partial {
+    schema: Schema,
+    branches: Vec<Vec<Vec<Value>>>,
+}
+
+impl Partial {
+    fn len(&self) -> usize {
+        self.branches.iter().map(Vec::len).sum()
+    }
+
+    /// The gathered table of `fragment`: for a scatter, each `DISTINCT`
+    /// branch first deduplicated across the shards' partials.
+    fn into_table(mut self, fragment: &StaticFragment) -> Table {
+        if fragment.scatter {
+            if let Ok(statement) = fragment.fragment.base_statement() {
+                let distinct = statement.branches().map(|branch| branch.distinct);
+                for (rows, distinct) in self.branches.iter_mut().zip(distinct) {
+                    if distinct {
+                        dedup_rows(rows);
+                    }
+                }
+            }
+        }
+        let mut branches = self.branches.into_iter();
+        let mut rows = branches.next().unwrap_or_default();
+        for more in branches {
+            rows.extend(more);
+        }
+        Table {
+            schema: self.schema,
+            rows,
+        }
+    }
+}
+
+/// Removes duplicate rows in place, keeping first occurrences.
+fn dedup_rows(rows: &mut Vec<Vec<Value>>) {
+    let mut seen = HashSet::with_capacity(rows.len());
+    let keep: Vec<bool> = rows.iter().map(|row| seen.insert(row.as_slice())).collect();
+    let mut keep = keep.into_iter();
+    rows.retain(|_| keep.next().unwrap_or(true));
 }
 
 /// What one worker hands back from a round.
 #[derive(Default)]
 struct WorkerOutput {
-    results: Vec<(usize, Result<Table, SqlError>)>,
+    results: Vec<(usize, Result<Partial, SqlError>)>,
     /// SQL fragment executions (pane probes count under `panes`).
     executions: u64,
     /// What each pane probe this worker answered cost, by fragment slot.
@@ -273,7 +365,9 @@ struct WorkerOutput {
 /// The gathered outcome of one federated static round.
 #[derive(Debug)]
 pub struct StaticRound {
-    /// One result per submitted fragment, in input order.
+    /// One result per submitted fragment, in input order (a scatter
+    /// fragment's partials gathered as [`Gateway::run_static_round`]
+    /// describes).
     pub tables: Vec<Result<Table, SqlError>>,
     /// Rows each worker shipped back this round — per-shard observability
     /// (skew here means one shard did most of the work). The dashboard's
@@ -477,8 +571,7 @@ mod tests {
         let wanted = vec![Value::Int(3), Value::Int(77)];
         let fragment = PlanFragment::new(0, "SELECT sensor_id FROM m", 1.0)
             .with_partition(PartitionSpec {
-                table: "m".into(),
-                column: "sensor_id".into(),
+                tables: vec![("m".into(), "sensor_id".into())],
                 column_type: ColumnType::Int,
             })
             .with_semi_joins(vec![SemiJoin::new("sensor_id", wanted.clone())]);
@@ -675,6 +768,105 @@ mod tests {
         assert_eq!(total, 4 * 40);
         let warm = g.run_static_round(&[fragment()]);
         assert_eq!(warm.panes[0].hits, 4, "repeat rounds hit every store");
+    }
+
+    /// The `plan` attribute of each worker `fragment` span of `round`.
+    fn plan_attrs(round: &StaticRound) -> Vec<String> {
+        (round.spans.iter())
+            .filter(|span| span.label == "fragment")
+            .filter_map(|span| span.attrs.iter().find(|(key, _)| key == "plan"))
+            .map(|(_, value)| match value {
+                optique_telemetry::AttrValue::Text(text) => text.clone(),
+                other => format!("{other:?}"),
+            })
+            .collect()
+    }
+
+    fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+        rows.sort_by_key(|row| format!("{row:?}"));
+        rows
+    }
+
+    /// An unpruned scatter statement is planned once per round: the first
+    /// worker to reach it builds the plan, the other three execute it, and
+    /// the gathered rows are exactly what planning on every shard gives.
+    #[test]
+    fn a_scatter_statement_is_planned_once_per_round() {
+        let cluster = cluster(4);
+        let g = Gateway::new(Arc::clone(&cluster));
+        let fragment = PlanFragment::new(
+            0,
+            "SELECT sensor_id, value FROM m WHERE value < 10 \
+             UNION ALL SELECT sensor_id, value FROM m WHERE value >= 90",
+            1.0,
+        );
+        let round = g.run_static_round(&[StaticFragment::scattered(fragment.clone())]);
+        let mut plans = plan_attrs(&round);
+        plans.sort();
+        assert_eq!(plans, ["built", "shared", "shared", "shared"]);
+        let per_shard: Vec<Vec<Value>> = (cluster.workers().iter())
+            .flat_map(|worker| fragment.execute(&worker.db).unwrap().rows)
+            .collect();
+        let gathered = round.tables[0].as_ref().unwrap().rows.clone();
+        assert_eq!(gathered.len(), 4 * 20);
+        assert_eq!(sorted(gathered), sorted(per_shard));
+    }
+
+    /// A statement that fails to plan fails the slot it serves with the
+    /// planning error — on every shard, with no panic and no hang — and
+    /// the round answers its other fragments.
+    #[test]
+    fn a_planning_error_fails_only_its_statements_slot() {
+        let g = Gateway::new(cluster(4));
+        let round = g.run_static_round(&[
+            StaticFragment::scattered(PlanFragment::new(0, "SELECT nope FROM m", 1.0)),
+            StaticFragment::scattered(PlanFragment::new(1, "SELECT sensor_id FROM m", 1.0)),
+        ]);
+        let error = round.tables[0].as_ref().unwrap_err();
+        assert!(error.to_string().contains("nope"), "{error}");
+        assert_eq!(round.tables[1].as_ref().unwrap().len(), 400);
+        let built = plan_attrs(&round).iter().filter(|p| *p == "built").count();
+        assert_eq!(built, 2, "each statement is planned once, failed or not");
+    }
+
+    /// A plan built on a worker's base catalog answers on that worker's
+    /// novelty view exactly as a plan built on the view: planning reads
+    /// only schemas, which the view shares.
+    #[test]
+    fn a_plan_built_on_the_base_answers_on_the_novelty_view() {
+        use optique_relational::{view_at, NoveltyOverlay};
+        let cluster = cluster(1);
+        let worker = &cluster.workers()[0];
+        let overlay =
+            NoveltyOverlay::empty().with_rows("m", vec![vec![Value::Int(1000), Value::Float(0.5)]]);
+        let fragment = PlanFragment::new(0, "SELECT sensor_id FROM m WHERE value < 1", 1.0)
+            .at_epoch(overlay.epoch());
+        let view = view_at(&worker.db, overlay.epoch())
+            .unwrap()
+            .expect("the overlay is newer than the base");
+        let on_base = fragment.plan(&worker.db).unwrap();
+        let on_view = fragment.plan(&view).unwrap();
+        let (rows, _) = execute_branches(&on_base, &view).unwrap();
+        assert_eq!(rows, execute_branches(&on_view, &view).unwrap().0);
+        assert_eq!(rows[0].len(), 2, "base row 0 and the appended row");
+        let round = Gateway::new(Arc::clone(&cluster))
+            .run_static_round(&[StaticFragment::placed(fragment)]);
+        assert_eq!(round.tables[0].as_ref().unwrap().rows, rows[0]);
+    }
+
+    /// A scattered `DISTINCT` branch is deduplicated across shards, and
+    /// only against its own rows: branches answering the same values keep
+    /// every copy, as their `UNION ALL` does.
+    #[test]
+    fn scatter_dedups_each_distinct_branch_alone() {
+        let g = Gateway::new(cluster(4));
+        // Every shard holds the values 0..100.
+        let sql = "SELECT DISTINCT value FROM m \
+                   UNION ALL SELECT DISTINCT value FROM m WHERE value < 10 \
+                   UNION ALL SELECT value FROM m WHERE value < 10";
+        let round =
+            g.run_static_round(&[StaticFragment::scattered(PlanFragment::new(0, sql, 1.0))]);
+        assert_eq!(round.tables[0].as_ref().unwrap().len(), 100 + 10 + 4 * 10);
     }
 
     #[test]

@@ -60,6 +60,26 @@ pub fn execute_counted(plan: &LogicalPlan, db: &Database) -> Result<(Table, Exec
     Ok((table, exec.counts.get()))
 }
 
+/// [`execute_counted`], keeping the rows of each input of a root `UNION
+/// ALL` apart: one row list per input, in order (one list for any other
+/// plan). The inputs share one scan memo, as they do under
+/// [`execute_counted`]. A `UNION ALL` statement plans to exactly such a
+/// root, one input per branch, so the lists are its branches' answers.
+pub fn execute_branches(
+    plan: &LogicalPlan,
+    db: &Database,
+) -> Result<(Vec<Vec<Row>>, ExecCounts), SqlError> {
+    let exec = Exec::new(plan, db);
+    let inputs = match plan {
+        LogicalPlan::Union { inputs } => inputs.as_slice(),
+        other => std::slice::from_ref(other),
+    };
+    let branches = (inputs.iter())
+        .map(|input| Ok(exec.run(input)?.into_owned()))
+        .collect::<Result<_, SqlError>>()?;
+    Ok((branches, exec.counts.get()))
+}
+
 /// Convenience: parse, plan, optimize, execute.
 pub fn query(sql: &str, db: &Database) -> Result<Table, SqlError> {
     let stmt = crate::parser::parse_select(sql)?;
@@ -775,6 +795,36 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t.len(), 5);
+    }
+
+    /// Per-branch execution returns the same rows as the concatenation,
+    /// split at the branch boundaries, and shares repeated scans alike.
+    #[test]
+    fn branches_split_a_union_at_its_inputs() {
+        let db = db();
+        let sql = "SELECT value FROM m WHERE sensor_id = 1 UNION ALL \
+                   SELECT value FROM m WHERE sensor_id = 2 UNION ALL \
+                   SELECT value FROM m WHERE sensor_id = 1";
+        let plan = crate::optimizer::optimize(
+            crate::plan::plan_select(&crate::parser::parse_select(sql).unwrap(), &db).unwrap(),
+        );
+        let (whole, counts) = execute_counted(&plan, &db).unwrap();
+        let (branches, branch_counts) = execute_branches(&plan, &db).unwrap();
+        assert_eq!(branches.iter().map(Vec::len).collect::<Vec<_>>(), [3, 2, 3]);
+        assert_eq!(branches.concat(), whole.rows);
+        assert_eq!(branch_counts, counts);
+        assert_eq!(
+            counts.scans_shared, 1,
+            "the repeated branch shares its scan"
+        );
+
+        let single = crate::plan::plan_select(
+            &crate::parser::parse_select("SELECT value FROM m").unwrap(),
+            &db,
+        )
+        .unwrap();
+        let (branches, _) = execute_branches(&single, &db).unwrap();
+        assert_eq!(branches.len(), 1, "a plain statement is one branch");
     }
 
     #[test]

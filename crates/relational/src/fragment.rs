@@ -1,16 +1,21 @@
 //! Plan fragments and result batches — the unit of work and the unit of
 //! result of the federated pipeline.
 //!
-//! A coordinator splits an unfolded `UNION ALL` statement into per-disjunct
-//! [`PlanFragment`]s, each carrying its **typed** [`SelectStatement`]
+//! A coordinator ships an unfolded `UNION ALL` statement as
+//! [`PlanFragment`]s — one per routing group of its branches, each a
+//! `UNION ALL` of its own carrying its **typed** [`SelectStatement`]
 //! straight from the unfolder (or, for a STARQL window, straight from the
-//! engine), and hands them to ExaStream workers. Workers are threads of the
-//! coordinator's process, and the boundary says so. What crosses it:
+//! engine) — and hands them to ExaStream workers. Workers are threads of
+//! the coordinator's process, and the boundary says so. What crosses it:
 //!
 //! * an `Arc<PlanFragment>` — the statement is shared, never printed,
-//!   encoded or re-parsed on the request path; each worker runs slice →
-//!   restrict → [`execute_prepared`] off the same AST and moves its
-//!   [`Table`] back;
+//!   encoded or re-parsed on the request path. A fragment's execution has
+//!   two halves: [`PlanFragment::plan`] slices, restricts and plans it
+//!   against a catalog's schemas, and [`crate::exec::execute_branches`]
+//!   runs that plan on a catalog's rows. Planning reads only schemas, which
+//!   every shard and novelty view of a table shares, so a statement that
+//!   runs unchanged on several shards is planned once per round and its
+//!   [`LogicalPlan`] shared; each worker moves its rows back;
 //! * **term ids** — text values are [`crate::dict::TermDict`] terms, so a
 //!   fragment's restriction lists and a result's text cells are only
 //!   meaningful inside the process that interned them;
@@ -44,7 +49,9 @@
 //!   column or an `iri_template` minting over it), each restriction value
 //!   can only match rows on the shard it hashes to — the fragment ships
 //!   only to those shards, each carrying just its shard's slice of the
-//!   `IN`-list.
+//!   `IN`-list. A `UNION ALL` fragment prunes when every branch derives the
+//!   restricted columns from its key the same way ([`key_routing`]): one
+//!   slice then serves every branch.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -57,6 +64,7 @@ use crate::exec::ExecCounts;
 use crate::expr::{BinOp, Expr};
 use crate::panes::PaneProbe;
 use crate::parser::{Projection, SelectStatement, TableRef};
+use crate::plan::LogicalPlan;
 use crate::schema::{Column, ColumnType, Schema};
 use crate::table::{Database, Table};
 use crate::value::Value;
@@ -132,16 +140,17 @@ pub struct WindowSlice {
 }
 
 /// Partition-layout metadata a coordinator attaches to a scatter fragment:
-/// the fragment scans `table`, hash-partitioned across the workers on
-/// `column` (of `column_type`). Pure routing metadata — execution ignores
-/// it — but [`PlanFragment::shard_plan`] uses it to prune the scatter.
+/// the hash-partitioned tables the fragment scans, each with its
+/// partition-key column, the keys all of `column_type`. Pure routing
+/// metadata — execution ignores it — but [`PlanFragment::shard_plan`] uses
+/// it to prune the scatter.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PartitionSpec {
-    /// The hash-partitioned base table the fragment scans.
-    pub table: String,
-    /// Its partition-key column.
-    pub column: String,
-    /// The key column's declared type (drives `IN`-list value coercion when
+    /// `(table, key column)` of each hash-partitioned base table the
+    /// fragment scans (the branches of a `UNION ALL` fragment may scan
+    /// several).
+    pub tables: Vec<(String, String)>,
+    /// The key columns' declared type (drives `IN`-list value coercion when
     /// inverting minted IRIs back to raw keys).
     pub column_type: ColumnType,
 }
@@ -322,28 +331,41 @@ impl PlanFragment {
         Ok(Cow::Owned(restrict_statement(statement, &self.semi_joins)))
     }
 
-    /// Slices, restricts and executes the fragment against `db` — the one
-    /// entry point workers and coordinators share, so a window slice or
-    /// restriction is never silently dropped on any execution path.
-    pub fn execute(&self, db: &Database) -> Result<Table, SqlError> {
-        let view = crate::novelty::view_at(db, self.novelty_epoch)?;
-        self.execute_on(view.as_ref().unwrap_or(db))
-            .map(|(table, _)| table)
+    /// The fragment's base statement, owned: moved out when nothing else
+    /// shares it, cloned otherwise. A text-built fragment nobody parsed
+    /// yet parses here.
+    pub fn into_statement(self) -> Result<SelectStatement, SqlError> {
+        let shared = match self.body {
+            Body::Typed(statement) => statement,
+            Body::Text { sql, parsed } => match parsed.into_inner() {
+                Some(parsed) => parsed?,
+                None => Arc::new(crate::parser::parse_select(&sql)?),
+            },
+        };
+        Ok(Arc::try_unwrap(shared).unwrap_or_else(|shared| SelectStatement::clone(&shared)))
     }
 
-    /// [`Self::execute`] over a catalog whose novelty view the caller has
-    /// already resolved for [`Self::novelty_epoch`] (a worker resolves one
-    /// view per epoch per round, not one per fragment), also reporting the
-    /// scan work (none for a pane probe).
-    pub fn execute_on(&self, db: &Database) -> Result<(Table, ExecCounts), SqlError> {
+    /// Slices, restricts and plans the fragment against `db`'s schemas —
+    /// the first half of every execution, so a window slice or restriction
+    /// is never silently dropped on any path. Planning reads only schemas:
+    /// the plan executes unchanged on every shard and every novelty view of
+    /// the tables it scans ([`crate::exec::execute_branches`]).
+    pub fn plan(&self, db: &Database) -> Result<LogicalPlan, SqlError> {
+        plan_prepared(self.prepared()?.as_ref(), db)
+    }
+
+    /// Plans and executes the fragment against `db`, at its novelty epoch —
+    /// what a coordinator runs when it answers a fragment itself.
+    pub fn execute(&self, db: &Database) -> Result<Table, SqlError> {
+        let view = crate::novelty::view_at(db, self.novelty_epoch)?;
+        let db = view.as_ref().unwrap_or(db);
         // A pane probe bypasses SQL execution entirely: the store-less
         // reference fold keeps coordinator fallbacks and single-worker
         // loopbacks bit-identical to the pane-store answers.
         if let Some(probe) = &self.pane {
-            let table = crate::panes::compute_window_aggregates(probe, db)?;
-            return Ok((table, ExecCounts::default()));
+            return crate::panes::compute_window_aggregates(probe, db);
         }
-        execute_prepared_counted(self.prepared()?.as_ref(), db)
+        crate::exec::execute(&self.plan(db)?, db)
     }
 
     /// A one-line human summary for trace spans and plan displays: the
@@ -376,7 +398,9 @@ impl PlanFragment {
             let _ = write!(out, " [⋉ {} col, {} key]", self.semi_joins.len(), keys);
         }
         if let Some(part) = &self.partition {
-            let _ = write!(out, " [part {}]", part.column);
+            let columns: BTreeSet<&str> = part.tables.iter().map(|(_, c)| c.as_str()).collect();
+            let columns: Vec<&str> = columns.into_iter().collect();
+            let _ = write!(out, " [part {}]", columns.join(","));
         }
         out
     }
@@ -419,8 +443,15 @@ pub fn execute_prepared_counted(
     statement: &SelectStatement,
     db: &Database,
 ) -> Result<(Table, ExecCounts), SqlError> {
-    let plan = crate::optimizer::optimize(crate::plan::plan_select(statement, db)?);
-    crate::exec::execute_counted(&plan, db)
+    crate::exec::execute_counted(&plan_prepared(statement, db)?, db)
+}
+
+/// Plans and optimizes an already-built statement against `db`'s schemas —
+/// the planning half of [`execute_prepared_counted`].
+fn plan_prepared(statement: &SelectStatement, db: &Database) -> Result<LogicalPlan, SqlError> {
+    Ok(crate::optimizer::optimize(crate::plan::plan_select(
+        statement, db,
+    )?))
 }
 
 /// The base tables a statement reads, across joins, subqueries and
@@ -574,10 +605,10 @@ pub enum ShardCompatibility {
     /// the partial results concatenate to the global answer. Either exactly
     /// one partitioned scan, or several whose partition keys the join
     /// conditions equate (**co-partitioned** — joining rows share a shard).
+    ///
+    /// A DISTINCT statement scatters too: shard-local dedup cannot see
+    /// cross-shard duplicates, so the gather deduplicates its partials.
     Scatter {
-        /// The statement is DISTINCT: shard-local dedup cannot see
-        /// cross-shard duplicates, so the gathered concat must be deduped.
-        dedup: bool,
         /// A partitioned table the statement scans (the first occurrence) —
         /// the routing spec shard pruning keys on.
         table: String,
@@ -613,18 +644,18 @@ enum RefOutcome {
 
 /// Walks a statement tree (including subqueries and `UNION ALL`) checking
 /// whether any base-table reference is partitioned.
-fn references_partitioned(statement: &SelectStatement, partitioned: &[&str]) -> bool {
+fn references_partitioned(statement: &SelectStatement, partition: &[(String, String)]) -> bool {
     let mut refs = vec![&statement.from];
     refs.extend(statement.joins.iter().map(|j| &j.table));
     for table_ref in refs {
         match table_ref {
             TableRef::Named { name, .. } => {
-                if partitioned.iter().any(|t| t == name) {
+                if partition.iter().any(|(t, _)| t == name) {
                     return true;
                 }
             }
             TableRef::Subquery { query, .. } => {
-                if references_partitioned(query, partitioned) {
+                if references_partitioned(query, partition) {
                     return true;
                 }
             }
@@ -633,7 +664,7 @@ fn references_partitioned(statement: &SelectStatement, partitioned: &[&str]) -> 
     statement
         .union_all
         .as_deref()
-        .is_some_and(|next| references_partitioned(next, partitioned))
+        .is_some_and(|next| references_partitioned(next, partition))
 }
 
 /// True when concatenating per-shard results of `statement` yields the
@@ -654,7 +685,6 @@ fn concat_decomposable(statement: &SelectStatement) -> bool {
 
 /// Resolves one top-level relation against the partition map.
 fn analyze_ref(table_ref: &TableRef, partition: &[(String, String)], sole_ref: bool) -> RefOutcome {
-    let names: Vec<&str> = partition.iter().map(|(t, _)| t.as_str()).collect();
     let key_of = |table: &str| {
         partition
             .iter()
@@ -677,7 +707,7 @@ fn analyze_ref(table_ref: &TableRef, partition: &[(String, String)], sole_ref: b
             }
         },
         TableRef::Subquery { query, alias } => {
-            if !references_partitioned(query, &names) {
+            if !references_partitioned(query, partition) {
                 return RefOutcome::Replicated;
             }
             // The scan must be a simple, concat-decomposable select over
@@ -794,8 +824,7 @@ pub fn shard_compatibility(
     statement: &SelectStatement,
     partition: &[(String, String)],
 ) -> ShardCompatibility {
-    let names: Vec<&str> = partition.iter().map(|(t, _)| t.as_str()).collect();
-    if partition.is_empty() || !references_partitioned(statement, &names) {
+    if !references_partitioned(statement, partition) {
         return ShardCompatibility::Unpartitioned;
     }
     if !concat_decomposable(statement) {
@@ -824,7 +853,6 @@ pub fn shard_compatibility(
         }
     }
     let scatter = |first: &PartitionedOccurrence| ShardCompatibility::Scatter {
-        dedup: statement.distinct,
         table: first.table.clone(),
         column: first.key.clone(),
     };
@@ -861,6 +889,7 @@ pub fn shard_compatibility(
 }
 
 /// How a restricted output column derives from the partition key.
+#[derive(Clone, Debug, PartialEq)]
 enum KeyDerivation {
     /// The projection is the key column itself.
     Direct,
@@ -868,14 +897,74 @@ enum KeyDerivation {
     Template(String),
 }
 
+/// How a statement derives the output columns its semi-joins restrict from
+/// its partition keys: per key-derived restriction (by index), the
+/// derivation — what shard pruning inverts each restriction value by.
+/// Two statements with equal routing (and keys of one type) prune by the
+/// same per-shard slices. Empty when no restriction is key-derived, or
+/// when the branches of a `UNION ALL` statement disagree: then nothing
+/// prunes.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct KeyRouting(Vec<(usize, KeyDerivation)>);
+
+impl KeyRouting {
+    /// True when no restriction routes: the statement scatters unpruned.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// The [`KeyRouting`] of `statement` under `semi_joins`, where `partition`
+/// lists the hash-partitioned `(table, key column)` pairs: every branch of
+/// a `UNION ALL` must route alike, or the statement does not route.
+pub fn key_routing(
+    statement: &SelectStatement,
+    partition: &[(String, String)],
+    semi_joins: &[SemiJoin],
+) -> KeyRouting {
+    let mut branches =
+        (statement.branches()).map(|branch| branch_routing(branch, partition, semi_joins));
+    let first = branches.next().unwrap_or_default();
+    if first.is_empty() || !branches.all(|routing| routing == first) {
+        return KeyRouting::default();
+    }
+    KeyRouting(first)
+}
+
+/// [`key_routing`] of one branch (its `union_all` ignored).
+fn branch_routing(
+    statement: &SelectStatement,
+    partition: &[(String, String)],
+    semi_joins: &[SemiJoin],
+) -> Vec<(usize, KeyDerivation)> {
+    // Outer names of the partition key (co-partitioned occurrences all
+    // qualify — their keys are equated, so any of them routes).
+    let mut key_names: BTreeSet<String> = BTreeSet::new();
+    let sole_ref = statement.joins.is_empty();
+    let mut refs = vec![&statement.from];
+    refs.extend(statement.joins.iter().map(|j| &j.table));
+    for table_ref in refs {
+        if let RefOutcome::Partitioned(occurrence) = analyze_ref(table_ref, partition, sole_ref) {
+            key_names.extend(occurrence.key_names);
+        }
+    }
+    if key_names.is_empty() {
+        return Vec::new();
+    }
+    (semi_joins.iter().enumerate())
+        .filter_map(|(idx, semi)| Some((idx, key_derivation(statement, &semi.column, &key_names)?)))
+        .collect()
+}
+
 impl PlanFragment {
     /// Shard-pruned scatter plan: when this fragment carries partition
     /// metadata and a semi-join restricts an output column derived 1:1 from
-    /// the partition key, each restriction value can only match rows on the
-    /// shard it hashes to. Returns the per-shard fragments to run — each
-    /// carrying only its shard's slice of the key-derived `IN`-lists — for
-    /// exactly the shards that can hold matching rows (shard 0 always
-    /// included: NULL keys live there and NULL outputs survive every
+    /// the partition key — the same way in every branch ([`key_routing`]) —
+    /// each restriction value can only match rows on the shard it hashes
+    /// to. Returns the per-shard fragments to run — each carrying only its
+    /// shard's slice of the key-derived `IN`-lists, which every branch
+    /// reads — for exactly the shards that can hold matching rows (shard 0
+    /// always included: NULL keys live there and NULL outputs survive every
     /// restriction). When a large list targets every shard the plan still
     /// pays off: each worker receives only its slice of the values. `None`
     /// means no key derivation applies and the fragment must scatter to
@@ -892,34 +981,7 @@ impl PlanFragment {
             return None;
         }
         let statement = self.base_statement().ok()?;
-        if statement.union_all.is_some() {
-            return None;
-        }
-        // Outer names of the partition key (co-partitioned occurrences all
-        // qualify — their keys are equated, so any of them routes).
-        let mut key_names: BTreeSet<String> = BTreeSet::new();
-        let sole_ref = statement.joins.is_empty();
-        let partition_pair = [(spec.table.clone(), spec.column.clone())];
-        let mut refs = vec![&statement.from];
-        refs.extend(statement.joins.iter().map(|j| &j.table));
-        for table_ref in refs {
-            if let RefOutcome::Partitioned(occurrence) =
-                analyze_ref(table_ref, &partition_pair, sole_ref)
-            {
-                key_names.extend(occurrence.key_names);
-            }
-        }
-        if key_names.is_empty() {
-            return None;
-        }
-
-        // Which semi-joins restrict a key-derived output column?
-        let mut derivations: Vec<(usize, KeyDerivation)> = Vec::new();
-        for (idx, semi) in self.semi_joins.iter().enumerate() {
-            if let Some(derivation) = key_derivation(statement, &semi.column, &key_names) {
-                derivations.push((idx, derivation));
-            }
-        }
+        let KeyRouting(derivations) = key_routing(statement, &spec.tables, &self.semi_joins);
         if derivations.is_empty() {
             return None;
         }
@@ -1549,8 +1611,7 @@ mod tests {
     fn partition_spec_round_trips_the_wire() {
         let f = PlanFragment::new(4, "SELECT sid FROM sensors", 1.0)
             .with_partition(PartitionSpec {
-                table: "sensors".into(),
-                column: "sid".into(),
+                tables: vec![("sensors".into(), "sid".into())],
                 column_type: ColumnType::Int,
             })
             .with_semi_joins(vec![SemiJoin::new("sid", vec![Value::Int(3)])]);
@@ -1584,11 +1645,11 @@ mod tests {
     fn single_partitioned_scan_scatters() {
         assert!(matches!(
             compat("SELECT sid FROM sensors"),
-            ShardCompatibility::Scatter { dedup: false, .. }
+            ShardCompatibility::Scatter { .. }
         ));
         assert!(matches!(
             compat("SELECT DISTINCT sid FROM sensors"),
-            ShardCompatibility::Scatter { dedup: true, .. }
+            ShardCompatibility::Scatter { .. }
         ));
         assert!(matches!(
             compat("SELECT s.sid FROM (SELECT sid FROM sensors WHERE sid > 3) AS s"),
@@ -1685,8 +1746,7 @@ mod tests {
             1.0,
         )
         .with_partition(PartitionSpec {
-            table: "sensors".into(),
-            column: "sid".into(),
+            tables: vec![("sensors".into(), "sid".into())],
             column_type: ColumnType::Int,
         })
         .with_semi_joins(vec![SemiJoin::new("s", values)])
@@ -1728,14 +1788,53 @@ mod tests {
         assert!(pruned_fragment(vec![]).shard_plan(1).is_none());
         let no_semi =
             PlanFragment::new(0, "SELECT sid FROM sensors", 1.0).with_partition(PartitionSpec {
-                table: "sensors".into(),
-                column: "sid".into(),
+                tables: vec![("sensors".into(), "sid".into())],
                 column_type: ColumnType::Int,
             });
         assert!(no_semi.shard_plan(4).is_none());
         let non_key =
             pruned_fragment(vec![]).with_semi_joins(vec![SemiJoin::new("a", vec![Value::Int(1)])]);
         assert!(non_key.shard_plan(4).is_none());
+    }
+
+    /// A `UNION ALL` prunes when every branch derives the restricted
+    /// column from its key the same way — across tables — and scatters
+    /// unpruned when one branch does not.
+    #[test]
+    fn shard_plan_routes_a_union_whose_branches_agree() {
+        let spec = PartitionSpec {
+            tables: vec![
+                ("sensors".into(), "sid".into()),
+                ("probes".into(), "pid".into()),
+            ],
+            column_type: ColumnType::Int,
+        };
+        let union = |second: &str| {
+            PlanFragment::new(
+                0,
+                format!(
+                    "SELECT iri_template('http://x/sensor/{{}}', u0.sid) AS s \
+                     FROM (SELECT sid FROM sensors) AS u0 UNION ALL {second}"
+                ),
+                1.0,
+            )
+            .with_partition(spec.clone())
+            .with_semi_joins(vec![SemiJoin::new(
+                "s",
+                vec![Value::text("http://x/sensor/1")],
+            )])
+        };
+        let agreeing = union(
+            "SELECT iri_template('http://x/sensor/{}', u0.pid) AS s \
+             FROM (SELECT pid FROM probes) AS u0",
+        );
+        let plan = agreeing.shard_plan(8).expect("both branches route alike");
+        assert!(plan.len() <= 2, "shard(1) and the NULL home: {plan:?}");
+        let unkeyed = union(
+            "SELECT iri_template('http://x/sensor/{}', u0.aid) AS s \
+             FROM (SELECT aid FROM probes) AS u0",
+        );
+        assert!(unkeyed.shard_plan(8).is_none());
     }
 
     /// Regression: a Text partition key holding `""` mints the bare
@@ -1751,8 +1850,7 @@ mod tests {
             1.0,
         )
         .with_partition(PartitionSpec {
-            table: "sensors".into(),
-            column: "sid".into(),
+            tables: vec![("sensors".into(), "sid".into())],
             column_type: ColumnType::Text,
         })
         .with_semi_joins(vec![SemiJoin::new(
@@ -1781,8 +1879,7 @@ mod tests {
             1.0,
         )
         .with_partition(PartitionSpec {
-            table: "events".into(),
-            column: "ts".into(),
+            tables: vec![("events".into(), "ts".into())],
             column_type: ColumnType::Timestamp,
         })
         .with_semi_joins(vec![SemiJoin::new("e", vec![Value::text("http://x/e/@5")])]);

@@ -52,11 +52,12 @@ pub mod wire;
 
 pub use dict::{DictSnapshot, Term, TermDict};
 pub use error::SqlError;
-pub use exec::{execute, ExecCounts};
+pub use exec::{execute, execute_branches, ExecCounts};
 pub use expr::Expr;
 pub use fragment::{
-    execute_prepared, execute_prepared_counted, referenced_tables, shard_compatibility, shard_of,
-    PartitionSpec, PlanFragment, ResultBatch, SemiJoin, ShardCompatibility, WindowSlice,
+    execute_prepared, execute_prepared_counted, key_routing, referenced_tables,
+    shard_compatibility, shard_of, KeyRouting, PartitionSpec, PlanFragment, ResultBatch, SemiJoin,
+    ShardCompatibility, WindowSlice,
 };
 pub use novelty::{view_at, NoveltyLog, NoveltyOverlay, NoveltyScope};
 pub use panes::{

@@ -96,6 +96,23 @@ pub struct SelectStatement {
 }
 
 impl SelectStatement {
+    /// The statement and each `UNION ALL` branch chained after it, in
+    /// order.
+    pub fn branches(&self) -> impl Iterator<Item = &SelectStatement> {
+        std::iter::successors(Some(self), |s| s.union_all.as_deref())
+    }
+
+    /// Chains single statements into one `UNION ALL` statement, by move —
+    /// back to front, so each is linked once. `None` for no statements.
+    pub fn union_all_of(statements: Vec<SelectStatement>) -> Option<SelectStatement> {
+        let mut chain: Option<SelectStatement> = None;
+        for mut statement in statements.into_iter().rev() {
+            statement.union_all = chain.take().map(Box::new);
+            chain = Some(statement);
+        }
+        chain
+    }
+
     /// `SELECT <projections> FROM <from>` and no other clause — the base
     /// for statements built as ASTs rather than parsed.
     pub fn plain(projections: Vec<Projection>, from: TableRef) -> Self {

@@ -58,13 +58,10 @@ impl PlanFragment {
             );
         }
         if let Some(part) = &self.partition {
-            let _ = write!(
-                out,
-                "\npart\t{}\t{}\t{}",
-                escape(&part.table),
-                escape(&part.column),
-                part.column_type
-            );
+            let _ = write!(out, "\npart\t{}", part.column_type);
+            for (table, column) in &part.tables {
+                let _ = write!(out, "\t{}\t{}", escape(table), escape(column));
+            }
         }
         for semi in &self.semi_joins {
             // An all-text restriction (the common case: key-derived IRI
@@ -203,17 +200,15 @@ impl PlanFragment {
                     });
                 }
                 Some("part") => {
-                    let mut field = || {
-                        fields
-                            .next()
-                            .ok_or_else(|| SqlError::Execution("partition field missing".into()))
-                    };
-                    let table = unescape(field()?)?;
-                    let column = unescape(field()?)?;
-                    let column_type = decode_type(field()?)?;
+                    let missing = || SqlError::Execution("partition field missing".into());
+                    let column_type = decode_type(fields.next().ok_or_else(missing)?)?;
+                    let mut tables = Vec::new();
+                    while let Some(table) = fields.next() {
+                        let column = fields.next().ok_or_else(missing)?;
+                        tables.push((unescape(table)?, unescape(column)?));
+                    }
                     partition = Some(PartitionSpec {
-                        table,
-                        column,
+                        tables,
                         column_type,
                     });
                 }

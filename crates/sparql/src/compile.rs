@@ -13,12 +13,13 @@
 //!
 //! * **single-node** (the default): the whole `UNION ALL` chain runs on the
 //!   pipeline's [`Database`];
-//! * **federated**: a [`FragmentExecutor`] receives one [`PlanFragment`]
-//!   per unfolded disjunct ([`split_union_chain`]) and executes them on a
-//!   worker pool (ExaStream, in `optique`'s wiring); the per-fragment
-//!   tables merge back into one solution set in
-//!   [`crate::eval::solutions_from_tables`]. Both backends produce the same
-//!   certain-answer *set*, which the federation equivalence suite asserts.
+//! * **federated**: a [`FragmentExecutor`] receives the whole `UNION ALL`
+//!   as **one** [`PlanFragment`] per BGP and executes it on a worker pool
+//!   (ExaStream, in `optique`'s wiring), which regroups the disjuncts into
+//!   one statement per routing group; the gathered table merges back into
+//!   one solution set in [`crate::eval::solutions_from_tables`]. Both
+//!   backends produce the same certain-answer *set*, which the federation
+//!   equivalence suite asserts.
 //!
 //! A [`BgpCache`] can be attached to memoize whole-BGP solution sets across
 //! `OPTIONAL`/`UNION` branches and across queries.
@@ -59,19 +60,22 @@ use crate::results::SparqlResults;
 pub struct FragmentRound {
     /// One result per fragment, in fragment order: its table or its error.
     pub tables: Vec<Result<Table, String>>,
-    /// Fragments the executor could not ship and answered on the
+    /// Statements the round executed: an executor that regroups a
+    /// fragment's `UNION ALL` branches runs one statement per group.
+    pub statements: usize,
+    /// Disjuncts the executor could not ship and answered on the
     /// coordinator instead (0 for fully-shipped rounds).
     pub coordinator_fallbacks: usize,
-    /// Fragments that executed sharded (scattered over a hash-partitioned
+    /// Disjuncts that executed sharded (scattered over a hash-partitioned
     /// table's per-worker shards).
     pub partitioned_fragments: usize,
-    /// Fragments that fell back one rung on the ladder — answered by a
+    /// Disjuncts that fell back one rung on the ladder — answered by a
     /// single worker's replicas while the executor's catalog had
     /// partitioned tables (0 for fully-replicated executors, where placed
     /// execution is the design, not a fallback).
     pub replicated_fallbacks: usize,
-    /// Scatter executions skipped because key routing proved the shard
-    /// could hold no matching row.
+    /// Scatter statement executions skipped because key routing proved
+    /// the shard could hold no matching row.
     pub shards_pruned: usize,
     /// Fragment executions that needed no SQL parse this round (the
     /// statement arrived typed, or its one parse was already paid).
@@ -94,10 +98,11 @@ pub struct FragmentRound {
 }
 
 /// A distributed backend for unfolded-SQL execution: takes one
-/// [`PlanFragment`] per disjunct, returns one result per fragment, in
-/// order. Implementations hand fragments to workers however they like (the
-/// platform's implementation rides ExaStream's gateway and scheduler)
-/// but **must honor each fragment's semi-join restrictions** — executing
+/// [`PlanFragment`] per BGP (the whole unfolded `UNION ALL`), returns one
+/// result per fragment, in order. Implementations hand fragments to
+/// workers however they like (the platform's implementation regroups the
+/// disjuncts and rides ExaStream's gateway and scheduler) but **must
+/// honor each fragment's semi-join restrictions** — executing
 /// through [`PlanFragment::execute`] does so; executing the bare
 /// [`PlanFragment::base_statement`] silently widens the answer a worker
 /// returns.
@@ -174,9 +179,11 @@ pub struct PipelineStats {
     pub cache_hits: usize,
     /// BGPs that went through the full pipeline (cache attached but cold).
     pub cache_misses: usize,
-    /// Plan fragments shipped to the distributed executor.
+    /// Statements the distributed executor ran: one per routing group of
+    /// each BGP's unfolded `UNION ALL` (a whole scatter over one shard set
+    /// is one).
     pub fragments: usize,
-    /// Fragments the executor answered on the coordinator instead of a
+    /// Disjuncts the executor answered on the coordinator instead of a
     /// worker (a silent-fallback "distributed" run shows up here).
     pub coordinator_fallbacks: usize,
     /// Join batches the planner executed in a non-textual order.
@@ -193,13 +200,13 @@ pub struct PipelineStats {
     /// Rows returned by SQL execution (summed over fragments / statements)
     /// before the residual merge — semi-join pushdown shrinks this.
     pub fragment_rows: usize,
-    /// Fragments executed sharded over a hash-partitioned table.
+    /// Disjuncts executed sharded over a hash-partitioned table.
     pub partitioned_fragments: usize,
-    /// Fragments answered by a single worker's replicas while the executor
+    /// Disjuncts answered by a single worker's replicas while the executor
     /// held partitioned tables (the middle rung of the sharded → replicated
     /// → coordinator ladder).
     pub replicated_fallbacks: usize,
-    /// Scatter executions skipped by partition-key routing (shards that
+    /// Statement executions skipped by partition-key routing (shards that
     /// provably held no matching row).
     pub shards_pruned: usize,
     /// Fragment executions that needed no SQL parse (the pipeline's own
@@ -632,8 +639,8 @@ impl<'a> StaticPipeline<'a> {
     }
 
     /// Runs one unfolded `UNION ALL` statement: on the distributed executor
-    /// as per-disjunct fragments when one is attached, on the local engine
-    /// otherwise. Semi-join restrictions ride on each fragment (federated)
+    /// as one fragment when one is attached, on the local engine
+    /// otherwise. Semi-join restrictions ride on the fragment (federated)
     /// or wrap the statement structurally (single-node) — value lists are
     /// never spliced into SQL text. Returns the result tables to merge.
     fn execute_statement(
@@ -645,36 +652,26 @@ impl<'a> StaticPipeline<'a> {
     ) -> Result<Vec<Table>, SparqlError> {
         match self.executor {
             Some(executor) => {
-                let fragments: Vec<PlanFragment> = split_union_chain(statement)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, stmt)| {
-                        // Cost estimate: FROM item count (join width drives
-                        // disjunct cost far more than anything else we can
-                        // see statically).
-                        let cost = (stmt.joins.len() + 1) as f64;
-                        // The fragment carries the unfolder's AST as is —
-                        // nothing prints or re-parses it on the way to a
-                        // worker. Pin the round at the coordinator
-                        // snapshot's novelty epoch: every worker resolves
-                        // the same overlay, so one round never mixes pre-
-                        // and post-append rows.
-                        PlanFragment::from_statement(i as u64, stmt, cost)
-                            .with_semi_joins(semi_joins.to_vec())
-                            .at_epoch(self.db.novelty_epoch())
-                    })
-                    .collect();
-                stats.fragments += fragments.len();
+                // The fragment carries the unfolder's AST as is — nothing
+                // prints or re-parses it on the way to a worker — and the
+                // executor costs the disjuncts it regroups. Pin the round at
+                // the coordinator snapshot's novelty epoch: every worker
+                // resolves the same overlay, so one round never mixes pre-
+                // and post-append rows.
+                let fragment = PlanFragment::from_statement(0, statement, 1.0)
+                    .with_semi_joins(semi_joins.to_vec())
+                    .at_epoch(self.db.novelty_epoch());
                 // The round's worker spans are recorded relative to its own
                 // start; capture that instant on the tracer's clock so the
                 // graft lands them under the exec span at the right offset.
                 let round_base = self.tracer.map(|t| t.now_us());
                 let failed =
                     |e: String| SparqlError::execution(format!("federated execution failed: {e}"));
-                let round = executor.execute(fragments).map_err(failed)?;
+                let round = executor.execute(vec![fragment]).map_err(failed)?;
                 if let (Some(tracer), Some(base)) = (self.tracer, round_base) {
                     tracer.graft(parent, base, &round.spans);
                 }
+                stats.fragments += round.statements;
                 stats.coordinator_fallbacks += round.coordinator_fallbacks;
                 stats.partitioned_fragments += round.partitioned_fragments;
                 stats.replicated_fallbacks += round.replicated_fallbacks;
@@ -741,8 +738,9 @@ fn element_vars(element: &PatternElement) -> Vec<String> {
     }
 }
 
-/// Splits an unfolded `UNION ALL` chain into its disjunct statements — the
-/// inverse of the unfolder's chaining, and the unit of federated execution.
+/// Splits an unfolded `UNION ALL` chain into its disjunct statements, by
+/// move — the inverse of the unfolder's chaining, and what a federation
+/// classifies and regroups.
 pub fn split_union_chain(statement: SelectStatement) -> Vec<SelectStatement> {
     let mut out = Vec::new();
     let mut cursor = Some(statement);
@@ -990,7 +988,7 @@ mod tests {
 
     impl FragmentExecutor for Loopback {
         fn execute(&self, fragments: Vec<PlanFragment>) -> Result<FragmentRound, String> {
-            let tables = fragments
+            let tables: Vec<_> = fragments
                 .into_iter()
                 .map(|f| {
                     let decoded = PlanFragment::decode(&f.encode()).map_err(|e| e.to_string())?;
@@ -998,6 +996,7 @@ mod tests {
                 })
                 .collect();
             Ok(FragmentRound {
+                statements: tables.len(),
                 tables,
                 ..FragmentRound::default()
             })

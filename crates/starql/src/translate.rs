@@ -234,7 +234,7 @@ pub fn translate(
     // ships. Rendered from the per-disjunct statements before they are
     // chained.
     let mut fleet: Vec<String> = statements.iter().map(|s| s.to_string()).collect();
-    let static_sql = chain_statements(statements);
+    let static_sql = SelectStatement::union_all_of(statements);
     for property in having_properties(&having) {
         let stream_assertions = ctx.mappings.for_property(&property);
         let n = stream_assertions.len().max(1);
@@ -291,22 +291,6 @@ fn push_filters(
             if answer_vars.iter().any(|v| v == alias))
     });
     Ok(())
-}
-
-/// Chains unfolded disjunct statements back into one `UNION ALL` statement.
-/// Built back-to-front so each statement is linked exactly once (O(n), not
-/// O(n²) tail re-walks).
-fn chain_statements(statements: Vec<SelectStatement>) -> Option<SelectStatement> {
-    let mut chain: Option<SelectStatement> = None;
-    for mut statement in statements.into_iter().rev() {
-        debug_assert!(
-            statement.union_all.is_none(),
-            "split_union_chain yields single statements"
-        );
-        statement.union_all = chain.take().map(Box::new);
-        chain = Some(statement);
-    }
-    chain
 }
 
 fn atom_vars(atoms: &[Atom]) -> BTreeSet<String> {

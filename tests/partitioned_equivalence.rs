@@ -194,6 +194,105 @@ mod partitioned_equivalence {
         assert_three_way_equivalent(text);
     }
 
+    // ---- shipping counts ---------------------------------------------------
+
+    /// The fan-out shape: one property mapped through 100 tables of 64
+    /// rows, each auto-partitioned on its subject key.
+    fn fan_out() -> OptiquePlatform {
+        use optique_mapping::{MappingAssertion, MappingCatalog, TermMap};
+        use optique_rdf::{Iri, Namespaces};
+        use optique_relational::{table::table_of, ColumnType, Database};
+
+        let mut db = Database::new();
+        let mut mappings = MappingCatalog::new();
+        for i in 0..100i64 {
+            let table = format!("t{i}");
+            let rows = (0..64)
+                .map(|k| vec![Value::Int(i * 64 + k), Value::Int(k)])
+                .collect();
+            let columns = [("a", ColumnType::Int), ("b", ColumnType::Int)];
+            db.put_table(&table, table_of(&table, &columns, rows).unwrap());
+            mappings
+                .add(
+                    MappingAssertion::property(
+                        format!("p-src{i}"),
+                        Iri::new("http://x/p"),
+                        format!("SELECT a, b FROM {table}"),
+                        TermMap::template("http://x/obj/{a}"),
+                        TermMap::template("http://x/obj/{b}"),
+                    )
+                    .with_key(vec!["a".into(), "b".into()]),
+                )
+                .unwrap();
+        }
+        OptiquePlatform::deploy(
+            db,
+            Default::default(),
+            Namespaces::with_w3c_defaults(),
+            mappings,
+            SiemensDeployment::small().stream_to_rdf,
+        )
+    }
+
+    /// A BGP's unfolded `UNION ALL` ships as one statement per shard set.
+    /// On the fan-out shape every disjunct scatters (one worker holds the
+    /// whole catalog and places them), so each query ships one statement at
+    /// every worker count, planned once per round: exactly one worker
+    /// `fragment` span builds the plan and every other shares it. Each
+    /// disjunct still counts on its rung. A query whose disjuncts hit all
+    /// three rungs ships at most one statement per worker for the placed
+    /// ones, one scatter statement and one coordinator statement.
+    #[test]
+    fn a_bgp_ships_one_statement_per_shard_set() {
+        let p = fan_out();
+        for text in [
+            "SELECT ?a WHERE { ?a <http://x/p> <http://x/obj/7> }",
+            "SELECT ?a ?b WHERE { ?a <http://x/p> ?b }",
+        ] {
+            p.bgp_cache().invalidate();
+            let single = p.query_static(text).unwrap();
+            for workers in WORKER_COUNTS {
+                p.bgp_cache().invalidate();
+                let (answer, stats) = p
+                    .query_static_distributed_with_stats(text, workers)
+                    .unwrap();
+                let run = format!("{text} at {workers} workers: {stats:?}");
+                assert_eq!(canon(&answer), canon(&single), "{run}");
+                assert_eq!(
+                    (stats.bgps, stats.sql_disjuncts, stats.fragments),
+                    (1, 100, 1),
+                    "one statement per BGP: {run}"
+                );
+                let scattered = if workers > 1 { 100 } else { 0 };
+                assert_eq!(stats.partitioned_fragments, scattered, "{run}");
+
+                p.bgp_cache().invalidate();
+                let report = p.explain_analyze(text, Some(workers)).unwrap();
+                let spans: Vec<&str> = (report.lines())
+                    .filter(|line| line.contains("fragment  ("))
+                    .collect();
+                let count = |plan: &str| spans.iter().filter(|s| s.contains(plan)).count();
+                assert_eq!(spans.len(), workers, "{report}");
+                assert_eq!(count("plan=built"), 1, "{report}");
+                assert_eq!(count("plan=shared"), workers - 1, "{report}");
+            }
+        }
+
+        let text = "SELECT ?s1 ?s2 WHERE { ?a sie:inAssembly ?s1 . ?a sie:inAssembly ?s2 }";
+        let p = OptiquePlatform::from_siemens(SiemensDeployment::small());
+        for workers in WORKER_COUNTS {
+            p.bgp_cache().invalidate();
+            let (_, stats) = p
+                .query_static_distributed_with_stats(text, workers)
+                .unwrap();
+            assert_eq!(stats.bgps, 1, "{stats:?}");
+            assert!(
+                stats.fragments <= workers + 2,
+                "{workers} workers: {stats:?}"
+            );
+        }
+    }
+
     // ---- BGP cache across topology switches --------------------------------
 
     /// A solution set cached under one topology may serve the other — results

@@ -219,6 +219,86 @@ fn constant_iris_agree_with_select_whatever_the_key_type() {
     }
 }
 
+/// Rows of different `UNION ALL` branches are never deduplicated against
+/// each other: three 64-row sources map `x:p` to the same numbers as INT,
+/// FLOAT and TIMESTAMP literals — three RDF terms per subject, though
+/// `Value` equality merges `Int(5)`, `Float(5.0)` and `Timestamp(5)`. Each
+/// query equals single-node at every worker count on both topologies;
+/// under auto-partitioning all three branches scatter.
+#[test]
+fn mixed_literal_sources_keep_every_term() {
+    use optique::FederationTopology;
+    use optique_mapping::{MappingAssertion, MappingCatalog, TermMap};
+    use optique_rdf::{Datatype, Iri, Namespaces};
+    use optique_relational::{table::table_of, ColumnType, Database, Value};
+
+    // Table, its `v` column type, the literal datatype, the value of row i.
+    type Source = (&'static str, ColumnType, Datatype, fn(i64) -> Value);
+    let sources: [Source; 3] = [
+        ("ints", ColumnType::Int, Datatype::Integer, Value::Int),
+        ("floats", ColumnType::Float, Datatype::Double, |i| {
+            Value::Float(i as f64)
+        }),
+        (
+            "stamps",
+            ColumnType::Timestamp,
+            Datatype::DateTime,
+            Value::Timestamp,
+        ),
+    ];
+    let mut db = Database::new();
+    let mut mappings = MappingCatalog::new();
+    for (table, ty, datatype, value) in sources {
+        let rows = (0..64).map(|i| vec![Value::Int(i), value(i)]).collect();
+        let columns = [("a", ColumnType::Int), ("v", ty)];
+        db.put_table(table, table_of(table, &columns, rows).unwrap());
+        mappings
+            .add(MappingAssertion::property(
+                format!("p-{table}"),
+                Iri::new("http://x/p"),
+                format!("SELECT a, v FROM {table}"),
+                TermMap::template("http://x/s/{a}"),
+                TermMap::column("v", datatype),
+            ))
+            .unwrap();
+    }
+    let p = OptiquePlatform::deploy(
+        db,
+        Default::default(),
+        Namespaces::with_w3c_defaults(),
+        mappings,
+        SiemensDeployment::small().stream_to_rdf,
+    );
+    let queries = [
+        ("SELECT ?s ?v WHERE { ?s <http://x/p> ?v }", 192),
+        ("SELECT DISTINCT ?v WHERE { ?s <http://x/p> ?v }", 192),
+        ("SELECT ?v WHERE { <http://x/s/5> <http://x/p> ?v }", 3),
+    ];
+    for topology in [
+        FederationTopology::AutoPartitioned,
+        FederationTopology::Replicated,
+    ] {
+        p.set_federation_topology(topology);
+        for (text, rows) in queries {
+            p.bgp_cache().invalidate();
+            let single = p.query_static(text).unwrap();
+            assert_eq!(single.len(), rows, "{text} single-node");
+            for workers in WORKER_COUNTS {
+                p.bgp_cache().invalidate();
+                let (distributed, stats) = p
+                    .query_static_distributed_with_stats(text, workers)
+                    .unwrap_or_else(|e| panic!("{text} at {workers}: {e}"));
+                let run = format!("{text} at {workers} workers, {topology:?}");
+                assert_eq!(canon(&single), canon(&distributed), "{run}");
+                if topology == FederationTopology::AutoPartitioned && workers > 1 {
+                    assert_eq!(stats.partitioned_fragments, 3, "{run}: {stats:?}");
+                }
+            }
+        }
+    }
+    p.bgp_cache().invalidate();
+}
+
 // ---- property-based suite ----------------------------------------------
 
 proptest! {

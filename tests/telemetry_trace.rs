@@ -102,6 +102,7 @@ fn worker_spans_stitch_under_exec_at_every_worker_count() {
                 "scans",
                 "scans_shared",
                 "rows_scanned",
+                "plan",
             ] {
                 assert!(
                     f.attrs.iter().any(|(k, _)| k == key),

@@ -289,8 +289,7 @@ fn full_wire() -> String {
             needs_extrema: false,
         })
         .with_partition(optique_relational::PartitionSpec {
-            table: "t".into(),
-            column: "a".into(),
+            tables: vec![("t".into(), "a".into())],
             column_type: ColumnType::Int,
         })
         .at_epoch(3)
