@@ -875,6 +875,44 @@ HAVING MAX(?c2, sie:hasValue) >= 85
         assert!(out.is_empty());
     }
 
+    /// A HAVING constant means what it means in SPARQL: `"70"^^xsd:integer`
+    /// is the number 70, so its threshold fires on exactly the ticks the
+    /// plain `70`'s does. The appended readings 9 and 100 order the other
+    /// way as strings, so a threshold read as the string "70" fires on
+    /// other ticks.
+    #[test]
+    fn typed_threshold_streams_like_the_plain_one() {
+        let run = |constant: &str| {
+            let text = AGG_QUERY.replace("PT10S", "PT1S").replace(
+                "MAX(?c2, sie:hasValue) >= 85",
+                &format!(
+                    "EXISTS ?k IN seq: GRAPH ?k {{ ?c2 sie:hasValue ?x }} AND ?x >= {constant}"
+                ),
+            );
+            let p = platform();
+            p.register_starql(&text).unwrap();
+            let sensor = streamed_sensor(&p);
+            let rows = (1..=6)
+                .map(|k| msmt_row(659_000 + k * 1_000, sensor, [9.0, 100.0][k as usize % 2]))
+                .collect();
+            let out = p.append_stream("S_Msmt", rows).unwrap();
+            out.into_iter()
+                .map(|(_, tick)| {
+                    let mut triples: Vec<String> =
+                        tick.triples.iter().map(|t| format!("{t:?}")).collect();
+                    triples.sort();
+                    (tick.tick_ms, triples)
+                })
+                .collect::<Vec<_>>()
+        };
+        let plain = run("70");
+        assert!(
+            plain.iter().any(|(_, triples)| !triples.is_empty()),
+            "the threshold fires: {plain:?}"
+        );
+        assert_eq!(run(r#""70"^^xsd:integer"#), plain);
+    }
+
     /// Append-driven ticking raises the same output stream as external
     /// pulses at the same instants — over base rows *and* unmerged
     /// novelty-overlay rows (the overlay write path is the default).

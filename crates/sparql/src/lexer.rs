@@ -1,4 +1,9 @@
-//! SPARQL tokenizer with line/column tracking.
+//! The tokenizer for SPARQL and STARQL, with line/column tracking.
+//!
+//! STARQL is SPARQL plus a header, so one lexer serves both. The header's
+//! few tokens (`[`, `]`, `->`) mean nothing to SPARQL's grammar, and `$name`
+//! lexes as [`TokenKind::Param`]: a variable to SPARQL, a macro parameter
+//! to STARQL.
 
 use crate::error::{Position, SparqlError};
 
@@ -11,18 +16,23 @@ pub struct Token {
     pub position: Position,
 }
 
-/// SPARQL token kinds (the subset the parser consumes).
+/// Token kinds.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TokenKind {
-    /// Bare word: keyword (`SELECT`), `a`, or aggregate name.
+    /// Bare word: keyword (`SELECT`), `a`, or aggregate name. A word has no
+    /// `-`: `NOW-"PT10S"` is `NOW`, `-`, a string.
     Word(String),
-    /// Prefixed name `prefix:local` (either part may be empty: `:MonInc`).
+    /// Prefixed name `prefix:local` (either part may be empty: `:MonInc`,
+    /// `sie:`, and a lone `:`, which STARQL reads as a colon).
     PName(String),
-    /// `?name` / `$name` variable.
+    /// `?name` variable.
     Var(String),
+    /// `$name`: a variable to SPARQL, a macro parameter to STARQL.
+    Param(String),
     /// `<…>` IRI reference.
     IriRef(String),
-    /// String literal (datatype arrives as `^^` + PName/IriRef).
+    /// String literal, escapes decoded (datatype arrives as `^^` +
+    /// PName/IriRef).
     Str(String),
     /// Integer literal.
     Int(i64),
@@ -32,6 +42,10 @@ pub enum TokenKind {
     LBrace,
     /// `}`
     RBrace,
+    /// `[`
+    LBracket,
+    /// `]`
+    RBracket,
     /// `(`
     LParen,
     /// `)`
@@ -50,6 +64,8 @@ pub enum TokenKind {
     Plus,
     /// `-`
     Minus,
+    /// `->`
+    Arrow,
     /// `=`
     Eq,
     /// `!=`
@@ -73,20 +89,14 @@ pub enum TokenKind {
 }
 
 struct Cursor<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
+    text: &'a str,
+    /// Byte offset of the next character.
+    pos: usize,
     line: u32,
     column: u32,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Self {
-        Cursor {
-            chars: text.chars().peekable(),
-            line: 1,
-            column: 1,
-        }
-    }
-
     fn position(&self) -> Position {
         Position {
             line: self.line,
@@ -94,12 +104,17 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
+    fn peek(&self) -> Option<char> {
+        self.text[self.pos..].chars().next()
+    }
+
+    fn peek2(&self) -> Option<char> {
+        self.text[self.pos..].chars().nth(1)
     }
 
     fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next()?;
+        let c = self.peek()?;
+        self.pos += c.len_utf8();
         if c == '\n' {
             self.line += 1;
             self.column = 1;
@@ -108,15 +123,48 @@ impl<'a> Cursor<'a> {
         }
         Some(c)
     }
+
+    fn eat(&mut self, c: char) -> bool {
+        let hit = self.peek() == Some(c);
+        if hit {
+            self.bump();
+        }
+        hit
+    }
+
+    /// Consumes characters while `keep` holds; never crosses a line.
+    fn take_while(&mut self, keep: impl Fn(char) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.peek().is_some_and(|c| c != '\n' && keep(c)) {
+            self.bump();
+        }
+        &self.text[start..self.pos]
+    }
+
+    /// Steps back to `to`, an earlier offset on the current line.
+    fn rewind(&mut self, to: usize) {
+        self.column -= self.text[to..self.pos].chars().count() as u32;
+        self.pos = to;
+    }
 }
 
 fn is_name_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_' || c == '-'
 }
 
-/// Tokenizes SPARQL text.
+/// SPARQL's VARNAME: no `-`, so `?v-1` is `?v`, `-`, `1`.
+fn is_var_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Tokenizes SPARQL or STARQL text.
 pub fn lex(text: &str) -> Result<Vec<Token>, SparqlError> {
-    let mut cursor = Cursor::new(text);
+    let mut cursor = Cursor {
+        text,
+        pos: 0,
+        line: 1,
+        column: 1,
+    };
     let mut tokens = Vec::new();
 
     loop {
@@ -127,106 +175,45 @@ pub fn lex(text: &str) -> Result<Vec<Token>, SparqlError> {
                     cursor.bump();
                 }
                 Some('#') => {
-                    while let Some(c) = cursor.bump() {
-                        if c == '\n' {
-                            break;
-                        }
-                    }
+                    cursor.take_while(|_| true);
                 }
                 _ => break,
             }
         }
         let position = cursor.position();
-        let Some(c) = cursor.peek() else { break };
+        let start = cursor.pos;
+        let Some(c) = cursor.bump() else { break };
 
         let kind = match c {
-            '{' => {
-                cursor.bump();
-                TokenKind::LBrace
+            '{' => TokenKind::LBrace,
+            '}' => TokenKind::RBrace,
+            '[' => TokenKind::LBracket,
+            ']' => TokenKind::RBracket,
+            '(' => TokenKind::LParen,
+            ')' => TokenKind::RParen,
+            ',' => TokenKind::Comma,
+            ';' => TokenKind::Semicolon,
+            '*' => TokenKind::Star,
+            '/' => TokenKind::Slash,
+            '+' => TokenKind::Plus,
+            '=' => TokenKind::Eq,
+            '.' => TokenKind::Dot,
+            '^' if cursor.eat('^') => TokenKind::Carets,
+            '&' if cursor.eat('&') => TokenKind::AndAnd,
+            '|' if cursor.eat('|') => TokenKind::OrOr,
+            '^' | '&' | '|' => {
+                return Err(SparqlError::lex(
+                    format!("lone '{c}' (expected '{c}{c}')"),
+                    position,
+                ))
             }
-            '}' => {
-                cursor.bump();
-                TokenKind::RBrace
-            }
-            '(' => {
-                cursor.bump();
-                TokenKind::LParen
-            }
-            ')' => {
-                cursor.bump();
-                TokenKind::RParen
-            }
-            ',' => {
-                cursor.bump();
-                TokenKind::Comma
-            }
-            ';' => {
-                cursor.bump();
-                TokenKind::Semicolon
-            }
-            '*' => {
-                cursor.bump();
-                TokenKind::Star
-            }
-            '/' => {
-                cursor.bump();
-                TokenKind::Slash
-            }
-            '+' => {
-                cursor.bump();
-                TokenKind::Plus
-            }
-            '=' => {
-                cursor.bump();
-                TokenKind::Eq
-            }
-            '^' => {
-                cursor.bump();
-                if cursor.peek() == Some('^') {
-                    cursor.bump();
-                    TokenKind::Carets
-                } else {
-                    return Err(SparqlError::lex("lone '^' (expected '^^')", position));
-                }
-            }
-            '&' => {
-                cursor.bump();
-                if cursor.peek() == Some('&') {
-                    cursor.bump();
-                    TokenKind::AndAnd
-                } else {
-                    return Err(SparqlError::lex("lone '&' (expected '&&')", position));
-                }
-            }
-            '|' => {
-                cursor.bump();
-                if cursor.peek() == Some('|') {
-                    cursor.bump();
-                    TokenKind::OrOr
-                } else {
-                    return Err(SparqlError::lex("lone '|' (expected '||')", position));
-                }
-            }
-            '!' => {
-                cursor.bump();
-                if cursor.peek() == Some('=') {
-                    cursor.bump();
-                    TokenKind::Ne
-                } else {
-                    TokenKind::Bang
-                }
-            }
-            '>' => {
-                cursor.bump();
-                if cursor.peek() == Some('=') {
-                    cursor.bump();
-                    TokenKind::Ge
-                } else {
-                    TokenKind::Gt
-                }
-            }
+            '!' if cursor.eat('=') => TokenKind::Ne,
+            '!' => TokenKind::Bang,
+            '>' if cursor.eat('=') => TokenKind::Ge,
+            '>' => TokenKind::Gt,
+            '-' if cursor.eat('>') => TokenKind::Arrow,
+            '-' => TokenKind::Minus,
             '<' => {
-                cursor.bump();
                 // `<…>` IRI vs `<` / `<=` comparison: an IRI ref never
                 // contains whitespace, and comparison operands start with
                 // whitespace, a variable, a number, a negation, or a
@@ -236,6 +223,7 @@ pub fn lex(text: &str) -> Result<Vec<Token>, SparqlError> {
                         cursor.bump();
                         TokenKind::Le
                     }
+                    None => TokenKind::Lt,
                     Some(c2)
                         if c2.is_whitespace()
                             || c2.is_ascii_digit()
@@ -243,106 +231,54 @@ pub fn lex(text: &str) -> Result<Vec<Token>, SparqlError> {
                     {
                         TokenKind::Lt
                     }
-                    None => TokenKind::Lt,
                     _ => {
-                        let mut iri = String::new();
-                        loop {
-                            match cursor.bump() {
-                                Some('>') => break,
-                                Some(c2) if c2.is_whitespace() => {
-                                    return Err(SparqlError::lex(
-                                        "whitespace inside IRI reference",
-                                        position,
-                                    ))
-                                }
-                                Some(c2) => iri.push(c2),
-                                None => {
-                                    return Err(SparqlError::lex(
-                                        "unterminated IRI reference",
-                                        position,
-                                    ))
-                                }
+                        let iri = cursor.take_while(|c2| c2 != '>' && !c2.is_whitespace());
+                        match cursor.bump() {
+                            Some('>') => TokenKind::IriRef(iri.to_string()),
+                            Some(_) => {
+                                return Err(SparqlError::lex(
+                                    "whitespace inside IRI reference",
+                                    position,
+                                ))
+                            }
+                            None => {
+                                return Err(SparqlError::lex(
+                                    "unterminated IRI reference",
+                                    position,
+                                ))
                             }
                         }
-                        TokenKind::IriRef(iri)
                     }
                 }
             }
             '?' | '$' => {
-                cursor.bump();
-                let mut name = String::new();
-                while let Some(c2) = cursor.peek() {
-                    if is_name_char(c2) {
-                        name.push(c2);
-                        cursor.bump();
-                    } else {
-                        break;
-                    }
-                }
+                let name = cursor.take_while(is_var_char).to_string();
                 if name.is_empty() {
                     return Err(SparqlError::lex("empty variable name", position));
                 }
-                TokenKind::Var(name)
-            }
-            '"' | '\'' => {
-                let quote = c;
-                cursor.bump();
-                let mut s = String::new();
-                loop {
-                    match cursor.bump() {
-                        Some('\\') => match cursor.bump() {
-                            Some('n') => s.push('\n'),
-                            Some('t') => s.push('\t'),
-                            Some(other) => s.push(other.to_owned()),
-                            None => return Err(SparqlError::lex("unterminated string", position)),
-                        },
-                        Some(c2) if c2 == quote => break,
-                        Some(c2) => s.push(c2),
-                        None => return Err(SparqlError::lex("unterminated string", position)),
-                    }
-                }
-                TokenKind::Str(s)
-            }
-            '-' => {
-                cursor.bump();
-                TokenKind::Minus
-            }
-            c if c.is_ascii_digit() => lex_number(&mut cursor, position)?,
-            '.' => {
-                cursor.bump();
-                TokenKind::Dot
-            }
-            c if c.is_alphabetic() || c == '_' || c == ':' => {
-                let mut word = String::new();
-                while let Some(c2) = cursor.peek() {
-                    if is_name_char(c2) {
-                        word.push(c2);
-                        cursor.bump();
-                    } else {
-                        break;
-                    }
-                }
-                // `prefix:local` / `:local` become prefixed names; a bare
-                // word stays a word (keyword or `a`).
-                if cursor.peek() == Some(':') {
-                    cursor.bump();
-                    let mut local = String::new();
-                    while let Some(c2) = cursor.peek() {
-                        if is_name_char(c2) || c2 == '/' {
-                            local.push(c2);
-                            cursor.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                    TokenKind::PName(format!("{word}:{local}"))
-                } else if word.is_empty() {
-                    return Err(SparqlError::lex(
-                        format!("unexpected character {c:?}"),
-                        position,
-                    ));
+                if c == '?' {
+                    TokenKind::Var(name)
                 } else {
-                    TokenKind::Word(word)
+                    TokenKind::Param(name)
+                }
+            }
+            '"' | '\'' => TokenKind::Str(lex_string(&mut cursor, c, position)?),
+            c if c.is_ascii_digit() => lex_number(&mut cursor, start, position)?,
+            c if c.is_alphabetic() || c == '_' || c == ':' => {
+                if c != ':' {
+                    cursor.take_while(is_name_char);
+                }
+                // `prefix:local` / `:local` / `prefix:` become prefixed
+                // names; a bare word (keyword or `a`) stops at its first `-`.
+                if c == ':' || cursor.eat(':') {
+                    cursor.take_while(|c2| is_name_char(c2) || c2 == '/');
+                    TokenKind::PName(text[start..cursor.pos].to_string())
+                } else {
+                    let word = &text[start..cursor.pos];
+                    if let Some(cut) = word.find('-') {
+                        cursor.rewind(start + cut);
+                    }
+                    TokenKind::Word(text[start..cursor.pos].to_string())
                 }
             }
             other => {
@@ -357,42 +293,89 @@ pub fn lex(text: &str) -> Result<Vec<Token>, SparqlError> {
     Ok(tokens)
 }
 
-fn lex_number(cursor: &mut Cursor<'_>, position: Position) -> Result<TokenKind, SparqlError> {
-    let mut text = String::new();
-    let mut saw_dot = false;
-    let mut saw_exp = false;
-    while let Some(c) = cursor.peek() {
-        match c {
-            d if d.is_ascii_digit() => {
-                text.push(d);
-                cursor.bump();
-            }
-            '.' if !saw_dot && !saw_exp => {
-                // Lookahead: `1.` followed by a non-digit terminates the
-                // triple instead (e.g. `?x :p 1.` inside a BGP).
-                let mut clone = cursor.chars.clone();
-                clone.next();
-                match clone.peek() {
-                    Some(d) if d.is_ascii_digit() => {
-                        saw_dot = true;
-                        text.push('.');
-                        cursor.bump();
-                    }
-                    _ => break,
-                }
-            }
-            'e' | 'E' if !saw_exp => {
-                saw_exp = true;
-                text.push('e');
-                cursor.bump();
-                if matches!(cursor.peek(), Some('+') | Some('-')) {
-                    text.push(cursor.bump().expect("peeked"));
-                }
-            }
-            _ => break,
+/// The rest of a string literal opened by `quote` at `position`, with
+/// ECHAR (`\t \b \n \r \f \" \' \\`) and UCHAR (`\uXXXX`, `\UXXXXXXXX`)
+/// escapes decoded.
+fn lex_string(
+    cursor: &mut Cursor<'_>,
+    quote: char,
+    position: Position,
+) -> Result<String, SparqlError> {
+    let mut s = String::new();
+    loop {
+        let escape = cursor.position();
+        match cursor.bump() {
+            Some(c) if c == quote => return Ok(s),
+            Some('\\') => s.push(unescape(cursor, escape)?),
+            Some(c) => s.push(c),
+            None => return Err(SparqlError::lex("unterminated string", position)),
         }
     }
-    if saw_dot || saw_exp {
+}
+
+/// The character a `\` at `escape` stands for.
+fn unescape(cursor: &mut Cursor<'_>, escape: Position) -> Result<char, SparqlError> {
+    let digits = match cursor.bump() {
+        Some('t') => return Ok('\t'),
+        Some('b') => return Ok('\u{8}'),
+        Some('n') => return Ok('\n'),
+        Some('r') => return Ok('\r'),
+        Some('f') => return Ok('\u{c}'),
+        Some(c @ ('"' | '\'' | '\\')) => return Ok(c),
+        Some('u') => 4,
+        Some('U') => 8,
+        Some(other) => {
+            return Err(SparqlError::lex(
+                format!("unknown escape '\\{other}'"),
+                escape,
+            ))
+        }
+        None => return Err(SparqlError::lex("unterminated escape", escape)),
+    };
+    let hex = cursor.take_while(|c| c.is_ascii_hexdigit());
+    let decoded = hex
+        .get(..digits)
+        .and_then(|h| u32::from_str_radix(h, 16).ok())
+        .and_then(char::from_u32);
+    match decoded {
+        Some(c) => {
+            cursor.rewind(cursor.pos - (hex.len() - digits));
+            Ok(c)
+        }
+        None => Err(SparqlError::lex(
+            format!(
+                "invalid code point escape '\\{}'",
+                &hex[..hex.len().min(digits)]
+            ),
+            escape,
+        )),
+    }
+}
+
+/// A number whose first digit, at byte `start`, is already consumed.
+fn lex_number(
+    cursor: &mut Cursor<'_>,
+    start: usize,
+    position: Position,
+) -> Result<TokenKind, SparqlError> {
+    cursor.take_while(|c| c.is_ascii_digit());
+    let mut float = false;
+    // `1.` followed by a non-digit ends a triple (`?x :p 1.`) instead.
+    if cursor.peek() == Some('.') && cursor.peek2().is_some_and(|c| c.is_ascii_digit()) {
+        cursor.bump();
+        cursor.take_while(|c| c.is_ascii_digit());
+        float = true;
+    }
+    if matches!(cursor.peek(), Some('e' | 'E')) {
+        cursor.bump();
+        if matches!(cursor.peek(), Some('+' | '-')) {
+            cursor.bump();
+        }
+        cursor.take_while(|c| c.is_ascii_digit());
+        float = true;
+    }
+    let text = &cursor.text[start..cursor.pos];
+    if float {
         text.parse::<f64>()
             .map(TokenKind::Float)
             .map_err(|_| SparqlError::lex(format!("bad numeric literal {text:?}"), position))
@@ -532,5 +515,192 @@ mod tests {
         assert_eq!(err.position, Some(Position { line: 1, column: 8 }));
         assert!(lex("\"unterminated").is_err());
         assert!(lex("<http://x /p>").is_err());
+    }
+    // ---- STARQL's header and HAVING through the one lexer --------------
+
+    #[test]
+    fn curies_and_vars() {
+        assert_eq!(
+            kinds("?c1 a sie:Assembly"),
+            vec![
+                TokenKind::Var("c1".into()),
+                TokenKind::Word("a".into()),
+                TokenKind::PName("sie:Assembly".into()),
+            ]
+        );
+    }
+
+    #[test]
+    fn leading_colon_curie() {
+        assert_eq!(kinds(":MonInc"), vec![TokenKind::PName(":MonInc".into())]);
+    }
+
+    /// `?y:` and `IN seq:` end a STARQL quantifier header: the colon stays
+    /// out of the variable and closes the prefixed name.
+    #[test]
+    fn colon_not_absorbed_before_space() {
+        assert_eq!(
+            kinds("?y: GRAPH seq: seq :"),
+            vec![
+                TokenKind::Var("y".into()),
+                TokenKind::PName(":".into()),
+                TokenKind::Word("GRAPH".into()),
+                TokenKind::PName("seq:".into()),
+                TokenKind::Word("seq".into()),
+                TokenKind::PName(":".into()),
+            ]
+        );
+    }
+
+    #[test]
+    fn window_tokens() {
+        assert_eq!(
+            kinds("[NOW-\"PT10S\"^^xsd:duration, NOW]->\"PT1S\"^^xsd:duration"),
+            vec![
+                TokenKind::LBracket,
+                TokenKind::Word("NOW".into()),
+                TokenKind::Minus,
+                TokenKind::Str("PT10S".into()),
+                TokenKind::Carets,
+                TokenKind::PName("xsd:duration".into()),
+                TokenKind::Comma,
+                TokenKind::Word("NOW".into()),
+                TokenKind::RBracket,
+                TokenKind::Arrow,
+                TokenKind::Str("PT1S".into()),
+                TokenKind::Carets,
+                TokenKind::PName("xsd:duration".into()),
+            ]
+        );
+    }
+
+    #[test]
+    fn iriref_vs_comparison() {
+        assert_eq!(
+            kinds("<http://x/a> ?x <= ?y ?i < ?j"),
+            vec![
+                TokenKind::IriRef("http://x/a".into()),
+                TokenKind::Var("x".into()),
+                TokenKind::Le,
+                TokenKind::Var("y".into()),
+                TokenKind::Var("i".into()),
+                TokenKind::Lt,
+                TokenKind::Var("j".into()),
+            ]
+        );
+    }
+
+    #[test]
+    fn params_and_macro_dots() {
+        assert_eq!(
+            kinds("MONOTONIC.HAVING($var,$attr)"),
+            vec![
+                TokenKind::Word("MONOTONIC".into()),
+                TokenKind::Dot,
+                TokenKind::Word("HAVING".into()),
+                TokenKind::LParen,
+                TokenKind::Param("var".into()),
+                TokenKind::Comma,
+                TokenKind::Param("attr".into()),
+                TokenKind::RParen,
+            ]
+        );
+    }
+
+    #[test]
+    fn macro_colon_name_is_single_curie() {
+        assert_eq!(
+            kinds("MONOTONIC:HAVING"),
+            vec![TokenKind::PName("MONOTONIC:HAVING".into())]
+        );
+    }
+
+    #[test]
+    fn comments_skipped() {
+        assert_eq!(
+            kinds("a # rest\n b"),
+            vec![TokenKind::Word("a".into()), TokenKind::Word("b".into())]
+        );
+    }
+
+    #[test]
+    fn no_le_inside_compact_comparison() {
+        assert_eq!(
+            kinds("?x<=?y"),
+            vec![
+                TokenKind::Var("x".into()),
+                TokenKind::Le,
+                TokenKind::Var("y".into())
+            ]
+        );
+    }
+
+    #[test]
+    fn errors_have_offsets() {
+        let err = lex("abc\n  ^def").unwrap_err();
+        assert_eq!(err.position, Some(Position { line: 2, column: 3 }));
+    }
+
+    // ---- one literal syntax ---------------------------------------------
+
+    #[test]
+    fn variable_names_stop_at_a_minus() {
+        assert_eq!(
+            kinds("?v-1 > 3"),
+            vec![
+                TokenKind::Var("v".into()),
+                TokenKind::Minus,
+                TokenKind::Int(1),
+                TokenKind::Gt,
+                TokenKind::Int(3),
+            ]
+        );
+        // A prefixed name keeps its inner `-`; a bare word stops at it.
+        assert_eq!(
+            kinds("x-y:a-b NOW-1"),
+            vec![
+                TokenKind::PName("x-y:a-b".into()),
+                TokenKind::Word("NOW".into()),
+                TokenKind::Minus,
+                TokenKind::Int(1),
+            ]
+        );
+    }
+
+    #[test]
+    fn carriage_return_escape_decodes() {
+        assert_eq!(kinds(r#""A\r""#), vec![TokenKind::Str("A\r".into())]);
+    }
+
+    #[test]
+    fn unicode_escape_decodes() {
+        assert_eq!(kinds(r#""\u0041""#), vec![TokenKind::Str("A".into())]);
+        assert_eq!(
+            kinds(r#"'\U0001F600\u00e9x'"#),
+            vec![TokenKind::Str("\u{1F600}\u{e9}x".into())]
+        );
+    }
+
+    #[test]
+    fn every_echar_decodes() {
+        assert_eq!(
+            kinds(r#""\t\b\n\r\f\"\'\\""#),
+            vec![TokenKind::Str("\t\u{8}\n\r\u{c}\"'\\".into())]
+        );
+    }
+
+    #[test]
+    fn bad_escapes_are_positioned_lex_errors() {
+        for (text, column) in [
+            (r#"?x "ab\q""#, 7),
+            (r#"?x "\u00""#, 5),
+            (r#"?x "\uD800""#, 5),
+            (r#"?x "\U00110000""#, 5),
+            (r#"?x "ab\"#, 7),
+        ] {
+            let err = lex(text).unwrap_err();
+            assert_eq!(err.kind, crate::error::ErrorKind::Lex, "{text}");
+            assert_eq!(err.position, Some(Position { line: 1, column }), "{text}");
+        }
     }
 }

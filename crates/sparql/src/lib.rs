@@ -15,6 +15,8 @@
 //!   `OPTIONAL`, `UNION`, `FILTER` (comparisons, `&&`/`||`/`!`, arithmetic,
 //!   `REGEX`-lite, `BOUND`), `GROUP BY` with `COUNT`/`SUM`/`AVG`/`MIN`/`MAX`
 //!   aggregates, `ORDER BY`/`LIMIT`/`OFFSET`. Errors carry line/column.
+//!   STARQL parses through the same [`Parser`]: the lexer also knows its
+//!   header tokens (`[`, `]`, `->`, `$param`).
 //! * [`algebra`] — the query algebra ([`GroupPattern`], [`Expression`],
 //!   [`SolutionModifier`]) in the style of oxigraph's `spargebra`; BGPs
 //!   reuse `optique_rewrite::Atom`, so rewriting needs no translation.
@@ -65,6 +67,6 @@ pub use compile::{
 };
 pub use error::{ErrorKind, Position, SparqlError};
 pub use eval::{solutions_from_tables, SolutionSet};
-pub use parser::{parse_group_graph_pattern, parse_sparql};
+pub use parser::{parse_sparql, Parser};
 pub use planner::{CardinalityModel, PlannerSettings, Restriction};
 pub use results::SparqlResults;

@@ -22,27 +22,16 @@ use crate::lexer::{lex, Token, TokenKind};
 /// (e.g. a deployment's); `PREFIX` declarations in the query extend and
 /// shadow them.
 pub fn parse_sparql(text: &str, namespaces: &Namespaces) -> Result<Query, SparqlError> {
-    let tokens = lex(text)?;
-    let mut parser = Parser::new(tokens, namespaces.clone());
+    let mut parser = Parser::new(text, namespaces)?;
     let query = parser.parse_query()?;
     parser.expect_end()?;
     Ok(query)
 }
 
-/// Parses a stand-alone group graph pattern (`{ … }`) — the entry point
-/// STARQL's WHERE clause reuses.
-pub fn parse_group_graph_pattern(
-    text: &str,
-    namespaces: &Namespaces,
-) -> Result<GroupPattern, SparqlError> {
-    let tokens = lex(text)?;
-    let mut parser = Parser::new(tokens, namespaces.clone());
-    let group = parser.parse_group()?;
-    parser.expect_end()?;
-    Ok(group)
-}
-
-struct Parser {
+/// The parser over one token stream. STARQL drives it too: its header uses
+/// the keyword and token helpers, and its WHERE, its CONSTRUCT template and
+/// its HAVING constants and predicates are productions of this grammar.
+pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     namespaces: Namespaces,
@@ -50,30 +39,53 @@ struct Parser {
 }
 
 impl Parser {
-    fn new(tokens: Vec<Token>, namespaces: Namespaces) -> Self {
-        Parser {
-            tokens,
+    /// Lexes `text`; `namespaces` are the ambient prefixes.
+    pub fn new(text: &str, namespaces: &Namespaces) -> Result<Self, SparqlError> {
+        Ok(Parser {
+            tokens: lex(text)?,
             pos: 0,
-            namespaces,
+            namespaces: namespaces.clone(),
             base: None,
-        }
+        })
     }
 
     // ---- token plumbing -------------------------------------------------
 
-    fn peek(&self) -> Option<&TokenKind> {
+    /// The next token.
+    pub fn peek(&self) -> Option<&TokenKind> {
         self.tokens.get(self.pos).map(|t| &t.kind)
     }
 
-    fn bump(&mut self) -> Option<TokenKind> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t.map(|t| t.kind)
+    /// The token after the next.
+    pub fn peek2(&self) -> Option<&TokenKind> {
+        self.tokens.get(self.pos + 1).map(|t| &t.kind)
     }
 
-    fn position(&self) -> Position {
+    /// Consumes the next token.
+    pub fn bump(&mut self) -> Option<TokenKind> {
+        let t = self.tokens.get(self.pos)?.kind.clone();
+        self.pos += 1;
+        Some(t)
+    }
+
+    /// Consumes the next token when `f` maps it to a value.
+    pub fn eat_map<T>(&mut self, f: impl FnOnce(&TokenKind) -> Option<T>) -> Option<T> {
+        let value = f(self.peek()?)?;
+        self.pos += 1;
+        Some(value)
+    }
+
+    fn at_token(&self, kind: &TokenKind) -> bool {
+        self.peek() == Some(kind)
+    }
+
+    /// Consumes the next token when it is `kind`.
+    pub fn eat_token(&mut self, kind: &TokenKind) -> bool {
+        self.eat_map(|t| (t == kind).then_some(())).is_some()
+    }
+
+    /// Where the next token starts (the last token's start at the end).
+    pub fn position(&self) -> Position {
         self.tokens
             .get(self.pos)
             .or_else(|| self.tokens.last())
@@ -81,58 +93,72 @@ impl Parser {
             .unwrap_or_else(Position::start)
     }
 
-    fn err(&self, message: impl Into<String>) -> SparqlError {
+    /// A parse error at the next token.
+    pub fn err(&self, message: impl Into<String>) -> SparqlError {
         SparqlError::parse(message, self.position())
     }
 
     /// True when the next token is the keyword `kw` (case-insensitive).
-    fn at_keyword(&self, kw: &str) -> bool {
+    pub fn at_keyword(&self, kw: &str) -> bool {
         matches!(self.peek(), Some(TokenKind::Word(w)) if w.eq_ignore_ascii_case(kw))
     }
 
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.at_keyword(kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+    /// Consumes the keyword `kw` when it is next.
+    pub fn eat_keyword(&mut self, kw: &str) -> bool {
+        let hit = self.at_keyword(kw);
+        self.pos += usize::from(hit);
+        hit
     }
 
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), SparqlError> {
+    /// Consumes the keyword `kw`, or fails.
+    pub fn expect_keyword(&mut self, kw: &str) -> Result<(), SparqlError> {
         if self.eat_keyword(kw) {
             Ok(())
         } else {
-            Err(self.err(format!("expected {kw}, found {}", self.describe_next())))
+            Err(self.expected(kw))
         }
     }
 
-    fn expect_token(&mut self, kind: TokenKind, what: &str) -> Result<(), SparqlError> {
-        if self.peek() == Some(&kind) {
-            self.pos += 1;
+    /// Consumes a token of `kind` (named `what` in the error), or fails.
+    pub fn expect_token(&mut self, kind: TokenKind, what: &str) -> Result<(), SparqlError> {
+        if self.eat_token(&kind) {
             Ok(())
         } else {
-            Err(self.err(format!("expected {what}, found {}", self.describe_next())))
+            Err(self.expected(what))
         }
     }
 
-    fn describe_next(&self) -> String {
+    /// Consumes a bare word (a name, `what` in the error), or fails.
+    pub fn expect_word(&mut self, what: &str) -> Result<String, SparqlError> {
+        self.eat_map(|t| match t {
+            TokenKind::Word(w) => Some(w.clone()),
+            _ => None,
+        })
+        .ok_or_else(|| self.expected(what))
+    }
+
+    /// Consumes a variable (`?v` or `$v`), or fails.
+    pub fn expect_var(&mut self) -> Result<String, SparqlError> {
+        self.eat_var().ok_or_else(|| self.expected("a variable"))
+    }
+
+    fn eat_var(&mut self) -> Option<String> {
+        self.eat_map(|t| match t {
+            TokenKind::Var(v) | TokenKind::Param(v) => Some(v.clone()),
+            _ => None,
+        })
+    }
+
+    /// "expected `what`, found …" at the next token.
+    pub fn expected(&self, what: &str) -> SparqlError {
+        self.err(format!("expected {what}, found {}", describe(self.peek())))
+    }
+
+    /// Fails unless every token is consumed.
+    pub fn expect_end(&self) -> Result<(), SparqlError> {
         match self.peek() {
-            None => "end of input".into(),
-            Some(TokenKind::Word(w)) => format!("`{w}`"),
-            Some(TokenKind::PName(p)) => format!("`{p}`"),
-            Some(TokenKind::Var(v)) => format!("`?{v}`"),
-            Some(TokenKind::IriRef(i)) => format!("`<{i}>`"),
-            Some(TokenKind::Str(s)) => format!("string {s:?}"),
-            Some(other) => format!("{other:?}"),
-        }
-    }
-
-    fn expect_end(&self) -> Result<(), SparqlError> {
-        if self.pos == self.tokens.len() {
-            Ok(())
-        } else {
-            Err(self.err(format!("trailing input: {}", self.describe_next())))
+            None => Ok(()),
+            next => Err(self.err(format!("trailing input: {}", describe(next)))),
         }
     }
 
@@ -147,14 +173,12 @@ impl Parser {
             let pattern = self.parse_group()?;
             Ok(Query::Ask(AskQuery { pattern }))
         } else {
-            Err(self.err(format!(
-                "expected SELECT or ASK, found {}",
-                self.describe_next()
-            )))
+            Err(self.expected("SELECT or ASK"))
         }
     }
 
-    fn parse_prologue(&mut self) -> Result<(), SparqlError> {
+    /// `PREFIX p: <iri>` and `BASE <iri>` declarations, in any number.
+    pub fn parse_prologue(&mut self) -> Result<(), SparqlError> {
         loop {
             if self.eat_keyword("PREFIX") {
                 let Some(TokenKind::PName(pname)) = self.bump() else {
@@ -191,13 +215,9 @@ impl Parser {
         let pattern = self.parse_group()?;
 
         let mut group_by = Vec::new();
-        if self.at_keyword("GROUP") {
-            self.bump();
+        if self.eat_keyword("GROUP") {
             self.expect_keyword("BY")?;
-            while let Some(TokenKind::Var(_)) = self.peek() {
-                let Some(TokenKind::Var(v)) = self.bump() else {
-                    unreachable!()
-                };
+            while let Some(v) = self.eat_var() {
                 group_by.push(v);
             }
             if group_by.is_empty() {
@@ -215,75 +235,53 @@ impl Parser {
     }
 
     fn parse_projection(&mut self) -> Result<Projection, SparqlError> {
-        if self.peek() == Some(&TokenKind::Star) {
-            self.bump();
+        if self.eat_token(&TokenKind::Star) {
             return Ok(Projection::All);
         }
         let mut items = Vec::new();
         loop {
-            match self.peek() {
-                Some(TokenKind::Var(_)) => {
-                    let Some(TokenKind::Var(v)) = self.bump() else {
-                        unreachable!()
-                    };
-                    items.push(SelectItem::Var(v));
-                }
-                Some(TokenKind::LParen) => {
-                    self.bump();
-                    items.push(self.parse_aggregate_item()?);
-                }
-                _ => break,
+            if let Some(v) = self.eat_var() {
+                items.push(SelectItem::Var(v));
+            } else if self.eat_token(&TokenKind::LParen) {
+                items.push(self.parse_aggregate_item()?);
+            } else {
+                break;
             }
         }
         if items.is_empty() {
             return Err(self.err(format!(
                 "SELECT needs `*`, variables, or aggregates; found {}",
-                self.describe_next()
+                describe(self.peek())
             )));
         }
         Ok(Projection::Items(items))
     }
 
     fn parse_aggregate_item(&mut self) -> Result<SelectItem, SparqlError> {
-        let func = match self.bump() {
-            Some(TokenKind::Word(w)) => match w.to_ascii_uppercase().as_str() {
-                "COUNT" => AggregateFunction::Count,
-                "SUM" => AggregateFunction::Sum,
-                "AVG" => AggregateFunction::Avg,
-                "MIN" => AggregateFunction::Min,
-                "MAX" => AggregateFunction::Max,
-                other => return Err(self.err(format!("unknown aggregate function `{other}`"))),
-            },
-            _ => return Err(self.err("expected an aggregate function")),
+        let name = self.expect_word("an aggregate function")?;
+        let func = match name.to_ascii_uppercase().as_str() {
+            "COUNT" => AggregateFunction::Count,
+            "SUM" => AggregateFunction::Sum,
+            "AVG" => AggregateFunction::Avg,
+            "MIN" => AggregateFunction::Min,
+            "MAX" => AggregateFunction::Max,
+            other => return Err(self.err(format!("unknown aggregate function `{other}`"))),
         };
         self.expect_token(TokenKind::LParen, "`(`")?;
         let distinct = self.eat_keyword("DISTINCT");
-        let var = match self.peek() {
-            Some(TokenKind::Star) => {
-                if func != AggregateFunction::Count {
-                    return Err(self.err(format!("{func}(*) is not defined; only COUNT(*)")));
-                }
-                self.bump();
-                None
+        let var = if self.at_token(&TokenKind::Star) {
+            if func != AggregateFunction::Count {
+                return Err(self.err(format!("{func}(*) is not defined; only COUNT(*)")));
             }
-            Some(TokenKind::Var(_)) => {
-                let Some(TokenKind::Var(v)) = self.bump() else {
-                    unreachable!()
-                };
-                Some(v)
-            }
-            _ => {
-                return Err(self.err(format!(
-                    "expected `*` or a variable inside {func}(…), found {}",
-                    self.describe_next()
-                )))
-            }
+            self.bump();
+            None
+        } else {
+            let inside = format!("`*` or a variable inside {func}(…)");
+            Some(self.eat_var().ok_or_else(|| self.expected(&inside))?)
         };
         self.expect_token(TokenKind::RParen, "`)`")?;
         self.expect_keyword("AS")?;
-        let Some(TokenKind::Var(alias)) = self.bump() else {
-            return Err(self.err("expected an alias variable after AS"));
-        };
+        let alias = self.expect_var()?;
         self.expect_token(TokenKind::RParen, "`)` closing the aggregate item")?;
         Ok(SelectItem::Aggregate {
             func,
@@ -295,28 +293,20 @@ impl Parser {
 
     fn parse_modifiers(&mut self) -> Result<SolutionModifier, SparqlError> {
         let mut modifiers = SolutionModifier::default();
-        if self.at_keyword("ORDER") {
-            self.bump();
+        if self.eat_keyword("ORDER") {
             self.expect_keyword("BY")?;
             loop {
-                match self.peek() {
-                    Some(TokenKind::Var(_)) => {
-                        let Some(TokenKind::Var(v)) = self.bump() else {
-                            unreachable!()
-                        };
-                        modifiers.order_by.push((Expression::Var(v), false));
-                    }
-                    Some(TokenKind::Word(w))
-                        if w.eq_ignore_ascii_case("ASC") || w.eq_ignore_ascii_case("DESC") =>
-                    {
-                        let descending = w.eq_ignore_ascii_case("DESC");
-                        self.bump();
-                        self.expect_token(TokenKind::LParen, "`(`")?;
-                        let expr = self.parse_expression()?;
-                        self.expect_token(TokenKind::RParen, "`)`")?;
-                        modifiers.order_by.push((expr, descending));
-                    }
-                    _ => break,
+                if let Some(v) = self.eat_var() {
+                    modifiers.order_by.push((Expression::Var(v), false));
+                } else if self.at_keyword("ASC") || self.at_keyword("DESC") {
+                    let descending = self.at_keyword("DESC");
+                    self.bump();
+                    self.expect_token(TokenKind::LParen, "`(`")?;
+                    let expr = self.parse_expression()?;
+                    self.expect_token(TokenKind::RParen, "`)`")?;
+                    modifiers.order_by.push((expr, descending));
+                } else {
+                    break;
                 }
             }
             if modifiers.order_by.is_empty() {
@@ -325,11 +315,9 @@ impl Parser {
         }
         // LIMIT and OFFSET in either order.
         for _ in 0..2 {
-            if self.at_keyword("LIMIT") {
-                self.bump();
+            if self.eat_keyword("LIMIT") {
                 modifiers.limit = Some(self.parse_count("LIMIT")?);
-            } else if self.at_keyword("OFFSET") {
-                self.bump();
+            } else if self.eat_keyword("OFFSET") {
                 modifiers.offset = Some(self.parse_count("OFFSET")?);
             }
         }
@@ -345,49 +333,34 @@ impl Parser {
 
     // ---- group graph patterns ------------------------------------------
 
-    fn parse_group(&mut self) -> Result<GroupPattern, SparqlError> {
+    /// A group graph pattern, `{ … }`.
+    pub fn parse_group(&mut self) -> Result<GroupPattern, SparqlError> {
         self.expect_token(TokenKind::LBrace, "`{`")?;
         let mut elements: Vec<PatternElement> = Vec::new();
         loop {
-            match self.peek() {
-                Some(TokenKind::RBrace) => {
-                    self.bump();
-                    return Ok(GroupPattern { elements });
-                }
-                None => return Err(self.err("unterminated group pattern (missing `}`)")),
-                Some(TokenKind::Word(w)) if w.eq_ignore_ascii_case("OPTIONAL") => {
-                    self.bump();
-                    let inner = self.parse_group()?;
-                    elements.push(PatternElement::Optional(inner));
-                }
-                Some(TokenKind::Word(w)) if w.eq_ignore_ascii_case("FILTER") => {
-                    self.bump();
-                    let expr = self.parse_constraint()?;
-                    elements.push(PatternElement::Filter(expr));
-                }
-                Some(TokenKind::Word(w)) if w.eq_ignore_ascii_case("VALUES") => {
-                    self.bump();
-                    elements.push(PatternElement::Values(self.parse_values_block()?));
-                }
-                Some(TokenKind::LBrace) => {
-                    let first = self.parse_group()?;
-                    if self.at_keyword("UNION") {
-                        let mut branches = vec![first];
-                        while self.eat_keyword("UNION") {
-                            branches.push(self.parse_group()?);
-                        }
-                        elements.push(PatternElement::Union(branches));
-                    } else {
-                        elements.push(PatternElement::SubGroup(first));
+            if self.eat_token(&TokenKind::RBrace) {
+                return Ok(GroupPattern { elements });
+            } else if self.peek().is_none() {
+                return Err(self.err("unterminated group pattern (missing `}`)"));
+            } else if self.eat_keyword("OPTIONAL") {
+                elements.push(PatternElement::Optional(self.parse_group()?));
+            } else if self.eat_keyword("FILTER") {
+                elements.push(PatternElement::Filter(self.parse_constraint()?));
+            } else if self.eat_keyword("VALUES") {
+                elements.push(PatternElement::Values(self.parse_values_block()?));
+            } else if self.at_token(&TokenKind::LBrace) {
+                let first = self.parse_group()?;
+                if self.at_keyword("UNION") {
+                    let mut branches = vec![first];
+                    while self.eat_keyword("UNION") {
+                        branches.push(self.parse_group()?);
                     }
+                    elements.push(PatternElement::Union(branches));
+                } else {
+                    elements.push(PatternElement::SubGroup(first));
                 }
-                Some(TokenKind::Dot) => {
-                    self.bump();
-                }
-                _ => {
-                    let atoms = self.parse_triples_block()?;
-                    elements.push(PatternElement::Triples(atoms));
-                }
+            } else if !self.eat_token(&TokenKind::Dot) {
+                elements.push(PatternElement::Triples(self.parse_triples_block()?));
             }
         }
     }
@@ -402,38 +375,29 @@ impl Parser {
                 loop {
                     let object = self.parse_term()?;
                     atoms.push(self.make_atom(is_type, &predicate, &subject, object)?);
-                    if self.peek() == Some(&TokenKind::Comma) {
-                        self.bump();
-                    } else {
+                    if !self.eat_token(&TokenKind::Comma) {
                         break;
                     }
                 }
-                if self.peek() == Some(&TokenKind::Semicolon) {
-                    self.bump();
-                    // A dangling `;` before `.`/`}` is legal SPARQL.
-                    if matches!(self.peek(), Some(TokenKind::Dot) | Some(TokenKind::RBrace)) {
-                        break;
-                    }
-                } else {
+                // A dangling `;` before `.`/`}` is legal SPARQL.
+                if !self.eat_token(&TokenKind::Semicolon)
+                    || matches!(self.peek(), Some(TokenKind::Dot | TokenKind::RBrace))
+                {
                     break;
                 }
             }
-            if self.peek() == Some(&TokenKind::Dot) {
-                self.bump();
-            } else {
+            if !self.eat_token(&TokenKind::Dot) {
                 break;
             }
             // The block ends at `}`, a keyword element, or a nested group.
-            match self.peek() {
-                None | Some(TokenKind::RBrace) | Some(TokenKind::LBrace) => break,
-                Some(TokenKind::Word(w))
-                    if w.eq_ignore_ascii_case("OPTIONAL")
-                        || w.eq_ignore_ascii_case("FILTER")
-                        || w.eq_ignore_ascii_case("VALUES") =>
-                {
-                    break
-                }
-                _ => {}
+            if matches!(
+                self.peek(),
+                None | Some(TokenKind::RBrace | TokenKind::LBrace)
+            ) || ["OPTIONAL", "FILTER", "VALUES"]
+                .iter()
+                .any(|kw| self.at_keyword(kw))
+            {
+                break;
             }
         }
         Ok(atoms)
@@ -444,69 +408,46 @@ impl Parser {
     /// unbound position.
     fn parse_values_block(&mut self) -> Result<ValuesBlock, SparqlError> {
         let mut vars = Vec::new();
-        let single = match self.peek() {
-            Some(TokenKind::Var(_)) => {
-                let Some(TokenKind::Var(v)) = self.bump() else {
-                    unreachable!()
-                };
+        let single = if let Some(v) = self.eat_var() {
+            vars.push(v);
+            true
+        } else if self.eat_token(&TokenKind::LParen) {
+            while let Some(v) = self.eat_var() {
                 vars.push(v);
-                true
             }
-            Some(TokenKind::LParen) => {
-                self.bump();
-                while let Some(TokenKind::Var(_)) = self.peek() {
-                    let Some(TokenKind::Var(v)) = self.bump() else {
-                        unreachable!()
-                    };
-                    vars.push(v);
-                }
-                self.expect_token(TokenKind::RParen, "`)` closing the VALUES variables")?;
-                if vars.is_empty() {
-                    return Err(self.err("VALUES needs at least one variable"));
-                }
-                false
+            self.expect_token(TokenKind::RParen, "`)` closing the VALUES variables")?;
+            if vars.is_empty() {
+                return Err(self.err("VALUES needs at least one variable"));
             }
-            _ => {
-                return Err(self.err(format!(
-                    "expected a variable or `(` after VALUES, found {}",
-                    self.describe_next()
-                )))
-            }
+            false
+        } else {
+            return Err(self.expected("a variable or `(` after VALUES"));
         };
         self.expect_token(TokenKind::LBrace, "`{` opening the VALUES data block")?;
         let mut rows = Vec::new();
         loop {
-            match self.peek() {
-                Some(TokenKind::RBrace) => {
-                    self.bump();
-                    return Ok(ValuesBlock { vars, rows });
+            if self.eat_token(&TokenKind::RBrace) {
+                return Ok(ValuesBlock { vars, rows });
+            } else if self.peek().is_none() {
+                return Err(self.err("unterminated VALUES data block (missing `}`)"));
+            } else if single {
+                rows.push(vec![self.parse_data_value()?]);
+            } else if self.eat_token(&TokenKind::LParen) {
+                let mut row = Vec::with_capacity(vars.len());
+                while !self.at_token(&TokenKind::RParen) {
+                    row.push(self.parse_data_value()?);
                 }
-                None => return Err(self.err("unterminated VALUES data block (missing `}`)")),
-                Some(TokenKind::LParen) if !single => {
-                    self.bump();
-                    let mut row = Vec::with_capacity(vars.len());
-                    while self.peek() != Some(&TokenKind::RParen) {
-                        row.push(self.parse_data_value()?);
-                    }
-                    self.expect_token(TokenKind::RParen, "`)` closing a VALUES row")?;
-                    if row.len() != vars.len() {
-                        return Err(self.err(format!(
-                            "VALUES row has {} terms for {} variables",
-                            row.len(),
-                            vars.len()
-                        )));
-                    }
-                    rows.push(row);
-                }
-                _ if single => {
-                    rows.push(vec![self.parse_data_value()?]);
-                }
-                _ => {
+                self.expect_token(TokenKind::RParen, "`)` closing a VALUES row")?;
+                if row.len() != vars.len() {
                     return Err(self.err(format!(
-                        "expected `(` or `}}` in the VALUES data block, found {}",
-                        self.describe_next()
-                    )))
+                        "VALUES row has {} terms for {} variables",
+                        row.len(),
+                        vars.len()
+                    )));
                 }
+                rows.push(row);
+            } else {
+                return Err(self.expected("`(` or `}` in the VALUES data block"));
             }
         }
     }
@@ -553,30 +494,29 @@ impl Parser {
         }
     }
 
-    /// Predicate position: `a`, a prefixed name, or an IRI. Variables are a
-    /// deliberate subset exclusion (mappings are indexed by named terms).
-    fn parse_verb(&mut self) -> Result<(bool, Iri), SparqlError> {
+    /// Predicate position: `a`, a prefixed name, or an IRI, and whether it
+    /// is `rdf:type`. Variables are a deliberate subset exclusion (mappings
+    /// are indexed by named terms).
+    pub fn parse_verb(&mut self) -> Result<(bool, Iri), SparqlError> {
         match self.peek() {
             Some(TokenKind::Word(w)) if w == "a" => {
                 self.bump();
                 Ok((true, Iri::new(optique_rdf::vocab::rdf::TYPE)))
             }
-            Some(TokenKind::Var(v)) => Err(SparqlError::unsupported(
+            Some(TokenKind::Var(v) | TokenKind::Param(v)) => Err(SparqlError::unsupported(
                 format!("variable predicate ?{v} is outside the supported subset"),
                 self.position(),
             )),
-            Some(TokenKind::PName(_)) | Some(TokenKind::IriRef(_)) => {
+            Some(TokenKind::PName(_) | TokenKind::IriRef(_)) => {
                 let iri = self.parse_iri()?;
                 Ok((iri.as_str() == optique_rdf::vocab::rdf::TYPE, iri))
             }
-            _ => Err(self.err(format!(
-                "expected a predicate, found {}",
-                self.describe_next()
-            ))),
+            _ => Err(self.expected("a predicate")),
         }
     }
 
-    fn parse_iri(&mut self) -> Result<Iri, SparqlError> {
+    /// An IRI: `<…>` (resolved against `BASE`) or a prefixed name.
+    pub fn parse_iri(&mut self) -> Result<Iri, SparqlError> {
         let position = self.position();
         match self.bump() {
             Some(TokenKind::IriRef(iri)) => Ok(Iri::new(self.resolve_relative(&iri))),
@@ -584,75 +524,54 @@ impl Parser {
                 SparqlError::parse(format!("unbound prefix in `{pname}`"), position)
             }),
             other => Err(SparqlError::parse(
-                format!("expected an IRI, found {other:?}"),
+                format!("expected an IRI, found {}", describe(other.as_ref())),
                 position,
             )),
         }
     }
 
-    fn parse_term(&mut self) -> Result<QueryTerm, SparqlError> {
-        let position = self.position();
-        match self.peek() {
-            Some(TokenKind::Var(_)) => {
-                let Some(TokenKind::Var(v)) = self.bump() else {
-                    unreachable!()
-                };
-                Ok(QueryTerm::var(v))
-            }
-            Some(TokenKind::PName(_)) | Some(TokenKind::IriRef(_)) => {
-                Ok(QueryTerm::Const(Term::Iri(self.parse_iri()?)))
-            }
-            Some(TokenKind::Str(_)) => {
-                let Some(TokenKind::Str(s)) = self.bump() else {
-                    unreachable!()
-                };
-                Ok(QueryTerm::Const(Term::Literal(self.typed_literal(s)?)))
-            }
-            Some(TokenKind::Int(_)) => {
-                let Some(TokenKind::Int(i)) = self.bump() else {
-                    unreachable!()
-                };
-                Ok(QueryTerm::Const(Term::Literal(Literal::integer(i))))
-            }
-            Some(TokenKind::Float(_)) => {
-                let Some(TokenKind::Float(f)) = self.bump() else {
-                    unreachable!()
-                };
-                Ok(QueryTerm::Const(Term::Literal(Literal::double(f))))
-            }
-            Some(TokenKind::Minus) => {
-                self.bump();
-                match self.bump() {
-                    Some(TokenKind::Int(i)) => {
-                        Ok(QueryTerm::Const(Term::Literal(Literal::integer(-i))))
-                    }
-                    Some(TokenKind::Float(f)) => {
-                        Ok(QueryTerm::Const(Term::Literal(Literal::double(-f))))
-                    }
-                    _ => Err(SparqlError::parse("expected a number after `-`", position)),
-                }
-            }
-            Some(TokenKind::Word(w)) if w.eq_ignore_ascii_case("true") => {
-                self.bump();
-                Ok(QueryTerm::Const(Term::Literal(Literal::boolean(true))))
-            }
-            Some(TokenKind::Word(w)) if w.eq_ignore_ascii_case("false") => {
-                self.bump();
-                Ok(QueryTerm::Const(Term::Literal(Literal::boolean(false))))
-            }
-            _ => Err(SparqlError::parse(
-                format!("expected a term, found {}", self.describe_next()),
-                position,
-            )),
+    /// A subject or object: a variable, an IRI, or a literal (strings with
+    /// an optional `^^datatype`, signed numbers, booleans).
+    pub fn parse_term(&mut self) -> Result<QueryTerm, SparqlError> {
+        if let Some(v) = self.eat_var() {
+            return Ok(QueryTerm::var(v));
         }
+        if matches!(
+            self.peek(),
+            Some(TokenKind::PName(_) | TokenKind::IriRef(_))
+        ) {
+            return Ok(QueryTerm::Const(Term::Iri(self.parse_iri()?)));
+        }
+        let position = self.position();
+        let literal = match self.bump() {
+            Some(TokenKind::Str(s)) => self.typed_literal(s)?,
+            Some(TokenKind::Int(i)) => Literal::integer(i),
+            Some(TokenKind::Float(f)) => Literal::double(f),
+            Some(TokenKind::Minus) => match self.bump() {
+                Some(TokenKind::Int(i)) => Literal::integer(-i),
+                Some(TokenKind::Float(f)) => Literal::double(-f),
+                _ => return Err(SparqlError::parse("expected a number after `-`", position)),
+            },
+            Some(TokenKind::Word(w))
+                if w.eq_ignore_ascii_case("true") || w.eq_ignore_ascii_case("false") =>
+            {
+                Literal::boolean(w.eq_ignore_ascii_case("true"))
+            }
+            other => {
+                return Err(SparqlError::parse(
+                    format!("expected a term, found {}", describe(other.as_ref())),
+                    position,
+                ))
+            }
+        };
+        Ok(QueryTerm::Const(Term::Literal(literal)))
     }
 
     /// A string literal with an optional `^^datatype` tag.
     fn typed_literal(&mut self, lexical: String) -> Result<Literal, SparqlError> {
-        if self.peek() != Some(&TokenKind::Carets) {
+        if !self.eat_token(&TokenKind::Carets) {
             return Ok(Literal::string(lexical));
         }
-        self.bump();
         let datatype_iri = self.parse_iri()?;
         let datatype = [
             Datatype::String,
@@ -671,29 +590,20 @@ impl Parser {
     // ---- expressions ----------------------------------------------------
 
     fn parse_constraint(&mut self) -> Result<Expression, SparqlError> {
-        match self.peek() {
-            Some(TokenKind::LParen) => {
-                self.bump();
-                let e = self.parse_expression()?;
-                self.expect_token(TokenKind::RParen, "`)`")?;
-                Ok(e)
-            }
-            Some(TokenKind::Word(w))
-                if w.eq_ignore_ascii_case("REGEX") || w.eq_ignore_ascii_case("BOUND") =>
-            {
-                self.parse_primary_expression()
-            }
-            _ => Err(self.err(format!(
-                "expected `(` or a builtin call after FILTER, found {}",
-                self.describe_next()
-            ))),
+        if self.eat_token(&TokenKind::LParen) {
+            let e = self.parse_expression()?;
+            self.expect_token(TokenKind::RParen, "`)`")?;
+            Ok(e)
+        } else if self.at_keyword("REGEX") || self.at_keyword("BOUND") {
+            self.parse_primary_expression()
+        } else {
+            Err(self.expected("`(` or a builtin call after FILTER"))
         }
     }
 
     fn parse_expression(&mut self) -> Result<Expression, SparqlError> {
         let mut left = self.parse_and_expression()?;
-        while self.peek() == Some(&TokenKind::OrOr) {
-            self.bump();
+        while self.eat_token(&TokenKind::OrOr) {
             let right = self.parse_and_expression()?;
             left = Expression::Or(Box::new(left), Box::new(right));
         }
@@ -702,8 +612,7 @@ impl Parser {
 
     fn parse_and_expression(&mut self) -> Result<Expression, SparqlError> {
         let mut left = self.parse_relational_expression()?;
-        while self.peek() == Some(&TokenKind::AndAnd) {
-            self.bump();
+        while self.eat_token(&TokenKind::AndAnd) {
             let right = self.parse_relational_expression()?;
             left = Expression::And(Box::new(left), Box::new(right));
         }
@@ -712,169 +621,146 @@ impl Parser {
 
     fn parse_relational_expression(&mut self) -> Result<Expression, SparqlError> {
         let left = self.parse_additive_expression()?;
-        let op = match self.peek() {
-            Some(TokenKind::Eq) => ComparisonOperator::Eq,
-            Some(TokenKind::Ne) => ComparisonOperator::Ne,
-            Some(TokenKind::Lt) => ComparisonOperator::Lt,
-            Some(TokenKind::Le) => ComparisonOperator::Le,
-            Some(TokenKind::Gt) => ComparisonOperator::Gt,
-            Some(TokenKind::Ge) => ComparisonOperator::Ge,
-            _ => return Ok(left),
-        };
-        self.bump();
+        let op = self.eat_map(|t| match t {
+            TokenKind::Eq => Some(ComparisonOperator::Eq),
+            TokenKind::Ne => Some(ComparisonOperator::Ne),
+            TokenKind::Lt => Some(ComparisonOperator::Lt),
+            TokenKind::Le => Some(ComparisonOperator::Le),
+            TokenKind::Gt => Some(ComparisonOperator::Gt),
+            TokenKind::Ge => Some(ComparisonOperator::Ge),
+            _ => None,
+        });
+        let Some(op) = op else { return Ok(left) };
         let right = self.parse_additive_expression()?;
         Ok(Expression::Compare(op, Box::new(left), Box::new(right)))
     }
 
     fn parse_additive_expression(&mut self) -> Result<Expression, SparqlError> {
         let mut left = self.parse_multiplicative_expression()?;
-        loop {
-            let op = match self.peek() {
-                Some(TokenKind::Plus) => ArithmeticOperator::Add,
-                Some(TokenKind::Minus) => ArithmeticOperator::Sub,
-                _ => return Ok(left),
-            };
-            self.bump();
+        while let Some(op) = self.eat_map(|t| match t {
+            TokenKind::Plus => Some(ArithmeticOperator::Add),
+            TokenKind::Minus => Some(ArithmeticOperator::Sub),
+            _ => None,
+        }) {
             let right = self.parse_multiplicative_expression()?;
             left = Expression::Arithmetic(op, Box::new(left), Box::new(right));
         }
+        Ok(left)
     }
 
     fn parse_multiplicative_expression(&mut self) -> Result<Expression, SparqlError> {
         let mut left = self.parse_unary_expression()?;
-        loop {
-            let op = match self.peek() {
-                Some(TokenKind::Star) => ArithmeticOperator::Mul,
-                Some(TokenKind::Slash) => ArithmeticOperator::Div,
-                _ => return Ok(left),
-            };
-            self.bump();
+        while let Some(op) = self.eat_map(|t| match t {
+            TokenKind::Star => Some(ArithmeticOperator::Mul),
+            TokenKind::Slash => Some(ArithmeticOperator::Div),
+            _ => None,
+        }) {
             let right = self.parse_unary_expression()?;
             left = Expression::Arithmetic(op, Box::new(left), Box::new(right));
         }
+        Ok(left)
     }
 
     fn parse_unary_expression(&mut self) -> Result<Expression, SparqlError> {
-        match self.peek() {
-            Some(TokenKind::Bang) => {
-                self.bump();
-                let inner = self.parse_unary_expression()?;
-                Ok(Expression::Not(Box::new(inner)))
-            }
-            Some(TokenKind::Minus) => {
-                self.bump();
-                match self.peek() {
-                    Some(TokenKind::Int(_)) => {
-                        let Some(TokenKind::Int(i)) = self.bump() else {
-                            unreachable!()
-                        };
-                        Ok(Expression::Const(Term::Literal(Literal::integer(-i))))
-                    }
-                    Some(TokenKind::Float(_)) => {
-                        let Some(TokenKind::Float(f)) = self.bump() else {
-                            unreachable!()
-                        };
-                        Ok(Expression::Const(Term::Literal(Literal::double(-f))))
-                    }
-                    _ => {
-                        let inner = self.parse_primary_expression()?;
-                        Ok(Expression::Arithmetic(
-                            ArithmeticOperator::Sub,
-                            Box::new(Expression::Const(Term::Literal(Literal::integer(0)))),
-                            Box::new(inner),
-                        ))
-                    }
-                }
-            }
-            _ => self.parse_primary_expression(),
+        if self.eat_token(&TokenKind::Bang) {
+            let inner = self.parse_unary_expression()?;
+            return Ok(Expression::Not(Box::new(inner)));
         }
+        if !self.at_token(&TokenKind::Minus) {
+            return self.parse_primary_expression();
+        }
+        // A negative number literal, else `0 - operand`.
+        if matches!(self.peek2(), Some(TokenKind::Int(_) | TokenKind::Float(_))) {
+            return Ok(term_expression(self.parse_term()?));
+        }
+        self.bump();
+        let inner = self.parse_primary_expression()?;
+        Ok(Expression::Arithmetic(
+            ArithmeticOperator::Sub,
+            Box::new(Expression::Const(Term::Literal(Literal::integer(0)))),
+            Box::new(inner),
+        ))
     }
 
     fn parse_primary_expression(&mut self) -> Result<Expression, SparqlError> {
         let position = self.position();
-        match self.peek() {
-            Some(TokenKind::LParen) => {
-                self.bump();
-                let e = self.parse_expression()?;
-                self.expect_token(TokenKind::RParen, "`)`")?;
-                Ok(e)
-            }
-            Some(TokenKind::Var(_)) => {
-                let Some(TokenKind::Var(v)) = self.bump() else {
-                    unreachable!()
-                };
-                Ok(Expression::Var(v))
-            }
-            Some(TokenKind::Word(w)) if w.eq_ignore_ascii_case("REGEX") => {
-                self.bump();
-                self.expect_token(TokenKind::LParen, "`(` after REGEX")?;
-                let text = self.parse_expression()?;
-                self.expect_token(TokenKind::Comma, "`,` between REGEX arguments")?;
-                let Some(TokenKind::Str(pattern)) = self.bump() else {
+        if self.eat_token(&TokenKind::LParen) {
+            let e = self.parse_expression()?;
+            self.expect_token(TokenKind::RParen, "`)`")?;
+            return Ok(e);
+        }
+        if self.eat_keyword("REGEX") {
+            self.expect_token(TokenKind::LParen, "`(` after REGEX")?;
+            let text = self.parse_expression()?;
+            self.expect_token(TokenKind::Comma, "`,` between REGEX arguments")?;
+            let Some(TokenKind::Str(pattern)) = self.bump() else {
+                return Err(SparqlError::parse(
+                    "REGEX pattern must be a string literal",
+                    position,
+                ));
+            };
+            let mut case_insensitive = false;
+            if self.eat_token(&TokenKind::Comma) {
+                let Some(TokenKind::Str(flags)) = self.bump() else {
                     return Err(SparqlError::parse(
-                        "REGEX pattern must be a string literal",
+                        "REGEX flags must be a string literal",
                         position,
                     ));
                 };
-                let mut case_insensitive = false;
-                if self.peek() == Some(&TokenKind::Comma) {
-                    self.bump();
-                    let Some(TokenKind::Str(flags)) = self.bump() else {
-                        return Err(SparqlError::parse(
-                            "REGEX flags must be a string literal",
-                            position,
-                        ));
-                    };
-                    case_insensitive = flags.contains('i');
-                }
-                self.expect_token(TokenKind::RParen, "`)` closing REGEX")?;
-                Ok(Expression::Regex {
-                    text: Box::new(text),
-                    pattern,
-                    case_insensitive,
-                })
+                case_insensitive = flags.contains('i');
             }
-            Some(TokenKind::Word(w)) if w.eq_ignore_ascii_case("BOUND") => {
-                self.bump();
-                self.expect_token(TokenKind::LParen, "`(` after BOUND")?;
-                let Some(TokenKind::Var(v)) = self.bump() else {
-                    return Err(SparqlError::parse("BOUND takes a variable", position));
-                };
-                self.expect_token(TokenKind::RParen, "`)` closing BOUND")?;
-                Ok(Expression::Bound(v))
-            }
+            self.expect_token(TokenKind::RParen, "`)` closing REGEX")?;
+            return Ok(Expression::Regex {
+                text: Box::new(text),
+                pattern,
+                case_insensitive,
+            });
+        }
+        if self.eat_keyword("BOUND") {
+            self.expect_token(TokenKind::LParen, "`(` after BOUND")?;
+            let Some(v) = self.eat_var() else {
+                return Err(SparqlError::parse("BOUND takes a variable", position));
+            };
+            self.expect_token(TokenKind::RParen, "`)` closing BOUND")?;
+            return Ok(Expression::Bound(v));
+        }
+        match self.peek() {
+            Some(
+                TokenKind::Var(_)
+                | TokenKind::Param(_)
+                | TokenKind::Str(_)
+                | TokenKind::Int(_)
+                | TokenKind::Float(_)
+                | TokenKind::PName(_)
+                | TokenKind::IriRef(_),
+            ) => Ok(term_expression(self.parse_term()?)),
             Some(TokenKind::Word(w))
                 if w.eq_ignore_ascii_case("true") || w.eq_ignore_ascii_case("false") =>
             {
-                let b = w.eq_ignore_ascii_case("true");
-                self.bump();
-                Ok(Expression::Const(Term::Literal(Literal::boolean(b))))
+                Ok(term_expression(self.parse_term()?))
             }
-            Some(TokenKind::Str(_)) => {
-                let Some(TokenKind::Str(s)) = self.bump() else {
-                    unreachable!()
-                };
-                Ok(Expression::Const(Term::Literal(self.typed_literal(s)?)))
-            }
-            Some(TokenKind::Int(_)) => {
-                let Some(TokenKind::Int(i)) = self.bump() else {
-                    unreachable!()
-                };
-                Ok(Expression::Const(Term::Literal(Literal::integer(i))))
-            }
-            Some(TokenKind::Float(_)) => {
-                let Some(TokenKind::Float(f)) = self.bump() else {
-                    unreachable!()
-                };
-                Ok(Expression::Const(Term::Literal(Literal::double(f))))
-            }
-            Some(TokenKind::PName(_)) | Some(TokenKind::IriRef(_)) => {
-                Ok(Expression::Const(Term::Iri(self.parse_iri()?)))
-            }
-            _ => Err(self.err(format!(
-                "expected an expression, found {}",
-                self.describe_next()
-            ))),
+            _ => Err(self.expected("an expression")),
         }
+    }
+}
+
+fn term_expression(term: QueryTerm) -> Expression {
+    match term {
+        QueryTerm::Var(v) => Expression::Var(v),
+        QueryTerm::Const(c) => Expression::Const(c),
+    }
+}
+
+/// How an error names `token`.
+fn describe(token: Option<&TokenKind>) -> String {
+    match token {
+        None => "end of input".into(),
+        Some(TokenKind::Word(w)) => format!("`{w}`"),
+        Some(TokenKind::PName(p)) => format!("`{p}`"),
+        Some(TokenKind::Var(v)) => format!("`?{v}`"),
+        Some(TokenKind::Param(v)) => format!("`${v}`"),
+        Some(TokenKind::IriRef(i)) => format!("`<{i}>`"),
+        Some(TokenKind::Str(s)) => format!("string {s:?}"),
+        Some(other) => format!("{other:?}"),
     }
 }

@@ -4,6 +4,9 @@
 //! random edits (junk inserted, a run deleted, the tail cut off) and go
 //! through `parse_sparql` and, at the platform boundary, `query_static`.
 //! Every outcome is `Ok` or an `Err`; a parser `Err` carries its position.
+//! Under all of it, the one lexer SPARQL and STARQL share takes text mixed
+//! from escapes, STARQL's header tokens and open quotes: it never panics,
+//! and an error points inside the text.
 
 #[path = "../../../tests/common/mod.rs"]
 mod common;
@@ -13,6 +16,7 @@ use std::sync::OnceLock;
 use common::{hostile, proptest_cases, FIXED_QUERIES};
 use optique::OptiquePlatform;
 use optique_siemens::SiemensDeployment;
+use optique_sparql::lexer::lex;
 use optique_sparql::parse_sparql;
 use proptest::prelude::*;
 use proptest::sample::Index;
@@ -38,6 +42,57 @@ fn seed() -> impl Strategy<Value = String> {
     prop_oneof![fixed, common::query_strategy()]
 }
 
+/// The lexer's hostile alphabet: `\u`/`\U` escapes whole, cut short, out
+/// of range and surrogate; STARQL's `[`, `]`, `->` and `$param`; quotes
+/// left open; `-` beside names, variables and numbers; a colon beside
+/// names and variables.
+const LEXER_PIECES: &[&str] = &[
+    "\\u0041",
+    "\\u00",
+    "\\uD800",
+    "\\U0001F600",
+    "\\U00110000",
+    "\\u",
+    "\\q",
+    "\\\\",
+    "\\",
+    "[",
+    "]",
+    "->",
+    "-",
+    "$",
+    "$p",
+    "'",
+    "\"",
+    "'ab",
+    "\"x",
+    "?v-1",
+    "NOW-",
+    "seq:",
+    ":",
+    "?y:",
+    "<",
+    "<http://x/",
+    ">",
+    "^^",
+    "1e",
+    "2.5",
+    " ",
+    "\n",
+    "\r",
+    "é",
+    "𝄞",
+];
+
+/// Up to 24 pieces, each from [`LEXER_PIECES`] or any code point.
+fn lexer_soup() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        any::<Index>().prop_map(|i| LEXER_PIECES[i.index(LEXER_PIECES.len())].to_string()),
+        (0u32..0x11_0000).prop_map(|c| char::from_u32(c).map(String::from).unwrap_or_default()),
+    ];
+    proptest::collection::vec(piece, 0..24).prop_map(|pieces| pieces.concat())
+}
+
 fn platform() -> &'static OptiquePlatform {
     static PLATFORM: OnceLock<OptiquePlatform> = OnceLock::new();
     PLATFORM.get_or_init(|| OptiquePlatform::from_siemens(SiemensDeployment::small()))
@@ -54,6 +109,14 @@ proptest! {
         let text = hostile::mutate(&seed, &edits);
         if let Err(e) = parse_sparql(&text, &optique_siemens::ontology::namespaces()) {
             prop_assert!(e.position.is_some(), "unpositioned {e} for {text:?}");
+        }
+    }
+
+    #[test]
+    fn hostile_text_never_panics_the_lexer(text in lexer_soup()) {
+        if let Err(e) = lex(&text) {
+            let position = e.position.expect("a lex error carries its position");
+            prop_assert!(common::hostile::inside(&text, position), "{e} points past {text:?}");
         }
     }
 

@@ -22,7 +22,10 @@
 //! ```
 //!
 //! Modules:
-//! * [`ast`]/[`lexer`]/[`parser`] — the surface language,
+//! * [`ast`]/[`parser`] — the surface language. STARQL is SPARQL plus a
+//!   header: the text lexes once, with `optique_sparql`'s lexer, and parses
+//!   as one token stream through [`optique_sparql::Parser`], whose group
+//!   patterns, terms and verbs are WHERE, CONSTRUCT and HAVING's,
 //! * [`duration`] — `xsd:duration` and wall-clock literals in milliseconds,
 //! * [`sequence`] — the `StdSeq` sequencing semantics: window contents
 //!   become a sequence of per-timestamp RDF states; a state violating a
@@ -42,7 +45,6 @@ pub mod ast;
 pub mod duration;
 pub mod engine;
 pub mod having;
-pub mod lexer;
 pub mod parser;
 pub mod sequence;
 pub mod translate;

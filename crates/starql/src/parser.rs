@@ -1,30 +1,46 @@
 //! Recursive-descent parser for STARQL (the paper's Figure 1 grammar).
+//!
+//! STARQL is SPARQL plus a header: the text is one token stream of the
+//! SPARQL lexer, driven through [`optique_sparql::Parser`]. WHERE and the
+//! CONSTRUCT template are its group patterns, and HAVING's constants and
+//! predicates its terms and verbs; only `$param`s and the formula grammar
+//! are STARQL's own.
 
-use optique_rdf::{Iri, Literal, Namespaces, Term};
+use optique_rdf::{Namespaces, Term};
 use optique_rewrite::{Atom, QueryTerm};
+use optique_sparql::lexer::TokenKind;
+use optique_sparql::{Parser as SparqlParser, PatternElement, Position, SparqlError};
 
 use crate::ast::{
     AggregateDef, OutputMode, PulseClause, SequenceMethod, StarQlQuery, StreamClause,
 };
 use crate::duration::{parse_clock_ms, parse_duration_ms};
 use crate::having::{AggFunc, CmpOp, ProtoAtom, ProtoFormula, ProtoPred, ProtoTerm};
-use crate::lexer::{lex, Token, TokenKind};
 
 /// Parse failure with positional context.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StarQlError {
-    /// Byte offset in the source.
-    pub offset: usize,
+    /// Where the failure is: 1-based line and column, in characters.
+    pub position: Position,
     /// Description.
     pub message: String,
+}
+
+impl From<SparqlError> for StarQlError {
+    fn from(e: SparqlError) -> Self {
+        StarQlError {
+            position: e.position.unwrap_or_else(Position::start),
+            message: e.message,
+        }
+    }
 }
 
 impl std::fmt::Display for StarQlError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "STARQL parse error at byte {}: {}",
-            self.offset, self.message
+            "STARQL parse error at {}: {}",
+            self.position, self.message
         )
     }
 }
@@ -34,116 +50,36 @@ impl std::error::Error for StarQlError {}
 /// Parses a STARQL query. `namespaces` supplies prefix bindings used by
 /// CURIEs; `PREFIX` declarations in the text extend them.
 pub fn parse_starql(text: &str, namespaces: &Namespaces) -> Result<StarQlQuery, StarQlError> {
-    let tokens = lex(text).map_err(|e| StarQlError {
-        offset: e.offset,
-        message: e.message,
-    })?;
     let mut p = Parser {
-        tokens,
-        pos: 0,
-        ns: namespaces.clone(),
+        p: SparqlParser::new(text, namespaces)?,
         state_scope: Vec::new(),
-        source: text.to_string(),
     };
     let q = p.parse_query()?;
-    if p.pos != p.tokens.len() {
-        return Err(p.err(format!("unexpected trailing tokens: {:?}", p.peek())));
-    }
+    p.p.expect_end()?;
     Ok(q)
 }
 
 struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-    ns: Namespaces,
+    p: SparqlParser,
     /// Stack of state-variable scopes (quantifier nesting) — used to tell
     /// `?i < ?j` (state order) apart from value comparisons.
     state_scope: Vec<Vec<String>>,
-    /// The raw query text; the WHERE clause is re-sliced from it and handed
-    /// to the SPARQL group-pattern parser.
-    source: String,
+}
+
+/// A lone `:`, which lexes as the empty prefixed name.
+fn colon() -> TokenKind {
+    TokenKind::PName(":".into())
 }
 
 impl Parser {
-    fn peek(&self) -> Option<&TokenKind> {
-        self.tokens.get(self.pos).map(|t| &t.kind)
+    fn err(&self, message: impl Into<String>) -> StarQlError {
+        self.p.err(message).into()
     }
 
-    fn peek2(&self) -> Option<&TokenKind> {
-        self.tokens.get(self.pos + 1).map(|t| &t.kind)
-    }
-
-    fn offset(&self) -> usize {
-        self.tokens
-            .get(self.pos)
-            .map(|t| t.offset)
-            .unwrap_or_else(|| self.tokens.last().map(|t| t.offset + 1).unwrap_or(0))
-    }
-
-    fn err(&self, message: String) -> StarQlError {
-        StarQlError {
-            offset: self.offset(),
-            message,
-        }
-    }
-
-    fn bump(&mut self) -> Option<TokenKind> {
-        let t = self.tokens.get(self.pos).map(|t| t.kind.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn peek_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(TokenKind::Ident(w)) if w.eq_ignore_ascii_case(kw))
-    }
-
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        if self.peek_kw(kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_kw(&mut self, kw: &str) -> Result<(), StarQlError> {
-        if self.eat_kw(kw) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected keyword {kw}, got {:?}", self.peek())))
-        }
-    }
-
-    fn expect(&mut self, kind: &TokenKind) -> Result<(), StarQlError> {
-        match self.peek() {
-            Some(k) if k == kind => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(self.err(format!("expected {kind:?}, got {other:?}"))),
-        }
-    }
-
-    fn expect_ident(&mut self) -> Result<String, StarQlError> {
-        match self.bump() {
-            Some(TokenKind::Ident(w)) => Ok(w),
-            other => Err(self.err(format!("expected identifier, got {other:?}"))),
-        }
-    }
-
-    fn expect_var(&mut self) -> Result<String, StarQlError> {
-        match self.bump() {
-            Some(TokenKind::Var(v)) => Ok(v),
-            other => Err(self.err(format!("expected ?variable, got {other:?}"))),
-        }
-    }
-
-    fn resolve_curie(&self, curie: &str) -> Result<Iri, StarQlError> {
-        self.ns.expand(curie).ok_or_else(|| StarQlError {
-            offset: self.offset(),
-            message: format!("unbound prefix in CURIE {curie}"),
+    fn eat_param(&mut self) -> Option<String> {
+        self.p.eat_map(|t| match t {
+            TokenKind::Param(p) => Some(p.clone()),
+            _ => None,
         })
     }
 
@@ -156,50 +92,30 @@ impl Parser {
     // ---- top level ----------------------------------------------------
 
     fn parse_query(&mut self) -> Result<StarQlQuery, StarQlError> {
-        // Optional PREFIX declarations.
-        while self.eat_kw("PREFIX") {
-            let prefix_word = match self.bump() {
-                Some(TokenKind::Ident(w)) => w,
-                Some(TokenKind::Colon) => String::new(),
-                other => return Err(self.err(format!("expected prefix name, got {other:?}"))),
-            };
-            // `sie:` lexes as Ident("sie") + Colon when space-separated; the
-            // colon may also have been absorbed.
-            let prefix = prefix_word.trim_end_matches(':').to_string();
-            if matches!(self.peek(), Some(TokenKind::Colon)) {
-                self.pos += 1;
-            }
-            let Some(TokenKind::IriRef(iri)) = self.bump() else {
-                return Err(self.err("expected <IRI> in PREFIX".into()));
-            };
-            self.ns.bind(prefix, iri);
-        }
-
-        self.expect_kw("CREATE")?;
-        self.expect_kw("STREAM")?;
-        let output_stream = self.expect_ident()?;
-        self.expect_kw("AS")?;
+        self.p.parse_prologue()?;
+        self.p.expect_keyword("CREATE")?;
+        self.p.expect_keyword("STREAM")?;
+        let output_stream = self.p.expect_word("an output stream name")?;
+        self.p.expect_keyword("AS")?;
 
         // Optional CQL relation-to-stream operator before CONSTRUCT.
-        let output_mode = if self.eat_kw("ISTREAM") {
+        let output_mode = if self.p.eat_keyword("ISTREAM") {
             OutputMode::IStream
-        } else if self.eat_kw("DSTREAM") {
+        } else if self.p.eat_keyword("DSTREAM") {
             OutputMode::DStream
         } else {
-            self.eat_kw("RSTREAM");
+            self.p.eat_keyword("RSTREAM");
             OutputMode::RStream
         };
 
-        self.expect_kw("CONSTRUCT")?;
-        self.expect_kw("GRAPH")?;
-        self.expect_kw("NOW")?;
-        self.expect(&TokenKind::LBrace)?;
-        let construct = self.parse_bgp()?;
-        self.expect(&TokenKind::RBrace)?;
+        self.p.expect_keyword("CONSTRUCT")?;
+        self.p.expect_keyword("GRAPH")?;
+        self.p.expect_keyword("NOW")?;
+        let construct = self.parse_template()?;
 
-        self.expect_kw("FROM")?;
-        self.expect_kw("STREAM")?;
-        let stream_name = self.expect_ident()?;
+        self.p.expect_keyword("FROM")?;
+        self.p.expect_keyword("STREAM")?;
+        let stream_name = self.p.expect_word("a stream name")?;
         let (range_ms, slide_ms) = self.parse_window()?;
         let stream = StreamClause {
             name: stream_name,
@@ -209,40 +125,27 @@ impl Parser {
 
         let mut static_data = None;
         let mut ontology_ref = None;
-        while matches!(self.peek(), Some(TokenKind::Comma)) {
-            self.pos += 1;
-            if self.eat_kw("STATIC") {
-                self.expect_kw("DATA")?;
-                let Some(TokenKind::IriRef(iri)) = self.bump() else {
-                    return Err(self.err("expected <IRI> after STATIC DATA".into()));
-                };
-                static_data = Some(iri);
-            } else if self.eat_kw("ONTOLOGY") {
-                let Some(TokenKind::IriRef(iri)) = self.bump() else {
-                    return Err(self.err("expected <IRI> after ONTOLOGY".into()));
-                };
-                ontology_ref = Some(iri);
+        while self.p.eat_token(&TokenKind::Comma) {
+            if self.p.eat_keyword("STATIC") {
+                self.p.expect_keyword("DATA")?;
+                static_data = Some(self.p.parse_iri()?.as_str().to_string());
+            } else if self.p.eat_keyword("ONTOLOGY") {
+                ontology_ref = Some(self.p.parse_iri()?.as_str().to_string());
             } else {
-                return Err(self.err("expected STATIC DATA or ONTOLOGY".into()));
+                return Err(self.err("expected STATIC DATA or ONTOLOGY"));
             }
         }
 
-        let pulse = if self.eat_kw("USING") {
-            self.expect_kw("PULSE")?;
-            self.expect_kw("WITH")?;
-            self.expect_kw("START")?;
-            self.expect(&TokenKind::Eq)?;
-            let Some(TokenKind::Str(start)) = self.bump() else {
-                return Err(self.err("expected quoted START value".into()));
-            };
-            self.skip_datatype_tag();
-            self.expect(&TokenKind::Comma)?;
-            self.expect_kw("FREQUENCY")?;
-            self.expect(&TokenKind::Eq)?;
-            let Some(TokenKind::Str(freq)) = self.bump() else {
-                return Err(self.err("expected quoted FREQUENCY value".into()));
-            };
-            self.skip_datatype_tag();
+        let pulse = if self.p.eat_keyword("USING") {
+            self.p.expect_keyword("PULSE")?;
+            self.p.expect_keyword("WITH")?;
+            self.p.expect_keyword("START")?;
+            self.p.expect_token(TokenKind::Eq, "`=`")?;
+            let start = self.parse_lexical("START value")?;
+            self.p.expect_token(TokenKind::Comma, "`,`")?;
+            self.p.expect_keyword("FREQUENCY")?;
+            self.p.expect_token(TokenKind::Eq, "`=`")?;
+            let freq = self.parse_lexical("FREQUENCY value")?;
             let start_ms = parse_clock_ms(&start)
                 .or_else(|_| parse_duration_ms(&start))
                 .map_err(|m| self.err(m))?;
@@ -255,25 +158,25 @@ impl Parser {
             None
         };
 
-        self.expect_kw("WHERE")?;
+        self.p.expect_keyword("WHERE")?;
         let (where_disjuncts, where_filters) = self.parse_where_group()?;
         let where_bgp = where_disjuncts.first().cloned().unwrap_or_default();
 
-        self.expect_kw("SEQUENCE")?;
-        self.expect_kw("BY")?;
-        let method = self.expect_ident()?;
+        self.p.expect_keyword("SEQUENCE")?;
+        self.p.expect_keyword("BY")?;
+        let method = self.p.expect_word("a sequencing method")?;
         if !method.eq_ignore_ascii_case("StdSeq") {
             return Err(self.err(format!("unsupported sequencing method {method}")));
         }
-        self.expect_kw("AS")?;
-        let alias = self.expect_ident()?;
+        self.p.expect_keyword("AS")?;
+        let alias = self.p.expect_word("a sequence alias")?;
         let sequence = SequenceMethod::StdSeq { alias };
 
-        self.expect_kw("HAVING")?;
+        self.p.expect_keyword("HAVING")?;
         let having = self.parse_formula()?;
 
         let mut aggregates = Vec::new();
-        while self.peek_kw("CREATE") {
+        while self.p.at_keyword("CREATE") {
             aggregates.push(self.parse_aggregate_def()?);
         }
 
@@ -294,195 +197,121 @@ impl Parser {
         })
     }
 
-    /// Parses the WHERE clause by re-slicing its `{ … }` source text and
-    /// delegating to the SPARQL group-graph-pattern parser, then lowering
-    /// the pattern to a union of BGPs with per-disjunct FILTERs. Full SPARQL
-    /// pattern *syntax* is accepted; `OPTIONAL` (no continuous-query
-    /// semantics) and FILTER forms with no SQL translation (`REGEX`,
-    /// `BOUND`) are rejected with a positioned explanation. Accepted
-    /// filters are pushed into the unfolded SQL by the translator.
+    /// `{ triples }` — the CONSTRUCT template, a SPARQL group of triples.
+    fn parse_template(&mut self) -> Result<Vec<Atom>, StarQlError> {
+        let start = self.p.position();
+        let mut atoms = Vec::new();
+        for element in self.p.parse_group()?.elements {
+            let PatternElement::Triples(triples) = element else {
+                return Err(StarQlError {
+                    position: start,
+                    message: "a CONSTRUCT template holds triples only".into(),
+                });
+            };
+            atoms.extend(triples);
+        }
+        Ok(atoms)
+    }
+
+    /// Parses the WHERE clause with the SPARQL group-graph-pattern parser,
+    /// then lowers the pattern to a union of BGPs with per-disjunct
+    /// FILTERs. Full SPARQL pattern *syntax* is accepted; `OPTIONAL` (no
+    /// continuous-query semantics) and FILTER forms with no SQL translation
+    /// (`REGEX`, `BOUND`) are rejected with a positioned explanation.
+    /// Accepted filters are pushed into the unfolded SQL by the translator.
     #[allow(clippy::type_complexity)]
     fn parse_where_group(
         &mut self,
     ) -> Result<(Vec<Vec<Atom>>, Vec<Vec<optique_sparql::Expression>>), StarQlError> {
-        let open = self.pos;
-        let Some(Token {
-            kind: TokenKind::LBrace,
-            offset: start,
-        }) = self.tokens.get(open).cloned()
-        else {
-            return Err(self.err(format!("expected {{ after WHERE, got {:?}", self.peek())));
+        let start = self.p.position();
+        let in_where = |message: String| StarQlError {
+            position: start,
+            message: format!("in WHERE clause: {message}"),
         };
-        // Find the matching close brace at this nesting level.
-        let mut depth = 0usize;
-        let mut close = None;
-        for (i, token) in self.tokens.iter().enumerate().skip(open) {
-            match token.kind {
-                TokenKind::LBrace => depth += 1,
-                TokenKind::RBrace => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = Some(i);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let Some(close) = close else {
-            return Err(self.err("unterminated WHERE clause (missing })".into()));
-        };
-        let end = self.tokens[close].offset + 1;
-        let slice = &self.source[start..end];
-
-        let group = optique_sparql::parse_group_graph_pattern(slice, &self.ns).map_err(|e| {
-            StarQlError {
-                offset: start,
-                message: format!("in WHERE clause: {e}"),
-            }
+        let group = self.p.parse_group().map_err(|e| StarQlError {
+            position: e.position.unwrap_or(start),
+            ..in_where(e.message)
         })?;
         let lowered = group
             .bgp_disjuncts_with_filters()
-            .map_err(|m| StarQlError {
-                offset: start,
-                message: format!("in WHERE clause: {m} in a continuous query"),
-            })?;
+            .map_err(|m| in_where(format!("{m} in a continuous query")))?;
         // Accept only FILTERs the translator can push into SQL; the rest
         // (REGEX, BOUND) have no continuous-query execution path.
         for (_, filters) in &lowered {
-            for filter in filters {
-                if let Some(blocked) = unsupported_filter_form(filter) {
-                    return Err(StarQlError {
-                        offset: start,
-                        message: format!(
-                            "in WHERE clause: FILTER {blocked} cannot be pushed into SQL \
-                             in a continuous query (use comparisons and &&/||/!)"
-                        ),
-                    });
-                }
+            if let Some(blocked) = filters.iter().find_map(unsupported_filter_form) {
+                return Err(in_where(format!(
+                    "FILTER {blocked} cannot be pushed into SQL \
+                     in a continuous query (use comparisons and &&/||/!)"
+                )));
             }
         }
-        self.pos = close + 1;
         Ok(lowered.into_iter().unzip())
-    }
-
-    fn skip_datatype_tag(&mut self) {
-        if matches!(self.peek(), Some(TokenKind::Carets)) {
-            self.pos += 1;
-            let _ = self.bump(); // the datatype CURIE
-        }
     }
 
     /// `[NOW - "PT10S"^^xsd:duration, NOW] -> "PT1S"^^xsd:duration`
     fn parse_window(&mut self) -> Result<(i64, i64), StarQlError> {
-        self.expect(&TokenKind::LBracket)?;
-        self.expect_kw("NOW")?;
-        self.expect(&TokenKind::Minus)?;
+        self.p.expect_token(TokenKind::LBracket, "`[`")?;
+        self.p.expect_keyword("NOW")?;
+        self.p.expect_token(TokenKind::Minus, "`-`")?;
         let range = self.parse_duration_literal()?;
-        self.expect(&TokenKind::Comma)?;
-        self.expect_kw("NOW")?;
-        self.expect(&TokenKind::RBracket)?;
-        self.expect(&TokenKind::Arrow)?;
+        self.p.expect_token(TokenKind::Comma, "`,`")?;
+        self.p.expect_keyword("NOW")?;
+        self.p.expect_token(TokenKind::RBracket, "`]`")?;
+        self.p.expect_token(TokenKind::Arrow, "`->`")?;
         let slide = self.parse_duration_literal()?;
         Ok((range, slide))
     }
 
     fn parse_duration_literal(&mut self) -> Result<i64, StarQlError> {
-        let Some(TokenKind::Str(text)) = self.bump() else {
-            return Err(self.err("expected quoted duration".into()));
-        };
-        self.skip_datatype_tag();
+        let text = self.parse_lexical("duration")?;
         parse_lenient_duration(&text).map_err(|m| self.err(m))
     }
 
-    // ---- basic graph patterns -----------------------------------------
-
-    /// Triples `t1 p t2 .` until the closing brace (not consumed).
-    fn parse_bgp(&mut self) -> Result<Vec<Atom>, StarQlError> {
-        let mut atoms = Vec::new();
-        while !matches!(self.peek(), Some(TokenKind::RBrace) | None) {
-            let subject = self.parse_query_term()?;
-            let (is_type, predicate) = self.parse_predicate()?;
-            let object = self.parse_query_term()?;
-            if is_type {
-                let QueryTerm::Const(Term::Iri(class)) = object else {
-                    return Err(self.err("rdf:type object must be a class IRI".into()));
-                };
-                atoms.push(Atom::Class {
-                    class,
-                    arg: subject,
-                });
-            } else {
-                atoms.push(Atom::Property {
-                    property: predicate,
-                    subject,
-                    object,
-                });
-            }
-            if matches!(self.peek(), Some(TokenKind::Dot)) {
-                self.pos += 1;
-            }
-        }
-        Ok(atoms)
-    }
-
-    /// Predicate position: `a` / `rdf:type` flag, or a property IRI.
-    fn parse_predicate(&mut self) -> Result<(bool, Iri), StarQlError> {
-        match self.bump() {
-            Some(TokenKind::Ident(w)) if w == "a" => {
-                Ok((true, Iri::new(optique_rdf::vocab::rdf::TYPE)))
-            }
-            Some(TokenKind::Ident(curie)) => {
-                let iri = self.resolve_curie(&curie)?;
-                Ok((iri.as_str() == optique_rdf::vocab::rdf::TYPE, iri))
-            }
-            Some(TokenKind::IriRef(iri)) => {
-                let iri = Iri::new(iri);
-                Ok((iri.as_str() == optique_rdf::vocab::rdf::TYPE, iri))
-            }
-            other => Err(self.err(format!("expected predicate, got {other:?}"))),
-        }
-    }
-
-    fn parse_query_term(&mut self) -> Result<QueryTerm, StarQlError> {
-        match self.bump() {
-            Some(TokenKind::Var(v)) => Ok(QueryTerm::var(v)),
-            Some(TokenKind::Ident(curie)) => {
-                Ok(QueryTerm::Const(Term::Iri(self.resolve_curie(&curie)?)))
-            }
-            Some(TokenKind::IriRef(iri)) => Ok(QueryTerm::Const(Term::iri(iri))),
-            Some(TokenKind::Str(s)) => {
-                self.skip_datatype_tag();
-                Ok(QueryTerm::Const(Term::Literal(Literal::string(s))))
-            }
-            Some(TokenKind::Int(i)) => Ok(QueryTerm::Const(Term::Literal(Literal::integer(i)))),
-            Some(TokenKind::Float(f)) => Ok(QueryTerm::Const(Term::Literal(Literal::double(f)))),
-            other => Err(self.err(format!("expected term, got {other:?}"))),
+    /// A literal's lexical form (`"PT1S"^^xsd:duration` → `PT1S`).
+    fn parse_lexical(&mut self, what: &str) -> Result<String, StarQlError> {
+        let position = self.p.position();
+        match self.p.parse_term()? {
+            QueryTerm::Const(Term::Literal(literal)) => Ok(literal.lexical().to_string()),
+            _ => Err(StarQlError {
+                position,
+                message: format!("expected a quoted {what}"),
+            }),
         }
     }
 
     // ---- HAVING formulas ----------------------------------------------
 
     fn parse_formula(&mut self) -> Result<ProtoFormula, StarQlError> {
-        if self.peek_kw("EXISTS") {
+        if self.p.at_keyword("EXISTS") {
             return self.parse_exists();
         }
-        if self.peek_kw("FORALL") {
+        if self.p.at_keyword("FORALL") {
             return self.parse_forall();
         }
         self.parse_or()
     }
 
+    /// `IN seq` — the sequence a quantifier ranges over. `seq:` lexes as
+    /// one prefixed name whose colon ends the header; `true` when it did.
+    fn parse_in_seq(&mut self) -> Result<bool, StarQlError> {
+        self.p.expect_keyword("IN")?;
+        let colon = self.p.eat_map(|t| match t {
+            TokenKind::Word(_) => Some(false),
+            TokenKind::PName(p) if p.len() > 1 && p.ends_with(':') => Some(true),
+            _ => None,
+        });
+        colon.ok_or_else(|| self.p.expected("a sequence name after IN").into())
+    }
+
     fn parse_exists(&mut self) -> Result<ProtoFormula, StarQlError> {
-        self.expect_kw("EXISTS")?;
-        let mut vars = vec![self.expect_var()?];
-        while matches!(self.peek(), Some(TokenKind::Comma)) {
-            self.pos += 1;
-            vars.push(self.expect_var()?);
+        self.p.expect_keyword("EXISTS")?;
+        let mut vars = vec![self.p.expect_var()?];
+        while self.p.eat_token(&TokenKind::Comma) {
+            vars.push(self.p.expect_var()?);
         }
-        self.expect_kw("IN")?;
-        let _seq = self.expect_ident()?;
-        self.expect(&TokenKind::Colon)?;
+        if !self.parse_in_seq()? {
+            self.p.expect_token(colon(), "`:`")?;
+        }
         self.state_scope.push(vars.clone());
         let body = self.parse_formula()?;
         self.state_scope.pop();
@@ -493,25 +322,23 @@ impl Parser {
     }
 
     fn parse_forall(&mut self) -> Result<ProtoFormula, StarQlError> {
-        self.expect_kw("FORALL")?;
+        self.p.expect_keyword("FORALL")?;
         // State vars with optional `<` ordering chain: `?i < ?j`.
-        let mut state_vars = vec![self.expect_var()?];
+        let mut state_vars = vec![self.p.expect_var()?];
         let mut order_pairs: Vec<(String, String)> = Vec::new();
-        while matches!(self.peek(), Some(TokenKind::Lt)) {
-            self.pos += 1;
-            let next = self.expect_var()?;
+        while self.p.eat_token(&TokenKind::Lt) {
+            let next = self.p.expect_var()?;
             order_pairs.push((state_vars.last().expect("nonempty").clone(), next.clone()));
             state_vars.push(next);
         }
-        self.expect_kw("IN")?;
-        let _seq = self.expect_ident()?;
         // Optional value variables.
         let mut value_vars = Vec::new();
-        while matches!(self.peek(), Some(TokenKind::Comma)) {
-            self.pos += 1;
-            value_vars.push(self.expect_var()?);
+        if !self.parse_in_seq()? {
+            while self.p.eat_token(&TokenKind::Comma) {
+                value_vars.push(self.p.expect_var()?);
+            }
+            self.p.expect_token(colon(), "`:`")?;
         }
-        self.expect(&TokenKind::Colon)?;
         self.state_scope.push(state_vars.clone());
         let body = self.parse_formula()?;
         self.state_scope.pop();
@@ -551,7 +378,7 @@ impl Parser {
 
     fn parse_or(&mut self) -> Result<ProtoFormula, StarQlError> {
         let mut left = self.parse_and()?;
-        while self.eat_kw("OR") {
+        while self.p.eat_keyword("OR") {
             let right = self.parse_and()?;
             left = ProtoFormula::Or(Box::new(left), Box::new(right));
         }
@@ -560,7 +387,7 @@ impl Parser {
 
     fn parse_and(&mut self) -> Result<ProtoFormula, StarQlError> {
         let mut left = self.parse_not()?;
-        while self.eat_kw("AND") {
+        while self.p.eat_keyword("AND") {
             let right = self.parse_not()?;
             left = ProtoFormula::And(Box::new(left), Box::new(right));
         }
@@ -568,7 +395,7 @@ impl Parser {
     }
 
     fn parse_not(&mut self) -> Result<ProtoFormula, StarQlError> {
-        if self.eat_kw("NOT") {
+        if self.p.eat_keyword("NOT") {
             let inner = self.parse_not()?;
             return Ok(ProtoFormula::Not(Box::new(inner)));
         }
@@ -578,60 +405,59 @@ impl Parser {
     fn parse_atomic_formula(&mut self) -> Result<ProtoFormula, StarQlError> {
         // Nested quantifiers are allowed in atomic position (Figure 1 puts
         // FORALL directly after AND).
-        if self.peek_kw("EXISTS") {
+        if self.p.at_keyword("EXISTS") {
             return self.parse_exists();
         }
-        if self.peek_kw("FORALL") {
+        if self.p.at_keyword("FORALL") {
             return self.parse_forall();
         }
-        if self.eat_kw("IF") {
-            self.expect(&TokenKind::LParen)?;
+        if self.p.eat_keyword("IF") {
+            self.p.expect_token(TokenKind::LParen, "`(`")?;
             let cond = self.parse_formula()?;
-            self.expect(&TokenKind::RParen)?;
-            self.expect_kw("THEN")?;
+            self.p.expect_token(TokenKind::RParen, "`)`")?;
+            self.p.expect_keyword("THEN")?;
             let then = self.parse_atomic_formula()?;
             return Ok(ProtoFormula::If {
                 cond: Box::new(cond),
                 then: Box::new(then),
             });
         }
-        if self.peek_kw("GRAPH") {
+        if self.p.at_keyword("GRAPH") {
             return self.parse_graph_formula();
         }
-        if matches!(self.peek(), Some(TokenKind::LParen)) {
-            self.pos += 1;
+        if self.p.eat_token(&TokenKind::LParen) {
             let inner = self.parse_formula()?;
-            self.expect(&TokenKind::RParen)?;
+            self.p.expect_token(TokenKind::RParen, "`)`")?;
             return Ok(inner);
         }
-        // Window aggregate atom: SUM(?c, sie:hasValue) >= 100. The keyword
-        // must be directly followed by `(` — `SUM.NAME(…)` stays a macro
-        // call in the SUM namespace.
-        if let Some(TokenKind::Ident(word)) = self.peek().cloned() {
-            if let Some(func) = AggFunc::from_keyword(&word) {
-                if matches!(self.peek2(), Some(TokenKind::LParen)) {
-                    return self.parse_agg_atom(func);
+        match self.p.peek() {
+            // Window aggregate atom: SUM(?c, sie:hasValue) >= 100. The
+            // keyword must be directly followed by `(` — `SUM.NAME(…)`
+            // stays a macro call in the SUM namespace.
+            Some(TokenKind::Word(word)) if self.p.peek2() == Some(&TokenKind::LParen) => {
+                match AggFunc::from_keyword(word) {
+                    Some(func) => self.parse_agg_atom(func),
+                    None => self.parse_macro_call(),
                 }
             }
-            // Macro call: IDENT(.IDENT)?(…) — possibly a CURIE-shaped name.
-            return self.parse_macro_call(word);
+            Some(TokenKind::Word(_) | TokenKind::PName(_)) => self.parse_macro_call(),
+            // Comparisons starting with a variable (or term).
+            _ => self.parse_comparison(),
         }
-        // Comparisons starting with a variable (or term).
-        self.parse_comparison()
     }
 
     fn parse_graph_formula(&mut self) -> Result<ProtoFormula, StarQlError> {
-        self.expect_kw("GRAPH")?;
-        let state = self.expect_var()?;
-        self.expect(&TokenKind::LBrace)?;
+        self.p.expect_keyword("GRAPH")?;
+        let state = self.p.expect_var()?;
+        self.p.expect_token(TokenKind::LBrace, "`{`")?;
         let mut atoms = Vec::new();
-        while !matches!(self.peek(), Some(TokenKind::RBrace) | None) {
+        while !matches!(self.p.peek(), Some(TokenKind::RBrace) | None) {
             let subject = self.parse_proto_term()?;
             let predicate = self.parse_proto_pred()?;
             // Object present unless the atom ends here.
             let object = if matches!(
-                self.peek(),
-                Some(TokenKind::RBrace) | Some(TokenKind::Dot) | None
+                self.p.peek(),
+                Some(TokenKind::RBrace | TokenKind::Dot) | None
             ) {
                 None
             } else {
@@ -642,65 +468,65 @@ impl Parser {
                 predicate,
                 object,
             });
-            if matches!(self.peek(), Some(TokenKind::Dot)) {
-                self.pos += 1;
-            }
+            self.p.eat_token(&TokenKind::Dot);
         }
-        self.expect(&TokenKind::RBrace)?;
+        self.p.expect_token(TokenKind::RBrace, "`}`")?;
         Ok(ProtoFormula::Graph { state, atoms })
     }
 
+    /// A `$param`, else a SPARQL term.
     fn parse_proto_term(&mut self) -> Result<ProtoTerm, StarQlError> {
-        match self.bump() {
-            Some(TokenKind::Var(v)) => Ok(ProtoTerm::Var(v)),
-            Some(TokenKind::Param(p)) => Ok(ProtoTerm::Param(p)),
-            Some(TokenKind::Ident(curie)) => {
-                Ok(ProtoTerm::Const(Term::Iri(self.resolve_curie(&curie)?)))
-            }
-            Some(TokenKind::IriRef(iri)) => Ok(ProtoTerm::Const(Term::iri(iri))),
-            Some(TokenKind::Int(i)) => Ok(ProtoTerm::Const(Term::Literal(Literal::integer(i)))),
-            Some(TokenKind::Float(f)) => Ok(ProtoTerm::Const(Term::Literal(Literal::double(f)))),
-            Some(TokenKind::Str(s)) => {
-                self.skip_datatype_tag();
-                Ok(ProtoTerm::Const(Term::Literal(Literal::string(s))))
-            }
-            other => Err(self.err(format!("expected term, got {other:?}"))),
+        if let Some(p) = self.eat_param() {
+            return Ok(ProtoTerm::Param(p));
         }
+        Ok(match self.p.parse_term()? {
+            QueryTerm::Var(v) => ProtoTerm::Var(v),
+            QueryTerm::Const(c) => ProtoTerm::Const(c),
+        })
     }
 
+    /// A `$param`, else a SPARQL verb.
     fn parse_proto_pred(&mut self) -> Result<ProtoPred, StarQlError> {
-        match self.bump() {
-            Some(TokenKind::Param(p)) => Ok(ProtoPred::Param(p)),
-            Some(TokenKind::Ident(w)) if w == "a" => {
-                Ok(ProtoPred::Iri(Iri::new(optique_rdf::vocab::rdf::TYPE)))
-            }
-            Some(TokenKind::Ident(curie)) => Ok(ProtoPred::Iri(self.resolve_curie(&curie)?)),
-            Some(TokenKind::IriRef(iri)) => Ok(ProtoPred::Iri(Iri::new(iri))),
-            other => Err(self.err(format!("expected predicate, got {other:?}"))),
+        if let Some(p) = self.eat_param() {
+            return Ok(ProtoPred::Param(p));
         }
+        Ok(ProtoPred::Iri(self.p.parse_verb()?.1))
     }
 
-    fn parse_macro_call(&mut self, first: String) -> Result<ProtoFormula, StarQlError> {
-        self.pos += 1; // consume the ident
-        let (namespace, name) = if let Some((ns, nm)) = first.split_once([':', '.']) {
-            (ns.to_string(), nm.to_string())
-        } else if matches!(self.peek(), Some(TokenKind::Dot) | Some(TokenKind::Colon)) {
-            self.pos += 1;
-            let name = self.expect_ident()?;
-            (first, name)
-        } else {
-            return Err(self.err(format!("expected macro call, got bare identifier {first}")));
+    /// A macro's name: `NS:NAME`, `NS: NAME` or `NS.NAME`.
+    fn parse_macro_name(&mut self, what: &str) -> Result<(String, String), StarQlError> {
+        let (namespace, name) = match self.p.bump() {
+            Some(TokenKind::PName(p)) => {
+                let (ns, name) = p.split_once(':').expect("a prefixed name has a colon");
+                (ns.to_string(), name.to_string())
+            }
+            Some(TokenKind::Word(ns))
+                if self.p.eat_token(&TokenKind::Dot) || self.p.eat_token(&colon()) =>
+            {
+                (ns, String::new())
+            }
+            Some(TokenKind::Word(w)) => {
+                return Err(self.err(format!("expected {what}, got bare identifier {w}")))
+            }
+            _ => return Err(self.err(format!("expected {what} NS:NAME"))),
         };
-        self.expect(&TokenKind::LParen)?;
+        if name.is_empty() {
+            return Ok((namespace, self.p.expect_word(what)?));
+        }
+        Ok((namespace, name))
+    }
+
+    fn parse_macro_call(&mut self) -> Result<ProtoFormula, StarQlError> {
+        let (namespace, name) = self.parse_macro_name("macro call")?;
+        self.p.expect_token(TokenKind::LParen, "`(`")?;
         let mut args = Vec::new();
-        if !matches!(self.peek(), Some(TokenKind::RParen)) {
+        if !self.p.eat_token(&TokenKind::RParen) {
             args.push(self.parse_proto_term()?);
-            while matches!(self.peek(), Some(TokenKind::Comma)) {
-                self.pos += 1;
+            while self.p.eat_token(&TokenKind::Comma) {
                 args.push(self.parse_proto_term()?);
             }
+            self.p.expect_token(TokenKind::RParen, "`)`")?;
         }
-        self.expect(&TokenKind::RParen)?;
         Ok(ProtoFormula::MacroCall {
             namespace,
             name,
@@ -710,12 +536,12 @@ impl Parser {
 
     /// `FUNC(subject, property) op threshold` — a window-aggregate atom.
     fn parse_agg_atom(&mut self, func: AggFunc) -> Result<ProtoFormula, StarQlError> {
-        self.pos += 1; // the aggregate keyword
-        self.expect(&TokenKind::LParen)?;
+        self.p.bump(); // the aggregate keyword
+        self.p.expect_token(TokenKind::LParen, "`(`")?;
         let subject = self.parse_proto_term()?;
-        self.expect(&TokenKind::Comma)?;
+        self.p.expect_token(TokenKind::Comma, "`,`")?;
         let property = self.parse_proto_pred()?;
-        self.expect(&TokenKind::RParen)?;
+        self.p.expect_token(TokenKind::RParen, "`)`")?;
         let op = self.parse_cmp_op()?;
         let threshold = self.parse_proto_term()?;
         Ok(ProtoFormula::Agg {
@@ -728,17 +554,16 @@ impl Parser {
     }
 
     fn parse_cmp_op(&mut self) -> Result<CmpOp, StarQlError> {
-        let op = match self.peek() {
-            Some(TokenKind::Lt) => CmpOp::Lt,
-            Some(TokenKind::Le) => CmpOp::Le,
-            Some(TokenKind::Gt) => CmpOp::Gt,
-            Some(TokenKind::Ge) => CmpOp::Ge,
-            Some(TokenKind::Eq) => CmpOp::Eq,
-            Some(TokenKind::Ne) => CmpOp::Ne,
-            other => return Err(self.err(format!("expected comparison operator, got {other:?}"))),
-        };
-        self.pos += 1;
-        Ok(op)
+        let op = self.p.eat_map(|t| match t {
+            TokenKind::Lt => Some(CmpOp::Lt),
+            TokenKind::Le => Some(CmpOp::Le),
+            TokenKind::Gt => Some(CmpOp::Gt),
+            TokenKind::Ge => Some(CmpOp::Ge),
+            TokenKind::Eq => Some(CmpOp::Eq),
+            TokenKind::Ne => Some(CmpOp::Ne),
+            _ => None,
+        });
+        op.ok_or_else(|| self.p.expected("a comparison operator").into())
     }
 
     /// `?i, ?j < ?k` (state order) or `?x <= ?y` (value comparison).
@@ -746,10 +571,10 @@ impl Parser {
         let first = self.parse_proto_term()?;
         // Collect a comma list of further variables (state-order form).
         let mut list = vec![first];
-        while matches!(self.peek(), Some(TokenKind::Comma))
-            && matches!(self.peek2(), Some(TokenKind::Var(_)))
+        while self.p.peek() == Some(&TokenKind::Comma)
+            && matches!(self.p.peek2(), Some(TokenKind::Var(_)))
         {
-            self.pos += 1;
+            self.p.bump();
             list.push(self.parse_proto_term()?);
         }
         let op = self.parse_cmp_op()?;
@@ -777,7 +602,7 @@ impl Parser {
             });
         }
         if list.len() != 1 {
-            return Err(self.err("comma-separated operands only valid in state comparisons".into()));
+            return Err(self.err("comma-separated operands only valid in state comparisons"));
         }
         Ok(ProtoFormula::Cmp {
             left: list.into_iter().next().expect("len checked above"),
@@ -787,35 +612,25 @@ impl Parser {
     }
 
     fn parse_aggregate_def(&mut self) -> Result<AggregateDef, StarQlError> {
-        self.expect_kw("CREATE")?;
-        self.expect_kw("AGGREGATE")?;
-        let head = self.expect_ident()?;
-        let (namespace, name) = if let Some((ns, nm)) = head.split_once([':', '.']) {
-            (ns.to_string(), nm.to_string())
-        } else if matches!(self.peek(), Some(TokenKind::Colon) | Some(TokenKind::Dot)) {
-            self.pos += 1;
-            (head, self.expect_ident()?)
-        } else {
-            return Err(self.err("aggregate name must be NS:NAME".into()));
-        };
-        self.expect(&TokenKind::LParen)?;
+        self.p.expect_keyword("CREATE")?;
+        self.p.expect_keyword("AGGREGATE")?;
+        let (namespace, name) = self.parse_macro_name("aggregate name")?;
+        self.p.expect_token(TokenKind::LParen, "`(`")?;
         let mut params = Vec::new();
-        if !matches!(self.peek(), Some(TokenKind::RParen)) {
+        if !self.p.eat_token(&TokenKind::RParen) {
             loop {
-                match self.bump() {
-                    Some(TokenKind::Param(p)) => params.push(p),
-                    other => return Err(self.err(format!("expected $param, got {other:?}"))),
+                match self.eat_param() {
+                    Some(p) => params.push(p),
+                    None => return Err(self.p.expected("$param").into()),
                 }
-                if matches!(self.peek(), Some(TokenKind::Comma)) {
-                    self.pos += 1;
-                } else {
+                if !self.p.eat_token(&TokenKind::Comma) {
                     break;
                 }
             }
+            self.p.expect_token(TokenKind::RParen, "`)`")?;
         }
-        self.expect(&TokenKind::RParen)?;
-        self.expect_kw("AS")?;
-        self.expect_kw("HAVING")?;
+        self.p.expect_keyword("AS")?;
+        self.p.expect_keyword("HAVING")?;
         let body = self.parse_formula()?;
         Ok(AggregateDef {
             namespace,
@@ -872,6 +687,7 @@ IF ( ?i, ?j < ?k AND GRAPH ?i {$var $attr ?x} AND GRAPH ?j {$var $attr ?y}) THEN
 mod tests {
     use super::*;
     use crate::having::expand;
+    use optique_rdf::Literal;
 
     fn ns() -> Namespaces {
         Namespaces::with_w3c_defaults()
@@ -1236,9 +1052,92 @@ mod tests {
 
     #[test]
     fn where_clause_syntax_errors_are_positioned() {
+        // The one token stream positions the error at the token itself:
+        // the `}` where the object is missing.
         let err = parse_starql(&skeleton("{ ?x a }"), &ns()).unwrap_err();
         assert!(err.message.contains("in WHERE clause"), "{}", err.message);
-        assert!(err.message.contains("line"), "{}", err.message);
+        assert_eq!(
+            err.position,
+            Position {
+                line: 6,
+                column: 26
+            }
+        );
+        assert!(err.to_string().contains("line 6, column 26"), "{err}");
+    }
+
+    /// HAVING constants are SPARQL terms: a typed literal keeps its
+    /// datatype, and a negative number and an exponent parse.
+    #[test]
+    fn having_constants_parse_as_sparql_terms() {
+        for (constant, expected) in [
+            (r#""70"^^xsd:integer"#, Literal::integer(70)),
+            ("-5", Literal::integer(-5)),
+            ("1e2", Literal::double(100.0)),
+        ] {
+            let having =
+                format!("EXISTS ?k IN seq: GRAPH ?k {{ ?x sie:hasValue ?v }} AND ?v >= {constant}");
+            let text = with_output_mode("").replace("SUM(?x, sie:hasValue) >= 100", &having);
+            let q = parse_starql(&text, &ns()).unwrap_or_else(|e| panic!("{constant}: {e}"));
+            let ProtoFormula::Exists { body, .. } = &q.having else {
+                panic!("expected EXISTS, got {:?}", q.having)
+            };
+            let ProtoFormula::And(_, cmp) = body.as_ref() else {
+                panic!("expected AND, got {body:?}")
+            };
+            assert_eq!(
+                **cmp,
+                ProtoFormula::Cmp {
+                    left: ProtoTerm::Var("v".into()),
+                    op: CmpOp::Ge,
+                    right: ProtoTerm::Const(Term::Literal(expected)),
+                },
+                "{constant}"
+            );
+        }
+    }
+
+    /// SPARQL's single-quoted strings are strings in a STARQL WHERE too.
+    #[test]
+    fn single_quoted_filter_in_starql_where_is_accepted() {
+        let q = parse_starql(
+            &skeleton("{ ?c2 a sie:Sensor . FILTER(?c2 != 'x') }"),
+            &ns(),
+        )
+        .unwrap();
+        assert_eq!(
+            q.where_filters[0],
+            [optique_sparql::Expression::Compare(
+                optique_sparql::ComparisonOperator::Ne,
+                Box::new(optique_sparql::Expression::Var("c2".into())),
+                Box::new(optique_sparql::Expression::Const(Term::Literal(
+                    Literal::string("x")
+                ))),
+            )]
+        );
+    }
+
+    /// A literal means one thing in WHERE and in HAVING: `\n` is a newline
+    /// in both.
+    #[test]
+    fn escaped_newline_is_one_term_in_where_and_having() {
+        let text = skeleton(r#"{ ?x sie:hasModel "a\nb" }"#).replace(
+            "GRAPH ?k { ?x sie:hasValue ?v }",
+            r#"GRAPH ?k { ?x sie:hasModel "a\nb" }"#,
+        );
+        let q = parse_starql(&text, &ns()).unwrap();
+        let newline = Term::Literal(Literal::string("a\nb"));
+        let Atom::Property { object, .. } = &q.where_bgp[0] else {
+            panic!("expected a property atom, got {:?}", q.where_bgp)
+        };
+        assert_eq!(object, &QueryTerm::Const(newline.clone()));
+        let ProtoFormula::Exists { body, .. } = &q.having else {
+            panic!("expected EXISTS, got {:?}", q.having)
+        };
+        let ProtoFormula::Graph { atoms, .. } = body.as_ref() else {
+            panic!("expected GRAPH, got {body:?}")
+        };
+        assert_eq!(atoms[0].object, Some(ProtoTerm::Const(newline)));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! take one to three random edits (junk inserted, a run deleted, the tail
 //! cut off) and go through `parse_starql` and, at the platform boundary,
 //! `register_starql` → `tick_all` → `deregister`. Every outcome is `Ok` or
-//! an `Err`; a parser `Err` points into the text.
+//! an `Err`; a parser `Err` points into the text: its line is one of the
+//! text's, and its column at most one past that line's last character.
 
 #[path = "../../../tests/common/mod.rs"]
 mod common;
@@ -52,7 +53,7 @@ proptest! {
     ) {
         let text = hostile::mutate(&seed, &edits);
         if let Err(e) = parse_starql(&text, &optique_siemens::ontology::namespaces()) {
-            prop_assert!(e.offset <= text.len(), "{e} points past {text:?}");
+            prop_assert!(common::hostile::inside(&text, e.position), "{e} points past {text:?}");
         }
     }
 

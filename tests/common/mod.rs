@@ -624,6 +624,9 @@ pub mod hostile {
         "\\uD800",
         "\\U0010FFFF",
         "\"\\u0041\\",
+        "]",
+        "->",
+        " $p ",
     ];
 
     /// One edit: `(kind, where, how much, which junk)`.
@@ -653,5 +656,15 @@ pub mod hostile {
             }
         }
         chars.into_iter().collect()
+    }
+
+    /// Whether `position` lies inside `text`: on one of its lines, at most
+    /// one column past that line's last character (where an unterminated
+    /// construct ends).
+    pub fn inside(text: &str, position: optique_sparql::Position) -> bool {
+        let line = (position.line as usize)
+            .checked_sub(1)
+            .and_then(|i| text.split('\n').nth(i));
+        line.is_some_and(|l| position.column as usize <= l.chars().count() + 1)
     }
 }

@@ -491,3 +491,26 @@ fn results_render_for_the_dashboard() {
     assert!(rendered.contains("?t | ?m"));
     assert!(rendered.contains("more rows"), "{rendered}");
 }
+
+/// `?v-1` is `?v - 1`: SPARQL's VARNAME has no `-`. Read as one variable
+/// named `v-1`, the filter reads an unbound variable and drops every row.
+#[test]
+fn a_minus_after_a_variable_subtracts() {
+    let p = platform();
+    let results = p
+        .query_static(
+            "SELECT ?s ?v WHERE { ?s a sie:Sensor . VALUES ?v { 2 4 5 7 } FILTER(?v-1 > 3) }",
+        )
+        .unwrap();
+    let mut values: Vec<i64> = results
+        .rows()
+        .iter()
+        .map(|r| match &r[1] {
+            Some(optique_rdf::Term::Literal(l)) => l.as_i64().unwrap(),
+            other => panic!("?v should be an integer, got {other:?}"),
+        })
+        .collect();
+    values.sort();
+    values.dedup();
+    assert_eq!(values, [5, 7], "{} rows", results.len());
+}
