@@ -34,3 +34,8 @@ pub use optique_sparql::SparqlResults;
 pub use platform::{OptiquePlatform, PlatformSnapshot, MAX_WORKERS, MERGE_FLOOR_ROWS, MERGE_SHARE};
 pub use server::{Client, Request, Response, Server, ServerConfig, ServerError, TenantQuota};
 pub use streaming::FleetReport;
+
+// The integration suites' shared helpers name this crate `optique`; the
+// streaming tests include them too.
+#[cfg(test)]
+extern crate self as optique;

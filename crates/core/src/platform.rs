@@ -44,7 +44,7 @@ use optique_bootstrap::{bootstrap_direct, BootstrapSettings, RelationalSchema};
 use optique_mapping::MappingCatalog;
 use optique_ontology::Ontology;
 use optique_rdf::Namespaces;
-use optique_relational::{Database, DictSnapshot, NoveltyOverlay, StatsCatalog, TermDict, Value};
+use optique_relational::{Database, NoveltyOverlay, StatsCatalog, TermDict, Value};
 use optique_siemens::SiemensDeployment;
 use optique_sparql::{
     parse_sparql, BgpCache, PipelineStats, PlannerSettings, SparqlResults, StaticPipeline,
@@ -91,11 +91,6 @@ pub struct PlatformSnapshot {
     pub topology: FederationTopology,
     /// Join-order / semi-join planner knobs in force for this snapshot.
     pub planner: PlannerSettings,
-    /// Watermark of the global term dictionary at capture. The dictionary
-    /// is append-only, so every id a batch produced under this snapshot can
-    /// carry resolves stably for the snapshot's lifetime; writers that
-    /// intern new terms only ever append past the watermark.
-    pub dict: DictSnapshot,
     /// Per-table stream clocks: the highest timestamp among the rows (base
     /// and overlay) of every table that has the stream mapping's timestamp
     /// column — scanned once at deploy, then advanced from each inserted
@@ -240,7 +235,6 @@ impl OptiquePlatform {
             stats,
             topology: FederationTopology::default(),
             planner: PlannerSettings::default(),
-            dict: TermDict::global().snapshot(),
             clocks: Arc::new(clocks),
         }));
         OptiquePlatform {
@@ -710,9 +704,6 @@ impl OptiquePlatform {
                 // O(1) stats refresh: the planner sees the new cardinality
                 // immediately; per-column histograms refresh at merge.
                 stats: Arc::new(guard.stats.with_row_delta(table, inserted)),
-                // Re-pin after interning the inserted rows' text: ids for
-                // the new literals fall at or below the fresh watermark.
-                dict: TermDict::global().snapshot(),
                 clocks,
                 ..(**guard).clone()
             });
@@ -805,7 +796,6 @@ impl OptiquePlatform {
                 db: folded,
                 novelty: NoveltyOverlay::empty(),
                 stats: Arc::new(stats),
-                dict: TermDict::global().snapshot(),
                 ..(**guard).clone()
             });
             self.registry.gauge("novelty.depth").set(0);

@@ -674,6 +674,11 @@ impl OptiquePlatform {
     }
 }
 
+/// The integration suites' shared helpers: the program generators.
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -714,8 +719,14 @@ mod tests {
         assert!(p.deregister(id));
     }
 
+    /// Every STARQL text the repository ships registers on the Siemens
+    /// deployment: the 18 catalog tasks (which the examples register too),
+    /// `FIGURE1`, and the grids of the `tests/common` program generators.
+    /// A task whose WHERE class no sensor has — T04's vibration sensors,
+    /// none at this scale — registers with no binding and ticks empty.
     #[test]
     fn catalog_tasks_register() {
+        use common::streaming::{agg_program, program};
         let p = platform();
         let mut registered = 0;
         for task in optique_siemens::diagnostic_tasks() {
@@ -732,6 +743,37 @@ mod tests {
         }
         assert_eq!(registered, 18);
         assert_eq!(p.registered(), 18);
+
+        let panels = p.dashboard().panels;
+        let vibration = panels.iter().find(|panel| panel.name.starts_with("T04:"));
+        assert_eq!(vibration.map(|panel| panel.bindings), Some(0));
+        let vibration = vibration.unwrap().id;
+        for (id, tick) in p.tick_all(660_000).unwrap() {
+            if id == vibration {
+                assert_eq!((tick.bindings_checked, tick.satisfied), (0, 0));
+                assert!(tick.triples.is_empty());
+            }
+        }
+
+        let mut texts = vec![optique_starql::FIGURE1.to_string()];
+        for shape in 0..7 {
+            for (range_s, slide_s, pulse, knob) in
+                [(10, 1, true, 0), (5, 2, false, 7), (2, 1, true, 29)]
+            {
+                texts.push(program(shape, range_s, slide_s, pulse, knob));
+            }
+            for mode in ["", "RSTREAM", "ISTREAM", "DSTREAM"] {
+                for (range_s, slide_s, pulse, knob) in [(10, 1, true, 3), (5, 2, false, 19)] {
+                    texts.push(agg_program(shape, mode, range_s, slide_s, pulse, knob));
+                }
+            }
+        }
+        let p = platform();
+        for text in &texts {
+            p.register_starql(text)
+                .unwrap_or_else(|e| panic!("{e}\n{text}"));
+        }
+        assert_eq!(p.registered(), texts.len());
     }
 
     /// Distributed registration evaluates ticks through window fragments
@@ -875,42 +917,55 @@ HAVING MAX(?c2, sie:hasValue) >= 85
         assert!(out.is_empty());
     }
 
+    /// Per tick, the alarms of `?x >= constant` over 1 s windows that each
+    /// hold one appended reading of one sensor: 100, 9, 100, 9, 100, 9.
+    fn threshold_alarms(constant: &str) -> Vec<(i64, Vec<String>)> {
+        let text = AGG_QUERY.replace("PT10S", "PT1S").replace(
+            "MAX(?c2, sie:hasValue) >= 85",
+            &format!("EXISTS ?k IN seq: GRAPH ?k {{ ?c2 sie:hasValue ?x }} AND ?x >= {constant}"),
+        );
+        let p = platform();
+        p.register_starql(&text).unwrap();
+        let sensor = streamed_sensor(&p);
+        let rows = (1..=6)
+            .map(|k| msmt_row(659_000 + k * 1_000, sensor, [9.0, 100.0][k as usize % 2]))
+            .collect();
+        let out = p.append_stream("S_Msmt", rows).unwrap();
+        out.into_iter()
+            .map(|(_, tick)| {
+                let mut triples: Vec<String> =
+                    tick.triples.iter().map(|t| format!("{t:?}")).collect();
+                triples.sort();
+                (tick.tick_ms, triples)
+            })
+            .collect()
+    }
+
     /// A HAVING constant means what it means in SPARQL: `"70"^^xsd:integer`
     /// is the number 70, so its threshold fires on exactly the ticks the
-    /// plain `70`'s does. The appended readings 9 and 100 order the other
-    /// way as strings, so a threshold read as the string "70" fires on
-    /// other ticks.
+    /// plain `70`'s does.
     #[test]
     fn typed_threshold_streams_like_the_plain_one() {
-        let run = |constant: &str| {
-            let text = AGG_QUERY.replace("PT10S", "PT1S").replace(
-                "MAX(?c2, sie:hasValue) >= 85",
-                &format!(
-                    "EXISTS ?k IN seq: GRAPH ?k {{ ?c2 sie:hasValue ?x }} AND ?x >= {constant}"
-                ),
-            );
-            let p = platform();
-            p.register_starql(&text).unwrap();
-            let sensor = streamed_sensor(&p);
-            let rows = (1..=6)
-                .map(|k| msmt_row(659_000 + k * 1_000, sensor, [9.0, 100.0][k as usize % 2]))
-                .collect();
-            let out = p.append_stream("S_Msmt", rows).unwrap();
-            out.into_iter()
-                .map(|(_, tick)| {
-                    let mut triples: Vec<String> =
-                        tick.triples.iter().map(|t| format!("{t:?}")).collect();
-                    triples.sort();
-                    (tick.tick_ms, triples)
-                })
-                .collect::<Vec<_>>()
-        };
+        let run = threshold_alarms;
         let plain = run("70");
         assert!(
             plain.iter().any(|(_, triples)| !triples.is_empty()),
             "the threshold fires: {plain:?}"
         );
         assert_eq!(run(r#""70"^^xsd:integer"#), plain);
+    }
+
+    /// Regression: a number never orders against a string. The readings 9
+    /// and 100 ordered the other way as terms, so `?x >= "70"` fired on 9
+    /// and not on 100; like a SPARQL type error, it now fires on neither.
+    #[test]
+    fn a_number_never_orders_against_a_string() {
+        let ticks = threshold_alarms(r#""70""#);
+        assert_eq!(ticks.len(), 6, "every window ticks: {ticks:?}");
+        assert!(
+            ticks.iter().all(|(_, triples)| triples.is_empty()),
+            "{ticks:?}"
+        );
     }
 
     /// Append-driven ticking raises the same output stream as external
@@ -1415,9 +1470,10 @@ HAVING EXISTS ?k IN seq: GRAPH ?k { ?c2 sie:hasValue ?x }
         assert!(resharded.partition().contains(&pair("S_Msmt")));
     }
 
-    /// Regression: both texts used to register and then fail every tick —
-    /// starving every query registered after them. They are refused where
-    /// they enter, and leave nothing behind.
+    /// Regression: these texts used to register and then fail every tick
+    /// (or every tick that read the culprit) — starving every query
+    /// registered after them. They are refused where they enter, with the
+    /// culprit named, and leave nothing behind.
     #[test]
     fn what_can_only_fail_at_tick_time_is_rejected_at_registration() {
         let p = platform();
@@ -1428,6 +1484,29 @@ HAVING EXISTS ?k IN seq: GRAPH ?k { ?c2 sie:hasValue ?x }
         let err = p.register_starql(&nowhere).unwrap_err();
         assert!(err.contains("S_Nowhere"), "{err}");
         assert!(p.register_starql_distributed(&nowhere, 2).is_err());
+        // HAVING reads a value variable nothing binds, names a state
+        // variable no quantifier binds, or thresholds an aggregate by
+        // something other than a numeric literal.
+        let max = "MAX(?c2, sie:hasValue) >= 85";
+        let having = [
+            (format!("{max} AND ?u >= 3"), "?u"),
+            (
+                format!("{max} AND GRAPH ?q {{ ?c2 sie:hasValue ?x }}"),
+                "?q",
+            ),
+            (r#"MAX(?c2, sie:hasValue) >= "85""#.to_string(), r#""85""#),
+            ("MAX(?c2, sie:hasValue) >= ?c1".to_string(), "?c1"),
+        ];
+        for (condition, culprit) in having {
+            let text = AGG_QUERY.replace(max, &condition);
+            for registered in [
+                p.register_starql(&text),
+                p.register_starql_distributed(&text, 2),
+            ] {
+                let err = registered.unwrap_err();
+                assert!(err.contains(culprit), "{condition}: {err}");
+            }
+        }
         assert_eq!(p.registered(), 0);
         assert!(p.dashboard().panels.is_empty());
     }

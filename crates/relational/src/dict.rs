@@ -11,13 +11,6 @@
 //! is what makes id-based `Eq`/`Hash` sound process-wide and lets
 //! concurrent readers resolve ids without coordination. Id `0` is
 //! reserved (it encodes NULL in columnar batches); real ids start at 1.
-//!
-//! Snapshots ([`DictSnapshot`]) pin the dictionary alongside a
-//! `PlatformSnapshot`-style catalog view: the pinned length records how
-//! many terms existed at capture, and since entries never mutate, every
-//! id at or below that watermark resolves identically for as long as the
-//! snapshot is held — queries that intern *new* terms mid-flight (minted
-//! IRIs, inserted literals) only ever append past the watermark.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -196,39 +189,6 @@ impl TermDict {
     pub fn bytes(&self) -> u64 {
         self.inner.read().expect("dict poisoned").bytes
     }
-
-    /// Pins the current extent of the dictionary for a consistent reader
-    /// view (see [`DictSnapshot`]).
-    pub fn snapshot(&self) -> DictSnapshot {
-        DictSnapshot { pinned: self.len() }
-    }
-}
-
-/// A pinned view of the global dictionary, captured alongside a catalog
-/// snapshot. Because the dictionary is append-only the snapshot needs no
-/// copy: it records the watermark (`pinned_len`) below which every id was
-/// already assigned — and therefore immutable — when the snapshot was
-/// taken. Concurrent writers can keep interning; they only append past
-/// the watermark, so a reader holding this snapshot sees a consistent
-/// mapping for every id its pinned catalog can contain.
-#[derive(Clone, Copy, Debug)]
-pub struct DictSnapshot {
-    pinned: u64,
-}
-
-impl DictSnapshot {
-    /// How many terms existed when this snapshot was captured.
-    pub fn pinned_len(&self) -> u64 {
-        self.pinned
-    }
-
-    /// Resolves `id` against the global dictionary. Ids at or below the
-    /// watermark are guaranteed stable for the snapshot's lifetime; newer
-    /// ids (terms interned after capture) still resolve — append-only
-    /// means they can never alias an older assignment.
-    pub fn resolve(&self, id: u64) -> Option<Term> {
-        TermDict::global().resolve(id)
-    }
 }
 
 #[cfg(test)]
@@ -260,16 +220,6 @@ mod tests {
         assert_eq!(back.as_str(), "dict-test-resolve");
         assert!(TermDict::global().resolve(0).is_none());
         assert!(TermDict::global().resolve(u64::MAX).is_none());
-    }
-
-    #[test]
-    fn snapshot_watermark_is_stable() {
-        let t = Term::intern("dict-test-snapshot");
-        let snap = TermDict::global().snapshot();
-        assert!(snap.pinned_len() >= t.id());
-        // Interning past the watermark never disturbs pinned ids.
-        let _ = Term::intern("dict-test-snapshot-later");
-        assert_eq!(snap.resolve(t.id()).unwrap().as_str(), "dict-test-snapshot");
     }
 
     /// Satellite coverage: concurrent interning of overlapping term sets

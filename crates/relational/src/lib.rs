@@ -50,7 +50,7 @@ pub mod table;
 pub mod value;
 pub mod wire;
 
-pub use dict::{DictSnapshot, Term, TermDict};
+pub use dict::{Term, TermDict};
 pub use error::SqlError;
 pub use exec::{execute, execute_branches, ExecCounts};
 pub use expr::Expr;

@@ -196,9 +196,10 @@ struct Windowed<'g> {
     /// The window's evaluated sequence (empty on the pane path, which
     /// materializes none).
     evaluated: Arc<EvaluatedWindow>,
-    /// The window's per-key accumulators, when HAVING aggregates: folded
-    /// from its rows, or combined from pane partials a round shares.
-    groups: Option<Cow<'g, BTreeMap<Value, AggAcc>>>,
+    /// The window's per-key accumulators: folded from its rows, or
+    /// combined from pane partials a round shares; empty when HAVING
+    /// aggregates nothing.
+    groups: Cow<'g, BTreeMap<Value, AggAcc>>,
     /// When the window side was done, in µs since the tick began.
     ready_us: u64,
 }
@@ -362,7 +363,10 @@ pub struct TickOutput {
 impl ContinuousQuery {
     /// Registers the query with its WHERE bindings, which the platform
     /// answers through the full OBDA pipeline (per-BGP cache, planner,
-    /// federated fragments).
+    /// federated fragments). Refuses what a tick could only fail on: a
+    /// binding that lacks an answer variable, a HAVING formula
+    /// [`CompiledHaving::compile`] refuses, a stream table without the
+    /// columns the mapping names.
     pub fn register_with_bindings(
         translated: TranslatedQuery,
         stream_to_rdf: StreamToRdf,
@@ -384,21 +388,23 @@ impl ContinuousQuery {
         let stream_keys =
             admissible_stream_keys(&translated, &stream_to_rdf, &stream_columns, &bindings);
         let pane_extrema = pane_extrema(&translated, &stream_to_rdf, &stream_columns);
-        // The maps are read once: their variables become columns, every
-        // binding a row over them, every subject an aggregate reads a key.
-        let columns = BindingRow::columns(&bindings);
+        // The maps are read once: the answer variables — which every UNION
+        // branch binds, so even an empty binding set has them — become
+        // columns, every binding a row over them, every subject an
+        // aggregate reads a key.
+        let columns = &translated.where_answer_vars;
         let keys = SubjectKeys::new(
             &translated.having,
             &bindings,
             &stream_to_rdf.subject,
             stream_columns.key_type,
         );
-        let having = CompiledHaving::compile(&translated.having, &columns, &keys);
-        let construct = compile_construct(&translated.query.construct, &columns);
+        let having = CompiledHaving::compile(&translated.having, columns, &keys)?;
+        let construct = compile_construct(&translated.query.construct, columns)?;
         let bindings = bindings
             .iter()
-            .map(|binding| BindingRow::new(&columns, binding, &keys))
-            .collect();
+            .map(|binding| BindingRow::new(columns, binding, &keys))
+            .collect::<Result<_, _>>()?;
         let fingerprint = sequence_fingerprint(&stream_to_rdf, &translated.ontology);
         // Key-restricted windows hold other rows than full ones, so their
         // states are kept apart from the full windows' — and from those of
@@ -514,7 +520,7 @@ impl ContinuousQuery {
         let (open, close) = self.window.bounds(self.window_start, window_id);
         let epoch = Instant::now();
         let windowed = self.sequence_window(db, wcache, open, close, executor, &epoch)?;
-        self.finish(tick_ms, window_id, windowed, &epoch)
+        Ok(self.finish(tick_ms, window_id, windowed, &epoch))
     }
 
     /// The pane probe a distributed tick at `tick_ms` reads: `None` when no
@@ -596,10 +602,10 @@ impl ContinuousQuery {
         let windowed = Windowed {
             out,
             evaluated: Arc::default(),
-            groups: Some(Cow::Borrowed(&partials.groups)),
+            groups: Cow::Borrowed(&partials.groups),
             ready_us,
         };
-        self.finish(tick_ms, window_id, windowed, &epoch)
+        Ok(self.finish(tick_ms, window_id, windowed, &epoch))
     }
 
     /// The one tail: decides every binding against what the window side
@@ -610,7 +616,7 @@ impl ContinuousQuery {
         window_id: u64,
         windowed: Windowed<'_>,
         epoch: &Instant,
-    ) -> Result<TickOutput, String> {
+    ) -> TickOutput {
         let Windowed {
             out,
             evaluated,
@@ -618,7 +624,7 @@ impl ContinuousQuery {
             ready_us,
         } = windowed;
         let sequence = &evaluated.sequence;
-        let decided = self.decide(sequence, groups.as_deref())?;
+        let decided = self.decide(sequence, &groups);
         let end_us = now_us(epoch);
         let mut spans = vec![SpanRecord::new("tick", 0, end_us)
             .attr("window", window_id)
@@ -633,7 +639,7 @@ impl ContinuousQuery {
                 .attr("candidates", decided.candidates)
                 .attr("probes", decided.probes),
         );
-        Ok(TickOutput {
+        TickOutput {
             tick_ms,
             window_id,
             triples: decided.triples,
@@ -643,7 +649,7 @@ impl ContinuousQuery {
             dropped_states: evaluated.dropped,
             spans,
             ..out
-        })
+        }
     }
 
     /// The full-window path: the window's rows from the shared cache —
@@ -751,10 +757,10 @@ impl ContinuousQuery {
         // Aggregate atoms evaluate against per-subject accumulators over the
         // whole window — the store-less fold pane combination reconstructs.
         let groups = match self.stream_columns.fold {
-            Some((key_idx, val_idx)) => Some(Cow::Owned(
-                fold_groups(rows, key_idx, val_idx).map_err(|e| e.to_string())?,
-            )),
-            None => None,
+            Some((key_idx, val_idx)) => {
+                fold_groups(rows, key_idx, val_idx).map_err(|e| e.to_string())?
+            }
+            None => BTreeMap::new(),
         };
 
         out.tuples_in_window = rows.len();
@@ -772,7 +778,7 @@ impl ContinuousQuery {
         Ok(Windowed {
             out,
             evaluated: shared.window,
-            groups,
+            groups: Cow::Owned(groups),
             ready_us,
         })
     }
@@ -782,27 +788,23 @@ impl ContinuousQuery {
     /// template and the relation-to-stream operator. The groups enter the
     /// aggregate context by stream key, so an aggregate atom reads one
     /// slot and no IRI is minted.
-    fn decide(
-        &self,
-        sequence: &IndexedSequence,
-        groups: Option<&BTreeMap<Value, AggAcc>>,
-    ) -> Result<Decided, String> {
-        let context = groups.map(|groups| self.keys.context(groups));
-        let mut evaluator = self.having.evaluator(sequence, context.as_ref());
+    fn decide(&self, sequence: &IndexedSequence, groups: &BTreeMap<Value, AggAcc>) -> Decided {
+        let context = self.keys.context(groups);
+        let mut evaluator = self.having.evaluator(sequence, &context);
         let mut triples = Vec::new();
         let mut satisfied = 0usize;
         for binding in &self.bindings {
-            if evaluator.holds(binding)? {
+            if evaluator.holds(binding) {
                 satisfied += 1;
-                instantiate_construct(&self.construct, binding, &mut triples)?;
+                instantiate_construct(&self.construct, binding, &mut triples);
             }
         }
-        Ok(Decided {
+        Decided {
             triples: self.apply_output_mode(triples),
             satisfied,
             candidates: evaluator.candidates,
             probes: evaluator.probes,
-        })
+        }
     }
 
     /// Applies the query's relation-to-stream operator to one tick's
@@ -930,8 +932,9 @@ fn admissible_stream_keys(
 /// * every aggregate reads the stream's mapped value property, so the
 ///   pane store's one (key, value) accumulator grid answers them all;
 /// * every aggregate subject is a WHERE-bound variable or an IRI constant
-///   (both invert through the subject template), and every
-///   threshold is a numeric literal or a WHERE-bound variable;
+///   (both invert through the subject template) — in a tree without
+///   patterns a variable can only be WHERE-bound, and every threshold a
+///   numeric literal, or registration refuses the formula;
 /// * the value column is numeric (that the columns exist is registration's
 ///   own check).
 ///
@@ -945,7 +948,7 @@ fn pane_extrema(
 ) -> Option<bool> {
     let having = &translated.having;
     columns.fold?;
-    if !pane_combinable_tree(having, translated, stream_to_rdf)
+    if !pane_combinable_tree(having, stream_to_rdf)
         || !matches!(columns.val_type?, ColumnType::Int | ColumnType::Float)
     {
         return None;
@@ -959,36 +962,18 @@ fn pane_extrema(
     )
 }
 
-fn pane_combinable_tree(
-    f: &HavingFormula,
-    translated: &TranslatedQuery,
-    stream_to_rdf: &StreamToRdf,
-) -> bool {
-    let where_bound = |v: &str| translated.where_answer_vars.iter().any(|w| w == v);
+fn pane_combinable_tree(f: &HavingFormula, stream_to_rdf: &StreamToRdf) -> bool {
     match f {
         HavingFormula::True => true,
         HavingFormula::And(a, b) | HavingFormula::Or(a, b) => {
-            pane_combinable_tree(a, translated, stream_to_rdf)
-                && pane_combinable_tree(b, translated, stream_to_rdf)
+            pane_combinable_tree(a, stream_to_rdf) && pane_combinable_tree(b, stream_to_rdf)
         }
-        HavingFormula::Not(a) => pane_combinable_tree(a, translated, stream_to_rdf),
+        HavingFormula::Not(a) => pane_combinable_tree(a, stream_to_rdf),
         HavingFormula::Agg {
-            subject,
-            property,
-            threshold,
-            ..
+            subject, property, ..
         } => {
             property == &stream_to_rdf.value_property
-                && match subject {
-                    QueryTerm::Var(v) => where_bound(v),
-                    QueryTerm::Const(Term::Iri(_)) => true,
-                    QueryTerm::Const(_) => false,
-                }
-                && match threshold {
-                    QueryTerm::Const(Term::Literal(l)) => l.as_f64().is_some(),
-                    QueryTerm::Const(_) => false,
-                    QueryTerm::Var(v) => where_bound(v),
-                }
+                && matches!(subject, QueryTerm::Var(_) | QueryTerm::Const(Term::Iri(_)))
         }
         _ => false,
     }
@@ -997,12 +982,8 @@ fn pane_combinable_tree(
 /// A CONSTRUCT-template term, resolved against the binding columns.
 enum TemplateTerm {
     Const(Term),
-    /// A variable, read from the binding's `column` (`None`: no binding
-    /// provides it, and instantiating it fails).
-    Var {
-        name: String,
-        column: Option<usize>,
-    },
+    /// A variable, read from the binding's column.
+    Var(usize),
 }
 
 /// One CONSTRUCT-template atom as the triple it emits (`C(x)` emits
@@ -1013,57 +994,50 @@ struct TemplateTriple {
     object: TemplateTerm,
 }
 
-fn compile_construct(template: &[Atom], columns: &[String]) -> Vec<TemplateTriple> {
+/// The CONSTRUCT template over the binding `columns`: refused when a
+/// variable is none of them.
+fn compile_construct(template: &[Atom], columns: &[String]) -> Result<Vec<TemplateTriple>, String> {
     let term = |t: &QueryTerm| match t {
-        QueryTerm::Const(c) => TemplateTerm::Const(c.clone()),
-        QueryTerm::Var(v) => TemplateTerm::Var {
-            name: v.clone(),
-            column: columns.iter().position(|column| column == v),
-        },
+        QueryTerm::Const(c) => Ok(TemplateTerm::Const(c.clone())),
+        QueryTerm::Var(v) => (columns.iter().position(|column| column == v))
+            .map(TemplateTerm::Var)
+            .ok_or_else(|| format!("CONSTRUCT variable ?{v} is no WHERE answer variable")),
     };
     template
         .iter()
-        .map(|atom| match atom {
-            Atom::Class { class, arg } => TemplateTriple {
-                subject: term(arg),
-                predicate: optique_rdf::Iri::new(optique_rdf::vocab::rdf::TYPE),
-                object: TemplateTerm::Const(Term::Iri(class.clone())),
-            },
-            Atom::Property {
-                property,
-                subject,
-                object,
-            } => TemplateTriple {
-                subject: term(subject),
-                predicate: property.clone(),
-                object: term(object),
-            },
+        .map(|atom| {
+            Ok(match atom {
+                Atom::Class { class, arg } => TemplateTriple {
+                    subject: term(arg)?,
+                    predicate: optique_rdf::Iri::new(optique_rdf::vocab::rdf::TYPE),
+                    object: TemplateTerm::Const(Term::Iri(class.clone())),
+                },
+                Atom::Property {
+                    property,
+                    subject,
+                    object,
+                } => TemplateTriple {
+                    subject: term(subject)?,
+                    predicate: property.clone(),
+                    object: term(object)?,
+                },
+            })
         })
         .collect()
 }
 
-fn instantiate_construct(
-    template: &[TemplateTriple],
-    binding: &BindingRow,
-    out: &mut Vec<Triple>,
-) -> Result<(), String> {
-    let resolve = |t: &TemplateTerm| -> Result<Term, String> {
-        match t {
-            TemplateTerm::Const(c) => Ok(c.clone()),
-            TemplateTerm::Var { name, column } => column
-                .and_then(|column| binding.term(column))
-                .cloned()
-                .ok_or_else(|| format!("CONSTRUCT variable ?{name} is unbound")),
-        }
+fn instantiate_construct(template: &[TemplateTriple], binding: &BindingRow, out: &mut Vec<Triple>) {
+    let resolve = |t: &TemplateTerm| match t {
+        TemplateTerm::Const(c) => c.clone(),
+        TemplateTerm::Var(column) => binding.term(*column).clone(),
     };
     for triple in template {
         out.push(Triple::new(
-            resolve(&triple.subject)?,
+            resolve(&triple.subject),
             triple.predicate.clone(),
-            resolve(&triple.object)?,
+            resolve(&triple.object),
         ));
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1731,12 +1705,36 @@ mod tests {
     /// Regression: what a tick could only fail on is refused at
     /// registration — an unknown stream table, a missing timestamp column
     /// and, under an aggregate HAVING only, a missing subject or value
-    /// column, or a subject column no IRI names a key of. All of these
-    /// used to register and then fail every tick, or read no group.
+    /// column, or a subject column no IRI names a key of; and a WHERE
+    /// binding that lacks an answer variable, however the caller made it.
+    /// All of these used to register and then fail every tick, or read no
+    /// group.
     #[test]
     fn registration_refuses_what_every_tick_would_fail_on() {
         let agg = agg_query("", "AVG(?c2, sie:hasValue) >= 80");
         let err = |r: Result<ContinuousQuery, String>| r.err().expect("refused");
+
+        let (db, onto, maps) = deployment();
+        let q = parse_starql(FIGURE1, &Namespaces::with_w3c_defaults()).unwrap();
+        let ctx = TranslationContext {
+            ontology: &onto,
+            mappings: &maps,
+            rewrite_settings: Default::default(),
+            unfold_settings: Default::default(),
+        };
+        let translated = translate(&q, &ctx).unwrap();
+        let sensor = Term::iri("http://siemens.example/data/sensor/10");
+        let bindings = vec![
+            HashMap::from([("c2".to_string(), sensor)]),
+            HashMap::from([("c1".to_string(), Term::iri("http://x/assembly/1"))]),
+        ];
+        let e = err(ContinuousQuery::register_with_bindings(
+            translated,
+            stream_mapping(),
+            &db,
+            bindings,
+        ));
+        assert!(e.contains("lacks answer variable ?c2"), "{e}");
 
         let unknown = FIGURE1.replace("S_Msmt", "S_Nowhere");
         assert!(err(register_over(&unknown, |_| {})).contains("S_Nowhere"));

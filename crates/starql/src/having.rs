@@ -19,6 +19,10 @@
 //!   pattern's postings only, inside the bounds the state-order conjuncts in
 //!   scope set (`?i < ?j < ?k` enumerates ordered tuples); a variable with
 //!   no such guard — under `NOT`, say — still ranges over every state.
+//!   Compilation refuses what an evaluation could only fail on
+//!   ([`CompiledHaving::compile`]): a registered formula reads only bound
+//!   slots, so no shortcut can skip a failure, and deciding a binding is
+//!   total.
 //!
 //! `FORALL`'s universally-quantified value variables are range-restricted
 //! by the graph patterns in the `IF` condition (the classical safe-formula
@@ -26,7 +30,7 @@
 //! extensions and checks the consequent under each.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use optique_mapping::IriTemplate;
 use optique_rdf::vocab::rdf::TYPE as RDF_TYPE;
@@ -326,7 +330,7 @@ pub enum ProtoFormula {
         property: ProtoPred,
         /// Comparison operator.
         op: CmpOp,
-        /// Threshold term (a numeric literal or a bound variable).
+        /// Threshold term (registration requires a numeric literal).
         threshold: ProtoTerm,
     },
 }
@@ -567,12 +571,15 @@ pub enum HavingFormula {
     },
 }
 
-/// Numeric comparison when both terms are numeric literals; term order
-/// otherwise.
-fn compare(a: &Val, b: &Val) -> std::cmp::Ordering {
+/// Whether `a op b` holds: numerically when both are numeric literals, by
+/// term order when neither is. A number never orders against a non-number
+/// — `<`, `<=`, `>` and `>=` between them are false, as a SPARQL type error
+/// would be — and equals it never.
+fn compare(a: &Val, op: CmpOp, b: &Val) -> bool {
     match (a.num, b.num) {
-        (Some(x), Some(y)) => x.total_cmp(&y),
-        _ => a.term.cmp(&b.term),
+        (Some(x), Some(y)) => op.test(x.total_cmp(&y)),
+        (None, None) => op.test(a.term.cmp(&b.term)),
+        _ => op == CmpOp::Ne,
     }
 }
 
@@ -586,35 +593,21 @@ fn compare(a: &Val, b: &Val) -> std::cmp::Ordering {
 //   SOME match of the pattern satisfies the comparison; conjuncts that bind
 //   nothing are boolean filters.
 // * `IF` is implication over the antecedent's satisfying extensions.
-// * Reading a variable nothing has bound fails the evaluation, at the tick,
-//   exactly where the interpreter failed. The interpreter enumerated every
-//   extension of a conjunction, and every state tuple of a quantifier, so a
-//   failure anywhere in that enumeration failed the whole. The shortcuts
-//   below — stopping at the first extension, visiting candidate states only —
-//   are therefore taken only where the skipped part provably cannot fail:
-//   each node that has a shortcut records the value slots that must be bound
-//   on entry for that (`Needs`), and checks them when it is entered.
-
-/// Value slots that must be bound when a node is entered for its evaluation
-/// to be unable to fail; `None` when it may fail regardless (an unbound
-/// state variable, an aggregate atom).
-type Needs = Option<Vec<usize>>;
-
-/// A state variable, resolved lexically at compile time.
-#[derive(Debug)]
-enum StateRef {
-    /// The slot of the enclosing quantifier's variable.
-    Slot(usize),
-    /// No enclosing quantifier binds the name: reading it fails.
-    Unbound(String),
-}
+// * A registered formula reads only bound slots, so no shortcut can skip a
+//   failure: compilation refuses a comparison or aggregate atom that reads
+//   a value variable nothing binds where it is read, a state variable no
+//   enclosing quantifier binds, and an aggregate threshold that is not a
+//   numeric literal. Binding flows only through `AND` and `GRAPH` (and from
+//   an `IF` antecedent into its consequent); every other connective is a
+//   filter to what follows it. So an evaluation stops at the first
+//   extension that decides it and visits candidate states only.
 
 /// What a value slot stands for.
 #[derive(Debug)]
 enum SlotDecl {
-    /// A variable: bound from the WHERE binding's `column` if that is one
-    /// of its variables, else by a graph pattern.
-    Var { name: String, column: Option<usize> },
+    /// A variable: read from the binding's `column` when it is one of the
+    /// query's answer variables, else bound by a graph pattern.
+    Var { column: Option<usize> },
     /// A constant of the formula, bound from the start, with its key slot
     /// ([`SubjectKeys`]) when it names a key an aggregate atom can read.
     Const(Val, Option<u32>),
@@ -659,12 +652,10 @@ struct QuantifiedVar {
 struct Quantifier {
     vars: Vec<QuantifiedVar>,
     body: Box<Node>,
-    /// What must be bound for the tuples outside the candidates to be
-    /// unable to fail (they are then false under `EXISTS`, vacuously true
-    /// under `FORALL … IF`).
-    needs: Needs,
 }
 
+/// A compiled formula node. State references are state slots, value
+/// references value slots.
 #[derive(Debug)]
 enum Node {
     True,
@@ -673,22 +664,18 @@ enum Node {
     If {
         cond: Box<Node>,
         then: Box<Node>,
-        cond_needs: Needs,
     },
     /// A conjunction chain, flattened: extensions flow left to right
     /// whichever way the `AND`s nested.
-    And {
-        conjuncts: Vec<Node>,
-        needs: Needs,
-    },
+    And(Vec<Node>),
     Or(Box<Node>, Box<Node>),
     Not(Box<Node>),
     StateLess {
-        left: Vec<StateRef>,
-        right: StateRef,
+        left: Vec<usize>,
+        right: usize,
     },
     Graph {
-        state: StateRef,
+        state: usize,
         atoms: Vec<PatternAtom>,
     },
     Cmp {
@@ -700,7 +687,7 @@ enum Node {
         func: AggFunc,
         subject: usize,
         op: CmpOp,
-        threshold: usize,
+        threshold: f64,
     },
 }
 
@@ -718,42 +705,43 @@ pub struct CompiledHaving {
 }
 
 /// One WHERE binding as a row over the query's binding columns (its WHERE
-/// variables, in a fixed order): resolved once, at registration, and read
-/// by position ever after — by the HAVING evaluator and by the CONSTRUCT
-/// template alike. A cell of a column an aggregate atom groups by carries
-/// its key slot ([`SubjectKeys`]).
+/// answer variables, in a fixed order): resolved once, at registration, and
+/// read by position ever after — by the HAVING evaluator and by the
+/// CONSTRUCT template alike. A cell of a column an aggregate atom groups by
+/// carries its key slot ([`SubjectKeys`]).
 #[derive(Clone, Debug)]
 pub struct BindingRow {
-    values: Vec<Option<Val>>,
+    values: Vec<Val>,
     keys: Vec<Option<u32>>,
 }
 
 impl BindingRow {
-    /// The columns of a set of bindings: every variable any of them binds,
-    /// in name order.
-    pub fn columns(bindings: &[HashMap<String, Term>]) -> Vec<String> {
-        let names: BTreeSet<&String> = bindings.iter().flat_map(HashMap::keys).collect();
-        names.into_iter().cloned().collect()
-    }
-
     /// The row of `binding` over `columns`, the cells `keys` groups by
-    /// given their key slots; a variable the binding lacks stays unbound.
-    pub fn new(columns: &[String], binding: &HashMap<String, Term>, keys: &SubjectKeys) -> Self {
-        let cells = columns.iter().map(|column| (column, binding.get(column)));
-        BindingRow {
-            keys: (cells.clone())
-                .map(|(column, term)| match term {
-                    Some(term) if keys.columns.contains(column) => keys.slot(term),
-                    _ => None,
-                })
-                .collect(),
-            values: cells.map(|(_, term)| term.cloned().map(Val::new)).collect(),
+    /// given their key slots. Refuses a binding that lacks a column: a
+    /// registered formula reads every column unchecked.
+    pub fn new(
+        columns: &[String],
+        binding: &HashMap<String, Term>,
+        keys: &SubjectKeys,
+    ) -> Result<Self, String> {
+        let mut row = BindingRow {
+            values: Vec::with_capacity(columns.len()),
+            keys: Vec::with_capacity(columns.len()),
+        };
+        for column in columns {
+            let term = binding
+                .get(column)
+                .ok_or_else(|| format!("a WHERE binding lacks answer variable ?{column}"))?;
+            let keyed = keys.columns.contains(column);
+            row.keys.push(keyed.then(|| keys.slot(term)).flatten());
+            row.values.push(Val::new(term.clone()));
         }
+        Ok(row)
     }
 
-    /// The term bound to `column`, if any.
-    pub fn term(&self, column: usize) -> Option<&Term> {
-        self.values[column].as_ref().map(|value| &value.term)
+    /// The term bound to `column`.
+    pub fn term(&self, column: usize) -> &Term {
+        &self.values[column].term
     }
 }
 
@@ -766,6 +754,9 @@ struct Compiler<'c> {
     /// Lexical scope of state variables: `(name, slot)`, innermost last.
     scope: Vec<(String, usize)>,
     state_slots: usize,
+    /// Variable slots the graph patterns in conjunctive scope bind, innermost
+    /// last.
+    bound: Vec<usize>,
 }
 
 impl Compiler<'_> {
@@ -773,10 +764,8 @@ impl Compiler<'_> {
         let next = self.slots.len();
         match term {
             QueryTerm::Var(name) => *self.var_slots.entry(name.clone()).or_insert_with(|| {
-                self.slots.push(SlotDecl::Var {
-                    name: name.clone(),
-                    column: self.columns.iter().position(|column| column == name),
-                });
+                let column = self.columns.iter().position(|column| column == name);
+                self.slots.push(SlotDecl::Var { column });
                 next
             }),
             QueryTerm::Const(term) => *self.const_slots.entry(term.clone()).or_insert_with(|| {
@@ -787,10 +776,29 @@ impl Compiler<'_> {
         }
     }
 
-    fn state_ref(&self, name: &str) -> StateRef {
+    /// The slot of a value `term` an atom reads: refused unless a binding
+    /// column, a constant or a pattern in conjunctive scope binds it.
+    fn read(&mut self, term: &QueryTerm) -> Result<usize, String> {
+        let slot = self.value_slot(term);
+        match (&self.slots[slot], term) {
+            (SlotDecl::Var { column: None }, QueryTerm::Var(name))
+                if !self.bound.contains(&slot) =>
+            {
+                Err(format!(
+                    "HAVING reads ?{name} where nothing binds it: it is no WHERE answer \
+                     variable, and no GRAPH pattern before it in a conjunction binds it"
+                ))
+            }
+            _ => Ok(slot),
+        }
+    }
+
+    fn state_slot(&self, name: &str) -> Result<usize, String> {
         match self.scope.iter().rev().find(|(n, _)| n == name) {
-            Some((_, slot)) => StateRef::Slot(*slot),
-            None => StateRef::Unbound(name.to_string()),
+            Some((_, slot)) => Ok(*slot),
+            None => Err(format!(
+                "HAVING names state variable ?{name}, which no enclosing quantifier binds"
+            )),
         }
     }
 
@@ -821,46 +829,60 @@ impl Compiler<'_> {
         }
     }
 
-    fn node(&mut self, formula: &HavingFormula) -> Node {
-        match formula {
+    /// Compiles `formula`, entered as a conjunct (`binding`) — its pattern
+    /// bindings flow on to what follows — or as a filter, which leaves the
+    /// bound slots as it found them.
+    fn node(&mut self, formula: &HavingFormula, binding: bool) -> Result<Node, String> {
+        Ok(match formula {
             HavingFormula::True => Node::True,
             HavingFormula::Exists { state_vars, body } => {
-                Node::Exists(self.quantifier(state_vars, body, false))
+                Node::Exists(self.quantifier(state_vars, body, false)?)
             }
             HavingFormula::Forall {
                 state_vars, body, ..
-            } => Node::Forall(self.quantifier(state_vars, body, true)),
+            } => Node::Forall(self.quantifier(state_vars, body, true)?),
             HavingFormula::If { cond, then } => {
-                let cond = Box::new(self.node(cond));
-                let then = Box::new(self.node(then));
-                Node::If {
-                    cond_needs: self.needs(std::slice::from_ref(&cond), true),
-                    cond,
-                    then,
-                }
+                let outer = self.bound.len();
+                let cond = Box::new(self.node(cond, true)?);
+                let then = Box::new(self.node(then, false)?);
+                self.bound.truncate(outer);
+                Node::If { cond, then }
             }
             HavingFormula::And(..) => {
+                let outer = self.bound.len();
                 let mut conjuncts = Vec::new();
-                self.conjuncts(formula, &mut conjuncts);
-                Node::And {
-                    needs: self.needs(&conjuncts, true),
-                    conjuncts,
+                self.conjuncts(formula, &mut conjuncts)?;
+                if !binding {
+                    self.bound.truncate(outer);
                 }
+                Node::And(conjuncts)
             }
-            HavingFormula::Or(a, b) => Node::Or(Box::new(self.node(a)), Box::new(self.node(b))),
-            HavingFormula::Not(a) => Node::Not(Box::new(self.node(a))),
+            HavingFormula::Or(a, b) => Node::Or(
+                Box::new(self.node(a, false)?),
+                Box::new(self.node(b, false)?),
+            ),
+            HavingFormula::Not(a) => Node::Not(Box::new(self.node(a, false)?)),
             HavingFormula::StateLess { left, right } => Node::StateLess {
-                left: left.iter().map(|name| self.state_ref(name)).collect(),
-                right: self.state_ref(right),
+                left: (left.iter())
+                    .map(|name| self.state_slot(name))
+                    .collect::<Result<_, _>>()?,
+                right: self.state_slot(right)?,
             },
-            HavingFormula::Graph { state, atoms } => Node::Graph {
-                state: self.state_ref(state),
-                atoms: atoms.iter().map(|atom| self.atom(atom)).collect(),
-            },
+            HavingFormula::Graph { state, atoms } => {
+                let state = self.state_slot(state)?;
+                let atoms: Vec<PatternAtom> = atoms.iter().map(|atom| self.atom(atom)).collect();
+                // A pattern reads nothing: a bound slot is a constant to
+                // it, a free one it binds — for what follows, if anything
+                // does.
+                if binding {
+                    (self.bound).extend(atoms.iter().flat_map(|atom| [atom.subject, atom.object]));
+                }
+                Node::Graph { state, atoms }
+            }
             HavingFormula::Cmp { left, op, right } => Node::Cmp {
-                left: self.value_slot(left),
+                left: self.read(left)?,
                 op: *op,
-                right: self.value_slot(right),
+                right: self.read(right)?,
             },
             HavingFormula::Agg {
                 func,
@@ -870,20 +892,29 @@ impl Compiler<'_> {
                 threshold,
             } => Node::Agg {
                 func: *func,
-                subject: self.value_slot(subject),
+                subject: self.read(subject)?,
                 op: *op,
-                threshold: self.value_slot(threshold),
+                threshold: match threshold {
+                    QueryTerm::Const(Term::Literal(lit)) => lit.as_f64(),
+                    _ => None,
+                }
+                .ok_or_else(|| {
+                    format!("aggregate threshold {threshold} is not a numeric literal")
+                })?,
             },
-        }
+        })
     }
 
-    fn conjuncts(&mut self, formula: &HavingFormula, out: &mut Vec<Node>) {
+    fn conjuncts(&mut self, formula: &HavingFormula, out: &mut Vec<Node>) -> Result<(), String> {
         match formula {
             HavingFormula::And(left, right) => {
-                self.conjuncts(left, out);
-                self.conjuncts(right, out);
+                self.conjuncts(left, out)?;
+                self.conjuncts(right, out)
             }
-            conjunct => out.push(self.node(conjunct)),
+            conjunct => {
+                out.push(self.node(conjunct, true)?);
+                Ok(())
+            }
         }
     }
 
@@ -892,7 +923,7 @@ impl Compiler<'_> {
         names: &[String],
         body: &HavingFormula,
         universal: bool,
-    ) -> Quantifier {
+    ) -> Result<Quantifier, String> {
         let outer = self.scope.len();
         let slots: Vec<usize> = names
             .iter()
@@ -902,22 +933,18 @@ impl Compiler<'_> {
                 self.state_slots - 1
             })
             .collect();
-        let body = Box::new(self.node(body));
+        let body = Box::new(self.node(body, false)?);
         self.scope.truncate(outer);
 
         // What decides a tuple outside the candidates: an EXISTS body must
         // hold there; a FORALL body holds there vacuously when it is an IF
-        // whose condition fails. Any other FORALL body is visited in full.
-        let decider = match (&*body, universal) {
-            (body, false) => Some((body, false)),
-            (Node::If { cond, .. }, true) => Some((&**cond, true)),
-            (_, true) => None,
-        };
-        let needs = decider
-            .and_then(|(node, satisfying)| self.needs(std::slice::from_ref(node), satisfying));
+        // whose condition fails. Any other FORALL body has no guards and no
+        // bounds, so it visits every state.
         let mut conjuncts = Vec::new();
-        if let Some((node, _)) = decider {
-            required_conjuncts(node, &mut conjuncts);
+        match (&*body, universal) {
+            (body, false) => required_conjuncts(body, &mut conjuncts),
+            (Node::If { cond, .. }, true) => required_conjuncts(cond, &mut conjuncts),
+            (_, true) => {}
         }
         let vars = slots
             .into_iter()
@@ -930,29 +957,22 @@ impl Compiler<'_> {
                 };
                 for conjunct in &conjuncts {
                     match conjunct {
-                        Node::Graph {
-                            state: StateRef::Slot(at),
-                            atoms,
-                        } if *at == slot => {
+                        Node::Graph { state, atoms } if *state == slot => {
                             var.guards.extend(
                                 atoms
                                     .iter()
                                     .filter_map(|atom| Some((atom.subject, atom.key.clone()?))),
                             );
                         }
-                        Node::StateLess {
-                            left,
-                            right: StateRef::Slot(right),
-                        } => {
+                        Node::StateLess { left, right } => {
                             // Slots are handed out in binding order: a lower
                             // slot in scope is assigned before this one.
-                            for l in left {
-                                let StateRef::Slot(l) = l else { continue };
-                                if *l == slot && *right < slot {
+                            for &l in left {
+                                if l == slot && *right < slot {
                                     var.below.push(*right);
                                 }
-                                if *right == slot && *l < slot {
-                                    var.above.push(*l);
+                                if *right == slot && l < slot {
+                                    var.above.push(l);
                                 }
                             }
                         }
@@ -962,23 +982,7 @@ impl Compiler<'_> {
                 var
             })
             .collect();
-        Quantifier { vars, body, needs }
-    }
-
-    /// The [`Needs`] of `nodes` evaluated one after the other, each entered
-    /// as a boolean test or (`satisfying`) as a conjunct whose pattern
-    /// bindings flow on to the next.
-    fn needs(&self, nodes: &[Node], satisfying: bool) -> Needs {
-        let mut bound: Vec<bool> = self
-            .slots
-            .iter()
-            .map(|slot| matches!(slot, SlotDecl::Const(..)))
-            .collect();
-        let mut needs = BTreeSet::new();
-        nodes
-            .iter()
-            .all(|node| unfailing(node, satisfying, &mut bound, &mut needs))
-            .then(|| needs.into_iter().collect())
+        Ok(Quantifier { vars, body })
     }
 }
 
@@ -987,7 +991,7 @@ impl Compiler<'_> {
 /// a nested `EXISTS`, whose body must hold for some inner tuple.
 fn required_conjuncts<'n>(node: &'n Node, out: &mut Vec<&'n Node>) {
     match node {
-        Node::And { conjuncts, .. } => {
+        Node::And(conjuncts) => {
             for conjunct in conjuncts {
                 required_conjuncts(conjunct, out);
             }
@@ -998,66 +1002,19 @@ fn required_conjuncts<'n>(node: &'n Node, out: &mut Vec<&'n Node>) {
     }
 }
 
-/// Walks `node` the way the evaluator does, tracking which value slots the
-/// patterns on the way have bound: a read of a slot nothing bound goes into
-/// `needs`. Returns `false` when the evaluation may fail whatever is bound.
-fn unfailing(
-    node: &Node,
-    satisfying: bool,
-    bound: &mut [bool],
-    needs: &mut BTreeSet<usize>,
-) -> bool {
-    match node {
-        Node::True => true,
-        Node::Cmp { left, right, .. } => {
-            needs.extend([*left, *right].into_iter().filter(|&slot| !bound[slot]));
-            true
-        }
-        Node::StateLess { left, right } => left
-            .iter()
-            .chain([right])
-            .all(|state| matches!(state, StateRef::Slot(_))),
-        Node::Graph { state, atoms } => {
-            // A pattern reads nothing: a bound slot is a constant to it, a
-            // free one it binds — for what follows, if anything does.
-            if satisfying {
-                for atom in atoms {
-                    bound[atom.subject] = true;
-                    bound[atom.object] = true;
-                }
-            }
-            matches!(state, StateRef::Slot(_))
-        }
-        // Conservatively: whether an aggregate atom fails depends on the
-        // tick's context and on the threshold's value.
-        Node::Agg { .. } => false,
-        Node::And { conjuncts, .. } => {
-            let saved = (!satisfying).then(|| bound.to_vec());
-            let ok = conjuncts
-                .iter()
-                .all(|conjunct| unfailing(conjunct, true, bound, needs));
-            if let Some(saved) = saved {
-                bound.copy_from_slice(&saved);
-            }
-            ok
-        }
-        Node::Or(a, b) => unfailing(a, false, bound, needs) && unfailing(b, false, bound, needs),
-        Node::Not(a) => unfailing(a, false, bound, needs),
-        Node::If { cond, then, .. } => {
-            let saved = bound.to_vec();
-            let ok = unfailing(cond, true, bound, needs) && unfailing(then, false, bound, needs);
-            bound.copy_from_slice(&saved);
-            ok
-        }
-        Node::Exists(q) | Node::Forall(q) => unfailing(&q.body, false, bound, needs),
-    }
-}
-
 impl CompiledHaving {
-    /// Compiles a formula for bindings over `columns`, its constants
-    /// keyed by `keys`. Compilation cannot fail: an ill-scoped formula
-    /// fails when (and only if) an evaluation reads the unbound variable.
-    pub fn compile(formula: &HavingFormula, columns: &[String], keys: &SubjectKeys) -> Self {
+    /// Compiles a formula for bindings over `columns` — the query's WHERE
+    /// answer variables, which every binding binds — its constants keyed by
+    /// `keys`. Refuses what an evaluation could only fail on, naming the
+    /// variable or threshold: a comparison or aggregate atom reading a
+    /// value variable nothing binds where it is read, a state variable no
+    /// enclosing quantifier binds, an aggregate threshold that is not a
+    /// numeric literal.
+    pub fn compile(
+        formula: &HavingFormula,
+        columns: &[String],
+        keys: &SubjectKeys,
+    ) -> Result<Self, String> {
         let mut compiler = Compiler {
             columns,
             keys,
@@ -1066,23 +1023,24 @@ impl CompiledHaving {
             const_slots: HashMap::new(),
             scope: Vec::new(),
             state_slots: 0,
+            bound: Vec::new(),
         };
-        let root = compiler.node(formula);
-        CompiledHaving {
+        let root = compiler.node(formula, false)?;
+        Ok(CompiledHaving {
             root,
             slots: compiler.slots,
             state_slots: compiler.state_slots,
             columns: columns.len(),
-        }
+        })
     }
 
     /// An evaluator of this formula over one window's sequence and the
-    /// tick's per-subject aggregates; [`Evaluator::holds`] then decides each
-    /// binding.
+    /// tick's per-subject aggregates (an empty context when the window has
+    /// none); [`Evaluator::holds`] then decides each binding.
     pub fn evaluator<'a>(
         &'a self,
         sequence: &'a IndexedSequence,
-        aggs: Option<&'a AggContext<'a>>,
+        aggs: &'a AggContext<'a>,
     ) -> Evaluator<'a> {
         Evaluator {
             formula: self,
@@ -1100,14 +1058,14 @@ impl CompiledHaving {
 
 /// The continuation of a satisfying extension: returns whether the
 /// enumeration may stop.
-type Next<'n, 'a> = &'n mut dyn FnMut(&mut Evaluator<'a>) -> Result<bool, String>;
+type Next<'n, 'a> = &'n mut dyn FnMut(&mut Evaluator<'a>) -> bool;
 
 /// Evaluates one compiled formula over one window, binding after binding,
 /// reusing its scratch space.
 pub struct Evaluator<'a> {
     formula: &'a CompiledHaving,
     sequence: &'a IndexedSequence,
-    aggs: Option<&'a AggContext<'a>>,
+    aggs: &'a AggContext<'a>,
     states: Vec<usize>,
     /// The binding row being decided.
     row: Option<&'a BindingRow>,
@@ -1124,7 +1082,7 @@ pub struct Evaluator<'a> {
 impl<'a> Evaluator<'a> {
     /// Whether the formula holds under `binding`, a row over the columns
     /// the formula was compiled for.
-    pub fn holds(&mut self, binding: &'a BindingRow) -> Result<bool, String> {
+    pub fn holds(&mut self, binding: &'a BindingRow) -> bool {
         let formula = self.formula;
         assert_eq!(
             binding.values.len(),
@@ -1133,38 +1091,27 @@ impl<'a> Evaluator<'a> {
         );
         self.row = Some(binding);
         self.values.clear();
-        self.values.extend(formula.slots.iter().map(|slot| {
-            let value = match slot {
-                SlotDecl::Var { column, .. } => binding.values[(*column)?].as_ref(),
-                SlotDecl::Const(value, _) => Some(value),
-            };
-            value.map(Cow::Borrowed)
-        }));
+        self.values.extend(
+            formula
+                .slots
+                .iter()
+                .map(|slot| match slot {
+                    SlotDecl::Var { column } => column.map(|column| &binding.values[column]),
+                    SlotDecl::Const(value, _) => Some(value),
+                })
+                .map(|value| value.map(Cow::Borrowed)),
+        );
         self.subjects.clear();
         self.subjects.resize(formula.slots.len(), None);
         self.eval(&formula.root)
     }
 
-    fn all_bound(&self, needs: &Needs) -> bool {
-        needs
-            .as_ref()
-            .is_some_and(|slots| slots.iter().all(|&slot| self.values[slot].is_some()))
-    }
-
-    fn state(&self, state: &StateRef) -> Result<usize, String> {
-        match state {
-            StateRef::Slot(slot) => Ok(self.states[*slot]),
-            StateRef::Unbound(name) => Err(format!("unbound state variable ?{name}")),
-        }
-    }
-
-    fn value(&self, slot: usize) -> Result<&Val, String> {
-        self.values[slot].as_deref().ok_or_else(|| {
-            let SlotDecl::Var { name, .. } = &self.formula.slots[slot] else {
-                unreachable!("constants are bound from the start");
-            };
-            format!("unbound value variable ?{name}")
-        })
+    /// The value a slot holds where the formula reads it — bound there, as
+    /// compilation proved.
+    fn value(&self, slot: usize) -> &Val {
+        self.values[slot]
+            .as_deref()
+            .expect("a registered formula reads only bound slots")
     }
 
     fn set(&mut self, slot: usize, value: Option<Cow<'a, Val>>) {
@@ -1174,19 +1121,15 @@ impl<'a> Evaluator<'a> {
 
     /// The key slot of the value `slot` holds, when registration keyed it
     /// (`Some`, possibly with no slot): a constant, or the binding row's
-    /// value — a slot whose column the row binds holds the row's value, as
-    /// patterns bind only free slots. `None` for a pattern-bound value.
+    /// value — patterns bind only free slots, so a column's slot holds the
+    /// row's value. `None` for a pattern-bound value.
     fn keyed(&self, slot: usize) -> Option<Option<u32>> {
         match &self.formula.slots[slot] {
             SlotDecl::Const(_, key) => Some(*key),
             SlotDecl::Var {
                 column: Some(column),
-                ..
-            } => {
-                let row = self.row?;
-                row.values[*column].as_ref().map(|_| row.keys[*column])
-            }
-            SlotDecl::Var { column: None, .. } => None,
+            } => Some(self.row?.keys[*column]),
+            SlotDecl::Var { column: None } => None,
         }
     }
 
@@ -1202,84 +1145,39 @@ impl<'a> Evaluator<'a> {
         found
     }
 
-    fn eval(&mut self, node: &'a Node) -> Result<bool, String> {
+    fn eval(&mut self, node: &'a Node) -> bool {
         match node {
-            Node::True => Ok(true),
-            Node::Exists(q) => {
-                let narrow = self.all_bound(&q.needs);
-                self.quantify(q, 0, false, narrow)
-            }
-            Node::Forall(q) => {
-                let narrow = self.all_bound(&q.needs);
-                self.quantify(q, 0, true, narrow)
-            }
-            Node::If {
-                cond,
-                then,
-                cond_needs,
-            } => {
-                // The antecedent is enumerated to its end before the
-                // consequent is read: where that can fail, it fails first.
-                if !self.all_bound(cond_needs) {
-                    self.satisfy(cond, &mut |_| Ok(false))?;
-                }
+            Node::True => true,
+            Node::Exists(q) => self.quantify(q, 0, false),
+            Node::Forall(q) => self.quantify(q, 0, true),
+            Node::If { cond, then } => {
                 let mut holds = true;
                 self.satisfy(cond, &mut |e| {
-                    holds = e.eval(then)?;
-                    Ok(!holds)
-                })?;
-                Ok(holds)
+                    holds = e.eval(then);
+                    !holds
+                });
+                holds
             }
-            Node::And { needs, .. } => {
-                let first_suffices = self.all_bound(needs);
-                let mut found = false;
-                self.satisfy(node, &mut |_| {
-                    found = true;
-                    Ok(first_suffices)
-                })?;
-                Ok(found)
-            }
-            Node::Or(a, b) => Ok(self.eval(a)? || self.eval(b)?),
-            Node::Not(a) => Ok(!self.eval(a)?),
+            Node::And(conjuncts) => self.satisfy_all(conjuncts, &mut |_| true),
+            Node::Or(a, b) => self.eval(a) || self.eval(b),
+            Node::Not(a) => !self.eval(a),
             Node::StateLess { left, right } => {
-                let right = self.state(right)?;
-                for left in left {
-                    if self.state(left)? >= right {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
+                let right = self.states[*right];
+                left.iter().all(|&left| self.states[left] < right)
             }
             Node::Graph { state, atoms } => {
-                let idx = self.state(state)?;
-                let mut found = false;
-                self.match_atoms(idx, atoms, &mut |_| {
-                    found = true;
-                    Ok(true)
-                })?;
-                Ok(found)
+                self.match_atoms(self.states[*state], atoms, &mut |_| true)
             }
-            Node::Cmp { left, op, right } => {
-                Ok(op.test(compare(self.value(*left)?, self.value(*right)?)))
-            }
+            Node::Cmp { left, op, right } => compare(self.value(*left), *op, self.value(*right)),
             Node::Agg {
                 func,
                 subject,
                 op,
                 threshold,
             } => {
-                let Some(ctx) = self.aggs else {
-                    return Err("aggregate atom requires a windowed aggregate context".into());
-                };
-                let keyed = self.keyed(*subject);
-                let subject = self.value(*subject)?;
-                let threshold = match &self.value(*threshold)?.term {
-                    Term::Literal(lit) => lit
-                        .as_f64()
-                        .ok_or_else(|| format!("aggregate threshold {lit:?} is not numeric"))?,
-                    other => return Err(format!("aggregate threshold {other:?} is not a literal")),
-                };
-                let acc = ctx.group(keyed, &subject.term);
+                let acc = self
+                    .aggs
+                    .group(self.keyed(*subject), &self.value(*subject).term);
                 // A subject with no rows in the window has COUNT 0 but no
                 // defined SUM/AVG/MIN/MAX — those comparisons are false.
                 let value = match (func, acc) {
@@ -1291,7 +1189,7 @@ impl<'a> Evaluator<'a> {
                     (AggFunc::Min, Some(a)) => a.min,
                     (AggFunc::Max, Some(a)) => a.max,
                 };
-                Ok(value.is_some_and(|v| op.test(v.total_cmp(&threshold))))
+                value.is_some_and(|v| op.test(v.total_cmp(threshold)))
             }
         }
     }
@@ -1300,75 +1198,55 @@ impl<'a> Evaluator<'a> {
     /// satisfies `node` — defined for the conjunctive fragment (AND /
     /// GRAPH); every other node is a boolean filter. Returns whether `next`
     /// stopped the enumeration.
-    fn satisfy(&mut self, node: &'a Node, next: Next<'_, 'a>) -> Result<bool, String> {
+    fn satisfy(&mut self, node: &'a Node, next: Next<'_, 'a>) -> bool {
         match node {
-            Node::And { conjuncts, .. } => self.satisfy_all(conjuncts, next),
-            Node::Graph { state, atoms } => {
-                let idx = self.state(state)?;
-                self.match_atoms(idx, atoms, next)
-            }
-            filter => {
-                if self.eval(filter)? {
-                    next(self)
-                } else {
-                    Ok(false)
-                }
-            }
+            Node::And(conjuncts) => self.satisfy_all(conjuncts, next),
+            Node::Graph { state, atoms } => self.match_atoms(self.states[*state], atoms, next),
+            filter => self.eval(filter) && next(self),
         }
     }
 
     /// [`Self::satisfy`] for `conjuncts` in turn, each under the extensions
     /// of those before it.
-    fn satisfy_all(&mut self, conjuncts: &'a [Node], next: Next<'_, 'a>) -> Result<bool, String> {
+    fn satisfy_all(&mut self, conjuncts: &'a [Node], next: Next<'_, 'a>) -> bool {
         match conjuncts.split_first() {
             Some((first, rest)) => self.satisfy(first, &mut |e| e.satisfy_all(rest, &mut *next)),
             None => next(self),
         }
     }
 
-    /// Enumerates the tuples of `q`'s variables from `depth` on. With
-    /// `narrow`, a variable ranges over the states its guard's postings
-    /// list, inside the bounds the state-order conjuncts set; without, over
-    /// every state.
-    fn quantify(
-        &mut self,
-        q: &'a Quantifier,
-        depth: usize,
-        universal: bool,
-        narrow: bool,
-    ) -> Result<bool, String> {
+    /// Enumerates the tuples of `q`'s variables from `depth` on: a variable
+    /// ranges over the states its guard's postings list, inside the bounds
+    /// the state-order conjuncts set — over every state when it has
+    /// neither.
+    fn quantify(&mut self, q: &'a Quantifier, depth: usize, universal: bool) -> bool {
         let Some(var) = q.vars.get(depth) else {
             self.candidates += 1;
             return self.eval(&q.body);
         };
         let mut range = 0..self.sequence.len();
-        let mut listed: Option<&'a [u32]> = None;
-        if narrow {
-            for &other in &var.below {
-                range.end = range.end.min(self.states[other]);
-            }
-            for &other in &var.above {
-                range.start = range.start.max(self.states[other] + 1);
-            }
-            let guard = var
-                .guards
-                .iter()
-                .find(|(subject, _)| self.values[*subject].is_some());
-            if let Some((subject, key)) = guard {
-                self.probes += 1;
-                let of_subject = self.subject_postings(*subject);
-                listed = Some(
-                    of_subject
-                        .and_then(|of_subject| match key {
-                            PostingKey::Class(class) => of_subject.class(class),
-                            PostingKey::Property(property) => {
-                                of_subject.property(property).map(|p| &p.states[..])
-                            }
-                        })
-                        .unwrap_or_default(),
-                );
-            }
+        for &other in &var.below {
+            range.end = range.end.min(self.states[other]);
         }
+        for &other in &var.above {
+            range.start = range.start.max(self.states[other] + 1);
+        }
+        let guard = var
+            .guards
+            .iter()
+            .find(|(subject, _)| self.values[*subject].is_some());
+        let listed = guard.map(|(subject, key)| {
+            self.probes += 1;
+            let of_subject = self.subject_postings(*subject);
+            of_subject
+                .and_then(|of_subject| match key {
+                    PostingKey::Class(class) => of_subject.class(class),
+                    PostingKey::Property(property) => {
+                        of_subject.property(property).map(|p| &p.states[..])
+                    }
+                })
+                .unwrap_or_default()
+        });
         // EXISTS is decided by the first tuple that holds, FORALL by the
         // first that does not.
         match listed {
@@ -1379,37 +1257,32 @@ impl<'a> Evaluator<'a> {
                         break;
                     }
                     self.states[var.slot] = state as usize;
-                    if self.quantify(q, depth + 1, universal, narrow)? != universal {
-                        return Ok(!universal);
+                    if self.quantify(q, depth + 1, universal) != universal {
+                        return !universal;
                     }
                 }
             }
             None => {
                 for state in range {
                     self.states[var.slot] = state;
-                    if self.quantify(q, depth + 1, universal, narrow)? != universal {
-                        return Ok(!universal);
+                    if self.quantify(q, depth + 1, universal) != universal {
+                        return !universal;
                     }
                 }
             }
         }
-        Ok(universal)
+        universal
     }
 
     /// Runs `then` with `slot` holding `value`: as a check when the slot is
     /// bound, as a binding — undone afterwards — when it is free.
-    fn with_value(
-        &mut self,
-        slot: usize,
-        value: Cow<'a, Val>,
-        then: Next<'_, 'a>,
-    ) -> Result<bool, String> {
+    fn with_value(&mut self, slot: usize, value: Cow<'a, Val>, then: Next<'_, 'a>) -> bool {
         match self.values[slot]
             .as_ref()
             .map(|bound| bound.term == value.term)
         {
             Some(true) => then(self),
-            Some(false) => Ok(false),
+            Some(false) => false,
             None => {
                 self.set(slot, Some(value));
                 let stopped = then(self);
@@ -1421,12 +1294,7 @@ impl<'a> Evaluator<'a> {
 
     /// Matches `atoms`, left to right, against state `idx`, calling `next`
     /// under every match.
-    fn match_atoms(
-        &mut self,
-        idx: usize,
-        atoms: &'a [PatternAtom],
-        next: Next<'_, 'a>,
-    ) -> Result<bool, String> {
+    fn match_atoms(&mut self, idx: usize, atoms: &'a [PatternAtom], next: Next<'_, 'a>) -> bool {
         let Some((atom, rest)) = atoms.split_first() else {
             return next(self);
         };
@@ -1436,32 +1304,25 @@ impl<'a> Evaluator<'a> {
             _ => return self.scan_atom(idx, atom, rest, next),
         };
         let Some(of_subject) = self.subject_postings(atom.subject) else {
-            return Ok(false);
+            return false;
         };
         match key {
             PostingKey::Class(class) => {
                 let member = of_subject
                     .class(class)
                     .is_some_and(|states| states.binary_search(&(idx as u32)).is_ok());
-                if member {
-                    self.match_atoms(idx, rest, next)
-                } else {
-                    Ok(false)
-                }
+                member && self.match_atoms(idx, rest, next)
             }
             PostingKey::Property(property) => {
                 let Some(postings) = of_subject.property(property) else {
-                    return Ok(false);
+                    return false;
                 };
-                for posting in postings.at(idx) {
+                postings.at(idx).iter().any(|posting| {
                     let value = Cow::Borrowed(&posting.value);
-                    if self.with_value(atom.object, value, &mut |e| {
+                    self.with_value(atom.object, value, &mut |e| {
                         e.match_atoms(idx, rest, &mut *next)
-                    })? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
+                    })
+                })
             }
         }
     }
@@ -1474,7 +1335,7 @@ impl<'a> Evaluator<'a> {
         atom: &'a PatternAtom,
         rest: &'a [PatternAtom],
         next: Next<'_, 'a>,
-    ) -> Result<bool, String> {
+    ) -> bool {
         let sequence = self.sequence;
         let mut pattern = TriplePattern::any().with_predicate(atom.predicate.clone());
         if let Some(subject) = &self.values[atom.subject] {
@@ -1483,19 +1344,20 @@ impl<'a> Evaluator<'a> {
         if let Some(object) = &self.values[atom.object] {
             pattern = pattern.with_object(object.term.clone());
         }
-        for triple in sequence.sequence().states[idx].graph.matching(&pattern) {
-            let object = triple.object;
-            let subject = Cow::Owned(Val::new(triple.subject));
-            if self.with_value(atom.subject, subject, &mut |e| {
-                let object = Cow::Owned(Val::new(object.clone()));
-                e.with_value(atom.object, object, &mut |e| {
-                    e.match_atoms(idx, rest, &mut *next)
+        sequence.sequence().states[idx]
+            .graph
+            .matching(&pattern)
+            .into_iter()
+            .any(|triple| {
+                let object = triple.object;
+                let subject = Cow::Owned(Val::new(triple.subject));
+                self.with_value(atom.subject, subject, &mut |e| {
+                    let object = Cow::Owned(Val::new(object.clone()));
+                    e.with_value(atom.object, object, &mut |e| {
+                        e.match_atoms(idx, rest, &mut *next)
+                    })
                 })
-            })? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+            })
     }
 }
 
@@ -1800,28 +1662,32 @@ mod tests {
         IriTemplate::parse("http://x/sensor/{sensor_id}").unwrap()
     }
 
-    /// `f` compiled for the columns of `env`, `env` as a row over them, and
-    /// the keys both read, over a stream of `key_type` sensor keys.
+    /// A compiled formula, one binding as a row, and the keys both read.
+    type Compiled = (CompiledHaving, BindingRow, SubjectKeys);
+
+    /// `f` compiled for the variables of `env` as answer variables, `env`
+    /// as a row over them, and the keys both read, over a stream of
+    /// `key_type` sensor keys; `Err` when compilation refuses `f`.
     fn compile_keyed(
         f: &HavingFormula,
         env: &Env,
         key_type: ColumnType,
-    ) -> (CompiledHaving, BindingRow, SubjectKeys) {
+    ) -> Result<Compiled, String> {
         let bindings = std::slice::from_ref(env);
-        let columns = BindingRow::columns(bindings);
+        let columns: Vec<String> = env.keys().cloned().collect();
         let keys = SubjectKeys::new(f, bindings, &template(), Some(key_type));
-        let compiled = CompiledHaving::compile(f, &columns, &keys);
-        let row = BindingRow::new(&columns, env, &keys);
-        (compiled, row, keys)
+        let compiled = CompiledHaving::compile(f, &columns, &keys)?;
+        let row = BindingRow::new(&columns, env, &keys)?;
+        Ok((compiled, row, keys))
     }
 
     /// [`compile_keyed`] over `INT` sensor keys.
-    fn compile_under(f: &HavingFormula, env: &Env) -> (CompiledHaving, BindingRow, SubjectKeys) {
+    fn compile_under(f: &HavingFormula, env: &Env) -> Result<Compiled, String> {
         compile_keyed(f, env, ColumnType::Int)
     }
 
-    /// What a tick does, end to end: compile, index, bind, key the groups,
-    /// decide.
+    /// What a tick does, end to end: compile, index, bind, key the groups
+    /// (none without `aggs`), decide. `Err` when compilation refuses.
     trait Evaluate {
         fn eval_with(
             &self,
@@ -1842,11 +1708,12 @@ mod tests {
             env: &Env,
             aggs: Option<&Groups>,
         ) -> Result<bool, String> {
-            let (compiled, row, keys) = compile_under(self, env);
-            let ctx = aggs.map(|groups| keys.context(groups));
+            let (compiled, row, keys) = compile_under(self, env)?;
+            let none = Groups::new();
+            let ctx = keys.context(aggs.unwrap_or(&none));
             let indexed = IndexedSequence::new(seq.clone());
-            let verdict = compiled.evaluator(&indexed, ctx.as_ref()).holds(&row);
-            verdict
+            let verdict = compiled.evaluator(&indexed, &ctx).holds(&row);
+            Ok(verdict)
         }
     }
 
@@ -2026,10 +1893,12 @@ mod tests {
 
     /// Probes and visited state tuples of one evaluation.
     fn work(f: &HavingFormula, seq: &StateSequence, env: &Env) -> (bool, u64, u64) {
-        let (compiled, row, _) = compile_under(f, env);
+        let (compiled, row, keys) = compile_under(f, env).unwrap();
         let indexed = IndexedSequence::new(seq.clone());
-        let mut evaluator = compiled.evaluator(&indexed, None);
-        let verdict = evaluator.holds(&row).unwrap();
+        let groups = Groups::new();
+        let ctx = keys.context(&groups);
+        let mut evaluator = compiled.evaluator(&indexed, &ctx);
+        let verdict = evaluator.holds(&row);
         (verdict, evaluator.probes, evaluator.candidates)
     }
 
@@ -2106,19 +1975,19 @@ mod tests {
     }
 
     #[test]
-    fn a_variable_that_may_be_read_unbound_disables_the_shortcuts() {
-        // `?u` is bound by nothing. The interpreter fails on the first
-        // tuple that reaches the comparison; had it reached none it would
-        // have walked all sixteen. Narrowing must not skip that failure…
+    fn a_variable_read_unbound_is_refused_and_a_bound_one_narrows() {
+        // `?u` is bound by nothing: every tuple that reached the comparison
+        // would fail, so compilation refuses the formula, naming `?u`…
         let reads_u = HavingFormula::Cmp {
             left: QueryTerm::var("u"),
             op: CmpOp::Eq,
             right: QueryTerm::var("u"),
         };
-        assert!(swing_formula(reads_u.clone())
+        let err = swing_formula(reads_u.clone())
             .eval(&rising_sequence(), &env_with_sensor(1))
-            .is_err());
-        // …and where the binding provides `?u`, the shortcut is back.
+            .unwrap_err();
+        assert!(err.contains("?u"), "{err}");
+        // …and where the binding provides `?u`, it narrows as ever.
         let mut env = env_with_sensor(1);
         env.insert("u".into(), sensor(1));
         let (verdict, _, candidates) = work(&swing_formula(reads_u), &rising_sequence(), &env);
@@ -2152,8 +2021,27 @@ mod tests {
             right: QueryTerm::Const(Term::Literal(Literal::double(2.5))),
         };
         assert!(f.eval(&seq, &Env::default()).unwrap());
+        // A number never orders against a non-number, and equals it never.
+        let against_text = |n: f64, op| HavingFormula::Cmp {
+            left: QueryTerm::Const(Term::Literal(Literal::double(n))),
+            op,
+            right: QueryTerm::Const(Term::Literal(Literal::string("70"))),
+        };
+        for n in [9.0, 100.0] {
+            for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq] {
+                assert!(!against_text(n, op).eval(&seq, &Env::default()).unwrap());
+            }
+            assert!(against_text(n, CmpOp::Ne)
+                .eval(&seq, &Env::default())
+                .unwrap());
+        }
     }
 
+    /// Compilation refuses what an evaluation could only fail on, naming
+    /// it. Binding flows through `AND` and `GRAPH` only, left to right: a
+    /// comparison before the pattern that binds its variable, or after an
+    /// `EXISTS` that binds it inside, is refused; so are a state variable
+    /// no quantifier binds and a threshold that is no numeric literal.
     #[test]
     fn unbound_variable_is_an_error() {
         let seq = rising_sequence();
@@ -2163,6 +2051,48 @@ mod tests {
             right: QueryTerm::var("nope"),
         };
         assert!(f.eval(&seq, &Env::default()).is_err());
+        let reading = |state: &str| HavingFormula::Graph {
+            state: state.into(),
+            atoms: vec![Atom::property(
+                iri("hasValue"),
+                QueryTerm::var("c"),
+                QueryTerm::var("x"),
+            )],
+        };
+        let hot = HavingFormula::Cmp {
+            left: QueryTerm::var("x"),
+            op: CmpOp::Ge,
+            right: QueryTerm::Const(Term::Literal(Literal::integer(80))),
+        };
+        let and = |a: HavingFormula, b: HavingFormula| HavingFormula::And(Box::new(a), Box::new(b));
+        let exists = |body: HavingFormula| HavingFormula::Exists {
+            state_vars: vec!["k".into()],
+            body: Box::new(body),
+        };
+        let env = env_with_sensor(1);
+        assert!(exists(and(reading("k"), hot.clone()))
+            .eval(&seq, &env)
+            .unwrap());
+        let threshold = QueryTerm::Const(Term::Literal(Literal::string("85")));
+        let refused = [
+            (exists(and(hot.clone(), reading("k"))), "?x"),
+            (and(exists(reading("k")), hot), "?x"),
+            (exists(reading("q")), "?q"),
+            (
+                HavingFormula::Agg {
+                    func: AggFunc::Max,
+                    subject: QueryTerm::var("c"),
+                    property: iri("hasValue"),
+                    op: CmpOp::Ge,
+                    threshold,
+                },
+                "\"85\"",
+            ),
+        ];
+        for (formula, named) in refused {
+            let err = formula.eval(&seq, &env).unwrap_err();
+            assert!(err.contains(named), "{named}: {err}");
+        }
     }
 
     #[test]
@@ -2274,12 +2204,16 @@ mod tests {
         }
     }
 
+    /// A window with no groups — an aggregate-free query's, say — counts
+    /// every subject zero and gives none a SUM.
     #[test]
-    fn agg_without_context_is_an_error() {
+    fn agg_over_an_empty_context_counts_zero() {
         let seq = StateSequence { states: vec![] };
-        assert!(agg_formula(AggFunc::Sum, CmpOp::Ge, 0.0)
-            .eval(&seq, &env_with_sensor(1))
-            .is_err());
+        let env = env_with_sensor(1);
+        let counted = agg_formula(AggFunc::Count, CmpOp::Eq, 0.0);
+        assert!(counted.eval(&seq, &env).unwrap());
+        let summed = agg_formula(AggFunc::Sum, CmpOp::Ge, 0.0);
+        assert!(!summed.eval(&seq, &env).unwrap());
     }
 
     #[test]
@@ -2340,31 +2274,10 @@ mod tests {
             .eval_with(&seq, &env, Some(&agg_ctx()))
             .unwrap());
         // Bound from the row, the subject reads its own group only, and
-        // sensor 2 has none…
+        // sensor 2 has none.
         assert!(!witness("c")
             .eval_with(&seq, &env, Some(&agg_ctx()))
             .unwrap());
-        // …unless a row leaves the subject's column unbound: the pattern
-        // binds it there, to any subject of the window.
-        let bindings = [env, Env::default()];
-        let columns = BindingRow::columns(&bindings);
-        let keys = SubjectKeys::new(&witness("c"), &bindings, &template(), Some(ColumnType::Int));
-        let compiled = CompiledHaving::compile(&witness("c"), &columns, &keys);
-        let rows: Vec<_> = (bindings.iter())
-            .map(|binding| BindingRow::new(&columns, binding, &keys))
-            .collect();
-        let groups = agg_ctx();
-        let ctx = keys.context(&groups);
-        let indexed = IndexedSequence::new(seq);
-        let mut evaluator = compiled.evaluator(&indexed, Some(&ctx));
-        assert!(
-            !evaluator.holds(&rows[0]).unwrap(),
-            "no group of sensor 2 here"
-        );
-        assert!(
-            evaluator.holds(&rows[1]).unwrap(),
-            "sensor 1 is the witness"
-        );
     }
 
     /// A context holds the group of exactly the keys registration named
@@ -2416,11 +2329,11 @@ mod tests {
         acc.observe(&Value::Float(1.0));
         let groups = Groups::from([(Value::Int(5), acc)]);
         let holds = |f: &HavingFormula, env: &Env, key_type| {
-            let (compiled, row, keys) = compile_keyed(f, env, key_type);
+            let (compiled, row, keys) = compile_keyed(f, env, key_type).unwrap();
             let ctx = keys.context(&groups);
             let indexed = IndexedSequence::new(StateSequence { states: vec![] });
-            let verdict = compiled.evaluator(&indexed, Some(&ctx)).holds(&row);
-            verdict.unwrap()
+            let verdict = compiled.evaluator(&indexed, &ctx).holds(&row);
+            verdict
         };
         let counted = |subject: &str, key_type| {
             let subject = Term::iri(subject);

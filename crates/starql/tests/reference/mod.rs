@@ -7,14 +7,15 @@
 //! foreign crate cannot add inherent methods to `HavingFormula`, so they
 //! hang off the [`Reference`] trait; and the per-subject aggregate context
 //! it reads, keyed by subject term, is defined here — the product's is
-//! keyed by raw stream key.
+//! keyed by raw stream key. Its comparison follows the product's: a number
+//! never orders against a non-number.
 
 use std::collections::{BTreeMap, HashMap};
 
 use optique_rdf::Term;
 use optique_relational::AggAcc;
 use optique_rewrite::{Atom, ConjunctiveQuery, QueryTerm};
-use optique_starql::having::{AggFunc, HavingFormula};
+use optique_starql::having::{AggFunc, CmpOp, HavingFormula};
 use optique_starql::sequence::StateSequence;
 
 /// Per-subject window aggregates for one tick: the group key is the minted
@@ -131,7 +132,7 @@ impl Reference for HavingFormula {
             HavingFormula::Cmp { left, op, right } => {
                 let l = lookup_value(env, left)?;
                 let r = lookup_value(env, right)?;
-                Ok(op.test(compare_terms(&l, &r)))
+                Ok(compare_terms(&l, *op, &r))
             }
             HavingFormula::Agg {
                 func,
@@ -277,15 +278,20 @@ fn lookup_value(env: &Env, term: &QueryTerm) -> Result<Term, String> {
     }
 }
 
-/// Numeric comparison when both terms are numeric literals; term order
-/// otherwise.
-fn compare_terms(a: &Term, b: &Term) -> std::cmp::Ordering {
-    if let (Term::Literal(la), Term::Literal(lb)) = (a, b) {
-        if let (Some(x), Some(y)) = (la.as_f64(), lb.as_f64()) {
-            return x.total_cmp(&y);
-        }
+/// Whether `a op b` holds: numerically when both terms are numeric
+/// literals, by term order when neither is. A number never orders against
+/// a non-number — `<`, `<=`, `>` and `>=` between them are false, as a
+/// SPARQL type error would be — and equals it never.
+fn compare_terms(a: &Term, op: CmpOp, b: &Term) -> bool {
+    let number = |t: &Term| match t {
+        Term::Literal(lit) => lit.as_f64(),
+        _ => None,
+    };
+    match (number(a), number(b)) {
+        (Some(x), Some(y)) => op.test(x.total_cmp(&y)),
+        (None, None) => op.test(a.cmp(b)),
+        _ => op == CmpOp::Ne,
     }
-    a.cmp(b)
 }
 
 /// Builds a CQ from pattern atoms, substituting env-bound variables by
