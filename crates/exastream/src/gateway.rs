@@ -8,10 +8,11 @@
 //! rounds — the gateway itself remembers nothing between rounds but the
 //! workers' pane stores.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use optique_relational::hash::IdSet;
 use optique_relational::{
     execute_branches, Database, ExecCounts, LogicalPlan, PaneCounts, PaneStore, PlanFragment,
     Schema, SqlError, Table, Value,
@@ -345,7 +346,7 @@ impl Partial {
 
 /// Removes duplicate rows in place, keeping first occurrences.
 fn dedup_rows(rows: &mut Vec<Vec<Value>>) {
-    let mut seen = HashSet::with_capacity(rows.len());
+    let mut seen = IdSet::with_capacity_and_hasher(rows.len(), Default::default());
     let keep: Vec<bool> = rows.iter().map(|row| seen.insert(row.as_slice())).collect();
     let mut keep = keep.into_iter();
     rows.retain(|_| keep.next().unwrap_or(true));

@@ -1,6 +1,7 @@
 //! Single-variable IRI templates.
 
-use optique_relational::{iri_template, ColumnType, Value};
+use optique_relational::iri_template;
+use optique_relational::{ColumnType, Value};
 
 /// An IRI template of shape `prefix{column}suffix`.
 ///
@@ -11,8 +12,8 @@ use optique_relational::{iri_template, ColumnType, Value};
 /// are [`optique_relational::iri_template`]'s.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct IriTemplate {
-    /// The template with its slot as `{}` — the codec's pattern.
-    pattern: String,
+    /// The template with its slot as `{}`, split at the slot.
+    codec: iri_template::IriTemplate,
     column: String,
 }
 
@@ -36,7 +37,7 @@ impl IriTemplate {
             return Err(format!("template {template:?} has more than one slot"));
         }
         Ok(IriTemplate {
-            pattern: format!("{}{{}}{rest}", &template[..open]),
+            codec: iri_template::IriTemplate::new(&format!("{}{{}}{rest}", &template[..open])),
             column,
         })
     }
@@ -46,35 +47,37 @@ impl IriTemplate {
         &self.column
     }
 
-    /// The template text with the slot as `{}` — the form the
-    /// `iri_template` SQL scalar takes.
-    pub fn sql_pattern(&self) -> &str {
-        &self.pattern
+    /// The codec the SQL mint node renders with; its pattern is the
+    /// template text with the slot as `{}`, the `P` of
+    /// `iri_template('P', key)`.
+    pub fn codec(&self) -> &iri_template::IriTemplate {
+        &self.codec
     }
 
     /// The IRI for a concrete key value; NULL mints none.
     pub fn render(&self, value: &Value) -> Option<String> {
-        iri_template::render(&self.pattern, value)
+        self.codec.render(value)
     }
 
     /// Two templates can produce equal IRIs only when their fixed parts
     /// agree (they may differ in column *name* — that just means joining on
     /// differently-named key columns).
     pub fn compatible_with(&self, other: &IriTemplate) -> bool {
-        self.pattern == other.pattern
+        self.codec == other.codec
     }
 
     /// Inverts the template against a constant IRI: the value of a
     /// `key_type` column that renders it, or `None` when none does.
     pub fn invert(&self, iri: &str, key_type: ColumnType) -> Option<Value> {
-        iri_template::invert(&self.pattern, iri, key_type)
+        self.codec.invert(iri, key_type)
     }
 }
 
 impl std::fmt::Display for IriTemplate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let slot = self.pattern.find("{}").expect("parse leaves one slot");
-        let (prefix, suffix) = (&self.pattern[..slot], &self.pattern[slot + 2..]);
+        let pattern = self.codec.pattern();
+        let slot = pattern.find("{}").expect("parse leaves one slot");
+        let (prefix, suffix) = (&pattern[..slot], &pattern[slot + 2..]);
         write!(f, "{prefix}{{{}}}{suffix}", self.column)
     }
 }
@@ -88,7 +91,7 @@ mod tests {
         let t = IriTemplate::parse("http://x/turbine/{tid}").unwrap();
         assert_eq!(t.column(), "tid");
         assert_eq!(t.render(&Value::Int(42)).unwrap(), "http://x/turbine/42");
-        assert_eq!(t.sql_pattern(), "http://x/turbine/{}");
+        assert_eq!(t.codec().pattern(), "http://x/turbine/{}");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 
 use optique_rdf::Term;
+use optique_relational::iri_template::IriTemplate;
 use optique_relational::parser::{Join, JoinType, Projection, SelectStatement, TableRef};
 use optique_relational::{ColumnType, Expr, Value};
 use optique_rewrite::{Atom, ConjunctiveQuery, QueryTerm, UnionQuery};
@@ -65,10 +66,10 @@ enum Cond {
     },
     /// The column equals a literal's value.
     ColConst { col: (usize, String), value: Value },
-    /// `pattern` mints the constant `iri` from the column.
+    /// `template` mints the constant `iri` from the column.
     Minted {
         col: (usize, String),
-        pattern: String,
+        template: IriTemplate,
         iri: String,
     },
 }
@@ -250,9 +251,9 @@ fn build_candidate(
                 col: (rewrite(col.0), col.1),
                 value,
             },
-            Cond::Minted { col, pattern, iri } => Cond::Minted {
+            Cond::Minted { col, template, iri } => Cond::Minted {
                 col: (rewrite(col.0), col.1),
-                pattern,
+                template,
                 iri,
             },
         };
@@ -319,8 +320,8 @@ fn build_candidate(
             Cond::ColConst { col, value } => {
                 where_conds.push(Expr::eq(col_expr(col), Expr::Literal(value.clone())));
             }
-            Cond::Minted { col, pattern, iri } => {
-                where_conds.push(Expr::eq(minted(pattern, col), Expr::lit(iri.as_str())));
+            Cond::Minted { col, template, iri } => {
+                where_conds.push(Expr::eq(minted(template, col), Expr::lit(iri.as_str())));
             }
         }
     }
@@ -371,7 +372,7 @@ fn constant_condition(map: &TermMap, constant: &Term, alias: usize) -> Outcome {
         (TermMap::Template(t), Term::Iri(iri)) => match t.invert(iri.as_str(), ColumnType::Text) {
             Some(_) => Outcome::Cond(Cond::Minted {
                 col: col(t.column()),
-                pattern: t.sql_pattern().to_string(),
+                template: t.codec().clone(),
                 iri: iri.as_str().to_string(),
             }),
             None => Outcome::Incompatible,
@@ -456,17 +457,17 @@ fn col_expr(col: &(usize, String)) -> Expr {
     Expr::col(format!("{}.{}", alias_name(col.0), col.1))
 }
 
-/// `iri_template('pattern', col)`: the IRI `pattern` mints from `col`.
-fn minted(pattern: &str, col: &(usize, String)) -> Expr {
-    Expr::Function {
-        name: "iri_template".into(),
-        args: vec![Expr::lit(pattern), col_expr(col)],
+/// `iri_template('P', col)`: the IRI `template` mints from `col`.
+fn minted(template: &IriTemplate, col: &(usize, String)) -> Expr {
+    Expr::Mint {
+        template: template.clone(),
+        key: Box::new(col_expr(col)),
     }
 }
 
 fn term_expr(map: &TermMap, alias: usize) -> Expr {
     match map {
-        TermMap::Template(t) => minted(t.sql_pattern(), &(alias, t.column().to_string())),
+        TermMap::Template(t) => minted(t.codec(), &(alias, t.column().to_string())),
         TermMap::Column { column, .. } => col_expr(&(alias, column.clone())),
         TermMap::Constant(term) => match term {
             Term::Iri(iri) => Expr::Literal(Value::text(iri.as_str())),
@@ -646,6 +647,65 @@ mod tests {
         );
     }
 
+    /// The unfolder mints with `Expr::Mint`, prints it as
+    /// `iri_template('P', key)`, and parsing that text builds the same
+    /// node: print → parse is the identity on what the unfolder emits —
+    /// minted projections, the minted constant test, joins, `UNION ALL`.
+    /// A mint whose pattern is no text literal is refused at parse.
+    #[test]
+    fn mint_round_trips_through_sql_text() {
+        let ucq = UnionQuery {
+            disjuncts: vec![
+                ConjunctiveQuery::new(
+                    vec!["s".into(), "t".into()],
+                    vec![
+                        Atom::property(iri("attachedTo"), var("s"), var("t")),
+                        Atom::class(iri("Turbine"), var("t")),
+                    ],
+                ),
+                ConjunctiveQuery::new(
+                    vec!["s".into()],
+                    vec![Atom::property(
+                        iri("attachedTo"),
+                        var("s"),
+                        QueryTerm::Const(Term::iri("http://x/turbine/1")),
+                    )],
+                ),
+                ConjunctiveQuery::new(
+                    vec!["t".into(), "m".into()],
+                    vec![Atom::property(iri("hasModel"), var("t"), var("m"))],
+                ),
+            ],
+        };
+        let (stmt, _) = unfold_ucq(&ucq, &catalog(), &UnfoldSettings::default()).unwrap();
+        let stmt = stmt.unwrap();
+        let text = stmt.to_string();
+        let parsed = optique_relational::parse_select(&text).unwrap();
+        assert_eq!(parsed, stmt, "{text}");
+        assert_eq!(parsed.to_string(), text);
+        let mut mints = 0;
+        for branch in parsed.branches() {
+            for projection in &branch.projections {
+                if let Projection::Expr { expr, .. } = projection {
+                    expr.walk(&mut |e| mints += usize::from(matches!(e, Expr::Mint { .. })));
+                }
+            }
+            if let Some(filter) = &branch.where_clause {
+                filter.walk(&mut |e| mints += usize::from(matches!(e, Expr::Mint { .. })));
+            }
+        }
+        assert_eq!(mints, 2 + 1 + 1 + 1, "{text}");
+        for refused in [
+            "SELECT iri_template(tid, 'x') AS s FROM turbines",
+            "SELECT iri_template('http://x/{}') AS s FROM turbines",
+            "SELECT iri_template('http://x/{}', tid, tid) AS s FROM turbines",
+            "SELECT iri_template(5, tid) AS s FROM turbines",
+        ] {
+            let err = optique_relational::parse_select(refused).unwrap_err();
+            assert!(err.to_string().contains("iri_template"), "{refused}: {err}");
+        }
+    }
+
     /// Every filter of `plan`: scan filters and `Filter` predicates.
     fn filters(plan: &LogicalPlan) -> Vec<&Expr> {
         match plan {
@@ -713,7 +773,7 @@ mod tests {
                 key_tests += usize::from(filter.to_string() == "(b = 7)");
                 filter.walk(&mut |e| match e {
                     Expr::InSet { .. } => in_sets += 1,
-                    Expr::Function { name, .. } if name == "iri_template" => minted += 1,
+                    Expr::Mint { .. } => minted += 1,
                     _ => {}
                 });
             }

@@ -5,7 +5,7 @@ use optique_mapping::{
     materialize_catalog, unfold_cq, IriTemplate, MappingAssertion, MappingCatalog, TermMap,
 };
 use optique_rdf::Iri;
-use optique_relational::{iri_template, table::table_of, ColumnType, Database, Value};
+use optique_relational::{table::table_of, ColumnType, Database, Value};
 use optique_rewrite::{Atom, ConjunctiveQuery, QueryTerm};
 use proptest::prelude::*;
 
@@ -45,19 +45,19 @@ proptest! {
     ) {
         let (key, key_type) = typed;
         let template = IriTemplate::parse(&format!("http://x/{prefix}/{{id}}{suffix}")).unwrap();
-        let pattern = template.sql_pattern();
-        let iri = iri_template::render(pattern, &key).unwrap();
+        let codec = template.codec();
+        let iri = codec.render(&key).unwrap();
         prop_assert_eq!(template.render(&key), Some(iri.clone()));
-        prop_assert_eq!(iri_template::invert(pattern, &iri, key_type), Some(key.clone()));
+        prop_assert_eq!(codec.invert(&iri, key_type), Some(key.clone()));
         prop_assert_eq!(template.invert(&iri, key_type), Some(key.clone()));
-        prop_assert!(iri_template::invert(pattern, &iri, ColumnType::Text).is_some(), "{iri}");
+        prop_assert!(codec.invert(&iri, ColumnType::Text).is_some(), "{iri}");
         let mut foreign = vec![format!("y{iri}"), iri.replacen("x", "y", 1)];
         if !suffix.is_empty() {
             foreign.push(format!("{iri}#"));
         }
         for foreign in foreign {
-            prop_assert_eq!(iri_template::invert(pattern, &foreign, key_type), None);
-            prop_assert_eq!(iri_template::invert(pattern, &foreign, ColumnType::Text), None);
+            prop_assert_eq!(codec.invert(&foreign, key_type), None);
+            prop_assert_eq!(codec.invert(&foreign, ColumnType::Text), None);
         }
     }
 }

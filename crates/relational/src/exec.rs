@@ -11,19 +11,27 @@
 //! snapshot is fixed for the call, so they are the same rows.
 //! [`execute_counted`] reports that work as [`ExecCounts`].
 //!
-//! Joins with equi-keys run as hash joins built on the right side; other
-//! joins fall back to nested loops. Aggregation is hash-grouped, DISTINCT
-//! hash-deduplicated in first-seen order. This is deliberately simple and
+//! Joins with equi-keys run as hash joins built on the right side: one
+//! head per distinct key and a `next` chain through the right rows that
+//! share it, in row order, so matches come out in the order the rows
+//! came in and no list is allocated per key. Other joins fall back to
+//! nested loops. Aggregation is hash-grouped, DISTINCT hash-deduplicated
+//! in first-seen order. Every one of these tables hashes with the id
+//! hasher ([`crate::hash`]): a `Value` hashes as a tag and one word, so
+//! SipHash would only slow the probe. This is deliberately simple and
 //! allocation-conscious rather than vectorized — the distribution layer in
 //! `optique-exastream` provides the parallelism the paper's numbers come
 //! from.
 
 use std::cell::{Cell, OnceCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::Hash;
 
 use crate::error::SqlError;
 use crate::expr::Expr;
 use crate::functions::AggState;
+use crate::hash::{IdMap, IdSet};
 use crate::parser::JoinType;
 use crate::plan::LogicalPlan;
 use crate::table::{Database, Table};
@@ -304,7 +312,8 @@ impl<'a> Exec<'a> {
                 // `Value`'s hash and equality agree with its order and see
                 // text by dictionary id, so this keeps what an ordered set
                 // would, in first-seen order, without comparing text.
-                let mut seen = HashSet::with_capacity(rows.as_slice().len());
+                let mut seen =
+                    IdSet::with_capacity_and_hasher(rows.as_slice().len(), Default::default());
                 let keep: Vec<bool> = rows
                     .as_slice()
                     .iter()
@@ -422,23 +431,25 @@ fn aggregate(
     group_exprs: &[Expr],
     aggregates: &[(crate::functions::AggFunc, Vec<Expr>)],
 ) -> Result<Vec<Row>, SqlError> {
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    // Preserve first-seen group order for deterministic output.
-    let mut order: Vec<Vec<Value>> = Vec::new();
+    // Groups in first-seen order, for deterministic output; `slots` finds
+    // a key's group.
+    let mut slots: IdMap<Vec<Value>, usize> = IdMap::default();
+    let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
     for row in rows {
         let mut key = Vec::with_capacity(group_exprs.len());
         for g in group_exprs {
             key.push(g.eval(row)?);
         }
-        let states = match groups.get_mut(&key) {
-            Some(s) => s,
+        let slot = match slots.get(&key) {
+            Some(&slot) => slot,
             None => {
-                order.push(key.clone());
-                groups
-                    .entry(key.clone())
-                    .or_insert_with(|| aggregates.iter().map(|(f, _)| f.new_state()).collect())
+                slots.insert(key.clone(), groups.len());
+                let states = aggregates.iter().map(|(f, _)| f.new_state()).collect();
+                groups.push((key, states));
+                groups.len() - 1
             }
         };
+        let states = &mut groups[slot].1;
         for ((_, args), state) in aggregates.iter().zip(states.iter_mut()) {
             let mut values = Vec::with_capacity(args.len());
             for a in args {
@@ -453,14 +464,13 @@ fn aggregate(
         let row: Vec<Value> = states.iter().map(AggState::finish).collect();
         return Ok(vec![row]);
     }
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        let states = &groups[&key];
-        let mut row = key.clone();
-        row.extend(states.iter().map(AggState::finish));
-        out.push(row);
-    }
-    Ok(out)
+    Ok(groups
+        .into_iter()
+        .map(|(mut row, states)| {
+            row.extend(states.iter().map(AggState::finish));
+            row
+        })
+        .collect())
 }
 
 fn sort(mut rows: Vec<Row>, keys: &[(Expr, bool)]) -> Result<Vec<Row>, SqlError> {
@@ -529,45 +539,43 @@ fn exec_join(
     let left_keys = key_columns(left_rows, equi.iter().map(|(l, _)| l))?;
 
     let mut out = Vec::new();
-    let emit =
-        |l: &Vec<Value>, ids: &[usize], out: &mut Vec<Vec<Value>>| -> Result<bool, SqlError> {
-            let mut matched = false;
-            for &i in ids {
-                let mut joined = l.clone();
-                joined.extend(right_rows[i].iter().cloned());
-                let pass = match residual {
-                    Some(p) => p.eval(&joined)?.is_truthy(),
-                    None => true,
-                };
-                if pass {
-                    matched = true;
-                    out.push(joined);
-                }
+    let emit = |l: &Vec<Value>,
+                matches: &mut dyn Iterator<Item = usize>,
+                out: &mut Vec<Vec<Value>>|
+     -> Result<bool, SqlError> {
+        let mut matched = false;
+        for i in matches {
+            let mut joined = l.clone();
+            joined.extend(right_rows[i].iter().cloned());
+            let pass = match residual {
+                Some(p) => p.eval(&joined)?.is_truthy(),
+                None => true,
+            };
+            if pass {
+                matched = true;
+                out.push(joined);
             }
-            Ok(matched)
-        };
+        }
+        Ok(matched)
+    };
+    let pad = |l: &Vec<Value>, out: &mut Vec<Vec<Value>>| {
+        let mut padded = l.clone();
+        padded.extend(std::iter::repeat_n(Value::Null, right_width));
+        out.push(padded);
+    };
 
     if equi.len() == 1 {
         // Single-key fast path (the dominant shape for unfolded OBDA
         // joins): scalar keys, no per-row key-tuple allocation.
-        let rkeys = &right_keys[0];
-        let mut build: HashMap<&Value, Vec<usize>> = HashMap::with_capacity(right_rows.len());
-        for (i, key) in rkeys.iter().enumerate() {
-            if !key.is_null() {
-                build.entry(key).or_default().push(i);
-            }
-        }
+        let build = Chains::build(
+            right_keys[0]
+                .iter()
+                .map(|key| (!key.is_null()).then_some(key)),
+        );
         for (l, key) in left_rows.iter().zip(&left_keys[0]) {
-            let mut matched = false;
-            if !key.is_null() {
-                if let Some(ids) = build.get(key) {
-                    matched = emit(l, ids, &mut out)?;
-                }
-            }
+            let matched = !key.is_null() && emit(l, &mut build.rows(&key), &mut out)?;
             if !matched && join_type == JoinType::Left {
-                let mut padded = l.clone();
-                padded.extend(std::iter::repeat_n(Value::Null, right_width));
-                out.push(padded);
+                pad(l, &mut out);
             }
         }
         return Ok(out);
@@ -583,26 +591,63 @@ fn exec_join(
         }
         Some(key)
     };
-    let mut build: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(right_rows.len());
-    for i in 0..right_rows.len() {
-        if let Some(key) = key_at(&right_keys, i) {
-            build.entry(key).or_default().push(i);
-        }
-    }
+    let build = Chains::build((0..right_rows.len()).map(|i| key_at(&right_keys, i)));
     for (i, l) in left_rows.iter().enumerate() {
-        let mut matched = false;
-        if let Some(key) = key_at(&left_keys, i) {
-            if let Some(ids) = build.get(&key) {
-                matched = emit(l, ids, &mut out)?;
-            }
-        }
+        let matched = match key_at(&left_keys, i) {
+            Some(key) => emit(l, &mut build.rows(&key), &mut out)?,
+            None => false,
+        };
         if !matched && join_type == JoinType::Left {
-            let mut padded = l.clone();
-            padded.extend(std::iter::repeat_n(Value::Null, right_width));
-            out.push(padded);
+            pad(l, &mut out);
         }
     }
     Ok(out)
+}
+
+/// A hash join's build side: one head per distinct key and a `next` chain
+/// through the rows that share it, in row order — no list allocated per
+/// key.
+struct Chains<K> {
+    /// Each key's first and last row.
+    heads: IdMap<K, (usize, usize)>,
+    /// `next[i]`: the row after `i` with `i`'s key ([`Chains::END`] if none).
+    next: Vec<usize>,
+}
+
+impl<K: Hash + Eq> Chains<K> {
+    const END: usize = usize::MAX;
+
+    /// Chains rows by key; a row keyed `None` (a NULL key) joins nothing.
+    fn build(keys: impl ExactSizeIterator<Item = Option<K>>) -> Self {
+        let mut chains = Chains {
+            heads: IdMap::with_capacity_and_hasher(keys.len(), Default::default()),
+            next: vec![Self::END; keys.len()],
+        };
+        for (i, key) in keys.enumerate() {
+            let Some(key) = key else { continue };
+            match chains.heads.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert((i, i));
+                }
+                Entry::Occupied(mut slot) => {
+                    let (_, last) = slot.get_mut();
+                    chains.next[*last] = i;
+                    *last = i;
+                }
+            }
+        }
+        chains
+    }
+
+    /// The rows keyed `key`, in row order.
+    fn rows(&self, key: &K) -> impl Iterator<Item = usize> + '_ {
+        let mut at = self.heads.get(key).map(|&(first, _)| first);
+        std::iter::from_fn(move || {
+            let row = at?;
+            at = Some(self.next[row]).filter(|&next| next != Self::END);
+            Some(row)
+        })
+    }
 }
 
 /// Evaluates each key expression over the whole batch, yielding one

@@ -10,6 +10,8 @@ use std::fmt;
 
 use crate::error::SqlError;
 use crate::functions::{call_scalar, AggFunc};
+use crate::hash::IdSet;
+use crate::iri_template::IriTemplate;
 use crate::schema::Schema;
 use crate::value::Value;
 
@@ -110,6 +112,15 @@ pub enum Expr {
         /// Arguments.
         args: Vec<Expr>,
     },
+    /// The IRI `template` mints from `key` (NULL for a NULL key):
+    /// `iri_template('P', key)` in SQL text, how an unfolded mapping turns
+    /// a key column into an IRI.
+    Mint {
+        /// The pattern, split at its slot once, when the node is built.
+        template: IriTemplate,
+        /// The key the slot takes.
+        key: Box<Expr>,
+    },
     /// Aggregate call; only valid inside aggregation contexts.
     Aggregate {
         /// Which aggregate.
@@ -141,7 +152,7 @@ pub enum Expr {
         /// Tested expression.
         expr: Box<Expr>,
         /// The admissible values (none NULL).
-        set: std::sync::Arc<std::collections::HashSet<Value>>,
+        set: std::sync::Arc<IdSet<Value>>,
     },
     /// `expr BETWEEN low AND high` (inclusive).
     Between {
@@ -226,6 +237,10 @@ impl Expr {
                     .map(|a| a.transform(f))
                     .collect::<Result<_, _>>()?,
             },
+            Expr::Mint { template, key } => Expr::Mint {
+                template: template.clone(),
+                key: Box::new(key.transform(f)?),
+            },
             Expr::Aggregate { func, args } => Expr::Aggregate {
                 func: *func,
                 args: args
@@ -267,9 +282,10 @@ impl Expr {
         f(self);
         match self {
             Expr::Literal(_) | Expr::Column(_) | Expr::ColumnIdx { .. } => {}
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::InSet { expr, .. } => {
-                expr.walk(f)
-            }
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSet { expr, .. }
+            | Expr::Mint { key: expr, .. } => expr.walk(f),
             Expr::Binary { left, right, .. } => {
                 left.walk(f);
                 right.walk(f);
@@ -352,6 +368,7 @@ impl Expr {
                 }
                 call_scalar(name, &values)
             }
+            Expr::Mint { template, key } => Ok(template.mint(&key.eval(row)?)),
             Expr::Aggregate { .. } => Err(SqlError::Execution(
                 "aggregate evaluated outside aggregation context".into(),
             )),
@@ -415,6 +432,7 @@ impl Expr {
             }
             Expr::Aggregate { func, .. } => format!("{func}").to_ascii_lowercase(),
             Expr::Function { name, .. } => name.clone(),
+            Expr::Mint { .. } => "iri_template".to_string(),
             other => format!("{other}"),
         }
     }
@@ -559,6 +577,9 @@ impl fmt::Display for Expr {
                     write!(f, "{a}")?;
                 }
                 write!(f, ")")
+            }
+            Expr::Mint { template, key } => {
+                write!(f, "iri_template('{}', {key})", template.pattern())
             }
             Expr::Aggregate { func, args } => {
                 write!(f, "{func}(")?;

@@ -62,6 +62,7 @@ use std::sync::{Arc, OnceLock};
 use crate::error::SqlError;
 use crate::exec::ExecCounts;
 use crate::expr::{BinOp, Expr};
+use crate::iri_template::IriTemplate;
 use crate::panes::PaneProbe;
 use crate::parser::{Projection, SelectStatement, TableRef};
 use crate::plan::LogicalPlan;
@@ -894,7 +895,7 @@ enum KeyDerivation {
     /// The projection is the key column itself.
     Direct,
     /// The projection mints an IRI over the key: `iri_template(pattern, key)`.
-    Template(String),
+    Template(IriTemplate),
 }
 
 /// How a statement derives the output columns its semi-joins restrict from
@@ -1057,10 +1058,8 @@ fn key_derivation(
         }
         return match expr {
             Expr::Column(c) if is_key(c) => Some(KeyDerivation::Direct),
-            Expr::Function { name, args } if name == "iri_template" => match args.as_slice() {
-                [Expr::Literal(Value::Text(pattern)), Expr::Column(c)] if is_key(c) => {
-                    Some(KeyDerivation::Template(pattern.to_string()))
-                }
+            Expr::Mint { template, key } => match &**key {
+                Expr::Column(c) if is_key(c) => Some(KeyDerivation::Template(template.clone())),
                 _ => None,
             },
             _ => None,
@@ -1086,9 +1085,7 @@ fn invert_restriction_value(
         // up front, because the minted text does not pin down the stored
         // value's variant — Text("123") and Int(123) render identically but
         // hash to different shards.
-        KeyDerivation::Template(pattern) => {
-            crate::iri_template::invert(pattern, value.as_str()?, key_type)
-        }
+        KeyDerivation::Template(template) => template.invert(value.as_str()?, key_type),
     }
 }
 
@@ -1759,6 +1756,20 @@ mod tests {
             Value::text("http://x/sensor/1"),
             Value::text("http://x/sensor/2"),
         ]);
+        // The restriction routes through the mint node over the key.
+        let statement = f.base_statement().unwrap();
+        let Projection::Expr {
+            expr: Expr::Mint { template, .. },
+            ..
+        } = &statement.projections[0]
+        else {
+            panic!("the restricted output is minted: {statement}")
+        };
+        let tables = &f.partition.as_ref().unwrap().tables;
+        assert_eq!(
+            key_routing(statement, tables, &f.semi_joins),
+            KeyRouting(vec![(0, KeyDerivation::Template(template.clone()))])
+        );
         let plan = f.shard_plan(shards).expect("prunable");
         // At most shard(1), shard(2) and the NULL home shard 0.
         assert!(plan.len() <= 3, "{plan:?}");

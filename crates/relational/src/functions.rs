@@ -70,15 +70,6 @@ pub fn call_scalar(name: &str, args: &[Value]) -> Result<Value, SqlError> {
             }
             Ok(Value::text(out))
         }
-        // IRI template instantiation used by unfolded mappings:
-        // iri_template('http://…/turbine/{}', id).
-        "iri_template" => {
-            expect_arity(&lower, args, 2)?;
-            let (Some(template), v) = (args[0].as_str(), &args[1]) else {
-                return Err(SqlError::Type("iri_template needs (text, value)".into()));
-            };
-            Ok(crate::iri_template::render(template, v).map_or(Value::Null, Value::text))
-        }
         other => Err(SqlError::Binding(format!(
             "unknown scalar function {other}"
         ))),
@@ -472,18 +463,22 @@ mod tests {
         assert_eq!(call_scalar("upper", &[Value::Null]).unwrap(), Value::Null);
     }
 
+    /// Minting is the typed `Expr::Mint` node the parser builds, not a
+    /// scalar looked up by name per row.
     #[test]
     fn iri_template_renders() {
-        let out = call_scalar(
-            "iri_template",
-            &[Value::text("http://x/turbine/{}"), Value::Int(42)],
-        )
-        .unwrap();
-        assert_eq!(out, Value::text("http://x/turbine/42"));
-        assert_eq!(
-            call_scalar("iri_template", &[Value::text("t/{}"), Value::Null]).unwrap(),
-            Value::Null
-        );
+        let mint =
+            crate::parse_select("SELECT iri_template('http://x/turbine/{}', 42) AS i FROM t")
+                .unwrap()
+                .projections
+                .remove(0);
+        let crate::parser::Projection::Expr { expr, .. } = mint else {
+            panic!("an expression projection")
+        };
+        assert!(matches!(expr, crate::Expr::Mint { .. }), "{expr:?}");
+        assert_eq!(expr.eval(&[]).unwrap(), Value::text("http://x/turbine/42"));
+        let err = call_scalar("iri_template", &[Value::text("t/{}"), Value::Null]).unwrap_err();
+        assert!(err.to_string().contains("unknown scalar function"), "{err}");
     }
 
     #[test]

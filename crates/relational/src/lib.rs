@@ -27,7 +27,14 @@
 //! * [`iri_template`] — the one codec between key values and the IRIs
 //!   mapping templates mint from them (render and typed inversion, which
 //!   the optimizer uses to lower a minted-IRI test to a key test at the
-//!   scan, by the key column's declared type),
+//!   scan, by the key column's declared type). Its [`IriTemplate`](iri_template::IriTemplate)
+//!   is split at the slot once, when SQL's `iri_template('P', key)` parses
+//!   to the mint node [`Expr::Mint`]; rows mint from the borrowed template,
+//! * [`hash`] — the id hasher every `Value`-keyed table on the query path
+//!   uses (hash-join builds, `DISTINCT`, groups, `IN`-sets): a value hashes
+//!   as a tag and one `u64`, so an Fx-style add–multiply hasher, its high
+//!   bits folded into the low ones, replaces SipHash there; the
+//!   [`TermDict`] keeps SipHash, because it hashes text from outside,
 //! * [`stats`] — the [`StatsCatalog`] of per-table row counts and distinct
 //!   estimates that feeds the OBDA planner's join ordering.
 
@@ -37,6 +44,7 @@ pub mod exec;
 pub mod expr;
 pub mod fragment;
 pub mod functions;
+pub mod hash;
 pub mod iri_template;
 pub mod lexer;
 pub mod novelty;

@@ -5,6 +5,7 @@ use std::fmt;
 use crate::error::SqlError;
 use crate::expr::{BinOp, Expr, UnaryOp};
 use crate::functions::AggFunc;
+use crate::iri_template::IriTemplate;
 use crate::lexer::{lex, Token, TokenKind};
 use crate::value::Value;
 
@@ -588,6 +589,18 @@ impl Parser {
                     self.expect(&TokenKind::RParen)?;
                     if let Some(func) = AggFunc::from_name(&word) {
                         return Ok(Expr::Aggregate { func, args });
+                    }
+                    if word.eq_ignore_ascii_case("iri_template") {
+                        return match <[Expr; 2]>::try_from(args) {
+                            Ok([Expr::Literal(Value::Text(pattern)), key]) => Ok(Expr::Mint {
+                                template: IriTemplate::new(&pattern),
+                                key: Box::new(key),
+                            }),
+                            _ => Err(SqlError::parse(
+                                "iri_template takes a text literal pattern and one key",
+                                self.offset(),
+                            )),
+                        };
                     }
                     return Ok(Expr::Function {
                         name: word.to_ascii_lowercase(),

@@ -608,6 +608,10 @@ fn plan_aggregate(
                     .map(|a| rewrite_post_agg(a, group_by, agg_calls, group_len))
                     .collect::<Result<_, _>>()?,
             }),
+            Expr::Mint { template, key } => Ok(Expr::Mint {
+                template: template.clone(),
+                key: Box::new(rewrite_post_agg(key, group_by, agg_calls, group_len)?),
+            }),
             Expr::Aggregate { .. } => Err(SqlError::Binding(
                 "nested aggregates are not supported".into(),
             )),

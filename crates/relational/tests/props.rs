@@ -2,9 +2,8 @@
 //! queries, and hostile SQL text.
 
 use optique_relational::fragment::restrict_statement;
-use optique_relational::{
-    iri_template, table::table_of, ColumnType, Database, SemiJoin, SqlError, Table, Value,
-};
+use optique_relational::iri_template::IriTemplate;
+use optique_relational::{table::table_of, ColumnType, Database, SemiJoin, SqlError, Table, Value};
 use proptest::prelude::*;
 
 const TWO_POW_53: i64 = 1 << 53;
@@ -239,7 +238,7 @@ fn arb_restriction_value() -> impl Strategy<Value = Value> {
         .prop_map(|(pick, key, p)| match pick {
             0 => Value::text("http://x/k/+5"),
             1 => Value::Int(5),
-            _ => iri_template::render(PATTERNS[p], &key).map_or(Value::Null, Value::text),
+            _ => IriTemplate::new(PATTERNS[p]).mint(&key),
         })
         .prop_filter("restriction lists hold no NULL", |v| !v.is_null())
 }
@@ -254,7 +253,7 @@ fn arb_constant() -> impl Strategy<Value = Option<(usize, usize, String)>> {
             let iri = match pick {
                 0 => "http://x/k/+5".to_string(),
                 1 => "http://y/k/5".to_string(),
-                _ => iri_template::render(PATTERNS[pattern], &key)?,
+                _ => IriTemplate::new(PATTERNS[pattern]).render(&key)?,
             };
             on.then_some((column, pattern, iri))
         },

@@ -6,9 +6,12 @@
 //! runs here over [`SolutionSet`]s of RDF terms.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 use optique_rdf::{Datatype, Literal, Term};
+use optique_relational::hash::IdSet;
+use optique_relational::{Table, Value};
 
 use crate::algebra::{
     AggregateFunction, ArithmeticOperator, ComparisonOperator, Expression, SelectItem,
@@ -231,10 +234,15 @@ impl SolutionSet {
         }
     }
 
-    /// Removes duplicate rows, keeping first occurrences in order.
+    /// Removes duplicate rows, keeping first occurrences in order: a flag
+    /// per borrowed row, then one `retain`, so no row is cloned.
     pub fn distinct(&mut self) {
-        let mut seen: std::collections::HashSet<Vec<Option<Term>>> = Default::default();
-        self.rows.retain(|row| seen.insert(row.clone()));
+        let mut seen = HashSet::with_capacity(self.rows.len());
+        let keep: Vec<bool> = (self.rows.iter())
+            .map(|row| seen.insert(row.as_slice()))
+            .collect();
+        let mut keep = keep.into_iter();
+        self.rows.retain(|_| keep.next().unwrap_or(true));
     }
 
     /// Applies OFFSET then LIMIT.
@@ -265,23 +273,58 @@ impl SolutionSet {
 /// one solution set. Each table holds one unfolded disjunct's answers (or
 /// one partition's concatenated scan); a UCQ's certain answers are the
 /// *set* union of its disjuncts' answers, so rows deduplicate here — the
-/// same collapse the single-node `UNION ALL` path performs.
-pub fn solutions_from_tables(
-    vars: Vec<String>,
-    tables: Vec<optique_relational::Table>,
-) -> SolutionSet {
-    let mut out = SolutionSet {
-        vars,
-        rows: Vec::new(),
-    };
-    for table in &tables {
-        for row in &table.rows {
-            out.rows
-                .push(row.iter().map(crate::compile::value_to_term).collect());
+/// same collapse the single-node `UNION ALL` path performs. Rows are
+/// deduplicated as SQL values, by the identity of the terms they convert
+/// to, and only the first occurrence of each is converted.
+pub fn solutions_from_tables(vars: Vec<String>, tables: Vec<Table>) -> SolutionSet {
+    let gathered = tables.iter().map(|table| table.rows.len()).sum();
+    let mut seen = IdSet::with_capacity_and_hasher(gathered, Default::default());
+    let rows = (tables.iter())
+        .flat_map(|table| &table.rows)
+        .filter(|row| seen.insert(TermIdentity(row)))
+        .map(|row| row.iter().map(crate::compile::value_to_term).collect())
+        .collect();
+    SolutionSet { vars, rows }
+}
+
+/// A row of SQL values compared as the RDF terms
+/// [`value_to_term`](crate::compile::value_to_term) makes of them: by
+/// variant and term id, integer or float bits, every NaN one key. Not by
+/// `Value` equality, under which `Int(5)`, `Float(5.0)` and `Timestamp(5)`
+/// are one value but three terms, and NaNs of different payloads are
+/// different values but one term, `NaN`.
+struct TermIdentity<'a>(&'a [Value]);
+
+/// The variant and the word that tell one cell's term from another's.
+fn term_identity(value: &Value) -> (u8, u64) {
+    match value {
+        Value::Null => (0, 0),
+        Value::Int(i) => (1, *i as u64),
+        Value::Float(f) if f.is_nan() => (2, f64::NAN.to_bits()),
+        Value::Float(f) => (2, f.to_bits()),
+        Value::Text(t) => (3, t.id()),
+        Value::Bool(b) => (4, u64::from(*b)),
+        Value::Timestamp(t) => (5, *t as u64),
+    }
+}
+
+impl PartialEq for TermIdentity<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.len() == other.0.len()
+            && (self.0.iter().zip(other.0)).all(|(a, b)| term_identity(a) == term_identity(b))
+    }
+}
+
+impl Eq for TermIdentity<'_> {}
+
+impl Hash for TermIdentity<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for value in self.0 {
+            let (variant, word) = term_identity(value);
+            state.write_u8(variant);
+            state.write_u64(word);
         }
     }
-    out.distinct();
-    out
 }
 
 fn compatible(l: &[Option<Term>], r: &[Option<Term>], shared: &[(usize, usize)]) -> bool {

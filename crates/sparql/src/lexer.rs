@@ -262,7 +262,16 @@ pub fn lex(text: &str) -> Result<Vec<Token>, SparqlError> {
                     TokenKind::Param(name)
                 }
             }
-            '"' | '\'' => TokenKind::Str(lex_string(&mut cursor, c, position)?),
+            '"' | '\'' => {
+                let literal = lex_string(&mut cursor, c, position)?;
+                if cursor.peek() == Some('@') {
+                    return Err(SparqlError::lex(
+                        "language tags are not supported",
+                        cursor.position(),
+                    ));
+                }
+                TokenKind::Str(literal)
+            }
             c if c.is_ascii_digit() => lex_number(&mut cursor, start, position)?,
             c if c.is_alphabetic() || c == '_' || c == ':' => {
                 if c != ':' {

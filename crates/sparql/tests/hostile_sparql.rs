@@ -21,13 +21,22 @@ use optique_sparql::parse_sparql;
 use proptest::prelude::*;
 use proptest::sample::Index;
 
-/// Productions `FIXED_QUERIES` does not reach: prologue, typed and
-/// language-tagged literals, comments, signed numbers, object lists,
-/// `BOUND`, the aggregate suite.
+/// A typed literal and a string with a UCHAR escape, under one subject.
+const TYPED_AND_ESCAPED: &str =
+    "SELECT ?s WHERE { ?s sie:hasValue \"42\"^^xsd:integer ; sie:hasModel \"SGT\\u0041\" }";
+
+/// The same with a language tag, which the lexer refuses by name.
+const LANGUAGE_TAGGED: &str =
+    "SELECT ?s WHERE { ?s sie:hasValue \"42\"^^xsd:integer ; sie:hasModel \"SGT\\u0041\"@en }";
+
+/// Productions `FIXED_QUERIES` does not reach: prologue, typed literals,
+/// UCHAR escapes, a language tag (refused), comments, signed numbers,
+/// object lists, `BOUND`, the aggregate suite.
 const GRAMMAR_CORNERS: &[&str] = &[
     "PREFIX x: <http://example.org/> SELECT ?s WHERE { ?s a x:Thing }",
     "BASE <http://example.org/> SELECT * WHERE { ?s a <Thing> }",
-    "SELECT ?s WHERE { ?s sie:hasValue \"42\"^^xsd:integer ; sie:hasModel \"SGT\\u0041\"@en }",
+    TYPED_AND_ESCAPED,
+    LANGUAGE_TAGGED,
     "# find sensors\nSELECT ?s # projection\nWHERE { ?s sie:relatedTo sie:a1 , sie:a2 . }",
     "SELECT ?v WHERE { ?s sie:hasValue ?v . FILTER(?v > -5 && (?v < 9.5e3 || !(?v = 5))) }",
     "SELECT ?t WHERE { ?t a sie:Turbine . OPTIONAL { ?t sie:locatedIn ?c } FILTER(!BOUND(?c)) }",
@@ -91,6 +100,26 @@ fn lexer_soup() -> impl Strategy<Value = String> {
         (0u32..0x11_0000).prop_map(|c| char::from_u32(c).map(String::from).unwrap_or_default()),
     ];
     proptest::collection::vec(piece, 0..24).prop_map(|pieces| pieces.concat())
+}
+
+/// The typed, escaped corner parses, so its seeds mutate a valid query.
+#[test]
+fn the_typed_and_escaped_corner_parses() {
+    parse_sparql(TYPED_AND_ESCAPED, &optique_siemens::ontology::namespaces()).unwrap();
+}
+
+/// A language tag is refused by name, at its `@`, not as a stray
+/// character.
+#[test]
+fn a_language_tag_is_refused_by_name() {
+    let err = parse_sparql(LANGUAGE_TAGGED, &optique_siemens::ontology::namespaces()).unwrap_err();
+    assert!(
+        err.message.contains("language tags are not supported"),
+        "{err}"
+    );
+    let at = LANGUAGE_TAGGED.chars().position(|c| c == '@').unwrap() as u32 + 1;
+    let position = err.position.expect("a lex error carries its position");
+    assert_eq!((position.line, position.column), (1, at), "{err}");
 }
 
 fn platform() -> &'static OptiquePlatform {

@@ -13,9 +13,11 @@
 //! `tests/common::streaming::program`, those same formulas with their
 //! conjuncts permuted (which reads variables before their pattern binds
 //! them — refused) and with the subject variable replaced by a constant,
-//! and generated trees: `NOT`, unguarded quantifiers, state variables
-//! nothing quantifies, value variables nothing binds, constants as
-//! subjects, aggregate atoms, thresholds of every kind.
+//! and generated trees: `NOT`, unguarded quantifiers, constants as
+//! subjects, aggregate atoms, variables read where patterns bind them —
+//! and, in a refusal arm of their own, a state variable nothing
+//! quantifies, a value variable nothing binds or a threshold that is no
+//! number, which registration must refuse by name.
 //! Sequences come from generated rows through the product's own
 //! `build_stdseq` → `materialize`, under the Siemens TBox with and without
 //! `funct(hasValue)`: subjects absent from the window, duplicate readings
@@ -382,20 +384,43 @@ fn with_constant(f: &HavingFormula, var: &str, constant: &Term) -> HavingFormula
     }
 }
 
-/// A generated tree. State variables are mostly drawn from the enclosing
-/// quantifiers (`scope`), sometimes from nowhere; value terms mix the bound
+/// What a generated tree may read where it is built, as
+/// `CompiledHaving::compile` walks it: the state variables the enclosing
+/// quantifiers bind, and the value variables bound there — the WHERE
+/// answer variables, and the slots of `GRAPH` patterns earlier in a
+/// conjunction or in an `IF` antecedent.
+struct Scope {
+    states: Vec<String>,
+    values: Vec<String>,
+    /// Leaves left to draw before the one refusal leaf, if the tree gets
+    /// one.
+    refuse_in: Option<u32>,
+    /// What the refusal leaf names: `?u`, a state variable, a threshold.
+    culprit: Option<String>,
+}
+
+/// A generated tree and, when it holds one, the culprit its refusal leaf
+/// names. One tree in three is drawn with a refusal leaf, somewhere among
+/// its first leaves; every other leaf reads only what its scope binds, so
+/// registration accepts exactly the trees without a culprit.
+fn generated(rng: &mut Rng) -> (HavingFormula, Option<String>) {
+    let mut scope = Scope {
+        states: Vec::new(),
+        values: answer_vars(),
+        refuse_in: rng.chance(3).then(|| rng.below(3) as u32),
+        culprit: None,
+    };
+    let formula = tree(rng, 4, &mut scope, false);
+    (formula, scope.culprit)
+}
+
+/// A generated tree at a position that binds (`binding`: an `AND`
+/// conjunct, an `IF` antecedent) or does not. Value terms mix the bound
 /// `?c2`, the bound assembly `?c1` (an IRI the sensor template does not
-/// invert), pattern-bound `?x ?y ?s`, the never-bound `?u`, and constants —
-/// sensors present and absent, numbers, a class.
-fn tree(rng: &mut Rng, depth: u32, scope: &mut Vec<String>) -> HavingFormula {
+/// invert), pattern-bound `?x ?y ?s`, and constants — sensors present and
+/// absent, numbers, a class.
+fn tree(rng: &mut Rng, depth: u32, scope: &mut Scope, binding: bool) -> HavingFormula {
     const STATE_VARS: [&str; 4] = ["i", "j", "k", "z"];
-    fn state_var(rng: &mut Rng, scope: &[String]) -> String {
-        if scope.is_empty() || rng.chance(10) {
-            rng.pick(&STATE_VARS).to_string()
-        } else {
-            rng.pick(scope).clone()
-        }
-    }
     fn subject(rng: &mut Rng) -> QueryTerm {
         match rng.below(9) {
             0..=3 => QueryTerm::var("c2"),
@@ -407,13 +432,22 @@ fn tree(rng: &mut Rng, depth: u32, scope: &mut Vec<String>) -> HavingFormula {
         }
     }
     fn value(rng: &mut Rng) -> QueryTerm {
-        match rng.below(9) {
+        match rng.below(8) {
             0..=2 => QueryTerm::var("x"),
             3 | 4 => QueryTerm::var("y"),
-            5 => QueryTerm::var("u"),
-            6 => QueryTerm::Const(number(*rng.pick(&[40, 80]))),
-            7 => QueryTerm::Const(Term::Literal(Literal::double(60.0))),
+            5 => QueryTerm::Const(number(*rng.pick(&[40, 80]))),
+            6 => QueryTerm::Const(Term::Literal(Literal::double(60.0))),
             _ => QueryTerm::var("c2"),
+        }
+    }
+    /// A drawn term where it is read: a variable nothing binds here gives
+    /// way to one that is bound.
+    fn read(rng: &mut Rng, scope: &Scope, draw: fn(&mut Rng) -> QueryTerm) -> QueryTerm {
+        match draw(rng) {
+            QueryTerm::Var(v) if !scope.values.contains(&v) => {
+                QueryTerm::Var(rng.pick(&scope.values).clone())
+            }
+            term => term,
         }
     }
     fn atom(rng: &mut Rng) -> Atom {
@@ -443,72 +477,153 @@ fn tree(rng: &mut Rng, depth: u32, scope: &mut Vec<String>) -> HavingFormula {
         CmpOp::Gt,
         CmpOp::Ge,
     ];
+    const FUNCS: [AggFunc; 5] = [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+    ];
 
     if depth == 0 || rng.chance(4) {
-        return match rng.below(10) {
+        let refuse = match &mut scope.refuse_in {
+            Some(0) => {
+                scope.refuse_in = None;
+                true
+            }
+            Some(left) => {
+                *left -= 1;
+                false
+            }
+            None => false,
+        };
+        if refuse {
+            // The refusal arm: one culprit registration must name.
+            let (formula, culprit) = match rng.below(3) {
+                0 => (
+                    HavingFormula::Cmp {
+                        left: QueryTerm::var("u"),
+                        op: *rng.pick(&OPS),
+                        right: read(rng, scope, value),
+                    },
+                    "?u".to_string(),
+                ),
+                1 => {
+                    let free: Vec<&str> = (STATE_VARS.iter().copied())
+                        .filter(|v| !scope.states.iter().any(|s| s == v))
+                        .collect();
+                    let state = rng.pick(&free).to_string();
+                    let formula = if rng.chance(2) {
+                        HavingFormula::Graph {
+                            state: state.clone(),
+                            atoms: vec![atom(rng)],
+                        }
+                    } else {
+                        HavingFormula::StateLess {
+                            left: vec![state.clone()],
+                            right: state.clone(),
+                        }
+                    };
+                    (formula, format!("?{state}"))
+                }
+                _ => {
+                    let threshold = match rng.below(3) {
+                        0 => QueryTerm::var("c2"),
+                        1 => QueryTerm::Const(Term::Literal(Literal::string("seventy"))),
+                        _ => QueryTerm::Const(sensor(0)),
+                    };
+                    let culprit = threshold.to_string();
+                    let formula = HavingFormula::Agg {
+                        func: *rng.pick(&FUNCS),
+                        subject: read(rng, scope, subject),
+                        property: sie("hasValue"),
+                        op: *rng.pick(&OPS),
+                        threshold,
+                    };
+                    (formula, culprit)
+                }
+            };
+            scope.culprit = Some(culprit);
+            return formula;
+        }
+        // Patterns and state order need a quantifier around them.
+        let kinds = if scope.states.is_empty() { 5 } else { 10 };
+        return match rng.below(kinds) {
             0 => HavingFormula::True,
-            1..=4 => HavingFormula::Graph {
-                state: state_var(rng, scope),
-                atoms: (0..[1, 1, 1, 2, 0][rng.below(5) as usize])
-                    .map(|_| atom(rng))
-                    .collect(),
-            },
-            5 | 6 => HavingFormula::Cmp {
-                left: value(rng),
+            1 | 2 => HavingFormula::Cmp {
+                left: read(rng, scope, value),
                 op: *rng.pick(&OPS),
-                right: value(rng),
+                right: read(rng, scope, value),
             },
-            7 | 8 => HavingFormula::StateLess {
-                left: (0..1 + rng.below(2))
-                    .map(|_| state_var(rng, scope))
-                    .collect(),
-                right: state_var(rng, scope),
-            },
-            _ => HavingFormula::Agg {
-                func: *rng.pick(&[
-                    AggFunc::Count,
-                    AggFunc::Sum,
-                    AggFunc::Avg,
-                    AggFunc::Min,
-                    AggFunc::Max,
-                ]),
-                subject: subject(rng),
+            3 | 4 => HavingFormula::Agg {
+                func: *rng.pick(&FUNCS),
+                subject: read(rng, scope, subject),
                 property: sie("hasValue"),
                 op: *rng.pick(&OPS),
-                threshold: match rng.below(6) {
-                    0 => QueryTerm::var("x"),
-                    1 => QueryTerm::Const(Term::Literal(Literal::string("seventy"))),
-                    2 => QueryTerm::Const(sensor(0)),
+                threshold: match rng.below(3) {
+                    0 => QueryTerm::Const(Term::Literal(Literal::double(60.5))),
                     _ => QueryTerm::Const(number(*rng.pick(&[1, 70, 150]))),
                 },
             },
+            5..=8 => {
+                let atoms: Vec<Atom> = (0..[1, 1, 1, 2, 0][rng.below(5) as usize])
+                    .map(|_| atom(rng))
+                    .collect();
+                if binding {
+                    for term in atoms.iter().flat_map(Atom::terms) {
+                        if let QueryTerm::Var(v) = term {
+                            scope.values.push(v.clone());
+                        }
+                    }
+                }
+                HavingFormula::Graph {
+                    state: rng.pick(&scope.states).clone(),
+                    atoms,
+                }
+            }
+            _ => HavingFormula::StateLess {
+                left: (0..1 + rng.below(2))
+                    .map(|_| rng.pick(&scope.states).clone())
+                    .collect(),
+                right: rng.pick(&scope.states).clone(),
+            },
         };
     }
-    let sub = |rng: &mut Rng, scope: &mut Vec<String>| Box::new(tree(rng, depth - 1, scope));
-    match rng.below(10) {
-        0..=2 => HavingFormula::And(sub(rng, scope), sub(rng, scope)),
-        3 => HavingFormula::Or(sub(rng, scope), sub(rng, scope)),
-        4 => HavingFormula::Not(sub(rng, scope)),
-        5 => HavingFormula::If {
-            cond: sub(rng, scope),
-            then: sub(rng, scope),
-        },
+    let outer = scope.values.len();
+    let formula = match rng.below(10) {
+        0..=2 => {
+            let a = tree(rng, depth - 1, scope, true);
+            let b = tree(rng, depth - 1, scope, true);
+            if !binding {
+                scope.values.truncate(outer);
+            }
+            return HavingFormula::And(Box::new(a), Box::new(b));
+        }
+        3 => HavingFormula::Or(
+            Box::new(tree(rng, depth - 1, scope, false)),
+            Box::new(tree(rng, depth - 1, scope, false)),
+        ),
+        4 => HavingFormula::Not(Box::new(tree(rng, depth - 1, scope, false))),
+        5 => {
+            let cond = Box::new(tree(rng, depth - 1, scope, true));
+            let then = Box::new(tree(rng, depth - 1, scope, false));
+            HavingFormula::If { cond, then }
+        }
         kind => {
-            let outer = scope.len();
+            let outer_states = scope.states.len();
             let state_vars: Vec<String> = (0..1 + rng.below(2))
                 .map(|_| rng.pick(&STATE_VARS[..3]).to_string())
                 .collect();
-            scope.extend(state_vars.iter().cloned());
+            scope.states.extend(state_vars.iter().cloned());
             // FORALL bodies are mostly the safe shape, IF … THEN ….
             let body = if kind >= 8 && !rng.chance(4) {
-                Box::new(HavingFormula::If {
-                    cond: sub(rng, scope),
-                    then: sub(rng, scope),
-                })
+                let cond = Box::new(tree(rng, depth - 1, scope, true));
+                let then = Box::new(tree(rng, depth - 1, scope, false));
+                Box::new(HavingFormula::If { cond, then })
             } else {
-                sub(rng, scope)
+                Box::new(tree(rng, depth - 1, scope, false))
             };
-            scope.truncate(outer);
+            scope.states.truncate(outer_states);
             if kind >= 8 {
                 HavingFormula::Forall {
                     state_vars,
@@ -519,7 +634,9 @@ fn tree(rng: &mut Rng, depth: u32, scope: &mut Vec<String>) -> HavingFormula {
                 HavingFormula::Exists { state_vars, body }
             }
         }
-    }
+    };
+    scope.values.truncate(outer);
+    formula
 }
 
 // ---- the oracle -------------------------------------------------------------
@@ -632,7 +749,8 @@ mod having_equivalence {
         }
 
         /// Generated trees over generated sequences, with the window's
-        /// aggregates or with none.
+        /// aggregates or with none. Registration refuses exactly the trees
+        /// drawn with a refusal leaf, naming its culprit.
         #[test]
         fn generated_trees_agree(seed in any::<u64>()) {
             let mut rng = Rng(seed);
@@ -640,18 +758,34 @@ mod having_equivalence {
             let (seq, aggs) = evaluate_window(&rows, rng.pick(tboxes()));
             let none = Groups::new();
             for _ in 0..8 {
-                let formula = tree(&mut rng, 4, &mut Vec::new());
+                let (formula, culprit) = generated(&mut rng);
                 let aggs = if rng.chance(4) { &none } else { &aggs };
-                assert_equivalent(&formula, &seq, &bindings(), aggs)?;
+                match (compile(&formula, &bindings()), culprit) {
+                    (Ok(_), None) => {
+                        prop_assert!(assert_equivalent(&formula, &seq, &bindings(), aggs)?);
+                    }
+                    (Err(refusal), Some(culprit)) => prop_assert!(
+                        refusal.contains(&culprit),
+                        "the refusal {refusal:?} does not name {culprit}\nin {formula:#?}"
+                    ),
+                    (Ok(_), Some(culprit)) => {
+                        prop_assert!(false, "{culprit} accepted in {formula:#?}")
+                    }
+                    (Err(refusal), None) => {
+                        prop_assert!(false, "refused {refusal:?} with no culprit in {formula:#?}")
+                    }
+                }
             }
         }
     }
 
     /// The generators reach what the suite says it covers: both verdicts
-    /// of accepted formulas, refused formulas, dropped states.
+    /// of accepted formulas, refused formulas, dropped states — and most
+    /// generated trees are accepted, in every shape a tree can take.
     #[test]
     fn generators_cover_verdicts_failures_and_dropped_states() {
         let (mut held, mut failed_to_hold, mut refused, mut dropped) = (0, 0, 0, 0);
+        let mut shapes: BTreeMap<&str, usize> = BTreeMap::new();
         for seed in 0..64 {
             let mut rng = Rng(seed);
             let rows = window_rows(&mut rng);
@@ -660,11 +794,12 @@ mod having_equivalence {
             let aggs = by_term(&groups);
             dropped += lax.len() - strict.len();
             for _ in 0..8 {
-                let formula = tree(&mut rng, 4, &mut Vec::new());
+                let (formula, _) = generated(&mut rng);
                 if compile(&formula, &bindings()).is_err() {
                     refused += 1;
                     continue;
                 }
+                count_shapes(&formula, &mut shapes);
                 for binding in bindings() {
                     let env = Env {
                         states: HashMap::new(),
@@ -678,9 +813,58 @@ mod having_equivalence {
                 }
             }
         }
+        let accepted = 64 * 8 - refused;
+        println!(
+            "{accepted} of 512 trees accepted, {refused} refused; {held} held, \
+             {failed_to_hold} did not, {dropped} states dropped; shapes {shapes:?}"
+        );
         assert!(
             held > 100 && failed_to_hold > 100 && refused > 100 && dropped > 10,
             "{held} held, {failed_to_hold} did not, {refused} refused, {dropped} states dropped"
         );
+        // A generator that draws unbound reads, unquantified states and
+        // non-numeric thresholds anywhere gets 107 of 512 trees accepted;
+        // an aimed one must compare at least three times as many.
+        assert!(accepted >= 3 * 107, "{accepted} of 512 trees accepted");
+        let every_shape = [
+            "True",
+            "Graph",
+            "Cmp",
+            "StateLess",
+            "Agg",
+            "And",
+            "Or",
+            "Not",
+            "If",
+            "Exists",
+            "Forall",
+        ];
+        for shape in every_shape {
+            assert!(
+                shapes.get(shape) > Some(&0),
+                "no accepted tree holds {shape}"
+            );
+        }
+    }
+
+    /// Tallies the node kinds of `formula`.
+    fn count_shapes(formula: &HavingFormula, shapes: &mut BTreeMap<&'static str, usize>) {
+        let (shape, children): (&str, Vec<&HavingFormula>) = match formula {
+            HavingFormula::True => ("True", vec![]),
+            HavingFormula::Graph { .. } => ("Graph", vec![]),
+            HavingFormula::Cmp { .. } => ("Cmp", vec![]),
+            HavingFormula::StateLess { .. } => ("StateLess", vec![]),
+            HavingFormula::Agg { .. } => ("Agg", vec![]),
+            HavingFormula::And(a, b) => ("And", vec![a, b]),
+            HavingFormula::Or(a, b) => ("Or", vec![a, b]),
+            HavingFormula::Not(a) => ("Not", vec![a]),
+            HavingFormula::If { cond, then } => ("If", vec![cond, then]),
+            HavingFormula::Exists { body, .. } => ("Exists", vec![body]),
+            HavingFormula::Forall { body, .. } => ("Forall", vec![body]),
+        };
+        *shapes.entry(shape).or_default() += 1;
+        for child in children {
+            count_shapes(child, shapes);
+        }
     }
 }

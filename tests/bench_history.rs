@@ -89,7 +89,9 @@ fn parse_row(line: &str) -> Result<BTreeMap<String, Cell>, String> {
 
 /// A leading `"…"` string and what follows it.
 fn string(text: &str) -> Result<(String, &str), String> {
-    let inner = text.strip_prefix('"').ok_or("a key or text value is a string")?;
+    let inner = text
+        .strip_prefix('"')
+        .ok_or("a key or text value is a string")?;
     let end = inner.find('"').ok_or("an unterminated string")?;
     let value = &inner[..end];
     if value.contains('\\') {
@@ -151,7 +153,9 @@ fn check(row: &BTreeMap<String, Cell>) -> Result<(u64, String, String, Option<u6
     }
     if let (Some(q1), Some(q3)) = (number(row, "parent_q1")?, number(row, "parent_q3")?) {
         if !(q1 <= q3 && parent.is_none_or(|median| q1 <= median && median <= q3)) {
-            return Err(format!("quartiles {q1}–{q3} do not hold the median {parent:?}"));
+            return Err(format!(
+                "quartiles {q1}–{q3} do not hold the median {parent:?}"
+            ));
         }
     }
     if let (Some(pairs), Some(wins)) = (count(row, "pairs")?, count(row, "wins")?) {
