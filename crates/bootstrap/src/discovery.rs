@@ -172,7 +172,7 @@ mod tests {
     fn non_included_column_not_proposed() {
         let mut db = db();
         // Add a turbine pointing to a non-existent country.
-        let mut t = (**db.table("turbines").unwrap()).clone();
+        let mut t = db.table("turbines").unwrap().to_table();
         t.rows.push(vec![Value::Int(99), Value::Int(42)]);
         db.put_table("turbines", t);
         let proposals = discover_foreign_keys(&schema(), &db, &DiscoverySettings::default());
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn partial_inclusion_threshold() {
         let mut db = db();
-        let mut t = (**db.table("turbines").unwrap()).clone();
+        let mut t = db.table("turbines").unwrap().to_table();
         t.rows.push(vec![Value::Int(99), Value::Int(42)]);
         db.put_table("turbines", t);
         // 5 of 6 distinct values included ≈ 0.83.
@@ -222,7 +222,7 @@ mod tests {
     #[test]
     fn non_unique_target_rejected() {
         let mut db = db();
-        let mut c = (**db.table("countries").unwrap()).clone();
+        let mut c = db.table("countries").unwrap().to_table();
         c.rows.push(vec![Value::Int(1), Value::text("dup")]);
         db.put_table("countries", c);
         let proposals = discover_foreign_keys(&schema(), &db, &DiscoverySettings::default());

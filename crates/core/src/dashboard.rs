@@ -19,6 +19,10 @@ pub(crate) const PANE_MISSES: &str = "pane.misses";
 pub(crate) const PANE_ROUNDS: &str = "pane.rounds";
 pub(crate) const PANE_PROBES: &str = "pane.probes";
 
+/// Registry gauge: panes held in the stores of the pools the latest pane
+/// round probed, set after each round.
+pub(crate) const PANES_LIVE: &str = "panes.live";
+
 /// Registry counters accumulating, across every sequence-HAVING tick, the
 /// states the tick built and the states it took from the window cache.
 pub(crate) const STATES_BUILT: &str = "seq.states_built";

@@ -46,17 +46,26 @@
 //! [`StatsCatalog`]'s sampled statistics) and shards each qualifying table
 //! on its best key, falling back to full replication when nothing
 //! qualifies.
+//!
+//! A pool outlives a merge of the novelty overlay:
+//! [`Federation::successor`] builds the pool over the folded catalog from
+//! the one over the catalog it replaces. The layout is decided again, as
+//! [`Federation::for_deployment`] decides it; a table that keeps its key
+//! keeps its worker shards and gains, per worker, one segment of the
+//! overlay rows that hash there, and the workers' pane stores move over.
+//! Only a table whose key changed is re-partitioned from the folded table.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use optique_exastream::cluster::hash_partition;
+use optique_exastream::cluster::{hash_partition, shard_rows};
 use optique_exastream::scheduler::lpt_assign;
 use optique_exastream::{Cluster, Gateway, StaticFragment};
 use optique_mapping::MappingCatalog;
 use optique_relational::{
-    key_routing, shard_compatibility, ColumnType, Database, KeyRouting, NoveltyScope, PaneCounts,
-    PartitionSpec, PlanFragment, SelectStatement, SemiJoin, ShardCompatibility, StatsCatalog,
-    Table,
+    key_routing, shard_compatibility, ColumnType, Database, KeyRouting, NoveltyOverlay,
+    NoveltyScope, PaneCounts, PartitionSpec, PlanFragment, Segments, SelectStatement, SemiJoin,
+    ShardCompatibility, StatsCatalog, StoredTable, Table,
 };
 use optique_sparql::{split_union_chain, FragmentExecutor, FragmentRound};
 
@@ -90,6 +99,21 @@ pub struct Federation {
     workers: usize,
     /// `(table, key_column)` pairs hash-partitioned across the workers.
     partition: Vec<(String, String)>,
+    /// The topology and the always-partitioned `(table, key)` pairs the
+    /// layout was decided from; a successor decides its own from them.
+    topology: FederationTopology,
+    streams: Vec<(String, String)>,
+}
+
+/// What building a [`Federation::successor`] cost.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Succession {
+    /// Rows copied into worker shards: the overlay rows of each table
+    /// that kept its key, and every row of each table partitioned anew.
+    pub rows_copied: usize,
+    /// Tables whose layout changed — partitioned on another key, newly
+    /// partitioned, or replicated again — in layout order.
+    pub repartitioned: Vec<String>,
 }
 
 impl Federation {
@@ -101,6 +125,8 @@ impl Federation {
             coordinator: db,
             workers,
             partition: Vec::new(),
+            topology: FederationTopology::Replicated,
+            streams: Vec::new(),
         }
     }
 
@@ -111,43 +137,25 @@ impl Federation {
         workers: usize,
         partition: &[(String, String)],
     ) -> Result<Self, String> {
-        // Shard each partitioned table by its key column. The shards are
-        // fresh copies of the table's rows; each moves into its worker
-        // (`provision` asks for workers 0, 1, … in order).
-        let mut shard_sets: Vec<(String, std::vec::IntoIter<Table>)> =
-            Vec::with_capacity(partition.len());
-        let mut key_columns: std::collections::HashMap<String, usize> = Default::default();
-        for (table, key) in partition {
-            let t = db.table(table).map_err(|e| e.to_string())?;
-            let col = t
-                .schema
-                .index_of(key)
-                .ok_or_else(|| format!("no column {key} on partitioned table {table}"))?;
-            key_columns.insert(table.clone(), col);
-            shard_sets.push((table.clone(), hash_partition(t, col, workers).into_iter()));
-        }
-        let cluster = Arc::new(Cluster::provision(workers, |id| {
-            let mut worker_db = (*db).clone();
-            for (table, shards) in &mut shard_sets {
-                let shard = shards.next().expect("one shard per worker");
-                worker_db.put_table(table.clone(), shard);
-            }
-            // A partitioned worker sees only the novelty-overlay rows that
-            // hash to its shard for the keyed tables (replicated tables'
-            // overlay rows stay fully visible) — a scatter round then
-            // covers each appended row exactly once, like the base shards.
-            worker_db.set_novelty_scope(Some(Arc::new(NoveltyScope {
-                shard: id,
-                shards: workers,
-                keys: key_columns.clone(),
-            })));
-            worker_db
-        }));
+        // Shard each partitioned table by its key column; the shards are
+        // fresh copies of the table's rows.
+        let shards = partition
+            .iter()
+            .map(|(table, key)| {
+                let (t, col) = key_column(&db, table, key)?;
+                let shards = hash_partition(t, col, workers);
+                Ok(shards.into_iter().map(|s| Arc::new(s.into())).collect())
+            })
+            .collect::<Result<_, String>>()?;
+        let cluster = provision(&db, workers, partition, shards)?;
         Ok(Federation {
             gateway: Gateway::new(cluster),
             coordinator: db,
             workers,
             partition: partition.to_vec(),
+            // Deciding the layout again from these reproduces it.
+            topology: FederationTopology::Replicated,
+            streams: partition.to_vec(),
         })
     }
 
@@ -167,32 +175,120 @@ impl Federation {
         mappings: &MappingCatalog,
         streams: &[(String, String)],
     ) -> Self {
-        let mut keys: Vec<(String, String)> = Vec::new();
-        if workers > 1 {
-            if topology == FederationTopology::AutoPartitioned {
-                let usage = mappings.term_column_usage();
-                keys = optique_relational::advise_partition_keys(stats, &usage, MIN_PARTITION_ROWS);
-            }
-            for (stream, key) in streams {
-                let resolvable = db
-                    .table(stream)
-                    .is_ok_and(|t| t.schema.index_of(key).is_some());
-                if resolvable {
-                    // The stream key wins over an advisor pick for the
-                    // same table: window fragments restrict and route on
-                    // the stream key, so partitioning on anything else
-                    // would silently disable stream-shard pruning.
-                    keys.retain(|(t, _)| t != stream);
-                    keys.push((stream.clone(), key.clone()));
-                }
+        let keys = layout(&db, workers, topology, stats, mappings, streams);
+        let mut federation = (!keys.is_empty())
+            .then(|| Federation::partitioned(Arc::clone(&db), workers, &keys).ok())
+            .flatten()
+            .unwrap_or_else(|| Federation::replicated(db, workers));
+        federation.topology = topology;
+        federation.streams = streams.to_vec();
+        federation
+    }
+
+    /// The pool a merge of `overlay` makes of this one: over `folded` —
+    /// this pool's catalog with the overlay appended — its layout decided
+    /// again from `stats` (the folded catalog's) and `mappings`, under this
+    /// pool's topology and stream keys, as [`Self::for_deployment`] decides
+    /// it. Row for row, the pool is what `for_deployment(folded, …)` builds:
+    /// a table that keeps its key keeps each worker's shard and appends to
+    /// it, as one segment, the overlay rows that hash there, in log order;
+    /// a table whose key changed, or that starts being partitioned, is
+    /// hash-partitioned from `folded`. The workers' pane stores move over
+    /// ([`Gateway::successor`]), keeping the grids of every stream whose
+    /// layout is unchanged; this pool's stores are left empty, so a probe
+    /// still running on it folds its own shard afresh.
+    pub fn successor(
+        &self,
+        folded: Arc<Database>,
+        overlay: &Arc<NoveltyOverlay>,
+        stats: &StatsCatalog,
+        mappings: &MappingCatalog,
+    ) -> (Federation, Succession) {
+        let workers = self.workers;
+        let keys = layout(
+            &folded,
+            workers,
+            self.topology,
+            stats,
+            mappings,
+            &self.streams,
+        );
+        let mut rows_copied = 0;
+        let partitioned = match keys.is_empty() {
+            true => None,
+            false => (self.successor_cluster(&folded, overlay, &keys, &mut rows_copied)).ok(),
+        };
+        // As `for_deployment` does, a layout that cannot be built replicates.
+        let (cluster, keys) = partitioned.map_or_else(
+            || {
+                rows_copied = 0;
+                let cluster = Cluster::replicated(workers, Arc::clone(&folded));
+                (Arc::new(cluster), Vec::new())
+            },
+            |cluster| (cluster, keys),
+        );
+        let old_key = |table: &str| self.partition.iter().find(|(t, _)| t == table);
+        let new_key = |table: &str| keys.iter().find(|(t, _)| t == table);
+        let mut repartitioned: Vec<String> = Vec::new();
+        for (table, _) in self.partition.iter().chain(&keys) {
+            if old_key(table) != new_key(table) && !repartitioned.contains(table) {
+                repartitioned.push(table.clone());
             }
         }
-        if !keys.is_empty() {
-            if let Ok(federation) = Federation::partitioned(Arc::clone(&db), workers, &keys) {
-                return federation;
+        let gateway = (self.gateway).successor(cluster, overlay, |stream| {
+            old_key(stream) == new_key(stream)
+        });
+        let federation = Federation {
+            gateway,
+            coordinator: folded,
+            workers,
+            partition: keys,
+            topology: self.topology,
+            streams: self.streams.clone(),
+        };
+        let succession = Succession {
+            rows_copied,
+            repartitioned,
+        };
+        (federation, succession)
+    }
+
+    /// The cluster of [`Self::successor`] when it partitions `keys`: per
+    /// table, each worker's shard carried with the overlay rows that hash
+    /// to it appended, or — for a table this pool did not partition on the
+    /// same key — fresh shards of the folded table. Adds the rows it copies
+    /// to `copied`.
+    fn successor_cluster(
+        &self,
+        folded: &Arc<Database>,
+        overlay: &NoveltyOverlay,
+        keys: &[(String, String)],
+        copied: &mut usize,
+    ) -> Result<Arc<Cluster>, String> {
+        let mut shard_sets = Vec::with_capacity(keys.len());
+        for pair @ (table, key) in keys {
+            let (t, col) = key_column(folded, table, key)?;
+            if !self.partition.contains(pair) {
+                *copied += t.len();
+                let shards = hash_partition(t, col, self.workers).into_iter();
+                shard_sets.push(shards.map(|s| Arc::new(s.into())).collect());
+                continue;
             }
+            let log = overlay.rows(table).cloned().unwrap_or_default();
+            *copied += log.len();
+            let parts = shard_rows(&log, col, self.workers);
+            let shards = (self.gateway.cluster().workers().iter().zip(parts))
+                .map(|(worker, rows)| {
+                    let shard = worker.db.table(table).map_err(|e| e.to_string())?;
+                    Ok(match rows.is_empty() {
+                        true => Arc::clone(shard),
+                        false => Arc::new(shard.appended(&Segments::from(rows))),
+                    })
+                })
+                .collect::<Result<_, String>>()?;
+            shard_sets.push(shards);
         }
-        Federation::replicated(db, workers)
+        provision(folded, self.workers, keys, shard_sets)
     }
 
     /// Number of workers in the pool.
@@ -211,6 +307,18 @@ impl Federation {
     /// (empty for replicated pools).
     pub fn partition(&self) -> &[(String, String)] {
         &self.partition
+    }
+
+    /// Panes held across the workers' pane stores.
+    pub fn live_panes(&self) -> usize {
+        self.gateway.live_panes()
+    }
+
+    /// Each worker's catalog, in worker order.
+    #[cfg(test)]
+    pub(crate) fn worker_catalogs(&self) -> Vec<Arc<Database>> {
+        let workers = self.gateway.cluster().workers();
+        workers.iter().map(|w| Arc::clone(&w.db)).collect()
     }
 
     /// Decides how one branch may execute against this federation's layout:
@@ -289,6 +397,91 @@ impl Federation {
         }
         groups
     }
+}
+
+/// The `(table, key)` pairs a pool of `workers` over `db` partitions: the
+/// advisor's picks from `stats` and `mappings` under
+/// [`FederationTopology::AutoPartitioned`] (none under
+/// [`FederationTopology::Replicated`]), then every `(stream, key)` in
+/// `streams` the catalog resolves, which replaces an advisor pick for the
+/// same table; nothing on one worker.
+fn layout(
+    db: &Database,
+    workers: usize,
+    topology: FederationTopology,
+    stats: &StatsCatalog,
+    mappings: &MappingCatalog,
+    streams: &[(String, String)],
+) -> Vec<(String, String)> {
+    let mut keys: Vec<(String, String)> = Vec::new();
+    if workers > 1 {
+        if topology == FederationTopology::AutoPartitioned {
+            let usage = mappings.term_column_usage();
+            keys = optique_relational::advise_partition_keys(stats, &usage, MIN_PARTITION_ROWS);
+        }
+        for (stream, key) in streams {
+            let resolvable = db
+                .table(stream)
+                .is_ok_and(|t| t.schema.index_of(key).is_some());
+            if resolvable {
+                // The stream key wins over an advisor pick for the same
+                // table: window fragments restrict and route on the stream
+                // key, so partitioning on anything else would silently
+                // disable stream-shard pruning.
+                keys.retain(|(t, _)| t != stream);
+                keys.push((stream.clone(), key.clone()));
+            }
+        }
+    }
+    keys
+}
+
+/// `table` of `db` and the index of its partition-key column `key`.
+fn key_column<'a>(
+    db: &'a Database,
+    table: &str,
+    key: &str,
+) -> Result<(&'a Arc<StoredTable>, usize), String> {
+    let t = db.table(table).map_err(|e| e.to_string())?;
+    let col = t
+        .schema
+        .index_of(key)
+        .ok_or_else(|| format!("no column {key} on partitioned table {table}"))?;
+    Ok((t, col))
+}
+
+/// The cluster of a pool over `db` that partitions each `(table, key)` of
+/// `partition`: worker `w` holds `shards[i][w]` of the `i`-th table and
+/// shares every other table with `db`.
+fn provision(
+    db: &Arc<Database>,
+    workers: usize,
+    partition: &[(String, String)],
+    shards: Vec<Vec<Arc<StoredTable>>>,
+) -> Result<Arc<Cluster>, String> {
+    let mut key_columns: HashMap<String, usize> = HashMap::new();
+    for (table, key) in partition {
+        key_columns.insert(table.clone(), key_column(db, table, key)?.1);
+    }
+    let key_columns = Arc::new(key_columns);
+    let mut shard_sets: Vec<_> = shards.into_iter().map(Vec::into_iter).collect();
+    Ok(Arc::new(Cluster::provision(workers, |id| {
+        let mut worker_db = (**db).clone();
+        for ((table, _), shards) in partition.iter().zip(&mut shard_sets) {
+            let shard = shards.next().expect("one shard per worker");
+            worker_db.put_stored(table.clone(), shard);
+        }
+        // A partitioned worker sees only the novelty-overlay rows that hash
+        // to its shard for the keyed tables (replicated tables' overlay rows
+        // stay fully visible) — a scatter round then covers each appended
+        // row exactly once, like the base shards.
+        worker_db.set_novelty_scope(Some(Arc::new(NoveltyScope {
+            shard: id,
+            shards: workers,
+            keys: (*key_columns).clone(),
+        })));
+        worker_db
+    })))
 }
 
 /// A branch's placement cost: its FROM item count (join width drives

@@ -30,12 +30,13 @@
 //! ([`merge_now`](OptiquePlatform::merge_now), or automatic inside the
 //! insert that brings the overlay to [`MERGE_FLOOR_ROWS`] rows *and* to one
 //! [`MERGE_SHARE`]th of the base tables it sits on) folds the log into the
-//! base tables, re-analyzes only the touched tables' statistics, and drops
-//! the pools so the next distributed query re-partitions over the folded
-//! shards. A fold costs in proportion to the tables it rewrites, so owing
-//! one per fixed *share* of new rows keeps it amortized O(1) per appended
-//! row however large the table grows, and keeps the overlay every scan
-//! chains through bounded by that share.
+//! base tables — each log's batches become segments of its table, no row
+//! copied — brings only the touched tables' statistics up to date, and
+//! replaces each pool by its [`successor`](Federation::successor) over the
+//! folded catalog, which keeps the worker shards and pane stores of every
+//! table that keeps its partition key. A fold costs what was appended
+//! since the last one; owing one per fixed *share* of new rows keeps the
+//! overlay every scan chains through bounded by that share.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -126,9 +127,10 @@ pub struct OptiquePlatform {
     /// its critical section (memory hygiene, dashboard counter).
     static_cache: BgpCache,
     /// Static-query worker pools, one per requested `(worker count,
-    /// topology)`, dropped inside the merge critical section (workers
-    /// snapshot the base catalog they were built over — and a fold may
-    /// change the advisor's partition keys). Lookups additionally validate
+    /// topology)`, each replaced by its successor over the folded catalog
+    /// inside the merge critical section (workers snapshot the base
+    /// catalog they were built over — and a fold may change the advisor's
+    /// partition keys). Lookups additionally validate
     /// the cached pool's catalog against the request snapshot by pointer
     /// identity, so a pool raced into the map over a superseded catalog is
     /// never served.
@@ -175,13 +177,16 @@ const SLOW_LOG_CAP: usize = 32;
 const DEFAULT_SLOW_THRESHOLD_US: u64 = 100_000;
 
 /// An overlay shallower than this never merges on its own: folding a few
-/// rows is all overhead (pools and pane stores are rebuilt after it).
+/// rows is all overhead (every carried pool's pane stores rebuild their
+/// cached windows from the panes after it).
 pub const MERGE_FLOOR_ROWS: usize = 4096;
 
 /// Past the floor, an insert merges once the overlay is this fraction
 /// (1/8) of the base rows of the tables it touches — the autovacuum-analyze
-/// rule: a fold rewrites and re-analyzes whole tables, so it is owed when a
-/// fixed share of them is new, not every fixed number of rows.
+/// rule: a fold copies only the overlay, but every carried pool's windows
+/// rebuild after it, so it is owed when a fixed share of the tables is
+/// new — and the overlay every scan chains through stays within that
+/// share.
 pub const MERGE_SHARE: usize = 8;
 
 /// The largest worker pool a request may name: the paper's largest
@@ -201,8 +206,8 @@ pub(crate) fn check_workers(workers: Option<usize>) -> Result<(), String> {
 }
 
 /// The highest timestamp in `rows` (`None` when no row carries one).
-fn batch_clock(rows: &[Vec<Value>], ts_idx: usize) -> Option<i64> {
-    rows.iter()
+fn batch_clock<'a>(rows: impl IntoIterator<Item = &'a Vec<Value>>, ts_idx: usize) -> Option<i64> {
+    (rows.into_iter())
         .filter_map(|row| row.get(ts_idx).and_then(Value::as_i64))
         .max()
 }
@@ -666,17 +671,15 @@ impl OptiquePlatform {
             // cloning it — a rejected batch must leave no trace.
             let base = guard.db.table(table).map_err(|e| e.to_string())?;
             for row in &rows {
-                base.check_row(row).map_err(|e| e.to_string())?;
+                base.schema.check_row(row).map_err(|e| e.to_string())?;
             }
             if rows.is_empty() {
                 return Ok(0);
             }
             // The stream clock advances from the batch alone (late rows
             // never turn it back); merges carry it over untouched.
-            let batch = base
-                .schema
-                .index_of(&self.stream_to_rdf.timestamp_col)
-                .and_then(|ts_idx| batch_clock(&rows, ts_idx));
+            let ts_idx = base.schema.index_of(&self.stream_to_rdf.timestamp_col);
+            let batch = ts_idx.and_then(|ts_idx| batch_clock(&rows, ts_idx));
             let clocks = match batch {
                 Some(ts) if guard.clocks.get(table).is_none_or(|&clock| clock < ts) => {
                     let mut clocks = (*guard.clocks).clone();
@@ -687,6 +690,10 @@ impl OptiquePlatform {
             };
             let novelty = guard.novelty.with_rows(table, rows);
             let depth = novelty.depth();
+            if ts_idx.is_some() {
+                let appended = novelty.rows(table).map_or(0, |log| log.len());
+                self.stream_rows_gauge(table, base.len() + appended);
+            }
             merge_pending = Self::merge_owed(&guard.db, &novelty);
             // Validity is the version bump below; the eviction frees the
             // entries no post-write reader can match any more and feeds the
@@ -732,7 +739,9 @@ impl OptiquePlatform {
         depth >= MERGE_FLOOR_ROWS && depth.saturating_mul(MERGE_SHARE) >= base_rows
     }
 
-    /// `db` with every overlay row appended to its base table; returns the
+    /// `db` with every overlay row appended to its base table — each
+    /// table's segments followed by its log's, shared, so no row is copied
+    /// (rows were validated against the schema on append); returns the
     /// folded catalog (novelty cleared) and the names of the touched
     /// tables, in sorted order.
     fn fold_overlay(
@@ -744,26 +753,39 @@ impl OptiquePlatform {
         folded.set_novelty_scope(None);
         let mut touched = Vec::new();
         for (table, rows) in novelty.tables() {
-            let mut t = (**folded.table(table).map_err(|e| e.to_string())?).clone();
-            for row in rows.iter() {
-                // Rows were validated against this schema on append.
-                t.push_row(row.clone()).map_err(|e| e.to_string())?;
-            }
-            folded.put_table(table, t);
+            let base = folded.table(table).map_err(|e| e.to_string())?;
+            let grown = Arc::new(base.appended(rows));
+            folded.put_stored(table, grown);
             touched.push(table.to_string());
         }
         Ok((folded, touched))
     }
 
-    /// Folds the novelty overlay into the base catalog **now**: every
-    /// overlay row becomes a base-table row, the touched tables' stats are
-    /// re-analyzed (per-column histograms catch up with the O(1) deltas),
-    /// and the pools are dropped so the next distributed query
-    /// re-partitions over the folded shards — only tables whose advisor
-    /// keys drifted actually change layout. Table versions do **not**
-    /// bump: a merge changes no table's contents, so versioned BGP-cache
-    /// entries stay warm across it. Returns the number of rows folded
-    /// (0 when the overlay was already empty).
+    /// Sets the `stream.rows.<table>` gauge: the rows, base plus overlay,
+    /// of a table that carries the stream timestamp column.
+    fn stream_rows_gauge(&self, table: &str, rows: usize) {
+        self.registry
+            .gauge(&format!("stream.rows.{table}"))
+            .set(rows as i64);
+    }
+
+    /// Folds the novelty overlay into the base catalog **now**, at a cost
+    /// in what was appended since the last merge, not in the tables: every
+    /// overlay batch becomes a segment of its base table (no row copied),
+    /// the touched tables' stats catch up with the O(1) deltas (re-reading
+    /// no row once a table's prefix sample is full), and every cached pool
+    /// over the pre-merge base is replaced by its
+    /// [`successor`](Federation::successor) — a table that keeps its key
+    /// gains on each worker the overlay rows hashing there, only a table
+    /// whose advisor key drifted is re-partitioned, and the workers' pane
+    /// stores move over, rebased. Table versions do **not** bump: a merge
+    /// changes no table's contents, so versioned BGP-cache entries stay
+    /// warm across it. Returns the number of rows folded (0 when the
+    /// overlay was already empty).
+    ///
+    /// Counted: `novelty.merge_rows_copied` (rows copied into successor
+    /// shards), `novelty.pools_carried`, and `novelty.tables_repartitioned`
+    /// — with `novelty.tables_repartitioned.<table>` naming each table.
     ///
     /// An [`insert_static`](Self::insert_static) that brings the overlay
     /// to its floor and its share ([`MERGE_FLOOR_ROWS`], [`MERGE_SHARE`])
@@ -782,13 +804,36 @@ impl OptiquePlatform {
             let folded = Arc::new(folded);
             let mut stats = (*guard.stats).clone();
             for table in &touched {
-                let t = Arc::clone(folded.table(table).expect("folded table exists"));
-                stats = stats.with_refreshed_table(table, &t);
+                let t = folded.table(table).expect("folded table exists");
+                stats = stats.with_appended_table(table, t);
+                let ts_col = &self.stream_to_rdf.timestamp_col;
+                if t.schema.index_of(ts_col).is_some() {
+                    self.stream_rows_gauge(table, t.len());
+                }
             }
-            // The fold swaps the base catalog Arc the pools shard, so they
-            // retire here, while the write lock still blocks snapshot pins:
-            // no reader can pair the folded catalog with an old-shard pool.
-            self.federations.lock().clear();
+            // The fold swaps the base catalog Arc the pools shard, so each
+            // pool over it is succeeded here, while the write lock still
+            // blocks snapshot pins: no reader can pair the folded catalog
+            // with an old-shard pool. A pool over any other catalog is
+            // stale already and goes. Successors take their stream keys
+            // from the pool they succeed, not from the queries lock.
+            let mut pools = self.federations.lock();
+            pools.retain(|_, pool| Arc::ptr_eq(pool.catalog(), &guard.db));
+            for pool in pools.values_mut() {
+                let (next, succession) =
+                    pool.successor(Arc::clone(&folded), &guard.novelty, &stats, &self.mappings);
+                *pool = Arc::new(next);
+                self.registry.counter("novelty.pools_carried").inc();
+                (self.registry.counter("novelty.merge_rows_copied"))
+                    .add(succession.rows_copied as u64);
+                for table in succession.repartitioned {
+                    self.registry.counter("novelty.tables_repartitioned").inc();
+                    (self.registry)
+                        .counter(&format!("novelty.tables_repartitioned.{table}"))
+                        .inc();
+                }
+            }
+            drop(pools);
             // `versions` carries over unchanged: pre-merge and post-merge
             // answers are identical, so cached solution sets stay valid.
             *guard = Arc::new(PlatformSnapshot {
@@ -941,10 +986,10 @@ mod tests {
         })
     }
 
-    /// Regression: a merge drops the federation pools, but the dashboard's
-    /// fragment-execution totals must accumulate across the rebuild: they
-    /// ride back with each round, so nothing a pool drop takes with it can
-    /// zero them.
+    /// Regression: a merge replaces the federation pools by their
+    /// successors, but the dashboard's fragment-execution totals must
+    /// accumulate across the replacement: they ride back with each round,
+    /// so nothing a retired pool takes with it can zero them.
     #[test]
     fn fragment_execution_totals_survive_pool_rebuilds() {
         let p = platform();
@@ -978,7 +1023,7 @@ mod tests {
         let q = "SELECT ?t WHERE { ?t a sie:Turbine }";
         p.query_static_distributed(q, 2).unwrap();
         let old_snap = p.snapshot();
-        // A merge swaps the base catalog and drops the pools.
+        // A merge swaps the base catalog and succeeds the pools.
         p.insert_static("turbines", vec![new_turbine_row(&p, 97_001)])
             .unwrap();
         p.merge_now().unwrap();
@@ -1084,12 +1129,13 @@ mod tests {
     /// Interleaving regression (write-path race #2): an insert that fills
     /// the overlay folds it, and the fold is the one writer that swaps the
     /// base catalog — so at the seam right after the merge's critical
-    /// section no federation pool sharded over the superseded catalog may
-    /// remain visible to new lookups. Pre-fix, the pools were cleared after
-    /// the lock dropped, so a distributed query at the seam grabbed a pool
-    /// built over the old shards and missed the insert.
+    /// section every cached pool is the successor over the folded catalog,
+    /// and none sharded over the superseded one remains visible to new
+    /// lookups. Pre-fix, the pools were cleared after the lock dropped, so
+    /// a distributed query at the seam grabbed a pool built over the old
+    /// shards and missed the insert.
     #[test]
-    fn federation_pools_dropped_inside_insert_critical_section() {
+    fn federation_pools_carried_inside_insert_critical_section() {
         let p = platform();
         let text = "SELECT DISTINCT ?t WHERE { ?t a sie:Turbine }";
         let before = p.query_static_distributed(text, 2).unwrap().len();
@@ -1102,6 +1148,10 @@ mod tests {
                 0,
                 "no pool over the superseded catalog survives publication"
             );
+            let folded = Arc::clone(&p.snapshot().db);
+            let pools = p.federations.lock().values().cloned().collect::<Vec<_>>();
+            assert_eq!(pools.len(), 1, "the pool was carried, not dropped");
+            assert!(Arc::ptr_eq(pools[0].catalog(), &folded));
             let fresh = p.query_static_distributed(text, 2).unwrap();
             assert_eq!(
                 fresh.len(),
@@ -1111,6 +1161,151 @@ mod tests {
         });
         p.insert_static("turbines", batch).unwrap();
         assert_eq!(p.novelty_depth(), 0, "the insert folded the overlay");
+    }
+
+    /// The catalogs of two pools are the same, table for table and row for
+    /// row: the same tables on every worker, each holding the same rows in
+    /// the same order, and the same partition.
+    fn assert_same_layout(got: &Federation, want: &Federation, context: &str) {
+        assert_eq!(got.partition(), want.partition(), "{context}");
+        let (got, want) = (got.worker_catalogs(), want.worker_catalogs());
+        assert_eq!(got.len(), want.len(), "{context}");
+        for (worker, (a, b)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                a.table_names(),
+                b.table_names(),
+                "{context}, worker {worker}"
+            );
+            for name in a.table_names() {
+                let (x, y) = (a.table(name).unwrap(), b.table(name).unwrap());
+                assert!(**x == **y, "{context}, worker {worker}, table {name}");
+            }
+            let scope =
+                |db: &Database| (db.novelty_scope()).map(|s| (s.shard, s.shards, s.keys.clone()));
+            assert_eq!(scope(a), scope(b), "{context}, worker {worker}");
+        }
+    }
+
+    /// The successor oracle: at 1, 2, 4 and 8 workers, each pool a merge
+    /// carries is what `for_deployment` builds over the folded catalog,
+    /// table for table and row for row — through a static table that
+    /// crosses [`MIN_PARTITION_ROWS`](crate::federation::MIN_PARTITION_ROWS)
+    /// at the merge (its layout changes: re-partitioned, and counted), a
+    /// write to a table that stays replicated, and stream rows appended to
+    /// each worker's shard of the stream. The carried stream shards share
+    /// the old shards' segments, and every pool answers as single-node.
+    #[test]
+    fn a_successor_is_the_pool_for_deployment_builds_over_the_folded_catalog() {
+        let p = platform();
+        p.register_starql_distributed(optique_starql::FIGURE1, 2)
+            .unwrap();
+        let text = "SELECT DISTINCT ?t ?a WHERE { ?a sie:inTurbine ?t }";
+        for workers in [1, 2, 4, 8] {
+            p.query_static_distributed(text, workers).unwrap();
+        }
+        let key = |workers| (workers, p.snapshot().topology);
+        let before: Vec<Arc<Federation>> = [1, 2, 4, 8]
+            .map(|w| Arc::clone(&p.federations.lock()[&key(w)]))
+            .to_vec();
+        let turbines = p.snapshot().db.table("turbines").unwrap().len();
+        let grown = (turbines..crate::federation::MIN_PARTITION_ROWS + 2)
+            .map(|k| new_turbine_row(&p, 70_000 + k as i64))
+            .collect();
+        p.insert_static("turbines", grown).unwrap();
+        let country = p.snapshot().db.table("countries").unwrap().rows[0].clone();
+        p.insert_static("countries", vec![country]).unwrap();
+        let sensor = p.snapshot().db.table("S_Msmt").unwrap().rows[0][1].clone();
+        let readings = (0..40)
+            .map(|i| {
+                let sensor = if i % 2 == 0 {
+                    sensor.clone()
+                } else {
+                    Value::Int(i)
+                };
+                vec![
+                    Value::Timestamp(700_000 + i),
+                    sensor,
+                    Value::Float(0.5),
+                    Value::Null,
+                ]
+            })
+            .collect();
+        p.insert_static("S_Msmt", readings).unwrap();
+        let overlay = p.snapshot().novelty.depth();
+        let count = |name: &str| p.metrics_snapshot().counter(name).unwrap_or(0);
+
+        assert_eq!(p.merge_now().unwrap(), overlay);
+        let snap = p.snapshot();
+        let streams = p.stream_partition_pairs();
+        for (old, workers) in before.iter().zip([1, 2, 4, 8]) {
+            let carried = Arc::clone(&p.federations.lock()[&key(workers)]);
+            let fresh = Federation::for_deployment(
+                Arc::clone(&snap.db),
+                workers,
+                snap.topology,
+                &snap.stats,
+                &p.mappings,
+                &streams,
+            );
+            assert_same_layout(&carried, &fresh, &format!("{workers} workers"));
+            let partitioned =
+                |pool: &Federation, table: &str| pool.partition().iter().any(|(t, _)| t == table);
+            assert_eq!(partitioned(&carried, "S_Msmt"), workers > 1);
+            assert_eq!(
+                partitioned(&carried, "turbines"),
+                workers > 1,
+                "crossed the floor"
+            );
+            assert!(!partitioned(old, "turbines") && !partitioned(&carried, "countries"));
+            if workers > 1 {
+                for (new, was) in carried.worker_catalogs().iter().zip(old.worker_catalogs()) {
+                    let (new, was) = (new.table("S_Msmt").unwrap(), was.table("S_Msmt").unwrap());
+                    let shared = was.rows.segments();
+                    assert!(new.rows.segments()[..shared.len()]
+                        .iter()
+                        .zip(shared)
+                        .all(|(a, b)| Arc::ptr_eq(a, b)));
+                }
+            }
+            assert_eq!(
+                canon(&p.query_static_distributed(text, workers).unwrap()),
+                canon(&p.query_static(text).unwrap()),
+                "{workers} workers"
+            );
+        }
+        assert_eq!(count("novelty.pools_carried"), 4);
+        assert_eq!(count("novelty.tables_repartitioned.turbines"), 3);
+        assert_eq!(count("novelty.tables_repartitioned"), 3);
+    }
+
+    fn canon(results: &SparqlResults) -> Vec<String> {
+        let mut rows: Vec<String> = results.rows().iter().map(|r| format!("{r:?}")).collect();
+        rows.sort();
+        rows
+    }
+
+    /// A reader that pinned its snapshot before a merge never meets the
+    /// carried pool: read distributed after the merge, it builds a pool
+    /// over its own catalog and answers exactly as single-node at that
+    /// snapshot — base plus the overlay the merge folded away.
+    #[test]
+    fn a_snapshot_pinned_before_a_merge_reads_distributed_as_single_node() {
+        let p = platform();
+        let text = "SELECT DISTINCT ?t WHERE { ?t a sie:Turbine }";
+        p.query_static_distributed(text, 2).unwrap();
+        p.insert_static("turbines", vec![new_turbine_row(&p, 93_001)])
+            .unwrap();
+        let pinned = p.snapshot();
+        p.merge_now().unwrap();
+        p.insert_static("turbines", vec![new_turbine_row(&p, 93_002)])
+            .unwrap();
+        let query = parse_sparql(text, &p.namespaces).unwrap();
+        let single = p.pipeline(&pinned, None).answer(&query).unwrap().0;
+        let pool = p.federation_for(2, &pinned);
+        assert!(Arc::ptr_eq(pool.catalog(), &pinned.db), "its own pool");
+        let distributed = p.pipeline(&pinned, Some(&pool)).answer(&query).unwrap().0;
+        assert_eq!(canon(&distributed), canon(&single));
+        assert_eq!(single.len(), p.query_static(text).unwrap().len() - 1);
     }
 
     /// A pinned snapshot's stats always describe its db — before a write

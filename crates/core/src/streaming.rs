@@ -52,7 +52,7 @@ use optique_starql::{
 use optique_stream::WCache;
 use optique_telemetry::SpanRecord;
 
-use crate::dashboard::{QueryPanel, PANE_PROBES, PANE_ROUNDS};
+use crate::dashboard::{QueryPanel, PANES_LIVE, PANE_PROBES, PANE_ROUNDS};
 use crate::federation::Federation;
 use crate::platform::{check_workers, OptiquePlatform, PlatformSnapshot};
 
@@ -544,6 +544,8 @@ impl OptiquePlatform {
         let probes: usize = batches.values().map(Vec::len).sum();
         self.registry.counter(PANE_ROUNDS).add(batches.len() as u64);
         self.registry.counter(PANE_PROBES).add(probes as u64);
+        let live: usize = batches.keys().map(|pool| pools[pool].live_panes()).sum();
+        self.registry.gauge(PANES_LIVE).set(live as i64);
         round.span = Some(
             SpanRecord::new("round", 0, started.elapsed().as_micros() as u64)
                 .under(0)
@@ -1228,6 +1230,111 @@ HAVING EXISTS ?k IN seq: GRAPH ?k { ?c2 sie:hasValue ?x }
         );
     }
 
+    /// The accumulator operations a round's pane ticks performed: the
+    /// `acc_ops` attributes of their `pane_combine` spans.
+    fn acc_ops(out: &[(u64, TickOutput)]) -> u64 {
+        let spans = out.iter().flat_map(|(_, tick)| &tick.spans);
+        let combines = spans.filter(|span| span.label == "pane_combine");
+        let attrs = combines.flat_map(|span| &span.attrs);
+        (attrs.filter(|(key, _)| key == "acc_ops"))
+            .map(|(_, value)| match value {
+                optique_telemetry::AttrValue::Uint(ops) => *ops,
+                other => panic!("acc_ops is a count, got {other:?}"),
+            })
+            .sum()
+    }
+
+    /// Merge accounting on the `pane_stream` shape (one 2-worker pool): a
+    /// merge copies the overlay rows once each, into the worker shards, and
+    /// nothing else — the folded stream table's segments are the old
+    /// base's followed by the overlay's, the one pool is carried and no
+    /// table re-partitioned — and the gauges follow the table and the
+    /// stores. The next append's probes all hit, and they do the work a
+    /// fresh store does minus folding the base: a twin whose pool is
+    /// dropped at the merge (what a merge did before pools were carried)
+    /// pays exactly the folded table's rows more.
+    #[test]
+    fn a_merge_copies_only_the_overlay_and_keeps_the_panes_warm() {
+        const WORKERS: usize = 2;
+        let (p, twin) = (platform(), platform());
+        let table = p.db().table("S_Msmt").unwrap().clone();
+        let sensors: BTreeSet<i64> = (table.rows.iter())
+            .map(|row| row[1].as_i64().unwrap())
+            .collect();
+        let second = |s: i64| -> Vec<Vec<Value>> {
+            (sensors.iter())
+                .map(|&id| msmt_row(660_000 + s * 1_000, id, (s * 7 + id) as f64 / 4.0))
+                .collect()
+        };
+        for p in [&p, &twin] {
+            for text in pane_stream_programs() {
+                p.register_starql_distributed(&text, WORKERS).unwrap();
+            }
+            for s in 0..3 {
+                p.append_stream("S_Msmt", second(s)).unwrap();
+            }
+        }
+        let metrics = || p.metrics_snapshot();
+        let count = |name: &str| metrics().counter(name).unwrap_or(0);
+        let before = p.snapshot();
+        let base = Arc::clone(before.db.table("S_Msmt").unwrap());
+        let log = before.novelty.rows("S_Msmt").unwrap().clone();
+        let rows = |n: usize| Some(n as i64);
+        assert_eq!(
+            metrics().gauge("stream.rows.S_Msmt"),
+            rows(base.len() + log.len())
+        );
+        let live = metrics().gauge(PANES_LIVE).unwrap();
+        assert!(live > 0);
+
+        assert_eq!(p.merge_now().unwrap(), log.len());
+        assert_eq!(count("novelty.merge_rows_copied"), log.len() as u64);
+        assert_eq!(count("novelty.pools_carried"), 1);
+        assert_eq!(count("novelty.tables_repartitioned"), 0);
+        let folded = Arc::clone(p.snapshot().db.table("S_Msmt").unwrap());
+        let shared: Vec<_> = base.rows.segments().iter().chain(log.segments()).collect();
+        assert_eq!(folded.rows.segments().len(), shared.len());
+        for (segment, was) in folded.rows.segments().iter().zip(shared) {
+            assert!(Arc::ptr_eq(segment, was), "the fold shares every segment");
+        }
+        assert_eq!(metrics().gauge("stream.rows.S_Msmt"), rows(folded.len()));
+        twin.merge_now().unwrap();
+        twin.federations.lock().clear();
+
+        let out = p.append_stream("S_Msmt", second(3)).unwrap();
+        let fresh = twin.append_stream("S_Msmt", second(3)).unwrap();
+        assert_eq!(out.len(), 4, "one window per query");
+        let sum = |out: &[(u64, TickOutput)], f: fn(&TickOutput) -> u64| {
+            out.iter().map(|(_, t)| f(t)).sum::<u64>()
+        };
+        assert_eq!(
+            sum(&out, |t| t.pane_hits),
+            3 * WORKERS as u64,
+            "every probe hits"
+        );
+        assert_eq!(sum(&out, |t| t.pane_misses), 0);
+        assert_eq!(
+            sum(&fresh, |t| t.pane_misses),
+            WORKERS as u64,
+            "a fold per store"
+        );
+        assert_eq!(acc_ops(&fresh), acc_ops(&out) + folded.len() as u64);
+        let outputs = |out: &[(u64, TickOutput)]| {
+            (out.iter())
+                .map(|(id, t)| (*id, t.window_id, t.satisfied, t.triples.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(outputs(&out), outputs(&fresh));
+        let pools: usize = (p.federations.lock().values())
+            .map(|pool| pool.live_panes())
+            .sum();
+        assert_eq!(metrics().gauge(PANES_LIVE), Some(pools as i64));
+        assert!(
+            pools as i64 > live,
+            "the carried panes and the new second's"
+        );
+    }
+
     impl OptiquePlatform {
         /// Makes every pane round fail (or stop failing).
         fn set_round_fault(&self, failing: bool) {
@@ -1446,7 +1553,7 @@ HAVING EXISTS ?k IN seq: GRAPH ?k { ?c2 sie:hasValue ?x }
     #[test]
     fn distributed_registration_keeps_pools_that_partition_its_stream() {
         let mut deployment = SiemensDeployment::small();
-        let twin = (**deployment.db.table("S_Msmt").unwrap()).clone();
+        let twin = deployment.db.table("S_Msmt").unwrap().to_table();
         deployment.db.put_table("S_Aux", twin);
         let p = OptiquePlatform::from_siemens(deployment);
         let snap = p.snapshot();
@@ -1560,7 +1667,7 @@ HAVING EXISTS ?k IN seq: GRAPH ?k { ?c2 sie:hasValue ?x }
     #[test]
     fn empty_stream_has_no_clock_until_its_first_row() {
         let mut deployment = SiemensDeployment::small();
-        let mut empty = (**deployment.db.table("S_Msmt").unwrap()).clone();
+        let mut empty = deployment.db.table("S_Msmt").unwrap().to_table();
         empty.rows.clear();
         deployment.db.put_table("S_Msmt", empty);
         let p = OptiquePlatform::from_siemens(deployment);

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use optique_relational::{Database, SqlError, Table};
+use optique_relational::{Database, SqlError, StoredTable, Table, Value};
 
 /// The shard a key value routes to — re-exported from the fragment layer so
 /// table sharding and fragment routing share one hash, bit-for-bit.
@@ -111,14 +111,29 @@ impl std::fmt::Debug for Cluster {
 }
 
 /// Hash-partitions a table's rows into `n` shards by the value in `key_col`
-/// (NULL keys go to shard 0). This is how measurement streams are
-/// distributed by sensor across the cluster.
-pub fn hash_partition(table: &Table, key_col: usize, n: usize) -> Vec<Table> {
+/// (NULL keys go to shard 0), each shard in table order. This is how
+/// measurement streams are distributed by sensor across the cluster.
+pub fn hash_partition(table: &StoredTable, key_col: usize, n: usize) -> Vec<Table> {
+    (shard_rows(&table.rows, key_col, n).into_iter())
+        .map(|rows| Table {
+            schema: table.schema.clone(),
+            rows,
+        })
+        .collect()
+}
+
+/// Copies `rows` into `n` shards by the value in `key_col`, as
+/// [`hash_partition`] does, each shard in input order — the rows a merge
+/// appends to each worker's shard of a table it keeps partitioned.
+pub fn shard_rows<'a>(
+    rows: impl IntoIterator<Item = &'a Vec<Value>>,
+    key_col: usize,
+    n: usize,
+) -> Vec<Vec<Vec<Value>>> {
     assert!(n > 0);
-    let mut shards: Vec<Table> = (0..n).map(|_| Table::empty(table.schema.clone())).collect();
-    for row in &table.rows {
-        let shard = shard_of(&row[key_col], n);
-        shards[shard].rows.push(row.clone());
+    let mut shards: Vec<Vec<Vec<Value>>> = vec![Vec::new(); n];
+    for row in rows {
+        shards[shard_of(&row[key_col], n)].push(row.clone());
     }
     shards
 }
@@ -128,7 +143,7 @@ mod tests {
     use super::*;
     use optique_relational::{Column, ColumnType, Schema, Value};
 
-    fn measurements(n: i64) -> Table {
+    fn measurements(n: i64) -> StoredTable {
         let schema = Schema::qualified(
             "m",
             vec![
@@ -139,7 +154,7 @@ mod tests {
         let rows = (0..n)
             .map(|i| vec![Value::Int(i % 50), Value::Float(i as f64)])
             .collect();
-        Table::new(schema, rows).unwrap()
+        Table::new(schema, rows).unwrap().into()
     }
 
     #[test]

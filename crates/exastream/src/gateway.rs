@@ -14,8 +14,8 @@ use std::time::Instant;
 
 use optique_relational::hash::IdSet;
 use optique_relational::{
-    execute_branches, Database, ExecCounts, LogicalPlan, PaneCounts, PaneStore, PlanFragment,
-    Schema, SqlError, Table, Value,
+    execute_branches, Database, ExecCounts, LogicalPlan, NoveltyOverlay, PaneCounts, PaneStore,
+    PlanFragment, Schema, SqlError, Table, Value,
 };
 use optique_telemetry::SpanRecord;
 
@@ -40,6 +40,47 @@ impl Gateway {
             cluster,
             pane_stores,
         })
+    }
+
+    /// A gateway over `cluster`, the cluster a merge of `overlay` makes of
+    /// this gateway's (as many workers; each shard of a table it keeps
+    /// partitioned is the old shard followed by the overlay rows hashing
+    /// to it). Each worker's pane store moves over, rebased past `overlay`
+    /// through the old worker's catalog ([`PaneStore::rebase`]), keeping
+    /// the grids over the streams `carries` admits. This gateway's stores
+    /// are left empty.
+    pub fn successor(
+        &self,
+        cluster: Arc<Cluster>,
+        overlay: &Arc<NoveltyOverlay>,
+        carries: impl Fn(&str) -> bool,
+    ) -> Arc<Self> {
+        assert_eq!(
+            cluster.size(),
+            self.cluster.size(),
+            "a successor keeps the workers"
+        );
+        let pane_stores = (self.cluster.workers().iter().zip(&self.pane_stores))
+            .map(|(worker, store)| {
+                let mut view = (*worker.db).clone();
+                view.set_novelty(Some(Arc::clone(overlay)));
+                store.rebase(&view, &carries)
+            })
+            .collect();
+        Arc::new(Gateway {
+            cluster,
+            pane_stores,
+        })
+    }
+
+    /// The cluster the gateway runs rounds on.
+    pub fn cluster(&self) -> &Arc<Cluster> {
+        &self.cluster
+    }
+
+    /// Panes held across the workers' pane stores.
+    pub fn live_panes(&self) -> usize {
+        self.pane_stores.iter().map(PaneStore::live_panes).sum()
     }
 
     /// Executes a round of federated static-query fragments and gathers the

@@ -67,7 +67,7 @@ pub use fragment::{
     shard_compatibility, shard_of, KeyRouting, PartitionSpec, PlanFragment, ResultBatch, SemiJoin,
     ShardCompatibility, WindowSlice,
 };
-pub use novelty::{view_at, NoveltyLog, NoveltyOverlay, NoveltyScope};
+pub use novelty::{view_at, NoveltyOverlay, NoveltyScope};
 pub use panes::{
     compute_window_aggregates, fold_groups, merge_pane_rows, pane_width, AggAcc, PaneCounts,
     PaneProbe, PaneStore,
@@ -76,5 +76,5 @@ pub use parser::{parse_select, SelectStatement};
 pub use plan::LogicalPlan;
 pub use schema::{Column, ColumnType, Schema};
 pub use stats::{advise_partition_keys, StatsCatalog, TableStats};
-pub use table::{Database, Table};
+pub use table::{Database, SegmentRows, Segments, StoredTable, Table};
 pub use value::Value;

@@ -7,12 +7,13 @@
 //! overlay's rows for the scanned table, so readers see writes
 //! immediately while the base `Database` (and everything keyed on its
 //! pointer identity: federation pools, partitioned shards) stays intact.
-//! A table's log ([`NoveltyLog`]) is its appended batches in arrival
-//! order, each batch shared by every overlay that contains it: a write
-//! copies one pointer per earlier batch and no row. The platform folds
-//! the overlay into the base synchronously, inside the append that makes
-//! it a fixed share of the tables it sits on, and starts over from the
-//! empty overlay (epoch 0).
+//! A table's log is [`Segments`], the representation stored tables use
+//! too: its appended batches in arrival order, each batch one segment
+//! shared by every overlay that contains it, so a write copies one pointer
+//! per earlier batch and no row. The platform folds the overlay into the
+//! base synchronously, inside the append that makes it a fixed share of
+//! the tables it sits on, by appending each log's segments to its table's
+//! (no row copied), and starts over from the empty overlay (epoch 0).
 //!
 //! Epochs are the distributed-consistency handle: a plan fragment
 //! carries the epoch its coordinator pinned, and a worker resolves that
@@ -29,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use crate::error::SqlError;
-use crate::table::Database;
+use crate::table::{Database, Segments};
 use crate::value::Value;
 
 /// Next epoch to hand out; epoch `0` is reserved for the empty overlay.
@@ -45,61 +46,13 @@ fn registry() -> &'static Mutex<HashMap<u64, Weak<NoveltyOverlay>>> {
 /// Dead registry entries are pruned whenever the map exceeds this size.
 const REGISTRY_PRUNE_AT: usize = 64;
 
-/// One table's appended rows: its batches in arrival order. A successor
-/// log shares every earlier batch with its predecessor, so appending
-/// clones pointers, never rows, and a reader that remembers how many rows
-/// it has seen reads only the rest ([`Self::iter_from`]).
-#[derive(Clone, Debug, Default)]
-pub struct NoveltyLog {
-    batches: Vec<Arc<Vec<Vec<Value>>>>,
-    len: usize,
-}
-
-impl NoveltyLog {
-    /// Rows in the log.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no row has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Every row, in arrival order.
-    pub fn iter(&self) -> impl Iterator<Item = &Vec<Value>> {
-        self.batches.iter().flat_map(|batch| batch.iter())
-    }
-
-    /// The rows after the first `seen`, in arrival order (none when
-    /// `seen >= len`). Finds its place from the newest batch backwards, so
-    /// a reader that keeps up pays for the suffix alone.
-    pub fn iter_from(&self, seen: usize) -> impl Iterator<Item = &Vec<Value>> {
-        let (mut first, mut start) = (self.batches.len(), self.len);
-        while start > seen {
-            first -= 1;
-            start -= self.batches[first].len();
-        }
-        self.batches[first..]
-            .iter()
-            .flat_map(|batch| batch.iter())
-            .skip(seen - start)
-    }
-
-    /// Appends `rows` as the newest batch.
-    fn push(&mut self, rows: Vec<Vec<Value>>) {
-        self.len += rows.len();
-        self.batches.push(Arc::new(rows));
-    }
-}
-
 /// An immutable per-table log of rows appended since the last merge.
 /// Successive writes build successor overlays ([`Self::with_rows`]);
 /// nothing mutates a published overlay.
 #[derive(Debug, Default)]
 pub struct NoveltyOverlay {
     epoch: u64,
-    tables: HashMap<String, NoveltyLog>,
+    tables: HashMap<String, Segments>,
 }
 
 impl NoveltyOverlay {
@@ -112,7 +65,7 @@ impl NoveltyOverlay {
     /// batch — every earlier batch is shared, not copied — stamped with a
     /// fresh globally monotonic epoch and registered for [`Self::resolve`].
     pub fn with_rows(&self, table: &str, rows: Vec<Vec<Value>>) -> Arc<NoveltyOverlay> {
-        // Cloning the map clones each log's batch *pointers*. An empty
+        // Cloning the map clones each log's segment *pointers*. An empty
         // batch mints an epoch and leaves the logs as they were.
         let mut tables = self.tables.clone();
         if !rows.is_empty() {
@@ -150,22 +103,22 @@ impl NoveltyOverlay {
 
     /// Total appended rows across all tables — the merge-policy signal.
     pub fn depth(&self) -> usize {
-        self.tables.values().map(NoveltyLog::len).sum()
+        self.tables.values().map(Segments::len).sum()
     }
 
     /// True when no rows have been appended.
     pub fn is_empty(&self) -> bool {
-        self.tables.values().all(NoveltyLog::is_empty)
+        self.tables.values().all(Segments::is_empty)
     }
 
     /// The appended rows of `table`, if any.
-    pub fn rows(&self, table: &str) -> Option<&NoveltyLog> {
+    pub fn rows(&self, table: &str) -> Option<&Segments> {
         self.tables.get(table)
     }
 
     /// `(table, appended rows)` pairs in sorted table order (determinism
     /// for merge and tests).
-    pub fn tables(&self) -> Vec<(&str, &NoveltyLog)> {
+    pub fn tables(&self) -> Vec<(&str, &Segments)> {
         let mut out: Vec<_> = self
             .tables
             .iter()
@@ -355,8 +308,8 @@ mod tests {
                 let (Some(before), Some(after)) = (pair[0].0.rows("t"), pair[1].0.rows("t")) else {
                     continue;
                 };
-                proptest::prop_assert!(before.batches.len() <= after.batches.len());
-                for (a, b) in before.batches.iter().zip(&after.batches) {
+                proptest::prop_assert!(before.segments().len() <= after.segments().len());
+                for (a, b) in before.segments().iter().zip(after.segments()) {
                     proptest::prop_assert!(Arc::ptr_eq(a, b));
                 }
             }

@@ -39,7 +39,9 @@
 //! SUM fits `i64` is decided once, when the window is answered, and only
 //! the windows whose SUM leaves it fail. Float sums are exact for
 //! whole-valued data; otherwise the add/subtract rounding of a cached
-//! window accumulates until the pool (and its stores) is rebuilt.
+//! window accumulates until the next merge rebases the store
+//! ([`PaneStore::rebase`]), which drops the cached windows: they rebuild
+//! from the panes, bit for bit what a fresh store's would be.
 //!
 //! Novelty discipline: a probe executes at a pinned novelty epoch. The
 //! store folds the base shard table once, then advances along the overlay
@@ -48,6 +50,13 @@
 //! epochs, so the seen prefix is stable). A probe pinned at an epoch
 //! *older* than the cached state answers store-lessly instead — the cache
 //! never rewinds, and no overlay row is ever double-counted.
+//!
+//! A merge folds the overlay into the base, and a worker's shard becomes
+//! its old shard followed by the overlay rows that hash to it, in log
+//! order. The panes survive it: [`PaneStore::rebase`] folds the suffix of
+//! the final overlay a grid has not seen and restarts the grid's overlay
+//! cursor, so its panes are exactly what a fresh store folds from the new
+//! shard, row for row in the same order.
 
 use std::collections::{btree_map, hash_map, BTreeMap, HashMap, VecDeque};
 use std::sync::Mutex;
@@ -272,6 +281,7 @@ pub fn merge_pane_rows(
 }
 
 /// Resolved column indices + key type of a probe against a catalog.
+#[derive(Clone, Copy)]
 struct ProbeCols {
     ts: usize,
     key: usize,
@@ -510,11 +520,15 @@ impl SlidingWindow {
     }
 }
 
-/// Per-grid pane state: which data has been folded, the panes themselves,
-/// and the cached sliding accumulators (one per window range probing this
-/// grid).
-#[derive(Default)]
+/// Per-grid pane state: the grid's geometry, which data has been folded,
+/// the panes themselves, and the cached sliding accumulators (one per
+/// window range probing this grid).
 struct GridState {
+    /// The probe that created the grid: its stream, columns, width and
+    /// origin are the grid's (its window bounds are not read).
+    geometry: PaneProbe,
+    /// `geometry`'s columns, resolved against the stream's schema.
+    cols: ProbeCols,
     /// Novelty epoch the state is current at.
     epoch: u64,
     /// Prefix of the stream's *full, unfiltered* overlay log already
@@ -527,13 +541,26 @@ struct GridState {
 }
 
 impl GridState {
+    /// An empty grid with `probe`'s geometry.
+    fn new(probe: &PaneProbe, cols: ProbeCols) -> Self {
+        GridState {
+            geometry: probe.clone(),
+            cols,
+            epoch: 0,
+            overlay_seen: 0,
+            panes: Panes::new(),
+            windows: BTreeMap::new(),
+        }
+    }
+
     /// Folds one raw row into its pane and into every cached window whose
     /// run contains that pane.
-    fn fold_row(&mut self, probe: &PaneProbe, cols: &ProbeCols, row: &[Value], ops: &mut u64) {
+    fn fold_row(&mut self, row: &[Value], ops: &mut u64) {
+        let cols = self.cols;
         let Some(ts) = row[cols.ts].as_i64() else {
             return;
         };
-        let pane = probe.pane_of(ts);
+        let pane = self.geometry.pane_of(ts);
         let (key, val) = (&row[cols.key], &row[cols.val]);
         let slot = self.panes.entry(pane).or_default();
         let pane_acc = slot.entry(key.clone()).or_default();
@@ -552,26 +579,31 @@ impl GridState {
         }
     }
 
+    /// Folds the rows of `db`'s overlay log this grid has not seen (this
+    /// worker's shard of them) and moves the state to `db`'s epoch.
+    fn catch_up(&mut self, db: &Database, ops: &mut u64) {
+        let log_len = overlay_len(db, &self.geometry.stream);
+        if log_len > self.overlay_seen {
+            for row in db.novelty_rows_from(&self.geometry.stream, self.overlay_seen) {
+                self.fold_row(row, ops);
+            }
+            self.overlay_seen = log_len;
+        }
+        self.epoch = db.novelty_epoch();
+    }
+
     /// Brings the state up to `db`'s overlay and answers `probe` over the
     /// pane run `run`.
     fn answer(
         &mut self,
         probe: &PaneProbe,
-        cols: &ProbeCols,
         db: &Database,
         run: (i64, i64),
         ops: &mut u64,
     ) -> Result<Table, SqlError> {
         // Advance along the overlay lineage: fold only the unseen suffix
         // of the append log (this worker's shard of it).
-        let log_len = overlay_len(db, &probe.stream);
-        if log_len > self.overlay_seen {
-            for row in db.novelty_rows_from(&probe.stream, self.overlay_seen) {
-                self.fold_row(probe, cols, row, ops);
-            }
-            self.overlay_seen = log_len;
-        }
-        self.epoch = db.novelty_epoch();
+        self.catch_up(db, ops);
 
         let range = probe.close_ms - probe.open_ms;
         let window = match self.windows.entry(range) {
@@ -599,7 +631,7 @@ impl GridState {
             )),
         };
         let groups = window.groups.iter().map(|(k, g)| (k, &g.acc));
-        groups_to_table(groups, cols.key_type, probe.needs_extrema)
+        groups_to_table(groups, self.cols.key_type, probe.needs_extrema)
     }
 }
 
@@ -648,7 +680,6 @@ impl PaneStore {
         let Some(run) = probe.pane_run() else {
             return storeless();
         };
-        let cols = resolve_cols(probe, db)?;
         let mut grids = self.grids.lock().expect("pane store lock");
         let mut ops = 0u64;
         let key = probe.grid_key();
@@ -669,20 +700,54 @@ impl PaneStore {
             hash_map::Entry::Occupied(e) => e.into_mut(),
             // First touch: fold the whole base shard into panes once.
             hash_map::Entry::Vacant(e) => {
-                let mut state = GridState::default();
+                let mut state = GridState::new(probe, resolve_cols(probe, db)?);
                 for row in &db.table(&probe.stream)?.rows {
-                    state.fold_row(probe, &cols, row, &mut ops);
+                    state.fold_row(row, &mut ops);
                 }
                 e.insert(state)
             }
         };
-        let answer = state.answer(probe, &cols, db, run, &mut ops)?;
+        let answer = state.answer(probe, db, run, &mut ops)?;
         let counts = PaneCounts {
             hits: warm as u64,
             misses: !warm as u64,
             acc_ops: ops,
         };
         Ok((answer, counts))
+    }
+
+    /// Moves this store's grids into a store over the shard a merge makes
+    /// of this worker's: its base shard followed by the overlay rows that
+    /// hash to it, in log order. `db` is this worker's catalog with the
+    /// merge's final overlay installed. Each grid over a stream `carries`
+    /// admits (one whose shard is extended, not re-partitioned) folds the
+    /// suffix of that overlay it has not seen and restarts at the empty
+    /// overlay — its panes are then a fresh store's over the new shard —
+    /// and drops its cached windows, which rebuild from the panes when
+    /// next probed. Every other grid is dropped. This store is left empty:
+    /// a probe still running over the old shard folds it afresh.
+    pub fn rebase(&self, db: &Database, carries: impl Fn(&str) -> bool) -> PaneStore {
+        let grids = std::mem::take(&mut *self.grids.lock().expect("pane store lock"));
+        let mut ops = 0u64;
+        let grids = grids
+            .into_iter()
+            .filter(|(_, grid)| carries(&grid.geometry.stream))
+            .map(|(key, mut grid)| {
+                grid.windows.clear();
+                grid.catch_up(db, &mut ops);
+                (grid.epoch, grid.overlay_seen) = (0, 0);
+                (key, grid)
+            })
+            .collect();
+        PaneStore {
+            grids: Mutex::new(grids),
+        }
+    }
+
+    /// Panes held across this store's grids.
+    pub fn live_panes(&self) -> usize {
+        let grids = self.grids.lock().expect("pane store lock");
+        grids.values().map(|grid| grid.panes.len()).sum()
     }
 }
 
@@ -1153,6 +1218,159 @@ mod tests {
                         got,
                         want
                     );
+                }
+            }
+        }
+    }
+
+    /// Every pane of `store`, as `(grid, pane, key, count, sum_i, sum_f,
+    /// min, max)` with the floats as bits: equal dumps are bit-identical
+    /// panes.
+    #[allow(clippy::type_complexity)]
+    fn pane_bits(
+        store: &PaneStore,
+    ) -> Vec<(String, i64, Value, i64, i128, u64, Option<u64>, Option<u64>)> {
+        let grids = store.grids.lock().unwrap();
+        let mut out = Vec::new();
+        for (grid, state) in grids.iter() {
+            for (&pane, accs) in &state.panes {
+                for (key, acc) in accs {
+                    out.push((
+                        grid.clone(),
+                        pane,
+                        key.clone(),
+                        acc.count,
+                        acc.sum_i,
+                        acc.sum_f.to_bits(),
+                        acc.min.map(f64::to_bits),
+                        acc.max.map(f64::to_bits),
+                    ));
+                }
+            }
+        }
+        out.sort_by(|a, b| (&a.0, a.1, &a.2).cmp(&(&b.0, b.1, &b.2)));
+        out
+    }
+
+    /// An answer's rows with every float as its bits.
+    fn answer_bits(t: &Table) -> Vec<Vec<String>> {
+        (t.rows.iter())
+            .map(|row| {
+                (row.iter())
+                    .map(|v| match v {
+                        Value::Float(f) => format!("f{:x}", f.to_bits()),
+                        other => format!("{other:?}"),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(cases()))]
+
+        /// A merge's rebase is a fresh store over the merged shard: a
+        /// worker's store probes its shard through some of an overlay's
+        /// batches, the merge rebases it past the rest (the unseen suffix),
+        /// and its panes are then bit for bit those a fresh store folds from
+        /// the worker's new shard — its old shard followed by the overlay
+        /// rows hashing to it, in log order — whatever the float values, the
+        /// late rows or the shard. So are the answers of both stores, at the
+        /// merge and through appends after it, and the rebased store's
+        /// probes are hits from the first.
+        #[test]
+        fn a_rebased_store_is_a_fresh_store_over_the_merged_shard(
+            base in proptest::collection::vec((0i64..30, 0i64..6, 0i64..1_000), 0..40),
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0i64..6, 0usize..5, 0i64..1_000), 0..6),
+                1..8,
+            ),
+            after in proptest::collection::vec(
+                proptest::collection::vec((0i64..6, 0usize..5, 0i64..1_000), 0..6),
+                1..4,
+            ),
+            seen in 0usize..8,
+            shards in 1usize..3,
+        ) {
+            let row = |ts: i64, key: i64, milli: i64| {
+                vec![Value::Timestamp(ts), Value::Int(key), Value::Float(milli as f64 / 7.0)]
+            };
+            // Batch `i` lands at second 30 + i; a row may be late by up
+            // to 15 s.
+            let batch_rows = |i: usize, batch: &[(i64, usize, i64)]| -> Vec<Vec<Value>> {
+                let now = (30 + i as i64) * 1_000;
+                (batch.iter())
+                    .map(|&(key, late, milli)| {
+                        row(now - [0, 300, 1_000, 2_500, 15_000][late], key, milli)
+                    })
+                    .collect()
+            };
+            let probes = |close_s: i64| {
+                [(4, true), (9, false)].map(|(range_s, needs_extrema)| PaneProbe {
+                    needs_extrema,
+                    ..probe((close_s - range_s) * 1_000, close_s * 1_000, 1_000)
+                })
+            };
+            let seen = seen.min(batches.len());
+            for shard in 0..shards {
+                let scope = Arc::new(NoveltyScope {
+                    shard,
+                    shards,
+                    keys: [("s".to_string(), 1usize)].into_iter().collect(),
+                });
+                let on_shard = |r: &Vec<Value>| crate::fragment::shard_of(&r[1], shards) == shard;
+                let worker = |rows: Vec<Vec<Value>>, overlay: Option<&Arc<NoveltyOverlay>>| {
+                    let mut db = stream_db(Vec::new());
+                    let schema = db.table("s").unwrap().schema.clone();
+                    db.put_table("s", Table::new(schema, rows).unwrap());
+                    db.set_novelty(overlay.cloned());
+                    db.set_novelty_scope(Some(Arc::clone(&scope)));
+                    db
+                };
+                let old_shard: Vec<Vec<Value>> = (base.iter())
+                    .map(|&(sec, key, milli)| row(sec * 1_000 + 500, key, milli))
+                    .filter(|r| on_shard(r))
+                    .collect();
+                let store = PaneStore::new();
+                let mut overlay = NoveltyOverlay::empty();
+                for (i, batch) in batches.iter().enumerate() {
+                    overlay = overlay.with_rows("s", batch_rows(i, batch));
+                    if i < seen {
+                        let view = worker(old_shard.clone(), Some(&overlay));
+                        for p in probes(30 + i as i64) {
+                            store.combine(&p, &view).unwrap();
+                        }
+                    }
+                }
+                let carried = store
+                    .rebase(&worker(old_shard.clone(), Some(&overlay)), |stream| stream == "s");
+                proptest::prop_assert!(store.grids.lock().unwrap().is_empty());
+                let mut new_shard = old_shard.clone();
+                let log = overlay.rows("s").cloned().unwrap_or_default();
+                new_shard.extend(log.iter().filter(|r| on_shard(r)).cloned());
+                let merged = worker(new_shard.clone(), None);
+                let fresh = PaneStore::new();
+                let mut overlay = NoveltyOverlay::empty();
+                // The rebased store holds the grid if the old one did.
+                let mut warm = seen > 0;
+                for (k, batch) in std::iter::once(&Vec::new()).chain(&after).enumerate() {
+                    let clock_s = 30 + (batches.len() + k) as i64;
+                    let view = if k == 0 {
+                        merged.clone()
+                    } else {
+                        overlay = overlay.with_rows("s", batch_rows(batches.len() + k, batch));
+                        worker(new_shard.clone(), Some(&overlay))
+                    };
+                    for p in probes(clock_s) {
+                        let (got, counts) = carried.combine(&p, &view).unwrap();
+                        let (want, _) = fresh.combine(&p, &view).unwrap();
+                        proptest::prop_assert_eq!(answer_bits(&got), answer_bits(&want));
+                        proptest::prop_assert_eq!(counts.hits, warm as u64);
+                        warm = true;
+                    }
+                    if k == 0 {
+                        proptest::prop_assert_eq!(pane_bits(&carried), pane_bits(&fresh));
+                    }
                 }
             }
         }

@@ -172,6 +172,26 @@ impl Schema {
         self.columns.iter().position(|c| c.name == name)
     }
 
+    /// Validates a row against the schema: arity, then each value's type.
+    pub fn check_row(&self, row: &[Value]) -> Result<(), SqlError> {
+        if row.len() != self.len() {
+            return Err(SqlError::Execution(format!(
+                "row arity {} does not match schema arity {}",
+                row.len(),
+                self.len()
+            )));
+        }
+        for (value, column) in row.iter().zip(&self.columns) {
+            if !column.ty.admits(value) {
+                return Err(SqlError::Type(format!(
+                    "value {value} not admitted by column {} of type {}",
+                    column.name, column.ty
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Human-readable header, qualified where applicable.
     pub fn header(&self) -> Vec<String> {
         self.columns

@@ -6,12 +6,14 @@
 //! that exactly this kind of backend statistic is what makes unfolded
 //! queries tractable. A [`StatsCatalog`] snapshots row counts and
 //! per-column distinct-value estimates for every table of a [`Database`];
-//! the platform refreshes it whenever the relational state changes
-//! (`insert_static`), alongside the BGP-cache invalidation.
+//! the platform bumps a table's row count on every append
+//! (`insert_static`) and brings the appended table's estimates up to date
+//! when a merge folds the overlay in ([`StatsCatalog::with_appended_table`],
+//! which re-reads nothing once the prefix sample is full).
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::table::{Database, Table};
+use crate::table::{Database, StoredTable};
 use crate::value::Value;
 
 /// Rows sampled per table when estimating distinct counts; tables larger
@@ -31,6 +33,12 @@ pub struct TableStats {
     /// vetted against (a column where one value dominates makes one shard
     /// hold most of the table).
     pub skew: Vec<(String, f64)>,
+    /// Rows the distinct sample read: the table's first rows, at most
+    /// `DISTINCT_SAMPLE_CAP` of them.
+    pub sample_rows: usize,
+    /// Distinct values among the sampled rows, per column in schema order
+    /// — what `distinct` extrapolates from.
+    pub sample_distinct: Vec<usize>,
 }
 
 impl TableStats {
@@ -84,12 +92,32 @@ impl StatsCatalog {
         StatsCatalog { tables }
     }
 
-    /// A copy of this catalog with `name`'s statistics re-analyzed from
-    /// `table` — the incremental path for single-table writes, so appending
-    /// to one table never re-scans the whole database.
-    pub fn with_refreshed_table(&self, name: &str, table: &Table) -> StatsCatalog {
+    /// A copy of this catalog with `name`'s statistics brought up to
+    /// `table`, which is the table they were analyzed over with rows
+    /// appended — the merge's path, so folding appends into one table never
+    /// re-scans the whole database. When the analysis already filled its
+    /// prefix sample, the appended rows leave the sample as it was: the
+    /// estimates re-extrapolate to the new row count without reading a
+    /// row, exactly as [`Self::analyze`] would compute them. Otherwise the
+    /// table is re-analyzed.
+    pub fn with_appended_table(&self, name: &str, table: &StoredTable) -> StatsCatalog {
+        let stats = match self.tables.get(name) {
+            Some(old) if old.sample_rows == DISTINCT_SAMPLE_CAP => TableStats {
+                rows: table.len(),
+                distinct: (old.distinct.iter().zip(&old.sample_distinct))
+                    .map(|((column, _), &seen)| {
+                        (
+                            column.clone(),
+                            extrapolate(seen, old.sample_rows, table.len()),
+                        )
+                    })
+                    .collect(),
+                ..old.clone()
+            },
+            _ => Self::analyze_table(table),
+        };
         let mut tables = self.tables.clone();
-        tables.insert(name.to_string(), Self::analyze_table(table));
+        tables.insert(name.to_string(), stats);
         StatsCatalog { tables }
     }
 
@@ -105,35 +133,34 @@ impl StatsCatalog {
         StatsCatalog { tables }
     }
 
-    fn analyze_table(table: &Table) -> TableStats {
+    fn analyze_table(table: &StoredTable) -> TableStats {
         let rows = table.len();
         let sample = rows.min(DISTINCT_SAMPLE_CAP);
-        let mut distinct = Vec::with_capacity(table.schema.columns().len());
-        let mut skew = Vec::with_capacity(table.schema.columns().len());
+        let width = table.schema.columns().len();
+        let mut distinct = Vec::with_capacity(width);
+        let mut skew = Vec::with_capacity(width);
+        let mut sample_distinct = Vec::with_capacity(width);
         for (idx, column) in table.schema.columns().iter().enumerate() {
             let mut seen: HashMap<&Value, usize> = HashMap::with_capacity(sample.min(1024));
             for row in table.rows.iter().take(sample) {
                 *seen.entry(&row[idx]).or_default() += 1;
             }
-            let estimate = if sample < rows && sample > 0 {
-                // Linear extrapolation, capped by the row count.
-                (seen.len() * rows / sample).min(rows)
-            } else {
-                seen.len()
-            };
             let top = seen.values().copied().max().unwrap_or(0);
             let share = if sample == 0 {
                 0.0
             } else {
                 top as f64 / sample as f64
             };
-            distinct.push((column.name.clone(), estimate));
+            distinct.push((column.name.clone(), extrapolate(seen.len(), sample, rows)));
             skew.push((column.name.clone(), share));
+            sample_distinct.push(seen.len());
         }
         TableStats {
             rows,
             distinct,
             skew,
+            sample_rows: sample,
+            sample_distinct,
         }
     }
 
@@ -166,6 +193,17 @@ impl StatsCatalog {
     /// to assert a refresh happened).
     pub fn total_rows(&self) -> usize {
         self.tables.values().map(|t| t.rows).sum()
+    }
+}
+
+/// The distinct estimate of a column with `seen` distinct values among the
+/// first `sample` of `rows` rows: linear extrapolation, capped by the row
+/// count.
+fn extrapolate(seen: usize, sample: usize, rows: usize) -> usize {
+    if sample < rows && sample > 0 {
+        (seen * rows / sample).min(rows)
+    } else {
+        seen
     }
 }
 
@@ -334,7 +372,7 @@ mod tests {
     fn refresh_reflects_new_rows() {
         let mut database = db();
         let before = StatsCatalog::analyze(&database);
-        let mut sensors = (**database.table("sensors").unwrap()).clone();
+        let mut sensors = database.table("sensors").unwrap().to_table();
         sensors
             .push_row(vec![Value::Int(1000), Value::Int(99)])
             .unwrap();
@@ -344,8 +382,40 @@ mod tests {
         assert_eq!(after.distinct("sensors", "tid"), Some(8));
         assert_ne!(before, after);
         // The incremental single-table refresh agrees with a full analyze.
-        let incremental =
-            before.with_refreshed_table("sensors", database.table("sensors").unwrap());
+        let incremental = before.with_appended_table("sensors", database.table("sensors").unwrap());
         assert_eq!(incremental, after);
+    }
+
+    /// Past a full prefix sample, an append re-extrapolates the sampled
+    /// distinct counts without reading a row, and lands exactly where a
+    /// from-scratch analyze does — at the cap and past it.
+    #[test]
+    fn appends_past_a_full_sample_re_extrapolate_exactly() {
+        let row = |i: usize| vec![Value::Int(i as i64), Value::Int((i % 97) as i64)];
+        let table = |rows: usize| {
+            let t = table_of(
+                "t",
+                &[("id", ColumnType::Int), ("k", ColumnType::Int)],
+                (0..rows).map(row).collect(),
+            )
+            .unwrap();
+            let mut db = Database::new();
+            db.put_table("t", t);
+            db
+        };
+        for (first, second) in [
+            (DISTINCT_SAMPLE_CAP, DISTINCT_SAMPLE_CAP + 1),
+            (DISTINCT_SAMPLE_CAP + 10, 2 * DISTINCT_SAMPLE_CAP + 3),
+            (DISTINCT_SAMPLE_CAP - 5, DISTINCT_SAMPLE_CAP + 7),
+        ] {
+            let before = StatsCatalog::analyze(&table(first));
+            let grown = table(second);
+            let incremental = before.with_appended_table("t", grown.table("t").unwrap());
+            assert_eq!(
+                incremental,
+                StatsCatalog::analyze(&grown),
+                "{first} → {second}"
+            );
+        }
     }
 }

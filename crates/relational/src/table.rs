@@ -1,6 +1,15 @@
 //! Row-oriented tables and the database catalog.
+//!
+//! A query result is a [`Table`]: a schema and one owned row vector. A
+//! table the catalog stores is a [`StoredTable`]: a schema and its rows as
+//! [`Segments`], a list of shared, immutable row vectors. The novelty
+//! overlay's per-table logs are `Segments` too, so folding an overlay into
+//! the base appends the log's segments to the table's — pointer pushes, no
+//! row copied — and a worker shard that gains the overlay rows hashing to
+//! it shares every earlier segment with the shard it succeeds.
 
 use std::collections::HashMap;
+use std::ops::Index;
 use std::sync::Arc;
 
 use crate::error::SqlError;
@@ -15,6 +24,185 @@ pub struct Table {
     pub schema: Schema,
     /// Row-major data; every row has `schema.len()` values.
     pub rows: Vec<Vec<Value>>,
+}
+
+/// Rows as a list of shared, immutable segments, read in order. Cloning
+/// copies one pointer per segment and no row, so a successor list shares
+/// every segment of the list it grew from, and a reader that remembers how
+/// many rows it has seen reads only the rest ([`Self::iter_from`]).
+/// Equality is by rows, in order, whatever the segment boundaries.
+#[derive(Clone, Default)]
+pub struct Segments {
+    segments: Vec<Arc<Vec<Vec<Value>>>>,
+    len: usize,
+}
+
+impl Segments {
+    /// Rows in all segments.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no segment holds a row.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every row, in order.
+    pub fn iter(&self) -> SegmentRows<'_> {
+        self.iter_from(0)
+    }
+
+    /// The rows after the first `seen`, in order (none when `seen >= len`).
+    /// Finds its place from the newest segment backwards, so a reader that
+    /// keeps up pays for the suffix alone.
+    pub fn iter_from(&self, seen: usize) -> SegmentRows<'_> {
+        if seen >= self.len {
+            return SegmentRows {
+                segments: [].iter(),
+                rows: [].iter(),
+            };
+        }
+        let (mut first, mut start) = (self.segments.len(), self.len);
+        while start > seen {
+            first -= 1;
+            start -= self.segments[first].len();
+        }
+        SegmentRows {
+            segments: self.segments[first + 1..].iter(),
+            rows: self.segments[first][seen - start..].iter(),
+        }
+    }
+
+    /// Appends `rows` as the newest segment (an empty batch adds none).
+    pub fn push(&mut self, rows: Vec<Vec<Value>>) {
+        if !rows.is_empty() {
+            self.len += rows.len();
+            self.segments.push(Arc::new(rows));
+        }
+    }
+
+    /// Appends every segment of `other`, shared, not copied.
+    pub fn extend(&mut self, other: &Segments) {
+        self.len += other.len;
+        self.segments.extend(other.segments.iter().cloned());
+    }
+
+    /// The segments, oldest first.
+    pub fn segments(&self) -> &[Arc<Vec<Vec<Value>>>] {
+        &self.segments
+    }
+}
+
+impl From<Vec<Vec<Value>>> for Segments {
+    fn from(rows: Vec<Vec<Value>>) -> Self {
+        let mut segments = Segments::default();
+        segments.push(rows);
+        segments
+    }
+}
+
+impl Index<usize> for Segments {
+    type Output = Vec<Value>;
+
+    /// Row `index`, found by walking the segments from the oldest.
+    fn index(&self, index: usize) -> &Vec<Value> {
+        let mut at = index;
+        for segment in &self.segments {
+            if at < segment.len() {
+                return &segment[at];
+            }
+            at -= segment.len();
+        }
+        panic!("row {index} out of range for {} rows", self.len)
+    }
+}
+
+impl<'a> IntoIterator for &'a Segments {
+    type Item = &'a Vec<Value>;
+    type IntoIter = SegmentRows<'a>;
+
+    fn into_iter(self) -> SegmentRows<'a> {
+        self.iter()
+    }
+}
+
+impl PartialEq for Segments {
+    fn eq(&self, other: &Segments) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for Segments {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The rows of [`Segments`], in order.
+#[derive(Clone)]
+pub struct SegmentRows<'a> {
+    segments: std::slice::Iter<'a, Arc<Vec<Vec<Value>>>>,
+    rows: std::slice::Iter<'a, Vec<Value>>,
+}
+
+impl<'a> Iterator for SegmentRows<'a> {
+    type Item = &'a Vec<Value>;
+
+    fn next(&mut self) -> Option<&'a Vec<Value>> {
+        loop {
+            if let Some(row) = self.rows.next() {
+                return Some(row);
+            }
+            self.rows = self.segments.next()?.iter();
+        }
+    }
+}
+
+/// A table the catalog stores: a schema plus its rows as shared segments.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct StoredTable {
+    /// The relation schema.
+    pub schema: Schema,
+    /// Every row has `schema.len()` values.
+    pub rows: Segments,
+}
+
+impl StoredTable {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// This table with `rows` appended, their segments shared.
+    pub fn appended(&self, rows: &Segments) -> StoredTable {
+        let mut table = self.clone();
+        table.rows.extend(rows);
+        table
+    }
+
+    /// An owned copy of the rows, as a result table.
+    pub fn to_table(&self) -> Table {
+        Table {
+            schema: self.schema.clone(),
+            rows: self.rows.iter().cloned().collect(),
+        }
+    }
+}
+
+impl From<Table> for StoredTable {
+    /// Moves the rows in as one segment.
+    fn from(table: Table) -> Self {
+        StoredTable {
+            schema: table.schema,
+            rows: table.rows.into(),
+        }
+    }
 }
 
 impl Table {
@@ -37,30 +225,8 @@ impl Table {
 
     /// Appends a row after arity/type validation.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<(), SqlError> {
-        self.check_row(&row)?;
+        self.schema.check_row(&row)?;
         self.rows.push(row);
-        Ok(())
-    }
-
-    /// Validates a row against the schema (arity + column types) without
-    /// appending it — the novelty write path admits rows into the overlay
-    /// log without cloning the base table.
-    pub fn check_row(&self, row: &[Value]) -> Result<(), SqlError> {
-        if row.len() != self.schema.len() {
-            return Err(SqlError::Execution(format!(
-                "row arity {} does not match schema arity {}",
-                row.len(),
-                self.schema.len()
-            )));
-        }
-        for (value, column) in row.iter().zip(self.schema.columns()) {
-            if !column.ty.admits(value) {
-                return Err(SqlError::Type(format!(
-                    "value {value} not admitted by column {} of type {}",
-                    column.name, column.ty
-                )));
-            }
-        }
         Ok(())
     }
 
@@ -94,7 +260,7 @@ impl Table {
 /// The catalog: named tables plus the novelty overlay scans merge with.
 #[derive(Clone, Default)]
 pub struct Database {
-    tables: HashMap<String, Arc<Table>>,
+    tables: HashMap<String, Arc<StoredTable>>,
     /// Rows appended since the last merge; scans union these with the
     /// base rows of the scanned table ([`Self::novelty_rows`]).
     novelty: Option<Arc<NoveltyOverlay>>,
@@ -109,13 +275,19 @@ impl Database {
         Database::default()
     }
 
-    /// Registers (or replaces) a table under `name`.
+    /// Registers (or replaces) a table under `name`, its rows moved in as
+    /// one segment.
     pub fn put_table(&mut self, name: impl Into<String>, table: Table) {
-        self.tables.insert(name.into(), Arc::new(table));
+        self.put_stored(name, Arc::new(table.into()));
+    }
+
+    /// Registers (or replaces) a stored table under `name`, shared.
+    pub fn put_stored(&mut self, name: impl Into<String>, table: Arc<StoredTable>) {
+        self.tables.insert(name.into(), table);
     }
 
     /// Fetches a table.
-    pub fn table(&self, name: &str) -> Result<&Arc<Table>, SqlError> {
+    pub fn table(&self, name: &str) -> Result<&Arc<StoredTable>, SqlError> {
         self.tables
             .get(name)
             .ok_or_else(|| SqlError::UnknownTable(name.to_string()))
@@ -152,6 +324,11 @@ impl Database {
     /// [`NoveltyScope`]).
     pub fn set_novelty_scope(&mut self, scope: Option<Arc<NoveltyScope>>) {
         self.novelty_scope = scope;
+    }
+
+    /// The installed overlay slice, if any.
+    pub fn novelty_scope(&self) -> Option<&Arc<NoveltyScope>> {
+        self.novelty_scope.as_ref()
     }
 
     /// The overlay rows of `table` visible through this catalog: all of
@@ -251,6 +428,36 @@ mod tests {
             db.table("missing"),
             Err(SqlError::UnknownTable(_))
         ));
+    }
+
+    /// Segments compare, index and iterate by rows, whatever the segment
+    /// boundaries, and appending shares segments instead of copying rows.
+    #[test]
+    fn segments_read_as_their_rows() {
+        let rows: Vec<Vec<Value>> = (0..7).map(|i| vec![Value::Int(i)]).collect();
+        let whole = Segments::from(rows.clone());
+        let mut split = Segments::from(rows[..3].to_vec());
+        split.push(Vec::new());
+        split.push(rows[3..].to_vec());
+        assert_eq!(split.segments().len(), 2, "an empty batch adds no segment");
+        assert_eq!(whole, split);
+        assert_ne!(whole, Segments::from(rows[..6].to_vec()));
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(&split[i], row);
+            assert!(split.iter_from(i).eq(rows[i..].iter()));
+        }
+        assert_eq!(split.iter_from(9).count(), 0);
+        assert!((&split).into_iter().eq(rows.iter()));
+        assert_eq!(format!("{split:?}"), format!("{rows:?}"));
+
+        let table = StoredTable::from(sensors());
+        let grown = table.appended(&split);
+        assert_eq!(grown.len(), 9);
+        let shared = grown.rows.segments();
+        assert!(Arc::ptr_eq(&shared[0], &table.rows.segments()[0]));
+        assert!(Arc::ptr_eq(&shared[1], &split.segments()[0]));
+        assert!(Arc::ptr_eq(&shared[2], &split.segments()[1]));
+        assert_eq!(grown.to_table().rows.len(), 9);
     }
 
     #[test]

@@ -1575,7 +1575,7 @@ mod tests {
         let before = cq.tick(&db, &wcache, 609_000).unwrap();
         assert_eq!(before.satisfied, 1, "sensor 10 fails at 609 s");
 
-        let mut table = (**db.table("S_Msmt").unwrap()).clone();
+        let mut table = db.table("S_Msmt").unwrap().to_table();
         table
             .push_row(vec![
                 Value::Timestamp(605_000),

@@ -20,17 +20,18 @@ fn siemens_cluster(workers: usize) -> (Arc<Cluster>, Table) {
     let sensor_ids = optique_siemens::fleet::build_fleet(&mut db, &FleetConfig::small()).unwrap();
     let config = StreamConfig::small(sensor_ids);
     optique_siemens::streamgen::build_stream(&mut db, &config).unwrap();
-    let stream = (**db.table("S_Msmt").unwrap()).clone();
-    let shards = hash_partition(&stream, 1, workers); // column 1 = sensor_id
+    let stream = db.table("S_Msmt").unwrap();
+    let shards = hash_partition(stream, 1, workers); // column 1 = sensor_id
+    let stream = stream.to_table();
     let statics: Vec<(String, _)> = ["turbines", "assemblies", "sensors", "countries"]
         .iter()
-        .map(|t| (t.to_string(), (**db.table(t).unwrap()).clone()))
+        .map(|t| (t.to_string(), Arc::clone(db.table(t).unwrap())))
         .collect();
     let cluster = Cluster::provision(workers, |id| {
         let mut worker_db = Database::new();
         worker_db.put_table("S_Msmt", shards[id].clone());
         for (name, table) in &statics {
-            worker_db.put_table(name.clone(), table.clone());
+            worker_db.put_stored(name.clone(), Arc::clone(table));
         }
         worker_db
     });

@@ -19,8 +19,7 @@ fn single_node_db() -> Database {
 /// A gateway over `workers` shards of the stream, hash-partitioned by
 /// sensor.
 fn gateway_of(db: &Database, workers: usize) -> Arc<Gateway> {
-    let stream = (**db.table("S_Msmt").unwrap()).clone();
-    let shards = hash_partition(&stream, 1, workers);
+    let shards = hash_partition(db.table("S_Msmt").unwrap(), 1, workers);
     Gateway::new(Arc::new(Cluster::provision(workers, |id| {
         let mut wdb = Database::new();
         wdb.put_table("S_Msmt", shards[id].clone());

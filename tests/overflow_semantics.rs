@@ -34,8 +34,7 @@ fn int_db(values: &[i64]) -> Database {
 }
 
 fn cluster_of(db: &Database, workers: usize) -> Cluster {
-    let t = (**db.table("t").unwrap()).clone();
-    let shards = hash_partition(&t, 0, workers);
+    let shards = hash_partition(db.table("t").unwrap(), 0, workers);
     Cluster::provision(workers, |id| {
         let mut wdb = Database::new();
         wdb.put_table("t", shards[id].clone());
