@@ -613,6 +613,7 @@ mod tests {
                     shards_pruned: 9,
                     plan_cache_hits: 6,
                     plan_cache_misses: 2,
+                    ..PipelineStats::default()
                 },
             }],
             wcache_hits: 9,

@@ -35,10 +35,21 @@
 //! that derive the restricted columns from keys of one type the same way
 //! prune together, [`key_routing`]; the rest scatter unpruned together),
 //! one per worker for the placed branches, one for the coordinator's. The
-//! gateway plans each shipped statement once per round, and deduplicates a
+//! gateway plans each shipped statement once, and deduplicates a
 //! scattered `DISTINCT` branch across shards only against its own rows.
 //! The rung counters of a [`FragmentRound`] count branches;
 //! [`FragmentRound::statements`] counts the statements.
+//!
+//! A **prepared** fragment (a BGP's cached shape bound to its constants,
+//! [`PlanFragment::from_prepared`]) skips all of that after its first
+//! execution on a pool: the pool keeps, per shape, its branches regrouped
+//! and each group planned, and an execution only binds the constants into
+//! each group's plan, dropping the branches they prune
+//! ([`optique_relational::bind_plan`]). The kept plans live and die with
+//! the pool, and with their shape: once the shape cache
+//! ([`optique_sparql::ShapeCache`]) evicts a shape, every pool's plans for
+//! it go too. A successor keeps those of every shape whose tables all keep
+//! their layout.
 //!
 //! [`FederationTopology::AutoPartitioned`] makes the partitioned layout the
 //! smart default: a partition-key advisor scores every term-map column of
@@ -55,19 +66,22 @@
 //! overlay rows that hash there, and the workers' pane stores move over.
 //! Only a table whose key changed is re-partitioned from the folded table.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, OnceLock, Weak};
 
 use optique_exastream::cluster::{hash_partition, shard_rows};
 use optique_exastream::scheduler::lpt_assign;
-use optique_exastream::{Cluster, Gateway, StaticFragment};
+use optique_exastream::{Cluster, Gateway, ReadyPlan, StaticFragment};
 use optique_mapping::MappingCatalog;
 use optique_relational::{
-    key_routing, shard_compatibility, ColumnType, Database, KeyRouting, NoveltyOverlay,
-    NoveltyScope, PaneCounts, PartitionSpec, PlanFragment, Segments, SelectStatement, SemiJoin,
-    ShardCompatibility, StatsCatalog, StoredTable, Table,
+    bind_plan, estimated_bytes, key_routing, referenced_tables, shard_compatibility, ColumnType,
+    Database, KeyRouting, LogicalPlan, NoveltyOverlay, NoveltyScope, PaneCounts, PartitionSpec,
+    PlanFragment, Prepared, Segments, SelectStatement, SemiJoin, ShardCompatibility, SqlError,
+    StatsCatalog, StoredTable, Table,
 };
 use optique_sparql::{split_union_chain, FragmentExecutor, FragmentRound};
+use parking_lot::Mutex;
 
 /// Tables smaller than this never partition under
 /// [`FederationTopology::AutoPartitioned`]: sharding a tiny table buys no
@@ -103,6 +117,88 @@ pub struct Federation {
     /// layout was decided from; a successor decides its own from them.
     topology: FederationTopology,
     streams: Vec<(String, String)>,
+    /// Per prepared shape (by [`Prepared::shape`]), its branches regrouped
+    /// and planned for this pool.
+    shapes: Mutex<PoolShapes>,
+    /// The catalog generation of the platform snapshot this pool was built
+    /// for, stamped by [`Self::at_generation`] (0 outside a platform).
+    generation: u64,
+}
+
+/// What a pool built for one prepared shape: its branches regrouped and
+/// each group planned, once.
+struct PoolShape {
+    /// The tables the shape reads: a successor drops the shape when one of
+    /// them changes layout.
+    tables: BTreeSet<String>,
+    groups: Vec<PlannedGroup>,
+    /// The groups' plans' estimated size ([`estimated_bytes`]), taken when
+    /// first asked for.
+    bytes: OnceLock<usize>,
+}
+
+impl PoolShape {
+    fn bytes(&self) -> usize {
+        *self.bytes.get_or_init(|| {
+            (self.groups.iter())
+                .map(|group| (*group.plan).as_ref().map_or(0, estimated_bytes))
+                .sum()
+        })
+    }
+}
+
+/// One routing group of a shape's branches, planned.
+struct PlannedGroup {
+    rung: Rung,
+    /// The group's branches, by index in the shape's `UNION ALL` chain.
+    branches: Vec<usize>,
+    /// Per branch: whether it is `DISTINCT`, and its placement cost.
+    distinct: Vec<bool>,
+    costs: Vec<f64>,
+    /// The group statement's plan, with the shape's parameters in it.
+    plan: Arc<Result<LogicalPlan, SqlError>>,
+}
+
+/// A pool's planned shapes, by [`Prepared::shape`]. An entry lives as long
+/// as its shape: it holds the shape's statement weakly, so once the shape
+/// cache evicts (or rebuilds) the shape and the last execution of it ends,
+/// the entry is dead — left out of every count and dropped by the next
+/// insert. The shape cache's eviction is the only one.
+#[derive(Default)]
+struct PoolShapes {
+    entries: HashMap<u64, (Weak<SelectStatement>, Arc<PoolShape>)>,
+}
+
+impl PoolShapes {
+    fn get(&self, shape: u64) -> Option<Arc<PoolShape>> {
+        (self.entries.get(&shape)).map(|(_, planned)| Arc::clone(planned))
+    }
+
+    /// Keeps `planned` for `prepared`'s shape, dropping the dead entries.
+    fn insert(&mut self, prepared: &Prepared, planned: Arc<PoolShape>) {
+        self.entries
+            .retain(|_, (shape, _)| shape.strong_count() > 0);
+        let shape = Arc::downgrade(&prepared.statement);
+        self.entries.insert(prepared.shape, (shape, planned));
+    }
+
+    /// The planned shapes whose shape is still alive.
+    fn live(&self) -> impl Iterator<Item = &Arc<PoolShape>> {
+        (self.entries.values())
+            .filter(|(shape, _)| shape.strong_count() > 0)
+            .map(|(_, planned)| planned)
+    }
+
+    /// The live shapes none of whose tables is in `relaid`.
+    fn keeping(&self, relaid: &[String]) -> PoolShapes {
+        let entries = (self.entries.iter())
+            .filter(|(_, (shape, planned))| {
+                shape.strong_count() > 0 && !relaid.iter().any(|t| planned.tables.contains(t))
+            })
+            .map(|(id, (shape, planned))| (*id, (Weak::clone(shape), Arc::clone(planned))))
+            .collect();
+        PoolShapes { entries }
+    }
 }
 
 /// What building a [`Federation::successor`] cost.
@@ -127,6 +223,8 @@ impl Federation {
             partition: Vec::new(),
             topology: FederationTopology::Replicated,
             streams: Vec::new(),
+            shapes: Mutex::default(),
+            generation: 0,
         }
     }
 
@@ -156,6 +254,8 @@ impl Federation {
             // Deciding the layout again from these reproduces it.
             topology: FederationTopology::Replicated,
             streams: partition.to_vec(),
+            shapes: Mutex::default(),
+            generation: 0,
         })
     }
 
@@ -196,7 +296,9 @@ impl Federation {
     /// hash-partitioned from `folded`. The workers' pane stores move over
     /// ([`Gateway::successor`]), keeping the grids of every stream whose
     /// layout is unchanged; this pool's stores are left empty, so a probe
-    /// still running on it folds its own shard afresh.
+    /// still running on it folds its own shard afresh. So do the planned
+    /// shapes that read no table whose layout changed: a plan reads only
+    /// schemas, and a group's routing only the layout.
     pub fn successor(
         &self,
         folded: Arc<Database>,
@@ -245,6 +347,8 @@ impl Federation {
             partition: keys,
             topology: self.topology,
             streams: self.streams.clone(),
+            shapes: Mutex::new(self.shapes.lock().keeping(&repartitioned)),
+            generation: 0,
         };
         let succession = Succession {
             rows_copied,
@@ -289,6 +393,32 @@ impl Federation {
             shard_sets.push(shards);
         }
         provision(folded, self.workers, keys, shard_sets)
+    }
+
+    /// The pool, stamped as built for a platform snapshot of catalog
+    /// `generation` (builder style).
+    pub(crate) fn at_generation(mut self, generation: u64) -> Self {
+        self.generation = generation;
+        self
+    }
+
+    /// The catalog generation this pool was built for.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Prepared shapes this pool holds regrouped and planned, counting only
+    /// shapes still alive.
+    pub fn planned_shapes(&self) -> usize {
+        self.shapes.lock().live().count()
+    }
+
+    /// The estimated size of the plans this pool holds for live prepared
+    /// shapes ([`estimated_bytes`]), taken outside the lock, which
+    /// executions need.
+    pub fn planned_shape_bytes(&self) -> usize {
+        let planned: Vec<Arc<PoolShape>> = self.shapes.lock().live().cloned().collect();
+        planned.iter().map(|planned| planned.bytes()).sum()
     }
 
     /// Number of workers in the pool.
@@ -341,26 +471,17 @@ impl Federation {
     }
 
     /// Classifies each branch of `statement` down the ladder and regroups
-    /// the branches into one statement per routing group, counting each
-    /// branch on its rung in `counts`.
-    fn regroup(
-        &self,
-        statement: SelectStatement,
-        semi_joins: &[SemiJoin],
-        counts: &mut RungCounts,
-    ) -> Groups {
-        let mut groups = Groups::default();
-        let mut placed: Vec<SelectStatement> = Vec::new();
-        for branch in split_union_chain(statement) {
+    /// the branches into one statement per routing group: the scatter
+    /// groups, by shard set, then the placed ones, by worker, then the
+    /// coordinator's.
+    fn regroup(&self, statement: SelectStatement, semi_joins: &[SemiJoin]) -> Vec<Routed> {
+        let mut scatter: Vec<Routed> = Vec::new();
+        let mut placed: Vec<(usize, SelectStatement)> = Vec::new();
+        let mut coordinator = Group::default();
+        for (id, branch) in split_union_chain(statement).into_iter().enumerate() {
             match self.classify(&branch) {
-                ShardCompatibility::Unpartitioned => {
-                    if !self.partition.is_empty() {
-                        counts.replicated += 1;
-                    }
-                    placed.push(branch);
-                }
+                ShardCompatibility::Unpartitioned => placed.push((id, branch)),
                 ShardCompatibility::Scatter { table, column } => {
-                    counts.partitioned += 1;
                     // Branches prune together when they derive the
                     // restricted columns from keys of one type the same
                     // way; the rest scatter unpruned, together.
@@ -368,34 +489,185 @@ impl Federation {
                         .then(|| key_routing(&branch, &self.partition, semi_joins))
                         .filter(|routing| !routing.is_empty())
                         .map(|routing| (self.key_type(&table, &column), routing));
-                    let at = match groups.scatter.iter().position(|g| g.prunes == prunes) {
+                    let at = match scatter.iter().position(|g| g.prunes == prunes) {
                         Some(at) => at,
                         None => {
-                            groups.scatter.push(ScatterGroup {
-                                prunes,
-                                branches: Group::default(),
-                            });
-                            groups.scatter.len() - 1
+                            scatter.push(Routed::new(Rung::Scatter, prunes));
+                            scatter.len() - 1
                         }
                     };
-                    groups.scatter[at].branches.push(branch);
+                    scatter[at].group.push(id, branch);
                 }
-                ShardCompatibility::Incompatible => {
-                    counts.coordinator += 1;
-                    groups.coordinator.push(branch);
-                }
+                ShardCompatibility::Incompatible => coordinator.push(id, branch),
             }
         }
+        let mut routed = scatter;
         // Placed branches: one group per worker, LPT by summed cost.
         if !placed.is_empty() {
-            let costs: Vec<f64> = placed.iter().map(branch_cost).collect();
+            let costs: Vec<f64> = placed.iter().map(|(_, b)| branch_cost(b)).collect();
             let mut by_worker: Vec<Group> = (0..self.workers).map(|_| Group::default()).collect();
-            for (branch, worker) in placed.into_iter().zip(lpt_assign(&costs, self.workers)) {
-                by_worker[worker].push(branch);
+            for ((id, branch), worker) in placed.into_iter().zip(lpt_assign(&costs, self.workers)) {
+                by_worker[worker].push(id, branch);
             }
-            groups.placed = by_worker.into_iter().filter(|g| !g.is_empty()).collect();
+            routed.extend(
+                (by_worker.into_iter().filter(|g| !g.is_empty())).map(|group| Routed {
+                    group,
+                    ..Routed::new(Rung::Placed, None)
+                }),
+            );
         }
-        groups
+        if !coordinator.is_empty() {
+            routed.push(Routed {
+                group: coordinator,
+                ..Routed::new(Rung::Coordinator, None)
+            });
+        }
+        routed
+    }
+
+    /// Sends one routing group's statement, `fragment`, down `rung`,
+    /// counting its `branches` there: shipped to the workers — with `plan`
+    /// when the pool holds the group planned — or, on the coordinator's
+    /// rung, answered here at the fragment's epoch.
+    fn dispatch(
+        &self,
+        out: &mut Outbox,
+        slot: usize,
+        (rung, branches): (Rung, usize),
+        fragment: PlanFragment,
+        plan: Option<ReadyPlan>,
+    ) {
+        let shipped = match rung {
+            Rung::Scatter => {
+                out.counts.partitioned += branches;
+                StaticFragment::scattered(fragment)
+            }
+            Rung::Placed => {
+                if !self.partition.is_empty() {
+                    out.counts.replicated += branches;
+                }
+                StaticFragment::placed(fragment)
+            }
+            Rung::Coordinator => {
+                out.counts.coordinator += branches;
+                let answer = match plan {
+                    Some(ready) => (*ready.plan)
+                        .as_ref()
+                        .map_err(Clone::clone)
+                        .and_then(|plan| {
+                            let view = optique_relational::view_at(
+                                &self.coordinator,
+                                fragment.novelty_epoch,
+                            )?;
+                            optique_relational::execute(
+                                plan,
+                                view.as_ref().unwrap_or(&self.coordinator),
+                            )
+                        }),
+                    // Planned here; `PlanFragment::execute` honors semi-join
+                    // restrictions on the fallback path too.
+                    None => {
+                        out.plans_built += 1;
+                        fragment.execute(&self.coordinator)
+                    }
+                };
+                out.answer(slot, answer.map_err(|e| e.to_string()));
+                return;
+            }
+        };
+        out.shipped.push(match plan {
+            Some(ready) => shipped.with_plan(ready),
+            None => shipped,
+        });
+        out.slots.push(slot);
+    }
+}
+
+impl Federation {
+    /// This pool's regrouped, planned statements for `prepared`'s shape,
+    /// and whether this call built them (the shape's first execution on
+    /// the pool, or its first since the pool forgot it).
+    fn planned_shape(&self, prepared: &Prepared) -> (Arc<PoolShape>, bool) {
+        if let Some(planned) = self.shapes.lock().get(prepared.shape) {
+            return (planned, false);
+        }
+        let statement = SelectStatement::clone(&prepared.statement);
+        let tables = referenced_tables(&statement);
+        let groups = (self.regroup(statement, &[]).into_iter())
+            .map(|Routed { rung, group, .. }| {
+                let distinct = group.branches.iter().map(|b| b.distinct).collect();
+                let costs = group.branches.iter().map(branch_cost).collect();
+                let branches = group.ids.clone();
+                let plan = optique_relational::plan::plan_select(
+                    &group.into_statement(),
+                    &self.coordinator,
+                )
+                .map(optique_relational::optimizer::optimize);
+                PlannedGroup {
+                    rung,
+                    branches,
+                    distinct,
+                    costs,
+                    plan: Arc::new(plan),
+                }
+            })
+            .collect();
+        let shape = Arc::new(PoolShape {
+            tables,
+            groups,
+            bytes: OnceLock::new(),
+        });
+        self.shapes.lock().insert(prepared, Arc::clone(&shape));
+        (shape, true)
+    }
+
+    /// Binds `prepared` into this pool's plans for its shape: per group
+    /// that keeps a live branch, its rung and live branch count, `fragment`
+    /// costed by those branches, and the group's plan bound and stripped of
+    /// the pruned branches. Also returns the plans this call built (0 when
+    /// the pool had them).
+    fn bind_shape(&self, fragment: &PlanFragment, prepared: &Prepared) -> (usize, Vec<BoundGroup>) {
+        let (planned, built) = self.planned_shape(prepared);
+        let live = &prepared.binding.live;
+        let mut bound = Vec::new();
+        for group in &planned.groups {
+            let in_group: Vec<bool> = group.branches.iter().map(|&b| live[b]).collect();
+            let branches = in_group.iter().filter(|l| **l).count();
+            if branches == 0 {
+                continue;
+            }
+            let live_of = |flags: &[bool]| -> Vec<bool> {
+                (flags.iter().zip(&in_group))
+                    .filter(|(_, l)| **l)
+                    .map(|(f, _)| *f)
+                    .collect()
+            };
+            // A binding that changes nothing shares the pool's plan.
+            let plan = match group.plan.as_ref() {
+                Ok(plan) => match bind_plan(plan, &prepared.binding.values, &in_group) {
+                    Ok(Cow::Borrowed(_)) => Arc::clone(&group.plan),
+                    bound => Arc::new(bound.map(Cow::into_owned)),
+                },
+                Err(_) => Arc::clone(&group.plan),
+            };
+            let mut shipped = fragment.clone();
+            shipped.cost = (group.costs.iter().zip(&in_group))
+                .filter(|(_, l)| **l)
+                .map(|(c, _)| c)
+                .sum();
+            let ready = ReadyPlan {
+                plan,
+                distinct: live_of(&group.distinct),
+                built,
+            };
+            bound.push(BoundGroup {
+                rung: group.rung,
+                branches,
+                fragment: shipped,
+                plan: ready,
+            });
+        }
+        (if built { planned.groups.len() } else { 0 }, bound)
     }
 }
 
@@ -490,16 +762,19 @@ fn branch_cost(branch: &SelectStatement) -> f64 {
     (branch.joins.len() + 1) as f64
 }
 
-/// Branches bound for one statement, in order, with their summed cost.
+/// Branches bound for one statement, in order, with their indices in the
+/// chain they came from and their summed cost.
 #[derive(Default)]
 struct Group {
     branches: Vec<SelectStatement>,
+    ids: Vec<usize>,
     cost: f64,
 }
 
 impl Group {
-    fn push(&mut self, branch: SelectStatement) {
+    fn push(&mut self, id: usize, branch: SelectStatement) {
         self.cost += branch_cost(&branch);
+        self.ids.push(id);
         self.branches.push(branch);
     }
 
@@ -513,22 +788,61 @@ impl Group {
     }
 }
 
-/// Scatter branches that prune alike.
-struct ScatterGroup {
-    /// The key type and [`KeyRouting`] the branches prune by; `None` for
-    /// branches that scatter unpruned.
-    prunes: Option<(ColumnType, KeyRouting)>,
-    branches: Group,
+/// Where a routing group's statement runs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Rung {
+    Scatter,
+    Placed,
+    Coordinator,
 }
 
-/// One fragment's branches, regrouped: one statement per shard set for the
-/// scatter branches, one per worker for the placed ones, one for the
-/// coordinator's.
-#[derive(Default)]
-struct Groups {
-    scatter: Vec<ScatterGroup>,
-    placed: Vec<Group>,
-    coordinator: Group,
+/// One routing group of a fragment's branches and its rung.
+struct Routed {
+    rung: Rung,
+    /// The key type and [`KeyRouting`] a scatter group's branches prune
+    /// by; `None` for branches that scatter unpruned, and off the scatter
+    /// rung.
+    prunes: Option<(ColumnType, KeyRouting)>,
+    group: Group,
+}
+
+impl Routed {
+    fn new(rung: Rung, prunes: Option<(ColumnType, KeyRouting)>) -> Self {
+        Routed {
+            rung,
+            prunes,
+            group: Group::default(),
+        }
+    }
+}
+
+/// One routing group of a bound shape: its rung, its live branches, the
+/// fragment costed by them and the group's bound plan.
+struct BoundGroup {
+    rung: Rung,
+    branches: usize,
+    fragment: PlanFragment,
+    plan: ReadyPlan,
+}
+
+/// What a round sends where: the statements shipped to the workers, each
+/// with its fragment's slot, and per slot the answers of its statements
+/// run on the coordinator.
+struct Outbox {
+    shipped: Vec<StaticFragment>,
+    slots: Vec<usize>,
+    answers: Vec<Vec<Result<Table, String>>>,
+    coordinator_statements: usize,
+    /// Statements planned on the coordinator.
+    plans_built: usize,
+    counts: RungCounts,
+}
+
+impl Outbox {
+    fn answer(&mut self, slot: usize, answer: Result<Table, String>) {
+        self.coordinator_statements += 1;
+        self.answers[slot].push(answer);
+    }
 }
 
 /// Branches per rung of the ladder.
@@ -567,14 +881,15 @@ impl FragmentExecutor for Federation {
     /// one statement on the full catalog. The rung counters count
     /// branches; [`FragmentRound::statements`] counts the statements.
     fn execute(&self, fragments: Vec<PlanFragment>) -> Result<FragmentRound, String> {
-        let mut shipped: Vec<StaticFragment> = Vec::new();
-        // Slot of each shipped statement.
-        let mut shipped_slots: Vec<usize> = Vec::new();
-        // Per slot, the tables of its statements.
-        let mut results: Vec<Vec<Result<Table, String>>> =
-            fragments.iter().map(|_| Vec::new()).collect();
-        let mut counts = RungCounts::default();
-        let mut coordinator_statements = 0usize;
+        let mut out = Outbox {
+            shipped: Vec::new(),
+            slots: Vec::new(),
+            answers: fragments.iter().map(|_| Vec::new()).collect(),
+            coordinator_statements: 0,
+            plans_built: 0,
+            counts: RungCounts::default(),
+        };
+        let mut regroups = 0usize;
         // A text-built fragment nobody parsed yet costs this round exactly
         // one parse, here, when its statement is taken apart.
         let parses = fragments
@@ -588,16 +903,27 @@ impl FragmentExecutor for Federation {
             // other layout places on one worker's full replica — answering
             // on every replica would multiply each group by the pool size.
             if let Some(probe) = &fragment.pane {
-                if self.partition.iter().any(|(t, _)| t == &probe.stream) {
-                    counts.partitioned += 1;
-                    shipped.push(StaticFragment::scattered(fragment));
+                let rung = if self.partition.iter().any(|(t, _)| t == &probe.stream) {
+                    Rung::Scatter
                 } else {
-                    if !self.partition.is_empty() {
-                        counts.replicated += 1;
-                    }
-                    shipped.push(StaticFragment::placed(fragment));
+                    Rung::Placed
+                };
+                self.dispatch(&mut out, slot, (rung, 1), fragment, None);
+                continue;
+            }
+            // A prepared shape the pool has planned runs its plans, bound:
+            // nothing is regrouped or planned.
+            let unrestricted = fragment.semi_joins.is_empty() && fragment.window.is_none();
+            if let Some(prepared) = fragment.prepared().filter(|_| unrestricted).cloned() {
+                let (built, groups) = self.bind_shape(&fragment, &prepared);
+                if built > 0 {
+                    regroups += 1;
+                    out.plans_built += built;
                 }
-                shipped_slots.push(slot);
+                for group in groups {
+                    let routing = (group.rung, group.branches);
+                    self.dispatch(&mut out, slot, routing, group.fragment, Some(group.plan));
+                }
                 continue;
             }
             let semi_joins = std::mem::take(&mut fragment.semi_joins);
@@ -608,59 +934,48 @@ impl FragmentExecutor for Federation {
                 // Unparseable SQL (text-built fragments only) cannot be
                 // classified; it fails on the coordinator's rung.
                 Err(e) => {
-                    counts.coordinator += 1;
-                    coordinator_statements += 1;
-                    results[slot].push(Err(e.to_string()));
+                    out.counts.coordinator += 1;
+                    out.answer(slot, Err(e.to_string()));
                     continue;
                 }
             };
-            let groups = self.regroup(statement, &semi_joins, &mut counts);
+            regroups += 1;
             // Each group's statement carries the fragment's restrictions,
             // window and epoch: every worker resolves the same overlay.
-            let rebuild = |group: Group| {
-                let cost = group.cost;
+            for Routed {
+                rung,
+                prunes,
+                group,
+            } in self.regroup(statement, &semi_joins)
+            {
+                let (branches, cost) = (group.branches.len(), group.cost);
                 let mut statement = PlanFragment::from_statement(id, group.into_statement(), cost)
                     .with_semi_joins(semi_joins.clone())
                     .at_epoch(epoch);
                 statement.window = window.clone();
-                statement
-            };
-            for group in groups.scatter {
-                let mut statement = rebuild(group.branches);
                 // The layout the branches' routing was read against: the
                 // gateway's `shard_plan` reads it again, alike.
-                if let Some((column_type, _)) = group.prunes {
+                if let Some((column_type, _)) = prunes {
                     statement = statement.with_partition(PartitionSpec {
                         tables: self.partition.clone(),
                         column_type,
                     });
                 }
-                shipped.push(StaticFragment::scattered(statement));
-                shipped_slots.push(slot);
-            }
-            for group in groups.placed {
-                shipped.push(StaticFragment::placed(rebuild(group)));
-                shipped_slots.push(slot);
-            }
-            if !groups.coordinator.is_empty() {
-                // `PlanFragment::execute` honors semi-join restrictions on
-                // the fallback path too.
-                coordinator_statements += 1;
-                let outcome = rebuild(groups.coordinator).execute(&self.coordinator);
-                results[slot].push(outcome.map_err(|e| e.to_string()));
+                self.dispatch(&mut out, slot, (rung, branches), statement, None);
             }
         }
-        let round = self.gateway.run_static_round(&shipped);
-        let mut panes = vec![PaneCounts::default(); results.len()];
-        for (&slot, counts) in shipped_slots.iter().zip(&round.panes) {
+        let round = self.gateway.run_static_round(&out.shipped);
+        let mut panes = vec![PaneCounts::default(); out.answers.len()];
+        for (&slot, counts) in out.slots.iter().zip(&round.panes) {
             panes[slot] += *counts;
         }
-        for (&slot, outcome) in shipped_slots.iter().zip(round.tables) {
-            results[slot].push(outcome.map_err(|e| e.to_string()));
+        for (&slot, outcome) in out.slots.iter().zip(round.tables) {
+            out.answers[slot].push(outcome.map_err(|e| e.to_string()));
         }
+        let counts = out.counts;
         Ok(FragmentRound {
-            tables: results.into_iter().map(concat_tables).collect(),
-            statements: shipped.len() + coordinator_statements,
+            tables: out.answers.into_iter().map(concat_tables).collect(),
+            statements: out.shipped.len() + out.coordinator_statements,
             coordinator_fallbacks: counts.coordinator,
             partitioned_fragments: counts.partitioned,
             replicated_fallbacks: counts.replicated,
@@ -670,10 +985,12 @@ impl FragmentExecutor for Federation {
             // round's parses or needed none.
             plan_cache_hits: (round.plan_cache_hits
                 + round.plan_cache_misses
-                + coordinator_statements as u64)
+                + out.coordinator_statements as u64)
                 .saturating_sub(parses),
             plan_cache_misses: parses,
             panes,
+            regroups,
+            plans_built: out.plans_built + round.plans_built,
             // Worker-side spans ride back with the round; a traced pipeline
             // grafts them under its exec span (untraced callers drop them).
             spans: round.spans,

@@ -48,8 +48,8 @@ use optique_rdf::Namespaces;
 use optique_relational::{Database, NoveltyOverlay, StatsCatalog, TermDict, Value};
 use optique_siemens::SiemensDeployment;
 use optique_sparql::{
-    parse_sparql, BgpCache, PipelineStats, PlannerSettings, SparqlResults, StaticPipeline,
-    TableVersions,
+    parse_sparql, BgpCache, PipelineStats, PlannerSettings, ShapeCache, ShapeMiss, SparqlResults,
+    StaticPipeline, TableVersions,
 };
 use optique_starql::StreamToRdf;
 use optique_stream::WCache;
@@ -92,6 +92,10 @@ pub struct PlatformSnapshot {
     pub topology: FederationTopology,
     /// Join-order / semi-join planner knobs in force for this snapshot.
     pub planner: PlannerSettings,
+    /// The catalog generation: 0 at deploy, bumped by every merge, which is
+    /// what swaps [`Self::db`]. A pool slot only ever moves to a pool of a
+    /// newer generation.
+    pub generation: u64,
     /// Per-table stream clocks: the highest timestamp among the rows (base
     /// and overlay) of every table that has the stream mapping's timestamp
     /// column — scanned once at deploy, then advanced from each inserted
@@ -126,6 +130,11 @@ pub struct OptiquePlatform {
     /// versions; a write also evicts the written table's dependents inside
     /// its critical section (memory hygiene, dashboard counter).
     static_cache: BgpCache,
+    /// Prepared BGP shapes shared by every static query and registration:
+    /// rewritten and unfolded once, bound per query (see
+    /// [`optique_sparql::shapes`]). Writes and merges keep it; what each pool
+    /// planned for a shape lives in the pool.
+    shapes: ShapeCache,
     /// Static-query worker pools, one per requested `(worker count,
     /// topology)`, each replaced by its successor over the folded catalog
     /// inside the merge critical section (workers snapshot the base
@@ -240,6 +249,7 @@ impl OptiquePlatform {
             stats,
             topology: FederationTopology::default(),
             planner: PlannerSettings::default(),
+            generation: 0,
             clocks: Arc::new(clocks),
         }));
         OptiquePlatform {
@@ -254,6 +264,7 @@ impl OptiquePlatform {
             static_log: Mutex::new(VecDeque::new()),
             static_next_id: std::sync::atomic::AtomicU64::new(1),
             static_cache: BgpCache::new(),
+            shapes: ShapeCache::new(),
             federations: Mutex::new(HashMap::new()),
             #[cfg(test)]
             write_probe: Mutex::new(None),
@@ -329,15 +340,17 @@ impl OptiquePlatform {
     }
 
     /// The static pipeline every request runs under `snap`: the view
-    /// catalog, the shared BGP cache at the snapshot's table versions, the
-    /// snapshot's planner knobs and statistics, and `federation` as the
-    /// fragment executor when the request is distributed.
+    /// catalog, the shared shape cache, the shared BGP cache at the
+    /// snapshot's table versions, the snapshot's planner knobs and
+    /// statistics, and `federation` as the fragment executor when the
+    /// request is distributed.
     pub(crate) fn pipeline<'a>(
         &'a self,
         snap: &'a PlatformSnapshot,
         federation: Option<&'a Federation>,
     ) -> StaticPipeline<'a> {
         let pipeline = StaticPipeline::new(&self.ontology, &self.mappings, &snap.view)
+            .with_shapes(&self.shapes)
             .with_cache(&self.static_cache, &snap.versions)
             .with_planner(snap.planner)
             .with_table_stats(&snap.stats);
@@ -350,9 +363,12 @@ impl OptiquePlatform {
     /// The cached federation pool for `workers` under `snap`'s topology,
     /// building it (static tables per topology, registered streams always
     /// hash-partitioned) on first use. A cached pool is served only when
-    /// its catalog **is** the snapshot's catalog (pointer identity) — a
-    /// pool built over a superseded catalog, even one raced into the map
-    /// after a write cleared it, misses and is rebuilt over `snap`.
+    /// its catalog **is** the snapshot's catalog (pointer identity). A
+    /// reader whose snapshot the slot's pool does not serve builds a pool
+    /// over its own catalog and answers from it, but the slot moves only
+    /// to a newer catalog generation: a straggler pinned before a merge
+    /// never replaces the successor the merge carried over, with its
+    /// shards, pane stores and planned shapes.
     pub(crate) fn federation_for(
         &self,
         workers: usize,
@@ -367,24 +383,26 @@ impl OptiquePlatform {
         // Build outside the map lock: sharding the catalog is the slow
         // part, and `stream_partition_pairs` takes the queries lock.
         let streams = self.stream_partition_pairs();
-        let pool = Arc::new(Federation::for_deployment(
+        let pool = Federation::for_deployment(
             Arc::clone(&snap.db),
             workers,
             snap.topology,
             &snap.stats,
             &self.mappings,
             &streams,
-        ));
-        // Double-checked insert. When the slot holds a pool over a
-        // *different* catalog than ours, ours wins the slot — if that other
-        // pool was actually fresher, its own readers re-validate and
-        // rebuild, so staleness never escapes (only redundant builds).
+        );
+        let pool = Arc::new(pool.at_generation(snap.generation));
         let mut pools = self.federations.lock();
-        let entry = pools.entry(key).or_insert_with(|| Arc::clone(&pool));
-        if !Arc::ptr_eq(entry.catalog(), &snap.db) {
-            *entry = Arc::clone(&pool);
+        match pools.get(&key) {
+            // Another reader of this catalog raced us into the slot.
+            Some(slot) if Arc::ptr_eq(slot.catalog(), &snap.db) => Arc::clone(slot),
+            // The slot serves a newer catalog: ours answers this reader.
+            Some(slot) if slot.generation() > snap.generation => pool,
+            _ => {
+                pools.insert(key, Arc::clone(&pool));
+                pool
+            }
         }
-        Arc::clone(entry)
     }
 
     /// Answers a **static** SPARQL query over the deployment's relational
@@ -615,7 +633,13 @@ impl OptiquePlatform {
     /// The `dict.terms` / `dict.bytes` gauges are sampled here (the term
     /// dictionary is process-wide and append-only, so they never shrink),
     /// and so are `wcache.windows` / `wcache.slices`, which every driven
-    /// round trims back to the registered ranges.
+    /// round trims back to the registered ranges, and `shapes.entries` /
+    /// `shapes.bytes`: the prepared-shape cache's entries (at most
+    /// [`optique_sparql::SHAPE_CAPACITY`]) and the estimated size of what
+    /// they and every pool's plans for them hold, beside `shapes.hits` and
+    /// `shapes.misses.<reason>`: the BGP executions since deploy that
+    /// answered from a planned shape or missed, per reason (`new` counts the
+    /// distinct shapes seen).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let dict = TermDict::global();
         self.registry.gauge("dict.terms").set(dict.len() as i64);
@@ -623,6 +647,21 @@ impl OptiquePlatform {
         let (windows, slices) = (self.wcache.len(), self.wcache.slices());
         self.registry.gauge("wcache.windows").set(windows as i64);
         self.registry.gauge("wcache.slices").set(slices as i64);
+        self.registry
+            .gauge("shapes.entries")
+            .set(self.shapes.len() as i64);
+        let pools: Vec<Arc<Federation>> = self.federations.lock().values().cloned().collect();
+        let pooled: usize = pools.iter().map(|pool| pool.planned_shape_bytes()).sum();
+        self.registry
+            .gauge("shapes.bytes")
+            .set((self.shapes.bytes() + pooled) as i64);
+        let (hits, misses) = self.shapes.outcomes();
+        self.registry.gauge("shapes.hits").set(hits as i64);
+        for (reason, count) in ShapeMiss::ALL.iter().zip(misses) {
+            (self.registry)
+                .gauge(&format!("shapes.misses.{}", reason.as_str()))
+                .set(count as i64);
+        }
         self.registry.snapshot()
     }
 
@@ -817,12 +856,15 @@ impl OptiquePlatform {
             // with an old-shard pool. A pool over any other catalog is
             // stale already and goes. Successors take their stream keys
             // from the pool they succeed, not from the queries lock.
+            // Each successor is stamped with the generation of the snapshot
+            // installed below, which its slot then serves.
+            let generation = guard.generation + 1;
             let mut pools = self.federations.lock();
             pools.retain(|_, pool| Arc::ptr_eq(pool.catalog(), &guard.db));
             for pool in pools.values_mut() {
                 let (next, succession) =
                     pool.successor(Arc::clone(&folded), &guard.novelty, &stats, &self.mappings);
-                *pool = Arc::new(next);
+                *pool = Arc::new(next.at_generation(generation));
                 self.registry.counter("novelty.pools_carried").inc();
                 (self.registry.counter("novelty.merge_rows_copied"))
                     .add(succession.rows_copied as u64);
@@ -841,6 +883,7 @@ impl OptiquePlatform {
                 db: folded,
                 novelty: NoveltyOverlay::empty(),
                 stats: Arc::new(stats),
+                generation,
                 ..(**guard).clone()
             });
             self.registry.gauge("novelty.depth").set(0);
@@ -1013,10 +1056,9 @@ mod tests {
         assert_eq!(later.1, 0);
     }
 
-    /// Regression (pool-*replacement* counter loss): a straggler holding a
-    /// pre-write snapshot can win the pool slot back from a fresher pool
-    /// via `federation_for`'s double-checked insert. The replaced pool
-    /// takes no dashboard history with it.
+    /// A straggler holding a pre-merge snapshot gets a pool over its own,
+    /// superseded catalog, but never the slot: the dashboard's totals and
+    /// the pool every current reader gets are the merge's successor's.
     #[test]
     fn fragment_execution_totals_survive_pool_replacement() {
         let p = platform();
@@ -1027,15 +1069,50 @@ mod tests {
         p.insert_static("turbines", vec![new_turbine_row(&p, 97_001)])
             .unwrap();
         p.merge_now().unwrap();
-        // Fresh pool over the new catalog.
         p.query_static_distributed(q, 2).unwrap();
         let before = fragment_execution_totals(&p.dashboard());
         assert!(before.0 > 0);
+        let current = p.federation_for(2, &p.snapshot());
 
-        // The straggler rebuilds over the superseded catalog and replaces
-        // the fresh pool in the slot.
-        let _ = p.federation_for(2, &old_snap);
+        let straggler = p.federation_for(2, &old_snap);
+        assert!(Arc::ptr_eq(straggler.catalog(), &old_snap.db));
+        assert!(Arc::ptr_eq(&p.federation_for(2, &p.snapshot()), &current));
         assert_eq!(fragment_execution_totals(&p.dashboard()), before);
+    }
+
+    /// Regression: after `merge_now`, `federation_for(2, &old_snap)` — a
+    /// reader pinned before the merge — let the straggler's pool over the
+    /// superseded catalog win the slot, so the next current reader rebuilt
+    /// from scratch and the carried successor's shards, warm pane stores
+    /// and planned shapes were lost. The slot now moves only to a newer
+    /// catalog generation: the current reader's pool is the successor the
+    /// merge carried, and its planned shape answers with no plan built.
+    #[test]
+    fn a_straggler_never_takes_the_slot_from_the_carried_successor() {
+        let p = platform();
+        let q = "SELECT ?t WHERE { ?t a sie:Turbine }";
+        p.query_static_distributed(q, 2).unwrap();
+        let old_snap = p.snapshot();
+        p.insert_static("turbines", vec![new_turbine_row(&p, 97_002)])
+            .unwrap();
+        p.merge_now().unwrap();
+        let key = (2, old_snap.topology);
+        let carried = Arc::clone(&p.federations.lock()[&key]);
+        assert!(
+            carried.planned_shapes() >= 1,
+            "the successor carries the shape"
+        );
+
+        let straggler = p.federation_for(2, &old_snap);
+        assert!(Arc::ptr_eq(straggler.catalog(), &old_snap.db));
+        assert!(!Arc::ptr_eq(&straggler, &carried));
+        let now = p.snapshot();
+        assert_eq!(now.generation, old_snap.generation + 1);
+        assert!(Arc::ptr_eq(&p.federation_for(2, &now), &carried));
+
+        p.bgp_cache().invalidate();
+        let (_, stats) = p.query_static_distributed_with_stats(q, 2).unwrap();
+        assert_eq!((stats.plans_built, stats.shape_hits), (0, 1), "{stats:?}");
     }
 
     /// The reference the clock mark replaced: the maximum timestamp over

@@ -9,7 +9,8 @@
 //! workers' pane stores.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::panic::AssertUnwindSafe;
+use std::sync::Arc;
 use std::time::Instant;
 
 use optique_relational::hash::IdSet;
@@ -103,16 +104,19 @@ impl Gateway {
     ///   round, in which case only the shards that can hold matching keys
     ///   execute, each receiving just its slice of the `IN`-list.
     ///
-    /// Every shipped statement is **planned once per round**: the first
-    /// worker to reach it slices, restricts and plans it
-    /// ([`PlanFragment::plan`]), and every other worker it runs on executes
-    /// that shared plan. Planning reads only schemas, which every shard and
-    /// novelty view of a table shares. A pruned scatter gives each target
-    /// shard its own slice, so its own statement and plan. A planning error
-    /// fails every slot the statement serves; a worker that panics while
-    /// planning leaves the plan unbuilt, and the next worker to reach it
-    /// plans it again. Each worker `fragment` span says which it did:
-    /// `plan=built` or `plan=shared`.
+    /// Every shipped statement is **planned once**. A fragment that arrives
+    /// with a [`ReadyPlan`] — a prepared shape's plan, which its pool built
+    /// once for the shape and bound for this execution — is not planned
+    /// here at all: every worker it runs on executes that plan, and no
+    /// worker waits on another. Of the rest, a statement that runs on one
+    /// worker (placed, or one shard's slice of a pruned scatter) is planned
+    /// by that worker ([`PlanFragment::plan`]); an unpruned scatter
+    /// statement is planned here, once, before the workers start, and every
+    /// shard executes that plan. Planning reads only schemas, which every
+    /// shard and novelty view of a table shares. A planning error fails
+    /// every slot the statement serves. Each worker `fragment` span says
+    /// whether its plan was `plan=built` — for the shape, or for this
+    /// statement, by its first execution — or `plan=shared`, reused.
     ///
     /// A worker that panics fails its own fragments with
     /// `worker N panicked`; the round, the pool and the other workers'
@@ -131,41 +135,71 @@ impl Gateway {
         let mut placed = lpt_assign(&costs, size).into_iter();
 
         // Coordinator side: per-worker queues of shared fragments, each
-        // entry holding the plan cell of the statement it runs. Shard-pruned
-        // scatter fragments queue one copy per target shard (each carrying
-        // that shard's `IN`-list slice, all sharing the statement);
-        // everything else queues the submitted `Arc`.
+        // entry holding the plan it executes or planning its own.
+        // Shard-pruned scatter fragments queue one copy per target shard
+        // (each carrying that shard's `IN`-list slice, so its own
+        // statement); everything else queues the submitted `Arc`.
         let mut queues: Vec<Vec<Queued>> = (0..size).map(|_| Vec::new()).collect();
         let mut shards_pruned = 0usize;
         let mut parses = 0u64;
+        let mut plans_built = 0usize;
         for (idx, f) in fragments.iter().enumerate() {
             // Pane probes never touch their SQL. Everything else must hold
             // a statement before it is shared; a parse error is memoized
-            // and surfaces from the worker's planning.
+            // and surfaces from planning.
             let parsed_here = f.fragment.pane.is_none() && !f.fragment.is_parsed();
             if parsed_here {
                 parses += 1;
                 let _ = f.fragment.base_statement();
             }
-            let queued = |fragment: Arc<PlanFragment>, plan: &SharedPlan| Queued {
+            let queued = |fragment: Arc<PlanFragment>, plan: Planned| Queued {
                 idx,
                 fragment,
                 scatter: f.scatter,
                 parsed_here,
-                plan: Arc::clone(plan),
+                plan,
+            };
+            // The plan every execution of `f` shares, if it has one: the
+            // first execution reports whether it was built.
+            let shared = |first: bool| match &f.ready {
+                Some(ready) => Planned::Ready(Arc::clone(&ready.plan), first && ready.built),
+                None => Planned::Own,
             };
             if !f.scatter {
                 let worker = placed.next().expect("one placement per placed fragment");
-                queues[worker].push(queued(Arc::clone(&f.fragment), &SharedPlan::default()));
-            } else if let Some(plan) = f.fragment.shard_plan(size) {
+                queues[worker].push(queued(Arc::clone(&f.fragment), shared(true)));
+            } else if let Some(plan) = f
+                .ready
+                .is_none()
+                .then(|| f.fragment.shard_plan(size))
+                .flatten()
+            {
                 shards_pruned += size - plan.len();
                 for (shard, fragment) in plan {
-                    queues[shard].push(queued(Arc::new(fragment), &SharedPlan::default()));
+                    queues[shard].push(queued(Arc::new(fragment), Planned::Own));
                 }
             } else {
-                let shared = SharedPlan::default();
-                for queue in queues.iter_mut() {
-                    queue.push(queued(Arc::clone(&f.fragment), &shared));
+                let plan = match (&f.ready, &f.fragment.pane) {
+                    (None, None) => {
+                        plans_built += 1;
+                        let db = &self.cluster.workers()[0].db;
+                        // A planner panic fails the statement's slot, as
+                        // it would on a worker, not the round.
+                        let planned =
+                            std::panic::catch_unwind(AssertUnwindSafe(|| f.fragment.plan(db)))
+                                .unwrap_or_else(|_| {
+                                    Err(SqlError::Execution("planning panicked".into()))
+                                });
+                        Some(Arc::new(planned))
+                    }
+                    _ => None,
+                };
+                for (worker, queue) in queues.iter_mut().enumerate() {
+                    let entry = match &plan {
+                        Some(plan) => Planned::Ready(Arc::clone(plan), worker == 0),
+                        None => shared(worker == 0),
+                    };
+                    queue.push(queued(Arc::clone(&f.fragment), entry));
                 }
             }
         }
@@ -193,6 +227,7 @@ impl Gateway {
                 ..WorkerOutput::default()
             });
             executions += output.executions;
+            plans_built += output.plans_built;
             for (idx, counts) in output.panes {
                 panes[idx] += counts;
             }
@@ -226,6 +261,7 @@ impl Gateway {
                 .collect(),
             worker_rows,
             shards_pruned,
+            plans_built,
             plan_cache_hits: executions.saturating_sub(parses),
             plan_cache_misses: parses,
             panes,
@@ -276,13 +312,19 @@ impl Gateway {
                     });
                 }
                 out.executions += 1;
-                let mut built = false;
-                let plan = q.plan.get_or_init(|| {
-                    built = true;
-                    q.fragment.plan(db)
-                });
-                plan_built = Some(built);
-                let plan = plan.as_ref().map_err(Clone::clone)?;
+                let own;
+                let plan = match &q.plan {
+                    Planned::Ready(plan, built) => {
+                        plan_built = Some(*built);
+                        plan.as_ref().as_ref().map_err(Clone::clone)?
+                    }
+                    Planned::Own => {
+                        plan_built = Some(true);
+                        out.plans_built += 1;
+                        own = q.fragment.plan(db)?;
+                        &own
+                    }
+                };
                 let (branches, exec_counts) = execute_branches(plan, db)?;
                 counts = exec_counts;
                 Ok(Partial {
@@ -332,9 +374,15 @@ impl Gateway {
     }
 }
 
-/// The plan of one shipped statement, built by the first worker that
-/// reaches it and shared by every queue entry that runs the statement.
-type SharedPlan = Arc<OnceLock<Result<LogicalPlan, SqlError>>>;
+/// The plan a queued execution runs.
+enum Planned {
+    /// Built before the round reached the worker and shared by every
+    /// execution of the statement; true for the execution that reports the
+    /// build.
+    Ready(Arc<Result<LogicalPlan, SqlError>>, bool),
+    /// The worker plans the statement itself: it runs nowhere else.
+    Own,
+}
 
 /// One fragment execution queued on one worker.
 struct Queued {
@@ -344,7 +392,7 @@ struct Queued {
     scatter: bool,
     /// The coordinator parsed this fragment's SQL text this round.
     parsed_here: bool,
-    plan: SharedPlan,
+    plan: Planned,
 }
 
 /// What one execution hands back, or several gathered: the statement's
@@ -364,12 +412,15 @@ impl Partial {
     /// branch first deduplicated across the shards' partials.
     fn into_table(mut self, fragment: &StaticFragment) -> Table {
         if fragment.scatter {
-            if let Ok(statement) = fragment.fragment.base_statement() {
-                let distinct = statement.branches().map(|branch| branch.distinct);
-                for (rows, distinct) in self.branches.iter_mut().zip(distinct) {
-                    if distinct {
-                        dedup_rows(rows);
-                    }
+            let distinct: Vec<bool> = match &fragment.ready {
+                Some(ready) => ready.distinct.clone(),
+                None => (fragment.fragment.base_statement())
+                    .map(|statement| statement.branches().map(|b| b.distinct).collect())
+                    .unwrap_or_default(),
+            };
+            for (rows, distinct) in self.branches.iter_mut().zip(distinct) {
+                if distinct {
+                    dedup_rows(rows);
                 }
             }
         }
@@ -399,6 +450,8 @@ struct WorkerOutput {
     results: Vec<(usize, Result<Partial, SqlError>)>,
     /// SQL fragment executions (pane probes count under `panes`).
     executions: u64,
+    /// Statements this worker planned itself.
+    plans_built: usize,
     /// What each pane probe this worker answered cost, by fragment slot.
     panes: Vec<(usize, PaneCounts)>,
     spans: Vec<SpanRecord>,
@@ -419,6 +472,9 @@ pub struct StaticRound {
     /// Scatter executions skipped because key routing proved the shard
     /// could hold no matching row.
     pub shards_pruned: usize,
+    /// Plans the round built, on the coordinator or a worker (a fragment
+    /// that arrived with a [`ReadyPlan`] built none here).
+    pub plans_built: usize,
     /// Worker-side SQL fragment executions that needed no parse of their
     /// own this round: the statement arrived typed, was parsed earlier, or
     /// was parsed once for several shards.
@@ -448,6 +504,23 @@ pub struct StaticFragment {
     /// every worker's shard and the partial results are concatenated.
     /// When false, any single worker's replica can answer it.
     pub scatter: bool,
+    /// The plan to execute, when the caller has it: the gateway then plans
+    /// nothing for the fragment and ignores its statement but for display.
+    pub ready: Option<ReadyPlan>,
+}
+
+/// A plan handed to the gateway ready to execute — a prepared shape's plan
+/// as its pool holds it, bound for this execution.
+#[derive(Clone, Debug)]
+pub struct ReadyPlan {
+    /// The plan, or the error planning it failed with.
+    pub plan: Arc<Result<LogicalPlan, SqlError>>,
+    /// Per input of the plan's root `UNION ALL` (one entry for any other
+    /// root), whether that branch is `DISTINCT` — what a scatter's gather
+    /// deduplicates across shards.
+    pub distinct: Vec<bool>,
+    /// True when this round built the plan rather than reused it.
+    pub built: bool,
 }
 
 impl StaticFragment {
@@ -456,6 +529,7 @@ impl StaticFragment {
         StaticFragment {
             fragment: Arc::new(fragment),
             scatter: false,
+            ready: None,
         }
     }
 
@@ -464,7 +538,14 @@ impl StaticFragment {
         StaticFragment {
             fragment: Arc::new(fragment),
             scatter: true,
+            ready: None,
         }
+    }
+
+    /// The fragment with the plan it executes (builder style).
+    pub fn with_plan(mut self, ready: ReadyPlan) -> Self {
+        self.ready = Some(ready);
+        self
     }
 }
 
@@ -829,9 +910,10 @@ mod tests {
         rows
     }
 
-    /// An unpruned scatter statement is planned once per round: the first
-    /// worker to reach it builds the plan, the other three execute it, and
-    /// the gathered rows are exactly what planning on every shard gives.
+    /// An unpruned scatter statement is planned once, before the workers
+    /// start: the first shard's span reports the plan built, the other
+    /// three execute it, and the gathered rows are exactly what planning
+    /// on every shard gives.
     #[test]
     fn a_scatter_statement_is_planned_once_per_round() {
         let cluster = cluster(4);

@@ -24,5 +24,5 @@ pub mod plan_cache;
 pub mod scheduler;
 
 pub use cluster::{Cluster, Worker};
-pub use gateway::{Gateway, StaticFragment, StaticRound};
+pub use gateway::{Gateway, ReadyPlan, StaticFragment, StaticRound};
 pub use plan_cache::PlanCache;

@@ -26,5 +26,7 @@ pub mod virtualize;
 pub use assertion::{MappingAssertion, MappingHead, TermMap};
 pub use catalog::MappingCatalog;
 pub use template::IriTemplate;
-pub use unfold::{unfold_cq, unfold_ucq, UnfoldSettings, UnfoldStats};
+pub use unfold::{
+    unfold_cq, unfold_prepared, unfold_ucq, Guard, PreparedUnfolding, UnfoldSettings, UnfoldStats,
+};
 pub use virtualize::materialize_catalog;

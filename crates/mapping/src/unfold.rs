@@ -8,13 +8,20 @@
 //! IRI-vs-literal) are pruned before emission, and aliases over the same
 //! source joined on a declared unique key are merged (**self-join
 //! elimination** — the redundancy the paper calls out in challenge C3).
+//!
+//! [`unfold_prepared`] unfolds a query once per *shape*: each query
+//! constant listed as a parameter becomes an [`Expr::Param`] where it meets
+//! a term map, and a branch whose emission depended on the constant's value
+//! carries a [`Guard`] instead. [`PreparedUnfolding::bind`] then decides
+//! the guards for one set of constants: the branches and counts it leaves
+//! are those unfolding the constants themselves emits.
 
 use std::collections::HashMap;
 
 use optique_rdf::Term;
 use optique_relational::iri_template::IriTemplate;
 use optique_relational::parser::{Join, JoinType, Projection, SelectStatement, TableRef};
-use optique_relational::{ColumnType, Expr, Value};
+use optique_relational::{Binding, ColumnType, Expr, Value};
 use optique_rewrite::{Atom, ConjunctiveQuery, QueryTerm, UnionQuery};
 
 use crate::assertion::{MappingAssertion, MappingHead, TermMap};
@@ -64,14 +71,123 @@ enum Cond {
         left: (usize, String),
         right: (usize, String),
     },
-    /// The column equals a literal's value.
-    ColConst { col: (usize, String), value: Value },
-    /// `template` mints the constant `iri` from the column.
+    /// The column equals a literal's value (a literal or a parameter).
+    ColConst { col: (usize, String), value: Expr },
+    /// `template` mints the constant IRI `iri` (a text literal or a
+    /// parameter) from the column.
     Minted {
         col: (usize, String),
         template: IriTemplate,
-        iri: String,
+        iri: Expr,
     },
+}
+
+/// What one branch of a [`PreparedUnfolding`] needs of a parameter's value
+/// to be emitted: unfolding the value itself prunes the branch otherwise.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Guard {
+    /// The IRI lies inside `template`'s fixed parts — some TEXT key renders
+    /// it (which key type the column has is the scan's business).
+    Mints {
+        /// The parameter.
+        param: usize,
+        /// The term map's template.
+        template: IriTemplate,
+    },
+    /// The value is `term`, a constant term map's term.
+    Equals {
+        /// The parameter.
+        param: usize,
+        /// The term map's constant.
+        term: Term,
+    },
+}
+
+impl Guard {
+    fn holds(&self, params: &[Term]) -> bool {
+        match self {
+            Guard::Mints { param, template } => match &params[*param] {
+                Term::Iri(iri) => template.invert(iri.as_str(), ColumnType::Text).is_some(),
+                _ => false,
+            },
+            Guard::Equals { param, term } => &params[*param] == term,
+        }
+    }
+}
+
+/// A UCQ unfolded with query constants as parameters ([`unfold_prepared`]).
+#[derive(Clone, Debug)]
+pub struct PreparedUnfolding {
+    /// The `UNION ALL` of every branch some binding emits, with
+    /// `Param(i)` where the `i`-th constant meets a term map (`None` when
+    /// none is emitted for any binding).
+    pub statement: Option<SelectStatement>,
+    /// Per branch of `statement`, in order, the guards a binding must pass
+    /// for the branch to be emitted.
+    pub guards: Vec<Vec<Guard>>,
+    /// The counts of a binding that passes every guard.
+    pub stats: UnfoldStats,
+}
+
+impl PreparedUnfolding {
+    /// Binds `params`, the constants in parameter order: their values, the
+    /// branches whose guards they pass, and the counts unfolding the
+    /// constants themselves reports — a branch a guard prunes is a pruned
+    /// combination, not an emitted one.
+    pub fn bind(&self, params: &[Term]) -> (Binding, UnfoldStats) {
+        let live: Vec<bool> = (self.guards.iter())
+            .map(|guards| guards.iter().all(|g| g.holds(params)))
+            .collect();
+        let pruned = live.iter().filter(|live| !**live).count();
+        let stats = UnfoldStats {
+            emitted: self.stats.emitted - pruned,
+            pruned: self.stats.pruned + pruned,
+            ..self.stats
+        };
+        let values = params.iter().map(constant_value).collect();
+        (Binding { values, live }, stats)
+    }
+}
+
+/// The SQL value a constant stands for: an IRI's text, a literal's value.
+fn constant_value(term: &Term) -> Value {
+    match term {
+        Term::Iri(iri) => Value::text(iri.as_str()),
+        Term::Literal(lit) => literal_to_value(lit),
+        Term::BNode(id) => Value::text(format!("_:b{id}")),
+    }
+}
+
+/// Unfolds a UCQ with each constant of `params` as a parameter (its index
+/// in `params`); a constant not listed is inlined, as [`unfold_ucq`] does.
+/// The UCQ's constants must be the query's: rewriting adds none, so the
+/// prepared unfolding of one query serves every query of its shape —
+/// whose constants, bound in the same order, take the parameters' place.
+pub fn unfold_prepared(
+    ucq: &UnionQuery,
+    catalog: &MappingCatalog,
+    settings: &UnfoldSettings,
+    params: &[Term],
+) -> Result<PreparedUnfolding, String> {
+    let mut stats = UnfoldStats::default();
+    let mut statements: Vec<SelectStatement> = Vec::new();
+    let mut guards: Vec<Vec<Guard>> = Vec::new();
+    for cq in &ucq.disjuncts {
+        let (branches, s) = unfold_branches(cq, catalog, settings, params)?;
+        stats.combinations += s.combinations;
+        stats.emitted += s.emitted;
+        stats.pruned += s.pruned;
+        stats.self_joins_eliminated += s.self_joins_eliminated;
+        for (statement, guarded) in branches {
+            statements.push(statement);
+            guards.push(guarded);
+        }
+    }
+    Ok(PreparedUnfolding {
+        statement: chain_union(statements),
+        guards,
+        stats,
+    })
 }
 
 /// Unfolds a UCQ into a single SQL statement (`None` when no disjunct has
@@ -81,19 +197,8 @@ pub fn unfold_ucq(
     catalog: &MappingCatalog,
     settings: &UnfoldSettings,
 ) -> Result<(Option<SelectStatement>, UnfoldStats), String> {
-    let mut stats = UnfoldStats::default();
-    let mut statements: Vec<SelectStatement> = Vec::new();
-    for cq in &ucq.disjuncts {
-        let (stmt, s) = unfold_cq(cq, catalog, settings)?;
-        stats.combinations += s.combinations;
-        stats.emitted += s.emitted;
-        stats.pruned += s.pruned;
-        stats.self_joins_eliminated += s.self_joins_eliminated;
-        if let Some(stmt) = stmt {
-            statements.push(stmt);
-        }
-    }
-    Ok((chain_union(statements), stats))
+    let unfolded = unfold_prepared(ucq, catalog, settings, &[])?;
+    Ok((unfolded.statement, unfolded.stats))
 }
 
 /// Unfolds one conjunctive query.
@@ -102,6 +207,22 @@ pub fn unfold_cq(
     catalog: &MappingCatalog,
     settings: &UnfoldSettings,
 ) -> Result<(Option<SelectStatement>, UnfoldStats), String> {
+    let (branches, stats) = unfold_branches(cq, catalog, settings, &[])?;
+    let statements = branches.into_iter().map(|(statement, _)| statement);
+    Ok((chain_union(statements.collect()), stats))
+}
+
+/// An unfolded branch and the guards it is emitted under.
+type Branch = (SelectStatement, Vec<Guard>);
+
+/// The branches one conjunctive query unfolds to, each with its guards on
+/// `params`.
+fn unfold_branches(
+    cq: &ConjunctiveQuery,
+    catalog: &MappingCatalog,
+    settings: &UnfoldSettings,
+    params: &[Term],
+) -> Result<(Vec<Branch>, UnfoldStats), String> {
     let mut stats = UnfoldStats::default();
     if cq.atoms.is_empty() {
         return Err("cannot unfold an empty query body".into());
@@ -115,7 +236,7 @@ pub fn unfold_cq(
         };
         if list.is_empty() {
             // An unmapped term makes the whole CQ empty over the sources.
-            return Ok((None, stats));
+            return Ok((Vec::new(), stats));
         }
         candidates.push(list);
     }
@@ -128,7 +249,7 @@ pub fn unfold_cq(
         ));
     }
 
-    let mut statements: Vec<SelectStatement> = Vec::new();
+    let mut statements = Vec::new();
     let mut odometer = vec![0usize; cq.atoms.len()];
     loop {
         stats.combinations += 1;
@@ -137,9 +258,9 @@ pub fn unfold_cq(
             .enumerate()
             .map(|(i, &j)| candidates[i][j])
             .collect();
-        match build_candidate(cq, &picks, &mut stats)? {
-            Some(stmt) => {
-                statements.push(stmt);
+        match build_candidate(cq, &picks, params, &mut stats)? {
+            Some(branch) => {
+                statements.push(branch);
                 stats.emitted += 1;
             }
             None => stats.pruned += 1,
@@ -148,7 +269,7 @@ pub fn unfold_cq(
         let mut i = 0;
         loop {
             if i == odometer.len() {
-                return Ok((chain_union(statements), stats));
+                return Ok((statements, stats));
             }
             odometer[i] += 1;
             if odometer[i] < candidates[i].len() {
@@ -160,16 +281,19 @@ pub fn unfold_cq(
     }
 }
 
-/// Builds the SQL statement for one combination of mapping picks, or `None`
-/// when the combination is term-incompatible.
+/// Builds the SQL statement for one combination of mapping picks, with
+/// the guards its parameters must pass, or `None` when the combination is
+/// term-incompatible whatever the parameters' values.
 fn build_candidate(
     cq: &ConjunctiveQuery,
     picks: &[&MappingAssertion],
+    params: &[Term],
     stats: &mut UnfoldStats,
-) -> Result<Option<SelectStatement>, String> {
+) -> Result<Option<Branch>, String> {
     // Gather positions: query term → (alias, term map) occurrences.
     let mut var_positions: HashMap<&str, Vec<Position>> = HashMap::new();
     let mut conds: Vec<Cond> = Vec::new();
+    let mut guards: Vec<Guard> = Vec::new();
 
     for (i, (atom, assertion)) in cq.atoms.iter().zip(picks).enumerate() {
         let object_map = assertion.object.clone();
@@ -202,11 +326,18 @@ fn build_candidate(
                         .or_default()
                         .push(Position { alias: i, map });
                 }
-                QueryTerm::Const(c) => match constant_condition(&map, c, i) {
-                    Outcome::Cond(cond) => conds.push(cond),
-                    Outcome::AlwaysTrue => {}
-                    Outcome::Incompatible => return Ok(None),
-                },
+                QueryTerm::Const(c) => {
+                    let param = params.iter().position(|p| p == c);
+                    match constant_condition(&map, c, param, i) {
+                        Outcome::Cond(cond) => conds.push(cond),
+                        Outcome::AlwaysTrue => {}
+                        Outcome::Incompatible => return Ok(None),
+                        Outcome::Guarded(guard, cond) => {
+                            guards.push(guard);
+                            conds.extend(cond);
+                        }
+                    }
+                }
             }
         }
     }
@@ -219,6 +350,7 @@ fn build_candidate(
                 Outcome::Cond(cond) => conds.push(cond),
                 Outcome::AlwaysTrue => {}
                 Outcome::Incompatible => return Ok(None),
+                Outcome::Guarded(..) => unreachable!("term maps hold no parameter"),
             }
         }
     }
@@ -318,10 +450,10 @@ fn build_candidate(
                 }
             }
             Cond::ColConst { col, value } => {
-                where_conds.push(Expr::eq(col_expr(col), Expr::Literal(value.clone())));
+                where_conds.push(Expr::eq(col_expr(col), value.clone()));
             }
             Cond::Minted { col, template, iri } => {
-                where_conds.push(Expr::eq(minted(template, col), Expr::lit(iri.as_str())));
+                where_conds.push(Expr::eq(minted(template, col), iri.clone()));
             }
         }
     }
@@ -338,7 +470,7 @@ fn build_candidate(
         })
         .collect();
 
-    Ok(Some(SelectStatement {
+    let statement = SelectStatement {
         distinct: true,
         projections,
         from,
@@ -349,7 +481,8 @@ fn build_candidate(
         order_by: vec![],
         limit: None,
         union_all: None,
-    }))
+    };
+    Ok(Some((statement, guards)))
 }
 
 /// How a position's term map meets a constant (a query constant, or the
@@ -358,30 +491,57 @@ enum Outcome {
     Cond(Cond),
     AlwaysTrue,
     Incompatible,
+    /// Met only by some values of a parameter: the guard says which, and
+    /// the condition (if any) holds the parameter.
+    Guarded(Guard, Option<Cond>),
 }
 
 /// The column condition under which `map`, read at `alias`, produces
-/// `constant`. A template states what the IRI means, `iri_template('P',
-/// col) = 'iri'`: the column's type is not known here, and the optimizer
-/// lowers the test to one of the key at the scan, where it is. An IRI
-/// outside the template's fixed parts — which not even a TEXT key inverts
-/// from — is incompatible.
-fn constant_condition(map: &TermMap, constant: &Term, alias: usize) -> Outcome {
+/// `constant` — the `param`-th parameter when `param` is set. A template
+/// states what the IRI means, `iri_template('P', col) = 'iri'`: the
+/// column's type is not known here, and the optimizer lowers the test to
+/// one of the key at the scan, where it is. An IRI outside the template's
+/// fixed parts — which not even a TEXT key inverts from — is incompatible;
+/// for a parameter, a [`Guard`] defers that to the binding.
+fn constant_condition(
+    map: &TermMap,
+    constant: &Term,
+    param: Option<usize>,
+    alias: usize,
+) -> Outcome {
     let col = |column: &str| (alias, column.to_string());
+    let value = |v: Value| param.map_or(Expr::Literal(v), Expr::Param);
     match (map, constant) {
-        (TermMap::Template(t), Term::Iri(iri)) => match t.invert(iri.as_str(), ColumnType::Text) {
-            Some(_) => Outcome::Cond(Cond::Minted {
+        (TermMap::Template(t), Term::Iri(iri)) => {
+            let cond = Cond::Minted {
                 col: col(t.column()),
                 template: t.codec().clone(),
-                iri: iri.as_str().to_string(),
-            }),
-            None => Outcome::Incompatible,
-        },
+                iri: value(Value::text(iri.as_str())),
+            };
+            match param {
+                Some(param) => {
+                    let template = t.codec().clone();
+                    Outcome::Guarded(Guard::Mints { param, template }, Some(cond))
+                }
+                None if t.invert(iri.as_str(), ColumnType::Text).is_some() => Outcome::Cond(cond),
+                None => Outcome::Incompatible,
+            }
+        }
         (TermMap::Column { column, .. }, Term::Literal(lit)) => Outcome::Cond(Cond::ColConst {
             col: col(column),
-            value: literal_to_value(lit),
+            value: value(literal_to_value(lit)),
         }),
-        (TermMap::Constant(c), k) if c == k => Outcome::AlwaysTrue,
+        (TermMap::Constant(c), k) => match param {
+            Some(param) => Outcome::Guarded(
+                Guard::Equals {
+                    param,
+                    term: c.clone(),
+                },
+                None,
+            ),
+            None if c == k => Outcome::AlwaysTrue,
+            None => Outcome::Incompatible,
+        },
         // IRI-producing map vs literal constant (or vice versa) never match.
         _ => Outcome::Incompatible,
     }
@@ -401,8 +561,8 @@ fn join_condition(a: &Position, b: &Position) -> Outcome {
                 right: (b.alias, cb.clone()),
             })
         }
-        (map, TermMap::Constant(constant)) => constant_condition(map, constant, a.alias),
-        (TermMap::Constant(constant), map) => constant_condition(map, constant, b.alias),
+        (map, TermMap::Constant(constant)) => constant_condition(map, constant, None, a.alias),
+        (TermMap::Constant(constant), map) => constant_condition(map, constant, None, b.alias),
         // Different templates, or an IRI-producing position against a
         // literal-producing one, can never be equal.
         _ => Outcome::Incompatible,

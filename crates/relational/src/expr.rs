@@ -163,6 +163,10 @@ pub enum Expr {
         /// Upper bound.
         high: Box<Expr>,
     },
+    /// The `i`-th parameter of a prepared statement (`$i` in display): a
+    /// placeholder [`crate::prepared::bind_plan`] replaces by its bound
+    /// value before execution. It never parses and never evaluates.
+    Param(usize),
 }
 
 impl Expr {
@@ -220,7 +224,9 @@ impl Expr {
         f: &mut impl FnMut(&Expr) -> Result<Option<Expr>, SqlError>,
     ) -> Result<Expr, SqlError> {
         let rebuilt = match self {
-            Expr::Literal(_) | Expr::Column(_) | Expr::ColumnIdx { .. } => self.clone(),
+            Expr::Literal(_) | Expr::Column(_) | Expr::ColumnIdx { .. } | Expr::Param(_) => {
+                self.clone()
+            }
             Expr::Unary { op, expr } => Expr::Unary {
                 op: *op,
                 expr: Box::new(expr.transform(f)?),
@@ -281,7 +287,7 @@ impl Expr {
     pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
         match self {
-            Expr::Literal(_) | Expr::Column(_) | Expr::ColumnIdx { .. } => {}
+            Expr::Literal(_) | Expr::Column(_) | Expr::ColumnIdx { .. } | Expr::Param(_) => {}
             Expr::Unary { expr, .. }
             | Expr::IsNull { expr, .. }
             | Expr::InSet { expr, .. }
@@ -307,6 +313,42 @@ impl Expr {
                 high.walk(f);
             }
         }
+    }
+
+    /// [`Self::walk`] with mutable access, parents before children: a node
+    /// `f` replaces is walked as replaced.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        f(self);
+        match self {
+            Expr::Literal(_) | Expr::Column(_) | Expr::ColumnIdx { .. } | Expr::Param(_) => {}
+            Expr::Unary { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSet { expr, .. }
+            | Expr::Mint { key: expr, .. } => expr.walk_mut(f),
+            Expr::Binary { left, right, .. } => {
+                left.walk_mut(f);
+                right.walk_mut(f);
+            }
+            Expr::Function { args, .. } | Expr::Aggregate { args, .. } => {
+                args.iter_mut().for_each(|a| a.walk_mut(f));
+            }
+            Expr::InList { expr, list, .. } => {
+                expr.walk_mut(f);
+                list.iter_mut().for_each(|a| a.walk_mut(f));
+            }
+            Expr::Between { expr, low, high } => {
+                expr.walk_mut(f);
+                low.walk_mut(f);
+                high.walk_mut(f);
+            }
+        }
+    }
+
+    /// True when the tree holds a [`Expr::Param`].
+    pub fn has_params(&self) -> bool {
+        let mut found = false;
+        self.walk(&mut |e| found |= matches!(e, Expr::Param(_)));
+        found
     }
 
     /// True when the tree contains an aggregate call.
@@ -369,6 +411,9 @@ impl Expr {
                 call_scalar(name, &values)
             }
             Expr::Mint { template, key } => Ok(template.mint(&key.eval(row)?)),
+            Expr::Param(i) => Err(SqlError::Execution(format!(
+                "parameter ${i} evaluated before it was bound"
+            ))),
             Expr::Aggregate { .. } => Err(SqlError::Execution(
                 "aggregate evaluated outside aggregation context".into(),
             )),
@@ -626,6 +671,7 @@ impl fmt::Display for Expr {
                 write!(f, "))")
             }
             Expr::Between { expr, low, high } => write!(f, "({expr} BETWEEN {low} AND {high})"),
+            Expr::Param(i) => write!(f, "${i}"),
         }
     }
 }

@@ -14,8 +14,10 @@
 //!   against a catalog's schemas, and [`crate::exec::execute_branches`]
 //!   runs that plan on a catalog's rows. Planning reads only schemas, which
 //!   every shard and novelty view of a table shares, so a statement that
-//!   runs unchanged on several shards is planned once per round and its
-//!   [`LogicalPlan`] shared; each worker moves its rows back;
+//!   runs unchanged on several shards is planned once and its
+//!   [`LogicalPlan`] shared — for a prepared shape
+//!   ([`PlanFragment::from_prepared`]), once per pool, bound per query;
+//!   each worker moves its rows back;
 //! * **term ids** — text values are [`crate::dict::TermDict`] terms, so a
 //!   fragment's restriction lists and a result's text cells are only
 //!   meaningful inside the process that interned them;
@@ -66,6 +68,7 @@ use crate::iri_template::IriTemplate;
 use crate::panes::PaneProbe;
 use crate::parser::{Projection, SelectStatement, TableRef};
 use crate::plan::LogicalPlan;
+use crate::prepared::{bind_statement, Prepared};
 use crate::schema::{Column, ColumnType, Schema};
 use crate::table::{Database, Table};
 use crate::value::Value;
@@ -198,6 +201,13 @@ enum Body {
         sql: Arc<str>,
         parsed: OnceLock<Result<Arc<SelectStatement>, SqlError>>,
     },
+    /// A prepared statement and its binding; `bound` memoizes the one
+    /// binding of the statement, for whoever asks for it (an executor that
+    /// plans a shape once binds its plan instead).
+    Prepared {
+        prepared: Arc<Prepared>,
+        bound: OnceLock<Result<Arc<SelectStatement>, SqlError>>,
+    },
 }
 
 /// Fragments are equal when they would put the same bytes on the wire:
@@ -247,6 +257,26 @@ impl PlanFragment {
         Self::with_body(id, Body::Typed(Arc::new(statement)), cost)
     }
 
+    /// A fragment over a prepared statement bound for one execution. Read
+    /// as a statement ([`Self::base_statement`], [`Self::sql`], …) it is
+    /// the bound statement: its values in place, its pruned branches gone.
+    pub fn from_prepared(id: u64, prepared: Arc<Prepared>, cost: f64) -> Self {
+        let body = Body::Prepared {
+            prepared,
+            bound: OnceLock::new(),
+        };
+        Self::with_body(id, body, cost)
+    }
+
+    /// The prepared statement and binding of a fragment built by
+    /// [`Self::from_prepared`].
+    pub fn prepared(&self) -> Option<&Arc<Prepared>> {
+        match &self.body {
+            Body::Prepared { prepared, .. } => Some(prepared),
+            _ => None,
+        }
+    }
+
     /// Attaches semi-join restrictions (builder style).
     pub fn with_semi_joins(mut self, semi_joins: Vec<SemiJoin>) -> Self {
         self.semi_joins = semi_joins;
@@ -285,6 +315,10 @@ impl PlanFragment {
         match &self.body {
             Body::Typed(statement) => Cow::Owned(statement.to_string()),
             Body::Text { sql, .. } => Cow::Borrowed(sql),
+            Body::Prepared { .. } => match self.base_statement() {
+                Ok(statement) => Cow::Owned(statement.to_string()),
+                Err(e) => Cow::Owned(format!("-- {e}")),
+            },
         }
     }
 
@@ -292,7 +326,7 @@ impl PlanFragment {
     /// next [`Self::base_statement`] call on it pays a SQL parse.
     pub fn is_parsed(&self) -> bool {
         match &self.body {
-            Body::Typed(_) => true,
+            Body::Typed(_) | Body::Prepared { .. } => true,
             Body::Text { parsed, .. } => parsed.get().is_some(),
         }
     }
@@ -308,6 +342,14 @@ impl PlanFragment {
                 .get_or_init(|| crate::parser::parse_select(sql).map(Arc::new))
                 .as_ref()
                 .map_err(Clone::clone),
+            Body::Prepared { prepared, bound } => bound
+                .get_or_init(|| {
+                    bind_statement(&prepared.statement, &prepared.binding)
+                        .map(Arc::new)
+                        .ok_or_else(|| SqlError::Execution("every branch is pruned".into()))
+                })
+                .as_ref()
+                .map_err(Clone::clone),
         }
     }
 
@@ -315,12 +357,12 @@ impl PlanFragment {
     /// window time-slice (when present) and any semi-join restrictions
     /// applied around it, in that order.
     pub fn statement(&self) -> Result<SelectStatement, SqlError> {
-        Ok(self.prepared()?.into_owned())
+        Ok(self.executable()?.into_owned())
     }
 
     /// [`Self::statement`], borrowing the shared AST when there is nothing
     /// to wrap around it.
-    fn prepared(&self) -> Result<Cow<'_, SelectStatement>, SqlError> {
+    fn executable(&self) -> Result<Cow<'_, SelectStatement>, SqlError> {
         let base = self.base_statement()?;
         if self.window.is_none() && self.semi_joins.is_empty() {
             return Ok(Cow::Borrowed(base));
@@ -336,12 +378,16 @@ impl PlanFragment {
     /// shares it, cloned otherwise. A text-built fragment nobody parsed
     /// yet parses here.
     pub fn into_statement(self) -> Result<SelectStatement, SqlError> {
+        if let Body::Prepared { .. } = &self.body {
+            return Ok(SelectStatement::clone(self.base_statement()?));
+        }
         let shared = match self.body {
             Body::Typed(statement) => statement,
             Body::Text { sql, parsed } => match parsed.into_inner() {
                 Some(parsed) => parsed?,
                 None => Arc::new(crate::parser::parse_select(&sql)?),
             },
+            Body::Prepared { .. } => unreachable!("answered above"),
         };
         Ok(Arc::try_unwrap(shared).unwrap_or_else(|shared| SelectStatement::clone(&shared)))
     }
@@ -352,7 +398,7 @@ impl PlanFragment {
     /// the plan executes unchanged on every shard and every novelty view of
     /// the tables it scans ([`crate::exec::execute_branches`]).
     pub fn plan(&self, db: &Database) -> Result<LogicalPlan, SqlError> {
-        plan_prepared(self.prepared()?.as_ref(), db)
+        plan_prepared(self.executable()?.as_ref(), db)
     }
 
     /// Plans and executes the fragment against `db`, at its novelty epoch —
@@ -381,6 +427,7 @@ impl PlanFragment {
         let _ = match &self.body {
             Body::Typed(statement) => write!(preview, "{statement}"),
             Body::Text { sql, .. } => preview.write_str(sql),
+            Body::Prepared { prepared, .. } => write!(preview, "{}", prepared.statement),
         };
         let mut out = preview.0;
         out.truncate(out.trim_end().len());

@@ -52,6 +52,7 @@ pub mod optimizer;
 pub mod panes;
 pub mod parser;
 pub mod plan;
+pub mod prepared;
 pub mod schema;
 pub mod stats;
 pub mod table;
@@ -74,6 +75,7 @@ pub use panes::{
 };
 pub use parser::{parse_select, SelectStatement};
 pub use plan::LogicalPlan;
+pub use prepared::{bind_plan, bind_statement, estimated_bytes, Binding, Prepared};
 pub use schema::{Column, ColumnType, Schema};
 pub use stats::{advise_partition_keys, StatsCatalog, TableStats};
 pub use table::{Database, SegmentRows, Segments, StoredTable, Table};

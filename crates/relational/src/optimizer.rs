@@ -129,7 +129,10 @@ fn fold_expr(expr: Expr) -> Expr {
             e.walk(&mut |n| {
                 if matches!(
                     n,
-                    Expr::Column(_) | Expr::ColumnIdx { .. } | Expr::Aggregate { .. }
+                    Expr::Column(_)
+                        | Expr::ColumnIdx { .. }
+                        | Expr::Aggregate { .. }
+                        | Expr::Param(_)
                 ) {
                     found = true;
                 }
@@ -395,7 +398,12 @@ fn filter_over(plan: LogicalPlan, conjuncts: Vec<Expr>) -> LogicalPlan {
 /// `1`, `3.0 / 2` is `1.5`), and so can a bare column's truthiness
 /// (`Int(5)` is true, the equal `Timestamp(5)` is not).
 fn respects_equality(predicate: &Expr) -> bool {
-    let operand = |e: &Expr| matches!(e, Expr::ColumnIdx { .. } | Expr::Literal(_));
+    let operand = |e: &Expr| {
+        matches!(
+            e,
+            Expr::ColumnIdx { .. } | Expr::Literal(_) | Expr::Param(_)
+        )
+    };
     match predicate {
         Expr::Literal(_) => true,
         Expr::Binary {
@@ -469,7 +477,7 @@ fn minted_key(expr: &Expr) -> Option<(&IriTemplate, &Expr, usize)> {
 /// `TIMESTAMP` column also admits `Int` values, which render differently
 /// (`Int(5)` as `…/5`, `Timestamp(5)` as `…/@5`), so those tests keep
 /// rendering. Rewrites in place: only a replaced atom is rebuilt.
-fn lower_minted(predicate: &mut Expr, schema: &Schema) {
+pub(crate) fn lower_minted(predicate: &mut Expr, schema: &Schema) {
     match predicate {
         Expr::Binary {
             op: BinOp::And | BinOp::Or,

@@ -591,7 +591,7 @@ fn plan_aggregate(
             Expr::Column(name) => Err(SqlError::Binding(format!(
                 "column {name} must appear in GROUP BY or inside an aggregate"
             ))),
-            Expr::Literal(_) | Expr::ColumnIdx { .. } => Ok(e.clone()),
+            Expr::Literal(_) | Expr::ColumnIdx { .. } | Expr::Param(_) => Ok(e.clone()),
             Expr::Unary { op, expr } => Ok(Expr::Unary {
                 op: *op,
                 expr: Box::new(rewrite_post_agg(expr, group_by, agg_calls, group_len)?),

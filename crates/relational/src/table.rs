@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 use std::ops::Index;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::SqlError;
@@ -261,6 +262,10 @@ impl Table {
 #[derive(Clone, Default)]
 pub struct Database {
     tables: HashMap<String, Arc<StoredTable>>,
+    /// Per table, the generation of its schema: drawn from one process-wide
+    /// counter when the table is first put or put with another schema, so
+    /// equal generations mean a schema plans alike.
+    generations: HashMap<String, u64>,
     /// Rows appended since the last merge; scans union these with the
     /// base rows of the scanned table ([`Self::novelty_rows`]).
     novelty: Option<Arc<NoveltyOverlay>>,
@@ -281,9 +286,25 @@ impl Database {
         self.put_stored(name, Arc::new(table.into()));
     }
 
-    /// Registers (or replaces) a stored table under `name`, shared.
+    /// Registers (or replaces) a stored table under `name`, shared. A
+    /// replacement with another schema moves the table's
+    /// [`Self::schema_generation`].
     pub fn put_stored(&mut self, name: impl Into<String>, table: Arc<StoredTable>) {
-        self.tables.insert(name.into(), table);
+        static GENERATIONS: AtomicU64 = AtomicU64::new(1);
+        let name = name.into();
+        let kept = (self.tables.get(&name)).is_some_and(|old| old.schema == table.schema);
+        if !kept {
+            let generation = GENERATIONS.fetch_add(1, Ordering::Relaxed);
+            self.generations.insert(name.clone(), generation);
+        }
+        self.tables.insert(name, table);
+    }
+
+    /// The generation of `name`'s schema (`None` for a missing table):
+    /// unchanged by appends, merges and shards, moved by a put with
+    /// another schema. What a plan cache keys a table's plans by.
+    pub fn schema_generation(&self, name: &str) -> Option<u64> {
+        self.generations.get(name).copied()
     }
 
     /// Fetches a table.

@@ -33,13 +33,16 @@
 //! reproduces the naive pipeline bit-for-bit, and the differential
 //! plan-equivalence suite asserts both modes return identical answers.
 
-use optique_mapping::{unfold_ucq, MappingCatalog, UnfoldSettings};
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+use optique_mapping::{unfold_prepared, MappingCatalog, UnfoldSettings};
 use optique_ontology::Ontology;
 use optique_rdf::{Iri, Literal, Term};
 use optique_relational::parser::SelectStatement;
 use optique_relational::{
-    expr::BinOp, expr::UnaryOp, Database, Expr, PaneCounts, PlanFragment, SemiJoin, StatsCatalog,
-    Table, Value,
+    bind_statement, expr::BinOp, expr::UnaryOp, Binding, Database, Expr, PaneCounts, PlanFragment,
+    Prepared, SemiJoin, StatsCatalog, Table, Value,
 };
 use optique_rewrite::{rewrite, Atom, ConjunctiveQuery, QueryTerm, RewriteSettings};
 use optique_telemetry::{SpanId, SpanRecord, Tracer};
@@ -53,6 +56,7 @@ use crate::error::SparqlError;
 use crate::eval::{aggregate, solutions_from_tables, SolutionSet};
 use crate::planner::{greedy_order, CardinalityModel, JoinOperand, PlannerSettings, Restriction};
 use crate::results::SparqlResults;
+use crate::shapes::{Shape, ShapeCache, ShapeKey, ShapeMiss};
 
 /// The gathered results of one fragment round, with enough provenance for
 /// the pipeline's planner counters.
@@ -90,6 +94,13 @@ pub struct FragmentRound {
     /// window range while the stores are warm. Empty when the executor
     /// reports none (a store-less executor).
     pub panes: Vec<PaneCounts>,
+    /// `UNION ALL` statements the executor took apart and regrouped into
+    /// routing groups this round (a shape its pool had planned needs none).
+    pub regroups: usize,
+    /// Plans the round built: for a prepared shape, the plans its pool
+    /// built for it (none once the pool holds them); for any other
+    /// statement, one per statement shipped.
+    pub plans_built: usize,
     /// Worker-side trace spans for the round (batch-relative, see
     /// [`optique_telemetry::SpanRecord`]). A traced pipeline grafts them
     /// under its execution span so worker-side children stitch into the
@@ -142,6 +153,9 @@ pub struct StaticPipeline<'a> {
     pub unfold_settings: UnfoldSettings,
     /// Distributed execution backend; `None` runs single-node on [`Self::db`].
     pub executor: Option<&'a dyn FragmentExecutor>,
+    /// The prepared-shape cache BGPs plan through (see
+    /// [`crate::shapes`]); `None` prepares every BGP afresh, the same way.
+    pub shapes: Option<&'a ShapeCache>,
     /// Per-BGP solution-set cache paired with the per-table write versions
     /// of this pipeline's database snapshot (see [`Self::with_cache`]);
     /// `None` disables caching.
@@ -214,6 +228,19 @@ pub struct PipelineStats {
     pub plan_cache_hits: u64,
     /// Fragment SQL parses paid (text-built fragments only).
     pub plan_cache_misses: u64,
+    /// BGPs answered from a prepared shape: no rewrite, unfold, regroup or
+    /// plan, only a binding.
+    pub shape_hits: usize,
+    /// BGPs that built (part of) their prepared shape, or were restricted.
+    pub shape_misses: usize,
+    /// PerfectRef rewritings run (one per shape built).
+    pub rewrites: usize,
+    /// Unfoldings run (one per shape built).
+    pub unfolds: usize,
+    /// `UNION ALL` statements regrouped by the distributed executor.
+    pub regroups: usize,
+    /// Plans built, on the coordinator or a worker.
+    pub plans_built: usize,
 }
 
 impl<'a> StaticPipeline<'a> {
@@ -226,6 +253,7 @@ impl<'a> StaticPipeline<'a> {
             rewrite_settings: RewriteSettings::default(),
             unfold_settings: UnfoldSettings::default(),
             executor: None,
+            shapes: None,
             cache: None,
             planner: PlannerSettings::default(),
             table_stats: None,
@@ -246,6 +274,13 @@ impl<'a> StaticPipeline<'a> {
     pub fn with_tracer(mut self, tracer: &'a Tracer, parent: Option<SpanId>) -> Self {
         self.tracer = Some(tracer);
         self.trace_parent = parent;
+        self
+    }
+
+    /// Plans BGPs through `shapes`: a BGP whose shape is cached runs no
+    /// rewrite, unfold or plan, only a binding of its constants.
+    pub fn with_shapes(mut self, shapes: &'a ShapeCache) -> Self {
+        self.shapes = Some(shapes);
         self
     }
 
@@ -552,44 +587,59 @@ impl<'a> StaticPipeline<'a> {
             stats.cache_misses += 1;
         }
 
-        let cq = ConjunctiveQuery::new(vars.clone(), atoms.to_vec());
-
-        let rewrite_span = self.tracer.map(|t| t.span(bgp_id, "rewrite"));
-        let (ucq, _) = rewrite(&cq, self.ontology, &self.rewrite_settings)
-            .map_err(|e| SparqlError::execution(format!("enrichment failed: {e}")))?;
-        if let Some(mut span) = rewrite_span {
-            span.set_attr("ucq_disjuncts", ucq.len());
-            span.finish();
-        }
-        stats.ucq_disjuncts += ucq.len();
-
-        let unfold_span = self.tracer.map(|t| t.span(bgp_id, "unfold"));
-        let (sql, unfold_stats) = unfold_ucq(&ucq, self.mappings, &self.unfold_settings)
-            .map_err(|e| SparqlError::execution(format!("unfolding failed: {e}")))?;
-        if let Some(mut span) = unfold_span {
-            span.set_attr("sql_disjuncts", unfold_stats.emitted);
-            span.finish();
-        }
-        stats.sql_disjuncts += unfold_stats.emitted;
-
+        // The BGP's shape: rewritten, unfolded and (per executor) planned
+        // once; this query binds its constants into it. The shape's
+        // statement answers the BGP's variables by position, under the
+        // shape's names for them, which the restrictions name too.
+        let lifted = ShapeKey::lift(atoms);
         let semi_joins: Vec<SemiJoin> = restriction
             .entries()
             .iter()
             .map(|(var, terms)| {
-                SemiJoin::new(var.clone(), terms.iter().map(term_to_value).collect())
+                let at = vars
+                    .iter()
+                    .position(|v| v == var)
+                    .expect("restricted to the BGP's vars");
+                let values = terms.iter().map(term_to_value).collect();
+                SemiJoin::new(lifted.vars[at].clone(), values)
             })
             .collect();
+        let looked_up = match self.shapes {
+            Some(shapes) => shapes.lookup(&lifted.key, self.db),
+            None => Err(ShapeMiss::New),
+        };
+        let constants = &lifted.constants;
+        let (shape, mut miss) = match looked_up {
+            Ok(shape) => (shape, None),
+            Err(miss) => {
+                let shape =
+                    self.prepare_shape(&lifted.vars, &lifted.atoms, constants, bgp_id, stats)?;
+                let shape = Arc::new(shape);
+                if let Some(shapes) = self.shapes {
+                    shapes.store(lifted.key, Arc::clone(&shape));
+                }
+                (shape, Some(miss))
+            }
+        };
+        stats.ucq_disjuncts += shape.rewriting.len();
+        let (binding, unfold_stats) = shape.bind(constants);
+        stats.sql_disjuncts += unfold_stats.emitted;
 
         // What a cached result depends on: the base tables the unfolded SQL
-        // reads. An unmapped BGP reads nothing (row inserts cannot make it
-        // non-empty — mappings are immutable), so its dependency set is
+        // reads. A BGP every branch of which its constants prune (or that
+        // some term leaves unmapped) reads nothing: no row insert can make
+        // it non-empty — mappings are immutable — so its dependency set is
         // empty.
-        let tables_read = sql
-            .as_ref()
-            .map(optique_relational::referenced_tables)
-            .unwrap_or_default();
-        let solutions = match sql {
-            // Some term has no mapping: the BGP is empty over the sources.
+        let statement = shape.statement.as_ref().filter(|_| !binding.prunes_all());
+        let tables_read: BTreeSet<String> = match statement {
+            Some(_) => shape
+                .tables
+                .iter()
+                .map(|(table, _)| table.clone())
+                .collect(),
+            None => BTreeSet::new(),
+        };
+        let solutions = match statement {
             None => SolutionSet {
                 vars,
                 rows: Vec::new(),
@@ -598,7 +648,26 @@ impl<'a> StaticPipeline<'a> {
                 stats.semi_joins_pushed += semi_joins.len();
                 let mut exec_span = self.tracer.map(|t| t.span(bgp_id, "exec"));
                 let exec_id = exec_span.as_ref().map(|s| s.id());
-                let tables = self.execute_statement(statement, &semi_joins, exec_id, stats)?;
+                let tables = if semi_joins.is_empty() {
+                    let prepared = Prepared {
+                        shape: shape.id,
+                        statement: Arc::clone(statement),
+                        binding,
+                    };
+                    let (tables, built) =
+                        self.execute_prepared(&shape, prepared, exec_id, stats)?;
+                    if built && miss.is_none() {
+                        miss = Some(ShapeMiss::Layout);
+                    }
+                    tables
+                } else {
+                    // A restriction's values are the execution's own: the
+                    // bound statement is planned with them, for this
+                    // execution only.
+                    miss = miss.or(Some(ShapeMiss::Restricted));
+                    let bound = bound_statement(statement, &binding);
+                    self.execute_statement(bound, &semi_joins, exec_id, stats)?
+                };
                 if let Some(span) = exec_span.as_mut() {
                     span.set_attr("rows", tables.iter().map(Table::len).sum::<usize>());
                 }
@@ -620,6 +689,19 @@ impl<'a> StaticPipeline<'a> {
                 }
             }
         };
+        match miss {
+            None => stats.shape_hits += 1,
+            Some(_) => stats.shape_misses += 1,
+        }
+        if let Some(shapes) = self.shapes {
+            shapes.record(miss);
+        }
+        if let Some(span) = bgp_span.as_mut() {
+            span.set_attr("shape", if miss.is_none() { "hit" } else { "miss" });
+            if let Some(miss) = miss {
+                span.set_attr("shape_miss", miss.as_str());
+            }
+        }
         stats.actual_rows += solutions.len() as u64;
         if let Some(span) = bgp_span.as_mut() {
             span.set_attr("rows", solutions.len());
@@ -638,6 +720,117 @@ impl<'a> StaticPipeline<'a> {
         Ok(solutions)
     }
 
+    /// Builds the shape of a BGP over `vars` and `atoms`: PerfectRef, then
+    /// unfolding with `constants` as parameters — the one place either
+    /// runs.
+    fn prepare_shape(
+        &self,
+        vars: &[String],
+        atoms: &[Atom],
+        constants: &[Term],
+        bgp_id: Option<SpanId>,
+        stats: &mut PipelineStats,
+    ) -> Result<Shape, SparqlError> {
+        let cq = ConjunctiveQuery::new(vars.to_vec(), atoms.to_vec());
+        let rewrite_span = self.tracer.map(|t| t.span(bgp_id, "rewrite"));
+        let (ucq, _) = rewrite(&cq, self.ontology, &self.rewrite_settings)
+            .map_err(|e| SparqlError::execution(format!("enrichment failed: {e}")))?;
+        stats.rewrites += 1;
+        if let Some(mut span) = rewrite_span {
+            span.set_attr("ucq_disjuncts", ucq.len());
+            span.finish();
+        }
+
+        let unfold_span = self.tracer.map(|t| t.span(bgp_id, "unfold"));
+        let unfolded = unfold_prepared(&ucq, self.mappings, &self.unfold_settings, constants)
+            .map_err(|e| SparqlError::execution(format!("unfolding failed: {e}")))?;
+        stats.unfolds += 1;
+        if let Some(mut span) = unfold_span {
+            span.set_attr("sql_disjuncts", unfolded.stats.emitted);
+            span.finish();
+        }
+        Ok(Shape::new(ucq, unfolded, self.db))
+    }
+
+    /// Runs one bound shape: on the distributed executor as one prepared
+    /// fragment — the pool binds the plans it holds for the shape — or on
+    /// the local engine through the shape's single-node plan. Returns the
+    /// tables to merge and whether a plan was built for the shape.
+    fn execute_prepared(
+        &self,
+        shape: &Shape,
+        prepared: Prepared,
+        parent: Option<SpanId>,
+        stats: &mut PipelineStats,
+    ) -> Result<(Vec<Table>, bool), SparqlError> {
+        match self.executor {
+            Some(_) => {
+                let fragment = PlanFragment::from_prepared(0, Arc::new(prepared), 1.0);
+                let built_before = stats.plans_built;
+                let tables = self.execute_fragment(fragment, parent, stats)?;
+                Ok((tables, stats.plans_built > built_before))
+            }
+            None => {
+                let sql_span = self.tracer.map(|t| t.span(parent, "sql"));
+                let failed = |e: optique_relational::SqlError| {
+                    SparqlError::execution(format!("SQL execution failed: {e}"))
+                };
+                let (plan, built) = shape
+                    .local_plan(&prepared.binding, self.db)
+                    .map_err(failed)?;
+                stats.plans_built += usize::from(built);
+                let (table, counts) =
+                    optique_relational::exec::execute_counted(&plan, self.db).map_err(failed)?;
+                if let Some(mut span) = sql_span {
+                    span.set_attr("rows", table.len());
+                    span.set_attr("plan", if built { "built" } else { "shared" });
+                    span.set_attr("scans", counts.scans);
+                    span.set_attr("scans_shared", counts.scans_shared);
+                    span.set_attr("rows_scanned", counts.rows_scanned);
+                    span.finish();
+                }
+                stats.fragment_rows += table.len();
+                Ok((vec![table], built))
+            }
+        }
+    }
+
+    /// Runs one BGP's fragment on the distributed executor, pinned at the
+    /// coordinator snapshot's novelty epoch — every worker resolves the same
+    /// overlay, so one round never mixes pre- and post-append rows.
+    fn execute_fragment(
+        &self,
+        fragment: PlanFragment,
+        parent: Option<SpanId>,
+        stats: &mut PipelineStats,
+    ) -> Result<Vec<Table>, SparqlError> {
+        let executor = self.executor.expect("a distributed pipeline");
+        let fragment = fragment.at_epoch(self.db.novelty_epoch());
+        // The round's worker spans are recorded relative to its own
+        // start; capture that instant on the tracer's clock so the
+        // graft lands them under the exec span at the right offset.
+        let round_base = self.tracer.map(|t| t.now_us());
+        let failed = |e: String| SparqlError::execution(format!("federated execution failed: {e}"));
+        let round = executor.execute(vec![fragment]).map_err(failed)?;
+        if let (Some(tracer), Some(base)) = (self.tracer, round_base) {
+            tracer.graft(parent, base, &round.spans);
+        }
+        stats.fragments += round.statements;
+        stats.coordinator_fallbacks += round.coordinator_fallbacks;
+        stats.partitioned_fragments += round.partitioned_fragments;
+        stats.replicated_fallbacks += round.replicated_fallbacks;
+        stats.shards_pruned += round.shards_pruned;
+        stats.plan_cache_hits += round.plan_cache_hits;
+        stats.plan_cache_misses += round.plan_cache_misses;
+        stats.regroups += round.regroups;
+        stats.plans_built += round.plans_built;
+        let tables = (round.tables.into_iter())
+            .collect::<Result<Vec<Table>, String>>()
+            .map_err(failed)?;
+        stats.fragment_rows += tables.iter().map(Table::len).sum::<usize>();
+        Ok(tables)
+    }
+
     /// Runs one unfolded `UNION ALL` statement: on the distributed executor
     /// as one fragment when one is attached, on the local engine
     /// otherwise. Semi-join restrictions ride on the fragment (federated)
@@ -651,38 +844,13 @@ impl<'a> StaticPipeline<'a> {
         stats: &mut PipelineStats,
     ) -> Result<Vec<Table>, SparqlError> {
         match self.executor {
-            Some(executor) => {
+            Some(_) => {
                 // The fragment carries the unfolder's AST as is — nothing
                 // prints or re-parses it on the way to a worker — and the
-                // executor costs the disjuncts it regroups. Pin the round at
-                // the coordinator snapshot's novelty epoch: every worker
-                // resolves the same overlay, so one round never mixes pre-
-                // and post-append rows.
+                // executor costs the disjuncts it regroups.
                 let fragment = PlanFragment::from_statement(0, statement, 1.0)
-                    .with_semi_joins(semi_joins.to_vec())
-                    .at_epoch(self.db.novelty_epoch());
-                // The round's worker spans are recorded relative to its own
-                // start; capture that instant on the tracer's clock so the
-                // graft lands them under the exec span at the right offset.
-                let round_base = self.tracer.map(|t| t.now_us());
-                let failed =
-                    |e: String| SparqlError::execution(format!("federated execution failed: {e}"));
-                let round = executor.execute(vec![fragment]).map_err(failed)?;
-                if let (Some(tracer), Some(base)) = (self.tracer, round_base) {
-                    tracer.graft(parent, base, &round.spans);
-                }
-                stats.fragments += round.statements;
-                stats.coordinator_fallbacks += round.coordinator_fallbacks;
-                stats.partitioned_fragments += round.partitioned_fragments;
-                stats.replicated_fallbacks += round.replicated_fallbacks;
-                stats.shards_pruned += round.shards_pruned;
-                stats.plan_cache_hits += round.plan_cache_hits;
-                stats.plan_cache_misses += round.plan_cache_misses;
-                let tables = (round.tables.into_iter())
-                    .collect::<Result<Vec<Table>, String>>()
-                    .map_err(failed)?;
-                stats.fragment_rows += tables.iter().map(Table::len).sum::<usize>();
-                Ok(tables)
+                    .with_semi_joins(semi_joins.to_vec());
+                self.execute_fragment(fragment, parent, stats)
             }
             None => {
                 let sql_span = self.tracer.map(|t| t.span(parent, "sql"));
@@ -692,6 +860,7 @@ impl<'a> StaticPipeline<'a> {
                     optique_relational::execute_prepared_counted(&restricted, self.db).map_err(
                         |e| SparqlError::execution(format!("SQL execution failed: {e}")),
                     )?;
+                stats.plans_built += 1;
                 if let Some(mut span) = sql_span {
                     span.set_attr("rows", table.len());
                     span.set_attr("scans", counts.scans);
@@ -704,6 +873,12 @@ impl<'a> StaticPipeline<'a> {
             }
         }
     }
+}
+
+/// `statement` bound: its parameters in place, its pruned branches gone
+/// (the caller checked that some branch is live).
+fn bound_statement(statement: &SelectStatement, binding: &Binding) -> SelectStatement {
+    bind_statement(statement, binding).expect("a live branch")
 }
 
 /// True when a batched operand contains no `OPTIONAL` anywhere — the
@@ -1255,6 +1430,66 @@ mod tests {
         assert!(optimized.1.actual_rows > 0);
     }
 
+    /// A shape cached over one catalog misses with reason `schema` over a
+    /// catalog whose table has another schema — here `turbines.tid` TEXT
+    /// instead of INT, where the INT plan would lower the constant to the
+    /// integer key 1 and match no TEXT key — and answers what a pipeline
+    /// without shapes answers; over the first catalog it hits.
+    #[test]
+    fn a_schema_change_misses_the_shape() {
+        use optique_telemetry::{render_tree, Tracer};
+        let onto = ontology();
+        let maps = catalog();
+        let shapes = ShapeCache::new();
+        let text_keyed = {
+            let mut db = db();
+            let rows = ["1", "2", "3"]
+                .iter()
+                .zip(["SGT-400", "SGT-800", "SST-600"])
+                .map(|(tid, model)| vec![Value::text(*tid), Value::text(model), Value::text("gas")])
+                .collect();
+            let schema = [
+                ("tid", ColumnType::Text),
+                ("model", ColumnType::Text),
+                ("kind", ColumnType::Text),
+            ];
+            db.put_table("turbines", table_of("turbines", &schema, rows).unwrap());
+            db
+        };
+        let int_keyed = db();
+        let query = |k: u32| {
+            let text = format!("SELECT ?m WHERE {{ <http://x/turbine/{k}> x:hasModel ?m }}");
+            crate::parse_sparql(&text, &ns()).unwrap()
+        };
+        let run = |db: &Database, k: u32| {
+            let tracer = Tracer::new();
+            let pipeline = StaticPipeline::new(&onto, &maps, db)
+                .with_shapes(&shapes)
+                .with_tracer(&tracer, None);
+            let (got, _) = pipeline.answer(&query(k)).unwrap();
+            let (want, _) = StaticPipeline::new(&onto, &maps, db)
+                .answer(&query(k))
+                .unwrap();
+            assert_eq!(canonical(&got), canonical(&want));
+            assert_eq!(got.len(), 1, "turbine {k} has one model");
+            let tree = render_tree(&tracer.spans());
+            let miss = |reason: &str| tree.contains(&format!("shape_miss={reason}"));
+            match (
+                tree.contains("shape=hit"),
+                ["new", "schema"].into_iter().find(|r| miss(r)),
+            ) {
+                (true, None) => "hit",
+                (false, Some(reason)) => reason,
+                _ => panic!("no shape outcome:\n{tree}"),
+            }
+        };
+        assert_eq!(run(&int_keyed, 1), "new");
+        assert_eq!(run(&int_keyed, 2), "hit");
+        assert_eq!(run(&text_keyed, 1), "schema");
+        assert_eq!(run(&text_keyed, 3), "hit");
+        assert_eq!(run(&int_keyed, 3), "schema");
+    }
+
     /// Restricted executions cache under restriction-fingerprinted keys —
     /// a restricted subset must never answer an unrestricted lookup.
     #[test]
@@ -1671,7 +1906,8 @@ mod tests {
         ];
         let cq = ConjunctiveQuery::new(vec!["a".into(), "s".into()], atoms);
         let (ucq, _) = rewrite(&cq, &d.ontology, &RewriteSettings::default()).unwrap();
-        let (statement, _) = unfold_ucq(&ucq, &d.mappings, &UnfoldSettings::default()).unwrap();
+        let (statement, _) =
+            optique_mapping::unfold_ucq(&ucq, &d.mappings, &UnfoldSettings::default()).unwrap();
         // More keys than the `IN`-list threshold, so the restriction is a
         // hash-set probe; one IRI no key renders.
         let mut assemblies: Vec<Value> = (0..12)

@@ -55,6 +55,7 @@ pub mod lexer;
 pub mod parser;
 pub mod planner;
 pub mod results;
+pub mod shapes;
 
 pub use algebra::{
     AggregateFunction, ArithmeticOperator, AskQuery, ComparisonOperator, Expression, GroupPattern,
@@ -70,3 +71,4 @@ pub use eval::{solutions_from_tables, SolutionSet};
 pub use parser::{parse_sparql, Parser};
 pub use planner::{CardinalityModel, PlannerSettings, Restriction};
 pub use results::SparqlResults;
+pub use shapes::{Shape, ShapeCache, ShapeKey, ShapeMiss, SHAPE_CAPACITY};

@@ -502,6 +502,47 @@ pub mod streaming {
     }
 }
 
+/// The fan-out shape: one property, `<http://x/p>`, mapped through 100
+/// tables of 64 rows each (`a`, `b`: INT; subject `…/obj/{a}`, object
+/// `…/obj/{b}`), each auto-partitioned on its subject key. A probe
+/// `?a <http://x/p> <http://x/obj/k>` answers one row per table for `k` in
+/// `0..64`; a scan answers all 6 400.
+pub fn fan_out() -> optique::OptiquePlatform {
+    use optique_mapping::{MappingAssertion, MappingCatalog, TermMap};
+    use optique_rdf::{Iri, Namespaces};
+    use optique_relational::{table::table_of, ColumnType, Database, Value};
+
+    let mut db = Database::new();
+    let mut mappings = MappingCatalog::new();
+    for i in 0..100i64 {
+        let table = format!("t{i}");
+        let rows = (0..64)
+            .map(|k| vec![Value::Int(i * 64 + k), Value::Int(k)])
+            .collect();
+        let columns = [("a", ColumnType::Int), ("b", ColumnType::Int)];
+        db.put_table(&table, table_of(&table, &columns, rows).unwrap());
+        mappings
+            .add(
+                MappingAssertion::property(
+                    format!("p-src{i}"),
+                    Iri::new("http://x/p"),
+                    format!("SELECT a, b FROM {table}"),
+                    TermMap::template("http://x/obj/{a}"),
+                    TermMap::template("http://x/obj/{b}"),
+                )
+                .with_key(vec!["a".into(), "b".into()]),
+            )
+            .unwrap();
+    }
+    optique::OptiquePlatform::deploy(
+        db,
+        Default::default(),
+        Namespaces::with_w3c_defaults(),
+        mappings,
+        optique_siemens::SiemensDeployment::small().stream_to_rdf,
+    )
+}
+
 /// A generator of query texts over the Siemens vocabulary: single BGPs,
 /// two-branch UNIONs, OPTIONAL extensions, FILTERed joins, adjacent
 /// subgroups (residual joins the planner reorders / semi-joins),

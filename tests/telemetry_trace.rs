@@ -50,6 +50,189 @@ fn traced_spans(text: &str, workers: usize) -> Vec<Span> {
     tracer.spans()
 }
 
+// ---- the shape outcome ----------------------------------------------------
+
+/// The `bgp` span line of an EXPLAIN ANALYZE report.
+fn bgp_line(report: &str) -> &str {
+    let mut bgps = report.lines().filter(|line| line.contains("bgp  ("));
+    let line = bgps
+        .next()
+        .unwrap_or_else(|| panic!("no bgp span:\n{report}"));
+    assert!(bgps.next().is_none(), "one BGP:\n{report}");
+    line
+}
+
+/// The `plan` attributes of a report's worker `fragment` spans, sorted.
+fn plan_attrs(report: &str) -> Vec<&str> {
+    let mut plans: Vec<&str> = (report.lines())
+        .filter(|line| line.contains("fragment  ("))
+        .map(|line| {
+            if line.contains("plan=built") {
+                "built"
+            } else {
+                "shared"
+            }
+        })
+        .collect();
+    plans.sort_unstable();
+    plans
+}
+
+/// A shape's first query misses (`shape=miss shape_miss=new`): it
+/// rewrites, unfolds, and the first execution of each statement shipped
+/// reports its plan built for the shape (a scattered statement's other
+/// shards share it). The next query of the shape, another constant, hits
+/// (`shape=hit`): no rewrite or unfold span, and every execution reuses
+/// the pool's plan (`plan=shared`). EXPLAIN ANALYZE shows both.
+#[test]
+fn a_shape_misses_once_then_hits() {
+    let p = OptiquePlatform::from_siemens(SiemensDeployment::small());
+    let query = |assembly: usize| {
+        format!(
+            "SELECT ?s WHERE {{ <{}assembly/{assembly}> sie:inAssembly ?s }}",
+            common::DATA_NS
+        )
+    };
+    let miss = p.explain_analyze(&query(1), Some(2)).unwrap();
+    let line = bgp_line(&miss);
+    assert!(
+        line.contains("shape=miss") && line.contains("shape_miss=new"),
+        "{miss}"
+    );
+    assert!(
+        miss.contains("rewrite  (") && miss.contains("unfold  ("),
+        "{miss}"
+    );
+    let plans = plan_attrs(&miss);
+    assert!(
+        plans.contains(&"built") && plans.contains(&"shared"),
+        "{miss}"
+    );
+
+    let hit = p.explain_analyze(&query(2), Some(2)).unwrap();
+    let line = bgp_line(&hit);
+    assert!(
+        line.contains("shape=hit") && !line.contains("shape_miss"),
+        "{hit}"
+    );
+    assert!(
+        !hit.contains("rewrite  (") && !hit.contains("unfold  ("),
+        "{hit}"
+    );
+    assert!(
+        plan_attrs(&hit).iter().all(|plan| *plan == "shared"),
+        "{hit}"
+    );
+    assert_eq!(plan_attrs(&hit).len(), plans.len(), "{hit}");
+}
+
+/// Filling the shape cache past its capacity keeps `shapes.entries` at the
+/// capacity and `shapes.bytes` bounded, and evicts deterministically — the
+/// least recently used shape: the first shape, evicted by the
+/// `capacity + 1`-th, misses with reason `evicted`, while the shape used
+/// last still hits. `shapes.bytes` also counts the plans a pool keeps,
+/// until the cache evicts their shape.
+#[test]
+fn shape_gauges_stay_bounded_and_eviction_is_deterministic() {
+    use optique_mapping::{MappingAssertion, MappingCatalog, TermMap};
+    use optique_rdf::{Iri, Namespaces};
+    use optique_relational::{table::table_of, ColumnType, Database, Value};
+    use optique_sparql::SHAPE_CAPACITY;
+    // One table and a property per shape: `?s <p{i}> ?o` is shape `i`.
+    let mut db = Database::new();
+    let rows = (0..4)
+        .map(|k| vec![Value::Int(k), Value::Int(k * 2)])
+        .collect();
+    let columns = [("a", ColumnType::Int), ("b", ColumnType::Int)];
+    db.put_table("t", table_of("t", &columns, rows).unwrap());
+    let mut mappings = MappingCatalog::new();
+    for i in 0..2 * SHAPE_CAPACITY {
+        let assertion = MappingAssertion::property(
+            format!("p{i}"),
+            Iri::new(format!("http://x/p{i}")),
+            "SELECT a, b FROM t",
+            TermMap::template("http://x/s/{a}"),
+            TermMap::template("http://x/o/{b}"),
+        );
+        mappings.add(assertion).unwrap();
+    }
+    let stream = SiemensDeployment::small().stream_to_rdf;
+    let p = OptiquePlatform::deploy(
+        db,
+        Default::default(),
+        Namespaces::with_w3c_defaults(),
+        mappings,
+        stream,
+    );
+    let query = |i: usize| format!("SELECT ?s ?o WHERE {{ ?s <http://x/p{i}> ?o }}");
+    let outcome = |i: usize| {
+        p.bgp_cache().invalidate();
+        let report = p.explain_analyze(&query(i), None).unwrap();
+        let line = bgp_line(&report).to_string();
+        let attr = |key: &str| {
+            let start = line.find(&format!("{key}="))? + key.len() + 1;
+            let value = &line[start..];
+            Some(value[..value.find([',', ')']).unwrap_or(value.len())].to_string())
+        };
+        (attr("shape").unwrap(), attr("shape_miss"))
+    };
+    let gauges = || {
+        let metrics = p.metrics_snapshot();
+        (
+            metrics.gauge("shapes.entries").unwrap(),
+            metrics.gauge("shapes.bytes").unwrap(),
+        )
+    };
+    for i in 0..SHAPE_CAPACITY {
+        assert_eq!(outcome(i), ("miss".into(), Some("new".into())), "shape {i}");
+    }
+    let (entries, full) = gauges();
+    assert_eq!(entries, SHAPE_CAPACITY as i64);
+    assert!(full > 0);
+    for i in SHAPE_CAPACITY..2 * SHAPE_CAPACITY {
+        assert_eq!(outcome(i).0, "miss", "shape {i}");
+        let (entries, bytes) = gauges();
+        assert_eq!(entries, SHAPE_CAPACITY as i64, "after shape {i}");
+        // Every shape is the same query but for one property's name.
+        assert!(bytes <= full + full / 8, "{bytes} against {full} when full");
+    }
+    let last = 2 * SHAPE_CAPACITY - 1;
+    assert_eq!(outcome(last), ("hit".into(), None));
+    assert_eq!(outcome(0), ("miss".into(), Some("evicted".into())));
+    assert_eq!(outcome(last), ("hit".into(), None));
+
+    // The plans a pool keeps for a shape count too: a shape's first
+    // distributed execution adds them, a hit adds nothing.
+    let distributed = || {
+        p.bgp_cache().invalidate();
+        p.query_static_distributed(&query(last), 2).unwrap();
+        gauges()
+    };
+    let (entries, before) = gauges();
+    let (_, pooled) = distributed();
+    assert!(pooled > before, "{pooled} against {before}");
+    assert_eq!(distributed(), (entries, pooled));
+
+    // One eviction governs both: once the cache evicts that shape, the
+    // pool's plans for it no longer count. The first `SHAPE_CAPACITY`
+    // shapes again are exactly what the cache held when it first filled.
+    for i in 0..SHAPE_CAPACITY {
+        outcome(i);
+    }
+    assert_eq!(gauges(), (SHAPE_CAPACITY as i64, full));
+    assert_eq!(outcome(last), ("miss".into(), Some("evicted".into())));
+
+    // Every BGP execution above, counted by outcome: 128 distinct shapes,
+    // the distributed execution that planned on the pool (`layout`), and
+    // each return of an evicted shape.
+    let metrics = p.metrics_snapshot();
+    let count = |name: &str| metrics.gauge(&format!("shapes.{name}")).unwrap();
+    let outcomes = ["hits", "misses.new", "misses.layout", "misses.evicted"].map(count);
+    let capacity = SHAPE_CAPACITY as i64;
+    assert_eq!(outcomes, [4, 2 * capacity, 1, capacity + 1]);
+    assert_eq!(count("misses.schema") + count("misses.restricted"), 0);
+}
+
 // ---- cross-worker span-tree stitching ----------------------------------
 
 /// At 1, 2, 4 and 8 workers the worker-side records graft into the
